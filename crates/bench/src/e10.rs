@@ -9,7 +9,6 @@
 use rayon::prelude::*;
 use serde::Serialize;
 
-use crossbeam::channel::unbounded;
 use dtcs::control::CatalogService;
 use dtcs::device::view::digest_packet;
 use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceEvent, OwnerId};
@@ -156,7 +155,7 @@ fn trigger_case(
     let my_addr = Addr::new(me, 1);
     sim.install_app(my_addr, Box::new(dtcs::netsim::SinkApp));
     let owner = OwnerId(3);
-    let (tx, rx) = unbounded::<DeviceEvent>();
+    let (tx, rx) = std::sync::mpsc::channel::<DeviceEvent>();
     let (mut dev, _h) = AdaptiveDevice::new(NodeId(0), None);
     dev.set_event_tap(tx);
     dev.apply(DeviceCommand::RegisterOwner {

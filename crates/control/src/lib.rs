@@ -25,5 +25,8 @@ pub use plane::{
     TcspAgent, TcspHandle, TcspStats, UserAgent, UserHandle, UserOp, UserRecord, RECONCILE_TXN,
     RENEW_TXN_BASE, TOKEN_REGISTER, TOKEN_RENEW, TOKEN_SWEEP, TOKEN_WITHDRAW,
 };
-pub use retry::{CpStats, CpStatsHandle, Dedup, MsgKey, Retransmitter, RetryEvent, RetryPolicy};
+pub use retry::{
+    CpStats, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Retransmitter, RetryPolicy,
+    TimerSlots,
+};
 pub use scenario::{partition_by_provider, ControlPlane, ControlPlaneConfig};

@@ -41,7 +41,10 @@ use dtcs_netsim::{
 use crate::authority::InternetNumberAuthority;
 use crate::catalog::CatalogService;
 use crate::identity::{Certificate, UserId};
-use crate::retry::{CpStatsHandle, Dedup, MsgKey, Retransmitter, RetryEvent, RetryPolicy};
+use crate::retry::{
+    CpStatsHandle, Dedup, FanIn, Fired, LegMsg, MsgKey, Retransmitter, RetryPolicy, TimerSlots,
+    FAMILY_MASK,
+};
 
 /// Per-message processing overhead added on top of path propagation.
 const PROC_DELAY: SimDuration = SimDuration(2_000_000); // 2 ms
@@ -268,48 +271,104 @@ pub struct Envelope {
     pub msg: CpMsg,
 }
 
-/// Send an [`Envelope`] tagged with its transaction identity so the
+/// The flight-recorder tag for a message of `kind` sent under `id`.
+fn meta(id: MsgKey, kind: u8) -> CpMeta {
+    CpMeta {
+        origin: id.origin,
+        txn: id.txn,
+        attempt: id.attempt,
+        kind,
+    }
+}
+
+/// Send an [`Envelope`] to `to`, arriving after the path's propagation
+/// delay plus processing, tagged with its transaction identity so the
 /// control-plane flight recorder (DESIGN.md §6.9) can follow the message
-/// through the fault plane. Identical delivery semantics to a plain
-/// `send_control`; the tag is observation-only.
-fn send_env(ctx: &mut AgentCtx<'_>, to: NodeId, delay: SimDuration, env: Envelope) {
-    let meta = CpMeta {
-        origin: env.key.origin,
-        txn: env.key.txn,
-        attempt: env.key.attempt,
-        kind: env.msg.kind_id(),
-    };
+/// through the fault plane. The tag is observation-only.
+fn send_env(ctx: &mut AgentCtx<'_>, to: NodeId, env: Envelope) {
+    let delay = ctx.path_delay(to) + PROC_DELAY;
+    let meta = meta(env.key, env.msg.kind_id());
     ctx.send_control_keyed(to, delay, env, meta);
 }
 
-/// Record a [`CpTraceEvent::DedupHit`] for a duplicate receipt of `env`
-/// (`response` mirrors the `dup_responses` / `dup_requests` split).
-fn dup_hit(ctx: &mut AgentCtx<'_>, env: &Envelope, response: bool) {
-    if ctx.cp_trace_enabled() {
-        ctx.cp_event(CpTraceEvent::DedupHit {
-            t: ctx.now.0,
-            origin: env.key.origin,
-            txn: env.key.txn,
-            kind: env.msg.kind_id(),
-            node: ctx.node,
-            response,
-        });
+/// A request envelope minus its attempt counter: the payload of every
+/// agent-to-agent transaction leg.
+struct Request {
+    to: Role,
+    msg: CpMsg,
+}
+
+impl LegMsg for Request {
+    fn send(&self, ctx: &mut AgentCtx<'_>, dest: NodeId, key: MsgKey) {
+        let env = Envelope {
+            to: self.to,
+            key,
+            msg: self.msg.clone(),
+        };
+        send_env(ctx, dest, env);
     }
 }
 
-/// Record a [`CpTraceEvent::DedupHit`] for a duplicated / late device
-/// reply (origin recovered from the message's trace tag when present).
-fn reply_dup_hit(ctx: &mut AgentCtx<'_>, msg: &ControlMsg, txn: u64, kind: u8) {
-    if ctx.cp_trace_enabled() {
-        ctx.cp_event(CpTraceEvent::DedupHit {
-            t: ctx.now.0,
-            origin: msg.meta.map_or(0, |m| m.origin),
-            txn,
-            kind,
-            node: ctx.node,
-            response: true,
-        });
+/// Count and trace a duplicate receipt of `env`: a duplicate response
+/// suppressed (`response`), or a duplicate request answered from a
+/// done-cache.
+fn dup_hit(ctx: &mut AgentCtx<'_>, cp: &CpStatsHandle, env: &Envelope, response: bool) {
+    if response {
+        cp.lock().dup_responses += 1;
+    } else {
+        cp.lock().dup_requests += 1;
     }
+    ctx.cp_event(CpTraceEvent::DedupHit {
+        t: ctx.now.0,
+        origin: env.key.origin,
+        txn: env.key.txn,
+        kind: env.msg.kind_id(),
+        node: ctx.node,
+        response,
+    });
+}
+
+/// Count and trace a duplicated or late device reply (origin recovered
+/// from the message's trace tag when present).
+fn reply_dup_hit(ctx: &mut AgentCtx<'_>, cp: &CpStatsHandle, msg: &ControlMsg, txn: u64, kind: u8) {
+    cp.lock().dup_responses += 1;
+    ctx.cp_event(CpTraceEvent::DedupHit {
+        t: ctx.now.0,
+        origin: msg.meta.map_or(0, |m| m.origin),
+        txn,
+        kind,
+        node: ctx.node,
+        response: true,
+    });
+}
+
+/// Trace `actor` moving transaction `(origin, txn)` into `state`.
+fn trace_state(
+    ctx: &mut AgentCtx<'_>,
+    origin: u64,
+    txn: u64,
+    actor: &'static str,
+    state: &'static str,
+) {
+    ctx.cp_event(CpTraceEvent::State {
+        t: ctx.now.0,
+        origin,
+        txn,
+        node: ctx.node,
+        actor,
+        state,
+    });
+}
+
+/// Trace transaction `(origin, txn)` reaching the terminal `outcome`.
+fn trace_terminal(ctx: &mut AgentCtx<'_>, origin: u64, txn: u64, outcome: &'static str) {
+    ctx.cp_event(CpTraceEvent::Terminal {
+        t: ctx.now.0,
+        origin,
+        txn,
+        node: ctx.node,
+        outcome,
+    });
 }
 
 /// Post-deployment operations (Sec. 5.1: "activate, modify specific
@@ -355,12 +414,11 @@ pub const RECONCILE_TXN: u64 = u64::MAX;
 
 /// Base of the transaction-id range used for NMS-initiated lease
 /// renewals (origin 0): renewal `k` is `RENEW_TXN_BASE + k`. Disjoint
-/// from user txns (`user << 16 | n`) and TCSP verify txns (small
-/// counters); [`RECONCILE_TXN`] sits above the range and keeps its
-/// untracked repair-by-repetition semantics.
+/// from user txns (`user << 16 | n`, users below 2^48 — see
+/// [`UserAgent::new`]) and TCSP verify txns (small counters);
+/// [`RECONCILE_TXN`] sits above the range and keeps its untracked
+/// repair-by-repetition semantics.
 pub const RENEW_TXN_BASE: u64 = 1 << 62;
-
-use crate::retry::FAMILY_MASK;
 
 // Flight-recorder message-kind ids for raw device commands, continuing
 // [`CpMsg::kind_id`]'s 1–9 numbering (device replies answer with 13–16
@@ -413,17 +471,12 @@ impl NodeAgent for AuthorityAgent {
         } = &env.msg
         {
             let ok = self.registry.verify_claim(*user, prefixes).is_ok();
-            let delay = ctx.path_delay(*reply_to) + PROC_DELAY;
-            send_env(
-                ctx,
-                *reply_to,
-                delay,
-                Envelope {
-                    to: Role::Tcsp,
-                    key: MsgKey::first(env.key.origin, env.key.txn),
-                    msg: CpMsg::OwnershipResult { txn: *txn, ok },
-                },
-            );
+            let result = Envelope {
+                to: Role::Tcsp,
+                key: MsgKey::first(env.key.origin, env.key.txn),
+                msg: CpMsg::OwnershipResult { txn: *txn, ok },
+            };
+            send_env(ctx, *reply_to, result);
         }
     }
 }
@@ -443,46 +496,6 @@ struct PendingRegistration {
     reply_to: NodeId,
     /// `(origin, txn)` of the user's request, for the done-cache.
     user_key: (u64, u64),
-}
-
-struct PendingDeploy {
-    origin: u64,
-    reply_to: NodeId,
-    awaiting: usize,
-    acked: BTreeSet<NodeId>,
-    missing: usize,
-    configured: usize,
-    rejected: usize,
-}
-
-/// Cached outcome of a completed deployment, for re-acking duplicates.
-#[derive(Clone, Copy)]
-struct DeployOutcome {
-    origin: u64,
-    reply_to: NodeId,
-    configured: usize,
-    rejected: usize,
-    isps: usize,
-    isps_missing: usize,
-}
-
-struct PendingWithdraw {
-    origin: u64,
-    reply_to: NodeId,
-    awaiting: usize,
-    acked: BTreeSet<NodeId>,
-    missing: usize,
-    removed: usize,
-}
-
-/// Cached outcome of a completed withdrawal, for re-acking duplicates.
-#[derive(Clone, Copy)]
-struct WithdrawOutcome {
-    origin: u64,
-    reply_to: NodeId,
-    removed: usize,
-    isps: usize,
-    isps_missing: usize,
 }
 
 /// TCSP observability.
@@ -519,13 +532,17 @@ pub struct TcspAgent {
     pending_reg: BTreeMap<u64, PendingRegistration>,
     reg_in_flight: BTreeMap<(u64, u64), u64>,
     reg_done: BTreeMap<(u64, u64), Result<Certificate, RegistrationError>>,
-    pending_deploy: BTreeMap<u64, PendingDeploy>,
-    deploy_done: BTreeMap<u64, DeployOutcome>,
-    pending_withdraw: BTreeMap<u64, PendingWithdraw>,
-    withdraw_done: BTreeMap<u64, WithdrawOutcome>,
-    verify_rt: Retransmitter<u64, (UserId, Vec<Prefix>)>,
-    deploy_rt: Retransmitter<(u64, NodeId), (u64, Certificate, CatalogService, Vec<NodeId>)>,
-    withdraw_rt: Retransmitter<(u64, NodeId), (u64, OwnerId)>,
+    /// Fan-in per deployment over the NMS nodes asked; a finished one
+    /// moves to `deploy_done`, the cache duplicates are re-acked from.
+    pending_deploy: BTreeMap<u64, FanIn<NodeId>>,
+    deploy_done: BTreeMap<u64, FanIn<NodeId>>,
+    pending_withdraw: BTreeMap<u64, FanIn<NodeId>>,
+    withdraw_done: BTreeMap<u64, FanIn<NodeId>>,
+    verify_rt: Retransmitter<u64, Request>,
+    deploy_rt: Retransmitter<(u64, NodeId), Request>,
+    withdraw_rt: Retransmitter<(u64, NodeId), Request>,
+    /// Deploy deadlines in flight, each carrying its deployment's txn.
+    deadlines: TimerSlots<u64>,
     stats: TcspHandle,
     cp: CpStatsHandle,
 }
@@ -540,6 +557,7 @@ impl TcspAgent {
     ) -> (TcspAgent, TcspHandle, Arc<Mutex<bool>>) {
         let stats: TcspHandle = Arc::new(Mutex::new(TcspStats::default()));
         let available = Arc::new(Mutex::new(true));
+        let policy = RetryPolicy::default();
         (
             TcspAgent {
                 key,
@@ -556,13 +574,10 @@ impl TcspAgent {
                 deploy_done: BTreeMap::new(),
                 pending_withdraw: BTreeMap::new(),
                 withdraw_done: BTreeMap::new(),
-                verify_rt: Retransmitter::new(FAM_TCSP_VERIFY, RetryPolicy::default(), key ^ 0xA),
-                deploy_rt: Retransmitter::new(FAM_TCSP_DEPLOY, RetryPolicy::default(), key ^ 0xB),
-                withdraw_rt: Retransmitter::new(
-                    FAM_TCSP_WITHDRAW,
-                    RetryPolicy::default(),
-                    key ^ 0x1F,
-                ),
+                verify_rt: Retransmitter::new(FAM_TCSP_VERIFY, policy, key ^ 0xA),
+                deploy_rt: Retransmitter::new(FAM_TCSP_DEPLOY, policy, key ^ 0xB),
+                withdraw_rt: Retransmitter::new(FAM_TCSP_WITHDRAW, policy, key ^ 0x1F),
+                deadlines: TimerSlots::new(FAM_TCSP_DEADLINE),
                 stats: stats.clone(),
                 cp: CpStatsHandle::default(),
             },
@@ -615,128 +630,92 @@ impl TcspAgent {
     }
 
     fn send_register_confirm(
-        &self,
         ctx: &mut AgentCtx<'_>,
         reply_to: NodeId,
         user_key: (u64, u64),
         result: Result<Certificate, RegistrationError>,
     ) {
-        let delay = ctx.path_delay(reply_to) + PROC_DELAY;
-        send_env(
-            ctx,
-            reply_to,
-            delay,
-            Envelope {
-                to: Role::User,
-                key: MsgKey::first(user_key.0, user_key.1),
-                msg: CpMsg::RegisterConfirm { result },
-            },
-        );
+        let confirm = Envelope {
+            to: Role::User,
+            key: MsgKey::first(user_key.0, user_key.1),
+            msg: CpMsg::RegisterConfirm { result },
+        };
+        send_env(ctx, reply_to, confirm);
     }
 
-    fn send_deploy_confirm(&self, ctx: &mut AgentCtx<'_>, txn: u64, out: DeployOutcome) {
-        let delay = ctx.path_delay(out.reply_to) + PROC_DELAY;
-        send_env(
-            ctx,
-            out.reply_to,
-            delay,
-            Envelope {
-                to: Role::User,
-                key: MsgKey::first(out.origin, txn),
-                msg: CpMsg::DeployConfirm {
-                    txn,
-                    configured: out.configured,
-                    rejected: out.rejected,
-                    isps: out.isps,
-                    isps_missing: out.isps_missing,
-                },
+    fn send_deploy_confirm(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>) {
+        let confirm = Envelope {
+            to: Role::User,
+            key: MsgKey::first(out.origin, txn),
+            msg: CpMsg::DeployConfirm {
+                txn,
+                configured: out.done,
+                rejected: out.refused,
+                isps: out.acked(),
+                isps_missing: out.lost(),
             },
-        );
+        };
+        send_env(ctx, out.reply_to, confirm);
     }
 
-    /// Close out a pending deployment: cache the outcome, confirm to the
-    /// user, and count a partial confirmation when ISPs are missing.
-    fn finish_deploy(&mut self, ctx: &mut AgentCtx<'_>, txn: u64, extra_missing: usize) {
-        let Some(p) = self.pending_deploy.remove(&txn) else {
+    /// Close out a pending deployment once every ISP resolved: confirm to
+    /// the user, cache the outcome, and count a partial confirmation when
+    /// ISPs are missing.
+    fn settle_deploy(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        if !self.pending_deploy.get(&txn).is_some_and(FanIn::is_done) {
             return;
-        };
-        let out = DeployOutcome {
-            origin: p.origin,
-            reply_to: p.reply_to,
-            configured: p.configured,
-            rejected: p.rejected,
-            isps: p.acked.len(),
-            isps_missing: p.missing + extra_missing,
-        };
-        if out.isps_missing > 0 {
+        }
+        let out = self.pending_deploy.remove(&txn).expect("just seen");
+        if out.lost() > 0 {
             self.stats.lock().partial_confirms += 1;
             self.cp.lock().partial_confirms += 1;
-            if ctx.cp_trace_enabled() {
-                ctx.cp_event(CpTraceEvent::State {
-                    t: ctx.now.0,
-                    origin: out.origin,
-                    txn,
-                    node: ctx.node,
-                    actor: "tcsp",
-                    state: "partial_confirm",
-                });
-            }
+            trace_state(ctx, out.origin, txn, "tcsp", "partial_confirm");
         }
+        Self::send_deploy_confirm(ctx, txn, &out);
         self.deploy_done.insert(txn, out);
-        self.send_deploy_confirm(ctx, txn, out);
     }
 
-    fn send_withdraw_confirm(&self, ctx: &mut AgentCtx<'_>, txn: u64, out: WithdrawOutcome) {
-        let delay = ctx.path_delay(out.reply_to) + PROC_DELAY;
-        send_env(
-            ctx,
-            out.reply_to,
-            delay,
-            Envelope {
-                to: Role::User,
-                key: MsgKey::first(out.origin, txn),
-                msg: CpMsg::WithdrawConfirm {
-                    txn,
-                    removed: out.removed,
-                    isps: out.isps,
-                    isps_missing: out.isps_missing,
-                },
+    /// The leg to `nms` will never ack: count the ISP missing; the
+    /// confirmation goes out partial once every other ISP resolved.
+    fn lose_deploy_leg(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        if let Some(p) = self.pending_deploy.get_mut(&txn) {
+            p.lose();
+        }
+        self.settle_deploy(ctx, txn);
+    }
+
+    fn send_withdraw_confirm(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>) {
+        let confirm = Envelope {
+            to: Role::User,
+            key: MsgKey::first(out.origin, txn),
+            msg: CpMsg::WithdrawConfirm {
+                txn,
+                removed: out.done,
+                isps: out.acked(),
+                isps_missing: out.lost(),
             },
-        );
+        };
+        send_env(ctx, out.reply_to, confirm);
     }
 
-    /// Close out a pending withdrawal: cache the outcome and confirm to
-    /// the user. Missing ISPs are not chased further — their devices
-    /// reap the orphaned filters themselves when the lease runs out.
-    fn finish_withdraw(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
-        let Some(p) = self.pending_withdraw.remove(&txn) else {
+    /// Close out a pending withdrawal once every ISP resolved: confirm to
+    /// the user and cache the outcome. Missing ISPs are not chased
+    /// further — their devices reap the orphaned filters themselves when
+    /// the lease runs out.
+    fn settle_withdraw(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        if !self.pending_withdraw.get(&txn).is_some_and(FanIn::is_done) {
             return;
-        };
-        let out = WithdrawOutcome {
-            origin: p.origin,
-            reply_to: p.reply_to,
-            removed: p.removed,
-            isps: p.acked.len(),
-            isps_missing: p.missing,
-        };
+        }
+        let out = self.pending_withdraw.remove(&txn).expect("just seen");
+        Self::send_withdraw_confirm(ctx, txn, &out);
         self.withdraw_done.insert(txn, out);
-        self.send_withdraw_confirm(ctx, txn, out);
     }
 
     /// Record a credential rejected for staleness (authentic signature,
     /// expired lifetime): counter and trace event stay 1:1.
     fn note_expired_deploy(&mut self, ctx: &mut AgentCtx<'_>, origin: u64, txn: u64) {
         self.cp.lock().expired_deploys += 1;
-        if ctx.cp_trace_enabled() {
-            ctx.cp_event(CpTraceEvent::State {
-                t: ctx.now.0,
-                origin,
-                txn,
-                node: ctx.node,
-                actor: "tcsp",
-                state: "cert_expired",
-            });
-        }
+        trace_state(ctx, origin, txn, "tcsp", "cert_expired");
     }
 }
 
@@ -755,286 +734,66 @@ impl NodeAgent for TcspAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        if token & FAMILY_MASK == FAM_TCSP_DEADLINE {
-            let txn = token & !FAMILY_MASK;
-            if self.pending_deploy.contains_key(&txn) {
+        match token & FAMILY_MASK {
+            FAM_TCSP_DEADLINE => {
+                let slot = self.deadlines.slot_of(token);
+                let Some(txn) = self.deadlines.take(slot) else {
+                    return;
+                };
+                let Some(p) = self.pending_deploy.get_mut(&txn) else {
+                    return;
+                };
                 // Stop chasing the silent ISPs and confirm partially.
-                for isp in self.isps.clone() {
+                for isp in &self.isps {
                     self.deploy_rt.ack(&(txn, isp.nms_node));
                 }
-                let missing = {
-                    let p = &self.pending_deploy[&txn];
-                    if ctx.cp_trace_enabled() {
-                        ctx.cp_event(CpTraceEvent::State {
-                            t: ctx.now.0,
-                            origin: p.origin,
-                            txn,
-                            node: ctx.node,
-                            actor: "tcsp",
-                            state: "deadline_partial",
-                        });
+                p.lose_rest();
+                trace_state(ctx, p.origin, txn, "tcsp", "deadline_partial");
+                self.settle_deploy(ctx, txn);
+            }
+            FAM_TCSP_VERIFY => {
+                let fired = self.verify_rt.on_timer(ctx, &self.cp, token, |_| false);
+                if let Fired::GaveUp(leg) = fired {
+                    // Authority unreachable: forget the attempt so a fresh
+                    // user retry can restart verification.
+                    trace_terminal(ctx, 0, leg.key, "gave_up");
+                    if let Some(p) = self.pending_reg.remove(&leg.key) {
+                        self.reg_in_flight.remove(&p.user_key);
                     }
-                    p.awaiting - p.acked.len() - p.missing
+                }
+            }
+            FAM_TCSP_DEPLOY => {
+                // A credential that expired while its leg was still
+                // retrying: no filter may be installed under a dead
+                // authority, so the retransmit is refused.
+                let (key, now) = (self.key, ctx.now);
+                let expired = |r: &Request| {
+                    matches!(&r.msg, CpMsg::NmsDeploy { cert, .. }
+                        if !cert.verify(key, now) && cert.authentic(key))
                 };
-                self.finish_deploy(ctx, txn, missing);
-            }
-            return;
-        }
-        match self.verify_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
-                }
-                return;
-            }
-            RetryEvent::Resend {
-                key: txn,
-                dest,
-                payload: (user, prefixes),
-                attempt,
-            } => {
-                self.cp.lock().retransmits += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin: 0,
-                        txn,
-                        attempt,
-                        node: ctx.node,
-                        dest,
-                    });
-                }
-                let delay = ctx.path_delay(dest) + PROC_DELAY;
-                send_env(
-                    ctx,
-                    dest,
-                    delay,
-                    Envelope {
-                        to: Role::Authority,
-                        key: MsgKey {
-                            origin: 0,
-                            txn,
-                            attempt,
-                        },
-                        msg: CpMsg::VerifyOwnership {
-                            txn,
-                            user,
-                            prefixes,
-                            reply_to: ctx.node,
-                        },
-                    },
-                );
-                return;
-            }
-            RetryEvent::GaveUp { key: txn, dest, .. } => {
-                // Authority unreachable: forget the attempt so a fresh
-                // user retry can restart verification.
-                self.cp.lock().give_ups += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin: 0,
-                        txn,
-                        node: ctx.node,
-                        dest,
-                    });
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: 0,
-                        txn,
-                        node: ctx.node,
-                        outcome: "gave_up",
-                    });
-                }
-                if let Some(p) = self.pending_reg.remove(&txn) {
-                    self.reg_in_flight.remove(&p.user_key);
-                }
-                return;
-            }
-        }
-        match self.deploy_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
-                }
-            }
-            RetryEvent::Resend {
-                key: (txn, nms),
-                payload: (origin, cert, service, nodes),
-                attempt,
-                ..
-            } => {
-                if !cert.verify(self.key, ctx.now) && cert.authentic(self.key) {
-                    // The credential expired while this leg was still
-                    // retrying: no filter may be installed under a dead
-                    // authority. Stop chasing the ISP and count the leg
-                    // missing (partial confirm once the rest resolve).
-                    self.deploy_rt.ack(&(txn, nms));
-                    self.note_expired_deploy(ctx, origin, txn);
-                    let finish = match self.pending_deploy.get_mut(&txn) {
-                        Some(p) => {
-                            p.missing += 1;
-                            p.acked.len() + p.missing >= p.awaiting
-                        }
-                        None => false,
-                    };
-                    if finish {
-                        self.finish_deploy(ctx, txn, 0);
+                match self.deploy_rt.on_timer(ctx, &self.cp, token, expired) {
+                    Fired::Vetoed(leg) => {
+                        self.note_expired_deploy(ctx, leg.id.origin, leg.id.txn);
+                        self.lose_deploy_leg(ctx, leg.id.txn);
                     }
-                    return;
+                    Fired::GaveUp(leg) => self.lose_deploy_leg(ctx, leg.id.txn),
+                    Fired::Stale | Fired::Resent => {}
                 }
-                self.cp.lock().retransmits += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin,
-                        txn,
-                        attempt,
-                        node: ctx.node,
-                        dest: nms,
-                    });
-                }
-                let delay = ctx.path_delay(nms) + PROC_DELAY;
-                send_env(
-                    ctx,
-                    nms,
-                    delay,
-                    Envelope {
-                        to: Role::Nms,
-                        key: MsgKey {
-                            origin,
-                            txn,
-                            attempt,
-                        },
-                        msg: CpMsg::NmsDeploy {
-                            cert,
-                            service,
-                            nodes,
-                            txn,
-                            reply_to: ctx.node,
-                        },
-                    },
-                );
-                return;
             }
-            RetryEvent::GaveUp {
-                key: (txn, nms),
-                payload: (origin, ..),
-                ..
-            } => {
-                // This ISP never acked: count it missing; confirm
-                // partially once every other ISP resolved.
-                self.cp.lock().give_ups += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin,
-                        txn,
-                        node: ctx.node,
-                        dest: nms,
-                    });
-                }
-                let finish = match self.pending_deploy.get_mut(&txn) {
-                    Some(p) => {
-                        p.missing += 1;
-                        let _ = nms;
-                        p.acked.len() + p.missing >= p.awaiting
+            FAM_TCSP_WITHDRAW => {
+                let fired = self.withdraw_rt.on_timer(ctx, &self.cp, token, |_| false);
+                if let Fired::GaveUp(leg) = fired {
+                    // Partition-tolerant teardown: the unreachable ISP's
+                    // devices still reap their filters when the lease runs
+                    // out, so give up here and confirm with what we have.
+                    let txn = leg.id.txn;
+                    if let Some(p) = self.pending_withdraw.get_mut(&txn) {
+                        p.lose();
                     }
-                    None => false,
-                };
-                if finish {
-                    self.finish_deploy(ctx, txn, 0);
-                }
-                return;
-            }
-        }
-        match self.withdraw_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
+                    self.settle_withdraw(ctx, txn);
                 }
             }
-            RetryEvent::Resend {
-                key: (txn, nms),
-                payload: (origin, owner),
-                attempt,
-                ..
-            } => {
-                self.cp.lock().retransmits += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin,
-                        txn,
-                        attempt,
-                        node: ctx.node,
-                        dest: nms,
-                    });
-                }
-                let delay = ctx.path_delay(nms) + PROC_DELAY;
-                send_env(
-                    ctx,
-                    nms,
-                    delay,
-                    Envelope {
-                        to: Role::Nms,
-                        key: MsgKey {
-                            origin,
-                            txn,
-                            attempt,
-                        },
-                        msg: CpMsg::NmsWithdraw {
-                            owner,
-                            txn,
-                            reply_to: ctx.node,
-                        },
-                    },
-                );
-            }
-            RetryEvent::GaveUp {
-                key: (txn, nms),
-                payload: (origin, ..),
-                ..
-            } => {
-                // Partition-tolerant teardown: the unreachable ISP's
-                // devices still reap their filters when the lease runs
-                // out, so give up here and confirm with what we have.
-                self.cp.lock().give_ups += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin,
-                        txn,
-                        node: ctx.node,
-                        dest: nms,
-                    });
-                }
-                let finish = match self.pending_withdraw.get_mut(&txn) {
-                    Some(p) => {
-                        p.missing += 1;
-                        p.acked.len() + p.missing >= p.awaiting
-                    }
-                    None => false,
-                };
-                if finish {
-                    self.finish_withdraw(ctx, txn);
-                }
-            }
+            _ => {}
         }
     }
 
@@ -1059,17 +818,14 @@ impl NodeAgent for TcspAgent {
                 if let Some(result) = self.reg_done.get(&user_key) {
                     // Completed transaction, duplicated request (the
                     // confirm was probably lost): re-ack from cache.
-                    self.cp.lock().dup_requests += 1;
-                    let result = result.clone();
-                    dup_hit(ctx, env, false);
-                    self.send_register_confirm(ctx, *reply_to, user_key, result);
+                    dup_hit(ctx, &self.cp, env, false);
+                    Self::send_register_confirm(ctx, *reply_to, user_key, result.clone());
                     return;
                 }
                 if self.reg_in_flight.contains_key(&user_key) {
                     // Verification already running; its own retransmit
                     // chain covers the authority leg.
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
+                    dup_hit(ctx, &self.cp, env, false);
                     return;
                 }
                 let txn = self.next_txn;
@@ -1084,72 +840,30 @@ impl NodeAgent for TcspAgent {
                         user_key,
                     },
                 );
-                self.verify_rt
-                    .track(ctx, txn, self.authority_node, (*user, claimed.clone()));
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetrySchedule {
-                        t: ctx.now.0,
-                        origin: 0,
+                let verify = Request {
+                    to: Role::Authority,
+                    msg: CpMsg::VerifyOwnership {
                         txn,
-                        node: ctx.node,
-                        dest: self.authority_node,
-                    });
-                    ctx.cp_event(CpTraceEvent::State {
-                        t: ctx.now.0,
-                        origin: 0,
-                        txn,
-                        node: ctx.node,
-                        actor: "tcsp",
-                        state: "verify_sent",
-                    });
-                }
-                let delay = ctx.path_delay(self.authority_node) + PROC_DELAY;
-                send_env(
-                    ctx,
-                    self.authority_node,
-                    delay,
-                    Envelope {
-                        to: Role::Authority,
-                        key: MsgKey::first(0, txn),
-                        msg: CpMsg::VerifyOwnership {
-                            txn,
-                            user: *user,
-                            prefixes: claimed.clone(),
-                            reply_to: ctx.node,
-                        },
+                        user: *user,
+                        prefixes: claimed.clone(),
+                        reply_to: ctx.node,
                     },
-                );
+                };
+                self.verify_rt
+                    .track(ctx, txn, self.authority_node, 0, txn, verify);
+                trace_state(ctx, 0, txn, "tcsp", "verify_sent");
             }
             CpMsg::OwnershipResult { txn, ok } => {
                 self.verify_rt.ack(txn);
                 let Some(pending) = self.pending_reg.remove(txn) else {
-                    self.cp.lock().dup_responses += 1;
-                    dup_hit(ctx, env, true);
+                    dup_hit(ctx, &self.cp, env, true);
                     return;
                 };
                 self.reg_in_flight.remove(&pending.user_key);
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: 0,
-                        txn: *txn,
-                        node: ctx.node,
-                        outcome: "verified",
-                    });
-                    ctx.cp_event(CpTraceEvent::State {
-                        t: ctx.now.0,
-                        origin: pending.user_key.0,
-                        txn: pending.user_key.1,
-                        node: ctx.node,
-                        actor: "tcsp",
-                        state: if *ok {
-                            "register_confirmed"
-                        } else {
-                            "register_denied"
-                        },
-                    });
-                }
+                trace_terminal(ctx, 0, *txn, "verified");
+                let (origin, user_txn) = pending.user_key;
                 let result = if *ok {
+                    trace_state(ctx, origin, user_txn, "tcsp", "register_confirmed");
                     self.stats.lock().registrations_ok += 1;
                     Ok(Certificate::issue(
                         self.key,
@@ -1158,11 +872,12 @@ impl NodeAgent for TcspAgent {
                         ctx.now + self.cert_lifetime,
                     ))
                 } else {
+                    trace_state(ctx, origin, user_txn, "tcsp", "register_denied");
                     self.stats.lock().registrations_denied += 1;
                     Err(RegistrationError::OwnershipDenied)
                 };
                 self.reg_done.insert(pending.user_key, result.clone());
-                self.send_register_confirm(ctx, pending.reply_to, pending.user_key, result);
+                Self::send_register_confirm(ctx, pending.reply_to, pending.user_key, result);
             }
             CpMsg::DeployRequest {
                 cert,
@@ -1172,98 +887,57 @@ impl NodeAgent for TcspAgent {
                 reply_to,
                 ..
             } => {
-                if let Some(out) = self.deploy_done.get(txn).copied() {
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
-                    self.send_deploy_confirm(ctx, *txn, out);
+                if let Some(out) = self.deploy_done.get(txn) {
+                    dup_hit(ctx, &self.cp, env, false);
+                    Self::send_deploy_confirm(ctx, *txn, out);
                     return;
                 }
                 if self.pending_deploy.contains_key(txn) {
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
+                    dup_hit(ctx, &self.cp, env, false);
                     return;
                 }
+                let origin = env.key.origin;
                 if !cert.verify(self.key, ctx.now) {
                     if cert.authentic(self.key) {
                         // Genuine credential whose lifetime ran out
                         // (e.g. while the request sat in a retry queue):
                         // refuse to extend a dead authority's footprint,
                         // and account for it so the gap is observable.
-                        self.note_expired_deploy(ctx, env.key.origin, *txn);
+                        self.note_expired_deploy(ctx, origin, *txn);
                     }
                     return;
                 }
                 self.stats.lock().deployments += 1;
-                let origin = env.key.origin;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::State {
-                        t: ctx.now.0,
-                        origin,
-                        txn: *txn,
-                        node: ctx.node,
-                        actor: "tcsp",
-                        state: "deploy_fanout",
-                    });
-                }
-                let mut awaiting = 0;
-                let isps = self.isps.clone();
-                for isp in &isps {
+                trace_state(ctx, origin, *txn, "tcsp", "deploy_fanout");
+                let mut legs = 0;
+                for isp in &self.isps {
                     let nodes = Self::resolve_scope(ctx, &isp.managed, scope);
                     if nodes.is_empty() {
                         continue;
                     }
-                    awaiting += 1;
-                    self.deploy_rt.track(
-                        ctx,
-                        (*txn, isp.nms_node),
-                        isp.nms_node,
-                        (origin, cert.clone(), service.clone(), nodes.clone()),
-                    );
-                    if ctx.cp_trace_enabled() {
-                        ctx.cp_event(CpTraceEvent::RetrySchedule {
-                            t: ctx.now.0,
-                            origin,
+                    let deploy = Request {
+                        to: Role::Nms,
+                        msg: CpMsg::NmsDeploy {
+                            cert: cert.clone(),
+                            service: service.clone(),
+                            nodes,
                             txn: *txn,
-                            node: ctx.node,
-                            dest: isp.nms_node,
-                        });
-                    }
-                    let delay = ctx.path_delay(isp.nms_node) + PROC_DELAY;
-                    send_env(
-                        ctx,
-                        isp.nms_node,
-                        delay,
-                        Envelope {
-                            to: Role::Nms,
-                            key: MsgKey::first(origin, *txn),
-                            msg: CpMsg::NmsDeploy {
-                                cert: cert.clone(),
-                                service: service.clone(),
-                                nodes,
-                                txn: *txn,
-                                reply_to: ctx.node,
-                            },
+                            reply_to: ctx.node,
                         },
-                    );
+                    };
+                    let nms = isp.nms_node;
+                    self.deploy_rt
+                        .track(ctx, (*txn, nms), nms, origin, *txn, deploy);
+                    legs += 1;
                 }
-                self.pending_deploy.insert(
-                    *txn,
-                    PendingDeploy {
-                        origin,
-                        reply_to: *reply_to,
-                        awaiting,
-                        acked: BTreeSet::new(),
-                        missing: 0,
-                        configured: 0,
-                        rejected: 0,
-                    },
-                );
-                if awaiting == 0 {
-                    // Nothing matched the scope: confirm immediately.
-                    self.finish_deploy(ctx, *txn, 0);
-                } else {
-                    ctx.set_timer(self.deploy_deadline, FAM_TCSP_DEADLINE | *txn);
+                let fan_in = FanIn::new(origin, *reply_to, legs);
+                if !fan_in.is_done() {
+                    let deadline = self.deploy_deadline;
+                    self.deadlines.arm(ctx, *txn, |_| deadline);
                 }
+                self.pending_deploy.insert(*txn, fan_in);
+                // Confirms at once when nothing matched the scope.
+                self.settle_deploy(ctx, *txn);
             }
             CpMsg::NmsAck {
                 txn,
@@ -1272,53 +946,29 @@ impl NodeAgent for TcspAgent {
                 rejected,
             } => {
                 self.deploy_rt.ack(&(*txn, *from_nms));
-                let done = {
-                    let Some(p) = self.pending_deploy.get_mut(txn) else {
-                        // Late or duplicated ack after completion.
-                        self.cp.lock().dup_responses += 1;
-                        dup_hit(ctx, env, true);
-                        return;
-                    };
-                    if !p.acked.insert(*from_nms) {
-                        self.cp.lock().dup_responses += 1;
-                        dup_hit(ctx, env, true);
-                        return;
-                    }
-                    p.configured += configured;
-                    p.rejected += rejected;
-                    p.acked.len() + p.missing >= p.awaiting
-                };
-                if done {
-                    self.finish_deploy(ctx, *txn, 0);
+                // Not fresh: a late or duplicated ack.
+                let fresh = self
+                    .pending_deploy
+                    .get_mut(txn)
+                    .is_some_and(|p| p.ack(*from_nms, *configured, *rejected));
+                if fresh {
+                    self.settle_deploy(ctx, *txn);
+                } else {
+                    dup_hit(ctx, &self.cp, env, true);
                 }
             }
-            CpMsg::OpRequest {
-                cert,
-                op,
-                txn,
-                reply_to,
-            } => {
+            CpMsg::OpRequest { cert, .. } => {
                 if !cert.verify(self.key, ctx.now) {
                     return;
                 }
                 // Relay to every contracted NMS.
-                for isp in self.isps.clone() {
-                    let delay = ctx.path_delay(isp.nms_node) + PROC_DELAY;
-                    send_env(
-                        ctx,
-                        isp.nms_node,
-                        delay,
-                        Envelope {
-                            to: Role::Nms,
-                            key: env.key,
-                            msg: CpMsg::OpRequest {
-                                cert: cert.clone(),
-                                op: *op,
-                                txn: *txn,
-                                reply_to: *reply_to,
-                            },
-                        },
-                    );
+                for isp in &self.isps {
+                    let relayed = Envelope {
+                        to: Role::Nms,
+                        key: env.key,
+                        msg: env.msg.clone(),
+                    };
+                    send_env(ctx, isp.nms_node, relayed);
                 }
             }
             CpMsg::WithdrawRequest {
@@ -1326,15 +976,13 @@ impl NodeAgent for TcspAgent {
                 txn,
                 reply_to,
             } => {
-                if let Some(out) = self.withdraw_done.get(txn).copied() {
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
-                    self.send_withdraw_confirm(ctx, *txn, out);
+                if let Some(out) = self.withdraw_done.get(txn) {
+                    dup_hit(ctx, &self.cp, env, false);
+                    Self::send_withdraw_confirm(ctx, *txn, out);
                     return;
                 }
                 if self.pending_withdraw.contains_key(txn) {
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
+                    dup_hit(ctx, &self.cp, env, false);
                     return;
                 }
                 // Withdrawal only *shrinks* the owner's footprint, so an
@@ -1345,66 +993,23 @@ impl NodeAgent for TcspAgent {
                 }
                 self.cp.lock().withdrawals += 1;
                 let origin = env.key.origin;
-                let owner = OwnerId(cert.user.0);
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::State {
-                        t: ctx.now.0,
-                        origin,
-                        txn: *txn,
-                        node: ctx.node,
-                        actor: "tcsp",
-                        state: "withdraw_fanout",
-                    });
-                }
-                let isps = self.isps.clone();
-                let mut awaiting = 0;
-                for isp in &isps {
-                    awaiting += 1;
-                    self.withdraw_rt.track(
-                        ctx,
-                        (*txn, isp.nms_node),
-                        isp.nms_node,
-                        (origin, owner),
-                    );
-                    if ctx.cp_trace_enabled() {
-                        ctx.cp_event(CpTraceEvent::RetrySchedule {
-                            t: ctx.now.0,
-                            origin,
+                trace_state(ctx, origin, *txn, "tcsp", "withdraw_fanout");
+                for isp in &self.isps {
+                    let withdraw = Request {
+                        to: Role::Nms,
+                        msg: CpMsg::NmsWithdraw {
+                            owner: OwnerId(cert.user.0),
                             txn: *txn,
-                            node: ctx.node,
-                            dest: isp.nms_node,
-                        });
-                    }
-                    let delay = ctx.path_delay(isp.nms_node) + PROC_DELAY;
-                    send_env(
-                        ctx,
-                        isp.nms_node,
-                        delay,
-                        Envelope {
-                            to: Role::Nms,
-                            key: MsgKey::first(origin, *txn),
-                            msg: CpMsg::NmsWithdraw {
-                                owner,
-                                txn: *txn,
-                                reply_to: ctx.node,
-                            },
+                            reply_to: ctx.node,
                         },
-                    );
+                    };
+                    let nms = isp.nms_node;
+                    self.withdraw_rt
+                        .track(ctx, (*txn, nms), nms, origin, *txn, withdraw);
                 }
-                self.pending_withdraw.insert(
-                    *txn,
-                    PendingWithdraw {
-                        origin,
-                        reply_to: *reply_to,
-                        awaiting,
-                        acked: BTreeSet::new(),
-                        missing: 0,
-                        removed: 0,
-                    },
-                );
-                if awaiting == 0 {
-                    self.finish_withdraw(ctx, *txn);
-                }
+                self.pending_withdraw
+                    .insert(*txn, FanIn::new(origin, *reply_to, self.isps.len()));
+                self.settle_withdraw(ctx, *txn);
             }
             CpMsg::NmsWithdrawAck {
                 txn,
@@ -1412,22 +1017,14 @@ impl NodeAgent for TcspAgent {
                 removed,
             } => {
                 self.withdraw_rt.ack(&(*txn, *from_nms));
-                let done = {
-                    let Some(p) = self.pending_withdraw.get_mut(txn) else {
-                        self.cp.lock().dup_responses += 1;
-                        dup_hit(ctx, env, true);
-                        return;
-                    };
-                    if !p.acked.insert(*from_nms) {
-                        self.cp.lock().dup_responses += 1;
-                        dup_hit(ctx, env, true);
-                        return;
-                    }
-                    p.removed += removed;
-                    p.acked.len() + p.missing >= p.awaiting
-                };
-                if done {
-                    self.finish_withdraw(ctx, *txn);
+                let fresh = self
+                    .pending_withdraw
+                    .get_mut(txn)
+                    .is_some_and(|p| p.ack(*from_nms, *removed, 0));
+                if fresh {
+                    self.settle_withdraw(ctx, *txn);
+                } else {
+                    dup_hit(ctx, &self.cp, env, true);
                 }
             }
             _ => {}
@@ -1441,9 +1038,6 @@ impl NodeAgent for TcspAgent {
 /// reconciliation sweep checks against.
 #[derive(Clone)]
 struct InstallJob {
-    /// Origin of the deployment transaction the install belongs to (the
-    /// flight-recorder trace key; reconcile re-installs re-key to 0).
-    origin: u64,
     owner: OwnerId,
     prefixes: Vec<Prefix>,
     contact: NodeId,
@@ -1452,42 +1046,55 @@ struct InstallJob {
     /// Expiry of the authorising certificate. Leases granted to devices
     /// never extend past it: no filter outlives its authority.
     expires_at: SimTime,
+    /// Lease granted with each send (None = lease only to `expires_at`).
+    lease_len: Option<SimDuration>,
 }
 
-/// One NMS-side withdrawal fan-out in flight: which `(device, stage)`
-/// removals are still unacknowledged.
-struct NmsPendingWithdraw {
-    origin: u64,
-    reply_to: NodeId,
-    awaiting: BTreeSet<(NodeId, Stage)>,
-    removed: usize,
-    lost: usize,
+impl LegMsg for InstallJob {
+    /// Register the owner, then install the service leased from now.
+    /// Reconcile re-installs and lease renewals go out under origin 0
+    /// (`RECONCILE_TXN` / `RENEW_TXN_BASE + seq`); tracked installs keep
+    /// their deploy key.
+    fn send(&self, ctx: &mut AgentCtx<'_>, node: NodeId, id: MsgKey) {
+        let lease_until = match self.lease_len {
+            Some(len) => (ctx.now + len).min(self.expires_at),
+            None => self.expires_at,
+        };
+        let delay = ctx.path_delay(node) + PROC_DELAY;
+        let register = DeviceCommand::RegisterOwner {
+            owner: self.owner,
+            prefixes: self.prefixes.clone(),
+            contact: self.contact,
+        };
+        ctx.send_control_keyed(node, delay, register, meta(id, KIND_REGISTER_OWNER));
+        let install = DeviceCommand::InstallService {
+            txn: id.txn,
+            owner: self.owner,
+            stage: self.stage,
+            spec: self.spec.clone(),
+            lease_until,
+        };
+        let delay = delay + PROC_DELAY;
+        ctx.send_control_keyed(node, delay, install, meta(id, KIND_INSTALL_SERVICE));
+    }
 }
 
-#[derive(Clone, Copy)]
-struct NmsWithdrawDone {
-    origin: u64,
-    reply_to: NodeId,
-    removed: usize,
+/// One service to take off one device.
+struct Removal {
+    owner: OwnerId,
+    stage: Stage,
 }
 
-struct NmsPendingDeploy {
-    origin: u64,
-    reply_to: NodeId,
-    reply_role: Role,
-    awaiting: BTreeSet<NodeId>,
-    configured: usize,
-    rejected: usize,
-    lost: usize,
-}
-
-#[derive(Clone, Copy)]
-struct NmsDoneAck {
-    origin: u64,
-    reply_to: NodeId,
-    reply_role: Role,
-    configured: usize,
-    rejected: usize,
+impl LegMsg for Removal {
+    fn send(&self, ctx: &mut AgentCtx<'_>, node: NodeId, id: MsgKey) {
+        let delay = ctx.path_delay(node) + PROC_DELAY;
+        let remove = DeviceCommand::RemoveService {
+            owner: self.owner,
+            stage: self.stage,
+            txn: id.txn,
+        };
+        ctx.send_control_keyed(node, delay, remove, meta(id, KIND_REMOVE_SERVICE));
+    }
 }
 
 /// An ISP's network management system.
@@ -1497,8 +1104,11 @@ pub struct NmsAgent {
     managed: Vec<NodeId>,
     /// Peer NMS nodes for ISP-to-ISP forwarding.
     peers: Vec<NodeId>,
-    pending: BTreeMap<u64, NmsPendingDeploy>,
-    done: BTreeMap<u64, NmsDoneAck>,
+    /// Fan-in per deployment over its devices, with the role to ack to; a
+    /// finished one moves to `done`, the cache duplicates are re-acked
+    /// from.
+    pending: BTreeMap<u64, (Role, FanIn<NodeId>)>,
+    done: BTreeMap<u64, (Role, FanIn<NodeId>)>,
     install_rt: Retransmitter<(u64, NodeId), InstallJob>,
     /// Services this NMS has confirmed installed, per device — the
     /// reference the anti-entropy sweep compares inventories against.
@@ -1518,9 +1128,10 @@ pub struct NmsAgent {
     next_renew_seq: u64,
     /// Retransmit chains for withdrawal removals, keyed
     /// `(withdraw txn, device, stage)`.
-    remove_rt: Retransmitter<(u64, NodeId, Stage), OwnerId>,
-    pending_withdraw: BTreeMap<u64, NmsPendingWithdraw>,
-    withdraw_done: BTreeMap<u64, NmsWithdrawDone>,
+    remove_rt: Retransmitter<(u64, NodeId, Stage), Removal>,
+    /// Fan-in per withdrawal over the `(device, stage)` removals.
+    pending_withdraw: BTreeMap<u64, FanIn<(NodeId, Stage)>>,
+    withdraw_done: BTreeMap<u64, FanIn<(NodeId, Stage)>>,
     /// When true the anti-entropy sweep also *removes* device-resident
     /// services absent from desired state (bidirectional reconcile).
     sweep_removes: bool,
@@ -1538,20 +1149,21 @@ pub struct NmsAgent {
 impl NmsAgent {
     /// New NMS managing `managed` routers.
     pub fn new(tcsp_key: u64, managed: Vec<NodeId>, peers: Vec<NodeId>) -> NmsAgent {
+        let policy = RetryPolicy::default();
         NmsAgent {
             tcsp_key,
             managed,
             peers,
             pending: BTreeMap::new(),
             done: BTreeMap::new(),
-            install_rt: Retransmitter::new(FAM_NMS_INSTALL, RetryPolicy::default(), tcsp_key ^ 0xC),
+            install_rt: Retransmitter::new(FAM_NMS_INSTALL, policy, tcsp_key ^ 0xC),
             desired: BTreeMap::new(),
             reconcile_every: None,
             lease_len: None,
             renew_every: None,
-            renew_rt: Retransmitter::new(FAM_NMS_RENEW, RetryPolicy::default(), tcsp_key ^ 0x2D),
+            renew_rt: Retransmitter::new(FAM_NMS_RENEW, policy, tcsp_key ^ 0x2D),
             next_renew_seq: 0,
-            remove_rt: Retransmitter::new(FAM_NMS_REMOVE, RetryPolicy::default(), tcsp_key ^ 0x3E),
+            remove_rt: Retransmitter::new(FAM_NMS_REMOVE, policy, tcsp_key ^ 0x3E),
             pending_withdraw: BTreeMap::new(),
             withdraw_done: BTreeMap::new(),
             sweep_removes: false,
@@ -1597,58 +1209,26 @@ impl NmsAgent {
         self
     }
 
-    fn send_install(
-        &self,
+    /// A deploy request is new (not a duplicate of a finished or running
+    /// one, which is re-acked or ignored) and carries a valid credential.
+    fn admits_deploy(
+        &mut self,
         ctx: &mut AgentCtx<'_>,
-        node: NodeId,
+        env: &Envelope,
+        cert: &Certificate,
         txn: u64,
-        attempt: u32,
-        job: &InstallJob,
-    ) {
-        // Reconcile re-installs and lease renewals trace under origin 0
-        // (`RECONCILE_TXN` / `RENEW_TXN_BASE + seq`); tracked installs
-        // keep their deploy key.
-        let origin = if txn >= RENEW_TXN_BASE { 0 } else { job.origin };
-        // Lease: never past the authorising credential's expiry; without
-        // explicit leasing the certificate lifetime alone bounds the
-        // install.
-        let lease_until = match self.lease_len {
-            Some(len) => (ctx.now + len).min(job.expires_at),
-            None => job.expires_at,
-        };
-        let delay = ctx.path_delay(node) + PROC_DELAY;
-        ctx.send_control_keyed(
-            node,
-            delay,
-            DeviceCommand::RegisterOwner {
-                owner: job.owner,
-                prefixes: job.prefixes.clone(),
-                contact: job.contact,
-            },
-            CpMeta {
-                origin,
-                txn,
-                attempt,
-                kind: KIND_REGISTER_OWNER,
-            },
-        );
-        ctx.send_control_keyed(
-            node,
-            delay + PROC_DELAY,
-            DeviceCommand::InstallService {
-                txn,
-                owner: job.owner,
-                stage: job.stage,
-                spec: job.spec.clone(),
-                lease_until,
-            },
-            CpMeta {
-                origin,
-                txn,
-                attempt,
-                kind: KIND_INSTALL_SERVICE,
-            },
-        );
+    ) -> bool {
+        if let Some((role, ack)) = self.done.get(&txn) {
+            // Our ack was lost; the sender retransmitted. Re-ack.
+            dup_hit(ctx, &self.cp, env, false);
+            Self::send_nms_ack(ctx, txn, *role, ack);
+            return false;
+        }
+        if self.pending.contains_key(&txn) {
+            dup_hit(ctx, &self.cp, env, false);
+            return false;
+        }
+        cert.verify(self.tcsp_key, ctx.now)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1664,98 +1244,55 @@ impl NmsAgent {
         reply_role: Role,
     ) {
         let job = InstallJob {
-            origin,
             owner: OwnerId(cert.user.0),
             prefixes: cert.prefixes.clone(),
             contact: reply_to, // telemetry goes to the requesting user
             stage: service.stage(),
             spec: service.compile(),
             expires_at: cert.expires_at,
+            lease_len: self.lease_len,
         };
         // A fresh deployment supersedes any earlier withdrawal.
         self.withdrawn.remove(&job.owner);
-        if ctx.cp_trace_enabled() {
-            ctx.cp_event(CpTraceEvent::State {
-                t: ctx.now.0,
-                origin,
-                txn,
-                node: ctx.node,
-                actor: "nms",
-                state: "deploy_accepted",
-            });
-        }
-        let mut awaiting = BTreeSet::new();
+        trace_state(ctx, origin, txn, "nms", "deploy_accepted");
+        let mut legs = BTreeSet::new();
         for &node in nodes {
             if !self.managed.contains(&node) {
                 continue;
             }
-            self.send_install(ctx, node, txn, 0, &job);
-            self.install_rt.track(ctx, (txn, node), node, job.clone());
+            self.install_rt
+                .track(ctx, (txn, node), node, origin, txn, job.clone());
             self.installing.insert((node, job.owner, job.stage));
-            if ctx.cp_trace_enabled() {
-                ctx.cp_event(CpTraceEvent::RetrySchedule {
-                    t: ctx.now.0,
-                    origin,
-                    txn,
-                    node: ctx.node,
-                    dest: node,
-                });
-            }
-            awaiting.insert(node);
+            legs.insert(node);
         }
-        self.log.push((job.spec.name.clone(), awaiting.len()));
-        self.pending.insert(
-            txn,
-            NmsPendingDeploy {
-                origin,
-                reply_to,
-                reply_role,
-                awaiting,
-                configured: 0,
-                rejected: 0,
-                lost: 0,
-            },
-        );
-        self.finish_if_done(ctx, txn);
+        self.log.push((job.spec.name, legs.len()));
+        let fan_in = FanIn::new(origin, reply_to, legs.len());
+        self.pending.insert(txn, (reply_role, fan_in));
+        self.settle_deploy(ctx, txn);
     }
 
-    fn send_nms_ack(&self, ctx: &mut AgentCtx<'_>, txn: u64, ack: NmsDoneAck) {
-        let delay = ctx.path_delay(ack.reply_to) + PROC_DELAY;
-        send_env(
-            ctx,
-            ack.reply_to,
-            delay,
-            Envelope {
-                to: ack.reply_role,
-                key: MsgKey::first(ack.origin, txn),
-                msg: CpMsg::NmsAck {
-                    txn,
-                    from_nms: ctx.node,
-                    configured: ack.configured,
-                    rejected: ack.rejected,
-                },
+    fn send_nms_ack(ctx: &mut AgentCtx<'_>, txn: u64, to: Role, out: &FanIn<NodeId>) {
+        let ack = Envelope {
+            to,
+            key: MsgKey::first(out.origin, txn),
+            msg: CpMsg::NmsAck {
+                txn,
+                from_nms: ctx.node,
+                configured: out.done,
+                rejected: out.refused,
             },
-        );
+        };
+        send_env(ctx, out.reply_to, ack);
     }
 
-    fn finish_if_done(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
-        let finished = self
-            .pending
-            .get(&txn)
-            .is_some_and(|p| p.awaiting.is_empty());
-        if !finished {
+    /// Ack a deployment once every device resolved, and cache the outcome.
+    fn settle_deploy(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        if !self.pending.get(&txn).is_some_and(|(_, p)| p.is_done()) {
             return;
         }
-        let p = self.pending.remove(&txn).expect("just checked");
-        let ack = NmsDoneAck {
-            origin: p.origin,
-            reply_to: p.reply_to,
-            reply_role: p.reply_role,
-            configured: p.configured,
-            rejected: p.rejected,
-        };
-        self.done.insert(txn, ack);
-        self.send_nms_ack(ctx, txn, ack);
+        let (role, out) = self.pending.remove(&txn).expect("just seen");
+        Self::send_nms_ack(ctx, txn, role, &out);
+        self.done.insert(txn, (role, out));
     }
 
     /// One anti-entropy round: ask every managed device for its inventory;
@@ -1763,160 +1300,71 @@ impl NmsAgent {
     /// desired-state map and gaps re-installed.
     fn sweep(&mut self, ctx: &mut AgentCtx<'_>) {
         self.cp.lock().reconcile_sweeps += 1;
-        if ctx.cp_trace_enabled() {
-            ctx.cp_event(CpTraceEvent::Sweep {
-                t: ctx.now.0,
-                node: ctx.node,
-            });
-        }
-        for &node in &self.managed.clone() {
+        ctx.cp_event(CpTraceEvent::Sweep {
+            t: ctx.now.0,
+            node: ctx.node,
+        });
+        let id = MsgKey::first(0, RECONCILE_TXN);
+        for &node in &self.managed {
             let delay = ctx.path_delay(node) + PROC_DELAY;
-            ctx.send_control_keyed(
-                node,
-                delay,
-                DeviceCommand::QueryInventory { reply_to: ctx.node },
-                CpMeta {
-                    origin: 0,
-                    txn: RECONCILE_TXN,
-                    attempt: 0,
-                    kind: KIND_QUERY_INVENTORY,
-                },
-            );
+            let query = DeviceCommand::QueryInventory { reply_to: ctx.node };
+            ctx.send_control_keyed(node, delay, query, meta(id, KIND_QUERY_INVENTORY));
         }
-        if ctx.cp_trace_enabled() {
-            // Each round is terminal by construction — repair is by
-            // repetition, so the round closes when its queries are out.
-            ctx.cp_event(CpTraceEvent::Terminal {
-                t: ctx.now.0,
-                origin: 0,
-                txn: RECONCILE_TXN,
-                node: ctx.node,
-                outcome: "reconciled",
-            });
-        }
+        // Each round is terminal by construction — repair is by
+        // repetition, so the round closes when its queries are out.
+        trace_terminal(ctx, 0, RECONCILE_TXN, "reconciled");
     }
 
-    fn send_remove(
-        &self,
-        ctx: &mut AgentCtx<'_>,
-        node: NodeId,
-        txn: u64,
-        attempt: u32,
-        origin: u64,
-        owner: OwnerId,
-        stage: Stage,
-    ) {
-        let delay = ctx.path_delay(node) + PROC_DELAY;
-        ctx.send_control_keyed(
-            node,
-            delay,
-            DeviceCommand::RemoveService { owner, stage, txn },
-            CpMeta {
-                origin,
+    fn send_withdraw_ack(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<(NodeId, Stage)>) {
+        let ack = Envelope {
+            to: Role::Tcsp,
+            key: MsgKey::first(out.origin, txn),
+            msg: CpMsg::NmsWithdrawAck {
                 txn,
-                attempt,
-                kind: KIND_REMOVE_SERVICE,
+                from_nms: ctx.node,
+                removed: out.done,
             },
-        );
+        };
+        send_env(ctx, out.reply_to, ack);
     }
 
-    fn send_withdraw_ack(&self, ctx: &mut AgentCtx<'_>, txn: u64, done: NmsWithdrawDone) {
-        let delay = ctx.path_delay(done.reply_to) + PROC_DELAY;
-        send_env(
-            ctx,
-            done.reply_to,
-            delay,
-            Envelope {
-                to: Role::Tcsp,
-                key: MsgKey::first(done.origin, txn),
-                msg: CpMsg::NmsWithdrawAck {
-                    txn,
-                    from_nms: ctx.node,
-                    removed: done.removed,
-                },
-            },
-        );
-    }
-
-    fn finish_withdraw_if_done(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
-        let finished = self
-            .pending_withdraw
-            .get(&txn)
-            .is_some_and(|p| p.awaiting.is_empty());
-        if !finished {
+    /// Ack a withdrawal once every removal resolved, and cache the outcome.
+    fn settle_withdraw(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        if !self.pending_withdraw.get(&txn).is_some_and(FanIn::is_done) {
             return;
         }
-        let p = self.pending_withdraw.remove(&txn).expect("just checked");
-        let done = NmsWithdrawDone {
-            origin: p.origin,
-            reply_to: p.reply_to,
-            removed: p.removed,
-        };
-        self.withdraw_done.insert(txn, done);
-        self.send_withdraw_ack(ctx, txn, done);
+        let out = self.pending_withdraw.remove(&txn).expect("just seen");
+        Self::send_withdraw_ack(ctx, txn, &out);
+        self.withdraw_done.insert(txn, out);
+    }
+
+    fn next_renew_txn(seq: &mut u64) -> u64 {
+        let txn = RENEW_TXN_BASE + *seq;
+        *seq += 1;
+        txn
     }
 
     /// One renewal round: expire desired-state entries whose authorising
     /// certificate lapsed, then re-install (and thereby re-lease) every
     /// surviving entry under a fresh tracked renewal transaction.
     fn renew_round(&mut self, ctx: &mut AgentCtx<'_>) {
-        let expired: Vec<(NodeId, OwnerId, Stage, u64)> = self
-            .desired
-            .iter()
-            .filter(|(_, job)| job.expires_at <= ctx.now)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in expired {
-            self.desired.remove(&key);
+        let now = ctx.now;
+        self.desired.retain(|_, job| {
+            if job.expires_at > now {
+                return true;
+            }
             self.cp.lock().lease_expirations += 1;
-            let txn = RENEW_TXN_BASE + self.next_renew_seq;
-            self.next_renew_seq += 1;
-            if ctx.cp_trace_enabled() {
-                ctx.cp_event(CpTraceEvent::State {
-                    t: ctx.now.0,
-                    origin: 0,
-                    txn,
-                    node: ctx.node,
-                    actor: "nms",
-                    state: "desired_expired",
-                });
-                ctx.cp_event(CpTraceEvent::Terminal {
-                    t: ctx.now.0,
-                    origin: 0,
-                    txn,
-                    node: ctx.node,
-                    outcome: "expired",
-                });
-            }
-        }
-        let live: Vec<(NodeId, InstallJob)> = self
-            .desired
-            .iter()
-            .map(|((node, ..), job)| (*node, job.clone()))
-            .collect();
-        for (node, job) in live {
+            let txn = Self::next_renew_txn(&mut self.next_renew_seq);
+            trace_state(ctx, 0, txn, "nms", "desired_expired");
+            trace_terminal(ctx, 0, txn, "expired");
+            false
+        });
+        for ((node, ..), job) in &self.desired {
             self.cp.lock().lease_renewals += 1;
-            let txn = RENEW_TXN_BASE + self.next_renew_seq;
-            self.next_renew_seq += 1;
-            if ctx.cp_trace_enabled() {
-                ctx.cp_event(CpTraceEvent::State {
-                    t: ctx.now.0,
-                    origin: 0,
-                    txn,
-                    node: ctx.node,
-                    actor: "nms",
-                    state: "renew",
-                });
-                ctx.cp_event(CpTraceEvent::RetrySchedule {
-                    t: ctx.now.0,
-                    origin: 0,
-                    txn,
-                    node: ctx.node,
-                    dest: node,
-                });
-            }
-            self.send_install(ctx, node, txn, 0, &job);
-            self.renew_rt.track(ctx, (txn, node), node, job);
+            let txn = Self::next_renew_txn(&mut self.next_renew_seq);
+            trace_state(ctx, 0, txn, "nms", "renew");
+            self.renew_rt
+                .track(ctx, (txn, *node), *node, 0, txn, job.clone());
         }
     }
 }
@@ -1936,429 +1384,151 @@ impl NodeAgent for NmsAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        if token == TOKEN_SWEEP {
-            self.sweep(ctx);
-            if let Some(every) = self.reconcile_every {
-                ctx.set_timer(every, TOKEN_SWEEP);
-            }
-            return;
-        }
-        if token == TOKEN_RENEW {
-            self.renew_round(ctx);
-            if let Some(every) = self.renew_every {
-                ctx.set_timer(every, TOKEN_RENEW);
-            }
-            return;
-        }
-        match self.install_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
+        match token & FAMILY_MASK {
+            TOKEN_SWEEP => {
+                self.sweep(ctx);
+                if let Some(every) = self.reconcile_every {
+                    ctx.set_timer(every, TOKEN_SWEEP);
                 }
             }
-            RetryEvent::Resend {
-                key: (txn, node),
-                payload: job,
-                attempt,
-                ..
-            } => {
-                self.cp.lock().retransmits += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin: job.origin,
-                        txn,
-                        attempt,
-                        node: ctx.node,
-                        dest: node,
-                    });
+            TOKEN_RENEW => {
+                self.renew_round(ctx);
+                if let Some(every) = self.renew_every {
+                    ctx.set_timer(every, TOKEN_RENEW);
                 }
-                self.send_install(ctx, node, txn, attempt, &job);
-                return;
             }
-            RetryEvent::GaveUp {
-                key: (txn, node),
-                payload: job,
-                ..
-            } => {
-                // Device unreachable past the retry budget: report what
-                // we have; the reconciliation sweep repairs it later.
-                self.cp.lock().give_ups += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin: job.origin,
-                        txn,
-                        node: ctx.node,
-                        dest: node,
-                    });
-                    ctx.cp_event(CpTraceEvent::State {
-                        t: ctx.now.0,
-                        origin: job.origin,
-                        txn,
-                        node: ctx.node,
-                        actor: "nms",
-                        state: "device_lost",
-                    });
-                }
-                self.installing.remove(&(node, job.owner, job.stage));
-                if let Some(p) = self.pending.get_mut(&txn) {
-                    if p.awaiting.remove(&node) {
-                        p.lost += 1;
+            FAM_NMS_INSTALL => {
+                let fired = self.install_rt.on_timer(ctx, &self.cp, token, |_| false);
+                if let Fired::GaveUp(leg) = fired {
+                    // Device unreachable past the retry budget: report
+                    // what we have; the reconciliation sweep repairs it
+                    // later.
+                    let ((txn, node), job) = (leg.key, leg.payload);
+                    trace_state(ctx, leg.id.origin, txn, "nms", "device_lost");
+                    self.installing.remove(&(node, job.owner, job.stage));
+                    if let Some((_, p)) = self.pending.get_mut(&txn) {
+                        p.lose();
                     }
-                }
-                self.finish_if_done(ctx, txn);
-                return;
-            }
-        }
-        match self.renew_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
+                    self.settle_deploy(ctx, txn);
                 }
             }
-            RetryEvent::Resend {
-                key: (txn, node),
-                payload: job,
-                attempt,
-                ..
-            } => {
-                if self.withdrawn.contains(&job.owner) {
-                    // The owner withdrew while this renewal was in
-                    // flight: retransmitting would re-install the filter
-                    // we just tore down. Abandon the chain instead.
-                    self.renew_rt.ack(&(txn, node));
-                    if ctx.cp_trace_enabled() {
-                        ctx.cp_event(CpTraceEvent::Terminal {
-                            t: ctx.now.0,
-                            origin: 0,
-                            txn,
-                            node: ctx.node,
-                            outcome: "abandoned",
-                        });
+            FAM_NMS_RENEW => {
+                // The owner withdrew while this renewal was in flight:
+                // retransmitting would re-install the filter we just tore
+                // down, so the chain is abandoned instead.
+                let withdrawn = |job: &InstallJob| self.withdrawn.contains(&job.owner);
+                match self.renew_rt.on_timer(ctx, &self.cp, token, withdrawn) {
+                    Fired::Vetoed(leg) => trace_terminal(ctx, 0, leg.id.txn, "abandoned"),
+                    // A renewal that never lands is self-correcting: the
+                    // device reaps the unrenewed lease, and the next sweep
+                    // re-installs once the device is reachable again.
+                    Fired::GaveUp(leg) => trace_terminal(ctx, 0, leg.id.txn, "gave_up"),
+                    Fired::Stale | Fired::Resent => {}
+                }
+            }
+            FAM_NMS_REMOVE => {
+                let fired = self.remove_rt.on_timer(ctx, &self.cp, token, |_| false);
+                if let Fired::GaveUp(leg) = fired {
+                    // Device unreachable: count the leg lost and let its
+                    // lease reap the filter device-side.
+                    let txn = leg.id.txn;
+                    if let Some(p) = self.pending_withdraw.get_mut(&txn) {
+                        p.lose();
                     }
-                    return;
-                }
-                self.cp.lock().retransmits += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin: 0,
-                        txn,
-                        attempt,
-                        node: ctx.node,
-                        dest: node,
-                    });
-                }
-                self.send_install(ctx, node, txn, attempt, &job);
-                return;
-            }
-            RetryEvent::GaveUp {
-                key: (txn, node), ..
-            } => {
-                // A renewal that never lands is self-correcting: the
-                // device reaps the unrenewed lease, and the next sweep
-                // re-installs once the device is reachable again.
-                self.cp.lock().give_ups += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin: 0,
-                        txn,
-                        node: ctx.node,
-                        dest: node,
-                    });
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: 0,
-                        txn,
-                        node: ctx.node,
-                        outcome: "gave_up",
-                    });
-                }
-                return;
-            }
-        }
-        match self.remove_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
+                    self.settle_withdraw(ctx, txn);
                 }
             }
-            RetryEvent::Resend {
-                key: (txn, node, stage),
-                payload: owner,
-                attempt,
-                ..
-            } => {
-                let origin = self
-                    .pending_withdraw
-                    .get(&txn)
-                    .map(|p| p.origin)
-                    .unwrap_or(0);
-                self.cp.lock().retransmits += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin,
-                        txn,
-                        attempt,
-                        node: ctx.node,
-                        dest: node,
-                    });
-                }
-                self.send_remove(ctx, node, txn, attempt, origin, owner, stage);
-            }
-            RetryEvent::GaveUp {
-                key: (txn, node, stage),
-                payload: owner,
-                ..
-            } => {
-                // Device unreachable: count the leg lost and let its
-                // lease reap the filter device-side.
-                self.cp.lock().give_ups += 1;
-                let origin = self
-                    .pending_withdraw
-                    .get(&txn)
-                    .map(|p| p.origin)
-                    .unwrap_or(0);
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin,
-                        txn,
-                        node: ctx.node,
-                        dest: node,
-                    });
-                }
-                let _ = owner;
-                if let Some(p) = self.pending_withdraw.get_mut(&txn) {
-                    if p.awaiting.remove(&(node, stage)) {
-                        p.lost += 1;
-                    }
-                }
-                self.finish_withdraw_if_done(ctx, txn);
-            }
+            _ => {}
         }
     }
 
     fn on_control(&mut self, ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
         if let Some(reply) = msg.get::<DeviceReply>() {
             match reply {
-                DeviceReply::InstallOk { node, txn, .. } => {
+                DeviceReply::InstallOk { node, txn, .. }
+                | DeviceReply::InstallRejected { node, txn, .. } => {
+                    let ok = matches!(reply, DeviceReply::InstallOk { .. });
                     if *txn == RECONCILE_TXN {
                         return; // repair-by-repetition: untracked
                     }
                     if *txn >= RENEW_TXN_BASE {
-                        // Lease renewal acknowledged.
-                        if self.renew_rt.take(&(*txn, *node)).is_some() {
-                            if ctx.cp_trace_enabled() {
-                                ctx.cp_event(CpTraceEvent::Terminal {
-                                    t: ctx.now.0,
-                                    origin: 0,
-                                    txn: *txn,
-                                    node: ctx.node,
-                                    outcome: "renewed",
-                                });
-                            }
+                        // A lease renewal answered.
+                        if self.renew_rt.ack(&(*txn, *node)) {
+                            let outcome = if ok { "renewed" } else { "renew_rejected" };
+                            trace_terminal(ctx, 0, *txn, outcome);
                         } else {
-                            self.cp.lock().dup_responses += 1;
-                            reply_dup_hit(ctx, msg, *txn, reply.kind_id());
+                            reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
                         }
                         return;
                     }
-                    if let Some(job) = self.install_rt.take(&(*txn, *node)) {
-                        self.installing.remove(&(*node, job.owner, job.stage));
-                        if !self.withdrawn.contains(&job.owner) {
-                            let hash = job.spec.content_hash();
-                            self.desired
-                                .insert((*node, job.owner, job.stage, hash), job);
-                        }
-                    }
-                    match self.pending.get_mut(txn) {
-                        Some(p) if p.awaiting.contains(node) => {
-                            p.awaiting.remove(node);
-                            p.configured += 1;
-                            let origin = p.origin;
-                            if ctx.cp_trace_enabled() {
-                                ctx.cp_event(CpTraceEvent::State {
-                                    t: ctx.now.0,
-                                    origin,
-                                    txn: *txn,
-                                    node: ctx.node,
-                                    actor: "nms",
-                                    state: "device_installed",
-                                });
-                            }
-                            self.finish_if_done(ctx, *txn);
-                        }
-                        _ => {
-                            self.cp.lock().dup_responses += 1;
-                            reply_dup_hit(ctx, msg, *txn, reply.kind_id());
-                        }
-                    }
-                }
-                DeviceReply::InstallRejected { node, txn, .. } => {
-                    if *txn == RECONCILE_TXN {
+                    let Some(leg) = self.install_rt.take(&(*txn, *node)) else {
+                        reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
                         return;
+                    };
+                    let job = leg.payload;
+                    self.installing.remove(&(*node, job.owner, job.stage));
+                    if ok && !self.withdrawn.contains(&job.owner) {
+                        let hash = job.spec.content_hash();
+                        self.desired
+                            .insert((*node, job.owner, job.stage, hash), job);
                     }
-                    if *txn >= RENEW_TXN_BASE {
-                        if self.renew_rt.take(&(*txn, *node)).is_some() {
-                            if ctx.cp_trace_enabled() {
-                                ctx.cp_event(CpTraceEvent::Terminal {
-                                    t: ctx.now.0,
-                                    origin: 0,
-                                    txn: *txn,
-                                    node: ctx.node,
-                                    outcome: "renew_rejected",
-                                });
-                            }
-                        } else {
-                            self.cp.lock().dup_responses += 1;
-                            reply_dup_hit(ctx, msg, *txn, reply.kind_id());
-                        }
-                        return;
+                    if let Some((_, p)) = self.pending.get_mut(txn) {
+                        p.ack(*node, usize::from(ok), usize::from(!ok));
                     }
-                    if let Some(job) = self.install_rt.take(&(*txn, *node)) {
-                        self.installing.remove(&(*node, job.owner, job.stage));
-                    }
-                    match self.pending.get_mut(txn) {
-                        Some(p) if p.awaiting.contains(node) => {
-                            p.awaiting.remove(node);
-                            p.rejected += 1;
-                            let origin = p.origin;
-                            if ctx.cp_trace_enabled() {
-                                ctx.cp_event(CpTraceEvent::State {
-                                    t: ctx.now.0,
-                                    origin,
-                                    txn: *txn,
-                                    node: ctx.node,
-                                    actor: "nms",
-                                    state: "device_rejected",
-                                });
-                            }
-                            self.finish_if_done(ctx, *txn);
-                        }
-                        _ => {
-                            self.cp.lock().dup_responses += 1;
-                            reply_dup_hit(ctx, msg, *txn, reply.kind_id());
-                        }
-                    }
+                    let state = if ok {
+                        "device_installed"
+                    } else {
+                        "device_rejected"
+                    };
+                    trace_state(ctx, leg.id.origin, *txn, "nms", state);
+                    self.settle_deploy(ctx, *txn);
                 }
                 DeviceReply::Inventory { node, installed } => {
                     let installed: BTreeSet<(OwnerId, Stage, u64)> =
                         installed.iter().copied().collect();
-                    let gaps: Vec<(NodeId, InstallJob)> = self
-                        .desired
-                        .iter()
-                        .filter(|((n, owner, stage, hash), _)| {
-                            n == node && !installed.contains(&(*owner, *stage, *hash))
-                        })
-                        .map(|((n, ..), job)| (*n, job.clone()))
-                        .collect();
-                    for (n, job) in gaps {
-                        self.cp.lock().reconcile_reinstalls += 1;
-                        if ctx.cp_trace_enabled() {
-                            ctx.cp_event(CpTraceEvent::State {
-                                t: ctx.now.0,
-                                origin: 0,
-                                txn: RECONCILE_TXN,
-                                node: ctx.node,
-                                actor: "nms",
-                                state: "reinstall",
-                            });
+                    let id = MsgKey::first(0, RECONCILE_TXN);
+                    for ((n, owner, stage, hash), job) in &self.desired {
+                        if n == node && !installed.contains(&(*owner, *stage, *hash)) {
+                            self.cp.lock().reconcile_reinstalls += 1;
+                            trace_state(ctx, 0, RECONCILE_TXN, "nms", "reinstall");
+                            job.send(ctx, *n, id);
                         }
-                        self.send_install(ctx, n, RECONCILE_TXN, 0, &job);
                     }
-                    if self.sweep_removes {
-                        // Bidirectional pass: device-resident services
-                        // with no desired-state entry (any spec hash) and
-                        // no install in flight are orphans — remove them.
-                        let orphans: Vec<(OwnerId, Stage)> = installed
-                            .iter()
-                            .filter(|(owner, stage, _)| {
-                                !self.installing.contains(&(*node, *owner, *stage))
-                                    && self
-                                        .desired
-                                        .range(
-                                            (*node, *owner, *stage, 0)
-                                                ..=(*node, *owner, *stage, u64::MAX),
-                                        )
-                                        .next()
-                                        .is_none()
-                            })
-                            .map(|(owner, stage, _)| (*owner, *stage))
-                            .collect();
-                        for (owner, stage) in orphans {
-                            self.cp.lock().reconcile_removals += 1;
-                            if ctx.cp_trace_enabled() {
-                                ctx.cp_event(CpTraceEvent::State {
-                                    t: ctx.now.0,
-                                    origin: 0,
-                                    txn: RECONCILE_TXN,
-                                    node: ctx.node,
-                                    actor: "nms",
-                                    state: "remove_orphan",
-                                });
-                            }
-                            // Untracked, like reinstalls: repair is by
-                            // repetition on the next sweep.
-                            self.send_remove(ctx, *node, RECONCILE_TXN, 0, 0, owner, stage);
+                    if !self.sweep_removes {
+                        return;
+                    }
+                    // Bidirectional pass: device-resident services with no
+                    // desired-state entry (any spec hash) and no install in
+                    // flight are orphans — remove them. Untracked, like
+                    // reinstalls: repair is by repetition on the next sweep.
+                    for &(owner, stage, _) in &installed {
+                        let hashes = (*node, owner, stage, 0)..=(*node, owner, stage, u64::MAX);
+                        if self.installing.contains(&(*node, owner, stage))
+                            || self.desired.range(hashes).next().is_some()
+                        {
+                            continue;
                         }
+                        self.cp.lock().reconcile_removals += 1;
+                        trace_state(ctx, 0, RECONCILE_TXN, "nms", "remove_orphan");
+                        Removal { owner, stage }.send(ctx, *node, id);
                     }
                 }
                 DeviceReply::RemoveOk {
-                    node,
-                    owner,
-                    stage,
-                    txn,
+                    node, stage, txn, ..
                 } => {
                     if *txn == RECONCILE_TXN {
                         return; // sweep removal: untracked
                     }
-                    if self.remove_rt.take(&(*txn, *node, *stage)).is_none() {
-                        self.cp.lock().dup_responses += 1;
-                        reply_dup_hit(ctx, msg, *txn, reply.kind_id());
+                    let Some(leg) = self.remove_rt.take(&(*txn, *node, *stage)) else {
+                        reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
                         return;
-                    }
-                    let _ = owner;
+                    };
                     self.cp.lock().withdraw_removes += 1;
-                    let origin = self
-                        .pending_withdraw
-                        .get(txn)
-                        .map(|p| p.origin)
-                        .unwrap_or(0);
-                    if ctx.cp_trace_enabled() {
-                        ctx.cp_event(CpTraceEvent::State {
-                            t: ctx.now.0,
-                            origin,
-                            txn: *txn,
-                            node: ctx.node,
-                            actor: "nms",
-                            state: "device_removed",
-                        });
-                    }
+                    trace_state(ctx, leg.id.origin, *txn, "nms", "device_removed");
                     if let Some(p) = self.pending_withdraw.get_mut(txn) {
-                        if p.awaiting.remove(&(*node, *stage)) {
-                            p.removed += 1;
-                        }
+                        p.ack((*node, *stage), 1, 0);
                     }
-                    self.finish_withdraw_if_done(ctx, *txn);
+                    self.settle_withdraw(ctx, *txn);
                 }
                 _ => {}
             }
@@ -2370,6 +1540,7 @@ impl NodeAgent for NmsAgent {
         if env.to != Role::Nms {
             return;
         }
+        let origin = env.key.origin;
         match &env.msg {
             CpMsg::NmsDeploy {
                 cert,
@@ -2378,28 +1549,15 @@ impl NodeAgent for NmsAgent {
                 txn,
                 reply_to,
             } => {
-                if let Some(ack) = self.done.get(txn).copied() {
-                    // Our ack was lost; the TCSP retransmitted. Re-ack.
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
-                    self.send_nms_ack(ctx, *txn, ack);
+                if !self.admits_deploy(ctx, env, cert, *txn) {
                     return;
                 }
-                if self.pending.contains_key(txn) {
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
-                    return;
-                }
-                if !cert.verify(self.tcsp_key, ctx.now) {
-                    return;
-                }
-                let nodes = nodes.clone();
                 self.deploy_on(
                     ctx,
-                    &cert.clone(),
-                    &service.clone(),
-                    &nodes,
-                    env.key.origin,
+                    cert,
+                    service,
+                    nodes,
+                    origin,
                     *txn,
                     *reply_to,
                     Role::Tcsp,
@@ -2414,51 +1572,35 @@ impl NodeAgent for NmsAgent {
                 forward_to_peers,
             } => {
                 // Direct user → ISP path (TCSP fallback).
-                if let Some(ack) = self.done.get(txn).copied() {
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
-                    self.send_nms_ack(ctx, *txn, ack);
+                if !self.admits_deploy(ctx, env, cert, *txn) {
                     return;
                 }
-                if self.pending.contains_key(txn) {
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
-                    return;
-                }
-                if !cert.verify(self.tcsp_key, ctx.now) {
-                    return;
-                }
-                let nodes = TcspAgent::resolve_scope(ctx, &self.managed.clone(), scope);
+                let nodes = TcspAgent::resolve_scope(ctx, &self.managed, scope);
                 self.deploy_on(
                     ctx,
-                    &cert.clone(),
-                    &service.clone(),
+                    cert,
+                    service,
                     &nodes,
-                    env.key.origin,
+                    origin,
                     *txn,
                     *reply_to,
                     Role::User,
                 );
                 if *forward_to_peers {
-                    for peer in self.peers.clone() {
-                        let delay = ctx.path_delay(peer) + PROC_DELAY;
-                        send_env(
-                            ctx,
-                            peer,
-                            delay,
-                            Envelope {
-                                to: Role::Nms,
-                                key: env.key,
-                                msg: CpMsg::DeployRequest {
-                                    cert: cert.clone(),
-                                    service: service.clone(),
-                                    scope: scope.clone(),
-                                    txn: *txn,
-                                    reply_to: *reply_to,
-                                    forward_to_peers: false, // one-hop fan-out
-                                },
+                    for &peer in &self.peers {
+                        let forwarded = Envelope {
+                            to: Role::Nms,
+                            key: env.key,
+                            msg: CpMsg::DeployRequest {
+                                cert: cert.clone(),
+                                service: service.clone(),
+                                scope: scope.clone(),
+                                txn: *txn,
+                                reply_to: *reply_to,
+                                forward_to_peers: false, // one-hop fan-out
                             },
-                        );
+                        };
+                        send_env(ctx, peer, forwarded);
                     }
                 }
             }
@@ -2467,7 +1609,7 @@ impl NodeAgent for NmsAgent {
                     return;
                 }
                 let owner = OwnerId(cert.user.0);
-                for &node in &self.managed.clone() {
+                for &node in &self.managed {
                     let delay = ctx.path_delay(node) + PROC_DELAY;
                     let cmd = match op {
                         UserOp::SetActive(stage, active) => DeviceCommand::SetServiceActive {
@@ -2492,19 +1634,16 @@ impl NodeAgent for NmsAgent {
                 txn,
                 reply_to,
             } => {
-                if let Some(done) = self.withdraw_done.get(txn).copied() {
+                if let Some(out) = self.withdraw_done.get(txn) {
                     // Our ack was lost; the TCSP retransmitted. Re-ack.
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
-                    self.send_withdraw_ack(ctx, *txn, done);
+                    dup_hit(ctx, &self.cp, env, false);
+                    Self::send_withdraw_ack(ctx, *txn, out);
                     return;
                 }
                 if self.pending_withdraw.contains_key(txn) {
-                    self.cp.lock().dup_requests += 1;
-                    dup_hit(ctx, env, false);
+                    dup_hit(ctx, &self.cp, env, false);
                     return;
                 }
-                let origin = env.key.origin;
                 self.withdrawn.insert(*owner);
                 // Drop the owner from desired state first so neither the
                 // sweep nor a renewal round re-installs mid-teardown.
@@ -2516,29 +1655,16 @@ impl NodeAgent for NmsAgent {
                     .collect();
                 self.desired.retain(|(_, o, ..), _| o != owner);
                 for &(node, stage) in &victims {
-                    self.remove_rt.track(ctx, (*txn, node, stage), node, *owner);
-                    if ctx.cp_trace_enabled() {
-                        ctx.cp_event(CpTraceEvent::RetrySchedule {
-                            t: ctx.now.0,
-                            origin,
-                            txn: *txn,
-                            node: ctx.node,
-                            dest: node,
-                        });
-                    }
-                    self.send_remove(ctx, node, *txn, 0, origin, *owner, stage);
+                    let removal = Removal {
+                        owner: *owner,
+                        stage,
+                    };
+                    self.remove_rt
+                        .track(ctx, (*txn, node, stage), node, origin, *txn, removal);
                 }
-                self.pending_withdraw.insert(
-                    *txn,
-                    NmsPendingWithdraw {
-                        origin,
-                        reply_to: *reply_to,
-                        awaiting: victims,
-                        removed: 0,
-                        lost: 0,
-                    },
-                );
-                self.finish_withdraw_if_done(ctx, *txn);
+                self.pending_withdraw
+                    .insert(*txn, FanIn::new(origin, *reply_to, victims.len()));
+                self.settle_withdraw(ctx, *txn);
             }
             _ => {}
         }
@@ -2613,16 +1739,21 @@ pub struct UserAgent {
     reg_txn: u64,
     record: UserHandle,
     started_deploy: bool,
-    reg_rt: Retransmitter<u64, ()>,
-    deploy_rt: Retransmitter<u64, ()>,
-    withdraw_rt: Retransmitter<u64, ()>,
+    reg_rt: Retransmitter<u64, Request>,
+    deploy_rt: Retransmitter<u64, Request>,
+    withdraw_rt: Retransmitter<u64, Request>,
     dedup: Dedup,
     cp: CpStatsHandle,
 }
 
 impl UserAgent {
     /// New user agent; returns the shared record.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// The agent numbers its transactions `user << 16 | n`, so ids stay
+    /// apart between users only while the shift drops no bits.
+    ///
+    /// # Panics
+    /// If `user` is 2^48 or above.
     pub fn new(
         user: UserId,
         claim: Vec<Prefix>,
@@ -2631,7 +1762,13 @@ impl UserAgent {
         scope: DeployScope,
         register_at: SimTime,
     ) -> (UserAgent, UserHandle) {
+        assert!(
+            user.0 < 1 << 48,
+            "user id {:#x} leaves no room for its transaction counter",
+            user.0
+        );
         let record: UserHandle = Arc::new(Mutex::new(UserRecord::default()));
+        let policy = RetryPolicy::default();
         let txn = (user.0 << 16) | 1;
         (
             UserAgent {
@@ -2648,17 +1785,9 @@ impl UserAgent {
                 reg_txn: txn,
                 record: record.clone(),
                 started_deploy: false,
-                reg_rt: Retransmitter::new(FAM_USER_REG, RetryPolicy::default(), user.0 ^ 0xD),
-                deploy_rt: Retransmitter::new(
-                    FAM_USER_DEPLOY,
-                    RetryPolicy::default(),
-                    user.0 ^ 0xE,
-                ),
-                withdraw_rt: Retransmitter::new(
-                    FAM_USER_WITHDRAW,
-                    RetryPolicy::default(),
-                    user.0 ^ 0xF,
-                ),
+                reg_rt: Retransmitter::new(FAM_USER_REG, policy, user.0 ^ 0xD),
+                deploy_rt: Retransmitter::new(FAM_USER_DEPLOY, policy, user.0 ^ 0xE),
+                withdraw_rt: Retransmitter::new(FAM_USER_WITHDRAW, policy, user.0 ^ 0xF),
                 dedup: Dedup::new(),
                 cp: CpStatsHandle::default(),
             },
@@ -2684,85 +1813,53 @@ impl UserAgent {
         self
     }
 
-    fn send_register(&self, ctx: &mut AgentCtx<'_>, attempt: u32) {
-        let delay = ctx.path_delay(self.tcsp_node) + PROC_DELAY;
-        send_env(
-            ctx,
-            self.tcsp_node,
-            delay,
-            Envelope {
-                to: Role::Tcsp,
-                key: MsgKey {
-                    origin: self.user.0,
-                    txn: self.reg_txn,
-                    attempt,
-                },
-                msg: CpMsg::RegisterRequest {
-                    user: self.user,
-                    claimed: self.claim.clone(),
-                    reply_to: ctx.node,
-                },
-            },
-        );
+    /// The certificate, once registered, and a fresh transaction id.
+    fn begin_txn(&mut self) -> Option<(Certificate, u64)> {
+        let cert = self.record.lock().cert.clone()?;
+        self.txn += 1;
+        Some((cert, self.txn))
     }
 
-    fn send_deploy(
-        &self,
-        ctx: &mut AgentCtx<'_>,
-        dest: NodeId,
-        to: Role,
-        txn: u64,
-        attempt: u32,
-        forward_to_peers: bool,
-    ) {
-        let cert = { self.record.lock().cert.clone() };
-        let Some(cert) = cert else { return };
-        let delay = ctx.path_delay(dest) + PROC_DELAY;
-        send_env(
-            ctx,
-            dest,
-            delay,
-            Envelope {
-                to,
-                key: MsgKey {
-                    origin: self.user.0,
-                    txn,
-                    attempt,
-                },
-                msg: CpMsg::DeployRequest {
-                    cert,
-                    service: self.service.clone(),
-                    scope: self.scope.clone(),
-                    txn,
-                    reply_to: ctx.node,
-                    forward_to_peers,
-                },
+    /// Ask `dest` (the TCSP, or an NMS forwarding to its peers) to deploy.
+    /// False when there is no certificate to present yet.
+    fn start_deploy(&mut self, ctx: &mut AgentCtx<'_>, dest: NodeId, to: Role) -> bool {
+        let Some((cert, txn)) = self.begin_txn() else {
+            return false;
+        };
+        let deploy = Request {
+            to,
+            msg: CpMsg::DeployRequest {
+                cert,
+                service: self.service.clone(),
+                scope: self.scope.clone(),
+                txn,
+                reply_to: ctx.node,
+                forward_to_peers: to == Role::Nms,
             },
-        );
+        };
+        self.deploy_rt
+            .track(ctx, txn, dest, self.user.0, txn, deploy);
+        true
     }
 
-    fn send_withdraw(&self, ctx: &mut AgentCtx<'_>, txn: u64, attempt: u32) {
-        let cert = { self.record.lock().cert.clone() };
-        let Some(cert) = cert else { return };
-        let delay = ctx.path_delay(self.tcsp_node) + PROC_DELAY;
-        send_env(
-            ctx,
-            self.tcsp_node,
-            delay,
-            Envelope {
-                to: Role::Tcsp,
-                key: MsgKey {
-                    origin: self.user.0,
-                    txn,
-                    attempt,
-                },
-                msg: CpMsg::WithdrawRequest {
-                    cert,
-                    txn,
-                    reply_to: ctx.node,
-                },
-            },
-        );
+    fn on_retry_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
+        let fired = match token & FAMILY_MASK {
+            FAM_USER_REG => {
+                let fired = self.reg_rt.on_timer(ctx, &self.cp, token, |_| false);
+                if matches!(fired, Fired::Resent) {
+                    self.record.lock().register_retries += 1;
+                }
+                fired
+            }
+            FAM_USER_DEPLOY => self.deploy_rt.on_timer(ctx, &self.cp, token, |_| false),
+            // On a give-up here the TCSP is unreachable; the leases expire
+            // the filters device-side without us.
+            FAM_USER_WITHDRAW => self.withdraw_rt.on_timer(ctx, &self.cp, token, |_| false),
+            _ => return,
+        };
+        if let Fired::GaveUp(leg) = fired {
+            trace_terminal(ctx, self.user.0, leg.key, "gave_up");
+        }
     }
 }
 
@@ -2781,253 +1878,59 @@ impl NodeAgent for UserAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
+        let origin = self.user.0;
         match token {
             TOKEN_REGISTER => {
-                self.send_register(ctx, 0);
-                self.reg_rt.track(ctx, self.reg_txn, self.tcsp_node, ());
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetrySchedule {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn: self.reg_txn,
-                        node: ctx.node,
-                        dest: self.tcsp_node,
-                    });
-                }
-                return;
+                let register = Request {
+                    to: Role::Tcsp,
+                    msg: CpMsg::RegisterRequest {
+                        user: self.user,
+                        claimed: self.claim.clone(),
+                        reply_to: ctx.node,
+                    },
+                };
+                let txn = self.reg_txn;
+                self.reg_rt
+                    .track(ctx, txn, self.tcsp_node, origin, txn, register);
             }
             T_DEPLOY => {
-                if self.record.lock().cert.is_none() {
-                    return;
+                if self.start_deploy(ctx, self.tcsp_node, Role::Tcsp) {
+                    ctx.set_timer(self.deploy_timeout, T_TIMEOUT);
                 }
-                self.txn += 1;
-                let txn = self.txn;
-                self.send_deploy(ctx, self.tcsp_node, Role::Tcsp, txn, 0, false);
-                self.deploy_rt.track(ctx, txn, self.tcsp_node, ());
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetrySchedule {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        dest: self.tcsp_node,
-                    });
-                }
-                ctx.set_timer(self.deploy_timeout, T_TIMEOUT);
-                return;
             }
             T_TIMEOUT => {
-                let confirmed = self.record.lock().deploy_confirmed_at.is_some();
-                if confirmed || self.fallback_nms.is_empty() {
+                let r = self.record.lock();
+                let (confirmed, registered) = (r.deploy_confirmed_at.is_some(), r.cert.is_some());
+                drop(r);
+                if confirmed || !registered {
                     return;
                 }
-                if self.record.lock().cert.is_none() {
+                let Some(&first) = self.fallback_nms.first() else {
                     return;
-                }
+                };
                 // TCSP unreachable: stop chasing it and go straight to
                 // the ISPs under a fresh transaction.
                 self.deploy_rt.ack(&self.txn);
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn: self.txn,
-                        node: ctx.node,
-                        outcome: "abandoned",
-                    });
-                }
+                trace_terminal(ctx, origin, self.txn, "abandoned");
                 self.record.lock().used_fallback = true;
-                self.txn += 1;
-                let txn = self.txn;
-                let first = self.fallback_nms[0];
-                self.send_deploy(ctx, first, Role::Nms, txn, 0, true);
-                self.deploy_rt.track(ctx, txn, first, ());
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetrySchedule {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        dest: first,
-                    });
-                }
-                return;
+                self.start_deploy(ctx, first, Role::Nms);
             }
             TOKEN_WITHDRAW => {
-                if self.record.lock().cert.is_none() {
+                let Some((cert, txn)) = self.begin_txn() else {
                     return;
-                }
-                self.txn += 1;
-                let txn = self.txn;
-                self.send_withdraw(ctx, txn, 0);
-                self.withdraw_rt.track(ctx, txn, self.tcsp_node, ());
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetrySchedule {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        dest: self.tcsp_node,
-                    });
-                }
-                return;
-            }
-            _ => {}
-        }
-        match self.reg_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
-                }
-                return;
-            }
-            RetryEvent::Resend { attempt, .. } => {
-                self.cp.lock().retransmits += 1;
-                self.record.lock().register_retries += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn: self.reg_txn,
-                        attempt,
-                        node: ctx.node,
-                        dest: self.tcsp_node,
-                    });
-                }
-                self.send_register(ctx, attempt);
-                return;
-            }
-            RetryEvent::GaveUp { key: txn, dest, .. } => {
-                self.cp.lock().give_ups += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        dest,
-                    });
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        outcome: "gave_up",
-                    });
-                }
-                return;
-            }
-        }
-        match self.deploy_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
-                }
-            }
-            RetryEvent::Resend {
-                key: txn, attempt, ..
-            } => {
-                // Resends chase whichever destination the transaction
-                // targeted: TCSP normally, the first NMS after fallback.
-                self.cp.lock().retransmits += 1;
-                let fallback = self.record.lock().used_fallback;
-                let (dest, to, fwd) = if fallback {
-                    (self.fallback_nms[0], Role::Nms, true)
-                } else {
-                    (self.tcsp_node, Role::Tcsp, false)
                 };
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin: self.user.0,
+                let withdraw = Request {
+                    to: Role::Tcsp,
+                    msg: CpMsg::WithdrawRequest {
+                        cert,
                         txn,
-                        attempt,
-                        node: ctx.node,
-                        dest,
-                    });
-                }
-                self.send_deploy(ctx, dest, to, txn, attempt, fwd);
-                return;
+                        reply_to: ctx.node,
+                    },
+                };
+                self.withdraw_rt
+                    .track(ctx, txn, self.tcsp_node, origin, txn, withdraw);
             }
-            RetryEvent::GaveUp { key: txn, dest, .. } => {
-                self.cp.lock().give_ups += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        dest,
-                    });
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        outcome: "gave_up",
-                    });
-                }
-                return;
-            }
-        }
-        match self.withdraw_rt.on_timer(ctx, token) {
-            RetryEvent::NotMine => {}
-            RetryEvent::Stale => {
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryStale {
-                        t: ctx.now.0,
-                        node: ctx.node,
-                        family: (token & FAMILY_MASK) >> 48,
-                    });
-                }
-            }
-            RetryEvent::Resend {
-                key: txn, attempt, ..
-            } => {
-                self.cp.lock().retransmits += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryFire {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        attempt,
-                        node: ctx.node,
-                        dest: self.tcsp_node,
-                    });
-                }
-                self.send_withdraw(ctx, txn, attempt);
-            }
-            RetryEvent::GaveUp { key: txn, dest, .. } => {
-                // The TCSP is unreachable; the leases expire the filters
-                // device-side without us.
-                self.cp.lock().give_ups += 1;
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::RetryGaveUp {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        dest,
-                    });
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: self.user.0,
-                        txn,
-                        node: ctx.node,
-                        outcome: "gave_up",
-                    });
-                }
-            }
+            _ => self.on_retry_timer(ctx, token),
         }
     }
 
@@ -3038,28 +1941,29 @@ impl NodeAgent for UserAgent {
         if env.to != Role::User {
             return;
         }
-        let kind = env.msg.kind_id();
+        let MsgKey { origin, txn, .. } = env.key;
+        // Fallback NMS acks come straight to the user, one per ISP: those
+        // deduplicate per acking node.
+        let from = match &env.msg {
+            CpMsg::NmsAck { from_nms, .. } => from_nms.0 as u64,
+            CpMsg::RegisterConfirm { .. }
+            | CpMsg::DeployConfirm { .. }
+            | CpMsg::WithdrawConfirm { .. } => 0,
+            _ => return,
+        };
+        if !self.dedup.first_time(origin, txn, env.msg.kind_id(), from) {
+            dup_hit(ctx, &self.cp, env, true);
+            return;
+        }
         match &env.msg {
             CpMsg::RegisterConfirm { result } => {
-                if !self.dedup.first_time(env.key.origin, env.key.txn, kind, 0) {
-                    self.cp.lock().dup_responses += 1;
-                    dup_hit(ctx, env, true);
-                    return;
-                }
-                self.reg_rt.ack(&env.key.txn);
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: env.key.origin,
-                        txn: env.key.txn,
-                        node: ctx.node,
-                        outcome: if result.is_ok() {
-                            "confirmed"
-                        } else {
-                            "denied"
-                        },
-                    });
-                }
+                self.reg_rt.ack(&txn);
+                let outcome = if result.is_ok() {
+                    "confirmed"
+                } else {
+                    "denied"
+                };
+                trace_terminal(ctx, origin, txn, outcome);
                 match result {
                     Ok(cert) => {
                         {
@@ -3083,50 +1987,25 @@ impl NodeAgent for UserAgent {
                 isps_missing,
                 ..
             } => {
-                if !self.dedup.first_time(env.key.origin, env.key.txn, kind, 0) {
-                    self.cp.lock().dup_responses += 1;
-                    dup_hit(ctx, env, true);
-                    return;
-                }
-                self.deploy_rt.ack(&env.key.txn);
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: env.key.origin,
-                        txn: env.key.txn,
-                        node: ctx.node,
-                        outcome: if *isps_missing > 0 {
-                            "partial"
-                        } else {
-                            "confirmed"
-                        },
-                    });
-                }
+                self.deploy_rt.ack(&txn);
+                let outcome = if *isps_missing > 0 {
+                    "partial"
+                } else {
+                    "confirmed"
+                };
+                trace_terminal(ctx, origin, txn, outcome);
                 let mut r = self.record.lock();
-                if r.deploy_confirmed_at.is_none() {
-                    r.deploy_confirmed_at = Some(ctx.now);
-                }
+                r.deploy_confirmed_at.get_or_insert(ctx.now);
                 r.devices_configured += configured;
                 r.installs_rejected += rejected;
                 r.isps_missing += isps_missing;
             }
             CpMsg::NmsAck {
-                from_nms,
                 configured,
                 rejected,
                 ..
             } => {
-                // Fallback path: NMS acks come straight to the user, one
-                // per ISP — dedup keyed by the acking node.
-                if !self
-                    .dedup
-                    .first_time(env.key.origin, env.key.txn, kind, from_nms.0 as u64)
-                {
-                    self.cp.lock().dup_responses += 1;
-                    dup_hit(ctx, env, true);
-                    return;
-                }
-                self.deploy_rt.ack(&env.key.txn);
+                self.deploy_rt.ack(&txn);
                 let mut r = self.record.lock();
                 r.fallback_acks += 1;
                 r.devices_configured += configured;
@@ -3134,37 +2013,14 @@ impl NodeAgent for UserAgent {
                 if r.deploy_confirmed_at.is_none() {
                     r.deploy_confirmed_at = Some(ctx.now);
                     drop(r);
-                    if ctx.cp_trace_enabled() {
-                        ctx.cp_event(CpTraceEvent::Terminal {
-                            t: ctx.now.0,
-                            origin: env.key.origin,
-                            txn: env.key.txn,
-                            node: ctx.node,
-                            outcome: "fallback_confirmed",
-                        });
-                    }
+                    trace_terminal(ctx, origin, txn, "fallback_confirmed");
                 }
             }
             CpMsg::WithdrawConfirm { removed, .. } => {
-                if !self.dedup.first_time(env.key.origin, env.key.txn, kind, 0) {
-                    self.cp.lock().dup_responses += 1;
-                    dup_hit(ctx, env, true);
-                    return;
-                }
-                self.withdraw_rt.ack(&env.key.txn);
-                if ctx.cp_trace_enabled() {
-                    ctx.cp_event(CpTraceEvent::Terminal {
-                        t: ctx.now.0,
-                        origin: env.key.origin,
-                        txn: env.key.txn,
-                        node: ctx.node,
-                        outcome: "withdrawn",
-                    });
-                }
+                self.withdraw_rt.ack(&txn);
+                trace_terminal(ctx, origin, txn, "withdrawn");
                 let mut r = self.record.lock();
-                if r.withdraw_confirmed_at.is_none() {
-                    r.withdraw_confirmed_at = Some(ctx.now);
-                }
+                r.withdraw_confirmed_at.get_or_insert(ctx.now);
                 r.services_removed += removed;
             }
             _ => {}

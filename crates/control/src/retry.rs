@@ -16,7 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dtcs_netsim::rng::child_seed;
-use dtcs_netsim::{AgentCtx, NodeId, SimDuration};
+use dtcs_netsim::{AgentCtx, CpTraceEvent, NodeId, SimDuration};
 
 /// Identity of one logical control-plane message. `origin` + `txn` name
 /// the transaction (stable across retries); `attempt` distinguishes
@@ -88,158 +88,310 @@ impl RetryPolicy {
     }
 }
 
-/// What [`Retransmitter::on_timer`] decided about a timer token.
+/// What a transaction leg carries: everything needed to build its request.
+/// The first send and every retransmit go through [`LegMsg::send`], so a
+/// retry can never drift from the message the transaction started with.
+pub trait LegMsg {
+    /// Send the request to `dest`, stamped with `id` (origin, txn and the
+    /// attempt counter: 0 for the first send).
+    fn send(&self, ctx: &mut AgentCtx<'_>, dest: NodeId, id: MsgKey);
+}
+
+/// One tracked leg; handed back to its agent once acked
+/// ([`Retransmitter::take`]), vetoed or abandoned ([`Fired`]).
 #[derive(Debug)]
-pub enum RetryEvent<K, T> {
-    /// Token belongs to a different timer family — caller should try its
-    /// other handlers.
-    NotMine,
-    /// Token was ours but the transaction is already acked (stale timer).
+pub struct Leg<K, T> {
+    /// The key the agent tracked it under.
+    pub key: K,
+    /// Where every send of it goes.
+    pub dest: NodeId,
+    /// Trace identity; `attempt` counts the retransmits made.
+    pub id: MsgKey,
+    /// The request it carries.
+    pub payload: T,
+}
+
+/// What [`Retransmitter::on_timer`] did with a timer token.
+#[derive(Debug)]
+pub enum Fired<K, T> {
+    /// The transaction was already acked; the timer was a traced no-op.
     Stale,
-    /// Retransmit now: the caller re-sends `payload` to `dest` with the
-    /// bumped attempt number, then the next timer is already armed.
-    Resend {
-        /// Transaction key.
-        key: K,
-        /// Destination node.
-        dest: NodeId,
-        /// Cloned payload context for rebuilding the message.
-        payload: T,
-        /// Attempt number to stamp on the resend (1-based retransmits).
-        attempt: u32,
-    },
-    /// Retry budget exhausted; the transaction is dropped from tracking.
-    GaveUp {
-        /// Transaction key.
-        key: K,
-        /// Destination that never acked.
-        dest: NodeId,
-        /// Payload context, for salvage (e.g. partial confirmation).
-        payload: T,
-    },
-}
-
-struct Pending<K, T> {
-    key: K,
-    dest: NodeId,
-    payload: T,
-    attempt: u32,
-}
-
-/// At-least-once sender side: tracks unacked transactions and re-arms an
-/// agent timer per pending entry. Timer tokens are `family | slot` where
-/// `family` occupies the high bits, so several retransmitters (and the
-/// agent's own protocol timers) coexist on one agent without collisions.
-///
-/// There is no timer-cancel facility in the simulator, so acked entries
-/// simply let their timer fire into [`RetryEvent::Stale`] — a no-op.
-pub struct Retransmitter<K, T> {
-    family: u64,
-    policy: RetryPolicy,
-    seed: u64,
-    next_slot: u64,
-    by_key: BTreeMap<K, u64>,
-    slots: BTreeMap<u64, Pending<K, T>>,
+    /// The request was retransmitted and the next timer armed.
+    Resent,
+    /// The veto refused the retransmit; the leg is no longer tracked.
+    Vetoed(Leg<K, T>),
+    /// Retry budget exhausted; the leg is no longer tracked.
+    GaveUp(Leg<K, T>),
 }
 
 /// High-bit mask separating a token's family from its slot.
 pub const FAMILY_MASK: u64 = 0xFFFF_0000_0000_0000;
 
-impl<K: Ord + Copy, T: Clone> Retransmitter<K, T> {
-    /// New retransmitter for `family` (one of the `FAM_*` constants in
-    /// [`plane`](crate::plane)); `seed` decorrelates its jitter stream.
-    pub fn new(family: u64, policy: RetryPolicy, seed: u64) -> Retransmitter<K, T> {
-        debug_assert_eq!(family & !FAMILY_MASK, 0, "family must live in high bits");
-        Retransmitter {
+/// Agent timers of one family, each carrying a value. Tokens are
+/// `family | slot` with `family` in the high 16 bits and slots handed out
+/// by a counter, so timers of several families (and the agent's own plain
+/// tokens) coexist on one agent and no caller-chosen id can reach the
+/// family bits.
+///
+/// There is no timer-cancel facility in the simulator: a value taken out
+/// early lets its timer fire into an empty slot.
+pub struct TimerSlots<V> {
+    family: u64,
+    next_slot: u64,
+    live: BTreeMap<u64, V>,
+}
+
+impl<V> TimerSlots<V> {
+    /// No timers yet; `family` is one of the `FAM_*` constants in
+    /// [`plane`](crate::plane).
+    pub fn new(family: u64) -> TimerSlots<V> {
+        assert_eq!(family & !FAMILY_MASK, 0, "family must live in high bits");
+        TimerSlots {
             family,
+            next_slot: 0,
+            live: BTreeMap::new(),
+        }
+    }
+
+    /// Store `value` in a fresh slot and arm its timer `delay(slot)` from
+    /// now. Returns the slot.
+    pub fn arm(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        value: V,
+        delay: impl FnOnce(u64) -> SimDuration,
+    ) -> u64 {
+        let slot = self.next_slot;
+        assert_eq!(slot & FAMILY_MASK, 0, "timer slots exhausted");
+        self.next_slot += 1;
+        self.live.insert(slot, value);
+        ctx.set_timer(delay(slot), self.family | slot);
+        slot
+    }
+
+    /// The slot a fired `token` names.
+    pub fn slot_of(&self, token: u64) -> u64 {
+        debug_assert_eq!(token & FAMILY_MASK, self.family, "token of another family");
+        token & !FAMILY_MASK
+    }
+
+    /// The value in `slot`, if it was not taken out.
+    pub fn get_mut(&mut self, slot: u64) -> Option<&mut V> {
+        self.live.get_mut(&slot)
+    }
+
+    /// Take the value out of `slot`.
+    pub fn take(&mut self, slot: u64) -> Option<V> {
+        self.live.remove(&slot)
+    }
+}
+
+/// The sender side of a transaction leg, at least once: sends the request,
+/// retransmits it on the backoff schedule until acked, and accounts for
+/// all of it — the `retry_*` trace events and the
+/// `retransmits`/`give_ups` counters are emitted here and nowhere else.
+/// An agent contributes what differs per family: the request
+/// ([`LegMsg`]), an optional veto, and what a give-up means.
+pub struct Retransmitter<K, T> {
+    policy: RetryPolicy,
+    seed: u64,
+    by_key: BTreeMap<K, u64>,
+    slots: TimerSlots<Leg<K, T>>,
+}
+
+impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
+    /// New retransmitter for `family`; `seed` decorrelates its jitter
+    /// stream.
+    pub fn new(family: u64, policy: RetryPolicy, seed: u64) -> Retransmitter<K, T> {
+        Retransmitter {
             policy,
             seed,
-            next_slot: 0,
             by_key: BTreeMap::new(),
-            slots: BTreeMap::new(),
+            slots: TimerSlots::new(family),
         }
     }
 
-    /// Begin tracking a transaction the caller has just sent (attempt 0)
-    /// and arm its first retransmit timer. Re-tracking a live key resets
-    /// its payload but keeps the backoff schedule.
-    pub fn track(&mut self, ctx: &mut AgentCtx<'_>, key: K, dest: NodeId, payload: T) {
-        if let Some(&slot) = self.by_key.get(&key) {
-            if let Some(p) = self.slots.get_mut(&slot) {
-                p.payload = payload;
-                return;
-            }
+    /// Send the first attempt of a leg to `dest` and retransmit it until
+    /// [`Retransmitter::take`]n. `origin` and `txn` name the transaction in
+    /// messages and traces. Re-tracking a live key sends again and resets
+    /// the payload but keeps the backoff schedule.
+    pub fn track(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        key: K,
+        dest: NodeId,
+        origin: u64,
+        txn: u64,
+        payload: T,
+    ) {
+        ctx.cp_event(CpTraceEvent::RetrySchedule {
+            t: ctx.now.0,
+            origin,
+            txn,
+            node: ctx.node,
+            dest,
+        });
+        let id = MsgKey::first(origin, txn);
+        payload.send(ctx, dest, id);
+        if let Some(p) = self.by_key.get(&key).and_then(|&s| self.slots.get_mut(s)) {
+            p.payload = payload;
+            return;
         }
-        let slot = self.next_slot;
-        self.next_slot += 1;
-        self.by_key.insert(key, slot);
-        self.slots.insert(
-            slot,
-            Pending {
-                key,
-                dest,
-                payload,
-                attempt: 0,
-            },
-        );
-        ctx.set_timer(self.policy.rto(self.seed, slot, 0), self.family | slot);
-    }
-
-    /// The transaction completed; stop retransmitting. Returns whether it
-    /// was still tracked (false for duplicate acks).
-    pub fn ack(&mut self, key: &K) -> bool {
-        match self.by_key.remove(key) {
-            Some(slot) => self.slots.remove(&slot).is_some(),
-            None => false,
-        }
-    }
-
-    /// Ack and return the tracked payload (None for duplicate acks).
-    pub fn take(&mut self, key: &K) -> Option<T> {
-        let slot = self.by_key.remove(key)?;
-        self.slots.remove(&slot).map(|p| p.payload)
-    }
-
-    /// Is this transaction still awaiting its ack?
-    pub fn is_pending(&self, key: &K) -> bool {
-        self.by_key.contains_key(key)
-    }
-
-    /// Number of unacked transactions.
-    pub fn pending_len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Route an agent-timer token. On [`RetryEvent::Resend`] the caller
-    /// must actually re-send; the follow-up timer is already armed.
-    pub fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> RetryEvent<K, T> {
-        if token & FAMILY_MASK != self.family {
-            return RetryEvent::NotMine;
-        }
-        let slot = token & !FAMILY_MASK;
-        let Some(p) = self.slots.get_mut(&slot) else {
-            return RetryEvent::Stale;
+        let (policy, seed) = (self.policy, self.seed);
+        let leg = Leg {
+            key,
+            dest,
+            id,
+            payload,
         };
-        p.attempt += 1;
-        if p.attempt >= self.policy.max_attempts {
-            let p = self.slots.remove(&slot).expect("just seen");
-            self.by_key.remove(&p.key);
-            return RetryEvent::GaveUp {
-                key: p.key,
-                dest: p.dest,
-                payload: p.payload,
-            };
+        let slot = self.slots.arm(ctx, leg, |slot| policy.rto(seed, slot, 0));
+        self.by_key.insert(key, slot);
+    }
+
+    /// The leg was acked (or is abandoned): stop retransmitting and hand
+    /// it back. None for an untracked key — a duplicate ack.
+    pub fn take(&mut self, key: &K) -> Option<Leg<K, T>> {
+        let slot = self.by_key.remove(key)?;
+        self.slots.take(slot)
+    }
+
+    /// [`Retransmitter::take`] for callers that only need to know whether
+    /// the leg was still tracked.
+    pub fn ack(&mut self, key: &K) -> bool {
+        self.take(key).is_some()
+    }
+
+    /// Handle a fired timer of this family. A live leg is retransmitted to
+    /// its tracked destination unless `veto` refuses its payload (the
+    /// reason to send it has lapsed) or the budget is spent; both hand the
+    /// leg back, untracked.
+    pub fn on_timer(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        cp: &CpStatsHandle,
+        token: u64,
+        veto: impl FnOnce(&T) -> bool,
+    ) -> Fired<K, T> {
+        let slot = self.slots.slot_of(token);
+        let Some(p) = self.slots.get_mut(slot) else {
+            ctx.cp_event(CpTraceEvent::RetryStale {
+                t: ctx.now.0,
+                node: ctx.node,
+                family: (token & FAMILY_MASK) >> 48,
+            });
+            return Fired::Stale;
+        };
+        p.id.attempt += 1;
+        let (id, dest) = (p.id, p.dest);
+        if id.attempt >= self.policy.max_attempts {
+            cp.lock().give_ups += 1;
+            ctx.cp_event(CpTraceEvent::RetryGaveUp {
+                t: ctx.now.0,
+                origin: id.origin,
+                txn: id.txn,
+                node: ctx.node,
+                dest,
+            });
+            return Fired::GaveUp(self.untrack(slot));
         }
-        ctx.set_timer(
-            self.policy.rto(self.seed, slot, p.attempt),
-            self.family | slot,
-        );
-        RetryEvent::Resend {
-            key: p.key,
-            dest: p.dest,
-            payload: p.payload.clone(),
-            attempt: p.attempt,
+        // Armed before the veto is asked: a vetoed leg leaves one stale
+        // timer behind, as an acked one does.
+        ctx.set_timer(self.policy.rto(self.seed, slot, id.attempt), token);
+        if veto(&p.payload) {
+            return Fired::Vetoed(self.untrack(slot));
         }
+        cp.lock().retransmits += 1;
+        ctx.cp_event(CpTraceEvent::RetryFire {
+            t: ctx.now.0,
+            origin: id.origin,
+            txn: id.txn,
+            attempt: id.attempt,
+            node: ctx.node,
+            dest,
+        });
+        p.payload.send(ctx, dest, id);
+        Fired::Resent
+    }
+
+    fn untrack(&mut self, slot: u64) -> Leg<K, T> {
+        let leg = self.slots.take(slot).expect("slot is live");
+        self.by_key.remove(&leg.key);
+        leg
+    }
+}
+
+/// Acked fan-in over the legs of one fanned-out transaction: it is done
+/// once as many legs resolved — acked for the first time, or given up
+/// on — as were sent out. Duplicate acks are refused, so no leg's work is
+/// counted twice.
+///
+/// A leg already given up on that acks after all is still a first ack:
+/// its work was done and is counted, and its loss is not taken back. The
+/// hand-written bookkeeping this replaces did the same, and traces stay
+/// byte-identical to it (ROADMAP lists the ordering for the explorer).
+#[derive(Clone, Debug)]
+pub struct FanIn<L> {
+    /// Origin of the transaction (its trace key with the txn).
+    pub origin: u64,
+    /// Where the outcome is reported.
+    pub reply_to: NodeId,
+    legs: usize,
+    acked: BTreeSet<L>,
+    lost: usize,
+    /// Work the acks reported done (devices configured, services removed).
+    pub done: usize,
+    /// Work the acks reported refused (installs rejected).
+    pub refused: usize,
+}
+
+impl<L: Ord + Copy> FanIn<L> {
+    /// Await `legs` resolutions.
+    pub fn new(origin: u64, reply_to: NodeId, legs: usize) -> FanIn<L> {
+        FanIn {
+            origin,
+            reply_to,
+            legs,
+            acked: BTreeSet::new(),
+            lost: 0,
+            done: 0,
+            refused: 0,
+        }
+    }
+
+    /// `leg` acked, reporting `done` and `refused` units of work. False,
+    /// and nothing counted, for a leg that acked before.
+    pub fn ack(&mut self, leg: L, done: usize, refused: usize) -> bool {
+        let first = self.acked.insert(leg);
+        if first {
+            self.done += done;
+            self.refused += refused;
+        }
+        first
+    }
+
+    /// One leg will never ack.
+    pub fn lose(&mut self) {
+        self.lost += 1;
+    }
+
+    /// Give up on every leg that has not acked.
+    pub fn lose_rest(&mut self) {
+        self.lost = self.legs.saturating_sub(self.acked.len());
+    }
+
+    /// As many legs resolved as were sent out?
+    pub fn is_done(&self) -> bool {
+        self.acked.len() + self.lost >= self.legs
+    }
+
+    /// Legs that acked.
+    pub fn acked(&self) -> usize {
+        self.acked.len()
+    }
+
+    /// Legs given up on.
+    pub fn lost(&self) -> usize {
+        self.lost
     }
 }
 
@@ -318,6 +470,313 @@ pub type CpStatsHandle = Arc<Mutex<CpStats>>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use dtcs_netsim::{
+        CpFlightRecorder, CpMeta, LinkId, NodeAgent, Packet, SimTime, Simulator, Topology, Verdict,
+    };
+
+    const FAMILY: u64 = 0x0042 << 48;
+    const KEY: u64 = 7;
+    /// Plain tokens scripting the probe agent.
+    const START: u64 = 1;
+    const ACK: u64 = 2;
+    const VETO_FROM_NOW: u64 = 3;
+
+    /// The attempt number of every send that reached the wire, in order.
+    type Sends = Arc<std::sync::Mutex<Vec<u32>>>;
+    /// What a retry timer resolved to: (time, outcome, attempts so far —
+    /// filled in where the leg is handed back).
+    type Firing = (SimTime, &'static str, u32);
+
+    struct Probe(Sends);
+
+    impl LegMsg for Probe {
+        fn send(&self, ctx: &mut AgentCtx<'_>, dest: NodeId, id: MsgKey) {
+            self.0.lock().unwrap().push(id.attempt);
+            let meta = CpMeta {
+                origin: id.origin,
+                txn: id.txn,
+                attempt: id.attempt,
+                kind: 1,
+            };
+            ctx.send_control_keyed(dest, SimDuration::from_millis(1), (), meta);
+        }
+    }
+
+    /// One leg on one node, driven by plain timer tokens.
+    struct ProbeAgent {
+        rt: Retransmitter<u64, Probe>,
+        cp: CpStatsHandle,
+        sends: Sends,
+        veto: bool,
+        fired: Arc<std::sync::Mutex<Vec<Firing>>>,
+    }
+
+    impl NodeAgent for ProbeAgent {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+
+        fn on_packet(
+            &mut self,
+            _: &mut AgentCtx<'_>,
+            _: &mut Packet,
+            _: Option<LinkId>,
+        ) -> Verdict {
+            Verdict::Forward
+        }
+
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
+            match token {
+                START => {
+                    let probe = Probe(self.sends.clone());
+                    self.rt.track(ctx, KEY, ctx.node, 1, KEY, probe);
+                }
+                ACK => assert!(self.rt.ack(&KEY), "acked while tracked"),
+                VETO_FROM_NOW => self.veto = true,
+                _ => {
+                    let veto = self.veto;
+                    let outcome = match self.rt.on_timer(ctx, &self.cp, token, |_| veto) {
+                        Fired::Stale => ("stale", 0),
+                        Fired::Resent => ("resent", 0),
+                        Fired::Vetoed(leg) => ("vetoed", leg.id.attempt),
+                        Fired::GaveUp(leg) => ("gave_up", leg.id.attempt),
+                    };
+                    self.fired
+                        .lock()
+                        .unwrap()
+                        .push((ctx.now, outcome.0, outcome.1));
+                }
+            }
+        }
+    }
+
+    struct Run {
+        fired: Vec<Firing>,
+        sends: Vec<u32>,
+        events: Vec<CpTraceEvent>,
+        cp: CpStats,
+    }
+
+    impl Run {
+        fn count(&self, kind: &str) -> usize {
+            self.events.iter().filter(|e| e.kind() == kind).count()
+        }
+
+        fn outcomes(&self) -> Vec<&'static str> {
+            self.fired.iter().map(|f| f.1).collect()
+        }
+    }
+
+    /// Drive one leg through a one-node simulator: `script` schedules the
+    /// plain tokens, the retransmitter's own timers do the rest.
+    fn run(policy: RetryPolicy, script: &[(u64, u64)]) -> Run {
+        let mut sim = Simulator::new(Topology::line(1), 1);
+        let cp = CpStatsHandle::default();
+        let sends = Sends::default();
+        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let agent = ProbeAgent {
+            rt: Retransmitter::new(FAMILY, policy, 9),
+            cp: cp.clone(),
+            sends: sends.clone(),
+            veto: false,
+            fired: fired.clone(),
+        };
+        let idx = sim.add_agent(NodeId(0), Box::new(agent));
+        for &(at_ms, token) in script {
+            sim.schedule_agent_timer(NodeId(0), idx, SimTime::from_millis(at_ms), token);
+        }
+        let rec = Arc::new(std::sync::Mutex::new(CpFlightRecorder::new(1 << 12)));
+        sim.set_cp_trace_sink(Box::new(rec.clone()), 1);
+        sim.run_until(SimTime::from_secs(60));
+        let events = rec.lock().unwrap().events().cloned().collect();
+        let (fired, sends) = (fired.lock().unwrap().clone(), sends.lock().unwrap().clone());
+        let cp = cp.lock().clone();
+        Run {
+            fired,
+            sends,
+            events,
+            cp,
+        }
+    }
+
+    #[test]
+    fn stale_token_after_ack_is_a_traced_noop() {
+        let r = run(RetryPolicy::default(), &[(0, START), (100, ACK)]);
+        assert_eq!(r.outcomes(), ["stale"], "the one armed timer still fires");
+        assert_eq!(r.sends, [0], "nothing is retransmitted after the ack");
+        assert_eq!(r.count("retry_schedule"), 1);
+        assert_eq!(r.count("retry_stale"), 1);
+        assert_eq!(r.count("retry_fire") + r.count("retry_give_up"), 0);
+        assert_eq!((r.cp.retransmits, r.cp.give_ups), (0, 0));
+    }
+
+    #[test]
+    fn give_up_lands_on_exactly_max_attempts() {
+        let policy = RetryPolicy {
+            max_attempts: 4,
+            ..RetryPolicy::default()
+        };
+        let r = run(policy, &[(0, START)]);
+        assert_eq!(r.outcomes(), ["resent", "resent", "resent", "gave_up"]);
+        assert_eq!(r.fired[3].2, 4, "the leg is handed back on attempt 4");
+        assert_eq!(
+            r.sends,
+            [0, 1, 2, 3],
+            "max_attempts sends, the first included"
+        );
+        assert_eq!((r.cp.retransmits, r.cp.give_ups), (3, 1));
+        assert_eq!(r.count("retry_give_up"), 1);
+        assert_eq!(r.count("retry_stale"), 0, "a given-up leg arms no timer");
+    }
+
+    #[test]
+    fn each_fire_bumps_retransmits_once_and_emits_one_retry_fire() {
+        let r = run(RetryPolicy::default(), &[(0, START), (1_000, ACK)]);
+        // 250 ms and 500 ms backoffs (plus jitter) fit before the ack.
+        assert_eq!(r.outcomes(), ["resent", "resent", "stale"]);
+        assert_eq!(r.cp.retransmits, 2);
+        let fires: Vec<u32> = r
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                CpTraceEvent::RetryFire { attempt, dest, .. } => {
+                    assert_eq!(*dest, NodeId(0), "resent to the tracked dest");
+                    Some(*attempt)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fires, [1, 2], "one event per fire, stamped like the send");
+        assert_eq!(r.sends, [0, 1, 2]);
+    }
+
+    #[test]
+    fn retrack_of_a_live_key_keeps_its_schedule() {
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
+        let once = run(policy, &[(0, START)]);
+        let twice = run(policy, &[(0, START), (100, START)]);
+        assert_eq!(twice.sends, [0, 0, 1, 2], "the re-track sends again");
+        assert_eq!(
+            twice.fired, once.fired,
+            "no second timer chain, and the first keeps its times"
+        );
+        assert_eq!(twice.count("retry_stale"), 0);
+    }
+
+    #[test]
+    fn vetoed_leg_is_dropped_without_a_retransmit() {
+        let r = run(RetryPolicy::default(), &[(0, START), (400, VETO_FROM_NOW)]);
+        // The veto is asked after the next timer is armed, so one stale
+        // timer follows, as after an ack.
+        assert_eq!(r.outcomes(), ["resent", "vetoed", "stale"]);
+        assert_eq!(r.sends, [0, 1], "the vetoed attempt never reaches the wire");
+        assert_eq!((r.cp.retransmits, r.cp.give_ups), (1, 0));
+        assert_eq!(r.count("retry_fire"), 1);
+    }
+
+    /// What can happen to one leg of a fan-out, in protocol order: a
+    /// give-up only ever precedes the leg's acks (an ack stops the
+    /// retransmitter), and any ack may be duplicated.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Ev {
+        Ack,
+        DupAck,
+        GiveUp,
+    }
+
+    const FATES: [&[Ev]; 5] = [
+        &[Ev::Ack],
+        &[Ev::Ack, Ev::DupAck],
+        &[Ev::GiveUp],
+        &[Ev::GiveUp, Ev::Ack],
+        &[Ev::GiveUp, Ev::Ack, Ev::DupAck],
+    ];
+
+    /// Every interleaving of the three legs' remaining events.
+    fn interleavings(
+        fates: [&'static [Ev]; 3],
+        at: [usize; 3],
+        prefix: &mut Vec<(usize, Ev)>,
+        visit: &mut impl FnMut(&[(usize, Ev)]),
+    ) {
+        let mut leaf = true;
+        for leg in 0..3 {
+            if let Some(&ev) = fates[leg].get(at[leg]) {
+                leaf = false;
+                let mut next = at;
+                next[leg] += 1;
+                prefix.push((leg, ev));
+                interleavings(fates, next, prefix, visit);
+                prefix.pop();
+            }
+        }
+        if leaf {
+            visit(prefix);
+        }
+    }
+
+    #[test]
+    fn fan_in_finishes_exactly_once_in_every_ordering() {
+        let mut orderings = 0;
+        let mut check = |order: &[(usize, Ev)]| {
+            orderings += 1;
+            let mut fan: FanIn<usize> = FanIn::new(1, NodeId(0), 3);
+            let (mut first_acks, mut losses, mut finishes, mut work) = (0, 0, 0, 0);
+            for &(leg, ev) in order {
+                assert!(!fan.is_done(), "{order:?}: fed after finishing");
+                // Leg k reports 10^k units done and one refused, so the
+                // tallies show which acks were counted.
+                match ev {
+                    Ev::Ack => {
+                        assert!(fan.ack(leg, 10usize.pow(leg as u32), 1), "{order:?}");
+                        first_acks += 1;
+                        work += 10usize.pow(leg as u32);
+                    }
+                    Ev::DupAck => {
+                        let before = (fan.acked(), fan.done, fan.refused);
+                        assert!(!fan.ack(leg, 10usize.pow(leg as u32), 1), "{order:?}");
+                        assert_eq!(before, (fan.acked(), fan.done, fan.refused), "{order:?}");
+                    }
+                    Ev::GiveUp => {
+                        fan.lose();
+                        losses += 1;
+                    }
+                }
+                assert_eq!((fan.acked(), fan.lost()), (first_acks, losses), "{order:?}");
+                if fan.is_done() {
+                    // The agent moves a finished fan-in to its done-cache:
+                    // later events of this ordering never reach it.
+                    finishes += 1;
+                    break;
+                }
+            }
+            assert_eq!(finishes, 1, "{order:?}: every leg resolved, so it finishes");
+            assert_eq!(fan.acked() + fan.lost(), 3, "{order:?}: counts add up");
+            assert_eq!(fan.refused, fan.acked(), "{order:?}");
+            assert_eq!(fan.done, work, "{order:?}: each first ack counted once");
+        };
+        for a in FATES {
+            for b in FATES {
+                for c in FATES {
+                    interleavings([a, b, c], [0; 3], &mut Vec::new(), &mut check);
+                }
+            }
+        }
+        assert!(orderings > 10_000, "exhaustive, not sampled: {orderings}");
+    }
+
+    #[test]
+    fn fan_in_deadline_loses_every_unacked_leg() {
+        let mut fan: FanIn<usize> = FanIn::new(1, NodeId(0), 3);
+        assert!(fan.ack(2, 5, 0));
+        fan.lose_rest();
+        assert!(fan.is_done());
+        assert_eq!((fan.acked(), fan.lost(), fan.done), (1, 2, 5));
+    }
 
     #[test]
     fn rto_backs_off_and_caps() {

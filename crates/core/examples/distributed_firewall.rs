@@ -15,7 +15,6 @@
 //!
 //! Run with: `cargo run --release -p dtcs --example distributed_firewall`
 
-use crossbeam::channel::unbounded;
 use dtcs::attack::{AgentApp, AgentMode, AgentTrigger, ConnClientApp, ConnServerApp, SpoofMode};
 use dtcs::control::CatalogService;
 use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceEvent, OwnerId};
@@ -121,7 +120,7 @@ fn trigger_vignette() {
         limit_bytes_per_sec: 20_000.0,
     };
     // One device at the hub, with an event tap so we can watch it fire.
-    let (tx, rx) = unbounded::<DeviceEvent>();
+    let (tx, rx) = std::sync::mpsc::channel::<DeviceEvent>();
     let (mut dev, _handle) = AdaptiveDevice::new(dtcs::netsim::NodeId(0), None);
     dev.set_event_tap(tx);
     dev.apply(DeviceCommand::RegisterOwner {

@@ -19,9 +19,9 @@
 //!   events beyond the budget are suppressed and counted.
 
 use std::collections::HashMap;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 
 use dtcs_netsim::{
