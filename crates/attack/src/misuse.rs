@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{
     Addr, App, AppApi, Disposition, Packet, PacketBuilder, Proto, SimDuration, TrafficClass,

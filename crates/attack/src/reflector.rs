@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{App, AppApi, Disposition, Packet, PacketBuilder, Proto, TrafficClass};
 

@@ -7,6 +7,10 @@
 //!   experiments --sweep [--replicate N] [--threads N] [--quick] [--out DIR] [ids]
 //!   experiments --fluid-equivalence [--quick]
 //!   experiments trace-report FILE
+//!   experiments --list
+//!
+//! Bad arguments — an unknown experiment id, a value flag with no value,
+//! an out-of-range value — exit 2 before anything runs.
 //!
 //! `--topology {ba400,transit-stub:<n>}` re-points the scale-aware
 //! experiments (e2, e3) at a transit-stub internet of at least `n`
@@ -26,7 +30,7 @@
 //! the last. Golden report JSON is unaffected.
 //!
 //! `--cp-trace FILE` is the control-plane analogue: a wired experiment
-//! (currently e13) captures a full JSONL *control transaction* flight
+//! (e13, e14) captures a full JSONL *control transaction* flight
 //! record of one designated run into FILE, plus the unified metrics
 //! snapshot as `FILE.metrics.json` / `FILE.prom`. The same
 //! one-experiment-id rule applies, for the same reason. `trace-report
@@ -34,7 +38,7 @@
 //! analyzer (exit 1 if any transaction never reached a terminal state).
 //!
 //! `--sweep` flattens every requested experiment's (scenario × seed)
-//! grid into ONE work-stealing pool (all 13 ids are sweep-capable; see
+//! grid into ONE work-stealing pool (every id is sweep-capable; see
 //! `dtcs_bench::sweep`), replicating each cell under `--replicate N`
 //! derived seeds (default 32), and writes `<out>/<id>.sweep.json` with
 //! mean/stddev/95%-CI columns. `--threads N` (else `RAYON_NUM_THREADS`,
@@ -43,56 +47,30 @@
 
 use std::path::PathBuf;
 
-const INDEX: &[(&str, &str)] = &[
-    (
-        "e1",
-        "Reflector-attack anatomy: amplification factors [Fig. 1 / Sec. 2.2]",
-    ),
-    (
-        "e2",
-        "Scheme comparison under reflector + direct attacks [Sec. 3 + 4.3]",
-    ),
-    (
-        "e3",
-        "Spoofed-packet survival vs deployment coverage [Sec. 3.2, Park & Lee]",
-    ),
-    (
-        "e4",
-        "Collateral damage of reactive filtering [Secs. 1 / 3.1 / 3.4]",
-    ),
-    (
-        "e5",
-        "Stop distance & wasted bandwidth vs TCS coverage [Secs. 4.3 / 6]",
-    ),
-    ("e6", "Device and rule-table scalability [Sec. 5.3]"),
-    (
-        "e7",
-        "Control-plane latency: registration + deployment [Figs. 4-5 / Sec. 5.1]",
-    ),
-    ("e8", "Safety of delegated control [Sec. 4.5]"),
-    ("e9", "Pushback vs reflector attacks [Sec. 3.1]"),
-    (
-        "e10",
-        "Traceback accuracy + anomaly-reaction latency [Sec. 4.4]",
-    ),
-    (
-        "e11",
-        "Botnet recruitment dynamics and attack ramp [Sec. 2.1]",
-    ),
-    (
-        "e12",
-        "ISP incentives: attack bandwidth saved per provider [Sec. 4.6]",
-    ),
-    (
-        "e13",
-        "Control-plane fault sweep: loss × MTBF vs convergence [Sec. 5.1]",
-    ),
+const USAGE: &str = "usage: experiments [--quick] [--out DIR] [--trace FILE | --cp-trace FILE] \
+     [--topology ba400|transit-stub:<n>] [--fluid] [--sweep [--replicate N] [--threads N]] \
+     [all | e1 e2 ...] | --list | --fluid-equivalence | trace-report FILE";
+
+/// Flags that consume the next argument as their value.
+const VALUE_FLAGS: [&str; 6] = [
+    "--out",
+    "--trace",
+    "--cp-trace",
+    "--replicate",
+    "--threads",
+    "--topology",
 ];
+
+/// A command line that cannot be run: say why, show the usage, exit 2.
+fn bad_usage(why: &str) -> ! {
+    eprintln!("{why}\n{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        for (id, title) in INDEX {
+        for (id, title, _) in dtcs_bench::EXPERIMENTS {
             println!("{id:<5} {title}");
         }
         return;
@@ -111,6 +89,9 @@ fn main() {
         std::process::exit(if ok { 0 } else { 1 });
     }
     let fluid = args.iter().any(|a| a == "--fluid");
+    if let Some(flag) = args.last().filter(|a| VALUE_FLAGS.contains(&a.as_str())) {
+        bad_usage(&format!("{flag} takes a value"));
+    }
     let flag_operand = |flag: &str| {
         args.iter()
             .position(|a| a == flag)
@@ -161,21 +142,13 @@ fn main() {
             }
         },
     };
-    // Ids are the non-flag args minus any flag *values* (`--out`'s,
-    // `--trace`'s, `--cp-trace`'s, `--replicate`'s, `--threads`' and
-    // `--topology`'s operands must not be mistaken for experiment ids).
-    let flag_values: Vec<String> = [
-        "--out",
-        "--trace",
-        "--cp-trace",
-        "--replicate",
-        "--threads",
-        "--topology",
-    ]
-    .iter()
-    .filter_map(|&f| flag_operand(f))
-    .cloned()
-    .collect();
+    // Ids are the non-flag args minus any flag *values* (an operand of a
+    // `VALUE_FLAGS` entry must not be mistaken for an experiment id).
+    let flag_values: Vec<String> = VALUE_FLAGS
+        .iter()
+        .filter_map(|&f| flag_operand(f))
+        .cloned()
+        .collect();
     let mut ids: Vec<String> = args
         .iter()
         .filter(|a| !a.starts_with("--") && !flag_values.contains(a))
@@ -183,6 +156,12 @@ fn main() {
         .collect();
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ids = dtcs_bench::ALL.iter().map(|s| s.to_string()).collect();
+    }
+    if let Some(id) = ids.iter().find(|i| !dtcs_bench::ALL.contains(&i.as_str())) {
+        bad_usage(&format!(
+            "unknown experiment id: {id} (known: {:?})",
+            dtcs_bench::ALL
+        ));
     }
     if (trace.is_some() || cp_trace.is_some()) && ids.len() != 1 {
         let flag = if trace.is_some() {
@@ -210,12 +189,8 @@ fn main() {
         for id in &ids {
             match dtcs_bench::sweep_experiment(id) {
                 Some(e) => grid.push(e),
-                None if dtcs_bench::ALL.contains(&id.as_str()) => {
-                    eprintln!("[sweep] {id} has no grid adapter yet; skipping (single-run only)");
-                }
                 None => {
-                    eprintln!("unknown experiment id: {id} (known: {:?})", dtcs_bench::ALL);
-                    std::process::exit(2);
+                    eprintln!("[sweep] {id} has no grid adapter yet; skipping (single-run only)");
                 }
             }
         }
@@ -241,12 +216,8 @@ fn main() {
     }
 
     for id in &ids {
-        match dtcs_bench::run_experiment(id, &opts) {
-            Some(report) => {
-                report.print();
-                report.save(&out_dir);
-            }
-            None => eprintln!("unknown experiment id: {id} (known: {:?})", dtcs_bench::ALL),
-        }
+        let report = dtcs_bench::run_experiment(id, &opts).expect("ids were checked above");
+        report.print();
+        report.save(&out_dir);
     }
 }

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, Mutex as StdMutex};
 
-use parking_lot::Mutex;
+use dtcs::netsim::sync::Mutex;
 use serde::Serialize;
 
 use dtcs::control::{
@@ -76,9 +76,8 @@ struct CellOutcome {
 }
 
 /// Shared-handle control-trace recorder plus its 1-in-n sampling rate,
-/// attached to one designated cell run (`--cp-trace` / the overhead
-/// bench). Observation-only: the cell's outcome is identical with or
-/// without it.
+/// attached to one designated cell run (`--cp-trace`). Observation-only:
+/// the cell's outcome is identical with or without it.
 type CellTrace<'a> = Option<(&'a Arc<StdMutex<CpFlightRecorder>>, u64)>;
 
 fn run_cell(
@@ -173,23 +172,6 @@ fn run_cell(
         row,
         stats: sim.stats,
         cp: cs,
-    }
-}
-
-/// Workload hook for the `cp_trace_overhead` Criterion bench: one
-/// quick-mode 20%-loss, 15 s-MTBF fault-sweep cell, run with control
-/// tracing disabled (`None`) or recording 1-in-`n` transactions into a
-/// ring sized never to evict. Returns the engine event count so the
-/// bench can assert the workload is identical across arms.
-pub fn bench_cell(sampling: Option<u64>) -> u64 {
-    match sampling {
-        None => run_cell(0.2, Some(15), true, SEED, None).stats.events,
-        Some(one_in) => {
-            let rec = Arc::new(StdMutex::new(CpFlightRecorder::new(1 << 22)));
-            run_cell(0.2, Some(15), true, SEED, Some((&rec, one_in)))
-                .stats
-                .events
-        }
     }
 }
 
@@ -300,7 +282,8 @@ pub fn run(opts: &crate::RunOpts) -> Report {
                     .expect("traced_cell implies recorder")
                     .lock()
                     .expect("cp recorder mutex");
-                std::fs::write(path, rec.export_jsonl_string()).expect("write cp trace");
+                let mut file = std::fs::File::create(path).expect("create cp trace file");
+                rec.export_jsonl(&mut file).expect("write cp trace");
                 let snap = control_metrics(&out.stats, &out.cp);
                 let mut json = snap.to_json_string();
                 json.push('\n');

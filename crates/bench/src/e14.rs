@@ -25,7 +25,7 @@
 
 use std::sync::{Arc, Mutex as StdMutex};
 
-use parking_lot::Mutex;
+use dtcs::netsim::sync::Mutex;
 use serde::Serialize;
 
 use dtcs::control::{
@@ -373,7 +373,8 @@ pub fn run(opts: &crate::RunOpts) -> Report {
                     .expect("traced_cell implies recorder")
                     .lock()
                     .expect("cp recorder mutex");
-                std::fs::write(path, rec.export_jsonl_string()).expect("write cp trace");
+                let mut file = std::fs::File::create(path).expect("create cp trace file");
+                rec.export_jsonl(&mut file).expect("write cp trace");
                 let snap = control_metrics(&out.stats, &out.cp);
                 let mut json = snap.to_json_string();
                 json.push('\n');

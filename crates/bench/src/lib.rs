@@ -90,28 +90,78 @@ impl RunOpts {
     }
 }
 
-/// One registered experiment: its id and runner.
-type ExperimentEntry = (&'static str, fn(&RunOpts) -> Report);
+/// One registered experiment: its id, its `--list` line (title and paper
+/// anchor) and its runner.
+type ExperimentEntry = (&'static str, &'static str, fn(&RunOpts) -> Report);
 
-/// The experiment registry — the *single* source of truth for dispatch.
-/// [`ALL`] and [`run_experiment`] both derive from this table, so adding
-/// an experiment (say e13) is one new row here plus its module; the id
-/// list and the dispatch can no longer drift apart.
+/// The experiment registry — the *single* source of truth for dispatch
+/// and for `experiments --list`. [`ALL`] and [`run_experiment`] both
+/// derive from this table, so adding an experiment is one new row here
+/// plus its module; the id list, the index and the dispatch cannot drift
+/// apart.
 pub const EXPERIMENTS: [ExperimentEntry; 14] = [
-    ("e1", e1::run),
-    ("e2", e2::run),
-    ("e3", e3::run),
-    ("e4", e4::run),
-    ("e5", e5::run),
-    ("e6", e6::run),
-    ("e7", e7::run),
-    ("e8", e8::run),
-    ("e9", e9::run),
-    ("e10", e10::run),
-    ("e11", e11::run),
-    ("e12", e12::run),
-    ("e13", e13::run),
-    ("e14", e14::run),
+    (
+        "e1",
+        "Reflector-attack anatomy: amplification factors [Fig. 1 / Sec. 2.2]",
+        e1::run,
+    ),
+    (
+        "e2",
+        "Scheme comparison under reflector + direct attacks [Sec. 3 + 4.3]",
+        e2::run,
+    ),
+    (
+        "e3",
+        "Spoofed-packet survival vs deployment coverage [Sec. 3.2, Park & Lee]",
+        e3::run,
+    ),
+    (
+        "e4",
+        "Collateral damage of reactive filtering [Secs. 1 / 3.1 / 3.4]",
+        e4::run,
+    ),
+    (
+        "e5",
+        "Stop distance & wasted bandwidth vs TCS coverage [Secs. 4.3 / 6]",
+        e5::run,
+    ),
+    (
+        "e6",
+        "Device and rule-table scalability [Sec. 5.3]",
+        e6::run,
+    ),
+    (
+        "e7",
+        "Control-plane latency: registration + deployment [Figs. 4-5 / Sec. 5.1]",
+        e7::run,
+    ),
+    ("e8", "Safety of delegated control [Sec. 4.5]", e8::run),
+    ("e9", "Pushback vs reflector attacks [Sec. 3.1]", e9::run),
+    (
+        "e10",
+        "Traceback accuracy + anomaly-reaction latency [Sec. 4.4]",
+        e10::run,
+    ),
+    (
+        "e11",
+        "Botnet recruitment dynamics and attack ramp [Sec. 2.1]",
+        e11::run,
+    ),
+    (
+        "e12",
+        "ISP incentives: attack bandwidth saved per provider [Sec. 4.6]",
+        e12::run,
+    ),
+    (
+        "e13",
+        "Control-plane fault sweep: loss × MTBF vs convergence [Sec. 5.1]",
+        e13::run,
+    ),
+    (
+        "e14",
+        "Leased mitigations under partition: orphan dwell vs renewal cost [Sec. 4.3]",
+        e14::run,
+    ),
 ];
 
 /// All experiment ids in order (derived from [`EXPERIMENTS`]).
@@ -129,8 +179,8 @@ pub const ALL: [&str; EXPERIMENTS.len()] = {
 pub fn run_experiment(id: &str, opts: &RunOpts) -> Option<Report> {
     EXPERIMENTS
         .iter()
-        .find(|(eid, _)| *eid == id)
-        .map(|&(_, run)| run(opts))
+        .find(|(eid, ..)| *eid == id)
+        .map(|&(.., run)| run(opts))
 }
 
 /// Experiments ported onto the sweep engine's [`sweep::GridExperiment`]

@@ -127,9 +127,6 @@ pub struct GridOutcome {
     /// Per-task metrics, sorted by task index (= `cell * replicates + r`,
     /// i.e. grid order) — independent of the stealing schedule.
     pub task_metrics: Vec<(usize, BTreeMap<String, f64>)>,
-    /// Per-task wall durations, indexed like `task_metrics` (feeds the
-    /// `sweep_scaling` bench; print-only).
-    pub task_durations: Vec<Duration>,
     /// All shards' stats folded with [`Stats::merge`] (series stripped:
     /// cross-experiment series have incommensurable bucket widths, and
     /// the aggregate exists for engine-health lines only).
@@ -145,7 +142,6 @@ pub struct GridOutcome {
 #[derive(Default)]
 struct ShardOut {
     results: Vec<(usize, BTreeMap<String, f64>)>,
-    durations: Vec<(usize, Duration)>,
     stats: Stats,
     report: ShardReport,
 }
@@ -230,7 +226,6 @@ pub fn run_grid(cells: &[SweepCell], replicates: u32, threads: usize) -> GridOut
                         stats.series = None;
                         out.stats.merge(&stats);
                         out.results.push((t, run.metrics));
-                        out.durations.push((t, took));
                         out.report.tasks += 1;
                         out.report.busy += took;
                     }
@@ -246,14 +241,10 @@ pub fn run_grid(cells: &[SweepCell], replicates: u32, threads: usize) -> GridOut
     let wall = started.elapsed();
 
     let mut task_metrics = Vec::with_capacity(n_tasks);
-    let mut durations = vec![Duration::ZERO; n_tasks];
     let mut merged_stats = Stats::default();
     let mut shards = Vec::with_capacity(threads);
     for out in shard_outs {
         task_metrics.extend(out.results);
-        for (t, d) in out.durations {
-            durations[t] = d;
-        }
         merged_stats.merge(&out.stats);
         shards.push(out.report);
     }
@@ -262,7 +253,6 @@ pub fn run_grid(cells: &[SweepCell], replicates: u32, threads: usize) -> GridOut
     task_metrics.sort_by_key(|(t, _)| *t);
     GridOutcome {
         task_metrics,
-        task_durations: durations,
         merged_stats,
         shards,
         wall,

@@ -128,34 +128,28 @@ impl Report {
 /// means almost every event lands directly in a level-0 slot; sustained
 /// growth flags a schedule horizon outgrowing the wheel's inner levels.
 ///
-/// The counters are read through the unified
-/// [`dtcs::netsim::MetricsSnapshot`] registry (DESIGN.md §6.9) rather
-/// than ad-hoc `Stats` field pokes, so this print-only line and the
-/// `--cp-trace` metrics exports can never disagree on a counter's name
-/// or meaning. Counters fit in f64 exactly up to 2^53 — far beyond any
-/// run here.
+/// The runs' scalar counters fold by the rule each declares in the
+/// [`dtcs::netsim::Stats`] table (DESIGN.md §6.9) — marks take the worst
+/// run, totals add — so this print-only line cannot disagree with a sweep
+/// aggregate or a `--cp-trace` metrics export on what a counter means.
 pub fn wheel_health<'a>(runs: impl IntoIterator<Item = &'a dtcs::netsim::Stats>) -> String {
-    let (mut slot, mut len, mut cascades, mut events, mut n) = (0u64, 0u64, 0u64, 0u64, 0usize);
-    let mut clamped = 0u64;
+    let (mut all, mut n) = (dtcs::netsim::Stats::default(), 0usize);
     for s in runs {
-        let m = dtcs::netsim::MetricsSnapshot::from_stats(s);
-        let g = |name: &str| m.get(name).expect("registry counter") as u64;
-        slot = slot.max(g("wheel_slot_occupancy_hwm"));
-        len = len.max(g("wheel_len_hwm"));
-        cascades += g("wheel_cascade_moves");
-        events += g("events");
-        clamped += g("past_events_clamped");
+        for c in dtcs::netsim::Stats::COUNTERS {
+            let slot = (c.get_mut)(&mut all);
+            *slot = c.rule.apply(*slot, (c.get)(s));
+        }
         n += 1;
     }
-    let rate = if events == 0 {
-        0.0
-    } else {
-        cascades as f64 / events as f64
-    };
     format!(
-        "timing wheel over {n} runs: slot occupancy hwm {slot}, queue len hwm {len}, \
-         {cascades} cascade moves across {events} events ({rate:.4}/event), \
-         {clamped} past-events clamped"
+        "timing wheel over {n} runs: slot occupancy hwm {}, queue len hwm {}, \
+         {} cascade moves across {} events ({:.4}/event), {} past-events clamped",
+        all.wheel_slot_occupancy_hwm,
+        all.wheel_len_hwm,
+        all.wheel_cascade_moves,
+        all.events,
+        all.wheel_cascades_per_event(),
+        all.past_events_clamped
     )
 }
 
@@ -181,7 +175,7 @@ pub fn hist_health<'a>(runs: impl IntoIterator<Item = &'a dtcs::netsim::Stats>) 
 /// The unified metrics registry for a control-plane run: every scalar
 /// engine counter from [`dtcs::netsim::Stats`] (wheel, route, `cp_*`
 /// fault, fluid) plus the protocol-layer [`dtcs::control::CpStats`]
-/// counters appended under a `cp_` prefix, in fixed order. This is what
+/// table appended under its `cp_` prefix, in fixed order. This is what
 /// `--cp-trace` serialises to `<trace>.metrics.json` /`<trace>.prom`,
 /// and the registry the flight-recorder reconciliation proptest balances
 /// the event stream against.
@@ -190,71 +184,7 @@ pub fn control_metrics(
     cp: &dtcs::control::CpStats,
 ) -> dtcs::netsim::MetricsSnapshot {
     let mut s = dtcs::netsim::MetricsSnapshot::from_stats(stats);
-    s.push_counter(
-        "cp_retransmits",
-        cp.retransmits,
-        "Control messages retransmitted by a retry timer",
-    );
-    s.push_counter(
-        "cp_give_ups",
-        cp.give_ups,
-        "Control transactions whose retry budget was exhausted",
-    );
-    s.push_counter(
-        "cp_dup_requests",
-        cp.dup_requests,
-        "Duplicate requests re-answered from a done-cache",
-    );
-    s.push_counter(
-        "cp_dup_responses",
-        cp.dup_responses,
-        "Duplicate responses suppressed by receivers",
-    );
-    s.push_counter(
-        "cp_partial_confirms",
-        cp.partial_confirms,
-        "Deployments confirmed at deadline with partial coverage",
-    );
-    s.push_counter(
-        "cp_reconcile_sweeps",
-        cp.reconcile_sweeps,
-        "NMS anti-entropy inventory rounds started",
-    );
-    s.push_counter(
-        "cp_reconcile_reinstalls",
-        cp.reconcile_reinstalls,
-        "Services reinstalled by an anti-entropy sweep",
-    );
-    s.push_counter(
-        "cp_lease_renewals",
-        cp.lease_renewals,
-        "Lease renewals issued by NMS renewal rounds",
-    );
-    s.push_counter(
-        "cp_lease_expirations",
-        cp.lease_expirations,
-        "Desired-state entries dropped because their credential expired",
-    );
-    s.push_counter(
-        "cp_withdrawals",
-        cp.withdrawals,
-        "Owner-initiated withdrawal transactions accepted by the TCSP",
-    );
-    s.push_counter(
-        "cp_withdraw_removes",
-        cp.withdraw_removes,
-        "Device removals confirmed during withdrawal fan-in",
-    );
-    s.push_counter(
-        "cp_reconcile_removals",
-        cp.reconcile_removals,
-        "Undesired device-resident services removed by an anti-entropy sweep",
-    );
-    s.push_counter(
-        "cp_expired_deploys",
-        cp.expired_deploys,
-        "Deploy attempts rejected because the credential expired",
-    );
+    s.push_table(dtcs::control::CpStats::COUNTERS, cp);
     s
 }
 
@@ -341,6 +271,22 @@ mod tests {
         let content = std::fs::read_to_string(dir.join("etest.json")).unwrap();
         assert!(content.contains("\"etest\""));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What `--cp-trace` writes beside the trace, as captured at the
+    /// commit before the counter tables existed: engine registry, then
+    /// the `cp_`-prefixed protocol suffix, same names, order and help.
+    #[test]
+    fn default_control_metrics_bytes_are_pinned() {
+        let s = control_metrics(&Default::default(), &Default::default());
+        assert_eq!(
+            s.to_json_string(),
+            include_str!("../tests/golden/control_metrics_default.json")
+        );
+        assert_eq!(
+            s.to_prometheus(),
+            include_str!("../tests/golden/control_metrics_default.prom")
+        );
     }
 
     #[test]

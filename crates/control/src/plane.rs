@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_device::{DeviceCommand, DeviceReply, OwnerId, ServiceSpec, Stage};
 use dtcs_netsim::{

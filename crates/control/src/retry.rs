@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::rng::child_seed;
 use dtcs_netsim::{AgentCtx, CpTraceEvent, NodeId, SimDuration};
@@ -426,42 +426,37 @@ impl Dedup {
     }
 }
 
-/// Control-plane-wide reliability counters, shared by every protocol agent
-/// of one installed [`ControlPlane`](crate::scenario::ControlPlane). The
-/// acceptance check reconciles these against the fault plane's own
-/// drop/duplicate counts.
-#[derive(Clone, Debug, Default)]
-pub struct CpStats {
-    /// Messages retransmitted after an RTO expiry (all agents).
-    pub retransmits: u64,
-    /// Transactions abandoned after exhausting the retry budget.
-    pub give_ups: u64,
-    /// Duplicate *requests* answered from a done-cache (re-acked).
-    pub dup_requests: u64,
-    /// Duplicate *responses* suppressed by receiver-side dedup.
-    pub dup_responses: u64,
-    /// Deployments confirmed partially because an ISP never acked.
-    pub partial_confirms: u64,
-    /// Anti-entropy inventory rounds started by NMS agents.
-    pub reconcile_sweeps: u64,
-    /// Services re-installed because a sweep found them missing.
-    pub reconcile_reinstalls: u64,
-    /// Lease renewal messages issued by NMS agents (keyed re-installs
-    /// that push a device lease forward).
-    pub lease_renewals: u64,
-    /// Desired-state entries dropped because the backing credential
-    /// expired before the next renewal round.
-    pub lease_expirations: u64,
-    /// Owner-initiated withdrawals accepted by the TCSP.
-    pub withdrawals: u64,
-    /// Device removals confirmed during a withdrawal fan-out.
-    pub withdraw_removes: u64,
-    /// Device-resident services removed because a sweep found them
-    /// absent from desired state (bidirectional anti-entropy).
-    pub reconcile_removals: u64,
-    /// Deployments rejected because the presented credential had
-    /// expired (including mid-retry expiry).
-    pub expired_deploys: u64,
+dtcs_netsim::counters! {
+    /// Control-plane-wide reliability counters, shared by every protocol
+    /// agent of one installed
+    /// [`ControlPlane`](crate::scenario::ControlPlane). The acceptance check
+    /// reconciles these against the fault plane's own drop/duplicate
+    /// counts; exported under a `cp_` prefix.
+    #[derive(Clone, Debug, Default)]
+    pub struct CpStats {}
+    counters "cp_" {
+        /// After an RTO expiry, all agents.
+        retransmits: Sum "Control messages retransmitted by a retry timer",
+        give_ups: Sum "Control transactions whose retry budget was exhausted",
+        dup_requests: Sum "Duplicate requests re-answered from a done-cache",
+        dup_responses: Sum "Duplicate responses suppressed by receivers",
+        /// An ISP never acked.
+        partial_confirms: Sum "Deployments confirmed at deadline with partial coverage",
+        reconcile_sweeps: Sum "NMS anti-entropy inventory rounds started",
+        /// The sweep found them missing.
+        reconcile_reinstalls: Sum "Services reinstalled by an anti-entropy sweep",
+        /// Keyed re-installs that push a device lease forward.
+        lease_renewals: Sum "Lease renewals issued by NMS renewal rounds",
+        /// Expired before the next renewal round.
+        lease_expirations: Sum "Desired-state entries dropped because their credential expired",
+        withdrawals: Sum "Owner-initiated withdrawal transactions accepted by the TCSP",
+        withdraw_removes: Sum "Device removals confirmed during withdrawal fan-in",
+        /// The sweep found them absent from desired state (bidirectional
+        /// anti-entropy).
+        reconcile_removals: Sum "Undesired device-resident services removed by an anti-entropy sweep",
+        /// Including mid-retry expiry.
+        expired_deploys: Sum "Deploy attempts rejected because the credential expired",
+    }
 }
 
 /// Shared handle to [`CpStats`].

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_device::{AdaptiveDevice, DeviceHandle};
 use dtcs_netsim::{NodeId, NodeRole, Prefix, SimDuration, SimTime, Simulator};

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs::netsim::sync::Mutex;
 
 use dtcs::control::CatalogService;
 use dtcs::device::support::LogEntry;

@@ -84,8 +84,8 @@ fn main() {
 
     // Live in-simulation query: a DeviceCommand::QueryDigest goes to every
     // device at t=2 s; the replies land on a probe agent at the victim.
+    use dtcs::netsim::sync::Mutex;
     use dtcs::netsim::{AgentCtx, ControlMsg, LinkId, NodeAgent, Packet, Verdict};
-    use parking_lot::Mutex;
     use std::sync::Arc;
     #[derive(Default)]
     struct Probe(Arc<Mutex<BTreeMap<usize, bool>>>);

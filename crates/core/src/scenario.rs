@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_attack::{
     hosts, install_clients_at, mean_success, plan_client_addrs, ClientApp, ClientHandle,
@@ -48,7 +48,7 @@ pub enum AttackKind {
 /// `dtcs_netsim::trace`).
 #[derive(Clone, Copy, Debug)]
 pub struct TraceSpec {
-    /// Record every `one_in`-th emitted packet's lifecycle (1 = all).
+    /// Record one packet id in `one_in` (1 = all; must be at least 1).
     pub one_in: u64,
     /// Flight-recorder ring capacity in events; beyond it the oldest
     /// events are evicted.

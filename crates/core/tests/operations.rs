@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs::netsim::sync::Mutex;
 
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{
     AgentCtx, ControlMsg, CpMeta, CpTraceEvent, DropReason, LinkId, NodeAgent, NodeId, Packet,

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{
     Addr, AgentCtx, App, AppApi, Disposition, DropReason, LinkId, NodeAgent, NodeId, Packet,

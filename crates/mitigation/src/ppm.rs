@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 

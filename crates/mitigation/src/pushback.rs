@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{
     AgentCtx, ControlMsg, DropReason, LinkId, NodeAgent, NodeId, Packet, Prefix, SimDuration,

@@ -18,14 +18,15 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use crate::cp_trace::{CpMeta, CpTraceEvent, CpTracer};
+use crate::cp_trace::{CpMeta, CpTraceEvent};
 use crate::node::{LinkId, NodeId};
 use crate::packet::{Packet, PacketBuilder};
+use crate::recorder::Tracer;
 use crate::routing::Routing;
 use crate::stats::DropReason;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::Tracer;
+use crate::trace::TraceEvent;
 
 /// What an agent decided about a packet.
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
@@ -92,8 +93,10 @@ pub struct AgentCtx<'a> {
     /// Read-only routing tables.
     pub routing: &'a Routing,
     pub(crate) outbox: &'a mut Outbox,
-    pub(crate) trace: &'a mut Tracer,
-    pub(crate) cp_trace: &'a mut CpTracer,
+    pub(crate) trace: &'a mut Tracer<TraceEvent>,
+    pub(crate) cp_trace: &'a mut Tracer<CpTraceEvent>,
+    /// One-slot staging area for the next module verdict's detail string.
+    pub(crate) verdict_detail: &'a mut Option<String>,
 }
 
 impl<'a> AgentCtx<'a> {
@@ -159,7 +162,7 @@ impl<'a> AgentCtx<'a> {
     /// [`AgentCtx::trace_verdict_detail`] string); one branch when tracing
     /// is disabled.
     pub fn trace_wants(&self, pkt: &Packet) -> bool {
-        self.trace.wants(pkt.id)
+        self.trace.wants(&[pkt.id])
     }
 
     /// Attach a detail string (e.g. which filter stage fired) to the
@@ -169,7 +172,7 @@ impl<'a> AgentCtx<'a> {
     /// nothing; staged detail is discarded if the packet is forwarded.
     pub fn trace_verdict_detail(&mut self, detail: impl Into<String>) {
         if self.trace.enabled() {
-            self.trace.stage_detail(detail.into());
+            *self.verdict_detail = Some(detail.into());
         }
     }
 

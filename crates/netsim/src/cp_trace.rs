@@ -1,8 +1,8 @@
 //! Control-plane flight recorder: deterministic lifecycle tracing for
 //! control transactions (DESIGN.md §6.9).
 //!
-//! The packet-plane recorder in [`crate::trace`] answers "what happened to
-//! packet N"; this module answers the symmetric question for control
+//! The packet event in [`crate::trace`] answers "what happened to packet
+//! N"; this module answers the symmetric question for control
 //! transactions — register → deploy → install → ack/confirm, plus
 //! anti-entropy reconcile rounds. Every control message pushed through the
 //! simulator's single control funnel emits a [`CpTraceEvent::Send`] and a
@@ -13,31 +13,16 @@
 //! crate boundary as a plain-data [`CpMeta`] (the `control` crate's
 //! `MsgKey` cannot be seen from here).
 //!
-//! Determinism is load-bearing, exactly as in `trace.rs`: whether a
-//! transaction is traced is a pure hash of `(seed, origin, txn)` against a
-//! dedicated stream label — never wall-clock or sink state — so the same
-//! seed reproduces a byte-identical JSONL file, and a sampled trace is an
-//! exact subset of the full trace. Events without a transaction key
+//! Sink, ring recorder, sampler and JSONL export are the shared spine in
+//! [`crate::recorder`]; this module supplies the control event, sampled
+//! per transaction by `(origin, txn)`. Events without a transaction key
 //! (sweeps, crashes, stale retry timers, unkeyed messages) are always
-//! admitted, preserving the subset property.
-//!
-//! The disabled path is one branch: with no sink installed,
-//! [`CpTracer::enabled`] is a `None` check and the simulator constructs no
-//! event. The `cp_trace_overhead` bench in `dtcs-bench` holds this to ≤2%
-//! over an E13 fault-sweep cell.
+//! admitted, preserving the sampled ⊂ full property.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io;
-use std::sync::{Arc, Mutex};
 
 use crate::node::NodeId;
-use crate::rng::child_seed;
-
-/// Stream label used to derive the control-trace sampler's salt from the
-/// simulator seed; distinct from [`crate::trace::TRACE_STREAM_LABEL`] and
-/// every workload stream, so enabling control tracing perturbs nothing.
-pub const CP_TRACE_STREAM_LABEL: u64 = 0x6370_7472_6163_6531; // "cptrace1"
+use crate::recorder::{Recorder, TraceRecord};
 
 /// Plain-data mirror of the control plane's message identity, attached to
 /// keyed control sends via
@@ -287,30 +272,33 @@ impl CpTraceEvent {
             | CpTraceEvent::Terminal { t, .. } => *t,
         }
     }
+}
 
-    /// The `(origin, txn)` transaction identity this event is sampled
-    /// under; None for keyless events (always admitted).
-    pub fn key(&self) -> Option<(u64, u64)> {
+impl TraceRecord for CpTraceEvent {
+    const STREAM_LABEL: u64 = 0x6370_7472_6163_6531; // "cptrace1"
+
+    /// Sampled per transaction: `[origin, txn]`.
+    type Key = [u64; 2];
+
+    fn sample_key(&self) -> Option<[u64; 2]> {
         match self {
             CpTraceEvent::Send { meta, .. } | CpTraceEvent::Verdict { meta, .. } => {
-                meta.map(|m| (m.origin, m.txn))
+                meta.map(|m| [m.origin, m.txn])
             }
             CpTraceEvent::DedupHit { origin, txn, .. }
             | CpTraceEvent::RetrySchedule { origin, txn, .. }
             | CpTraceEvent::RetryFire { origin, txn, .. }
             | CpTraceEvent::RetryGaveUp { origin, txn, .. }
             | CpTraceEvent::State { origin, txn, .. }
-            | CpTraceEvent::Terminal { origin, txn, .. } => Some((*origin, *txn)),
+            | CpTraceEvent::Terminal { origin, txn, .. } => Some([*origin, *txn]),
             CpTraceEvent::RetryStale { .. }
             | CpTraceEvent::Sweep { .. }
             | CpTraceEvent::Crash { .. } => None,
         }
     }
 
-    /// Serialise as a single JSON object (one JSONL line, no trailing
-    /// newline). Field order is fixed, integers and literal strings only,
-    /// so output is byte-deterministic.
-    pub fn write_json(&self, out: &mut String) {
+    /// Integers and literal strings only.
+    fn write_json(&self, out: &mut String) {
         fn meta_fields(meta: &Option<CpMeta>, out: &mut String) {
             if let Some(m) = meta {
                 let _ = write!(
@@ -475,199 +463,14 @@ impl CpTraceEvent {
     }
 }
 
-/// Receiver of control-trace events. Implementations must not feed
-/// decisions back into the simulation (observation only).
-pub trait CpTraceSink: Send {
-    /// Record one event.
-    fn record(&mut self, ev: CpTraceEvent);
-}
-
-/// Bounded ring-buffer flight recorder for control-trace events: keeps
-/// the most recent `capacity` events, evicting the oldest (and counting
-/// evictions) when full.
-#[derive(Debug, Default)]
-pub struct CpFlightRecorder {
-    cap: usize,
-    buf: VecDeque<CpTraceEvent>,
-    recorded: u64,
-    evicted: u64,
-}
-
-impl CpFlightRecorder {
-    /// Recorder holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> CpFlightRecorder {
-        let cap = capacity.max(1);
-        CpFlightRecorder {
-            cap,
-            buf: VecDeque::with_capacity(cap.min(4096)),
-            recorded: 0,
-            evicted: 0,
-        }
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted to make room (oldest-first policy).
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Held events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &CpTraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Serialise the held events as JSONL (one event per line, oldest
-    /// first, trailing newline).
-    pub fn export_jsonl_string(&self) -> String {
-        let mut out = String::with_capacity(self.buf.len() * 96);
-        for ev in &self.buf {
-            ev.write_json(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Write the held events as JSONL to `w`.
-    pub fn export_jsonl<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(self.export_jsonl_string().as_bytes())
-    }
-}
-
-impl CpTraceSink for CpFlightRecorder {
-    fn record(&mut self, ev: CpTraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.evicted += 1;
-        }
-        self.buf.push_back(ev);
-        self.recorded += 1;
-    }
-}
-
-/// Shared-handle sink: scenario code keeps one `Arc` clone to read the
-/// recorder after the run while the simulator owns the other.
-impl CpTraceSink for Arc<Mutex<CpFlightRecorder>> {
-    fn record(&mut self, ev: CpTraceEvent) {
-        self.lock()
-            .expect("cp flight recorder mutex poisoned")
-            .record(ev);
-    }
-}
-
-/// The simulator's control-trace front-end: owns the optional sink and
-/// the per-transaction sampling decision.
-///
-/// With no sink installed every entry point reduces to a single branch on
-/// `Option::None`; the simulator constructs no event on the funnel path.
-pub struct CpTracer {
-    sink: Option<Box<dyn CpTraceSink>>,
-    one_in: u64,
-    /// Salt reserved at construction (from the simulator seed) so the
-    /// sampler keys off simulation identity, never the enabling call site.
-    salt: u64,
-}
-
-impl CpTracer {
-    /// Disabled tracer for a simulation seeded with `seed`.
-    pub(crate) fn disabled(seed: u64) -> CpTracer {
-        CpTracer {
-            sink: None,
-            one_in: 1,
-            salt: child_seed(seed, CP_TRACE_STREAM_LABEL),
-        }
-    }
-
-    /// Install `sink`, tracing one transaction in `one_in` (1 = all).
-    pub(crate) fn enable(&mut self, sink: Box<dyn CpTraceSink>, one_in: u64) {
-        self.one_in = one_in.max(1);
-        self.sink = Some(sink);
-    }
-
-    /// Remove and return the sink, disabling tracing.
-    pub(crate) fn disable(&mut self) -> Option<Box<dyn CpTraceSink>> {
-        self.sink.take()
-    }
-
-    /// Is control tracing enabled at all? One branch — the hot-path gate.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Is transaction `(origin, txn)` in the sample? Pure hash of the
-    /// construction seed — no state, no wall-clock.
-    #[inline]
-    pub fn admits(&self, origin: u64, txn: u64) -> bool {
-        if self.one_in <= 1 {
-            return true;
-        }
-        child_seed(child_seed(self.salt, origin), txn) % self.one_in == 0
-    }
-
-    /// Record an event if tracing is enabled and the event's transaction
-    /// is in the sample (keyless events always are).
-    #[inline]
-    pub fn record(&mut self, ev: CpTraceEvent) {
-        if self.sink.is_none() {
-            return;
-        }
-        let admitted = match ev.key() {
-            Some((origin, txn)) => self.admits(origin, txn),
-            None => true,
-        };
-        if admitted {
-            if let Some(sink) = &mut self.sink {
-                sink.record(ev);
-            }
-        }
-    }
-}
+/// The control-plane flight recorder: the spine's bounded ring over
+/// [`CpTraceEvent`]s.
+pub type CpFlightRecorder = Recorder<CpTraceEvent>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn keyed(t: u64, origin: u64, txn: u64) -> CpTraceEvent {
-        CpTraceEvent::Terminal {
-            t,
-            origin,
-            txn,
-            node: NodeId(1),
-            outcome: "confirmed",
-        }
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut r = CpFlightRecorder::new(3);
-        for i in 0..5 {
-            r.record(keyed(i, 7, i));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.recorded(), 5);
-        assert_eq!(r.evicted(), 2);
-        let ts: Vec<u64> = r.events().map(|e| e.time_ns()).collect();
-        assert_eq!(ts, vec![2, 3, 4], "oldest events evicted first");
-    }
+    use crate::recorder::Sink;
 
     #[test]
     fn jsonl_shape_keyed_and_keyless() {
@@ -724,56 +527,5 @@ mod tests {
             "{\"t\":8,\"kind\":\"crash\",\"node\":5,\"window\":3}"
         );
         assert!(out.ends_with('\n'));
-    }
-
-    #[test]
-    fn sampling_is_per_transaction_and_deterministic() {
-        let mut t = CpTracer::disabled(42);
-        t.enable(Box::new(CpFlightRecorder::new(16)), 4);
-        let picks: Vec<bool> = (0..64).map(|txn| t.admits(0xAA01, txn)).collect();
-        let again: Vec<bool> = (0..64).map(|txn| t.admits(0xAA01, txn)).collect();
-        assert_eq!(picks, again, "pure function of (seed, origin, txn)");
-        assert!(picks.iter().any(|&b| b) && picks.iter().any(|&b| !b));
-        // A different seed selects a different subset.
-        let mut o = CpTracer::disabled(43);
-        o.enable(Box::new(CpFlightRecorder::new(16)), 4);
-        assert_ne!(
-            picks,
-            (0..64).map(|txn| o.admits(0xAA01, txn)).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn record_gates_on_key_but_admits_keyless() {
-        let rec = Arc::new(Mutex::new(CpFlightRecorder::new(64)));
-        let mut t = CpTracer::disabled(42);
-        t.enable(Box::new(rec.clone()), 1_000_000_007);
-        // With an absurd rate almost no transaction is admitted…
-        let mut admitted = 0;
-        for txn in 0..32 {
-            if t.admits(1, txn) {
-                admitted += 1;
-            }
-            t.record(keyed(txn, 1, txn));
-        }
-        assert_eq!(rec.lock().unwrap().recorded(), admitted);
-        // …but keyless events always are.
-        t.record(CpTraceEvent::Sweep {
-            t: 1,
-            node: NodeId(2),
-        });
-        assert_eq!(rec.lock().unwrap().recorded(), admitted + 1);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = CpTracer::disabled(1);
-        assert!(!t.enabled());
-        t.record(keyed(1, 2, 3)); // no sink: no-op
-        t.enable(Box::new(CpFlightRecorder::new(4)), 1);
-        assert!(t.enabled());
-        let sink = t.disable();
-        assert!(sink.is_some());
-        assert!(!t.enabled());
     }
 }

@@ -46,10 +46,12 @@ pub mod metrics;
 pub mod node;
 pub mod oracle;
 pub mod packet;
+pub mod recorder;
 pub mod rng;
 pub mod routing;
 pub mod sim;
 pub mod stats;
+pub mod sync;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -62,7 +64,7 @@ pub use addr::{Addr, Prefix};
 pub use agent::{AgentCtx, ControlMsg, NodeAgent, Verdict};
 pub use app::{App, AppApi, Disposition, SinkApp};
 pub use arena::{Arena, Handle as ArenaHandle};
-pub use cp_trace::{CpFlightRecorder, CpMeta, CpTraceEvent, CpTraceSink, CpTracer, CpVerdict};
+pub use cp_trace::{CpFlightRecorder, CpMeta, CpTraceEvent, CpVerdict};
 pub use faults::{FaultConfig, FaultDecision, FaultPlane, Outage, Partition};
 pub use fluid::{FluidDemand, FluidFilter, FluidLayer};
 pub use link::{Admission, Link, LinkProfile};
@@ -70,13 +72,14 @@ pub use metrics::{MetricEntry, MetricValue, MetricsSnapshot};
 pub use node::{LinkId, Node, NodeId, NodeRole};
 pub use oracle::RouteOracle;
 pub use packet::{Packet, PacketBuilder, Proto, Provenance, TrafficClass, DEFAULT_TTL};
+pub use recorder::{Recorder, Sink, TraceRecord, Tracer};
 pub use routing::{FlipOutcome, Routing};
 pub use sim::Simulator;
 pub use stats::{DropReason, Stats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Hierarchy, Topology};
 pub use trace::{
-    FlightRecorder, LinkDirUtil, LinkUtilProbe, Log2Histogram, Sampler, TelemetryHistograms,
-    TraceEvent, TraceSink, UtilSnapshot,
+    FlightRecorder, LinkDirUtil, LinkUtilProbe, Log2Histogram, TelemetryHistograms, TraceEvent,
+    UtilSnapshot,
 };
 pub use wheel::TimingWheel;

@@ -1,18 +1,101 @@
-//! Unified metrics registry snapshot (DESIGN.md §6.9).
+//! Counter tables and the unified metrics registry (DESIGN.md §6.9).
 //!
-//! Engine counters used to surface only as scattered print-only `health:`
-//! lines in experiment reports. A [`MetricsSnapshot`] collects every
-//! scalar [`Stats`] counter — wheel/route health, control-plane fault
-//! counters, fluid-layer counters — plus any caller-appended counters
-//! (e.g. the `control` crate's `CpStats`) into one fixed-order registry
-//! exportable as deterministic JSON and Prometheus text exposition.
-//! The snapshot is observation-only and never feeds golden report JSON;
-//! `health:` lines are now formatted *from* it, making the snapshot the
-//! single source of truth.
+//! Every scalar counter of a statistics struct is declared once, as a row
+//! of its [`counters!`](crate::counters) table; the field, its merge arm
+//! and its [`Counter`] row all come from that row. A [`MetricsSnapshot`]
+//! collects the [`Stats`] table — wheel/route health, control-plane fault
+//! counters, fluid-layer counters — plus any caller-appended table (e.g.
+//! the `control` crate's `CpStats`) into one fixed-order registry
+//! exportable as deterministic JSON and Prometheus text exposition. The
+//! snapshot is observation-only and never feeds golden report JSON.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-use crate::stats::Stats;
+use crate::stats::{ClassCounters, Stats};
+
+/// How a counter folds when two runs' statistics merge.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MergeRule {
+    /// Totals add.
+    Sum,
+    /// High-water marks keep the worst shard.
+    Max,
+}
+
+impl MergeRule {
+    /// Fold `b` into `a`. Both rules commute and associate with 0 as the
+    /// identity, which is what makes `merge` independent of shard order.
+    pub fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            MergeRule::Sum => a + b,
+            MergeRule::Max => a.max(b),
+        }
+    }
+}
+
+/// One row of a struct's [`counters!`](crate::counters) table: everything
+/// known about a scalar counter of `S`, declared once.
+pub struct Counter<S> {
+    /// Metric name: the table's prefix followed by the field name.
+    pub name: &'static str,
+    /// How the field merges.
+    pub rule: MergeRule,
+    /// One-line help: the field's doc and the Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// Read the field.
+    pub get: fn(&S) -> u64,
+    /// Borrow the field mutably.
+    pub get_mut: fn(&mut S) -> &mut u64,
+}
+
+/// Declare a statistics struct whose scalar `u64` counters are written
+/// once: each row of the `counters` table gives the field name, its
+/// [`MergeRule`] and its help line. From the table come the `pub` field
+/// (documented by the help line), its arm of `merge`, and its
+/// [`Counter`] row in `Self::COUNTERS` — which is what
+/// [`MetricsSnapshot::push_table`] exports and what tests iterate.
+/// Non-scalar fields are listed in the struct body with the function
+/// that merges them, so no field of either kind can be added without
+/// saying how it merges. The literal after `counters` prefixes every
+/// metric name.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$sm:meta])*
+        pub struct $S:ident {
+            $( $(#[$fm:meta])* pub $f:ident: $ft:ty = $fmerge:path, )*
+        }
+        counters $prefix:literal {
+            $( $(#[$cm:meta])* $c:ident: $rule:ident $help:literal, )*
+        }
+    ) => {
+        $(#[$sm])*
+        pub struct $S {
+            $( $(#[$fm])* pub $f: $ft, )*
+            $( #[doc = $help] #[doc = ""] $(#[$cm])* pub $c: u64, )*
+        }
+
+        impl $S {
+            /// Every scalar counter of the struct, in declaration order.
+            pub const COUNTERS: &'static [$crate::metrics::Counter<$S>] = &[$(
+                $crate::metrics::Counter {
+                    name: concat!($prefix, stringify!($c)),
+                    rule: $crate::metrics::MergeRule::$rule,
+                    help: $help,
+                    get: |s| s.$c,
+                    get_mut: |s| &mut s.$c,
+                },
+            )*];
+
+            /// Fold another run's value into this one, every field by the
+            /// rule declared beside it.
+            pub fn merge(&mut self, other: &$S) {
+                $( $fmerge(&mut self.$f, &other.$f); )*
+                $( self.$c = $crate::metrics::MergeRule::$rule.apply(self.$c, other.$c); )*
+            }
+        }
+    };
+}
 
 /// A single metric value.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -21,6 +104,19 @@ pub enum MetricValue {
     Counter(u64),
     /// Instantaneous or derived value.
     Gauge(f64),
+}
+
+/// The one way a value prints, in JSON and in Prometheus text alike.
+impl fmt::Display for MetricValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MetricValue::Counter(v) => write!(f, "{v}"),
+            // {:?} prints the shortest representation that round-trips,
+            // and always includes a decimal point or exponent so the JSON
+            // type stays visibly float.
+            MetricValue::Gauge(v) => write!(f, "{v:?}"),
+        }
+    }
 }
 
 /// One named metric with a help string.
@@ -37,8 +133,8 @@ pub struct MetricEntry {
 /// Fixed-order registry of metrics captured at one instant.
 ///
 /// Order is insertion order and [`MetricsSnapshot::from_stats`] inserts
-/// in [`Stats`] field-declaration order, so two snapshots of equal state
-/// serialise byte-identically.
+/// in [`Stats`] table order, so two snapshots of equal state serialise
+/// byte-identically.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     entries: Vec<MetricEntry>,
@@ -50,125 +146,51 @@ impl MetricsSnapshot {
         MetricsSnapshot::default()
     }
 
-    /// Snapshot every scalar counter of `stats`, in field-declaration
-    /// order, plus the derived wheel cascade rate.
+    /// Snapshot the three all-class packet totals, then every scalar
+    /// counter of `stats` in table order, with the derived wheel cascade
+    /// rate right after the counter it divides.
     pub fn from_stats(stats: &Stats) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new();
-        let (mut sent, mut delivered, mut dropped) = (0u64, 0u64, 0u64);
+        let mut all = ClassCounters::default();
         for c in &stats.per_class {
-            sent += c.sent_pkts;
-            delivered += c.delivered_pkts;
-            dropped += c.dropped_pkts;
+            all.merge(c);
         }
-        s.push_counter("packets_sent", sent, "Packets emitted, all classes");
+        s.push_counter(
+            "packets_sent",
+            all.sent_pkts,
+            "Packets emitted, all classes",
+        );
         s.push_counter(
             "packets_delivered",
-            delivered,
+            all.delivered_pkts,
             "Packets delivered to an application, all classes",
         );
-        s.push_counter("packets_dropped", dropped, "Packets dropped, all classes");
-        s.push_counter("events", stats.events, "Simulator events processed");
         s.push_counter(
-            "past_events_clamped",
-            stats.past_events_clamped,
-            "Events scheduled in the past and clamped (always 0 when healthy)",
+            "packets_dropped",
+            all.dropped_pkts,
+            "Packets dropped, all classes",
         );
-        s.push_counter(
-            "route_link_flips",
-            stats.route_link_flips,
-            "Link state flips applied by failure injection",
-        );
-        s.push_counter(
-            "route_full_recomputes",
-            stats.route_full_recomputes,
-            "Flips that fell back to a whole-table route recompute",
-        );
-        s.push_counter(
-            "route_trees_recomputed",
-            stats.route_trees_recomputed,
-            "Destination trees re-derived across all flips",
-        );
-        s.push_counter(
-            "wheel_slot_occupancy_hwm",
-            stats.wheel_slot_occupancy_hwm,
-            "Timing wheel: deepest any single slot got",
-        );
-        s.push_counter(
-            "wheel_len_hwm",
-            stats.wheel_len_hwm,
-            "Timing wheel: most events pending at once",
-        );
-        s.push_counter(
-            "wheel_cascade_moves",
-            stats.wheel_cascade_moves,
-            "Timing wheel: entries refiled by cascades",
-        );
-        s.push_gauge(
-            "wheel_cascades_per_event",
-            stats.wheel_cascades_per_event(),
-            "Mean cascade refiles per processed event",
-        );
-        s.push_counter(
-            "cp_msgs",
-            stats.cp_msgs,
-            "Control messages pushed through the funnel",
-        );
-        s.push_counter(
-            "cp_fault_dropped",
-            stats.cp_fault_dropped,
-            "Control messages dropped by the fault plane's loss hash",
-        );
-        s.push_counter(
-            "cp_fault_duplicated",
-            stats.cp_fault_duplicated,
-            "Control messages delivered twice by the fault plane",
-        );
-        s.push_counter(
-            "cp_fault_jittered",
-            stats.cp_fault_jittered,
-            "Control messages whose delivery was delay-jittered",
-        );
-        s.push_counter(
-            "cp_outage_dropped",
-            stats.cp_outage_dropped,
-            "Control messages swallowed by an outage window",
-        );
-        s.push_counter(
-            "cp_partition_dropped",
-            stats.cp_partition_dropped,
-            "Control messages swallowed by a partition window",
-        );
-        s.push_counter(
-            "node_crashes",
-            stats.node_crashes,
-            "Node crashes executed (fault-plane windows plus ad-hoc)",
-        );
-        s.push_counter(
-            "fluid_aggregates",
-            stats.fluid_aggregates,
-            "Fluid aggregates installed over the run",
-        );
-        s.push_counter(
-            "fluid_ticks",
-            stats.fluid_ticks,
-            "Fluid admission rounds executed",
-        );
-        s.push_counter(
-            "fluid_recomputes",
-            stats.fluid_recomputes,
-            "Aggregate path recomputations",
-        );
-        s.push_counter(
-            "fluid_epoch_invalidations",
-            stats.fluid_epoch_invalidations,
-            "Route/filter epoch changes invalidating cached aggregate state",
-        );
-        s.push_counter(
-            "fluid_boundary_conversions",
-            stats.fluid_boundary_conversions,
-            "Demands materialized as discrete emitters at the fluid boundary",
+        s.push_table(Stats::COUNTERS, stats);
+        let moves = s
+            .entries
+            .iter()
+            .position(|e| e.name == "wheel_cascade_moves");
+        s.entries.insert(
+            moves.expect("declared in the Stats table") + 1,
+            MetricEntry {
+                name: "wheel_cascades_per_event",
+                value: MetricValue::Gauge(stats.wheel_cascades_per_event()),
+                help: "Mean cascade refiles per processed event",
+            },
         );
         s
+    }
+
+    /// Append every counter of `table`, read from `s`, in table order.
+    pub fn push_table<S>(&mut self, table: &[Counter<S>], s: &S) {
+        for c in table {
+            self.push_counter(c.name, (c.get)(s), c.help);
+        }
     }
 
     /// Append a counter.
@@ -215,18 +237,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":", e.name);
-            match e.value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                MetricValue::Gauge(v) => {
-                    // {:?} prints the shortest representation that
-                    // round-trips, and always includes a decimal point or
-                    // exponent so the JSON type stays visibly float.
-                    let _ = write!(out, "{v:?}");
-                }
-            }
+            let _ = write!(out, "\"{}\":{}", e.name, e.value);
         }
         out.push('}');
         out
@@ -237,20 +248,13 @@ impl MetricsSnapshot {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(self.entries.len() * 96);
         for e in &self.entries {
-            let _ = writeln!(out, "# HELP dtcs_{} {}", e.name, e.help);
             let kind = match e.value {
                 MetricValue::Counter(_) => "counter",
                 MetricValue::Gauge(_) => "gauge",
             };
+            let _ = writeln!(out, "# HELP dtcs_{} {}", e.name, e.help);
             let _ = writeln!(out, "# TYPE dtcs_{} {kind}", e.name);
-            match e.value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "dtcs_{} {v}", e.name);
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "dtcs_{} {v:?}", e.name);
-                }
-            }
+            let _ = writeln!(out, "dtcs_{} {}", e.name, e.value);
         }
         out
     }
@@ -278,6 +282,22 @@ mod tests {
         assert_eq!(a.get("events"), Some(42.0));
         assert_eq!(a.get("wheel_cascades_per_event"), Some(0.5));
         assert_eq!(a.get("missing"), None);
+    }
+
+    /// The registry's names, order, help wording and number formatting as
+    /// captured at the commit before the counter tables existed: a table
+    /// edit that renames, reorders or rewords a metric fails here.
+    #[test]
+    fn default_snapshot_bytes_are_pinned() {
+        let s = MetricsSnapshot::from_stats(&Stats::default());
+        assert_eq!(
+            s.to_json_string(),
+            include_str!("../tests/golden/metrics_default.json")
+        );
+        assert_eq!(
+            s.to_prometheus(),
+            include_str!("../tests/golden/metrics_default.prom")
+        );
     }
 
     #[test]

@@ -21,18 +21,19 @@ use crate::addr::Addr;
 use crate::agent::{AgentCtx, ControlMsg, NodeAgent, Outbox, Verdict};
 use crate::app::{App, AppApi, Disposition};
 use crate::arena::{Arena, Handle as PktHandle};
-use crate::cp_trace::{CpMeta, CpTraceEvent, CpTraceSink, CpTracer, CpVerdict};
+use crate::cp_trace::{CpMeta, CpTraceEvent, CpVerdict};
 use crate::faults::FaultPlane;
 use crate::fluid::{FluidDemand, FluidFilter, FluidLayer};
 use crate::link::Admission;
 use crate::node::{LinkId, NodeId};
 use crate::packet::{Packet, PacketBuilder};
+use crate::recorder::{Sink, Tracer};
 use crate::rng::seeded;
 use crate::routing::Routing;
 use crate::stats::{DropReason, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{LinkUtilProbe, TraceEvent, TraceSink, Tracer};
+use crate::trace::{LinkUtilProbe, TraceEvent};
 use crate::wheel::TimingWheel;
 
 /// A scheduled simulator callback.
@@ -89,11 +90,15 @@ pub struct Simulator {
     /// Lifecycle tracing front-end (flight recorder / JSONL). Disabled by
     /// default; the hot path then pays a single `None` branch per gate
     /// (DESIGN.md §6.4).
-    tracer: Tracer,
+    tracer: Tracer<TraceEvent>,
+    /// One-slot staging area for a module's verdict detail string
+    /// ([`AgentCtx::trace_verdict_detail`]), consumed by the next
+    /// `ModuleVerdict` event.
+    verdict_detail: Option<String>,
     /// Control-plane flight-recorder front-end (DESIGN.md §6.9): the
     /// symmetric facility for control transactions. Disabled by default;
     /// the control funnel then pays one `None` branch per push.
-    cp_tracer: CpTracer,
+    cp_tracer: Tracer<CpTraceEvent>,
     /// Optional per-link utilization sampler, driven by scheduled events.
     util_probe: Option<LinkUtilProbe>,
     /// Optional control-channel fault injector (drop / duplicate / jitter
@@ -133,7 +138,8 @@ impl Simulator {
             app_timer_buf: Vec::new(),
             arena: Arena::new(),
             tracer: Tracer::disabled(seed),
-            cp_tracer: CpTracer::disabled(seed),
+            verdict_detail: None,
+            cp_tracer: Tracer::disabled(seed),
             util_probe: None,
             faults: None,
             fluid: None,
@@ -147,12 +153,16 @@ impl Simulator {
     /// `one_in` (1 = every packet). The sampling salt derives from the
     /// simulator seed — never wall-clock — so the traced packet-id set is
     /// a pure function of `(seed, one_in)` and runs replay byte-for-byte.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>, one_in: u64) {
+    ///
+    /// # Panics
+    /// If `one_in` is 0.
+    pub fn set_trace_sink(&mut self, sink: Box<dyn Sink<TraceEvent>>, one_in: u64) {
         self.tracer.enable(sink, one_in);
     }
 
     /// Remove and return the trace sink, disabling tracing.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+    pub fn take_trace_sink(&mut self) -> Option<Box<dyn Sink<TraceEvent>>> {
+        self.verdict_detail = None;
         self.tracer.disable()
     }
 
@@ -168,12 +178,15 @@ impl Simulator {
     /// `(seed, one_in)` and runs replay byte-for-byte. Events without a
     /// transaction key (sweeps, crashes, unkeyed sends) are always
     /// recorded, keeping a sampled trace an exact subset of the full one.
-    pub fn set_cp_trace_sink(&mut self, sink: Box<dyn CpTraceSink>, one_in: u64) {
+    ///
+    /// # Panics
+    /// If `one_in` is 0.
+    pub fn set_cp_trace_sink(&mut self, sink: Box<dyn Sink<CpTraceEvent>>, one_in: u64) {
         self.cp_tracer.enable(sink, one_in);
     }
 
     /// Remove and return the control-plane trace sink, disabling tracing.
-    pub fn take_cp_trace_sink(&mut self) -> Option<Box<dyn CpTraceSink>> {
+    pub fn take_cp_trace_sink(&mut self) -> Option<Box<dyn Sink<CpTraceEvent>>> {
         self.cp_tracer.disable()
     }
 
@@ -711,7 +724,7 @@ impl Simulator {
         let mut pkt = builder.build(self.alloc_pkt_id(), node);
         pkt.sent_at = self.now;
         self.stats.record_sent(&pkt);
-        if self.tracer.wants(pkt.id) {
+        if self.tracer.wants(&[pkt.id]) {
             self.tracer.record(TraceEvent::Emit {
                 t: self.now.as_nanos(),
                 pkt: pkt.id,
@@ -739,8 +752,8 @@ impl Simulator {
         module: &'static str,
         reason: DropReason,
     ) {
-        let detail = self.tracer.take_detail();
-        if !self.tracer.wants(pkt.id) {
+        let detail = self.verdict_detail.take();
+        if !self.tracer.wants(&[pkt.id]) {
             return;
         }
         self.tracer.record(TraceEvent::ModuleVerdict {
@@ -779,6 +792,7 @@ impl Simulator {
                         outbox: &mut self.outbox,
                         trace: &mut self.tracer,
                         cp_trace: &mut self.cp_tracer,
+                        verdict_detail: &mut self.verdict_detail,
                     };
                     agent.on_control(&mut ctx, &msg);
                     self.flush_agent_outbox(to, i);
@@ -808,6 +822,7 @@ impl Simulator {
                 outbox: &mut self.outbox,
                 trace: &mut self.tracer,
                 cp_trace: &mut self.cp_tracer,
+                verdict_detail: &mut self.verdict_detail,
             };
             let v = agent.on_packet(&mut ctx, &mut pkt, from);
             self.flush_agent_outbox(at, i);
@@ -818,7 +833,7 @@ impl Simulator {
             }
             // A module may stage verdict detail and then forward; discard
             // it so it cannot leak onto a later verdict event.
-            self.tracer.clear_detail();
+            self.verdict_detail = None;
         }
         self.agents[at.0] = chain;
         if let Verdict::Drop(reason) = verdict {
@@ -836,7 +851,7 @@ impl Simulator {
                 match disposition {
                     Disposition::Consumed => {
                         self.stats.record_delivered(now, at, &pkt);
-                        if self.tracer.wants(pkt.id) {
+                        if self.tracer.wants(&[pkt.id]) {
                             self.tracer.record(TraceEvent::Deliver {
                                 t: now.as_nanos(),
                                 pkt: pkt.id,
@@ -880,7 +895,7 @@ impl Simulator {
             self.topo.links[link.0].offer_observed(at, self.now, pkt.size, is_attack);
         match admission {
             Admission::Dropped => {
-                if self.tracer.wants(pkt.id) {
+                if self.tracer.wants(&[pkt.id]) {
                     self.tracer.record(TraceEvent::LinkDrop {
                         t: self.now.as_nanos(),
                         pkt: pkt.id,
@@ -904,6 +919,7 @@ impl Simulator {
                         outbox: &mut self.outbox,
                         trace: &mut self.tracer,
                         cp_trace: &mut self.cp_tracer,
+                        verdict_detail: &mut self.verdict_detail,
                     };
                     agent.on_link_drop(&mut ctx, link, &pkt);
                     self.flush_agent_outbox(at, i);
@@ -915,7 +931,7 @@ impl Simulator {
                 self.stats.hist.queue_delay_ns.record(wait.as_nanos());
                 pkt.hops = pkt.hops.saturating_add(1);
                 let next = self.topo.links[link.0].other(at);
-                if self.tracer.wants(pkt.id) {
+                if self.tracer.wants(&[pkt.id]) {
                     self.tracer.record(TraceEvent::LinkAdmit {
                         t: self.now.as_nanos(),
                         pkt: pkt.id,
@@ -958,6 +974,7 @@ impl Simulator {
                 outbox: &mut self.outbox,
                 trace: &mut self.tracer,
                 cp_trace: &mut self.cp_tracer,
+                verdict_detail: &mut self.verdict_detail,
             };
             f(agent, &mut ctx);
             self.flush_agent_outbox(node, idx);

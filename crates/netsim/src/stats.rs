@@ -97,38 +97,32 @@ pub const ALL_CLASSES: [TrafficClass; N_CLASSES] = [
     TrafficClass::Background,
 ];
 
-/// Per-class send/deliver/drop counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClassCounters {
-    /// Packets emitted.
-    pub sent_pkts: u64,
-    /// Bytes emitted.
-    pub sent_bytes: u64,
-    /// Packets delivered to an application.
-    pub delivered_pkts: u64,
-    /// Bytes delivered to an application.
-    pub delivered_bytes: u64,
-    /// Packets dropped anywhere.
-    pub dropped_pkts: u64,
-    /// Bytes dropped anywhere.
-    pub dropped_bytes: u64,
-    /// Sum of hop counts at delivery (path-length accounting).
-    pub delivered_hops: u64,
-    /// Sum over deliveries of `bytes * hops` (bandwidth actually consumed).
-    pub delivered_byte_hops: u64,
-    /// Sum over drops of `bytes * hops` (bandwidth wasted before the drop).
-    pub dropped_byte_hops: u64,
+crate::counters! {
+    /// Per-class send/deliver/drop counters.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ClassCounters {}
+    counters "" {
+        sent_pkts: Sum "Packets emitted",
+        sent_bytes: Sum "Bytes emitted",
+        delivered_pkts: Sum "Packets delivered to an application",
+        delivered_bytes: Sum "Bytes delivered to an application",
+        dropped_pkts: Sum "Packets dropped anywhere",
+        dropped_bytes: Sum "Bytes dropped anywhere",
+        delivered_hops: Sum "Sum of hop counts at delivery (path-length accounting)",
+        delivered_byte_hops: Sum "Sum over deliveries of `bytes * hops` (bandwidth actually consumed)",
+        dropped_byte_hops: Sum "Sum over drops of `bytes * hops` (bandwidth wasted before the drop)",
+    }
 }
 
-/// Aggregate for one `(class, reason)` drop bucket.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DropAgg {
-    /// Packets.
-    pub pkts: u64,
-    /// Bytes.
-    pub bytes: u64,
-    /// Sum of hop counts at the drop point (stop-distance numerator).
-    pub hops_sum: u64,
+crate::counters! {
+    /// Aggregate for one `(class, reason)` drop bucket.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct DropAgg {}
+    counters "" {
+        pkts: Sum "Packets",
+        bytes: Sum "Bytes",
+        hops_sum: Sum "Sum of hop counts at the drop point (stop-distance numerator)",
+    }
 }
 
 /// Time series of delivered bytes at a small set of watched nodes.
@@ -229,132 +223,11 @@ impl Series {
     }
 }
 
-/// Global statistics collected by the simulator.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Stats {
-    /// Per-class counters, indexed by [`class_index`].
-    pub per_class: [ClassCounters; N_CLASSES],
-    /// Drop breakdown.
-    pub drops: HashMap<(TrafficClass, DropReason), DropAgg>,
-    /// Optional watched-node delivery series.
-    pub series: Option<Series>,
-    /// Always-on engine telemetry: queue delay, end-to-end latency and hop
-    /// count log2 histograms (DESIGN.md §6.4). Print-only in reports —
-    /// never serialized into golden experiment JSON.
-    pub hist: TelemetryHistograms,
-    /// Total events processed (engine health metric).
-    pub events: u64,
-    /// Events scheduled with a timestamp already in the past and clamped
-    /// to the current instant. Always zero for well-behaved modules; a
-    /// nonzero count flags a scheduling bug that, before the clamp, would
-    /// have silently rewound the simulated clock in release builds.
-    pub past_events_clamped: u64,
-    /// Link flips applied by failure injection (`Simulator::set_link_up`
-    /// calls that actually changed a link's state).
-    pub route_link_flips: u64,
-    /// Flips whose damage covered more than half the destinations, falling
-    /// back to a whole-table parallel recompute.
-    pub route_full_recomputes: u64,
-    /// Destination trees re-derived across all flips (`n` per full
-    /// recompute, only the damaged few per incremental splice). The ratio
-    /// to `route_link_flips * n` measures how localized the churn was.
-    pub route_trees_recomputed: u64,
-    /// Timing wheel: deepest any single slot got (scheduler health; a
-    /// runaway slot means pathological same-window event clustering).
-    pub wheel_slot_occupancy_hwm: u64,
-    /// Timing wheel: most events pending at once.
-    pub wheel_len_hwm: u64,
-    /// Timing wheel: entries refiled by cascades. See
-    /// [`Stats::wheel_cascades_per_event`].
-    pub wheel_cascade_moves: u64,
-    /// Control messages pushed (all three paths: scenario injection,
-    /// agent outboxes, app outboxes) — the fault plane's denominator.
-    pub cp_msgs: u64,
-    /// Control messages dropped by the fault plane's loss hash.
-    pub cp_fault_dropped: u64,
-    /// Control messages delivered twice by the fault plane.
-    pub cp_fault_duplicated: u64,
-    /// Control messages whose delivery was delay-jittered.
-    pub cp_fault_jittered: u64,
-    /// Control messages swallowed by an outage window (sender or receiver
-    /// control channel down).
-    pub cp_outage_dropped: u64,
-    /// Control messages swallowed by a directed partition window (both
-    /// endpoints up, but the cut between their sets was open at push
-    /// time).
-    pub cp_partition_dropped: u64,
-    /// Node crashes executed (fault-plane crash windows plus ad-hoc
-    /// [`crate::sim::Simulator::crash_node`] calls).
-    pub node_crashes: u64,
-    /// Fluid aggregates installed over the run (one per background demand
-    /// routed through the fluid layer; see `crate::fluid`).
-    pub fluid_aggregates: u64,
-    /// Fluid admission rounds executed (one per tick with live aggregates).
-    pub fluid_ticks: u64,
-    /// Aggregate path recomputations (initial resolution plus every
-    /// re-resolution after a route-epoch change).
-    pub fluid_recomputes: u64,
-    /// Route/filter epoch changes that invalidated cached aggregate state
-    /// (each may trigger many [`Stats::fluid_recomputes`]).
-    pub fluid_epoch_invalidations: u64,
-    /// Demands materialized as discrete packet emitters because an
-    /// endpoint sits in the packetized set (attack sources, filtering
-    /// devices, the victim) — the fluid/packet boundary shim.
-    pub fluid_boundary_conversions: u64,
-}
-
-impl ClassCounters {
-    /// Fold another run's counters into this one (all fields add).
-    /// Destructured without `..` so a new field cannot be forgotten here.
-    pub fn merge(&mut self, other: &ClassCounters) {
-        let ClassCounters {
-            sent_pkts,
-            sent_bytes,
-            delivered_pkts,
-            delivered_bytes,
-            dropped_pkts,
-            dropped_bytes,
-            delivered_hops,
-            delivered_byte_hops,
-            dropped_byte_hops,
-        } = *other;
-        self.sent_pkts += sent_pkts;
-        self.sent_bytes += sent_bytes;
-        self.delivered_pkts += delivered_pkts;
-        self.delivered_bytes += delivered_bytes;
-        self.dropped_pkts += dropped_pkts;
-        self.dropped_bytes += dropped_bytes;
-        self.delivered_hops += delivered_hops;
-        self.delivered_byte_hops += delivered_byte_hops;
-        self.dropped_byte_hops += dropped_byte_hops;
-    }
-}
-
-impl DropAgg {
-    /// Fold another drop bucket into this one (exhaustive, like
-    /// [`ClassCounters::merge`]).
-    pub fn merge(&mut self, other: &DropAgg) {
-        let DropAgg {
-            pkts,
-            bytes,
-            hops_sum,
-        } = *other;
-        self.pkts += pkts;
-        self.bytes += bytes;
-        self.hops_sum += hops_sum;
-    }
-}
-
-impl Stats {
-    /// Fresh statistics.
-    pub fn new() -> Stats {
-        Stats::default()
-    }
-
-    /// Fold another run's statistics into this one.
+crate::counters! {
+    /// Global statistics collected by the simulator.
     ///
-    /// This is the shard-combining operation of the sweep engine
-    /// (DESIGN.md §6.6): **commutative**, **associative**, with
+    /// [`Stats::merge`] is the shard-combining operation of the sweep
+    /// engine (DESIGN.md §6.6): **commutative**, **associative**, with
     /// `Stats::default()` as the **identity**, so any work-stealing
     /// schedule over independent simulator shards folds to one identical
     /// aggregate. Counters and drop buckets add; telemetry histograms
@@ -362,69 +235,94 @@ impl Stats {
     /// (worst shard wins); watched-node series merge element-wise keyed
     /// by node and are canonicalized by [`Series::merge`] so shard
     /// arrival order cannot leak into the result.
-    pub fn merge(&mut self, other: &Stats) {
-        // Exhaustive destructuring, no `..`: adding a Stats field without
-        // deciding how it merges is a compile error here, not a silently
-        // dropped counter in every sweep aggregate.
-        let Stats {
-            per_class,
-            drops,
-            series,
-            hist,
-            events,
-            past_events_clamped,
-            route_link_flips,
-            route_full_recomputes,
-            route_trees_recomputed,
-            wheel_slot_occupancy_hwm,
-            wheel_len_hwm,
-            wheel_cascade_moves,
-            cp_msgs,
-            cp_fault_dropped,
-            cp_fault_duplicated,
-            cp_fault_jittered,
-            cp_outage_dropped,
-            cp_partition_dropped,
-            node_crashes,
-            fluid_aggregates,
-            fluid_ticks,
-            fluid_recomputes,
-            fluid_epoch_invalidations,
-            fluid_boundary_conversions,
-        } = other;
-        for (c, o) in self.per_class.iter_mut().zip(per_class.iter()) {
-            c.merge(o);
-        }
-        for (k, agg) in drops {
-            self.drops.entry(*k).or_default().merge(agg);
-        }
-        match (&mut self.series, series) {
-            (_, None) => {}
-            (None, Some(o)) => self.series = Some(o.clone()),
-            (Some(s), Some(o)) => s.merge(o),
-        }
-        self.hist.merge(hist);
-        self.events += *events;
-        self.past_events_clamped += *past_events_clamped;
-        self.route_link_flips += *route_link_flips;
-        self.route_full_recomputes += *route_full_recomputes;
-        self.route_trees_recomputed += *route_trees_recomputed;
-        self.wheel_slot_occupancy_hwm =
-            self.wheel_slot_occupancy_hwm.max(*wheel_slot_occupancy_hwm);
-        self.wheel_len_hwm = self.wheel_len_hwm.max(*wheel_len_hwm);
-        self.wheel_cascade_moves += *wheel_cascade_moves;
-        self.cp_msgs += *cp_msgs;
-        self.cp_fault_dropped += *cp_fault_dropped;
-        self.cp_fault_duplicated += *cp_fault_duplicated;
-        self.cp_fault_jittered += *cp_fault_jittered;
-        self.cp_outage_dropped += *cp_outage_dropped;
-        self.cp_partition_dropped += *cp_partition_dropped;
-        self.node_crashes += *node_crashes;
-        self.fluid_aggregates += *fluid_aggregates;
-        self.fluid_ticks += *fluid_ticks;
-        self.fluid_recomputes += *fluid_recomputes;
-        self.fluid_epoch_invalidations += *fluid_epoch_invalidations;
-        self.fluid_boundary_conversions += *fluid_boundary_conversions;
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct Stats {
+        /// Per-class counters, indexed by [`class_index`].
+        pub per_class: [ClassCounters; N_CLASSES] = merge_per_class,
+        /// Drop breakdown.
+        pub drops: HashMap<(TrafficClass, DropReason), DropAgg> = merge_drops,
+        /// Optional watched-node delivery series.
+        pub series: Option<Series> = merge_series,
+        /// Always-on engine telemetry: queue delay, end-to-end latency and
+        /// hop count log2 histograms (DESIGN.md §6.4). Print-only in
+        /// reports — never serialized into golden experiment JSON.
+        pub hist: TelemetryHistograms = TelemetryHistograms::merge,
+    }
+    counters "" {
+        events: Sum "Simulator events processed",
+        /// A nonzero count flags a scheduling bug that, before the clamp,
+        /// would have silently rewound the simulated clock in release
+        /// builds.
+        past_events_clamped: Sum "Events scheduled in the past and clamped (always 0 when healthy)",
+        /// Counts `Simulator::set_link_up` calls that changed a link's
+        /// state.
+        route_link_flips: Sum "Link state flips applied by failure injection",
+        /// A flip falls back when its damage covers more than half the
+        /// destinations.
+        route_full_recomputes: Sum "Flips that fell back to a whole-table route recompute",
+        /// `n` per full recompute, only the damaged few per incremental
+        /// splice; the ratio to `route_link_flips * n` measures how
+        /// localized the churn was.
+        route_trees_recomputed: Sum "Destination trees re-derived across all flips",
+        /// A runaway slot means pathological same-window event clustering.
+        wheel_slot_occupancy_hwm: Max "Timing wheel: deepest any single slot got",
+        wheel_len_hwm: Max "Timing wheel: most events pending at once",
+        /// See [`Stats::wheel_cascades_per_event`].
+        wheel_cascade_moves: Sum "Timing wheel: entries refiled by cascades",
+        /// All three paths — scenario injection, agent outboxes, app
+        /// outboxes: the fault plane's denominator.
+        cp_msgs: Sum "Control messages pushed through the funnel",
+        cp_fault_dropped: Sum "Control messages dropped by the fault plane's loss hash",
+        cp_fault_duplicated: Sum "Control messages delivered twice by the fault plane",
+        cp_fault_jittered: Sum "Control messages whose delivery was delay-jittered",
+        /// The sender's or the receiver's control channel was down.
+        cp_outage_dropped: Sum "Control messages swallowed by an outage window",
+        /// Both endpoints up, but the directed cut between their sets was
+        /// open at push time.
+        cp_partition_dropped: Sum "Control messages swallowed by a partition window",
+        node_crashes: Sum "Node crashes executed (fault-plane windows plus ad-hoc)",
+        /// One per background demand routed through `crate::fluid`.
+        fluid_aggregates: Sum "Fluid aggregates installed over the run",
+        /// One per tick with live aggregates.
+        fluid_ticks: Sum "Fluid admission rounds executed",
+        /// Initial resolution plus every re-resolution after a route-epoch
+        /// change.
+        fluid_recomputes: Sum "Aggregate path recomputations",
+        /// Each may trigger many [`Stats::fluid_recomputes`].
+        fluid_epoch_invalidations: Sum "Route/filter epoch changes invalidating cached aggregate state",
+        /// An endpoint sits in the packetized set (attack sources,
+        /// filtering devices, the victim) — the fluid/packet boundary shim.
+        fluid_boundary_conversions: Sum "Demands materialized as discrete emitters at the fluid boundary",
+    }
+}
+
+fn merge_per_class(a: &mut [ClassCounters; N_CLASSES], b: &[ClassCounters; N_CLASSES]) {
+    for (c, o) in a.iter_mut().zip(b) {
+        c.merge(o);
+    }
+}
+
+fn merge_drops(
+    a: &mut HashMap<(TrafficClass, DropReason), DropAgg>,
+    b: &HashMap<(TrafficClass, DropReason), DropAgg>,
+) {
+    for (k, agg) in b {
+        a.entry(*k).or_default().merge(agg);
+    }
+}
+
+fn merge_series(a: &mut Option<Series>, b: &Option<Series>) {
+    match (a.as_mut(), b) {
+        (_, None) => {}
+        (None, Some(o)) => *a = Some(o.clone()),
+        (Some(s), Some(o)) => s.merge(o),
+    }
+}
+
+impl Stats {
+    /// Fresh statistics.
+    pub fn new() -> Stats {
+        Stats::default()
     }
 
     /// Enable a delivery time series at `watch` with the given bucket
@@ -548,9 +446,7 @@ impl Stats {
         let mut out = DropAgg::default();
         for ((_, r), agg) in &self.drops {
             if *r == reason {
-                out.pkts += agg.pkts;
-                out.bytes += agg.bytes;
-                out.hops_sum += agg.hops_sum;
+                out.merge(agg);
             }
         }
         out
@@ -587,6 +483,7 @@ impl Stats {
 mod tests {
     use super::*;
     use crate::addr::Addr;
+    use crate::metrics::{Counter, MergeRule};
     use crate::packet::{PacketBuilder, Proto};
 
     fn mk(class: TrafficClass, size: u32, hops: u8) -> Packet {
@@ -715,47 +612,55 @@ mod tests {
         assert!(s.check_conservation().is_err());
     }
 
+    /// Give every counter declared in `table` a distinct value on both
+    /// sides (the larger one alternating) and check each comes out of
+    /// `merge` as its declared rule says.
+    fn check_merge_table<S: Default>(table: &[Counter<S>], merge: fn(&mut S, &S)) {
+        let sides = |i: usize| {
+            let i = i as u64;
+            (100 + 7 * i, 90 + 11 * i)
+        };
+        let (mut a, mut b) = (S::default(), S::default());
+        for (i, c) in table.iter().enumerate() {
+            (*(c.get_mut)(&mut a), *(c.get_mut)(&mut b)) = sides(i);
+        }
+        merge(&mut a, &b);
+        assert!(!table.is_empty());
+        for (i, c) in table.iter().enumerate() {
+            let (x, y) = sides(i);
+            let want = match c.rule {
+                MergeRule::Sum => x + y,
+                MergeRule::Max => x.max(y),
+            };
+            assert_eq!((c.get)(&a), want, "{} merges as {:?}", c.name, c.rule);
+            assert_eq!((c.get)(&b), y, "{} is only read on the right", c.name);
+        }
+    }
+
     #[test]
-    fn merge_folds_counters_histograms_and_hwms() {
+    fn every_declared_counter_merges_by_its_rule() {
+        check_merge_table(Stats::COUNTERS, Stats::merge);
+        check_merge_table(ClassCounters::COUNTERS, ClassCounters::merge);
+        check_merge_table(DropAgg::COUNTERS, DropAgg::merge);
+        let max: Vec<&str> = Stats::COUNTERS
+            .iter()
+            .filter(|c| c.rule == MergeRule::Max)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(max, ["wheel_slot_occupancy_hwm", "wheel_len_hwm"]);
+    }
+
+    #[test]
+    fn merge_folds_classes_drop_buckets_and_histograms() {
         let mut a = Stats::new();
         let pa = mk(TrafficClass::LegitRequest, 100, 3);
         a.record_sent(&pa);
         a.record_delivered(SimTime::from_millis(1), NodeId(1), &pa);
-        a.events = 10;
-        a.wheel_slot_occupancy_hwm = 4;
-        a.wheel_len_hwm = 100;
-        a.wheel_cascade_moves = 2;
-
-        a.cp_msgs = 20;
-        a.cp_fault_dropped = 4;
-        a.cp_fault_jittered = 1;
-        a.route_link_flips = 6;
-        a.route_full_recomputes = 2;
-        a.route_trees_recomputed = 40;
-        a.fluid_aggregates = 3;
-        a.fluid_ticks = 100;
-        a.fluid_recomputes = 5;
 
         let mut b = Stats::new();
         let pb = mk(TrafficClass::AttackDirect, 64, 2);
         b.record_sent(&pb);
         b.record_dropped(&pb, DropReason::SpoofFilter);
-        b.events = 5;
-        b.wheel_slot_occupancy_hwm = 9;
-        b.wheel_len_hwm = 50;
-        b.wheel_cascade_moves = 3;
-        b.node_crashes = 1;
-        b.cp_msgs = 7;
-        b.cp_fault_dropped = 2;
-        b.cp_fault_duplicated = 3;
-        b.cp_outage_dropped = 5;
-        b.cp_partition_dropped = 4;
-        b.past_events_clamped = 0;
-        b.route_link_flips = 1;
-        b.fluid_aggregates = 2;
-        b.fluid_recomputes = 1;
-        b.fluid_epoch_invalidations = 4;
-        b.fluid_boundary_conversions = 6;
 
         a.merge(&b);
         assert_eq!(a.class(TrafficClass::LegitRequest).delivered_pkts, 1);
@@ -769,28 +674,6 @@ mod tests {
                 hops_sum: 2
             })
         );
-        assert_eq!(a.events, 15);
-        assert_eq!(a.wheel_slot_occupancy_hwm, 9, "HWMs take the max");
-        assert_eq!(a.wheel_len_hwm, 100, "HWMs take the max");
-        assert_eq!(a.wheel_cascade_moves, 5);
-        assert_eq!(a.node_crashes, 1);
-        // Control-plane fault counters (PR 5) all add.
-        assert_eq!(a.cp_msgs, 27);
-        assert_eq!(a.cp_fault_dropped, 6);
-        assert_eq!(a.cp_fault_duplicated, 3);
-        assert_eq!(a.cp_fault_jittered, 1);
-        assert_eq!(a.cp_outage_dropped, 5);
-        assert_eq!(a.cp_partition_dropped, 4);
-        // Route-churn counters add.
-        assert_eq!(a.route_link_flips, 7);
-        assert_eq!(a.route_full_recomputes, 2);
-        assert_eq!(a.route_trees_recomputed, 40);
-        // Fluid-layer counters (PR 8) all add.
-        assert_eq!(a.fluid_aggregates, 5);
-        assert_eq!(a.fluid_ticks, 100);
-        assert_eq!(a.fluid_recomputes, 6);
-        assert_eq!(a.fluid_epoch_invalidations, 4);
-        assert_eq!(a.fluid_boundary_conversions, 6);
         // Telemetry histograms (PR 4) fold bucket-wise: a delivered one
         // packet with 3 hops, b recorded none.
         assert_eq!(a.hist.e2e_latency_ns.count(), 1);

@@ -4,37 +4,18 @@
 //! The simulator emits a [`TraceEvent`] at each step of a packet's life —
 //! emission, per-hop link admission or tail drop (with the instantaneous
 //! virtual-queue backlog), module verdicts from agents (ingress filters,
-//! adaptive devices), and final delivery. Events flow into a [`TraceSink`];
-//! the stock sink is a bounded ring buffer ([`FlightRecorder`]) exportable
-//! as JSONL.
-//!
-//! Determinism is load-bearing: whether a packet is traced is decided by a
-//! [`Sampler`] hashing the packet id against a seed-derived salt — never by
-//! wall-clock, thread identity or sink back-pressure — so the same topology
-//! + seed + sampling rate reproduces a byte-identical JSONL file on every
-//! platform, and a sampled trace is an exact subset of the full trace.
-//!
-//! The disabled path is one branch: with no sink installed,
-//! [`Tracer::wants`] is a `None` check and no event is ever constructed.
-//! The `trace_overhead` bench in `dtcs-bench` holds this to ≤2% on the
-//! engine hot path.
+//! adaptive devices), and final delivery. Sink, ring recorder, sampler
+//! and JSONL export are the shared spine in [`crate::recorder`]; this
+//! module supplies the packet event, sampled by packet id.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io;
-use std::sync::{Arc, Mutex};
 
 use crate::node::{LinkId, NodeId};
-use crate::packet::{Packet, Proto, TrafficClass};
-use crate::rng::child_seed;
+use crate::packet::{Proto, TrafficClass};
+use crate::recorder::{Recorder, TraceRecord};
 use crate::stats::DropReason;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-
-/// Stream label used to derive the trace sampler's salt from the simulator
-/// seed (see [`crate::rng::child_seed`]); distinct from every workload
-/// stream so enabling tracing perturbs no other randomness.
-pub const TRACE_STREAM_LABEL: u64 = 0x7472_6163_653a_3031; // "trace:01"
 
 /// One step in a traced packet's life.
 ///
@@ -159,17 +140,6 @@ impl TraceEvent {
         }
     }
 
-    /// Packet id this event belongs to.
-    pub fn packet_id(&self) -> u64 {
-        match self {
-            TraceEvent::Emit { pkt, .. }
-            | TraceEvent::LinkAdmit { pkt, .. }
-            | TraceEvent::LinkDrop { pkt, .. }
-            | TraceEvent::ModuleVerdict { pkt, .. }
-            | TraceEvent::Deliver { pkt, .. } => *pkt,
-        }
-    }
-
     /// Timestamp in nanoseconds.
     pub fn time_ns(&self) -> u64 {
         match self {
@@ -190,11 +160,27 @@ impl TraceEvent {
             _ => None,
         }
     }
+}
 
-    /// Serialise as a single JSON object (one JSONL line, no trailing
-    /// newline). Field order is fixed, integers only plus escaped strings,
-    /// so output is byte-deterministic.
-    pub fn write_json(&self, out: &mut String) {
+impl TraceRecord for TraceEvent {
+    const STREAM_LABEL: u64 = 0x7472_6163_653a_3031; // "trace:01"
+
+    /// Sampled per packet: all events of one packet id are in or out
+    /// together.
+    type Key = [u64; 1];
+
+    fn sample_key(&self) -> Option<[u64; 1]> {
+        match self {
+            TraceEvent::Emit { pkt, .. }
+            | TraceEvent::LinkAdmit { pkt, .. }
+            | TraceEvent::LinkDrop { pkt, .. }
+            | TraceEvent::ModuleVerdict { pkt, .. }
+            | TraceEvent::Deliver { pkt, .. } => Some([*pkt]),
+        }
+    }
+
+    /// Integers only plus escaped strings.
+    fn write_json(&self, out: &mut String) {
         match self {
             TraceEvent::Emit {
                 t,
@@ -318,226 +304,9 @@ fn json_escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Receiver of trace events. Implementations must not feed decisions back
-/// into the simulation (observation only) — determinism of the simulated
-/// world never depends on the sink.
-pub trait TraceSink: Send {
-    /// Record one event.
-    fn record(&mut self, ev: TraceEvent);
-}
-
-/// Bounded ring-buffer flight recorder: keeps the most recent `capacity`
-/// events, evicting the oldest (and counting evictions) when full.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    cap: usize,
-    buf: VecDeque<TraceEvent>,
-    recorded: u64,
-    evicted: u64,
-}
-
-impl FlightRecorder {
-    /// Recorder holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        let cap = capacity.max(1);
-        FlightRecorder {
-            cap,
-            // Pre-size moderately; very large caps grow on demand so an
-            // over-provisioned recorder costs nothing up front.
-            buf: VecDeque::with_capacity(cap.min(4096)),
-            recorded: 0,
-            evicted: 0,
-        }
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted to make room (oldest-first policy).
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Held events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Serialise the held events as JSONL (one event per line, oldest
-    /// first, trailing newline).
-    pub fn export_jsonl_string(&self) -> String {
-        let mut out = String::with_capacity(self.buf.len() * 96);
-        for ev in &self.buf {
-            ev.write_json(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Write the held events as JSONL to `w`.
-    pub fn export_jsonl<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(self.export_jsonl_string().as_bytes())
-    }
-}
-
-impl TraceSink for FlightRecorder {
-    fn record(&mut self, ev: TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.evicted += 1;
-        }
-        self.buf.push_back(ev);
-        self.recorded += 1;
-    }
-}
-
-/// Shared-handle sink: scenario code keeps one `Arc` clone to read the
-/// recorder after the run while the simulator owns the other.
-impl TraceSink for Arc<Mutex<FlightRecorder>> {
-    fn record(&mut self, ev: TraceEvent) {
-        self.lock()
-            .expect("flight recorder mutex poisoned")
-            .record(ev);
-    }
-}
-
-/// Deterministic per-packet sampling decision: a packet is traced iff a
-/// SplitMix64 hash of its id against a seed-derived salt falls in the
-/// configured residue class. No state, no wall-clock — the decision for a
-/// given `(seed, rate, packet id)` is a pure function, so sampled traces
-/// are reproducible and are subsets of fuller traces at the same seed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Sampler {
-    one_in: u64,
-    salt: u64,
-}
-
-impl Sampler {
-    /// Trace every packet.
-    pub fn all() -> Sampler {
-        Sampler { one_in: 1, salt: 0 }
-    }
-
-    /// Trace one packet in `n` (n ≥ 1), keyed by `salt`.
-    pub fn one_in(n: u64, salt: u64) -> Sampler {
-        Sampler {
-            one_in: n.max(1),
-            salt,
-        }
-    }
-
-    /// Sampling denominator (1 = every packet).
-    pub fn rate(&self) -> u64 {
-        self.one_in
-    }
-
-    /// Is this packet id in the sample?
-    #[inline]
-    pub fn admits(&self, pkt_id: u64) -> bool {
-        if self.one_in <= 1 {
-            return true;
-        }
-        child_seed(self.salt, pkt_id) % self.one_in == 0
-    }
-}
-
-/// The simulator's trace front-end: owns the optional sink, the sampler,
-/// and a one-slot staging area for module verdict detail strings.
-///
-/// With no sink installed every entry point reduces to a single branch on
-/// `Option::None`; no event is constructed and nothing allocates.
-pub struct Tracer {
-    sink: Option<Box<dyn TraceSink>>,
-    sampler: Sampler,
-    /// Salt reserved at construction (from the simulator seed) so the
-    /// sampler keys off simulation identity, never the enabling call site.
-    salt: u64,
-    detail: Option<String>,
-}
-
-impl Tracer {
-    /// Disabled tracer for a simulation seeded with `seed`.
-    pub(crate) fn disabled(seed: u64) -> Tracer {
-        Tracer {
-            sink: None,
-            sampler: Sampler::all(),
-            salt: child_seed(seed, TRACE_STREAM_LABEL),
-            detail: None,
-        }
-    }
-
-    /// Install `sink`, tracing one packet in `one_in` (1 = every packet).
-    pub(crate) fn enable(&mut self, sink: Box<dyn TraceSink>, one_in: u64) {
-        self.sampler = Sampler::one_in(one_in, self.salt);
-        self.sink = Some(sink);
-    }
-
-    /// Remove and return the sink, disabling tracing.
-    pub(crate) fn disable(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.detail = None;
-        self.sink.take()
-    }
-
-    /// Is tracing enabled at all?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Should events for this packet id be recorded? One branch when
-    /// disabled — this is the hot-path gate.
-    #[inline]
-    pub fn wants(&self, pkt_id: u64) -> bool {
-        match self.sink {
-            None => false,
-            Some(_) => self.sampler.admits(pkt_id),
-        }
-    }
-
-    /// Record an event (caller has already checked [`Tracer::wants`]).
-    #[inline]
-    pub(crate) fn record(&mut self, ev: TraceEvent) {
-        if let Some(sink) = &mut self.sink {
-            sink.record(ev);
-        }
-    }
-
-    /// Stage a detail string for the next module verdict event.
-    pub(crate) fn stage_detail(&mut self, detail: String) {
-        self.detail = Some(detail);
-    }
-
-    /// Take (and clear) any staged verdict detail.
-    #[inline]
-    pub(crate) fn take_detail(&mut self) -> Option<String> {
-        self.detail.take()
-    }
-
-    /// Drop any staged detail (a module staged detail but then forwarded).
-    #[inline]
-    pub(crate) fn clear_detail(&mut self) {
-        if self.detail.is_some() {
-            self.detail = None;
-        }
-    }
-}
+/// The packet flight recorder: the spine's bounded ring over
+/// [`TraceEvent`]s.
+pub type FlightRecorder = Recorder<TraceEvent>;
 
 /// Power-of-two-bucket histogram over `u64` values, allocation-free on
 /// record: bucket `0` holds exact zeros, bucket `i ≥ 1` holds
@@ -826,31 +595,7 @@ impl LinkUtilProbe {
 mod tests {
     use super::*;
     use crate::addr::Addr;
-
-    fn ev(pkt: u64) -> TraceEvent {
-        TraceEvent::Deliver {
-            t: 10,
-            pkt,
-            node: NodeId(1),
-            class: TrafficClass::Background,
-            size: 64,
-            hops: 3,
-            latency: 1000,
-        }
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut r = FlightRecorder::new(3);
-        for i in 0..5 {
-            r.record(ev(i));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.recorded(), 5);
-        assert_eq!(r.evicted(), 2);
-        let ids: Vec<u64> = r.events().map(|e| e.packet_id()).collect();
-        assert_eq!(ids, vec![2, 3, 4], "oldest events evicted first");
-    }
+    use crate::recorder::Sink;
 
     #[test]
     fn jsonl_shape_and_escaping() {
@@ -886,24 +631,6 @@ mod tests {
         assert!(lines[1].contains("\"detail\":\"stage \\\\1\\n\""));
         assert!(lines[1].contains("\"reason\":\"DeviceFilter\""));
         assert!(out.ends_with('\n'));
-    }
-
-    #[test]
-    fn sampler_is_deterministic_and_roughly_fair() {
-        let s = Sampler::one_in(8, 0xABCD);
-        let picks: Vec<bool> = (0..10_000).map(|id| s.admits(id)).collect();
-        let again: Vec<bool> = (0..10_000).map(|id| s.admits(id)).collect();
-        assert_eq!(picks, again);
-        let hits = picks.iter().filter(|&&b| b).count();
-        // 1/8 of 10k = 1250; allow generous slack for hash variance.
-        assert!((900..=1600).contains(&hits), "hits={hits}");
-        assert!(Sampler::all().admits(12345));
-        // Different salts select different subsets.
-        let other = Sampler::one_in(8, 0xEF01);
-        assert_ne!(
-            picks,
-            (0..10_000).map(|id| other.admits(id)).collect::<Vec<_>>()
-        );
     }
 
     #[test]
