@@ -9,9 +9,6 @@
 //! and protocol misuse (forged TCP RSTs tearing down third-party
 //! connections).
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-
 use dtcs_netsim::{
     Addr, App, AppApi, Disposition, Packet, PacketBuilder, Proto, SimDuration, SimTime,
     TrafficClass,
@@ -138,7 +135,7 @@ impl AgentApp {
                 reflectors,
                 proto,
             } => {
-                if let Some(&refl) = reflectors.choose(api.rng) {
+                if let Some(&refl) = api.rng.choose(reflectors) {
                     // Spoofed source: the victim. The reflector's reply
                     // will therefore flood the victim.
                     let b = PacketBuilder::new(*victim, refl, *proto, TrafficClass::AttackDirect)
@@ -149,7 +146,7 @@ impl AgentApp {
                 }
             }
             AgentMode::MisuseRst { connections } => {
-                if let Some(&(client, server)) = connections.choose(api.rng) {
+                if let Some(&(client, server)) = api.rng.choose(connections) {
                     let b = PacketBuilder::new(
                         server, // forged: pretends to be the server
                         client,

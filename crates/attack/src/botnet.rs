@@ -9,10 +9,9 @@
 //! consumed by [`crate::agent::AgentApp`].
 
 use dtcs_netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// SI recruitment parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SiModel {
     /// Susceptible population (maximum botnet size).
     pub susceptible: usize,

@@ -3,9 +3,6 @@
 //! simulator and hand back the ground-truth roster and all measurement
 //! handles.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-
 use dtcs_netsim::rng::{child_seed, seeded};
 use dtcs_netsim::{Addr, NodeId, Proto, SimDuration, SimTime, Simulator};
 
@@ -131,10 +128,10 @@ impl ReflectorAttack {
                 .filter(|&n| n != victim_node)
                 .collect();
         }
-        stubs.shuffle(&mut rng);
+        rng.shuffle(&mut stubs);
         assert!(!stubs.is_empty(), "topology too small for an attack");
 
-        let pick = |rng: &mut rand_chacha::ChaCha8Rng,
+        let pick = |rng: &mut dtcs_netsim::rng::ChaCha8Rng,
                     stubs: &[NodeId],
                     count: usize,
                     host_base: u16|
@@ -307,7 +304,7 @@ impl DirectFlood {
             .into_iter()
             .filter(|&n| n != victim.node())
             .collect();
-        stubs.shuffle(&mut rng);
+        rng.shuffle(&mut stubs);
         assert!(!stubs.is_empty());
         let mut agents = Vec::with_capacity(cfg.n_agents);
         let mut agent_nodes = Vec::with_capacity(cfg.n_agents);
@@ -349,7 +346,7 @@ pub fn plan_client_addrs(sim: &Simulator, exclude: NodeId, n: usize, seed: u64) 
         .into_iter()
         .filter(|&nd| nd != exclude)
         .collect();
-    stubs.shuffle(&mut rng);
+    rng.shuffle(&mut stubs);
     assert!(!stubs.is_empty());
     (0..n)
         .map(|i| {

@@ -239,7 +239,6 @@ impl ClientApp {
 impl App for ClientApp {
     fn on_start(&mut self, api: &mut AppApi<'_>) {
         // Desynchronise clients across the population.
-        use rand::Rng;
         let phase = SimDuration(api.rng.gen_range(0..self.period.as_nanos().max(1)));
         api.set_timer(phase, REQ);
     }

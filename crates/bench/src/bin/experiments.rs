@@ -3,7 +3,7 @@
 //!
 //! Usage:
 //!   experiments [--quick] [--out DIR] [--trace FILE] [--cp-trace FILE]
-//!               [--topology T] [--fluid] [all | e1 e2 ...]
+//!               [--topology T] [--fluid] [--threads N] [all | e1 e2 ...]
 //!   experiments --sweep [--replicate N] [--threads N] [--quick] [--out DIR] [ids]
 //!   experiments --fluid-equivalence [--quick]
 //!   experiments trace-report FILE
@@ -41,14 +41,16 @@
 //! grid into ONE work-stealing pool (every id is sweep-capable; see
 //! `dtcs_bench::sweep`), replicating each cell under `--replicate N`
 //! derived seeds (default 32), and writes `<out>/<id>.sweep.json` with
-//! mean/stddev/95%-CI columns. `--threads N` (else `RAYON_NUM_THREADS`,
-//! else all cores) sets the shard count; report bytes are identical at
-//! any value.
+//! mean/stddev/95%-CI columns.
+//!
+//! `--threads N` (default: all cores) sets the shard count of the one
+//! pool that single runs and sweeps both drain on; report bytes are
+//! identical at any value.
 
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: experiments [--quick] [--out DIR] [--trace FILE | --cp-trace FILE] \
-     [--topology ba400|transit-stub:<n>] [--fluid] [--sweep [--replicate N] [--threads N]] \
+     [--topology ba400|transit-stub:<n>] [--fluid] [--threads N] [--sweep [--replicate N]] \
      [all | e1 e2 ...] | --list | --fluid-equivalence | trace-report FILE";
 
 /// Flags that consume the next argument as their value.
@@ -70,7 +72,7 @@ fn bad_usage(why: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        for (id, title, _) in dtcs_bench::EXPERIMENTS {
+        for (id, title, ..) in dtcs_bench::EXPERIMENTS {
             println!("{id:<5} {title}");
         }
         return;
@@ -117,9 +119,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let threads: usize = match flag_operand("--threads").map(|v| v.parse()) {
-        None => dtcs_bench::sweep::default_threads(),
-        Some(Ok(n)) if n > 0 => n,
+    let threads: Option<usize> = match flag_operand("--threads").map(|v| v.parse()) {
+        None => None,
+        Some(Ok(n)) if n > 0 => Some(n),
         Some(_) => {
             eprintln!("--threads takes a positive integer");
             std::process::exit(2);
@@ -182,29 +184,18 @@ fn main() {
         cp_trace,
         transit_stub,
         fluid,
+        threads,
     };
 
     if sweep {
-        let mut grid: Vec<&dyn dtcs_bench::sweep::GridExperiment> = Vec::new();
-        for id in &ids {
-            match dtcs_bench::sweep_experiment(id) {
-                Some(e) => grid.push(e),
-                None => {
-                    eprintln!("[sweep] {id} has no grid adapter yet; skipping (single-run only)");
-                }
-            }
-        }
-        if grid.is_empty() {
-            eprintln!(
-                "no sweep-capable experiments selected (available: {:?})",
-                dtcs_bench::SWEEP_EXPERIMENTS
-                    .iter()
-                    .map(|e| e.id())
-                    .collect::<Vec<_>>()
-            );
-            std::process::exit(2);
-        }
-        let outcome = dtcs_bench::sweep::run_sweep(&grid, &opts, replicates, threads);
+        let grid: Vec<_> = ids
+            .iter()
+            .map(|id| {
+                let grid = dtcs_bench::sweep_experiment(id).expect("ids were checked above");
+                (id.as_str(), grid)
+            })
+            .collect();
+        let outcome = dtcs_bench::sweep::run_sweep(&grid, &opts, replicates);
         for report in &outcome.reports {
             report.print();
             report.save(&out_dir);

@@ -16,22 +16,50 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use serde_json::Value;
+use dtcs::netsim::json::{self, Json as Value};
 
-fn load(dir: &std::path::Path, id: &str) -> Option<Value> {
-    let path = dir.join(format!("{id}.json"));
-    let text = std::fs::read_to_string(&path).ok()?;
-    serde_json::from_str(&text).ok()
+/// Parse `<dir>/<name>`. A file that is not there is `None` — and a
+/// failure only if `required`: result directories need not hold every
+/// report. A file that is there but cannot be read as JSON is always a
+/// failure: a truncated report must not pass for an absent one and skip
+/// its checks.
+fn load_file(
+    dir: &std::path::Path,
+    name: &str,
+    required: bool,
+    failures: &mut Vec<String>,
+) -> Option<Value> {
+    let text = match std::fs::read_to_string(dir.join(name)) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            if required {
+                failures.push(format!("{name} missing"));
+            }
+            return None;
+        }
+        Err(e) => {
+            failures.push(format!("{name} unreadable: {e}"));
+            return None;
+        }
+    };
+    json::parse(&text)
+        .map_err(|e| failures.push(format!("{name} is not valid JSON: {e}")))
+        .ok()
 }
 
 /// Load `<id>.sweep.json` (the replicated-report schema written by
 /// `experiments --sweep`) when one exists; pre-sweep result directories
 /// simply have none.
-fn load_sweep(dir: &std::path::Path, id: &str) -> Option<Value> {
-    let path = dir.join(format!("{id}.sweep.json"));
-    let text = std::fs::read_to_string(&path).ok()?;
-    let v: Value = serde_json::from_str(&text).ok()?;
-    (v["mode"].as_str() == Some("sweep")).then_some(v)
+fn load_sweep(dir: &std::path::Path, id: &str, failures: &mut Vec<String>) -> Option<Value> {
+    let name = format!("{id}.sweep.json");
+    let v = load_file(dir, &name, false, failures)?;
+    if v["mode"].as_str() != Some("sweep") {
+        failures.push(format!(
+            "{name} is not a sweep report (\"mode\" != \"sweep\")"
+        ));
+        return None;
+    }
+    Some(v)
 }
 
 /// `mean ± ci95 [n]` for one metric of one sweep cell.
@@ -108,7 +136,7 @@ fn main() -> ExitCode {
     println!("== results digest ({}) ==\n", dir.display());
 
     // --- E2 headline -----------------------------------------------------
-    let e2 = load(&dir, "e2");
+    let e2 = load_file(&dir, "e2.json", true, &mut failures);
     if let Some(e2) = &e2 {
         if let Some(rows) = table_raw(e2, "scheme outcomes") {
             for scheme in ["none", "pushback", "sos-overlay", "tcs(30%)"] {
@@ -122,12 +150,10 @@ fn main() -> ExitCode {
                 }
             }
         }
-    } else {
-        failures.push("e2.json missing/unreadable".into());
     }
 
     // --- Consistency: E2 none == E4 none ---------------------------------
-    if let (Some(e2), Some(e4)) = (&e2, load(&dir, "e4")) {
+    if let (Some(e2), Some(e4)) = (&e2, load_file(&dir, "e4.json", false, &mut failures)) {
         let a = table_raw(e2, "scheme outcomes").and_then(|r| find_row(r, "scheme", "none"));
         let b = table_raw(&e4, "victim service").and_then(|r| find_row(r, "scheme", "none"));
         match (a, b) {
@@ -147,7 +173,7 @@ fn main() -> ExitCode {
     }
 
     // --- E8: every verifier case ok ---------------------------------------
-    if let Some(e8) = load(&dir, "e8") {
+    if let Some(e8) = load_file(&dir, "e8.json", true, &mut failures) {
         if let Some(rows) = table_raw(&e8, "adversarial") {
             let bad: Vec<&Value> = rows
                 .iter()
@@ -163,13 +189,12 @@ fn main() -> ExitCode {
                 failures.push(format!("E8 has {} failing verifier cases", bad.len()));
             }
         }
-    } else {
-        failures.push("e8.json missing/unreadable".into());
     }
 
     // --- E5: byte-hops monotone in coverage per placement -----------------
-    if let Some(e5) = load(&dir, "e5") {
-        if let Some(rows) = table_raw(&e5, "coverage sweep") {
+    let e5 = load_file(&dir, "e5.json", true, &mut failures);
+    if let Some(e5) = &e5 {
+        if let Some(rows) = table_raw(e5, "coverage sweep") {
             for placement in ["top-degree", "random"] {
                 let mut series: Vec<(f64, f64)> = rows
                     .iter()
@@ -190,13 +215,12 @@ fn main() -> ExitCode {
                 }
             }
         }
-    } else {
-        failures.push("e5.json missing/unreadable".into());
     }
 
     // --- E3: zero coverage filters nothing --------------------------------
-    if let Some(e3) = load(&dir, "e3") {
-        if let Some(rows) = table_raw(&e3, "power-law") {
+    let e3 = load_file(&dir, "e3.json", true, &mut failures);
+    if let Some(e3) = &e3 {
+        if let Some(rows) = table_raw(e3, "power-law") {
             for r in rows.iter().filter(|r| r["fraction"].as_f64() == Some(0.0)) {
                 let surv = r["survival_ratio"].as_f64().unwrap_or(0.0);
                 // TCS at fraction 0 still includes the victim's own AS.
@@ -209,15 +233,13 @@ fn main() -> ExitCode {
             }
             say("E3  zero-coverage baselines sane (nothing filters without deployment)".into());
         }
-    } else {
-        failures.push("e3.json missing/unreadable".into());
     }
 
     // --- Sweep reports (when present): mean ± CI digest + envelope check --
     // `experiments --sweep` writes `<id>.sweep.json` with per-cell
     // replicate aggregations; replicate 0 reuses the single-run seed, so
     // every single-run value must sit inside the sweep's [min, max].
-    if let Some(sw) = load_sweep(&dir, "e2") {
+    if let Some(sw) = load_sweep(&dir, "e2", &mut failures) {
         say(String::new());
         for scheme in ["none", "tcs(30%)"] {
             let scen = format!("reflector/scheme={scheme}");
@@ -248,11 +270,8 @@ fn main() -> ExitCode {
             say("E2~ sweep envelope: single-run rows inside replicate [min,max]".into());
         }
     }
-    if let Some(sw) = load_sweep(&dir, "e3") {
-        if let Some(rows) = load(&dir, "e3")
-            .as_ref()
-            .and_then(|e| table_raw(e, "power-law"))
-        {
+    if let Some(sw) = load_sweep(&dir, "e3", &mut failures) {
+        if let Some(rows) = e3.as_ref().and_then(|e| table_raw(e, "power-law")) {
             for r in rows {
                 let (Some(strategy), Some(fraction), Some(surv)) = (
                     r["strategy"].as_str(),
@@ -278,11 +297,8 @@ fn main() -> ExitCode {
             ));
         }
     }
-    if let Some(sw) = load_sweep(&dir, "e5") {
-        if let Some(rows) = load(&dir, "e5")
-            .as_ref()
-            .and_then(|e| table_raw(e, "coverage sweep"))
-        {
+    if let Some(sw) = load_sweep(&dir, "e5", &mut failures) {
+        if let Some(rows) = e5.as_ref().and_then(|e| table_raw(e, "coverage sweep")) {
             for r in rows {
                 let (Some(placement), Some(fraction), Some(hops)) = (
                     r["placement"].as_str(),
@@ -308,7 +324,7 @@ fn main() -> ExitCode {
             ));
         }
     }
-    if let Some(sw) = load_sweep(&dir, "e9") {
+    if let Some(sw) = load_sweep(&dir, "e9", &mut failures) {
         if let Some(c) = sweep_cell(&sw, "skinny-uplink/src-keyed") {
             say(format!(
                 "E9~ src-keyed misattribution: limits_on_reflectors={}",
@@ -316,7 +332,7 @@ fn main() -> ExitCode {
             ));
         }
     }
-    if let Some(sw) = load_sweep(&dir, "e13") {
+    if let Some(sw) = load_sweep(&dir, "e13", &mut failures) {
         if let Some(cells) = sw["cells"].as_array() {
             for c in cells {
                 let scen = c["scenario"].as_str().unwrap_or("?");

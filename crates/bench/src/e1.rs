@@ -6,25 +6,24 @@
 //! untraceability shift (the victim's inbound traffic carries genuine
 //! reflector sources, zero agent sources).
 
-use rayon::prelude::*;
-use serde::Serialize;
-
 use dtcs::attack::{ReflectorAttack, ReflectorAttackConfig};
 use dtcs::netsim::{Proto, SimTime, Simulator, Topology, TrafficClass};
 
+use crate::sweep::{cells_of, metrics_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
-#[derive(Serialize, Clone)]
-struct Row {
-    proto: String,
-    agents: usize,
-    reflectors: usize,
-    control_pkts: u64,
-    attack_pkts: u64,
-    rate_amp: f64,
-    byte_amp: f64,
-    victim_inbound_pps: f64,
-    victim_srcs_are_reflectors: bool,
+dtcs::netsim::json_record! {
+    struct Row {
+        proto: String,
+        agents: usize,
+        reflectors: usize,
+        control_pkts: u64,
+        attack_pkts: u64,
+        rate_amp: f64,
+        byte_amp: f64,
+        victim_inbound_pps: f64,
+        victim_srcs_are_reflectors: bool,
+    }
 }
 
 /// Base seed shared by the single-run tables and the sweep cells.
@@ -33,25 +32,33 @@ struct Row {
 /// byte-identical to the pre-sweep tables.
 const SEED: u64 = 101;
 
-/// Agent-population axis shared by `run()` and the sweep adapter.
-fn agent_counts(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![10, 40, 80]
-    } else {
-        vec![10, 25, 50, 100, 200, 400]
-    }
-}
-
 /// Reflector protocols compared at fixed population.
 const PROTOS: [Proto; 3] = [Proto::TcpSyn, Proto::DnsQuery, Proto::IcmpEcho];
 
-fn one(
-    proto: Proto,
-    agents: usize,
-    reflectors: usize,
-    quick: bool,
-    seed: u64,
-) -> (Row, dtcs::netsim::Stats) {
+/// One grid point: `(protocol, agent count, quick)`, always against 120
+/// reflectors.
+type Params = (Proto, usize, bool);
+
+/// The grid: one case per reflector protocol (60 agents), then one per
+/// agent count (TcpSyn) — the two tables, in order.
+fn cases(quick: bool) -> Vec<Case<Params>> {
+    let agent_counts: &[usize] = if quick {
+        &[10, 40, 80]
+    } else {
+        &[10, 25, 50, 100, 200, 400]
+    };
+    let by_proto = PROTOS.iter().map(|&p| (format!("proto={p:?}"), p, 60));
+    let by_agents = agent_counts
+        .iter()
+        .map(|&a| (format!("agents={a}"), Proto::TcpSyn, a));
+    by_proto
+        .chain(by_agents)
+        .map(|(scenario, proto, agents)| Case::new(scenario, SEED, (proto, agents, quick)))
+        .collect()
+}
+
+fn one(&(proto, agents, quick): &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+    let reflectors = 120;
     let n = if quick { 120 } else { 300 };
     let topo = Topology::barabasi_albert(n, 2, 0.1, seed);
     let mut sim = Simulator::new(topo, seed);
@@ -91,52 +98,25 @@ fn one(
     (row, sim.stats)
 }
 
-/// Sweep-grid adapter: one cell per reflector protocol (at the fixed
-/// 60-agent / 120-reflector population) plus one cell per agent count
-/// (TcpSyn, 120 reflectors), mirroring the two single-run tables.
+fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+    let fields = [
+        "control_pkts",
+        "attack_pkts",
+        "rate_amp",
+        "byte_amp",
+        "victim_inbound_pps",
+        "victim_srcs_are_reflectors",
+    ];
+    metrics_of(row, &fields)
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e1"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let quick = opts.quick;
-        let mut cells = Vec::new();
-        for &p in &PROTOS {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e1",
-                scenario: format!("proto={p:?}"),
-                base_seed: SEED,
-                run: Box::new(move |seed| cell(p, 60, quick, seed)),
-            });
-        }
-        for a in agent_counts(quick) {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e1",
-                scenario: format!("agents={a}"),
-                base_seed: SEED,
-                run: Box::new(move |seed| cell(Proto::TcpSyn, a, quick, seed)),
-            });
-        }
-        cells
+        cells_of("e1", cases(opts.quick), one, metrics)
     }
-}
-
-fn cell(proto: Proto, agents: usize, quick: bool, seed: u64) -> crate::sweep::CellRun {
-    let (row, stats) = one(proto, agents, 120, quick, seed);
-    let mut metrics = std::collections::BTreeMap::new();
-    metrics.insert("control_pkts".to_string(), row.control_pkts as f64);
-    metrics.insert("attack_pkts".to_string(), row.attack_pkts as f64);
-    metrics.insert("rate_amp".to_string(), row.rate_amp);
-    metrics.insert("byte_amp".to_string(), row.byte_amp);
-    metrics.insert("victim_inbound_pps".to_string(), row.victim_inbound_pps);
-    metrics.insert(
-        "victim_srcs_are_reflectors".to_string(),
-        row.victim_srcs_are_reflectors as u64 as f64,
-    );
-    crate::sweep::CellRun { metrics, stats }
 }
 
 /// Run E1.
@@ -148,13 +128,12 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         "Fig. 1 / Sec. 2.2",
     );
 
-    // Sweep 1: protocol (byte amplification differs per reflector type).
-    let (rows, mut run_stats): (Vec<Row>, Vec<_>) = PROTOS
-        .par_iter()
-        .map(|&p| one(p, 60, 120, quick, SEED))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .unzip();
+    let outs = run_cases("e1", &cases(quick), opts.pool_threads(), one);
+    report.health(crate::util::wheel_health(outs.iter().map(|o| &o.1)));
+    report.health(crate::util::hist_health(outs.iter().map(|o| &o.1)));
+    let (by_proto, by_agents) = outs.split_at(PROTOS.len());
+
+    // Table 1: protocol (byte amplification differs per reflector type).
     let mut t = Table::new(
         "amplification by reflector protocol (60 agents, 120 reflectors)",
         &[
@@ -166,7 +145,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "victim_pps",
         ],
     );
-    for r in &rows {
+    for (r, _) in by_proto {
         t.push(
             vec![
                 r.proto.clone(),
@@ -181,24 +160,12 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     }
     report.table(t);
 
-    // Sweep 2: agent population (rate amplification scales with agents).
-    let (rows, stats2): (Vec<Row>, Vec<_>) = agent_counts(quick)
-        .par_iter()
-        .map(|&a| one(Proto::TcpSyn, a, 120, quick, SEED))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .unzip();
-    run_stats.extend(stats2);
-    for s in &run_stats {
-        crate::util::enforce_run_invariants("e1", s);
-    }
-    report.health(crate::util::wheel_health(run_stats.iter()));
-    report.health(crate::util::hist_health(run_stats.iter()));
+    // Table 2: agent population (rate amplification scales with agents).
     let mut t = Table::new(
         "scaling with agent population (TcpSyn, 120 reflectors)",
         &["agents", "attack_pkts", "rate_amp", "victim_pps"],
     );
-    for r in &rows {
+    for (r, _) in by_agents {
         t.push(
             vec![
                 r.agents.to_string(),

@@ -6,9 +6,6 @@
 //! (b) Automated reaction: time from attack onset to a device trigger
 //! firing (and auto-activating a dormant limiter) vs trigger threshold.
 
-use rayon::prelude::*;
-use serde::Serialize;
-
 use dtcs::control::CatalogService;
 use dtcs::device::view::digest_packet;
 use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceEvent, OwnerId};
@@ -18,20 +15,20 @@ use dtcs::netsim::{
     Addr, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator, Topology,
     TrafficClass,
 };
-use rand::seq::SliceRandom;
-use rand::Rng;
 
+use crate::sweep::{cells_of, metrics_of, run_cases, Case};
 use crate::util::{f, fopt, Report, Table};
 
-#[derive(Serialize, Clone)]
-struct TraceRow {
-    coverage: f64,
-    windows_retained: usize,
-    queries: usize,
-    exact_hits: usize,
-    truncated: usize,
-    misses: usize,
-    accuracy: f64,
+dtcs::netsim::json_record! {
+    struct TraceRow {
+        coverage: f64,
+        windows_retained: usize,
+        queries: usize,
+        exact_hits: usize,
+        truncated: usize,
+        misses: usize,
+        accuracy: f64,
+    }
 }
 
 /// Base seed for the traceback half (historically the literal `66` used
@@ -42,13 +39,32 @@ const TRACE_SEED: u64 = 66;
 /// Base seed for the anomaly-trigger half (historically the literal `9`).
 const TRIGGER_SEED: u64 = 9;
 
-/// Traceback (coverage, retained windows) grid shared by `run()` and the
-/// sweep adapter.
-fn trace_cases(quick: bool) -> Vec<(f64, usize)> {
-    if quick {
-        vec![(1.0, 30), (0.5, 30), (1.0, 4)]
+/// Trigger thresholds (pps) against the fixed 5000 pps flood.
+const TRIGGER_THRESHOLDS: [f64; 3] = [100.0, 500.0, 2000.0];
+
+/// One grid point of the two halves.
+#[derive(Clone, Copy)]
+enum Params {
+    /// Traceback at `(coverage, retained windows, quick)`.
+    Trace(f64, usize, bool),
+    /// Anomaly trigger at this threshold (pps).
+    Trigger(f64),
+}
+
+enum Row {
+    Trace(TraceRow),
+    Trigger(TriggerRow),
+}
+
+/// The grid: the traceback (coverage, retention) points (base seed 66),
+/// then the trigger thresholds (base seed 9 — per-case base seeds let
+/// each half keep its historical literal). Returns the traceback case
+/// count too.
+fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
+    let trace_points: &[(f64, usize)] = if quick {
+        &[(1.0, 30), (0.5, 30), (1.0, 4)]
     } else {
-        vec![
+        &[
             (1.0, 30),
             (0.75, 30),
             (0.5, 30),
@@ -56,11 +72,30 @@ fn trace_cases(quick: bool) -> Vec<(f64, usize)> {
             (1.0, 8),
             (1.0, 4),
         ]
-    }
+    };
+    let trace = trace_points.iter().map(|&(coverage, windows)| {
+        let label = format!("traceback/coverage={coverage:.2}/windows={windows}");
+        Case::new(label, TRACE_SEED, Params::Trace(coverage, windows, quick))
+    });
+    let trigger = TRIGGER_THRESHOLDS.iter().map(|&threshold| {
+        let label = format!("trigger/threshold={threshold}");
+        Case::new(label, TRIGGER_SEED, Params::Trigger(threshold))
+    });
+    (trace.chain(trigger).collect(), trace_points.len())
 }
 
-/// Trigger thresholds (pps) against the fixed 5000 pps flood.
-const TRIGGER_THRESHOLDS: [f64; 3] = [100.0, 500.0, 2000.0];
+fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+    match *params {
+        Params::Trace(coverage, windows, quick) => {
+            let (row, stats) = trace_case(coverage, windows, quick, seed);
+            (Row::Trace(row), stats)
+        }
+        Params::Trigger(threshold) => {
+            let (row, stats) = trigger_case(threshold, 5000.0, seed);
+            (Row::Trigger(row), stats)
+        }
+    }
+}
 
 fn trace_case(
     coverage: f64,
@@ -92,7 +127,7 @@ fn trace_case(
     let n_probes = if quick { 60 } else { 150 };
     let mut probes = Vec::new();
     for k in 0..n_probes as u64 {
-        let from = *stubs[1..].choose(&mut rng).expect("stubs");
+        let from = *rng.choose(&stubs[1..]).expect("stubs");
         let spoof = Addr(rng.gen());
         let b = PacketBuilder::new(spoof, victim, Proto::Udp, TrafficClass::AttackDirect)
             .size(100)
@@ -102,7 +137,6 @@ fn trace_case(
         sim.schedule(at, move |s| s.emit_now(from, b));
     }
     sim.run_until(SimTime::from_secs(10));
-    crate::util::enforce_run_invariants("e10/traceback", &sim.stats);
 
     let mut exact = 0;
     let mut truncated = 0;
@@ -136,12 +170,13 @@ fn trace_case(
     (row, sim.stats)
 }
 
-#[derive(Serialize, Clone)]
-struct TriggerRow {
-    threshold_pps: f64,
-    attack_rate_pps: f64,
-    reaction_ms: Option<f64>,
-    limiter_drops: u64,
+dtcs::netsim::json_record! {
+    struct TriggerRow {
+        threshold_pps: f64,
+        attack_rate_pps: f64,
+        reaction_ms: Option<f64>,
+        limiter_drops: u64,
+    }
 }
 
 fn trigger_case(
@@ -194,7 +229,6 @@ fn trigger_case(
         ),
     );
     sim.run_until(SimTime::from_secs(12));
-    crate::util::enforce_run_invariants("e10/trigger", &sim.stats);
     let fired_at = rx.try_iter().find_map(|ev| match ev {
         DeviceEvent::TriggerFired { at, .. } => Some(at),
         _ => None,
@@ -212,69 +246,36 @@ fn trigger_case(
     (row, sim.stats)
 }
 
-/// Sweep-grid adapter: the traceback grid (base seed 66) plus the
-/// anomaly-trigger thresholds (base seed 9 — per-cell base seeds let each
-/// half keep its historical literal at replicate 0).
+fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+    match row {
+        Row::Trace(r) => {
+            let fields = ["queries", "exact_hits", "truncated", "misses", "accuracy"];
+            metrics_of(r, &fields)
+        }
+        Row::Trigger(r) => metrics_of(r, &["reaction_ms", "limiter_drops"]),
+    }
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e10"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let quick = opts.quick;
-        let mut cells = Vec::new();
-        for (coverage, windows) in trace_cases(quick) {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e10",
-                scenario: format!("traceback/coverage={coverage:.2}/windows={windows}"),
-                base_seed: TRACE_SEED,
-                run: Box::new(move |seed| {
-                    let (row, stats) = trace_case(coverage, windows, quick, seed);
-                    let mut metrics = std::collections::BTreeMap::new();
-                    metrics.insert("queries".to_string(), row.queries as f64);
-                    metrics.insert("exact_hits".to_string(), row.exact_hits as f64);
-                    metrics.insert("truncated".to_string(), row.truncated as f64);
-                    metrics.insert("misses".to_string(), row.misses as f64);
-                    metrics.insert("accuracy".to_string(), row.accuracy);
-                    crate::sweep::CellRun { metrics, stats }
-                }),
-            });
-        }
-        for threshold in TRIGGER_THRESHOLDS {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e10",
-                scenario: format!("trigger/threshold={threshold}"),
-                base_seed: TRIGGER_SEED,
-                run: Box::new(move |seed| {
-                    let (row, stats) = trigger_case(threshold, 5000.0, seed);
-                    let mut metrics = std::collections::BTreeMap::new();
-                    if let Some(ms) = row.reaction_ms {
-                        metrics.insert("reaction_ms".to_string(), ms);
-                    }
-                    metrics.insert("limiter_drops".to_string(), row.limiter_drops as f64);
-                    crate::sweep::CellRun { metrics, stats }
-                }),
-            });
-        }
-        cells
+        cells_of("e10", cases(opts.quick).0, one, metrics)
     }
 }
 
 /// Run E10.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new(
         "e10",
         "TCS applications: traceback accuracy, anomaly-reaction latency",
         "Sec. 4.4",
     );
+    let (cases, n_trace) = cases(opts.quick);
+    let outs = run_cases("e10", &cases, opts.pool_threads(), one);
+    let (trace, trigger) = outs.split_at(n_trace);
 
-    let rows: Vec<TraceRow> = trace_cases(quick)
-        .par_iter()
-        .map(|&(c, w)| trace_case(c, w, quick, TRACE_SEED).0)
-        .collect();
     let mut t = Table::new(
         "digest-backlog traceback of spoofed packets",
         &[
@@ -287,7 +288,10 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "accuracy",
         ],
     );
-    for r in &rows {
+    for (row, _) in trace {
+        let Row::Trace(r) = row else {
+            unreachable!("traceback cases come first")
+        };
         t.push(
             vec![
                 format!("{:.2}", r.coverage),
@@ -303,10 +307,6 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     }
     report.table(t);
 
-    let rows: Vec<TriggerRow> = TRIGGER_THRESHOLDS
-        .par_iter()
-        .map(|&th| trigger_case(th, 5000.0, TRIGGER_SEED).0)
-        .collect();
     let mut t = Table::new(
         "anomaly-reaction latency (5000 pps flood, 200 ms windows)",
         &[
@@ -316,7 +316,10 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "limiter_drops",
         ],
     );
-    for r in &rows {
+    for (row, _) in trigger {
+        let Row::Trigger(r) = row else {
+            unreachable!("trigger cases come last")
+        };
         t.push(
             vec![
                 f(r.threshold_pps),

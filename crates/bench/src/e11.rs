@@ -8,29 +8,29 @@
 //! ramping attack overwhelms the victim vs how quickly a TCS anomaly
 //! trigger could have reacted.
 
-use rayon::prelude::*;
-use serde::Serialize;
-
 use dtcs::attack::{ReflectorAttack, ReflectorAttackConfig, SiModel};
 use dtcs::netsim::{SimDuration, SimTime, Simulator, Topology};
 
+use crate::sweep::{cells_of, metrics_of, run_cases, Case};
 use crate::util::{f, fopt, Report, Table};
 
-#[derive(Serialize, Clone)]
-struct GrowthRow {
-    beta: f64,
-    susceptible: usize,
-    t10_s: f64,
-    t50_s: f64,
-    t90_s: f64,
+dtcs::netsim::json_record! {
+    struct GrowthRow {
+        beta: f64,
+        susceptible: usize,
+        t10_s: f64,
+        t50_s: f64,
+        t90_s: f64,
+    }
 }
 
-#[derive(Serialize, Clone)]
-struct RampRow {
-    beta: f64,
-    agents: usize,
-    time_to_overload_s: Option<f64>,
-    victim_overloaded: u64,
+dtcs::netsim::json_record! {
+    struct RampRow {
+        beta: f64,
+        agents: usize,
+        time_to_overload_s: Option<f64>,
+        victim_overloaded: u64,
+    }
 }
 
 /// Initially infected hosts in the SI model (the literal `2` in both
@@ -45,12 +45,50 @@ const RAMP_SEED: u64 = 44;
 /// Infection rates for the pure growth curves.
 const GROWTH_BETAS: [f64; 4] = [0.2, 0.5, 1.0, 2.0];
 
-/// Infection rates for the ramping-attack half.
-fn ramp_betas(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.3, 1.0]
+/// One grid point of the two halves.
+#[derive(Clone, Copy)]
+enum Params {
+    /// Pure SI growth curve at this β.
+    Growth(f64),
+    /// Ramping attack at `(β, quick)`.
+    Ramp(f64, bool),
+}
+
+enum Row {
+    Growth(GrowthRow),
+    Ramp(RampRow),
+}
+
+/// The grid: growth curves (deterministic — the SI model has no RNG, so
+/// every replicate reproduces the same curve, like e6's rule counting),
+/// then the ramping attacks, which replicate over the whole simulation.
+fn cases(quick: bool) -> Vec<Case<Params>> {
+    let ramp_betas: &[f64] = if quick {
+        &[0.3, 1.0]
     } else {
-        vec![0.2, 0.4, 0.8, 1.6]
+        &[0.2, 0.4, 0.8, 1.6]
+    };
+    let growth = GROWTH_BETAS.iter().map(|&beta| {
+        Case::new(
+            format!("growth/beta={beta}"),
+            RAMP_SEED,
+            Params::Growth(beta),
+        )
+    });
+    let ramp = ramp_betas.iter().map(|&beta| {
+        let params = Params::Ramp(beta, quick);
+        Case::new(format!("ramp/beta={beta}"), RAMP_SEED, params)
+    });
+    growth.chain(ramp).collect()
+}
+
+fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+    match *params {
+        Params::Growth(beta) => (Row::Growth(growth_case(beta)), Default::default()),
+        Params::Ramp(beta, quick) => {
+            let (row, stats) = ramp_case(beta, quick, seed);
+            (Row::Ramp(row), stats)
+        }
     }
 }
 
@@ -105,7 +143,6 @@ fn ramp_case(beta: f64, quick: bool, seed: u64) -> (RampRow, dtcs::netsim::Stats
         },
     );
     sim.run_until(SimTime::from_secs(dur));
-    crate::util::enforce_run_invariants("e11", &sim.stats);
     let v = attack.victim_stats.lock();
     let row = RampRow {
         beta,
@@ -117,94 +154,52 @@ fn ramp_case(beta: f64, quick: bool, seed: u64) -> (RampRow, dtcs::netsim::Stats
     (row, sim.stats)
 }
 
-/// Sweep-grid adapter: growth cells are deterministic (the SI model has
-/// no RNG — every replicate reproduces the same curve, like e6's rule
-/// counting); ramp cells replicate over the whole simulation (base 44).
+fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+    match row {
+        Row::Growth(r) => metrics_of(r, &["t10_s", "t50_s", "t90_s"]),
+        Row::Ramp(r) => {
+            let fields = ["agents", "time_to_overload_s", "victim_overloaded"];
+            metrics_of(r, &fields)
+        }
+    }
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e11"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let quick = opts.quick;
-        let mut cells = Vec::new();
-        for beta in GROWTH_BETAS {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e11",
-                scenario: format!("growth/beta={beta}"),
-                base_seed: RAMP_SEED,
-                run: Box::new(move |_seed| {
-                    let row = growth_case(beta);
-                    let mut metrics = std::collections::BTreeMap::new();
-                    metrics.insert("t10_s".to_string(), row.t10_s);
-                    metrics.insert("t50_s".to_string(), row.t50_s);
-                    metrics.insert("t90_s".to_string(), row.t90_s);
-                    crate::sweep::CellRun {
-                        metrics,
-                        stats: dtcs::netsim::Stats::default(),
-                    }
-                }),
-            });
-        }
-        for beta in ramp_betas(quick) {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e11",
-                scenario: format!("ramp/beta={beta}"),
-                base_seed: RAMP_SEED,
-                run: Box::new(move |seed| {
-                    let (row, stats) = ramp_case(beta, quick, seed);
-                    let mut metrics = std::collections::BTreeMap::new();
-                    metrics.insert("agents".to_string(), row.agents as f64);
-                    if let Some(t) = row.time_to_overload_s {
-                        metrics.insert("time_to_overload_s".to_string(), t);
-                    }
-                    metrics.insert(
-                        "victim_overloaded".to_string(),
-                        row.victim_overloaded as f64,
-                    );
-                    crate::sweep::CellRun { metrics, stats }
-                }),
-            });
-        }
-        cells
+        cells_of("e11", cases(opts.quick), one, metrics)
     }
 }
 
 /// Run E11.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new(
         "e11",
         "Botnet recruitment dynamics and attack ramp",
         "Sec. 2.1",
     );
+    let outs = run_cases("e11", &cases(opts.quick), opts.pool_threads(), one);
 
     // Growth curves (pure model; cheap, so always full).
     let mut t = Table::new(
         "SI recruitment: time to reach fraction of susceptible pool (10k hosts)",
         &["beta", "t_10%", "t_50%", "t_90%"],
     );
-    for beta in GROWTH_BETAS {
-        let row = growth_case(beta);
-        t.push(
-            vec![f(beta), f(row.t10_s), f(row.t50_s), f(row.t90_s)],
-            &row,
-        );
+    for (row, _) in &outs {
+        let Row::Growth(r) = row else { continue };
+        t.push(vec![f(r.beta), f(r.t10_s), f(r.t50_s), f(r.t90_s)], r);
     }
     report.table(t);
 
     // Ramping attack: time until the victim first overloads.
-    let rows: Vec<RampRow> = ramp_betas(quick)
-        .par_iter()
-        .map(|&beta| ramp_case(beta, quick, RAMP_SEED).0)
-        .collect();
     let mut t = Table::new(
         "ramping reflector attack: time from outbreak to victim overload",
         &["beta", "agents", "t_overload_s", "overload_pkts"],
     );
-    for r in &rows {
+    for (row, _) in &outs {
+        let Row::Ramp(r) = row else { continue };
         t.push(
             vec![
                 f(r.beta),

@@ -11,24 +11,24 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 use dtcs::attack::{install_clients, ReflectorAttack, ReflectorAttackConfig};
 use dtcs::control::partition_by_provider;
 use dtcs::mitigation::Placement;
 use dtcs::netsim::{NodeId, Prefix, SimDuration, SimTime, Simulator, Topology};
 use dtcs::{deploy_tcs_static, TcsStaticConfig};
 
+use crate::sweep::{cells_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
-#[derive(Serialize, Clone)]
-struct IspRow {
-    isp: usize,
-    routers: usize,
-    deployed: bool,
-    attack_mb_undefended: f64,
-    attack_mb_defended: f64,
-    saved_pct: f64,
+dtcs::netsim::json_record! {
+    struct IspRow {
+        isp: usize,
+        routers: usize,
+        deployed: bool,
+        attack_mb_undefended: f64,
+        attack_mb_defended: f64,
+        saved_pct: f64,
+    }
 }
 
 /// Attack bytes carried per ISP (sum over its routers' incident links,
@@ -97,7 +97,6 @@ fn run_once(deploy: bool, quick: bool, seed: u64) -> (Simulator, Vec<NodeId>) {
         seed,
     );
     sim.run_until(SimTime::from_secs(dur));
-    crate::util::enforce_run_invariants("e12", &sim.stats);
     (sim, deployed_nodes)
 }
 
@@ -127,7 +126,7 @@ fn isp_rows(sim_base: &Simulator, sim_tcs: &Simulator, deployed: &[NodeId]) -> V
                 deployed: isp.managed.iter().any(|n| deployed.contains(n)),
                 attack_mb_undefended: b,
                 attack_mb_defended: w,
-                saved_pct: if b > 0.0 { (1.0 - w / b) * 100.0 } else { 0.0 },
+                saved_pct: saved_pct(b, w),
             }
         })
         .collect();
@@ -145,70 +144,68 @@ fn aggregate(rows: &[IspRow], pred: bool) -> (f64, f64) {
         })
 }
 
-/// Sweep-grid adapter: a single cell running the undefended/defended
-/// pair and reporting the deployer vs free-rider aggregates; the two
-/// simulations' stats are folded with [`dtcs::netsim::Stats::merge`].
+/// Share of `before` no longer carried `after`, in percent.
+fn saved_pct(before: f64, after: f64) -> f64 {
+    if before > 0.0 {
+        (1.0 - after / before) * 100.0
+    } else {
+        0.0
+    }
+}
+
+/// The grid is a single case: the undefended/defended pair at 25%
+/// coverage.
+fn cases(quick: bool) -> Vec<Case<bool>> {
+    vec![Case::new("incentives/fraction=0.25", SEED, quick)]
+}
+
+/// Run the pair and account it per ISP; the two simulations' stats are
+/// folded with [`dtcs::netsim::Stats::merge`].
+fn one(&quick: &bool, seed: u64) -> (Vec<IspRow>, dtcs::netsim::Stats) {
+    let (sim_base, _) = run_once(false, quick, seed);
+    let (sim_tcs, deployed) = run_once(true, quick, seed);
+    let rows = isp_rows(&sim_base, &sim_tcs, &deployed);
+    let mut stats = sim_base.stats;
+    stats.merge(&sim_tcs.stats);
+    (rows, stats)
+}
+
+/// The deployer vs free-rider aggregates.
+#[allow(clippy::ptr_arg)] // `cells_of` wants `fn(&R)` for the `R` that `one` returns
+fn metrics(rows: &Vec<IspRow>) -> BTreeMap<String, f64> {
+    let (db, dw) = aggregate(rows, true);
+    let (fb, fw) = aggregate(rows, false);
+    let deployer_isps = rows.iter().filter(|r| r.deployed).count();
+    let pairs = [
+        ("deployers_mb_before", db),
+        ("deployers_mb_after", dw),
+        ("free_riders_mb_before", fb),
+        ("free_riders_mb_after", fw),
+        ("deployers_saved_pct", saved_pct(db, dw)),
+        ("free_riders_saved_pct", saved_pct(fb, fw)),
+        ("deployer_isps", deployer_isps as f64),
+    ];
+    pairs.map(|(k, v)| (k.to_string(), v)).into()
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e12"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let quick = opts.quick;
-        vec![crate::sweep::SweepCell {
-            experiment: "e12",
-            scenario: "incentives/fraction=0.25".to_string(),
-            base_seed: SEED,
-            run: Box::new(move |seed| {
-                let (sim_base, _) = run_once(false, quick, seed);
-                let (sim_tcs, deployed) = run_once(true, quick, seed);
-                let rows = isp_rows(&sim_base, &sim_tcs, &deployed);
-                let (db, dw) = aggregate(&rows, true);
-                let (fb, fw) = aggregate(&rows, false);
-                let deployer_isps = rows.iter().filter(|r| r.deployed).count();
-                let mut metrics = std::collections::BTreeMap::new();
-                metrics.insert("deployers_mb_before".to_string(), db);
-                metrics.insert("deployers_mb_after".to_string(), dw);
-                metrics.insert("free_riders_mb_before".to_string(), fb);
-                metrics.insert("free_riders_mb_after".to_string(), fw);
-                metrics.insert(
-                    "deployers_saved_pct".to_string(),
-                    if db > 0.0 {
-                        (1.0 - dw / db) * 100.0
-                    } else {
-                        0.0
-                    },
-                );
-                metrics.insert(
-                    "free_riders_saved_pct".to_string(),
-                    if fb > 0.0 {
-                        (1.0 - fw / fb) * 100.0
-                    } else {
-                        0.0
-                    },
-                );
-                metrics.insert("deployer_isps".to_string(), deployer_isps as f64);
-                let mut stats = sim_base.stats;
-                stats.merge(&sim_tcs.stats);
-                crate::sweep::CellRun { metrics, stats }
-            }),
-        }]
+        cells_of("e12", cases(opts.quick), one, metrics)
     }
 }
 
 /// Run E12.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new(
         "e12",
         "ISP incentives: attack bandwidth saved per provider",
         "Sec. 4.6",
     );
-    let (sim_base, _) = run_once(false, quick, SEED);
-    let (sim_tcs, deployed) = run_once(true, quick, SEED);
-    let rows = isp_rows(&sim_base, &sim_tcs, &deployed);
+    let mut outs = run_cases("e12", &cases(opts.quick), opts.pool_threads(), one);
+    let (rows, _) = outs.remove(0);
 
     let mut t = Table::new(
         "attack megabytes carried per ISP, without vs with a 25% TCS deployment",
@@ -249,7 +246,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
                 name.to_string(),
                 f(b),
                 f(w),
-                format!("{:.1}", if b > 0.0 { (1.0 - w / b) * 100.0 } else { 0.0 }),
+                format!("{:.1}", saved_pct(b, w)),
             ],
             &(name, b, w),
         );

@@ -10,10 +10,9 @@
 //! (loss, MTBF) cell, and reconciles protocol-layer retry/dedup counters
 //! against the channel's ground-truth drop/dup counts.
 
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::Arc;
 
 use dtcs::netsim::sync::Mutex;
-use serde::Serialize;
 
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,
@@ -21,11 +20,11 @@ use dtcs::control::{
 };
 use dtcs::netsim::rng::child_seed;
 use dtcs::netsim::{
-    CpFlightRecorder, FaultConfig, FaultPlane, Outage, Prefix, SimDuration, SimTime, Simulator,
-    Topology,
+    FaultConfig, FaultPlane, Outage, Prefix, SimDuration, SimTime, Simulator, Topology,
 };
 
-use crate::util::{control_metrics, f, fopt, wheel_health, Report, Table};
+use crate::sweep::{cells_of, metrics_of, Case};
+use crate::util::{f, fopt, run_cp_cases, wheel_health, CpOutcome, CpTrace, Report, Table};
 
 const SEED: u64 = 13;
 /// Crash outage length: long enough to be a real window, short enough
@@ -34,18 +33,19 @@ const CRASH_DOWNTIME_MS: u64 = 300;
 /// Anti-entropy sweep period.
 const RECONCILE_EVERY_S: u64 = 2;
 
-#[derive(Serialize, Clone)]
-struct CellRow {
-    loss_pct: f64,
-    mtbf_s: Option<u64>,
-    crashes: u64,
-    t_full_coverage_s: Option<f64>,
-    steady_coverage_pct: f64,
-    retransmits: u64,
-    reinstalls: u64,
-    cp_dropped: u64,
-    cp_duplicated: u64,
-    dedup_hits: u64,
+dtcs::netsim::json_record! {
+    struct CellRow {
+        loss_pct: f64,
+        mtbf_s: Option<u64>,
+        crashes: u64,
+        t_full_coverage_s: Option<f64>,
+        steady_coverage_pct: f64,
+        retransmits: u64,
+        reinstalls: u64,
+        cp_dropped: u64,
+        cp_duplicated: u64,
+        dedup_hits: u64,
+    }
 }
 
 /// Deterministic crash schedule: each stub device crashes every ~`mtbf`
@@ -69,24 +69,14 @@ fn crash_schedule(sim: &Simulator, mtbf_s: u64, horizon_s: u64, seed: u64) -> Ve
     outages
 }
 
-struct CellOutcome {
-    row: CellRow,
-    stats: dtcs::netsim::Stats,
-    cp: dtcs::control::CpStats,
-}
-
-/// Shared-handle control-trace recorder plus its 1-in-n sampling rate,
-/// attached to one designated cell run (`--cp-trace`). Observation-only:
-/// the cell's outcome is identical with or without it.
-type CellTrace<'a> = Option<(&'a Arc<StdMutex<CpFlightRecorder>>, u64)>;
+/// One grid point: `(loss probability, device MTBF, quick)`.
+type Params = (f64, Option<u64>, bool);
 
 fn run_cell(
-    loss: f64,
-    mtbf_s: Option<u64>,
-    quick: bool,
+    &(loss, mtbf_s, quick): &Params,
     seed: u64,
-    trace: CellTrace,
-) -> CellOutcome {
+    trace: CpTrace,
+) -> (CpOutcome<CellRow>, dtcs::netsim::Stats) {
     let (transit, stubs) = if quick { (2, 4) } else { (3, 6) };
     let horizon_s: u64 = if quick { 30 } else { 60 };
     let topo = Topology::transit_stub_multihomed(transit, stubs, 0.2, seed);
@@ -128,8 +118,8 @@ fn run_cell(
         outages,
         partitions: Vec::new(),
     }));
-    if let Some((rec, one_in)) = trace {
-        sim.set_cp_trace_sink(Box::new(rec.clone()), one_in);
+    if let Some(rec) = trace {
+        sim.set_cp_trace_sink(Box::new(rec.clone()), 1);
     }
 
     // Probe coverage every 250 ms: first instant all devices hold a rule.
@@ -152,7 +142,6 @@ fn run_cell(
     if trace.is_some() {
         sim.take_cp_trace_sink();
     }
-    crate::util::enforce_run_invariants("e13", &sim.stats);
 
     let steady = cp.devices_configured() as f64 / n as f64 * 100.0;
     let cs = cp.cp_stats.lock().clone();
@@ -168,72 +157,52 @@ fn run_cell(
         cp_duplicated: sim.stats.cp_fault_duplicated,
         dedup_hits: cs.dup_requests + cs.dup_responses,
     };
-    CellOutcome {
-        row,
-        stats: sim.stats,
-        cp: cs,
-    }
+    ((row, cs), sim.stats)
 }
 
-/// The (loss, MTBF) grid axes shared by `run()` and the sweep adapter.
-fn grid(quick: bool) -> (&'static [f64], &'static [Option<u64>]) {
-    let losses: &[f64] = if quick {
-        &[0.0, 0.2]
+/// The grid: one case per (loss, MTBF) fault-plane setting.
+fn cases(quick: bool) -> Vec<Case<Params>> {
+    let (losses, mtbfs): (&[f64], &[Option<u64>]) = if quick {
+        (&[0.0, 0.2], &[None, Some(15)])
     } else {
-        &[0.0, 0.05, 0.2, 0.3]
+        (&[0.0, 0.05, 0.2, 0.3], &[None, Some(30), Some(10)])
     };
-    let mtbfs: &[Option<u64>] = if quick {
-        &[None, Some(15)]
-    } else {
-        &[None, Some(30), Some(10)]
-    };
-    (losses, mtbfs)
+    let grid = losses
+        .iter()
+        .flat_map(|&loss| mtbfs.iter().map(move |&mtbf| (loss, mtbf)));
+    grid.map(|(loss, mtbf)| {
+        let mtbf_label = mtbf.map_or("inf".into(), |m| m.to_string());
+        let label = format!("loss={loss:.2}/mtbf={mtbf_label}");
+        Case::new(label, SEED, (loss, mtbf, quick))
+    })
+    .collect()
 }
 
-/// Sweep-grid adapter: one cell per (loss, MTBF) fault-plane setting.
+fn metrics((r, _): &CpOutcome<CellRow>) -> std::collections::BTreeMap<String, f64> {
+    let fields = [
+        "crashes",
+        "t_full_coverage_s",
+        "steady_coverage_pct",
+        "retransmits",
+        "reinstalls",
+        "cp_dropped",
+        "cp_duplicated",
+        "dedup_hits",
+    ];
+    metrics_of(r, &fields)
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e13"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let quick = opts.quick;
-        let (losses, mtbfs) = grid(quick);
-        let mut cells = Vec::new();
-        for &loss in losses {
-            for &mtbf in mtbfs {
-                cells.push(crate::sweep::SweepCell {
-                    experiment: "e13",
-                    scenario: format!(
-                        "loss={loss:.2}/mtbf={}",
-                        mtbf.map_or("inf".into(), |m| m.to_string())
-                    ),
-                    base_seed: SEED,
-                    run: Box::new(move |seed| {
-                        let out = run_cell(loss, mtbf, quick, seed, None);
-                        let r = &out.row;
-                        let mut metrics = std::collections::BTreeMap::new();
-                        metrics.insert("crashes".to_string(), r.crashes as f64);
-                        if let Some(t) = r.t_full_coverage_s {
-                            metrics.insert("t_full_coverage_s".to_string(), t);
-                        }
-                        metrics.insert("steady_coverage_pct".to_string(), r.steady_coverage_pct);
-                        metrics.insert("retransmits".to_string(), r.retransmits as f64);
-                        metrics.insert("reinstalls".to_string(), r.reinstalls as f64);
-                        metrics.insert("cp_dropped".to_string(), r.cp_dropped as f64);
-                        metrics.insert("cp_duplicated".to_string(), r.cp_duplicated as f64);
-                        metrics.insert("dedup_hits".to_string(), r.dedup_hits as f64);
-                        crate::sweep::CellRun {
-                            metrics,
-                            stats: out.stats,
-                        }
-                    }),
-                });
-            }
-        }
-        cells
+        cells_of(
+            "e13",
+            cases(opts.quick),
+            |p, seed| run_cell(p, seed, None),
+            metrics,
+        )
     }
 }
 
@@ -245,66 +214,18 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         "Control-plane fault sweep: loss × device MTBF vs deployment convergence",
         "Sec. 5.1 under adversarial channels",
     );
-    let (losses, mtbfs) = grid(quick);
-
     // `--cp-trace` designates the 20%-loss crash-churn cell — the one
-    // that exercises every lifecycle event kind — and attaches a full
-    // (1-in-1) recorder to its normal grid run. Tracing observes without
-    // perturbing, so the report rows below are byte-identical either way
-    // (the CI golden-invariance check holds us to that).
-    let traced_cell: Option<(f64, Option<u64>)> = opts.cp_trace.as_ref().map(|_| {
-        if quick {
-            (0.2, Some(15))
-        } else {
-            (0.2, Some(30))
-        }
-    });
-    let recorder = opts
-        .cp_trace
-        .as_ref()
-        .map(|_| Arc::new(StdMutex::new(CpFlightRecorder::new(1 << 22))));
-
-    let mut rows = Vec::new();
-    let mut all_stats = Vec::new();
-    for &loss in losses {
-        for &mtbf in mtbfs {
-            let trace_here = traced_cell == Some((loss, mtbf));
-            let trace = if trace_here {
-                recorder.as_ref().map(|r| (r, 1))
-            } else {
-                None
-            };
-            let out = run_cell(loss, mtbf, quick, SEED, trace);
-            if trace_here {
-                let path = opts.cp_trace.as_ref().expect("traced_cell implies path");
-                let rec = recorder
-                    .as_ref()
-                    .expect("traced_cell implies recorder")
-                    .lock()
-                    .expect("cp recorder mutex");
-                let mut file = std::fs::File::create(path).expect("create cp trace file");
-                rec.export_jsonl(&mut file).expect("write cp trace");
-                let snap = control_metrics(&out.stats, &out.cp);
-                let mut json = snap.to_json_string();
-                json.push('\n');
-                std::fs::write(format!("{}.metrics.json", path.display()), json)
-                    .expect("write metrics snapshot");
-                std::fs::write(format!("{}.prom", path.display()), snap.to_prometheus())
-                    .expect("write prometheus snapshot");
-                // health, not note: notes serialise into the golden JSON.
-                report.health(format!(
-                    "cp-trace: {} events recorded ({} evicted) from cell loss={loss:.2}/mtbf={} \
-                     -> {}",
-                    rec.recorded(),
-                    rec.evicted(),
-                    mtbf.map_or("inf".into(), |m| m.to_string()),
-                    path.display(),
-                ));
-            }
-            rows.push(out.row);
-            all_stats.push(out.stats);
-        }
-    }
+    // that exercises every lifecycle event kind.
+    let traced = if quick {
+        "loss=0.20/mtbf=15"
+    } else {
+        "loss=0.20/mtbf=30"
+    };
+    let (outs, traced_line) = run_cp_cases("e13", &cases(quick), opts, traced, run_cell);
+    // health, not note: notes serialise into the golden JSON.
+    report.health.extend(traced_line);
+    let rows: Vec<&CellRow> = outs.iter().map(|((row, _), _)| row).collect();
+    let all_stats: Vec<&dtcs::netsim::Stats> = outs.iter().map(|o| &o.1).collect();
 
     let mut t = Table::new(
         "time to 100% device coverage and steady-state coverage per (loss, MTBF) cell \
@@ -336,7 +257,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
                 r.cp_duplicated.to_string(),
                 r.dedup_hits.to_string(),
             ],
-            r,
+            *r,
         );
     }
     report.table(t);
@@ -368,6 +289,6 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         rein,
         all_stats.iter().map(|s| s.node_crashes).sum::<u64>(),
     ));
-    report.health(wheel_health(all_stats.iter()));
+    report.health(wheel_health(all_stats.iter().copied()));
     report
 }

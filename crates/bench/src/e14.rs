@@ -23,21 +23,20 @@
 //! * **dwell bound** — no lease reap fires later than one lease length
 //!   after the withdrawal instant.
 
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::Arc;
 
 use dtcs::netsim::sync::Mutex;
-use serde::Serialize;
 
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
     InternetNumberAuthority, UserId,
 };
 use dtcs::netsim::{
-    CpFlightRecorder, FaultConfig, FaultPlane, NodeId, Partition, Prefix, SimDuration, SimTime,
-    Simulator, Topology,
+    FaultConfig, FaultPlane, NodeId, Partition, Prefix, SimDuration, SimTime, Simulator, Topology,
 };
 
-use crate::util::{control_metrics, f, fopt, wheel_health, Report, Table};
+use crate::sweep::{cells_of, metrics_of, Case};
+use crate::util::{f, fopt, run_cp_cases, wheel_health, CpOutcome, CpTrace, Report, Table};
 
 const SEED: u64 = 14;
 /// Owner A withdraws at this instant; the partition opens 500 ms before
@@ -46,39 +45,32 @@ const WITHDRAW_S: u64 = 10;
 /// Anti-entropy sweep period (reinstall + bidirectional removal).
 const RECONCILE_EVERY_S: u64 = 2;
 
-#[derive(Serialize, Clone)]
-struct CellRow {
-    partition_s: f64,
-    lease_s: u64,
-    lease_reaps: u64,
-    max_reap_dwell_s: Option<f64>,
-    withdraw_removes: u64,
-    sweep_removals: u64,
-    renewals: u64,
-    partition_dropped: u64,
-    retransmits: u64,
-    give_ups: u64,
-    withdraw_latency_s: Option<f64>,
-    cov_gap_device_s: f64,
+dtcs::netsim::json_record! {
+    struct CellRow {
+        partition_s: f64,
+        lease_s: u64,
+        lease_reaps: u64,
+        max_reap_dwell_s: Option<f64>,
+        withdraw_removes: u64,
+        sweep_removals: u64,
+        renewals: u64,
+        partition_dropped: u64,
+        retransmits: u64,
+        give_ups: u64,
+        withdraw_latency_s: Option<f64>,
+        cov_gap_device_s: f64,
+    }
 }
 
-struct CellOutcome {
-    row: CellRow,
-    stats: dtcs::netsim::Stats,
-    cp: dtcs::control::CpStats,
-}
-
-/// Shared-handle control-trace recorder plus its 1-in-n sampling rate,
-/// attached to one designated cell run (`--cp-trace`). Observation-only.
-type CellTrace<'a> = Option<(&'a Arc<StdMutex<CpFlightRecorder>>, u64)>;
+/// One grid point: `(partition duration in ms, lease length in s,
+/// quick)` — ms so sub-second cuts are expressible.
+type Params = (u64, u64, bool);
 
 fn run_cell(
-    partition_ms: u64,
-    lease_s: u64,
-    quick: bool,
+    &(partition_ms, lease_s, quick): &Params,
     seed: u64,
-    trace: CellTrace,
-) -> CellOutcome {
+    trace: CpTrace,
+) -> (CpOutcome<CellRow>, dtcs::netsim::Stats) {
     let (transit, stubs) = if quick { (2, 4) } else { (3, 6) };
     // Off the renewal grid on purpose: `run_until` is inclusive, so a
     // horizon that is a multiple of `renew_every` would process one last
@@ -159,8 +151,8 @@ fn run_cell(
             until: cut_from + SimDuration::from_millis(partition_ms),
         }],
     }));
-    if let Some((rec, one_in)) = trace {
-        sim.set_cp_trace_sink(Box::new(rec.clone()), one_in);
+    if let Some(rec) = trace {
+        sim.set_cp_trace_sink(Box::new(rec.clone()), 1);
     }
 
     // Probe 1 — the dwell gate: at withdraw + lease + ε every device must
@@ -205,7 +197,6 @@ fn run_cell(
     if trace.is_some() {
         sim.take_cp_trace_sink();
     }
-    crate::util::enforce_run_invariants("e14", &sim.stats);
 
     // -- Hard invariants ------------------------------------------------
     let immortal = immortal.lock().clone();
@@ -265,69 +256,52 @@ fn run_cell(
             .map(|t| t.saturating_since(withdraw_at).0 as f64 / 1e9),
         cov_gap_device_s: *gap_probes.lock() as f64 * 0.25,
     };
-    CellOutcome {
-        row,
-        stats: sim.stats,
-        cp: cs,
-    }
+    ((row, cs), sim.stats)
 }
 
-/// The (partition duration, lease length) grid shared by `run()` and the
-/// sweep adapter. Durations in ms so sub-second cuts are expressible.
-fn grid(quick: bool) -> (&'static [u64], &'static [u64]) {
-    let partitions_ms: &[u64] = if quick {
-        &[1_000, 8_000]
+/// The grid: one case per (partition duration, lease length).
+fn cases(quick: bool) -> Vec<Case<Params>> {
+    let (partitions_ms, leases_s): (&[u64], &[u64]) = if quick {
+        (&[1_000, 8_000], &[2, 6])
     } else {
-        &[500, 4_000, 12_000]
+        (&[500, 4_000, 12_000], &[2, 5, 10])
     };
-    let leases_s: &[u64] = if quick { &[2, 6] } else { &[2, 5, 10] };
-    (partitions_ms, leases_s)
+    let grid = partitions_ms
+        .iter()
+        .flat_map(|&p_ms| leases_s.iter().map(move |&lease_s| (p_ms, lease_s)));
+    grid.map(|(p_ms, lease_s)| {
+        let label = format!("partition={}s/lease={lease_s}s", p_ms as f64 / 1000.0);
+        Case::new(label, SEED, (p_ms, lease_s, quick))
+    })
+    .collect()
 }
 
-/// Sweep-grid adapter: one cell per (partition duration, lease length).
+fn metrics((r, _): &CpOutcome<CellRow>) -> std::collections::BTreeMap<String, f64> {
+    let fields = [
+        "lease_reaps",
+        "max_reap_dwell_s",
+        "withdraw_removes",
+        "sweep_removals",
+        "renewals",
+        "partition_dropped",
+        "retransmits",
+        "withdraw_latency_s",
+        "cov_gap_device_s",
+    ];
+    metrics_of(r, &fields)
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e14"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let quick = opts.quick;
-        let (partitions_ms, leases_s) = grid(quick);
-        let mut cells = Vec::new();
-        for &p_ms in partitions_ms {
-            for &lease_s in leases_s {
-                cells.push(crate::sweep::SweepCell {
-                    experiment: "e14",
-                    scenario: format!("partition={}s/lease={lease_s}s", p_ms as f64 / 1000.0),
-                    base_seed: SEED,
-                    run: Box::new(move |seed| {
-                        let out = run_cell(p_ms, lease_s, quick, seed, None);
-                        let r = &out.row;
-                        let mut metrics = std::collections::BTreeMap::new();
-                        metrics.insert("lease_reaps".to_string(), r.lease_reaps as f64);
-                        if let Some(d) = r.max_reap_dwell_s {
-                            metrics.insert("max_reap_dwell_s".to_string(), d);
-                        }
-                        metrics.insert("withdraw_removes".to_string(), r.withdraw_removes as f64);
-                        metrics.insert("sweep_removals".to_string(), r.sweep_removals as f64);
-                        metrics.insert("renewals".to_string(), r.renewals as f64);
-                        metrics.insert("partition_dropped".to_string(), r.partition_dropped as f64);
-                        metrics.insert("retransmits".to_string(), r.retransmits as f64);
-                        if let Some(l) = r.withdraw_latency_s {
-                            metrics.insert("withdraw_latency_s".to_string(), l);
-                        }
-                        metrics.insert("cov_gap_device_s".to_string(), r.cov_gap_device_s);
-                        crate::sweep::CellRun {
-                            metrics,
-                            stats: out.stats,
-                        }
-                    }),
-                });
-            }
-        }
-        cells
+        cells_of(
+            "e14",
+            cases(opts.quick),
+            |p, seed| run_cell(p, seed, None),
+            metrics,
+        )
     }
 }
 
@@ -339,63 +313,18 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         "Leased mitigations under partition: orphan dwell vs renewal cost",
         "Sec. 4.3 withdrawal under adversarial channels",
     );
-    let (partitions_ms, leases_s) = grid(quick);
-
     // `--cp-trace` designates the longest-partition shortest-lease cell —
-    // the one where the lease, not the network, does the teardown — and
-    // attaches a full (1-in-1) recorder to its normal grid run. Tracing
-    // observes without perturbing; the report rows are byte-identical
-    // either way.
-    let traced_cell: Option<(u64, u64)> =
-        opts.cp_trace
-            .as_ref()
-            .map(|_| if quick { (8_000, 2) } else { (12_000, 2) });
-    let recorder = opts
-        .cp_trace
-        .as_ref()
-        .map(|_| Arc::new(StdMutex::new(CpFlightRecorder::new(1 << 22))));
-
-    let mut rows = Vec::new();
-    let mut all_stats = Vec::new();
-    for &p_ms in partitions_ms {
-        for &lease_s in leases_s {
-            let trace_here = traced_cell == Some((p_ms, lease_s));
-            let trace = if trace_here {
-                recorder.as_ref().map(|r| (r, 1))
-            } else {
-                None
-            };
-            let out = run_cell(p_ms, lease_s, quick, SEED, trace);
-            if trace_here {
-                let path = opts.cp_trace.as_ref().expect("traced_cell implies path");
-                let rec = recorder
-                    .as_ref()
-                    .expect("traced_cell implies recorder")
-                    .lock()
-                    .expect("cp recorder mutex");
-                let mut file = std::fs::File::create(path).expect("create cp trace file");
-                rec.export_jsonl(&mut file).expect("write cp trace");
-                let snap = control_metrics(&out.stats, &out.cp);
-                let mut json = snap.to_json_string();
-                json.push('\n');
-                std::fs::write(format!("{}.metrics.json", path.display()), json)
-                    .expect("write metrics snapshot");
-                std::fs::write(format!("{}.prom", path.display()), snap.to_prometheus())
-                    .expect("write prometheus snapshot");
-                // health, not note: notes serialise into the golden JSON.
-                report.health(format!(
-                    "cp-trace: {} events recorded ({} evicted) from cell \
-                     partition={}s/lease={lease_s}s -> {}",
-                    rec.recorded(),
-                    rec.evicted(),
-                    p_ms as f64 / 1000.0,
-                    path.display(),
-                ));
-            }
-            rows.push(out.row);
-            all_stats.push(out.stats);
-        }
-    }
+    // the one where the lease, not the network, does the teardown.
+    let traced = if quick {
+        "partition=8s/lease=2s"
+    } else {
+        "partition=12s/lease=2s"
+    };
+    let (outs, traced_line) = run_cp_cases("e14", &cases(quick), opts, traced, run_cell);
+    // health, not note: notes serialise into the golden JSON.
+    report.health.extend(traced_line);
+    let rows: Vec<&CellRow> = outs.iter().map(|((row, _), _)| row).collect();
+    let all_stats: Vec<&dtcs::netsim::Stats> = outs.iter().map(|o| &o.1).collect();
 
     let mut t = Table::new(
         "orphan-filter dwell, renewal traffic, and owner-B availability gap per \
@@ -432,7 +361,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
                 fopt(r.withdraw_latency_s),
                 f(r.cov_gap_device_s),
             ],
-            r,
+            *r,
         );
     }
     report.table(t);
@@ -464,6 +393,6 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             .map(|s| s.cp_partition_dropped)
             .sum::<u64>(),
     ));
-    report.health(wheel_health(all_stats.iter()));
+    report.health(wheel_health(all_stats.iter().copied()));
     report
 }

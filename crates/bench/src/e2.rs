@@ -9,8 +9,6 @@
 //! service with no collateral while stopping attack traffic near its
 //! sources.
 
-use rayon::prelude::*;
-
 use dtcs::attack::SpoofMode;
 use dtcs::mitigation::{BlockScope, Placement};
 use dtcs::netsim::SimTime;
@@ -18,6 +16,7 @@ use dtcs::{
     run_scenario, AttackKind, OutcomeRow, ScenarioConfig, Scheme, TcsStaticConfig, TraceSpec,
 };
 
+use crate::sweep::{cells_of, run_cases, Case};
 use crate::util::{f, fopt, hist_health, wheel_health, Report, Table};
 
 /// The scenario config E2/E4/E9 share.
@@ -101,8 +100,23 @@ pub fn outcome_metrics(row: &OutcomeRow) -> std::collections::BTreeMap<String, f
     m
 }
 
-/// The direct-flood contrast scenario and its scheme set (shared between
-/// the single-run table and the sweep cells so the two stay in lockstep).
+/// A scenario-harness grid point: the config and the scheme facing it.
+pub type ScenarioParams = (ScenarioConfig, Scheme);
+
+/// Run one scenario-harness grid point under `seed`.
+pub fn scenario_one(
+    (cfg, scheme): &ScenarioParams,
+    seed: u64,
+) -> (OutcomeRow, dtcs::netsim::Stats) {
+    let cfg = ScenarioConfig {
+        seed,
+        ..cfg.clone()
+    };
+    let out = run_scenario(&cfg, scheme);
+    (out.row, out.stats)
+}
+
+/// The direct-flood contrast scenario and its scheme set.
 fn direct_contrast(cfg: &ScenarioConfig) -> (ScenarioConfig, Vec<Scheme>) {
     let mut dcfg = cfg.clone();
     dcfg.attack_kind = AttackKind::Direct {
@@ -135,45 +149,38 @@ fn direct_contrast(cfg: &ScenarioConfig) -> (ScenarioConfig, Vec<Scheme>) {
     (dcfg, schemes)
 }
 
-/// Sweep-grid adapter (DESIGN.md §6.6): one cell per (attack shape,
-/// scheme) — the full reflector comparison set plus the direct-flood
-/// contrast — each replicated under derived seeds by the engine.
+/// The grid: the full reflector comparison set (plus the hidden-IP i3
+/// row, so both halves of the paper's i3 critique appear side by side),
+/// then the direct-flood contrast. Returns the reflector case count too.
+fn cases(cfg: &ScenarioConfig) -> (Vec<Case<ScenarioParams>>, usize) {
+    let mut schemes = Scheme::comparison_set(cfg.attack.start_at);
+    schemes.push(Scheme::I3 { ip_hidden: true });
+    let n_reflector = schemes.len();
+    let (dcfg, direct_schemes) = direct_contrast(cfg);
+    let mut cases = Vec::new();
+    for (shape, shape_cfg, shape_schemes) in [
+        ("reflector", cfg, schemes),
+        ("direct", &dcfg, direct_schemes),
+    ] {
+        for scheme in shape_schemes {
+            let label = format!("{shape}/scheme={}", scheme.label());
+            cases.push(Case::new(
+                label,
+                shape_cfg.seed,
+                (shape_cfg.clone(), scheme),
+            ));
+        }
+    }
+    (cases, n_reflector)
+}
+
+/// Sweep-grid adapter (DESIGN.md §6.6) over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e2"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let cfg = scenario_with(opts);
-        let mut schemes = Scheme::comparison_set(cfg.attack.start_at);
-        schemes.push(Scheme::I3 { ip_hidden: true });
-        let (dcfg, direct_schemes) = direct_contrast(&cfg);
-        let mut cells = Vec::new();
-        for (shape, shape_cfg, shape_schemes) in [
-            ("reflector", &cfg, schemes),
-            ("direct", &dcfg, direct_schemes),
-        ] {
-            for scheme in shape_schemes {
-                let cell_cfg = shape_cfg.clone();
-                cells.push(crate::sweep::SweepCell {
-                    experiment: "e2",
-                    scenario: format!("{shape}/scheme={}", scheme.label()),
-                    base_seed: cell_cfg.seed,
-                    run: Box::new(move |seed| {
-                        let mut cfg = cell_cfg.clone();
-                        cfg.seed = seed;
-                        let out = run_scenario(&cfg, &scheme);
-                        crate::sweep::CellRun {
-                            metrics: outcome_metrics(&out.row),
-                            stats: out.stats,
-                        }
-                    }),
-                });
-            }
-        }
-        cells
+        let (cases, _) = cases(&scenario_with(opts));
+        cells_of("e2", cases, scenario_one, outcome_metrics)
     }
 }
 
@@ -185,16 +192,12 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         "Sec. 3 + Sec. 4.3",
     );
     let cfg = scenario_with(opts);
-    let schemes = Scheme::comparison_set(cfg.attack.start_at);
-    // Also include the hidden-IP i3 row so both halves of the paper's i3
-    // critique appear side by side.
-    let mut all = schemes;
-    all.push(Scheme::I3 { ip_hidden: true });
-
-    let outs: Vec<_> = all.par_iter().map(|s| run_scenario(&cfg, s)).collect();
-    let rows: Vec<OutcomeRow> = outs.iter().map(|o| o.row.clone()).collect();
-    report.health(wheel_health(outs.iter().map(|o| &o.stats)));
-    report.health(hist_health(outs.iter().map(|o| &o.stats)));
+    let (cases, n_reflector) = cases(&cfg);
+    let outs = run_cases("e2", &cases, opts.pool_threads(), scenario_one);
+    let (reflector, direct) = outs.split_at(n_reflector);
+    report.health(wheel_health(reflector.iter().map(|o| &o.1)));
+    report.health(hist_health(reflector.iter().map(|o| &o.1)));
+    let rows: Vec<&OutcomeRow> = reflector.iter().map(|o| &o.0).collect();
 
     // --trace: replay the undefended baseline with a flight recorder
     // attached and export the JSONL record. A separate run so the golden
@@ -221,7 +224,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         &outcome_header(),
     );
     for r in &rows {
-        t.push(outcome_cells(r), r);
+        t.push(outcome_cells(r), *r);
     }
     report.table(t);
 
@@ -238,16 +241,11 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     // spoofed direct flood — where traceback names the TRUE agent ASes and
     // null-routing them genuinely helps (its residual collateral is the
     // Sec. 4.6 kind: innocents inside the zombies' own access networks).
-    let (dcfg, direct_schemes) = direct_contrast(&cfg);
-    let direct_rows: Vec<OutcomeRow> = direct_schemes
-        .par_iter()
-        .map(|s| run_scenario(&dcfg, s).row)
-        .collect();
     let mut t = Table::new(
         "contrast: classic direct flood with random spoofing",
         &outcome_header(),
     );
-    for r in &direct_rows {
+    for (r, _) in direct {
         t.push(outcome_cells(r), r);
     }
     report.table(t);

@@ -11,9 +11,6 @@
 //! ASes first. The TCS rows measure *one victim's* on-demand deployment;
 //! the ingress rows require whole-AS altruism for the same effect.
 
-use rayon::prelude::*;
-use serde::Serialize;
-
 use dtcs::attack::hosts;
 use dtcs::mitigation::{deploy_ingress, Placement};
 use dtcs::netsim::rng::{child_seed, seeded};
@@ -21,19 +18,19 @@ use dtcs::netsim::{
     Addr, PacketBuilder, Prefix, Proto, SimTime, Simulator, Topology, TrafficClass,
 };
 use dtcs::{deploy_tcs_static, TcsStaticConfig};
-use rand::seq::SliceRandom;
-use rand::Rng;
 
+use crate::sweep::{cells_of, metrics_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
-#[derive(Serialize, Clone)]
-struct Row {
-    strategy: String,
-    fraction: f64,
-    probes: u64,
-    survived: u64,
-    survival_ratio: f64,
-    mean_stop_distance: Option<f64>,
+dtcs::netsim::json_record! {
+    struct Row {
+        strategy: String,
+        fraction: f64,
+        probes: u64,
+        survived: u64,
+        survival_ratio: f64,
+        mean_stop_distance: Option<f64>,
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -60,6 +57,16 @@ enum TopoKind {
     TransitStub(usize),
 }
 
+/// One grid point.
+#[derive(Clone, Copy)]
+struct Params {
+    kind: TopoKind,
+    strategy: Strategy,
+    fraction: f64,
+    n_nodes: usize,
+    probes: u64,
+}
+
 /// The topology the main sweep runs on: BA power-law by default, a
 /// transit-stub internet of at least `n` nodes under `--topology
 /// transit-stub:<n>` (the hybrid-engine scale path).
@@ -70,13 +77,16 @@ fn base_kind(opts: &crate::RunOpts) -> TopoKind {
     }
 }
 
+/// One probe run, optionally exporting its packet flight record.
 fn one(
-    strategy: Strategy,
-    fraction: f64,
-    n_nodes: usize,
-    probes: u64,
+    &Params {
+        kind,
+        strategy,
+        fraction,
+        n_nodes,
+        probes,
+    }: &Params,
     seed: u64,
-    kind: TopoKind,
     trace: Option<&std::path::Path>,
 ) -> (Row, dtcs::netsim::Stats) {
     let topo = match kind {
@@ -126,7 +136,7 @@ fn one(
         .filter(|&&n| n != victim_node)
         .map(|&n| Addr::new(n, hosts::SERVICE))
         .collect();
-    targets.shuffle(&mut rng);
+    rng.shuffle(&mut targets);
     targets.truncate(40.min(targets.len()));
     for &t in &targets {
         sim.install_app(t, Box::new(dtcs::netsim::SinkApp));
@@ -177,135 +187,106 @@ fn one(
 /// Base seed shared by the single-run tables and the sweep cells.
 const SEED: u64 = 33;
 
-/// Sweep-grid adapter: one cell per (topology family, strategy,
-/// deployment fraction) — the power-law sweep over all four strategies
-/// plus the Waxman contrast over the two TCS strategies.
+const TCS_STRATEGIES: [Strategy; 2] = [
+    Strategy::Tcs(Placement::Random),
+    Strategy::Tcs(Placement::TopDegree),
+];
+
+/// The grid: all four strategies × the deployment fractions on the base
+/// topology, then the Waxman contrast over the two TCS strategies — a
+/// 400-node-family statement (hubs vs no hubs), dropped when
+/// `--topology` re-points the sweep at a transit-stub internet. Returns
+/// the main-sweep case count too.
+fn cases(opts: &crate::RunOpts) -> (Vec<Case<Params>>, usize) {
+    let quick = opts.quick;
+    let fractions: &[f64] = if quick {
+        &[0.0, 0.1, 0.2, 0.4, 0.8]
+    } else {
+        &[0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0]
+    };
+    let main = [
+        Strategy::Ingress(Placement::Random),
+        Strategy::Ingress(Placement::TopDegree),
+    ]
+    .into_iter()
+    .chain(TCS_STRATEGIES)
+    .map(|s| (base_kind(opts), s));
+    let waxman = TCS_STRATEGIES
+        .into_iter()
+        .filter(|_| opts.transit_stub.is_none())
+        .map(|s| (TopoKind::Waxman, s));
+    let cases: Vec<_> = main
+        .chain(waxman)
+        .flat_map(|(kind, strategy)| {
+            fractions.iter().map(move |&fraction| {
+                let family = match kind {
+                    TopoKind::PowerLaw => "powerlaw",
+                    TopoKind::Waxman => "waxman",
+                    TopoKind::TransitStub(_) => "transit-stub",
+                };
+                let params = Params {
+                    kind,
+                    strategy,
+                    fraction,
+                    n_nodes: if quick { 150 } else { 400 },
+                    probes: if quick { 1200 } else { 4000 },
+                };
+                let label = format!("{family}/{}/fraction={fraction:.2}", strategy.label());
+                Case::new(label, SEED, params)
+            })
+        })
+        .collect();
+    (cases, 4 * fractions.len())
+}
+
+fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+    let mut m = metrics_of(row, &["probes", "survived", "survival_ratio"]);
+    m.extend(
+        row.mean_stop_distance
+            .map(|d| ("stop_distance".to_string(), d)),
+    );
+    m
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e3"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let (n_nodes, probes, fractions) = params(opts.quick);
-        let kind = base_kind(opts);
-        let mut cases: Vec<(TopoKind, Strategy, f64)> = Vec::new();
-        for &s in &[
-            Strategy::Ingress(Placement::Random),
-            Strategy::Ingress(Placement::TopDegree),
-            Strategy::Tcs(Placement::Random),
-            Strategy::Tcs(Placement::TopDegree),
-        ] {
-            for &fr in &fractions {
-                cases.push((kind, s, fr));
-            }
-        }
-        // The Waxman contrast is a 400-node-family statement (hubs vs no
-        // hubs); it is dropped when the sweep is re-pointed at a
-        // transit-stub internet.
-        if opts.transit_stub.is_none() {
-            for &s in &[
-                Strategy::Tcs(Placement::Random),
-                Strategy::Tcs(Placement::TopDegree),
-            ] {
-                for &fr in &fractions {
-                    cases.push((TopoKind::Waxman, s, fr));
-                }
-            }
-        }
-        cases
-            .into_iter()
-            .map(|(kind, s, fr)| crate::sweep::SweepCell {
-                experiment: "e3",
-                scenario: format!(
-                    "{}/{}/fraction={fr:.2}",
-                    match kind {
-                        TopoKind::PowerLaw => "powerlaw",
-                        TopoKind::Waxman => "waxman",
-                        TopoKind::TransitStub(_) => "transit-stub",
-                    },
-                    s.label()
-                ),
-                base_seed: SEED,
-                run: Box::new(move |seed| {
-                    let (row, stats) = one(s, fr, n_nodes, probes, seed, kind, None);
-                    let mut metrics = std::collections::BTreeMap::new();
-                    metrics.insert("probes".to_string(), row.probes as f64);
-                    metrics.insert("survived".to_string(), row.survived as f64);
-                    metrics.insert("survival_ratio".to_string(), row.survival_ratio);
-                    if let Some(d) = row.mean_stop_distance {
-                        metrics.insert("stop_distance".to_string(), d);
-                    }
-                    crate::sweep::CellRun { metrics, stats }
-                }),
-            })
-            .collect()
+        cells_of("e3", cases(opts).0, |p, seed| one(p, seed, None), metrics)
     }
-}
-
-/// Grid dimensions shared by `run()` and the sweep adapter.
-fn params(quick: bool) -> (usize, u64, Vec<f64>) {
-    let n_nodes = if quick { 150 } else { 400 };
-    let probes = if quick { 1200 } else { 4000 };
-    let fractions = if quick {
-        vec![0.0, 0.1, 0.2, 0.4, 0.8]
-    } else {
-        vec![0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0]
-    };
-    (n_nodes, probes, fractions)
 }
 
 /// Run E3.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new(
         "e3",
         "Spoofed-packet survival vs deployment coverage",
         "Sec. 3.2 (Park & Lee)",
     );
-    let (n_nodes, probes, fractions) = params(quick);
-    let kind = base_kind(opts);
-    let strategies = [
-        Strategy::Ingress(Placement::Random),
-        Strategy::Ingress(Placement::TopDegree),
-        Strategy::Tcs(Placement::Random),
-        Strategy::Tcs(Placement::TopDegree),
-    ];
-    let cases: Vec<(Strategy, f64)> = strategies
-        .iter()
-        .flat_map(|&s| fractions.iter().map(move |&fr| (s, fr)))
-        .collect();
-    let (rows, run_stats): (Vec<Row>, Vec<_>) = cases
-        .par_iter()
-        .map(|&(s, fr)| one(s, fr, n_nodes, probes, SEED, kind, None))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .unzip();
-    for s in &run_stats {
-        crate::util::enforce_run_invariants("e3", s);
-    }
-    report.health(crate::util::wheel_health(run_stats.iter()));
-    report.health(crate::util::hist_health(run_stats.iter()));
+    let (cases, n_main) = cases(opts);
+    let outs = run_cases("e3", &cases, opts.pool_threads(), |p, seed| {
+        one(p, seed, None)
+    });
+    let (main, waxman) = outs.split_at(n_main);
+    report.health(crate::util::wheel_health(main.iter().map(|o| &o.1)));
+    report.health(crate::util::hist_health(main.iter().map(|o| &o.1)));
 
     // --trace: one representative traced run (ingress filtering at 20%
     // top-degree coverage — the Park & Lee headline point), wired straight
     // into the bare simulator.
     if let Some(path) = &opts.trace {
-        let (_, stats) = one(
-            Strategy::Ingress(Placement::TopDegree),
-            0.2,
-            n_nodes,
-            probes,
-            SEED,
-            kind,
-            Some(path),
-        );
+        let traced = Params {
+            strategy: Strategy::Ingress(Placement::TopDegree),
+            fraction: 0.2,
+            ..cases[0].params
+        };
+        let (_, stats) = one(&traced, SEED, Some(path));
         crate::util::enforce_run_invariants("e3/trace", &stats);
         report.health(format!("trace: wrote JSONL to {}", path.display()));
     }
 
-    let title = match kind {
+    let title = match base_kind(opts) {
         TopoKind::TransitStub(n) => {
             format!("spoofed-probe survival, transit-stub internet (>= {n} nodes)")
         }
@@ -322,7 +303,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "stop_dist",
         ],
     );
-    for r in &rows {
+    for (r, _) in main {
         t.push(
             vec![
                 r.strategy.clone(),
@@ -343,27 +324,12 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     // placement loses most of its edge — measured here with the TCS rows.
     // A 400-node-family statement, so it is skipped when `--topology`
     // re-points the sweep at a transit-stub internet.
-    if opts.transit_stub.is_none() {
-        let wax_cases: Vec<(Strategy, f64)> = [
-            Strategy::Tcs(Placement::Random),
-            Strategy::Tcs(Placement::TopDegree),
-        ]
-        .iter()
-        .flat_map(|&s| fractions.iter().map(move |&fr| (s, fr)))
-        .collect();
-        let wax_rows: Vec<Row> = wax_cases
-            .par_iter()
-            .map(|&(s, fr)| {
-                let (row, stats) = one(s, fr, n_nodes, probes, SEED, TopoKind::Waxman, None);
-                crate::util::enforce_run_invariants("e3/waxman", &stats);
-                row
-            })
-            .collect();
+    if !waxman.is_empty() {
         let mut t = Table::new(
             "same sweep on a Waxman (no-hub) internet",
             &["strategy", "fraction", "survival", "stop_dist"],
         );
-        for r in &wax_rows {
+        for (r, _) in waxman {
             t.push(
                 vec![
                     r.strategy.clone(),
@@ -378,9 +344,9 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     }
 
     // The headline check: top-degree placement at 20%.
-    if let Some(r) = rows
+    if let Some((r, _)) = main
         .iter()
-        .find(|r| r.strategy == "tcs/top-degree" && (r.fraction - 0.2).abs() < 1e-9)
+        .find(|(r, _)| r.strategy == "tcs/top-degree" && (r.fraction - 0.2).abs() < 1e-9)
     {
         report.note(format!(
             "At 20% coverage (top-degree), TCS anti-spoofing already stops {:.0}% of spoofed \

@@ -6,13 +6,12 @@
 //! metric is the success of *third-party* clients using reflector-hosted
 //! services, alongside the victim's own service.
 
-use rayon::prelude::*;
-
 use dtcs::mitigation::{BlockScope, Placement, PushbackConfig};
 use dtcs::netsim::{Prefix, SimTime};
-use dtcs::{run_scenario, OutcomeRow, Scheme, TcsStaticConfig};
+use dtcs::{run_scenario, OutcomeRow, ScenarioConfig, Scheme, TcsStaticConfig};
 
 use crate::e2::{outcome_cells, outcome_header, outcome_metrics, scenario};
+use crate::sweep::{cells_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
 /// The victim prefix exactly as `run_scenario` derives it — it depends
@@ -61,63 +60,56 @@ fn schemes(cfg: &dtcs::ScenarioConfig) -> Vec<Scheme> {
     ]
 }
 
-/// Sweep-grid adapter: one cell per mitigation scheme, re-deriving the
-/// seed-dependent victim prefix inside each replicate.
+/// The grid: one case per position in the [`schemes`] line-up.
+fn cases(quick: bool) -> Vec<Case<(ScenarioConfig, usize)>> {
+    let cfg = scenario(quick);
+    let labelled = schemes(&cfg).into_iter().enumerate();
+    labelled
+        .map(|(i, scheme)| {
+            let label = format!("scheme={}", scheme.label());
+            Case::new(label, cfg.seed, (cfg.clone(), i))
+        })
+        .collect()
+}
+
+/// Run line-up position `i` under `seed`, re-deriving the seed-dependent
+/// victim prefix.
+fn one((cfg, i): &(ScenarioConfig, usize), seed: u64) -> (OutcomeRow, dtcs::netsim::Stats) {
+    let cfg = ScenarioConfig {
+        seed,
+        ..cfg.clone()
+    };
+    let out = run_scenario(&cfg, &schemes(&cfg)[*i]);
+    (out.row, out.stats)
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e4"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let base_cfg = scenario(opts.quick);
-        let n_schemes = schemes(&base_cfg).len();
-        (0..n_schemes)
-            .map(|i| {
-                let cfg = base_cfg.clone();
-                let label = schemes(&cfg)[i].label();
-                crate::sweep::SweepCell {
-                    experiment: "e4",
-                    scenario: format!("scheme={label}"),
-                    base_seed: cfg.seed,
-                    run: Box::new(move |seed| {
-                        let mut cfg = cfg.clone();
-                        cfg.seed = seed;
-                        let scheme = schemes(&cfg).swap_remove(i);
-                        let out = run_scenario(&cfg, &scheme);
-                        crate::sweep::CellRun {
-                            metrics: outcome_metrics(&out.row),
-                            stats: out.stats,
-                        }
-                    }),
-                }
-            })
-            .collect()
+        cells_of("e4", cases(opts.quick), one, outcome_metrics)
     }
 }
 
 /// Run E4.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new(
         "e4",
         "Collateral damage of reactive filtering",
         "Secs. 1 / 3.1 / 3.4",
     );
-    let cfg = scenario(quick);
-    let schemes = schemes(&cfg);
-    let outs: Vec<_> = schemes.par_iter().map(|s| run_scenario(&cfg, s)).collect();
-    let rows: Vec<OutcomeRow> = outs.iter().map(|o| o.row.clone()).collect();
-    report.health(crate::util::wheel_health(outs.iter().map(|o| &o.stats)));
-    report.health(crate::util::hist_health(outs.iter().map(|o| &o.stats)));
+    let outs = run_cases("e4", &cases(opts.quick), opts.pool_threads(), one);
+    let rows: Vec<&OutcomeRow> = outs.iter().map(|o| &o.0).collect();
+    report.health(crate::util::wheel_health(outs.iter().map(|o| &o.1)));
+    report.health(crate::util::hist_health(outs.iter().map(|o| &o.1)));
 
     let mut t = Table::new(
         "victim service vs third-party collateral",
         &outcome_header(),
     );
     for r in &rows {
-        t.push(outcome_cells(r), r);
+        t.push(outcome_cells(r), *r);
     }
     report.table(t);
 

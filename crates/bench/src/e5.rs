@@ -8,23 +8,12 @@
 //! true origin) and how much bandwidth (byte·hops) the attack consumed.
 //! Ablation of DESIGN.md §5: top-degree vs random placement.
 
-use rayon::prelude::*;
-use serde::Serialize;
-
 use dtcs::mitigation::Placement;
-use dtcs::{run_scenario, Scheme, TcsStaticConfig};
+use dtcs::{OutcomeRow, Scheme, TcsStaticConfig};
 
-use crate::e2::{outcome_metrics, scenario};
+use crate::e2::{outcome_metrics, scenario, scenario_one, ScenarioParams};
+use crate::sweep::{cells_of, run_cases, Case};
 use crate::util::{f, fopt, Report, Table};
-
-/// Coverage-fraction axis shared by `run()` and the sweep adapter.
-fn fractions(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.05, 0.2, 0.5, 1.0]
-    } else {
-        vec![0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
-    }
-}
 
 /// Placement policies under comparison.
 const PLACEMENTS: [(Placement, &str); 2] = [
@@ -45,118 +34,95 @@ const STAGES: [(&str, &str, bool, bool); 3] = [
     ("both stages", "both", true, true),
 ];
 
-/// Sweep-grid adapter: the coverage grid (placement × fraction), the
-/// three two-stage ablation cases, and the no-defense baseline.
+/// A scenario grid point plus the table label its row carries
+/// (placement name or stage name) and its coverage fraction.
+type Params = (ScenarioParams, &'static str, f64);
+
+/// The grid: coverage (placement × fraction, proactive), the three
+/// two-stage ablation cases at 30% top-degree coverage, and the
+/// no-defense baseline last. Returns the coverage case count too.
+fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
+    let cfg = scenario(quick);
+    let fractions: &[f64] = if quick {
+        &[0.05, 0.2, 0.5, 1.0]
+    } else {
+        &[0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
+    };
+    let mut cases = Vec::new();
+    let mut push = |scenario: String, label, fraction, scheme| {
+        let params = ((cfg.clone(), scheme), label, fraction);
+        cases.push(Case::new(scenario, cfg.seed, params));
+    };
+    for (placement, name) in PLACEMENTS {
+        for &fraction in fractions {
+            let scheme = Scheme::Tcs(TcsStaticConfig {
+                fraction,
+                placement,
+                ..Default::default()
+            });
+            push(
+                format!("coverage/{name}/fraction={fraction:.2}"),
+                name,
+                fraction,
+                scheme,
+            );
+        }
+    }
+    for (label, key, antispoof, dst_firewall) in STAGES {
+        let scheme = Scheme::Tcs(TcsStaticConfig {
+            fraction: 0.3,
+            placement: Placement::TopDegree,
+            antispoof,
+            dst_firewall,
+            ..Default::default()
+        });
+        push(format!("stage/{key}"), label, 0.3, scheme);
+    }
+    push("baseline/none".to_string(), "none", 0.0, Scheme::None);
+    (cases, PLACEMENTS.len() * fractions.len())
+}
+
+fn one(p: &Params, seed: u64) -> (OutcomeRow, dtcs::netsim::Stats) {
+    scenario_one(&p.0, seed)
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e5"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let base_cfg = scenario(opts.quick);
-        let mut cells = Vec::new();
-        let mut push = |scenario: String, scheme: Scheme| {
-            let cfg = base_cfg.clone();
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e5",
-                scenario,
-                base_seed: cfg.seed,
-                run: Box::new(move |seed| {
-                    let mut cfg = cfg.clone();
-                    cfg.seed = seed;
-                    let out = run_scenario(&cfg, &scheme);
-                    crate::sweep::CellRun {
-                        metrics: outcome_metrics(&out.row),
-                        stats: out.stats,
-                    }
-                }),
-            });
-        };
-        for &(placement, name) in &PLACEMENTS {
-            for fraction in fractions(opts.quick) {
-                push(
-                    format!("coverage/{name}/fraction={fraction:.2}"),
-                    Scheme::Tcs(TcsStaticConfig {
-                        fraction,
-                        placement,
-                        ..Default::default()
-                    }),
-                );
-            }
-        }
-        for &(_, key, antispoof, dst_firewall) in &STAGES {
-            push(
-                format!("stage/{key}"),
-                Scheme::Tcs(TcsStaticConfig {
-                    fraction: 0.3,
-                    placement: Placement::TopDegree,
-                    antispoof,
-                    dst_firewall,
-                    ..Default::default()
-                }),
-            );
-        }
-        push("baseline/none".to_string(), Scheme::None);
-        cells
+        cells_of("e5", cases(opts.quick).0, one, outcome_metrics)
     }
 }
 
-#[derive(Serialize, Clone)]
-struct Row {
-    placement: String,
-    fraction: f64,
-    legit_success: f64,
-    stop_distance: Option<f64>,
-    attack_byte_hops: u64,
-    attack_delivered_ratio: f64,
+dtcs::netsim::json_record! {
+    struct Row {
+        placement: String,
+        fraction: f64,
+        legit_success: f64,
+        stop_distance: Option<f64>,
+        attack_byte_hops: u64,
+        attack_delivered_ratio: f64,
+    }
 }
 
 /// Run E5.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new(
         "e5",
         "Stop distance & wasted bandwidth vs TCS coverage",
         "Secs. 4.3 / 6",
     );
-    let cfg = scenario(quick);
-    let cases: Vec<(Placement, &str, f64)> = PLACEMENTS
-        .iter()
-        .flat_map(|&(p, name)| fractions(quick).into_iter().map(move |fr| (p, name, fr)))
-        .collect();
-    let (rows, run_stats): (Vec<Row>, Vec<_>) = cases
-        .par_iter()
-        .map(|&(placement, name, fraction)| {
-            let out = run_scenario(
-                &cfg,
-                &Scheme::Tcs(TcsStaticConfig {
-                    fraction,
-                    placement,
-                    ..Default::default() // proactive
-                }),
-            );
-            (
-                Row {
-                    placement: name.to_string(),
-                    fraction,
-                    legit_success: out.row.legit_success,
-                    stop_distance: out.row.stop_distance,
-                    attack_byte_hops: out.row.attack_byte_hops,
-                    attack_delivered_ratio: out.row.attack_delivered_ratio,
-                },
-                out.stats,
-            )
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .unzip();
-    report.health(crate::util::wheel_health(run_stats.iter()));
-    report.health(crate::util::hist_health(run_stats.iter()));
-
-    // Baseline: no defense.
-    let baseline = run_scenario(&cfg, &Scheme::None).row;
+    let (cases, n_coverage) = cases(opts.quick);
+    let outs = run_cases("e5", &cases, opts.pool_threads(), one);
+    let labelled: Vec<_> = cases.iter().map(|c| &c.params).zip(&outs).collect();
+    let (coverage, rest) = labelled.split_at(n_coverage);
+    let (stages, baseline) = rest.split_at(STAGES.len());
+    report.health(crate::util::wheel_health(
+        coverage.iter().map(|(_, o)| &o.1),
+    ));
+    report.health(crate::util::hist_health(coverage.iter().map(|(_, o)| &o.1)));
+    let baseline = &baseline[0].1 .0;
 
     let mut t = Table::new(
         "TCS coverage sweep (proactive anti-spoofing + victim firewall)",
@@ -170,7 +136,15 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "attack_deliv",
         ],
     );
-    for r in &rows {
+    for &(&(_, name, fraction), (out, _)) in coverage {
+        let r = Row {
+            placement: name.to_string(),
+            fraction,
+            legit_success: out.legit_success,
+            stop_distance: out.stop_distance,
+            attack_byte_hops: out.attack_byte_hops,
+            attack_delivered_ratio: out.attack_delivered_ratio,
+        };
         t.push(
             vec![
                 r.placement.clone(),
@@ -184,7 +158,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
                 ),
                 f(r.attack_delivered_ratio),
             ],
-            r,
+            &r,
         );
     }
     report.table(t);
@@ -202,32 +176,17 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     // Which processing stage does the work (DESIGN.md §5, two-stage
     // ablation): source-side anti-spoofing alone, destination-side
     // firewall alone, and both, at fixed 30% top-degree coverage.
-    let rows: Vec<StageRow> = STAGES
-        .par_iter()
-        .map(|&(name, _, antispoof, dst_firewall)| {
-            let out = run_scenario(
-                &cfg,
-                &Scheme::Tcs(TcsStaticConfig {
-                    fraction: 0.3,
-                    placement: Placement::TopDegree,
-                    antispoof,
-                    dst_firewall,
-                    ..Default::default()
-                }),
-            );
-            StageRow {
-                case: name.to_string(),
-                legit_success: out.row.legit_success,
-                attack_byte_hops: out.row.attack_byte_hops,
-                refl_at_victim: out.row.reflected_delivered_to_victim,
-            }
-        })
-        .collect();
     let mut t = Table::new(
         "two-stage ablation at 30% coverage",
         &["case", "legit_ok", "atk_byte_hops", "refl@victim"],
     );
-    for r in &rows {
+    for &(&(_, name, _), (out, _)) in stages {
+        let r = StageRow {
+            case: name.to_string(),
+            legit_success: out.legit_success,
+            attack_byte_hops: out.attack_byte_hops,
+            refl_at_victim: out.reflected_delivered_to_victim,
+        };
         t.push(
             vec![
                 r.case.clone(),
@@ -235,7 +194,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
                 f(r.attack_byte_hops as f64),
                 r.refl_at_victim.to_string(),
             ],
-            r,
+            &r,
         );
     }
     report.table(t);
@@ -247,10 +206,11 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     report
 }
 
-#[derive(Serialize, Clone)]
-struct StageRow {
-    case: String,
-    legit_success: f64,
-    attack_byte_hops: u64,
-    refl_at_victim: u64,
+dtcs::netsim::json_record! {
+    struct StageRow {
+        case: String,
+        legit_success: f64,
+        attack_byte_hops: u64,
+        refl_at_victim: u64,
+    }
 }

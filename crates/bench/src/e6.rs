@@ -10,8 +10,6 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
-
 use dtcs::control::CatalogService;
 use dtcs::device::trie::LinearTable;
 use dtcs::device::{AdaptiveDevice, DeviceCommand, OwnerId, Stage};
@@ -19,8 +17,8 @@ use dtcs::netsim::rng::seeded;
 use dtcs::netsim::{
     Addr, NodeId, PacketBuilder, Prefix, Proto, SimTime, Simulator, Topology, TrafficClass,
 };
-use rand::Rng;
 
+use crate::sweep::{cells_of, metrics_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
 /// Base seed for the throughput simulator (historically the literal `5`
@@ -31,71 +29,69 @@ const SIM_SEED: u64 = 5;
 /// the literal `99` passed to `seeded`).
 const LPM_SEED: u64 = 99;
 
-#[derive(Serialize, Clone)]
-struct RuleRow {
-    subscribers: usize,
-    services_per_subscriber: usize,
-    total_rules: usize,
+dtcs::netsim::json_record! {
+    struct RuleRow {
+        subscribers: usize,
+        services_per_subscriber: usize,
+        total_rules: usize,
+    }
 }
 
-#[derive(Serialize, Clone)]
-struct ThroughputRow {
-    owners: usize,
-    pkts: u64,
-    wall_ms: f64,
-    pkts_per_sec: f64,
+dtcs::netsim::json_record! {
+    struct ThroughputRow {
+        owners: usize,
+        pkts: u64,
+        wall_ms: f64,
+        pkts_per_sec: f64,
+    }
 }
 
-#[derive(Serialize, Clone)]
-struct LookupRow {
-    structure: String,
-    entries: usize,
-    lookups: u64,
-    ns_per_lookup: f64,
+dtcs::netsim::json_record! {
+    struct LookupRow {
+        structure: String,
+        entries: usize,
+        lookups: u64,
+        ns_per_lookup: f64,
+    }
 }
 
-/// Rules installed on one device as subscribers sign up.
-fn rules_vs_subscribers(subscribers: &[usize]) -> Vec<RuleRow> {
-    subscribers
-        .iter()
-        .map(|&n| {
-            let (mut dev, handle) = AdaptiveDevice::new(NodeId(0), None);
-            let services = [
-                CatalogService::AntiSpoofing,
-                CatalogService::FirewallBlock {
-                    protos: vec![Proto::Udp, Proto::TcpRst],
-                },
-                CatalogService::Statistics {
-                    capacity: 1024,
-                    sample_one_in: 64,
-                },
-            ];
-            for i in 0..n {
-                let owner = OwnerId(i as u64 + 1);
-                dev.apply(DeviceCommand::RegisterOwner {
-                    owner,
-                    prefixes: vec![Prefix::new((i as u32) << 16, 16)],
-                    contact: NodeId(0),
-                });
-                for s in &services {
-                    dev.apply(DeviceCommand::InstallService {
-                        txn: 0,
-                        lease_until: SimTime::MAX,
-                        owner,
-                        stage: s.stage(),
-                        spec: s.compile(),
-                    });
-                }
-            }
-            let total_rules = handle.lock().rule_count;
-            drop(dev);
-            RuleRow {
-                subscribers: n,
-                services_per_subscriber: services.len(),
-                total_rules,
-            }
-        })
-        .collect()
+/// Rules installed on one device once `n` subscribers have signed up.
+fn rules_vs_subscribers(n: usize) -> RuleRow {
+    let (mut dev, handle) = AdaptiveDevice::new(NodeId(0), None);
+    let services = [
+        CatalogService::AntiSpoofing,
+        CatalogService::FirewallBlock {
+            protos: vec![Proto::Udp, Proto::TcpRst],
+        },
+        CatalogService::Statistics {
+            capacity: 1024,
+            sample_one_in: 64,
+        },
+    ];
+    for i in 0..n {
+        let owner = OwnerId(i as u64 + 1);
+        dev.apply(DeviceCommand::RegisterOwner {
+            owner,
+            prefixes: vec![Prefix::new((i as u32) << 16, 16)],
+            contact: NodeId(0),
+        });
+        for s in &services {
+            dev.apply(DeviceCommand::InstallService {
+                txn: 0,
+                lease_until: SimTime::MAX,
+                owner,
+                stage: s.stage(),
+                spec: s.compile(),
+            });
+        }
+    }
+    let total_rules = handle.lock().rule_count;
+    drop(dev);
+    RuleRow {
+        subscribers: n,
+        services_per_subscriber: services.len(),
+        total_rules,
+    }
 }
 
 /// Per-packet device cost with `owners` registered owners, measured by
@@ -146,7 +142,6 @@ fn device_throughput(owners: usize, pkts: u64, seed: u64) -> (ThroughputRow, dtc
     let start = Instant::now();
     sim.run_until(SimTime::from_secs(3600));
     let wall = start.elapsed().as_secs_f64();
-    crate::util::enforce_run_invariants("e6", &sim.stats);
     let row = ThroughputRow {
         owners,
         pkts,
@@ -205,131 +200,111 @@ fn lookup_ablation(entries: usize, lookups: u64, seed: u64) -> (Vec<LookupRow>, 
     (rows, hits)
 }
 
-/// Subscriber-count axis shared by `run()` and the sweep adapter.
-fn subscriber_counts(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![10, 100, 1000]
+/// One grid point of the three measurements.
+#[derive(Clone, Copy)]
+enum Params {
+    /// Rule count with this many subscribers.
+    Rules(usize),
+    /// Throughput with this many registered owners over this many packets.
+    Throughput(usize, u64),
+    /// LPM ablation at this table size over this many lookups.
+    Lpm(usize, u64),
+}
+
+/// What a grid point measured, plus the deterministic, timing-free
+/// number the sweep folds where the table row has none: packets
+/// delivered (`Throughput`), lookup hits (`Lpm`).
+enum Row {
+    Rules(RuleRow),
+    Throughput(ThroughputRow, u64),
+    Lpm(Vec<LookupRow>, u64),
+}
+
+/// The grid: subscriber counts, then owner counts, then LPM table sizes
+/// — the three tables, in order.
+fn cases(quick: bool) -> Vec<Case<Params>> {
+    let (subscribers, owners, sizes): (&[usize], &[usize], &[usize]) = if quick {
+        (&[10, 100, 1000], &[0, 100, 10_000], &[100, 10_000])
     } else {
-        vec![10, 100, 1000, 10_000, 50_000]
+        (
+            &[10, 100, 1000, 10_000, 50_000],
+            &[0, 10, 100, 1000, 10_000, 100_000],
+            &[100, 1000, 10_000, 100_000],
+        )
+    };
+    let pkts = if quick { 50_000 } else { 200_000 };
+    let lookups = if quick { 200_000 } else { 1_000_000 };
+    let rules = subscribers
+        .iter()
+        .map(|&n| Case::new(format!("rules/subscribers={n}"), SIM_SEED, Params::Rules(n)));
+    let throughput = owners.iter().map(|&o| {
+        let params = Params::Throughput(o, pkts);
+        Case::new(format!("throughput/owners={o}"), SIM_SEED, params)
+    });
+    let lpm = sizes.iter().map(|&n| {
+        let params = Params::Lpm(n, lookups);
+        Case::new(format!("lpm/entries={n}"), LPM_SEED, params)
+    });
+    rules.chain(throughput).chain(lpm).collect()
+}
+
+fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+    match *params {
+        Params::Rules(n) => (Row::Rules(rules_vs_subscribers(n)), Default::default()),
+        Params::Throughput(owners, pkts) => {
+            let (row, stats) = device_throughput(owners, pkts, seed);
+            let delivered = stats.class(TrafficClass::Background).delivered_pkts;
+            (Row::Throughput(row, delivered), stats)
+        }
+        Params::Lpm(entries, lookups) => {
+            let (rows, hits) = lookup_ablation(entries, lookups, seed);
+            (Row::Lpm(rows, hits), Default::default())
+        }
     }
 }
 
-/// Owner-count axis for the throughput measurement.
-fn owner_counts(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![0, 100, 10_000]
-    } else {
-        vec![0, 10, 100, 1000, 10_000, 100_000]
-    }
+/// Wall-clock timings (`wall_ms`, `ns_per_lookup`) are deliberately NOT
+/// sweep metrics — sweep output must be byte-identical across thread
+/// counts — so the cells report only the deterministic counters (rule
+/// counts, packet totals, LPM hit counts).
+fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+    let (mut m, derived, value) = match row {
+        Row::Rules(r) => (
+            metrics_of(r, &["total_rules"]),
+            "rules_per_sub",
+            r.total_rules as f64 / r.subscribers as f64,
+        ),
+        Row::Throughput(r, delivered) => (
+            metrics_of(r, &["pkts"]),
+            "delivered_pkts",
+            *delivered as f64,
+        ),
+        Row::Lpm(rows, hits) => (
+            [("hits".to_string(), *hits as f64)].into(),
+            "hit_ratio",
+            *hits as f64 / rows[0].lookups as f64,
+        ),
+    };
+    m.insert(derived.to_string(), value);
+    m
 }
 
-/// LPM table sizes for the lookup ablation.
-fn table_sizes(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![100, 10_000]
-    } else {
-        vec![100, 1000, 10_000, 100_000]
-    }
-}
-
-fn throughput_pkts(quick: bool) -> u64 {
-    if quick {
-        50_000
-    } else {
-        200_000
-    }
-}
-
-fn lpm_lookups(quick: bool) -> u64 {
-    if quick {
-        200_000
-    } else {
-        1_000_000
-    }
-}
-
-/// Sweep-grid adapter. Wall-clock timings (`wall_ms`, `ns_per_lookup`)
-/// are deliberately NOT exported as sweep metrics — sweep output must be
-/// byte-identical across thread counts — so the cells report only the
-/// deterministic counters (rule counts, simulator packet totals, LPM hit
-/// counts).
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e6"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let quick = opts.quick;
-        let mut cells = Vec::new();
-        for n in subscriber_counts(quick) {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e6",
-                scenario: format!("rules/subscribers={n}"),
-                base_seed: SIM_SEED,
-                run: Box::new(move |_seed| {
-                    let row = rules_vs_subscribers(&[n]).pop().expect("one row");
-                    let mut metrics = std::collections::BTreeMap::new();
-                    metrics.insert("total_rules".to_string(), row.total_rules as f64);
-                    metrics.insert(
-                        "rules_per_sub".to_string(),
-                        row.total_rules as f64 / row.subscribers as f64,
-                    );
-                    crate::sweep::CellRun {
-                        metrics,
-                        stats: dtcs::netsim::Stats::default(),
-                    }
-                }),
-            });
-        }
-        for o in owner_counts(quick) {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e6",
-                scenario: format!("throughput/owners={o}"),
-                base_seed: SIM_SEED,
-                run: Box::new(move |seed| {
-                    let (row, stats) = device_throughput(o, throughput_pkts(quick), seed);
-                    let mut metrics = std::collections::BTreeMap::new();
-                    metrics.insert("pkts".to_string(), row.pkts as f64);
-                    metrics.insert(
-                        "delivered_pkts".to_string(),
-                        stats.class(TrafficClass::Background).delivered_pkts as f64,
-                    );
-                    crate::sweep::CellRun { metrics, stats }
-                }),
-            });
-        }
-        for n in table_sizes(quick) {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e6",
-                scenario: format!("lpm/entries={n}"),
-                base_seed: LPM_SEED,
-                run: Box::new(move |seed| {
-                    let (_rows, hits) = lookup_ablation(n, lpm_lookups(quick), seed);
-                    let mut metrics = std::collections::BTreeMap::new();
-                    metrics.insert("hits".to_string(), hits as f64);
-                    metrics.insert(
-                        "hit_ratio".to_string(),
-                        hits as f64 / lpm_lookups(quick) as f64,
-                    );
-                    crate::sweep::CellRun {
-                        metrics,
-                        stats: dtcs::netsim::Stats::default(),
-                    }
-                }),
-            });
-        }
-        cells
+        cells_of("e6", cases(opts.quick), one, metrics)
     }
 }
 
 /// Run E6.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new("e6", "Device and rule-table scalability", "Sec. 5.3");
+    // One shard: two of the three tables are wall-clock measurements,
+    // which must not share the machine with a neighbouring case.
+    let outs = run_cases("e6", &cases(opts.quick), 1, one);
 
-    let rows = rules_vs_subscribers(&subscriber_counts(quick));
     let mut t = Table::new(
         "rules vs subscribers (3 services each)",
         &[
@@ -339,7 +314,8 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "rules_per_sub",
         ],
     );
-    for r in &rows {
+    for (row, _) in &outs {
+        let Row::Rules(r) = row else { continue };
         t.push(
             vec![
                 r.subscribers.to_string(),
@@ -352,16 +328,12 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     }
     report.table(t);
 
-    let pkts = throughput_pkts(quick);
-    let rows: Vec<ThroughputRow> = owner_counts(quick)
-        .iter()
-        .map(|&o| device_throughput(o, pkts, SIM_SEED).0)
-        .collect();
     let mut t = Table::new(
         "end-to-end device throughput vs registered owners (unowned traffic)",
         &["owners", "pkts", "wall_ms", "pkts_per_sec"],
     );
-    for r in &rows {
+    for (row, _) in &outs {
+        let Row::Throughput(r, _) = row else { continue };
         t.push(
             vec![
                 r.owners.to_string(),
@@ -378,15 +350,16 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         "LPM rule-table ablation (DESIGN.md §5)",
         &["structure", "entries", "ns_per_lookup"],
     );
-    for size in table_sizes(quick) {
-        for r in lookup_ablation(size, lpm_lookups(quick), LPM_SEED).0 {
+    for (row, _) in &outs {
+        let Row::Lpm(rows, _) = row else { continue };
+        for r in rows {
             t.push(
                 vec![
                     r.structure.clone(),
                     r.entries.to_string(),
                     f(r.ns_per_lookup),
                 ],
-                &r,
+                r,
             );
         }
     }

@@ -9,42 +9,52 @@
 //! per-ISP manual provisioning (modelled at 30 simulated minutes of
 //! operator handling per ISP, sequential — generous for 2005-era NOCs).
 
-use rayon::prelude::*;
-use serde::Serialize;
-
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,
     UserId,
 };
 use dtcs::netsim::{Prefix, SimTime, Simulator, Topology};
 
+use crate::sweep::{cells_of, metrics_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
-#[derive(Serialize, Clone)]
-struct Row {
-    isps: usize,
-    nodes: usize,
-    registration_ms: f64,
-    deployment_ms: f64,
-    devices: usize,
-    manual_estimate_hours: f64,
-    fallback_used: bool,
+dtcs::netsim::json_record! {
+    struct Row {
+        isps: usize,
+        nodes: usize,
+        registration_ms: f64,
+        deployment_ms: f64,
+        devices: usize,
+        manual_estimate_hours: f64,
+        fallback_used: bool,
+    }
 }
 
 /// Base seed shared by the single-run tables and the sweep cells
 /// (historically the literal `77` for both topology and simulator).
 const SEED: u64 = 77;
 
-/// ISP-count axis shared by `run()` and the sweep adapter.
-fn isp_counts(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![2, 5, 10]
+/// The grid: `(ISP count, TCSP outage)` — every ISP count on the TCSP
+/// path, then again on the direct-ISP fallback; the two tables, in order.
+fn cases(quick: bool) -> Vec<Case<(usize, bool)>> {
+    let isp_counts: &[usize] = if quick {
+        &[2, 5, 10]
     } else {
-        vec![2, 5, 10, 20, 50]
-    }
+        &[2, 5, 10, 20, 50]
+    };
+    let paths = [("tcsp", false), ("fallback", true)];
+    paths
+        .iter()
+        .flat_map(|&(path, outage)| {
+            isp_counts
+                .iter()
+                .map(move |&k| Case::new(format!("isps={k}/path={path}"), SEED, (k, outage)))
+        })
+        .collect()
 }
 
-fn one(n_isps: usize, stubs_per: usize, outage: bool, seed: u64) -> (Row, dtcs::netsim::Stats) {
+fn one(&(n_isps, outage): &(usize, bool), seed: u64) -> (Row, dtcs::netsim::Stats) {
+    let stubs_per = 10;
     let topo = Topology::transit_stub_multihomed(n_isps, stubs_per, 0.15, seed);
     let n_nodes = topo.n();
     let mut sim = Simulator::new(topo, seed);
@@ -80,7 +90,6 @@ fn one(n_isps: usize, stubs_per: usize, outage: bool, seed: u64) -> (Row, dtcs::
         });
     }
     sim.run_until(SimTime::from_secs(30));
-    crate::util::enforce_run_invariants("e7", &sim.stats);
     let r = record.lock();
     let reg = r
         .registered_at
@@ -107,58 +116,36 @@ fn one(n_isps: usize, stubs_per: usize, outage: bool, seed: u64) -> (Row, dtcs::
     (row, sim.stats)
 }
 
-/// Sweep-grid adapter: one cell per (ISP count, control path). The
-/// latency fields are simulated times, hence deterministic; they are
-/// skipped only when the sequence never completed (NaN).
+/// The latency fields are simulated times, hence deterministic; they are
+/// absent only when the sequence never completed (NaN, a `null` row field).
+fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+    let fields = [
+        "registration_ms",
+        "deployment_ms",
+        "devices",
+        "fallback_used",
+    ];
+    metrics_of(row, &fields)
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e7"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let mut cells = Vec::new();
-        for k in isp_counts(opts.quick) {
-            for (path, outage) in [("tcsp", false), ("fallback", true)] {
-                cells.push(crate::sweep::SweepCell {
-                    experiment: "e7",
-                    scenario: format!("isps={k}/path={path}"),
-                    base_seed: SEED,
-                    run: Box::new(move |seed| {
-                        let (row, stats) = one(k, 10, outage, seed);
-                        let mut metrics = std::collections::BTreeMap::new();
-                        if row.registration_ms.is_finite() {
-                            metrics.insert("registration_ms".to_string(), row.registration_ms);
-                        }
-                        if row.deployment_ms.is_finite() {
-                            metrics.insert("deployment_ms".to_string(), row.deployment_ms);
-                        }
-                        metrics.insert("devices".to_string(), row.devices as f64);
-                        metrics
-                            .insert("fallback_used".to_string(), row.fallback_used as u64 as f64);
-                        crate::sweep::CellRun { metrics, stats }
-                    }),
-                });
-            }
-        }
-        cells
+        cells_of("e7", cases(opts.quick), one, metrics)
     }
 }
 
 /// Run E7.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new(
         "e7",
         "Control-plane latency: registration + worldwide deployment",
         "Figs. 4-5 / Sec. 5.1",
     );
-    let isp_counts = isp_counts(quick);
-    let rows: Vec<Row> = isp_counts
-        .par_iter()
-        .map(|&k| one(k, 10, false, SEED).0)
-        .collect();
+    let outs = run_cases("e7", &cases(opts.quick), opts.pool_threads(), one);
+    let (tcsp, fallback) = outs.split_at(outs.len() / 2);
     let mut t = Table::new(
         "TCSP path: one registration, scoped fan-out",
         &[
@@ -170,7 +157,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "manual_est_hours",
         ],
     );
-    for r in &rows {
+    for (r, _) in tcsp {
         t.push(
             vec![
                 r.isps.to_string(),
@@ -186,15 +173,11 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     report.table(t);
 
     // Fallback path under TCSP outage.
-    let rows: Vec<Row> = isp_counts
-        .par_iter()
-        .map(|&k| one(k, 10, true, SEED).0)
-        .collect();
     let mut t = Table::new(
         "direct-ISP fallback (TCSP under DDoS; 5 s user timeout included)",
         &["isps", "deploy_ms", "devices", "fallback_used"],
     );
-    for r in &rows {
+    for (r, _) in fallback {
         t.push(
             vec![
                 r.isps.to_string(),

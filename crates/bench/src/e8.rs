@@ -7,8 +7,6 @@
 //! shrink-only), and the telemetry budget (event storms suppressed, no
 //! amplifying-network effect from the control side).
 
-use serde::Serialize;
-
 use dtcs::device::{
     AdaptiveDevice, DeviceCommand, DeviceReply, MatchExpr, ModuleSpec, OwnerId, SafetyVerifier,
     ServiceSpec, Stage, TriggerAction, TriggerMetric,
@@ -18,6 +16,7 @@ use dtcs::netsim::{
     TrafficClass,
 };
 
+use crate::sweep::{cells_of, run_cases, Case};
 use crate::util::{Report, Table};
 
 /// Base seed for the storm simulators (historically the literal `1`).
@@ -26,12 +25,13 @@ const SEED: u64 = 1;
 /// Telemetry allowance grid: (ratio, floor KiB).
 const ALLOWANCES: [(f64, u64); 4] = [(0.0, 0), (0.001, 16), (0.01, 64), (0.1, 64)];
 
-#[derive(Serialize, Clone)]
-struct CaseRow {
-    case: String,
-    expected: String,
-    got: String,
-    ok: bool,
+dtcs::netsim::json_record! {
+    struct CaseRow {
+        case: String,
+        expected: String,
+        got: String,
+        ok: bool,
+    }
 }
 
 fn adversarial_corpus() -> Vec<(String, ModuleSpec, &'static str)> {
@@ -101,17 +101,55 @@ fn adversarial_corpus() -> Vec<(String, ModuleSpec, &'static str)> {
     ]
 }
 
-/// Run E8.
-pub fn run(_opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new("e8", "Safety of delegated control", "Sec. 4.5");
+/// One grid point.
+#[derive(Clone, Copy)]
+enum Params {
+    /// The adversarial corpus against the verifier and a device (pure).
+    Verifier,
+    /// An event storm of this many bursts against a telemetry allowance
+    /// of `(ratio, floor KiB)`.
+    Storm(u64, f64, u64),
+}
 
-    // 1. Verifier corpus.
+enum Row {
+    /// Verifier verdicts, then the device-level (rejected installs,
+    /// rules left in the table).
+    Verifier(Vec<CaseRow>, usize, usize),
+    /// (events emitted, events suppressed, telemetry bytes, data bytes).
+    Storm(u64, u64, u64, u64),
+}
+
+/// The grid: the verifier corpus, the 10k-burst headline storm under the
+/// default allowance (1% + 64 KiB, footnote 1), then the 5k-burst storm
+/// under each allowance of the sweep.
+fn cases() -> Vec<Case<Params>> {
+    let mut cases = vec![
+        Case::new("verifier", SEED, Params::Verifier),
+        Case::new("storm/headline", SEED, Params::Storm(10_000, 0.01, 64)),
+    ];
+    cases.extend(ALLOWANCES.iter().map(|&(ratio, floor_kib)| {
+        let label = format!("storm/ratio={ratio}/floor={floor_kib}");
+        Case::new(label, SEED, Params::Storm(5_000, ratio, floor_kib))
+    }));
+    cases
+}
+
+fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+    match *params {
+        Params::Verifier => (verify_corpus(), Default::default()),
+        Params::Storm(bursts, ratio, floor_kib) => storm(bursts, ratio, floor_kib * 1024, seed),
+    }
+}
+
+/// The acceptance argument end to end: every adversarial spec is
+/// rejected by the deployment-time verifier with the expected reason,
+/// and the same rejection holds through a device's install path.
+fn verify_corpus() -> Row {
     let verifier = SafetyVerifier::default();
-    let mut t = Table::new(
-        "adversarial service specs vs the verifier",
-        &["case", "expected", "got", "ok"],
-    );
-    for (name, spec, expected) in adversarial_corpus() {
+    let (mut dev, handle) = AdaptiveDevice::new(NodeId(0), None);
+    let mut rows = Vec::new();
+    let mut rejected = 0;
+    for (case, spec, expected) in adversarial_corpus() {
         let svc = ServiceSpec::chain("adversarial", vec![spec]);
         let got = match verifier.verify(&svc) {
             Ok(()) => "Accepted".to_string(),
@@ -121,169 +159,32 @@ pub fn run(_opts: &crate::RunOpts) -> Report {
                 .unwrap_or("rejected")
                 .to_string(),
         };
-        let ok = got.starts_with(expected);
-        t.push(
-            vec![
-                name.clone(),
-                expected.to_string(),
-                got.clone(),
-                ok.to_string(),
-            ],
-            &CaseRow {
-                case: name,
-                expected: expected.to_string(),
-                got,
-                ok,
-            },
-        );
-    }
-    report.table(t);
-
-    // 2. The same rejection holds end-to-end through a device.
-    let (mut dev, handle) = AdaptiveDevice::new(NodeId(0), None);
-    let mut rejected = 0;
-    for (_, spec, _) in adversarial_corpus() {
         let reply = dev.apply(DeviceCommand::InstallService {
             txn: 0,
             lease_until: SimTime::MAX,
             owner: OwnerId(1),
             stage: Stage::Dst,
-            spec: ServiceSpec::chain("adv", vec![spec]),
+            spec: svc,
         });
         if matches!(reply, Some(DeviceReply::InstallRejected { .. })) {
             rejected += 1;
         }
+        rows.push(CaseRow {
+            case,
+            expected: expected.to_string(),
+            ok: got.starts_with(expected),
+            got,
+        });
     }
-    report.note(format!(
-        "device-level installs: {rejected}/{} adversarial specs rejected, rule table still \
-         holds {} rules (nothing leaked through).",
-        adversarial_corpus().len(),
-        handle.lock().rule_count
-    ));
-
-    // 3. Runtime guard: an owner flooding telemetry cannot amplify.
-    let topo = Topology::line(3);
-    let mut sim = Simulator::new(topo, SEED);
-    let owner = OwnerId(5);
-    let (mut dev, handle) = AdaptiveDevice::new(NodeId(1), None);
-    dev.apply(DeviceCommand::RegisterOwner {
-        owner,
-        prefixes: vec![Prefix::of_node(NodeId(2))],
-        contact: NodeId(2),
-    });
-    // A hair-trigger that fires/relieves constantly: an event storm.
-    dev.apply(DeviceCommand::InstallService {
-        txn: 0,
-        lease_until: SimTime::MAX,
-        owner,
-        stage: Stage::Dst,
-        spec: ServiceSpec::chain(
-            "storm",
-            vec![ModuleSpec::Trigger {
-                expr: MatchExpr::any(),
-                metric: TriggerMetric::PacketRate,
-                threshold: 0.5,
-                window: SimDuration::from_millis(10),
-                action: TriggerAction::Notify,
-                tag: 1,
-            }],
-        ),
-    });
-    sim.add_agent(NodeId(1), Box::new(dev));
-    let dst = Addr::new(NodeId(2), 1);
-    sim.install_app(dst, Box::new(dtcs::netsim::SinkApp));
-    // Bursty traffic: every 50 ms burst trips the 10 ms hair-trigger and
-    // then relieves it, two telemetry events per burst — 10k bursts try to
-    // emit ~20k events against a ~1k-event budget.
-    for burst in 0..10_000u64 {
-        for j in 0..2u64 {
-            let at = SimTime(burst * 50_000_000 + j * 1_000_000);
-            let k = burst * 2 + j;
-            sim.schedule(at, move |s| {
-                s.emit_now(
-                    NodeId(0),
-                    PacketBuilder::new(
-                        Addr::new(NodeId(0), 1),
-                        dst,
-                        Proto::Udp,
-                        TrafficClass::Background,
-                    )
-                    .size(100)
-                    .flow(k),
-                );
-            });
-        }
-    }
-    sim.run_until(SimTime::from_secs(520));
-    crate::util::enforce_run_invariants("e8/telemetry", &sim.stats);
-    let s = handle.lock();
-    let processed_bytes = s.redirected_bytes;
-    let budget = (processed_bytes as f64 * 0.01) as u64 + 64 * 1024;
-    let mut t = Table::new(
-        "telemetry budget under an event storm (footnote 1 allowance)",
-        &["metric", "value"],
-    );
-    for (k, v) in [
-        ("data bytes processed", processed_bytes),
-        ("telemetry bytes emitted", s.telemetry_bytes),
-        ("telemetry budget", budget),
-        ("events suppressed", s.suppressed_events),
-        ("events emitted", s.telemetry_events),
-    ] {
-        t.push(vec![k.to_string(), v.to_string()], &(k, v));
-    }
-    report.table(t);
-    report.note(format!(
-        "telemetry stayed at {:.2}% of processed traffic (allowance 1% + 64 KiB floor); \
-         the filter rules of Sec. 4.5 held by construction: headers immutable, packets \
-         shrink-only, no device-originated data-plane packets.",
-        100.0 * s.telemetry_bytes as f64 / processed_bytes.max(1) as f64
-    ));
-    drop(s);
-
-    // 4. Allowance sweep (DESIGN.md §5): the telemetry/data ratio bounds
-    // the worst-case control-side amplification a hostile owner can
-    // extract, linearly and predictably.
-    let mut t = Table::new(
-        "telemetry allowance sweep under the same event storm",
-        &[
-            "ratio",
-            "floor_kib",
-            "events_emitted",
-            "events_suppressed",
-            "telemetry/data",
-        ],
-    );
-    for (ratio, floor_kib) in ALLOWANCES {
-        let (emitted, suppressed, tbytes, dbytes, _stats) =
-            storm_with_budget(ratio, floor_kib * 1024, SEED);
-        t.push(
-            vec![
-                format!("{ratio}"),
-                floor_kib.to_string(),
-                emitted.to_string(),
-                suppressed.to_string(),
-                format!("{:.4}", tbytes as f64 / dbytes.max(1) as f64),
-            ],
-            &(ratio, floor_kib, emitted, suppressed),
-        );
-    }
-    report.table(t);
-    report.note(
-        "Control-side amplification is capped by the configured allowance: even a \
-         hair-trigger storm emits at most ratio x data-bytes (+floor) of telemetry.",
-    );
-    report
+    let rules_left = handle.lock().rule_count;
+    Row::Verifier(rows, rejected, rules_left)
 }
 
-/// Re-run the storm harness with a custom telemetry budget; returns
-/// (events emitted, events suppressed, telemetry bytes, data bytes)
-/// plus the simulator stats for the sweep.
-fn storm_with_budget(
-    ratio: f64,
-    floor: u64,
-    seed: u64,
-) -> (u64, u64, u64, u64, dtcs::netsim::Stats) {
+/// Runtime guard: an owner flooding telemetry cannot amplify. A
+/// hair-trigger that fires/relieves constantly meets bursty traffic:
+/// every 50 ms burst trips the 10 ms trigger and then relieves it, two
+/// telemetry events per burst against the `(ratio, floor)` budget.
+fn storm(bursts: u64, ratio: f64, floor: u64, seed: u64) -> (Row, dtcs::netsim::Stats) {
     let topo = Topology::line(3);
     let mut sim = Simulator::new(topo, seed);
     let owner = OwnerId(5);
@@ -314,7 +215,7 @@ fn storm_with_budget(
     sim.add_agent(NodeId(1), Box::new(dev));
     let dst = Addr::new(NodeId(2), 1);
     sim.install_app(dst, Box::new(dtcs::netsim::SinkApp));
-    for burst in 0..5_000u64 {
+    for burst in 0..bursts {
         for j in 0..2u64 {
             let at = SimTime(burst * 50_000_000 + j * 1_000_000);
             let k = burst * 2 + j;
@@ -333,88 +234,140 @@ fn storm_with_budget(
             });
         }
     }
-    sim.run_until(SimTime::from_secs(260));
-    crate::util::enforce_run_invariants("e8/storm", &sim.stats);
+    sim.run_until(SimTime::from_millis(bursts * 52));
     let s = handle.lock();
-    let out = (
+    let row = Row::Storm(
         s.telemetry_events,
         s.suppressed_events,
         s.telemetry_bytes,
         s.redirected_bytes,
     );
     drop(s);
-    (out.0, out.1, out.2, out.3, sim.stats)
+    (row, sim.stats)
 }
 
-/// Sweep-grid adapter: the (pure) verifier corpus plus one cell per
-/// telemetry-allowance setting of the budget storm. The expensive 10k-burst
-/// headline storm stays single-run only; the 5k-burst budget storm covers
-/// the same mechanism per replicate.
+fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+    let pairs: Vec<(&str, f64)> = match *row {
+        Row::Verifier(ref rows, ..) => vec![
+            ("cases", rows.len() as f64),
+            (
+                "rejected_as_expected",
+                rows.iter().filter(|r| r.ok).count() as f64,
+            ),
+        ],
+        Row::Storm(emitted, suppressed, tbytes, dbytes) => vec![
+            ("events_emitted", emitted as f64),
+            ("events_suppressed", suppressed as f64),
+            ("telemetry_bytes", tbytes as f64),
+            ("data_bytes", dbytes as f64),
+            ("telemetry_ratio", tbytes as f64 / dbytes.max(1) as f64),
+        ],
+    };
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e8"
-    }
-
     fn cells(&self, _opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let mut cells = Vec::new();
-        cells.push(crate::sweep::SweepCell {
-            experiment: "e8",
-            scenario: "verifier".to_string(),
-            base_seed: SEED,
-            run: Box::new(|_seed| {
-                let verifier = SafetyVerifier::default();
-                let corpus = adversarial_corpus();
-                let total = corpus.len();
-                let mut rejected_as_expected = 0u64;
-                for (_, spec, expected) in corpus {
-                    let svc = ServiceSpec::chain("adversarial", vec![spec]);
-                    let got = match verifier.verify(&svc) {
-                        Ok(()) => "Accepted".to_string(),
-                        Err(v) => format!("{v:?}")
-                            .split(['{', ' '])
-                            .next()
-                            .unwrap_or("rejected")
-                            .to_string(),
-                    };
-                    if got.starts_with(expected) {
-                        rejected_as_expected += 1;
-                    }
-                }
-                let mut metrics = std::collections::BTreeMap::new();
-                metrics.insert("cases".to_string(), total as f64);
-                metrics.insert(
-                    "rejected_as_expected".to_string(),
-                    rejected_as_expected as f64,
-                );
-                crate::sweep::CellRun {
-                    metrics,
-                    stats: dtcs::netsim::Stats::default(),
-                }
-            }),
-        });
-        for (ratio, floor_kib) in ALLOWANCES {
-            cells.push(crate::sweep::SweepCell {
-                experiment: "e8",
-                scenario: format!("storm/ratio={ratio}/floor={floor_kib}"),
-                base_seed: SEED,
-                run: Box::new(move |seed| {
-                    let (emitted, suppressed, tbytes, dbytes, stats) =
-                        storm_with_budget(ratio, floor_kib * 1024, seed);
-                    let mut metrics = std::collections::BTreeMap::new();
-                    metrics.insert("events_emitted".to_string(), emitted as f64);
-                    metrics.insert("events_suppressed".to_string(), suppressed as f64);
-                    metrics.insert("telemetry_bytes".to_string(), tbytes as f64);
-                    metrics.insert("data_bytes".to_string(), dbytes as f64);
-                    metrics.insert(
-                        "telemetry_ratio".to_string(),
-                        tbytes as f64 / dbytes.max(1) as f64,
-                    );
-                    crate::sweep::CellRun { metrics, stats }
-                }),
-            });
-        }
-        cells
+        cells_of("e8", cases(), one, metrics)
     }
+}
+
+/// Run E8.
+pub fn run(opts: &crate::RunOpts) -> Report {
+    let mut report = Report::new("e8", "Safety of delegated control", "Sec. 4.5");
+    let outs = run_cases("e8", &cases(), opts.pool_threads(), one);
+    let mut rows = outs.iter().map(|o| &o.0);
+
+    // 1. Verifier corpus, and the same rejection end-to-end through a
+    // device.
+    let Some(Row::Verifier(verdicts, rejected, rules_left)) = rows.next() else {
+        unreachable!("the verifier case comes first")
+    };
+    let mut t = Table::new(
+        "adversarial service specs vs the verifier",
+        &["case", "expected", "got", "ok"],
+    );
+    for r in verdicts {
+        t.push(
+            vec![
+                r.case.clone(),
+                r.expected.clone(),
+                r.got.clone(),
+                r.ok.to_string(),
+            ],
+            r,
+        );
+    }
+    report.table(t);
+    report.note(format!(
+        "device-level installs: {rejected}/{} adversarial specs rejected, rule table still \
+         holds {rules_left} rules (nothing leaked through).",
+        verdicts.len(),
+    ));
+
+    // 2. The headline storm: 10k bursts try to emit ~20k events against a
+    // ~1k-event budget.
+    let Some(&Row::Storm(emitted, suppressed, telemetry_bytes, processed_bytes)) = rows.next()
+    else {
+        unreachable!("the headline storm comes second")
+    };
+    let budget = (processed_bytes as f64 * 0.01) as u64 + 64 * 1024;
+    let mut t = Table::new(
+        "telemetry budget under an event storm (footnote 1 allowance)",
+        &["metric", "value"],
+    );
+    for (k, v) in [
+        ("data bytes processed", processed_bytes),
+        ("telemetry bytes emitted", telemetry_bytes),
+        ("telemetry budget", budget),
+        ("events suppressed", suppressed),
+        ("events emitted", emitted),
+    ] {
+        t.push(vec![k.to_string(), v.to_string()], &(k, v));
+    }
+    report.table(t);
+    report.note(format!(
+        "telemetry stayed at {:.2}% of processed traffic (allowance 1% + 64 KiB floor); \
+         the filter rules of Sec. 4.5 held by construction: headers immutable, packets \
+         shrink-only, no device-originated data-plane packets.",
+        100.0 * telemetry_bytes as f64 / processed_bytes.max(1) as f64
+    ));
+
+    // 3. Allowance sweep (DESIGN.md §5): the telemetry/data ratio bounds
+    // the worst-case control-side amplification a hostile owner can
+    // extract, linearly and predictably.
+    let mut t = Table::new(
+        "telemetry allowance sweep under the same event storm",
+        &[
+            "ratio",
+            "floor_kib",
+            "events_emitted",
+            "events_suppressed",
+            "telemetry/data",
+        ],
+    );
+    for ((ratio, floor_kib), row) in ALLOWANCES.into_iter().zip(rows) {
+        let &Row::Storm(emitted, suppressed, tbytes, dbytes) = row else {
+            unreachable!("allowance storms come last")
+        };
+        t.push(
+            vec![
+                format!("{ratio}"),
+                floor_kib.to_string(),
+                emitted.to_string(),
+                suppressed.to_string(),
+                format!("{:.4}", tbytes as f64 / dbytes.max(1) as f64),
+            ],
+            &(ratio, floor_kib, emitted, suppressed),
+        );
+    }
+    report.table(t);
+    report.note(
+        "Control-side amplification is capped by the configured allowance: even a \
+         hair-trigger storm emits at most ratio x data-bytes (+floor) of telemetry.",
+    );
+    report
 }

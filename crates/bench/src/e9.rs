@@ -10,24 +10,24 @@
 //! prefixes, not agent prefixes. The destination-keyed ablation
 //! (ACC-style) is included for contrast.
 
-use serde::Serialize;
-
 use dtcs::attack::{install_clients, mean_success, ReflectorAttack, ReflectorAttackConfig};
 use dtcs::mitigation::{deploy_pushback_everywhere, AggregateKey, PushbackConfig};
 use dtcs::netsim::{DropReason, Proto, SimDuration, SimTime, Simulator, Topology};
 
+use crate::sweep::{cells_of, metrics_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
-#[derive(Serialize, Clone)]
-struct Row {
-    case: String,
-    limits_installed: usize,
-    limits_on_reflector_prefixes: usize,
-    limits_on_agent_prefixes: usize,
-    pushback_drops: u64,
-    drops_on_reflector_traffic: u64,
-    legit_success: f64,
-    victim_overloaded: u64,
+dtcs::netsim::json_record! {
+    struct Row {
+        case: String,
+        limits_installed: usize,
+        limits_on_reflector_prefixes: usize,
+        limits_on_agent_prefixes: usize,
+        pushback_drops: u64,
+        drops_on_reflector_traffic: u64,
+        legit_success: f64,
+        victim_overloaded: u64,
+    }
 }
 
 /// Base seed shared by the single-run table and the sweep cells
@@ -35,36 +35,37 @@ struct Row {
 /// attack config, and client installer).
 const SEED: u64 = 55;
 
-/// The three cases: (aggregate key, skinny uplink, table label, scenario
-/// key for sweep output).
-const CASES: [(AggregateKey, bool, &str, &str); 3] = [
-    (
-        AggregateKey::SrcPrefix,
-        false,
-        "server-bound attack (fat uplink)",
-        "fat-uplink/src-keyed",
-    ),
-    (
-        AggregateKey::SrcPrefix,
-        true,
-        "bandwidth-bound, src-keyed (paper's pushback)",
-        "skinny-uplink/src-keyed",
-    ),
-    (
-        AggregateKey::DstPrefix,
-        true,
-        "bandwidth-bound, dst-keyed (ACC ablation)",
-        "skinny-uplink/dst-keyed",
-    ),
-];
+/// One grid point: `(aggregate key, skinny uplink, table label, quick)`.
+type Params = (AggregateKey, bool, &'static str, bool);
 
-fn run_case(
-    key: AggregateKey,
-    skinny_uplink: bool,
-    quick: bool,
-    label: &str,
-    seed: u64,
-) -> (Row, dtcs::netsim::Stats) {
+/// The three misattribution cases.
+fn cases(quick: bool) -> Vec<Case<Params>> {
+    [
+        (
+            AggregateKey::SrcPrefix,
+            false,
+            "server-bound attack (fat uplink)",
+            "fat-uplink/src-keyed",
+        ),
+        (
+            AggregateKey::SrcPrefix,
+            true,
+            "bandwidth-bound, src-keyed (paper's pushback)",
+            "skinny-uplink/src-keyed",
+        ),
+        (
+            AggregateKey::DstPrefix,
+            true,
+            "bandwidth-bound, dst-keyed (ACC ablation)",
+            "skinny-uplink/dst-keyed",
+        ),
+    ]
+    .into_iter()
+    .map(|(key, skinny, label, scenario)| Case::new(scenario, SEED, (key, skinny, label, quick)))
+    .collect()
+}
+
+fn one(&(key, skinny_uplink, label, quick): &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
     let n = if quick { 120 } else { 250 };
     let mut topo = Topology::barabasi_albert(n, 2, 0.1, seed);
     // Pre-compute the victim (same convention every run: first stub).
@@ -122,7 +123,6 @@ fn run_case(
         seed,
     );
     sim.run_until(SimTime::from_secs(dur as u64));
-    crate::util::enforce_run_invariants("e9", &sim.stats);
 
     let s = pb.lock();
     let reflector_prefixes: Vec<u32> = attack
@@ -166,65 +166,36 @@ fn run_case(
     (row, sim.stats)
 }
 
-/// Sweep-grid adapter: one cell per misattribution case.
+fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+    let fields = [
+        "limits_installed",
+        "limits_on_reflector_prefixes",
+        "limits_on_agent_prefixes",
+        "pushback_drops",
+        "drops_on_reflector_traffic",
+        "legit_success",
+        "victim_overloaded",
+    ];
+    metrics_of(row, &fields)
+}
+
+/// Sweep-grid adapter over [`cases`].
 pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
-    fn id(&self) -> &'static str {
-        "e9"
-    }
-
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let quick = opts.quick;
-        CASES
-            .iter()
-            .map(
-                |&(key, skinny, label, scenario_key)| crate::sweep::SweepCell {
-                    experiment: "e9",
-                    scenario: scenario_key.to_string(),
-                    base_seed: SEED,
-                    run: Box::new(move |seed| {
-                        let (row, stats) = run_case(key, skinny, quick, label, seed);
-                        let mut metrics = std::collections::BTreeMap::new();
-                        metrics.insert("limits_installed".to_string(), row.limits_installed as f64);
-                        metrics.insert(
-                            "limits_on_reflector_prefixes".to_string(),
-                            row.limits_on_reflector_prefixes as f64,
-                        );
-                        metrics.insert(
-                            "limits_on_agent_prefixes".to_string(),
-                            row.limits_on_agent_prefixes as f64,
-                        );
-                        metrics.insert("pushback_drops".to_string(), row.pushback_drops as f64);
-                        metrics.insert(
-                            "drops_on_reflector_traffic".to_string(),
-                            row.drops_on_reflector_traffic as f64,
-                        );
-                        metrics.insert("legit_success".to_string(), row.legit_success);
-                        metrics.insert(
-                            "victim_overloaded".to_string(),
-                            row.victim_overloaded as f64,
-                        );
-                        crate::sweep::CellRun { metrics, stats }
-                    }),
-                },
-            )
-            .collect()
+        cells_of("e9", cases(opts.quick), one, metrics)
     }
 }
 
 /// Run E9.
 pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
     let mut report = Report::new(
         "e9",
         "Pushback against reflector attacks: no trigger, then misattribution",
         "Sec. 3.1",
     );
-    let rows: Vec<Row> = CASES
-        .iter()
-        .map(|&(key, skinny, label, _)| run_case(key, skinny, quick, label, SEED).0)
-        .collect();
+    let rows = run_cases("e9", &cases(opts.quick), opts.pool_threads(), one);
     let mut t = Table::new(
         "what pushback limits, and whom it hits",
         &[
@@ -237,7 +208,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "legit_ok",
         ],
     );
-    for r in &rows {
+    for (r, _) in &rows {
         t.push(
             vec![
                 r.case.clone(),

@@ -1,6 +1,6 @@
 //! # dtcs-bench — experiment harness
 //!
-//! One module per experiment of EXPERIMENTS.md (E1–E11), each regenerating
+//! One module per experiment of EXPERIMENTS.md (E1–E14), each regenerating
 //! a table/figure-equivalent of the reproduced paper. The `experiments`
 //! binary runs them and writes JSON reports under `results/`.
 
@@ -59,6 +59,10 @@ pub struct RunOpts {
     /// Carry scenario background traffic on the fluid aggregate layer
     /// (`--fluid`) instead of as discrete CBR packets.
     pub fluid: bool,
+    /// Shard count of the pool (`--threads N`), for single runs and
+    /// sweeps alike. `None` uses every available core; report bytes are
+    /// the same at any value.
+    pub threads: Option<usize>,
 }
 
 impl RunOpts {
@@ -68,6 +72,15 @@ impl RunOpts {
             quick: true,
             ..Default::default()
         }
+    }
+
+    /// Shard count of [`sweep`]'s pool under these options.
+    pub fn pool_threads(&self) -> usize {
+        self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     }
 
     /// Apply the scale axes to a scenario config. Default options leave
@@ -91,76 +104,104 @@ impl RunOpts {
 }
 
 /// One registered experiment: its id, its `--list` line (title and paper
-/// anchor) and its runner.
-type ExperimentEntry = (&'static str, &'static str, fn(&RunOpts) -> Report);
+/// anchor), its single-run renderer and its sweep-grid adapter.
+type ExperimentEntry = (
+    &'static str,
+    &'static str,
+    fn(&RunOpts) -> Report,
+    &'static dyn sweep::GridExperiment,
+);
 
-/// The experiment registry — the *single* source of truth for dispatch
-/// and for `experiments --list`. [`ALL`] and [`run_experiment`] both
-/// derive from this table, so adding an experiment is one new row here
-/// plus its module; the id list, the index and the dispatch cannot drift
-/// apart.
+/// The experiment registry — the *single* source of truth for dispatch,
+/// for `--sweep` and for `experiments --list`. [`ALL`],
+/// [`run_experiment`] and [`sweep_experiment`] all derive from this
+/// table, so adding an experiment is one new row here plus its module;
+/// the id list, the index, the dispatch and the grid adapters cannot
+/// drift apart.
 pub const EXPERIMENTS: [ExperimentEntry; 14] = [
     (
         "e1",
         "Reflector-attack anatomy: amplification factors [Fig. 1 / Sec. 2.2]",
         e1::run,
+        &e1::Sweep,
     ),
     (
         "e2",
         "Scheme comparison under reflector + direct attacks [Sec. 3 + 4.3]",
         e2::run,
+        &e2::Sweep,
     ),
     (
         "e3",
         "Spoofed-packet survival vs deployment coverage [Sec. 3.2, Park & Lee]",
         e3::run,
+        &e3::Sweep,
     ),
     (
         "e4",
         "Collateral damage of reactive filtering [Secs. 1 / 3.1 / 3.4]",
         e4::run,
+        &e4::Sweep,
     ),
     (
         "e5",
         "Stop distance & wasted bandwidth vs TCS coverage [Secs. 4.3 / 6]",
         e5::run,
+        &e5::Sweep,
     ),
     (
         "e6",
         "Device and rule-table scalability [Sec. 5.3]",
         e6::run,
+        &e6::Sweep,
     ),
     (
         "e7",
         "Control-plane latency: registration + deployment [Figs. 4-5 / Sec. 5.1]",
         e7::run,
+        &e7::Sweep,
     ),
-    ("e8", "Safety of delegated control [Sec. 4.5]", e8::run),
-    ("e9", "Pushback vs reflector attacks [Sec. 3.1]", e9::run),
+    (
+        "e8",
+        "Safety of delegated control [Sec. 4.5]",
+        e8::run,
+        &e8::Sweep,
+    ),
+    (
+        "e9",
+        "Pushback vs reflector attacks [Sec. 3.1]",
+        e9::run,
+        &e9::Sweep,
+    ),
     (
         "e10",
         "Traceback accuracy + anomaly-reaction latency [Sec. 4.4]",
         e10::run,
+        &e10::Sweep,
     ),
     (
         "e11",
         "Botnet recruitment dynamics and attack ramp [Sec. 2.1]",
         e11::run,
+        &e11::Sweep,
     ),
     (
         "e12",
         "ISP incentives: attack bandwidth saved per provider [Sec. 4.6]",
         e12::run,
+        &e12::Sweep,
     ),
     (
         "e13",
         "Control-plane fault sweep: loss × MTBF vs convergence [Sec. 5.1]",
         e13::run,
+        &e13::Sweep,
     ),
     (
         "e14",
         "Leased mitigations under partition: orphan dwell vs renewal cost [Sec. 4.3]",
         e14::run,
+        &e14::Sweep,
     ),
 ];
 
@@ -175,36 +216,16 @@ pub const ALL: [&str; EXPERIMENTS.len()] = {
     ids
 };
 
-/// Run one experiment by id.
-pub fn run_experiment(id: &str, opts: &RunOpts) -> Option<Report> {
-    EXPERIMENTS
-        .iter()
-        .find(|(eid, ..)| *eid == id)
-        .map(|&(.., run)| run(opts))
+fn entry(id: &str) -> Option<ExperimentEntry> {
+    EXPERIMENTS.iter().find(|e| e.0 == id).copied()
 }
 
-/// Experiments ported onto the sweep engine's [`sweep::GridExperiment`]
-/// trait (`--sweep` mode). Every registered experiment is sweep-capable;
-/// a new experiment must ship its cell adapter alongside its `run()`
-/// (enforced by the registry-completeness test in [`sweep`]).
-pub static SWEEP_EXPERIMENTS: [&dyn sweep::GridExperiment; 14] = [
-    &e1::Sweep,
-    &e2::Sweep,
-    &e3::Sweep,
-    &e4::Sweep,
-    &e5::Sweep,
-    &e6::Sweep,
-    &e7::Sweep,
-    &e8::Sweep,
-    &e9::Sweep,
-    &e10::Sweep,
-    &e11::Sweep,
-    &e12::Sweep,
-    &e13::Sweep,
-    &e14::Sweep,
-];
+/// Run one experiment by id.
+pub fn run_experiment(id: &str, opts: &RunOpts) -> Option<Report> {
+    entry(id).map(|(_, _, run, _)| run(opts))
+}
 
-/// Look up a sweep-capable experiment by id.
+/// Look up an experiment's sweep-grid adapter by id.
 pub fn sweep_experiment(id: &str) -> Option<&'static dyn sweep::GridExperiment> {
-    SWEEP_EXPERIMENTS.iter().find(|e| e.id() == id).copied()
+    entry(id).map(|(.., grid)| grid)
 }

@@ -1,29 +1,27 @@
-//! Work-stealing sharded sweep engine over the full
-//! (experiment × scenario × seed) grid (DESIGN.md §6.6).
+//! The bench crate's one thread pool and the (experiment × scenario ×
+//! seed) sweep built on it (DESIGN.md §6.6).
 //!
-//! The pre-sweep harness ran one experiment at a time with only
-//! per-experiment `par_iter` inside each module: cores idled at every
-//! experiment boundary and the serial experiments (E13's cell loop) never
-//! parallelized at all. This module flattens *every* requested
-//! experiment's scenario cells, replicated under N deterministically
-//! derived child seeds, into a single task pool drained by work-stealing
-//! shards:
+//! An experiment is a list of [`Case`]s plus one `one(case, seed)`
+//! function. Single-run mode ([`run_cases`]) runs every case once at its
+//! base seed and renders tables; sweep mode ([`run_sweep`]) flattens
+//! *every* requested experiment's cases, replicated under N
+//! deterministically derived child seeds, into a single task list. Both
+//! drain on the same work-stealing shards:
 //!
 //! * each **task** is one independent simulator run — a `(cell,
 //!   replicate)` grid point with its own seed from [`replicate_seed`];
 //! * each **shard** (worker thread) owns a task deque and an independent
-//!   [`Stats`] accumulator; an idle shard steals half the largest
-//!   remaining deque, so long cells (an e13 fault sweep) backfill behind
-//!   short ones (an e3 probe run) with no barrier in between;
+//!   accumulator; an idle shard steals half the largest remaining deque,
+//!   so long cells (an e13 fault sweep) backfill behind short ones (an e3
+//!   probe run) with no barrier in between;
 //! * per-shard `Stats` fold with the commutative, associative
 //!   [`Stats::merge`], so *any* stealing schedule produces one identical
 //!   aggregate;
 //! * report JSON is written **shard-order-independent**: per-cell metric
 //!   vectors are ordered by replicate index, cells are stably sorted by
-//!   grid key `(experiment, scenario, base_seed)` before serialization,
-//!   and the serializer is a hand-rolled deterministic writer — so the
-//!   bytes are identical at any thread count (CI-enforced at
-//!   `RAYON_NUM_THREADS=1` vs `=4`).
+//!   grid key `(experiment, scenario, base_seed)` before serialization —
+//!   so the bytes are identical at any thread count (CI-enforced at
+//!   `--threads 1` vs `--threads 4`).
 //!
 //! Replication (`--replicate N`, default 32 in sweep mode) turns each
 //! scenario cell into N seed-varied runs and the report's single values
@@ -35,6 +33,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use dtcs::netsim::json::{Json, ToJson};
 use dtcs::netsim::rng::child_seed;
 use dtcs::netsim::Stats;
 
@@ -68,13 +67,9 @@ pub struct SweepCell {
     pub run: Box<dyn Fn(u64) -> CellRun + Send + Sync>,
 }
 
-/// An experiment that exposes its scenario grid to the sweep engine.
-/// Porting an experiment is: enumerate cells here, keep the bespoke
-/// single-run `run()` for the golden tables. (E2/E3/E13 are ported;
-/// the rest of the registry migrates behind this same trait.)
+/// An experiment that exposes its scenario grid to the sweep engine:
+/// the fourth column of the [`crate::EXPERIMENTS`] registry.
 pub trait GridExperiment: Sync {
-    /// Experiment id, matching the [`crate::EXPERIMENTS`] registry.
-    fn id(&self) -> &'static str;
     /// Enumerate the experiment's scenario cells.
     fn cells(&self, opts: &RunOpts) -> Vec<SweepCell>;
 }
@@ -96,21 +91,6 @@ pub fn replicate_seed(base_seed: u64, replicate: u32) -> u64 {
     }
 }
 
-/// Shard count: `RAYON_NUM_THREADS` when set (the knob CI pins for the
-/// thread-count-invariance gate, and the one users already know from the
-/// per-experiment `par_iter`s), else all available cores.
-pub fn default_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
 /// Per-shard execution accounting (print-only; never serialized).
 #[derive(Default)]
 pub struct ShardReport {
@@ -118,8 +98,6 @@ pub struct ShardReport {
     pub tasks: usize,
     /// Successful steal operations (half a victim deque each).
     pub steals: u64,
-    /// Wall time spent inside task bodies.
-    pub busy: Duration,
 }
 
 /// Everything one grid execution produces.
@@ -137,19 +115,14 @@ pub struct GridOutcome {
     pub wall: Duration,
 }
 
-/// Worker-local state, returned when the shard's deque (and every
-/// victim's) is dry.
-#[derive(Default)]
-struct ShardOut {
-    results: Vec<(usize, BTreeMap<String, f64>)>,
-    stats: Stats,
-    report: ShardReport,
-}
-
 /// Pop from our own deque, or steal half the largest victim deque.
 /// Returns `None` only when every deque is empty — since tasks never
 /// spawn tasks, that is the termination condition.
-fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize, out: &mut ShardOut) -> Option<usize> {
+fn next_task(
+    queues: &[Mutex<VecDeque<usize>>],
+    me: usize,
+    report: &mut ShardReport,
+) -> Option<usize> {
     if let Some(t) = queues[me].lock().expect("queue poisoned").pop_front() {
         return Some(t);
     }
@@ -173,7 +146,7 @@ fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize, out: &mut ShardOut) -
         let take = (n / 2).max(1);
         let mut stolen = vq.split_off(n - take);
         drop(vq);
-        out.report.steals += 1;
+        report.steals += 1;
         let first = stolen.pop_front().expect("stole at least one task");
         if !stolen.is_empty() {
             queues[me]
@@ -185,11 +158,133 @@ fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize, out: &mut ShardOut) -
     }
 }
 
-/// Drain the flattened `(cell × replicate)` grid with `threads`
-/// work-stealing shards. Task index `t` maps to cell `t / replicates`,
-/// replicate `t % replicates`; the initial distribution deals tasks
-/// round-robin so every shard starts with a spread of cheap and
-/// expensive cells.
+/// The one thread pool: drain tasks `0..n_tasks` with `threads`
+/// work-stealing shards, each folding the tasks it ran into its own `A`.
+/// The initial distribution deals tasks round-robin so every shard starts
+/// with a spread of cheap and expensive ones. Which shard ran what is
+/// schedule-dependent; callers combine the accumulators with an
+/// order-independent fold (sort by task index, [`Stats::merge`]).
+fn drain<A: Default + Send>(
+    n_tasks: usize,
+    threads: usize,
+    task: impl Fn(&mut A, usize) + Sync,
+) -> (Vec<(A, ShardReport)>, Duration) {
+    let threads = threads.max(1);
+    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
+        .map(|w| Mutex::new((w..n_tasks).step_by(threads).collect()))
+        .collect();
+    let started = Instant::now();
+    let shards = std::thread::scope(|scope| {
+        let (queues, task) = (&queues, &task);
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    let (mut acc, mut report) = (A::default(), ShardReport::default());
+                    while let Some(t) = next_task(queues, w, &mut report) {
+                        task(&mut acc, t);
+                        report.tasks += 1;
+                    }
+                    (acc, report)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("pool shard panicked"))
+            .collect()
+    });
+    (shards, started.elapsed())
+}
+
+/// One case of an experiment's grid — what `run()` renders as a table
+/// row and what the sweep replicates: the scenario label (second
+/// component of the grid key), the seed the single-run tables use, and
+/// whatever the experiment's `one(case, seed)` needs.
+pub struct Case<C> {
+    /// Stable label, unique within the experiment.
+    pub scenario: String,
+    /// Seed of the single-run tables; replicate 0 reuses it.
+    pub base_seed: u64,
+    /// The experiment's own parameters.
+    pub params: C,
+}
+
+impl<C> Case<C> {
+    /// A case.
+    pub fn new(scenario: impl Into<String>, base_seed: u64, params: C) -> Case<C> {
+        Case {
+            scenario: scenario.into(),
+            base_seed,
+            params,
+        }
+    }
+}
+
+/// Single-run mode: every case at its base seed on the pool, results in
+/// case order whatever the schedule. Each run's [`Stats`] pass
+/// [`crate::util::enforce_run_invariants`] before anything is rendered.
+pub fn run_cases<C: Sync, R: Send>(
+    id: &str,
+    cases: &[Case<C>],
+    threads: usize,
+    one: impl Fn(&C, u64) -> (R, Stats) + Sync,
+) -> Vec<(R, Stats)> {
+    let (shards, _) = drain(cases.len(), threads, |acc: &mut Vec<_>, i| {
+        let case = &cases[i];
+        let out = one(&case.params, case.base_seed);
+        crate::util::enforce_run_invariants(&format!("{id}/{}", case.scenario), &out.1);
+        acc.push((i, out));
+    });
+    let mut outs: Vec<_> = shards.into_iter().flat_map(|(acc, _)| acc).collect();
+    outs.sort_by_key(|&(i, _)| i);
+    outs.into_iter().map(|(_, out)| out).collect()
+}
+
+/// Sweep mode: the same cases as replicable grid cells. `metrics`
+/// flattens a row into the numbers the replicate aggregation folds.
+pub fn cells_of<C, R>(
+    experiment: &'static str,
+    cases: Vec<Case<C>>,
+    one: fn(&C, u64) -> (R, Stats),
+    metrics: fn(&R) -> BTreeMap<String, f64>,
+) -> Vec<SweepCell>
+where
+    C: Send + Sync + 'static,
+    R: 'static,
+{
+    let cell = |case: Case<C>| SweepCell {
+        experiment,
+        scenario: case.scenario,
+        base_seed: case.base_seed,
+        run: Box::new(move |seed| {
+            let (row, stats) = one(&case.params, seed);
+            CellRun {
+                metrics: metrics(&row),
+                stats,
+            }
+        }),
+    };
+    cases.into_iter().map(cell).collect()
+}
+
+/// The named fields of a table row as sweep metrics: numbers as they
+/// are, booleans as 0/1. A `null` — an optional the run did not produce,
+/// a NaN latency — is simply absent; the aggregation tracks per-metric
+/// sample counts.
+pub fn metrics_of(row: &impl ToJson, fields: &[&str]) -> BTreeMap<String, f64> {
+    let row = row.to_json();
+    let value = |field: &&str| match &row[*field] {
+        Json::Bool(b) => Some(f64::from(u8::from(*b))),
+        v => v.as_f64(),
+    };
+    let present = fields
+        .iter()
+        .filter_map(|f| Some((f.to_string(), value(f)?)));
+    present.collect()
+}
+
+/// Drain the flattened `(cell × replicate)` grid on the pool. Task index
+/// `t` maps to cell `t / replicates`, replicate `t % replicates`.
 pub fn run_grid(cells: &[SweepCell], replicates: u32, threads: usize) -> GridOutcome {
     // No silent clamp: zero replicates would mean "run nothing and report
     // it as a sweep". The CLI rejects `--replicate 0` with exit 2; a
@@ -199,54 +294,28 @@ pub fn run_grid(cells: &[SweepCell], replicates: u32, threads: usize) -> GridOut
         "run_grid requires at least one replicate (replicate 0 is the golden base seed)"
     );
     let replicates = replicates as usize;
-    let threads = threads.max(1);
-    let n_tasks = cells.len() * replicates;
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w..n_tasks).step_by(threads).collect()))
-        .collect();
-
-    let started = Instant::now();
-    let shard_outs: Vec<ShardOut> = std::thread::scope(|scope| {
-        let queues = &queues;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut out = ShardOut::default();
-                    while let Some(t) = next_task(queues, w, &mut out) {
-                        let cell = &cells[t / replicates];
-                        let r = (t % replicates) as u32;
-                        let t0 = Instant::now();
-                        let run = (cell.run)(replicate_seed(cell.base_seed, r));
-                        let took = t0.elapsed();
-                        crate::util::enforce_run_invariants(
-                            &format!("sweep {}/{} r{r}", cell.experiment, cell.scenario),
-                            &run.stats,
-                        );
-                        let mut stats = run.stats;
-                        stats.series = None;
-                        out.stats.merge(&stats);
-                        out.results.push((t, run.metrics));
-                        out.report.tasks += 1;
-                        out.report.busy += took;
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep shard panicked"))
-            .collect()
+    type Acc = (Vec<(usize, BTreeMap<String, f64>)>, Stats);
+    let (shard_outs, wall) = drain(cells.len() * replicates, threads, |acc: &mut Acc, t| {
+        let cell = &cells[t / replicates];
+        let r = (t % replicates) as u32;
+        let run = (cell.run)(replicate_seed(cell.base_seed, r));
+        crate::util::enforce_run_invariants(
+            &format!("sweep {}/{} r{r}", cell.experiment, cell.scenario),
+            &run.stats,
+        );
+        let mut stats = run.stats;
+        stats.series = None;
+        acc.1.merge(&stats);
+        acc.0.push((t, run.metrics));
     });
-    let wall = started.elapsed();
 
-    let mut task_metrics = Vec::with_capacity(n_tasks);
+    let mut task_metrics = Vec::with_capacity(cells.len() * replicates);
     let mut merged_stats = Stats::default();
-    let mut shards = Vec::with_capacity(threads);
-    for out in shard_outs {
-        task_metrics.extend(out.results);
-        merged_stats.merge(&out.stats);
-        shards.push(out.report);
+    let mut shards = Vec::with_capacity(shard_outs.len());
+    for ((results, stats), report) in shard_outs {
+        task_metrics.extend(results);
+        merged_stats.merge(&stats);
+        shards.push(report);
     }
     // Canonical grid order: the stealing schedule decided who ran what,
     // but never what the grid contains.
@@ -331,74 +400,37 @@ pub struct SweepReport {
     pub cells: Vec<SweepCellReport>,
 }
 
-/// Format an f64 as a JSON number. `Display` for finite f64 is the
-/// shortest round-trip form — deterministic and valid JSON. Non-finite
-/// values must not reach a report (metrics are screened at insertion).
-fn json_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "non-finite metric value {v}");
-    let s = format!("{v}");
-    if s.contains(['.', 'e', 'E']) {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl SweepReport {
-    /// Deterministic JSON: hand-rolled (fixed field order, BTreeMap
-    /// metric order, replicate-ordered float folds) so the bytes depend
-    /// only on the grid, never on thread count, steal schedule, or
-    /// serializer version.
+    /// Deterministic JSON: fixed field order, name-sorted metrics,
+    /// replicate-ordered float folds, one in-tree writer — so the bytes
+    /// depend only on the grid, never on thread count or steal schedule.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
-        s.push_str("  \"mode\": \"sweep\",\n");
-        s.push_str(&format!("  \"replicates\": {},\n", self.replicates));
-        s.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str("    {\n");
-            s.push_str(&format!(
-                "      \"experiment\": {},\n",
-                json_str(&c.experiment)
-            ));
-            s.push_str(&format!("      \"scenario\": {},\n", json_str(&c.scenario)));
-            s.push_str(&format!("      \"base_seed\": {},\n", c.base_seed));
-            s.push_str("      \"metrics\": {");
-            for (j, (name, m)) in c.metrics.iter().enumerate() {
-                s.push_str(if j == 0 { "\n" } else { ",\n" });
-                s.push_str(&format!(
-                    "        {}: {{\"n\": {}, \"mean\": {}, \"stddev\": {}, \"ci95\": {}, \
-                     \"min\": {}, \"max\": {}}}",
-                    json_str(name),
-                    m.n,
-                    json_f64(m.mean),
-                    json_f64(m.stddev),
-                    json_f64(m.ci95),
-                    json_f64(m.min),
-                    json_f64(m.max),
-                ));
-            }
-            s.push_str("\n      }\n    }");
-        }
-        s.push_str("\n  ]\n}\n");
-        s
+        let cells = self.cells.iter().map(|c| {
+            let metrics = c.metrics.iter().map(|(name, m)| {
+                let summary = Json::object(vec![
+                    ("n", u64::from(m.n).to_json()),
+                    ("mean", m.mean.to_json()),
+                    ("stddev", m.stddev.to_json()),
+                    ("ci95", m.ci95.to_json()),
+                    ("min", m.min.to_json()),
+                    ("max", m.max.to_json()),
+                ]);
+                (name.clone(), summary)
+            });
+            Json::object(vec![
+                ("experiment", c.experiment.to_json()),
+                ("scenario", c.scenario.to_json()),
+                ("base_seed", c.base_seed.to_json()),
+                ("metrics", Json::Object(metrics.collect())),
+            ])
+        });
+        let report = Json::object(vec![
+            ("id", self.id.to_json()),
+            ("mode", "sweep".to_json()),
+            ("replicates", u64::from(self.replicates).to_json()),
+            ("cells", Json::Array(cells.collect())),
+        ]);
+        report.pretty() + "\n"
     }
 
     /// Write `<dir>/<id>.sweep.json`.
@@ -446,32 +478,23 @@ pub struct SweepOutcome {
     pub reports: Vec<SweepReport>,
     /// Print-only engine-health and shard-accounting lines.
     pub health: Vec<String>,
-    /// Total tasks executed.
-    pub tasks: usize,
-    /// Pool wall time.
-    pub wall: Duration,
 }
 
 /// Run the full sweep: flatten every experiment's cells into ONE pool
 /// (that is the point — e13's long fault cells drain alongside e3's
-/// short probe cells), execute with `threads` work-stealing shards,
+/// short probe cells), execute on `opts.pool_threads()` work-stealing shards,
 /// aggregate replicates, and assemble per-experiment reports sorted by
 /// grid key.
 pub fn run_sweep(
-    experiments: &[&dyn GridExperiment],
+    experiments: &[(&str, &dyn GridExperiment)],
     opts: &RunOpts,
     replicates: u32,
-    threads: usize,
 ) -> SweepOutcome {
-    assert!(
-        replicates >= 1,
-        "run_sweep requires at least one replicate (replicate 0 is the golden base seed)"
-    );
     let mut cells: Vec<SweepCell> = Vec::new();
-    for e in experiments {
-        cells.extend(e.cells(opts));
+    for (_, grid) in experiments {
+        cells.extend(grid.cells(opts));
     }
-    let grid = run_grid(&cells, replicates, threads);
+    let grid = run_grid(&cells, replicates, opts.pool_threads());
 
     // Per-cell, per-metric sample vectors in replicate order.
     let mut per_cell: Vec<BTreeMap<String, Vec<f64>>> =
@@ -486,8 +509,7 @@ pub fn run_sweep(
     }
 
     let mut reports = Vec::new();
-    for e in experiments {
-        let id = e.id();
+    for &(id, _) in experiments {
         let mut cell_reports: Vec<SweepCellReport> = cells
             .iter()
             .zip(per_cell.iter())
@@ -530,12 +552,7 @@ pub fn run_sweep(
         wheel_health(std::iter::once(&grid.merged_stats)),
         hist_health(std::iter::once(&grid.merged_stats)),
     ];
-    SweepOutcome {
-        reports,
-        health,
-        tasks: grid.task_metrics.len(),
-        wall: grid.wall,
-    }
+    SweepOutcome { reports, health }
 }
 
 #[cfg(test)]
@@ -579,37 +596,23 @@ mod tests {
         run_grid(&toy_cells(1), 0, 2);
     }
 
-    /// Registry completeness: every experiment id must have a grid
-    /// adapter — the "no grid adapter yet" era ended with this PR, and a
-    /// new experiment that forgets its `Sweep` struct fails here.
-    #[test]
-    fn every_registered_experiment_is_sweep_capable() {
-        for id in crate::ALL {
-            assert!(
-                crate::sweep_experiment(id).is_some(),
-                "{id} is registered in EXPERIMENTS but missing from SWEEP_EXPERIMENTS"
-            );
-        }
-        assert_eq!(crate::SWEEP_EXPERIMENTS.len(), crate::EXPERIMENTS.len());
-    }
-
     /// Cell enumeration sanity for every adapter: non-empty, experiment
     /// ids match, and scenario labels are unique (they are the grid key).
     /// Enumeration only — no cell bodies run, so this stays cheap.
     #[test]
     fn sweep_cells_have_unique_scenario_labels() {
         let opts = RunOpts::quick();
-        for e in crate::SWEEP_EXPERIMENTS.iter() {
-            let cells = e.cells(&opts);
-            assert!(!cells.is_empty(), "{} enumerates no cells", e.id());
+        for (id, .., grid) in crate::EXPERIMENTS {
+            let cells = grid.cells(&opts);
+            assert!(!cells.is_empty(), "{id} enumerates no cells");
             for c in &cells {
-                assert_eq!(c.experiment, e.id(), "cell tagged with foreign experiment");
+                assert_eq!(c.experiment, id, "cell tagged with foreign experiment");
             }
             let mut labels: Vec<&str> = cells.iter().map(|c| c.scenario.as_str()).collect();
             labels.sort_unstable();
             let n = labels.len();
             labels.dedup();
-            assert_eq!(n, labels.len(), "{} has duplicate scenario labels", e.id());
+            assert_eq!(n, labels.len(), "{id} has duplicate scenario labels");
         }
     }
 
@@ -630,16 +633,16 @@ mod tests {
     fn sweep_report_bytes_are_thread_count_invariant() {
         struct Toy;
         impl GridExperiment for Toy {
-            fn id(&self) -> &'static str {
-                "toy"
-            }
             fn cells(&self, _opts: &RunOpts) -> Vec<SweepCell> {
                 toy_cells(5)
             }
         }
-        let opts = RunOpts::quick();
-        let a = run_sweep(&[&Toy], &opts, 4, 1);
-        let b = run_sweep(&[&Toy], &opts, 4, 8);
+        let on = |threads| RunOpts {
+            threads: Some(threads),
+            ..RunOpts::quick()
+        };
+        let a = run_sweep(&[("toy", &Toy)], &on(1), 4);
+        let b = run_sweep(&[("toy", &Toy)], &on(8), 4);
         let ja: Vec<String> = a.reports.iter().map(|r| r.to_json()).collect();
         let jb: Vec<String> = b.reports.iter().map(|r| r.to_json()).collect();
         assert_eq!(ja, jb, "report bytes must not depend on thread count");
@@ -730,11 +733,37 @@ mod tests {
         assert!(summarize_metric(&[]).is_none());
     }
 
+    /// A report is valid JSON whatever the metrics hold: the in-tree
+    /// parser reads it back, and a non-finite summary is `null`.
     #[test]
     fn json_writer_emits_valid_floats() {
-        assert_eq!(json_f64(1.0), "1.0");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(1e-9), "0.000000001");
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
+        let summary = |mean: f64| MetricSummary {
+            n: 1,
+            mean,
+            stddev: 0.0,
+            ci95: 0.0,
+            min: mean,
+            max: mean,
+        };
+        let report = SweepReport {
+            id: "toy".into(),
+            replicates: 1,
+            cells: vec![SweepCellReport {
+                experiment: "toy".into(),
+                scenario: "a\"b".into(),
+                base_seed: 7,
+                metrics: [
+                    ("inf".to_string(), summary(f64::INFINITY)),
+                    ("x".to_string(), summary(1e-9)),
+                ]
+                .into_iter()
+                .collect(),
+            }],
+        };
+        let v = dtcs::netsim::json::parse(&report.to_json()).expect("valid JSON");
+        let cell = &v["cells"][0];
+        assert_eq!(cell["scenario"].as_str(), Some("a\"b"));
+        assert_eq!(cell["metrics"]["inf"]["mean"], Json::Null);
+        assert_eq!(cell["metrics"]["x"]["mean"].as_f64(), Some(1e-9));
     }
 }

@@ -19,16 +19,16 @@
 //!    telescope, so the buckets sum to the window **exactly** — 100% of
 //!    E13's time-to-coverage is attributed, with nothing double-counted.
 //!
-//! The parser is deliberately hand-rolled: the JSONL schema is flat
-//! (integers, literal strings, booleans — see
+//! The JSONL schema is flat (integers, literal strings, booleans — see
 //! [`dtcs::netsim::CpTraceEvent::write_json`]), produced by our own
 //! writer, and strictly validated here field-by-field per event kind, so
-//! the analyzer doubles as the schema check and runs identically with or
-//! without a real `serde_json` behind it.
+//! the analyzer doubles as the schema check.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
+
+use dtcs::netsim::json::{self, Json};
 
 /// The reconcile pseudo-transaction: NMS anti-entropy traffic keys to
 /// `(0, u64::MAX)` (`dtcs_control`'s `RECONCILE_TXN`). Its `terminal`
@@ -97,55 +97,26 @@ impl Ev {
 pub fn parse_line(line: &str) -> Result<Ev, String> {
     let mut ev = Ev::default();
     let mut saw_t = false;
-    let body = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("line is not a JSON object")?;
-    let mut rest = body;
-    while !rest.is_empty() {
-        let key_start = rest.strip_prefix('"').ok_or("expected quoted key")?;
-        let key_end = key_start.find('"').ok_or("unterminated key")?;
-        let key = &key_start[..key_end];
-        rest = key_start[key_end + 1..]
-            .strip_prefix(':')
-            .ok_or("expected ':' after key")?;
-        // Value: quoted string, bool literal, or unsigned integer. The
-        // writer emits nothing else (floats, nulls, nesting).
-        let (value, tail) = if let Some(s) = rest.strip_prefix('"') {
-            let end = s.find('"').ok_or("unterminated string value")?;
-            (Val::Str(&s[..end]), &s[end + 1..])
-        } else if let Some(tail) = rest.strip_prefix("true") {
-            (Val::Bool(true), tail)
-        } else if let Some(tail) = rest.strip_prefix("false") {
-            (Val::Bool(false), tail)
-        } else {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if end == 0 {
-                return Err(format!("field {key:?}: expected a value"));
-            }
-            let n: u64 = rest[..end]
-                .parse()
-                .map_err(|e| format!("field {key:?}: {e}"))?;
-            (Val::Num(n), &rest[end..])
+    let Json::Object(fields) = json::parse(line).map_err(|e| e.to_string())? else {
+        return Err("line is not a JSON object".into());
+    };
+    // Values are strings, booleans or unsigned integers; the writer emits
+    // nothing else (floats, nulls, nesting).
+    for (key, value) in fields {
+        let num = |v: &Json| {
+            v.as_u64()
+                .ok_or_else(|| format!("field {key:?} must be an integer"))
         };
-        rest = tail.strip_prefix(',').unwrap_or(tail);
-        let num = |v: &Val| -> Result<u64, String> {
-            match v {
-                Val::Num(n) => Ok(*n),
-                _ => Err(format!("field {key:?} must be an integer")),
-            }
+        let text = |v: Json| match v {
+            Json::Str(s) => Ok(s),
+            _ => Err(format!("{key} must be a string")),
         };
-        match key {
+        match key.as_str() {
             "t" => {
                 ev.t = num(&value)?;
                 saw_t = true;
             }
-            "kind" => match value {
-                Val::Str(s) => ev.kind = s.to_string(),
-                _ => return Err("kind must be a string".into()),
-            },
+            "kind" => ev.kind = text(value)?,
             "origin" => ev.origin = Some(num(&value)?),
             "txn" => ev.txn = Some(num(&value)?),
             "attempt" => ev.attempt = Some(num(&value)?),
@@ -159,20 +130,11 @@ pub fn parse_line(line: &str) -> Result<Ev, String> {
             "jitter" => ev.jitter = Some(num(&value)?),
             "dup_extra" => ev.dup_extra = Some(num(&value)?),
             "window" => ev.window = Some(num(&value)?),
-            "outcome" => match value {
-                Val::Str(s) => ev.outcome = Some(s.to_string()),
-                _ => return Err("outcome must be a string".into()),
-            },
-            "actor" => match value {
-                Val::Str(s) => ev.actor = Some(s.to_string()),
-                _ => return Err("actor must be a string".into()),
-            },
-            "state" => match value {
-                Val::Str(s) => ev.state = Some(s.to_string()),
-                _ => return Err("state must be a string".into()),
-            },
+            "outcome" => ev.outcome = Some(text(value)?),
+            "actor" => ev.actor = Some(text(value)?),
+            "state" => ev.state = Some(text(value)?),
             "response" => match value {
-                Val::Bool(b) => ev.response = Some(b),
+                Json::Bool(b) => ev.response = Some(b),
                 _ => return Err("response must be a boolean".into()),
             },
             other => return Err(format!("unknown field {other:?}")),
@@ -183,12 +145,6 @@ pub fn parse_line(line: &str) -> Result<Ev, String> {
     }
     validate(&ev)?;
     Ok(ev)
-}
-
-enum Val<'a> {
-    Num(u64),
-    Str(&'a str),
-    Bool(bool),
 }
 
 /// Per-kind schema check: exactly the fields the writer emits.

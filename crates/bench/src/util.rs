@@ -2,12 +2,14 @@
 
 use std::fs;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
-use serde::Serialize;
-use serde_json::Value;
+use dtcs::netsim::json::{Json, ToJson};
+
+use crate::sweep::{run_cases, Case};
 
 /// One printable + serialisable table.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     /// Table caption.
     pub title: String,
@@ -16,7 +18,18 @@ pub struct Table {
     /// Display rows.
     pub rows: Vec<Vec<String>>,
     /// Raw machine-readable rows.
-    pub raw: Vec<Value>,
+    pub raw: Vec<Json>,
+}
+
+impl ToJson for Table {
+    fn to_json(&self) -> Json {
+        Json::object(vec![
+            ("title", self.title.to_json()),
+            ("header", self.header.to_json()),
+            ("rows", self.rows.to_json()),
+            ("raw", Json::Array(self.raw.clone())),
+        ])
+    }
 }
 
 impl Table {
@@ -31,10 +44,9 @@ impl Table {
     }
 
     /// Append a display row plus its machine-readable form.
-    pub fn push<T: Serialize>(&mut self, cells: Vec<String>, raw: &T) {
+    pub fn push<T: ToJson>(&mut self, cells: Vec<String>, raw: &T) {
         self.rows.push(cells);
-        self.raw
-            .push(serde_json::to_value(raw).expect("serialisable row"));
+        self.raw.push(raw.to_json());
     }
 
     /// Print aligned.
@@ -45,7 +57,7 @@ impl Table {
 }
 
 /// A whole experiment's output.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Report {
     /// Experiment id (e.g. "e3").
     pub id: String,
@@ -60,8 +72,21 @@ pub struct Report {
     /// Engine-health lines (timing-wheel occupancy, cascade rates, route
     /// churn). Printed with the summary but **never serialised** — golden
     /// report JSON stays byte-identical whether or not health is recorded.
-    #[serde(skip)]
     pub health: Vec<String>,
+}
+
+/// Everything but [`Report::health`], in declaration order — the layout of
+/// the committed `results/*.json`.
+impl ToJson for Report {
+    fn to_json(&self) -> Json {
+        Json::object(vec![
+            ("id", self.id.to_json()),
+            ("title", self.title.to_json()),
+            ("anchor", self.anchor.to_json()),
+            ("tables", self.tables.to_json()),
+            ("notes", self.notes.to_json()),
+        ])
+    }
 }
 
 impl Report {
@@ -117,7 +142,7 @@ impl Report {
     pub fn save(&self, dir: &Path) {
         fs::create_dir_all(dir).expect("create results dir");
         let path = dir.join(format!("{}.json", self.id));
-        fs::write(&path, serde_json::to_string_pretty(self).expect("json")).expect("write report");
+        fs::write(&path, self.to_json().pretty()).expect("write report");
         println!("[saved {}]", path.display());
     }
 }
@@ -188,6 +213,56 @@ pub fn control_metrics(
     s
 }
 
+/// A control-plane cell's table row plus the protocol-layer counters
+/// its `--cp-trace` metrics snapshot needs.
+pub type CpOutcome<R> = (R, dtcs::control::CpStats);
+
+/// Shared-handle control-trace recorder for one designated cell run.
+pub type CpTrace<'a> = Option<&'a Arc<Mutex<dtcs::netsim::CpFlightRecorder>>>;
+
+/// [`run_cases`] for the control-plane experiments. Under `--cp-trace
+/// PATH` the case labelled `traced` runs — as part of the normal grid —
+/// with a full (1-in-1) recorder attached; its JSONL flight record goes
+/// to `PATH` and the run's [`control_metrics`] snapshot beside it as
+/// `PATH.metrics.json` / `PATH.prom`. Tracing observes without
+/// perturbing, so the outcomes are identical either way (the CI
+/// golden-invariance check holds us to that). Also returns the
+/// print-only summary line, when tracing.
+pub fn run_cp_cases<C: Sync + PartialEq, R: Send>(
+    id: &str,
+    cases: &[Case<C>],
+    opts: &crate::RunOpts,
+    traced: &str,
+    run_cell: impl Fn(&C, u64, CpTrace) -> (CpOutcome<R>, dtcs::netsim::Stats) + Sync,
+) -> (Vec<(CpOutcome<R>, dtcs::netsim::Stats)>, Option<String>) {
+    let at = cases.iter().position(|c| c.scenario == traced);
+    let traced_params = &cases[at.expect("the traced cell is in the grid")].params;
+    let recorder = opts
+        .cp_trace
+        .as_ref()
+        .map(|_| Arc::new(Mutex::new(dtcs::netsim::CpFlightRecorder::new(1 << 22))));
+    let outs = run_cases(id, cases, opts.pool_threads(), |p, seed| {
+        run_cell(p, seed, recorder.as_ref().filter(|_| p == traced_params))
+    });
+    let summary = opts.cp_trace.as_ref().zip(recorder).map(|(path, rec)| {
+        let ((_, cp), stats) = &outs[at.expect("checked above")];
+        let rec = rec.lock().expect("cp recorder mutex");
+        let mut file = fs::File::create(path).expect("create cp trace file");
+        rec.export_jsonl(&mut file).expect("write cp trace");
+        let snap = control_metrics(stats, cp);
+        let (json, prom) = (snap.to_json_string() + "\n", snap.to_prometheus());
+        fs::write(format!("{}.metrics.json", path.display()), json).expect("write metrics");
+        fs::write(format!("{}.prom", path.display()), prom).expect("write prometheus metrics");
+        format!(
+            "cp-trace: {} events recorded ({} evicted) from cell {traced} -> {}",
+            rec.recorded(),
+            rec.evicted(),
+            path.display()
+        )
+    });
+    (outs, summary)
+}
+
 /// Hard-enforce the engine invariants every finished bench run must
 /// satisfy: packet conservation (every sent packet is delivered, dropped,
 /// or still in flight at cutoff) and a clean schedule (no event was ever
@@ -230,11 +305,11 @@ mod tests {
     #[test]
     fn table_rows_and_raw_stay_in_sync() {
         let mut t = Table::new("t", &["a", "b"]);
-        t.push(vec!["1".into(), "2".into()], &(1, 2));
-        t.push(vec!["3".into(), "4".into()], &(3, 4));
+        t.push(vec!["1".into(), "2".into()], &(1u64, 2u64));
+        t.push(vec!["3".into(), "4".into()], &(3u64, 4u64));
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.raw.len(), 2);
-        assert_eq!(t.raw[1], serde_json::json!([3, 4]));
+        assert_eq!(t.raw[1].to_string(), "[3,4]");
     }
 
     #[test]
@@ -244,18 +319,19 @@ mod tests {
         t.push(vec!["v".into()], &"v");
         r.table(t);
         r.note("a note");
-        let json = serde_json::to_string(&r).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(v["id"], "eX");
-        assert_eq!(v["tables"][0]["rows"][0][0], "v");
-        assert_eq!(v["notes"][0], "a note");
+        let v = dtcs::netsim::json::parse(&r.to_json().pretty()).unwrap();
+        assert_eq!(v, r.to_json());
+        assert_eq!(v["id"].as_str(), Some("eX"));
+        assert_eq!(v["tables"][0]["rows"][0][0].as_str(), Some("v"));
+        assert_eq!(v["tables"][0]["raw"][0].as_str(), Some("v"));
+        assert_eq!(v["notes"][0].as_str(), Some("a note"));
     }
 
     #[test]
     fn health_lines_never_reach_the_json() {
         let mut r = Report::new("eX", "t", "a");
         r.health("timing wheel: hwm 3");
-        let json = serde_json::to_string(&r).unwrap();
+        let json = r.to_json().to_string();
         assert!(
             !json.contains("health"),
             "health must stay print-only so golden reports are unaffected: {json}"

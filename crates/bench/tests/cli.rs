@@ -43,3 +43,39 @@ fn value_flag_given_last_exits_2() {
     assert_bad_usage(&["e2", "--trace"], "--trace takes a value");
     assert_bad_usage(&["e13", "--cp-trace"], "--cp-trace takes a value");
 }
+
+/// A sweep report that is there but cut short must fail the digest, not
+/// pass for "no sweep was run" and skip the replicate-0 envelope check.
+#[test]
+fn summarize_fails_on_a_truncated_sweep_report() {
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = std::env::temp_dir().join(format!("dtcs_summarize_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for id in ["e2", "e3", "e4", "e5", "e8"] {
+        let name = format!("{id}.json");
+        std::fs::copy(committed.join(&name), dir.join(&name)).expect("copy committed report");
+    }
+    let summarize = |dir: &std::path::Path| {
+        Command::new(env!("CARGO_BIN_EXE_summarize"))
+            .arg("--dir")
+            .arg(dir)
+            .output()
+            .expect("spawn summarize")
+    };
+    let out = summarize(&dir);
+    assert!(out.status.success(), "committed reports must pass: {out:?}");
+
+    std::fs::write(
+        dir.join("e2.sweep.json"),
+        "{\n  \"id\": \"e2\",\n  \"mode\": \"sw",
+    )
+    .expect("write truncated sweep report");
+    let out = summarize(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "truncated sweep report passed");
+    assert!(
+        stderr.contains("e2.sweep.json is not valid JSON"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

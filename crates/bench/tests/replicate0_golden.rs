@@ -11,10 +11,10 @@
 //! Each test is `#[ignore]`d because it runs its experiment twice
 //! (single-run + sweep); CI runs them in release with `-- --ignored`.
 
+use dtcs::netsim::json::Json as Value;
 use dtcs_bench::sweep::{run_sweep, SweepCellReport};
 use dtcs_bench::util::Report;
 use dtcs_bench::{run_experiment, sweep_experiment, RunOpts};
-use serde_json::Value;
 
 fn quick() -> RunOpts {
     RunOpts {
@@ -32,7 +32,11 @@ fn golden(id: &str) -> Report {
 /// exercise the work-stealing path too.
 fn sweep_cells(id: &str) -> Vec<SweepCellReport> {
     let e = sweep_experiment(id).expect("sweep-capable experiment id");
-    let mut outcome = run_sweep(&[e], &quick(), 1, 2);
+    let opts = RunOpts {
+        threads: Some(2),
+        ..quick()
+    };
+    let mut outcome = run_sweep(&[(id, e)], &opts, 1);
     assert_eq!(outcome.reports.len(), 1);
     outcome.reports.remove(0).cells
 }

@@ -10,10 +10,9 @@ use dtcs_device::{
     TriggerMetric,
 };
 use dtcs_netsim::{Prefix, Proto, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// A catalog service a network user can order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CatalogService {
     /// Worldwide anti-spoofing for the owner's prefixes (the DDoS
     /// reflector defense of Sec. 4.3). Stage 1: judged where traffic

@@ -7,8 +7,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use proptest::prelude::*;
-
 use dtcs_control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
     InternetNumberAuthority, UserId,
@@ -314,21 +312,18 @@ fn sampled_cp_trace_is_subset_of_full() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Satellite (3): folding the full trace reproduces every channel
-    /// (`cp_*`) and protocol (`CpStats`) counter exactly, across random
-    /// fault schedules — nothing is double-recorded, nothing is missed.
-    #[test]
-    fn cp_trace_reconciles_with_cpstats_exactly(
-        seed in 0u64..10_000,
-        drop in 0.0f64..0.25,
-        dup in 0.0f64..0.30,
-        jitter_ms in 0u64..40,
-        crash_sel in 0u8..2,
-    ) {
-        let (folded, expected) = run_and_fold(seed, drop, dup, jitter_ms, crash_sel == 1);
-        prop_assert_eq!(folded, expected);
-    }
+/// Satellite (3): folding the full trace reproduces every channel
+/// (`cp_*`) and protocol (`CpStats`) counter exactly, across random
+/// fault schedules — nothing is double-recorded, nothing is missed.
+#[test]
+fn cp_trace_reconciles_with_cpstats_exactly() {
+    dtcs_netsim::rng::check_cases(0..8, |rng| {
+        let seed = rng.gen_range(0..10_000u64);
+        let drop = rng.gen_range(0.0..0.25);
+        let dup = rng.gen_range(0.0..0.30);
+        let jitter_ms = rng.gen_range(0..40u64);
+        let crashes = rng.gen_range(0..2u8) == 1;
+        let (folded, expected) = run_and_fold(seed, drop, dup, jitter_ms, crashes);
+        assert_eq!(folded, expected);
+    });
 }

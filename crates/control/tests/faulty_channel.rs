@@ -4,15 +4,14 @@
 //! duplicated messages are absorbed by dedup and idempotency, and device
 //! crashes are healed by the NMS anti-entropy sweep.
 
-use proptest::prelude::*;
+use dtcs_netsim::rng::check_cases;
 
 use dtcs_control::{
     partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,
     UserHandle, UserId,
 };
 use dtcs_netsim::{
-    FaultConfig, FaultPlane, NodeId, Outage, Partition, Prefix, SimDuration, SimTime, Simulator,
-    Topology,
+    FaultConfig, FaultPlane, Outage, Partition, Prefix, SimDuration, SimTime, Simulator, Topology,
 };
 
 /// Standard fixture: transit-stub topology, control plane installed, one
@@ -276,50 +275,49 @@ fn control_partition_window_is_ridden_out_by_retries() {
     assert_eq!(fx.cp.total_rules(), fx.sim.topo.n());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Satellite (d), part 1: any loss/dup/jitter schedule below the
-    /// retry budget converges — every scoped device ends up configured
-    /// exactly once.
-    #[test]
-    fn random_fault_schedules_converge_to_exactly_once(
-        seed in 0u64..10_000,
-        drop in 0.0f64..0.18,
-        dup in 0.0f64..0.30,
-        jitter_ms in 0u64..40,
-    ) {
+/// Satellite (d), part 1: any loss/dup/jitter schedule below the
+/// retry budget converges — every scoped device ends up configured
+/// exactly once.
+#[test]
+fn random_fault_schedules_converge_to_exactly_once() {
+    check_cases(0..12, |rng| {
+        let seed = rng.gen_range(0..10_000u64);
+        let drop = rng.gen_range(0.0..0.18);
+        let dup = rng.gen_range(0.0..0.30);
+        let jitter_ms = rng.gen_range(0..40u64);
         let mut fx = fixture(2, 4, None);
-        fx.sim.install_fault_plane(lossy_plane(seed, drop, dup, jitter_ms));
+        fx.sim
+            .install_fault_plane(lossy_plane(seed, drop, dup, jitter_ms));
         fx.sim.run_until(SimTime::from_secs(60));
         let n = fx.sim.topo.n();
-        prop_assert_eq!(fx.cp.devices_configured(), n);
+        assert_eq!(fx.cp.devices_configured(), n);
         for (node, dev) in &fx.cp.devices {
-            prop_assert_eq!(
-                dev.lock().rule_count, 1,
-                "device {:?} configured exactly once (seed {}, drop {}, dup {})",
-                node, seed, drop, dup
+            assert_eq!(
+                dev.lock().rule_count,
+                1,
+                "device {node:?} configured exactly once (seed {seed}, drop {drop}, dup {dup})",
             );
         }
-    }
+    });
+}
 
-    /// Satellite (d), part 2: duplicated DeployConfirm / NmsAck traffic
-    /// never double-counts `devices_configured` in the user's record.
-    #[test]
-    fn duplicated_confirms_never_inflate_coverage(
-        seed in 0u64..10_000,
-        dup in 0.3f64..1.0,
-    ) {
+/// Satellite (d), part 2: duplicated DeployConfirm / NmsAck traffic
+/// never double-counts `devices_configured` in the user's record.
+#[test]
+fn duplicated_confirms_never_inflate_coverage() {
+    check_cases(0..12, |rng| {
+        let seed = rng.gen_range(0..10_000u64);
+        let dup = rng.gen_range(0.3..1.0);
         let mut fx = fixture(2, 4, None);
         fx.sim.install_fault_plane(lossy_plane(seed, 0.0, dup, 0));
         fx.sim.run_until(SimTime::from_secs(30));
         let n = fx.sim.topo.n();
         let r = fx.record.lock();
-        prop_assert!(r.deploy_confirmed_at.is_some());
-        prop_assert_eq!(
+        assert!(r.deploy_confirmed_at.is_some());
+        assert_eq!(
             r.devices_configured, n,
-            "coverage inflated: {:?} (seed {}, dup {})", r, seed, dup
+            "coverage inflated: {r:?} (seed {seed}, dup {dup})"
         );
-        prop_assert_eq!(fx.cp.total_rules(), n);
-    }
+        assert_eq!(fx.cp.total_rules(), n);
+    });
 }

@@ -2,37 +2,37 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use dtcs_netsim::{DropReason, Stats, TrafficClass};
 
-/// One scheme's outcome under one scenario — the unit row of experiments
-/// E2/E4 (and, with different fields populated, most other experiments).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct OutcomeRow {
-    /// Scheme label.
-    pub scheme: String,
-    /// Mean success ratio of legitimate clients of the victim.
-    pub legit_success: f64,
-    /// Mean success ratio of third-party clients using reflector-hosted
-    /// services (collateral-damage metric).
-    pub collateral_success: f64,
-    /// Attack packets delivered anywhere / attack packets sent (both
-    /// direct and reflected flavours).
-    pub attack_delivered_ratio: f64,
-    /// Reflected attack packets that reached the victim.
-    pub reflected_delivered_to_victim: u64,
-    /// Packets the victim host turned away for lack of capacity.
-    pub victim_overloaded: u64,
-    /// Attack packets the victim host absorbed (capacity consumed).
-    pub victim_attack_absorbed: u64,
-    /// Bandwidth consumed by attack traffic, byte·hops.
-    pub attack_byte_hops: u64,
-    /// Mean hop count from the true origin at which direct attack packets
-    /// were dropped (stop distance; `None` when nothing was dropped).
-    pub stop_distance: Option<f64>,
-    /// Scheme-specific extras (trust relationships, deploy latency, …).
-    pub extra: BTreeMap<String, f64>,
+dtcs_netsim::json_record! {
+    /// One scheme's outcome under one scenario — the unit row of experiments
+    /// E2/E4 (and, with different fields populated, most other experiments).
+    #[derive(Clone, Debug)]
+    pub struct OutcomeRow {
+        /// Scheme label.
+        pub scheme: String,
+        /// Mean success ratio of legitimate clients of the victim.
+        pub legit_success: f64,
+        /// Mean success ratio of third-party clients using reflector-hosted
+        /// services (collateral-damage metric).
+        pub collateral_success: f64,
+        /// Attack packets delivered anywhere / attack packets sent (both
+        /// direct and reflected flavours).
+        pub attack_delivered_ratio: f64,
+        /// Reflected attack packets that reached the victim.
+        pub reflected_delivered_to_victim: u64,
+        /// Packets the victim host turned away for lack of capacity.
+        pub victim_overloaded: u64,
+        /// Attack packets the victim host absorbed (capacity consumed).
+        pub victim_attack_absorbed: u64,
+        /// Bandwidth consumed by attack traffic, byte·hops.
+        pub attack_byte_hops: u64,
+        /// Mean hop count from the true origin at which direct attack packets
+        /// were dropped (stop distance; `None` when nothing was dropped).
+        pub stop_distance: Option<f64>,
+        /// Scheme-specific extras (trust relationships, deploy latency, …).
+        pub extra: BTreeMap<String, f64>,
+    }
 }
 
 impl OutcomeRow {

@@ -533,7 +533,6 @@ fn install_background(
     until: SimTime,
     seed: u64,
 ) {
-    use rand::seq::SliceRandom;
     if bg.n_flows == 0 {
         return;
     }
@@ -547,7 +546,7 @@ fn install_background(
         return;
     }
     let mut rng = dtcs_netsim::rng::seeded(dtcs_netsim::rng::child_seed(seed, 0xB6F1));
-    stubs.shuffle(&mut rng);
+    rng.shuffle(&mut stubs);
     let half = (stubs.len() / 2).max(1);
     for i in 0..bg.n_flows {
         let src_node = stubs[i % stubs.len()];

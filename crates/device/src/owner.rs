@@ -8,12 +8,11 @@
 //! destination side).
 
 use dtcs_netsim::{Addr, NodeId, Prefix};
-use serde::{Deserialize, Serialize};
 
 use crate::trie::PrefixTrie;
 
 /// A registered network user (owner of one or more prefixes).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OwnerId(pub u64);
 
 /// Per-owner registration data held by a device.

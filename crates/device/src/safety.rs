@@ -8,12 +8,10 @@
 //! (the shrink-only [`crate::view::PacketView`] and the device's telemetry
 //! budget) covers what a static check cannot.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::{ModuleSpec, ServiceSpec, TriggerAction};
 
 /// Why a spec was rejected.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SafetyViolation {
     /// Module would rewrite source/destination addresses.
     HeaderRewrite {

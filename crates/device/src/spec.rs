@@ -10,12 +10,11 @@
 //! testable end-to-end (experiment E8).
 
 use dtcs_netsim::{Addr, Prefix, Proto, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Which processing stage a service graph attaches to (Sec. 4.1 / Fig. 6):
 /// stage 1 runs on behalf of the *source*-address owner, stage 2 on behalf
 /// of the *destination*-address owner.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Stage {
     /// Source-owner processing (first stage).
     Src,
@@ -30,7 +29,7 @@ pub enum Stage {
 /// hashes)…"). In this model a packet's payload identity is its
 /// `payload_tag`, so payload-hash rules list the known tags — e.g. the
 /// signature hashes of a worm's infection payload.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MatchExpr {
     /// Source address within this prefix.
     pub src_in: Option<Prefix>,
@@ -140,7 +139,7 @@ impl MatchExpr {
 }
 
 /// First-match filter rule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FilterRule {
     /// Predicate.
     pub expr: MatchExpr,
@@ -149,7 +148,7 @@ pub struct FilterRule {
 }
 
 /// Metric a trigger watches.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TriggerMetric {
     /// Matched packets per second over the trigger window.
     PacketRate,
@@ -158,7 +157,7 @@ pub enum TriggerMetric {
 }
 
 /// What a trigger does when it fires.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TriggerAction {
     /// Emit a [`crate::view::DeviceEvent::TriggerFired`] to the owner's
     /// contact node.
@@ -174,7 +173,7 @@ pub enum TriggerAction {
 ///
 /// The last four variants are *structurally unsafe* and exist to be
 /// rejected: they model the misuse classes Sec. 4.5 rules out.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ModuleSpec {
     /// First-match packet filter (firewall-like, Sec. 4.2).
     Filter {
@@ -299,7 +298,7 @@ impl ModuleSpec {
 
 /// A service graph: modules executed in sequence, each optionally starting
 /// disabled (until a trigger activates it).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceSpec {
     /// Human-readable service name (e.g. "ingress-filtering").
     pub name: String,
@@ -308,7 +307,7 @@ pub struct ServiceSpec {
 }
 
 /// One node in a service graph spec.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphNodeSpec {
     /// Module description.
     pub module: ModuleSpec,
@@ -396,18 +395,5 @@ mod tests {
         assert_eq!(ModuleSpec::AntiSpoof.rule_count(), 1);
         let s = ServiceSpec::chain("x", vec![f, ModuleSpec::AntiSpoof]);
         assert_eq!(s.rule_count(), 3);
-    }
-
-    #[test]
-    fn specs_serialise() {
-        let s = ServiceSpec::chain(
-            "fw",
-            vec![ModuleSpec::Blacklist {
-                sources: vec![Prefix::of_node(NodeId(3))],
-            }],
-        );
-        let json = serde_json::to_string(&s).unwrap();
-        let back: ServiceSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -3,7 +3,6 @@
 //! allocation-free after construction — these sit on the per-packet path.
 
 use dtcs_netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Classic token bucket in bytes.
 #[derive(Clone, Debug)]
@@ -51,7 +50,7 @@ impl TokenBucket {
 }
 
 /// Fixed-size Bloom filter over `u64` digests, using double hashing.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Bloom {
     bits: Vec<u64>,
     nbits: u64,
@@ -114,7 +113,7 @@ impl Bloom {
 }
 
 /// One logged digest record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LogEntry {
     /// When the packet was seen.
     pub at: SimTime,

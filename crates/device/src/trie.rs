@@ -305,7 +305,6 @@ mod tests {
 
     #[test]
     fn trie_and_linear_agree() {
-        use rand::Rng;
         let mut rng = dtcs_netsim::rng::seeded(7);
         let mut trie = PrefixTrie::new();
         let mut lin = LinearTable::new();

@@ -10,7 +10,6 @@
 //! (see `device.rs`) and, statically, by the safety verifier (`safety.rs`).
 
 use dtcs_netsim::{Addr, LinkId, NodeId, Packet, Prefix, Proto, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::owner::OwnerId;
 
@@ -139,7 +138,7 @@ pub fn digest_packet(pkt: &Packet) -> u64 {
 /// footnote 1 of the paper allows "a reasonable amount of additional
 /// traffic" for these). Each event is charged against the device's
 /// telemetry budget.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DeviceEvent {
     /// A trigger's condition became true.
     TriggerFired {

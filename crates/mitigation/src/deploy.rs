@@ -6,14 +6,11 @@
 //! choose which ASes host a defense, so experiments can sweep coverage and
 //! compare placement policies (DESIGN.md §5 ablation).
 
-use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
-
 use dtcs_netsim::rng::{child_seed, seeded};
 use dtcs_netsim::{NodeId, NodeRole, Topology};
 
 /// How deployed nodes are selected.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Placement {
     /// Uniformly random ASes.
     Random,
@@ -40,7 +37,7 @@ pub fn choose_nodes(
         Placement::Random => {
             let mut ids: Vec<NodeId> = (0..n).map(NodeId).collect();
             let mut rng = seeded(child_seed(seed, 0xDE91));
-            ids.shuffle(&mut rng);
+            rng.shuffle(&mut ids);
             ids.truncate(k);
             ids
         }

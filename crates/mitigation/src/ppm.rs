@@ -17,10 +17,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dtcs_netsim::sync::Mutex;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 
-use dtcs_netsim::rng::{child_seed, seeded};
+use dtcs_netsim::rng::{child_seed, seeded, ChaCha8Rng};
 use dtcs_netsim::{
     AgentCtx, LinkId, NodeAgent, NodeId, Packet, Routing, Simulator, Topology, Verdict,
 };

@@ -8,7 +8,6 @@
 //! thousands of distinct hosts per site for workload realism.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
 
@@ -16,7 +15,7 @@ use crate::node::NodeId;
 pub const HOST_BITS: u32 = 16;
 
 /// A 32-bit network address (IPv4-like).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(pub u32);
 
 impl Addr {
@@ -52,7 +51,7 @@ impl fmt::Display for Addr {
 ///
 /// Ownership of traffic in the paper is defined per registered prefix; the
 /// control plane hands these out and the adaptive devices match on them.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Prefix {
     /// Network bits; bits below `len` are zero (canonical form).
     pub bits: u32,

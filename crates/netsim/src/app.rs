@@ -6,7 +6,7 @@
 //! simulator's business — and react by sending packets and setting timers
 //! through the [`AppApi`].
 
-use rand_chacha::ChaCha8Rng;
+use crate::rng::ChaCha8Rng;
 
 use crate::addr::Addr;
 use crate::agent::Outbox;

@@ -15,7 +15,7 @@
 //! * **Allocation-free hot path** — packets are `Copy`, queues are virtual
 //!   (closed-form backlog), payloads are sizes + tags.
 //! * **Parallelism at the sweep level** — a `Simulator` is single-threaded;
-//!   experiments run many simulators concurrently via rayon.
+//!   the bench crate's pool runs many simulators concurrently.
 //!
 //! ```
 //! use dtcs_netsim::*;
@@ -41,6 +41,7 @@ pub mod arena;
 pub mod cp_trace;
 pub mod faults;
 pub mod fluid;
+pub mod json;
 pub mod link;
 pub mod metrics;
 pub mod node;

@@ -7,13 +7,11 @@
 //! queue limit. This "virtual queue" is exact for FIFO drop-tail behaviour
 //! and keeps the hot path allocation-free.
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::{LinkId, NodeId};
 use crate::time::{tx_time, SimDuration, SimTime};
 
 /// Static + dynamic state of one bidirectional link.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Link {
     /// One endpoint.
     pub a: NodeId,
@@ -33,7 +31,7 @@ pub struct Link {
 }
 
 /// Mutable per-direction state and counters.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LinkDir {
     /// Instant the transmitter finishes everything already admitted.
     pub next_free: SimTime,
@@ -198,7 +196,7 @@ impl Link {
 }
 
 /// Parameters for constructing classes of links.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LinkProfile {
     /// Capacity in bits/second.
     pub bandwidth_bps: f64,
@@ -250,7 +248,7 @@ impl LinkProfile {
 
 /// A `(link, direction)` pair, useful for per-direction bookkeeping in
 /// defenses.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct LinkDirId {
     /// The link.
     pub link: LinkId,

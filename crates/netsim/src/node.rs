@@ -1,13 +1,11 @@
 //! Nodes: autonomous systems / sites in the simulated internetwork.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node in the topology.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub usize);
 
 /// Index of a link in the topology.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LinkId(pub usize);
 
 /// Coarse role of a node in the AS hierarchy.
@@ -15,7 +13,7 @@ pub struct LinkId(pub usize);
 /// The traffic control service cares about *where* in the hierarchy a device
 /// sits (Sec. 4.2 of the paper: anti-spoofing is only sound at the customer
 /// edge, not on transit paths), so topology generators label each node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeRole {
     /// Backbone / transit provider carrying third-party traffic.
     Transit,
@@ -25,7 +23,7 @@ pub enum NodeRole {
 }
 
 /// Static description of one node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     /// This node's id (equal to its index in `Topology::nodes`).
     pub id: NodeId,

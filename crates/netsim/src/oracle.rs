@@ -305,7 +305,6 @@ mod tests {
     use crate::node::LinkId;
     use crate::rng::seeded;
     use crate::topology::Topology;
-    use rand::Rng;
 
     /// Every (src, dst, at) triple answers exactly like the direct walk,
     /// repeatedly (exercising both fill and hit paths).

@@ -8,8 +8,6 @@
 //! and by construction in `dtcs-device`, whose module API only exposes the
 //! header view.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Addr;
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -19,7 +17,7 @@ pub const DEFAULT_TTL: u8 = 64;
 
 /// Transport/network protocol of a packet, at the granularity defenses and
 /// reflectors care about.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Proto {
     /// TCP connection request.
     TcpSyn,
@@ -65,7 +63,7 @@ impl Proto {
 }
 
 /// Ground-truth class of a packet, for metrics only.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TrafficClass {
     /// Legitimate client request.
     LegitRequest,
@@ -103,7 +101,7 @@ impl TrafficClass {
 }
 
 /// Ground truth attached to each packet; read only by stats/metrics.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Provenance {
     /// Node that physically emitted the packet (independent of any spoofed
     /// source address in the header).
@@ -118,7 +116,7 @@ pub struct Provenance {
 /// opaque `payload_tag` (used e.g. to correlate requests with replies),
 /// never by actual buffers — the simulator routinely moves 10^7 packets per
 /// experiment and must not allocate per packet.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Packet {
     /// Unique id assigned at emission.
     pub id: u64,

@@ -10,9 +10,8 @@
 //! connected. The recorded distance is the *hop count* of the chosen
 //! path, so hop-based metrics stay meaningful.
 //!
-//! Tables are computed with one Dijkstra per destination, parallelised
-//! across destinations with rayon (outer-loop data parallelism per the
-//! HPC guides; each run is independent and writes only its own row).
+//! Tables are computed with one Dijkstra per destination; each run is
+//! independent and writes only its own row.
 //!
 //! Beyond the tables themselves, each destination's forwarding tree
 //! carries a *link stamp*: a bitset over the dense link index recording
@@ -40,7 +39,6 @@
 //! snapshot and record a `Full` delta (epoch subscribers fall back to a
 //! wholesale refresh), keeping fault semantics conservative.
 
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -195,17 +193,17 @@ impl Routing {
         self.hier.is_some()
     }
 
-    /// (Re)derive every destination's row in parallel into the existing
-    /// buffers, which must already be reset to their sentinels.
+    /// (Re)derive every destination's row into the existing buffers, which
+    /// must already be reset to their sentinels.
     fn fill_all_rows(&mut self, topo: &Topology) {
         let n = self.n;
         let words = self.words;
         let has_transit = topo.has_transit_roles();
         self.next_hop
-            .par_chunks_mut(n)
-            .zip(self.dist.par_chunks_mut(n))
-            .zip(self.cost.par_chunks_mut(n))
-            .zip(self.stamps.par_chunks_mut(words))
+            .chunks_mut(n)
+            .zip(self.dist.chunks_mut(n))
+            .zip(self.cost.chunks_mut(n))
+            .zip(self.stamps.chunks_mut(words))
             .enumerate()
             .for_each(|(d, (((hops_row, dist_row), cost_row), stamp_row))| {
                 bfs_from(topo, NodeId(d), has_transit, hops_row, dist_row, cost_row);
@@ -231,10 +229,10 @@ impl Routing {
     /// Apply a single link state flip *already written to `topo`*: recompute
     /// only the destination trees the flip can affect, splice them into the
     /// existing tables, bump the epoch, and record a delta so warm caches
-    /// can evict precisely. Falls back to a full parallel recompute when
-    /// the damage covers more than half the destinations (the per-tree
-    /// splice is sequential, so beyond that point the parallel rebuild is
-    /// both simpler and faster).
+    /// can evict precisely. Falls back to a full recompute when the damage
+    /// covers more than half the destinations (beyond that point one
+    /// rebuild and one wholesale cache clear are simpler than as many
+    /// splices and per-destination evictions).
     ///
     /// Equivalence to a cold [`Routing::compute`] on the flipped topology is
     /// exact (same tables, bit for bit) and pinned by the flap-schedule
@@ -582,8 +580,8 @@ impl HierRouting {
         let mut core_next = vec![NO_ROUTE; c * c];
         let mut core_dist = vec![u16::MAX; c * c];
         core_next
-            .par_chunks_mut(c.max(1))
-            .zip(core_dist.par_chunks_mut(c.max(1)))
+            .chunks_mut(c.max(1))
+            .zip(core_dist.chunks_mut(c.max(1)))
             .enumerate()
             .for_each(|(di, (next_row, dist_row))| {
                 let d = core[di] as usize;

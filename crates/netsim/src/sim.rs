@@ -5,7 +5,7 @@
 //! seeded ChaCha8 stream, and agent/app callbacks interact with the engine
 //! only through outbox buffers that are flushed in callback order.
 //! Parallelism lives one level up — experiment sweeps run many independent
-//! `Simulator` instances across threads with rayon (DESIGN.md §6).
+//! `Simulator` instances across threads (DESIGN.md §6).
 //!
 //! The event queue is a hierarchical timing wheel ([`crate::wheel`]) and
 //! in-flight packets live in a generation-tagged slab arena
@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rand_chacha::ChaCha8Rng;
+use crate::rng::ChaCha8Rng;
 
 use crate::addr::Addr;
 use crate::agent::{AgentCtx, ControlMsg, NodeAgent, Outbox, Verdict};

@@ -5,7 +5,6 @@
 //! and wasted-bandwidth metrics of experiments E5/E2 come straight from the
 //! per-drop and per-delivery hop counts recorded here.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::node::NodeId;
@@ -14,7 +13,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::TelemetryHistograms;
 
 /// Why a packet died.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DropReason {
     /// Tail-dropped at a congested link queue.
     QueueOverflow,
@@ -99,7 +98,7 @@ pub const ALL_CLASSES: [TrafficClass; N_CLASSES] = [
 
 crate::counters! {
     /// Per-class send/deliver/drop counters.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct ClassCounters {}
     counters "" {
         sent_pkts: Sum "Packets emitted",
@@ -116,7 +115,7 @@ crate::counters! {
 
 crate::counters! {
     /// Aggregate for one `(class, reason)` drop bucket.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct DropAgg {}
     counters "" {
         pkts: Sum "Packets",
@@ -131,7 +130,7 @@ crate::counters! {
 /// `watch`/`delivered_bytes` pair (single-node callers are untouched);
 /// further `watch` calls append to `extra`, all sharing the first call's
 /// bucket width.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Series {
     /// Bucket width (fixed by the first `watch` call).
     pub bucket: SimDuration,
@@ -141,7 +140,6 @@ pub struct Series {
     /// traffic class.
     pub delivered_bytes: Vec<[u64; N_CLASSES]>,
     /// Additional watched nodes and their per-bucket delivered bytes.
-    #[serde(default)]
     pub extra: Vec<(NodeId, Vec<[u64; N_CLASSES]>)>,
 }
 

@@ -16,9 +16,7 @@
 //!   traffic).
 //! * small hand-built shapes (line, star, dumbbell) for unit tests.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use crate::rng::ChaCha8Rng;
 
 use crate::link::{Link, LinkProfile};
 use crate::node::{LinkId, Node, NodeId, NodeRole};
@@ -200,7 +198,7 @@ impl Topology {
             let mut guard = 0;
             while chosen.len() < m && guard < 10_000 {
                 guard += 1;
-                let &cand = targets.choose(&mut rng).expect("targets non-empty");
+                let &cand = rng.choose(&targets).expect("targets non-empty");
                 if cand != new && !chosen.contains(&cand) {
                     chosen.push(cand);
                 }

@@ -253,11 +253,11 @@ impl TraceRecord for TraceEvent {
                      \"node\":{},\"module\":\"",
                     node.0
                 );
-                json_escape_into(module, out);
+                crate::json::escape_into(module, out);
                 out.push('"');
                 if let Some(d) = detail {
                     out.push_str(",\"detail\":\"");
-                    json_escape_into(d, out);
+                    crate::json::escape_into(d, out);
                     out.push('"');
                 }
                 let _ = write!(
@@ -283,23 +283,6 @@ impl TraceRecord for TraceEvent {
                     node.0
                 );
             }
-        }
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
