@@ -15,8 +15,8 @@ use std::sync::Arc;
 use dtcs::netsim::sync::Mutex;
 
 use dtcs::control::{
-    partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,
-    UserId,
+    partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
+    InternetNumberAuthority, UserId,
 };
 use dtcs::netsim::rng::child_seed;
 use dtcs::netsim::{
@@ -88,14 +88,17 @@ fn run_cell(
     let isps = partition_by_provider(&sim);
     let tcsp_node = sim.topo.transit_nodes()[0];
     let authority_node = sim.topo.transit_nodes()[1];
-    let mut cp = ControlPlane::install_with_reconcile(
+    let mut cp = ControlPlane::install_with(
         &mut sim,
         authority,
         0x5EC,
         tcsp_node,
         authority_node,
         isps,
-        SimDuration::from_secs(RECONCILE_EVERY_S),
+        ControlPlaneConfig {
+            reconcile_every: Some(SimDuration::from_secs(RECONCILE_EVERY_S)),
+            ..ControlPlaneConfig::default()
+        },
     );
     let (_user, _record) = cp.add_user(
         &mut sim,

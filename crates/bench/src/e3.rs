@@ -174,8 +174,7 @@ fn one(
     if let (Some(path), Some(rec)) = (trace, recorder) {
         drop(sim.take_trace_sink());
         let rec = std::sync::Arc::try_unwrap(rec)
-            .ok()
-            .expect("recorder uniquely owned once the sink is detached")
+            .unwrap_or_else(|_| panic!("recorder uniquely owned once the sink is detached"))
             .into_inner()
             .expect("flight recorder mutex poisoned");
         let mut file = std::fs::File::create(path).expect("create trace file");

@@ -26,7 +26,7 @@ pub use plane::{
     RENEW_TXN_BASE, TOKEN_REGISTER, TOKEN_RENEW, TOKEN_SWEEP, TOKEN_WITHDRAW,
 };
 pub use retry::{
-    CpStats, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Retransmitter, RetryPolicy,
-    TimerSlots,
+    Admission, CpStats, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Relay,
+    Retransmitter, RetryPolicy, TimerSlots,
 };
 pub use scenario::{partition_by_provider, ControlPlane, ControlPlaneConfig};

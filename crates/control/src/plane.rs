@@ -42,8 +42,8 @@ use crate::authority::InternetNumberAuthority;
 use crate::catalog::CatalogService;
 use crate::identity::{Certificate, UserId};
 use crate::retry::{
-    CpStatsHandle, Dedup, FanIn, Fired, LegMsg, MsgKey, Retransmitter, RetryPolicy, TimerSlots,
-    FAMILY_MASK,
+    Admission, CpStatsHandle, Dedup, FanIn, Fired, LegMsg, MsgKey, Relay, Retransmitter,
+    RetryPolicy, TimerSlots, FAMILY_MASK,
 };
 
 /// Per-message processing overhead added on top of path propagation.
@@ -291,6 +291,13 @@ fn send_env(ctx: &mut AgentCtx<'_>, to: NodeId, env: Envelope) {
     ctx.send_control_keyed(to, delay, env, meta);
 }
 
+/// Answer a relayed transaction: `msg` goes where its request asked, under
+/// the request's key.
+fn answer<L>(ctx: &mut AgentCtx<'_>, to: Role, txn: u64, out: &FanIn<L>, msg: CpMsg) {
+    let key = MsgKey::first(out.origin, txn);
+    send_env(ctx, out.reply_to, Envelope { to, key, msg });
+}
+
 /// A request envelope minus its attempt counter: the payload of every
 /// agent-to-agent transaction leg.
 struct Request {
@@ -326,6 +333,29 @@ fn dup_hit(ctx: &mut AgentCtx<'_>, cp: &CpStatsHandle, env: &Envelope, response:
         node: ctx.node,
         response,
     });
+}
+
+/// Is the request in `env` new to its relay? A duplicate is counted and
+/// traced, and answered again through `send` (under the request's txn,
+/// from the cached outcome) when its transaction has settled — the first
+/// answer was probably lost; one still running is left to its legs' own
+/// retransmits.
+fn admits<L, R>(
+    ctx: &mut AgentCtx<'_>,
+    cp: &CpStatsHandle,
+    env: &Envelope,
+    admission: Admission<'_, L, R>,
+    send: impl FnOnce(&mut AgentCtx<'_>, u64, &FanIn<L>, &R),
+) -> bool {
+    match admission {
+        Admission::New => return true,
+        Admission::Running => dup_hit(ctx, cp, env, false),
+        Admission::Done(out, with) => {
+            dup_hit(ctx, cp, env, false);
+            send(ctx, env.key.txn, out, with);
+        }
+    }
+    false
 }
 
 /// Count and trace a duplicated or late device reply (origin recovered
@@ -490,12 +520,15 @@ pub struct IspContract {
     pub managed: Vec<NodeId>,
 }
 
-struct PendingRegistration {
+/// What the TCSP keeps with a registration, which it relays under the
+/// `(origin, txn)` of the user's request to one leg: the authority.
+struct Registration {
     user: UserId,
     claimed: Vec<Prefix>,
-    reply_to: NodeId,
-    /// `(origin, txn)` of the user's request, for the done-cache.
-    user_key: (u64, u64),
+    /// The TCSP's own id for the authority leg; the verdict names only it.
+    verify_txn: u64,
+    /// The answer, once the authority gave its verdict.
+    result: Option<Result<Certificate, RegistrationError>>,
 }
 
 /// TCSP observability.
@@ -505,12 +538,6 @@ pub struct TcspStats {
     pub registrations_ok: u64,
     /// Registrations denied.
     pub registrations_denied: u64,
-    /// Deployment requests fanned out.
-    pub deployments: u64,
-    /// Requests dropped because the TCSP was marked unavailable.
-    pub dropped_unavailable: u64,
-    /// Deployments confirmed with at least one ISP missing.
-    pub partial_confirms: u64,
 }
 
 /// Shared handle to TCSP stats.
@@ -529,18 +556,10 @@ pub struct TcspAgent {
     /// partially with whatever acks it has (`isps_missing` > 0).
     pub deploy_deadline: SimDuration,
     next_txn: u64,
-    pending_reg: BTreeMap<u64, PendingRegistration>,
-    reg_in_flight: BTreeMap<(u64, u64), u64>,
-    reg_done: BTreeMap<(u64, u64), Result<Certificate, RegistrationError>>,
-    /// Fan-in per deployment over the NMS nodes asked; a finished one
-    /// moves to `deploy_done`, the cache duplicates are re-acked from.
-    pending_deploy: BTreeMap<u64, FanIn<NodeId>>,
-    deploy_done: BTreeMap<u64, FanIn<NodeId>>,
-    pending_withdraw: BTreeMap<u64, FanIn<NodeId>>,
-    withdraw_done: BTreeMap<u64, FanIn<NodeId>>,
-    verify_rt: Retransmitter<u64, Request>,
-    deploy_rt: Retransmitter<(u64, NodeId), Request>,
-    withdraw_rt: Retransmitter<(u64, NodeId), Request>,
+    registrations: Relay<(u64, u64), u64, Request, Registration>,
+    /// Deployments and withdrawals, by txn; a leg is the NMS node asked.
+    deploys: Relay<u64, NodeId, Request>,
+    withdraws: Relay<u64, NodeId, Request>,
     /// Deploy deadlines in flight, each carrying its deployment's txn.
     deadlines: TimerSlots<u64>,
     stats: TcspHandle,
@@ -567,16 +586,9 @@ impl TcspAgent {
                 available: available.clone(),
                 deploy_deadline: SimDuration::from_secs(30),
                 next_txn: 1,
-                pending_reg: BTreeMap::new(),
-                reg_in_flight: BTreeMap::new(),
-                reg_done: BTreeMap::new(),
-                pending_deploy: BTreeMap::new(),
-                deploy_done: BTreeMap::new(),
-                pending_withdraw: BTreeMap::new(),
-                withdraw_done: BTreeMap::new(),
-                verify_rt: Retransmitter::new(FAM_TCSP_VERIFY, policy, key ^ 0xA),
-                deploy_rt: Retransmitter::new(FAM_TCSP_DEPLOY, policy, key ^ 0xB),
-                withdraw_rt: Retransmitter::new(FAM_TCSP_WITHDRAW, policy, key ^ 0x1F),
+                registrations: Relay::new(FAM_TCSP_VERIFY, policy, key ^ 0xA),
+                deploys: Relay::new(FAM_TCSP_DEPLOY, policy, key ^ 0xB),
+                withdraws: Relay::new(FAM_TCSP_WITHDRAW, policy, key ^ 0x1F),
                 deadlines: TimerSlots::new(FAM_TCSP_DEADLINE),
                 stats: stats.clone(),
                 cp: CpStatsHandle::default(),
@@ -631,84 +643,56 @@ impl TcspAgent {
 
     fn send_register_confirm(
         ctx: &mut AgentCtx<'_>,
-        reply_to: NodeId,
-        user_key: (u64, u64),
-        result: Result<Certificate, RegistrationError>,
+        txn: u64,
+        out: &FanIn<u64>,
+        reg: &Registration,
     ) {
-        let confirm = Envelope {
-            to: Role::User,
-            key: MsgKey::first(user_key.0, user_key.1),
-            msg: CpMsg::RegisterConfirm { result },
-        };
-        send_env(ctx, reply_to, confirm);
-    }
-
-    fn send_deploy_confirm(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>) {
-        let confirm = Envelope {
-            to: Role::User,
-            key: MsgKey::first(out.origin, txn),
-            msg: CpMsg::DeployConfirm {
-                txn,
-                configured: out.done,
-                rejected: out.refused,
-                isps: out.acked(),
-                isps_missing: out.lost(),
-            },
-        };
-        send_env(ctx, out.reply_to, confirm);
-    }
-
-    /// Close out a pending deployment once every ISP resolved: confirm to
-    /// the user, cache the outcome, and count a partial confirmation when
-    /// ISPs are missing.
-    fn settle_deploy(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
-        if !self.pending_deploy.get(&txn).is_some_and(FanIn::is_done) {
-            return;
+        if let Some(result) = reg.result.clone() {
+            answer(ctx, Role::User, txn, out, CpMsg::RegisterConfirm { result });
         }
-        let out = self.pending_deploy.remove(&txn).expect("just seen");
+    }
+
+    fn send_deploy_confirm(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>, _: &()) {
+        let confirm = CpMsg::DeployConfirm {
+            txn,
+            configured: out.done,
+            rejected: out.refused,
+            isps: out.acked(),
+            isps_missing: out.lost(),
+        };
+        answer(ctx, Role::User, txn, out, confirm);
+    }
+
+    /// Confirm a deployment to the user once every ISP resolved, counting
+    /// a partial confirmation when ISPs are missing.
+    fn confirm_deploy(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        let Some((out, with)) = self.deploys.settle(txn) else {
+            return;
+        };
         if out.lost() > 0 {
-            self.stats.lock().partial_confirms += 1;
             self.cp.lock().partial_confirms += 1;
             trace_state(ctx, out.origin, txn, "tcsp", "partial_confirm");
         }
-        Self::send_deploy_confirm(ctx, txn, &out);
-        self.deploy_done.insert(txn, out);
+        Self::send_deploy_confirm(ctx, txn, out, with);
     }
 
-    /// The leg to `nms` will never ack: count the ISP missing; the
-    /// confirmation goes out partial once every other ISP resolved.
-    fn lose_deploy_leg(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
-        if let Some(p) = self.pending_deploy.get_mut(&txn) {
-            p.lose();
-        }
-        self.settle_deploy(ctx, txn);
-    }
-
-    fn send_withdraw_confirm(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>) {
-        let confirm = Envelope {
-            to: Role::User,
-            key: MsgKey::first(out.origin, txn),
-            msg: CpMsg::WithdrawConfirm {
-                txn,
-                removed: out.done,
-                isps: out.acked(),
-                isps_missing: out.lost(),
-            },
+    fn send_withdraw_confirm(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>, _: &()) {
+        let confirm = CpMsg::WithdrawConfirm {
+            txn,
+            removed: out.done,
+            isps: out.acked(),
+            isps_missing: out.lost(),
         };
-        send_env(ctx, out.reply_to, confirm);
+        answer(ctx, Role::User, txn, out, confirm);
     }
 
-    /// Close out a pending withdrawal once every ISP resolved: confirm to
-    /// the user and cache the outcome. Missing ISPs are not chased
-    /// further — their devices reap the orphaned filters themselves when
-    /// the lease runs out.
-    fn settle_withdraw(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
-        if !self.pending_withdraw.get(&txn).is_some_and(FanIn::is_done) {
-            return;
+    /// Confirm a withdrawal to the user once every ISP resolved. Missing
+    /// ISPs are not chased further — their devices reap the orphaned
+    /// filters themselves when the lease runs out.
+    fn confirm_withdraw(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        if let Some((out, with)) = self.withdraws.settle(txn) {
+            Self::send_withdraw_confirm(ctx, txn, out, with);
         }
-        let out = self.pending_withdraw.remove(&txn).expect("just seen");
-        Self::send_withdraw_confirm(ctx, txn, &out);
-        self.withdraw_done.insert(txn, out);
     }
 
     /// Record a credential rejected for staleness (authentic signature,
@@ -740,26 +724,22 @@ impl NodeAgent for TcspAgent {
                 let Some(txn) = self.deadlines.take(slot) else {
                     return;
                 };
-                let Some(p) = self.pending_deploy.get_mut(&txn) else {
+                // Stop chasing the silent ISPs and confirm partially.
+                let asked = self.isps.iter().map(|isp| isp.nms_node);
+                let Some(p) = self.deploys.lose_rest(txn, asked) else {
                     return;
                 };
-                // Stop chasing the silent ISPs and confirm partially.
-                for isp in &self.isps {
-                    self.deploy_rt.ack(&(txn, isp.nms_node));
-                }
-                p.lose_rest();
                 trace_state(ctx, p.origin, txn, "tcsp", "deadline_partial");
-                self.settle_deploy(ctx, txn);
+                self.confirm_deploy(ctx, txn);
             }
             FAM_TCSP_VERIFY => {
-                let fired = self.verify_rt.on_timer(ctx, &self.cp, token, |_| false);
+                let fired = self.registrations.on_timer(ctx, &self.cp, token, |_| false);
                 if let Fired::GaveUp(leg) = fired {
                     // Authority unreachable: forget the attempt so a fresh
                     // user retry can restart verification.
-                    trace_terminal(ctx, 0, leg.key, "gave_up");
-                    if let Some(p) = self.pending_reg.remove(&leg.key) {
-                        self.reg_in_flight.remove(&p.user_key);
-                    }
+                    let (user_key, verify_txn) = leg.key;
+                    trace_terminal(ctx, 0, verify_txn, "gave_up");
+                    self.registrations.forget(user_key);
                 }
             }
             FAM_TCSP_DEPLOY => {
@@ -771,26 +751,24 @@ impl NodeAgent for TcspAgent {
                     matches!(&r.msg, CpMsg::NmsDeploy { cert, .. }
                         if !cert.verify(key, now) && cert.authentic(key))
                 };
-                match self.deploy_rt.on_timer(ctx, &self.cp, token, expired) {
+                // Either way the ISP counts missing; the confirmation goes
+                // out partial once every other ISP resolved.
+                match self.deploys.on_timer(ctx, &self.cp, token, expired) {
                     Fired::Vetoed(leg) => {
                         self.note_expired_deploy(ctx, leg.id.origin, leg.id.txn);
-                        self.lose_deploy_leg(ctx, leg.id.txn);
+                        self.confirm_deploy(ctx, leg.id.txn);
                     }
-                    Fired::GaveUp(leg) => self.lose_deploy_leg(ctx, leg.id.txn),
+                    Fired::GaveUp(leg) => self.confirm_deploy(ctx, leg.id.txn),
                     Fired::Stale | Fired::Resent => {}
                 }
             }
             FAM_TCSP_WITHDRAW => {
-                let fired = self.withdraw_rt.on_timer(ctx, &self.cp, token, |_| false);
+                let fired = self.withdraws.on_timer(ctx, &self.cp, token, |_| false);
                 if let Fired::GaveUp(leg) = fired {
                     // Partition-tolerant teardown: the unreachable ISP's
                     // devices still reap their filters when the lease runs
                     // out, so give up here and confirm with what we have.
-                    let txn = leg.id.txn;
-                    if let Some(p) = self.pending_withdraw.get_mut(&txn) {
-                        p.lose();
-                    }
-                    self.settle_withdraw(ctx, txn);
+                    self.confirm_withdraw(ctx, leg.id.txn);
                 }
             }
             _ => {}
@@ -805,7 +783,6 @@ impl NodeAgent for TcspAgent {
             return;
         }
         if !*self.available.lock() {
-            self.stats.lock().dropped_unavailable += 1;
             return;
         }
         match &env.msg {
@@ -815,31 +792,18 @@ impl NodeAgent for TcspAgent {
                 reply_to,
             } => {
                 let user_key = env.key.identity();
-                if let Some(result) = self.reg_done.get(&user_key) {
-                    // Completed transaction, duplicated request (the
-                    // confirm was probably lost): re-ack from cache.
-                    dup_hit(ctx, &self.cp, env, false);
-                    Self::send_register_confirm(ctx, *reply_to, user_key, result.clone());
-                    return;
-                }
-                if self.reg_in_flight.contains_key(&user_key) {
-                    // Verification already running; its own retransmit
-                    // chain covers the authority leg.
-                    dup_hit(ctx, &self.cp, env, false);
+                let admission = self.registrations.admit(user_key);
+                if !admits(ctx, &self.cp, env, admission, Self::send_register_confirm) {
                     return;
                 }
                 let txn = self.next_txn;
                 self.next_txn += 1;
-                self.reg_in_flight.insert(user_key, txn);
-                self.pending_reg.insert(
-                    txn,
-                    PendingRegistration {
-                        user: *user,
-                        claimed: claimed.clone(),
-                        reply_to: *reply_to,
-                        user_key,
-                    },
-                );
+                let registration = Registration {
+                    user: *user,
+                    claimed: claimed.clone(),
+                    verify_txn: txn,
+                    result: None,
+                };
                 let verify = Request {
                     to: Role::Authority,
                     msg: CpMsg::VerifyOwnership {
@@ -849,35 +813,46 @@ impl NodeAgent for TcspAgent {
                         reply_to: ctx.node,
                     },
                 };
-                self.verify_rt
-                    .track(ctx, txn, self.authority_node, 0, txn, verify);
+                self.registrations
+                    .track(ctx, (user_key, txn), self.authority_node, 0, txn, verify);
+                self.registrations
+                    .open(user_key, user_key.0, *reply_to, 1, registration);
                 trace_state(ctx, 0, txn, "tcsp", "verify_sent");
             }
             CpMsg::OwnershipResult { txn, ok } => {
-                self.verify_rt.ack(txn);
-                let Some(pending) = self.pending_reg.remove(txn) else {
+                // The verdict names the authority leg, not whose
+                // registration it answers.
+                let user_key = self
+                    .registrations
+                    .running()
+                    .find_map(|(key, reg)| (reg.verify_txn == *txn).then_some(key));
+                let (granted, denied) = (usize::from(*ok), usize::from(!*ok));
+                let Some(user_key) =
+                    user_key.filter(|&key| self.registrations.ack(key, *txn, granted, denied))
+                else {
                     dup_hit(ctx, &self.cp, env, true);
                     return;
                 };
-                self.reg_in_flight.remove(&pending.user_key);
                 trace_terminal(ctx, 0, *txn, "verified");
-                let (origin, user_txn) = pending.user_key;
-                let result = if *ok {
-                    trace_state(ctx, origin, user_txn, "tcsp", "register_confirmed");
+                let Some((out, reg)) = self.registrations.settle(user_key) else {
+                    return;
+                };
+                let result = if out.done > 0 {
+                    trace_state(ctx, user_key.0, user_key.1, "tcsp", "register_confirmed");
                     self.stats.lock().registrations_ok += 1;
                     Ok(Certificate::issue(
                         self.key,
-                        pending.user,
-                        pending.claimed,
+                        reg.user,
+                        reg.claimed.clone(),
                         ctx.now + self.cert_lifetime,
                     ))
                 } else {
-                    trace_state(ctx, origin, user_txn, "tcsp", "register_denied");
+                    trace_state(ctx, user_key.0, user_key.1, "tcsp", "register_denied");
                     self.stats.lock().registrations_denied += 1;
                     Err(RegistrationError::OwnershipDenied)
                 };
-                self.reg_done.insert(pending.user_key, result.clone());
-                Self::send_register_confirm(ctx, pending.reply_to, pending.user_key, result);
+                reg.result = Some(result);
+                Self::send_register_confirm(ctx, user_key.1, out, reg);
             }
             CpMsg::DeployRequest {
                 cert,
@@ -887,13 +862,8 @@ impl NodeAgent for TcspAgent {
                 reply_to,
                 ..
             } => {
-                if let Some(out) = self.deploy_done.get(txn) {
-                    dup_hit(ctx, &self.cp, env, false);
-                    Self::send_deploy_confirm(ctx, *txn, out);
-                    return;
-                }
-                if self.pending_deploy.contains_key(txn) {
-                    dup_hit(ctx, &self.cp, env, false);
+                let admission = self.deploys.admit(*txn);
+                if !admits(ctx, &self.cp, env, admission, Self::send_deploy_confirm) {
                     return;
                 }
                 let origin = env.key.origin;
@@ -907,7 +877,6 @@ impl NodeAgent for TcspAgent {
                     }
                     return;
                 }
-                self.stats.lock().deployments += 1;
                 trace_state(ctx, origin, *txn, "tcsp", "deploy_fanout");
                 let mut legs = 0;
                 for isp in &self.isps {
@@ -926,18 +895,17 @@ impl NodeAgent for TcspAgent {
                         },
                     };
                     let nms = isp.nms_node;
-                    self.deploy_rt
+                    self.deploys
                         .track(ctx, (*txn, nms), nms, origin, *txn, deploy);
                     legs += 1;
                 }
-                let fan_in = FanIn::new(origin, *reply_to, legs);
-                if !fan_in.is_done() {
+                if legs > 0 {
                     let deadline = self.deploy_deadline;
                     self.deadlines.arm(ctx, *txn, |_| deadline);
                 }
-                self.pending_deploy.insert(*txn, fan_in);
+                self.deploys.open(*txn, origin, *reply_to, legs, ());
                 // Confirms at once when nothing matched the scope.
-                self.settle_deploy(ctx, *txn);
+                self.confirm_deploy(ctx, *txn);
             }
             CpMsg::NmsAck {
                 txn,
@@ -945,14 +913,8 @@ impl NodeAgent for TcspAgent {
                 configured,
                 rejected,
             } => {
-                self.deploy_rt.ack(&(*txn, *from_nms));
-                // Not fresh: a late or duplicated ack.
-                let fresh = self
-                    .pending_deploy
-                    .get_mut(txn)
-                    .is_some_and(|p| p.ack(*from_nms, *configured, *rejected));
-                if fresh {
-                    self.settle_deploy(ctx, *txn);
+                if self.deploys.ack(*txn, *from_nms, *configured, *rejected) {
+                    self.confirm_deploy(ctx, *txn);
                 } else {
                     dup_hit(ctx, &self.cp, env, true);
                 }
@@ -976,13 +938,8 @@ impl NodeAgent for TcspAgent {
                 txn,
                 reply_to,
             } => {
-                if let Some(out) = self.withdraw_done.get(txn) {
-                    dup_hit(ctx, &self.cp, env, false);
-                    Self::send_withdraw_confirm(ctx, *txn, out);
-                    return;
-                }
-                if self.pending_withdraw.contains_key(txn) {
-                    dup_hit(ctx, &self.cp, env, false);
+                let admission = self.withdraws.admit(*txn);
+                if !admits(ctx, &self.cp, env, admission, Self::send_withdraw_confirm) {
                     return;
                 }
                 // Withdrawal only *shrinks* the owner's footprint, so an
@@ -1004,25 +961,20 @@ impl NodeAgent for TcspAgent {
                         },
                     };
                     let nms = isp.nms_node;
-                    self.withdraw_rt
+                    self.withdraws
                         .track(ctx, (*txn, nms), nms, origin, *txn, withdraw);
                 }
-                self.pending_withdraw
-                    .insert(*txn, FanIn::new(origin, *reply_to, self.isps.len()));
-                self.settle_withdraw(ctx, *txn);
+                self.withdraws
+                    .open(*txn, origin, *reply_to, self.isps.len(), ());
+                self.confirm_withdraw(ctx, *txn);
             }
             CpMsg::NmsWithdrawAck {
                 txn,
                 from_nms,
                 removed,
             } => {
-                self.withdraw_rt.ack(&(*txn, *from_nms));
-                let fresh = self
-                    .pending_withdraw
-                    .get_mut(txn)
-                    .is_some_and(|p| p.ack(*from_nms, *removed, 0));
-                if fresh {
-                    self.settle_withdraw(ctx, *txn);
+                if self.withdraws.ack(*txn, *from_nms, *removed, 0) {
+                    self.confirm_withdraw(ctx, *txn);
                 } else {
                     dup_hit(ctx, &self.cp, env, true);
                 }
@@ -1104,12 +1056,9 @@ pub struct NmsAgent {
     managed: Vec<NodeId>,
     /// Peer NMS nodes for ISP-to-ISP forwarding.
     peers: Vec<NodeId>,
-    /// Fan-in per deployment over its devices, with the role to ack to; a
-    /// finished one moves to `done`, the cache duplicates are re-acked
-    /// from.
-    pending: BTreeMap<u64, (Role, FanIn<NodeId>)>,
-    done: BTreeMap<u64, (Role, FanIn<NodeId>)>,
-    install_rt: Retransmitter<(u64, NodeId), InstallJob>,
+    /// Deployments by txn, each with the role to ack in; a leg is the
+    /// device installed on.
+    deploys: Relay<u64, NodeId, InstallJob, Role>,
     /// Services this NMS has confirmed installed, per device — the
     /// reference the anti-entropy sweep compares inventories against.
     desired: BTreeMap<(NodeId, OwnerId, Stage, u64), InstallJob>,
@@ -1126,12 +1075,8 @@ pub struct NmsAgent {
     /// Monotonic sequence for renewal transactions
     /// (`RENEW_TXN_BASE + seq`).
     next_renew_seq: u64,
-    /// Retransmit chains for withdrawal removals, keyed
-    /// `(withdraw txn, device, stage)`.
-    remove_rt: Retransmitter<(u64, NodeId, Stage), Removal>,
-    /// Fan-in per withdrawal over the `(device, stage)` removals.
-    pending_withdraw: BTreeMap<u64, FanIn<(NodeId, Stage)>>,
-    withdraw_done: BTreeMap<u64, FanIn<(NodeId, Stage)>>,
+    /// Withdrawals by txn; a leg is one `(device, stage)` removal.
+    withdraws: Relay<u64, (NodeId, Stage), Removal>,
     /// When true the anti-entropy sweep also *removes* device-resident
     /// services absent from desired state (bidirectional reconcile).
     sweep_removes: bool,
@@ -1142,8 +1087,6 @@ pub struct NmsAgent {
     /// resurrect a desired-state entry. Cleared on a fresh deploy.
     withdrawn: BTreeSet<OwnerId>,
     cp: CpStatsHandle,
-    /// Deployments this NMS has executed (service name, node count).
-    pub log: Vec<(String, usize)>,
 }
 
 impl NmsAgent {
@@ -1154,23 +1097,18 @@ impl NmsAgent {
             tcsp_key,
             managed,
             peers,
-            pending: BTreeMap::new(),
-            done: BTreeMap::new(),
-            install_rt: Retransmitter::new(FAM_NMS_INSTALL, policy, tcsp_key ^ 0xC),
+            deploys: Relay::new(FAM_NMS_INSTALL, policy, tcsp_key ^ 0xC),
             desired: BTreeMap::new(),
             reconcile_every: None,
             lease_len: None,
             renew_every: None,
             renew_rt: Retransmitter::new(FAM_NMS_RENEW, policy, tcsp_key ^ 0x2D),
             next_renew_seq: 0,
-            remove_rt: Retransmitter::new(FAM_NMS_REMOVE, policy, tcsp_key ^ 0x3E),
-            pending_withdraw: BTreeMap::new(),
-            withdraw_done: BTreeMap::new(),
+            withdraws: Relay::new(FAM_NMS_REMOVE, policy, tcsp_key ^ 0x3E),
             sweep_removes: false,
             installing: BTreeSet::new(),
             withdrawn: BTreeSet::new(),
             cp: CpStatsHandle::default(),
-            log: Vec::new(),
         }
     }
 
@@ -1209,40 +1147,25 @@ impl NmsAgent {
         self
     }
 
-    /// A deploy request is new (not a duplicate of a finished or running
-    /// one, which is re-acked or ignored) and carries a valid credential.
-    fn admits_deploy(
+    /// Deploy on those of `nodes` this ISP manages and ack to `reply`, when
+    /// the deploy request in `env` is new and carries a valid credential.
+    /// False when it was refused or a duplicate.
+    fn deploy_on(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         env: &Envelope,
         cert: &Certificate,
-        txn: u64,
-    ) -> bool {
-        if let Some((role, ack)) = self.done.get(&txn) {
-            // Our ack was lost; the sender retransmitted. Re-ack.
-            dup_hit(ctx, &self.cp, env, false);
-            Self::send_nms_ack(ctx, txn, *role, ack);
-            return false;
-        }
-        if self.pending.contains_key(&txn) {
-            dup_hit(ctx, &self.cp, env, false);
-            return false;
-        }
-        cert.verify(self.tcsp_key, ctx.now)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn deploy_on(
-        &mut self,
-        ctx: &mut AgentCtx<'_>,
-        cert: &Certificate,
         service: &CatalogService,
         nodes: &[NodeId],
-        origin: u64,
-        txn: u64,
-        reply_to: NodeId,
-        reply_role: Role,
-    ) {
+        (reply_to, reply_role): (NodeId, Role),
+    ) -> bool {
+        let MsgKey { origin, txn, .. } = env.key;
+        let admission = self.deploys.admit(txn);
+        if !admits(ctx, &self.cp, env, admission, Self::send_nms_ack)
+            || !cert.verify(self.tcsp_key, ctx.now)
+        {
+            return false;
+        }
         let job = InstallJob {
             owner: OwnerId(cert.user.0),
             prefixes: cert.prefixes.clone(),
@@ -1260,39 +1183,32 @@ impl NmsAgent {
             if !self.managed.contains(&node) {
                 continue;
             }
-            self.install_rt
+            self.deploys
                 .track(ctx, (txn, node), node, origin, txn, job.clone());
             self.installing.insert((node, job.owner, job.stage));
             legs.insert(node);
         }
-        self.log.push((job.spec.name, legs.len()));
-        let fan_in = FanIn::new(origin, reply_to, legs.len());
-        self.pending.insert(txn, (reply_role, fan_in));
-        self.settle_deploy(ctx, txn);
+        self.deploys
+            .open(txn, origin, reply_to, legs.len(), reply_role);
+        self.ack_deploy(ctx, txn);
+        true
     }
 
-    fn send_nms_ack(ctx: &mut AgentCtx<'_>, txn: u64, to: Role, out: &FanIn<NodeId>) {
-        let ack = Envelope {
-            to,
-            key: MsgKey::first(out.origin, txn),
-            msg: CpMsg::NmsAck {
-                txn,
-                from_nms: ctx.node,
-                configured: out.done,
-                rejected: out.refused,
-            },
+    fn send_nms_ack(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>, to: &Role) {
+        let ack = CpMsg::NmsAck {
+            txn,
+            from_nms: ctx.node,
+            configured: out.done,
+            rejected: out.refused,
         };
-        send_env(ctx, out.reply_to, ack);
+        answer(ctx, *to, txn, out, ack);
     }
 
-    /// Ack a deployment once every device resolved, and cache the outcome.
-    fn settle_deploy(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
-        if !self.pending.get(&txn).is_some_and(|(_, p)| p.is_done()) {
-            return;
+    /// Ack a deployment once every device resolved.
+    fn ack_deploy(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        if let Some((out, role)) = self.deploys.settle(txn) {
+            Self::send_nms_ack(ctx, txn, out, role);
         }
-        let (role, out) = self.pending.remove(&txn).expect("just seen");
-        Self::send_nms_ack(ctx, txn, role, &out);
-        self.done.insert(txn, (role, out));
     }
 
     /// One anti-entropy round: ask every managed device for its inventory;
@@ -1315,27 +1231,20 @@ impl NmsAgent {
         trace_terminal(ctx, 0, RECONCILE_TXN, "reconciled");
     }
 
-    fn send_withdraw_ack(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<(NodeId, Stage)>) {
-        let ack = Envelope {
-            to: Role::Tcsp,
-            key: MsgKey::first(out.origin, txn),
-            msg: CpMsg::NmsWithdrawAck {
-                txn,
-                from_nms: ctx.node,
-                removed: out.done,
-            },
+    fn send_withdraw_ack(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<(NodeId, Stage)>, _: &()) {
+        let ack = CpMsg::NmsWithdrawAck {
+            txn,
+            from_nms: ctx.node,
+            removed: out.done,
         };
-        send_env(ctx, out.reply_to, ack);
+        answer(ctx, Role::Tcsp, txn, out, ack);
     }
 
-    /// Ack a withdrawal once every removal resolved, and cache the outcome.
-    fn settle_withdraw(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
-        if !self.pending_withdraw.get(&txn).is_some_and(FanIn::is_done) {
-            return;
+    /// Ack a withdrawal once every removal resolved.
+    fn ack_withdraw(&mut self, ctx: &mut AgentCtx<'_>, txn: u64) {
+        if let Some((out, with)) = self.withdraws.settle(txn) {
+            Self::send_withdraw_ack(ctx, txn, out, with);
         }
-        let out = self.pending_withdraw.remove(&txn).expect("just seen");
-        Self::send_withdraw_ack(ctx, txn, &out);
-        self.withdraw_done.insert(txn, out);
     }
 
     fn next_renew_txn(seq: &mut u64) -> u64 {
@@ -1398,7 +1307,7 @@ impl NodeAgent for NmsAgent {
                 }
             }
             FAM_NMS_INSTALL => {
-                let fired = self.install_rt.on_timer(ctx, &self.cp, token, |_| false);
+                let fired = self.deploys.on_timer(ctx, &self.cp, token, |_| false);
                 if let Fired::GaveUp(leg) = fired {
                     // Device unreachable past the retry budget: report
                     // what we have; the reconciliation sweep repairs it
@@ -1406,10 +1315,7 @@ impl NodeAgent for NmsAgent {
                     let ((txn, node), job) = (leg.key, leg.payload);
                     trace_state(ctx, leg.id.origin, txn, "nms", "device_lost");
                     self.installing.remove(&(node, job.owner, job.stage));
-                    if let Some((_, p)) = self.pending.get_mut(&txn) {
-                        p.lose();
-                    }
-                    self.settle_deploy(ctx, txn);
+                    self.ack_deploy(ctx, txn);
                 }
             }
             FAM_NMS_RENEW => {
@@ -1427,15 +1333,11 @@ impl NodeAgent for NmsAgent {
                 }
             }
             FAM_NMS_REMOVE => {
-                let fired = self.remove_rt.on_timer(ctx, &self.cp, token, |_| false);
+                let fired = self.withdraws.on_timer(ctx, &self.cp, token, |_| false);
                 if let Fired::GaveUp(leg) = fired {
-                    // Device unreachable: count the leg lost and let its
-                    // lease reap the filter device-side.
-                    let txn = leg.id.txn;
-                    if let Some(p) = self.pending_withdraw.get_mut(&txn) {
-                        p.lose();
-                    }
-                    self.settle_withdraw(ctx, txn);
+                    // Device unreachable: the leg counts lost and its
+                    // lease reaps the filter device-side.
+                    self.ack_withdraw(ctx, leg.id.txn);
                 }
             }
             _ => {}
@@ -1461,7 +1363,7 @@ impl NodeAgent for NmsAgent {
                         }
                         return;
                     }
-                    let Some(leg) = self.install_rt.take(&(*txn, *node)) else {
+                    let Some(leg) = self.deploys.untrack(*txn, *node) else {
                         reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
                         return;
                     };
@@ -1472,16 +1374,15 @@ impl NodeAgent for NmsAgent {
                         self.desired
                             .insert((*node, job.owner, job.stage, hash), job);
                     }
-                    if let Some((_, p)) = self.pending.get_mut(txn) {
-                        p.ack(*node, usize::from(ok), usize::from(!ok));
-                    }
+                    self.deploys
+                        .ack(*txn, *node, usize::from(ok), usize::from(!ok));
                     let state = if ok {
                         "device_installed"
                     } else {
                         "device_rejected"
                     };
                     trace_state(ctx, leg.id.origin, *txn, "nms", state);
-                    self.settle_deploy(ctx, *txn);
+                    self.ack_deploy(ctx, *txn);
                 }
                 DeviceReply::Inventory { node, installed } => {
                     let installed: BTreeSet<(OwnerId, Stage, u64)> =
@@ -1519,16 +1420,14 @@ impl NodeAgent for NmsAgent {
                     if *txn == RECONCILE_TXN {
                         return; // sweep removal: untracked
                     }
-                    let Some(leg) = self.remove_rt.take(&(*txn, *node, *stage)) else {
+                    let Some(leg) = self.withdraws.untrack(*txn, (*node, *stage)) else {
                         reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
                         return;
                     };
                     self.cp.lock().withdraw_removes += 1;
                     trace_state(ctx, leg.id.origin, *txn, "nms", "device_removed");
-                    if let Some(p) = self.pending_withdraw.get_mut(txn) {
-                        p.ack((*node, *stage), 1, 0);
-                    }
-                    self.settle_withdraw(ctx, *txn);
+                    self.withdraws.ack(*txn, (*node, *stage), 1, 0);
+                    self.ack_withdraw(ctx, *txn);
                 }
                 _ => {}
             }
@@ -1546,22 +1445,10 @@ impl NodeAgent for NmsAgent {
                 cert,
                 service,
                 nodes,
-                txn,
                 reply_to,
+                ..
             } => {
-                if !self.admits_deploy(ctx, env, cert, *txn) {
-                    return;
-                }
-                self.deploy_on(
-                    ctx,
-                    cert,
-                    service,
-                    nodes,
-                    origin,
-                    *txn,
-                    *reply_to,
-                    Role::Tcsp,
-                );
+                self.deploy_on(ctx, env, cert, service, nodes, (*reply_to, Role::Tcsp));
             }
             CpMsg::DeployRequest {
                 cert,
@@ -1572,20 +1459,10 @@ impl NodeAgent for NmsAgent {
                 forward_to_peers,
             } => {
                 // Direct user → ISP path (TCSP fallback).
-                if !self.admits_deploy(ctx, env, cert, *txn) {
+                let nodes = TcspAgent::resolve_scope(ctx, &self.managed, scope);
+                if !self.deploy_on(ctx, env, cert, service, &nodes, (*reply_to, Role::User)) {
                     return;
                 }
-                let nodes = TcspAgent::resolve_scope(ctx, &self.managed, scope);
-                self.deploy_on(
-                    ctx,
-                    cert,
-                    service,
-                    &nodes,
-                    origin,
-                    *txn,
-                    *reply_to,
-                    Role::User,
-                );
                 if *forward_to_peers {
                     for &peer in &self.peers {
                         let forwarded = Envelope {
@@ -1634,14 +1511,8 @@ impl NodeAgent for NmsAgent {
                 txn,
                 reply_to,
             } => {
-                if let Some(out) = self.withdraw_done.get(txn) {
-                    // Our ack was lost; the TCSP retransmitted. Re-ack.
-                    dup_hit(ctx, &self.cp, env, false);
-                    Self::send_withdraw_ack(ctx, *txn, out);
-                    return;
-                }
-                if self.pending_withdraw.contains_key(txn) {
-                    dup_hit(ctx, &self.cp, env, false);
+                let admission = self.withdraws.admit(*txn);
+                if !admits(ctx, &self.cp, env, admission, Self::send_withdraw_ack) {
                     return;
                 }
                 self.withdrawn.insert(*owner);
@@ -1659,12 +1530,12 @@ impl NodeAgent for NmsAgent {
                         owner: *owner,
                         stage,
                     };
-                    self.remove_rt
-                        .track(ctx, (*txn, node, stage), node, origin, *txn, removal);
+                    self.withdraws
+                        .track(ctx, (*txn, (node, stage)), node, origin, *txn, removal);
                 }
-                self.pending_withdraw
-                    .insert(*txn, FanIn::new(origin, *reply_to, victims.len()));
-                self.settle_withdraw(ctx, *txn);
+                self.withdraws
+                    .open(*txn, origin, *reply_to, victims.len(), ());
+                self.ack_withdraw(ctx, *txn);
             }
             _ => {}
         }

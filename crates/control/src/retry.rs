@@ -1,7 +1,8 @@
 //! Reliability primitives for the faulty-channel control plane: capped
 //! exponential backoff with deterministic jitter, a generic retransmitter
-//! that rides the simulator's agent-timer facility, and duplicate
-//! suppression for at-least-once delivery.
+//! that rides the simulator's agent-timer facility, duplicate suppression
+//! for at-least-once delivery, and the relay that is the receiver side of
+//! every fanned-out transaction.
 //!
 //! The Fig. 4/5 protocol was written for a lossless channel; under the
 //! [`FaultPlane`](dtcs_netsim::FaultPlane) every control message may be
@@ -395,6 +396,149 @@ impl<L: Ord + Copy> FanIn<L> {
     }
 }
 
+/// What a [`Relay`] knows of the transaction a request names.
+#[derive(Debug)]
+pub enum Admission<'a, L, R> {
+    /// Settled: a duplicate whose answer was lost. Answer again from the
+    /// cached outcome.
+    Done(&'a FanIn<L>, &'a R),
+    /// Still collecting acks: a duplicate; the legs' own retransmits
+    /// cover the work.
+    Running,
+    /// Never seen.
+    New,
+}
+
+/// The receiver side of a fanned-out transaction, written once: request
+/// in, legs out, acks collected, one answer, duplicates re-answered. A
+/// relay owns the [`Retransmitter`] of one family's legs, the [`FanIn`] of
+/// every running transaction and the done-cache of the settled ones, and
+/// each decision has one method: is a request new ([`Relay::admit`]), does
+/// an ack count ([`Relay::ack`]), what a give-up costs ([`Relay::lose`],
+/// [`Relay::lose_rest`]), is the answer due ([`Relay::settle`]). They
+/// decide and return; the agent emits.
+///
+/// `X` names a transaction and `L` a leg within it (tracked as `(X, L)`);
+/// `R` is what the agent keeps with a transaction to answer it.
+pub struct Relay<X, L, T, R = ()> {
+    rt: Retransmitter<(X, L), T>,
+    running: BTreeMap<X, (FanIn<L>, R)>,
+    settled: BTreeMap<X, (FanIn<L>, R)>,
+}
+
+impl<X: Ord + Copy, L: Ord + Copy, T: LegMsg, R> Relay<X, L, T, R> {
+    /// New relay; the arguments are [`Retransmitter::new`]'s.
+    pub fn new(family: u64, policy: RetryPolicy, seed: u64) -> Relay<X, L, T, R> {
+        Relay {
+            rt: Retransmitter::new(family, policy, seed),
+            running: BTreeMap::new(),
+            settled: BTreeMap::new(),
+        }
+    }
+
+    /// Is a request for `txn` new, or a duplicate?
+    pub fn admit(&self, txn: X) -> Admission<'_, L, R> {
+        match self.settled.get(&txn) {
+            Some((out, with)) => Admission::Done(out, with),
+            None if self.running.contains_key(&txn) => Admission::Running,
+            None => Admission::New,
+        }
+    }
+
+    /// [`Retransmitter::track`] one leg of a transaction about to be
+    /// [`Relay::open`]ed.
+    pub fn track(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        key: (X, L),
+        dest: NodeId,
+        origin: u64,
+        txn: u64,
+        payload: T,
+    ) {
+        self.rt.track(ctx, key, dest, origin, txn, payload);
+    }
+
+    /// Await the acks of `legs` legs; the outcome goes to `reply_to`.
+    pub fn open(&mut self, txn: X, origin: u64, reply_to: NodeId, legs: usize, with: R) {
+        let fan = FanIn::new(origin, reply_to, legs);
+        self.running.insert(txn, (fan, with));
+    }
+
+    /// The running transactions, for an ack that names only its leg.
+    pub fn running(&self) -> impl Iterator<Item = (X, &R)> {
+        self.running.iter().map(|(&txn, (_, with))| (txn, with))
+    }
+
+    /// Stop retransmitting a leg and hand it back; None when it is not
+    /// tracked (acked before, or given up on).
+    pub fn untrack(&mut self, txn: X, leg: L) -> Option<Leg<(X, L), T>> {
+        self.rt.take(&(txn, leg))
+    }
+
+    /// `leg` acked, reporting `done` and `refused` units of work: stop
+    /// retransmitting it and count the work. False, and nothing counted,
+    /// for a duplicate: the transaction is unknown or settled, or the leg
+    /// acked before. (A leg given up on acks for the first time: [`FanIn`].)
+    pub fn ack(&mut self, txn: X, leg: L, done: usize, refused: usize) -> bool {
+        self.rt.take(&(txn, leg));
+        let running = self.running.get_mut(&txn);
+        running.is_some_and(|(fan, _)| fan.ack(leg, done, refused))
+    }
+
+    /// One leg of `txn` will never ack.
+    pub fn lose(&mut self, txn: X) {
+        if let Some((fan, _)) = self.running.get_mut(&txn) {
+            fan.lose();
+        }
+    }
+
+    /// Give up on every leg of `txn` that has not acked and stop
+    /// retransmitting `legs`, those sent out. None when `txn` is not
+    /// running.
+    pub fn lose_rest(&mut self, txn: X, legs: impl Iterator<Item = L>) -> Option<&FanIn<L>> {
+        let (fan, _) = self.running.get_mut(&txn)?;
+        for leg in legs {
+            self.rt.take(&(txn, leg));
+        }
+        fan.lose_rest();
+        Some(fan)
+    }
+
+    /// Drop a running transaction unanswered: its request is new again.
+    pub fn forget(&mut self, txn: X) {
+        self.running.remove(&txn);
+    }
+
+    /// Once every leg of `txn` resolved, move it to the done-cache and
+    /// hand out the outcome to answer with: `Some` exactly once per
+    /// transaction.
+    pub fn settle(&mut self, txn: X) -> Option<(&FanIn<L>, &mut R)> {
+        if !self.running.get(&txn)?.0.is_done() {
+            return None;
+        }
+        let finished = self.running.remove(&txn)?;
+        let (out, with) = self.settled.entry(txn).or_insert(finished);
+        Some((out, with))
+    }
+
+    /// [`Retransmitter::on_timer`]; a leg it hands back, vetoed or given
+    /// up on, is counted lost. The caller settles.
+    pub fn on_timer(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        cp: &CpStatsHandle,
+        token: u64,
+        veto: impl FnOnce(&T) -> bool,
+    ) -> Fired<(X, L), T> {
+        let fired = self.rt.on_timer(ctx, cp, token, veto);
+        if let Fired::Vetoed(leg) | Fired::GaveUp(leg) = &fired {
+            self.lose(leg.key.0);
+        }
+        fired
+    }
+}
+
 /// Receiver-side duplicate suppression: remembers `(origin, txn, kind,
 /// extra)` quadruples. `kind` is [`CpMsg::kind_id`](crate::plane::CpMsg)
 /// (one transaction can legitimately produce several message kinds);
@@ -771,6 +915,138 @@ mod tests {
         fan.lose_rest();
         assert!(fan.is_done());
         assert_eq!((fan.acked(), fan.lost(), fan.done), (1, 2, 5));
+    }
+
+    /// One input to a relayed transaction: its request, something that
+    /// happened to a leg, or the deadline.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Request,
+        Leg(usize, Ev),
+        Deadline,
+    }
+
+    /// A settled outcome, as far as an answer can show it.
+    fn tallies(fan: &FanIn<usize>) -> [usize; 4] {
+        [fan.acked(), fan.lost(), fan.done, fan.refused]
+    }
+
+    /// Feed `steps` to a relay and, beside it, to a bare [`FanIn`] that is
+    /// opened by the request and dropped when it finishes: the relay must
+    /// count what the fan-in counts, settle when it finishes and at no
+    /// other time, and answer a duplicate request — probed around every
+    /// step — by where the transaction stands. Returns how often it
+    /// settled.
+    fn relay_agrees_with_fan_in(steps: &[Step]) -> usize {
+        const TXN: u64 = 7;
+        const OTHER: u64 = 8;
+        let mut relay: Relay<u64, usize, Probe> = Relay::new(FAMILY, RetryPolicy::default(), 9);
+        let mut model: Option<FanIn<usize>> = None;
+        let mut settled: Option<[usize; 4]> = None;
+        let mut settles = 0;
+        for at in 0..=steps.len() {
+            match (relay.admit(TXN), &model, settled) {
+                (Admission::New, None, None) | (Admission::Running, Some(_), None) => {}
+                (Admission::Done(out, ()), None, Some(outcome)) => {
+                    assert_eq!(tallies(out), outcome, "{steps:?}@{at}: the answer changed");
+                }
+                (admission, ..) => panic!("{steps:?}@{at}: {admission:?}"),
+            }
+            let Some(&step) = steps.get(at) else { break };
+            match step {
+                Step::Request => {
+                    relay.open(TXN, 1, NodeId(0), 3, ());
+                    model = Some(FanIn::new(1, NodeId(0), 3));
+                }
+                // Leg k reports 10^k units done and one refused, as in the
+                // fan-in test. Before the request and after the answer
+                // every ack is a duplicate.
+                Step::Leg(leg, Ev::Ack | Ev::DupAck) => {
+                    let work = 10usize.pow(leg as u32);
+                    let first = model.as_mut().is_some_and(|m| m.ack(leg, work, 1));
+                    assert_eq!(relay.ack(TXN, leg, work, 1), first, "{steps:?}@{at}");
+                    assert!(!relay.ack(OTHER, leg, work, 1), "{steps:?}@{at}");
+                }
+                Step::Leg(_, Ev::GiveUp) => {
+                    relay.lose(TXN);
+                    relay.lose(OTHER);
+                    if let Some(m) = model.as_mut() {
+                        m.lose();
+                    }
+                }
+                Step::Deadline => {
+                    assert_eq!(relay.lose_rest(TXN, 0..3).is_some(), model.is_some());
+                    assert!(relay.lose_rest(OTHER, 0..3).is_none());
+                    if let Some(m) = model.as_mut() {
+                        m.lose_rest();
+                    }
+                }
+            }
+            assert!(matches!(relay.admit(OTHER), Admission::New));
+            assert!(relay.settle(OTHER).is_none());
+            let due = model.as_ref().is_some_and(FanIn::is_done);
+            match relay.settle(TXN) {
+                Some((out, ())) => {
+                    assert!(due, "{steps:?}@{at}: settled with legs outstanding");
+                    let finished = model.take().expect("due");
+                    assert_eq!(tallies(out), tallies(&finished), "{steps:?}@{at}");
+                    settled = Some(tallies(out));
+                    settles += 1;
+                }
+                None => assert!(!due, "{steps:?}@{at}: finished and not settled"),
+            }
+            assert!(relay.settle(TXN).is_none(), "{steps:?}@{at}: settled twice");
+        }
+        settles
+    }
+
+    #[test]
+    fn relay_settles_exactly_once_in_every_ordering() {
+        let mut runs = 0;
+        let mut check = |order: &[(usize, Ev)]| {
+            let legs: Vec<Step> = order.iter().map(|&(leg, ev)| Step::Leg(leg, ev)).collect();
+            // The request anywhere (what precedes it finds no transaction),
+            // the deadline anywhere after it, or never.
+            for request_at in 0..=legs.len() {
+                for deadline_at in request_at..=legs.len() + 1 {
+                    let mut steps = legs.clone();
+                    if deadline_at <= legs.len() {
+                        steps.insert(deadline_at, Step::Deadline);
+                    }
+                    steps.insert(request_at, Step::Request);
+                    let settles = relay_agrees_with_fan_in(&steps);
+                    assert!(settles <= 1, "{steps:?}");
+                    // Every leg resolves, so a request that saw them all
+                    // is answered.
+                    assert!(settles == 1 || request_at > 0, "{steps:?}");
+                    runs += 1;
+                }
+            }
+        };
+        for a in FATES {
+            for b in FATES {
+                for c in FATES {
+                    interleavings([a, b, c], [0; 3], &mut Vec::new(), &mut check);
+                }
+            }
+        }
+        assert!(runs > 100_000, "exhaustive, not sampled: {runs}");
+    }
+
+    /// The ordering kept as found ([`FanIn`]): a leg given up on that acks
+    /// after all, while the others are outstanding, is counted lost and
+    /// acked, and the answer goes out one leg early.
+    #[test]
+    fn relay_counts_a_late_ack_after_a_give_up_twice() {
+        let mut relay: Relay<u64, usize, Probe> = Relay::new(FAMILY, RetryPolicy::default(), 9);
+        relay.open(7, 1, NodeId(0), 3, ());
+        relay.lose(7);
+        assert!(relay.ack(7, 0, 5, 0), "late, and still a first ack");
+        assert!(relay.settle(7).is_none());
+        assert!(relay.ack(7, 1, 5, 0));
+        let (out, ()) = relay.settle(7).expect("two acks and a loss make three");
+        assert_eq!(tallies(out), [2, 1, 10, 0], "leg 2 was never heard from");
+        assert!(!relay.ack(7, 2, 5, 0), "and is a duplicate when it is");
     }
 
     #[test]

@@ -126,32 +126,6 @@ impl ControlPlane {
         )
     }
 
-    /// Like [`ControlPlane::install`], with the NMS anti-entropy sweep
-    /// enabled: every `reconcile_every`, each NMS inventories its managed
-    /// devices and re-installs services lost to crashes.
-    pub fn install_with_reconcile(
-        sim: &mut Simulator,
-        authority: InternetNumberAuthority,
-        tcsp_key: u64,
-        tcsp_node: NodeId,
-        authority_node: NodeId,
-        isps: Vec<IspContract>,
-        reconcile_every: SimDuration,
-    ) -> ControlPlane {
-        Self::install_with(
-            sim,
-            authority,
-            tcsp_key,
-            tcsp_node,
-            authority_node,
-            isps,
-            ControlPlaneConfig {
-                reconcile_every: Some(reconcile_every),
-                ..ControlPlaneConfig::default()
-            },
-        )
-    }
-
     /// Install the control plane with explicit [`ControlPlaneConfig`]
     /// behaviours (leases, bidirectional sweep, certificate lifetime).
     #[allow(clippy::too_many_arguments)]

@@ -30,7 +30,7 @@ fn deadline_confirms_partially(user: UserId) {
 
     let cp = CpStatsHandle::default();
     sim.add_agent(authority_node, Box::new(AuthorityAgent::new(authority)));
-    let (mut tcsp, tcsp_stats, _available) = TcspAgent::new(0x5EC, authority_node, isps.clone());
+    let (mut tcsp, _stats, _available) = TcspAgent::new(0x5EC, authority_node, isps.clone());
     tcsp.deploy_deadline = DEADLINE;
     sim.add_agent(tcsp_node, Box::new(tcsp.with_cp_stats(cp.clone())));
     for isp in &isps {
@@ -79,7 +79,6 @@ fn deadline_confirms_partially(user: UserId) {
     );
     assert_eq!(r.isps_missing, 1, "{r:?}");
     assert!(r.devices_configured > 0, "{r:?}");
-    assert_eq!(tcsp_stats.lock().partial_confirms, 1);
     let cp = cp.lock();
     assert_eq!(cp.partial_confirms, 1);
     assert_eq!(

@@ -7,8 +7,8 @@
 use dtcs_netsim::rng::check_cases;
 
 use dtcs_control::{
-    partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,
-    UserHandle, UserId,
+    partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
+    InternetNumberAuthority, UserHandle, UserId,
 };
 use dtcs_netsim::{
     FaultConfig, FaultPlane, Outage, Partition, Prefix, SimDuration, SimTime, Simulator, Topology,
@@ -32,18 +32,18 @@ fn fixture(transit: usize, stubs: usize, reconcile_every: Option<SimDuration>) -
     let isps = partition_by_provider(&sim);
     let tcsp_node = sim.topo.transit_nodes()[0];
     let authority_node = sim.topo.transit_nodes()[1];
-    let mut cp = match reconcile_every {
-        Some(every) => ControlPlane::install_with_reconcile(
-            &mut sim,
-            authority,
-            0x5EC,
-            tcsp_node,
-            authority_node,
-            isps,
-            every,
-        ),
-        None => ControlPlane::install(&mut sim, authority, 0x5EC, tcsp_node, authority_node, isps),
-    };
+    let mut cp = ControlPlane::install_with(
+        &mut sim,
+        authority,
+        0x5EC,
+        tcsp_node,
+        authority_node,
+        isps,
+        ControlPlaneConfig {
+            reconcile_every,
+            ..ControlPlaneConfig::default()
+        },
+    );
     let (_user, record) = cp.add_user(
         &mut sim,
         victim_node,

@@ -497,8 +497,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
     let trace = recorder.map(|rec| {
         drop(sim.take_trace_sink());
         Arc::try_unwrap(rec)
-            .ok()
-            .expect("recorder uniquely owned once the sink is detached")
+            .unwrap_or_else(|_| panic!("recorder uniquely owned once the sink is detached"))
             .into_inner()
             .expect("flight recorder mutex poisoned")
     });

@@ -62,18 +62,22 @@ impl ControlMsg {
     }
 }
 
+/// A control message waiting in the [`Outbox`]: delay, destination, payload
+/// and flight-recorder tag.
+type QueuedControl = (
+    SimDuration,
+    NodeId,
+    Arc<dyn Any + Send + Sync>,
+    Option<CpMeta>,
+);
+
 /// Deferred effects produced by agent / app callbacks, applied by the
 /// simulator after the callback returns.
 #[derive(Default)]
 pub struct Outbox {
     pub(crate) sends: Vec<(SimDuration, PacketBuilder)>,
     pub(crate) agent_timers: Vec<(SimDuration, u64)>,
-    pub(crate) controls: Vec<(
-        SimDuration,
-        NodeId,
-        Arc<dyn Any + Send + Sync>,
-        Option<CpMeta>,
-    )>,
+    pub(crate) controls: Vec<QueuedControl>,
 }
 
 impl Outbox {
