@@ -184,7 +184,6 @@ fn graphs_never_amplify_or_rewrite() {
         let ctx = dtcs::device::DeviceContext {
             node: NodeId(0),
             local_prefixes: vec![Prefix::of_node(NodeId(0))],
-            is_transit: true,
         };
         let mut events = Vec::new();
         for (i, pkt) in packets.iter_mut().enumerate() {
@@ -193,9 +192,7 @@ fn graphs_never_amplify_or_rewrite() {
             let _ = graph.process(
                 SimTime(i as u64 * 1_000_000),
                 &ctx,
-                &dtcs::device::EntryKind::Transit,
                 false,
-                None,
                 dtcs::device::OwnerId(1),
                 &mut events,
                 &mut view,
@@ -244,7 +241,6 @@ fn trigger_graphs_hold_invariants() {
         let ctx = dtcs::device::DeviceContext {
             node: NodeId(0),
             local_prefixes: vec![],
-            is_transit: true,
         };
         let mut events = Vec::new();
         for (i, pkt) in packets.iter_mut().enumerate() {
@@ -253,9 +249,7 @@ fn trigger_graphs_hold_invariants() {
             let _ = graph.process(
                 SimTime(i as u64 * 10_000_000),
                 &ctx,
-                &dtcs::device::EntryKind::Transit,
                 false,
-                None,
                 dtcs::device::OwnerId(1),
                 &mut events,
                 &mut view,

@@ -35,7 +35,7 @@ use crate::owner::{OwnerId, OwnerTable};
 use crate::safety::{SafetyVerifier, SafetyViolation};
 use crate::spec::{ServiceSpec, Stage};
 use crate::support::LogEntry;
-use crate::view::{DeviceContext, DeviceEvent, EntryKind, PacketView};
+use crate::view::{DeviceContext, DeviceEvent, PacketView};
 
 /// Bytes charged per telemetry event (event header + digest payload).
 const EVENT_BYTES: u64 = 64;
@@ -298,8 +298,8 @@ pub struct AdaptiveDevice {
     events_buf: Vec<DeviceEvent>,
     /// Optional synchronous event tap for scenario code / tests.
     event_tap: Option<Sender<DeviceEvent>>,
-    entry_cache: HashMap<LinkId, EntryKind>,
-    /// Memoized route-consistency queries for the anti-spoofing check.
+    /// Owns the source-address check behind the anti-spoofing modules'
+    /// spoof verdict, with its route-consistency queries memoized.
     /// Epoch-synced against the routing table's delta history: a localized
     /// link flip evicts only the damaged destinations' answers, keeping
     /// the rest warm across failure injection (see `dtcs_netsim::oracle`).
@@ -315,7 +315,6 @@ impl AdaptiveDevice {
             ctx: DeviceContext {
                 node,
                 local_prefixes: vec![Prefix::of_node(node)],
-                is_transit: false,
             },
             owners: OwnerTable::new(),
             services: HashMap::new(),
@@ -328,7 +327,6 @@ impl AdaptiveDevice {
             processed_bytes: 0,
             events_buf: Vec::new(),
             event_tap: None,
-            entry_cache: HashMap::new(),
             oracle: RouteOracle::new(node),
         };
         (dev, stats)
@@ -551,24 +549,6 @@ impl AdaptiveDevice {
         s.rule_count = (s.rule_count as i64 + delta).max(0) as usize;
     }
 
-    /// Classify how a packet entered this node (cached per link).
-    fn classify_entry(&mut self, ctx: &AgentCtx<'_>, from: Option<LinkId>) -> EntryKind {
-        let Some(link) = from else {
-            return EntryKind::Local;
-        };
-        if let Some(cached) = self.entry_cache.get(&link) {
-            return cached.clone();
-        }
-        let peer = ctx.topo.links[link.0].other(self.ctx.node);
-        let kind = if ctx.topo.is_customer_of(peer, self.ctx.node) {
-            EntryKind::Customer(vec![Prefix::of_node(peer)])
-        } else {
-            EntryKind::Transit
-        };
-        self.entry_cache.insert(link, kind.clone());
-        kind
-    }
-
     /// Charge and flush buffered telemetry events.
     fn flush_events(&mut self, ctx: &mut AgentCtx<'_>) {
         if self.events_buf.is_empty() {
@@ -633,7 +613,6 @@ impl NodeAgent for AdaptiveDevice {
         if src_owner.is_none() && dst_owner.is_none() {
             return Verdict::Forward; // direct path through the router
         }
-        let entry = self.classify_entry(ctx, from);
         self.processed_bytes += pkt.size as u64;
         {
             let mut s = self.stats.lock();
@@ -641,23 +620,12 @@ impl NodeAgent for AdaptiveDevice {
             s.redirected_bytes += pkt.size as u64;
         }
 
-        // Spoof verdict for anti-spoofing modules: local emissions must
-        // carry a local source; customer-side arrivals must be route-
-        // consistent with the claimed source (Park & Lee route-based
-        // filtering); transit arrivals are never judged.
-        let spoof_suspect = match &entry {
-            EntryKind::Local => !self.ctx.local_prefixes.iter().any(|p| p.contains(pkt.src)),
-            EntryKind::Customer(_) => {
-                let expected =
-                    self.oracle
-                        .enters_via(ctx.routing, ctx.topo, pkt.src.node(), pkt.dst.node());
-                match (expected, from) {
-                    (Some(via), Some(link)) => ctx.topo.links[link.0].other(self.ctx.node) != via,
-                    _ => true, // claimed source could not be entering here
-                }
-            }
-            EntryKind::Transit => false,
-        };
+        // Spoof verdict for anti-spoofing modules: the same source-address
+        // check the static ingress filter runs.
+        let spoof_suspect = self
+            .oracle
+            .source_mismatch(ctx.routing, ctx.topo, pkt, from)
+            .is_some();
 
         let mut verdict = Verdict::Forward;
         // Stage 1: source owner's processing; Stage 2: destination owner's
@@ -676,9 +644,7 @@ impl NodeAgent for AdaptiveDevice {
                 let action = graph.process(
                     ctx.now,
                     &self.ctx,
-                    &entry,
                     spoof_suspect,
-                    from,
                     owner,
                     &mut self.events_buf,
                     &mut view,
@@ -805,7 +771,6 @@ impl NodeAgent for AdaptiveDevice {
         self.services.clear();
         self.leases.clear();
         self.events_buf.clear();
-        self.entry_cache.clear();
         self.processed_bytes = 0;
         let mut s = self.stats.lock();
         s.rule_count = 0;

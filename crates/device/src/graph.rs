@@ -5,13 +5,13 @@
 //! how "predefined additional configurations" are staged dormant and
 //! activated under attack (Sec. 4.2).
 
-use dtcs_netsim::{LinkId, SimTime};
+use dtcs_netsim::SimTime;
 
 use crate::modules::{instantiate, Module, ModuleAction};
 use crate::owner::OwnerId;
 use crate::spec::ServiceSpec;
 use crate::support::LogEntry;
-use crate::view::{DeviceContext, DeviceEvent, EntryKind, ModuleEnv, PacketView};
+use crate::view::{DeviceContext, DeviceEvent, ModuleEnv, PacketView};
 
 struct GraphNode {
     module: Box<dyn Module>,
@@ -63,14 +63,11 @@ impl ServiceGraph {
     }
 
     /// Run one packet through the graph.
-    #[allow(clippy::too_many_arguments)]
     pub fn process(
         &mut self,
         now: SimTime,
         ctx: &DeviceContext,
-        entry: &EntryKind,
         spoof_suspect: bool,
-        from: Option<LinkId>,
         owner: OwnerId,
         events: &mut Vec<DeviceEvent>,
         view: &mut PacketView<'_>,
@@ -87,9 +84,7 @@ impl ServiceGraph {
             let mut env = ModuleEnv {
                 now,
                 ctx,
-                entry,
                 spoof_suspect,
-                from,
                 owner,
                 events,
                 activations: &mut self.activations,
@@ -101,13 +96,16 @@ impl ServiceGraph {
             }
         }
         // Apply trigger (de)activations after the packet completes, so a
-        // trigger cannot change what the *current* packet experiences.
-        let acts: Vec<_> = self.activations.drain(..).collect();
-        for (idx, enable) in acts {
+        // trigger cannot change what the *current* packet experiences. The
+        // buffer is taken, drained in place and handed back emptied, so
+        // firing triggers costs no allocation per packet.
+        let mut acts = std::mem::take(&mut self.activations);
+        for (idx, enable) in acts.drain(..) {
             if let Some(n) = self.nodes.get_mut(idx) {
                 n.enabled = enable;
             }
         }
+        self.activations = acts;
         action
     }
 
@@ -188,7 +186,6 @@ mod tests {
         DeviceContext {
             node: NodeId(0),
             local_prefixes: vec![Prefix::of_node(NodeId(0))],
-            is_transit: true,
         }
     }
 
@@ -199,18 +196,8 @@ mod tests {
         events: &mut Vec<DeviceEvent>,
     ) -> ModuleAction {
         let ctx = dctx();
-        let entry = EntryKind::Transit;
         let mut view = PacketView::new(pkt);
-        g.process(
-            now,
-            &ctx,
-            &entry,
-            false,
-            None,
-            OwnerId(1),
-            events,
-            &mut view,
-        )
+        g.process(now, &ctx, false, OwnerId(1), events, &mut view)
     }
 
     fn drop_udp_spec() -> ServiceSpec {

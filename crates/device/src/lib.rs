@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod device;
-pub mod fluid;
 pub mod graph;
 pub mod modules;
 pub mod owner;
@@ -50,7 +49,6 @@ pub mod trie;
 pub mod view;
 
 pub use device::{AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats};
-pub use fluid::FluidMatchFilter;
 pub use graph::ServiceGraph;
 pub use modules::{Module, ModuleAction};
 pub use owner::{OwnerId, OwnerTable};

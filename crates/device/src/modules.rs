@@ -11,8 +11,6 @@ use dtcs_netsim::{DropReason, Prefix, SimDuration, SimTime};
 
 use crate::spec::{FilterRule, MatchExpr, ModuleSpec, TriggerAction, TriggerMetric};
 use crate::support::{Bloom, LogEntry, RingLog, TokenBucket, WindowRate};
-#[cfg(test)]
-use crate::view::EntryKind;
 use crate::view::{DeviceEvent, ModuleEnv, PacketView};
 
 /// Pass/drop decision from one module.
@@ -197,11 +195,12 @@ impl Module for BlacklistModule {
 /// Runs in a *source-owner* (stage 1) graph, so every packet it sees claims
 /// one of the owner's addresses as source. The spoof verdict itself is
 /// computed by the device (which has the routing context the module must
-/// not own): local emissions must carry a local source, customer-side
-/// arrivals must be route-consistent with the claimed source (Park & Lee
-/// route-based filtering, the mechanism the paper cites in Sec. 3.2), and
-/// transit arrivals are never judged (Sec. 4.2) — the device nearer the
-/// true edge is responsible.
+/// not own) with the check the static ingress filter also runs,
+/// `dtcs_netsim::RouteOracle::source_mismatch`: local emissions must carry
+/// a local source, customer-side arrivals must be route-consistent with
+/// the claimed source (Park & Lee route-based filtering, the mechanism the
+/// paper cites in Sec. 3.2), and transit arrivals are never judged
+/// (Sec. 4.2) — the device nearer the true edge is responsible.
 pub struct AntiSpoofModule;
 
 impl Module for AntiSpoofModule {
@@ -428,7 +427,6 @@ mod tests {
         DeviceContext {
             node,
             local_prefixes: vec![Prefix::of_node(node)],
-            is_transit: false,
         }
     }
 
@@ -436,17 +434,15 @@ mod tests {
         events: Vec<DeviceEvent>,
         activations: Vec<(usize, bool)>,
         ctx: DeviceContext,
-        entry: EntryKind,
         spoof_suspect: bool,
     }
 
     impl EnvBits {
-        fn new(node: NodeId, entry: EntryKind) -> Self {
+        fn new(node: NodeId) -> Self {
             EnvBits {
                 events: Vec::new(),
                 activations: Vec::new(),
                 ctx: ctx(node),
-                entry,
                 spoof_suspect: false,
             }
         }
@@ -455,9 +451,7 @@ mod tests {
             ModuleEnv {
                 now,
                 ctx: &self.ctx,
-                entry: &self.entry,
                 spoof_suspect: self.spoof_suspect,
-                from: None,
                 owner: OwnerId(1),
                 events: &mut self.events,
                 activations: &mut self.activations,
@@ -480,7 +474,7 @@ mod tests {
         let mut m = FilterModule {
             rules: allow_then_drop,
         };
-        let mut bits = EnvBits::new(NodeId(0), EntryKind::Transit);
+        let mut bits = EnvBits::new(NodeId(0));
         let mut dns = mk_pkt(Addr(1), Addr(2), Proto::DnsQuery, 60);
         let mut view = PacketView::new(&mut dns);
         assert_eq!(
@@ -501,7 +495,7 @@ mod tests {
             expr: MatchExpr::any(),
             bucket: TokenBucket::new(100.0, 100),
         };
-        let mut bits = EnvBits::new(NodeId(0), EntryKind::Transit);
+        let mut bits = EnvBits::new(NodeId(0));
         let mut passed = 0;
         for i in 0..20 {
             let now = SimTime::from_millis(i * 10);
@@ -523,7 +517,7 @@ mod tests {
         let victim_src = Addr::new(NodeId(77), 1); // claimed source: victim
 
         // Device judged the packet spoofed: drop.
-        let mut bits = EnvBits::new(node, EntryKind::Local);
+        let mut bits = EnvBits::new(node);
         bits.spoof_suspect = true;
         let mut p = mk_pkt(victim_src, Addr(1), Proto::TcpSyn, 40);
         let mut v = PacketView::new(&mut p);
@@ -548,7 +542,7 @@ mod tests {
             expr: MatchExpr::proto(Proto::Udp),
             keep_bytes: 40,
         };
-        let mut bits = EnvBits::new(NodeId(0), EntryKind::Transit);
+        let mut bits = EnvBits::new(NodeId(0));
         let mut p = mk_pkt(Addr(1), Addr(2), Proto::Udp, 1000);
         let mut v = PacketView::new(&mut p);
         m.process(&mut bits.env(SimTime::ZERO), &mut v);
@@ -570,7 +564,7 @@ mod tests {
             notified_at_total: 0,
             capacity: 4,
         };
-        let mut bits = EnvBits::new(NodeId(0), EntryKind::Transit);
+        let mut bits = EnvBits::new(NodeId(0));
         for i in 0..16u64 {
             let mut p = mk_pkt(Addr(1), Addr(2), Proto::Udp, 100);
             p.payload_tag = i;
@@ -600,7 +594,7 @@ mod tests {
             hashes: 4,
         };
         let mut m = instantiate(&spec);
-        let mut bits = EnvBits::new(NodeId(0), EntryKind::Transit);
+        let mut bits = EnvBits::new(NodeId(0));
         let mut p = mk_pkt(Addr(1), Addr(2), Proto::Udp, 100);
         p.payload_tag = 99;
         let digest = crate::view::digest_packet(&p);
@@ -627,7 +621,7 @@ mod tests {
             hashes: 3,
         };
         let mut m = instantiate(&spec);
-        let mut bits = EnvBits::new(NodeId(0), EntryKind::Transit);
+        let mut bits = EnvBits::new(NodeId(0));
         let mut p = mk_pkt(Addr(1), Addr(2), Proto::Udp, 100);
         let digest = crate::view::digest_packet(&p);
         let mut v = PacketView::new(&mut p);
@@ -657,7 +651,7 @@ mod tests {
             tag: 7,
         };
         let mut m = instantiate(&spec);
-        let mut bits = EnvBits::new(NodeId(0), EntryKind::Transit);
+        let mut bits = EnvBits::new(NodeId(0));
         // 100 ms of 100 SYN-ACKs => 1000 pps >> 50 threshold.
         for i in 0..100u64 {
             let mut p = mk_pkt(Addr(1), Addr(2), Proto::TcpSynAck, 60);

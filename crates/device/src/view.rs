@@ -9,7 +9,7 @@
 //! payload. Rate/volume rules are enforced by the device's runtime guard
 //! (see `device.rs`) and, statically, by the safety verifier (`safety.rs`).
 
-use dtcs_netsim::{Addr, LinkId, NodeId, Packet, Prefix, Proto, SimTime};
+use dtcs_netsim::{Addr, NodeId, Packet, Prefix, Proto, SimTime};
 
 use crate::owner::OwnerId;
 
@@ -17,15 +17,18 @@ use crate::owner::OwnerId;
 /// of Sec. 4.2 that anti-spoofing needs ("we can e.g. only prevent source
 /// spoofing effectively, if the adaptive device is aware of whether it
 /// processes transit traffic … or only traffic from customers of a
-/// peripheral ISP").
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// peripheral ISP"). These are the three cases
+/// `dtcs_netsim::RouteOracle::source_mismatch` judges; modules see only its
+/// answer ([`ModuleEnv::spoof_suspect`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EntryKind {
-    /// Emitted by a host on this node.
+    /// Emitted by a host on this node: must carry a local source.
     Local,
-    /// Arrived over a customer (stub downlink) interface; the prefixes are
-    /// the address space legitimately originated behind that interface.
-    Customer(Vec<Prefix>),
-    /// Arrived over a peer/transit interface: third-party traffic.
+    /// Arrived over a customer (stub downlink) interface: must be
+    /// route-consistent with its claimed source.
+    Customer,
+    /// Arrived over a peer/transit interface: third-party traffic, never
+    /// judged.
     Transit,
 }
 
@@ -182,8 +185,6 @@ pub struct DeviceContext {
     pub node: NodeId,
     /// Prefixes originated locally at this node.
     pub local_prefixes: Vec<Prefix>,
-    /// Is this node a transit AS (carries third-party traffic)?
-    pub is_transit: bool,
 }
 
 /// Environment handed to a module for one packet.
@@ -192,8 +193,6 @@ pub struct ModuleEnv<'a> {
     pub now: SimTime,
     /// Static device context.
     pub ctx: &'a DeviceContext,
-    /// How the packet entered this node.
-    pub entry: &'a EntryKind,
     /// Device-computed spoof verdict for the current packet: `true` when
     /// the claimed source could not legitimately be entering this node the
     /// way it did (local emission with a foreign source, or a customer-
@@ -201,8 +200,6 @@ pub struct ModuleEnv<'a> {
     /// Park & Lee route-based filtering). Always `false` for transit
     /// arrivals, which are never judged (Sec. 4.2).
     pub spoof_suspect: bool,
-    /// Link the packet arrived on, if any.
-    pub from: Option<LinkId>,
     /// Owner whose service graph is executing.
     pub owner: OwnerId,
     /// Telemetry sink; events are budget-checked by the device.

@@ -10,22 +10,19 @@
 //! applied worldwide as current attacks show").
 
 use dtcs_netsim::{
-    AgentCtx, DropReason, LinkId, NodeAgent, NodeId, Packet, Prefix, RouteOracle, Simulator,
-    Verdict,
+    AgentCtx, DropReason, LinkId, NodeAgent, NodeId, Packet, RouteOracle, Simulator, Verdict,
 };
 
 use crate::deploy::{choose_nodes, Placement};
 
 /// RFC 2267-style ingress filter at one AS.
 pub struct IngressFilterAgent {
-    node: NodeId,
-    local: Prefix,
-    /// Memoizes the per-packet route-consistency query; answers are
-    /// identical to walking the routing table and survive failure injection
-    /// via the routing epoch's delta protocol: a localized link flip only
-    /// evicts cached answers whose destination the flip actually damaged,
-    /// so under flap churn most of the cache stays warm (see
-    /// `dtcs_netsim::oracle`).
+    /// Owns the source-address check and memoizes its per-packet
+    /// route-consistency query; answers are identical to walking the
+    /// routing table and survive failure injection via the routing epoch's
+    /// delta protocol: a localized link flip only evicts cached answers
+    /// whose destination the flip actually damaged, so under flap churn
+    /// most of the cache stays warm (see `dtcs_netsim::oracle`).
     oracle: RouteOracle,
 }
 
@@ -33,8 +30,6 @@ impl IngressFilterAgent {
     /// Filter for `node`.
     pub fn new(node: NodeId) -> IngressFilterAgent {
         IngressFilterAgent {
-            node,
-            local: Prefix::of_node(node),
             oracle: RouteOracle::new(node),
         }
     }
@@ -51,39 +46,16 @@ impl NodeAgent for IngressFilterAgent {
         pkt: &mut Packet,
         from: Option<LinkId>,
     ) -> Verdict {
-        match from {
-            // Locally-emitted traffic must carry a local source.
-            None => {
-                if self.local.contains(pkt.src) {
-                    Verdict::Forward
-                } else {
-                    if ctx.trace_wants(pkt) {
-                        ctx.trace_verdict_detail("local-src-mismatch");
-                    }
-                    Verdict::Drop(DropReason::IngressFilter)
+        match self
+            .oracle
+            .source_mismatch(ctx.routing, ctx.topo, pkt, from)
+        {
+            None => Verdict::Forward,
+            Some(why) => {
+                if ctx.trace_wants(pkt) {
+                    ctx.trace_verdict_detail(why);
                 }
-            }
-            Some(link) => {
-                let peer = ctx.topo.links[link.0].other(self.node);
-                if !ctx.topo.is_customer_of(peer, self.node) {
-                    return Verdict::Forward; // transit: never judged
-                }
-                // Route-based check (Park & Lee): a packet claiming `src`
-                // and heading for `dst` may enter this node via `peer`
-                // only if the real route from `src` actually does so.
-                // This accepts multi-AS customer cones (a stub behind a
-                // stub) that a bare prefix check would false-positive on.
-                let expected =
-                    self.oracle
-                        .enters_via(ctx.routing, ctx.topo, pkt.src.node(), pkt.dst.node());
-                if expected == Some(peer) {
-                    Verdict::Forward
-                } else {
-                    if ctx.trace_wants(pkt) {
-                        ctx.trace_verdict_detail("route-mismatch");
-                    }
-                    Verdict::Drop(DropReason::IngressFilter)
-                }
+                Verdict::Drop(DropReason::IngressFilter)
             }
         }
     }

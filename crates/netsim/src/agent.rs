@@ -76,13 +76,15 @@ type QueuedControl = (
 #[derive(Default)]
 pub struct Outbox {
     pub(crate) sends: Vec<(SimDuration, PacketBuilder)>,
-    pub(crate) agent_timers: Vec<(SimDuration, u64)>,
+    /// Timers for whoever ran the callback (an agent or an app); the
+    /// simulator's flush knows which.
+    pub(crate) timers: Vec<(SimDuration, u64)>,
     pub(crate) controls: Vec<QueuedControl>,
 }
 
 impl Outbox {
     pub(crate) fn is_empty(&self) -> bool {
-        self.sends.is_empty() && self.agent_timers.is_empty() && self.controls.is_empty()
+        self.sends.is_empty() && self.timers.is_empty() && self.controls.is_empty()
     }
 }
 
@@ -113,7 +115,7 @@ impl<'a> AgentCtx<'a> {
 
     /// Arrange for `on_timer(token)` on this agent after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.outbox.agent_timers.push((delay, token));
+        self.outbox.timers.push((delay, token));
     }
 
     /// Send an out-of-band control message to the agents of `to`,
@@ -257,11 +259,11 @@ mod tests {
     fn outbox_empty_tracking() {
         let mut o = Outbox::default();
         assert!(o.is_empty());
-        o.agent_timers.push((SimDuration::ZERO, 1));
+        o.timers.push((SimDuration::ZERO, 1));
         assert!(!o.is_empty());
         // The simulator drains by `mem::take` and hands the emptied
         // buffers back; emptiness must reflect that.
-        std::mem::take(&mut o.agent_timers).clear();
+        std::mem::take(&mut o.timers).clear();
         assert!(o.is_empty());
     }
 }

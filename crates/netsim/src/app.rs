@@ -41,7 +41,6 @@ pub struct AppApi<'a> {
     /// single-threaded).
     pub rng: &'a mut ChaCha8Rng,
     pub(crate) outbox: &'a mut Outbox,
-    pub(crate) timers: &'a mut Vec<(SimDuration, u64)>,
 }
 
 impl<'a> AppApi<'a> {
@@ -58,7 +57,7 @@ impl<'a> AppApi<'a> {
 
     /// Arrange for `on_timer(token)` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.timers.push((delay, token));
+        self.outbox.timers.push((delay, token));
     }
 }
 

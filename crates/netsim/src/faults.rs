@@ -37,6 +37,7 @@
 //! experiment reports can reconcile protocol-layer retry/dedup counters
 //! against exactly what the channel did.
 
+use crate::cp_trace::CpVerdict;
 use crate::node::NodeId;
 use crate::rng::child_seed;
 use crate::time::{SimDuration, SimTime};
@@ -203,6 +204,35 @@ impl FaultPlane {
             .collect()
     }
 
+    /// The channel's one verdict on a `src → dst` control message pushed at
+    /// `now` for delivery at `at` (already clamped to `now`), in fixed
+    /// precedence: an outage window (sender down at `now`, else receiver
+    /// down at `at`), then a partition window open at `now`, then the
+    /// per-message hash. A message a window swallows never reaches
+    /// [`FaultPlane::decide`], so it does not advance the pair's counter.
+    pub fn verdict(&mut self, src: NodeId, dst: NodeId, now: SimTime, at: SimTime) -> CpVerdict {
+        let outage = self
+            .down_window(src, now)
+            .or_else(|| self.down_window(dst, at));
+        if let Some(w) = outage {
+            return CpVerdict::Outage {
+                window: Some(w as u64),
+            };
+        }
+        if let Some(w) = self.partition_window(src, dst, now) {
+            return CpVerdict::Partition { window: w as u64 };
+        }
+        let d = self.decide(src, dst);
+        if d.drop {
+            return CpVerdict::Drop;
+        }
+        CpVerdict::Deliver {
+            deliver_ns: (at + d.jitter).as_nanos(),
+            jitter_ns: d.jitter.as_nanos(),
+            dup_extra_ns: d.duplicate.map(|extra| extra.as_nanos()),
+        }
+    }
+
     /// Decide the fate of the next `src → dst` control message. Advances
     /// the pair's message counter; deterministic given the push order
     /// (which the engine already guarantees).
@@ -360,6 +390,101 @@ mod tests {
             p.partition_window(NodeId(1), NodeId(7), SimTime::from_secs(2)),
             None
         );
+    }
+
+    /// The one-verdict method over every fate a message can meet. Window
+    /// cases run on a plane that would otherwise drop everything, so each
+    /// row also shows what its window takes precedence over; hash cases are
+    /// checked against a twin plane's `decide`.
+    #[test]
+    fn verdict_precedence_is_outage_then_partition_then_hash() {
+        let (a, b) = (NodeId(1), NodeId(2));
+        let ms = SimTime::from_millis;
+        let plane = |drop: f64, dup: f64, jitter_ms: u64| {
+            FaultPlane::new(FaultConfig {
+                seed: 7,
+                drop_prob: drop,
+                dup_prob: dup,
+                jitter_max: SimDuration::from_millis(jitter_ms),
+                outages: vec![
+                    Outage {
+                        node: b,
+                        from: ms(100),
+                        until: ms(200),
+                        crash: false,
+                    },
+                    Outage {
+                        node: a,
+                        from: ms(150),
+                        until: ms(300),
+                        crash: true,
+                    },
+                ],
+                partitions: vec![Partition {
+                    src: vec![a],
+                    dst: vec![b],
+                    from: ms(150),
+                    until: ms(400),
+                }],
+            })
+        };
+
+        // (case, pushed at, delivered at, verdict) for a → b on a plane
+        // with every window configured and 100 % loss.
+        let swallowed = [
+            // a and b both down, cut open: the sender's window is named.
+            ("sender down", 160, 170, Some(1u64)),
+            // a still up at push time; b down when the message would land.
+            ("receiver down at delivery", 50, 120, Some(0)),
+        ];
+        let mut p = plane(1.0, 0.0, 0);
+        for (case, now, at, window) in swallowed {
+            assert_eq!(
+                p.verdict(a, b, ms(now), ms(at)),
+                CpVerdict::Outage { window },
+                "{case}"
+            );
+        }
+        // Both endpoints up again, cut still open.
+        assert_eq!(
+            p.verdict(a, b, ms(320), ms(330)),
+            CpVerdict::Partition { window: 0 },
+            "partition window"
+        );
+        assert!(
+            !p.seq.contains_key(&(a, b)),
+            "a swallowed message must not advance the pair's hash counter"
+        );
+        // The receiver is judged at delivery, not at push: b is down at
+        // 120 ms but back by 250 ms, so the message reaches the loss hash.
+        assert_eq!(p.verdict(a, b, ms(120), ms(250)), CpVerdict::Drop, "drop");
+        assert_eq!(p.seq[&(a, b)], 1, "decide ran exactly once");
+        // The cut is directed: b → a at the same instant is only lossy.
+        assert_eq!(p.verdict(b, a, ms(320), ms(330)), CpVerdict::Drop);
+
+        // Past every window, the verdict is `decide`'s, restated in
+        // delivery terms.
+        for (case, dup, jitter_ms) in [("none", 0.0, 0), ("jitter", 0.0, 5), ("duplicate", 1.0, 5)]
+        {
+            let (mut p, mut twin) = (plane(0.0, dup, jitter_ms), plane(0.0, dup, jitter_ms));
+            let mut jittered = 0;
+            for i in 0..32u64 {
+                let at = ms(500 + i);
+                let d = twin.decide(a, b);
+                assert_eq!(
+                    p.verdict(a, b, ms(500), at),
+                    CpVerdict::Deliver {
+                        deliver_ns: (at + d.jitter).as_nanos(),
+                        jitter_ns: d.jitter.as_nanos(),
+                        dup_extra_ns: d.duplicate.map(|e| e.as_nanos()),
+                    },
+                    "{case} #{i}"
+                );
+                assert_eq!(d.duplicate.is_some(), dup > 0.0, "{case} #{i}");
+                jittered += u64::from(d.jitter > SimDuration::ZERO);
+            }
+            assert_eq!(jittered > 0, jitter_ms > 0, "{case}");
+        }
     }
 
     #[test]

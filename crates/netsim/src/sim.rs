@@ -65,6 +65,14 @@ enum EventKind {
     Call(Call),
 }
 
+/// Whose timers an outbox flush carries: the agent at this chain index, or
+/// the app at this address.
+#[derive(Clone, Copy)]
+enum TimerOwner {
+    Agent(usize),
+    App(Addr),
+}
+
 /// The simulator.
 pub struct Simulator {
     /// The network graph (owned; link state lives inside).
@@ -81,7 +89,6 @@ pub struct Simulator {
     next_packet_id: u64,
     rng: ChaCha8Rng,
     outbox: Outbox,
-    app_timer_buf: Vec<(SimDuration, u64)>,
     /// In-flight packet store: every queued `Arrive` event owns exactly
     /// one live arena slot, released when the packet reaches a terminal
     /// event (delivery or drop). Slots are reused, so steady-state
@@ -135,7 +142,6 @@ impl Simulator {
             next_packet_id: 1,
             rng: seeded(seed),
             outbox: Outbox::default(),
-            app_timer_buf: Vec::new(),
             arena: Arena::new(),
             tracer: Tracer::disabled(seed),
             verdict_detail: None,
@@ -448,18 +454,19 @@ impl Simulator {
                 window,
             });
         }
-        for idx in 0..self.agents[node.0].len() {
-            self.with_agent(node, idx, |agent, ctx| agent.on_crash(ctx));
-        }
+        self.visit_chain(node, None, |agent, ctx| {
+            agent.on_crash(ctx);
+            Verdict::Forward
+        });
     }
 
     /// The single funnel for control-message scheduling: every
     /// `ControlDeliver` event — scenario-injected, agent outbox, app
     /// outbox — passes through here, so the fault plane sees the complete
     /// channel, and so the control-plane flight recorder can pair every
-    /// send with exactly one fault verdict. Without a fault plane or
-    /// tracer this is exactly two `None` branches on top of the original
-    /// push.
+    /// send with exactly one fault verdict. The channel's answer is one
+    /// [`CpVerdict`] ([`FaultPlane::verdict`], or plain delivery without a
+    /// plane); counting, tracing and scheduling all read that one value.
     fn push_control(
         &mut self,
         at: SimTime,
@@ -476,124 +483,57 @@ impl Simulator {
                 .record(CpTraceEvent::Send { t, meta, from, to });
         }
         let deliver_at = at.max(self.now);
-        let Some(faults) = self.faults.as_mut() else {
-            if traced {
-                self.cp_tracer.record(CpTraceEvent::Verdict {
-                    t,
-                    meta,
-                    from,
-                    to,
-                    verdict: CpVerdict::Deliver {
-                        deliver_ns: deliver_at.as_nanos(),
-                        jitter_ns: 0,
-                        dup_extra_ns: None,
-                    },
-                });
-            }
-            self.push(
-                at,
-                EventKind::ControlDeliver {
-                    to,
-                    msg: ControlMsg {
-                        from,
-                        payload,
-                        meta,
-                    },
-                },
-            );
-            return;
+        let verdict = match self.faults.as_mut() {
+            Some(plane) => plane.verdict(from, to, self.now, deliver_at),
+            None => CpVerdict::Deliver {
+                deliver_ns: deliver_at.as_nanos(),
+                jitter_ns: 0,
+                dup_extra_ns: None,
+            },
         };
-        // Outage windows: mute while the sender is down, deaf while the
-        // receiver is down at delivery time.
-        let window = faults
-            .down_window(from, self.now)
-            .or_else(|| faults.down_window(to, deliver_at));
-        if let Some(w) = window {
-            self.stats.cp_outage_dropped += 1;
-            if traced {
-                self.cp_tracer.record(CpTraceEvent::Verdict {
-                    t,
-                    meta,
-                    from,
-                    to,
-                    verdict: CpVerdict::Outage {
-                        window: Some(w as u64),
-                    },
-                });
-            }
-            return;
-        }
-        // Partition windows: a directed cut between the sender's and
-        // receiver's node sets swallows the message at push time even
-        // though both endpoints are up.
-        if let Some(w) = faults.partition_window(from, to, self.now) {
-            self.stats.cp_partition_dropped += 1;
-            if traced {
-                self.cp_tracer.record(CpTraceEvent::Verdict {
-                    t,
-                    meta,
-                    from,
-                    to,
-                    verdict: CpVerdict::Partition { window: w as u64 },
-                });
-            }
-            return;
-        }
-        let d = faults.decide(from, to);
-        if d.drop {
-            self.stats.cp_fault_dropped += 1;
-            if traced {
-                self.cp_tracer.record(CpTraceEvent::Verdict {
-                    t,
-                    meta,
-                    from,
-                    to,
-                    verdict: CpVerdict::Drop,
-                });
-            }
-            return;
-        }
-        if d.jitter > SimDuration::ZERO {
-            self.stats.cp_fault_jittered += 1;
-        }
-        let jittered = deliver_at + d.jitter;
         if traced {
             self.cp_tracer.record(CpTraceEvent::Verdict {
                 t,
                 meta,
                 from,
                 to,
-                verdict: CpVerdict::Deliver {
-                    deliver_ns: jittered.as_nanos(),
-                    jitter_ns: d.jitter.as_nanos(),
-                    dup_extra_ns: d.duplicate.map(|e| e.as_nanos()),
-                },
+                verdict,
             });
         }
-        self.push(
-            jittered,
-            EventKind::ControlDeliver {
-                to,
-                msg: ControlMsg {
-                    from,
-                    payload: payload.clone(),
-                    meta,
-                },
-            },
-        );
-        if let Some(extra) = d.duplicate {
-            self.stats.cp_fault_duplicated += 1;
-            self.push(
-                jittered + extra,
-                EventKind::ControlDeliver {
+        match verdict {
+            CpVerdict::Outage { .. } => self.stats.cp_outage_dropped += 1,
+            CpVerdict::Partition { .. } => self.stats.cp_partition_dropped += 1,
+            CpVerdict::Drop => self.stats.cp_fault_dropped += 1,
+            CpVerdict::Deliver {
+                deliver_ns,
+                jitter_ns,
+                dup_extra_ns,
+            } => {
+                if jitter_ns > 0 {
+                    self.stats.cp_fault_jittered += 1;
+                }
+                // Pinned quirk: without a fault plane the delivery is
+                // pushed at the sender's raw `at`, so a past-dated send
+                // still lands in `past_events_clamped`; a plane clamps to
+                // `now` first and then adds its jitter.
+                let first = match self.faults {
+                    Some(_) => SimTime::from_nanos(deliver_ns),
+                    None => at,
+                };
+                let deliver = |payload| EventKind::ControlDeliver {
                     to,
                     msg: ControlMsg {
                         from,
                         payload,
                         meta,
                     },
-                },
-            );
+                };
+                self.push(first, deliver(payload.clone()));
+                if let Some(extra) = dup_extra_ns {
+                    self.stats.cp_fault_duplicated += 1;
+                    self.push(first + SimDuration::from_nanos(extra), deliver(payload));
+                }
+            }
         }
     }
 
@@ -608,10 +548,17 @@ impl Simulator {
     /// Emit a packet from `node` right now. Counted as sent; traverses the
     /// node's agent chain like host-originated traffic.
     pub fn emit_now(&mut self, node: NodeId, builder: PacketBuilder) {
+        self.inject(node, self.now, builder);
+    }
+
+    /// A new packet enters the network at `node` at time `at`: stamped
+    /// (id, send time, `Emit` trace, sent counters), given its arena slot,
+    /// and queued to arrive with no inbound link.
+    fn inject(&mut self, node: NodeId, at: SimTime, builder: PacketBuilder) {
         let pkt = self.stamp(node, builder);
         let pkt = self.arena.alloc(pkt);
         self.push(
-            self.now,
+            at,
             EventKind::Arrive {
                 at: node,
                 from: None,
@@ -623,21 +570,10 @@ impl Simulator {
     /// Run every event up to and including `until`, then set the clock to
     /// `until`. Calls app `on_start` hooks on first use.
     pub fn run_until(&mut self, until: SimTime) {
-        self.ensure_started();
-        while self.stats.events < self.event_limit {
-            // The bounded pop never advances the wheel past `until`, so
-            // pushes made after this run (all ≥ the new `now`) stay valid.
-            let Some(entry) = self.queue.pop_next(until.as_nanos()) else {
-                break;
-            };
-            self.now = SimTime::from_nanos(entry.time);
-            self.stats.events += 1;
-            self.dispatch(entry.kind);
-        }
-        if self.now < until {
-            self.now = until;
-        }
-        self.sync_wheel_stats();
+        // The bounded pop never advances the wheel past `until`, so
+        // pushes made after this run (all ≥ the new `now`) stay valid.
+        self.run_events(until.as_nanos());
+        self.now = self.now.max(until);
     }
 
     /// Run for a span from the current clock.
@@ -648,9 +584,15 @@ impl Simulator {
 
     /// Drain every remaining event (careful with self-sustaining workloads).
     pub fn run_to_idle(&mut self) {
+        self.run_events(u64::MAX);
+    }
+
+    /// The one pop loop: dispatch events dated up to `until_ns` in
+    /// `(time, seq)` order until none is left or the event cap is hit.
+    fn run_events(&mut self, until_ns: u64) {
         self.ensure_started();
         while self.stats.events < self.event_limit {
-            let Some(entry) = self.queue.pop_next(u64::MAX) else {
+            let Some(entry) = self.queue.pop_next(until_ns) else {
                 break;
             };
             self.now = SimTime::from_nanos(entry.time);
@@ -685,10 +627,7 @@ impl Simulator {
         // Deterministic start order: BTreeMap iterates addresses ascending.
         let addrs: Vec<Addr> = self.apps.keys().copied().collect();
         for addr in addrs {
-            self.with_app(addr, |app, api| {
-                app.on_start(api);
-                Disposition::Consumed
-            });
+            self.with_app(addr, |app, api| app.on_start(api));
         }
     }
 
@@ -740,64 +679,58 @@ impl Simulator {
         pkt
     }
 
-    /// Emit the single authoritative `ModuleVerdict` trace event for a drop
-    /// decided at `node`. `module` is the deciding agent's name, `"host"`
-    /// for receiver overload, or `"engine"` for TTL/route/listener drops.
-    /// Any staged verdict detail is consumed here (and discarded for
-    /// unsampled packets).
-    fn trace_module_drop(
+    /// The one packet ending short of delivery: the terminal trace event,
+    /// the drop counters and the arena slot's release, in that order.
+    /// `module` names who decided — the dropping agent, `"host"` for
+    /// receiver overload, `"engine"` for TTL/route/listener drops — and
+    /// becomes the single authoritative `ModuleVerdict` event, consuming
+    /// any staged verdict detail (discarded for unsampled packets). `None`
+    /// means the link layer already wrote the packet's `LinkDrop`.
+    fn end_dropped(
         &mut self,
         node: NodeId,
+        handle: PktHandle,
         pkt: &Packet,
-        module: &'static str,
+        module: Option<&'static str>,
         reason: DropReason,
     ) {
-        let detail = self.verdict_detail.take();
-        if !self.tracer.wants(&[pkt.id]) {
-            return;
+        if let Some(module) = module {
+            let detail = self.verdict_detail.take();
+            if self.tracer.wants(&[pkt.id]) {
+                self.tracer.record(TraceEvent::ModuleVerdict {
+                    t: self.now.as_nanos(),
+                    pkt: pkt.id,
+                    node,
+                    module,
+                    detail,
+                    reason,
+                    class: pkt.provenance.class,
+                    size: pkt.size,
+                    hops: pkt.hops,
+                });
+            }
         }
-        self.tracer.record(TraceEvent::ModuleVerdict {
-            t: self.now.as_nanos(),
-            pkt: pkt.id,
-            node,
-            module,
-            detail,
-            reason,
-            class: pkt.provenance.class,
-            size: pkt.size,
-            hops: pkt.hops,
-        });
+        self.stats.record_dropped(pkt, reason);
+        self.arena.free(handle);
     }
 
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrive { at, from, pkt } => self.handle_arrival(at, from, pkt),
             EventKind::AgentTimer { node, agent, token } => {
-                self.with_agent(node, agent, |a, ctx| a.on_timer(ctx, token));
-            }
-            EventKind::AppTimer { addr, token } => {
-                self.with_app(addr, |app, api| {
-                    app.on_timer(api, token);
-                    Disposition::Consumed
+                self.visit_chain(node, Some(agent), |a, ctx| {
+                    a.on_timer(ctx, token);
+                    Verdict::Forward
                 });
             }
+            EventKind::AppTimer { addr, token } => {
+                self.with_app(addr, |app, api| app.on_timer(api, token));
+            }
             EventKind::ControlDeliver { to, msg } => {
-                let mut chain = std::mem::take(&mut self.agents[to.0]);
-                for (i, agent) in chain.iter_mut().enumerate() {
-                    let mut ctx = AgentCtx {
-                        now: self.now,
-                        node: to,
-                        topo: &self.topo,
-                        routing: &self.routing,
-                        outbox: &mut self.outbox,
-                        trace: &mut self.tracer,
-                        cp_trace: &mut self.cp_tracer,
-                        verdict_detail: &mut self.verdict_detail,
-                    };
-                    agent.on_control(&mut ctx, &msg);
-                    self.flush_agent_outbox(to, i);
-                }
-                self.agents[to.0] = chain;
+                self.visit_chain(to, None, |a, ctx| {
+                    a.on_control(ctx, &msg);
+                    Verdict::Forward
+                });
             }
             EventKind::Call(f) => f(self),
         }
@@ -810,85 +743,44 @@ impl Simulator {
         let mut pkt = self.arena.take(handle);
 
         // 1. Agent chain.
-        let mut chain = std::mem::take(&mut self.agents[at.0]);
-        let mut verdict = Verdict::Forward;
-        let mut dropped_by: &'static str = "agent";
-        for (i, agent) in chain.iter_mut().enumerate() {
-            let mut ctx = AgentCtx {
-                now: self.now,
-                node: at,
-                topo: &self.topo,
-                routing: &self.routing,
-                outbox: &mut self.outbox,
-                trace: &mut self.tracer,
-                cp_trace: &mut self.cp_tracer,
-                verdict_detail: &mut self.verdict_detail,
-            };
-            let v = agent.on_packet(&mut ctx, &mut pkt, from);
-            self.flush_agent_outbox(at, i);
-            if let Verdict::Drop(reason) = v {
-                verdict = Verdict::Drop(reason);
-                dropped_by = agent.name();
-                break;
-            }
-            // A module may stage verdict detail and then forward; discard
-            // it so it cannot leak onto a later verdict event.
-            self.verdict_detail = None;
-        }
-        self.agents[at.0] = chain;
-        if let Verdict::Drop(reason) = verdict {
-            self.trace_module_drop(at, &pkt, dropped_by, reason);
-            self.stats.record_dropped(&pkt, reason);
-            self.arena.free(handle);
-            return;
+        if let Some((agent, reason)) =
+            self.visit_chain(at, None, |a, ctx| a.on_packet(ctx, &mut pkt, from))
+        {
+            return self.end_dropped(at, handle, &pkt, Some(agent), reason);
         }
 
         // 2. Local delivery.
         if pkt.dst.node() == at {
-            if self.apps.contains_key(&pkt.dst) {
-                let now = self.now;
-                let disposition = self.with_app(pkt.dst, |app, api| app.on_packet(api, &pkt));
-                match disposition {
-                    Disposition::Consumed => {
-                        self.stats.record_delivered(now, at, &pkt);
-                        if self.tracer.wants(&[pkt.id]) {
-                            self.tracer.record(TraceEvent::Deliver {
-                                t: now.as_nanos(),
-                                pkt: pkt.id,
-                                node: at,
-                                class: pkt.provenance.class,
-                                size: pkt.size,
-                                hops: pkt.hops,
-                                latency: now.saturating_since(pkt.sent_at).as_nanos(),
-                            });
-                        }
+            return match self.with_app(pkt.dst, |app, api| app.on_packet(api, &pkt)) {
+                Some(Disposition::Consumed) => {
+                    self.stats.record_delivered(self.now, at, &pkt);
+                    if self.tracer.wants(&[pkt.id]) {
+                        self.tracer.record(TraceEvent::Deliver {
+                            t: self.now.as_nanos(),
+                            pkt: pkt.id,
+                            node: at,
+                            class: pkt.provenance.class,
+                            size: pkt.size,
+                            hops: pkt.hops,
+                            latency: self.now.saturating_since(pkt.sent_at).as_nanos(),
+                        });
                     }
-                    Disposition::Overloaded => {
-                        self.trace_module_drop(at, &pkt, "host", DropReason::HostOverload);
-                        self.stats.record_dropped(&pkt, DropReason::HostOverload)
-                    }
+                    self.arena.free(handle);
                 }
-            } else {
-                self.trace_module_drop(at, &pkt, "engine", DropReason::NoListener);
-                self.stats.record_dropped(&pkt, DropReason::NoListener);
-            }
-            self.arena.free(handle);
-            return;
+                Some(Disposition::Overloaded) => {
+                    self.end_dropped(at, handle, &pkt, Some("host"), DropReason::HostOverload)
+                }
+                None => self.end_dropped(at, handle, &pkt, Some("engine"), DropReason::NoListener),
+            };
         }
 
         // 3. Forwarding.
         if pkt.ttl <= 1 {
-            self.trace_module_drop(at, &pkt, "engine", DropReason::TtlExpired);
-            self.stats.record_dropped(&pkt, DropReason::TtlExpired);
-            self.arena.free(handle);
-            return;
+            return self.end_dropped(at, handle, &pkt, Some("engine"), DropReason::TtlExpired);
         }
         pkt.ttl -= 1;
         let Some(link) = self.routing.next_hop(at, pkt.dst.node()) else {
-            self.trace_module_drop(at, &pkt, "engine", DropReason::NoRoute);
-            self.stats.record_dropped(&pkt, DropReason::NoRoute);
-            self.arena.free(handle);
-            return;
+            return self.end_dropped(at, handle, &pkt, Some("engine"), DropReason::NoRoute);
         };
         let is_attack = pkt.provenance.class.is_attack();
         let (admission, wait, backlog) =
@@ -907,25 +799,12 @@ impl Simulator {
                         hops: pkt.hops,
                     });
                 }
-                self.stats.record_dropped(&pkt, DropReason::QueueOverflow);
                 // Congestion observation hook (pushback).
-                let mut chain = std::mem::take(&mut self.agents[at.0]);
-                for (i, agent) in chain.iter_mut().enumerate() {
-                    let mut ctx = AgentCtx {
-                        now: self.now,
-                        node: at,
-                        topo: &self.topo,
-                        routing: &self.routing,
-                        outbox: &mut self.outbox,
-                        trace: &mut self.tracer,
-                        cp_trace: &mut self.cp_tracer,
-                        verdict_detail: &mut self.verdict_detail,
-                    };
-                    agent.on_link_drop(&mut ctx, link, &pkt);
-                    self.flush_agent_outbox(at, i);
-                }
-                self.agents[at.0] = chain;
-                self.arena.free(handle);
+                self.visit_chain(at, None, |a, ctx| {
+                    a.on_link_drop(ctx, link, &pkt);
+                    Verdict::Forward
+                });
+                self.end_dropped(at, handle, &pkt, None, DropReason::QueueOverflow);
             }
             Admission::Deliver(when) => {
                 self.stats.hist.queue_delay_ns.record(wait.as_nanos());
@@ -957,15 +836,24 @@ impl Simulator {
         }
     }
 
-    /// Run one agent callback with a context, then flush its outbox.
-    fn with_agent<F: FnOnce(&mut Box<dyn NodeAgent>, &mut AgentCtx<'_>)>(
+    /// The one agent-chain visit, behind every agent callback (packet
+    /// arrival, link-drop hook, control delivery, timers, crashes): lend
+    /// `node`'s chain out of the simulator, hand each agent — or only the
+    /// one at chain index `only` — an [`AgentCtx`] through `call`, and turn
+    /// what it left in the outbox into events before the next agent runs.
+    /// The first [`Verdict::Drop`] ends the visit and is returned with the
+    /// dropping agent's name.
+    #[inline]
+    fn visit_chain(
         &mut self,
         node: NodeId,
-        idx: usize,
-        f: F,
-    ) {
+        only: Option<usize>,
+        mut call: impl FnMut(&mut dyn NodeAgent, &mut AgentCtx<'_>) -> Verdict,
+    ) -> Option<(&'static str, DropReason)> {
         let mut chain = std::mem::take(&mut self.agents[node.0]);
-        if let Some(agent) = chain.get_mut(idx) {
+        let (skip, take) = only.map_or((0, usize::MAX), |idx| (idx, 1));
+        let mut dropped = None;
+        for (i, agent) in chain.iter_mut().enumerate().skip(skip).take(take) {
             let mut ctx = AgentCtx {
                 now: self.now,
                 node,
@@ -976,37 +864,43 @@ impl Simulator {
                 cp_trace: &mut self.cp_tracer,
                 verdict_detail: &mut self.verdict_detail,
             };
-            f(agent, &mut ctx);
-            self.flush_agent_outbox(node, idx);
+            let verdict = call(agent.as_mut(), &mut ctx);
+            self.flush_outbox(node, TimerOwner::Agent(i));
+            if let Verdict::Drop(reason) = verdict {
+                dropped = Some((agent.name(), reason));
+                break;
+            }
+            // A module may stage verdict detail and then forward; discard
+            // it so it cannot leak onto a later verdict event.
+            self.verdict_detail = None;
         }
         self.agents[node.0] = chain;
+        dropped
     }
 
-    /// Run one app callback with an API, then flush its outbox.
-    fn with_app<F: FnOnce(&mut Box<dyn App>, &mut AppApi<'_>) -> Disposition>(
+    /// Run one callback of the app at `addr` (`None` when nothing listens
+    /// there), then flush its outbox.
+    fn with_app<R>(
         &mut self,
         addr: Addr,
-        f: F,
-    ) -> Disposition {
-        let Some(mut app) = self.apps.remove(&addr) else {
-            return Disposition::Consumed;
-        };
-        let node = addr.node();
+        call: impl FnOnce(&mut dyn App, &mut AppApi<'_>) -> R,
+    ) -> Option<R> {
+        let app = self.apps.get_mut(&addr)?;
         let mut api = AppApi {
             now: self.now,
-            node,
+            node: addr.node(),
             self_addr: addr,
             rng: &mut self.rng,
             outbox: &mut self.outbox,
-            timers: &mut self.app_timer_buf,
         };
-        let disposition = f(&mut app, &mut api);
-        self.apps.insert(addr, app);
-        self.flush_app_outbox(addr);
-        disposition
+        let out = call(app.as_mut(), &mut api);
+        self.flush_outbox(addr.node(), TimerOwner::App(addr));
+        Some(out)
     }
 
-    fn flush_agent_outbox(&mut self, node: NodeId, agent_idx: usize) {
+    /// Turn what a callback at `node` left in the outbox into events:
+    /// packets, then `owner`'s timers, then control messages.
+    fn flush_outbox(&mut self, node: NodeId, owner: TimerOwner) {
         if self.outbox.is_empty() {
             return;
         }
@@ -1016,30 +910,20 @@ impl Simulator {
         // costs no allocation per flush, and the hot agent path flushes
         // after every callback.
         let mut sends = std::mem::take(&mut self.outbox.sends);
-        let mut timers = std::mem::take(&mut self.outbox.agent_timers);
+        let mut timers = std::mem::take(&mut self.outbox.timers);
         let mut controls = std::mem::take(&mut self.outbox.controls);
         for (delay, builder) in sends.drain(..) {
-            let pkt = self.stamp(node, builder);
-            let pkt = self.arena.alloc(pkt);
-            self.push(
-                self.now + delay,
-                EventKind::Arrive {
-                    at: node,
-                    from: None,
-                    pkt,
-                },
-            );
+            self.inject(node, self.now + delay, builder);
         }
         for (delay, token) in timers.drain(..) {
-            self.push(
-                self.now + delay,
-                EventKind::AgentTimer {
-                    node,
-                    agent: agent_idx,
-                    token,
-                },
-            );
+            let kind = match owner {
+                TimerOwner::Agent(agent) => EventKind::AgentTimer { node, agent, token },
+                TimerOwner::App(addr) => EventKind::AppTimer { addr, token },
+            };
+            self.push(self.now + delay, kind);
         }
+        // Apps have no way to send control messages; the loop is simply
+        // empty for them.
         for (delay, to, payload, meta) in controls.drain(..) {
             self.push_control(self.now + delay, node, to, payload, meta);
         }
@@ -1048,42 +932,8 @@ impl Simulator {
         // buffers cannot clobber pending entries.
         debug_assert!(self.outbox.is_empty());
         self.outbox.sends = sends;
-        self.outbox.agent_timers = timers;
+        self.outbox.timers = timers;
         self.outbox.controls = controls;
-    }
-
-    fn flush_app_outbox(&mut self, addr: Addr) {
-        if self.outbox.is_empty() && self.app_timer_buf.is_empty() {
-            return;
-        }
-        let node = addr.node();
-        let mut sends = std::mem::take(&mut self.outbox.sends);
-        let mut controls = std::mem::take(&mut self.outbox.controls);
-        let mut timers = std::mem::take(&mut self.app_timer_buf);
-        for (delay, builder) in sends.drain(..) {
-            let pkt = self.stamp(node, builder);
-            let pkt = self.arena.alloc(pkt);
-            self.push(
-                self.now + delay,
-                EventKind::Arrive {
-                    at: node,
-                    from: None,
-                    pkt,
-                },
-            );
-        }
-        // Apps do not send control messages, but tolerate it (delivered
-        // as if from this node's agents).
-        for (delay, to, payload, meta) in controls.drain(..) {
-            self.push_control(self.now + delay, node, to, payload, meta);
-        }
-        for (delay, token) in timers.drain(..) {
-            self.push(self.now + delay, EventKind::AppTimer { addr, token });
-        }
-        debug_assert!(self.outbox.is_empty() && self.app_timer_buf.is_empty());
-        self.outbox.sends = sends;
-        self.outbox.controls = controls;
-        self.app_timer_buf = timers;
     }
 }
 
@@ -1296,9 +1146,39 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(1));
     }
 
+    /// App that is always out of capacity.
+    struct Swamped;
+    impl App for Swamped {
+        fn on_packet(&mut self, _api: &mut AppApi<'_>, _pkt: &Packet) -> Disposition {
+            Disposition::Overloaded
+        }
+    }
+
+    /// Agent counting the tail drops it is shown.
+    struct DropWatch(Arc<AtomicU64>);
+    impl NodeAgent for DropWatch {
+        fn name(&self) -> &'static str {
+            "drop-watch"
+        }
+        fn on_packet(
+            &mut self,
+            _ctx: &mut AgentCtx<'_>,
+            _pkt: &mut Packet,
+            _from: Option<LinkId>,
+        ) -> Verdict {
+            Verdict::Forward
+        }
+        fn on_link_drop(&mut self, _ctx: &mut AgentCtx<'_>, _link: LinkId, _pkt: &Packet) {
+            self.0.fetch_add(1, AtomicOrdering::Relaxed);
+        }
+    }
+
     /// Every terminal packet path must release its arena slot: after a
     /// workload with deliveries, agent drops, TTL expiries and no-route
-    /// drops has fully drained, no packet may remain live.
+    /// drops has fully drained, no packet may remain live. Then each drop
+    /// reason the engine can decide is driven alone through a fully traced
+    /// run: the one packet ending must leave exactly one terminal trace
+    /// event, one drop under that reason, balanced books and an empty arena.
     #[test]
     fn arena_drains_to_zero_live_packets() {
         let mut topo = Topology::line(6);
@@ -1322,6 +1202,91 @@ mod tests {
         assert_eq!(sim.pending_events(), 0);
         assert_eq!(sim.arena.live(), 0, "leaked in-flight packet slots");
         sim.stats.check_conservation().unwrap();
+
+        let src = Addr::new(NodeId(0), 1);
+        let dst = Addr::new(NodeId(2), 1);
+        let line = || Topology::line(3);
+        ends_once(DropReason::DeviceFilter, Some("proto-block"), line(), |s| {
+            s.add_agent(NodeId(1), Box::new(ProtoBlock(Proto::Udp)));
+            vec![udp(src, dst)]
+        });
+        ends_once(DropReason::HostOverload, Some("host"), line(), |s| {
+            s.install_app(dst, Box::new(Swamped));
+            vec![udp(src, dst)]
+        });
+        ends_once(DropReason::NoListener, Some("engine"), line(), |_| {
+            vec![udp(src, dst)]
+        });
+        ends_once(DropReason::TtlExpired, Some("engine"), line(), |_| {
+            vec![udp(src, dst).ttl(2)]
+        });
+        let mut split = Topology::line(2);
+        let lonely = split.add_node(crate::node::NodeRole::Stub);
+        ends_once(DropReason::NoRoute, Some("engine"), split, |_| {
+            vec![udp(src, Addr::new(lonely, 1))]
+        });
+        // A 1000 B/s link holding one 100-byte packet: the second of a
+        // back-to-back pair overflows it, and the chain's link-drop hook
+        // is shown exactly that one.
+        let mut narrow = Topology::line(1);
+        let far = Addr::new(narrow.add_node(crate::node::NodeRole::Stub), 1);
+        let pipe = crate::link::LinkProfile {
+            bandwidth_bps: 8e3,
+            latency: SimDuration::from_millis(1),
+            queue_limit_bytes: 150,
+        };
+        narrow.connect(NodeId(0), far.node(), pipe);
+        let link_drops_seen = Arc::new(AtomicU64::new(0));
+        ends_once(DropReason::QueueOverflow, None, narrow, |s| {
+            s.add_agent(NodeId(0), Box::new(DropWatch(link_drops_seen.clone())));
+            s.install_app(far, Box::new(SinkAppProbe));
+            vec![udp(src, far), udp(src, far)]
+        });
+        assert_eq!(link_drops_seen.load(AtomicOrdering::Relaxed), 1);
+    }
+
+    /// Drive one scenario — `prepare` sets it up and names the packets to
+    /// emit at node 0 — through a fully traced run in which exactly one
+    /// packet must be dropped, for `reason`: its ending leaves one terminal
+    /// trace event (a `ModuleVerdict` by `module`, or the link's `LinkDrop`
+    /// for `None`), one drop under that reason, balanced books and an empty
+    /// arena.
+    fn ends_once(
+        reason: DropReason,
+        module: Option<&str>,
+        topo: Topology,
+        prepare: impl FnOnce(&mut Simulator) -> Vec<PacketBuilder>,
+    ) {
+        let mut sim = Simulator::new(topo, 7);
+        let rec = Arc::new(Mutex::new(FlightRecorder::new(64)));
+        sim.set_trace_sink(Box::new(rec.clone()), 1);
+        let pkts = prepare(&mut sim);
+        let sent = pkts.len() as u64;
+        for b in pkts {
+            sim.emit_now(NodeId(0), b);
+        }
+        sim.run_to_idle();
+        let rec = rec.lock().unwrap();
+        let endings: Vec<&TraceEvent> =
+            rec.events().filter(|e| e.drop_bucket().is_some()).collect();
+        assert_eq!(endings.len(), 1, "{reason:?}: one terminal drop event");
+        assert_eq!(
+            endings[0].drop_bucket(),
+            Some((TrafficClass::Background, reason))
+        );
+        match (endings[0], module) {
+            (TraceEvent::ModuleVerdict { module: got, .. }, Some(want)) => {
+                assert_eq!(*got, want, "{reason:?}")
+            }
+            (TraceEvent::LinkDrop { .. }, None) => {}
+            (other, _) => panic!("{reason:?}: wrong terminal event {other:?}"),
+        }
+        assert_eq!(sim.stats.drops_for_reason(reason).pkts, 1, "{reason:?}");
+        let c = sim.stats.class(TrafficClass::Background);
+        assert_eq!((c.sent_pkts, c.dropped_pkts), (sent, 1), "{reason:?}");
+        sim.stats.check_conservation().unwrap();
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.arena.live(), 0, "{reason:?}: leaked packet slot");
     }
 
     /// Scheduled callbacks spread across several timing-wheel levels (1 ns
