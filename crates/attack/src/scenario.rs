@@ -480,7 +480,7 @@ mod tests {
         let _attack = ReflectorAttack::install(&mut sim, victim_node, &cfg);
         sim.run_until(SimTime::from_secs(12));
         let series = sim.stats.series.as_ref().unwrap();
-        let idx = dtcs_netsim::stats::class_index(TrafficClass::AttackReflected);
+        let idx = TrafficClass::AttackReflected.index();
         let early: u64 = series.delivered_bytes.iter().take(3).map(|b| b[idx]).sum();
         let late: u64 = series
             .delivered_bytes

@@ -79,8 +79,7 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("trace-report") {
         let Some(path) = args.get(1) else {
-            eprintln!("trace-report takes the path of a --cp-trace JSONL file");
-            std::process::exit(2);
+            bad_usage("trace-report takes the path of a --cp-trace JSONL file");
         };
         std::process::exit(dtcs_bench::trace_report::run(std::path::Path::new(path)));
     }
@@ -107,25 +106,16 @@ fn main() {
     let replicates: u32 = match flag_operand("--replicate").map(|v| v.parse()) {
         None => 32,
         Some(Ok(n)) if n > 0 => n,
-        Some(Ok(0)) => {
-            eprintln!(
-                "--replicate 0 would run nothing; replicate 0 IS the golden base seed, \
-                 so the minimum is 1"
-            );
-            std::process::exit(2);
-        }
-        Some(_) => {
-            eprintln!("--replicate takes a positive integer");
-            std::process::exit(2);
-        }
+        Some(Ok(0)) => bad_usage(
+            "--replicate 0 would run nothing; replicate 0 IS the golden base seed, \
+             so the minimum is 1",
+        ),
+        Some(_) => bad_usage("--replicate takes a positive integer"),
     };
     let threads: Option<usize> = match flag_operand("--threads").map(|v| v.parse()) {
         None => None,
         Some(Ok(n)) if n > 0 => Some(n),
-        Some(_) => {
-            eprintln!("--threads takes a positive integer");
-            std::process::exit(2);
-        }
+        Some(_) => bad_usage("--threads takes a positive integer"),
     };
     let transit_stub: Option<usize> = match flag_operand("--topology").map(String::as_str) {
         None | Some("ba400") => None,
@@ -135,13 +125,10 @@ fn main() {
             .filter(|&n| n > 0)
         {
             Some(n) => Some(n),
-            None => {
-                eprintln!(
-                    "--topology takes ba400 or transit-stub:<n> (n a positive node count); \
-                     got {v:?}"
-                );
-                std::process::exit(2);
-            }
+            None => bad_usage(&format!(
+                "--topology takes ba400 or transit-stub:<n> (n a positive node count); \
+                 got {v:?}"
+            )),
         },
     };
     // Ids are the non-flag args minus any flag *values* (an operand of a
@@ -171,12 +158,10 @@ fn main() {
         } else {
             "--cp-trace"
         };
-        eprintln!(
+        bad_usage(&format!(
             "{flag} writes ONE trace file; select exactly one experiment id with it \
-             (got {:?})",
-            ids
-        );
-        std::process::exit(2);
+             (got {ids:?})"
+        ));
     }
     let opts = dtcs_bench::RunOpts {
         quick,

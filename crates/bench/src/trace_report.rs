@@ -1,5 +1,5 @@
 //! `trace-report` — the control-plane convergence-attribution analyzer
-//! (DESIGN.md §6.9).
+//! (DESIGN.md §6.4).
 //!
 //! Reads a `--cp-trace` JSONL flight record, reconstructs each control
 //! transaction's causal timeline from its `(origin, txn)`-keyed events,
@@ -19,16 +19,17 @@
 //!    telescope, so the buckets sum to the window **exactly** — 100% of
 //!    E13's time-to-coverage is attributed, with nothing double-counted.
 //!
-//! The JSONL schema is flat (integers, literal strings, booleans — see
-//! [`dtcs::netsim::CpTraceEvent::write_json`]), produced by our own
-//! writer, and strictly validated here field-by-field per event kind, so
-//! the analyzer doubles as the schema check.
+//! The JSONL schema is the control stream's event table
+//! ([`dtcs::netsim::CpTraceEvent`]); every line goes through the table's
+//! own `check_line` before the analyzer looks at it, so the analyzer
+//! doubles as the schema check.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use dtcs::netsim::json::{self, Json};
+use dtcs::netsim::json::Json;
+use dtcs::netsim::{CpState, CpTraceEvent, CpVerdict};
 
 /// The reconcile pseudo-transaction: NMS anti-entropy traffic keys to
 /// `(0, u64::MAX)` (`dtcs_control`'s `RECONCILE_TXN`). Its `terminal`
@@ -37,9 +38,8 @@ use dtcs::netsim::json::{self, Json};
 /// terminal, not simply the last one.
 pub const RECONCILE_KEY: (u64, u64) = (0, u64::MAX);
 
-/// One parsed JSONL event. Field names mirror the wire schema; every
-/// field except `t` and `kind` is optional at the type level and
-/// checked per-kind by [`parse_line`].
+/// What the analyzer reads of one checked line; field names are the wire
+/// names. Everything but `t` and `kind` is absent on kinds without it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Ev {
     /// Timestamp (ns).
@@ -50,174 +50,43 @@ pub struct Ev {
     pub origin: Option<u64>,
     /// Transaction id.
     pub txn: Option<u64>,
-    /// Attempt number.
-    pub attempt: Option<u64>,
-    /// Message-kind id.
-    pub mkind: Option<u64>,
-    /// Sending node.
-    pub from: Option<u64>,
-    /// Destination node.
-    pub to: Option<u64>,
-    /// Acting node.
-    pub node: Option<u64>,
-    /// Retry destination.
-    pub dest: Option<u64>,
-    /// Stale-retry timer family.
-    pub family: Option<u64>,
-    /// Delivery instant (deliver verdicts).
-    pub deliver: Option<u64>,
-    /// Jitter applied (deliver verdicts).
-    pub jitter: Option<u64>,
-    /// Duplicate copy's extra delay (deliver verdicts).
-    pub dup_extra: Option<u64>,
-    /// Outage / crash window index.
+    /// Outage / partition / crash window index.
     pub window: Option<u64>,
     /// Verdict or terminal outcome.
     pub outcome: Option<String>,
-    /// State-transition actor role.
-    pub actor: Option<String>,
     /// State entered.
     pub state: Option<String>,
-    /// Dedup direction (true = duplicate response).
-    pub response: Option<bool>,
 }
 
 impl Ev {
     /// The `(origin, txn)` transaction identity, when keyed.
     pub fn key(&self) -> Option<(u64, u64)> {
-        match (self.origin, self.txn) {
-            (Some(o), Some(x)) => Some((o, x)),
-            _ => None,
-        }
+        self.origin.zip(self.txn)
     }
 }
 
-/// Parse one JSONL line into an [`Ev`], rejecting unknown fields,
-/// unknown kinds, and kind/field combinations the writer never emits.
+/// Check one JSONL line against the control stream's table
+/// ([`CpTraceEvent::check_line`]: unknown kinds, unknown, missing or
+/// mistyped fields and words outside their set are all errors) and keep
+/// what the analyzer reads.
 pub fn parse_line(line: &str) -> Result<Ev, String> {
+    let Json::Object(fields) = CpTraceEvent::check_line(line)? else {
+        unreachable!("check_line returns the object it checked");
+    };
     let mut ev = Ev::default();
-    let mut saw_t = false;
-    let Json::Object(fields) = json::parse(line).map_err(|e| e.to_string())? else {
-        return Err("line is not a JSON object".into());
-    };
-    // Values are strings, booleans or unsigned integers; the writer emits
-    // nothing else (floats, nulls, nesting).
     for (key, value) in fields {
-        let num = |v: &Json| {
-            v.as_u64()
-                .ok_or_else(|| format!("field {key:?} must be an integer"))
-        };
-        let text = |v: Json| match v {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{key} must be a string")),
-        };
-        match key.as_str() {
-            "t" => {
-                ev.t = num(&value)?;
-                saw_t = true;
-            }
-            "kind" => ev.kind = text(value)?,
-            "origin" => ev.origin = Some(num(&value)?),
-            "txn" => ev.txn = Some(num(&value)?),
-            "attempt" => ev.attempt = Some(num(&value)?),
-            "mkind" => ev.mkind = Some(num(&value)?),
-            "from" => ev.from = Some(num(&value)?),
-            "to" => ev.to = Some(num(&value)?),
-            "node" => ev.node = Some(num(&value)?),
-            "dest" => ev.dest = Some(num(&value)?),
-            "family" => ev.family = Some(num(&value)?),
-            "deliver" => ev.deliver = Some(num(&value)?),
-            "jitter" => ev.jitter = Some(num(&value)?),
-            "dup_extra" => ev.dup_extra = Some(num(&value)?),
-            "window" => ev.window = Some(num(&value)?),
-            "outcome" => ev.outcome = Some(text(value)?),
-            "actor" => ev.actor = Some(text(value)?),
-            "state" => ev.state = Some(text(value)?),
-            "response" => match value {
-                Json::Bool(b) => ev.response = Some(b),
-                _ => return Err("response must be a boolean".into()),
-            },
-            other => return Err(format!("unknown field {other:?}")),
+        match (key.as_str(), value) {
+            ("t", Json::U64(n)) => ev.t = n,
+            ("kind", Json::Str(s)) => ev.kind = s,
+            ("origin", Json::U64(n)) => ev.origin = Some(n),
+            ("txn", Json::U64(n)) => ev.txn = Some(n),
+            ("window", Json::U64(n)) => ev.window = Some(n),
+            ("outcome", Json::Str(s)) => ev.outcome = Some(s),
+            ("state", Json::Str(s)) => ev.state = Some(s),
+            _ => {}
         }
     }
-    if !saw_t {
-        return Err("missing field \"t\"".into());
-    }
-    validate(&ev)?;
     Ok(ev)
-}
-
-/// Per-kind schema check: exactly the fields the writer emits.
-fn validate(ev: &Ev) -> Result<(), String> {
-    let req = |ok: bool, what: &str| -> Result<(), String> {
-        if ok {
-            Ok(())
-        } else {
-            Err(format!("{} event missing field {what:?}", ev.kind))
-        }
-    };
-    let keyed = ev.origin.is_some() && ev.txn.is_some();
-    match ev.kind.as_str() {
-        "send" => {
-            req(ev.from.is_some(), "from")?;
-            req(ev.to.is_some(), "to")?;
-            if ev.origin.is_some() {
-                req(
-                    keyed && ev.attempt.is_some() && ev.mkind.is_some(),
-                    "txn/attempt/mkind",
-                )?;
-            }
-        }
-        "verdict" => {
-            req(ev.from.is_some(), "from")?;
-            req(ev.to.is_some(), "to")?;
-            match ev.outcome.as_deref() {
-                Some("deliver") => {
-                    req(ev.deliver.is_some(), "deliver")?;
-                    req(ev.jitter.is_some(), "jitter")?;
-                }
-                Some("drop") | Some("outage") => {}
-                Some("partition") => req(ev.window.is_some(), "window")?,
-                other => return Err(format!("verdict outcome {other:?} unknown")),
-            }
-        }
-        "dedup_hit" => {
-            req(keyed, "origin/txn")?;
-            req(ev.mkind.is_some(), "mkind")?;
-            req(ev.node.is_some(), "node")?;
-            req(ev.response.is_some(), "response")?;
-        }
-        "retry_schedule" | "retry_give_up" => {
-            req(keyed, "origin/txn")?;
-            req(ev.node.is_some(), "node")?;
-            req(ev.dest.is_some(), "dest")?;
-        }
-        "retry_fire" => {
-            req(keyed, "origin/txn")?;
-            req(ev.attempt.is_some(), "attempt")?;
-            req(ev.node.is_some(), "node")?;
-            req(ev.dest.is_some(), "dest")?;
-        }
-        "retry_stale" => {
-            req(ev.node.is_some(), "node")?;
-            req(ev.family.is_some(), "family")?;
-        }
-        "state" => {
-            req(keyed, "origin/txn")?;
-            req(ev.node.is_some(), "node")?;
-            req(ev.actor.is_some(), "actor")?;
-            req(ev.state.is_some(), "state")?;
-        }
-        "sweep" => req(ev.node.is_some(), "node")?,
-        "crash" => req(ev.node.is_some(), "node")?,
-        "terminal" => {
-            req(keyed, "origin/txn")?;
-            req(ev.node.is_some(), "node")?;
-            req(ev.outcome.is_some(), "outcome")?;
-        }
-        other => return Err(format!("unknown event kind {other:?}")),
-    }
-    Ok(())
 }
 
 /// Attribution bucket names, in report order. Every nanosecond of the
@@ -254,17 +123,6 @@ impl Analysis {
     pub fn window_ns(&self) -> u64 {
         self.t1.saturating_sub(self.t0)
     }
-}
-
-/// How a transaction's most recent channel verdict went — the context a
-/// later `retry_fire` gap is attributed by.
-#[derive(Clone, Copy, PartialEq)]
-enum LastVerdict {
-    Dropped,
-    OutageCrash,
-    Outage,
-    Partitioned,
-    Delivered,
 }
 
 /// Analyze a parsed event stream (file order == chronological order:
@@ -330,61 +188,47 @@ pub fn analyze(evs: &[Ev]) -> Result<Analysis, String> {
 
     // -- Pass 2: gap-partition attribution over [t0, t1] ----------------
     let mut buckets: BTreeMap<&'static str, u64> = BUCKETS.iter().map(|&b| (b, 0u64)).collect();
-    let mut last_verdict: HashMap<(u64, u64), LastVerdict> = HashMap::new();
+    // The bucket whatever swallowed a message is charged to; `None` for a
+    // delivery. Kept per transaction for its most recent verdict — the
+    // context a later retry's gap is attributed by.
+    let loss = |ev: &Ev| match ev.outcome.as_deref() {
+        Some(CpVerdict::DROP) => Some("channel_loss"),
+        Some(CpVerdict::OUTAGE) if ev.window.is_some_and(|w| crash_windows.contains(&w)) => {
+            Some("device_crash_reconcile")
+        }
+        Some(CpVerdict::OUTAGE) => Some("nms_outage"),
+        Some(CpVerdict::PARTITION) => Some("partition_loss"),
+        _ => None,
+    };
+    let mut last_loss: HashMap<(u64, u64), Option<&'static str>> = HashMap::new();
     let mut prev_t = t0;
     for ev in evs {
-        // Bookkeeping runs over every event; attribution only in-window.
         let bucket = match ev.kind.as_str() {
-            "verdict" => match ev.outcome.as_deref() {
-                Some("drop") => "channel_loss",
-                Some("outage") => {
-                    if ev.window.is_some_and(|w| crash_windows.contains(&w)) {
-                        "device_crash_reconcile"
-                    } else {
-                        "nms_outage"
-                    }
+            "verdict" => {
+                // Bookkeeping runs over every event, attribution (below)
+                // only in-window.
+                let loss = loss(ev);
+                if let Some(k) = ev.key() {
+                    last_loss.insert(k, loss);
                 }
-                Some("partition") => "partition_loss",
-                _ => "baseline_protocol",
-            },
-            "dedup_hit" => "dup_suppression",
-            "retry_fire" | "retry_give_up" => {
-                match ev.key().and_then(|k| last_verdict.get(&k)) {
-                    Some(LastVerdict::Dropped) => "channel_loss",
-                    Some(LastVerdict::OutageCrash) => "device_crash_reconcile",
-                    Some(LastVerdict::Outage) => "nms_outage",
-                    Some(LastVerdict::Partitioned) => "partition_loss",
-                    // Delivered (dup in flight) or unknown: the timer
-                    // itself was the wait — pure backoff idling.
-                    _ => "retry_backoff_idle",
-                }
+                loss.unwrap_or("baseline_protocol")
             }
+            "dedup_hit" => "dup_suppression",
+            // After a delivery (dup in flight) or with no verdict known,
+            // the timer itself was the wait — pure backoff idling.
+            "retry_fire" | "retry_give_up" => ev
+                .key()
+                .and_then(|k| last_loss.get(&k).copied().flatten())
+                .unwrap_or("retry_backoff_idle"),
             "sweep" | "crash" => "device_crash_reconcile",
-            "state" if ev.state.as_deref() == Some("reinstall") => "device_crash_reconcile",
+            "state" if ev.state.as_deref() == Some(CpState::Reinstall.word()) => {
+                "device_crash_reconcile"
+            }
             _ => "baseline_protocol",
         };
-        // Attribute only in-window; past t1 the gap walk stops but the
-        // verdict bookkeeping below keeps running.
         if ev.t > prev_t && ev.t <= t1 {
             *buckets.get_mut(bucket).expect("known bucket") += ev.t - prev_t;
             prev_t = ev.t;
-        }
-        if ev.kind == "verdict" {
-            if let Some(k) = ev.key() {
-                let v = match ev.outcome.as_deref() {
-                    Some("drop") => LastVerdict::Dropped,
-                    Some("outage") => {
-                        if ev.window.is_some_and(|w| crash_windows.contains(&w)) {
-                            LastVerdict::OutageCrash
-                        } else {
-                            LastVerdict::Outage
-                        }
-                    }
-                    Some("partition") => LastVerdict::Partitioned,
-                    _ => LastVerdict::Delivered,
-                };
-                last_verdict.insert(k, v);
-            }
         }
     }
 
@@ -500,12 +344,12 @@ mod tests {
         let e = ev("{\"t\":5,\"kind\":\"send\",\"origin\":43521,\"txn\":9,\
              \"attempt\":2,\"mkind\":5,\"from\":1,\"to\":4}");
         assert_eq!(e.key(), Some((43521, 9)));
-        assert_eq!((e.t, e.attempt, e.mkind), (5, Some(2), Some(5)));
+        assert_eq!((e.t, e.kind.as_str()), (5, "send"));
         let e = ev("{\"t\":6,\"kind\":\"send\",\"from\":2,\"to\":3}");
         assert_eq!(e.key(), None);
         let e = ev("{\"t\":7,\"kind\":\"verdict\",\"from\":2,\"to\":3,\
              \"outcome\":\"deliver\",\"deliver\":1000,\"jitter\":30,\"dup_extra\":12}");
-        assert_eq!(e.dup_extra, Some(12));
+        assert_eq!(e.outcome.as_deref(), Some("deliver"));
         let e = ev("{\"t\":7,\"kind\":\"verdict\",\"from\":2,\"to\":3,\
              \"outcome\":\"partition\",\"window\":2}");
         assert_eq!(e.window, Some(2));
@@ -514,7 +358,7 @@ mod tests {
         ev("{\"t\":10,\"kind\":\"retry_stale\",\"node\":1,\"family\":2}");
         let e = ev("{\"t\":11,\"kind\":\"dedup_hit\",\"origin\":1,\"txn\":2,\
              \"mkind\":5,\"node\":3,\"response\":true}");
-        assert_eq!(e.response, Some(true));
+        assert_eq!(e.key(), Some((1, 2)));
         let e = ev(
             "{\"t\":12,\"kind\":\"state\",\"origin\":1,\"txn\":2,\"node\":3,\
              \"actor\":\"nms\",\"state\":\"reinstall\"}",

@@ -154,7 +154,7 @@ impl Report {
 /// growth flags a schedule horizon outgrowing the wheel's inner levels.
 ///
 /// The runs' scalar counters fold by the rule each declares in the
-/// [`dtcs::netsim::Stats`] table (DESIGN.md §6.9) — marks take the worst
+/// [`dtcs::netsim::Stats`] table (DESIGN.md §6.4) — marks take the worst
 /// run, totals add — so this print-only line cannot disagree with a sweep
 /// aggregate or a `--cp-trace` metrics export on what a counter means.
 pub fn wheel_health<'a>(runs: impl IntoIterator<Item = &'a dtcs::netsim::Stats>) -> String {

@@ -44,6 +44,26 @@ fn value_flag_given_last_exits_2() {
     assert_bad_usage(&["e13", "--cp-trace"], "--cp-trace takes a value");
 }
 
+#[test]
+fn out_of_range_value_exits_2() {
+    assert_bad_usage(
+        &["--sweep", "--quick", "--replicate", "0", "e2"],
+        "--replicate 0 would run nothing",
+    );
+    assert_bad_usage(
+        &["--topology", "mesh:4", "e2"],
+        "--topology takes ba400 or transit-stub:<n>",
+    );
+}
+
+#[test]
+fn one_trace_file_takes_one_id() {
+    assert_bad_usage(
+        &["--quick", "--cp-trace", "unwritten.jsonl", "e2", "e13"],
+        "--cp-trace writes ONE trace file",
+    );
+}
+
 /// A sweep report that is there but cut short must fail the digest, not
 /// pass for "no sweep was run" and skip the replicate-0 envelope check.
 #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use dtcs_netsim::{Prefix, Simulator};
+use dtcs_netsim::Prefix;
 
 use crate::identity::UserId;
 
@@ -55,18 +55,6 @@ impl InternetNumberAuthority {
     /// Is the registry empty?
     pub fn is_empty(&self) -> bool {
         self.allocations.is_empty()
-    }
-
-    /// Convenience: allocate each node's /16 of a simulator's topology to a
-    /// distinct synthetic user `base_user + node_id`, returning nothing.
-    /// Scenario code typically then re-allocates the prefixes of interest.
-    pub fn allocate_all_nodes(&mut self, sim: &Simulator, base_user: u64) {
-        for i in 0..sim.topo.n() {
-            self.allocate(
-                Prefix::of_node(dtcs_netsim::NodeId(i)),
-                UserId(base_user + i as u64),
-            );
-        }
     }
 }
 

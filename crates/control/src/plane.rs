@@ -34,8 +34,8 @@ use dtcs_netsim::sync::Mutex;
 
 use dtcs_device::{DeviceCommand, DeviceReply, OwnerId, ServiceSpec, Stage};
 use dtcs_netsim::{
-    AgentCtx, ControlMsg, CpMeta, CpTraceEvent, LinkId, NodeAgent, NodeId, Packet, Prefix,
-    SimDuration, SimTime, Verdict,
+    AgentCtx, ControlMsg, CpActor, CpMeta, CpOutcome, CpState, CpTraceEvent, NodeAgent, NodeId,
+    Prefix, SimDuration, SimTime,
 };
 
 use crate::authority::InternetNumberAuthority;
@@ -283,7 +283,7 @@ fn meta(id: MsgKey, kind: u8) -> CpMeta {
 
 /// Send an [`Envelope`] to `to`, arriving after the path's propagation
 /// delay plus processing, tagged with its transaction identity so the
-/// control-plane flight recorder (DESIGN.md §6.9) can follow the message
+/// control-plane flight recorder (DESIGN.md §6.4) can follow the message
 /// through the fault plane. The tag is observation-only.
 fn send_env(ctx: &mut AgentCtx<'_>, to: NodeId, env: Envelope) {
     let delay = ctx.path_delay(to) + PROC_DELAY;
@@ -373,13 +373,7 @@ fn reply_dup_hit(ctx: &mut AgentCtx<'_>, cp: &CpStatsHandle, msg: &ControlMsg, t
 }
 
 /// Trace `actor` moving transaction `(origin, txn)` into `state`.
-fn trace_state(
-    ctx: &mut AgentCtx<'_>,
-    origin: u64,
-    txn: u64,
-    actor: &'static str,
-    state: &'static str,
-) {
+fn trace_state(ctx: &mut AgentCtx<'_>, origin: u64, txn: u64, actor: CpActor, state: CpState) {
     ctx.cp_event(CpTraceEvent::State {
         t: ctx.now.0,
         origin,
@@ -391,7 +385,7 @@ fn trace_state(
 }
 
 /// Trace transaction `(origin, txn)` reaching the terminal `outcome`.
-fn trace_terminal(ctx: &mut AgentCtx<'_>, origin: u64, txn: u64, outcome: &'static str) {
+fn trace_terminal(ctx: &mut AgentCtx<'_>, origin: u64, txn: u64, outcome: CpOutcome) {
     ctx.cp_event(CpTraceEvent::Terminal {
         t: ctx.now.0,
         origin,
@@ -475,15 +469,6 @@ impl AuthorityAgent {
 impl NodeAgent for AuthorityAgent {
     fn name(&self) -> &'static str {
         "number-authority"
-    }
-
-    fn on_packet(
-        &mut self,
-        _ctx: &mut AgentCtx<'_>,
-        _pkt: &mut Packet,
-        _from: Option<LinkId>,
-    ) -> Verdict {
-        Verdict::Forward
     }
 
     fn on_control(&mut self, ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
@@ -671,7 +656,7 @@ impl TcspAgent {
         };
         if out.lost() > 0 {
             self.cp.lock().partial_confirms += 1;
-            trace_state(ctx, out.origin, txn, "tcsp", "partial_confirm");
+            trace_state(ctx, out.origin, txn, CpActor::Tcsp, CpState::PartialConfirm);
         }
         Self::send_deploy_confirm(ctx, txn, out, with);
     }
@@ -699,22 +684,13 @@ impl TcspAgent {
     /// expired lifetime): counter and trace event stay 1:1.
     fn note_expired_deploy(&mut self, ctx: &mut AgentCtx<'_>, origin: u64, txn: u64) {
         self.cp.lock().expired_deploys += 1;
-        trace_state(ctx, origin, txn, "tcsp", "cert_expired");
+        trace_state(ctx, origin, txn, CpActor::Tcsp, CpState::CertExpired);
     }
 }
 
 impl NodeAgent for TcspAgent {
     fn name(&self) -> &'static str {
         "tcsp"
-    }
-
-    fn on_packet(
-        &mut self,
-        _ctx: &mut AgentCtx<'_>,
-        _pkt: &mut Packet,
-        _from: Option<LinkId>,
-    ) -> Verdict {
-        Verdict::Forward
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
@@ -729,7 +705,7 @@ impl NodeAgent for TcspAgent {
                 let Some(p) = self.deploys.lose_rest(txn, asked) else {
                     return;
                 };
-                trace_state(ctx, p.origin, txn, "tcsp", "deadline_partial");
+                trace_state(ctx, p.origin, txn, CpActor::Tcsp, CpState::DeadlinePartial);
                 self.confirm_deploy(ctx, txn);
             }
             FAM_TCSP_VERIFY => {
@@ -738,7 +714,7 @@ impl NodeAgent for TcspAgent {
                     // Authority unreachable: forget the attempt so a fresh
                     // user retry can restart verification.
                     let (user_key, verify_txn) = leg.key;
-                    trace_terminal(ctx, 0, verify_txn, "gave_up");
+                    trace_terminal(ctx, 0, verify_txn, CpOutcome::GaveUp);
                     self.registrations.forget(user_key);
                 }
             }
@@ -817,7 +793,7 @@ impl NodeAgent for TcspAgent {
                     .track(ctx, (user_key, txn), self.authority_node, 0, txn, verify);
                 self.registrations
                     .open(user_key, user_key.0, *reply_to, 1, registration);
-                trace_state(ctx, 0, txn, "tcsp", "verify_sent");
+                trace_state(ctx, 0, txn, CpActor::Tcsp, CpState::VerifySent);
             }
             CpMsg::OwnershipResult { txn, ok } => {
                 // The verdict names the authority leg, not whose
@@ -833,12 +809,18 @@ impl NodeAgent for TcspAgent {
                     dup_hit(ctx, &self.cp, env, true);
                     return;
                 };
-                trace_terminal(ctx, 0, *txn, "verified");
+                trace_terminal(ctx, 0, *txn, CpOutcome::Verified);
                 let Some((out, reg)) = self.registrations.settle(user_key) else {
                     return;
                 };
                 let result = if out.done > 0 {
-                    trace_state(ctx, user_key.0, user_key.1, "tcsp", "register_confirmed");
+                    trace_state(
+                        ctx,
+                        user_key.0,
+                        user_key.1,
+                        CpActor::Tcsp,
+                        CpState::RegisterConfirmed,
+                    );
                     self.stats.lock().registrations_ok += 1;
                     Ok(Certificate::issue(
                         self.key,
@@ -847,7 +829,13 @@ impl NodeAgent for TcspAgent {
                         ctx.now + self.cert_lifetime,
                     ))
                 } else {
-                    trace_state(ctx, user_key.0, user_key.1, "tcsp", "register_denied");
+                    trace_state(
+                        ctx,
+                        user_key.0,
+                        user_key.1,
+                        CpActor::Tcsp,
+                        CpState::RegisterDenied,
+                    );
                     self.stats.lock().registrations_denied += 1;
                     Err(RegistrationError::OwnershipDenied)
                 };
@@ -877,7 +865,7 @@ impl NodeAgent for TcspAgent {
                     }
                     return;
                 }
-                trace_state(ctx, origin, *txn, "tcsp", "deploy_fanout");
+                trace_state(ctx, origin, *txn, CpActor::Tcsp, CpState::DeployFanout);
                 let mut legs = 0;
                 for isp in &self.isps {
                     let nodes = Self::resolve_scope(ctx, &isp.managed, scope);
@@ -950,7 +938,7 @@ impl NodeAgent for TcspAgent {
                 }
                 self.cp.lock().withdrawals += 1;
                 let origin = env.key.origin;
-                trace_state(ctx, origin, *txn, "tcsp", "withdraw_fanout");
+                trace_state(ctx, origin, *txn, CpActor::Tcsp, CpState::WithdrawFanout);
                 for isp in &self.isps {
                     let withdraw = Request {
                         to: Role::Nms,
@@ -1177,7 +1165,7 @@ impl NmsAgent {
         };
         // A fresh deployment supersedes any earlier withdrawal.
         self.withdrawn.remove(&job.owner);
-        trace_state(ctx, origin, txn, "nms", "deploy_accepted");
+        trace_state(ctx, origin, txn, CpActor::Nms, CpState::DeployAccepted);
         let mut legs = BTreeSet::new();
         for &node in nodes {
             if !self.managed.contains(&node) {
@@ -1228,7 +1216,7 @@ impl NmsAgent {
         }
         // Each round is terminal by construction — repair is by
         // repetition, so the round closes when its queries are out.
-        trace_terminal(ctx, 0, RECONCILE_TXN, "reconciled");
+        trace_terminal(ctx, 0, RECONCILE_TXN, CpOutcome::Reconciled);
     }
 
     fn send_withdraw_ack(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<(NodeId, Stage)>, _: &()) {
@@ -1264,14 +1252,14 @@ impl NmsAgent {
             }
             self.cp.lock().lease_expirations += 1;
             let txn = Self::next_renew_txn(&mut self.next_renew_seq);
-            trace_state(ctx, 0, txn, "nms", "desired_expired");
-            trace_terminal(ctx, 0, txn, "expired");
+            trace_state(ctx, 0, txn, CpActor::Nms, CpState::DesiredExpired);
+            trace_terminal(ctx, 0, txn, CpOutcome::Expired);
             false
         });
         for ((node, ..), job) in &self.desired {
             self.cp.lock().lease_renewals += 1;
             let txn = Self::next_renew_txn(&mut self.next_renew_seq);
-            trace_state(ctx, 0, txn, "nms", "renew");
+            trace_state(ctx, 0, txn, CpActor::Nms, CpState::Renew);
             self.renew_rt
                 .track(ctx, (txn, *node), *node, 0, txn, job.clone());
         }
@@ -1281,15 +1269,6 @@ impl NmsAgent {
 impl NodeAgent for NmsAgent {
     fn name(&self) -> &'static str {
         "isp-nms"
-    }
-
-    fn on_packet(
-        &mut self,
-        _ctx: &mut AgentCtx<'_>,
-        _pkt: &mut Packet,
-        _from: Option<LinkId>,
-    ) -> Verdict {
-        Verdict::Forward
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
@@ -1313,7 +1292,7 @@ impl NodeAgent for NmsAgent {
                     // what we have; the reconciliation sweep repairs it
                     // later.
                     let ((txn, node), job) = (leg.key, leg.payload);
-                    trace_state(ctx, leg.id.origin, txn, "nms", "device_lost");
+                    trace_state(ctx, leg.id.origin, txn, CpActor::Nms, CpState::DeviceLost);
                     self.installing.remove(&(node, job.owner, job.stage));
                     self.ack_deploy(ctx, txn);
                 }
@@ -1324,11 +1303,11 @@ impl NodeAgent for NmsAgent {
                 // down, so the chain is abandoned instead.
                 let withdrawn = |job: &InstallJob| self.withdrawn.contains(&job.owner);
                 match self.renew_rt.on_timer(ctx, &self.cp, token, withdrawn) {
-                    Fired::Vetoed(leg) => trace_terminal(ctx, 0, leg.id.txn, "abandoned"),
+                    Fired::Vetoed(leg) => trace_terminal(ctx, 0, leg.id.txn, CpOutcome::Abandoned),
                     // A renewal that never lands is self-correcting: the
                     // device reaps the unrenewed lease, and the next sweep
                     // re-installs once the device is reachable again.
-                    Fired::GaveUp(leg) => trace_terminal(ctx, 0, leg.id.txn, "gave_up"),
+                    Fired::GaveUp(leg) => trace_terminal(ctx, 0, leg.id.txn, CpOutcome::GaveUp),
                     Fired::Stale | Fired::Resent => {}
                 }
             }
@@ -1356,7 +1335,11 @@ impl NodeAgent for NmsAgent {
                     if *txn >= RENEW_TXN_BASE {
                         // A lease renewal answered.
                         if self.renew_rt.ack(&(*txn, *node)) {
-                            let outcome = if ok { "renewed" } else { "renew_rejected" };
+                            let outcome = if ok {
+                                CpOutcome::Renewed
+                            } else {
+                                CpOutcome::RenewRejected
+                            };
                             trace_terminal(ctx, 0, *txn, outcome);
                         } else {
                             reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
@@ -1377,11 +1360,11 @@ impl NodeAgent for NmsAgent {
                     self.deploys
                         .ack(*txn, *node, usize::from(ok), usize::from(!ok));
                     let state = if ok {
-                        "device_installed"
+                        CpState::DeviceInstalled
                     } else {
-                        "device_rejected"
+                        CpState::DeviceRejected
                     };
-                    trace_state(ctx, leg.id.origin, *txn, "nms", state);
+                    trace_state(ctx, leg.id.origin, *txn, CpActor::Nms, state);
                     self.ack_deploy(ctx, *txn);
                 }
                 DeviceReply::Inventory { node, installed } => {
@@ -1391,7 +1374,7 @@ impl NodeAgent for NmsAgent {
                     for ((n, owner, stage, hash), job) in &self.desired {
                         if n == node && !installed.contains(&(*owner, *stage, *hash)) {
                             self.cp.lock().reconcile_reinstalls += 1;
-                            trace_state(ctx, 0, RECONCILE_TXN, "nms", "reinstall");
+                            trace_state(ctx, 0, RECONCILE_TXN, CpActor::Nms, CpState::Reinstall);
                             job.send(ctx, *n, id);
                         }
                     }
@@ -1410,7 +1393,7 @@ impl NodeAgent for NmsAgent {
                             continue;
                         }
                         self.cp.lock().reconcile_removals += 1;
-                        trace_state(ctx, 0, RECONCILE_TXN, "nms", "remove_orphan");
+                        trace_state(ctx, 0, RECONCILE_TXN, CpActor::Nms, CpState::RemoveOrphan);
                         Removal { owner, stage }.send(ctx, *node, id);
                     }
                 }
@@ -1425,7 +1408,13 @@ impl NodeAgent for NmsAgent {
                         return;
                     };
                     self.cp.lock().withdraw_removes += 1;
-                    trace_state(ctx, leg.id.origin, *txn, "nms", "device_removed");
+                    trace_state(
+                        ctx,
+                        leg.id.origin,
+                        *txn,
+                        CpActor::Nms,
+                        CpState::DeviceRemoved,
+                    );
                     self.withdraws.ack(*txn, (*node, *stage), 1, 0);
                     self.ack_withdraw(ctx, *txn);
                 }
@@ -1729,7 +1718,7 @@ impl UserAgent {
             _ => return,
         };
         if let Fired::GaveUp(leg) = fired {
-            trace_terminal(ctx, self.user.0, leg.key, "gave_up");
+            trace_terminal(ctx, self.user.0, leg.key, CpOutcome::GaveUp);
         }
     }
 }
@@ -1737,15 +1726,6 @@ impl UserAgent {
 impl NodeAgent for UserAgent {
     fn name(&self) -> &'static str {
         "tcs-user"
-    }
-
-    fn on_packet(
-        &mut self,
-        _ctx: &mut AgentCtx<'_>,
-        _pkt: &mut Packet,
-        _from: Option<LinkId>,
-    ) -> Verdict {
-        Verdict::Forward
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
@@ -1782,7 +1762,7 @@ impl NodeAgent for UserAgent {
                 // TCSP unreachable: stop chasing it and go straight to
                 // the ISPs under a fresh transaction.
                 self.deploy_rt.ack(&self.txn);
-                trace_terminal(ctx, origin, self.txn, "abandoned");
+                trace_terminal(ctx, origin, self.txn, CpOutcome::Abandoned);
                 self.record.lock().used_fallback = true;
                 self.start_deploy(ctx, first, Role::Nms);
             }
@@ -1830,9 +1810,9 @@ impl NodeAgent for UserAgent {
             CpMsg::RegisterConfirm { result } => {
                 self.reg_rt.ack(&txn);
                 let outcome = if result.is_ok() {
-                    "confirmed"
+                    CpOutcome::Confirmed
                 } else {
-                    "denied"
+                    CpOutcome::Denied
                 };
                 trace_terminal(ctx, origin, txn, outcome);
                 match result {
@@ -1860,9 +1840,9 @@ impl NodeAgent for UserAgent {
             } => {
                 self.deploy_rt.ack(&txn);
                 let outcome = if *isps_missing > 0 {
-                    "partial"
+                    CpOutcome::Partial
                 } else {
-                    "confirmed"
+                    CpOutcome::Confirmed
                 };
                 trace_terminal(ctx, origin, txn, outcome);
                 let mut r = self.record.lock();
@@ -1884,12 +1864,12 @@ impl NodeAgent for UserAgent {
                 if r.deploy_confirmed_at.is_none() {
                     r.deploy_confirmed_at = Some(ctx.now);
                     drop(r);
-                    trace_terminal(ctx, origin, txn, "fallback_confirmed");
+                    trace_terminal(ctx, origin, txn, CpOutcome::FallbackConfirmed);
                 }
             }
             CpMsg::WithdrawConfirm { removed, .. } => {
                 self.withdraw_rt.ack(&txn);
-                trace_terminal(ctx, origin, txn, "withdrawn");
+                trace_terminal(ctx, origin, txn, CpOutcome::Withdrawn);
                 let mut r = self.record.lock();
                 r.withdraw_confirmed_at.get_or_insert(ctx.now);
                 r.services_removed += removed;

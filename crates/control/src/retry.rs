@@ -610,9 +610,7 @@ pub type CpStatsHandle = Arc<Mutex<CpStats>>;
 mod tests {
     use super::*;
 
-    use dtcs_netsim::{
-        CpFlightRecorder, CpMeta, LinkId, NodeAgent, Packet, SimTime, Simulator, Topology, Verdict,
-    };
+    use dtcs_netsim::{CpFlightRecorder, CpMeta, NodeAgent, SimTime, Simulator, Topology};
 
     const FAMILY: u64 = 0x0042 << 48;
     const KEY: u64 = 7;
@@ -654,15 +652,6 @@ mod tests {
     impl NodeAgent for ProbeAgent {
         fn name(&self) -> &'static str {
             "probe"
-        }
-
-        fn on_packet(
-            &mut self,
-            _: &mut AgentCtx<'_>,
-            _: &mut Packet,
-            _: Option<LinkId>,
-        ) -> Verdict {
-            Verdict::Forward
         }
 
         fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {

@@ -12,8 +12,8 @@ use dtcs_control::{
     InternetNumberAuthority, UserId,
 };
 use dtcs_netsim::{
-    CpFlightRecorder, CpTraceEvent, CpVerdict, FaultConfig, FaultPlane, Outage, Partition, Prefix,
-    SimDuration, SimTime, Simulator, Topology,
+    CpFlightRecorder, CpState, CpTraceEvent, CpVerdict, FaultConfig, FaultPlane, Outage, Partition,
+    Prefix, SimDuration, SimTime, Simulator, Topology,
 };
 
 /// Event-stream fold mirroring the counter registry: one bucket per
@@ -73,15 +73,15 @@ fn fold(rec: &CpFlightRecorder) -> Folded {
             }
             CpTraceEvent::RetryFire { .. } => f.retry_fires += 1,
             CpTraceEvent::RetryGaveUp { .. } => f.give_ups += 1,
-            CpTraceEvent::State { state, .. } => match *state {
-                "partial_confirm" => f.partial_confirms += 1,
-                "reinstall" => f.reinstalls += 1,
-                "renew" => f.lease_renewals += 1,
-                "desired_expired" => f.lease_expirations += 1,
-                "withdraw_fanout" => f.withdrawals += 1,
-                "device_removed" => f.withdraw_removes += 1,
-                "remove_orphan" => f.reconcile_removals += 1,
-                "cert_expired" => f.expired_deploys += 1,
+            CpTraceEvent::State { state, .. } => match state {
+                CpState::PartialConfirm => f.partial_confirms += 1,
+                CpState::Reinstall => f.reinstalls += 1,
+                CpState::Renew => f.lease_renewals += 1,
+                CpState::DesiredExpired => f.lease_expirations += 1,
+                CpState::WithdrawFanout => f.withdrawals += 1,
+                CpState::DeviceRemoved => f.withdraw_removes += 1,
+                CpState::RemoveOrphan => f.reconcile_removals += 1,
+                CpState::CertExpired => f.expired_deploys += 1,
                 _ => {}
             },
             CpTraceEvent::Sweep { .. } => f.sweeps += 1,

@@ -25,8 +25,8 @@ use dtcs::device::support::LogEntry;
 use dtcs::device::view::digest_packet;
 use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceReply, OwnerId, Stage};
 use dtcs::netsim::{
-    Addr, AgentCtx, ControlMsg, LinkId, NodeAgent, NodeId, Packet, PacketBuilder, Prefix, Proto,
-    SimTime, Simulator, Topology, TrafficClass,
+    Addr, AgentCtx, ControlMsg, NodeAgent, NodeId, PacketBuilder, Prefix, Proto, SimTime,
+    Simulator, Topology, TrafficClass,
 };
 
 fn main() {
@@ -91,14 +91,6 @@ fn main() {
     impl NodeAgent for Collector {
         fn name(&self) -> &'static str {
             "log-collector"
-        }
-        fn on_packet(
-            &mut self,
-            _: &mut AgentCtx<'_>,
-            _: &mut Packet,
-            _: Option<LinkId>,
-        ) -> dtcs::netsim::Verdict {
-            dtcs::netsim::Verdict::Forward
         }
         fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
             if let Some(DeviceReply::LogData { node, entries, .. }) = msg.get::<DeviceReply>() {

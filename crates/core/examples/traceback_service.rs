@@ -85,21 +85,13 @@ fn main() {
     // Live in-simulation query: a DeviceCommand::QueryDigest goes to every
     // device at t=2 s; the replies land on a probe agent at the victim.
     use dtcs::netsim::sync::Mutex;
-    use dtcs::netsim::{AgentCtx, ControlMsg, LinkId, NodeAgent, Packet, Verdict};
+    use dtcs::netsim::{AgentCtx, ControlMsg, NodeAgent};
     use std::sync::Arc;
     #[derive(Default)]
     struct Probe(Arc<Mutex<BTreeMap<usize, bool>>>);
     impl NodeAgent for Probe {
         fn name(&self) -> &'static str {
             "query-probe"
-        }
-        fn on_packet(
-            &mut self,
-            _: &mut AgentCtx<'_>,
-            _: &mut Packet,
-            _: Option<LinkId>,
-        ) -> Verdict {
-            Verdict::Forward
         }
         fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
             if let Some(dtcs::device::DeviceReply::DigestAnswer { node, hit, .. }) =

@@ -746,6 +746,12 @@ mod tests {
         let jb = b.trace.expect("trace requested").export_jsonl_string();
         assert!(!ja.is_empty());
         assert_eq!(ja, jb, "trace JSONL must be byte-identical across runs");
+        // ...and every line of it is one the packet stream's table allows.
+        for line in ja.lines() {
+            if let Err(e) = dtcs_netsim::TraceEvent::check_line(line) {
+                panic!("{line}: {e}");
+            }
+        }
         assert!(plain.trace.is_none());
     }
 

@@ -14,8 +14,8 @@ use dtcs::control::{
 use dtcs::device::{DeviceCommand, DeviceReply, OwnerId, Stage};
 use dtcs::mitigation::{deploy_pushback_on, PushbackConfig};
 use dtcs::netsim::{
-    Addr, AgentCtx, ControlMsg, LinkId, LinkProfile, NodeAgent, NodeId, Packet, PacketBuilder,
-    Prefix, Proto, SimDuration, SimTime, Simulator, Topology, TrafficClass, Verdict,
+    Addr, AgentCtx, ControlMsg, LinkProfile, NodeAgent, NodeId, PacketBuilder, Prefix, Proto,
+    SimDuration, SimTime, Simulator, Topology, TrafficClass,
 };
 
 /// A probe agent that records device replies (log data, digest answers).
@@ -27,14 +27,6 @@ struct ReplyProbe {
 impl NodeAgent for ReplyProbe {
     fn name(&self) -> &'static str {
         "reply-probe"
-    }
-    fn on_packet(
-        &mut self,
-        _ctx: &mut AgentCtx<'_>,
-        _pkt: &mut Packet,
-        _from: Option<LinkId>,
-    ) -> Verdict {
-        Verdict::Forward
     }
     fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
         if let Some(DeviceReply::LogData { entries, .. }) = msg.get::<DeviceReply>() {

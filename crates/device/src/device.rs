@@ -25,8 +25,8 @@ use std::sync::Arc;
 use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{
-    AgentCtx, ControlMsg, CpMeta, CpTraceEvent, DropReason, LinkId, NodeAgent, NodeId, Packet,
-    Prefix, RouteOracle, SimTime, Verdict,
+    AgentCtx, ControlMsg, CpActor, CpMeta, CpState, CpTraceEvent, DropReason, LinkId, NodeAgent,
+    NodeId, Packet, Prefix, RouteOracle, SimTime, Verdict,
 };
 
 use crate::graph::ServiceGraph;
@@ -348,17 +348,17 @@ impl AdaptiveDevice {
     /// Direct (non-control-plane) command application, for scenario setup
     /// before the simulation starts.
     pub fn apply(&mut self, cmd: DeviceCommand) -> Option<DeviceReply> {
-        self.handle_command(cmd)
+        self.handle_command(&cmd)
     }
 
-    fn handle_command(&mut self, cmd: DeviceCommand) -> Option<DeviceReply> {
-        match cmd {
+    fn handle_command(&mut self, cmd: &DeviceCommand) -> Option<DeviceReply> {
+        match *cmd {
             DeviceCommand::RegisterOwner {
                 owner,
-                prefixes,
+                ref prefixes,
                 contact,
             } => {
-                for p in prefixes {
+                for &p in prefixes {
                     self.owners.register(p, owner, contact);
                 }
                 None
@@ -383,7 +383,7 @@ impl AdaptiveDevice {
             DeviceCommand::InstallService {
                 owner,
                 stage,
-                spec,
+                ref spec,
                 txn,
                 lease_until,
             } => {
@@ -408,10 +408,10 @@ impl AdaptiveDevice {
                         txn,
                     });
                 }
-                let reply = match self.verifier.verify(&spec) {
+                let reply = match self.verifier.verify(spec) {
                     Ok(()) => {
                         let graphs = self.services.entry((owner, stage)).or_default();
-                        let graph = ServiceGraph::from_spec(&spec);
+                        let graph = ServiceGraph::from_spec(spec);
                         let mut delta = graph.rule_count as i64;
                         match graphs.iter_mut().find(|g| g.name == spec.name) {
                             Some(slot) => {
@@ -685,7 +685,7 @@ impl NodeAgent for AdaptiveDevice {
             DeviceCommand::InstallService { lease_until, .. } => Some(*lease_until),
             _ => None,
         };
-        if let Some(reply) = self.handle_command(cmd.clone()) {
+        if let Some(reply) = self.handle_command(cmd) {
             // Leased install accepted: wheel-schedule the reaper at the
             // authority horizon. Renewals arm a fresh timer; the old one
             // fires into a no-op because the lease has moved past it.
@@ -697,8 +697,8 @@ impl NodeAgent for AdaptiveDevice {
             if ctx.cp_trace_enabled() {
                 if let Some(m) = msg.meta {
                     let state = match &reply {
-                        DeviceReply::InstallOk { .. } => Some("install_ok"),
-                        DeviceReply::InstallRejected { .. } => Some("install_rejected"),
+                        DeviceReply::InstallOk { .. } => Some(CpState::InstallOk),
+                        DeviceReply::InstallRejected { .. } => Some(CpState::InstallRejected),
                         _ => None,
                     };
                     if let Some(state) = state {
@@ -707,7 +707,7 @@ impl NodeAgent for AdaptiveDevice {
                             origin: m.origin,
                             txn: m.txn,
                             node: ctx.node,
-                            actor: "device",
+                            actor: CpActor::Device,
                             state,
                         });
                     }

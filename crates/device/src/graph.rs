@@ -120,11 +120,6 @@ impl ServiceGraph {
         }
     }
 
-    /// Is the module at `idx` currently enabled?
-    pub fn module_enabled(&self, idx: usize) -> Option<bool> {
-        self.nodes.get(idx).map(|n| n.enabled)
-    }
-
     /// Number of modules.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -73,12 +73,6 @@ impl MatchExpr {
         self
     }
 
-    /// Restrict by destination prefix.
-    pub fn with_dst(mut self, p: Prefix) -> MatchExpr {
-        self.dst_in = Some(p);
-        self
-    }
-
     /// Restrict by size window.
     pub fn with_size(mut self, min: Option<u32>, max: Option<u32>) -> MatchExpr {
         self.min_size = min;

@@ -133,7 +133,7 @@ impl<'a> AgentCtx<'a> {
 
     /// Like [`AgentCtx::send_control`], but tagging the message with its
     /// control-transaction identity so the control-plane flight recorder
-    /// (DESIGN.md §6.9) can trace it. Identical delivery semantics; the
+    /// (DESIGN.md §6.4) can trace it. Identical delivery semantics; the
     /// tag is observation-only.
     pub fn send_control_keyed<T: Any + Send + Sync>(
         &mut self,
@@ -215,13 +215,16 @@ pub trait NodeAgent: Send {
 
     /// A packet arrived at this node (either from link `from`, or `None`
     /// when emitted locally). May mutate mutable packet fields (e.g. the
-    /// marking field); may drop.
+    /// marking field); may drop. Agents off the packet path keep the
+    /// default: forward untouched.
     fn on_packet(
         &mut self,
-        ctx: &mut AgentCtx<'_>,
-        pkt: &mut Packet,
-        from: Option<LinkId>,
-    ) -> Verdict;
+        _ctx: &mut AgentCtx<'_>,
+        _pkt: &mut Packet,
+        _from: Option<LinkId>,
+    ) -> Verdict {
+        Verdict::Forward
+    }
 
     /// A timer set via [`AgentCtx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>, _token: u64) {}

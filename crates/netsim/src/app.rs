@@ -141,7 +141,7 @@ mod tests {
         sim.install_app(peer, Box::new(SinkApp));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(ticks.load(Ordering::Relaxed), 2, "both timers fired once");
-        let c = sim.stats.per_class[crate::stats::class_index(TrafficClass::Background)];
+        let c = sim.stats.per_class[TrafficClass::Background.index()];
         assert_eq!(c.delivered_pkts, 1, "delayed send arrived");
     }
 
@@ -165,7 +165,7 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(
-            sim.stats.per_class[crate::stats::class_index(TrafficClass::Background)].delivered_pkts,
+            sim.stats.per_class[TrafficClass::Background.index()].delivered_pkts,
             1
         );
     }

@@ -1,5 +1,5 @@
 //! Control-plane flight recorder: deterministic lifecycle tracing for
-//! control transactions (DESIGN.md §6.9).
+//! control transactions (DESIGN.md §6.4).
 //!
 //! The packet event in [`crate::trace`] answers "what happened to packet
 //! N"; this module answers the symmetric question for control
@@ -13,24 +13,25 @@
 //! crate boundary as a plain-data [`CpMeta`] (the `control` crate's
 //! `MsgKey` cannot be seen from here).
 //!
-//! Sink, ring recorder, sampler and JSONL export are the shared spine in
-//! [`crate::recorder`]; this module supplies the control event, sampled
-//! per transaction by `(origin, txn)`. Events without a transaction key
+//! Sink, ring recorder, sampler, JSONL export and the table macros are the
+//! shared spine in [`crate::recorder`]; this module supplies the control
+//! stream's table and its three closed word sets, sampled per transaction
+//! by `(origin, txn)`. Events without a transaction key
 //! (sweeps, crashes, stale retry timers, unkeyed messages) are always
 //! admitted, preserving the sampled ⊂ full property.
 
-use std::fmt::Write as _;
-
+use crate::json::Json;
 use crate::node::NodeId;
-use crate::recorder::{Recorder, TraceRecord};
+use crate::recorder::{trace_events, wire_words, Fields, Recorder, Wire};
 
 /// Plain-data mirror of the control plane's message identity, attached to
 /// keyed control sends via
 /// [`crate::agent::AgentCtx::send_control_keyed`]. `origin` + `txn` name
 /// the transaction (stable across retries); `attempt` distinguishes
-/// retransmits; `kind` is the sender's stable message-kind id (the
-/// `control` crate's `CpMsg::kind_id` values 1–9, device commands 10–12,
-/// device replies 13–16).
+/// retransmits; `kind` is the sender's stable message-kind id — one
+/// numbering shared by the `control` crate's `CpMsg::kind_id`, the
+/// device-command ids declared beside it, and the `device` crate's
+/// `DeviceReply::kind_id`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CpMeta {
     /// Stable id of the requesting principal (0 for infrastructure).
@@ -41,6 +42,28 @@ pub struct CpMeta {
     pub attempt: u32,
     /// Message-kind id (see struct docs).
     pub kind: u8,
+}
+
+/// A message's identity flattens into the line as four fields, or none
+/// for an unkeyed message.
+impl Wire for Option<CpMeta> {
+    fn write(&self, _key: &str, out: &mut String) {
+        if let Some(m) = self {
+            m.origin.write(",\"origin\":", out);
+            m.txn.write(",\"txn\":", out);
+            m.attempt.write(",\"attempt\":", out);
+            m.kind.write(",\"mkind\":", out);
+        }
+    }
+    fn check(_name: &str, line: &mut Fields<'_>) -> Result<(), String> {
+        if !line.next_is("origin") {
+            return Ok(());
+        }
+        u64::check("origin", line)?;
+        u64::check("txn", line)?;
+        u32::check("attempt", line)?;
+        u8::check("mkind", line)
+    }
 }
 
 /// Fault-plane verdict on one control message, recorded alongside the
@@ -79,30 +102,172 @@ pub enum CpVerdict {
     },
 }
 
-/// One step in a control transaction's life.
-///
-/// `Send` and `Verdict` are emitted by the simulator's control funnel;
-/// the rest come from protocol agents through
-/// [`crate::agent::AgentCtx::cp_event`]. Events carrying `origin`/`txn`
-/// are sampled per transaction; `RetryStale`, `Sweep` and `Crash` (and
-/// unkeyed sends) have no transaction identity and are always admitted.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CpTraceEvent {
+impl CpVerdict {
+    /// The `outcome` word of a [`CpVerdict::Deliver`] line.
+    pub const DELIVER: &'static str = "deliver";
+    /// The `outcome` word of a [`CpVerdict::Drop`] line.
+    pub const DROP: &'static str = "drop";
+    /// The `outcome` word of a [`CpVerdict::Outage`] line.
+    pub const OUTAGE: &'static str = "outage";
+    /// The `outcome` word of a [`CpVerdict::Partition`] line.
+    pub const PARTITION: &'static str = "partition";
+}
+
+/// A verdict flattens into the line as its `outcome` word, then that
+/// outcome's own fields.
+impl Wire for CpVerdict {
+    fn write(&self, _key: &str, out: &mut String) {
+        let outcome = |word: &'static str, out: &mut String| word.write(",\"outcome\":", out);
+        match self {
+            CpVerdict::Deliver {
+                deliver_ns,
+                jitter_ns,
+                dup_extra_ns,
+            } => {
+                outcome(Self::DELIVER, out);
+                deliver_ns.write(",\"deliver\":", out);
+                jitter_ns.write(",\"jitter\":", out);
+                dup_extra_ns.write(",\"dup_extra\":", out);
+            }
+            CpVerdict::Drop => outcome(Self::DROP, out),
+            CpVerdict::Outage { window } => {
+                outcome(Self::OUTAGE, out);
+                window.write(",\"window\":", out);
+            }
+            CpVerdict::Partition { window } => {
+                outcome(Self::PARTITION, out);
+                window.write(",\"window\":", out);
+            }
+        }
+    }
+    fn check(_name: &str, line: &mut Fields<'_>) -> Result<(), String> {
+        match line.take("outcome", "a verdict word", Json::as_str)? {
+            Self::DELIVER => {
+                u64::check("deliver", line)?;
+                u64::check("jitter", line)?;
+                Option::<u64>::check("dup_extra", line)
+            }
+            Self::DROP => Ok(()),
+            Self::OUTAGE => Option::<u64>::check("window", line),
+            Self::PARTITION => u64::check("window", line),
+            other => Err(format!(
+                "verdict: field \"outcome\" must be a verdict word, found {other:?}"
+            )),
+        }
+    }
+}
+
+wire_words! {
+    /// The protocol role moving a transaction through a [`CpState`].
+    pub enum CpActor {
+        /// The traffic control service provider.
+        Tcsp = "tcsp",
+        /// An ISP's network management system.
+        Nms = "nms",
+        /// An adaptive device.
+        Device = "device",
+    }
+}
+
+wire_words! {
+    /// A named step of a control transaction, traced by
+    /// [`CpTraceEvent::State`].
+    pub enum CpState {
+        /// TCSP asked the number authority to verify a registration.
+        VerifySent = "verify_sent",
+        /// TCSP confirmed a registration to its user.
+        RegisterConfirmed = "register_confirmed",
+        /// TCSP denied a registration.
+        RegisterDenied = "register_denied",
+        /// TCSP refused a deploy presented with an expired certificate.
+        CertExpired = "cert_expired",
+        /// TCSP fanned a deploy out to the ISPs' NMSes.
+        DeployFanout = "deploy_fanout",
+        /// TCSP confirmed a deploy with some ISP's answer missing.
+        PartialConfirm = "partial_confirm",
+        /// TCSP's deploy deadline passed with some ISP's answer missing.
+        DeadlinePartial = "deadline_partial",
+        /// TCSP fanned a withdrawal out to the ISPs' NMSes.
+        WithdrawFanout = "withdraw_fanout",
+        /// NMS accepted a deploy and began installing on its devices.
+        DeployAccepted = "deploy_accepted",
+        /// NMS heard a device accept an install.
+        DeviceInstalled = "device_installed",
+        /// NMS heard a device reject an install.
+        DeviceRejected = "device_rejected",
+        /// NMS gave up on a device that never answered.
+        DeviceLost = "device_lost",
+        /// NMS heard a device confirm a removal.
+        DeviceRemoved = "device_removed",
+        /// NMS re-sent an install a device's inventory no longer shows.
+        Reinstall = "reinstall",
+        /// NMS removed a filter no desired state asks for.
+        RemoveOrphan = "remove_orphan",
+        /// NMS began renewing a lease.
+        Renew = "renew",
+        /// NMS dropped desired state whose credential expired.
+        DesiredExpired = "desired_expired",
+        /// Device installed a service.
+        InstallOk = "install_ok",
+        /// Device rejected a service.
+        InstallRejected = "install_rejected",
+    }
+}
+
+wire_words! {
+    /// How a control transaction ended, traced by
+    /// [`CpTraceEvent::Terminal`].
+    pub enum CpOutcome {
+        /// The requester heard a full confirmation.
+        Confirmed = "confirmed",
+        /// The request was refused.
+        Denied = "denied",
+        /// A deploy was confirmed with some ISP's answer missing.
+        Partial = "partial",
+        /// The retry budget ran out.
+        GaveUp = "gave_up",
+        /// The requester dropped the transaction itself (superseded or
+        /// vetoed) before an answer.
+        Abandoned = "abandoned",
+        /// The number authority answered a verification.
+        Verified = "verified",
+        /// A deploy sent straight to the ISPs, the TCSP being unreachable,
+        /// was confirmed by an NMS ack.
+        FallbackConfirmed = "fallback_confirmed",
+        /// An anti-entropy round closed.
+        Reconciled = "reconciled",
+        /// A withdrawal was confirmed.
+        Withdrawn = "withdrawn",
+        /// A lease renewal was accepted.
+        Renewed = "renewed",
+        /// A lease renewal was refused.
+        RenewRejected = "renew_rejected",
+        /// Desired state outlived its credential and was dropped.
+        Expired = "expired",
+    }
+}
+
+trace_events! {
+    /// One step in a control transaction's life.
+    ///
+    /// `Send` and `Verdict` are emitted by the simulator's control funnel;
+    /// the rest come from protocol agents through
+    /// [`crate::agent::AgentCtx::cp_event`]. Events carrying `origin`/`txn`
+    /// are sampled per transaction; `RetryStale`, `Sweep` and `Crash` (and
+    /// unkeyed sends) have no transaction identity and are always admitted.
+    pub enum CpTraceEvent: stream 0x6370_7472_6163_6531, key [u64; 2]; // "cptrace1"
+
     /// A control message entered the funnel at `from`, addressed to `to`.
-    Send {
-        /// Timestamp (ns).
-        t: u64,
+    Send = "send", key(meta) meta.map(|m| [m.origin, m.txn]), {
         /// Message identity (None for unkeyed control messages).
         meta: Option<CpMeta>,
         /// Sending node.
         from: NodeId,
         /// Destination node.
         to: NodeId,
-    },
+    }
     /// The fault plane's decision for the send recorded just before.
-    Verdict {
-        /// Timestamp (ns).
-        t: u64,
+    Verdict = "verdict", key(meta) meta.map(|m| [m.origin, m.txn]), {
         /// Message identity (None for unkeyed control messages).
         meta: Option<CpMeta>,
         /// Sending node.
@@ -111,29 +276,25 @@ pub enum CpTraceEvent {
         to: NodeId,
         /// The decision.
         verdict: CpVerdict,
-    },
+    }
     /// A receiver suppressed a duplicate receipt (`response` = true) or
     /// re-answered a duplicate request from a done-cache (false).
-    DedupHit {
-        /// Timestamp (ns).
-        t: u64,
+    DedupHit = "dedup_hit", key(origin, txn) Some([*origin, *txn]), {
         /// Transaction origin.
         origin: u64,
         /// Transaction id.
         txn: u64,
         /// Message-kind id of the duplicate.
-        kind: u8,
+        kind as "mkind": u8,
         /// Node that detected the duplicate.
         node: NodeId,
         /// True for duplicate responses (`dup_responses`), false for
         /// duplicate requests (`dup_requests`).
         response: bool,
-    },
+    }
     /// A retransmitter began tracking a transaction and armed its first
     /// retry timer.
-    RetrySchedule {
-        /// Timestamp (ns).
-        t: u64,
+    RetrySchedule = "retry_schedule", key(origin, txn) Some([*origin, *txn]), {
         /// Transaction origin.
         origin: u64,
         /// Transaction id.
@@ -142,12 +303,10 @@ pub enum CpTraceEvent {
         node: NodeId,
         /// Destination that must ack.
         dest: NodeId,
-    },
+    }
     /// A retry timer fired and the message was retransmitted
     /// (increments `CpStats::retransmits`).
-    RetryFire {
-        /// Timestamp (ns).
-        t: u64,
+    RetryFire = "retry_fire", key(origin, txn) Some([*origin, *txn]), {
         /// Transaction origin.
         origin: u64,
         /// Transaction id.
@@ -158,22 +317,18 @@ pub enum CpTraceEvent {
         node: NodeId,
         /// Destination that has not acked.
         dest: NodeId,
-    },
+    }
     /// A retry timer fired for an already-acked transaction (no-op).
     /// The slot is gone, so the key is unknowable — always admitted.
-    RetryStale {
-        /// Timestamp (ns).
-        t: u64,
+    RetryStale = "retry_stale", key() None, {
         /// Node whose timer fired.
         node: NodeId,
         /// Timer family the token belonged to.
         family: u64,
-    },
+    }
     /// Retry budget exhausted; the transaction was dropped from tracking
     /// (increments `CpStats::give_ups`).
-    RetryGaveUp {
-        /// Timestamp (ns).
-        t: u64,
+    RetryGaveUp = "retry_give_up", key(origin, txn) Some([*origin, *txn]), {
         /// Transaction origin.
         origin: u64,
         /// Transaction id.
@@ -182,51 +337,39 @@ pub enum CpTraceEvent {
         node: NodeId,
         /// Destination that never acked.
         dest: NodeId,
-    },
-    /// A protocol actor moved a transaction through a named state
-    /// (`"verify_sent"`, `"device_installed"`, `"partial_confirm"`,
-    /// `"reinstall"`, …; vocabulary in DESIGN.md §6.9).
-    State {
-        /// Timestamp (ns).
-        t: u64,
+    }
+    /// A protocol actor moved a transaction through a named state.
+    State = "state", key(origin, txn) Some([*origin, *txn]), {
         /// Transaction origin.
         origin: u64,
         /// Transaction id.
         txn: u64,
         /// Node where the transition happened.
         node: NodeId,
-        /// Actor role: `"tcsp"`, `"nms"`, `"device"`, or `"user"`.
-        actor: &'static str,
+        /// Actor role.
+        actor: CpActor,
         /// State entered.
-        state: &'static str,
-    },
+        state: CpState,
+    }
     /// An NMS anti-entropy inventory round started
     /// (increments `CpStats::reconcile_sweeps`). Keyless: the sweep spans
     /// all reconcile traffic.
-    Sweep {
-        /// Timestamp (ns).
-        t: u64,
+    Sweep = "sweep", key() None, {
         /// Sweeping NMS node.
         node: NodeId,
-    },
+    }
     /// A node crashed, wiping volatile device state
     /// (increments `Stats::node_crashes`).
-    Crash {
-        /// Timestamp (ns).
-        t: u64,
+    Crash = "crash", key() None, {
         /// Crashed node.
         node: NodeId,
         /// Index of the fault-plane outage window that scheduled the
         /// crash; None for ad-hoc `crash_node` calls.
         window: Option<u64>,
-    },
-    /// A transaction reached a terminal outcome (`"confirmed"`,
-    /// `"denied"`, `"partial"`, `"gave_up"`, `"abandoned"`, `"verified"`,
-    /// `"fallback_confirmed"`, `"reconciled"`). The `trace-report`
+    }
+    /// A transaction reached a terminal outcome. The `trace-report`
     /// analyzer hard-fails any transaction group without one.
-    Terminal {
-        /// Timestamp (ns).
-        t: u64,
+    Terminal = "terminal", key(origin, txn) Some([*origin, *txn]), {
         /// Transaction origin.
         origin: u64,
         /// Transaction id.
@@ -234,232 +377,7 @@ pub enum CpTraceEvent {
         /// Node where the outcome was decided.
         node: NodeId,
         /// Terminal outcome.
-        outcome: &'static str,
-    },
-}
-
-impl CpTraceEvent {
-    /// Stable kind tag used in the JSONL schema.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CpTraceEvent::Send { .. } => "send",
-            CpTraceEvent::Verdict { .. } => "verdict",
-            CpTraceEvent::DedupHit { .. } => "dedup_hit",
-            CpTraceEvent::RetrySchedule { .. } => "retry_schedule",
-            CpTraceEvent::RetryFire { .. } => "retry_fire",
-            CpTraceEvent::RetryStale { .. } => "retry_stale",
-            CpTraceEvent::RetryGaveUp { .. } => "retry_give_up",
-            CpTraceEvent::State { .. } => "state",
-            CpTraceEvent::Sweep { .. } => "sweep",
-            CpTraceEvent::Crash { .. } => "crash",
-            CpTraceEvent::Terminal { .. } => "terminal",
-        }
-    }
-
-    /// Timestamp in nanoseconds.
-    pub fn time_ns(&self) -> u64 {
-        match self {
-            CpTraceEvent::Send { t, .. }
-            | CpTraceEvent::Verdict { t, .. }
-            | CpTraceEvent::DedupHit { t, .. }
-            | CpTraceEvent::RetrySchedule { t, .. }
-            | CpTraceEvent::RetryFire { t, .. }
-            | CpTraceEvent::RetryStale { t, .. }
-            | CpTraceEvent::RetryGaveUp { t, .. }
-            | CpTraceEvent::State { t, .. }
-            | CpTraceEvent::Sweep { t, .. }
-            | CpTraceEvent::Crash { t, .. }
-            | CpTraceEvent::Terminal { t, .. } => *t,
-        }
-    }
-}
-
-impl TraceRecord for CpTraceEvent {
-    const STREAM_LABEL: u64 = 0x6370_7472_6163_6531; // "cptrace1"
-
-    /// Sampled per transaction: `[origin, txn]`.
-    type Key = [u64; 2];
-
-    fn sample_key(&self) -> Option<[u64; 2]> {
-        match self {
-            CpTraceEvent::Send { meta, .. } | CpTraceEvent::Verdict { meta, .. } => {
-                meta.map(|m| [m.origin, m.txn])
-            }
-            CpTraceEvent::DedupHit { origin, txn, .. }
-            | CpTraceEvent::RetrySchedule { origin, txn, .. }
-            | CpTraceEvent::RetryFire { origin, txn, .. }
-            | CpTraceEvent::RetryGaveUp { origin, txn, .. }
-            | CpTraceEvent::State { origin, txn, .. }
-            | CpTraceEvent::Terminal { origin, txn, .. } => Some([*origin, *txn]),
-            CpTraceEvent::RetryStale { .. }
-            | CpTraceEvent::Sweep { .. }
-            | CpTraceEvent::Crash { .. } => None,
-        }
-    }
-
-    /// Integers and literal strings only.
-    fn write_json(&self, out: &mut String) {
-        fn meta_fields(meta: &Option<CpMeta>, out: &mut String) {
-            if let Some(m) = meta {
-                let _ = write!(
-                    out,
-                    ",\"origin\":{},\"txn\":{},\"attempt\":{},\"mkind\":{}",
-                    m.origin, m.txn, m.attempt, m.kind
-                );
-            }
-        }
-        match self {
-            CpTraceEvent::Send { t, meta, from, to } => {
-                let _ = write!(out, "{{\"t\":{t},\"kind\":\"send\"");
-                meta_fields(meta, out);
-                let _ = write!(out, ",\"from\":{},\"to\":{}}}", from.0, to.0);
-            }
-            CpTraceEvent::Verdict {
-                t,
-                meta,
-                from,
-                to,
-                verdict,
-            } => {
-                let _ = write!(out, "{{\"t\":{t},\"kind\":\"verdict\"");
-                meta_fields(meta, out);
-                let _ = write!(out, ",\"from\":{},\"to\":{}", from.0, to.0);
-                match verdict {
-                    CpVerdict::Deliver {
-                        deliver_ns,
-                        jitter_ns,
-                        dup_extra_ns,
-                    } => {
-                        let _ = write!(
-                            out,
-                            ",\"outcome\":\"deliver\",\"deliver\":{deliver_ns},\
-                             \"jitter\":{jitter_ns}"
-                        );
-                        if let Some(d) = dup_extra_ns {
-                            let _ = write!(out, ",\"dup_extra\":{d}");
-                        }
-                    }
-                    CpVerdict::Drop => out.push_str(",\"outcome\":\"drop\""),
-                    CpVerdict::Outage { window } => {
-                        out.push_str(",\"outcome\":\"outage\"");
-                        if let Some(w) = window {
-                            let _ = write!(out, ",\"window\":{w}");
-                        }
-                    }
-                    CpVerdict::Partition { window } => {
-                        let _ = write!(out, ",\"outcome\":\"partition\",\"window\":{window}");
-                    }
-                }
-                out.push('}');
-            }
-            CpTraceEvent::DedupHit {
-                t,
-                origin,
-                txn,
-                kind,
-                node,
-                response,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"dedup_hit\",\"origin\":{origin},\
-                     \"txn\":{txn},\"mkind\":{kind},\"node\":{},\
-                     \"response\":{response}}}",
-                    node.0
-                );
-            }
-            CpTraceEvent::RetrySchedule {
-                t,
-                origin,
-                txn,
-                node,
-                dest,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"retry_schedule\",\"origin\":{origin},\
-                     \"txn\":{txn},\"node\":{},\"dest\":{}}}",
-                    node.0, dest.0
-                );
-            }
-            CpTraceEvent::RetryFire {
-                t,
-                origin,
-                txn,
-                attempt,
-                node,
-                dest,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"retry_fire\",\"origin\":{origin},\
-                     \"txn\":{txn},\"attempt\":{attempt},\"node\":{},\"dest\":{}}}",
-                    node.0, dest.0
-                );
-            }
-            CpTraceEvent::RetryStale { t, node, family } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"retry_stale\",\"node\":{},\
-                     \"family\":{family}}}",
-                    node.0
-                );
-            }
-            CpTraceEvent::RetryGaveUp {
-                t,
-                origin,
-                txn,
-                node,
-                dest,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"retry_give_up\",\"origin\":{origin},\
-                     \"txn\":{txn},\"node\":{},\"dest\":{}}}",
-                    node.0, dest.0
-                );
-            }
-            CpTraceEvent::State {
-                t,
-                origin,
-                txn,
-                node,
-                actor,
-                state,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"state\",\"origin\":{origin},\
-                     \"txn\":{txn},\"node\":{},\"actor\":\"{actor}\",\
-                     \"state\":\"{state}\"}}",
-                    node.0
-                );
-            }
-            CpTraceEvent::Sweep { t, node } => {
-                let _ = write!(out, "{{\"t\":{t},\"kind\":\"sweep\",\"node\":{}}}", node.0);
-            }
-            CpTraceEvent::Crash { t, node, window } => {
-                let _ = write!(out, "{{\"t\":{t},\"kind\":\"crash\",\"node\":{}", node.0);
-                if let Some(w) = window {
-                    let _ = write!(out, ",\"window\":{w}");
-                }
-                out.push('}');
-            }
-            CpTraceEvent::Terminal {
-                t,
-                origin,
-                txn,
-                node,
-                outcome,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"terminal\",\"origin\":{origin},\
-                     \"txn\":{txn},\"node\":{},\"outcome\":\"{outcome}\"}}",
-                    node.0
-                );
-            }
-        }
+        outcome: CpOutcome,
     }
 }
 

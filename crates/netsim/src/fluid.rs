@@ -45,7 +45,7 @@ use crate::addr::Addr;
 use crate::node::NodeId;
 use crate::packet::{Proto, TrafficClass};
 use crate::routing::Routing;
-use crate::stats::{class_index, DropReason, Stats};
+use crate::stats::{DropReason, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -209,18 +209,6 @@ impl FluidLayer {
     /// The tick interval.
     pub fn tick_len(&self) -> SimDuration {
         self.tick
-    }
-
-    /// Number of aggregates installed (active or expired).
-    pub fn n_aggregates(&self) -> usize {
-        self.src.len()
-    }
-
-    /// Cumulative offered / delivered / filtered bytes of one aggregate
-    /// (f64 accounting values, before packet flooring) — inspection for
-    /// tests and benches.
-    pub fn aggregate_bytes(&self, i: usize) -> (f64, f64, f64) {
-        (self.cum_sent[i], self.cum_deliv[i], self.cum_fdrop[i])
     }
 
     /// Install an aggregate for `d`; its path resolves on the next tick.
@@ -598,7 +586,7 @@ impl FluidLayer {
         let bytes = self.pkt_size[i] as u64;
         let hops = self.path_len[i] as u64;
         let class = self.class[i];
-        let c = &mut stats.per_class[class_index(class)];
+        let c = &mut stats.per_class[class.index()];
         c.sent_pkts += d_sent;
         c.sent_bytes += d_sent * bytes;
         c.delivered_pkts += d_deliv;

@@ -65,7 +65,9 @@ pub use addr::{Addr, Prefix};
 pub use agent::{AgentCtx, ControlMsg, NodeAgent, Verdict};
 pub use app::{App, AppApi, Disposition, SinkApp};
 pub use arena::{Arena, Handle as ArenaHandle};
-pub use cp_trace::{CpFlightRecorder, CpMeta, CpTraceEvent, CpVerdict};
+pub use cp_trace::{
+    CpActor, CpFlightRecorder, CpMeta, CpOutcome, CpState, CpTraceEvent, CpVerdict,
+};
 pub use faults::{FaultConfig, FaultDecision, FaultPlane, Outage, Partition};
 pub use fluid::{FluidDemand, FluidFilter, FluidLayer};
 pub use link::{Admission, Link, LinkProfile};
@@ -79,8 +81,5 @@ pub use sim::Simulator;
 pub use stats::{DropReason, Stats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Hierarchy, Topology};
-pub use trace::{
-    FlightRecorder, LinkDirUtil, LinkUtilProbe, Log2Histogram, TelemetryHistograms, TraceEvent,
-    UtilSnapshot,
-};
+pub use trace::{FlightRecorder, Log2Histogram, TelemetryHistograms, TraceEvent};
 pub use wheel::TimingWheel;

@@ -1,4 +1,4 @@
-//! Counter tables and the unified metrics registry (DESIGN.md §6.9).
+//! Counter tables and the unified metrics registry (DESIGN.md §6.4).
 //!
 //! Every scalar counter of a statistics struct is declared once, as a row
 //! of its [`counters!`](crate::counters) table; the field, its merge arm

@@ -10,40 +10,42 @@
 
 use crate::addr::Addr;
 use crate::node::NodeId;
+use crate::recorder::wire_words;
 use crate::time::SimTime;
 
 /// Default initial TTL, mirroring common OS defaults.
 pub const DEFAULT_TTL: u8 = 64;
 
-/// Transport/network protocol of a packet, at the granularity defenses and
-/// reflectors care about.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Proto {
-    /// TCP connection request.
-    TcpSyn,
-    /// TCP SYN-ACK (what reflectors bounce back at the victim).
-    TcpSynAck,
-    /// TCP reset (protocol-misuse attacks, Sec. 2.1).
-    TcpRst,
-    /// Established-connection TCP data.
-    TcpData,
-    /// Generic UDP datagram.
-    Udp,
-    /// DNS query (UDP).
-    DnsQuery,
-    /// DNS response — a classic amplification vector.
-    DnsResponse,
-    /// ICMP echo request.
-    IcmpEcho,
-    /// ICMP echo reply.
-    IcmpEchoReply,
-    /// ICMP destination unreachable (reflector + misuse vector).
-    IcmpUnreachable,
-    /// ICMP time exceeded (reflector vector).
-    IcmpTimeExceeded,
-    /// Control-plane message of the simulated management protocols
-    /// (TCSP/ISP/pushback). Carried in-band so it competes for bandwidth.
-    Control,
+wire_words! {
+    /// Transport/network protocol of a packet, at the granularity defenses and
+    /// reflectors care about.
+    pub enum Proto {
+        /// TCP connection request.
+        TcpSyn,
+        /// TCP SYN-ACK (what reflectors bounce back at the victim).
+        TcpSynAck,
+        /// TCP reset (protocol-misuse attacks, Sec. 2.1).
+        TcpRst,
+        /// Established-connection TCP data.
+        TcpData,
+        /// Generic UDP datagram.
+        Udp,
+        /// DNS query (UDP).
+        DnsQuery,
+        /// DNS response — a classic amplification vector.
+        DnsResponse,
+        /// ICMP echo request.
+        IcmpEcho,
+        /// ICMP echo reply.
+        IcmpEchoReply,
+        /// ICMP destination unreachable (reflector + misuse vector).
+        IcmpUnreachable,
+        /// ICMP time exceeded (reflector vector).
+        IcmpTimeExceeded,
+        /// Control-plane message of the simulated management protocols
+        /// (TCSP/ISP/pushback). Carried in-band so it competes for bandwidth.
+        Control,
+    }
 }
 
 impl Proto {
@@ -62,25 +64,26 @@ impl Proto {
     }
 }
 
-/// Ground-truth class of a packet, for metrics only.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum TrafficClass {
-    /// Legitimate client request.
-    LegitRequest,
-    /// Legitimate server reply.
-    LegitReply,
-    /// Attack packet sent directly by a DDoS agent.
-    AttackDirect,
-    /// Attack packet emitted by an innocent reflector in response to a
-    /// spoofed request (the agent's spoofed request itself is
-    /// `AttackDirect`; the bounce is `AttackReflected`).
-    AttackReflected,
-    /// Attacker command-and-control (attacker -> master -> agent).
-    AttackControl,
-    /// Management-plane traffic (TCSP, ISP NMS, pushback messages).
-    Management,
-    /// Background cross traffic that is neither measured nor attack.
-    Background,
+wire_words! {
+    /// Ground-truth class of a packet, for metrics only.
+    pub enum TrafficClass {
+        /// Legitimate client request.
+        LegitRequest,
+        /// Legitimate server reply.
+        LegitReply,
+        /// Attack packet sent directly by a DDoS agent.
+        AttackDirect,
+        /// Attack packet emitted by an innocent reflector in response to a
+        /// spoofed request (the agent's spoofed request itself is
+        /// `AttackDirect`; the bounce is `AttackReflected`).
+        AttackReflected,
+        /// Attacker command-and-control (attacker -> master -> agent).
+        AttackControl,
+        /// Management-plane traffic (TCSP, ISP NMS, pushback messages).
+        Management,
+        /// Background cross traffic that is neither measured nor attack.
+        Background,
+    }
 }
 
 impl TrafficClass {

@@ -370,7 +370,7 @@ fn bounded_none_preserves_pushability() {
 // commutative monoid: any merge order, any grouping, must produce one
 // identical aggregate, and `Stats::default()` must be a true identity.
 
-use crate::stats::{Stats, ALL_CLASSES, ALL_DROP_REASONS};
+use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 
 /// One randomized `Stats`: per-class counter bumps, drop-bucket bumps,
@@ -382,7 +382,7 @@ fn arb_stats(rng: &mut ChaCha8Rng) -> Stats {
     let mut below = |bound: u64| rng.gen_range(0..bound);
     let mut s = Stats::new();
     for _ in 0..below(8) {
-        let c = &mut s.per_class[below(ALL_CLASSES.len() as u64) as usize];
+        let c = &mut s.per_class[below(TrafficClass::ALL.len() as u64) as usize];
         let (sent, delivered, bytes) = (below(1_000_000), below(1_000_000), below(1_000_000));
         c.sent_pkts += sent;
         c.sent_bytes += bytes;
@@ -396,8 +396,8 @@ fn arb_stats(rng: &mut ChaCha8Rng) -> Stats {
     }
     for _ in 0..below(8) {
         let key = (
-            ALL_CLASSES[below(ALL_CLASSES.len() as u64) as usize],
-            ALL_DROP_REASONS[below(ALL_DROP_REASONS.len() as u64) as usize],
+            TrafficClass::ALL[below(TrafficClass::ALL.len() as u64) as usize],
+            DropReason::ALL[below(DropReason::ALL.len() as u64) as usize],
         );
         let (pkts, bytes, mean_hops) = (below(10_000), below(1_000_000), below(64));
         let agg = s.drops.entry(key).or_default();

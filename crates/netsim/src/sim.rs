@@ -33,7 +33,7 @@ use crate::routing::Routing;
 use crate::stats::{DropReason, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{LinkUtilProbe, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::wheel::TimingWheel;
 
 /// A scheduled simulator callback.
@@ -102,12 +102,10 @@ pub struct Simulator {
     /// ([`AgentCtx::trace_verdict_detail`]), consumed by the next
     /// `ModuleVerdict` event.
     verdict_detail: Option<String>,
-    /// Control-plane flight-recorder front-end (DESIGN.md §6.9): the
+    /// Control-plane flight-recorder front-end (DESIGN.md §6.4): the
     /// symmetric facility for control transactions. Disabled by default;
     /// the control funnel then pays one `None` branch per push.
     cp_tracer: Tracer<CpTraceEvent>,
-    /// Optional per-link utilization sampler, driven by scheduled events.
-    util_probe: Option<LinkUtilProbe>,
     /// Optional control-channel fault injector (drop / duplicate / jitter
     /// / outage windows). `None` costs one branch per control push and
     /// leaves event order untouched — the zero-fault path is byte-
@@ -146,7 +144,6 @@ impl Simulator {
             tracer: Tracer::disabled(seed),
             verdict_detail: None,
             cp_tracer: Tracer::disabled(seed),
-            util_probe: None,
             faults: None,
             fluid: None,
             fluid_packetized: vec![false; n],
@@ -172,11 +169,6 @@ impl Simulator {
         self.tracer.disable()
     }
 
-    /// Is lifecycle tracing enabled?
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// Install a control-plane trace sink recording lifecycle events for
     /// one control transaction in `one_in` (1 = every transaction). Like
     /// the packet tracer, the sampling salt derives from the simulator
@@ -199,38 +191,6 @@ impl Simulator {
     /// Is control-plane tracing enabled?
     pub fn cp_trace_enabled(&self) -> bool {
         self.cp_tracer.enabled()
-    }
-
-    /// Sample per-link utilization every `cadence` from now until `until`
-    /// (inclusive), replacing any existing probe. Samples ride the event
-    /// queue, so they interleave deterministically with traffic and the
-    /// probe cannot keep an otherwise-idle run alive past its horizon.
-    pub fn enable_util_probe(&mut self, cadence: SimDuration, until: SimTime) {
-        let mut probe = LinkUtilProbe::new(cadence, until);
-        probe.baseline(&self.topo, self.now);
-        let first = self.now + probe.cadence();
-        self.util_probe = Some(probe);
-        if first <= until {
-            self.schedule(first, Simulator::util_probe_tick);
-        }
-    }
-
-    /// The utilization probe and its snapshots, if one was enabled.
-    pub fn util_probe(&self) -> Option<&LinkUtilProbe> {
-        self.util_probe.as_ref()
-    }
-
-    fn util_probe_tick(&mut self) {
-        let Some(mut probe) = self.util_probe.take() else {
-            return;
-        };
-        probe.sample(&self.topo, self.now);
-        let next = self.now + probe.cadence();
-        let until = probe.until();
-        self.util_probe = Some(probe);
-        if next <= until {
-            self.schedule(next, Simulator::util_probe_tick);
-        }
     }
 
     /// Current simulated time.
@@ -430,11 +390,6 @@ impl Simulator {
         self.faults = Some(plane);
     }
 
-    /// Read access to the installed fault plane, if any.
-    pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.faults.as_ref()
-    }
-
     /// Crash `node` now: every agent on it loses volatile state via
     /// [`NodeAgent::on_crash`]. Called by the fault plane's crash
     /// schedule; public so scenarios can also crash nodes ad hoc.
@@ -574,12 +529,6 @@ impl Simulator {
         // pushes made after this run (all ≥ the new `now`) stay valid.
         self.run_events(until.as_nanos());
         self.now = self.now.max(until);
-    }
-
-    /// Run for a span from the current clock.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let until = self.now + span;
-        self.run_until(until);
     }
 
     /// Drain every remaining event (careful with self-sustaining workloads).
@@ -1160,14 +1109,6 @@ mod tests {
         fn name(&self) -> &'static str {
             "drop-watch"
         }
-        fn on_packet(
-            &mut self,
-            _ctx: &mut AgentCtx<'_>,
-            _pkt: &mut Packet,
-            _from: Option<LinkId>,
-        ) -> Verdict {
-            Verdict::Forward
-        }
         fn on_link_drop(&mut self, _ctx: &mut AgentCtx<'_>, _link: LinkId, _pkt: &Packet) {
             self.0.fetch_add(1, AtomicOrdering::Relaxed);
         }
@@ -1431,7 +1372,7 @@ mod tests {
         let (off, _) = traced_workload(7, None);
         let (on, _) = traced_workload(7, Some(1));
         assert_eq!(off.events, on.events, "tracing must not add events");
-        for c in crate::stats::ALL_CLASSES {
+        for &c in TrafficClass::ALL {
             assert_eq!(off.class(c).sent_pkts, on.class(c).sent_pkts);
             assert_eq!(off.class(c).delivered_pkts, on.class(c).delivered_pkts);
             assert_eq!(off.class(c).dropped_pkts, on.class(c).dropped_pkts);
@@ -1532,51 +1473,6 @@ mod tests {
     }
 
     #[test]
-    fn util_probe_samples_on_cadence_and_stops() {
-        let topo = Topology::line(4);
-        let mut sim = Simulator::new(topo, 1);
-        let dst = Addr::new(NodeId(3), 1);
-        sim.install_app(dst, Box::new(SinkAppProbe));
-        sim.enable_util_probe(SimDuration::from_millis(100), SimTime::from_secs(1));
-        for i in 0..50u64 {
-            sim.emit_now(NodeId(0), udp(Addr::new(NodeId(0), 1), dst).flow(i));
-        }
-        sim.run_to_idle();
-        assert_eq!(
-            sim.pending_events(),
-            0,
-            "probe must not keep the run alive past its horizon"
-        );
-        let probe = sim.util_probe().unwrap();
-        assert_eq!(
-            probe.snapshots().len(),
-            10,
-            "one sample per 100 ms up to 1 s"
-        );
-        assert_eq!(probe.snapshots()[0].t, SimTime::from_millis(100).as_nanos());
-        assert_eq!(probe.snapshots()[9].t, SimTime::from_secs(1).as_nanos());
-        assert!(probe.peak_util() > 0.0);
-        // Windowed byte deltas must sum to the cumulative link counters.
-        let sampled: u64 = probe
-            .snapshots()
-            .iter()
-            .flat_map(|s| s.dirs.iter())
-            .map(|d| d.bytes)
-            .sum();
-        let cumulative: u64 = sim
-            .topo
-            .links
-            .iter()
-            .flat_map(|l| l.dirs.iter())
-            .map(|d| d.bytes_sent)
-            .sum();
-        assert_eq!(
-            sampled, cumulative,
-            "all traffic finished inside the probe window"
-        );
-    }
-
-    #[test]
     fn event_limit_stops_runaway() {
         let topo = Topology::line(2);
         let mut sim = Simulator::new(topo, 1);
@@ -1599,14 +1495,6 @@ mod tests {
     impl NodeAgent for CtrlProbe {
         fn name(&self) -> &'static str {
             "ctrl-probe"
-        }
-        fn on_packet(
-            &mut self,
-            _ctx: &mut AgentCtx<'_>,
-            _pkt: &mut Packet,
-            _from: Option<LinkId>,
-        ) -> Verdict {
-            Verdict::Forward
         }
         fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
             if msg.get::<u32>().is_some() {

@@ -9,92 +9,52 @@ use std::collections::HashMap;
 
 use crate::node::NodeId;
 use crate::packet::{Packet, TrafficClass};
+use crate::recorder::wire_words;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TelemetryHistograms;
 
-/// Why a packet died.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum DropReason {
-    /// Tail-dropped at a congested link queue.
-    QueueOverflow,
-    /// TTL reached zero.
-    TtlExpired,
-    /// No route to the destination.
-    NoRoute,
-    /// Delivered to a node with no listening application.
-    NoListener,
-    /// Static ingress filtering (RFC 2267 baseline).
-    IngressFilter,
-    /// Anti-spoofing module on an adaptive device (TCS).
-    SpoofFilter,
-    /// Firewall/classifier module on an adaptive device (TCS).
-    DeviceFilter,
-    /// Rate-limiter module on an adaptive device (TCS).
-    DeviceRateLimit,
-    /// Source blacklisted on an adaptive device (TCS).
-    Blacklist,
-    /// Pushback aggregate rate limit.
-    PushbackLimit,
-    /// Filter installed from a traceback verdict.
-    TracebackFilter,
-    /// Rejected at a secure-overlay (SOS/Mayday) perimeter.
-    OverlayReject,
-    /// Rejected by the i3 indirection defense (direct-IP traffic under
-    /// attack).
-    IndirectionReject,
-    /// Receiving host out of processing capacity (resource exhaustion,
-    /// Sec. 2.1).
-    HostOverload,
-    /// A module violated the device safety contract at run time and the
-    /// packet was quarantined.
-    SafetyGuard,
-}
-
-/// All drop reasons, for iteration in reports.
-pub const ALL_DROP_REASONS: [DropReason; 15] = [
-    DropReason::QueueOverflow,
-    DropReason::TtlExpired,
-    DropReason::NoRoute,
-    DropReason::NoListener,
-    DropReason::IngressFilter,
-    DropReason::SpoofFilter,
-    DropReason::DeviceFilter,
-    DropReason::DeviceRateLimit,
-    DropReason::Blacklist,
-    DropReason::PushbackLimit,
-    DropReason::TracebackFilter,
-    DropReason::OverlayReject,
-    DropReason::IndirectionReject,
-    DropReason::HostOverload,
-    DropReason::SafetyGuard,
-];
-
-/// Number of traffic classes (see [`class_index`]).
-pub const N_CLASSES: usize = 7;
-
-/// Dense index for a traffic class.
-pub fn class_index(c: TrafficClass) -> usize {
-    match c {
-        TrafficClass::LegitRequest => 0,
-        TrafficClass::LegitReply => 1,
-        TrafficClass::AttackDirect => 2,
-        TrafficClass::AttackReflected => 3,
-        TrafficClass::AttackControl => 4,
-        TrafficClass::Management => 5,
-        TrafficClass::Background => 6,
+wire_words! {
+    /// Why a packet died.
+    pub enum DropReason {
+        /// Tail-dropped at a congested link queue.
+        QueueOverflow,
+        /// TTL reached zero.
+        TtlExpired,
+        /// No route to the destination.
+        NoRoute,
+        /// Delivered to a node with no listening application.
+        NoListener,
+        /// Static ingress filtering (RFC 2267 baseline).
+        IngressFilter,
+        /// Anti-spoofing module on an adaptive device (TCS).
+        SpoofFilter,
+        /// Firewall/classifier module on an adaptive device (TCS).
+        DeviceFilter,
+        /// Rate-limiter module on an adaptive device (TCS).
+        DeviceRateLimit,
+        /// Source blacklisted on an adaptive device (TCS).
+        Blacklist,
+        /// Pushback aggregate rate limit.
+        PushbackLimit,
+        /// Filter installed from a traceback verdict.
+        TracebackFilter,
+        /// Rejected at a secure-overlay (SOS/Mayday) perimeter.
+        OverlayReject,
+        /// Rejected by the i3 indirection defense (direct-IP traffic under
+        /// attack).
+        IndirectionReject,
+        /// Receiving host out of processing capacity (resource exhaustion,
+        /// Sec. 2.1).
+        HostOverload,
+        /// A module violated the device safety contract at run time and the
+        /// packet was quarantined.
+        SafetyGuard,
     }
 }
 
-/// All classes in dense-index order.
-pub const ALL_CLASSES: [TrafficClass; N_CLASSES] = [
-    TrafficClass::LegitRequest,
-    TrafficClass::LegitReply,
-    TrafficClass::AttackDirect,
-    TrafficClass::AttackReflected,
-    TrafficClass::AttackControl,
-    TrafficClass::Management,
-    TrafficClass::Background,
-];
+/// Number of traffic classes: the length of every per-class array,
+/// indexed by [`TrafficClass::index`].
+pub const N_CLASSES: usize = TrafficClass::ALL.len();
 
 crate::counters! {
     /// Per-class send/deliver/drop counters.
@@ -156,7 +116,7 @@ impl Series {
         if idx >= buckets.len() {
             buckets.resize(idx + 1, [0; N_CLASSES]);
         }
-        buckets[idx][class_index(class)] += bytes as u64;
+        buckets[idx][class.index()] += bytes as u64;
     }
 
     /// Per-bucket delivered bytes for a watched node; `None` if `node` was
@@ -235,7 +195,7 @@ crate::counters! {
     /// arrival order cannot leak into the result.
     #[derive(Clone, Debug, Default, PartialEq)]
     pub struct Stats {
-        /// Per-class counters, indexed by [`class_index`].
+        /// Per-class counters, indexed by [`TrafficClass::index`].
         pub per_class: [ClassCounters; N_CLASSES] = merge_per_class,
         /// Drop breakdown.
         pub drops: HashMap<(TrafficClass, DropReason), DropAgg> = merge_drops,
@@ -348,14 +308,14 @@ impl Stats {
 
     /// Record a packet emission.
     pub fn record_sent(&mut self, pkt: &Packet) {
-        let c = &mut self.per_class[class_index(pkt.provenance.class)];
+        let c = &mut self.per_class[pkt.provenance.class.index()];
         c.sent_pkts += 1;
         c.sent_bytes += pkt.size as u64;
     }
 
     /// Record a delivery to an application at `node`.
     pub fn record_delivered(&mut self, now: SimTime, node: NodeId, pkt: &Packet) {
-        let c = &mut self.per_class[class_index(pkt.provenance.class)];
+        let c = &mut self.per_class[pkt.provenance.class.index()];
         c.delivered_pkts += 1;
         c.delivered_bytes += pkt.size as u64;
         c.delivered_hops += pkt.hops as u64;
@@ -372,7 +332,7 @@ impl Stats {
     /// Record a drop.
     pub fn record_dropped(&mut self, pkt: &Packet, reason: DropReason) {
         let class = pkt.provenance.class;
-        let c = &mut self.per_class[class_index(class)];
+        let c = &mut self.per_class[class.index()];
         c.dropped_pkts += 1;
         c.dropped_bytes += pkt.size as u64;
         c.dropped_byte_hops += pkt.size as u64 * pkt.hops as u64;
@@ -384,7 +344,7 @@ impl Stats {
 
     /// Counters for one class.
     pub fn class(&self, class: TrafficClass) -> &ClassCounters {
-        &self.per_class[class_index(class)]
+        &self.per_class[class.index()]
     }
 
     /// Delivery ratio (delivered/sent packets) for a class; 1.0 when none
@@ -556,7 +516,7 @@ mod tests {
         s.record_delivered(SimTime::from_millis(250), NodeId(9), &p);
         let series = s.series.as_ref().unwrap();
         assert_eq!(series.delivered_bytes.len(), 3);
-        let li = class_index(TrafficClass::LegitReply);
+        let li = TrafficClass::LegitReply.index();
         assert_eq!(series.delivered_bytes[0][li], 500);
         assert_eq!(series.delivered_bytes[1][li], 0);
         assert_eq!(series.delivered_bytes[2][li], 500);
@@ -578,7 +538,7 @@ mod tests {
             series.watched_nodes().collect::<Vec<_>>(),
             vec![NodeId(1), NodeId(9)]
         );
-        let li = class_index(TrafficClass::LegitReply);
+        let li = TrafficClass::LegitReply.index();
         let first = series.for_node(NodeId(1)).unwrap();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0][li], 500);
@@ -716,7 +676,7 @@ mod tests {
         assert_eq!(ab, ba, "series merge is commutative after canonicalization");
         let s = ab.series.as_ref().unwrap();
         assert_eq!(s.watch, NodeId(1), "lowest watched node becomes primary");
-        let li = class_index(TrafficClass::LegitReply);
+        let li = TrafficClass::LegitReply.index();
         assert_eq!(s.for_node(NodeId(1)).unwrap()[1][li], 1000);
         assert_eq!(s.for_node(NodeId(9)).unwrap()[0][li], 500);
     }

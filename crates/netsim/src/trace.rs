@@ -1,43 +1,41 @@
-//! Packet flight recorder and telemetry: deterministic lifecycle tracing,
-//! log2 histograms and per-link utilization sampling (DESIGN.md §6.4).
+//! Packet flight recorder and telemetry: deterministic lifecycle tracing
+//! and log2 histograms (DESIGN.md §6.4).
 //!
 //! The simulator emits a [`TraceEvent`] at each step of a packet's life —
 //! emission, per-hop link admission or tail drop (with the instantaneous
 //! virtual-queue backlog), module verdicts from agents (ingress filters,
-//! adaptive devices), and final delivery. Sink, ring recorder, sampler
-//! and JSONL export are the shared spine in [`crate::recorder`]; this
-//! module supplies the packet event, sampled by packet id.
+//! adaptive devices), and final delivery. Sink, ring recorder, sampler,
+//! JSONL export and the table macro are the shared spine in
+//! [`crate::recorder`]; this module supplies the packet stream's table,
+//! sampled by packet id.
 
-use std::fmt::Write as _;
-
+use crate::addr::Addr;
 use crate::node::{LinkId, NodeId};
 use crate::packet::{Proto, TrafficClass};
-use crate::recorder::{Recorder, TraceRecord};
+use crate::recorder::{trace_events, Recorder};
 use crate::stats::DropReason;
-use crate::time::{SimDuration, SimTime};
-use crate::topology::Topology;
 
-/// One step in a traced packet's life.
-///
-/// Every variant carries the wall-sim timestamp `t` (nanoseconds) and the
-/// packet id `pkt`; drop-flavoured variants also carry the ground-truth
-/// class, size and hop count so traces reconcile exactly with
-/// [`crate::stats::Stats`] counters without a join against `Emit` events
-/// (the emission may have been evicted from the ring).
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
+trace_events! {
+    /// One step in a traced packet's life.
+    ///
+    /// Every variant carries the wall-sim timestamp `t` (nanoseconds) and
+    /// the packet id `pkt` — all events of one packet are sampled in or
+    /// out together; drop-flavoured variants also carry the ground-truth
+    /// class, size and hop count so traces reconcile exactly with
+    /// [`crate::stats::Stats`] counters without a join against `Emit`
+    /// events (the emission may have been evicted from the ring).
+    pub enum TraceEvent: stream 0x7472_6163_653a_3031, key [u64; 1]; // "trace:01"
+
     /// Packet entered the network at `node`.
-    Emit {
-        /// Timestamp (ns).
-        t: u64,
+    Emit = "emit", key(pkt) Some([*pkt]), {
         /// Packet id.
         pkt: u64,
         /// Emitting node.
         node: NodeId,
         /// Claimed source address.
-        src: crate::addr::Addr,
+        src: Addr,
         /// Destination address.
-        dst: crate::addr::Addr,
+        dst: Addr,
         /// Protocol.
         proto: Proto,
         /// Ground-truth class.
@@ -46,12 +44,10 @@ pub enum TraceEvent {
         size: u32,
         /// Flow id.
         flow: u64,
-    },
+    }
     /// Packet admitted to a link's virtual queue while being forwarded out
     /// of `from`.
-    LinkAdmit {
-        /// Timestamp (ns).
-        t: u64,
+    LinkAdmit = "link_admit", key(pkt) Some([*pkt]), {
         /// Packet id.
         pkt: u64,
         /// Link traversed.
@@ -64,12 +60,10 @@ pub enum TraceEvent {
         backlog: u64,
         /// Arrival instant at the far end (ns).
         arrive: u64,
-    },
+    }
     /// Packet tail-dropped at a link queue (maps to
     /// [`DropReason::QueueOverflow`] in [`crate::stats::Stats`]).
-    LinkDrop {
-        /// Timestamp (ns).
-        t: u64,
+    LinkDrop = "link_drop", key(pkt) Some([*pkt]), {
         /// Packet id.
         pkt: u64,
         /// Congested link.
@@ -84,12 +78,10 @@ pub enum TraceEvent {
         size: u32,
         /// Hops traversed before the drop.
         hops: u8,
-    },
+    }
     /// A module (agent chain entry, host, or the engine itself) decided to
     /// drop the packet at `node`.
-    ModuleVerdict {
-        /// Timestamp (ns).
-        t: u64,
+    ModuleVerdict = "module_verdict", key(pkt) Some([*pkt]), {
         /// Packet id.
         pkt: u64,
         /// Node where the verdict was rendered.
@@ -108,11 +100,9 @@ pub enum TraceEvent {
         size: u32,
         /// Hops traversed before the drop.
         hops: u8,
-    },
+    }
     /// Packet consumed by the application at `node`.
-    Deliver {
-        /// Timestamp (ns).
-        t: u64,
+    Deliver = "deliver", key(pkt) Some([*pkt]), {
         /// Packet id.
         pkt: u64,
         /// Delivering node.
@@ -124,33 +114,11 @@ pub enum TraceEvent {
         /// Path length.
         hops: u8,
         /// End-to-end latency (ns) since emission.
-        latency: u64,
-    },
+        latency as "latency_ns": u64,
+    }
 }
 
 impl TraceEvent {
-    /// Stable kind tag used in the JSONL schema.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Emit { .. } => "emit",
-            TraceEvent::LinkAdmit { .. } => "link_admit",
-            TraceEvent::LinkDrop { .. } => "link_drop",
-            TraceEvent::ModuleVerdict { .. } => "module_verdict",
-            TraceEvent::Deliver { .. } => "deliver",
-        }
-    }
-
-    /// Timestamp in nanoseconds.
-    pub fn time_ns(&self) -> u64 {
-        match self {
-            TraceEvent::Emit { t, .. }
-            | TraceEvent::LinkAdmit { t, .. }
-            | TraceEvent::LinkDrop { t, .. }
-            | TraceEvent::ModuleVerdict { t, .. }
-            | TraceEvent::Deliver { t, .. } => *t,
-        }
-    }
-
     /// For drop-flavoured events, the `(class, reason)` bucket the drop was
     /// accounted under in [`crate::stats::Stats::drops`].
     pub fn drop_bucket(&self) -> Option<(TrafficClass, DropReason)> {
@@ -158,131 +126,6 @@ impl TraceEvent {
             TraceEvent::LinkDrop { class, .. } => Some((*class, DropReason::QueueOverflow)),
             TraceEvent::ModuleVerdict { class, reason, .. } => Some((*class, *reason)),
             _ => None,
-        }
-    }
-}
-
-impl TraceRecord for TraceEvent {
-    const STREAM_LABEL: u64 = 0x7472_6163_653a_3031; // "trace:01"
-
-    /// Sampled per packet: all events of one packet id are in or out
-    /// together.
-    type Key = [u64; 1];
-
-    fn sample_key(&self) -> Option<[u64; 1]> {
-        match self {
-            TraceEvent::Emit { pkt, .. }
-            | TraceEvent::LinkAdmit { pkt, .. }
-            | TraceEvent::LinkDrop { pkt, .. }
-            | TraceEvent::ModuleVerdict { pkt, .. }
-            | TraceEvent::Deliver { pkt, .. } => Some([*pkt]),
-        }
-    }
-
-    /// Integers only plus escaped strings.
-    fn write_json(&self, out: &mut String) {
-        match self {
-            TraceEvent::Emit {
-                t,
-                pkt,
-                node,
-                src,
-                dst,
-                proto,
-                class,
-                size,
-                flow,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"emit\",\"pkt\":{pkt},\"node\":{},\
-                     \"src\":\"{:?}\",\"dst\":\"{:?}\",\"proto\":\"{proto:?}\",\
-                     \"class\":\"{class:?}\",\"size\":{size},\"flow\":{flow}}}",
-                    node.0, src, dst
-                );
-            }
-            TraceEvent::LinkAdmit {
-                t,
-                pkt,
-                link,
-                from,
-                to,
-                backlog,
-                arrive,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"link_admit\",\"pkt\":{pkt},\
-                     \"link\":{},\"from\":{},\"to\":{},\"backlog\":{backlog},\
-                     \"arrive\":{arrive}}}",
-                    link.0, from.0, to.0
-                );
-            }
-            TraceEvent::LinkDrop {
-                t,
-                pkt,
-                link,
-                from,
-                backlog,
-                class,
-                size,
-                hops,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"link_drop\",\"pkt\":{pkt},\
-                     \"link\":{},\"from\":{},\"backlog\":{backlog},\
-                     \"class\":\"{class:?}\",\"size\":{size},\"hops\":{hops}}}",
-                    link.0, from.0
-                );
-            }
-            TraceEvent::ModuleVerdict {
-                t,
-                pkt,
-                node,
-                module,
-                detail,
-                reason,
-                class,
-                size,
-                hops,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"module_verdict\",\"pkt\":{pkt},\
-                     \"node\":{},\"module\":\"",
-                    node.0
-                );
-                crate::json::escape_into(module, out);
-                out.push('"');
-                if let Some(d) = detail {
-                    out.push_str(",\"detail\":\"");
-                    crate::json::escape_into(d, out);
-                    out.push('"');
-                }
-                let _ = write!(
-                    out,
-                    ",\"reason\":\"{reason:?}\",\"class\":\"{class:?}\",\
-                     \"size\":{size},\"hops\":{hops}}}"
-                );
-            }
-            TraceEvent::Deliver {
-                t,
-                pkt,
-                node,
-                class,
-                size,
-                hops,
-                latency,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":{t},\"kind\":\"deliver\",\"pkt\":{pkt},\"node\":{},\
-                     \"class\":\"{class:?}\",\"size\":{size},\"hops\":{hops},\
-                     \"latency_ns\":{latency}}}",
-                    node.0
-                );
-            }
         }
     }
 }
@@ -437,140 +280,6 @@ impl TelemetryHistograms {
         self.queue_delay_ns.merge(&other.queue_delay_ns);
         self.e2e_latency_ns.merge(&other.e2e_latency_ns);
         self.hop_count.merge(&other.hop_count);
-    }
-}
-
-/// Per-direction activity in one utilization sampling window.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LinkDirUtil {
-    /// Link index.
-    pub link: usize,
-    /// Direction index ([`crate::link::Link::dir_index`]).
-    pub dir: usize,
-    /// Bytes admitted during the window.
-    pub bytes: u64,
-    /// Packets tail-dropped during the window.
-    pub dropped_pkts: u64,
-    /// Window utilization in `[0, 1]` (admitted bits over capacity·window).
-    pub util: f64,
-}
-
-/// One utilization snapshot: all link directions that saw traffic or drops
-/// during the window ending at `t`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct UtilSnapshot {
-    /// Window end (ns).
-    pub t: u64,
-    /// Window length (ns).
-    pub window_ns: u64,
-    /// Active directions, ascending `(link, dir)`.
-    pub dirs: Vec<LinkDirUtil>,
-}
-
-/// Samples [`crate::link::LinkDir`] counters on a fixed cadence and turns
-/// the deltas into per-window utilization snapshots. Driven by the
-/// simulator's event loop (see `Simulator::enable_util_probe`) so sampling
-/// instants are simulated time, deterministic, and bounded by an explicit
-/// horizon — the probe never keeps an otherwise-idle simulation alive
-/// past `until`.
-#[derive(Debug)]
-pub struct LinkUtilProbe {
-    cadence: SimDuration,
-    until: SimTime,
-    last_sample: SimTime,
-    /// `(bytes_sent, pkts_dropped)` per direction at the previous sample.
-    prev: Vec<[(u64, u64); 2]>,
-    snapshots: Vec<UtilSnapshot>,
-}
-
-impl LinkUtilProbe {
-    /// Probe sampling every `cadence` until (and including) `until`.
-    pub fn new(cadence: SimDuration, until: SimTime) -> LinkUtilProbe {
-        LinkUtilProbe {
-            cadence: SimDuration(cadence.0.max(1)),
-            until,
-            last_sample: SimTime::ZERO,
-            prev: Vec::new(),
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// Sampling cadence.
-    pub fn cadence(&self) -> SimDuration {
-        self.cadence
-    }
-
-    /// Sampling horizon.
-    pub fn until(&self) -> SimTime {
-        self.until
-    }
-
-    /// Record the current counters as the window baseline without emitting
-    /// a snapshot (called once when the probe is enabled mid-run, so the
-    /// first window does not absorb pre-probe traffic).
-    pub fn baseline(&mut self, topo: &Topology, now: SimTime) {
-        self.prev.clear();
-        self.prev.extend(
-            topo.links
-                .iter()
-                .map(|l| [0, 1].map(|di| (l.dirs[di].bytes_sent, l.dirs[di].pkts_dropped))),
-        );
-        self.last_sample = now;
-    }
-
-    /// Take one sample of every link direction at `now`.
-    pub fn sample(&mut self, topo: &Topology, now: SimTime) {
-        if self.prev.len() != topo.links.len() {
-            self.prev.resize(topo.links.len(), [(0, 0); 2]);
-        }
-        let window_ns = now.saturating_since(self.last_sample).0;
-        let window_s = SimDuration(window_ns).as_secs_f64();
-        let mut dirs = Vec::new();
-        for (li, link) in topo.links.iter().enumerate() {
-            for di in 0..2 {
-                let d = &link.dirs[di];
-                let (pb, pd) = self.prev[li][di];
-                let bytes = d.bytes_sent.saturating_sub(pb);
-                let dropped_pkts = d.pkts_dropped.saturating_sub(pd);
-                self.prev[li][di] = (d.bytes_sent, d.pkts_dropped);
-                if bytes == 0 && dropped_pkts == 0 {
-                    continue;
-                }
-                let util = if window_s > 0.0 {
-                    (bytes as f64 * 8.0) / (link.bandwidth_bps * window_s)
-                } else {
-                    0.0
-                };
-                dirs.push(LinkDirUtil {
-                    link: li,
-                    dir: di,
-                    bytes,
-                    dropped_pkts,
-                    util,
-                });
-            }
-        }
-        self.last_sample = now;
-        self.snapshots.push(UtilSnapshot {
-            t: now.0,
-            window_ns,
-            dirs,
-        });
-    }
-
-    /// Snapshots taken so far, chronological.
-    pub fn snapshots(&self) -> &[UtilSnapshot] {
-        &self.snapshots
-    }
-
-    /// Highest single-window direction utilization observed (0.0 when no
-    /// traffic was sampled).
-    pub fn peak_util(&self) -> f64 {
-        self.snapshots
-            .iter()
-            .flat_map(|s| s.dirs.iter())
-            .map(|d| d.util)
-            .fold(0.0, f64::max)
     }
 }
 
