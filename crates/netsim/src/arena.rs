@@ -17,8 +17,9 @@
 
 /// A ticket for a value stored in an [`Arena`].
 ///
-/// Deliberately small (8 bytes) so event-queue entries stay index-based
-/// and cheap to move during timing-wheel cascades.
+/// Deliberately small (8 bytes): every pending event, timers included,
+/// occupies a timing-wheel record as wide as the widest event kind, and a
+/// 72-byte `Packet` held inline would set that width.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Handle {
     idx: u32,

@@ -49,17 +49,22 @@ const EMPTY: u64 = u64::MAX;
 /// Cached "not on path / unreachable" answer.
 const NONE_VAL: u32 = u32::MAX;
 
-/// Initial table capacity (slots; power of two).
-const INITIAL_SLOTS: usize = 1 << 10;
+/// Table capacity after the first insert (slots; power of two). Until
+/// then a cache holds no table at all: most filters on a big graph never
+/// judge a customer-side packet, and 50,000 of them are deployed at once.
+const FIRST_SLOTS: usize = 1 << 4;
 
 /// Largest table before the oracle resets instead of growing further.
-/// Random-spoof floods can synthesize up to n² distinct keys; capping the
-/// table bounds memory per filtering node (≤ 12 B × 2^17 ≈ 1.5 MiB) and
-/// degrades gracefully to periodic full resets under that adversarial mix.
+/// Random-spoof floods can synthesize up to n² distinct keys; a node's
+/// table is sized by the pairs it has been asked about, from nothing up to
+/// this cap (12 B × 2^17 ≈ 1.5 MiB), and degrades gracefully to periodic
+/// full resets under that adversarial mix.
 const MAX_SLOTS: usize = 1 << 17;
 
-/// Open-addressed `(u64 key → u32 value)` map with linear probing.
-#[derive(Clone, Debug)]
+/// Open-addressed `(u64 key → u32 value)` map with linear probing. The
+/// default is the table-less cache: `get` answers `None`, `clear` and
+/// `evict_where` find nothing to do, the first `insert` allocates.
+#[derive(Clone, Debug, Default)]
 struct FlatCache {
     keys: Vec<u64>,
     vals: Vec<u32>,
@@ -92,7 +97,8 @@ impl FlatCache {
     fn get(&self, key: u64) -> Option<u32> {
         let mut i = (mix(key) >> self.shift) as usize;
         loop {
-            let k = self.keys[i];
+            // Out of range only when there is no table.
+            let k = *self.keys.get(i)?;
             if k == key {
                 return Some(self.vals[i]);
             }
@@ -130,7 +136,7 @@ impl FlatCache {
     }
 
     fn grow(&mut self) {
-        let mut bigger = FlatCache::with_slots(self.keys.len() * 2);
+        let mut bigger = FlatCache::with_slots((self.keys.len() * 2).max(FIRST_SLOTS));
         for (i, &k) in self.keys.iter().enumerate() {
             if k != EMPTY {
                 bigger.insert(k, self.vals[i]);
@@ -200,7 +206,7 @@ impl RouteOracle {
         RouteOracle {
             at,
             epoch: 0,
-            cache: FlatCache::with_slots(INITIAL_SLOTS),
+            cache: FlatCache::default(),
             hits: 0,
             misses: 0,
             partial_evictions: 0,
@@ -596,6 +602,60 @@ mod tests {
         }
         c.insert(999_999, 7);
         assert_eq!(c.get(999_999), Some(7));
+    }
+
+    /// A filter that never judges a customer-side packet holds no table,
+    /// and every operation short of an insert leaves it that way.
+    #[test]
+    fn new_oracle_holds_no_table() {
+        let mut cache = RouteOracle::new(NodeId(3)).cache;
+        assert_eq!(cache.get(7), None);
+        cache.clear();
+        assert_eq!(cache.evict_where(|_| true), 0);
+        assert_eq!((cache.keys.capacity(), cache.vals.capacity()), (0, 0));
+        cache.insert(7, 1);
+        assert_eq!((cache.get(7), cache.keys.len()), (Some(1), FIRST_SLOTS));
+    }
+
+    /// Start size is unobservable: a cache grown from nothing (16 slots at
+    /// the first insert) and one that starts at 1,024 answer every `get`
+    /// alike and hold the same number of entries after every operation,
+    /// across growth, the `MAX_SLOTS` reset, targeted eviction and the
+    /// wholesale clear.
+    #[test]
+    fn flat_cache_start_size_is_unobservable() {
+        let mut rng = seeded(0x51AB);
+        let mut small = FlatCache::default();
+        let mut large = FlatCache::with_slots(1 << 10);
+        let (mut resets, mut evictions, mut clears) = (0, 0, 0);
+        for _step in 0..300_000 {
+            let key = rng.gen_range(0..1u64 << 18);
+            match rng.gen_range(0..100_000u32) {
+                0 => {
+                    small.clear();
+                    large.clear();
+                    clears += 1;
+                }
+                1..=5 => {
+                    let stride = rng.gen_range(8..33u64);
+                    let gone = small.evict_where(|k| k % stride == 0);
+                    assert_eq!(large.evict_where(|k| k % stride == 0), gone);
+                    evictions += 1;
+                }
+                6..=89_999 => {
+                    let before = small.len;
+                    small.insert(key, key as u32);
+                    large.insert(key, key as u32);
+                    resets += usize::from(small.len < before);
+                }
+                _ => {}
+            }
+            let probe = rng.gen_range(0..1u64 << 18);
+            assert_eq!(small.get(probe), large.get(probe));
+            assert_eq!(small.len, large.len);
+        }
+        assert!(resets > 0 && evictions > 0 && clears > 0);
+        assert_eq!(small.keys.len(), MAX_SLOTS);
     }
 
     /// The flat cache stays correct across growth and adversarial key mixes.

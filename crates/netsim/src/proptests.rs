@@ -117,6 +117,7 @@ fn wheel_drains_in_heap_order() {
             }
         }
         assert!(wheel.is_empty());
+        assert_eq!(wheel.capacity(), wheel.len_hwm());
     });
 }
 
@@ -181,6 +182,7 @@ fn wheel_matches_heap_under_interleaved_push_pop() {
                 break;
             }
         }
+        assert_eq!(wheel.capacity(), wheel.len_hwm());
     });
 }
 
@@ -360,6 +362,7 @@ fn bounded_none_preserves_pushability() {
                 assert_eq!((first.time, first.seq), (far, 0));
             }
         }
+        assert_eq!(wheel.capacity(), wheel.len_hwm());
     });
 }
 

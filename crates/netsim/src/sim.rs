@@ -44,9 +44,10 @@ enum EventKind {
         at: NodeId,
         from: Option<LinkId>,
         /// Generation-tagged ticket into [`Simulator::arena`]. Index-based
-        /// so the entry stays small — the `Packet` itself never moves
-        /// during timing-wheel cascades — and so a freed packet cannot be
-        /// silently resurrected: a stale ticket fails its tag check.
+        /// so the entry stays small (a queued event of any kind is one
+        /// `EventKind`-wide record in the wheel's slab) and so a freed
+        /// packet cannot be silently resurrected: a stale ticket fails its
+        /// tag check.
         pkt: PktHandle,
     },
     AgentTimer {
@@ -1259,6 +1260,14 @@ mod tests {
         }
         sim.run_to_idle();
         assert_eq!(*order.lock().unwrap(), times);
+    }
+
+    /// Every pending event holds one `EventKind` in the wheel's slab, and
+    /// `ControlDeliver` is its widest arm: a field added to `ControlMsg`
+    /// is paid per queued event of every kind.
+    #[test]
+    fn event_payload_fits_a_cache_line() {
+        assert!(std::mem::size_of::<EventKind>() <= 64);
     }
 
     /// Agent timer behaviour.

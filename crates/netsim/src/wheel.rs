@@ -18,6 +18,26 @@
 //! non-empty slot" into a `trailing_zeros`, so advancing over empty time
 //! needs no per-tick scan — the wheel jumps.
 //!
+//! # Storage
+//!
+//! One slab holds every entry, as Varghese & Lauck describe it. A slot is
+//! twelve bytes — `head`, `tail`, `depth` — naming an intrusive FIFO list
+//! threaded through the slab by `u32` index, and an entry is two records
+//! at one index: a 16-byte *link* `{time, next}`, which is all a cascade
+//! reads or writes, and a *payload* `{seq, Option<K>}`, which only push
+//! and pop touch (the `Option` is taken at pop, so every record is always
+//! initialized and the slab is plain safe code; the engine's `K` is its
+//! 64-byte `EventKind`, whose spare discriminants hold the `None`, so a
+//! payload record is 72 bytes). Freed records go on a free list threaded
+//! through `next` and are reused before the slab grows, so its size is
+//! exactly [`TimingWheel::len_hwm`] — what was live at the worst moment,
+//! not what every slot once held — and push and pop allocate nothing once
+//! it has grown. A cascade relinks: per entry it reads one link, rewrites
+//! the `next` of the list it joins and that slot's `tail`, and moves no
+//! payload, whatever `K`'s size. The price is locality at the pop: a
+//! payload stays where it was pushed, however long ago and however much
+//! was pushed since, so popping a long-queued entry reads a cold line.
+//!
 //! # Determinism
 //!
 //! Pop order is exactly ascending `(time, seq)`, bit-identical to the
@@ -27,8 +47,9 @@
 //!   within-slot FIFO order *is* seq order, provided entries arrive in seq
 //!   order — which they do: direct pushes carry globally increasing seqs,
 //!   and a cascade (which preserves the relative order of the slot it
-//!   drains) always lands in a lower-level slot *before* any direct push
-//!   can target it, because a push only reaches a slot whose window
+//!   drains: it walks that list from the head and appends at a tail, as a
+//!   push does) always lands in a lower-level slot *before* any direct
+//!   push can target it, because a push only reaches a slot whose window
 //!   contains `horizon` and cascades run exactly when `horizon` enters a
 //!   window (see `pop_next`).
 //! * Levels partition future time in increasing ranges — all level-k
@@ -42,8 +63,6 @@
 //! position must stay ≤ simulated "now" so later pushes (which are ≥ now)
 //! are never behind the wheel.
 
-use std::collections::VecDeque;
-
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
 /// Slots per level.
@@ -51,6 +70,9 @@ pub const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of levels; `LEVELS * SLOT_BITS >= 64` so any `u64` time is
 /// representable (the top level only ever uses its first 16 slots).
 pub const LEVELS: usize = 11;
+
+/// End of the free list; never a record's index.
+const NIL: u32 = u32::MAX;
 
 /// One queued event: an exact tick, a tie-breaking sequence number, and
 /// the caller's payload.
@@ -62,6 +84,30 @@ pub struct Entry<K> {
     pub seq: u64,
     /// Caller payload.
     pub kind: K,
+}
+
+/// The half of a slab record a cascade needs: where the entry belongs and
+/// which record follows it — in its slot's list while live (meaningless in
+/// the tail, lists end by count), in the free list once popped.
+#[derive(Clone, Copy)]
+struct Link {
+    time: u64,
+    next: u32,
+}
+
+/// The other half, at the same index: `kind` is `Some` exactly while live.
+struct Payload<K> {
+    seq: u64,
+    kind: Option<K>,
+}
+
+/// A FIFO list of slab records; `head` and `tail` mean something only
+/// while `depth > 0`.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    depth: u32,
 }
 
 /// A hierarchical timing wheel priority queue over `(time, seq)` keys.
@@ -80,9 +126,14 @@ pub struct TimingWheel<K> {
     /// Per-level occupancy bitmaps; bit `i` of `occupied[k]` set iff slot
     /// `k * SLOTS + i` is non-empty.
     occupied: [u64; LEVELS],
-    /// `LEVELS × SLOTS` slot buffers, row-major by level. FIFO within a
-    /// slot (cascades preserve relative order; pushes append).
-    slots: Vec<VecDeque<Entry<K>>>,
+    /// `LEVELS × SLOTS` lists, row-major by level. FIFO within a slot
+    /// (cascades preserve relative order; pushes append).
+    slots: Vec<Slot>,
+    /// The slab, two parallel halves; `links.len() == payloads.len()`.
+    links: Vec<Link>,
+    payloads: Vec<Payload<K>>,
+    /// First free record, or [`NIL`].
+    free: u32,
     /// Deepest any single slot has ever been (scheduler-health signal: a
     /// runaway slot means pathological same-window clustering).
     slot_depth_hwm: usize,
@@ -100,15 +151,16 @@ impl<K> Default for TimingWheel<K> {
 }
 
 impl<K> TimingWheel<K> {
-    /// Empty wheel positioned at tick 0. Allocates the (empty) slot table
-    /// only; slot buffers allocate lazily and retain their capacity, so a
-    /// steady workload reaches a fixed memory footprint.
+    /// Empty wheel positioned at tick 0: the slot table and an empty slab.
     pub fn new() -> Self {
         TimingWheel {
             horizon: 0,
             len: 0,
             occupied: [0; LEVELS],
-            slots: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
+            slots: vec![Slot::default(); LEVELS * SLOTS],
+            links: Vec::new(),
+            payloads: Vec::new(),
+            free: NIL,
             slot_depth_hwm: 0,
             len_hwm: 0,
             cascade_moves: 0,
@@ -118,6 +170,12 @@ impl<K> TimingWheel<K> {
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Slab records ever allocated (live + free-listed); always equal to
+    /// [`TimingWheel::len_hwm`].
+    pub fn capacity(&self) -> usize {
+        self.links.len()
     }
 
     /// High-water mark of any single slot's depth since construction.
@@ -180,6 +238,26 @@ impl<K> TimingWheel<K> {
         high_bits | ((idx as u64) << low)
     }
 
+    /// Append record `rec` to the list of the slot `time` belongs in at the
+    /// current horizon, and return that slot's level. The one place an
+    /// entry is filed, for a push and a cascade alike.
+    #[inline]
+    fn file(&mut self, time: u64, rec: u32) -> usize {
+        let level = self.level_of(time);
+        let idx = Self::slot_index(level, time);
+        let slot = &mut self.slots[level * SLOTS + idx];
+        if slot.depth == 0 {
+            slot.head = rec;
+        } else {
+            self.links[slot.tail as usize].next = rec;
+        }
+        slot.tail = rec;
+        slot.depth += 1;
+        self.slot_depth_hwm = self.slot_depth_hwm.max(slot.depth as usize);
+        self.occupied[level] |= 1 << idx;
+        level
+    }
+
     /// Insert an entry. `time` must be ≥ [`TimingWheel::horizon`]; an
     /// earlier time would land in a slot the wheel has already passed and
     /// never be popped, so this is enforced unconditionally (the check is
@@ -193,18 +271,28 @@ impl<K> TimingWheel<K> {
             "timing wheel push at t={time} behind horizon {}",
             self.horizon
         );
-        let level = self.level_of(time);
-        let idx = Self::slot_index(level, time);
-        let slot = &mut self.slots[level * SLOTS + idx];
-        slot.push_back(Entry { time, seq, kind });
-        if slot.len() > self.slot_depth_hwm {
-            self.slot_depth_hwm = slot.len();
-        }
-        self.occupied[level] |= 1 << idx;
+        let link = Link { time, next: NIL };
+        let payload = Payload {
+            seq,
+            kind: Some(kind),
+        };
+        let rec = if self.free != NIL {
+            let rec = self.free;
+            self.free = self.links[rec as usize].next;
+            self.links[rec as usize] = link;
+            self.payloads[rec as usize] = payload;
+            rec
+        } else {
+            let rec = self.links.len();
+            // `NIL` must stay free to mean "no record".
+            assert!(rec < NIL as usize, "timing wheel exceeds u32 indices");
+            self.links.push(link);
+            self.payloads.push(payload);
+            rec as u32
+        };
+        self.file(time, rec);
         self.len += 1;
-        if self.len > self.len_hwm {
-            self.len_hwm = self.len;
-        }
+        self.len_hwm = self.len_hwm.max(self.len);
     }
 
     /// Pop the earliest `(time, seq)` entry whose time is ≤ `limit`, or
@@ -236,37 +324,39 @@ impl<K> TimingWheel<K> {
             if base > self.horizon {
                 self.horizon = base;
             }
+            let slot = &mut self.slots[level * SLOTS + idx];
+            assert!(slot.depth > 0, "occupied bit on empty slot");
+            let mut rec = slot.head;
             if level == 0 {
                 // A level-0 slot is one exact tick; FIFO order is seq
                 // order (see module docs).
-                let slot = &mut self.slots[idx];
-                let e = slot.pop_front().expect("occupied bit on empty slot");
-                if slot.is_empty() {
+                let Link { time, next } = self.links[rec as usize];
+                slot.head = next;
+                slot.depth -= 1;
+                if slot.depth == 0 {
                     self.occupied[0] &= !(1 << idx);
                 }
+                self.links[rec as usize].next = self.free;
+                self.free = rec;
                 self.len -= 1;
-                return Some(e);
+                let payload = &mut self.payloads[rec as usize];
+                let kind = payload.kind.take().expect("live record has a payload");
+                let seq = payload.seq;
+                return Some(Entry { time, seq, kind });
             }
-            // Cascade: drain the coarse slot and refile its entries
-            // against the advanced horizon. Each entry's level strictly
-            // decreases, so an entry cascades at most LEVELS-1 times
-            // over its lifetime. The drained buffer is handed back to
-            // keep its capacity.
+            // Cascade: empty the coarse slot and refile its records, in
+            // list order, against the advanced horizon. Each entry's level
+            // strictly decreases, so an entry cascades at most LEVELS-1
+            // times over its lifetime.
+            let moved = std::mem::take(&mut slot.depth);
             self.occupied[level] &= !(1 << idx);
-            let mut moved = std::mem::take(&mut self.slots[level * SLOTS + idx]);
-            self.cascade_moves += moved.len() as u64;
-            for e in moved.drain(..) {
-                let l = self.level_of(e.time);
+            self.cascade_moves += u64::from(moved);
+            for _ in 0..moved {
+                let Link { time, next } = self.links[rec as usize];
+                let l = self.file(time, rec);
                 debug_assert!(l < level, "cascade must strictly descend");
-                let i = Self::slot_index(l, e.time);
-                let slot = &mut self.slots[l * SLOTS + i];
-                slot.push_back(e);
-                if slot.len() > self.slot_depth_hwm {
-                    self.slot_depth_hwm = slot.len();
-                }
-                self.occupied[l] |= 1 << i;
+                rec = next;
             }
-            self.slots[level * SLOTS + idx] = moved;
         }
     }
 }
@@ -423,5 +513,76 @@ mod tests {
         assert_eq!(w.len(), 9);
         drain_all(&mut w);
         assert_eq!(w.len(), 0);
+    }
+
+    /// Delays spanning levels 0–5 of a wheel standing at the event's time:
+    /// a level, then any delay that reaches no higher.
+    fn delay(rng: &mut crate::rng::ChaCha8Rng) -> u64 {
+        let level = rng.gen_range(0..6u32);
+        rng.gen_range(0..1u64 << (SLOT_BITS * (level + 1)))
+    }
+
+    /// The footprint is what was live at the worst moment, however many
+    /// slots the population has passed through on the way (a buffer per
+    /// slot keeps growing with the slots visited).
+    #[test]
+    fn footprint_is_the_population_high_water_mark() {
+        let mut rng = crate::rng::seeded(7);
+        let mut w = TimingWheel::new();
+        let mut seq = 0u64;
+        for _ in 0..1000 {
+            w.push(delay(&mut rng), seq, ());
+            seq += 1;
+        }
+        for _ in 0..1_000_000 {
+            let e = w.pop_next(u64::MAX).expect("population is constant");
+            w.push(e.time + delay(&mut rng), seq, ());
+            seq += 1;
+        }
+        assert!(w.cascade_moves() > 1_000_000, "the delays reach far levels");
+        assert_eq!((w.len(), w.len_hwm()), (1000, 1000));
+        assert_eq!(w.capacity(), 1000);
+    }
+
+    /// A payload that counts its own drops, by id.
+    struct Counted {
+        id: usize,
+        drops: std::rc::Rc<std::cell::RefCell<Vec<u32>>>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.borrow_mut()[self.id] += 1;
+        }
+    }
+
+    /// Every payload is dropped exactly once — by whoever popped it, or by
+    /// the wheel when it is dropped non-empty — and a popped entry carries
+    /// the payload pushed with its `(time, seq)`, across record reuse.
+    #[test]
+    fn payloads_are_owned_once_and_stay_with_their_key() {
+        let mut rng = crate::rng::seeded(11);
+        let drops = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut keys = Vec::new();
+        let mut w = TimingWheel::new();
+        for _round in 0..3 {
+            for _ in 0..400 {
+                let id = keys.len();
+                let key = (w.horizon() + delay(&mut rng), id as u64);
+                keys.push(key);
+                drops.borrow_mut().push(0);
+                let drops = drops.clone();
+                w.push(key.0, key.1, Counted { id, drops });
+            }
+            for _ in 0..300 {
+                let e = w.pop_next(u64::MAX).expect("more pushed than popped");
+                assert_eq!((e.time, e.seq), keys[e.kind.id]);
+            }
+        }
+        assert_eq!((w.len(), w.capacity()), (300, 600));
+        let dropped = |n: u32| drops.borrow().iter().filter(|&&d| d == n).count();
+        assert_eq!((dropped(0), dropped(1)), (300, 900), "popped ones only");
+        drop(w);
+        assert_eq!(dropped(1), 1200, "and the wheel's own, once each");
     }
 }
