@@ -8,22 +8,31 @@
 //! replaces the per-packet inner loop with a per-tick flat array fold:
 //!
 //! 1. **Path cache, epoch-subscribed.** Every aggregate caches its
-//!    forwarding path as a flat run of link-direction ids. Paths are
+//!    forwarding path as a flat run of link directions. Paths are
 //!    re-resolved only when [`crate::routing::Routing::epoch`] moves, and
 //!    then only for the destinations named by
 //!    [`crate::routing::Routing::dsts_invalidated_since`] — the same
 //!    delta-history subscription the [`crate::oracle::RouteOracle`] uses —
 //!    or for everything when the delta history has been outrun. Filter
-//!    changes bump a separate filter epoch with the same contract.
-//! 2. **Closed-form admission.** Per (link-direction, tick), the offered
-//!    rate is the sum over aggregates whose cached path crosses it, thinned
-//!    by upstream admission; the admitted fraction is
-//!    `min(1, available/offered)` — proportional share, iterated a fixed
-//!    small number of rounds so upstream thinning settles. Available
-//!    capacity is the direction's *residual* after the discrete packet
-//!    engine's virtual-queue state ([`crate::link::LinkDir::next_free`]),
-//!    which is also advanced by the admitted fluid bytes — the two engines
-//!    share one capacity model in both directions.
+//!    changes bump a separate filter epoch with the same contract. A
+//!    rebuild also collects the **direction set** — the distinct link
+//!    directions some cached path crosses — and every per-direction array
+//!    is sized by that set, not by the topology.
+//! 2. **Closed-form admission, run to its fixed point.** Per
+//!    (link-direction, tick), the offered rate is the sum over aggregates
+//!    whose cached path crosses it, thinned by upstream admission; the
+//!    admitted fraction is `min(1, available/offered)` — proportional
+//!    share. One walk over the cached paths computes offered and admitted
+//!    load, filter cuts and every aggregate's result under the current
+//!    fractions; the fractions are then recomputed, and the tick stops at
+//!    the first update that moves none of them (at most
+//!    [`SETTLE_ROUNDS`] updates, then one closing walk). The last walk's
+//!    numbers are the tick's accounting, so an uncongested tick costs one
+//!    walk. Available capacity is the direction's *residual* after the
+//!    discrete packet engine's virtual-queue state
+//!    ([`crate::link::LinkDir::next_free`]), which is also advanced by the
+//!    admitted fluid bytes — the two engines share one capacity model in
+//!    both directions.
 //! 3. **Exact conservation at the boundary.** All rate accounting runs in
 //!    f64 byte accumulators, but [`crate::stats::Stats`] only ever sees
 //!    whole packets derived by *flooring cumulative* counters
@@ -49,17 +58,20 @@ use crate::stats::{DropReason, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
-/// Admission-settling rounds per tick: round `k` recomputes each
-/// direction's offered rate using round `k-1`'s upstream admitted
-/// fractions. Two rounds plus the accounting pass settle chains of
-/// bottlenecks to well under the fluid/packet equivalence tolerance.
+/// Bound on admitted-fraction updates per tick: update `k` recomputes each
+/// direction's fraction from the load walk `k` offered it, which was
+/// thinned by update `k-1`'s upstream fractions. A tick stops at the first
+/// update that moves no fraction — the walk before it already ran on the
+/// settled ones — or after `SETTLE_ROUNDS` updates and one closing walk.
+/// Two updates settle chains of bottlenecks to well under the fluid/packet
+/// equivalence tolerance.
 const SETTLE_ROUNDS: usize = 2;
 
 /// A rate-based filter applied to fluid aggregates at a node.
 ///
 /// The fluid mirror of a packet-path module verdict: instead of judging
 /// one packet, it returns the fraction of an aggregate's rate that may
-/// continue (`1.0` = pass untouched, `0.0` = drop the aggregate here).
+/// continue (`1.0` = pass it whole, `0.0` = drop the aggregate here).
 /// Filtered-off rate is charged to the aggregate's class as
 /// [`DropReason::DeviceFilter`] drops at this node's hop distance.
 pub trait FluidFilter: Send {
@@ -113,7 +125,7 @@ pub struct FluidLayer {
     // --- cached paths (flat arena, rebuilt on invalidation) -----------
     path_off: Vec<u32>,
     path_len: Vec<u32>,
-    /// Link-direction ids (`link.0 * 2 + dir_index`), path order.
+    /// Indices into `dirs`, path order.
     path_dirs: Vec<u32>,
     /// Forwarding node entering each dir (same indexing as `path_dirs`).
     path_nodes: Vec<u32>,
@@ -145,14 +157,26 @@ pub struct FluidLayer {
     filters: Vec<Box<dyn FluidFilter>>,
     filters_at: HashMap<usize, Vec<usize>>,
 
-    // --- per-(link, dir) scratch, dense but sparsely reset -------------
+    // --- the direction set and its per-direction columns ---------------
+    /// Link-direction ids (`link.0 * 2 + dir_index`), ascending and
+    /// distinct: every direction a cached path crosses, plus any a rebuild
+    /// dropped from every path while it still held a `dir_carry`. Rebuilt
+    /// with the paths; the five columns below are indexed like it.
+    dirs: Vec<u32>,
     offered: Vec<f64>,
+    admitted: Vec<f64>,
     frac: Vec<f64>,
     avail: Vec<f64>,
-    seen: Vec<bool>,
-    touched: Vec<u32>,
     /// Fractional fluid bytes not yet folded into `LinkDir::bytes_sent`.
     dir_carry: Vec<f64>,
+
+    // --- per-aggregate results of the latest walk (scratch) -------------
+    w_deliv: Vec<f64>,
+    w_fdrop: Vec<f64>,
+    w_fdrop_hops: Vec<f64>,
+    w_cdrop_hops: Vec<f64>,
+    /// Path walks made so far, all ticks (see [`FluidLayer::walks`]).
+    walks: u64,
 }
 
 impl FluidLayer {
@@ -197,18 +221,29 @@ impl FluidLayer {
             filters_dirty: false,
             filters: Vec::new(),
             filters_at: HashMap::new(),
+            dirs: Vec::new(),
             offered: Vec::new(),
+            admitted: Vec::new(),
             frac: Vec::new(),
             avail: Vec::new(),
-            seen: Vec::new(),
-            touched: Vec::new(),
             dir_carry: Vec::new(),
+            w_deliv: Vec::new(),
+            w_fdrop: Vec::new(),
+            w_fdrop_hops: Vec::new(),
+            w_cdrop_hops: Vec::new(),
+            walks: 0,
         }
     }
 
     /// The tick interval.
     pub fn tick_len(&self) -> SimDuration {
         self.tick
+    }
+
+    /// Walks over the cached paths made so far: one per tick that found
+    /// no direction over capacity, at most `SETTLE_ROUNDS + 1` otherwise.
+    pub fn walks(&self) -> u64 {
+        self.walks
     }
 
     /// Install an aggregate for `d`; its path resolves on the next tick.
@@ -240,6 +275,10 @@ impl FluidLayer {
         self.rep_cdrop.push(0);
         self.rep_fdrop_hops.push(0);
         self.rep_cdrop_hops.push(0);
+        self.w_deliv.push(0.0);
+        self.w_fdrop.push(0.0);
+        self.w_fdrop_hops.push(0.0);
+        self.w_cdrop_hops.push(0.0);
     }
 
     /// Attach a fluid filter at `node`; takes effect from the next tick
@@ -269,23 +308,29 @@ impl FluidLayer {
     }
 
     /// Walk the forwarding tables for every unresolved aggregate and
-    /// rebuild the flat path + filter-stop arenas. Returns how many paths
-    /// were re-derived (the [`Stats::fluid_recomputes`] increment).
+    /// rebuild the flat path + filter-stop arenas, then the direction set
+    /// the new paths cross. Returns how many paths were re-derived (the
+    /// [`Stats::fluid_recomputes`] increment).
     fn resolve_paths(&mut self, topo: &Topology, routing: &Routing) -> u64 {
         let n_aggs = self.src.len();
         let mut recomputed = 0u64;
-        let mut dirs = Vec::with_capacity(self.path_dirs.len());
+        let mut hops = Vec::with_capacity(self.path_dirs.len());
         let mut nodes = Vec::with_capacity(self.path_nodes.len());
         let mut fpos = Vec::with_capacity(self.fstep_pos.len());
         let mut fpass = Vec::with_capacity(self.fstep_pass.len());
         let hop_limit = topo.n();
         for i in 0..n_aggs {
-            let off = dirs.len() as u32;
+            let off = hops.len() as u32;
             let foff = fpos.len() as u32;
             if self.resolved[i] {
-                // Copy the still-valid slice from the old arena.
+                // Copy the still-valid slice from the old arena, back in
+                // global ids: the set it indexed is about to be replaced.
                 let (o, l) = (self.path_off[i] as usize, self.path_len[i] as usize);
-                dirs.extend_from_slice(&self.path_dirs[o..o + l]);
+                hops.extend(
+                    self.path_dirs[o..o + l]
+                        .iter()
+                        .map(|&j| self.dirs[j as usize]),
+                );
                 nodes.extend_from_slice(&self.path_nodes[o..o + l]);
                 let (fo, fl) = (self.fstep_off[i] as usize, self.fstep_len[i] as usize);
                 fpos.extend_from_slice(&self.fstep_pos[fo..fo + fl]);
@@ -297,7 +342,7 @@ impl FluidLayer {
                 let mut cur = self.src[i].node();
                 let mut routed = true;
                 while cur != dst_node {
-                    if dirs.len() as u32 - off >= hop_limit as u32 {
+                    if hops.len() as u32 - off >= hop_limit as u32 {
                         routed = false; // forwarding loop guard
                         break;
                     }
@@ -306,19 +351,19 @@ impl FluidLayer {
                         break;
                     };
                     let l = &topo.links[link.0];
-                    dirs.push((link.0 * 2 + l.dir_index(cur)) as u32);
+                    hops.push((link.0 * 2 + l.dir_index(cur)) as u32);
                     nodes.push(cur.0 as u32);
                     cur = l.other(cur);
                 }
                 if !routed {
-                    dirs.truncate(off as usize);
+                    hops.truncate(off as usize);
                     nodes.truncate(off as usize);
                 }
                 self.has_route[i] = routed;
                 // Filter stops along the (new) path: hop k is the node
                 // entering link k; the destination node is hop path_len.
                 if routed && !self.filters_at.is_empty() {
-                    let plen = dirs.len() - off as usize;
+                    let plen = hops.len() - off as usize;
                     for k in 0..=plen {
                         let node = if k < plen {
                             nodes[off as usize + k] as usize
@@ -346,11 +391,33 @@ impl FluidLayer {
                 }
             }
             self.path_off[i] = off;
-            self.path_len[i] = dirs.len() as u32 - off;
+            self.path_len[i] = hops.len() as u32 - off;
             self.fstep_off[i] = foff;
             self.fstep_len[i] = fpos.len() as u32 - foff;
         }
-        self.path_dirs = dirs;
+        // The direction set: what the new paths cross, plus what the old
+        // set still owes a fractional byte — a direction that leaves every
+        // path keeps its carry for the day a route brings it back.
+        let owed = || std::iter::zip(&self.dirs, &self.dir_carry).filter(|&(_, &c)| c != 0.0);
+        let mut set = hops.clone();
+        set.extend(owed().map(|(&d, _)| d));
+        set.sort_unstable();
+        set.dedup();
+        let local = |d: u32| set.binary_search(&d).expect("collected above");
+        let mut carry = vec![0.0; set.len()];
+        for (&d, &c) in owed() {
+            carry[local(d)] = c;
+        }
+        for d in &mut hops {
+            *d = local(*d) as u32;
+        }
+        self.offered = vec![0.0; set.len()];
+        self.admitted = vec![0.0; set.len()];
+        self.frac = vec![0.0; set.len()];
+        self.avail = vec![0.0; set.len()];
+        self.dir_carry = carry;
+        self.dirs = set;
+        self.path_dirs = hops;
         self.path_nodes = nodes;
         self.fstep_pos = fpos;
         self.fstep_pass = fpass;
@@ -380,11 +447,11 @@ impl FluidLayer {
         if routing.epoch() != self.route_epoch {
             stats.fluid_epoch_invalidations += 1;
             match routing.dsts_invalidated_since(self.route_epoch) {
-                Some(dsts) => {
-                    let dirty: std::collections::HashSet<usize> =
-                        dsts.iter().map(|d| d.0).collect();
+                Some(mut dirty) => {
+                    dirty.sort_unstable();
+                    dirty.dedup();
                     for i in 0..self.src.len() {
-                        if dirty.contains(&self.dst[i].node().0) {
+                        if dirty.binary_search(&self.dst[i].node()).is_ok() {
                             self.resolved[i] = false;
                         }
                     }
@@ -407,92 +474,78 @@ impl FluidLayer {
             stats.fluid_recomputes += self.resolve_paths(topo, routing);
         }
 
-        // --- 2. Scratch prep: touched dirs + residual capacity ---------
-        let n_dirs = topo.links.len() * 2;
-        if self.offered.len() < n_dirs {
-            self.offered.resize(n_dirs, 0.0);
-            self.frac.resize(n_dirs, 0.0);
-            self.avail.resize(n_dirs, 0.0);
-            self.seen.resize(n_dirs, false);
-            self.dir_carry.resize(n_dirs, 0.0);
-        }
-        let n_aggs = self.src.len();
-        self.touched.clear();
-        for i in 0..n_aggs {
-            if !self.has_route[i] || self.window_secs(i, last, now) <= 0.0 {
-                continue;
-            }
-            let (o, l) = (self.path_off[i] as usize, self.path_len[i] as usize);
-            for &d in &self.path_dirs[o..o + l] {
-                if !self.seen[d as usize] {
-                    self.seen[d as usize] = true;
-                    self.touched.push(d);
-                }
-            }
-        }
-        for &d in &self.touched {
-            let d = d as usize;
-            let link = &topo.links[d / 2];
-            let ld = &link.dirs[d % 2];
+        // --- 2. Residual capacity of every direction in the set --------
+        for (j, &d) in self.dirs.iter().enumerate() {
+            let link = &topo.links[d as usize / 2];
+            let ld = &link.dirs[d as usize % 2];
             let idle_from = ld.next_free.max(last);
-            self.avail[d] = if link.up && now > idle_from {
+            self.avail[j] = if link.up && now > idle_from {
                 (now - idle_from).as_secs_f64() * link.bandwidth_bps / 8.0
             } else {
                 0.0
             };
-            self.frac[d] = 1.0;
+            self.frac[j] = 1.0;
         }
 
-        // --- 3. Proportional-share admission (settle, then account) ----
-        for _ in 0..SETTLE_ROUNDS {
-            for &d in &self.touched {
-                self.offered[d as usize] = 0.0;
-            }
-            for i in 0..n_aggs {
-                let dur = self.window_secs(i, last, now);
-                if !self.has_route[i] || dur <= 0.0 {
-                    continue;
-                }
-                let mut p = self.rate_bps[i] / 8.0 * dur;
-                let (o, l) = (self.path_off[i] as usize, self.path_len[i] as usize);
-                let (fo, fl) = (self.fstep_off[i] as usize, self.fstep_len[i] as usize);
-                let mut fs = fo;
-                for (k, &d) in self.path_dirs[o..o + l].iter().enumerate() {
-                    while fs < fo + fl && self.fstep_pos[fs] as usize == k {
-                        p *= self.fstep_pass[fs];
-                        fs += 1;
-                    }
-                    self.offered[d as usize] += p;
-                    p *= self.frac[d as usize];
-                }
-            }
-            for &d in &self.touched {
-                let d = d as usize;
-                self.frac[d] = if self.offered[d] > self.avail[d] && self.offered[d] > 0.0 {
-                    self.avail[d] / self.offered[d]
-                } else {
-                    1.0
-                };
+        // --- 3. Proportional-share admission, run to its fixed point ---
+        for update in 0..=SETTLE_ROUNDS {
+            self.walk(last, now);
+            if update == SETTLE_ROUNDS || !self.update_fracs() {
+                break;
             }
         }
-
-        // Accounting pass: final walk with settled fractions. `offered`
-        // is reused to accumulate per-dir *admitted* bytes for the
-        // discrete-engine coupling below.
-        for &d in &self.touched {
-            self.offered[d as usize] = 0.0;
-        }
-        for i in 0..n_aggs {
+        // The last walk ran on the settled fractions: its per-aggregate
+        // results are the tick's accounting, committed in aggregate order.
+        for i in 0..self.src.len() {
             let dur = self.window_secs(i, last, now);
             if dur <= 0.0 {
                 continue;
             }
-            let base = self.rate_bps[i] / 8.0 * dur;
-            if !self.has_route[i] {
-                self.cum_sent[i] += base;
-                self.report(i, stats);
+            self.cum_sent[i] += self.rate_bps[i] / 8.0 * dur;
+            if self.has_route[i] {
+                self.cum_deliv[i] += self.w_deliv[i];
+                self.cum_fdrop[i] += self.w_fdrop[i];
+                self.cum_fdrop_hops[i] += self.w_fdrop_hops[i];
+                self.cum_cdrop_hops[i] += self.w_cdrop_hops[i];
+            }
+            self.report(i, stats);
+        }
+
+        // --- 4. Couple admitted fluid load back into the links ---------
+        for (j, &d) in self.dirs.iter().enumerate() {
+            let admitted = self.admitted[j].min(self.avail[j]);
+            if admitted <= 0.0 {
                 continue;
             }
+            let link = &mut topo.links[d as usize / 2];
+            let bw = link.bandwidth_bps;
+            let ld = &mut link.dirs[d as usize % 2];
+            // Admitted ≤ residual idle time, so this lands at or before
+            // `now`: fluid never leaves a standing backlog behind.
+            let tx = SimDuration::from_nanos((admitted * 8.0 / bw * 1e9) as u64);
+            ld.next_free = ld.next_free.max(last) + tx;
+            let total = self.dir_carry[j] + admitted;
+            let whole = total.floor();
+            self.dir_carry[j] = total - whole;
+            ld.bytes_sent += whole as u64;
+        }
+        self.any_active(now)
+    }
+
+    /// One walk over the cached path of every routed aggregate live in
+    /// `(last, now]`, under the current fractions: sums each direction's
+    /// offered and admitted bytes and leaves each aggregate's delivered
+    /// bytes, filter cuts and hop-weighted drops in the `w_*` columns.
+    fn walk(&mut self, last: SimTime, now: SimTime) {
+        self.walks += 1;
+        self.offered.fill(0.0);
+        self.admitted.fill(0.0);
+        for i in 0..self.src.len() {
+            let dur = self.window_secs(i, last, now);
+            if !self.has_route[i] || dur <= 0.0 {
+                continue;
+            }
+            let base = self.rate_bps[i] / 8.0 * dur;
             let mut p = base;
             let mut fdrop = 0.0;
             let mut fdrop_hops = 0.0;
@@ -509,9 +562,10 @@ impl FluidLayer {
                     fs += 1;
                 }
                 let d = d as usize;
-                self.offered[d] += p * self.frac[d];
+                self.offered[d] += p;
                 cdrop_hops += p * (1.0 - self.frac[d]) * k as f64;
                 p *= self.frac[d];
+                self.admitted[d] += p;
             }
             // Destination-node filter stops (pos == path_len).
             while fs < fo + fl {
@@ -522,36 +576,27 @@ impl FluidLayer {
                 fs += 1;
             }
             let deliv = p.min(base);
-            let fdrop = fdrop.min(base - deliv);
-            self.cum_sent[i] += base;
-            self.cum_deliv[i] += deliv;
-            self.cum_fdrop[i] += fdrop;
-            self.cum_fdrop_hops[i] += fdrop_hops;
-            self.cum_cdrop_hops[i] += cdrop_hops;
-            self.report(i, stats);
+            self.w_deliv[i] = deliv;
+            self.w_fdrop[i] = fdrop.min(base - deliv);
+            self.w_fdrop_hops[i] = fdrop_hops;
+            self.w_cdrop_hops[i] = cdrop_hops;
         }
+    }
 
-        // --- 4. Couple admitted fluid load back into the links ---------
-        for &d in &self.touched {
-            let di = d as usize;
-            self.seen[di] = false; // sparse reset for the next tick
-            let admitted = self.offered[di].min(self.avail[di]);
-            if admitted <= 0.0 {
-                continue;
-            }
-            let link = &mut topo.links[di / 2];
-            let bw = link.bandwidth_bps;
-            let ld = &mut link.dirs[di % 2];
-            // Admitted ≤ residual idle time, so this lands at or before
-            // `now`: fluid never leaves a standing backlog behind.
-            let tx = SimDuration::from_nanos((admitted * 8.0 / bw * 1e9) as u64);
-            ld.next_free = ld.next_free.max(last) + tx;
-            let total = self.dir_carry[di] + admitted;
-            let whole = total.floor();
-            self.dir_carry[di] = total - whole;
-            ld.bytes_sent += whole as u64;
+    /// Recompute every direction's admitted fraction from the load the
+    /// latest walk offered it; says whether any fraction moved.
+    fn update_fracs(&mut self) -> bool {
+        let mut moved = false;
+        for j in 0..self.dirs.len() {
+            let f = if self.offered[j] > self.avail[j] && self.offered[j] > 0.0 {
+                self.avail[j] / self.offered[j]
+            } else {
+                1.0
+            };
+            moved |= f != self.frac[j];
+            self.frac[j] = f;
         }
-        self.any_active(now)
+        moved
     }
 
     /// Fold aggregate `i`'s cumulative byte accounting into `stats` as
@@ -625,6 +670,7 @@ mod tests {
     use crate::node::NodeId;
     use crate::sim::Simulator;
     use crate::stats::DropReason;
+    use std::collections::BTreeSet;
 
     const TICK: SimDuration = SimDuration::from_millis(50);
 
@@ -638,6 +684,11 @@ mod tests {
             pkt_size: 500,
             until: SimTime::from_secs(until_s),
         }
+    }
+
+    /// The global link-direction ids some cached path of `l` crosses.
+    fn crossed(l: &FluidLayer) -> BTreeSet<u32> {
+        l.path_dirs.iter().map(|&j| l.dirs[j as usize]).collect()
     }
 
     fn line_sim(fluid: bool) -> Simulator {
@@ -671,6 +722,9 @@ mod tests {
         );
         assert_eq!(c.delivered_hops, c.delivered_pkts * 3);
         sim.stats.check_conservation().unwrap();
+        // No direction was ever over capacity: every tick settled in the
+        // walk that accounted it.
+        assert_eq!(sim.fluid().unwrap().walks(), sim.stats.fluid_ticks);
         // The tick must not keep the run alive forever.
         sim.run_to_idle();
         assert_eq!(sim.pending_events(), 0);
@@ -708,6 +762,38 @@ mod tests {
         let agg = sim.stats.drops_for_reason(DropReason::QueueOverflow);
         assert!(agg.pkts > 0);
         sim.stats.check_conservation().unwrap();
+        // Congested ticks take more than one walk, none more than the
+        // bound: `SETTLE_ROUNDS` updates and the closing walk.
+        let (walks, ticks) = (sim.fluid().unwrap().walks(), sim.stats.fluid_ticks);
+        assert!(
+            ticks < walks && walks <= 3 * ticks,
+            "{walks} walks, {ticks} ticks"
+        );
+    }
+
+    #[test]
+    fn direction_set_is_what_cached_paths_cross() {
+        // 400 links, 800 directions; two two-hop paths share their last.
+        let mut sim = Simulator::new(Topology::star(400), 9);
+        sim.enable_fluid(TICK);
+        sim.add_background_demand(demand(1, 2, 4e6, 1));
+        sim.add_background_demand(demand(3, 2, 4e6, 1));
+        sim.run_until(SimTime::from_secs(2));
+        let layer = sim.fluid().unwrap();
+        let longest = *layer.path_len.iter().max().unwrap() as usize;
+        assert!(sim.topo.links.len() >= 100 * longest);
+        let on_paths = crossed(layer);
+        assert_eq!(on_paths.len(), 3, "1->hub, 3->hub, hub->2");
+        assert!(layer.dirs.iter().copied().eq(on_paths.iter().copied()));
+        for column in [
+            &layer.offered,
+            &layer.admitted,
+            &layer.frac,
+            &layer.avail,
+            &layer.dir_carry,
+        ] {
+            assert_eq!(column.len(), layer.dirs.len());
+        }
     }
 
     #[test]
@@ -732,11 +818,11 @@ mod tests {
         sim.stats.check_conservation().unwrap();
     }
 
-    /// Pass half of everything at one node.
-    struct Halver;
-    impl FluidFilter for Halver {
+    /// Pass a fixed fraction of everything at one node.
+    struct Thin(f64);
+    impl FluidFilter for Thin {
         fn pass(&self, _s: Addr, _d: Addr, _p: Proto, _z: u32, _c: TrafficClass) -> f64 {
-            0.5
+            self.0
         }
     }
 
@@ -744,7 +830,7 @@ mod tests {
     fn fluid_filter_thins_aggregate_and_charges_device_drops() {
         let mut sim = line_sim(true);
         sim.enable_fluid(TICK);
-        sim.add_fluid_filter(NodeId(1), Box::new(Halver));
+        sim.add_fluid_filter(NodeId(1), Box::new(Thin(0.5)));
         sim.add_background_demand(demand(0, 3, 4e6, 2));
         sim.run_until(SimTime::from_secs(3));
         let c = sim.stats.class(TrafficClass::Background);
@@ -847,5 +933,483 @@ mod tests {
         // seen by the ordinary link counters.
         let u = sim.topo.links[0].utilisation(NodeId(0), SimTime::from_secs(2));
         assert!((u - 0.8).abs() < 0.05, "u={u}");
+    }
+
+    /// The tick as it stood before the fixed-point walk, kept as the
+    /// reference the real layer is held against: scratch arrays indexed by
+    /// global direction id and sized by the topology, the directions in
+    /// use re-collected every tick, always `SETTLE_ROUNDS` settle walks
+    /// and then an accounting walk, `dir_carry` kept per global direction
+    /// forever, and a hashed set per route flip.
+    struct RefLayer {
+        last_tick_at: SimTime,
+        route_epoch: u64,
+        filters_dirty: bool,
+        filters: Vec<(NodeId, Box<dyn FluidFilter>)>,
+        aggs: Vec<RefAgg>,
+        offered: Vec<f64>,
+        frac: Vec<f64>,
+        avail: Vec<f64>,
+        seen: Vec<bool>,
+        touched: Vec<usize>,
+        dir_carry: Vec<f64>,
+    }
+
+    struct RefAgg {
+        d: FluidDemand,
+        added_at: SimTime,
+        has_route: bool,
+        resolved: bool,
+        /// Global link-direction ids, path order.
+        path: Vec<usize>,
+        /// `(hop position, pass fraction)` of every filter that cuts.
+        stops: Vec<(usize, f64)>,
+        /// Bytes: sent, delivered, filtered, filtered x hops, congested x hops.
+        cum: [f64; 5],
+        /// Packets reported: sent, delivered, filtered, congested, and the
+        /// two hop sums.
+        rep: [u64; 6],
+    }
+
+    impl RefAgg {
+        fn window_secs(&self, last: SimTime, now: SimTime) -> f64 {
+            let (st, en) = (self.added_at.max(last), self.d.until.min(now));
+            if en > st {
+                (en - st).as_secs_f64()
+            } else {
+                0.0
+            }
+        }
+
+        fn resolve(
+            &mut self,
+            topo: &Topology,
+            routing: &Routing,
+            filters: &[(NodeId, Box<dyn FluidFilter>)],
+        ) {
+            self.resolved = true;
+            self.path.clear();
+            self.stops.clear();
+            let dst = self.d.dst.node();
+            let mut nodes = vec![self.d.src.node()];
+            while let Some(&cur) = nodes.last().filter(|&&cur| cur != dst) {
+                let next = routing
+                    .next_hop(cur, dst)
+                    .filter(|_| self.path.len() < topo.n());
+                let Some(link) = next else {
+                    self.path.clear();
+                    break;
+                };
+                let l = &topo.links[link.0];
+                self.path.push(link.0 * 2 + l.dir_index(cur));
+                nodes.push(l.other(cur));
+            }
+            self.has_route = nodes.last() == Some(&dst);
+            if !self.has_route {
+                return;
+            }
+            let d = &self.d;
+            for (k, node) in nodes.iter().enumerate() {
+                for (_, f) in filters.iter().filter(|(at, _)| at == node) {
+                    let p = f.pass(d.src, d.dst, d.proto, d.pkt_size, d.class);
+                    let p = p.clamp(0.0, 1.0);
+                    if p < 1.0 {
+                        self.stops.push((k, p));
+                    }
+                }
+            }
+        }
+
+        fn report(&mut self, stats: &mut Stats) {
+            let [sent, deliv, fdrop, fdrop_hops, cdrop_hops] = self.cum;
+            let cdrop = (sent - deliv - fdrop).max(0.0);
+            let size = self.d.pkt_size as f64;
+            let now =
+                [sent, deliv, fdrop, cdrop, fdrop_hops, cdrop_hops].map(|b| (b / size) as u64);
+            let [d_sent, d_deliv, d_f, d_c, d_fh, d_ch] =
+                std::array::from_fn(|x| now[x] - self.rep[x]);
+            self.rep = now;
+            if d_sent + d_deliv + d_f + d_c == 0 {
+                return;
+            }
+            let (bytes, hops) = (self.d.pkt_size as u64, self.path.len() as u64);
+            let c = &mut stats.per_class[self.d.class.index()];
+            c.sent_pkts += d_sent;
+            c.sent_bytes += d_sent * bytes;
+            c.delivered_pkts += d_deliv;
+            c.delivered_bytes += d_deliv * bytes;
+            c.delivered_hops += d_deliv * hops;
+            c.delivered_byte_hops += d_deliv * bytes * hops;
+            c.dropped_pkts += d_f + d_c;
+            c.dropped_bytes += (d_f + d_c) * bytes;
+            c.dropped_byte_hops += (d_fh + d_ch) * bytes;
+            let congested = if self.has_route {
+                DropReason::QueueOverflow
+            } else {
+                DropReason::NoRoute
+            };
+            for (reason, pkts, hops_sum) in [
+                (DropReason::DeviceFilter, d_f, d_fh),
+                (congested, d_c, d_ch),
+            ] {
+                if pkts > 0 {
+                    let agg = stats.drops.entry((self.d.class, reason)).or_default();
+                    agg.pkts += pkts;
+                    agg.bytes += pkts * bytes;
+                    agg.hops_sum += hops_sum;
+                }
+            }
+        }
+    }
+
+    impl RefLayer {
+        fn new(now: SimTime, epoch: u64) -> RefLayer {
+            RefLayer {
+                last_tick_at: now,
+                route_epoch: epoch,
+                filters_dirty: false,
+                filters: Vec::new(),
+                aggs: Vec::new(),
+                offered: Vec::new(),
+                frac: Vec::new(),
+                avail: Vec::new(),
+                seen: Vec::new(),
+                touched: Vec::new(),
+                dir_carry: Vec::new(),
+            }
+        }
+
+        fn add(&mut self, d: &FluidDemand, now: SimTime) {
+            self.aggs.push(RefAgg {
+                d: *d,
+                added_at: now,
+                has_route: false,
+                resolved: false,
+                path: Vec::new(),
+                stops: Vec::new(),
+                cum: [0.0; 5],
+                rep: [0; 6],
+            });
+        }
+
+        fn add_filter(&mut self, node: NodeId, f: Box<dyn FluidFilter>) {
+            self.filters.push((node, f));
+            self.filters_dirty = true;
+        }
+
+        fn run_tick(
+            &mut self,
+            now: SimTime,
+            topo: &mut Topology,
+            routing: &Routing,
+            stats: &mut Stats,
+        ) {
+            let last = self.last_tick_at;
+            self.last_tick_at = now;
+            if now <= last {
+                return;
+            }
+            stats.fluid_ticks += 1;
+
+            // 1. Epoch subscriptions.
+            let mut invalidate_paths = false;
+            if routing.epoch() != self.route_epoch {
+                stats.fluid_epoch_invalidations += 1;
+                match routing.dsts_invalidated_since(self.route_epoch) {
+                    Some(dsts) => {
+                        let dirty: std::collections::HashSet<NodeId> = dsts.into_iter().collect();
+                        for a in &mut self.aggs {
+                            a.resolved &= !dirty.contains(&a.d.dst.node());
+                        }
+                    }
+                    None => invalidate_paths = true,
+                }
+                self.route_epoch = routing.epoch();
+            }
+            if self.filters_dirty {
+                stats.fluid_epoch_invalidations += 1;
+                self.filters_dirty = false;
+                invalidate_paths = true;
+            }
+            for a in &mut self.aggs {
+                a.resolved &= !invalidate_paths;
+                if !a.resolved {
+                    stats.fluid_recomputes += 1;
+                    a.resolve(topo, routing, &self.filters);
+                }
+            }
+
+            // 2. Scratch prep: touched dirs + residual capacity.
+            let n_dirs = topo.links.len() * 2;
+            if self.offered.len() < n_dirs {
+                self.offered.resize(n_dirs, 0.0);
+                self.frac.resize(n_dirs, 0.0);
+                self.avail.resize(n_dirs, 0.0);
+                self.seen.resize(n_dirs, false);
+                self.dir_carry.resize(n_dirs, 0.0);
+            }
+            self.touched.clear();
+            for a in &self.aggs {
+                if !a.has_route || a.window_secs(last, now) <= 0.0 {
+                    continue;
+                }
+                for &d in &a.path {
+                    if !self.seen[d] {
+                        self.seen[d] = true;
+                        self.touched.push(d);
+                    }
+                }
+            }
+            for &d in &self.touched {
+                let link = &topo.links[d / 2];
+                let idle_from = link.dirs[d % 2].next_free.max(last);
+                self.avail[d] = if link.up && now > idle_from {
+                    (now - idle_from).as_secs_f64() * link.bandwidth_bps / 8.0
+                } else {
+                    0.0
+                };
+                self.frac[d] = 1.0;
+            }
+
+            // 3. Proportional-share admission: settle, then account.
+            for _ in 0..SETTLE_ROUNDS {
+                for &d in &self.touched {
+                    self.offered[d] = 0.0;
+                }
+                for a in &self.aggs {
+                    let dur = a.window_secs(last, now);
+                    if !a.has_route || dur <= 0.0 {
+                        continue;
+                    }
+                    let mut p = a.d.rate_bps / 8.0 * dur;
+                    let mut stops = a.stops.iter().peekable();
+                    for (k, &d) in a.path.iter().enumerate() {
+                        while let Some(&(_, pass)) = stops.next_if(|s| s.0 == k) {
+                            p *= pass;
+                        }
+                        self.offered[d] += p;
+                        p *= self.frac[d];
+                    }
+                }
+                for &d in &self.touched {
+                    self.frac[d] = if self.offered[d] > self.avail[d] && self.offered[d] > 0.0 {
+                        self.avail[d] / self.offered[d]
+                    } else {
+                        1.0
+                    };
+                }
+            }
+            // `offered` now accumulates per-dir *admitted* bytes.
+            for &d in &self.touched {
+                self.offered[d] = 0.0;
+            }
+            for a in &mut self.aggs {
+                let dur = a.window_secs(last, now);
+                if dur <= 0.0 {
+                    continue;
+                }
+                let base = a.d.rate_bps / 8.0 * dur;
+                a.cum[0] += base;
+                if !a.has_route {
+                    a.report(stats);
+                    continue;
+                }
+                let (mut p, mut fdrop, mut fdrop_hops, mut cdrop_hops) = (base, 0.0, 0.0, 0.0);
+                let mut stops = a.stops.iter().peekable();
+                for (k, &d) in a.path.iter().enumerate() {
+                    while let Some(&(_, pass)) = stops.next_if(|s| s.0 == k) {
+                        let cut = p * (1.0 - pass);
+                        fdrop += cut;
+                        fdrop_hops += cut * k as f64;
+                        p *= pass;
+                    }
+                    self.offered[d] += p * self.frac[d];
+                    cdrop_hops += p * (1.0 - self.frac[d]) * k as f64;
+                    p *= self.frac[d];
+                }
+                for &(_, pass) in stops {
+                    let cut = p * (1.0 - pass);
+                    fdrop += cut;
+                    fdrop_hops += cut * a.path.len() as f64;
+                    p *= pass;
+                }
+                let deliv = p.min(base);
+                a.cum[1] += deliv;
+                a.cum[2] += fdrop.min(base - deliv);
+                a.cum[3] += fdrop_hops;
+                a.cum[4] += cdrop_hops;
+                a.report(stats);
+            }
+
+            // 4. Couple admitted fluid load back into the links.
+            for &d in &self.touched {
+                self.seen[d] = false;
+                let admitted = self.offered[d].min(self.avail[d]);
+                if admitted <= 0.0 {
+                    continue;
+                }
+                let link = &mut topo.links[d / 2];
+                let bw = link.bandwidth_bps;
+                let ld = &mut link.dirs[d % 2];
+                let tx = SimDuration::from_nanos((admitted * 8.0 / bw * 1e9) as u64);
+                ld.next_free = ld.next_free.max(last) + tx;
+                let total = self.dir_carry[d] + admitted;
+                let whole = total.floor();
+                self.dir_carry[d] = total - whole;
+                ld.bytes_sent += whole as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn tick_matches_reference_tick_bit_for_bit() {
+        use crate::link::LinkProfile;
+        use crate::node::NodeRole;
+
+        const TICKS: u64 = 40;
+        let at = |k: u64| SimTime::from_nanos(k * TICK.0);
+        // What the cases covered between them: ticks settled by their
+        // first walk, ticks that took more, and flaps that took a
+        // direction off every cached path and later put it back.
+        let (mut calm, mut congested, mut rejoined) = (0u64, 0u64, 0u64);
+
+        crate::rng::check_cases(0..24, |rng| {
+            // A ring with chords (one link down never partitions it) and
+            // one node nothing reaches.
+            let n = rng.gen_range(6..=9usize);
+            let prof = LinkProfile {
+                bandwidth_bps: 10e6,
+                latency: SimDuration::from_millis(1),
+                queue_limit_bytes: 50_000,
+            };
+            let mut topo = Topology::new();
+            for _ in 0..=n {
+                topo.add_node(NodeRole::Stub);
+            }
+            let lonely = NodeId(n);
+            for i in 0..n {
+                topo.connect(NodeId(i), NodeId((i + 1) % n), prof).unwrap();
+            }
+            for _ in 0..rng.gen_range(0..=3u32) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                topo.connect(NodeId(a), NodeId(b), prof);
+            }
+            let mut sim = Simulator::new(topo, rng.next_u64());
+            sim.enable_fluid(TICK);
+
+            // Discrete cross-traffic out of a packetized node: it moves
+            // `next_free` between ticks, under the fluid load's feet.
+            let (px, py) = (rng.gen_range(0..n), rng.gen_range(1..n));
+            let py = (px + py) % n;
+            sim.fluid_packetize(NodeId(px));
+            sim.install_app(Addr::new(NodeId(py), 1), Box::new(crate::app::SinkApp));
+            sim.add_background_demand(demand(px, py, rng.gen_range(1e6..4e6), 2));
+            assert_eq!(sim.stats.fluid_boundary_conversions, 1);
+
+            // Aggregates whose summed rates straddle the 10 Mbit/s links
+            // and whose lifetimes end at scattered instants, so load —
+            // and with it congestion — comes and goes.
+            let random_demand = |rng: &mut crate::rng::ChaCha8Rng| {
+                let src = rng.gen_range(0..n);
+                let dst = (src + rng.gen_range(1..n)) % n;
+                let mut d = demand(src, dst, rng.gen_range(0.5e6..9e6), 0);
+                d.until = SimTime::from_nanos(rng.gen_range(TICK.0 * 6..TICK.0 * TICKS));
+                d.pkt_size = *rng.choose(&[200, 500, 1500]).unwrap();
+                if rng.gen_bool(0.5) {
+                    d.class = TrafficClass::LegitRequest;
+                }
+                d
+            };
+            let mut real = FluidLayer::new(TICK, SimTime::ZERO, sim.routing.epoch());
+            let mut reference = RefLayer::new(SimTime::ZERO, sim.routing.epoch());
+            let mut first = random_demand(rng);
+            first.until = at(TICKS); // outlives the flap below
+            let mut unroutable = random_demand(rng);
+            unroutable.dst = Addr::new(lonely, 1);
+            real.add(&first, SimTime::ZERO);
+            reference.add(&first, SimTime::ZERO);
+            real.add(&unroutable, SimTime::ZERO);
+            reference.add(&unroutable, SimTime::ZERO);
+            for _ in 0..rng.gen_range(3..=7u32) {
+                let d = random_demand(rng);
+                real.add(&d, SimTime::ZERO);
+                reference.add(&d, SimTime::ZERO);
+            }
+            let late = random_demand(rng);
+            let late_tick = rng.gen_range(2..6u64);
+
+            // A filter somewhere on the first aggregate's path, its
+            // destination included; a flap of that path's first link.
+            let (src, dst) = (first.src.node(), first.dst.node());
+            let flapped = sim.routing.next_hop(src, dst).unwrap();
+            let mut on_path = vec![src];
+            while *on_path.last().unwrap() != dst {
+                let cur = *on_path.last().unwrap();
+                let link = sim.routing.next_hop(cur, dst).unwrap();
+                on_path.push(sim.topo.links[link.0].other(cur));
+            }
+            let filter_node = *rng.choose(&on_path).unwrap();
+            let filter_pass = *rng.choose(&[0.0, 0.5, 0.75]).unwrap();
+            let filter_tick = rng.gen_range(1..30u64);
+            let down_tick = rng.gen_range(8..14u64);
+            let up_tick = rng.gen_range(20..28u64);
+
+            let (mut real_stats, mut ref_stats) = (Stats::new(), Stats::new());
+            let mut before_flap = BTreeSet::new();
+            let mut gone = BTreeSet::new();
+            for k in 1..=TICKS {
+                if k == late_tick {
+                    // Joins a third of a tick before the boundary.
+                    sim.run_until(SimTime::from_nanos(at(k).0 - TICK.0 / 3));
+                    real.add(&late, sim.now());
+                    reference.add(&late, sim.now());
+                }
+                sim.run_until(at(k));
+                if k == filter_tick {
+                    real.add_filter(filter_node, Box::new(Thin(filter_pass)));
+                    reference.add_filter(filter_node, Box::new(Thin(filter_pass)));
+                }
+                if k == down_tick {
+                    before_flap = crossed(&real);
+                    sim.set_link_up(flapped, false);
+                }
+                if k == up_tick {
+                    sim.set_link_up(flapped, true);
+                }
+
+                let mut ref_topo = sim.topo.clone();
+                let walks = real.walks();
+                real.run_tick(at(k), &mut sim.topo, &sim.routing, &mut real_stats);
+                reference.run_tick(at(k), &mut ref_topo, &sim.routing, &mut ref_stats);
+                assert_eq!(real_stats, ref_stats, "stats after tick {k}");
+                for (i, (a, b)) in sim.topo.links.iter().zip(&ref_topo.links).enumerate() {
+                    for (da, db) in a.dirs.iter().zip(&b.dirs) {
+                        assert_eq!(
+                            (da.next_free, da.bytes_sent, da.pkts_sent),
+                            (db.next_free, db.bytes_sent, db.pkts_sent),
+                            "link {i} after tick {k}"
+                        );
+                    }
+                }
+
+                match real.walks() - walks {
+                    1 => calm += 1,
+                    2 | 3 => congested += 1,
+                    w => panic!("{w} walks in tick {k}"),
+                }
+                if k == down_tick {
+                    gone = before_flap.difference(&crossed(&real)).copied().collect();
+                }
+                if k == up_tick && !gone.is_disjoint(&crossed(&real)) {
+                    rejoined += 1;
+                }
+            }
+            real_stats.check_conservation().unwrap();
+        });
+        assert!(
+            calm > 100 && congested > 100,
+            "{calm} calm, {congested} congested"
+        );
+        assert!(rejoined > 0, "no flap took a direction out and back");
     }
 }
