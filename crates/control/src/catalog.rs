@@ -130,9 +130,9 @@ impl CatalogService {
                 threshold_pps,
                 window,
                 limit_bytes_per_sec,
-            } => ServiceSpec {
-                name: "anomaly-reaction".into(),
-                modules: vec![
+            } => ServiceSpec::new(
+                "anomaly-reaction",
+                vec![
                     GraphNodeSpec {
                         module: ModuleSpec::Trigger {
                             expr: MatchExpr::any(),
@@ -153,7 +153,7 @@ impl CatalogService {
                         enabled: false, // dormant until the trigger fires
                     },
                 ],
-            },
+            ),
         }
     }
 }
@@ -163,38 +163,71 @@ mod tests {
     use super::*;
     use dtcs_device::SafetyVerifier;
 
+    /// One service of each catalog kind, with the content hash its
+    /// compiled spec must keep.
+    fn one_of_each() -> Vec<(CatalogService, u64)> {
+        vec![
+            (CatalogService::AntiSpoofing, 0x1368_52db_fa32_719a),
+            (
+                CatalogService::FirewallBlock {
+                    protos: vec![Proto::TcpRst, Proto::IcmpUnreachable],
+                },
+                0xdc58_500f_5463_cd0f,
+            ),
+            (
+                CatalogService::RateLimit {
+                    rate_bytes_per_sec: 1e6,
+                    burst_bytes: 100_000,
+                },
+                0xc14d_687e_4c52_9a06,
+            ),
+            (
+                CatalogService::Blacklist {
+                    sources: vec![Prefix::new(0x0A00_0000, 8)],
+                },
+                0x00c0_aaf6_ebd8_bc59,
+            ),
+            (
+                CatalogService::TracebackSupport {
+                    window: SimDuration::from_secs(1),
+                    windows: 30,
+                },
+                0x1ab5_c86b_e615_1dfd,
+            ),
+            (
+                CatalogService::Statistics {
+                    capacity: 4096,
+                    sample_one_in: 16,
+                },
+                0x407d_df48_2050_5a57,
+            ),
+            (
+                CatalogService::AnomalyReaction {
+                    threshold_pps: 1000.0,
+                    window: SimDuration::from_millis(500),
+                    limit_bytes_per_sec: 1e5,
+                },
+                0x8425_5f56_be6e_adde,
+            ),
+        ]
+    }
+
     #[test]
     fn every_catalog_service_passes_the_verifier() {
-        let services = vec![
-            CatalogService::AntiSpoofing,
-            CatalogService::FirewallBlock {
-                protos: vec![Proto::TcpRst, Proto::IcmpUnreachable],
-            },
-            CatalogService::RateLimit {
-                rate_bytes_per_sec: 1e6,
-                burst_bytes: 100_000,
-            },
-            CatalogService::Blacklist {
-                sources: vec![Prefix::new(0x0A00_0000, 8)],
-            },
-            CatalogService::TracebackSupport {
-                window: SimDuration::from_secs(1),
-                windows: 30,
-            },
-            CatalogService::Statistics {
-                capacity: 4096,
-                sample_one_in: 16,
-            },
-            CatalogService::AnomalyReaction {
-                threshold_pps: 1000.0,
-                window: SimDuration::from_millis(500),
-                limit_bytes_per_sec: 1e5,
-            },
-        ];
         let v = SafetyVerifier::default();
-        for s in services {
+        for (s, _) in one_of_each() {
             let spec = s.compile();
-            assert!(v.verify(&spec).is_ok(), "{} must verify", spec.name);
+            assert!(v.verify(&spec).is_ok(), "{} must verify", spec.name());
+        }
+    }
+
+    /// The hash orders the NMS's desired state and travels in inventory
+    /// replies: where it is computed may change, its value may not.
+    #[test]
+    fn compiled_fingerprints_are_pinned() {
+        for (s, hash) in one_of_each() {
+            let spec = s.compile();
+            assert_eq!(spec.content_hash(), hash, "{}", spec.name());
         }
     }
 
@@ -219,7 +252,7 @@ mod tests {
             limit_bytes_per_sec: 1000.0,
         }
         .compile();
-        assert!(spec.modules[0].enabled);
-        assert!(!spec.modules[1].enabled);
+        assert!(spec.modules()[0].enabled);
+        assert!(!spec.modules()[1].enabled);
     }
 }

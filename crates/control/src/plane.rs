@@ -973,14 +973,16 @@ impl NodeAgent for TcspAgent {
 }
 
 /// Everything an NMS needs to (re-)provision one service on one device:
-/// registration context plus the compiled spec. Stored per in-flight
-/// install and, once confirmed, in the desired-state map the
-/// reconciliation sweep checks against.
-#[derive(Clone)]
+/// registration context plus the compiled spec. Built once per deployment
+/// and shared: every in-flight install, every desired-state entry the
+/// reconciliation sweep checks against and every renewal of it hold the
+/// same job.
 struct InstallJob {
     owner: OwnerId,
-    prefixes: Vec<Prefix>,
-    contact: NodeId,
+    /// The [`DeviceCommand::RegisterOwner`] that precedes every install:
+    /// the owner's prefixes, telemetry to the requesting user. The same
+    /// for every send, so every send queues this one.
+    register: Arc<DeviceCommand>,
     stage: Stage,
     spec: ServiceSpec,
     /// Expiry of the authorising certificate. Leases granted to devices
@@ -990,7 +992,7 @@ struct InstallJob {
     lease_len: Option<SimDuration>,
 }
 
-impl LegMsg for InstallJob {
+impl LegMsg for Arc<InstallJob> {
     /// Register the owner, then install the service leased from now.
     /// Reconcile re-installs and lease renewals go out under origin 0
     /// (`RECONCILE_TXN` / `RENEW_TXN_BASE + seq`); tracked installs keep
@@ -1001,12 +1003,8 @@ impl LegMsg for InstallJob {
             None => self.expires_at,
         };
         let delay = ctx.path_delay(node) + PROC_DELAY;
-        let register = DeviceCommand::RegisterOwner {
-            owner: self.owner,
-            prefixes: self.prefixes.clone(),
-            contact: self.contact,
-        };
-        ctx.send_control_keyed(node, delay, register, meta(id, KIND_REGISTER_OWNER));
+        let register_meta = meta(id, KIND_REGISTER_OWNER);
+        ctx.send_control_shared(node, delay, self.register.clone(), Some(register_meta));
         let install = DeviceCommand::InstallService {
             txn: id.txn,
             owner: self.owner,
@@ -1046,10 +1044,10 @@ pub struct NmsAgent {
     peers: Vec<NodeId>,
     /// Deployments by txn, each with the role to ack in; a leg is the
     /// device installed on.
-    deploys: Relay<u64, NodeId, InstallJob, Role>,
+    deploys: Relay<u64, NodeId, Arc<InstallJob>, Role>,
     /// Services this NMS has confirmed installed, per device — the
     /// reference the anti-entropy sweep compares inventories against.
-    desired: BTreeMap<(NodeId, OwnerId, Stage, u64), InstallJob>,
+    desired: BTreeMap<(NodeId, OwnerId, Stage, u64), Arc<InstallJob>>,
     reconcile_every: Option<SimDuration>,
     /// Lease length granted with each install (None = lease only to the
     /// certificate expiry). See [`NmsAgent::with_leases`].
@@ -1059,7 +1057,7 @@ pub struct NmsAgent {
     renew_every: Option<SimDuration>,
     /// Retransmit chains for in-flight lease renewals, keyed
     /// `(renew txn, device)`.
-    renew_rt: Retransmitter<(u64, NodeId), InstallJob>,
+    renew_rt: Retransmitter<(u64, NodeId), Arc<InstallJob>>,
     /// Monotonic sequence for renewal transactions
     /// (`RENEW_TXN_BASE + seq`).
     next_renew_seq: u64,
@@ -1154,15 +1152,19 @@ impl NmsAgent {
         {
             return false;
         }
-        let job = InstallJob {
-            owner: OwnerId(cert.user.0),
-            prefixes: cert.prefixes.clone(),
-            contact: reply_to, // telemetry goes to the requesting user
+        let owner = OwnerId(cert.user.0);
+        let job = Arc::new(InstallJob {
+            owner,
+            register: Arc::new(DeviceCommand::RegisterOwner {
+                owner,
+                prefixes: cert.prefixes.clone(),
+                contact: reply_to, // telemetry goes to the requesting user
+            }),
             stage: service.stage(),
             spec: service.compile(),
             expires_at: cert.expires_at,
             lease_len: self.lease_len,
-        };
+        });
         // A fresh deployment supersedes any earlier withdrawal.
         self.withdrawn.remove(&job.owner);
         trace_state(ctx, origin, txn, CpActor::Nms, CpState::DeployAccepted);
@@ -1301,7 +1303,7 @@ impl NodeAgent for NmsAgent {
                 // The owner withdrew while this renewal was in flight:
                 // retransmitting would re-install the filter we just tore
                 // down, so the chain is abandoned instead.
-                let withdrawn = |job: &InstallJob| self.withdrawn.contains(&job.owner);
+                let withdrawn = |job: &Arc<InstallJob>| self.withdrawn.contains(&job.owner);
                 match self.renew_rt.on_timer(ctx, &self.cp, token, withdrawn) {
                     Fired::Vetoed(leg) => trace_terminal(ctx, 0, leg.id.txn, CpOutcome::Abandoned),
                     // A renewal that never lands is self-correcting: the
@@ -1371,11 +1373,13 @@ impl NodeAgent for NmsAgent {
                     let installed: BTreeSet<(OwnerId, Stage, u64)> =
                         installed.iter().copied().collect();
                     let id = MsgKey::first(0, RECONCILE_TXN);
-                    for ((n, owner, stage, hash), job) in &self.desired {
-                        if n == node && !installed.contains(&(*owner, *stage, *hash)) {
+                    let on_node = (*node, OwnerId(0), Stage::Src, 0)
+                        ..=(*node, OwnerId(u64::MAX), Stage::Dst, u64::MAX);
+                    for ((_, owner, stage, hash), job) in self.desired.range(on_node) {
+                        if !installed.contains(&(*owner, *stage, *hash)) {
                             self.cp.lock().reconcile_reinstalls += 1;
                             trace_state(ctx, 0, RECONCILE_TXN, CpActor::Nms, CpState::Reinstall);
-                            job.send(ctx, *n, id);
+                            job.send(ctx, *node, id);
                         }
                     }
                     if !self.sweep_removes {
@@ -1876,5 +1880,75 @@ impl NodeAgent for UserAgent {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use dtcs_device::AdaptiveDevice;
+    use dtcs_netsim::{Simulator, Topology};
+
+    /// The inventory diff reads the answering device's slice of desired
+    /// state and nothing else: two services stand on each of three
+    /// devices, one device reports only the first, and the one gap is
+    /// re-installed on that device alone.
+    #[test]
+    fn inventory_gap_reinstalls_on_the_answering_device_only() {
+        const KEY: u64 = 0x5EC;
+        let nms = NodeId(0);
+        let managed = [NodeId(1), NodeId(2), NodeId(3)];
+        let mut sim = Simulator::new(Topology::star(3), 1);
+        let cp = CpStatsHandle::default();
+        let agent = NmsAgent::new(KEY, managed.to_vec(), Vec::new()).with_cp_stats(cp.clone());
+        sim.add_agent(nms, Box::new(agent));
+        let devices = managed.map(|node| {
+            let (dev, handle) = AdaptiveDevice::new(node, Some(nms));
+            sim.add_agent(node, Box::new(dev));
+            handle
+        });
+
+        let user = UserId(0xAA01);
+        let cert = Certificate::issue(KEY, user, vec![Prefix::of_node(nms)], SimTime::MAX);
+        let services = [
+            CatalogService::AntiSpoofing,
+            CatalogService::Statistics {
+                capacity: 16,
+                sample_one_in: 1,
+            },
+        ];
+        for (txn, service) in (1u64..).zip(&services) {
+            let deploy = Envelope {
+                to: Role::Nms,
+                key: MsgKey::first(user.0, txn),
+                msg: CpMsg::NmsDeploy {
+                    cert: cert.clone(),
+                    service: service.clone(),
+                    nodes: managed.to_vec(),
+                    txn,
+                    reply_to: nms,
+                },
+            };
+            sim.deliver_control(SimTime::ZERO, nms, nms, deploy);
+        }
+        sim.run_until(SimTime::from_secs(1));
+        for d in &devices {
+            let d = d.lock();
+            assert_eq!((d.rule_count, d.idempotent_installs), (2, 0));
+        }
+
+        let kept = &services[0];
+        let inventory = DeviceReply::Inventory {
+            node: managed[1],
+            installed: vec![(OwnerId(user.0), kept.stage(), kept.compile().content_hash())],
+        };
+        sim.deliver_control(SimTime::from_secs(1), managed[1], nms, inventory);
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(cp.lock().reconcile_reinstalls, 1);
+        // The re-install found its service still running: it counted as an
+        // identical install on the device it went to.
+        let identical = devices.map(|d| d.lock().idempotent_installs);
+        assert_eq!(identical, [0, 1, 0]);
     }
 }

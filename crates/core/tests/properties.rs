@@ -206,6 +206,29 @@ fn graphs_never_amplify_or_rewrite() {
     });
 }
 
+/// A spec's stored fingerprint is FNV-1a over its `Debug` rendering, and
+/// that rendering is the plain `name` + `modules` struct's — rebuilt here
+/// from the accessors, for any module mix and enable bits.
+#[test]
+fn spec_fingerprint_is_fnv1a_of_the_struct_rendering() {
+    check_cases(0..128, |rng| {
+        let name = format!("svc-{}", rng.gen::<u32>());
+        let modules = vec_of(rng, 0..6, |rng| GraphNodeSpec {
+            module: arb_any_module(rng),
+            enabled: rng.gen_bool(0.5),
+        });
+        let spec = ServiceSpec::new(&name, modules.clone());
+        let rendering = format!("ServiceSpec {{ name: {name:?}, modules: {modules:?} }}");
+        assert_eq!(format!("{spec:?}"), rendering);
+        let fnv1a = rendering.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        assert_eq!(spec.content_hash(), fnv1a);
+        assert_eq!(spec.clone().content_hash(), fnv1a);
+        assert_eq!(ServiceSpec::new(&name, modules), spec);
+    });
+}
+
 /// Trigger graphs with valid targets also hold the invariants.
 #[test]
 fn trigger_graphs_hold_invariants() {
@@ -213,9 +236,9 @@ fn trigger_graphs_hold_invariants() {
         let threshold = rng.gen_range(1.0..10_000.0);
         let window = rng.gen_range(1..2_000_000_000u64);
         let mut packets = vec_of(rng, 1..40, arb_packet);
-        let spec = ServiceSpec {
-            name: "fuzz-trigger".into(),
-            modules: vec![
+        let spec = ServiceSpec::new(
+            "fuzz-trigger",
+            vec![
                 GraphNodeSpec {
                     module: ModuleSpec::Trigger {
                         expr: MatchExpr::any(),
@@ -235,7 +258,7 @@ fn trigger_graphs_hold_invariants() {
                     enabled: false,
                 },
             ],
-        };
+        );
         assert!(SafetyVerifier::default().verify(&spec).is_ok());
         let mut graph = ServiceGraph::from_spec(&spec);
         let ctx = dtcs::device::DeviceContext {

@@ -68,7 +68,9 @@ pub enum DeviceCommand {
     /// (owner, stage, [`ServiceSpec::content_hash`]): re-installing a
     /// byte-identical spec acks without touching the running graph, so
     /// control-plane retransmits cannot reset runtime state — but the
-    /// lease is refreshed either way, which is how renewals work.
+    /// lease is refreshed either way, which is how renewals work. The
+    /// hash was computed once at the spec's construction, so recognising
+    /// a renewal reads a field of the shared spec the command carries.
     InstallService {
         /// Owning user.
         owner: OwnerId,
@@ -397,7 +399,7 @@ impl AdaptiveDevice {
                     .get(&(owner, stage))
                     .into_iter()
                     .flatten()
-                    .any(|g| g.name == spec.name && g.spec_hash == hash)
+                    .any(|g| g.name == spec.name() && g.spec_hash == hash)
                 {
                     self.leases.insert((owner, stage), lease_until);
                     self.stats.lock().idempotent_installs += 1;
@@ -413,7 +415,7 @@ impl AdaptiveDevice {
                         let graphs = self.services.entry((owner, stage)).or_default();
                         let graph = ServiceGraph::from_spec(spec);
                         let mut delta = graph.rule_count as i64;
-                        match graphs.iter_mut().find(|g| g.name == spec.name) {
+                        match graphs.iter_mut().find(|g| g.name == spec.name()) {
                             Some(slot) => {
                                 delta -= slot.rule_count as i64; // changed spec: replace
                                 *slot = graph;

@@ -27,7 +27,8 @@ pub struct ServiceGraph {
     /// Primitive rule count (E6 scalability unit).
     pub rule_count: usize,
     /// Fingerprint of the installing spec
-    /// ([`ServiceSpec::content_hash`]) — the install idempotency key and
+    /// ([`ServiceSpec::content_hash`], computed once at the spec's
+    /// construction and copied here) — the install idempotency key and
     /// the unit the NMS reconciliation sweep compares.
     pub spec_hash: u64,
     nodes: Vec<GraphNode>,
@@ -44,12 +45,12 @@ impl ServiceGraph {
     /// modules panic in [`instantiate`].
     pub fn from_spec(spec: &ServiceSpec) -> ServiceGraph {
         ServiceGraph {
-            name: spec.name.clone(),
+            name: spec.name().to_string(),
             active: true,
             rule_count: spec.rule_count(),
             spec_hash: spec.content_hash(),
             nodes: spec
-                .modules
+                .modules()
                 .iter()
                 .map(|n| GraphNode {
                     module: instantiate(&n.module),
@@ -240,9 +241,9 @@ mod tests {
 
     #[test]
     fn disabled_module_is_skipped_until_enabled() {
-        let spec = ServiceSpec {
-            name: "staged".into(),
-            modules: vec![GraphNodeSpec {
+        let spec = ServiceSpec::new(
+            "staged",
+            vec![GraphNodeSpec {
                 module: ModuleSpec::Filter {
                     rules: vec![FilterRule {
                         expr: MatchExpr::any(),
@@ -251,7 +252,7 @@ mod tests {
                 },
                 enabled: false,
             }],
-        };
+        );
         let mut g = ServiceGraph::from_spec(&spec);
         let mut events = Vec::new();
         let mut p = mk_pkt(Proto::Udp);

@@ -83,8 +83,8 @@ impl Default for SafetyVerifier {
 impl SafetyVerifier {
     /// Verify a whole service spec; `Ok(())` only if every module passes.
     pub fn verify(&self, spec: &ServiceSpec) -> Result<(), SafetyViolation> {
-        let n = spec.modules.len();
-        for (i, node) in spec.modules.iter().enumerate() {
+        let n = spec.modules().len();
+        for (i, node) in spec.modules().iter().enumerate() {
             self.verify_module(i, n, &node.module)?;
         }
         Ok(())
@@ -293,9 +293,9 @@ mod tests {
             Err(SafetyViolation::SelfTrigger { .. })
         ));
         // Valid target.
-        let s = ServiceSpec {
-            name: "t".into(),
-            modules: vec![
+        let s = ServiceSpec::new(
+            "t",
+            vec![
                 GraphNodeSpec {
                     module: trig(TriggerAction::ActivateModule(1)),
                     enabled: true,
@@ -305,7 +305,7 @@ mod tests {
                     enabled: false,
                 },
             ],
-        };
+        );
         assert!(v.verify(&s).is_ok());
     }
 

@@ -9,6 +9,9 @@
 //! amplification, redirection); they exist so the verifier's rejections are
 //! testable end-to-end (experiment E8).
 
+use std::fmt;
+use std::sync::Arc;
+
 use dtcs_netsim::{Addr, Prefix, Proto, SimDuration};
 
 /// Which processing stage a service graph attaches to (Sec. 4.1 / Fig. 6):
@@ -292,12 +295,45 @@ impl ModuleSpec {
 
 /// A service graph: modules executed in sequence, each optionally starting
 /// disabled (until a trigger activates it).
-#[derive(Clone, Debug, PartialEq)]
+///
+/// A spec is an immutable shared value. Its body sits behind an [`Arc`]
+/// and its [`content_hash`](ServiceSpec::content_hash) is computed once
+/// at construction, so `clone()` is a reference count and a control plane
+/// that re-sends one spec on every lease renewal copies and hashes
+/// nothing.
+#[derive(Clone)]
 pub struct ServiceSpec {
-    /// Human-readable service name (e.g. "ingress-filtering").
-    pub name: String,
-    /// Modules in execution order.
-    pub modules: Vec<GraphNodeSpec>,
+    body: Arc<SpecBody>,
+    hash: u64,
+}
+
+/// What a [`ServiceSpec`] shares between its clones. Renders as the spec
+/// itself: the content hash is defined over this rendering.
+#[derive(PartialEq)]
+struct SpecBody {
+    name: String,
+    modules: Vec<GraphNodeSpec>,
+}
+
+impl fmt::Debug for SpecBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServiceSpec")
+            .field("name", &self.name)
+            .field("modules", &self.modules)
+            .finish()
+    }
+}
+
+impl fmt::Debug for ServiceSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.body, f)
+    }
+}
+
+impl PartialEq for ServiceSpec {
+    fn eq(&self, other: &ServiceSpec) -> bool {
+        self.body == other.body
+    }
 }
 
 /// One node in a service graph spec.
@@ -310,39 +346,62 @@ pub struct GraphNodeSpec {
 }
 
 impl ServiceSpec {
+    /// A service named `name` (human-readable, e.g. "ingress-filtering")
+    /// running `modules` in order. The one constructor: the content hash
+    /// is fixed here.
+    pub fn new(name: &str, modules: Vec<GraphNodeSpec>) -> ServiceSpec {
+        let body = SpecBody {
+            name: name.to_string(),
+            modules,
+        };
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in format!("{:?}", body).bytes() {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        ServiceSpec {
+            body: Arc::new(body),
+            hash,
+        }
+    }
+
     /// A service from a plain list of always-on modules.
     pub fn chain(name: &str, modules: Vec<ModuleSpec>) -> ServiceSpec {
-        ServiceSpec {
-            name: name.to_string(),
-            modules: modules
-                .into_iter()
-                .map(|m| GraphNodeSpec {
-                    module: m,
-                    enabled: true,
-                })
-                .collect(),
-        }
+        let modules = modules
+            .into_iter()
+            .map(|m| GraphNodeSpec {
+                module: m,
+                enabled: true,
+            })
+            .collect();
+        ServiceSpec::new(name, modules)
+    }
+
+    /// Human-readable service name.
+    pub fn name(&self) -> &str {
+        &self.body.name
+    }
+
+    /// Modules in execution order.
+    pub fn modules(&self) -> &[GraphNodeSpec] {
+        &self.body.modules
     }
 
     /// Total primitive rules (E6 unit).
     pub fn rule_count(&self) -> usize {
-        self.modules.iter().map(|m| m.module.rule_count()).sum()
+        self.modules().iter().map(|m| m.module.rule_count()).sum()
     }
 
-    /// Deterministic content fingerprint: FNV-1a over the spec's canonical
-    /// `Debug` rendering (module specs contain `f64` fields, so the struct
-    /// cannot derive `Hash`; `Debug` of finite floats is exact and stable).
-    /// Devices use it to recognise a *byte-identical* reinstall — the
-    /// idempotency key of [`crate::device::DeviceCommand::InstallService`]
-    /// is (owner, stage, content hash) — and the NMS reconciliation sweep
-    /// compares desired vs. reported hashes.
+    /// Deterministic content fingerprint, computed once at construction:
+    /// FNV-1a over the spec's canonical `Debug` rendering (module specs
+    /// contain `f64` fields, so the struct cannot derive `Hash`; `Debug`
+    /// of finite floats is exact and stable). Devices use it to recognise
+    /// a *byte-identical* reinstall — the idempotency key of
+    /// [`crate::device::DeviceCommand::InstallService`] is (owner, stage,
+    /// content hash) — and the NMS reconciliation sweep compares desired
+    /// vs. reported hashes.
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{:?}", self).bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        self.hash
     }
 }
 
@@ -389,5 +448,53 @@ mod tests {
         assert_eq!(ModuleSpec::AntiSpoof.rule_count(), 1);
         let s = ServiceSpec::chain("x", vec![f, ModuleSpec::AntiSpoof]);
         assert_eq!(s.rule_count(), 3);
+    }
+
+    fn anti_spoofing() -> ServiceSpec {
+        ServiceSpec::chain("anti-spoofing", vec![ModuleSpec::AntiSpoof])
+    }
+
+    /// A spec renders, compact and pretty, as a plain `{ name, modules }`
+    /// struct derives `Debug`, and its hash is FNV-1a over the compact
+    /// form: the value below has been in inventories and desired-state
+    /// keys since before the body was shared.
+    #[test]
+    fn renders_and_hashes_as_a_plain_struct() {
+        let spec = anti_spoofing();
+        let compact = "ServiceSpec { name: \"anti-spoofing\", modules: \
+                       [GraphNodeSpec { module: AntiSpoof, enabled: true }] }";
+        assert_eq!(format!("{spec:?}"), compact);
+        let pretty = "ServiceSpec {\n    name: \"anti-spoofing\",\n    modules: [\n        \
+                      GraphNodeSpec {\n            module: AntiSpoof,\n            \
+                      enabled: true,\n        },\n    ],\n}";
+        assert_eq!(format!("{spec:#?}"), pretty);
+        assert_eq!(spec.content_hash(), 0x1368_52db_fa32_719a);
+    }
+
+    #[test]
+    fn clone_shares_the_body_and_equality_compares_it() {
+        let spec = anti_spoofing();
+        let copy = spec.clone();
+        assert!(
+            Arc::ptr_eq(&spec.body, &copy.body),
+            "a clone is a reference"
+        );
+        assert_eq!(copy.content_hash(), spec.content_hash());
+        let twin = anti_spoofing();
+        assert!(!Arc::ptr_eq(&spec.body, &twin.body), "built separately");
+        assert_eq!(twin, spec);
+        assert_eq!(twin.content_hash(), spec.content_hash());
+        let renamed = ServiceSpec::chain("other", vec![ModuleSpec::AntiSpoof]);
+        assert_ne!(renamed, spec);
+        assert_ne!(renamed.content_hash(), spec.content_hash());
+        let dormant = ServiceSpec::new(
+            "anti-spoofing",
+            vec![GraphNodeSpec {
+                module: ModuleSpec::AntiSpoof,
+                enabled: false,
+            }],
+        );
+        assert_ne!(dormant, spec);
+        assert_ne!(dormant.content_hash(), spec.content_hash());
     }
 }

@@ -126,9 +126,7 @@ impl<'a> AgentCtx<'a> {
         delay: SimDuration,
         payload: T,
     ) {
-        self.outbox
-            .controls
-            .push((delay, to, Arc::new(payload), None));
+        self.send_control_shared(to, delay, Arc::new(payload), None);
     }
 
     /// Like [`AgentCtx::send_control`], but tagging the message with its
@@ -142,9 +140,22 @@ impl<'a> AgentCtx<'a> {
         payload: T,
         meta: CpMeta,
     ) {
-        self.outbox
-            .controls
-            .push((delay, to, Arc::new(payload), Some(meta)));
+        self.send_control_shared(to, delay, Arc::new(payload), Some(meta));
+    }
+
+    /// The one way a control message enters the outbox: `payload` is
+    /// already shared, so a sender that repeats one message (a command
+    /// re-sent on every lease renewal) queues a reference to it instead
+    /// of building a copy per send. `meta` as in
+    /// [`AgentCtx::send_control_keyed`]; None sends untagged.
+    pub fn send_control_shared(
+        &mut self,
+        to: NodeId,
+        delay: SimDuration,
+        payload: Arc<dyn Any + Send + Sync>,
+        meta: Option<CpMeta>,
+    ) {
+        self.outbox.controls.push((delay, to, payload, meta));
     }
 
     /// Is control-plane tracing enabled at all? One branch; agents may

@@ -37,6 +37,8 @@
 //! experiment reports can reconcile protocol-layer retry/dedup counters
 //! against exactly what the channel did.
 
+use std::collections::BTreeMap;
+
 use crate::cp_trace::CpVerdict;
 use crate::node::NodeId;
 use crate::rng::child_seed;
@@ -138,23 +140,58 @@ pub struct FaultPlane {
     dup_thresh: u32,
     jitter_max: SimDuration,
     outages: Vec<Outage>,
+    /// Per node, the indices of its windows in `outages`, ascending: a
+    /// lookup reads one node's windows, and the first that covers an
+    /// instant is still the first configured.
+    outages_of: BTreeMap<NodeId, Vec<usize>>,
     partitions: Vec<Partition>,
     /// Per ordered `(src, dst)` pair message counter; the third component
     /// of the decision hash.
-    seq: std::collections::BTreeMap<(NodeId, NodeId), u64>,
+    seq: BTreeMap<(NodeId, NodeId), u64>,
 }
 
 impl FaultPlane {
     /// Build a plane from a configuration.
     pub fn new(cfg: FaultConfig) -> FaultPlane {
+        let mut outages_of: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        for (i, o) in cfg.outages.iter().enumerate() {
+            outages_of.entry(o.node).or_default().push(i);
+        }
         FaultPlane {
             salt: child_seed(cfg.seed, FAULT_STREAM_LABEL),
             drop_thresh: (cfg.drop_prob.clamp(0.0, 1.0) * 65536.0) as u32,
             dup_thresh: (cfg.dup_prob.clamp(0.0, 1.0) * 65536.0) as u32,
             jitter_max: cfg.jitter_max,
             outages: cfg.outages,
+            outages_of,
             partitions: cfg.partitions,
-            seq: std::collections::BTreeMap::new(),
+            seq: BTreeMap::new(),
+        }
+    }
+
+    /// Every outage and partition window must name nodes of the `n`-node
+    /// topology the plane is installed on: a crash scheduled for a node
+    /// that does not exist would otherwise fail mid-run, seconds of
+    /// simulated time after the mistake.
+    ///
+    /// # Panics
+    /// Naming the window and the node, if one lies outside.
+    pub(crate) fn assert_nodes_within(&self, n: usize) {
+        for (window, o) in self.outages.iter().enumerate() {
+            assert!(
+                o.node.0 < n,
+                "outage window {window} names node {}, outside the {n}-node topology",
+                o.node.0
+            );
+        }
+        for (window, p) in self.partitions.iter().enumerate() {
+            for node in p.src.iter().chain(&p.dst) {
+                assert!(
+                    node.0 < n,
+                    "partition window {window} names node {}, outside the {n}-node topology",
+                    node.0
+                );
+            }
         }
     }
 
@@ -179,9 +216,11 @@ impl FaultPlane {
     /// ([`crate::cp_trace::CpTraceEvent`]), letting the analyzer join a
     /// swallowed message to the crash that caused it.
     pub fn down_window(&self, node: NodeId, t: SimTime) -> Option<usize> {
-        self.outages
-            .iter()
-            .position(|o| o.node == node && t >= o.from && t < o.until)
+        let windows = self.outages_of.get(&node)?;
+        windows.iter().copied().find(|&i| {
+            let o = &self.outages[i];
+            t >= o.from && t < o.until
+        })
     }
 
     /// Index (into the configured partition schedule) of the first window
@@ -350,7 +389,11 @@ mod tests {
         assert!(p.down(NodeId(5), SimTime::from_secs(1)));
         assert!(p.down(NodeId(5), SimTime::from_millis(1999)));
         assert!(!p.down(NodeId(5), SimTime::from_secs(2)));
-        assert!(!p.down(NodeId(6), SimTime::from_millis(1500)));
+        // A node the schedule never names — in the topology or not — is
+        // never down, and asking about it is not an error.
+        for quiet in [NodeId(6), NodeId(usize::MAX)] {
+            assert_eq!(p.down_window(quiet, SimTime::from_millis(1500)), None);
+        }
         assert_eq!(p.crash_schedule(), vec![(NodeId(5), SimTime::from_secs(1))]);
         assert_eq!(p.down_window(NodeId(5), SimTime::from_secs(1)), Some(0));
         assert_eq!(p.down_window(NodeId(5), SimTime::from_secs(2)), None);
@@ -358,6 +401,64 @@ mod tests {
             p.crash_windows(),
             vec![(0, NodeId(5), SimTime::from_secs(1))]
         );
+    }
+
+    /// The per-node index against the scan it replaced (first configured
+    /// window covering the instant), over schedules with overlapping,
+    /// zero-length and inverted windows, nodes with none, and crash and
+    /// non-crash windows mixed — at every window's edges and at random
+    /// instants.
+    #[test]
+    fn indexed_down_window_matches_schedule_scan() {
+        use crate::rng::check_cases;
+        check_cases(0..64, |rng| {
+            let nodes = rng.gen_range(1..8usize);
+            let outages: Vec<Outage> = (0..rng.gen_range(0..24usize))
+                .map(|_| {
+                    let from = rng.gen_range(0..1_000u64);
+                    // A third of the windows are empty or inverted.
+                    let until = match rng.gen_range(0..3u32) {
+                        0 => rng.gen_range(0..=from),
+                        _ => from + rng.gen_range(1..400u64),
+                    };
+                    Outage {
+                        // Nodes `nodes..2 * nodes` never get a window.
+                        node: NodeId(rng.gen_range(0..nodes)),
+                        from: SimTime::from_nanos(from),
+                        until: SimTime::from_nanos(until),
+                        crash: rng.gen_bool(0.5),
+                    }
+                })
+                .collect();
+            let scan = |node: NodeId, t: SimTime| {
+                outages
+                    .iter()
+                    .position(|o| o.node == node && t >= o.from && t < o.until)
+            };
+            let p = FaultPlane::new(FaultConfig {
+                outages: outages.clone(),
+                ..FaultConfig::default()
+            });
+            let mut instants: Vec<u64> = outages
+                .iter()
+                .flat_map(|o| [o.from.as_nanos(), o.until.as_nanos()])
+                .flat_map(|t| [t.saturating_sub(1), t])
+                .collect();
+            instants.extend((0..32).map(|_| rng.gen_range(0..1_500u64)));
+            for t in instants.into_iter().map(SimTime::from_nanos) {
+                for node in (0..2 * nodes).map(NodeId) {
+                    assert_eq!(p.down_window(node, t), scan(node, t), "{node:?} at {t:?}");
+                    assert_eq!(p.down(node, t), scan(node, t).is_some());
+                }
+            }
+            let crashes: Vec<(usize, NodeId, SimTime)> = outages
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| o.crash)
+                .map(|(i, o)| (i, o.node, o.from))
+                .collect();
+            assert_eq!(p.crash_windows(), crashes);
+        });
     }
 
     #[test]

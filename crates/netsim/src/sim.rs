@@ -382,7 +382,11 @@ impl Simulator {
     /// Install a control-channel fault injector. Crash windows in its
     /// schedule are turned into [`NodeAgent::on_crash`] calls at window
     /// start. Install before running; messages already queued bypass it.
+    ///
+    /// # Panics
+    /// If an outage or partition window names a node outside the topology.
     pub fn install_fault_plane(&mut self, plane: FaultPlane) {
+        plane.assert_nodes_within(self.topo.n());
         for (window, node, at) in plane.crash_windows() {
             self.schedule(at, move |sim| {
                 sim.crash_node_with(node, Some(window as u64))
@@ -1596,6 +1600,39 @@ mod tests {
         // Sends at t ∈ [50ms, 100ms) vanish: 50 of the 200.
         assert_eq!(sim.stats.cp_outage_dropped, 50);
         assert_eq!(delivered.load(AtomicOrdering::Relaxed), 150);
+    }
+
+    /// A window naming a node the topology does not have is refused when
+    /// the plane is installed, not when its crash comes due mid-run.
+    #[test]
+    #[should_panic(expected = "outage window 1 names node 3, outside the 3-node topology")]
+    fn outage_outside_the_topology_is_refused_at_install() {
+        use crate::faults::{FaultConfig, FaultPlane, Outage};
+        let window = |node| Outage {
+            node: NodeId(node),
+            from: SimTime::from_millis(50),
+            until: SimTime::from_millis(100),
+            crash: true,
+        };
+        ctrl_probe_sim(Some(FaultPlane::new(FaultConfig {
+            outages: vec![window(2), window(3)],
+            ..FaultConfig::default()
+        })));
+    }
+
+    #[test]
+    #[should_panic(expected = "partition window 0 names node 9, outside the 3-node topology")]
+    fn partition_outside_the_topology_is_refused_at_install() {
+        use crate::faults::{FaultConfig, FaultPlane, Partition};
+        ctrl_probe_sim(Some(FaultPlane::new(FaultConfig {
+            partitions: vec![Partition {
+                src: vec![NodeId(0)],
+                dst: vec![NodeId(2), NodeId(9)],
+                from: SimTime::ZERO,
+                until: SimTime::from_secs(1),
+            }],
+            ..FaultConfig::default()
+        })));
     }
 
     /// Full control-plane trace over a faulty channel: byte-identical
