@@ -18,7 +18,7 @@
 //!   budget proportional to processed traffic (footnote 1 of the paper);
 //!   events beyond the budget are suppressed and counted.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
@@ -275,19 +275,53 @@ pub struct DeviceStats {
 /// Shared read handle onto a running device's stats.
 pub type DeviceHandle = Arc<Mutex<DeviceStats>>;
 
+/// What one `(owner, stage)` holds.
+struct Slot {
+    /// Installed service graphs, a *list*: users compose several services
+    /// (e.g. a firewall plus statistics) and they execute in installation
+    /// order. Reinstalling a service with the same name replaces it in
+    /// place.
+    graphs: Vec<ServiceGraph>,
+    /// Authority horizon: the slot is reaped when the clock passes this
+    /// instant without a renewing install. `SimTime::MAX` = unleased
+    /// (setup-time installs).
+    lease_until: SimTime,
+}
+
+/// Every finite lease on a device, soonest first.
+type Expiries = BTreeSet<(SimTime, OwnerId, Stage)>;
+
+impl Slot {
+    fn rule_count(&self) -> usize {
+        self.graphs.iter().map(|g| g.rule_count).sum()
+    }
+
+    /// Move the authority horizon of `owner`'s `stage` slot, keeping the
+    /// device's expiry index in step.
+    fn set_lease(&mut self, expiries: &mut Expiries, owner: OwnerId, stage: Stage, until: SimTime) {
+        let old = std::mem::replace(&mut self.lease_until, until);
+        if old == until {
+            return;
+        }
+        if old != SimTime::MAX {
+            expiries.remove(&(old, owner, stage));
+        }
+        if until != SimTime::MAX {
+            expiries.insert((until, owner, stage));
+        }
+    }
+}
+
 /// The adaptive device agent.
 pub struct AdaptiveDevice {
     ctx: DeviceContext,
     owners: OwnerTable,
-    /// Installed service graphs. An `(owner, stage)` slot holds a *list*:
-    /// users compose several services (e.g. a firewall plus statistics)
-    /// and they execute in installation order. Reinstalling a service
-    /// with the same name replaces it in place.
-    services: HashMap<(OwnerId, Stage), Vec<ServiceGraph>>,
-    /// Authority horizon per service slot: the slot is reaped when the
-    /// clock passes this instant without a renewing install. Absent or
-    /// `SimTime::MAX` = unleased (setup-time installs).
-    leases: HashMap<(OwnerId, Stage), SimTime>,
+    services: HashMap<(OwnerId, Stage), Slot>,
+    /// Every finite `lease_until` in `services` and nothing else: the
+    /// reaper pops what is due instead of scanning every slot, and a
+    /// device whose installs are all unleased holds nothing here.
+    /// [`Slot::set_lease`] and [`AdaptiveDevice::remove_slot`] keep it.
+    expiries: Expiries,
     verifier: SafetyVerifier,
     /// Only this node's commands are accepted when set (the ISP NMS).
     manager: Option<NodeId>,
@@ -320,7 +354,7 @@ impl AdaptiveDevice {
             },
             owners: OwnerTable::new(),
             services: HashMap::new(),
-            leases: HashMap::new(),
+            expiries: BTreeSet::new(),
             verifier: SafetyVerifier::default(),
             manager,
             stats: stats.clone(),
@@ -366,20 +400,9 @@ impl AdaptiveDevice {
                 None
             }
             DeviceCommand::UnregisterOwner { owner } => {
-                for p in self.owners.prefixes_of(owner) {
-                    self.owners.unregister(p);
-                }
-                let removed: Vec<(OwnerId, Stage)> = self
-                    .services
-                    .keys()
-                    .filter(|(o, _)| *o == owner)
-                    .copied()
-                    .collect();
-                for k in removed {
-                    self.services.remove(&k);
-                    self.leases.remove(&k);
-                }
-                self.refresh_rule_count();
+                self.owners.unregister_owner(owner);
+                self.remove_slot(owner, Stage::Src);
+                self.remove_slot(owner, Stage::Dst);
                 None
             }
             DeviceCommand::InstallService {
@@ -394,14 +417,12 @@ impl AdaptiveDevice {
                 // retransmitted install cannot reset trigger/logger state.
                 // The lease still moves forward: this path IS a renewal.
                 let hash = spec.content_hash();
-                if self
-                    .services
-                    .get(&(owner, stage))
-                    .into_iter()
-                    .flatten()
-                    .any(|g| g.name == spec.name() && g.spec_hash == hash)
-                {
-                    self.leases.insert((owner, stage), lease_until);
+                let running = self.services.get_mut(&(owner, stage)).filter(|slot| {
+                    let mut graphs = slot.graphs.iter();
+                    graphs.any(|g| g.spec_hash() == hash && g.name() == spec.name())
+                });
+                if let Some(slot) = running {
+                    slot.set_lease(&mut self.expiries, owner, stage, lease_until);
                     self.stats.lock().idempotent_installs += 1;
                     return Some(DeviceReply::InstallOk {
                         node: self.ctx.node,
@@ -412,18 +433,23 @@ impl AdaptiveDevice {
                 }
                 let reply = match self.verifier.verify(spec) {
                     Ok(()) => {
-                        let graphs = self.services.entry((owner, stage)).or_default();
+                        // Most slots hold one service: room for one, not
+                        // `Vec`'s first-push four.
+                        let slot = self.services.entry((owner, stage)).or_insert_with(|| Slot {
+                            graphs: Vec::with_capacity(1),
+                            lease_until: SimTime::MAX,
+                        });
                         let graph = ServiceGraph::from_spec(spec);
                         let mut delta = graph.rule_count as i64;
-                        match graphs.iter_mut().find(|g| g.name == spec.name()) {
-                            Some(slot) => {
-                                delta -= slot.rule_count as i64; // changed spec: replace
-                                *slot = graph;
+                        match slot.graphs.iter_mut().find(|g| g.name() == spec.name()) {
+                            Some(running) => {
+                                delta -= running.rule_count as i64; // changed spec: replace
+                                *running = graph;
                             }
-                            None => graphs.push(graph),
+                            None => slot.graphs.push(graph),
                         }
+                        slot.set_lease(&mut self.expiries, owner, stage, lease_until);
                         self.adjust_rule_count(delta);
-                        self.leases.insert((owner, stage), lease_until);
                         DeviceReply::InstallOk {
                             node: self.ctx.node,
                             owner,
@@ -445,11 +471,7 @@ impl AdaptiveDevice {
                 Some(reply)
             }
             DeviceCommand::RemoveService { owner, stage, txn } => {
-                if let Some(graphs) = self.services.remove(&(owner, stage)) {
-                    let removed: usize = graphs.iter().map(|g| g.rule_count).sum();
-                    self.adjust_rule_count(-(removed as i64));
-                }
-                self.leases.remove(&(owner, stage));
+                self.remove_slot(owner, stage);
                 Some(DeviceReply::RemoveOk {
                     node: self.ctx.node,
                     owner,
@@ -462,8 +484,8 @@ impl AdaptiveDevice {
                 stage,
                 active,
             } => {
-                if let Some(graphs) = self.services.get_mut(&(owner, stage)) {
-                    for g in graphs {
+                if let Some(slot) = self.services.get_mut(&(owner, stage)) {
+                    for g in &mut slot.graphs {
                         g.active = active;
                     }
                 }
@@ -475,8 +497,8 @@ impl AdaptiveDevice {
                 module,
                 enabled,
             } => {
-                if let Some(graphs) = self.services.get_mut(&(owner, stage)) {
-                    for g in graphs {
+                if let Some(slot) = self.services.get_mut(&(owner, stage)) {
+                    for g in &mut slot.graphs {
                         g.set_module_enabled(module, enabled);
                     }
                 }
@@ -491,7 +513,8 @@ impl AdaptiveDevice {
             } => {
                 let mut hit: Option<bool> = None;
                 for stage in [Stage::Src, Stage::Dst] {
-                    for g in self.services.get(&(owner, stage)).into_iter().flatten() {
+                    let slot = self.services.get(&(owner, stage));
+                    for g in slot.into_iter().flat_map(|slot| &slot.graphs) {
                         if let Some(h) = g.query_digest(digest, from, to) {
                             hit = Some(hit.unwrap_or(false) || h);
                         }
@@ -508,11 +531,14 @@ impl AdaptiveDevice {
                 stage,
                 reply_to: _,
             } => {
-                let entries = self
-                    .services
-                    .get_mut(&(owner, stage))
-                    .map(|graphs| graphs.iter_mut().flat_map(|g| g.drain_logs()).collect())
-                    .unwrap_or_default();
+                let entries = match self.services.get_mut(&(owner, stage)) {
+                    Some(slot) => slot
+                        .graphs
+                        .iter_mut()
+                        .flat_map(|g| g.drain_logs())
+                        .collect(),
+                    None => Vec::new(),
+                };
                 Some(DeviceReply::LogData {
                     node: self.ctx.node,
                     owner,
@@ -523,8 +549,9 @@ impl AdaptiveDevice {
                 let mut installed: Vec<(OwnerId, Stage, u64)> = self
                     .services
                     .iter()
-                    .flat_map(|((owner, stage), graphs)| {
-                        graphs.iter().map(move |g| (*owner, *stage, g.spec_hash))
+                    .flat_map(|((owner, stage), slot)| {
+                        let graphs = slot.graphs.iter();
+                        graphs.map(move |g| (*owner, *stage, g.spec_hash()))
                     })
                     .collect();
                 installed.sort(); // HashMap order is not deterministic
@@ -536,14 +563,15 @@ impl AdaptiveDevice {
         }
     }
 
-    fn refresh_rule_count(&mut self) {
-        let count: usize = self
-            .services
-            .values()
-            .flat_map(|graphs| graphs.iter())
-            .map(|g| g.rule_count)
-            .sum();
-        self.stats.lock().rule_count = count;
+    /// Take a slot out, with its lease and its rules.
+    fn remove_slot(&mut self, owner: OwnerId, stage: Stage) {
+        let Some(slot) = self.services.remove(&(owner, stage)) else {
+            return;
+        };
+        if slot.lease_until != SimTime::MAX {
+            self.expiries.remove(&(slot.lease_until, owner, stage));
+        }
+        self.adjust_rule_count(-(slot.rule_count() as i64));
     }
 
     fn adjust_rule_count(&mut self, delta: i64) {
@@ -556,9 +584,11 @@ impl AdaptiveDevice {
         if self.events_buf.is_empty() {
             return;
         }
-        let events: Vec<DeviceEvent> = self.events_buf.drain(..).collect();
+        // Taken, drained in place and handed back emptied: a flush
+        // allocates nothing.
+        let mut events = std::mem::take(&mut self.events_buf);
         let mut stats = self.stats.lock();
-        for ev in events {
+        for ev in events.drain(..) {
             let budget =
                 (self.processed_bytes as f64 * self.telemetry_ratio) as u64 + self.telemetry_floor;
             if stats.telemetry_bytes + EVENT_BYTES > budget {
@@ -575,18 +605,16 @@ impl AdaptiveDevice {
             if let Some(tap) = &self.event_tap {
                 let _ = tap.send(ev.clone());
             }
-            // Deliver to the owner's contact node over the control plane.
-            if let Some(contact) = self
-                .owners
-                .prefixes_of(owner)
-                .first()
-                .and_then(|p| self.owners.owner_of(p.first()))
-                .map(|e| e.contact)
-            {
+            // Deliver to the owner's own contact node over the control
+            // plane (an address lookup inside its prefix may find a more
+            // specific registration's owner instead).
+            if let Some(contact) = self.owners.contact_of(owner) {
                 let delay = ctx.path_delay(contact);
                 ctx.send_control(contact, delay, ev);
             }
         }
+        drop(stats);
+        self.events_buf = events;
     }
 
     /// Shared stats handle.
@@ -606,21 +634,15 @@ impl NodeAgent for AdaptiveDevice {
         pkt: &mut Packet,
         from: Option<LinkId>,
     ) -> Verdict {
-        {
-            self.stats.lock().seen_pkts += 1;
-        }
         // Redirect decision: does anyone own this packet?
         let src_owner = self.owners.owner_of(pkt.src).copied();
         let dst_owner = self.owners.owner_of(pkt.dst).copied();
         if src_owner.is_none() && dst_owner.is_none() {
+            self.stats.lock().seen_pkts += 1;
             return Verdict::Forward; // direct path through the router
         }
-        self.processed_bytes += pkt.size as u64;
-        {
-            let mut s = self.stats.lock();
-            s.redirected_pkts += 1;
-            s.redirected_bytes += pkt.size as u64;
-        }
+        let redirected_bytes = pkt.size as u64; // before any payload deletion
+        self.processed_bytes += redirected_bytes;
 
         // Spoof verdict for anti-spoofing modules: the same source-address
         // check the static ingress filter runs.
@@ -638,10 +660,10 @@ impl NodeAgent for AdaptiveDevice {
         ];
         'stages: for (owner, stage) in stages {
             let Some(owner) = owner else { continue };
-            let Some(graphs) = self.services.get_mut(&(owner, stage)) else {
+            let Some(slot) = self.services.get_mut(&(owner, stage)) else {
                 continue;
             };
-            for graph in graphs.iter_mut() {
+            for graph in &mut slot.graphs {
                 let mut view = PacketView::new(pkt);
                 let action = graph.process(
                     ctx.now,
@@ -653,15 +675,23 @@ impl NodeAgent for AdaptiveDevice {
                 );
                 if let ModuleAction::Drop(reason) = action {
                     if ctx.trace_wants(pkt) {
+                        let (svc, owner) = (graph.name(), owner.0);
                         ctx.trace_verdict_detail(format!(
-                            "svc={} stage={:?} owner={}",
-                            graph.name, stage, owner.0
+                            "svc={svc} stage={stage:?} owner={owner}"
                         ));
                     }
-                    *self.stats.lock().dropped.entry(reason).or_insert(0) += 1;
                     verdict = Verdict::Drop(reason);
                     break 'stages;
                 }
+            }
+        }
+        {
+            let mut s = self.stats.lock();
+            s.seen_pkts += 1;
+            s.redirected_pkts += 1;
+            s.redirected_bytes += redirected_bytes;
+            if let Verdict::Drop(reason) = verdict {
+                *s.dropped.entry(reason).or_insert(0) += 1;
             }
         }
         self.flush_events(ctx);
@@ -737,26 +767,20 @@ impl NodeAgent for AdaptiveDevice {
         if token != TOKEN_LEASE {
             return;
         }
-        // Reap every slot whose authority horizon has passed. Sorted so
-        // the rule-count walk (and any future per-reap telemetry) is
-        // deterministic despite the HashMap.
-        let mut expired: Vec<(OwnerId, Stage)> = self
-            .leases
-            .iter()
-            .filter(|(_, &until)| until <= ctx.now)
-            .map(|(&k, _)| k)
-            .collect();
-        expired.sort();
-        if expired.is_empty() {
-            return; // stale timer: the lease was renewed past this firing
-        }
-        for key in expired {
-            self.leases.remove(&key);
-            if let Some(graphs) = self.services.remove(&key) {
-                let removed: usize = graphs.iter().map(|g| g.rule_count).sum();
-                self.adjust_rule_count(-(removed as i64));
+        // Reap every slot whose authority horizon has passed, soonest
+        // first. A stale timer — the lease was renewed past this firing —
+        // finds nothing due and costs one look at the index.
+        while let Some(&(until, owner, stage)) = self.expiries.first() {
+            if until > ctx.now {
+                break;
             }
+            self.expiries.pop_first();
+            let rules = self
+                .services
+                .remove(&(owner, stage))
+                .map_or(0, |slot| slot.rule_count());
             let mut s = self.stats.lock();
+            s.rule_count = s.rule_count.saturating_sub(rules);
             s.lease_reaps += 1;
             s.last_reap_at = Some(ctx.now);
         }
@@ -771,7 +795,7 @@ impl NodeAgent for AdaptiveDevice {
         // responsible for re-provisioning.
         self.owners = OwnerTable::new();
         self.services.clear();
-        self.leases.clear();
+        self.expiries.clear();
         self.events_buf.clear();
         self.processed_bytes = 0;
         let mut s = self.stats.lock();
@@ -790,31 +814,47 @@ mod tests {
         OwnerId(42)
     }
 
+    /// `owner` holds node 2's prefix, with node 2 as its contact.
+    fn register_at_node_2(owner: OwnerId) -> DeviceCommand {
+        DeviceCommand::RegisterOwner {
+            owner,
+            prefixes: vec![Prefix::of_node(NodeId(2))],
+            contact: NodeId(2),
+        }
+    }
+
+    /// An unleased install outside any management transaction.
+    fn install(owner: OwnerId, stage: Stage, spec: ServiceSpec) -> DeviceCommand {
+        DeviceCommand::InstallService {
+            owner,
+            stage,
+            spec,
+            txn: 0,
+            lease_until: SimTime::MAX,
+        }
+    }
+
+    /// The service "fw": one filter dropping what `expr` matches.
+    fn fw_dropping(expr: MatchExpr) -> ServiceSpec {
+        let rules = vec![FilterRule { expr, drop: true }];
+        ServiceSpec::chain("fw", vec![ModuleSpec::Filter { rules }])
+    }
+
+    fn fw_dropping_udp() -> ServiceSpec {
+        fw_dropping(MatchExpr::proto(Proto::Udp))
+    }
+
+    fn anti_spoof(name: &str) -> ServiceSpec {
+        ServiceSpec::chain(name, vec![ModuleSpec::AntiSpoof])
+    }
+
     /// Line topology: 0 (client) - 1 (device here) - 2 (victim).
     fn sim_with_device() -> (Simulator, DeviceHandle) {
         let topo = Topology::line(3);
         let mut sim = Simulator::new(topo, 1);
         let (mut dev, handle) = AdaptiveDevice::new(NodeId(1), None);
-        dev.apply(DeviceCommand::RegisterOwner {
-            owner: victim_owner(),
-            prefixes: vec![Prefix::of_node(NodeId(2))],
-            contact: NodeId(2),
-        });
-        dev.apply(DeviceCommand::InstallService {
-            txn: 0,
-            lease_until: SimTime::MAX,
-            owner: victim_owner(),
-            stage: Stage::Dst,
-            spec: ServiceSpec::chain(
-                "fw",
-                vec![ModuleSpec::Filter {
-                    rules: vec![FilterRule {
-                        expr: MatchExpr::proto(Proto::Udp),
-                        drop: true,
-                    }],
-                }],
-            ),
-        });
+        dev.apply(register_at_node_2(victim_owner()));
+        dev.apply(install(victim_owner(), Stage::Dst, fw_dropping_udp()));
         sim.add_agent(NodeId(1), Box::new(dev));
         sim.install_app(Addr::new(NodeId(2), 1), Box::new(dtcs_netsim::SinkApp));
         (sim, handle)
@@ -874,21 +914,12 @@ mod tests {
             SimTime::ZERO,
             NodeId(1),
             NodeId(1),
-            DeviceCommand::InstallService {
-                txn: 0,
-                lease_until: SimTime::MAX,
-                owner: victim_owner(),
-                stage: Stage::Dst,
-                spec: ServiceSpec::chain(
-                    "fw", // same name: replaces the UDP filter
-                    vec![ModuleSpec::Filter {
-                        rules: vec![FilterRule {
-                            expr: MatchExpr::any().with_payload_hashes(vec![WORM_SIG]),
-                            drop: true,
-                        }],
-                    }],
-                ),
-            },
+            install(
+                victim_owner(),
+                Stage::Dst,
+                // same name: replaces the UDP filter
+                fw_dropping(MatchExpr::any().with_payload_hashes(vec![WORM_SIG])),
+            ),
         );
         sim.run_until(SimTime::from_millis(10));
         // A worm packet and a clean packet, identical except the payload.
@@ -914,18 +945,8 @@ mod tests {
     #[test]
     fn unregister_owner_clears_everything() {
         let (mut dev, handle) = AdaptiveDevice::new(NodeId(1), None);
-        dev.apply(DeviceCommand::RegisterOwner {
-            owner: victim_owner(),
-            prefixes: vec![Prefix::of_node(NodeId(2))],
-            contact: NodeId(2),
-        });
-        dev.apply(DeviceCommand::InstallService {
-            txn: 0,
-            lease_until: SimTime::MAX,
-            owner: victim_owner(),
-            stage: Stage::Dst,
-            spec: ServiceSpec::chain("fw", vec![ModuleSpec::AntiSpoof]),
-        });
+        dev.apply(register_at_node_2(victim_owner()));
+        dev.apply(install(victim_owner(), Stage::Dst, anti_spoof("fw")));
         assert_eq!(handle.lock().rule_count, 1);
         dev.apply(DeviceCommand::UnregisterOwner {
             owner: victim_owner(),
@@ -952,13 +973,8 @@ mod tests {
     #[test]
     fn unsafe_install_is_rejected() {
         let (mut dev, handle) = AdaptiveDevice::new(NodeId(1), None);
-        let reply = dev.apply(DeviceCommand::InstallService {
-            txn: 0,
-            lease_until: SimTime::MAX,
-            owner: OwnerId(7),
-            stage: Stage::Src,
-            spec: ServiceSpec::chain("evil", vec![ModuleSpec::Amplify { factor: 100 }]),
-        });
+        let evil = ServiceSpec::chain("evil", vec![ModuleSpec::Amplify { factor: 100 }]);
+        let reply = dev.apply(install(OwnerId(7), Stage::Src, evil));
         assert!(matches!(
             reply,
             Some(DeviceReply::InstallRejected {
@@ -969,13 +985,7 @@ mod tests {
         assert_eq!(handle.lock().rejected_installs, 1);
         assert_eq!(handle.lock().rule_count, 0);
         // A benign install afterwards still works.
-        let reply = dev.apply(DeviceCommand::InstallService {
-            txn: 0,
-            lease_until: SimTime::MAX,
-            owner: OwnerId(7),
-            stage: Stage::Src,
-            spec: ServiceSpec::chain("ok", vec![ModuleSpec::AntiSpoof]),
-        });
+        let reply = dev.apply(install(OwnerId(7), Stage::Src, anti_spoof("ok")));
         assert!(matches!(reply, Some(DeviceReply::InstallOk { .. })));
         assert_eq!(handle.lock().rule_count, 1);
     }
@@ -992,19 +1002,17 @@ mod tests {
             SimTime::ZERO,
             NodeId(1),
             NodeId(1),
-            DeviceCommand::InstallService {
-                txn: 0,
-                lease_until: SimTime::MAX,
-                owner: victim_owner(),
-                stage: Stage::Dst,
-                spec: ServiceSpec::chain(
+            install(
+                victim_owner(),
+                Stage::Dst,
+                ServiceSpec::chain(
                     "stats",
                     vec![ModuleSpec::Logger {
                         capacity: 64,
                         sample_one_in: 1,
                     }],
                 ),
-            },
+            ),
         );
         sim.run_until(SimTime::from_millis(10));
         assert_eq!(handle.lock().rule_count, 2, "firewall + logger");
@@ -1013,21 +1021,7 @@ mod tests {
             SimTime::from_millis(20),
             NodeId(1),
             NodeId(1),
-            DeviceCommand::InstallService {
-                txn: 0,
-                lease_until: SimTime::MAX,
-                owner: victim_owner(),
-                stage: Stage::Dst,
-                spec: ServiceSpec::chain(
-                    "fw",
-                    vec![ModuleSpec::Filter {
-                        rules: vec![FilterRule {
-                            expr: MatchExpr::proto(Proto::Udp),
-                            drop: true,
-                        }],
-                    }],
-                ),
-            },
+            install(victim_owner(), Stage::Dst, fw_dropping_udp()),
         );
         sim.run_until(SimTime::from_millis(30));
         assert_eq!(handle.lock().rule_count, 2, "redeploy replaces in place");
@@ -1047,11 +1041,7 @@ mod tests {
         // msg.from. Simulate a stranger's control message:
         let topo = Topology::line(3);
         let mut sim = Simulator::new(topo, 1);
-        dev.apply(DeviceCommand::RegisterOwner {
-            owner: OwnerId(1),
-            prefixes: vec![Prefix::of_node(NodeId(2))],
-            contact: NodeId(2),
-        });
+        dev.apply(register_at_node_2(OwnerId(1)));
         let handle = dev.handle();
         sim.add_agent(NodeId(1), Box::new(dev));
 
@@ -1069,21 +1059,7 @@ mod tests {
                 ctx.send_control(
                     NodeId(1),
                     SimDuration::from_millis(1),
-                    DeviceCommand::InstallService {
-                        txn: 0,
-                        lease_until: SimTime::MAX,
-                        owner: OwnerId(1),
-                        stage: Stage::Dst,
-                        spec: ServiceSpec::chain(
-                            "fw",
-                            vec![ModuleSpec::Filter {
-                                rules: vec![FilterRule {
-                                    expr: MatchExpr::any(),
-                                    drop: true,
-                                }],
-                            }],
-                        ),
-                    },
+                    install(OwnerId(1), Stage::Dst, fw_dropping(MatchExpr::any())),
                 );
                 Verdict::Forward
             }
@@ -1103,43 +1079,25 @@ mod tests {
     #[test]
     fn duplicate_install_is_idempotent() {
         let (mut dev, handle) = AdaptiveDevice::new(NodeId(1), None);
-        dev.apply(DeviceCommand::RegisterOwner {
-            owner: victim_owner(),
-            prefixes: vec![Prefix::of_node(NodeId(2))],
-            contact: NodeId(2),
-        });
-        let install = |txn| DeviceCommand::InstallService {
+        dev.apply(register_at_node_2(victim_owner()));
+        let attempt = |txn| DeviceCommand::InstallService {
             txn,
             lease_until: SimTime::MAX,
             owner: victim_owner(),
             stage: Stage::Dst,
-            spec: ServiceSpec::chain("fw", vec![ModuleSpec::AntiSpoof]),
+            spec: anti_spoof("fw"),
         };
-        let first = dev.apply(install(7));
+        let first = dev.apply(attempt(7));
         assert!(matches!(first, Some(DeviceReply::InstallOk { txn: 7, .. })));
         assert_eq!(handle.lock().idempotent_installs, 0);
         // A retransmit (same spec, new attempt's txn) re-acks without
         // touching the running graph.
-        let again = dev.apply(install(8));
+        let again = dev.apply(attempt(8));
         assert!(matches!(again, Some(DeviceReply::InstallOk { txn: 8, .. })));
         assert_eq!(handle.lock().idempotent_installs, 1);
         assert_eq!(handle.lock().rule_count, 1);
         // A *changed* spec under the same name replaces, not re-acks.
-        let changed = dev.apply(DeviceCommand::InstallService {
-            txn: 9,
-            lease_until: SimTime::MAX,
-            owner: victim_owner(),
-            stage: Stage::Dst,
-            spec: ServiceSpec::chain(
-                "fw",
-                vec![ModuleSpec::Filter {
-                    rules: vec![FilterRule {
-                        expr: MatchExpr::proto(Proto::Udp),
-                        drop: true,
-                    }],
-                }],
-            ),
-        });
+        let changed = dev.apply(install(victim_owner(), Stage::Dst, fw_dropping_udp()));
         assert!(matches!(changed, Some(DeviceReply::InstallOk { .. })));
         assert_eq!(handle.lock().idempotent_installs, 1, "replace is not a dup");
     }
@@ -1148,18 +1106,8 @@ mod tests {
     fn inventory_lists_installed_services_sorted() {
         let (mut dev, _handle) = AdaptiveDevice::new(NodeId(1), None);
         for owner in [OwnerId(9), OwnerId(3)] {
-            dev.apply(DeviceCommand::RegisterOwner {
-                owner,
-                prefixes: vec![Prefix::of_node(NodeId(2))],
-                contact: NodeId(2),
-            });
-            dev.apply(DeviceCommand::InstallService {
-                txn: 0,
-                lease_until: SimTime::MAX,
-                owner,
-                stage: Stage::Dst,
-                spec: ServiceSpec::chain("fw", vec![ModuleSpec::AntiSpoof]),
-            });
+            dev.apply(register_at_node_2(owner));
+            dev.apply(install(owner, Stage::Dst, anti_spoof("fw")));
         }
         let reply = dev.apply(DeviceCommand::QueryInventory {
             reply_to: NodeId(5),
@@ -1168,7 +1116,7 @@ mod tests {
             panic!("expected Inventory reply");
         };
         assert_eq!(node, NodeId(1));
-        let hash = ServiceSpec::chain("fw", vec![ModuleSpec::AntiSpoof]).content_hash();
+        let hash = anti_spoof("fw").content_hash();
         assert_eq!(
             installed,
             vec![
@@ -1202,7 +1150,7 @@ mod tests {
             lease_until,
             owner: victim_owner(),
             stage: Stage::Dst,
-            spec: ServiceSpec::chain("fw", vec![ModuleSpec::AntiSpoof]),
+            spec: anti_spoof("fw"),
         }
     }
 
@@ -1268,13 +1216,7 @@ mod tests {
             matches!(reply, Some(DeviceReply::RemoveOk { txn: 5, .. })),
             "removing an absent slot still acks (idempotent teardown)"
         );
-        dev.apply(DeviceCommand::InstallService {
-            txn: 0,
-            lease_until: SimTime::MAX,
-            owner: victim_owner(),
-            stage: Stage::Dst,
-            spec: ServiceSpec::chain("fw", vec![ModuleSpec::AntiSpoof]),
-        });
+        dev.apply(install(victim_owner(), Stage::Dst, anti_spoof("fw")));
         assert_eq!(handle.lock().rule_count, 1);
         let reply = dev.apply(DeviceCommand::RemoveService {
             owner: victim_owner(),
@@ -1283,5 +1225,143 @@ mod tests {
         });
         assert!(matches!(reply, Some(DeviceReply::RemoveOk { txn: 6, .. })));
         assert_eq!(handle.lock().rule_count, 0);
+    }
+
+    /// The lease bookkeeping this device had before the expiry index, kept
+    /// as the reference: one map entry per installed slot — unleased ones
+    /// included — and a reap that scans all of them.
+    #[derive(Default)]
+    struct ScanLeases {
+        leases: HashMap<(OwnerId, Stage), SimTime>,
+        reaps: u64,
+        last_reap_at: Option<SimTime>,
+    }
+
+    /// The device and the reference fed the same calls, compared after
+    /// every one of them.
+    struct Lockstep {
+        dev: AdaptiveDevice,
+        reference: ScanLeases,
+    }
+
+    impl Lockstep {
+        fn mirror(&mut self, cmd: &DeviceCommand) {
+            let leases = &mut self.reference.leases;
+            match *cmd {
+                DeviceCommand::InstallService {
+                    owner,
+                    stage,
+                    lease_until,
+                    ..
+                } => {
+                    leases.insert((owner, stage), lease_until);
+                }
+                DeviceCommand::RemoveService { owner, stage, .. } => {
+                    leases.remove(&(owner, stage));
+                }
+                DeviceCommand::UnregisterOwner { owner } => leases.retain(|k, _| k.0 != owner),
+                _ => unreachable!("not part of the schedule"),
+            }
+            self.check();
+        }
+
+        fn check(&self) {
+            let slots = self.dev.services.iter();
+            let slots: HashMap<_, _> = slots.map(|(&k, slot)| (k, slot.lease_until)).collect();
+            assert_eq!(slots, self.reference.leases, "same slots, same horizons");
+            let finite = slots.iter().filter(|(_, &until)| until != SimTime::MAX);
+            let finite: Expiries = finite.map(|(&(o, s), &until)| (until, o, s)).collect();
+            assert_eq!(self.dev.expiries, finite, "the index is the finite leases");
+            let stats = self.dev.stats.lock();
+            assert_eq!(stats.lease_reaps, self.reference.reaps);
+            assert_eq!(stats.last_reap_at, self.reference.last_reap_at);
+            let recount: usize = self.dev.services.values().map(Slot::rule_count).sum();
+            assert_eq!(stats.rule_count, recount);
+        }
+    }
+
+    impl NodeAgent for Lockstep {
+        fn name(&self) -> &'static str {
+            "lockstep"
+        }
+
+        fn on_control(&mut self, ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
+            self.dev.on_control(ctx, msg);
+            self.mirror(msg.get::<DeviceCommand>().expect("only commands are sent"));
+        }
+
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
+            let live = self.reference.leases.len();
+            self.reference.leases.retain(|_, until| *until > ctx.now); // the scan
+            let due = live - self.reference.leases.len();
+            if due > 0 {
+                self.reference.reaps += due as u64;
+                self.reference.last_reap_at = Some(ctx.now);
+            }
+            self.dev.on_timer(ctx, token);
+            self.check();
+        }
+
+        fn on_crash(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.reference.leases.clear();
+            self.dev.on_crash(ctx);
+            self.check();
+        }
+    }
+
+    #[test]
+    fn expiry_index_reaps_what_a_whole_table_scan_would() {
+        let (mut reaps, mut crashes) = (0, 0);
+        let specs = [anti_spoof("fw"), anti_spoof("stats"), fw_dropping_udp()];
+        dtcs_netsim::rng::check_cases(0..96, |rng| {
+            // A coarse grid of instants and few slots: renewals, expiries,
+            // removals and timers tie and collide all the time.
+            let command = |rng: &mut dtcs_netsim::rng::ChaCha8Rng| {
+                let owner = OwnerId(rng.gen_range(1..4u64));
+                let stage = [Stage::Src, Stage::Dst][rng.gen_range(0..2usize)];
+                let lease_until = match rng.gen_range(0..5u32) {
+                    0 => SimTime::MAX,
+                    _ => SimTime::from_millis(rng.gen_range(0..40u64)), // moves either way
+                };
+                match rng.gen_range(0..8u32) {
+                    0 => DeviceCommand::UnregisterOwner { owner },
+                    1 => DeviceCommand::RemoveService {
+                        owner,
+                        stage,
+                        txn: 0,
+                    },
+                    kind => DeviceCommand::InstallService {
+                        owner,
+                        stage,
+                        spec: specs[kind as usize % 3].clone(),
+                        txn: 0,
+                        lease_until,
+                    },
+                }
+            };
+            let (dev, handle) = AdaptiveDevice::new(NodeId(1), None);
+            let reference = ScanLeases::default();
+            let mut agent = Lockstep { dev, reference };
+            // Finite leases through `apply` arm no timer of their own.
+            for _ in 0..rng.gen_range(0..4u32) {
+                let cmd = command(rng);
+                agent.dev.apply(cmd.clone());
+                agent.mirror(&cmd);
+            }
+            let mut sim = Simulator::new(Topology::line(3), 1);
+            let at = sim.add_agent(NodeId(1), Box::new(agent));
+            for _ in 0..rng.gen_range(10..60u32) {
+                let t = SimTime::from_millis(rng.gen_range(0..40u64));
+                match rng.gen_range(0..10u32) {
+                    0 => sim.schedule(t, |sim| sim.crash_node(NodeId(1))),
+                    1 => sim.schedule_agent_timer(NodeId(1), at, t, TOKEN_LEASE),
+                    _ => sim.deliver_control(t, NodeId(0), NodeId(1), command(rng)),
+                }
+            }
+            sim.run_until(SimTime::from_secs(1));
+            reaps += handle.lock().lease_reaps;
+            crashes += handle.lock().crashes;
+        });
+        assert!(reaps > 200 && crashes > 50, "{reaps} / {crashes}");
     }
 }

@@ -1,36 +1,35 @@
 //! Service graphs: composed module chains (Click-style composition,
 //! Sec. 5.2 — "services are composed of components that are arranged as
-//! directed graphs"). The runtime graph is a sequence of modules with
-//! per-module enable bits; triggers flip those bits at run time, which is
-//! how "predefined additional configurations" are staged dormant and
-//! activated under attack (Sec. 4.2).
+//! directed graphs"). The runtime graph is the [`ServiceSpec`] it was
+//! installed from — shared, never copied — plus what differs per install:
+//! one enable bit and one [`ModuleState`] per module. Triggers flip those
+//! bits at run time, which is how "predefined additional configurations"
+//! are staged dormant and activated under attack (Sec. 4.2).
 
 use dtcs_netsim::SimTime;
 
-use crate::modules::{instantiate, Module, ModuleAction};
+use crate::modules::{ModuleAction, ModuleState};
 use crate::owner::OwnerId;
 use crate::spec::ServiceSpec;
 use crate::support::LogEntry;
 use crate::view::{DeviceContext, DeviceEvent, ModuleEnv, PacketView};
 
+/// The per-install half of one module; `spec.modules()[i]` is the other.
 struct GraphNode {
-    module: Box<dyn Module>,
     enabled: bool,
+    state: ModuleState,
 }
 
 /// An instantiated service graph for one `(owner, stage)` slot.
 pub struct ServiceGraph {
-    /// Service name from the spec.
-    pub name: String,
+    /// The installing spec: every rule list, match expression and
+    /// parameter the modules evaluate, read in place. Owners running one
+    /// catalog service share it.
+    spec: ServiceSpec,
     /// Whole-service activation switch (control plane sets this).
     pub active: bool,
     /// Primitive rule count (E6 scalability unit).
     pub rule_count: usize,
-    /// Fingerprint of the installing spec
-    /// ([`ServiceSpec::content_hash`], computed once at the spec's
-    /// construction and copied here) — the install idempotency key and
-    /// the unit the NMS reconciliation sweep compares.
-    pub spec_hash: u64,
     nodes: Vec<GraphNode>,
     activations: Vec<(usize, bool)>,
     /// Packets that traversed this graph.
@@ -42,25 +41,37 @@ pub struct ServiceGraph {
 impl ServiceGraph {
     /// Instantiate a spec. The caller must have run the
     /// [`SafetyVerifier`](crate::safety::SafetyVerifier) first; forbidden
-    /// modules panic in [`instantiate`].
+    /// modules panic in [`ModuleState::new`].
     pub fn from_spec(spec: &ServiceSpec) -> ServiceGraph {
         ServiceGraph {
-            name: spec.name().to_string(),
+            spec: spec.clone(),
             active: true,
             rule_count: spec.rule_count(),
-            spec_hash: spec.content_hash(),
             nodes: spec
                 .modules()
                 .iter()
                 .map(|n| GraphNode {
-                    module: instantiate(&n.module),
                     enabled: n.enabled,
+                    state: ModuleState::new(&n.module),
                 })
                 .collect(),
             activations: Vec::new(),
             packets: 0,
             dropped: 0,
         }
+    }
+
+    /// Service name from the spec.
+    pub fn name(&self) -> &str {
+        self.spec.name()
+    }
+
+    /// Fingerprint of the installing spec
+    /// ([`ServiceSpec::content_hash`], computed once at the spec's
+    /// construction) — the install idempotency key and the unit the NMS
+    /// reconciliation sweep compares.
+    pub fn spec_hash(&self) -> u64 {
+        self.spec.content_hash()
     }
 
     /// Run one packet through the graph.
@@ -78,7 +89,7 @@ impl ServiceGraph {
         }
         self.packets += 1;
         let mut action = ModuleAction::Pass;
-        for node in &mut self.nodes {
+        for (node, spec) in self.nodes.iter_mut().zip(self.spec.modules()) {
             if !node.enabled {
                 continue;
             }
@@ -90,7 +101,7 @@ impl ServiceGraph {
                 events,
                 activations: &mut self.activations,
             };
-            action = node.module.process(&mut env, view);
+            action = node.state.process(&spec.module, &mut env, view);
             if let ModuleAction::Drop(_) = action {
                 self.dropped += 1;
                 break;
@@ -102,9 +113,7 @@ impl ServiceGraph {
         // firing triggers costs no allocation per packet.
         let mut acts = std::mem::take(&mut self.activations);
         for (idx, enable) in acts.drain(..) {
-            if let Some(n) = self.nodes.get_mut(idx) {
-                n.enabled = enable;
-            }
+            self.set_module_enabled(idx, enable);
         }
         self.activations = acts;
         action
@@ -133,31 +142,21 @@ impl ServiceGraph {
 
     /// Forward a traceback digest query to the graph's backlog modules.
     pub fn query_digest(&self, digest: u64, from: SimTime, to: SimTime) -> Option<bool> {
-        let mut any_backlog = false;
-        for n in &self.nodes {
-            if let Some(hit) = n.module.query_digest(digest, from, to) {
-                any_backlog = true;
-                if hit {
-                    return Some(true);
-                }
-            }
-        }
-        if any_backlog {
-            Some(false)
-        } else {
-            None
-        }
+        self.nodes
+            .iter()
+            .zip(self.spec.modules())
+            .filter_map(|(n, spec)| n.state.query_digest(&spec.module, digest, from, to))
+            .reduce(|seen, hit| seen || hit) // None: no backlog anywhere
     }
 
     /// Drain every logger module's entries.
     pub fn drain_logs(&mut self) -> Vec<LogEntry> {
-        let mut out = Vec::new();
-        for n in &mut self.nodes {
-            if let Some(mut entries) = n.module.drain_log() {
-                out.append(&mut entries);
-            }
-        }
-        out
+        self.nodes
+            .iter_mut()
+            .zip(self.spec.modules())
+            .filter_map(|(n, spec)| n.state.drain_log(&spec.module))
+            .flatten()
+            .collect()
     }
 }
 

@@ -50,7 +50,7 @@ pub mod view;
 
 pub use device::{AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats};
 pub use graph::ServiceGraph;
-pub use modules::{Module, ModuleAction};
+pub use modules::ModuleAction;
 pub use owner::{OwnerId, OwnerTable};
 pub use safety::{SafetyVerifier, SafetyViolation};
 pub use spec::{

@@ -7,6 +7,8 @@
 //! address to owner, consulted twice per packet (source side, then
 //! destination side).
 
+use std::collections::BTreeSet;
+
 use dtcs_netsim::{Addr, NodeId, Prefix};
 
 use crate::trie::PrefixTrie;
@@ -24,29 +26,61 @@ pub struct OwnerEntry {
     pub contact: NodeId,
 }
 
-/// Device-local map from address space to owner.
+/// One registration as the owner-side index orders it: owner first, then
+/// the prefix's bits and length.
+type OwnedPrefix = (OwnerId, u32, u8);
+
+fn owned(owner: OwnerId, prefix: Prefix) -> OwnedPrefix {
+    (owner, prefix.bits, prefix.len)
+}
+
+/// Device-local map from address space to owner, and back: the trie
+/// answers "who owns this address"; the index lists every registration
+/// again by owner, for the two questions an address lookup cannot answer
+/// when a more specific registration shadows a prefix — where does this
+/// owner's telemetry go, and which prefixes leave with it. `register` and
+/// `unregister` keep the two in step.
 #[derive(Clone, Debug, Default)]
 pub struct OwnerTable {
     trie: PrefixTrie<OwnerEntry>,
+    by_owner: BTreeSet<OwnedPrefix>,
 }
 
 impl OwnerTable {
     /// Empty table.
     pub fn new() -> Self {
-        OwnerTable {
-            trie: PrefixTrie::new(),
-        }
+        OwnerTable::default()
     }
 
     /// Register `prefix` as owned by `owner` with a telemetry contact node.
     /// More-specific registrations shadow less-specific ones (LPM).
     pub fn register(&mut self, prefix: Prefix, owner: OwnerId, contact: NodeId) {
-        self.trie.insert(prefix, OwnerEntry { owner, contact });
+        let old = self.trie.insert(prefix, OwnerEntry { owner, contact });
+        if old.map(|old| old.owner) == Some(owner) {
+            return; // re-registration (every lease renewal sends one)
+        }
+        if let Some(old) = old {
+            self.by_owner.remove(&owned(old.owner, prefix)); // changed hands
+        }
+        self.by_owner.insert(owned(owner, prefix));
     }
 
     /// Remove the registration at exactly `prefix`.
     pub fn unregister(&mut self, prefix: Prefix) -> Option<OwnerEntry> {
-        self.trie.remove(prefix)
+        let old = self.trie.remove(prefix)?;
+        self.by_owner.remove(&owned(old.owner, prefix));
+        Some(old)
+    }
+
+    /// Remove every registration of `owner`.
+    pub fn unregister_owner(&mut self, owner: OwnerId) {
+        while let Some(prefix) = self.first_prefix_of(owner) {
+            self.unregister(prefix);
+        }
+    }
+
+    fn first_prefix_of(&self, owner: OwnerId) -> Option<Prefix> {
+        self.prefixes_of(owner).next()
     }
 
     /// The owner of an address, if registered.
@@ -54,13 +88,18 @@ impl OwnerTable {
         self.trie.lookup(addr).map(|(_, e)| e)
     }
 
-    /// All prefixes registered to `owner`.
-    pub fn prefixes_of(&self, owner: OwnerId) -> Vec<Prefix> {
-        self.trie
-            .iter()
-            .filter(|(_, e)| e.owner == owner)
-            .map(|(p, _)| p)
-            .collect()
+    /// Where `owner`'s telemetry goes: the contact it registered its own
+    /// (first) prefix with, whoever else's prefixes shadow its addresses.
+    pub fn contact_of(&self, owner: OwnerId) -> Option<NodeId> {
+        let own = self.first_prefix_of(owner)?;
+        self.trie.get(own).map(|e| e.contact)
+    }
+
+    /// All prefixes registered to `owner`, in address order.
+    pub fn prefixes_of(&self, owner: OwnerId) -> impl Iterator<Item = Prefix> + '_ {
+        self.by_owner
+            .range((owner, 0, 0)..=(owner, u32::MAX, u8::MAX))
+            .map(|&(_, bits, len)| Prefix { bits, len })
     }
 
     /// Number of registrations.
@@ -102,10 +141,35 @@ mod tests {
         t.register(Prefix::of_node(NodeId(1)), OwnerId(9), NodeId(1));
         t.register(Prefix::of_node(NodeId(2)), OwnerId(9), NodeId(1));
         t.register(Prefix::of_node(NodeId(3)), OwnerId(8), NodeId(3));
-        let mut ps = t.prefixes_of(OwnerId(9));
-        ps.sort_by_key(|p| p.bits);
-        assert_eq!(ps.len(), 2);
-        assert!(ps.contains(&Prefix::of_node(NodeId(1))));
+        let of = |owner| t.prefixes_of(OwnerId(owner)).collect::<Vec<_>>();
+        assert_eq!(
+            of(9),
+            [Prefix::of_node(NodeId(1)), Prefix::of_node(NodeId(2))]
+        );
+        assert_eq!(of(8), [Prefix::of_node(NodeId(3))]);
+        assert!(of(7).is_empty());
+    }
+
+    #[test]
+    fn index_follows_every_registration() {
+        let mut t = OwnerTable::new();
+        let of = |t: &OwnerTable, owner| t.prefixes_of(OwnerId(owner)).collect::<Vec<_>>();
+        let (p, q) = (Prefix::of_node(NodeId(1)), Prefix::of_node(NodeId(2)));
+        t.register(p, OwnerId(1), NodeId(5));
+        t.register(q, OwnerId(1), NodeId(5));
+        t.register(p, OwnerId(1), NodeId(5)); // a renewal's re-registration
+        assert_eq!(of(&t, 1), [p, q]);
+        t.register(p, OwnerId(2), NodeId(6)); // the prefix changes hands
+        assert_eq!((of(&t, 1), of(&t, 2)), (vec![q], vec![p]));
+        t.register(q, OwnerId(1), NodeId(7)); // same owner, new contact
+        assert_eq!(of(&t, 1), [q]);
+        assert_eq!(t.contact_of(OwnerId(1)), Some(NodeId(7)));
+        assert_eq!(t.contact_of(OwnerId(2)), Some(NodeId(6)));
+        assert!(t.unregister(q).is_some());
+        assert_eq!(t.contact_of(OwnerId(1)), None, "no registration left");
+        t.unregister_owner(OwnerId(2));
+        assert!(t.is_empty() && t.by_owner.is_empty());
+        assert_eq!(t.contact_of(OwnerId(2)), None);
     }
 
     #[test]
