@@ -335,10 +335,9 @@ pub struct AdaptiveDevice {
     /// Optional synchronous event tap for scenario code / tests.
     event_tap: Option<Sender<DeviceEvent>>,
     /// Owns the source-address check behind the anti-spoofing modules'
-    /// spoof verdict, with its route-consistency queries memoized.
-    /// Epoch-synced against the routing table's delta history: a localized
-    /// link flip evicts only the damaged destinations' answers, keeping
-    /// the rest warm across failure injection (see `dtcs_netsim::oracle`).
+    /// spoof verdict. Its route-consistency query is a walk of the live
+    /// routing table: nothing is held per owner or per flow, and nothing
+    /// goes stale across failure injection (see `dtcs_netsim::oracle`).
     oracle: RouteOracle,
 }
 

@@ -17,12 +17,9 @@ use crate::deploy::{choose_nodes, Placement};
 
 /// RFC 2267-style ingress filter at one AS.
 pub struct IngressFilterAgent {
-    /// Owns the source-address check and memoizes its per-packet
-    /// route-consistency query; answers are identical to walking the
-    /// routing table and survive failure injection via the routing epoch's
-    /// delta protocol: a localized link flip only evicts cached answers
-    /// whose destination the flip actually damaged, so under flap churn
-    /// most of the cache stays warm (see `dtcs_netsim::oracle`).
+    /// Owns the source-address check. Its per-packet route-consistency
+    /// query is a walk of the live routing table, so failure injection
+    /// needs no invalidation here (see `dtcs_netsim::oracle`).
     oracle: RouteOracle,
 }
 

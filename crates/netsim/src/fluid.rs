@@ -10,11 +10,11 @@
 //! 1. **Path cache, epoch-subscribed.** Every aggregate caches its
 //!    forwarding path as a flat run of link directions. Paths are
 //!    re-resolved only when [`crate::routing::Routing::epoch`] moves, and
-//!    then only for the destinations named by
-//!    [`crate::routing::Routing::dsts_invalidated_since`] — the same
-//!    delta-history subscription the [`crate::oracle::RouteOracle`] uses —
-//!    or for everything when the delta history has been outrun. Filter
-//!    changes bump a separate filter epoch with the same contract. A
+//!    then only for the aggregates whose destination's row moved since
+//!    the cache last looked: [`crate::routing::Routing::changed_at`]`(dst)`
+//!    is past the cache's epoch. That is the whole rule, however many
+//!    flips fell between two ticks. Filter changes set a dirty flag that
+//!    re-derives every path (filter stops interleave with it). A
 //!    rebuild also collects the **direction set** — the distinct link
 //!    directions some cached path crosses — and every per-direction array
 //!    is sized by that set, not by the topology.
@@ -443,20 +443,10 @@ impl FluidLayer {
         stats.fluid_ticks += 1;
 
         // --- 1. Epoch subscriptions -----------------------------------
-        let mut invalidate_paths = false;
         if routing.epoch() != self.route_epoch {
             stats.fluid_epoch_invalidations += 1;
-            match routing.dsts_invalidated_since(self.route_epoch) {
-                Some(mut dirty) => {
-                    dirty.sort_unstable();
-                    dirty.dedup();
-                    for i in 0..self.src.len() {
-                        if dirty.binary_search(&self.dst[i].node()).is_ok() {
-                            self.resolved[i] = false;
-                        }
-                    }
-                }
-                None => invalidate_paths = true,
+            for (resolved, dst) in std::iter::zip(&mut self.resolved, &self.dst) {
+                *resolved &= routing.changed_at(dst.node()) <= self.route_epoch;
             }
             self.route_epoch = routing.epoch();
         }
@@ -465,10 +455,7 @@ impl FluidLayer {
             // filter-epoch bump re-derives the stops via a path rebuild.
             stats.fluid_epoch_invalidations += 1;
             self.filters_dirty = false;
-            invalidate_paths = true;
-        }
-        if invalidate_paths {
-            self.resolved.iter_mut().for_each(|r| *r = false);
+            self.resolved.fill(false);
         }
         if self.resolved.iter().any(|r| !r) {
             stats.fluid_recomputes += self.resolve_paths(topo, routing);
@@ -874,6 +861,51 @@ mod tests {
         sim.stats.check_conservation().unwrap();
     }
 
+    /// However many flips fall between two ticks, the cache re-resolves
+    /// the aggregates whose destination's row moved and no others: 33
+    /// flips of a leaf-to-leaf shortcut on a star (more than any bounded
+    /// history of flips could hold) leave it down, and of five aggregates
+    /// only the two addressed to its endpoints pay a walk.
+    #[test]
+    fn many_flips_between_ticks_re_resolve_only_the_damaged_aggregates() {
+        let mut topo = Topology::star(5);
+        let chord = topo
+            .connect(NodeId(1), NodeId(2), crate::link::LinkProfile::access())
+            .unwrap();
+        let mut sim = Simulator::new(topo, 5);
+        sim.enable_fluid(TICK);
+        let pairs = [(1, 2), (2, 1), (3, 4), (4, 3), (1, 5)];
+        for (src, dst) in pairs {
+            sim.add_background_demand(demand(src, dst, 1e6, 4));
+        }
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.stats.fluid_recomputes, 5, "initial resolve");
+        let paths = |sim: &Simulator| -> Vec<Vec<u32>> {
+            let l = sim.fluid().unwrap();
+            std::iter::zip(&l.path_off, &l.path_len)
+                .map(|(&o, &len)| l.path_nodes[o as usize..(o + len) as usize].to_vec())
+                .collect()
+        };
+        assert_eq!(paths(&sim)[0], [1], "1 → 2 rides the shortcut");
+
+        let invalidations = sim.stats.fluid_epoch_invalidations;
+        for k in 0..33 {
+            sim.set_link_up(chord, k % 2 == 1);
+        }
+        assert_eq!(sim.routing.epoch(), 33);
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.stats.fluid_epoch_invalidations, invalidations + 1);
+        assert_eq!(sim.stats.fluid_recomputes, 5 + 2, "dsts 1 and 2 only");
+        // Every cached path, kept or re-walked, is what a fresh walk gives.
+        for (path, (src, dst)) in std::iter::zip(paths(&sim), pairs) {
+            let fresh = sim.routing.path(&sim.topo, NodeId(src), NodeId(dst));
+            let fresh: Vec<u32> = fresh.unwrap().iter().map(|n| n.0 as u32).collect();
+            assert_eq!(path, fresh[..fresh.len() - 1], "{src} → {dst}");
+        }
+        assert_eq!(paths(&sim)[0], [1, 0], "1 → 2 now goes through the hub");
+        sim.stats.check_conservation().unwrap();
+    }
+
     #[test]
     fn packetized_endpoint_materializes_discrete_cbr() {
         let mut sim = line_sim(true);
@@ -1112,27 +1144,19 @@ mod tests {
             stats.fluid_ticks += 1;
 
             // 1. Epoch subscriptions.
-            let mut invalidate_paths = false;
             if routing.epoch() != self.route_epoch {
                 stats.fluid_epoch_invalidations += 1;
-                match routing.dsts_invalidated_since(self.route_epoch) {
-                    Some(dsts) => {
-                        let dirty: std::collections::HashSet<NodeId> = dsts.into_iter().collect();
-                        for a in &mut self.aggs {
-                            a.resolved &= !dirty.contains(&a.d.dst.node());
-                        }
-                    }
-                    None => invalidate_paths = true,
+                for a in &mut self.aggs {
+                    a.resolved &= routing.changed_at(a.d.dst.node()) <= self.route_epoch;
                 }
                 self.route_epoch = routing.epoch();
             }
             if self.filters_dirty {
                 stats.fluid_epoch_invalidations += 1;
                 self.filters_dirty = false;
-                invalidate_paths = true;
+                self.aggs.iter_mut().for_each(|a| a.resolved = false);
             }
             for a in &mut self.aggs {
-                a.resolved &= !invalidate_paths;
                 if !a.resolved {
                     stats.fluid_recomputes += 1;
                     a.resolve(topo, routing, &self.filters);

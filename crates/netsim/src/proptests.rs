@@ -3,9 +3,10 @@
 //!
 //! * the timing wheel must pop events in *exactly* the order the
 //!   `(time, seq)` binary heap it replaced would have (DESIGN.md §6.2);
-//! * incremental route repair plus warm oracle eviction must be
-//!   answer-for-answer identical to a cold `Routing::compute` and a fresh
-//!   walk at every step of any link-flap schedule (DESIGN.md §6.3);
+//! * incremental route repair must leave tables bit-identical to a cold
+//!   `Routing::compute` at every step of any link-flap schedule, and
+//!   `Routing::changed_at` must be past the epoch of any earlier step a
+//!   destination's row has moved since (DESIGN.md §6.1);
 //! * a full (unsampled) lifecycle trace must reconcile *exactly* with the
 //!   [`crate::stats::Stats`] counters: one `Deliver` per delivery, one
 //!   `LinkDrop`/`ModuleVerdict` per counted drop, bucket by bucket
@@ -17,7 +18,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::node::{LinkId, NodeId};
-use crate::oracle::RouteOracle;
 use crate::rng::{check_cases, seeded, ChaCha8Rng};
 use crate::routing::Routing;
 use crate::topology::Topology;
@@ -187,19 +187,19 @@ fn wheel_matches_heap_under_interleaved_push_pop() {
 }
 
 /// Link-flap churn: random schedules where each step flips one to
-/// three links *in the same tick* (consecutive deltas with no
-/// recompute or query between them) and then fires mid-epoch queries
-/// at randomly chosen filtering nodes. Asserts, at every step:
+/// three links *in the same tick* (consecutive flips with no recompute
+/// or query between them). Asserts, at every step:
 ///
 /// * the incrementally spliced tables equal a cold
 ///   [`Routing::compute`] on the flipped topology bit for bit
 ///   (next-hop, distance, cost and stamp planes);
-/// * every warm [`RouteOracle`] — including ones that last synced many
-///   epochs ago and must now absorb a multi-delta window, and ones
-///   that hit the delta-history fallback — answers exactly like a
-///   fresh walk of the cold tables.
+/// * [`Routing::changed_at`] is sound against every earlier step: a
+///   destination whose next-hop column differs from the snapshot taken
+///   at epoch `e` has `changed_at > e` — what a cache synced at `e`
+///   relies on, however many flips it slept through — and a flip that
+///   rebuilt the whole table marks every destination.
 #[test]
-fn flap_schedule_keeps_tables_and_warm_oracles_exact() {
+fn flap_schedule_keeps_tables_exact_and_changed_at_sound() {
     check_cases(0..256, |rng| {
         let topo_seed = rng.gen_range(0..10_000u64);
         let ops: Vec<u64> = (0..rng.gen_range(2..8usize))
@@ -209,31 +209,40 @@ fn flap_schedule_keeps_tables_and_warm_oracles_exact() {
         let n = topo.n();
         let n_links = topo.links.len();
         let mut routing = Routing::compute(&topo);
-        let mut oracles: Vec<RouteOracle> = (0..n).map(|i| RouteOracle::new(NodeId(i))).collect();
+        let column = |r: &Routing, d: usize| -> Vec<Option<LinkId>> {
+            (0..n).map(|u| r.next_hop(NodeId(u), NodeId(d))).collect()
+        };
+        // (epoch, tables as they stood at that epoch), one per step.
+        let mut snapshots = vec![(0, routing.clone())];
         let mut rng = seeded(topo_seed ^ 0xF1A9);
         for (i, &op) in ops.iter().enumerate() {
             // 1..=3 flips in one tick; links may repeat (down then up).
             for _ in 0..=op {
                 let l = LinkId(rng.gen_range(0..n_links));
                 topo.links[l.0].up = !topo.links[l.0].up;
-                routing.apply_link_flip(&topo, l);
+                if routing.apply_link_flip(&topo, l).full {
+                    for d in 0..n {
+                        assert_eq!(routing.changed_at(NodeId(d)), routing.epoch());
+                    }
+                }
             }
             let cold = Routing::compute(&topo);
             assert!(routing.tables_match(&cold), "step {}: tables diverged", i);
-            // Mid-epoch queries: only the queried oracles sync; the rest
-            // fall further behind and exercise wider windows next time.
-            for _q in 0..60 {
-                let src = NodeId(rng.gen_range(0..n));
-                let dst = NodeId(rng.gen_range(0..n));
-                let at = rng.gen_range(0..n);
-                let want = cold.enters_via(&topo, src, dst, NodeId(at));
-                let got = oracles[at].enters_via(&routing, &topo, src, dst);
-                assert_eq!(
-                    got, want,
-                    "step {} src={:?} dst={:?} at={}",
-                    i, src, dst, at
-                );
+            for (e, then) in &snapshots {
+                for d in 0..n {
+                    let at = routing.changed_at(NodeId(d));
+                    assert!(at <= routing.epoch());
+                    assert!(
+                        at > *e || column(&routing, d) == column(then, d),
+                        "step {}: dst {} moved after epoch {} but changed_at says {}",
+                        i,
+                        d,
+                        e,
+                        at
+                    );
+                }
             }
+            snapshots.push((routing.epoch(), cold));
         }
     });
 }

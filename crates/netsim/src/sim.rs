@@ -348,11 +348,10 @@ impl Simulator {
     ///
     /// Repair is incremental ([`Routing::apply_link_flip`]): only the
     /// destination trees the flip can affect are re-derived, the epoch is
-    /// bumped, and a delta record lets epoch-keyed caches
-    /// ([`crate::oracle::RouteOracle`]) evict just the damaged
-    /// destinations instead of clearing wholesale. Redundant calls (link
-    /// already in the requested state) change nothing and leave the epoch
-    /// alone.
+    /// bumped, and the re-derived rows carry it ([`Routing::changed_at`])
+    /// so the fluid layer's path cache re-resolves just the damaged
+    /// destinations. Redundant calls (link already in the requested
+    /// state) change nothing and leave the epoch alone.
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
         if self.topo.links[link.0].up == up {
             return;
@@ -972,6 +971,20 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.stats.drops_for_reason(DropReason::NoRoute).pkts, 1);
+    }
+
+    /// A packet can be addressed to anything: a destination outside the
+    /// topology is unroutable, not an index into the forwarding table.
+    #[test]
+    fn destination_outside_the_topology_is_a_no_route_drop() {
+        let mut sim = Simulator::new(Topology::line(3), 1);
+        sim.emit_now(
+            NodeId(0),
+            udp(Addr::new(NodeId(0), 1), Addr::new(NodeId(9999), 1)),
+        );
+        sim.run_to_idle();
+        assert_eq!(sim.stats.drops_for_reason(DropReason::NoRoute).pkts, 1);
+        sim.stats.check_conservation().unwrap();
     }
 
     /// Agent dropping everything of a given protocol.
