@@ -1,15 +1,24 @@
 //! E10 — Emerging applications: traceback accuracy and anomaly-reaction
 //! latency (Sec. 4.4).
 //!
-//! (a) SPIE-style digest traceback: accuracy of locating the true origin
-//! of spoofed packets vs backlog retention and deployment coverage.
+//! (a) SPIE-style digest traceback on the TCS's own backlog: adaptive
+//! devices keep the victim's `DigestBacklog`, the victim asks each of them
+//! about each spoofed probe over the control plane (`QueryDigest`), and
+//! [`dtcs::trace_origins`] walks the answers; accuracy of locating the
+//! true origin vs backlog retention and deployment coverage.
 //! (b) Automated reaction: time from attack onset to a device trigger
-//! firing (and auto-activating a dormant limiter) vs trigger threshold.
+//! firing (and auto-activating a dormant limiter) vs trigger threshold,
+//! read from the `TriggerFired` event at the owner's contact node.
+
+use std::collections::BTreeSet;
 
 use dtcs::control::CatalogService;
 use dtcs::device::view::digest_packet;
-use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceEvent, OwnerId};
-use dtcs::mitigation::{choose_nodes, Placement, SpieConfig, SpieFleet};
+use dtcs::device::{
+    AdaptiveDevice, DeviceCommand, DeviceEvent, Heard, Inbox, ModuleSpec, OwnerId, ServiceSpec,
+    Stage,
+};
+use dtcs::mitigation::{choose_nodes, Placement};
 use dtcs::netsim::rng::{child_seed, seeded};
 use dtcs::netsim::{
     Addr, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator, Topology,
@@ -114,43 +123,73 @@ fn trace_case(
     if !nodes.contains(&victim_node) {
         nodes.push(victim_node);
     }
-    let fleet = SpieFleet::deploy(
-        &mut sim,
-        &nodes,
-        SpieConfig {
-            retain,
-            ..Default::default()
-        },
+    // The victim's backlog of its inbound traffic on every covered node,
+    // sized as SPIE sizes a router's (the catalog's `TracebackSupport`
+    // keeps 2^16 bits, which would move the false-positive rates).
+    let owner = OwnerId(0xE10);
+    let backlog = ServiceSpec::chain(
+        "traceback",
+        vec![ModuleSpec::DigestBacklog {
+            window: SimDuration::from_secs(1),
+            windows: retain,
+            bits: 1 << 18,
+            hashes: 4,
+        }],
     );
+    for &node in &nodes {
+        let (mut dev, _) = AdaptiveDevice::new(node, None);
+        dev.apply(DeviceCommand::RegisterOwner {
+            owner,
+            prefixes: vec![Prefix::of_node(victim_node)],
+            contact: victim_node,
+        });
+        dev.apply(DeviceCommand::InstallService {
+            owner,
+            stage: Stage::Dst,
+            spec: backlog.clone(),
+            txn: 0,
+            lease_until: SimTime::MAX,
+        });
+        sim.add_agent(node, Box::new(dev));
+    }
+    let inbox = Inbox::attach(&mut sim, victim_node);
     // Spoofed probes from random stubs, each with a unique tag.
     let mut rng = seeded(child_seed(seed, 4));
     let n_probes = if quick { 60 } else { 150 };
     let mut probes = Vec::new();
+    let slack = SimDuration::from_secs(2);
     for k in 0..n_probes as u64 {
-        let from = *rng.choose(&stubs[1..]).expect("stubs");
+        let origin = *rng.choose(&stubs[1..]).expect("stubs");
         let spoof = Addr(rng.gen());
         let b = PacketBuilder::new(spoof, victim, Proto::Udp, TrafficClass::AttackDirect)
             .size(100)
             .tag(0xE10_000 + k);
         let at = SimTime(k * 20_000_000);
-        probes.push((from, b, at));
-        sim.schedule(at, move |s| s.emit_now(from, b));
+        sim.schedule(at, move |s| s.emit_now(origin, b));
+        // At 10 s the victim asks every device whether it saw the probe
+        // within 2 s of its send time; the answers come back to its inbox.
+        let digest = digest_packet(&b.build(0, origin));
+        for &node in &nodes {
+            let query = DeviceCommand::QueryDigest {
+                owner,
+                digest,
+                from: SimTime(at.as_nanos().saturating_sub(slack.as_nanos())),
+                to: at + slack,
+                reply_to: victim_node,
+            };
+            sim.deliver_control(SimTime::from_secs(10), victim_node, node, query);
+        }
+        probes.push((origin, digest));
     }
-    sim.run_until(SimTime::from_secs(10));
+    sim.run_until(SimTime::from_secs(12));
 
+    let hits: BTreeSet<(u64, NodeId)> = inbox.lock().iter().filter_map(Heard::digest_hit).collect();
     let mut exact = 0;
     let mut truncated = 0;
     let mut misses = 0;
-    for (from, b, at) in &probes {
-        let digest = digest_packet(&b.build(0, *from));
-        let found = fleet.trace(
-            &sim.topo,
-            victim_node,
-            digest,
-            *at,
-            SimDuration::from_secs(2),
-        );
-        if found.contains(from) {
+    for &(origin, digest) in &probes {
+        let found = dtcs::trace_origins(&sim.topo, victim_node, |n| hits.contains(&(digest, n)));
+        if found.contains(&origin) {
             exact += 1;
         } else if !found.is_empty() {
             truncated += 1;
@@ -190,9 +229,8 @@ fn trigger_case(
     let my_addr = Addr::new(me, 1);
     sim.install_app(my_addr, Box::new(dtcs::netsim::SinkApp));
     let owner = OwnerId(3);
-    let (tx, rx) = std::sync::mpsc::channel::<DeviceEvent>();
+    let inbox = Inbox::attach(&mut sim, me);
     let (mut dev, _h) = AdaptiveDevice::new(NodeId(0), None);
-    dev.set_event_tap(tx);
     dev.apply(DeviceCommand::RegisterOwner {
         owner,
         prefixes: vec![Prefix::of_node(me)],
@@ -229,8 +267,8 @@ fn trigger_case(
         ),
     );
     sim.run_until(SimTime::from_secs(12));
-    let fired_at = rx.try_iter().find_map(|ev| match ev {
-        DeviceEvent::TriggerFired { at, .. } => Some(at),
+    let fired_at = inbox.lock().iter().find_map(|heard| match *heard {
+        Heard::Event(DeviceEvent::TriggerFired { at, .. }) => Some(at),
         _ => None,
     });
     let row = TriggerRow {

@@ -17,7 +17,7 @@
 
 use dtcs::attack::{AgentApp, AgentMode, AgentTrigger, ConnClientApp, ConnServerApp, SpoofMode};
 use dtcs::control::CatalogService;
-use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceEvent, OwnerId};
+use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceEvent, Heard, Inbox, OwnerId};
 use dtcs::netsim::{
     Addr, DropReason, Prefix, Proto, SimDuration, SimTime, Simulator, Topology, TrafficClass,
 };
@@ -119,10 +119,10 @@ fn trigger_vignette() {
         window: SimDuration::from_millis(500),
         limit_bytes_per_sec: 20_000.0,
     };
-    // One device at the hub, with an event tap so we can watch it fire.
-    let (tx, rx) = std::sync::mpsc::channel::<DeviceEvent>();
+    // One device at the hub; its trigger events reach my inbox, the
+    // contact node I registered.
+    let inbox = Inbox::attach(&mut sim, me);
     let (mut dev, _handle) = AdaptiveDevice::new(dtcs::netsim::NodeId(0), None);
-    dev.set_event_tap(tx);
     dev.apply(DeviceCommand::RegisterOwner {
         owner,
         prefixes: vec![Prefix::of_node(me)],
@@ -170,12 +170,12 @@ fn trigger_vignette() {
         ),
     );
     sim.run_until(SimTime::from_secs(14));
-    for ev in rx.try_iter() {
-        match ev {
-            DeviceEvent::TriggerFired { value, at, .. } => {
+    for heard in inbox.lock().iter() {
+        match heard {
+            Heard::Event(DeviceEvent::TriggerFired { value, at, .. }) => {
                 println!("   trigger FIRED at {at:?} (rate {value:.0} pps) -> limiter enabled")
             }
-            DeviceEvent::TriggerRelieved { at, .. } => {
+            Heard::Event(DeviceEvent::TriggerRelieved { at, .. }) => {
                 println!("   trigger RELIEVED at {at:?} -> limiter disabled")
             }
             _ => {}

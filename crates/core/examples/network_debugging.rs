@@ -16,17 +16,12 @@
 //! Run with: `cargo run --release -p dtcs --example network_debugging`
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use dtcs::netsim::sync::Mutex;
 
 use dtcs::control::CatalogService;
-use dtcs::device::support::LogEntry;
 use dtcs::device::view::digest_packet;
-use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceReply, OwnerId, Stage};
+use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceReply, Heard, Inbox, OwnerId, Stage};
 use dtcs::netsim::{
-    Addr, AgentCtx, ControlMsg, NodeAgent, NodeId, PacketBuilder, Prefix, Proto, SimTime,
-    Simulator, Topology, TrafficClass,
+    Addr, NodeId, PacketBuilder, Prefix, Proto, SimTime, Simulator, Topology, TrafficClass,
 };
 
 fn main() {
@@ -83,23 +78,9 @@ fn main() {
     }
     sim.run_until(SimTime::from_secs(2));
 
-    // Collect every device's log via ReadLog; replies land on a probe
-    // agent installed at the provider's node.
-    type LogsByNode = BTreeMap<usize, Vec<LogEntry>>;
-    #[derive(Default)]
-    struct Collector(Arc<Mutex<LogsByNode>>);
-    impl NodeAgent for Collector {
-        fn name(&self) -> &'static str {
-            "log-collector"
-        }
-        fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
-            if let Some(DeviceReply::LogData { node, entries, .. }) = msg.get::<DeviceReply>() {
-                self.0.lock().insert(node.0, entries.clone());
-            }
-        }
-    }
-    let logs: Arc<Mutex<LogsByNode>> = Arc::default();
-    sim.add_agent(me, Box::new(Collector(logs.clone())));
+    // Collect every device's log via ReadLog; replies land in an inbox at
+    // the provider's node.
+    let inbox = Inbox::attach(&mut sim, me);
     for i in 0..sim.topo.n() {
         sim.deliver_control(
             SimTime::from_secs(3),
@@ -115,14 +96,17 @@ fn main() {
     sim.run_until(SimTime::from_secs(5));
 
     // Join logs by digest: per-probe, per-node arrival times.
-    let logs = logs.lock();
-    println!("collected logs from {} devices", logs.len());
+    let mut logs = 0;
     let mut timelines: BTreeMap<u64, Vec<(usize, SimTime)>> = BTreeMap::new();
-    for (&node, entries) in logs.iter() {
-        for e in entries {
-            timelines.entry(e.digest).or_default().push((node, e.at));
+    for heard in inbox.lock().iter() {
+        if let Heard::Reply(DeviceReply::LogData { node, entries, .. }) = heard {
+            logs += 1;
+            for e in entries {
+                timelines.entry(e.digest).or_default().push((node.0, e.at));
+            }
         }
     }
+    println!("collected logs from {logs} devices");
 
     // Per-segment delays, averaged over probes.
     let mut seg_delays: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();

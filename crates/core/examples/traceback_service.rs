@@ -12,12 +12,12 @@
 //! Run with: `cargo run --release -p dtcs --example traceback_service`
 
 use dtcs::control::CatalogService;
-use dtcs::device::{AdaptiveDevice, DeviceCommand, DeviceHandle, OwnerId};
+use dtcs::device::{AdaptiveDevice, DeviceCommand, Inbox, OwnerId, Stage};
 use dtcs::netsim::{
     Addr, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator, Topology,
     TrafficClass,
 };
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 fn main() {
     let topo = Topology::barabasi_albert(120, 2, 0.1, 19);
@@ -32,37 +32,30 @@ fn main() {
     // the spoofed packets the victim wants to trace — and additionally we
     // install a Dst-stage backlog for inbound traffic.
     let owner = OwnerId(7);
-    let svc_src = CatalogService::TracebackSupport {
+    let svc = CatalogService::TracebackSupport {
         window: SimDuration::from_secs(1),
         windows: 60,
     };
-    let mut devices: BTreeMap<NodeId, DeviceHandle> = BTreeMap::new();
     for i in 0..sim.topo.n() {
         let node = NodeId(i);
-        let (mut dev, handle) = AdaptiveDevice::new(node, None);
+        let (mut dev, _) = AdaptiveDevice::new(node, None);
         dev.apply(DeviceCommand::RegisterOwner {
             owner,
             prefixes: vec![Prefix::of_node(victim_node)],
             contact: victim_node,
         });
-        dev.apply(DeviceCommand::InstallService {
-            txn: 0,
-            lease_until: SimTime::MAX,
-            owner,
-            stage: svc_src.stage(),
-            spec: svc_src.compile(),
-        });
-        dev.apply(DeviceCommand::InstallService {
-            txn: 0,
-            lease_until: SimTime::MAX,
-            owner,
-            stage: dtcs::device::Stage::Dst,
-            spec: svc_src.compile(),
-        });
+        for stage in [svc.stage(), Stage::Dst] {
+            dev.apply(DeviceCommand::InstallService {
+                txn: 0,
+                lease_until: SimTime::MAX,
+                owner,
+                stage,
+                spec: svc.compile(),
+            });
+        }
         sim.add_agent(node, Box::new(dev));
-        devices.insert(node, handle);
     }
-    println!("traceback backlogs installed on {} devices", devices.len());
+    println!("traceback backlogs installed on {} devices", sim.topo.n());
 
     // An attacker at a random stub spoofs a THIRD PARTY's address and
     // floods the victim; the victim wants to know who really sent it.
@@ -83,26 +76,8 @@ fn main() {
     );
 
     // Live in-simulation query: a DeviceCommand::QueryDigest goes to every
-    // device at t=2 s; the replies land on a probe agent at the victim.
-    use dtcs::netsim::sync::Mutex;
-    use dtcs::netsim::{AgentCtx, ControlMsg, NodeAgent};
-    use std::sync::Arc;
-    #[derive(Default)]
-    struct Probe(Arc<Mutex<BTreeMap<usize, bool>>>);
-    impl NodeAgent for Probe {
-        fn name(&self) -> &'static str {
-            "query-probe"
-        }
-        fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
-            if let Some(dtcs::device::DeviceReply::DigestAnswer { node, hit, .. }) =
-                msg.get::<dtcs::device::DeviceReply>()
-            {
-                self.0.lock().insert(node.0, hit.unwrap_or(false));
-            }
-        }
-    }
-    let answers: Arc<Mutex<BTreeMap<usize, bool>>> = Arc::default();
-    sim.add_agent(victim_node, Box::new(Probe(answers.clone())));
+    // device at t=2 s; the replies land in an inbox at the victim.
+    let inbox = Inbox::attach(&mut sim, victim_node);
     for i in 0..sim.topo.n() {
         sim.deliver_control(
             SimTime::from_secs(2),
@@ -119,37 +94,22 @@ fn main() {
     }
     sim.run_until(SimTime::from_secs(4));
 
-    let answers = answers.lock();
-    let positive: Vec<NodeId> = answers
+    let positive: BTreeSet<NodeId> = inbox
+        .lock()
         .iter()
-        .filter(|&(_, &hit)| hit)
-        .map(|(&n, _)| NodeId(n))
+        .filter_map(|heard| heard.digest_hit().map(|(_, node)| node))
         .collect();
     println!("devices whose backlog saw the packet: {positive:?}");
 
-    // Walk: start at the victim, repeatedly move to the positive
-    // neighbour farthest from the victim (BFS over positive nodes).
-    let mut frontier = vec![victim_node];
-    let mut visited = vec![victim_node];
-    loop {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for (w, _) in sim.topo.neighbours(u) {
-                if positive.contains(&w) && !visited.contains(&w) {
-                    visited.push(w);
-                    next.push(w);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    let origin = *visited.last().expect("path non-empty");
-    println!("\ntraceback walk: {visited:?}");
-    println!("true origin (ground truth): AS {attacker_node:?}");
-    println!("traceback verdict:          AS {origin:?}");
+    // Walk: breadth-first from the victim over positive neighbours; the
+    // farthest nodes reached are the apparent origins.
+    let origins = dtcs::trace_origins(&sim.topo, victim_node, |n| positive.contains(&n));
+    println!("\ntrue origin (ground truth): AS {attacker_node:?}");
+    println!("traceback verdict:          {origins:?}");
     println!("framed (spoofed) party:     AS {framed_node:?} — correctly NOT accused");
-    assert_eq!(origin, attacker_node, "traceback must find the true origin");
+    assert_eq!(
+        origins,
+        [attacker_node],
+        "traceback must find the true origin"
+    );
 }

@@ -13,8 +13,9 @@
 //!
 //! and adds the comparison machinery: [`Scheme`] (every defense as one
 //! enum), [`run_scenario`] (one attack + one workload + one scheme →
-//! metrics row), and [`deploy_tcs_static`] (standing TCS deployments for
-//! sweeps).
+//! metrics row), [`deploy_tcs_static`] (standing TCS deployments for
+//! sweeps), and [`trace_origins`] (the traceback walk over the devices'
+//! digest backlogs).
 //!
 //! ```no_run
 //! use dtcs::{run_scenario, ScenarioConfig, Scheme, TcsStaticConfig};
@@ -37,7 +38,9 @@ pub use scenario::{
     TopologyChoice, TraceSpec,
 };
 pub use schemes::Scheme;
-pub use tcs::{deploy_tcs_static, reflected_reply_protos, TcsDeployment, TcsStaticConfig};
+pub use tcs::{
+    deploy_tcs_static, reflected_reply_protos, trace_origins, TcsDeployment, TcsStaticConfig,
+};
 
 pub use dtcs_attack as attack;
 pub use dtcs_control as control;

@@ -8,13 +8,17 @@
 //!   control-plane latency is not the quantity under study.
 //! * The full control-plane path via
 //!   [`dtcs_control::ControlPlane`] + user agents, used by E7.
+//!
+//! And one way to read a deployment's digest backlogs back:
+//! [`trace_origins`], the SPIE walk over the devices that answered a
+//! `QueryDigest` with a hit (Sec. 4.4, E10).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dtcs_control::CatalogService;
 use dtcs_device::{AdaptiveDevice, DeviceCommand, DeviceHandle, OwnerId, Stage};
 use dtcs_mitigation::{choose_nodes, Placement};
-use dtcs_netsim::{NodeId, Prefix, Proto, SimTime, Simulator};
+use dtcs_netsim::{NodeId, Prefix, Proto, SimTime, Simulator, Topology};
 
 /// Static TCS deployment parameters.
 #[derive(Clone, Debug)]
@@ -194,6 +198,34 @@ pub fn deploy_tcs_static(
     }
 }
 
+/// Trace one packet back from `victim`: breadth-first over neighbouring
+/// nodes whose backlog `saw` it, returning the *farthest* nodes reached —
+/// the apparent origin ASes (SPIE, Snoeren et al.). Empty when the victim
+/// itself did not see the packet; `[victim]` when no neighbour did.
+pub fn trace_origins(topo: &Topology, victim: NodeId, saw: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+    if !saw(victim) {
+        return Vec::new();
+    }
+    let mut visited = BTreeSet::from([victim]);
+    let mut frontier = vec![victim];
+    loop {
+        let mut next = Vec::new();
+        for &u in &frontier {
+            for (w, _) in topo.neighbours(u) {
+                if !visited.contains(&w) && saw(w) {
+                    visited.insert(w);
+                    next.push(w);
+                }
+            }
+        }
+        if next.is_empty() {
+            frontier.sort();
+            return frontier;
+        }
+        frontier = next;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,5 +376,94 @@ mod tests {
         );
         assert!(dep.nodes.len() >= 20 && dep.nodes.len() <= 21);
         assert!(dep.total_rules() > 0);
+    }
+
+    /// A line of `n` nodes with the victim's host 1 on the last one and a
+    /// device on each of `nodes` keeping the catalog's traceback backlog of
+    /// victim-bound traffic. A packet claiming `src` leaves node 0 at
+    /// t = 0; at 1 s every device is asked whether it saw the packet's
+    /// digest — or `asked`, when given — within a second of 100 ms, and the
+    /// victim walks the answers its inbox heard.
+    fn trace_on_devices(
+        n: usize,
+        nodes: std::ops::Range<usize>,
+        src: Addr,
+        asked: Option<u64>,
+    ) -> Vec<NodeId> {
+        let mut sim = Simulator::new(Topology::line(n), 1);
+        let (owner, contact) = (OwnerId(5), NodeId(n - 1));
+        let victim = Addr::new(contact, 1);
+        let pkt =
+            PacketBuilder::new(src, victim, Proto::Udp, TrafficClass::AttackDirect).tag(0xFEED);
+        let digest = asked.unwrap_or(dtcs_device::view::digest_packet(&pkt.build(0, NodeId(0))));
+        let window = dtcs_netsim::SimDuration::from_secs(1);
+        let backlog = CatalogService::TracebackSupport {
+            window,
+            windows: 30,
+        }
+        .compile();
+        for node in nodes.map(NodeId) {
+            let (mut dev, _) = AdaptiveDevice::new(node, None);
+            dev.apply(DeviceCommand::RegisterOwner {
+                owner,
+                prefixes: vec![Prefix::of_node(contact)],
+                contact,
+            });
+            dev.apply(DeviceCommand::InstallService {
+                owner,
+                stage: Stage::Dst,
+                spec: backlog.clone(),
+                txn: 0,
+                lease_until: SimTime::MAX,
+            });
+            sim.add_agent(node, Box::new(dev));
+            let query = DeviceCommand::QueryDigest {
+                owner,
+                digest,
+                from: SimTime::ZERO,
+                to: SimTime::from_millis(1100),
+                reply_to: contact,
+            };
+            sim.deliver_control(SimTime::from_secs(1), contact, node, query);
+        }
+        let inbox = dtcs_device::Inbox::attach(&mut sim, contact);
+        sim.install_app(victim, Box::new(dtcs_netsim::SinkApp));
+        sim.emit_now(NodeId(0), pkt);
+        sim.run_until(SimTime::from_secs(2));
+        let hits: BTreeSet<_> = inbox.lock().iter().filter_map(|h| h.digest_hit()).collect();
+        trace_origins(&sim.topo, contact, |n| hits.contains(&(digest, n)))
+    }
+
+    #[test]
+    fn trace_follows_the_true_path_despite_spoofing() {
+        let spoofed = Addr::new(NodeId(3), 9); // the packet leaves node 0
+        let sources = trace_on_devices(6, 0..6, spoofed, None);
+        assert_eq!(
+            sources,
+            vec![NodeId(0)],
+            "trace must reach the true origin, not the spoofed node 3"
+        );
+    }
+
+    #[test]
+    fn unknown_digest_traces_to_nothing() {
+        let sources = trace_on_devices(
+            4,
+            0..4,
+            Addr::new(NodeId(0), 1),
+            Some(0xDEAD_BEEF_0BAD_F00D),
+        );
+        assert!(sources.is_empty());
+    }
+
+    #[test]
+    fn partial_deployment_truncates_the_trace() {
+        // Backlogs only on nodes 3..=5: the trace cannot cross node 2.
+        let sources = trace_on_devices(6, 3..6, Addr::new(NodeId(1), 9), None);
+        assert_eq!(
+            sources,
+            vec![NodeId(3)],
+            "trace stops at the deployment frontier"
+        );
     }
 }

@@ -3,37 +3,17 @@
 //! service") and partial deployments of the baselines.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use dtcs::netsim::sync::Mutex;
 
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,
     UserId, UserOp,
 };
-use dtcs::device::{DeviceCommand, DeviceReply, OwnerId, Stage};
+use dtcs::device::{DeviceCommand, DeviceReply, Heard, Inbox, OwnerId, Stage};
 use dtcs::mitigation::{deploy_pushback_on, PushbackConfig};
 use dtcs::netsim::{
-    Addr, AgentCtx, ControlMsg, LinkProfile, NodeAgent, NodeId, PacketBuilder, Prefix, Proto,
-    SimDuration, SimTime, Simulator, Topology, TrafficClass,
+    Addr, LinkProfile, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator,
+    Topology, TrafficClass,
 };
-
-/// A probe agent that records device replies (log data, digest answers).
-#[derive(Default)]
-struct ReplyProbe {
-    log_entries: Arc<Mutex<Vec<usize>>>,
-}
-
-impl NodeAgent for ReplyProbe {
-    fn name(&self) -> &'static str {
-        "reply-probe"
-    }
-    fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
-        if let Some(DeviceReply::LogData { entries, .. }) = msg.get::<DeviceReply>() {
-            self.log_entries.lock().push(entries.len());
-        }
-    }
-}
 
 /// Deploy the Statistics catalog service via the full control plane, let
 /// traffic flow, then collect logs with a ReadLog command — the Sec. 4.4
@@ -88,13 +68,7 @@ fn statistics_service_logs_are_collectable() {
     assert!(record.lock().deploy_confirmed_at.is_some());
 
     // Collect the logs from every device.
-    let log_entries = Arc::new(Mutex::new(Vec::new()));
-    sim.add_agent(
-        me,
-        Box::new(ReplyProbe {
-            log_entries: log_entries.clone(),
-        }),
-    );
+    let inbox = Inbox::attach(&mut sim, me);
     // Ask every device for its log (the user is allowed: it is their
     // service).
     for (&node, _) in cp.devices.iter() {
@@ -110,7 +84,14 @@ fn statistics_service_logs_are_collectable() {
         );
     }
     sim.run_until(SimTime::from_secs(8));
-    let collected: usize = log_entries.lock().iter().sum();
+    let collected: usize = inbox
+        .lock()
+        .iter()
+        .map(|heard| match heard {
+            Heard::Reply(DeviceReply::LogData { entries, .. }) => entries.len(),
+            _ => 0,
+        })
+        .sum();
     assert!(
         collected >= 200,
         "per-hop statistics must cover the flow: {collected} entries"

@@ -19,7 +19,6 @@
 //!   events beyond the budget are suppressed and counted.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use dtcs_netsim::sync::Mutex;
@@ -332,8 +331,6 @@ pub struct AdaptiveDevice {
     telemetry_floor: u64,
     processed_bytes: u64,
     events_buf: Vec<DeviceEvent>,
-    /// Optional synchronous event tap for scenario code / tests.
-    event_tap: Option<Sender<DeviceEvent>>,
     /// Owns the source-address check behind the anti-spoofing modules'
     /// spoof verdict. Its route-consistency query is a walk of the live
     /// routing table: nothing is held per owner or per flow, and nothing
@@ -361,15 +358,9 @@ impl AdaptiveDevice {
             telemetry_floor: 64 * 1024,
             processed_bytes: 0,
             events_buf: Vec::new(),
-            event_tap: None,
             oracle: RouteOracle::new(node),
         };
         (dev, stats)
-    }
-
-    /// Attach a synchronous event tap (scenario/test observation).
-    pub fn set_event_tap(&mut self, tap: Sender<DeviceEvent>) {
-        self.event_tap = Some(tap);
     }
 
     /// Configure the telemetry allowance (footnote 1 of the paper): at
@@ -601,12 +592,10 @@ impl AdaptiveDevice {
                 | DeviceEvent::TriggerRelieved { owner, .. }
                 | DeviceEvent::LogReady { owner, .. } => *owner,
             };
-            if let Some(tap) = &self.event_tap {
-                let _ = tap.send(ev.clone());
-            }
             // Deliver to the owner's own contact node over the control
             // plane (an address lookup inside its prefix may find a more
-            // specific registration's owner instead).
+            // specific registration's owner instead), where an
+            // [`crate::Inbox`] hears it.
             if let Some(contact) = self.owners.contact_of(owner) {
                 let delay = ctx.path_delay(contact);
                 ctx.send_control(contact, delay, ev);
@@ -706,11 +695,12 @@ impl NodeAgent for AdaptiveDevice {
                 return; // not our manager: ignore (Sec. 4.5 misuse guard)
             }
         }
-        let reply_to = match cmd {
-            DeviceCommand::QueryDigest { reply_to, .. } => Some(*reply_to),
-            DeviceCommand::ReadLog { reply_to, .. } => Some(*reply_to),
-            DeviceCommand::QueryInventory { reply_to } => Some(*reply_to),
-            _ => Some(msg.from),
+        // Queries answer the node they name; everything else its sender.
+        let reply_to = match *cmd {
+            DeviceCommand::QueryDigest { reply_to, .. }
+            | DeviceCommand::ReadLog { reply_to, .. }
+            | DeviceCommand::QueryInventory { reply_to } => reply_to,
+            _ => msg.from,
         };
         let lease_until = match cmd {
             DeviceCommand::InstallService { lease_until, .. } => Some(*lease_until),
@@ -744,21 +734,14 @@ impl NodeAgent for AdaptiveDevice {
                     }
                 }
             }
-            if let Some(to) = reply_to {
-                let delay = ctx.path_delay(to);
-                // Echo the request's transaction identity on the reply so
-                // the flight recorder traces it under the same key.
-                match msg.meta {
-                    Some(m) => {
-                        let meta = CpMeta {
-                            kind: reply.kind_id(),
-                            ..m
-                        };
-                        ctx.send_control_keyed(to, delay, reply, meta);
-                    }
-                    None => ctx.send_control(to, delay, reply),
-                }
-            }
+            // Echo the request's transaction identity on the reply so the
+            // flight recorder traces it under the same key.
+            let meta = msg.meta.map(|m| CpMeta {
+                kind: reply.kind_id(),
+                ..m
+            });
+            let delay = ctx.path_delay(reply_to);
+            ctx.send_control_shared(reply_to, delay, Arc::new(reply), meta);
         }
     }
 

@@ -38,6 +38,7 @@
 
 pub mod device;
 pub mod graph;
+pub mod inbox;
 pub mod modules;
 pub mod owner;
 #[cfg(test)]
@@ -50,6 +51,7 @@ pub mod view;
 
 pub use device::{AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats};
 pub use graph::ServiceGraph;
+pub use inbox::{Heard, Inbox, InboxHandle};
 pub use modules::ModuleAction;
 pub use owner::{OwnerId, OwnerTable};
 pub use safety::{SafetyVerifier, SafetyViolation};

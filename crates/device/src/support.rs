@@ -94,21 +94,9 @@ impl Bloom {
             .all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
     }
 
-    /// Clear all bits.
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-        self.inserted = 0;
-    }
-
-    /// Elements inserted since the last clear.
+    /// Elements inserted.
     pub fn inserted(&self) -> u64 {
         self.inserted
-    }
-
-    /// Fraction of bits set (saturation indicator).
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        set as f64 / self.nbits as f64
     }
 }
 
@@ -270,17 +258,6 @@ mod tests {
         let fp = (100_000..110_000u64).filter(|&x| b.contains(x)).count();
         // ~65536 bits for 1000 elems, k=4: false-positive rate well under 1%.
         assert!(fp < 100, "false positives: {fp}/10000");
-    }
-
-    #[test]
-    fn bloom_clear_resets() {
-        let mut b = Bloom::new(256, 3);
-        b.insert(42);
-        assert!(b.contains(42));
-        b.clear();
-        assert!(!b.contains(42));
-        assert_eq!(b.inserted(), 0);
-        assert_eq!(b.fill_ratio(), 0.0);
     }
 
     #[test]

@@ -2,16 +2,14 @@
 //! install one [`ServiceSpec`] value share its rule lists and nothing
 //! else, and an owner's telemetry goes to the owner's own contact.
 
-use std::sync::{Arc, Mutex};
-
 use dtcs_device::{
     AdaptiveDevice, DeviceCommand, DeviceContext, DeviceEvent, DeviceHandle, FilterRule,
-    GraphNodeSpec, MatchExpr, ModuleAction, ModuleSpec, OwnerId, PacketView, ServiceGraph,
-    ServiceSpec, Stage, TriggerAction, TriggerMetric,
+    GraphNodeSpec, Heard, Inbox, MatchExpr, ModuleAction, ModuleSpec, OwnerId, PacketView,
+    ServiceGraph, ServiceSpec, Stage, TriggerAction, TriggerMetric,
 };
 use dtcs_netsim::{
-    Addr, AgentCtx, ControlMsg, DropReason, NodeAgent, NodeId, PacketBuilder, Prefix, Proto,
-    SimDuration, SimTime, Simulator, SinkApp, Topology, TrafficClass,
+    Addr, DropReason, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator,
+    SinkApp, Topology, TrafficClass,
 };
 
 fn node(enabled: bool, module: ModuleSpec) -> GraphNodeSpec {
@@ -241,21 +239,6 @@ fn slots_of_one_spec_keep_their_own_state() {
     );
 }
 
-/// Records the telemetry a node receives.
-struct Inbox(Arc<Mutex<Vec<DeviceEvent>>>);
-
-impl NodeAgent for Inbox {
-    fn name(&self) -> &'static str {
-        "inbox"
-    }
-
-    fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
-        if let Some(ev) = msg.get::<DeviceEvent>() {
-            self.0.lock().unwrap().push(ev.clone());
-        }
-    }
-}
-
 /// Owner 2 registers a host route at the first address of owner 1's
 /// prefix. Looking that address up finds owner 2 — whose contact used to
 /// receive owner 1's telemetry.
@@ -276,16 +259,12 @@ fn telemetry_goes_to_the_owners_own_contact_under_a_shadowing_registration() {
         });
         dev.apply(install(1, Stage::Dst, &every_packet));
     });
-    let inboxes = [2, 3].map(|n| {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        sim.add_agent(NodeId(n), Box::new(Inbox(seen.clone())));
-        seen
-    });
+    let inboxes = [2, 3].map(|n| Inbox::attach(&mut sim, NodeId(n)));
     assert!(delivered(&mut sim, 0, 2));
     assert_eq!(handle.lock().telemetry_events, 1);
-    let [own, other] = inboxes.map(|seen| seen.lock().unwrap().clone());
+    let [own, other] = inboxes.map(|heard| heard.lock().clone());
     assert!(
-        matches!(own[..], [DeviceEvent::LogReady { owner, .. }] if owner == OwnerId(1)),
+        matches!(own[..], [Heard::Event(DeviceEvent::LogReady { owner, .. })] if owner == OwnerId(1)),
         "owner 1's contact got {own:?}"
     );
     assert!(other.is_empty(), "owner 2's contact got {other:?}");

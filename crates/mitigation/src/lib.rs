@@ -7,12 +7,17 @@
 //! * [`ingress`] — static RFC 2267 ingress filtering (proactive baseline);
 //! * [`pushback`] — aggregate congestion control with upstream pushback;
 //! * [`ppm`] — Savage-style probabilistic packet-marking traceback;
-//! * [`spie`] — hash-based (Bloom digest) traceback;
 //! * [`filtering`] — reactive filter installation from traceback verdicts;
 //! * [`overlay`] — SOS/Mayday secure overlays and i3-style indirection;
 //! * [`deploy`] — partial-deployment placement strategies;
 //! * [`fluid`] — rate-side mirrors of the defenses for the fluid
 //!   background-traffic layer (`dtcs_netsim::fluid`).
+//!
+//! Every scheme here is a router agent over `dtcs_netsim` alone. SPIE's
+//! hash-based traceback is not among them: the paper offers it as a
+//! service the TCS hosts (Sec. 4.4), and it runs as one — the device's
+//! `DigestBacklog` module queried over the control plane, walked by
+//! `dtcs::trace_origins`.
 
 #![warn(missing_docs)]
 
@@ -23,7 +28,6 @@ pub mod ingress;
 pub mod overlay;
 pub mod ppm;
 pub mod pushback;
-pub mod spie;
 
 pub use deploy::{choose_nodes, Placement};
 pub use filtering::{install_traceback_filters, BlockScope, PrefixBlockAgent};
@@ -38,4 +42,3 @@ pub use pushback::{
     deploy_pushback_everywhere, deploy_pushback_on, AggregateKey, PushbackAgent, PushbackConfig,
     PushbackHandle, PushbackMsg, PushbackStats,
 };
-pub use spie::{SpieAgent, SpieConfig, SpieFleet, SpieHandle, SpieState};

@@ -3,7 +3,7 @@
 //! Every stochastic component takes a `u64` seed and derives a
 //! [`ChaCha8Rng`] with [`seeded`]. The generator and its samplers are
 //! written to the semantics of `rand` 0.8.5 / `rand_chacha` 0.3 — the
-//! crates the committed `results/golden/` were produced with — so a seed
+//! crates the committed `results/` reports were produced with — so a seed
 //! means the same stream, draw for draw, as it did then:
 //!
 //! * **Stream.** ChaCha with 4 double rounds over a 256-bit key, a
@@ -408,8 +408,8 @@ mod tests {
         let _: u32 = rng.gen_range(0..=u32::MAX);
     }
 
-    /// Pinned from the generator that reproduces `results/golden/` byte
-    /// for byte.
+    /// Pinned from the generator that reproduces the committed `results/`
+    /// reports byte for byte.
     #[test]
     fn seeded_42_shuffle_and_choose_are_pinned() {
         let mut rng = seeded(42);
