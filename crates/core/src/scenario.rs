@@ -16,9 +16,9 @@ use dtcs_attack::{
     ReflectorAttack, ReflectorAttackConfig, VictimApp, VictimHandle,
 };
 use dtcs_mitigation::{
-    choose_nodes, deploy_fluid_ingress, deploy_ingress, deploy_ppm_everywhere,
-    deploy_pushback_everywhere, install_traceback_filters, reconstruct_sources, I3Defense,
-    MarkCollectorAgent, Placement, PushbackHandle, SosOverlay,
+    choose_nodes, deploy_ingress, deploy_ppm_everywhere, deploy_pushback_everywhere,
+    install_traceback_filters, reconstruct_sources, I3Defense, MarkCollectorAgent, Placement,
+    PushbackHandle, SosOverlay,
 };
 use dtcs_netsim::{
     Addr, FlightRecorder, FluidDemand, NodeId, Prefix, Proto, SimDuration, SimTime, Simulator,
@@ -235,12 +235,6 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
             placement,
         } => {
             deploy_ingress(&mut sim, *fraction, *placement, cfg.seed ^ 0x1A);
-            if sim.fluid_enabled() {
-                // Rate-side mirror: the same nodes (same seed) police
-                // fluid aggregates, so filter verdicts consume aggregate
-                // rates just as they consume packets.
-                deploy_fluid_ingress(&mut sim, *fraction, *placement, cfg.seed ^ 0x1A);
-            }
         }
         Scheme::Pushback(pb_cfg) => {
             pushback = Some(deploy_pushback_everywhere(&mut sim, *pb_cfg));

@@ -181,10 +181,7 @@ fn graphs_never_amplify_or_rewrite() {
             return;
         }
         let mut graph = ServiceGraph::from_spec(&spec);
-        let ctx = dtcs::device::DeviceContext {
-            node: NodeId(0),
-            local_prefixes: vec![Prefix::of_node(NodeId(0))],
-        };
+        let ctx = dtcs::device::DeviceContext { node: NodeId(0) };
         let mut events = Vec::new();
         for (i, pkt) in packets.iter_mut().enumerate() {
             let before = *pkt;
@@ -261,10 +258,7 @@ fn trigger_graphs_hold_invariants() {
         );
         assert!(SafetyVerifier::default().verify(&spec).is_ok());
         let mut graph = ServiceGraph::from_spec(&spec);
-        let ctx = dtcs::device::DeviceContext {
-            node: NodeId(0),
-            local_prefixes: vec![],
-        };
+        let ctx = dtcs::device::DeviceContext { node: NodeId(0) };
         let mut events = Vec::new();
         for (i, pkt) in packets.iter_mut().enumerate() {
             let before = *pkt;

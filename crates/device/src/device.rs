@@ -344,10 +344,7 @@ impl AdaptiveDevice {
     pub fn new(node: NodeId, manager: Option<NodeId>) -> (AdaptiveDevice, DeviceHandle) {
         let stats: DeviceHandle = Arc::new(Mutex::new(DeviceStats::default()));
         let dev = AdaptiveDevice {
-            ctx: DeviceContext {
-                node,
-                local_prefixes: vec![Prefix::of_node(node)],
-            },
+            ctx: DeviceContext { node },
             owners: OwnerTable::new(),
             services: HashMap::new(),
             expiries: BTreeSet::new(),

@@ -164,7 +164,7 @@ impl ServiceGraph {
 mod tests {
     use super::*;
     use crate::spec::{FilterRule, GraphNodeSpec, MatchExpr, ModuleSpec};
-    use dtcs_netsim::{Addr, NodeId, Packet, PacketBuilder, Prefix, Proto, TrafficClass};
+    use dtcs_netsim::{Addr, NodeId, Packet, PacketBuilder, Proto, TrafficClass};
 
     fn mk_pkt(proto: Proto) -> Packet {
         PacketBuilder::new(
@@ -178,10 +178,7 @@ mod tests {
     }
 
     fn dctx() -> DeviceContext {
-        DeviceContext {
-            node: NodeId(0),
-            local_prefixes: vec![Prefix::of_node(NodeId(0))],
-        }
+        DeviceContext { node: NodeId(0) }
     }
 
     fn run(

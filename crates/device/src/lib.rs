@@ -59,4 +59,4 @@ pub use spec::{
     FilterRule, GraphNodeSpec, MatchExpr, ModuleSpec, ServiceSpec, Stage, TriggerAction,
     TriggerMetric,
 };
-pub use view::{DeviceContext, DeviceEvent, EntryKind, PacketView};
+pub use view::{DeviceContext, DeviceEvent, PacketView};

@@ -318,10 +318,7 @@ mod tests {
             spec,
             events: Vec::new(),
             activations: Vec::new(),
-            ctx: DeviceContext {
-                node: NodeId(0),
-                local_prefixes: Vec::new(),
-            },
+            ctx: DeviceContext { node: NodeId(0) },
             spoof_suspect: false,
         }
     }

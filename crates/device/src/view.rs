@@ -9,28 +9,9 @@
 //! payload. Rate/volume rules are enforced by the device's runtime guard
 //! (see `device.rs`) and, statically, by the safety verifier (`safety.rs`).
 
-use dtcs_netsim::{Addr, NodeId, Packet, Prefix, Proto, SimTime};
+use dtcs_netsim::{Addr, NodeId, Packet, Proto, SimTime};
 
 use crate::owner::OwnerId;
-
-/// Where a packet entered the device's node — the "contextual information"
-/// of Sec. 4.2 that anti-spoofing needs ("we can e.g. only prevent source
-/// spoofing effectively, if the adaptive device is aware of whether it
-/// processes transit traffic … or only traffic from customers of a
-/// peripheral ISP"). These are the three cases
-/// `dtcs_netsim::RouteOracle::source_mismatch` judges; modules see only its
-/// answer ([`ModuleEnv::spoof_suspect`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EntryKind {
-    /// Emitted by a host on this node: must carry a local source.
-    Local,
-    /// Arrived over a customer (stub downlink) interface: must be
-    /// route-consistent with its claimed source.
-    Customer,
-    /// Arrived over a peer/transit interface: third-party traffic, never
-    /// judged.
-    Transit,
-}
 
 /// A module's window onto one packet.
 ///
@@ -183,8 +164,6 @@ pub enum DeviceEvent {
 pub struct DeviceContext {
     /// Node the device is attached to.
     pub node: NodeId,
-    /// Prefixes originated locally at this node.
-    pub local_prefixes: Vec<Prefix>,
 }
 
 /// Environment handed to a module for one packet.

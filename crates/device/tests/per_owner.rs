@@ -82,10 +82,7 @@ fn graphs_of_one_spec_keep_their_own_state() {
         ServiceGraph::from_spec(&spec),
         ServiceGraph::from_spec(&spec),
     );
-    let ctx = DeviceContext {
-        node: NodeId(0),
-        local_prefixes: vec![],
-    };
+    let ctx = DeviceContext { node: NodeId(0) };
     let mut events = Vec::new();
     let mut run = |g: &mut ServiceGraph, owner: u64, ms: u64, tag: u64| {
         let mut pkt =

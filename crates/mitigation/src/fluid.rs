@@ -1,97 +1,39 @@
-//! Fluid-layer mirrors of the packet-path defenses.
+//! Ingress filtering's placement, named for the fluid engine.
 //!
-//! The fluid engine (`dtcs_netsim::fluid`) models steady background
-//! traffic as rate aggregates, so a defense deployed at a node must be
-//! able to police *rates*, not just individual packets. This module
-//! provides the rate-side counterparts: the same placement policies
-//! ([`crate::deploy`]) choose the nodes, and a [`FluidFilter`] at each
-//! chosen node passes/cuts the fraction of each aggregate its packet-path
-//! sibling would have passed/dropped.
+//! The fluid engine (`dtcs_netsim::fluid`) never carries attack traffic —
+//! an attack-class demand always runs as packets — so a defence has no
+//! rate to police there: [`crate::ingress::deploy_ingress`] is the whole
+//! of ingress filtering under either engine.
 
-use dtcs_netsim::{Addr, FluidFilter, NodeId, Proto, Simulator, TrafficClass};
+use dtcs_netsim::{NodeId, Simulator};
 
 use crate::deploy::{choose_nodes, Placement};
 
-/// Rate-side ingress policing: attack-class aggregates are cut to zero at
-/// the deploying node, everything else passes untouched.
+/// The nodes [`crate::ingress::deploy_ingress`] would police at the same
+/// `fraction`, `placement` and `seed`; installs nothing.
 ///
-/// This is the fluid twin of [`crate::ingress::IngressFilterAgent`]: the
-/// packet-path agent identifies spoofed traffic by route consistency; in
-/// the aggregate world that ground truth is the demand's class, so the
-/// filter applies the idealized verdict directly. Packet-path modules at
-/// the same node are unaffected — discrete traffic still gets the real
-/// route-consistency check.
-pub struct FluidIngress;
-
-impl FluidFilter for FluidIngress {
-    fn pass(&self, _src: Addr, _dst: Addr, _proto: Proto, _size: u32, class: TrafficClass) -> f64 {
-        if class.is_attack() {
-            0.0
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Install [`FluidIngress`] filters on a fraction of ASes chosen by
-/// `placement` (same node choice as [`crate::ingress::deploy_ingress`]
-/// at the same seed); returns the deployed set. Requires
-/// [`Simulator::enable_fluid`] first.
+/// A placement-only shim: it exists because the ledger under `benchmark/`
+/// still calls it, and ROADMAP item 2 deletes it together with that call.
 pub fn deploy_fluid_ingress(
     sim: &mut Simulator,
     fraction: f64,
     placement: Placement,
     seed: u64,
 ) -> Vec<NodeId> {
-    let nodes = choose_nodes(&sim.topo, fraction, placement, seed);
-    for &n in &nodes {
-        sim.add_fluid_filter(n, Box::new(FluidIngress));
-    }
-    nodes
+    choose_nodes(&sim.topo, fraction, placement, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtcs_netsim::{
-        DropReason, FluidDemand, SimDuration, SimTime, SinkApp, Topology, TrafficClass,
-    };
-
-    #[test]
-    fn fluid_ingress_cuts_attack_aggregates_only() {
-        let mut sim = Simulator::new(Topology::line(4), 11);
-        sim.enable_fluid(SimDuration::from_millis(50));
-        sim.install_app(Addr::new(NodeId(3), 1), Box::new(SinkApp));
-        sim.add_fluid_filter(NodeId(1), Box::new(FluidIngress));
-        let mk = |class, host| FluidDemand {
-            src: Addr::new(NodeId(0), host),
-            dst: Addr::new(NodeId(3), 1),
-            proto: dtcs_netsim::Proto::Udp,
-            class,
-            rate_bps: 4e6,
-            pkt_size: 500,
-            until: SimTime::from_secs(2),
-        };
-        sim.add_background_demand(mk(TrafficClass::AttackDirect, 1));
-        sim.add_background_demand(mk(TrafficClass::Background, 2));
-        sim.run_until(SimTime::from_secs(3));
-        let atk = sim.stats.class(TrafficClass::AttackDirect);
-        let bg = sim.stats.class(TrafficClass::Background);
-        assert_eq!(atk.delivered_pkts, 0, "attack rate must be zeroed");
-        assert!(atk.dropped_pkts > 0);
-        assert_eq!(bg.delivered_pkts, bg.sent_pkts, "background untouched");
-        let agg = sim.stats.drops_for_reason(DropReason::DeviceFilter);
-        assert_eq!(agg.pkts, atk.dropped_pkts);
-        sim.stats.check_conservation().unwrap();
-    }
+    use dtcs_netsim::Topology;
 
     #[test]
     fn deploy_matches_packet_side_placement() {
         let topo = Topology::barabasi_albert(100, 2, 0.1, 3);
         let mut sim = Simulator::new(topo, 1);
-        sim.enable_fluid(SimDuration::from_millis(50));
         let fluid = deploy_fluid_ingress(&mut sim, 0.25, Placement::TopDegree, 5);
         let packet = choose_nodes(&sim.topo, 0.25, Placement::TopDegree, 5);
-        assert_eq!(fluid, packet, "both engines police the same nodes");
+        assert_eq!(fluid, packet, "the shim names the packet side's nodes");
     }
 }

@@ -10,8 +10,8 @@
 //! * [`filtering`] — reactive filter installation from traceback verdicts;
 //! * [`overlay`] — SOS/Mayday secure overlays and i3-style indirection;
 //! * [`deploy`] — partial-deployment placement strategies;
-//! * [`fluid`] — rate-side mirrors of the defenses for the fluid
-//!   background-traffic layer (`dtcs_netsim::fluid`).
+//! * [`fluid`] — `deploy_fluid_ingress`, a placement-only shim (attack
+//!   traffic is never fluid, so there is no rate to police).
 //!
 //! Every scheme here is a router agent over `dtcs_netsim` alone. SPIE's
 //! hash-based traceback is not among them: the paper offers it as a
@@ -31,7 +31,7 @@ pub mod pushback;
 
 pub use deploy::{choose_nodes, Placement};
 pub use filtering::{install_traceback_filters, BlockScope, PrefixBlockAgent};
-pub use fluid::{deploy_fluid_ingress, FluidIngress};
+pub use fluid::deploy_fluid_ingress;
 pub use ingress::{deploy_ingress, IngressFilterAgent};
 pub use overlay::{I3Defense, PerimeterFilterAgent, RelayApp, RelayNext, SosOverlay};
 pub use ppm::{

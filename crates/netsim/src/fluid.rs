@@ -2,10 +2,10 @@
 //! admission (DESIGN.md §6.8).
 //!
 //! Steady background traffic does not need per-packet wheel events to be
-//! measured faithfully — it needs its *rates* routed, filtered and
-//! admitted. This module models each background demand as one **aggregate**
-//! — a rate per (src, dst, path) stored in struct-of-arrays form — and
-//! replaces the per-packet inner loop with a per-tick flat array fold:
+//! measured faithfully — it needs its *rates* routed and admitted. This
+//! module models each background demand as one **aggregate** — a rate per
+//! (src, dst, path) stored in struct-of-arrays form — and replaces the
+//! per-packet inner loop with a per-tick flat array fold:
 //!
 //! 1. **Path cache, epoch-subscribed.** Every aggregate caches its
 //!    forwarding path as a flat run of link directions. Paths are
@@ -13,45 +13,41 @@
 //!    then only for the aggregates whose destination's row moved since
 //!    the cache last looked: [`crate::routing::Routing::changed_at`]`(dst)`
 //!    is past the cache's epoch. That is the whole rule, however many
-//!    flips fell between two ticks. Filter changes set a dirty flag that
-//!    re-derives every path (filter stops interleave with it). A
-//!    rebuild also collects the **direction set** — the distinct link
-//!    directions some cached path crosses — and every per-direction array
-//!    is sized by that set, not by the topology.
+//!    flips fell between two ticks. A rebuild also collects the
+//!    **direction set** — the distinct link directions some cached path
+//!    crosses — and every per-direction array is sized by that set, not by
+//!    the topology.
 //! 2. **Closed-form admission, run to its fixed point.** Per
 //!    (link-direction, tick), the offered rate is the sum over aggregates
 //!    whose cached path crosses it, thinned by upstream admission; the
 //!    admitted fraction is `min(1, available/offered)` — proportional
 //!    share. One walk over the cached paths computes offered and admitted
-//!    load, filter cuts and every aggregate's result under the current
-//!    fractions; the fractions are then recomputed, and the tick stops at
-//!    the first update that moves none of them (at most
-//!    [`SETTLE_ROUNDS`] updates, then one closing walk). The last walk's
-//!    numbers are the tick's accounting, so an uncongested tick costs one
-//!    walk. Available capacity is the direction's *residual* after the
-//!    discrete packet engine's virtual-queue state
-//!    ([`crate::link::LinkDir::next_free`]), which is also advanced by the
-//!    admitted fluid bytes — the two engines share one capacity model in
-//!    both directions.
+//!    load and every aggregate's result under the current fractions; the
+//!    fractions are then recomputed, and the tick stops at the first
+//!    update that moves none of them (at most [`SETTLE_ROUNDS`] updates,
+//!    then one closing walk). The last walk's numbers are the tick's
+//!    accounting, so an uncongested tick costs one walk. Available
+//!    capacity is the direction's *residual* after the discrete packet
+//!    engine's virtual-queue state ([`crate::link::LinkDir::next_free`]),
+//!    which is also advanced by the admitted fluid bytes — the two engines
+//!    share one capacity model in both directions.
 //! 3. **Exact conservation at the boundary.** All rate accounting runs in
 //!    f64 byte accumulators, but [`crate::stats::Stats`] only ever sees
 //!    whole packets derived by *flooring cumulative* counters
-//!    (`floor(delivered) + floor(filtered) + floor(congested) <=
-//!    floor(sent)` holds for any reals with `d + f + c <= s`), so the
+//!    (`floor(delivered) + floor(sent - delivered) <= floor(sent)`), so the
 //!    engine-wide `delivered + dropped <= sent` gate stays exact with the
-//!    fluid layer on.
+//!    fluid layer on. What an aggregate sends and does not deliver is
+//!    congestion (or, unrouted, `NoRoute`): nothing in this layer filters.
 //!
-//! Discrete packets survive where the paper's observables live — attack
-//! sources, filtering devices and the victim. The [`crate::sim::Simulator`]
-//! keeps a *packetized* node set; demands touching it materialize as
-//! discrete constant-bit-rate emitters instead of aggregates (counted in
+//! Defences judge packets, never rates, so discrete packets survive where
+//! the paper's observables live — attack traffic, filtering devices and
+//! the victim. A demand whose class is an attack class, or that touches
+//! the [`crate::sim::Simulator`]'s *packetized* node set, materializes as a
+//! discrete constant-bit-rate emitter instead of an aggregate (counted in
 //! [`crate::stats::Stats::fluid_boundary_conversions`]), so those packets
 //! still traverse agent chains, produce module verdicts and trace events.
 
-use std::collections::HashMap;
-
 use crate::addr::Addr;
-use crate::node::NodeId;
 use crate::packet::{Proto, TrafficClass};
 use crate::routing::Routing;
 use crate::stats::{DropReason, Stats};
@@ -67,22 +63,9 @@ use crate::topology::Topology;
 /// equivalence tolerance.
 const SETTLE_ROUNDS: usize = 2;
 
-/// A rate-based filter applied to fluid aggregates at a node.
-///
-/// The fluid mirror of a packet-path module verdict: instead of judging
-/// one packet, it returns the fraction of an aggregate's rate that may
-/// continue (`1.0` = pass it whole, `0.0` = drop the aggregate here).
-/// Filtered-off rate is charged to the aggregate's class as
-/// [`DropReason::DeviceFilter`] drops at this node's hop distance.
-pub trait FluidFilter: Send {
-    /// Fraction of the aggregate `(src, dst, proto, size, class)` passed.
-    /// Must return a value in `[0, 1]`; out-of-range values are clamped.
-    fn pass(&self, src: Addr, dst: Addr, proto: Proto, size: u32, class: TrafficClass) -> f64;
-}
-
-/// One background traffic demand, before routing decides whether it lives
-/// as a fluid aggregate or as discrete constant-bit-rate packets (see
-/// [`crate::sim::Simulator::add_background_demand`]).
+/// One background traffic demand, before the simulator decides whether it
+/// lives as a fluid aggregate or as discrete constant-bit-rate packets
+/// (see [`crate::sim::Simulator::add_background_demand`]).
 #[derive(Clone, Copy, Debug)]
 pub struct FluidDemand {
     /// Source address (host granularity, like any packet).
@@ -113,7 +96,6 @@ pub struct FluidLayer {
     // --- aggregate columns (SoA) --------------------------------------
     src: Vec<Addr>,
     dst: Vec<Addr>,
-    proto: Vec<Proto>,
     class: Vec<TrafficClass>,
     rate_bps: Vec<f64>,
     pkt_size: Vec<u32>,
@@ -130,32 +112,17 @@ pub struct FluidLayer {
     /// Forwarding node entering each dir (same indexing as `path_dirs`).
     path_nodes: Vec<u32>,
 
-    // --- cached filter stops per aggregate (flat arena) ---------------
-    fstep_off: Vec<u32>,
-    fstep_len: Vec<u32>,
-    /// Hop position of a filter stop (0 = at the source node; `path_len`
-    /// = at the destination node, after the last link).
-    fstep_pos: Vec<u32>,
-    fstep_pass: Vec<f64>,
-
     // --- cumulative byte accounting (reported via floors) --------------
     cum_sent: Vec<f64>,
     cum_deliv: Vec<f64>,
-    cum_fdrop: Vec<f64>,
-    cum_fdrop_hops: Vec<f64>,
     cum_cdrop_hops: Vec<f64>,
     rep_sent: Vec<u64>,
     rep_deliv: Vec<u64>,
-    rep_fdrop: Vec<u64>,
     rep_cdrop: Vec<u64>,
-    rep_fdrop_hops: Vec<u64>,
     rep_cdrop_hops: Vec<u64>,
 
-    // --- epochs & filters ----------------------------------------------
+    /// Routing epoch the cached paths were checked against.
     route_epoch: u64,
-    filters_dirty: bool,
-    filters: Vec<Box<dyn FluidFilter>>,
-    filters_at: HashMap<usize, Vec<usize>>,
 
     // --- the direction set and its per-direction columns ---------------
     /// Link-direction ids (`link.0 * 2 + dir_index`), ascending and
@@ -172,8 +139,6 @@ pub struct FluidLayer {
 
     // --- per-aggregate results of the latest walk (scratch) -------------
     w_deliv: Vec<f64>,
-    w_fdrop: Vec<f64>,
-    w_fdrop_hops: Vec<f64>,
     w_cdrop_hops: Vec<f64>,
     /// Path walks made so far, all ticks (see [`FluidLayer::walks`]).
     walks: u64,
@@ -190,7 +155,6 @@ impl FluidLayer {
             armed: false,
             src: Vec::new(),
             dst: Vec::new(),
-            proto: Vec::new(),
             class: Vec::new(),
             rate_bps: Vec::new(),
             pkt_size: Vec::new(),
@@ -202,25 +166,14 @@ impl FluidLayer {
             path_len: Vec::new(),
             path_dirs: Vec::new(),
             path_nodes: Vec::new(),
-            fstep_off: Vec::new(),
-            fstep_len: Vec::new(),
-            fstep_pos: Vec::new(),
-            fstep_pass: Vec::new(),
             cum_sent: Vec::new(),
             cum_deliv: Vec::new(),
-            cum_fdrop: Vec::new(),
-            cum_fdrop_hops: Vec::new(),
             cum_cdrop_hops: Vec::new(),
             rep_sent: Vec::new(),
             rep_deliv: Vec::new(),
-            rep_fdrop: Vec::new(),
             rep_cdrop: Vec::new(),
-            rep_fdrop_hops: Vec::new(),
             rep_cdrop_hops: Vec::new(),
             route_epoch: epoch,
-            filters_dirty: false,
-            filters: Vec::new(),
-            filters_at: HashMap::new(),
             dirs: Vec::new(),
             offered: Vec::new(),
             admitted: Vec::new(),
@@ -228,8 +181,6 @@ impl FluidLayer {
             avail: Vec::new(),
             dir_carry: Vec::new(),
             w_deliv: Vec::new(),
-            w_fdrop: Vec::new(),
-            w_fdrop_hops: Vec::new(),
             w_cdrop_hops: Vec::new(),
             walks: 0,
         }
@@ -252,7 +203,6 @@ impl FluidLayer {
         assert!(d.pkt_size > 0, "demand packet size must be positive");
         self.src.push(d.src);
         self.dst.push(d.dst);
-        self.proto.push(d.proto);
         self.class.push(d.class);
         self.rate_bps.push(d.rate_bps);
         self.pkt_size.push(d.pkt_size);
@@ -262,32 +212,15 @@ impl FluidLayer {
         self.resolved.push(false);
         self.path_off.push(0);
         self.path_len.push(0);
-        self.fstep_off.push(0);
-        self.fstep_len.push(0);
         self.cum_sent.push(0.0);
         self.cum_deliv.push(0.0);
-        self.cum_fdrop.push(0.0);
-        self.cum_fdrop_hops.push(0.0);
         self.cum_cdrop_hops.push(0.0);
         self.rep_sent.push(0);
         self.rep_deliv.push(0);
-        self.rep_fdrop.push(0);
         self.rep_cdrop.push(0);
-        self.rep_fdrop_hops.push(0);
         self.rep_cdrop_hops.push(0);
         self.w_deliv.push(0.0);
-        self.w_fdrop.push(0.0);
-        self.w_fdrop_hops.push(0.0);
         self.w_cdrop_hops.push(0.0);
-    }
-
-    /// Attach a fluid filter at `node`; takes effect from the next tick
-    /// (bumps the filter epoch).
-    pub(crate) fn add_filter(&mut self, node: NodeId, f: Box<dyn FluidFilter>) {
-        let idx = self.filters.len();
-        self.filters.push(f);
-        self.filters_at.entry(node.0).or_default().push(idx);
-        self.filters_dirty = true;
     }
 
     /// Any aggregate still offering traffic after `now`?
@@ -308,20 +241,17 @@ impl FluidLayer {
     }
 
     /// Walk the forwarding tables for every unresolved aggregate and
-    /// rebuild the flat path + filter-stop arenas, then the direction set
-    /// the new paths cross. Returns how many paths were re-derived (the
+    /// rebuild the flat path arena, then the direction set the new paths
+    /// cross. Returns how many paths were re-derived (the
     /// [`Stats::fluid_recomputes`] increment).
     fn resolve_paths(&mut self, topo: &Topology, routing: &Routing) -> u64 {
         let n_aggs = self.src.len();
         let mut recomputed = 0u64;
         let mut hops = Vec::with_capacity(self.path_dirs.len());
         let mut nodes = Vec::with_capacity(self.path_nodes.len());
-        let mut fpos = Vec::with_capacity(self.fstep_pos.len());
-        let mut fpass = Vec::with_capacity(self.fstep_pass.len());
         let hop_limit = topo.n();
         for i in 0..n_aggs {
             let off = hops.len() as u32;
-            let foff = fpos.len() as u32;
             if self.resolved[i] {
                 // Copy the still-valid slice from the old arena, back in
                 // global ids: the set it indexed is about to be replaced.
@@ -332,9 +262,6 @@ impl FluidLayer {
                         .map(|&j| self.dirs[j as usize]),
                 );
                 nodes.extend_from_slice(&self.path_nodes[o..o + l]);
-                let (fo, fl) = (self.fstep_off[i] as usize, self.fstep_len[i] as usize);
-                fpos.extend_from_slice(&self.fstep_pos[fo..fo + fl]);
-                fpass.extend_from_slice(&self.fstep_pass[fo..fo + fl]);
             } else {
                 recomputed += 1;
                 self.resolved[i] = true;
@@ -360,40 +287,9 @@ impl FluidLayer {
                     nodes.truncate(off as usize);
                 }
                 self.has_route[i] = routed;
-                // Filter stops along the (new) path: hop k is the node
-                // entering link k; the destination node is hop path_len.
-                if routed && !self.filters_at.is_empty() {
-                    let plen = hops.len() - off as usize;
-                    for k in 0..=plen {
-                        let node = if k < plen {
-                            nodes[off as usize + k] as usize
-                        } else {
-                            dst_node.0
-                        };
-                        if let Some(fs) = self.filters_at.get(&node) {
-                            for &fi in fs {
-                                let p = self.filters[fi]
-                                    .pass(
-                                        self.src[i],
-                                        self.dst[i],
-                                        self.proto[i],
-                                        self.pkt_size[i],
-                                        self.class[i],
-                                    )
-                                    .clamp(0.0, 1.0);
-                                if p < 1.0 {
-                                    fpos.push(k as u32);
-                                    fpass.push(p);
-                                }
-                            }
-                        }
-                    }
-                }
             }
             self.path_off[i] = off;
             self.path_len[i] = hops.len() as u32 - off;
-            self.fstep_off[i] = foff;
-            self.fstep_len[i] = fpos.len() as u32 - foff;
         }
         // The direction set: what the new paths cross, plus what the old
         // set still owes a fractional byte — a direction that leaves every
@@ -419,8 +315,6 @@ impl FluidLayer {
         self.dirs = set;
         self.path_dirs = hops;
         self.path_nodes = nodes;
-        self.fstep_pos = fpos;
-        self.fstep_pass = fpass;
         recomputed
     }
 
@@ -449,13 +343,6 @@ impl FluidLayer {
                 *resolved &= routing.changed_at(dst.node()) <= self.route_epoch;
             }
             self.route_epoch = routing.epoch();
-        }
-        if self.filters_dirty {
-            // Filter placement interleaves with the cached path, so a
-            // filter-epoch bump re-derives the stops via a path rebuild.
-            stats.fluid_epoch_invalidations += 1;
-            self.filters_dirty = false;
-            self.resolved.fill(false);
         }
         if self.resolved.iter().any(|r| !r) {
             stats.fluid_recomputes += self.resolve_paths(topo, routing);
@@ -491,8 +378,6 @@ impl FluidLayer {
             self.cum_sent[i] += self.rate_bps[i] / 8.0 * dur;
             if self.has_route[i] {
                 self.cum_deliv[i] += self.w_deliv[i];
-                self.cum_fdrop[i] += self.w_fdrop[i];
-                self.cum_fdrop_hops[i] += self.w_fdrop_hops[i];
                 self.cum_cdrop_hops[i] += self.w_cdrop_hops[i];
             }
             self.report(i, stats);
@@ -522,7 +407,7 @@ impl FluidLayer {
     /// One walk over the cached path of every routed aggregate live in
     /// `(last, now]`, under the current fractions: sums each direction's
     /// offered and admitted bytes and leaves each aggregate's delivered
-    /// bytes, filter cuts and hop-weighted drops in the `w_*` columns.
+    /// and hop-weighted dropped bytes in the `w_*` columns.
     fn walk(&mut self, last: SimTime, now: SimTime) {
         self.walks += 1;
         self.offered.fill(0.0);
@@ -534,38 +419,16 @@ impl FluidLayer {
             }
             let base = self.rate_bps[i] / 8.0 * dur;
             let mut p = base;
-            let mut fdrop = 0.0;
-            let mut fdrop_hops = 0.0;
             let mut cdrop_hops = 0.0;
             let (o, l) = (self.path_off[i] as usize, self.path_len[i] as usize);
-            let (fo, fl) = (self.fstep_off[i] as usize, self.fstep_len[i] as usize);
-            let mut fs = fo;
             for (k, &d) in self.path_dirs[o..o + l].iter().enumerate() {
-                while fs < fo + fl && self.fstep_pos[fs] as usize == k {
-                    let cut = p * (1.0 - self.fstep_pass[fs]);
-                    fdrop += cut;
-                    fdrop_hops += cut * k as f64;
-                    p *= self.fstep_pass[fs];
-                    fs += 1;
-                }
                 let d = d as usize;
                 self.offered[d] += p;
                 cdrop_hops += p * (1.0 - self.frac[d]) * k as f64;
                 p *= self.frac[d];
                 self.admitted[d] += p;
             }
-            // Destination-node filter stops (pos == path_len).
-            while fs < fo + fl {
-                let cut = p * (1.0 - self.fstep_pass[fs]);
-                fdrop += cut;
-                fdrop_hops += cut * l as f64;
-                p *= self.fstep_pass[fs];
-                fs += 1;
-            }
-            let deliv = p.min(base);
-            self.w_deliv[i] = deliv;
-            self.w_fdrop[i] = fdrop.min(base - deliv);
-            self.w_fdrop_hops[i] = fdrop_hops;
+            self.w_deliv[i] = p.min(base);
             self.w_cdrop_hops[i] = cdrop_hops;
         }
     }
@@ -588,31 +451,23 @@ impl FluidLayer {
 
     /// Fold aggregate `i`'s cumulative byte accounting into `stats` as
     /// whole packets, by flooring cumulatives and charging the deltas.
-    /// All four floors are monotone, and
-    /// `deliv + fdrop + cdrop <= sent` holds cumulatively, so the
-    /// per-class conservation gate is exact.
+    /// Every floor is monotone, and the dropped bytes are
+    /// `sent - delivered`, so the per-class conservation gate is exact.
     fn report(&mut self, i: usize, stats: &mut Stats) {
         let size = self.pkt_size[i] as f64;
         let sp = (self.cum_sent[i] / size) as u64;
         let dp = (self.cum_deliv[i] / size) as u64;
-        let fp = (self.cum_fdrop[i] / size) as u64;
-        let cdrop_bytes = (self.cum_sent[i] - self.cum_deliv[i] - self.cum_fdrop[i]).max(0.0);
-        let cp = (cdrop_bytes / size) as u64;
-        let fh = (self.cum_fdrop_hops[i] / size) as u64;
+        let cp = ((self.cum_sent[i] - self.cum_deliv[i]).max(0.0) / size) as u64;
         let ch = (self.cum_cdrop_hops[i] / size) as u64;
         let d_sent = sp - self.rep_sent[i];
         let d_deliv = dp - self.rep_deliv[i];
-        let d_f = fp - self.rep_fdrop[i];
         let d_c = cp - self.rep_cdrop[i];
-        let d_fh = fh - self.rep_fdrop_hops[i];
         let d_ch = ch - self.rep_cdrop_hops[i];
         self.rep_sent[i] = sp;
         self.rep_deliv[i] = dp;
-        self.rep_fdrop[i] = fp;
         self.rep_cdrop[i] = cp;
-        self.rep_fdrop_hops[i] = fh;
         self.rep_cdrop_hops[i] = ch;
-        if d_sent + d_deliv + d_f + d_c == 0 {
+        if d_sent + d_deliv + d_c == 0 {
             return;
         }
         let bytes = self.pkt_size[i] as u64;
@@ -625,18 +480,9 @@ impl FluidLayer {
         c.delivered_bytes += d_deliv * bytes;
         c.delivered_hops += d_deliv * hops;
         c.delivered_byte_hops += d_deliv * bytes * hops;
-        c.dropped_pkts += d_f + d_c;
-        c.dropped_bytes += (d_f + d_c) * bytes;
-        c.dropped_byte_hops += (d_fh + d_ch) * bytes;
-        if d_f > 0 {
-            let agg = stats
-                .drops
-                .entry((class, DropReason::DeviceFilter))
-                .or_default();
-            agg.pkts += d_f;
-            agg.bytes += d_f * bytes;
-            agg.hops_sum += d_fh;
-        }
+        c.dropped_pkts += d_c;
+        c.dropped_bytes += d_c * bytes;
+        c.dropped_byte_hops += d_ch * bytes;
         if d_c > 0 {
             let reason = if self.has_route[i] {
                 DropReason::QueueOverflow
@@ -654,10 +500,14 @@ impl FluidLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeId;
+    use crate::agent::{AgentCtx, NodeAgent, Verdict};
+    use crate::node::{LinkId, NodeId};
+    use crate::packet::Packet;
     use crate::sim::Simulator;
     use crate::stats::DropReason;
     use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     const TICK: SimDuration = SimDuration::from_millis(50);
 
@@ -805,28 +655,55 @@ mod tests {
         sim.stats.check_conservation().unwrap();
     }
 
-    /// Pass a fixed fraction of everything at one node.
-    struct Thin(f64);
-    impl FluidFilter for Thin {
-        fn pass(&self, _s: Addr, _d: Addr, _p: Proto, _z: u32, _c: TrafficClass) -> f64 {
-            self.0
+    /// Drops every packet it is shown, and counts them.
+    struct DropAll(Arc<AtomicU64>);
+    impl NodeAgent for DropAll {
+        fn name(&self) -> &'static str {
+            "drop-all"
+        }
+        fn on_packet(
+            &mut self,
+            _ctx: &mut AgentCtx<'_>,
+            _pkt: &mut Packet,
+            _from: Option<LinkId>,
+        ) -> Verdict {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Verdict::Drop(DropReason::DeviceFilter)
         }
     }
 
+    /// A defence judges packets, so attack traffic never becomes a rate it
+    /// cannot see: an attack-class demand runs as packets through the
+    /// middle node's chain, while a background demand on the same path
+    /// stays an aggregate that chain never meets.
     #[test]
-    fn fluid_filter_thins_aggregate_and_charges_device_drops() {
+    fn attack_class_demand_is_packets_the_chain_sees() {
         let mut sim = line_sim(true);
-        sim.enable_fluid(TICK);
-        sim.add_fluid_filter(NodeId(1), Box::new(Thin(0.5)));
+        let seen = Arc::new(AtomicU64::new(0));
+        sim.add_agent(NodeId(1), Box::new(DropAll(seen.clone())));
+        let mut attack = demand(0, 3, 4e6, 2);
+        attack.class = TrafficClass::AttackDirect;
+        sim.add_background_demand(attack);
+        assert_eq!(sim.stats.fluid_aggregates, 0);
+        assert_eq!(sim.stats.fluid_boundary_conversions, 1);
         sim.add_background_demand(demand(0, 3, 4e6, 2));
+        assert_eq!(sim.stats.fluid_aggregates, 1);
         sim.run_until(SimTime::from_secs(3));
-        let c = sim.stats.class(TrafficClass::Background);
-        let ratio = c.delivered_pkts as f64 / c.sent_pkts as f64;
-        assert!((ratio - 0.5).abs() < 0.01, "ratio {ratio}");
-        let agg = sim.stats.drops_for_reason(DropReason::DeviceFilter);
-        assert!(agg.pkts > 0, "filtered rate must surface as device drops");
-        // Filter sits one hop from the source.
-        assert_eq!(agg.hops_sum, agg.pkts);
+
+        let atk = sim.stats.class(TrafficClass::AttackDirect);
+        assert!(atk.sent_pkts >= 1990, "{}", atk.sent_pkts);
+        assert_eq!(atk.delivered_pkts, 0);
+        assert_eq!(atk.dropped_pkts, atk.sent_pkts);
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            atk.sent_pkts,
+            "only attack packets"
+        );
+        let filtered = sim.stats.drops_for_reason(DropReason::DeviceFilter);
+        assert_eq!(filtered.pkts, atk.sent_pkts);
+        let bg = sim.stats.class(TrafficClass::Background);
+        assert!(bg.sent_pkts >= 1990, "{}", bg.sent_pkts);
+        assert_eq!(bg.delivered_pkts, bg.sent_pkts);
         sim.stats.check_conservation().unwrap();
     }
 
@@ -976,8 +853,6 @@ mod tests {
     struct RefLayer {
         last_tick_at: SimTime,
         route_epoch: u64,
-        filters_dirty: bool,
-        filters: Vec<(NodeId, Box<dyn FluidFilter>)>,
         aggs: Vec<RefAgg>,
         offered: Vec<f64>,
         frac: Vec<f64>,
@@ -994,13 +869,10 @@ mod tests {
         resolved: bool,
         /// Global link-direction ids, path order.
         path: Vec<usize>,
-        /// `(hop position, pass fraction)` of every filter that cuts.
-        stops: Vec<(usize, f64)>,
-        /// Bytes: sent, delivered, filtered, filtered x hops, congested x hops.
-        cum: [f64; 5],
-        /// Packets reported: sent, delivered, filtered, congested, and the
-        /// two hop sums.
-        rep: [u64; 6],
+        /// Bytes: sent, delivered, congested x hops.
+        cum: [f64; 3],
+        /// Packets reported: sent, delivered, congested, congested x hops.
+        rep: [u64; 4],
     }
 
     impl RefAgg {
@@ -1013,18 +885,12 @@ mod tests {
             }
         }
 
-        fn resolve(
-            &mut self,
-            topo: &Topology,
-            routing: &Routing,
-            filters: &[(NodeId, Box<dyn FluidFilter>)],
-        ) {
+        fn resolve(&mut self, topo: &Topology, routing: &Routing) {
             self.resolved = true;
             self.path.clear();
-            self.stops.clear();
             let dst = self.d.dst.node();
-            let mut nodes = vec![self.d.src.node()];
-            while let Some(&cur) = nodes.last().filter(|&&cur| cur != dst) {
+            let mut cur = self.d.src.node();
+            while cur != dst {
                 let next = routing
                     .next_hop(cur, dst)
                     .filter(|_| self.path.len() < topo.n());
@@ -1034,34 +900,18 @@ mod tests {
                 };
                 let l = &topo.links[link.0];
                 self.path.push(link.0 * 2 + l.dir_index(cur));
-                nodes.push(l.other(cur));
+                cur = l.other(cur);
             }
-            self.has_route = nodes.last() == Some(&dst);
-            if !self.has_route {
-                return;
-            }
-            let d = &self.d;
-            for (k, node) in nodes.iter().enumerate() {
-                for (_, f) in filters.iter().filter(|(at, _)| at == node) {
-                    let p = f.pass(d.src, d.dst, d.proto, d.pkt_size, d.class);
-                    let p = p.clamp(0.0, 1.0);
-                    if p < 1.0 {
-                        self.stops.push((k, p));
-                    }
-                }
-            }
+            self.has_route = cur == dst;
         }
 
         fn report(&mut self, stats: &mut Stats) {
-            let [sent, deliv, fdrop, fdrop_hops, cdrop_hops] = self.cum;
-            let cdrop = (sent - deliv - fdrop).max(0.0);
+            let [sent, deliv, cdrop_hops] = self.cum;
             let size = self.d.pkt_size as f64;
-            let now =
-                [sent, deliv, fdrop, cdrop, fdrop_hops, cdrop_hops].map(|b| (b / size) as u64);
-            let [d_sent, d_deliv, d_f, d_c, d_fh, d_ch] =
-                std::array::from_fn(|x| now[x] - self.rep[x]);
+            let now = [sent, deliv, (sent - deliv).max(0.0), cdrop_hops].map(|b| (b / size) as u64);
+            let [d_sent, d_deliv, d_c, d_ch] = std::array::from_fn(|x| now[x] - self.rep[x]);
             self.rep = now;
-            if d_sent + d_deliv + d_f + d_c == 0 {
+            if d_sent + d_deliv + d_c == 0 {
                 return;
             }
             let (bytes, hops) = (self.d.pkt_size as u64, self.path.len() as u64);
@@ -1072,24 +922,19 @@ mod tests {
             c.delivered_bytes += d_deliv * bytes;
             c.delivered_hops += d_deliv * hops;
             c.delivered_byte_hops += d_deliv * bytes * hops;
-            c.dropped_pkts += d_f + d_c;
-            c.dropped_bytes += (d_f + d_c) * bytes;
-            c.dropped_byte_hops += (d_fh + d_ch) * bytes;
-            let congested = if self.has_route {
-                DropReason::QueueOverflow
-            } else {
-                DropReason::NoRoute
-            };
-            for (reason, pkts, hops_sum) in [
-                (DropReason::DeviceFilter, d_f, d_fh),
-                (congested, d_c, d_ch),
-            ] {
-                if pkts > 0 {
-                    let agg = stats.drops.entry((self.d.class, reason)).or_default();
-                    agg.pkts += pkts;
-                    agg.bytes += pkts * bytes;
-                    agg.hops_sum += hops_sum;
-                }
+            c.dropped_pkts += d_c;
+            c.dropped_bytes += d_c * bytes;
+            c.dropped_byte_hops += d_ch * bytes;
+            if d_c > 0 {
+                let reason = if self.has_route {
+                    DropReason::QueueOverflow
+                } else {
+                    DropReason::NoRoute
+                };
+                let agg = stats.drops.entry((self.d.class, reason)).or_default();
+                agg.pkts += d_c;
+                agg.bytes += d_c * bytes;
+                agg.hops_sum += d_ch;
             }
         }
     }
@@ -1099,8 +944,6 @@ mod tests {
             RefLayer {
                 last_tick_at: now,
                 route_epoch: epoch,
-                filters_dirty: false,
-                filters: Vec::new(),
                 aggs: Vec::new(),
                 offered: Vec::new(),
                 frac: Vec::new(),
@@ -1118,15 +961,9 @@ mod tests {
                 has_route: false,
                 resolved: false,
                 path: Vec::new(),
-                stops: Vec::new(),
-                cum: [0.0; 5],
-                rep: [0; 6],
+                cum: [0.0; 3],
+                rep: [0; 4],
             });
-        }
-
-        fn add_filter(&mut self, node: NodeId, f: Box<dyn FluidFilter>) {
-            self.filters.push((node, f));
-            self.filters_dirty = true;
         }
 
         fn run_tick(
@@ -1151,15 +988,10 @@ mod tests {
                 }
                 self.route_epoch = routing.epoch();
             }
-            if self.filters_dirty {
-                stats.fluid_epoch_invalidations += 1;
-                self.filters_dirty = false;
-                self.aggs.iter_mut().for_each(|a| a.resolved = false);
-            }
             for a in &mut self.aggs {
                 if !a.resolved {
                     stats.fluid_recomputes += 1;
-                    a.resolve(topo, routing, &self.filters);
+                    a.resolve(topo, routing);
                 }
             }
 
@@ -1206,11 +1038,7 @@ mod tests {
                         continue;
                     }
                     let mut p = a.d.rate_bps / 8.0 * dur;
-                    let mut stops = a.stops.iter().peekable();
-                    for (k, &d) in a.path.iter().enumerate() {
-                        while let Some(&(_, pass)) = stops.next_if(|s| s.0 == k) {
-                            p *= pass;
-                        }
+                    for &d in &a.path {
                         self.offered[d] += p;
                         p *= self.frac[d];
                     }
@@ -1238,30 +1066,14 @@ mod tests {
                     a.report(stats);
                     continue;
                 }
-                let (mut p, mut fdrop, mut fdrop_hops, mut cdrop_hops) = (base, 0.0, 0.0, 0.0);
-                let mut stops = a.stops.iter().peekable();
+                let (mut p, mut cdrop_hops) = (base, 0.0);
                 for (k, &d) in a.path.iter().enumerate() {
-                    while let Some(&(_, pass)) = stops.next_if(|s| s.0 == k) {
-                        let cut = p * (1.0 - pass);
-                        fdrop += cut;
-                        fdrop_hops += cut * k as f64;
-                        p *= pass;
-                    }
                     self.offered[d] += p * self.frac[d];
                     cdrop_hops += p * (1.0 - self.frac[d]) * k as f64;
                     p *= self.frac[d];
                 }
-                for &(_, pass) in stops {
-                    let cut = p * (1.0 - pass);
-                    fdrop += cut;
-                    fdrop_hops += cut * a.path.len() as f64;
-                    p *= pass;
-                }
-                let deliv = p.min(base);
-                a.cum[1] += deliv;
-                a.cum[2] += fdrop.min(base - deliv);
-                a.cum[3] += fdrop_hops;
-                a.cum[4] += cdrop_hops;
+                a.cum[1] += p.min(base);
+                a.cum[2] += cdrop_hops;
                 a.report(stats);
             }
 
@@ -1362,19 +1174,11 @@ mod tests {
             let late = random_demand(rng);
             let late_tick = rng.gen_range(2..6u64);
 
-            // A filter somewhere on the first aggregate's path, its
-            // destination included; a flap of that path's first link.
-            let (src, dst) = (first.src.node(), first.dst.node());
-            let flapped = sim.routing.next_hop(src, dst).unwrap();
-            let mut on_path = vec![src];
-            while *on_path.last().unwrap() != dst {
-                let cur = *on_path.last().unwrap();
-                let link = sim.routing.next_hop(cur, dst).unwrap();
-                on_path.push(sim.topo.links[link.0].other(cur));
-            }
-            let filter_node = *rng.choose(&on_path).unwrap();
-            let filter_pass = *rng.choose(&[0.0, 0.5, 0.75]).unwrap();
-            let filter_tick = rng.gen_range(1..30u64);
+            // A flap of the first aggregate's first link.
+            let flapped = sim
+                .routing
+                .next_hop(first.src.node(), first.dst.node())
+                .unwrap();
             let down_tick = rng.gen_range(8..14u64);
             let up_tick = rng.gen_range(20..28u64);
 
@@ -1389,10 +1193,6 @@ mod tests {
                     reference.add(&late, sim.now());
                 }
                 sim.run_until(at(k));
-                if k == filter_tick {
-                    real.add_filter(filter_node, Box::new(Thin(filter_pass)));
-                    reference.add_filter(filter_node, Box::new(Thin(filter_pass)));
-                }
                 if k == down_tick {
                     before_flap = crossed(&real);
                     sim.set_link_up(flapped, false);

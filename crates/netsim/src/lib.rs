@@ -69,7 +69,7 @@ pub use cp_trace::{
     CpActor, CpFlightRecorder, CpMeta, CpOutcome, CpState, CpTraceEvent, CpVerdict,
 };
 pub use faults::{FaultConfig, FaultDecision, FaultPlane, Outage, Partition};
-pub use fluid::{FluidDemand, FluidFilter, FluidLayer};
+pub use fluid::{FluidDemand, FluidLayer};
 pub use link::{Admission, Link, LinkProfile};
 pub use metrics::{MetricEntry, MetricValue, MetricsSnapshot};
 pub use node::{LinkId, Node, NodeId, NodeRole};

@@ -23,7 +23,7 @@ use crate::app::{App, AppApi, Disposition};
 use crate::arena::{Arena, Handle as PktHandle};
 use crate::cp_trace::{CpMeta, CpTraceEvent, CpVerdict};
 use crate::faults::FaultPlane;
-use crate::fluid::{FluidDemand, FluidFilter, FluidLayer};
+use crate::fluid::{FluidDemand, FluidLayer};
 use crate::link::Admission;
 use crate::node::{LinkId, NodeId};
 use crate::packet::{Packet, PacketBuilder};
@@ -117,8 +117,8 @@ pub struct Simulator {
     /// byte-identical to builds predating the fluid layer.
     fluid: Option<FluidLayer>,
     /// Nodes pinned to the discrete engine even with the fluid layer on —
-    /// attack sources, filtering devices, the victim — so the paper's
-    /// observables still see real packets.
+    /// filtering devices, the victim — so the paper's observables still
+    /// see real packets.
     fluid_packetized: Vec<bool>,
     started: bool,
     event_limit: u64,
@@ -203,7 +203,7 @@ impl Simulator {
     /// accounting tick (see [`crate::fluid`]). Idempotent — the first
     /// call's tick wins. Demands offered afterwards via
     /// [`Simulator::add_background_demand`] become fluid aggregates unless
-    /// an endpoint is packetized.
+    /// they are attack traffic or an endpoint is packetized.
     pub fn enable_fluid(&mut self, tick: SimDuration) {
         if self.fluid.is_none() {
             self.fluid = Some(FluidLayer::new(tick, self.now, self.routing.epoch()));
@@ -223,32 +223,47 @@ impl Simulator {
 
     /// Pin `node` to the discrete packet engine: background demands
     /// touching it materialize as real packets instead of aggregates.
-    /// This is the fluid/packet boundary — attack sources, filtering
-    /// devices and the victim stay packetized so agent chains, module
-    /// verdicts and traces observe genuine traffic.
+    /// This is the fluid/packet boundary — filtering devices and the
+    /// victim stay packetized so agent chains, module verdicts and traces
+    /// observe genuine traffic. (Attack traffic needs no pin: it is never
+    /// an aggregate.)
+    ///
+    /// # Panics
+    /// If `node` is outside the topology.
     pub fn fluid_packetize(&mut self, node: NodeId) {
+        assert!(
+            node.0 < self.topo.n(),
+            "cannot packetize node {}: outside the {}-node topology",
+            node.0,
+            self.topo.n()
+        );
         self.fluid_packetized[node.0] = true;
     }
 
-    /// Attach a rate-based filter to `node`'s fluid traffic (the fluid
-    /// mirror of a packet-path module verdict). Requires
-    /// [`Simulator::enable_fluid`] first.
-    pub fn add_fluid_filter(&mut self, node: NodeId, filter: Box<dyn FluidFilter>) {
-        self.fluid
-            .as_mut()
-            .expect("enable_fluid before add_fluid_filter")
-            .add_filter(node, filter);
-    }
-
-    /// Offer a background traffic demand. With the fluid layer on and
-    /// both endpoints outside the packetized set, it becomes a fluid
-    /// aggregate; otherwise it materializes as a discrete constant-bit-
-    /// rate packet stream with the same rate, size, class and deadline —
-    /// scenarios read identically under either engine.
+    /// Offer a background traffic demand. With the fluid layer on, a
+    /// demand that is not attack traffic and has neither endpoint in the
+    /// packetized set becomes a fluid aggregate; otherwise it materializes
+    /// as a discrete constant-bit-rate packet stream with the same rate,
+    /// size, class and deadline — scenarios read identically under either
+    /// engine. Attack traffic is always packets, so every packet a defence
+    /// could judge meets the agent chains. A destination outside the
+    /// topology is unroutable under either engine (`NoRoute` drops).
+    ///
+    /// # Panics
+    /// If the source is outside the topology: nothing could emit there.
     pub fn add_background_demand(&mut self, d: FluidDemand) {
+        assert!(
+            d.src.node().0 < self.topo.n(),
+            "background demand {:?} -> {:?}: source outside the {}-node topology",
+            d.src,
+            d.dst,
+            self.topo.n()
+        );
+        let packetized = |a: Addr| self.fluid_packetized.get(a.node().0) == Some(&true);
         let fluid_ok = self.fluid.is_some()
-            && !self.fluid_packetized[d.src.node().0]
-            && !self.fluid_packetized[d.dst.node().0];
+            && !d.class.is_attack()
+            && !packetized(d.src)
+            && !packetized(d.dst);
         if fluid_ok {
             self.stats.fluid_aggregates += 1;
             let now = self.now;
@@ -985,6 +1000,57 @@ mod tests {
         sim.run_to_idle();
         assert_eq!(sim.stats.drops_for_reason(DropReason::NoRoute).pkts, 1);
         sim.stats.check_conservation().unwrap();
+    }
+
+    fn demand(src: NodeId, dst: NodeId) -> FluidDemand {
+        FluidDemand {
+            src: Addr::new(src, 1),
+            dst: Addr::new(dst, 1),
+            proto: Proto::Udp,
+            class: TrafficClass::Background,
+            rate_bps: 4e6,
+            pkt_size: 500,
+            until: SimTime::from_secs(1),
+        }
+    }
+
+    /// So is a background demand: whichever engine carries it, all it
+    /// sends dies unrouted at its source.
+    #[test]
+    fn demand_addressed_outside_the_topology_is_no_route_under_either_engine() {
+        for fluid in [false, true] {
+            let mut sim = Simulator::new(Topology::line(3), 1);
+            if fluid {
+                sim.enable_fluid(SimDuration::from_millis(50));
+            }
+            sim.add_background_demand(demand(NodeId(0), NodeId(9999)));
+            sim.run_to_idle();
+            let c = sim.stats.class(TrafficClass::Background);
+            assert!(c.sent_pkts >= 990, "fluid {fluid}: sent {}", c.sent_pkts);
+            let agg = sim.stats.drops_for_reason(DropReason::NoRoute);
+            assert_eq!(agg.pkts, c.sent_pkts, "fluid {fluid}");
+            assert_eq!(agg.hops_sum, 0, "fluid {fluid}");
+            sim.stats.check_conservation().unwrap();
+        }
+    }
+
+    /// A demand nothing could emit is refused where it is made, not at its
+    /// first packet.
+    #[test]
+    #[should_panic(
+        expected = "background demand 9999.1 -> 0.1: source outside the 3-node topology"
+    )]
+    fn demand_from_outside_the_topology_is_refused() {
+        let mut sim = Simulator::new(Topology::line(3), 1);
+        sim.add_background_demand(demand(NodeId(9999), NodeId(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot packetize node 3: outside the 3-node topology")]
+    fn packetizing_outside_the_topology_is_refused() {
+        let mut sim = Simulator::new(Topology::line(3), 1);
+        sim.enable_fluid(SimDuration::from_millis(50));
+        sim.fluid_packetize(NodeId(3));
     }
 
     /// Agent dropping everything of a given protocol.

@@ -247,9 +247,10 @@ crate::counters! {
         /// change.
         fluid_recomputes: Sum "Aggregate path recomputations",
         /// Each may trigger many [`Stats::fluid_recomputes`].
-        fluid_epoch_invalidations: Sum "Route/filter epoch changes invalidating cached aggregate state",
-        /// An endpoint sits in the packetized set (attack sources,
-        /// filtering devices, the victim) — the fluid/packet boundary shim.
+        fluid_epoch_invalidations: Sum "Route epoch changes invalidating cached aggregate state",
+        /// An attack-class demand, or one with an endpoint in the
+        /// packetized set (filtering devices, the victim) — the
+        /// fluid/packet boundary.
         fluid_boundary_conversions: Sum "Demands materialized as discrete emitters at the fluid boundary",
     }
 }
