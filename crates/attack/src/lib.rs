@@ -41,7 +41,7 @@ pub use agent::{
 };
 pub use botnet::SiModel;
 pub use misuse::{ConnClientApp, ConnHandle, ConnServerApp, ConnStats};
-pub use reflector::{ReflectorApp, ReflectorHandle, ReflectorProfile, ReflectorStats};
+pub use reflector::{ReflectorApp, ReflectorHandle, ReflectorStats};
 pub use scenario::{
     hosts, install_clients, install_clients_at, mean_success, plan_client_addrs, DirectFlood,
     DirectFloodConfig, ReflectorAttack, ReflectorAttackConfig,

@@ -17,30 +17,11 @@ use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{App, AppApi, Disposition, Packet, PacketBuilder, Proto, TrafficClass};
 
-/// Per-protocol reply sizing for a reflector.
-#[derive(Clone, Copy, Debug)]
-pub struct ReflectorProfile {
-    /// SYN-ACK size in bytes (TCP byte amplification is ~1×; the rate
-    /// amplification comes from the reflector fan-out).
-    pub synack_size: u32,
-    /// DNS response amplification: reply size = request size × this.
-    pub dns_amplification: f64,
-    /// ICMP echo replies mirror the request size.
-    pub echo_mirror: bool,
-    /// Reply to unexpected TCP data with RST?
-    pub rst_on_unexpected: bool,
-}
-
-impl Default for ReflectorProfile {
-    fn default() -> Self {
-        ReflectorProfile {
-            synack_size: 44,
-            dns_amplification: 8.0,
-            echo_mirror: true,
-            rst_on_unexpected: true,
-        }
-    }
-}
+/// SYN-ACK size in bytes (TCP byte amplification is ~1×; the rate
+/// amplification comes from the reflector fan-out).
+const SYNACK_SIZE: u32 = 44;
+/// DNS response amplification: reply size = request size × this.
+const DNS_AMPLIFICATION: f64 = 8.0;
 
 /// Counters shared with scenario code.
 #[derive(Clone, Copy, Debug, Default)]
@@ -62,17 +43,15 @@ pub type ReflectorHandle = Arc<Mutex<ReflectorStats>>;
 
 /// An innocent server usable as a reflector.
 pub struct ReflectorApp {
-    profile: ReflectorProfile,
     stats: ReflectorHandle,
 }
 
 impl ReflectorApp {
-    /// New server with the given profile.
-    pub fn new(profile: ReflectorProfile) -> (ReflectorApp, ReflectorHandle) {
+    /// New server and the handle to its counters.
+    pub fn new() -> (ReflectorApp, ReflectorHandle) {
         let stats: ReflectorHandle = Arc::new(Mutex::new(ReflectorStats::default()));
         (
             ReflectorApp {
-                profile,
                 stats: stats.clone(),
             },
             stats,
@@ -92,15 +71,13 @@ impl ReflectorApp {
 impl App for ReflectorApp {
     fn on_packet(&mut self, api: &mut AppApi<'_>, pkt: &Packet) -> Disposition {
         let reply: Option<(Proto, u32)> = match pkt.proto {
-            Proto::TcpSyn => Some((Proto::TcpSynAck, self.profile.synack_size)),
+            Proto::TcpSyn => Some((Proto::TcpSynAck, SYNACK_SIZE)),
             Proto::DnsQuery => Some((
                 Proto::DnsResponse,
-                (pkt.size as f64 * self.profile.dns_amplification) as u32,
+                (pkt.size as f64 * DNS_AMPLIFICATION) as u32,
             )),
-            Proto::IcmpEcho if self.profile.echo_mirror => Some((Proto::IcmpEchoReply, pkt.size)),
-            Proto::TcpData | Proto::TcpSynAck if self.profile.rst_on_unexpected => {
-                Some((Proto::TcpRst, 40))
-            }
+            Proto::IcmpEcho => Some((Proto::IcmpEchoReply, pkt.size)),
+            Proto::TcpData | Proto::TcpSynAck => Some((Proto::TcpRst, 40)),
             _ => None,
         };
         {
@@ -138,7 +115,7 @@ mod tests {
         let mut sim = Simulator::new(topo, 1);
         let victim = Addr::new(NodeId(2), 1);
         let refl = Addr::new(NodeId(1), 1);
-        let (app, stats) = ReflectorApp::new(ReflectorProfile::default());
+        let (app, stats) = ReflectorApp::new();
         sim.install_app(refl, Box::new(app));
         sim.install_app(victim, Box::new(dtcs_netsim::SinkApp));
         // Spoofed SYN: claims the victim as source, emitted at node 0.
@@ -168,7 +145,7 @@ mod tests {
         let mut sim = Simulator::new(topo, 1);
         let refl = Addr::new(NodeId(1), 1);
         let client = Addr::new(NodeId(0), 1);
-        let (app, stats) = ReflectorApp::new(ReflectorProfile::default());
+        let (app, stats) = ReflectorApp::new();
         sim.install_app(refl, Box::new(app));
         sim.install_app(client, Box::new(dtcs_netsim::SinkApp));
         sim.emit_now(
@@ -189,7 +166,7 @@ mod tests {
         let topo = Topology::line(2);
         let mut sim = Simulator::new(topo, 1);
         let refl = Addr::new(NodeId(1), 1);
-        let (app, stats) = ReflectorApp::new(ReflectorProfile::default());
+        let (app, stats) = ReflectorApp::new();
         sim.install_app(refl, Box::new(app));
         sim.install_app(Addr::new(NodeId(0), 1), Box::new(dtcs_netsim::SinkApp));
         sim.emit_now(
@@ -211,7 +188,7 @@ mod tests {
         let topo = Topology::line(2);
         let mut sim = Simulator::new(topo, 1);
         let refl = Addr::new(NodeId(1), 1);
-        let (app, stats) = ReflectorApp::new(ReflectorProfile::default());
+        let (app, stats) = ReflectorApp::new();
         sim.install_app(refl, Box::new(app));
         sim.emit_now(
             NodeId(0),

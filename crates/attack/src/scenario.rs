@@ -8,7 +8,7 @@ use dtcs_netsim::{Addr, NodeId, Proto, SimDuration, SimTime, Simulator};
 
 use crate::agent::{AgentApp, AgentMode, AgentTrigger, AttackerApp, MasterApp, SpoofMode};
 use crate::botnet::SiModel;
-use crate::reflector::{ReflectorApp, ReflectorHandle, ReflectorProfile};
+use crate::reflector::{ReflectorApp, ReflectorHandle};
 use crate::victim::{ClientApp, ClientHandle, VictimApp, VictimHandle};
 
 /// Host index conventions inside a node (one node = one AS/site).
@@ -21,38 +21,36 @@ pub mod hosts {
     pub const ZOMBIE: u16 = 3;
 }
 
+/// Master tier size of a reflector attack.
+const N_MASTERS: usize = 3;
+/// Size of one spoofed request an agent sends to a reflector, bytes.
+const REQUEST_SIZE: u32 = 60;
+
 /// Parameters of a full reflector attack (Fig. 1).
 #[derive(Clone, Debug)]
 pub struct ReflectorAttackConfig {
-    /// Master tier size.
-    pub n_masters: usize,
     /// Agent (zombie) population.
     pub n_agents: usize,
     /// Reflector pool size.
     pub n_reflectors: usize,
     /// Per-agent attack rate, packets/second.
     pub agent_rate_pps: f64,
-    /// Spoofed request size.
-    pub request_size: u32,
     /// Request protocol bounced off reflectors.
     pub proto: Proto,
     /// Attacker issues the start command at this time.
     pub start_at: SimTime,
     /// Attack stops at this time.
     pub stop_at: SimTime,
-    /// Reflector service behaviour.
-    pub profile: ReflectorProfile,
     /// Victim processing capacity, packets/second.
     pub victim_capacity_pps: f64,
     /// Use SI-model recruitment (agents trickle in) instead of
     /// command-and-control start.
     pub si_recruitment: Option<SiModel>,
     /// Override the address the attack aims at (spoofed source /
-    /// reflected destination). Defaults to the victim service address.
+    /// reflected destination). Defaults to the victim service address,
+    /// where the attack then installs a default [`VictimApp`]; an
+    /// overridden target keeps whatever app is there.
     pub target_override: Option<Addr>,
-    /// Install a default [`VictimApp`] at the victim address. Set false
-    /// when the scenario installs its own (e.g. an i3-restricted victim).
-    pub install_victim: bool,
     /// Placement / jitter seed.
     pub seed: u64,
 }
@@ -60,19 +58,15 @@ pub struct ReflectorAttackConfig {
 impl Default for ReflectorAttackConfig {
     fn default() -> Self {
         ReflectorAttackConfig {
-            n_masters: 3,
             n_agents: 100,
             n_reflectors: 200,
             agent_rate_pps: 100.0,
-            request_size: 60,
             proto: Proto::TcpSyn,
             start_at: SimTime::from_secs(5),
             stop_at: SimTime::from_secs(25),
-            profile: ReflectorProfile::default(),
             victim_capacity_pps: 2000.0,
             si_recruitment: None,
             target_override: None,
-            install_victim: true,
             seed: 42,
         }
     }
@@ -156,7 +150,7 @@ impl ReflectorAttack {
             .target_override
             .unwrap_or(Addr::new(victim_node, hosts::SERVICE));
         let (vapp, victim_stats) = VictimApp::new(cfg.victim_capacity_pps, 600);
-        if cfg.install_victim {
+        if cfg.target_override.is_none() {
             sim.install_app(victim, Box::new(vapp));
         }
 
@@ -168,7 +162,7 @@ impl ReflectorAttack {
             pick(&mut rng, &refl_pool, cfg.n_reflectors, hosts::SERVICE);
         let mut reflector_stats = Vec::with_capacity(reflectors.len());
         for &r in &reflectors {
-            let (app, h) = ReflectorApp::new(cfg.profile);
+            let (app, h) = ReflectorApp::new();
             sim.install_app(r, Box::new(app));
             reflector_stats.push(h);
         }
@@ -194,15 +188,15 @@ impl ReflectorAttack {
                 },
                 trigger,
                 cfg.agent_rate_pps,
-                cfg.request_size,
+                REQUEST_SIZE,
             )
             .until(cfg.stop_at);
             sim.install_app(a, Box::new(app));
         }
 
         // Masters + attacker (only used for command-and-control starts).
-        let (masters, _) = pick(&mut rng, &stubs, cfg.n_masters, hosts::ZOMBIE);
-        let per_master = agents.len().div_ceil(cfg.n_masters.max(1));
+        let (masters, _) = pick(&mut rng, &stubs, N_MASTERS, hosts::ZOMBIE);
+        let per_master = agents.len().div_ceil(N_MASTERS);
         for (mi, &m) in masters.iter().enumerate() {
             let group: Vec<Addr> = agents
                 .iter()
@@ -403,7 +397,7 @@ pub fn mean_success(handles: &[ClientHandle]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtcs_netsim::{Topology, TrafficClass};
+    use dtcs_netsim::{DropReason, Topology, TrafficClass};
 
     fn topo() -> Topology {
         Topology::barabasi_albert(120, 2, 0.1, 11)
@@ -456,6 +450,34 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn an_attack_aimed_elsewhere_installs_no_victim_there() {
+        // An overridden target keeps its own app: a sink that never runs
+        // out of capacity, where a default victim at 1 pps would overload.
+        let mut sim = Simulator::new(topo(), 5);
+        let victim_node = sim.topo.stub_nodes()[0];
+        // A host the attack places nothing on (its agents and reflectors
+        // avoid the victim's node).
+        let target = Addr::new(victim_node, 41);
+        sim.install_app(target, Box::new(dtcs_netsim::SinkApp));
+        let cfg = ReflectorAttackConfig {
+            n_agents: 10,
+            n_reflectors: 20,
+            agent_rate_pps: 20.0,
+            start_at: SimTime::from_secs(1),
+            stop_at: SimTime::from_secs(3),
+            victim_capacity_pps: 1.0,
+            target_override: Some(target),
+            ..Default::default()
+        };
+        let _attack = ReflectorAttack::install(&mut sim, victim_node, &cfg);
+        sim.run_until(SimTime::from_secs(4));
+        let overloads = sim.stats.drops_for_reason(DropReason::HostOverload).pkts;
+        assert_eq!(overloads, 0, "no victim app may sit on the target");
+        let refl = sim.stats.class(TrafficClass::AttackReflected);
+        assert!(refl.delivered_pkts > 0, "the reflected flood reached it");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   experiments --list
 //!
 //! Bad arguments — an unknown experiment id, a value flag with no value,
-//! an out-of-range value — exit 2 before anything runs.
+//! an out-of-range value, a trace flag nothing selected would write —
+//! exit 2 before anything runs.
 //!
 //! `--topology {ba400,transit-stub:<n>}` re-points the scale-aware
 //! experiments (e2, e3) at a transit-stub internet of at least `n`
@@ -25,15 +26,17 @@
 //!
 //! `--trace FILE` asks a trace-wired experiment (e2, e3) to capture a JSONL
 //! packet flight record of one designated run into FILE. Exactly one
-//! experiment id must be selected with it — each traced experiment
-//! truncates FILE, so tracing several at once would silently keep only
-//! the last. Golden report JSON is unaffected.
+//! experiment id must be selected with it, and it must be a wired one —
+//! each traced experiment truncates FILE, so tracing several at once
+//! would silently keep only the last, and any other id would write
+//! nothing. `--sweep` reads neither trace flag. Golden report JSON is
+//! unaffected.
 //!
 //! `--cp-trace FILE` is the control-plane analogue: a wired experiment
 //! (e13, e14) captures a full JSONL *control transaction* flight
 //! record of one designated run into FILE, plus the unified metrics
 //! snapshot as `FILE.metrics.json` / `FILE.prom`. The same
-//! one-experiment-id rule applies, for the same reason. `trace-report
+//! one-wired-id rule applies, for the same reasons. `trace-report
 //! FILE` then replays that record through the convergence-attribution
 //! analyzer (exit 1 if any transaction never reached a terminal state).
 //!
@@ -62,6 +65,13 @@ const VALUE_FLAGS: [&str; 6] = [
     "--threads",
     "--topology",
 ];
+
+/// The experiments that write a `--trace` packet record; any other id
+/// would drop the flag silently, so it is refused.
+const TRACE_IDS: [&str; 2] = ["e2", "e3"];
+
+/// The experiments that write a `--cp-trace` control record, likewise.
+const CP_TRACE_IDS: [&str; 2] = ["e13", "e14"];
 
 /// A command line that cannot be run: say why, show the usage, exit 2.
 fn bad_usage(why: &str) -> ! {
@@ -152,16 +162,28 @@ fn main() {
             dtcs_bench::ALL
         ));
     }
-    if (trace.is_some() || cp_trace.is_some()) && ids.len() != 1 {
-        let flag = if trace.is_some() {
-            "--trace"
-        } else {
-            "--cp-trace"
-        };
-        bad_usage(&format!(
-            "{flag} writes ONE trace file; select exactly one experiment id with it \
-             (got {ids:?})"
-        ));
+    for (flag, file, wired) in [
+        ("--trace", &trace, TRACE_IDS),
+        ("--cp-trace", &cp_trace, CP_TRACE_IDS),
+    ] {
+        if file.is_none() {
+            continue;
+        }
+        if sweep {
+            bad_usage(&format!("{flag} is not read by --sweep"));
+        }
+        if ids.len() != 1 {
+            bad_usage(&format!(
+                "{flag} writes ONE trace file; select exactly one experiment id with it \
+                 (got {ids:?})"
+            ));
+        }
+        if !wired.contains(&ids[0].as_str()) {
+            bad_usage(&format!(
+                "{flag} is written only by {wired:?}; {} would ignore it",
+                ids[0]
+            ));
+        }
     }
     let opts = dtcs_bench::RunOpts {
         quick,

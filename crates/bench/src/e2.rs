@@ -12,9 +12,7 @@
 use dtcs::attack::SpoofMode;
 use dtcs::mitigation::{BlockScope, Placement};
 use dtcs::netsim::SimTime;
-use dtcs::{
-    run_scenario, AttackKind, OutcomeRow, ScenarioConfig, Scheme, TcsStaticConfig, TraceSpec,
-};
+use dtcs::{run_scenario, AttackKind, OutcomeRow, ScenarioConfig, Scheme, TcsStaticConfig};
 
 use crate::sweep::{cells_of, run_cases, Case};
 use crate::util::{f, fopt, hist_health, wheel_health, Report, Table};
@@ -134,7 +132,6 @@ fn direct_contrast(cfg: &ScenarioConfig) -> (ScenarioConfig, Vec<Scheme>) {
             marking_p: 0.04,
             reconstruct_at,
             scope: BlockScope::AllTraffic,
-            min_share: 0.002,
         },
         Scheme::Tcs(TcsStaticConfig {
             fraction: 0.3,
@@ -205,7 +202,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     // the golden report JSON does too.
     if let Some(path) = &opts.trace {
         let mut tcfg = cfg.clone();
-        tcfg.trace = Some(TraceSpec::default());
+        tcfg.trace = true;
         let out = run_scenario(&tcfg, &Scheme::None);
         let rec = out.trace.expect("trace requested");
         let mut file = std::fs::File::create(path).expect("create trace file");

@@ -8,47 +8,31 @@
 
 use dtcs::mitigation::{BlockScope, Placement, PushbackConfig};
 use dtcs::netsim::{Prefix, SimTime};
-use dtcs::{run_scenario, OutcomeRow, ScenarioConfig, Scheme, TcsStaticConfig};
+use dtcs::{
+    run_scenario, topology_and_victim, OutcomeRow, ScenarioConfig, Scheme, TcsStaticConfig,
+};
 
 use crate::e2::{outcome_cells, outcome_header, outcome_metrics, scenario};
 use crate::sweep::{cells_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
-/// The victim prefix exactly as `run_scenario` derives it — it depends
-/// on the scenario seed, so the sweep recomputes it per replicate.
-fn victim_prefix(cfg: &dtcs::ScenarioConfig) -> Prefix {
-    let topo = dtcs::netsim::Topology::barabasi_albert(
-        cfg.n_nodes,
-        cfg.ba_m,
-        cfg.transit_fraction,
-        cfg.seed,
-    );
-    let stubs: Vec<_> = topo
-        .nodes
-        .iter()
-        .filter(|n| n.role == dtcs::netsim::NodeRole::Stub)
-        .map(|n| n.id)
-        .collect();
-    Prefix::of_node(stubs[cfg.seed as usize % stubs.len()])
-}
-
 /// The scheme line-up under comparison. Seed-dependent via the
-/// victim-scoped traceback filter, hence a function of the config.
+/// victim-scoped traceback filter (the victim is the one `run_scenario`
+/// picks for this config), hence a function of the config.
 fn schemes(cfg: &dtcs::ScenarioConfig) -> Vec<Scheme> {
     let reconstruct_at = SimTime(cfg.attack.start_at.as_nanos() + 5_000_000_000);
+    let (_, victim_node) = topology_and_victim(cfg);
     vec![
         Scheme::None,
         Scheme::TracebackFilter {
             marking_p: 0.04,
             reconstruct_at,
             scope: BlockScope::AllTraffic,
-            min_share: 0.002,
         },
         Scheme::TracebackFilter {
             marking_p: 0.04,
             reconstruct_at,
-            scope: BlockScope::TowardVictim(victim_prefix(cfg)),
-            min_share: 0.002,
+            scope: BlockScope::TowardVictim(Prefix::of_node(victim_node)),
         },
         Scheme::Pushback(PushbackConfig::default()),
         Scheme::Tcs(TcsStaticConfig {

@@ -91,7 +91,6 @@ fn one(&(key, skinny_uplink, label, quick): &Params, seed: u64) -> (Row, dtcs::n
             drop_threshold: 30,
             limit_bytes_per_sec: 10_000.0,
             burst_bytes: 5_000,
-            ..Default::default()
         },
     );
     let dur = if quick { 15 } else { 25 };
@@ -104,7 +103,6 @@ fn one(&(key, skinny_uplink, label, quick): &Params, seed: u64) -> (Row, dtcs::n
             n_reflectors: if quick { 60 } else { 120 },
             agent_rate_pps: 80.0,
             proto: Proto::DnsQuery,
-            request_size: 60,
             start_at: SimTime::from_secs(3),
             stop_at: SimTime::from_secs(dur as u64 - 2),
             // Fat-uplink case: the server is the bottleneck (500 pps);

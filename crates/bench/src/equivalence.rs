@@ -37,7 +37,7 @@ pub fn run_fluid_equivalence(quick: bool) -> bool {
         // the discrete engine's golden results are anchored at.
         cfg.n_nodes = 400;
     }
-    cfg.background.n_flows = if quick { 60 } else { 200 };
+    cfg.background_flows = if quick { 60 } else { 200 };
     let schemes = [
         Scheme::None,
         Scheme::Ingress {
@@ -49,7 +49,7 @@ pub fn run_fluid_equivalence(quick: bool) -> bool {
         "fluid-equivalence cross-check: {} nodes, {} background flows, \
          tolerances ratio<= {TOL_RATIO}, bg sent<= {TOL_BG_SENT} rel, \
          bg delivered<= {TOL_BG_DELIVERED} rel",
-        cfg.n_nodes, cfg.background.n_flows
+        cfg.n_nodes, cfg.background_flows
     );
     println!(
         "{:<22} {:<26} {:>12} {:>12} {:>9} {:>7}  ok",

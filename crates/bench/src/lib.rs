@@ -34,17 +34,19 @@ pub struct RunOpts {
     pub quick: bool,
     /// Write a JSONL packet trace of a designated run to this path
     /// (`--trace PATH`). Only experiments that wire a flight recorder
-    /// honour it (currently e2 and e3). Each traced experiment truncates
-    /// and rewrites the file, so the `experiments` binary refuses
-    /// `--trace` with more than one experiment id rather than silently
-    /// keeping only the last trace.
+    /// honour it — the `experiments` binary's `TRACE_IDS`, and it refuses
+    /// the flag with any other id or with `--sweep`. Each traced
+    /// experiment truncates and rewrites the file, so the binary also
+    /// refuses `--trace` with more than one experiment id rather than
+    /// silently keeping only the last trace.
     pub trace: Option<std::path::PathBuf>,
     /// Write a JSONL *control-plane* flight record (`--cp-trace PATH`):
     /// every register → deploy → install → confirm lifecycle event of one
     /// designated run, captured with full (1-in-1) transaction sampling.
-    /// Only experiments that wire the control recorder honour it
-    /// (currently e13, which traces its 20%-loss crash-churn cell, and
-    /// e14, which traces its longest-partition shortest-lease cell).
+    /// Only experiments that wire the control recorder honour it — the
+    /// binary's `CP_TRACE_IDS`: e13, which traces its 20%-loss
+    /// crash-churn cell, and e14, which traces its longest-partition
+    /// shortest-lease cell.
     /// Alongside `PATH` the traced experiment writes `PATH.metrics.json`
     /// and `PATH.prom` — the unified [`dtcs::netsim::MetricsSnapshot`]
     /// registry of that run in JSON and Prometheus text form. Tracing is
@@ -92,11 +94,11 @@ impl RunOpts {
     pub fn apply_scale(&self, cfg: &mut dtcs::ScenarioConfig) {
         if let Some(n) = self.transit_stub {
             cfg.topology = dtcs::TopologyChoice::TransitStub { n };
-            cfg.background.n_flows = (n / 20).clamp(100, 5_000);
+            cfg.background_flows = (n / 20).clamp(100, 5_000);
         }
         if self.fluid {
-            if cfg.background.n_flows == 0 {
-                cfg.background.n_flows = 100;
+            if cfg.background_flows == 0 {
+                cfg.background_flows = 100;
             }
             cfg.fluid = Some(dtcs::netsim::SimDuration::from_millis(50));
         }

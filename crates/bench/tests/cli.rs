@@ -64,6 +64,27 @@ fn one_trace_file_takes_one_id() {
     );
 }
 
+/// A trace flag nothing selected would write is refused, not dropped.
+#[test]
+fn trace_flag_needs_an_experiment_that_writes_it() {
+    assert_bad_usage(
+        &["--quick", "--trace", "unwritten.jsonl", "e4"],
+        "--trace is written only by [\"e2\", \"e3\"]",
+    );
+    assert_bad_usage(
+        &["--quick", "--cp-trace", "unwritten.jsonl", "e7"],
+        "--cp-trace is written only by [\"e13\", \"e14\"]",
+    );
+    assert_bad_usage(
+        &["--sweep", "--quick", "--trace", "unwritten.jsonl", "e2"],
+        "--trace is not read by --sweep",
+    );
+    assert_bad_usage(
+        &["--sweep", "--quick", "--cp-trace", "unwritten.jsonl", "e13"],
+        "--cp-trace is not read by --sweep",
+    );
+}
+
 /// A sweep report that is there but cut short must fail the digest, not
 /// pass for "no sweep was run" and skip the replicate-0 envelope check.
 #[test]

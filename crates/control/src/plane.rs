@@ -1573,6 +1573,9 @@ pub type UserHandle = Arc<Mutex<UserRecord>>;
 pub const TOKEN_REGISTER: u64 = 1;
 const T_DEPLOY: u64 = 2;
 const T_TIMEOUT: u64 = 3;
+/// How long a user waits on the TCSP's deployment before falling back to
+/// direct-ISP deployment.
+const DEPLOY_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 /// Timer token scenario code schedules on a user agent to make it tear
 /// down its deployment (a keyed, retried [`CpMsg::WithdrawRequest`]).
 pub const TOKEN_WITHDRAW: u64 = 4;
@@ -1591,8 +1594,6 @@ pub struct UserAgent {
     pub scope: DeployScope,
     /// When to start registering.
     pub register_at: SimTime,
-    /// Timeout before falling back to direct-ISP deployment.
-    pub deploy_timeout: SimDuration,
     /// Pause between receiving the certificate and sending the deploy
     /// request (lets scenarios stage TCSP outages between the two).
     pub deploy_delay: SimDuration,
@@ -1642,7 +1643,6 @@ impl UserAgent {
                 service,
                 scope,
                 register_at,
-                deploy_timeout: SimDuration::from_secs(5),
                 deploy_delay: SimDuration::ZERO,
                 fallback_nms: Vec::new(),
                 txn,
@@ -1750,7 +1750,7 @@ impl NodeAgent for UserAgent {
             }
             T_DEPLOY => {
                 if self.start_deploy(ctx, self.tcsp_node, Role::Tcsp) {
-                    ctx.set_timer(self.deploy_timeout, T_TIMEOUT);
+                    ctx.set_timer(DEPLOY_TIMEOUT, T_TIMEOUT);
                 }
             }
             T_TIMEOUT => {

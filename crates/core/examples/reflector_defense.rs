@@ -26,7 +26,6 @@ fn anatomy() {
         &mut sim,
         victim_node,
         &ReflectorAttackConfig {
-            n_masters: 3,
             n_agents: 50,
             n_reflectors: 100,
             agent_rate_pps: 40.0,

@@ -34,8 +34,7 @@ pub mod tcs;
 
 pub use metrics::{drop_fraction, print_table, OutcomeRow};
 pub use scenario::{
-    pick_nodes, run_scenario, AttackKind, BackgroundSpec, ScenarioConfig, ScenarioOutput,
-    TopologyChoice, TraceSpec,
+    run_scenario, topology_and_victim, AttackKind, ScenarioConfig, ScenarioOutput, TopologyChoice,
 };
 pub use schemes::Scheme;
 pub use tcs::{

@@ -16,9 +16,8 @@ use dtcs_attack::{
     ReflectorAttack, ReflectorAttackConfig, VictimApp, VictimHandle,
 };
 use dtcs_mitigation::{
-    choose_nodes, deploy_ingress, deploy_ppm_everywhere, deploy_pushback_everywhere,
-    install_traceback_filters, reconstruct_sources, I3Defense, MarkCollectorAgent, Placement,
-    PushbackHandle, SosOverlay,
+    deploy_ingress, deploy_ppm_everywhere, deploy_pushback_everywhere, install_traceback_filters,
+    reconstruct_sources, I3Defense, MarkCollectorAgent, PushbackHandle, SosOverlay,
 };
 use dtcs_netsim::{
     Addr, FlightRecorder, FluidDemand, NodeId, Prefix, Proto, SimDuration, SimTime, Simulator,
@@ -43,27 +42,6 @@ pub enum AttackKind {
     },
 }
 
-/// Packet-trace capture parameters for a scenario run (observation only:
-/// an attached flight recorder never changes packet fates — see
-/// `dtcs_netsim::trace`).
-#[derive(Clone, Copy, Debug)]
-pub struct TraceSpec {
-    /// Record one packet id in `one_in` (1 = all; must be at least 1).
-    pub one_in: u64,
-    /// Flight-recorder ring capacity in events; beyond it the oldest
-    /// events are evicted.
-    pub capacity: usize,
-}
-
-impl Default for TraceSpec {
-    fn default() -> Self {
-        TraceSpec {
-            one_in: 1,
-            capacity: 1 << 20,
-        }
-    }
-}
-
 /// Which network graph the scenario runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopologyChoice {
@@ -80,38 +58,29 @@ pub enum TopologyChoice {
     },
 }
 
-/// Steady background traffic between stub hosts (the load the fluid layer
-/// exists to carry; see `dtcs_netsim::fluid`).
-#[derive(Clone, Copy, Debug)]
-pub struct BackgroundSpec {
-    /// Number of long-lived flows. 0 (the default) keeps the scenario
-    /// byte-identical to builds without background traffic.
-    pub n_flows: usize,
-    /// Per-flow rate, bits per second.
-    pub rate_bps: f64,
-    /// Per-flow packet size, bytes.
-    pub pkt_size: u32,
-}
-
-impl Default for BackgroundSpec {
-    fn default() -> Self {
-        BackgroundSpec {
-            n_flows: 0,
-            rate_bps: 2e5,
-            pkt_size: 500,
-        }
-    }
-}
+/// Barabási–Albert attachment parameter of the scenario graph.
+const BA_M: usize = 2;
+/// Share of top-degree BA nodes labelled transit.
+const BA_TRANSIT_SHARE: f64 = 0.1;
+/// Request period of every client, victim-bound and collateral alike.
+const CLIENT_PERIOD: SimDuration = SimDuration::from_millis(250);
+/// Flight-recorder ring capacity of a traced run, in events; beyond it
+/// the oldest events are evicted.
+const TRACE_CAPACITY: usize = 1 << 20;
+/// Packet size of a direct-flood agent, bytes.
+const DIRECT_FLOOD_PKT_SIZE: u32 = 200;
+/// Overlay access points of the SOS scheme.
+const SOS_SOAPS: usize = 3;
+/// Secret servlets of the SOS scheme.
+const SOS_SERVLETS: usize = 2;
+/// Minimum marked-volume share for a node to count as a traceback source.
+const TRACEBACK_MIN_SHARE: f64 = 0.002;
 
 /// Scenario parameters shared across every scheme in a comparison.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
     /// AS count of the Barabási–Albert topology.
     pub n_nodes: usize,
-    /// BA attachment parameter.
-    pub ba_m: usize,
-    /// Fraction of top-degree nodes labelled transit.
-    pub transit_fraction: f64,
     /// The attack.
     pub attack: ReflectorAttackConfig,
     /// Attack shape (the `attack` parameters are reused for both: agent
@@ -119,8 +88,6 @@ pub struct ScenarioConfig {
     pub attack_kind: AttackKind,
     /// Legitimate clients of the victim.
     pub n_clients: usize,
-    /// Client request period.
-    pub client_period: SimDuration,
     /// Third-party clients of reflector-hosted services (collateral
     /// probes).
     pub n_collateral_clients: usize,
@@ -128,12 +95,16 @@ pub struct ScenarioConfig {
     pub duration: SimTime,
     /// Master seed.
     pub seed: u64,
-    /// Optional packet flight recording (None = zero-cost disabled path).
-    pub trace: Option<TraceSpec>,
+    /// Record every packet's lifecycle into a flight recorder (observation
+    /// only: an attached recorder never changes packet fates — see
+    /// `dtcs_netsim::trace`; `false` is the zero-cost disabled path).
+    pub trace: bool,
     /// Network graph shape.
     pub topology: TopologyChoice,
-    /// Steady background traffic between stub hosts.
-    pub background: BackgroundSpec,
+    /// Long-lived background flows between stub hosts (the load the fluid
+    /// layer exists to carry; see `dtcs_netsim::fluid`). 0 keeps the
+    /// scenario byte-identical to builds without background traffic.
+    pub background_flows: usize,
     /// Carry background flows as fluid aggregates with this accounting
     /// tick instead of discrete packets. `None` (default) keeps the run
     /// purely packet-level. The victim is packetized either way, so its
@@ -145,8 +116,6 @@ impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
             n_nodes: 200,
-            ba_m: 2,
-            transit_fraction: 0.1,
             attack: ReflectorAttackConfig {
                 n_agents: 80,
                 n_reflectors: 120,
@@ -158,13 +127,12 @@ impl Default for ScenarioConfig {
             },
             attack_kind: AttackKind::Reflector,
             n_clients: 30,
-            client_period: SimDuration::from_millis(250),
             n_collateral_clients: 20,
             duration: SimTime::from_secs(30),
             seed: 42,
-            trace: None,
+            trace: false,
             topology: TopologyChoice::BarabasiAlbert,
-            background: BackgroundSpec::default(),
+            background_flows: 0,
             fluid: None,
         }
     }
@@ -189,26 +157,35 @@ pub struct ScenarioOutput {
     pub trace: Option<FlightRecorder>,
 }
 
-/// Run one scheme under the configured scenario.
-pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
+/// The scenario's network and its victim: the stub node at
+/// `seed % stubs` of the configured graph. The one place that choice is
+/// made, for [`run_scenario`] and for anything that must name the same
+/// victim without running the scenario (E4's victim-scoped filter).
+pub fn topology_and_victim(cfg: &ScenarioConfig) -> (Topology, NodeId) {
     let topo = match cfg.topology {
         TopologyChoice::BarabasiAlbert => {
-            Topology::barabasi_albert(cfg.n_nodes, cfg.ba_m, cfg.transit_fraction, cfg.seed)
+            Topology::barabasi_albert(cfg.n_nodes, BA_M, BA_TRANSIT_SHARE, cfg.seed)
         }
         TopologyChoice::TransitStub { n } => Topology::transit_stub_at_least(n, cfg.seed),
     };
+    let stubs = topo.stub_nodes();
+    assert!(!stubs.is_empty(), "need stub nodes for a victim");
+    let victim_node = stubs[cfg.seed as usize % stubs.len()];
+    (topo, victim_node)
+}
+
+/// Run one scheme under the configured scenario.
+pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
+    let (topo, victim_node) = topology_and_victim(cfg);
     let mut sim = Simulator::new(topo, cfg.seed);
     if let Some(tick) = cfg.fluid {
         sim.enable_fluid(tick);
     }
-    let recorder = cfg.trace.map(|spec| {
-        let rec = Arc::new(std::sync::Mutex::new(FlightRecorder::new(spec.capacity)));
-        sim.set_trace_sink(Box::new(Arc::clone(&rec)), spec.one_in);
+    let recorder = cfg.trace.then(|| {
+        let rec = Arc::new(std::sync::Mutex::new(FlightRecorder::new(TRACE_CAPACITY)));
+        sim.set_trace_sink(Box::new(Arc::clone(&rec)), 1);
         rec
     });
-    let stubs = sim.topo.stub_nodes();
-    assert!(!stubs.is_empty(), "need stub nodes for a victim");
-    let victim_node = stubs[cfg.seed as usize % stubs.len()];
     if cfg.fluid.is_some() {
         // The paper's observables live at the victim: keep its traffic
         // discrete regardless of engine.
@@ -223,7 +200,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
     attack_cfg.seed = cfg.seed;
     let mut pushback: Option<PushbackHandle> = None;
     let mut sos: Option<SosOverlay> = None;
-    let mut i3: Option<(I3Defense, VictimHandle)> = None;
+    let mut i3: Option<I3Defense> = None;
     let mut tcs: Option<TcsDeployment> = None;
     let mut marks_for_traceback = None;
     let identified_sources: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
@@ -253,24 +230,21 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
             sim.add_agent(victim_node, Box::new(collector));
             marks_for_traceback = Some(marks);
         }
-        Scheme::Sos {
-            n_soaps,
-            n_servlets,
-        } => {
+        Scheme::Sos => {
             // Overlay nodes drawn from well-connected ASes, away from the
             // victim.
             let pool: Vec<NodeId> = sim
                 .topo
-                .top_degree(n_soaps + n_servlets + 2)
+                .top_degree(SOS_SOAPS + SOS_SERVLETS + 2)
                 .into_iter()
                 .filter(|&n| n != victim_node)
                 .collect();
-            let soap_nodes: Vec<NodeId> = pool.iter().copied().take(*n_soaps).collect();
+            let soap_nodes: Vec<NodeId> = pool.iter().copied().take(SOS_SOAPS).collect();
             let servlet_nodes: Vec<NodeId> = pool
                 .iter()
                 .copied()
-                .skip(*n_soaps)
-                .take(*n_servlets)
+                .skip(SOS_SOAPS)
+                .take(SOS_SERVLETS)
                 .collect();
             sos = Some(SosOverlay::install(
                 &mut sim,
@@ -288,19 +262,12 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
                 .find(|&n| n != victim_node)
                 .expect("topology big enough");
             let defense = I3Defense::install(&mut sim, victim_addr, relay_node);
-            // The victim serves only its trigger; install it ourselves.
-            let (vapp, vstats) = VictimApp::new(cfg.attack.victim_capacity_pps, 600);
-            sim.install_app(
-                victim_addr,
-                Box::new(vapp.restrict_sources(vec![defense.trigger])),
-            );
-            attack_cfg.install_victim = false;
             if *ip_hidden {
                 // Attackers cannot name the victim; they aim at the
                 // public trigger instead.
                 attack_cfg.target_override = Some(defense.trigger);
             }
-            i3 = Some((defense, vstats));
+            i3 = Some(defense);
         }
         Scheme::Tcs(tcs_cfg) => {
             let mut tcs_cfg = tcs_cfg.clone();
@@ -319,10 +286,11 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
             }
         }
         AttackKind::Direct { spoof } => {
-            // The victim app: installed here (unless i3 already did).
+            // The victim app, as `ReflectorAttack::install` does it: only
+            // where the flood aims at the victim itself.
             let target = attack_cfg.target_override.unwrap_or(victim_addr);
             let (vapp, vstats) = VictimApp::new(attack_cfg.victim_capacity_pps, 600);
-            if attack_cfg.install_victim {
+            if attack_cfg.target_override.is_none() {
                 sim.install_app(target, Box::new(vapp));
             }
             let flood = dtcs_attack::DirectFlood::install(
@@ -331,7 +299,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
                 &dtcs_attack::DirectFloodConfig {
                     n_agents: attack_cfg.n_agents,
                     agent_rate_pps: attack_cfg.agent_rate_pps,
-                    pkt_size: attack_cfg.request_size.max(200),
+                    pkt_size: DIRECT_FLOOD_PKT_SIZE,
                     spoof,
                     start_at: attack_cfg.start_at,
                     stop_at: attack_cfg.stop_at,
@@ -348,8 +316,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
                     continue;
                 }
                 let addr = Addr::new(node, hosts::SERVICE);
-                let (app, _h) =
-                    dtcs_attack::ReflectorApp::new(dtcs_attack::ReflectorProfile::default());
+                let (app, _h) = dtcs_attack::ReflectorApp::new();
                 sim.install_app(addr, Box::new(app));
                 services.push(addr);
             }
@@ -360,7 +327,14 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
         }
     };
     let victim_stats: VictimHandle = match &i3 {
-        Some((_, vstats)) => vstats.clone(),
+        // The victim serves only its trigger: this replaces the default
+        // victim the attack installed (none when it aims at the trigger).
+        Some(defense) => {
+            let (vapp, vstats) = VictimApp::new(cfg.attack.victim_capacity_pps, 600);
+            let vapp = vapp.restrict_sources(vec![defense.trigger]);
+            sim.install_app(victim_addr, Box::new(vapp));
+            vstats
+        }
         None => attack.victim_stats.clone(),
     };
 
@@ -370,15 +344,15 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
         (Some(overlay), _) => client_addrs
             .iter()
             .map(|&a| {
-                let (app, h) = ClientApp::new(overlay.soap_for(a), cfg.client_period);
+                let (app, h) = ClientApp::new(overlay.soap_for(a), CLIENT_PERIOD);
                 sim.install_app(a, Box::new(app.until(client_stop)));
                 h
             })
             .collect(),
-        (_, Some((defense, _))) => client_addrs
+        (_, Some(defense)) => client_addrs
             .iter()
             .map(|&a| {
-                let (app, h) = ClientApp::new(defense.trigger, cfg.client_period);
+                let (app, h) = ClientApp::new(defense.trigger, CLIENT_PERIOD);
                 sim.install_app(a, Box::new(app.until(client_stop)));
                 h
             })
@@ -387,7 +361,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
             &mut sim,
             &client_addrs,
             victim_addr,
-            cfg.client_period,
+            CLIENT_PERIOD,
             client_stop,
         ),
     };
@@ -400,7 +374,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
         .enumerate()
         .map(|(i, a)| {
             let server = attack.service_addrs[i % attack.service_addrs.len()];
-            let (app, h) = ClientApp::new(server, cfg.client_period);
+            let (app, h) = ClientApp::new(server, CLIENT_PERIOD);
             let app = app.request(Proto::DnsQuery, 60).until(client_stop);
             sim.install_app(a, Box::new(app));
             h
@@ -411,17 +385,21 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
     if let Scheme::TracebackFilter {
         reconstruct_at,
         scope,
-        min_share,
         ..
     } = scheme
     {
         let marks = marks_for_traceback.clone().expect("collector installed");
         let scope = *scope;
-        let min_share = *min_share;
         let identified = identified_sources.clone();
         sim.schedule(*reconstruct_at, move |s| {
             let table = marks.lock().clone();
-            let sources = reconstruct_sources(&s.topo, &s.routing, victim_node, &table, min_share);
+            let sources = reconstruct_sources(
+                &s.topo,
+                &s.routing,
+                victim_node,
+                &table,
+                TRACEBACK_MIN_SHARE,
+            );
             *identified.lock() = sources.len();
             install_traceback_filters(s, &sources, victim_node, scope);
         });
@@ -431,7 +409,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
     install_background(
         &mut sim,
         victim_node,
-        &cfg.background,
+        cfg.background_flows,
         cfg.duration,
         cfg.seed,
     );
@@ -502,31 +480,29 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
     }
 }
 
-/// Pick deterministic helper nodes for schemes and experiments (exposed
-/// for the bench harness).
-pub fn pick_nodes(topo: &Topology, fraction: f64, placement: Placement, seed: u64) -> Vec<NodeId> {
-    choose_nodes(topo, fraction, placement, seed)
-}
-
 /// Host id background demand sources claim (distinct from the attack
 /// scenario's SERVICE/CLIENT/ZOMBIE hosts).
 const BG_SRC_HOST: u16 = 0xB6;
 /// Host id background demand sinks listen on.
 const BG_DST_HOST: u16 = 0xB7;
+/// Rate of one background flow, bits per second.
+const BG_RATE_BPS: f64 = 2e5;
+/// Packet size of one background flow, bytes.
+const BG_PKT_SIZE: u32 = 500;
 
-/// Install the configured background flows between seeded stub pairs
-/// (victim excluded on both ends). Each flow is one
+/// Install `n_flows` background flows between seeded stub pairs (victim
+/// excluded on both ends). Each flow is one
 /// [`Simulator::add_background_demand`] call, so whether it runs as a
 /// fluid aggregate or a discrete CBR stream is decided by the engine, not
 /// here — scenarios read identically under either.
 fn install_background(
     sim: &mut Simulator,
     victim: NodeId,
-    bg: &BackgroundSpec,
+    n_flows: usize,
     until: SimTime,
     seed: u64,
 ) {
-    if bg.n_flows == 0 {
+    if n_flows == 0 {
         return;
     }
     let mut stubs: Vec<NodeId> = sim
@@ -541,7 +517,7 @@ fn install_background(
     let mut rng = dtcs_netsim::rng::seeded(dtcs_netsim::rng::child_seed(seed, 0xB6F1));
     rng.shuffle(&mut stubs);
     let half = (stubs.len() / 2).max(1);
-    for i in 0..bg.n_flows {
+    for i in 0..n_flows {
         let src_node = stubs[i % stubs.len()];
         let dst_node = stubs[(i + half) % stubs.len()];
         if src_node == dst_node {
@@ -554,8 +530,8 @@ fn install_background(
             dst,
             proto: Proto::Udp,
             class: TrafficClass::Background,
-            rate_bps: bg.rate_bps,
-            pkt_size: bg.pkt_size,
+            rate_bps: BG_RATE_BPS,
+            pkt_size: BG_PKT_SIZE,
             until,
         });
     }
@@ -632,7 +608,6 @@ mod tests {
                 marking_p: 0.05,
                 reconstruct_at: SimTime::from_secs(5),
                 scope: BlockScope::AllTraffic,
-                min_share: 0.002,
             },
         );
         // The reconstruction names reflectors, and null-routing them cuts
@@ -648,13 +623,7 @@ mod tests {
 
     #[test]
     fn sos_protects_members() {
-        let out = run_scenario(
-            &small_cfg(),
-            &Scheme::Sos {
-                n_soaps: 3,
-                n_servlets: 2,
-            },
-        );
+        let out = run_scenario(&small_cfg(), &Scheme::Sos);
         assert!(
             out.row.legit_success > 0.85,
             "overlay members stay served ({})",
@@ -695,7 +664,6 @@ mod tests {
                 marking_p: 0.05,
                 reconstruct_at: SimTime::from_secs(5),
                 scope: BlockScope::AllTraffic,
-                min_share: 0.002,
             },
         );
         assert!(tb.row.extra["identified_sources"] > 0.0);
@@ -726,10 +694,7 @@ mod tests {
     fn traced_scenario_is_observation_only_and_deterministic() {
         let plain = run_scenario(&small_cfg(), &Scheme::None);
         let mut cfg = small_cfg();
-        cfg.trace = Some(TraceSpec {
-            one_in: 8,
-            capacity: 1 << 18,
-        });
+        cfg.trace = true;
         let a = run_scenario(&cfg, &Scheme::None);
         let b = run_scenario(&cfg, &Scheme::None);
         // Attaching the recorder must not perturb the outcome...
@@ -755,11 +720,7 @@ mod tests {
         // with background flows carried as discrete CBR packets vs fluid
         // aggregates must tell the same story at the victim.
         let mut cfg = small_cfg();
-        cfg.background = BackgroundSpec {
-            n_flows: 40,
-            rate_bps: 2e5,
-            pkt_size: 500,
-        };
+        cfg.background_flows = 40;
         let discrete = run_scenario(&cfg, &Scheme::None);
         assert_eq!(discrete.stats.fluid_aggregates, 0);
         assert!(
@@ -796,11 +757,7 @@ mod tests {
         // fluid background, full attack machinery — the E2-at-100k recipe.
         let mut cfg = small_cfg();
         cfg.topology = TopologyChoice::TransitStub { n: 1500 };
-        cfg.background = BackgroundSpec {
-            n_flows: 100,
-            rate_bps: 2e5,
-            pkt_size: 500,
-        };
+        cfg.background_flows = 100;
         cfg.fluid = Some(SimDuration::from_millis(100));
         let out = run_scenario(&cfg, &Scheme::None);
         assert!(out.stats.fluid_aggregates >= 90, "most flows go fluid");
@@ -827,7 +784,6 @@ mod tests {
                 marking_p: 0.05,
                 reconstruct_at: SimTime::from_secs(5),
                 scope: BlockScope::AllTraffic,
-                min_share: 0.002,
             },
         ];
         for scheme in schemes {

@@ -1,6 +1,7 @@
 //! The mitigation schemes compared by the paper's Sec. 3 analysis, as one
-//! installable enum. `Scheme::install_*` hooks are called by the
-//! comparison scenario at the right lifecycle points.
+//! enum. [`run_scenario`](crate::run_scenario) installs each at the right
+//! lifecycle point: before the attack, and for traceback again at its
+//! reconstruction instant.
 
 use dtcs_mitigation::{BlockScope, Placement, PushbackConfig};
 use dtcs_netsim::SimTime;
@@ -30,16 +31,10 @@ pub enum Scheme {
         reconstruct_at: SimTime,
         /// Filter intensity.
         scope: BlockScope,
-        /// Minimum marked-volume share for a node to count as a source.
-        min_share: f64,
     },
-    /// SOS/Mayday secure overlay (Sec. 3.2).
-    Sos {
-        /// Overlay access points.
-        n_soaps: usize,
-        /// Secret servlets.
-        n_servlets: usize,
-    },
+    /// SOS/Mayday secure overlay (Sec. 3.2): three access points, two
+    /// secret servlets.
+    Sos,
     /// i3-style indirection defense (Sec. 3.1).
     I3 {
         /// Is the victim's real address hidden from the attacker?
@@ -62,7 +57,7 @@ impl Scheme {
                 BlockScope::AllTraffic => "traceback+null-route".into(),
                 BlockScope::TowardVictim(_) => "traceback+filter".into(),
             },
-            Scheme::Sos { .. } => "sos-overlay".into(),
+            Scheme::Sos => "sos-overlay".into(),
             Scheme::I3 { ip_hidden } => {
                 if *ip_hidden {
                     "i3(hidden-ip)".into()
@@ -88,12 +83,8 @@ impl Scheme {
                 marking_p: 0.04,
                 reconstruct_at,
                 scope: BlockScope::AllTraffic,
-                min_share: 0.002,
             },
-            Scheme::Sos {
-                n_soaps: 3,
-                n_servlets: 2,
-            },
+            Scheme::Sos,
             Scheme::I3 { ip_hidden: false },
             Scheme::Tcs(TcsStaticConfig {
                 fraction: 0.3,

@@ -42,8 +42,6 @@ pub struct TcsStaticConfig {
     /// owners pick differently per attack, e.g. `[Udp]` against a UDP
     /// flood.
     pub dst_block_protos: Option<Vec<Proto>>,
-    /// Optional destination-side rate limit, bytes/second per device.
-    pub dst_rate_limit: Option<f64>,
     /// Placement seed.
     pub seed: u64,
 }
@@ -57,7 +55,6 @@ impl Default for TcsStaticConfig {
             antispoof: true,
             dst_firewall: true,
             dst_block_protos: None,
-            dst_rate_limit: None,
             seed: 1,
         }
     }
@@ -129,16 +126,6 @@ pub fn deploy_tcs_static(
                     .dst_block_protos
                     .clone()
                     .unwrap_or_else(reflected_reply_protos),
-            }
-            .compile(),
-        ));
-    }
-    if let Some(rate) = cfg.dst_rate_limit {
-        services.push((
-            Stage::Dst,
-            CatalogService::RateLimit {
-                rate_bytes_per_sec: rate,
-                burst_bytes: (rate / 2.0) as u32,
             }
             .compile(),
         ));

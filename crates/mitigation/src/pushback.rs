@@ -37,22 +37,23 @@ pub enum AggregateKey {
     DstPrefix,
 }
 
+/// Monitoring / decision window.
+const WINDOW: SimDuration = SimDuration::from_secs(1);
+/// Maximum upstream propagation depth.
+const DEPTH: u8 = 4;
+/// Consecutive calm windows before a limit is removed (third phase of
+/// reactive schemes: relief).
+const RELIEF_WINDOWS: u32 = 3;
+
 /// Pushback parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct PushbackConfig {
-    /// Monitoring / decision window.
-    pub window: SimDuration,
     /// Tail-drops per link per window that indicate sustained congestion.
     pub drop_threshold: u64,
     /// Rate limit applied to an identified aggregate, bytes/second.
     pub limit_bytes_per_sec: f64,
     /// Token bucket depth for the limit.
     pub burst_bytes: u32,
-    /// Maximum upstream propagation depth.
-    pub depth: u8,
-    /// Consecutive calm windows before a limit is removed (third phase of
-    /// reactive schemes: relief).
-    pub relief_windows: u32,
     /// Aggregate definition.
     pub key: AggregateKey,
 }
@@ -60,12 +61,9 @@ pub struct PushbackConfig {
 impl Default for PushbackConfig {
     fn default() -> Self {
         PushbackConfig {
-            window: SimDuration::from_secs(1),
             drop_threshold: 50,
             limit_bytes_per_sec: 50_000.0,
             burst_bytes: 25_000,
-            depth: 4,
-            relief_windows: 3,
             key: AggregateKey::SrcPrefix,
         }
     }
@@ -247,11 +245,10 @@ impl PushbackAgent {
                 .map(|((_, agg), _)| *agg);
             if let Some(agg) = top {
                 self.install_limit(agg, self.cfg.limit_bytes_per_sec);
-                self.propagate(ctx, agg, self.cfg.limit_bytes_per_sec, self.cfg.depth);
+                self.propagate(ctx, agg, self.cfg.limit_bytes_per_sec, DEPTH);
             }
         }
         // Relief: drop limits that stayed calm.
-        let relief = self.cfg.relief_windows;
         let mut removed = 0u64;
         self.limits.retain(|_, st| {
             if st.dropped_this_window == 0 {
@@ -260,7 +257,7 @@ impl PushbackAgent {
                 st.calm_windows = 0;
             }
             st.dropped_this_window = 0;
-            let keep = st.calm_windows < relief;
+            let keep = st.calm_windows < RELIEF_WINDOWS;
             if !keep {
                 removed += 1;
             }
@@ -288,7 +285,7 @@ impl NodeAgent for PushbackAgent {
     ) -> Verdict {
         if !self.timer_armed {
             self.timer_armed = true;
-            ctx.set_timer(self.cfg.window, WINDOW_TICK);
+            ctx.set_timer(WINDOW, WINDOW_TICK);
         }
         let agg = self.aggregate_bits(pkt);
         *self
@@ -322,7 +319,7 @@ impl NodeAgent for PushbackAgent {
             return;
         }
         self.end_window(ctx);
-        ctx.set_timer(self.cfg.window, WINDOW_TICK);
+        ctx.set_timer(WINDOW, WINDOW_TICK);
     }
 
     fn on_control(&mut self, ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
@@ -438,11 +435,7 @@ mod tests {
 
     #[test]
     fn relief_removes_limits_after_attack() {
-        let cfg = PushbackConfig {
-            relief_windows: 2,
-            ..Default::default()
-        };
-        let (mut sim, stats, _victim) = flooded_dumbbell(cfg);
+        let (mut sim, stats, _victim) = flooded_dumbbell(PushbackConfig::default());
         // Attack traffic ends at ~10 s; run long past it.
         sim.run_until(SimTime::from_secs(30));
         let s = stats.lock();

@@ -121,7 +121,6 @@ pub struct Simulator {
     /// see real packets.
     fluid_packetized: Vec<bool>,
     started: bool,
-    event_limit: u64,
 }
 
 impl Simulator {
@@ -149,7 +148,6 @@ impl Simulator {
             fluid: None,
             fluid_packetized: vec![false; n],
             started: false,
-            event_limit: u64::MAX,
         }
     }
 
@@ -320,12 +318,6 @@ impl Simulator {
         if next < d.until {
             self.schedule(next, move |s| s.cbr_step(d, interval, flow));
         }
-    }
-
-    /// Cap total processed events (runaway guard for tests); the run stops
-    /// once the cap is reached.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
     }
 
     /// Attach an agent to a node's chain; returns its chain index.
@@ -556,13 +548,10 @@ impl Simulator {
     }
 
     /// The one pop loop: dispatch events dated up to `until_ns` in
-    /// `(time, seq)` order until none is left or the event cap is hit.
+    /// `(time, seq)` order until none is left.
     fn run_events(&mut self, until_ns: u64) {
         self.ensure_started();
-        while self.stats.events < self.event_limit {
-            let Some(entry) = self.queue.pop_next(until_ns) else {
-                break;
-            };
+        while let Some(entry) = self.queue.pop_next(until_ns) {
             self.now = SimTime::from_nanos(entry.time);
             self.stats.events += 1;
             self.dispatch(entry.kind);
@@ -1562,21 +1551,6 @@ mod tests {
             !plain_line.contains("\"detail\""),
             "stale staged detail leaked onto a later verdict: {plain_line}"
         );
-    }
-
-    #[test]
-    fn event_limit_stops_runaway() {
-        let topo = Topology::line(2);
-        let mut sim = Simulator::new(topo, 1);
-        // Self-perpetuating echo pair.
-        let a = Addr::new(NodeId(0), 1);
-        let b = Addr::new(NodeId(1), 1);
-        sim.install_app(a, Box::new(Echo));
-        sim.install_app(b, Box::new(Echo));
-        sim.emit_now(NodeId(0), udp(a, b));
-        sim.set_event_limit(100);
-        sim.run_until(SimTime::from_secs(3600));
-        assert!(sim.stats.events <= 100);
     }
 
     /// Counts control deliveries and crashes; resends nothing.

@@ -165,9 +165,9 @@ impl Topology {
 
     /// Barabási–Albert preferential attachment graph of `n` nodes, each new
     /// node attaching `m` links. Nodes whose final degree lands in the top
-    /// `transit_fraction` are labelled `Transit` (they get backbone links);
+    /// `transit_share` are labelled `Transit` (they get backbone links);
     /// the rest are `Stub`.
-    pub fn barabasi_albert(n: usize, m: usize, transit_fraction: f64, seed: u64) -> Topology {
+    pub fn barabasi_albert(n: usize, m: usize, transit_share: f64, seed: u64) -> Topology {
         assert!(m >= 1, "m must be >= 1");
         assert!(n > m, "need more nodes than attachment edges");
         let mut rng = seeded(seed ^ 0xBA5E);
@@ -210,7 +210,7 @@ impl Topology {
                 }
             }
         }
-        topo.assign_roles_by_degree(transit_fraction);
+        topo.assign_roles_by_degree(transit_share);
         topo.upgrade_core_links();
         topo
     }
@@ -341,7 +341,7 @@ impl Topology {
     /// distance. A spanning pass afterwards connects any isolated
     /// components through their geometrically closest pair, so the result
     /// is always connected. Roles are assigned by degree like BA.
-    pub fn waxman(n: usize, alpha: f64, beta: f64, transit_fraction: f64, seed: u64) -> Topology {
+    pub fn waxman(n: usize, alpha: f64, beta: f64, transit_share: f64, seed: u64) -> Topology {
         assert!(n >= 2);
         assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
         assert!(beta > 0.0 && beta.is_finite(), "beta must be positive");
@@ -388,7 +388,7 @@ impl Topology {
             let (_, i, j) = best.expect("disconnected pair exists");
             topo.connect(NodeId(i), NodeId(j), LinkProfile::transit());
         }
-        topo.assign_roles_by_degree(transit_fraction);
+        topo.assign_roles_by_degree(transit_share);
         topo.upgrade_core_links();
         topo
     }
