@@ -21,16 +21,16 @@
 //!    (link-direction, tick), the offered rate is the sum over aggregates
 //!    whose cached path crosses it, thinned by upstream admission; the
 //!    admitted fraction is `min(1, available/offered)` — proportional
-//!    share. One walk over the cached paths computes offered and admitted
-//!    load and every aggregate's result under the current fractions; the
+//!    share. One walk over the cached paths computes offered load and
+//!    every aggregate's result under the current fractions; the
 //!    fractions are then recomputed, and the tick stops at the first
 //!    update that moves none of them (at most [`SETTLE_ROUNDS`] updates,
 //!    then one closing walk). The last walk's numbers are the tick's
 //!    accounting, so an uncongested tick costs one walk. Available
 //!    capacity is the direction's *residual* after the discrete packet
-//!    engine's virtual-queue state ([`crate::link::LinkDir::next_free`]),
-//!    which is also advanced by the admitted fluid bytes — the two engines
-//!    share one capacity model in both directions.
+//!    engine's virtual-queue state ([`crate::link::LinkDir::next_free`]):
+//!    discrete backlog thins fluid admission. The coupling is one way — a
+//!    tick only reads links, so fluid load never queues a packet.
 //! 3. **Exact conservation at the boundary.** All rate accounting runs in
 //!    f64 byte accumulators, but [`crate::stats::Stats`] only ever sees
 //!    whole packets derived by *flooring cumulative* counters
@@ -126,16 +126,12 @@ pub struct FluidLayer {
 
     // --- the direction set and its per-direction columns ---------------
     /// Link-direction ids (`link.0 * 2 + dir_index`), ascending and
-    /// distinct: every direction a cached path crosses, plus any a rebuild
-    /// dropped from every path while it still held a `dir_carry`. Rebuilt
-    /// with the paths; the five columns below are indexed like it.
+    /// distinct: exactly the directions some cached path crosses. Rebuilt
+    /// with the paths; the three columns below are indexed like it.
     dirs: Vec<u32>,
     offered: Vec<f64>,
-    admitted: Vec<f64>,
     frac: Vec<f64>,
     avail: Vec<f64>,
-    /// Fractional fluid bytes not yet folded into `LinkDir::bytes_sent`.
-    dir_carry: Vec<f64>,
 
     // --- per-aggregate results of the latest walk (scratch) -------------
     w_deliv: Vec<f64>,
@@ -176,10 +172,8 @@ impl FluidLayer {
             route_epoch: epoch,
             dirs: Vec::new(),
             offered: Vec::new(),
-            admitted: Vec::new(),
             frac: Vec::new(),
             avail: Vec::new(),
-            dir_carry: Vec::new(),
             w_deliv: Vec::new(),
             w_cdrop_hops: Vec::new(),
             walks: 0,
@@ -198,9 +192,8 @@ impl FluidLayer {
     }
 
     /// Install an aggregate for `d`; its path resolves on the next tick.
+    /// [`crate::sim::Simulator::add_background_demand`] has validated it.
     pub(crate) fn add(&mut self, d: &FluidDemand, now: SimTime) {
-        assert!(d.rate_bps > 0.0, "demand rate must be positive");
-        assert!(d.pkt_size > 0, "demand packet size must be positive");
         self.src.push(d.src);
         self.dst.push(d.dst);
         self.class.push(d.class);
@@ -291,27 +284,16 @@ impl FluidLayer {
             self.path_off[i] = off;
             self.path_len[i] = hops.len() as u32 - off;
         }
-        // The direction set: what the new paths cross, plus what the old
-        // set still owes a fractional byte — a direction that leaves every
-        // path keeps its carry for the day a route brings it back.
-        let owed = || std::iter::zip(&self.dirs, &self.dir_carry).filter(|&(_, &c)| c != 0.0);
+        // The direction set: what the new paths cross.
         let mut set = hops.clone();
-        set.extend(owed().map(|(&d, _)| d));
         set.sort_unstable();
         set.dedup();
-        let local = |d: u32| set.binary_search(&d).expect("collected above");
-        let mut carry = vec![0.0; set.len()];
-        for (&d, &c) in owed() {
-            carry[local(d)] = c;
-        }
         for d in &mut hops {
-            *d = local(*d) as u32;
+            *d = set.binary_search(d).expect("collected above") as u32;
         }
         self.offered = vec![0.0; set.len()];
-        self.admitted = vec![0.0; set.len()];
         self.frac = vec![0.0; set.len()];
         self.avail = vec![0.0; set.len()];
-        self.dir_carry = carry;
         self.dirs = set;
         self.path_dirs = hops;
         self.path_nodes = nodes;
@@ -319,13 +301,13 @@ impl FluidLayer {
     }
 
     /// One accounting tick over the window `(last_tick_at, now]`. Folds
-    /// admitted/dropped rates into `stats`, advances the discrete link
-    /// transmitters by the admitted fluid bytes, and returns whether any
+    /// admitted/dropped rates into `stats` and returns whether any
     /// aggregate is still live (i.e. whether to schedule another tick).
+    /// Links are only read: fluid load never queues a discrete packet.
     pub(crate) fn run_tick(
         &mut self,
         now: SimTime,
-        topo: &mut Topology,
+        topo: &Topology,
         routing: &Routing,
         stats: &mut Stats,
     ) -> bool {
@@ -382,36 +364,16 @@ impl FluidLayer {
             }
             self.report(i, stats);
         }
-
-        // --- 4. Couple admitted fluid load back into the links ---------
-        for (j, &d) in self.dirs.iter().enumerate() {
-            let admitted = self.admitted[j].min(self.avail[j]);
-            if admitted <= 0.0 {
-                continue;
-            }
-            let link = &mut topo.links[d as usize / 2];
-            let bw = link.bandwidth_bps;
-            let ld = &mut link.dirs[d as usize % 2];
-            // Admitted ≤ residual idle time, so this lands at or before
-            // `now`: fluid never leaves a standing backlog behind.
-            let tx = SimDuration::from_nanos((admitted * 8.0 / bw * 1e9) as u64);
-            ld.next_free = ld.next_free.max(last) + tx;
-            let total = self.dir_carry[j] + admitted;
-            let whole = total.floor();
-            self.dir_carry[j] = total - whole;
-            ld.bytes_sent += whole as u64;
-        }
         self.any_active(now)
     }
 
     /// One walk over the cached path of every routed aggregate live in
     /// `(last, now]`, under the current fractions: sums each direction's
-    /// offered and admitted bytes and leaves each aggregate's delivered
-    /// and hop-weighted dropped bytes in the `w_*` columns.
+    /// offered bytes and leaves each aggregate's delivered and
+    /// hop-weighted dropped bytes in the `w_*` columns.
     fn walk(&mut self, last: SimTime, now: SimTime) {
         self.walks += 1;
         self.offered.fill(0.0);
-        self.admitted.fill(0.0);
         for i in 0..self.src.len() {
             let dur = self.window_secs(i, last, now);
             if !self.has_route[i] || dur <= 0.0 {
@@ -426,7 +388,6 @@ impl FluidLayer {
                 self.offered[d] += p;
                 cdrop_hops += p * (1.0 - self.frac[d]) * k as f64;
                 p *= self.frac[d];
-                self.admitted[d] += p;
             }
             self.w_deliv[i] = p.min(base);
             self.w_cdrop_hops[i] = cdrop_hops;
@@ -622,13 +583,7 @@ mod tests {
         let on_paths = crossed(layer);
         assert_eq!(on_paths.len(), 3, "1->hub, 3->hub, hub->2");
         assert!(layer.dirs.iter().copied().eq(on_paths.iter().copied()));
-        for column in [
-            &layer.offered,
-            &layer.admitted,
-            &layer.frac,
-            &layer.avail,
-            &layer.dir_carry,
-        ] {
+        for column in [&layer.offered, &layer.frac, &layer.avail] {
             assert_eq!(column.len(), layer.dirs.len());
         }
     }
@@ -833,23 +788,50 @@ mod tests {
         sim.stats.check_conservation().unwrap();
     }
 
+    /// The coupling is one way: a tick reads the links and writes nothing,
+    /// so a discrete stream sharing two hops with a 0.8 Gbit/s aggregate
+    /// is delivered exactly as it is alone — same packets, same latencies.
     #[test]
-    fn fluid_load_is_visible_to_discrete_links() {
-        let mut sim = line_sim(true);
-        sim.add_background_demand(demand(0, 3, 800e6, 2));
-        sim.run_until(SimTime::from_secs(2));
-        // 0.8 Gbit/s on a 1 Gbit/s link for 2 s: utilisation ~0.8 as
-        // seen by the ordinary link counters.
-        let u = sim.topo.links[0].utilisation(NodeId(0), SimTime::from_secs(2));
-        assert!((u - 0.8).abs() < 0.05, "u={u}");
+    fn fluid_load_never_queues_a_discrete_packet() {
+        let run = |beside_aggregate: bool| {
+            let mut sim = line_sim(true);
+            sim.fluid_packetize(NodeId(0));
+            let mut discrete = demand(0, 3, 40e6, 1);
+            discrete.class = TrafficClass::LegitRequest;
+            sim.add_background_demand(discrete);
+            if beside_aggregate {
+                sim.add_background_demand(demand(1, 3, 800e6, 1));
+                assert_eq!(sim.stats.fluid_aggregates, 1);
+            }
+            sim.run_until(SimTime::from_secs(2));
+            let bg = sim.stats.class(TrafficClass::Background);
+            assert_eq!(bg.delivered_pkts > 0, beside_aggregate);
+            let lr = sim.stats.class(TrafficClass::LegitRequest);
+            (lr.delivered_pkts, sim.stats.hist.e2e_latency_ns)
+        };
+        let (alone, beside) = (run(false), run(true));
+        assert!(alone.0 >= 9990, "{}", alone.0);
+        assert_eq!(beside.0, alone.0);
+        assert_eq!(beside.1, alone.1, "latency histogram");
+    }
+
+    #[test]
+    #[should_panic(expected = "rate inf b/s must be finite and positive")]
+    fn infinite_rate_is_refused_before_it_becomes_an_aggregate() {
+        line_sim(true).add_background_demand(demand(0, 3, f64::INFINITY, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "rate inf b/s must be finite and positive")]
+    fn infinite_rate_is_refused_before_it_becomes_packets() {
+        line_sim(false).add_background_demand(demand(0, 3, f64::INFINITY, 1));
     }
 
     /// The tick as it stood before the fixed-point walk, kept as the
     /// reference the real layer is held against: scratch arrays indexed by
     /// global direction id and sized by the topology, the directions in
-    /// use re-collected every tick, always `SETTLE_ROUNDS` settle walks
-    /// and then an accounting walk, `dir_carry` kept per global direction
-    /// forever, and a hashed set per route flip.
+    /// use re-collected every tick, and always `SETTLE_ROUNDS` settle walks
+    /// and then an accounting walk.
     struct RefLayer {
         last_tick_at: SimTime,
         route_epoch: u64,
@@ -859,7 +841,6 @@ mod tests {
         avail: Vec<f64>,
         seen: Vec<bool>,
         touched: Vec<usize>,
-        dir_carry: Vec<f64>,
     }
 
     struct RefAgg {
@@ -950,7 +931,6 @@ mod tests {
                 avail: Vec::new(),
                 seen: Vec::new(),
                 touched: Vec::new(),
-                dir_carry: Vec::new(),
             }
         }
 
@@ -969,7 +949,7 @@ mod tests {
         fn run_tick(
             &mut self,
             now: SimTime,
-            topo: &mut Topology,
+            topo: &Topology,
             routing: &Routing,
             stats: &mut Stats,
         ) {
@@ -1002,7 +982,6 @@ mod tests {
                 self.frac.resize(n_dirs, 0.0);
                 self.avail.resize(n_dirs, 0.0);
                 self.seen.resize(n_dirs, false);
-                self.dir_carry.resize(n_dirs, 0.0);
             }
             self.touched.clear();
             for a in &self.aggs {
@@ -1051,9 +1030,8 @@ mod tests {
                     };
                 }
             }
-            // `offered` now accumulates per-dir *admitted* bytes.
             for &d in &self.touched {
-                self.offered[d] = 0.0;
+                self.seen[d] = false;
             }
             for a in &mut self.aggs {
                 let dur = a.window_secs(last, now);
@@ -1068,31 +1046,12 @@ mod tests {
                 }
                 let (mut p, mut cdrop_hops) = (base, 0.0);
                 for (k, &d) in a.path.iter().enumerate() {
-                    self.offered[d] += p * self.frac[d];
                     cdrop_hops += p * (1.0 - self.frac[d]) * k as f64;
                     p *= self.frac[d];
                 }
                 a.cum[1] += p.min(base);
                 a.cum[2] += cdrop_hops;
                 a.report(stats);
-            }
-
-            // 4. Couple admitted fluid load back into the links.
-            for &d in &self.touched {
-                self.seen[d] = false;
-                let admitted = self.offered[d].min(self.avail[d]);
-                if admitted <= 0.0 {
-                    continue;
-                }
-                let link = &mut topo.links[d / 2];
-                let bw = link.bandwidth_bps;
-                let ld = &mut link.dirs[d % 2];
-                let tx = SimDuration::from_nanos((admitted * 8.0 / bw * 1e9) as u64);
-                ld.next_free = ld.next_free.max(last) + tx;
-                let total = self.dir_carry[d] + admitted;
-                let whole = total.floor();
-                self.dir_carry[d] = total - whole;
-                ld.bytes_sent += whole as u64;
             }
         }
     }
@@ -1201,20 +1160,10 @@ mod tests {
                     sim.set_link_up(flapped, true);
                 }
 
-                let mut ref_topo = sim.topo.clone();
                 let walks = real.walks();
-                real.run_tick(at(k), &mut sim.topo, &sim.routing, &mut real_stats);
-                reference.run_tick(at(k), &mut ref_topo, &sim.routing, &mut ref_stats);
+                real.run_tick(at(k), &sim.topo, &sim.routing, &mut real_stats);
+                reference.run_tick(at(k), &sim.topo, &sim.routing, &mut ref_stats);
                 assert_eq!(real_stats, ref_stats, "stats after tick {k}");
-                for (i, (a, b)) in sim.topo.links.iter().zip(&ref_topo.links).enumerate() {
-                    for (da, db) in a.dirs.iter().zip(&b.dirs) {
-                        assert_eq!(
-                            (da.next_free, da.bytes_sent, da.pkts_sent),
-                            (db.next_free, db.bytes_sent, db.pkts_sent),
-                            "link {i} after tick {k}"
-                        );
-                    }
-                }
 
                 match real.walks() - walks {
                     1 => calm += 1,

@@ -249,6 +249,8 @@ impl Simulator {
     ///
     /// # Panics
     /// If the source is outside the topology: nothing could emit there.
+    /// If the rate is not finite and positive, or the packet size is zero:
+    /// no tick could account it and no emitter could space its packets.
     pub fn add_background_demand(&mut self, d: FluidDemand) {
         assert!(
             d.src.node().0 < self.topo.n(),
@@ -256,6 +258,19 @@ impl Simulator {
             d.src,
             d.dst,
             self.topo.n()
+        );
+        assert!(
+            d.rate_bps.is_finite() && d.rate_bps > 0.0,
+            "background demand {:?} -> {:?}: rate {} b/s must be finite and positive",
+            d.src,
+            d.dst,
+            d.rate_bps
+        );
+        assert!(
+            d.pkt_size > 0,
+            "background demand {:?} -> {:?}: packet size must be positive",
+            d.src,
+            d.dst
         );
         let packetized = |a: Addr| self.fluid_packetized.get(a.node().0) == Some(&true);
         let fluid_ok = self.fluid.is_some()
@@ -284,7 +299,7 @@ impl Simulator {
         let Some(mut layer) = self.fluid.take() else {
             return;
         };
-        let again = layer.run_tick(self.now, &mut self.topo, &self.routing, &mut self.stats);
+        let again = layer.run_tick(self.now, &self.topo, &self.routing, &mut self.stats);
         layer.armed = again;
         let next = self.now + layer.tick_len();
         self.fluid = Some(layer);
@@ -296,8 +311,6 @@ impl Simulator {
     /// Discrete materialization of a background demand: one packet of
     /// `pkt_size` every `pkt_size * 8 / rate_bps` seconds until `until`.
     fn emit_cbr(&mut self, d: FluidDemand) {
-        assert!(d.rate_bps > 0.0, "demand rate must be positive");
-        assert!(d.pkt_size > 0, "demand packet size must be positive");
         let interval = SimDuration::from_secs_f64(d.pkt_size as f64 * 8.0 / d.rate_bps);
         let interval = interval.max(SimDuration::from_nanos(1));
         let flow = ((d.src.node().0 as u64) << 32) ^ d.dst.node().0 as u64;
