@@ -3,26 +3,14 @@
 //!
 //! Usage:
 //!   experiments [--quick] [--out DIR] [--trace FILE] [--cp-trace FILE]
-//!               [--topology T] [--fluid] [--threads N] [all | e1 e2 ...]
+//!               [--threads N] [all | e1 e2 ...]
 //!   experiments --sweep [--replicate N] [--threads N] [--quick] [--out DIR] [ids]
-//!   experiments --fluid-equivalence [--quick]
 //!   experiments trace-report FILE
 //!   experiments --list
 //!
 //! Bad arguments — an unknown experiment id, a value flag with no value,
 //! an out-of-range value, a trace flag nothing selected would write —
 //! exit 2 before anything runs.
-//!
-//! `--topology {ba400,transit-stub:<n>}` re-points the scale-aware
-//! experiments (e2, e3) at a transit-stub internet of at least `n`
-//! nodes; `ba400` (the default) keeps each experiment's own topology so
-//! golden reports are byte-identical. `--fluid` carries scenario
-//! background traffic on the fluid aggregate layer (DESIGN.md §6.8)
-//! instead of as discrete CBR packets.
-//!
-//! `--fluid-equivalence` runs the fluid-vs-discrete cross-check grid and
-//! exits non-zero if any victim metric breaches its pinned tolerance —
-//! the CI gate for the hybrid engine.
 //!
 //! `--trace FILE` asks a trace-wired experiment (e2, e3) to capture a JSONL
 //! packet flight record of one designated run into FILE. Exactly one
@@ -41,7 +29,7 @@
 //! analyzer (exit 1 if any transaction never reached a terminal state).
 //!
 //! `--sweep` flattens every requested experiment's (scenario × seed)
-//! grid into ONE work-stealing pool (every id is sweep-capable; see
+//! grid into ONE pool (every id is sweep-capable; see
 //! `dtcs_bench::sweep`), replicating each cell under `--replicate N`
 //! derived seeds (default 32), and writes `<out>/<id>.sweep.json` with
 //! mean/stddev/95%-CI columns.
@@ -53,18 +41,10 @@
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: experiments [--quick] [--out DIR] [--trace FILE | --cp-trace FILE] \
-     [--topology ba400|transit-stub:<n>] [--fluid] [--threads N] [--sweep [--replicate N]] \
-     [all | e1 e2 ...] | --list | --fluid-equivalence | trace-report FILE";
+     [--threads N] [--sweep [--replicate N]] [all | e1 e2 ...] | --list | trace-report FILE";
 
 /// Flags that consume the next argument as their value.
-const VALUE_FLAGS: [&str; 6] = [
-    "--out",
-    "--trace",
-    "--cp-trace",
-    "--replicate",
-    "--threads",
-    "--topology",
-];
+const VALUE_FLAGS: [&str; 5] = ["--out", "--trace", "--cp-trace", "--replicate", "--threads"];
 
 /// The experiments that write a `--trace` packet record; any other id
 /// would drop the flag silently, so it is refused.
@@ -95,11 +75,6 @@ fn main() {
     }
     let quick = args.iter().any(|a| a == "--quick");
     let sweep = args.iter().any(|a| a == "--sweep");
-    if args.iter().any(|a| a == "--fluid-equivalence") {
-        let ok = dtcs_bench::equivalence::run_fluid_equivalence(quick);
-        std::process::exit(if ok { 0 } else { 1 });
-    }
-    let fluid = args.iter().any(|a| a == "--fluid");
     if let Some(flag) = args.last().filter(|a| VALUE_FLAGS.contains(&a.as_str())) {
         bad_usage(&format!("{flag} takes a value"));
     }
@@ -127,31 +102,14 @@ fn main() {
         Some(Ok(n)) if n > 0 => Some(n),
         Some(_) => bad_usage("--threads takes a positive integer"),
     };
-    let transit_stub: Option<usize> = match flag_operand("--topology").map(String::as_str) {
-        None | Some("ba400") => None,
-        Some(v) => match v
-            .strip_prefix("transit-stub:")
-            .and_then(|n| n.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            Some(n) => Some(n),
-            None => bad_usage(&format!(
-                "--topology takes ba400 or transit-stub:<n> (n a positive node count); \
-                 got {v:?}"
-            )),
-        },
-    };
-    // Ids are the non-flag args minus any flag *values* (an operand of a
-    // `VALUE_FLAGS` entry must not be mistaken for an experiment id).
-    let flag_values: Vec<String> = VALUE_FLAGS
-        .iter()
-        .filter_map(|&f| flag_operand(f))
-        .cloned()
-        .collect();
+    // Ids are the non-flag args minus the operand *positions* of
+    // `VALUE_FLAGS` (`--out e4 e4` names one id, e4, and a directory).
+    let is_operand = |i: usize| i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
     let mut ids: Vec<String> = args
         .iter()
-        .filter(|a| !a.starts_with("--") && !flag_values.contains(a))
-        .cloned()
+        .enumerate()
+        .filter(|&(i, a)| !a.starts_with("--") && !is_operand(i))
+        .map(|(_, a)| a.clone())
         .collect();
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ids = dtcs_bench::ALL.iter().map(|s| s.to_string()).collect();
@@ -189,8 +147,6 @@ fn main() {
         quick,
         trace,
         cp_trace,
-        transit_stub,
-        fluid,
         threads,
     };
 

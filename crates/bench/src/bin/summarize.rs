@@ -7,6 +7,7 @@
 //! * E2's and E4's undefended baselines come from the identical scenario
 //!   and must agree exactly (determinism check across runs);
 //! * every E8 verifier case must be `ok`;
+//! * every E15 fluid/packet cross-check row must be `ok`;
 //! * E5's attack byte·hops must fall monotonically with coverage per
 //!   placement;
 //! * E3 survival at zero coverage must be ~1 (nothing filters).
@@ -172,22 +173,33 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- E8: every verifier case ok ---------------------------------------
-    if let Some(e8) = load_file(&dir, "e8.json", true, &mut failures) {
-        if let Some(rows) = table_raw(&e8, "adversarial") {
-            let bad: Vec<&Value> = rows
-                .iter()
-                .filter(|r| r["ok"].as_bool() != Some(true))
-                .collect();
-            if bad.is_empty() {
-                say(format!(
-                    "E8  safety verifier: {}/{} adversarial cases rejected correctly",
-                    rows.len(),
-                    rows.len()
-                ));
-            } else {
-                failures.push(format!("E8 has {} failing verifier cases", bad.len()));
-            }
+    // --- E8 and E15: every row of the checked table ok ----------------------
+    for (name, needle, what) in [
+        (
+            "e8.json",
+            "adversarial",
+            "E8  safety verifier: adversarial cases rejected correctly",
+        ),
+        (
+            "e15.json",
+            "cross-check",
+            "E15 fluid/packet cross-check: metrics within tolerance",
+        ),
+    ] {
+        let Some(report) = load_file(&dir, name, true, &mut failures) else {
+            continue;
+        };
+        let Some(rows) = table_raw(&report, needle) else {
+            failures.push(format!("{name} has no {needle} table"));
+            continue;
+        };
+        match rows
+            .iter()
+            .filter(|r| r["ok"].as_bool() != Some(true))
+            .count()
+        {
+            0 => say(format!("{what}: {}/{}", rows.len(), rows.len())),
+            bad => failures.push(format!("{name}: {bad} {needle} rows are not ok")),
         }
     }
 

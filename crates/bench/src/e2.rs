@@ -32,15 +32,6 @@ pub fn scenario(quick: bool) -> ScenarioConfig {
     cfg
 }
 
-/// [`scenario`] with the CLI scale axes applied (`--topology`,
-/// `--fluid`); with default options this is exactly `scenario(quick)`,
-/// so the golden reports are untouched.
-pub fn scenario_with(opts: &crate::RunOpts) -> ScenarioConfig {
-    let mut cfg = scenario(opts.quick);
-    opts.apply_scale(&mut cfg);
-    cfg
-}
-
 /// Render one outcome row with the shared header.
 pub fn outcome_cells(row: &OutcomeRow) -> Vec<String> {
     vec![
@@ -149,7 +140,7 @@ fn direct_contrast(cfg: &ScenarioConfig) -> (ScenarioConfig, Vec<Scheme>) {
 /// The grid: the full reflector comparison set (plus the hidden-IP i3
 /// row, so both halves of the paper's i3 critique appear side by side),
 /// then the direct-flood contrast. Returns the reflector case count too.
-fn cases(cfg: &ScenarioConfig) -> (Vec<Case<ScenarioParams>>, usize) {
+pub(crate) fn cases(cfg: &ScenarioConfig) -> (Vec<Case<ScenarioParams>>, usize) {
     let mut schemes = Scheme::comparison_set(cfg.attack.start_at);
     schemes.push(Scheme::I3 { ip_hidden: true });
     let n_reflector = schemes.len();
@@ -176,7 +167,7 @@ pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let (cases, _) = cases(&scenario_with(opts));
+        let (cases, _) = cases(&scenario(opts.quick));
         cells_of("e2", cases, scenario_one, outcome_metrics)
     }
 }
@@ -188,13 +179,12 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         "Scheme comparison under a reflector attack",
         "Sec. 3 + Sec. 4.3",
     );
-    let cfg = scenario_with(opts);
+    let cfg = scenario(opts.quick);
     let (cases, n_reflector) = cases(&cfg);
     let outs = run_cases("e2", &cases, opts.pool_threads(), scenario_one);
     let (reflector, direct) = outs.split_at(n_reflector);
     report.health(wheel_health(reflector.iter().map(|o| &o.1)));
     report.health(hist_health(reflector.iter().map(|o| &o.1)));
-    let rows: Vec<&OutcomeRow> = reflector.iter().map(|o| &o.0).collect();
 
     // --trace: replay the undefended baseline with a flight recorder
     // attached and export the JSONL record. A separate run so the golden
@@ -216,8 +206,27 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         ));
     }
 
+    report.note(
+        "Direct-flood contrast: traceback correctly names the agent ASes and null-routing \
+         them relieves the victim — the counterproductivity of E4 is specific to reflector \
+         attacks, exactly the paper's Sec. 3 argument arc.",
+    );
+    outcome_tables(&mut report, "", reflector, direct);
+    report
+}
+
+/// E2's three tables and its TCS-vs-none note over its reflector and
+/// direct-flood outcomes, each table title prefixed with `caption` (E15
+/// renders E2 at 100k nodes with the same tables).
+pub(crate) fn outcome_tables(
+    report: &mut Report,
+    caption: &str,
+    reflector: &[(OutcomeRow, dtcs::netsim::Stats)],
+    direct: &[(OutcomeRow, dtcs::netsim::Stats)],
+) {
+    let rows: Vec<&OutcomeRow> = reflector.iter().map(|o| &o.0).collect();
     let mut t = Table::new(
-        "scheme outcomes (identical attack + workload)",
+        &format!("{caption}scheme outcomes (identical attack + workload)"),
         &outcome_header(),
     );
     for r in &rows {
@@ -226,7 +235,10 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     report.table(t);
 
     // Extras table (scheme-specific costs/diagnostics).
-    let mut t = Table::new("scheme-specific diagnostics", &["scheme", "key", "value"]);
+    let mut t = Table::new(
+        &format!("{caption}scheme-specific diagnostics"),
+        &["scheme", "key", "value"],
+    );
     for r in &rows {
         for (k, v) in &r.extra {
             t.push(vec![r.scheme.clone(), k.clone(), f(*v)], &(k, v));
@@ -239,18 +251,13 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     // null-routing them genuinely helps (its residual collateral is the
     // Sec. 4.6 kind: innocents inside the zombies' own access networks).
     let mut t = Table::new(
-        "contrast: classic direct flood with random spoofing",
+        &format!("{caption}contrast: classic direct flood with random spoofing"),
         &outcome_header(),
     );
     for (r, _) in direct {
         t.push(outcome_cells(r), r);
     }
     report.table(t);
-    report.note(
-        "Direct-flood contrast: traceback correctly names the agent ASes and null-routing \
-         them relieves the victim — the counterproductivity of E4 is specific to reflector \
-         attacks, exactly the paper's Sec. 3 argument arc.",
-    );
 
     let none = rows.iter().find(|r| r.scheme == "none").expect("none row");
     let tcs = rows
@@ -263,5 +270,4 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         f(tcs.legit_success),
         none.attack_byte_hops as f64 / tcs.attack_byte_hops.max(1) as f64
     ));
-    report
 }

@@ -23,7 +23,7 @@ use crate::sweep::{cells_of, metrics_of, run_cases, Case};
 use crate::util::{f, Report, Table};
 
 dtcs::netsim::json_record! {
-    struct Row {
+    pub(crate) struct Row {
         strategy: String,
         fraction: f64,
         probes: u64,
@@ -34,7 +34,7 @@ dtcs::netsim::json_record! {
 }
 
 #[derive(Clone, Copy)]
-enum Strategy {
+pub(crate) enum Strategy {
     Ingress(Placement),
     Tcs(Placement),
 }
@@ -50,48 +50,38 @@ impl Strategy {
     }
 }
 
+/// The internet a probe run is built on, with its node count.
 #[derive(Clone, Copy, PartialEq)]
-enum TopoKind {
-    PowerLaw,
-    Waxman,
+pub(crate) enum TopoKind {
+    PowerLaw(usize),
+    Waxman(usize),
+    /// At least this many nodes (E15's 100k-node internet).
     TransitStub(usize),
 }
 
 /// One grid point.
 #[derive(Clone, Copy)]
-struct Params {
+pub(crate) struct Params {
     kind: TopoKind,
     strategy: Strategy,
     fraction: f64,
-    n_nodes: usize,
     probes: u64,
 }
 
-/// The topology the main sweep runs on: BA power-law by default, a
-/// transit-stub internet of at least `n` nodes under `--topology
-/// transit-stub:<n>` (the hybrid-engine scale path).
-fn base_kind(opts: &crate::RunOpts) -> TopoKind {
-    match opts.transit_stub {
-        Some(n) => TopoKind::TransitStub(n),
-        None => TopoKind::PowerLaw,
-    }
-}
-
 /// One probe run, optionally exporting its packet flight record.
-fn one(
+pub(crate) fn one(
     &Params {
         kind,
         strategy,
         fraction,
-        n_nodes,
         probes,
     }: &Params,
     seed: u64,
     trace: Option<&std::path::Path>,
 ) -> (Row, dtcs::netsim::Stats) {
     let topo = match kind {
-        TopoKind::PowerLaw => Topology::barabasi_albert(n_nodes, 2, 0.1, seed),
-        TopoKind::Waxman => Topology::waxman(n_nodes, 0.4, 0.15, 0.1, seed),
+        TopoKind::PowerLaw(n) => Topology::barabasi_albert(n, 2, 0.1, seed),
+        TopoKind::Waxman(n) => Topology::waxman(n, 0.4, 0.15, 0.1, seed),
         TopoKind::TransitStub(n) => Topology::transit_stub_at_least(n, seed),
     };
     let mut sim = Simulator::new(topo, seed);
@@ -191,54 +181,71 @@ const TCS_STRATEGIES: [Strategy; 2] = [
     Strategy::Tcs(Placement::TopDegree),
 ];
 
-/// The grid: all four strategies × the deployment fractions on the base
-/// topology, then the Waxman contrast over the two TCS strategies — a
-/// 400-node-family statement (hubs vs no hubs), dropped when
-/// `--topology` re-points the sweep at a transit-stub internet. Returns
-/// the main-sweep case count too.
-fn cases(opts: &crate::RunOpts) -> (Vec<Case<Params>>, usize) {
-    let quick = opts.quick;
-    let fractions: &[f64] = if quick {
-        &[0.0, 0.1, 0.2, 0.4, 0.8]
-    } else {
-        &[0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0]
+/// Static ingress filtering and the TCS, each placed randomly or at
+/// top-degree ASes first.
+pub(crate) const STRATEGIES: [Strategy; 4] = [
+    Strategy::Ingress(Placement::Random),
+    Strategy::Ingress(Placement::TopDegree),
+    TCS_STRATEGIES[0],
+    TCS_STRATEGIES[1],
+];
+
+/// The deployment fractions of a `--quick` run (and of E15).
+pub(crate) const QUICK_FRACTIONS: [f64; 5] = [0.0, 0.1, 0.2, 0.4, 0.8];
+
+/// Every strategy × every fraction on `kind`, `probes` probes each.
+pub(crate) fn strategy_cases(
+    kind: TopoKind,
+    strategies: &[Strategy],
+    fractions: &[f64],
+    probes: u64,
+) -> Vec<Case<Params>> {
+    let family = match kind {
+        TopoKind::PowerLaw(_) => "powerlaw",
+        TopoKind::Waxman(_) => "waxman",
+        TopoKind::TransitStub(_) => "transit-stub",
     };
-    let main = [
-        Strategy::Ingress(Placement::Random),
-        Strategy::Ingress(Placement::TopDegree),
-    ]
-    .into_iter()
-    .chain(TCS_STRATEGIES)
-    .map(|s| (base_kind(opts), s));
-    let waxman = TCS_STRATEGIES
-        .into_iter()
-        .filter(|_| opts.transit_stub.is_none())
-        .map(|s| (TopoKind::Waxman, s));
-    let cases: Vec<_> = main
-        .chain(waxman)
-        .flat_map(|(kind, strategy)| {
-            fractions.iter().map(move |&fraction| {
-                let family = match kind {
-                    TopoKind::PowerLaw => "powerlaw",
-                    TopoKind::Waxman => "waxman",
-                    TopoKind::TransitStub(_) => "transit-stub",
-                };
-                let params = Params {
-                    kind,
-                    strategy,
-                    fraction,
-                    n_nodes: if quick { 150 } else { 400 },
-                    probes: if quick { 1200 } else { 4000 },
-                };
-                let label = format!("{family}/{}/fraction={fraction:.2}", strategy.label());
-                Case::new(label, SEED, params)
-            })
-        })
-        .collect();
-    (cases, 4 * fractions.len())
+    let case = |strategy: Strategy, fraction: f64| {
+        let label = format!("{family}/{}/fraction={fraction:.2}", strategy.label());
+        let params = Params {
+            kind,
+            strategy,
+            fraction,
+            probes,
+        };
+        Case::new(label, SEED, params)
+    };
+    strategies
+        .iter()
+        .flat_map(|&s| fractions.iter().map(move |&fraction| case(s, fraction)))
+        .collect()
 }
 
-fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+/// The grid: all four strategies × the deployment fractions on a BA
+/// power-law internet, then the Waxman contrast over the two TCS
+/// strategies. Returns the main-sweep case count too.
+fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
+    let (fractions, n, probes): (&[f64], _, _) = if quick {
+        (&QUICK_FRACTIONS, 150, 1200)
+    } else {
+        (
+            &[0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0],
+            400,
+            4000,
+        )
+    };
+    let mut cases = strategy_cases(TopoKind::PowerLaw(n), &STRATEGIES, fractions, probes);
+    let n_main = cases.len();
+    cases.extend(strategy_cases(
+        TopoKind::Waxman(n),
+        &TCS_STRATEGIES,
+        fractions,
+        probes,
+    ));
+    (cases, n_main)
+}
+
+pub(crate) fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
     let mut m = metrics_of(row, &["probes", "survived", "survival_ratio"]);
     m.extend(
         row.mean_stop_distance
@@ -252,7 +259,12 @@ pub struct Sweep;
 
 impl crate::sweep::GridExperiment for Sweep {
     fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e3", cases(opts).0, |p, seed| one(p, seed, None), metrics)
+        cells_of(
+            "e3",
+            cases(opts.quick).0,
+            |p, seed| one(p, seed, None),
+            metrics,
+        )
     }
 }
 
@@ -263,7 +275,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         "Spoofed-packet survival vs deployment coverage",
         "Sec. 3.2 (Park & Lee)",
     );
-    let (cases, n_main) = cases(opts);
+    let (cases, n_main) = cases(opts.quick);
     let outs = run_cases("e3", &cases, opts.pool_threads(), |p, seed| {
         one(p, seed, None)
     });
@@ -285,14 +297,39 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         report.health(format!("trace: wrote JSONL to {}", path.display()));
     }
 
-    let title = match base_kind(opts) {
-        TopoKind::TransitStub(n) => {
-            format!("spoofed-probe survival, transit-stub internet (>= {n} nodes)")
-        }
-        _ => "spoofed-probe survival, power-law (BA) internet".to_string(),
-    };
+    report.table(survival_table(
+        "spoofed-probe survival, power-law (BA) internet",
+        main,
+    ));
+
+    // Topology-family contrast: Park & Lee's striking 20% number is a
+    // *power-law* phenomenon (a few hubs cover most paths). On a Waxman
+    // random-geometric internet there are no such hubs, so top-degree
+    // placement loses most of its edge — measured here with the TCS rows.
     let mut t = Table::new(
-        &title,
+        "same sweep on a Waxman (no-hub) internet",
+        &["strategy", "fraction", "survival", "stop_dist"],
+    );
+    for (r, _) in waxman {
+        t.push(
+            vec![
+                r.strategy.clone(),
+                format!("{:.2}", r.fraction),
+                f(r.survival_ratio),
+                crate::util::fopt(r.mean_stop_distance),
+            ],
+            r,
+        );
+    }
+    report.table(t);
+    headline_note(&mut report, main);
+    report
+}
+
+/// The main survival table over `rows`.
+pub(crate) fn survival_table(title: &str, rows: &[(Row, dtcs::netsim::Stats)]) -> Table {
+    let mut t = Table::new(
+        title,
         &[
             "strategy",
             "fraction",
@@ -302,7 +339,7 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             "stop_dist",
         ],
     );
-    for (r, _) in main {
+    for (r, _) in rows {
         t.push(
             vec![
                 r.strategy.clone(),
@@ -315,35 +352,12 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             r,
         );
     }
-    report.table(t);
+    t
+}
 
-    // Topology-family contrast: Park & Lee's striking 20% number is a
-    // *power-law* phenomenon (a few hubs cover most paths). On a Waxman
-    // random-geometric internet there are no such hubs, so top-degree
-    // placement loses most of its edge — measured here with the TCS rows.
-    // A 400-node-family statement, so it is skipped when `--topology`
-    // re-points the sweep at a transit-stub internet.
-    if !waxman.is_empty() {
-        let mut t = Table::new(
-            "same sweep on a Waxman (no-hub) internet",
-            &["strategy", "fraction", "survival", "stop_dist"],
-        );
-        for (r, _) in waxman {
-            t.push(
-                vec![
-                    r.strategy.clone(),
-                    format!("{:.2}", r.fraction),
-                    f(r.survival_ratio),
-                    crate::util::fopt(r.mean_stop_distance),
-                ],
-                r,
-            );
-        }
-        report.table(t);
-    }
-
-    // The headline check: top-degree placement at 20%.
-    if let Some((r, _)) = main
+/// The headline check: top-degree placement at 20%.
+pub(crate) fn headline_note(report: &mut Report, rows: &[(Row, dtcs::netsim::Stats)]) {
+    if let Some((r, _)) = rows
         .iter()
         .find(|(r, _)| r.strategy == "tcs/top-degree" && (r.fraction - 0.2).abs() < 1e-9)
     {
@@ -353,5 +367,4 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             (1.0 - r.survival_ratio) * 100.0
         ));
     }
-    report
 }

@@ -1,6 +1,6 @@
 //! # dtcs-bench — experiment harness
 //!
-//! One module per experiment of EXPERIMENTS.md (E1–E14), each regenerating
+//! One module per experiment of EXPERIMENTS.md (E1–E15), each regenerating
 //! a table/figure-equivalent of the reproduced paper. The `experiments`
 //! binary runs them and writes JSON reports under `results/`.
 
@@ -12,6 +12,7 @@ pub mod e11;
 pub mod e12;
 pub mod e13;
 pub mod e14;
+pub mod e15;
 pub mod e2;
 pub mod e3;
 pub mod e4;
@@ -20,7 +21,6 @@ pub mod e6;
 pub mod e7;
 pub mod e8;
 pub mod e9;
-pub mod equivalence;
 pub mod sweep;
 pub mod trace_report;
 pub mod util;
@@ -53,14 +53,6 @@ pub struct RunOpts {
     /// observation-only: golden report JSON is byte-identical with it on
     /// or off. Same single-id rule as `trace`.
     pub cp_trace: Option<std::path::PathBuf>,
-    /// Swap the scenario graph for a transit-stub internet of at least
-    /// this many nodes (`--topology transit-stub:<n>`). `None` keeps
-    /// each experiment's default topology family, so golden reports are
-    /// untouched.
-    pub transit_stub: Option<usize>,
-    /// Carry scenario background traffic on the fluid aggregate layer
-    /// (`--fluid`) instead of as discrete CBR packets.
-    pub fluid: bool,
     /// Shard count of the pool (`--threads N`), for single runs and
     /// sweeps alike. `None` uses every available core; report bytes are
     /// the same at any value.
@@ -84,25 +76,6 @@ impl RunOpts {
                 .unwrap_or(1)
         })
     }
-
-    /// Apply the scale axes to a scenario config. Default options leave
-    /// the config untouched (golden reports stay byte-identical);
-    /// `--topology transit-stub:<n>` swaps the graph and installs a
-    /// node-proportional background workload so the larger internet
-    /// actually carries load, and `--fluid` moves that background onto
-    /// the fluid engine with a 50 ms admission tick.
-    pub fn apply_scale(&self, cfg: &mut dtcs::ScenarioConfig) {
-        if let Some(n) = self.transit_stub {
-            cfg.topology = dtcs::TopologyChoice::TransitStub { n };
-            cfg.background_flows = (n / 20).clamp(100, 5_000);
-        }
-        if self.fluid {
-            if cfg.background_flows == 0 {
-                cfg.background_flows = 100;
-            }
-            cfg.fluid = Some(dtcs::netsim::SimDuration::from_millis(50));
-        }
-    }
 }
 
 /// One registered experiment: its id, its `--list` line (title and paper
@@ -120,7 +93,7 @@ type ExperimentEntry = (
 /// table, so adding an experiment is one new row here plus its module;
 /// the id list, the index, the dispatch and the grid adapters cannot
 /// drift apart.
-pub const EXPERIMENTS: [ExperimentEntry; 14] = [
+pub const EXPERIMENTS: [ExperimentEntry; 15] = [
     (
         "e1",
         "Reflector-attack anatomy: amplification factors [Fig. 1 / Sec. 2.2]",
@@ -204,6 +177,12 @@ pub const EXPERIMENTS: [ExperimentEntry; 14] = [
         "Leased mitigations under partition: orphan dwell vs renewal cost [Sec. 4.3]",
         e14::run,
         &e14::Sweep,
+    ),
+    (
+        "e15",
+        "The defence at Internet scale: hybrid fluid/packet engine [Secs. 4.3 / 5.3]",
+        e15::run,
+        &e15::Sweep,
     ),
 ];
 

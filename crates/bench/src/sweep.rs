@@ -6,16 +6,16 @@
 //! base seed and renders tables; sweep mode ([`run_sweep`]) flattens
 //! *every* requested experiment's cases, replicated under N
 //! deterministically derived child seeds, into a single task list. Both
-//! drain on the same work-stealing shards:
+//! drain on the same shards:
 //!
 //! * each **task** is one independent simulator run — a `(cell,
 //!   replicate)` grid point with its own seed from [`replicate_seed`];
-//! * each **shard** (worker thread) owns a task deque and an independent
-//!   accumulator; an idle shard steals half the largest remaining deque,
-//!   so long cells (an e13 fault sweep) backfill behind short ones (an e3
-//!   probe run) with no barrier in between;
+//! * each **shard** (worker thread) takes the next task index off one
+//!   shared counter and folds what it ran into its own accumulator, so
+//!   long cells (an e13 fault sweep) and short ones (an e3 probe run)
+//!   interleave with no barrier in between;
 //! * per-shard `Stats` fold with the commutative, associative
-//!   [`Stats::merge`], so *any* stealing schedule produces one identical
+//!   [`Stats::merge`], so *any* schedule produces one identical
 //!   aggregate;
 //! * report JSON is written **shard-order-independent**: per-cell metric
 //!   vectors are ordered by replicate index, cells are stably sorted by
@@ -29,8 +29,8 @@
 //! seed-replicated evaluation style of the related-work field (Li et al.;
 //! El Defrawy et al.) that a single-seed table cannot provide.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use dtcs::netsim::json::{Json, ToJson};
@@ -91,100 +91,48 @@ pub fn replicate_seed(base_seed: u64, replicate: u32) -> u64 {
     }
 }
 
-/// Per-shard execution accounting (print-only; never serialized).
-#[derive(Default)]
-pub struct ShardReport {
-    /// Tasks this shard executed.
-    pub tasks: usize,
-    /// Successful steal operations (half a victim deque each).
-    pub steals: u64,
-}
-
 /// Everything one grid execution produces.
 pub struct GridOutcome {
     /// Per-task metrics, sorted by task index (= `cell * replicates + r`,
-    /// i.e. grid order) — independent of the stealing schedule.
+    /// i.e. grid order) — independent of the schedule.
     pub task_metrics: Vec<(usize, BTreeMap<String, f64>)>,
     /// All shards' stats folded with [`Stats::merge`] (series stripped:
     /// cross-experiment series have incommensurable bucket widths, and
     /// the aggregate exists for engine-health lines only).
     pub merged_stats: Stats,
-    /// Per-shard accounting.
-    pub shards: Vec<ShardReport>,
+    /// Tasks each shard ran (print-only).
+    pub shard_tasks: Vec<usize>,
     /// End-to-end wall time of the pool drain.
     pub wall: Duration,
 }
 
-/// Pop from our own deque, or steal half the largest victim deque.
-/// Returns `None` only when every deque is empty — since tasks never
-/// spawn tasks, that is the termination condition.
-fn next_task(
-    queues: &[Mutex<VecDeque<usize>>],
-    me: usize,
-    report: &mut ShardReport,
-) -> Option<usize> {
-    if let Some(t) = queues[me].lock().expect("queue poisoned").pop_front() {
-        return Some(t);
-    }
-    loop {
-        let mut best: Option<(usize, usize)> = None; // (len, victim)
-        for (i, q) in queues.iter().enumerate() {
-            if i == me {
-                continue;
-            }
-            let len = q.lock().expect("queue poisoned").len();
-            if len > 0 && best.is_none_or(|(l, _)| len > l) {
-                best = Some((len, i));
-            }
-        }
-        let (_, victim) = best?;
-        let mut vq = queues[victim].lock().expect("queue poisoned");
-        let n = vq.len();
-        if n == 0 {
-            continue; // raced with the victim draining itself; rescan
-        }
-        let take = (n / 2).max(1);
-        let mut stolen = vq.split_off(n - take);
-        drop(vq);
-        report.steals += 1;
-        let first = stolen.pop_front().expect("stole at least one task");
-        if !stolen.is_empty() {
-            queues[me]
-                .lock()
-                .expect("queue poisoned")
-                .append(&mut stolen);
-        }
-        return Some(first);
-    }
-}
-
-/// The one thread pool: drain tasks `0..n_tasks` with `threads`
-/// work-stealing shards, each folding the tasks it ran into its own `A`.
-/// The initial distribution deals tasks round-robin so every shard starts
-/// with a spread of cheap and expensive ones. Which shard ran what is
+/// The one thread pool: drain tasks `0..n_tasks` with `threads` shards,
+/// each taking the next index off one shared counter and folding the
+/// tasks it ran into its own `A`. Which shard ran what is
 /// schedule-dependent; callers combine the accumulators with an
 /// order-independent fold (sort by task index, [`Stats::merge`]).
+/// Returns each shard's accumulator and task count.
 fn drain<A: Default + Send>(
     n_tasks: usize,
     threads: usize,
     task: impl Fn(&mut A, usize) + Sync,
-) -> (Vec<(A, ShardReport)>, Duration) {
-    let threads = threads.max(1);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w..n_tasks).step_by(threads).collect()))
-        .collect();
+) -> (Vec<(A, usize)>, Duration) {
+    let next = AtomicUsize::new(0);
     let started = Instant::now();
     let shards = std::thread::scope(|scope| {
-        let (queues, task) = (&queues, &task);
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
+        let (next, task) = (&next, &task);
+        let handles: Vec<_> = (0..threads.max(1))
+            .map(|_| {
                 scope.spawn(move || {
-                    let (mut acc, mut report) = (A::default(), ShardReport::default());
-                    while let Some(t) = next_task(queues, w, &mut report) {
+                    let (mut acc, mut ran) = (A::default(), 0);
+                    loop {
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        if t >= n_tasks {
+                            return (acc, ran);
+                        }
                         task(&mut acc, t);
-                        report.tasks += 1;
+                        ran += 1;
                     }
-                    (acc, report)
                 })
             })
             .collect();
@@ -311,19 +259,19 @@ pub fn run_grid(cells: &[SweepCell], replicates: u32, threads: usize) -> GridOut
 
     let mut task_metrics = Vec::with_capacity(cells.len() * replicates);
     let mut merged_stats = Stats::default();
-    let mut shards = Vec::with_capacity(shard_outs.len());
-    for ((results, stats), report) in shard_outs {
+    let mut shard_tasks = Vec::with_capacity(shard_outs.len());
+    for ((results, stats), ran) in shard_outs {
         task_metrics.extend(results);
         merged_stats.merge(&stats);
-        shards.push(report);
+        shard_tasks.push(ran);
     }
-    // Canonical grid order: the stealing schedule decided who ran what,
-    // but never what the grid contains.
+    // Canonical grid order: the schedule decided who ran what, but never
+    // what the grid contains.
     task_metrics.sort_by_key(|(t, _)| *t);
     GridOutcome {
         task_metrics,
         merged_stats,
-        shards,
+        shard_tasks,
         wall,
     }
 }
@@ -482,7 +430,7 @@ pub struct SweepOutcome {
 
 /// Run the full sweep: flatten every experiment's cells into ONE pool
 /// (that is the point — e13's long fault cells drain alongside e3's
-/// short probe cells), execute on `opts.pool_threads()` work-stealing shards,
+/// short probe cells), execute on `opts.pool_threads()` shards,
 /// aggregate replicates, and assemble per-experiment reports sorted by
 /// grid key.
 pub fn run_sweep(
@@ -534,16 +482,15 @@ pub fn run_sweep(
 
     let shard_line = format!(
         "sweep pool: {} tasks ({} cells x {} replicates) over {} shards in {:.2}s; \
-         {} steals; per-shard tasks [{}]",
+         per-shard tasks [{}]",
         grid.task_metrics.len(),
         cells.len(),
         replicates,
-        grid.shards.len(),
+        grid.shard_tasks.len(),
         grid.wall.as_secs_f64(),
-        grid.shards.iter().map(|s| s.steals).sum::<u64>(),
-        grid.shards
+        grid.shard_tasks
             .iter()
-            .map(|s| s.tasks.to_string())
+            .map(|n| n.to_string())
             .collect::<Vec<_>>()
             .join(" "),
     );
@@ -651,17 +598,15 @@ mod tests {
     }
 
     #[test]
-    fn every_task_runs_exactly_once_under_stealing() {
-        // Uneven, serial-heavy grid with many shards: the round-robin
-        // deal leaves some shards dry instantly, forcing steals.
+    fn every_task_runs_exactly_once_on_many_shards() {
+        // Uneven, serial-heavy grid with many shards racing one counter.
         let cells = toy_cells(3);
         let out = run_grid(&cells, 11, 6);
         assert_eq!(out.task_metrics.len(), 33);
         for (i, (t, _)) in out.task_metrics.iter().enumerate() {
             assert_eq!(*t, i, "task {i} missing or duplicated");
         }
-        let executed: usize = out.shards.iter().map(|s| s.tasks).sum();
-        assert_eq!(executed, 33);
+        assert_eq!(out.shard_tasks.iter().sum::<usize>(), 33);
     }
 
     /// Real-simulator grid, smaller than `--quick`: a sharded run's merged

@@ -50,10 +50,24 @@ fn out_of_range_value_exits_2() {
         &["--sweep", "--quick", "--replicate", "0", "e2"],
         "--replicate 0 would run nothing",
     );
-    assert_bad_usage(
-        &["--topology", "mesh:4", "e2"],
-        "--topology takes ba400 or transit-stub:<n>",
-    );
+}
+
+/// A flag's operand is skipped by position, not by text: `--out e8 e8`
+/// writes e8 (and only e8) into the directory `e8`.
+#[test]
+fn an_id_equal_to_a_flag_value_still_runs() {
+    let dir = std::env::temp_dir().join(format!("dtcs_cli_operand_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--quick", "--out", "e8", "e8"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn experiments");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(stdout.matches("[saved ").count(), 1, "{stdout}");
+    assert!(dir.join("e8/e8.json").is_file());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -92,7 +106,7 @@ fn summarize_fails_on_a_truncated_sweep_report() {
     let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let dir = std::env::temp_dir().join(format!("dtcs_summarize_cli_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    for id in ["e2", "e3", "e4", "e5", "e8"] {
+    for id in ["e2", "e3", "e4", "e5", "e8", "e15"] {
         let name = format!("{id}.json");
         std::fs::copy(committed.join(&name), dir.join(&name)).expect("copy committed report");
     }

@@ -3,9 +3,6 @@
 //! * two same-seed traced runs emit **byte-identical** JSONL (the
 //!   determinism contract the CI `cp-trace-validate` job also checks
 //!   through the binary);
-//! * `--fluid` composes with `--cp-trace`: e13 carries no scenario
-//!   background traffic, so the flag must neither crash the traced run
-//!   nor perturb the control-plane record by a single byte;
 //! * tracing is observation-only — the report's tables and notes are
 //!   identical with tracing on or off (the golden-JSON invariance,
 //!   asserted on the display rows so it holds offline too);
@@ -26,11 +23,10 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn run_e13(cp_trace: Option<PathBuf>, fluid: bool) -> Report {
+fn run_e13(cp_trace: Option<PathBuf>) -> Report {
     let opts = RunOpts {
         quick: true,
         cp_trace,
-        fluid,
         ..Default::default()
     };
     run_experiment("e13", &opts).expect("e13 is registered")
@@ -47,16 +43,14 @@ fn visible(r: &Report) -> (Vec<Vec<Vec<String>>>, Vec<String>) {
 }
 
 #[test]
-fn cp_trace_is_deterministic_fluid_safe_and_report_invariant() {
-    let (p1, p2, p3) = (tmp("a.jsonl"), tmp("b.jsonl"), tmp("c.jsonl"));
+fn cp_trace_is_deterministic_and_report_invariant() {
+    let (p1, p2) = (tmp("a.jsonl"), tmp("b.jsonl"));
 
-    let plain = run_e13(None, false);
-    let traced = run_e13(Some(p1.clone()), false);
-    let again = run_e13(Some(p2.clone()), false);
-    let fluid = run_e13(Some(p3.clone()), true);
+    let plain = run_e13(None);
+    let traced = run_e13(Some(p1.clone()));
+    let again = run_e13(Some(p2.clone()));
 
-    // Determinism: same seed, byte-identical record; --fluid is inert
-    // for e13 and must leave the record untouched too.
+    // Determinism: same seed, byte-identical record.
     let t1 = fs::read(&p1).expect("trace written");
     assert!(!t1.is_empty(), "traced cell must record events");
     assert_eq!(
@@ -64,17 +58,11 @@ fn cp_trace_is_deterministic_fluid_safe_and_report_invariant() {
         fs::read(&p2).expect("second trace"),
         "same-seed runs differ"
     );
-    assert_eq!(
-        t1,
-        fs::read(&p3).expect("fluid trace"),
-        "--fluid perturbed the trace"
-    );
 
     // Observation-only: every serialisable part of the report is
-    // unchanged by tracing (and by --fluid, which e13 ignores).
+    // unchanged by tracing.
     assert_eq!(visible(&plain), visible(&traced));
     assert_eq!(visible(&plain), visible(&again));
-    assert_eq!(visible(&plain), visible(&fluid));
     assert!(
         traced.health.iter().any(|h| h.contains("cp-trace:")),
         "traced run reports the capture in print-only health"

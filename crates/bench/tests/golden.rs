@@ -37,11 +37,17 @@ fn e13_and_e14_reproduce_their_committed_reports() {
     assert_reproduces("e14");
 }
 
+/// The 100k-node hybrid runs and the fluid/packet cross-check.
+#[test]
+fn e15_reproduces_its_golden_report() {
+    assert_reproduces("e15");
+}
+
 /// The ids above run in tests of their own, beside this one; E6 is host
 /// time.
 #[test]
 fn every_other_report_but_e6_reproduces_its_committed_file() {
-    let elsewhere = ["e2", "e3", "e6", "e13", "e14"];
+    let elsewhere = ["e2", "e3", "e6", "e13", "e14", "e15"];
     for id in ALL.iter().filter(|id| !elsewhere.contains(id)) {
         assert_reproduces(id);
     }

@@ -29,7 +29,7 @@ fn golden(id: &str) -> Report {
 }
 
 /// One-replicate sweep (= replicate 0 only) for `id`, on 2 threads to
-/// exercise the work-stealing path too.
+/// exercise the shared pool too.
 fn sweep_cells(id: &str) -> Vec<SweepCellReport> {
     let e = sweep_experiment(id).expect("sweep-capable experiment id");
     let opts = RunOpts {

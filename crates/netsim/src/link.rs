@@ -7,7 +7,7 @@
 //! queue limit. This "virtual queue" is exact for FIFO drop-tail behaviour
 //! and keeps the hot path allocation-free.
 
-use crate::node::{LinkId, NodeId};
+use crate::node::NodeId;
 use crate::time::{tx_time, SimDuration, SimTime};
 
 /// Static + dynamic state of one bidirectional link.
@@ -206,16 +206,6 @@ impl LinkProfile {
             self.queue_limit_bytes,
         )
     }
-}
-
-/// A `(link, direction)` pair, useful for per-direction bookkeeping in
-/// defenses.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct LinkDirId {
-    /// The link.
-    pub link: LinkId,
-    /// Direction index as given by [`Link::dir_index`].
-    pub dir: usize,
 }
 
 #[cfg(test)]

@@ -208,11 +208,6 @@ impl Simulator {
         }
     }
 
-    /// Is the fluid layer enabled?
-    pub fn fluid_enabled(&self) -> bool {
-        self.fluid.is_some()
-    }
-
     /// The fluid layer, for inspection (tests, benches, experiment
     /// metrics).
     pub fn fluid(&self) -> Option<&FluidLayer> {

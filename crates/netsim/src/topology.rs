@@ -16,8 +16,6 @@
 //!   traffic).
 //! * small hand-built shapes (line, star, dumbbell) for unit tests.
 
-use crate::rng::ChaCha8Rng;
-
 use crate::link::{Link, LinkProfile};
 use crate::node::{LinkId, Node, NodeId, NodeRole};
 use crate::rng::seeded;
@@ -278,8 +276,8 @@ impl Topology {
 
     /// Smallest [`Topology::transit_stub`] instance with at least `n`
     /// nodes, using a fixed fanout (20 stub routers per transit AS, 10
-    /// hosts per stub). This is the shape the `--topology transit-stub:<n>`
-    /// CLI axis builds.
+    /// hosts per stub). This is the 100k-node internet E15 and the
+    /// ledger's `fluid_ts100k` workload run on.
     pub fn transit_stub_at_least(n: usize, seed: u64) -> Topology {
         const STUBS: usize = 20;
         const HOSTS: usize = 10;
@@ -500,16 +498,6 @@ impl Topology {
         c.role == NodeRole::Stub && (p.role == NodeRole::Transit || c.degree() < p.degree())
     }
 
-    /// For a node, the set of neighbour nodes that are "customer side".
-    /// Used by ingress filtering and the anti-spoofing device module to
-    /// know which interfaces may only carry customer-owned sources.
-    pub fn customer_neighbours(&self, node: NodeId) -> Vec<NodeId> {
-        self.neighbours(node)
-            .filter(|&(peer, _)| self.is_customer_of(peer, node))
-            .map(|(peer, _)| peer)
-            .collect()
-    }
-
     /// Mean degree of the graph.
     pub fn mean_degree(&self) -> f64 {
         if self.nodes.is_empty() {
@@ -524,18 +512,6 @@ impl Default for Topology {
         Topology::new()
     }
 }
-
-/// Degree histogram helper for verifying power-law shape in tests.
-pub fn degree_histogram(topo: &Topology) -> Vec<(usize, usize)> {
-    let mut counts: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-    for n in &topo.nodes {
-        *counts.entry(n.degree()).or_insert(0) += 1;
-    }
-    counts.into_iter().collect()
-}
-
-/// Convenience: a deterministic RNG type alias for generator internals.
-pub type TopoRng = ChaCha8Rng;
 
 #[cfg(test)]
 mod tests {
@@ -740,25 +716,5 @@ mod tests {
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[0], comp[lonely.0]);
-    }
-
-    #[test]
-    fn degree_histogram_counts_nodes() {
-        let t = Topology::star(4);
-        let h = degree_histogram(&t);
-        // 4 leaves of degree 1, one hub of degree 4.
-        assert_eq!(h, vec![(1, 4), (4, 1)]);
-        let total: usize = h.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, t.n());
-    }
-
-    #[test]
-    fn customer_neighbours_only_stubs() {
-        let t = Topology::transit_stub_multihomed(3, 5, 0.0, 2);
-        for tr in t.transit_nodes() {
-            for c in t.customer_neighbours(tr) {
-                assert_eq!(t.nodes[c.0].role, NodeRole::Stub);
-            }
-        }
     }
 }
