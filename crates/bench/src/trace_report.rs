@@ -355,7 +355,6 @@ mod tests {
         assert_eq!(e.window, Some(2));
         ev("{\"t\":8,\"kind\":\"crash\",\"node\":5,\"window\":3}");
         ev("{\"t\":9,\"kind\":\"sweep\",\"node\":1}");
-        ev("{\"t\":10,\"kind\":\"retry_stale\",\"node\":1,\"family\":2}");
         let e = ev("{\"t\":11,\"kind\":\"dedup_hit\",\"origin\":1,\"txn\":2,\
              \"mkind\":5,\"node\":3,\"response\":true}");
         assert_eq!(e.key(), Some((1, 2)));

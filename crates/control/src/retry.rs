@@ -17,7 +17,7 @@ use std::sync::Arc;
 use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::rng::child_seed;
-use dtcs_netsim::{AgentCtx, CpTraceEvent, NodeId, SimDuration};
+use dtcs_netsim::{AgentCtx, CancelTimer, CpTraceEvent, NodeId, SimDuration, TimerId};
 
 /// Identity of one logical control-plane message. `origin` + `txn` name
 /// the transaction (stable across retries); `attempt` distinguishes
@@ -99,7 +99,8 @@ pub trait LegMsg {
 }
 
 /// One tracked leg; handed back to its agent once acked
-/// ([`Retransmitter::take`]), vetoed or abandoned ([`Fired`]).
+/// ([`Retransmitter::take`]), vetoed or abandoned ([`Fired`]). Its timer
+/// goes with it: a retired leg's retransmit timer never fires.
 #[derive(Debug)]
 pub struct Leg<K, T> {
     /// The key the agent tracked it under.
@@ -115,8 +116,6 @@ pub struct Leg<K, T> {
 /// What [`Retransmitter::on_timer`] did with a timer token.
 #[derive(Debug)]
 pub enum Fired<K, T> {
-    /// The transaction was already acked; the timer was a traced no-op.
-    Stale,
     /// The request was retransmitted and the next timer armed.
     Resent,
     /// The veto refused the retransmit; the leg is no longer tracked.
@@ -132,14 +131,12 @@ pub const FAMILY_MASK: u64 = 0xFFFF_0000_0000_0000;
 /// `family | slot` with `family` in the high 16 bits and slots handed out
 /// by a counter, so timers of several families (and the agent's own plain
 /// tokens) coexist on one agent and no caller-chosen id can reach the
-/// family bits.
-///
-/// There is no timer-cancel facility in the simulator: a value taken out
-/// early lets its timer fire into an empty slot.
+/// family bits. A value taken out has its timer cancelled, so a timer
+/// never fires into an empty slot.
 pub struct TimerSlots<V> {
     family: u64,
     next_slot: u64,
-    live: BTreeMap<u64, V>,
+    live: BTreeMap<u64, (V, TimerId)>,
 }
 
 impl<V> TimerSlots<V> {
@@ -165,9 +162,17 @@ impl<V> TimerSlots<V> {
         let slot = self.next_slot;
         assert_eq!(slot & FAMILY_MASK, 0, "timer slots exhausted");
         self.next_slot += 1;
-        self.live.insert(slot, value);
-        ctx.set_timer(delay(slot), self.family | slot);
+        let timer = ctx.set_timer(delay(slot), self.family | slot);
+        self.live.insert(slot, (value, timer));
         slot
+    }
+
+    /// Arm the timer of a live `slot` again, `delay` from now, once the
+    /// last one fired.
+    pub fn rearm(&mut self, ctx: &mut AgentCtx<'_>, slot: u64, delay: SimDuration) {
+        if let Some((_, timer)) = self.live.get_mut(&slot) {
+            *timer = ctx.set_timer(delay, self.family | slot);
+        }
     }
 
     /// The slot a fired `token` names.
@@ -178,12 +183,15 @@ impl<V> TimerSlots<V> {
 
     /// The value in `slot`, if it was not taken out.
     pub fn get_mut(&mut self, slot: u64) -> Option<&mut V> {
-        self.live.get_mut(&slot)
+        self.live.get_mut(&slot).map(|(value, _)| value)
     }
 
-    /// Take the value out of `slot`.
-    pub fn take(&mut self, slot: u64) -> Option<V> {
-        self.live.remove(&slot)
+    /// Take the value out of `slot` and hand its timer to `timers` to
+    /// cancel (a no-op for the timer that just fired).
+    pub fn take(&mut self, timers: &mut impl CancelTimer, slot: u64) -> Option<V> {
+        let (value, timer) = self.live.remove(&slot)?;
+        timers.cancel_timer(timer);
+        Some(value)
     }
 }
 
@@ -249,23 +257,25 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
         self.by_key.insert(key, slot);
     }
 
-    /// The leg was acked (or is abandoned): stop retransmitting and hand
-    /// it back. None for an untracked key — a duplicate ack.
-    pub fn take(&mut self, key: &K) -> Option<Leg<K, T>> {
+    /// The leg was acked (or is abandoned): stop retransmitting — its
+    /// timer goes to `timers` to cancel — and hand it back. None for an
+    /// untracked key — a duplicate ack.
+    pub fn take(&mut self, timers: &mut impl CancelTimer, key: &K) -> Option<Leg<K, T>> {
         let slot = self.by_key.remove(key)?;
-        self.slots.take(slot)
+        self.slots.take(timers, slot)
     }
 
     /// [`Retransmitter::take`] for callers that only need to know whether
     /// the leg was still tracked.
-    pub fn ack(&mut self, key: &K) -> bool {
-        self.take(key).is_some()
+    pub fn ack(&mut self, timers: &mut impl CancelTimer, key: &K) -> bool {
+        self.take(timers, key).is_some()
     }
 
-    /// Handle a fired timer of this family. A live leg is retransmitted to
-    /// its tracked destination unless `veto` refuses its payload (the
-    /// reason to send it has lapsed) or the budget is spent; both hand the
-    /// leg back, untracked.
+    /// Handle a fired timer of this family: its leg is live, since
+    /// retiring a leg cancels its timer. The leg is retransmitted to its
+    /// tracked destination unless `veto` refuses its payload (the reason
+    /// to send it has lapsed) or the budget is spent; both hand the leg
+    /// back, untracked.
     pub fn on_timer(
         &mut self,
         ctx: &mut AgentCtx<'_>,
@@ -274,14 +284,10 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
         veto: impl FnOnce(&T) -> bool,
     ) -> Fired<K, T> {
         let slot = self.slots.slot_of(token);
-        let Some(p) = self.slots.get_mut(slot) else {
-            ctx.cp_event(CpTraceEvent::RetryStale {
-                t: ctx.now.0,
-                node: ctx.node,
-                family: (token & FAMILY_MASK) >> 48,
-            });
-            return Fired::Stale;
-        };
+        let p = self
+            .slots
+            .get_mut(slot)
+            .expect("a retired leg's timer was cancelled");
         p.id.attempt += 1;
         let (id, dest) = (p.id, p.dest);
         if id.attempt >= self.policy.max_attempts {
@@ -293,13 +299,10 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
                 node: ctx.node,
                 dest,
             });
-            return Fired::GaveUp(self.untrack(slot));
+            return Fired::GaveUp(self.untrack(ctx, slot));
         }
-        // Armed before the veto is asked: a vetoed leg leaves one stale
-        // timer behind, as an acked one does.
-        ctx.set_timer(self.policy.rto(self.seed, slot, id.attempt), token);
         if veto(&p.payload) {
-            return Fired::Vetoed(self.untrack(slot));
+            return Fired::Vetoed(self.untrack(ctx, slot));
         }
         cp.lock().retransmits += 1;
         ctx.cp_event(CpTraceEvent::RetryFire {
@@ -311,11 +314,13 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
             dest,
         });
         p.payload.send(ctx, dest, id);
+        let rto = self.policy.rto(self.seed, slot, id.attempt);
+        self.slots.rearm(ctx, slot, rto);
         Fired::Resent
     }
 
-    fn untrack(&mut self, slot: u64) -> Leg<K, T> {
-        let leg = self.slots.take(slot).expect("slot is live");
+    fn untrack(&mut self, ctx: &mut AgentCtx<'_>, slot: u64) -> Leg<K, T> {
+        let leg = self.slots.take(ctx, slot).expect("slot is live");
         self.by_key.remove(&leg.key);
         leg
     }
@@ -416,7 +421,8 @@ pub enum Admission<'a, L, R> {
 /// each decision has one method: is a request new ([`Relay::admit`]), does
 /// an ack count ([`Relay::ack`]), what a give-up costs ([`Relay::lose`],
 /// [`Relay::lose_rest`]), is the answer due ([`Relay::settle`]). They
-/// decide and return; the agent emits.
+/// decide and return; the agent emits, and cancels the timers of the legs
+/// they retire (the `timers` argument).
 ///
 /// `X` names a transaction and `L` a leg within it (tracked as `(X, L)`);
 /// `R` is what the agent keeps with a transaction to answer it.
@@ -472,16 +478,28 @@ impl<X: Ord + Copy, L: Ord + Copy, T: LegMsg, R> Relay<X, L, T, R> {
 
     /// Stop retransmitting a leg and hand it back; None when it is not
     /// tracked (acked before, or given up on).
-    pub fn untrack(&mut self, txn: X, leg: L) -> Option<Leg<(X, L), T>> {
-        self.rt.take(&(txn, leg))
+    pub fn untrack(
+        &mut self,
+        timers: &mut impl CancelTimer,
+        txn: X,
+        leg: L,
+    ) -> Option<Leg<(X, L), T>> {
+        self.rt.take(timers, &(txn, leg))
     }
 
     /// `leg` acked, reporting `done` and `refused` units of work: stop
     /// retransmitting it and count the work. False, and nothing counted,
     /// for a duplicate: the transaction is unknown or settled, or the leg
     /// acked before. (A leg given up on acks for the first time: [`FanIn`].)
-    pub fn ack(&mut self, txn: X, leg: L, done: usize, refused: usize) -> bool {
-        self.rt.take(&(txn, leg));
+    pub fn ack(
+        &mut self,
+        timers: &mut impl CancelTimer,
+        txn: X,
+        leg: L,
+        done: usize,
+        refused: usize,
+    ) -> bool {
+        self.rt.take(timers, &(txn, leg));
         let running = self.running.get_mut(&txn);
         running.is_some_and(|(fan, _)| fan.ack(leg, done, refused))
     }
@@ -496,10 +514,15 @@ impl<X: Ord + Copy, L: Ord + Copy, T: LegMsg, R> Relay<X, L, T, R> {
     /// Give up on every leg of `txn` that has not acked and stop
     /// retransmitting `legs`, those sent out. None when `txn` is not
     /// running.
-    pub fn lose_rest(&mut self, txn: X, legs: impl Iterator<Item = L>) -> Option<&FanIn<L>> {
+    pub fn lose_rest(
+        &mut self,
+        timers: &mut impl CancelTimer,
+        txn: X,
+        legs: impl Iterator<Item = L>,
+    ) -> Option<&FanIn<L>> {
         let (fan, _) = self.running.get_mut(&txn)?;
         for leg in legs {
-            self.rt.take(&(txn, leg));
+            self.rt.take(timers, &(txn, leg));
         }
         fan.lose_rest();
         Some(fan)
@@ -660,12 +683,11 @@ mod tests {
                     let probe = Probe(self.sends.clone());
                     self.rt.track(ctx, KEY, ctx.node, 1, KEY, probe);
                 }
-                ACK => assert!(self.rt.ack(&KEY), "acked while tracked"),
+                ACK => assert!(self.rt.ack(ctx, &KEY), "acked while tracked"),
                 VETO_FROM_NOW => self.veto = true,
                 _ => {
                     let veto = self.veto;
                     let outcome = match self.rt.on_timer(ctx, &self.cp, token, |_| veto) {
-                        Fired::Stale => ("stale", 0),
                         Fired::Resent => ("resent", 0),
                         Fired::Vetoed(leg) => ("vetoed", leg.id.attempt),
                         Fired::GaveUp(leg) => ("gave_up", leg.id.attempt),
@@ -684,6 +706,8 @@ mod tests {
         sends: Vec<u32>,
         events: Vec<CpTraceEvent>,
         cp: CpStats,
+        /// Events the simulator dispatched.
+        events_dispatched: u64,
     }
 
     impl Run {
@@ -725,18 +749,23 @@ mod tests {
             sends,
             events,
             cp,
+            events_dispatched: sim.stats.events,
         }
     }
 
     #[test]
-    fn stale_token_after_ack_is_a_traced_noop() {
+    fn an_acked_legs_timer_never_fires() {
         let r = run(RetryPolicy::default(), &[(0, START), (100, ACK)]);
-        assert_eq!(r.outcomes(), ["stale"], "the one armed timer still fires");
+        assert_eq!(
+            r.outcomes(),
+            [] as [&str; 0],
+            "the ack cancelled the armed timer"
+        );
         assert_eq!(r.sends, [0], "nothing is retransmitted after the ack");
         assert_eq!(r.count("retry_schedule"), 1);
-        assert_eq!(r.count("retry_stale"), 1);
         assert_eq!(r.count("retry_fire") + r.count("retry_give_up"), 0);
         assert_eq!((r.cp.retransmits, r.cp.give_ups), (0, 0));
+        assert_eq!(r.events_dispatched, 3, "start, the one send, the ack");
     }
 
     #[test]
@@ -755,14 +784,14 @@ mod tests {
         );
         assert_eq!((r.cp.retransmits, r.cp.give_ups), (3, 1));
         assert_eq!(r.count("retry_give_up"), 1);
-        assert_eq!(r.count("retry_stale"), 0, "a given-up leg arms no timer");
     }
 
     #[test]
     fn each_fire_bumps_retransmits_once_and_emits_one_retry_fire() {
         let r = run(RetryPolicy::default(), &[(0, START), (1_000, ACK)]);
-        // 250 ms and 500 ms backoffs (plus jitter) fit before the ack.
-        assert_eq!(r.outcomes(), ["resent", "resent", "stale"]);
+        // 250 ms and 500 ms backoffs (plus jitter) fit before the ack,
+        // which cancels the third.
+        assert_eq!(r.outcomes(), ["resent", "resent"]);
         assert_eq!(r.cp.retransmits, 2);
         let fires: Vec<u32> = r
             .events
@@ -792,15 +821,13 @@ mod tests {
             twice.fired, once.fired,
             "no second timer chain, and the first keeps its times"
         );
-        assert_eq!(twice.count("retry_stale"), 0);
     }
 
     #[test]
     fn vetoed_leg_is_dropped_without_a_retransmit() {
         let r = run(RetryPolicy::default(), &[(0, START), (400, VETO_FROM_NOW)]);
-        // The veto is asked after the next timer is armed, so one stale
-        // timer follows, as after an ack.
-        assert_eq!(r.outcomes(), ["resent", "vetoed", "stale"]);
+        // The veto is asked before the next timer is armed: none follows.
+        assert_eq!(r.outcomes(), ["resent", "vetoed"]);
         assert_eq!(r.sends, [0, 1], "the vetoed attempt never reaches the wire");
         assert_eq!((r.cp.retransmits, r.cp.give_ups), (1, 0));
         assert_eq!(r.count("retry_fire"), 1);
@@ -953,8 +980,12 @@ mod tests {
                 Step::Leg(leg, Ev::Ack | Ev::DupAck) => {
                     let work = 10usize.pow(leg as u32);
                     let first = model.as_mut().is_some_and(|m| m.ack(leg, work, 1));
-                    assert_eq!(relay.ack(TXN, leg, work, 1), first, "{steps:?}@{at}");
-                    assert!(!relay.ack(OTHER, leg, work, 1), "{steps:?}@{at}");
+                    assert_eq!(
+                        relay.ack(&mut (), TXN, leg, work, 1),
+                        first,
+                        "{steps:?}@{at}"
+                    );
+                    assert!(!relay.ack(&mut (), OTHER, leg, work, 1), "{steps:?}@{at}");
                 }
                 Step::Leg(_, Ev::GiveUp) => {
                     relay.lose(TXN);
@@ -964,8 +995,9 @@ mod tests {
                     }
                 }
                 Step::Deadline => {
-                    assert_eq!(relay.lose_rest(TXN, 0..3).is_some(), model.is_some());
-                    assert!(relay.lose_rest(OTHER, 0..3).is_none());
+                    let lost = relay.lose_rest(&mut (), TXN, 0..3);
+                    assert_eq!(lost.is_some(), model.is_some());
+                    assert!(relay.lose_rest(&mut (), OTHER, 0..3).is_none());
                     if let Some(m) = model.as_mut() {
                         m.lose_rest();
                     }
@@ -1030,12 +1062,18 @@ mod tests {
         let mut relay: Relay<u64, usize, Probe> = Relay::new(FAMILY, RetryPolicy::default(), 9);
         relay.open(7, 1, NodeId(0), 3, ());
         relay.lose(7);
-        assert!(relay.ack(7, 0, 5, 0), "late, and still a first ack");
+        assert!(
+            relay.ack(&mut (), 7, 0, 5, 0),
+            "late, and still a first ack"
+        );
         assert!(relay.settle(7).is_none());
-        assert!(relay.ack(7, 1, 5, 0));
+        assert!(relay.ack(&mut (), 7, 1, 5, 0));
         let (out, ()) = relay.settle(7).expect("two acks and a loss make three");
         assert_eq!(tallies(out), [2, 1, 10, 0], "leg 2 was never heard from");
-        assert!(!relay.ack(7, 2, 5, 0), "and is a duplicate when it is");
+        assert!(
+            !relay.ack(&mut (), 7, 2, 5, 0),
+            "and is a duplicate when it is"
+        );
     }
 
     #[test]

@@ -86,9 +86,7 @@ fn fold(rec: &CpFlightRecorder) -> Folded {
             },
             CpTraceEvent::Sweep { .. } => f.sweeps += 1,
             CpTraceEvent::Crash { .. } => f.crashes += 1,
-            CpTraceEvent::RetrySchedule { .. }
-            | CpTraceEvent::RetryStale { .. }
-            | CpTraceEvent::Terminal { .. } => {}
+            CpTraceEvent::RetrySchedule { .. } | CpTraceEvent::Terminal { .. } => {}
         }
     }
     f

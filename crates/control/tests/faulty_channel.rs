@@ -321,3 +321,101 @@ fn duplicated_confirms_never_inflate_coverage() {
         assert_eq!(fx.cp.total_rules(), n);
     });
 }
+
+/// Retired work takes its timers along: on a small `cp_churn`-shaped plane
+/// — leases renewed every 2 s, 20 % loss, 10 % duplication, crashing
+/// devices, half the owners withdrawing, and one ISP's devices cut off
+/// from their NMS for longer than a lease — no retry timer fires into an
+/// empty slot (the retransmitter refuses one with a panic) and every
+/// lease timer that fires reaps.
+#[test]
+fn a_churning_plane_fires_no_idle_timer() {
+    const OWNERS: usize = 8;
+    let ms = SimTime::from_millis;
+    let topo = Topology::transit_stub_multihomed(4, 6, 0.2, 11);
+    let mut sim = Simulator::new(topo, 5);
+    let stubs = sim.topo.stub_nodes();
+    let mut authority = InternetNumberAuthority::new();
+    for (u, &node) in stubs.iter().take(OWNERS).enumerate() {
+        // `ControlPlane::add_user*` hands out user ids in this order.
+        authority.allocate(Prefix::of_node(node), UserId(0xAA01 + u as u64));
+    }
+    let isps = partition_by_provider(&sim);
+    let cut = isps[0].clone();
+    let transit = sim.topo.transit_nodes();
+    let mut cp = ControlPlane::install_with(
+        &mut sim,
+        authority,
+        0x5EC,
+        transit[0],
+        transit[1],
+        isps,
+        ControlPlaneConfig {
+            reconcile_every: Some(SimDuration::from_secs(2)),
+            leases: Some((SimDuration::from_secs(8), SimDuration::from_secs(2))),
+            sweep_removals: true,
+            cert_lifetime: None,
+        },
+    );
+    for (u, &node) in stubs.iter().take(OWNERS).enumerate() {
+        let claim = vec![Prefix::of_node(node)];
+        let (service, scope) = (CatalogService::AntiSpoofing, DeployScope::AllManaged);
+        let at = ms(100 + 37 * u as u64);
+        if u % 2 == 0 {
+            let withdraw = ms(15_000 + 37 * u as u64);
+            cp.add_user_withdrawing(
+                &mut sim,
+                node,
+                claim,
+                service,
+                scope,
+                at,
+                withdraw,
+                false,
+                |a| a,
+            );
+        } else {
+            cp.add_user(&mut sim, node, claim, service, scope, at, false);
+        }
+    }
+    let mut outages = Vec::new();
+    for (i, &node) in stubs.iter().enumerate() {
+        for start in (3_000 + 700 * i as u64..30_000).step_by(10_000) {
+            outages.push(Outage {
+                node,
+                from: ms(start),
+                until: ms(start + 300),
+                crash: true,
+            });
+        }
+    }
+    sim.install_fault_plane(FaultPlane::new(FaultConfig {
+        seed: 5,
+        drop_prob: 0.2,
+        dup_prob: 0.1,
+        jitter_max: SimDuration::from_millis(10),
+        outages,
+        partitions: vec![Partition {
+            src: vec![cut.nms_node],
+            dst: cut.managed.clone(),
+            from: ms(18_000),
+            until: ms(30_000),
+        }],
+    }));
+    sim.run_until(ms(40_650));
+
+    let cs = cp.cp_stats.lock().clone();
+    assert!(cs.retransmits > 0 && cs.lease_renewals > 0 && cs.withdrawals > 0);
+    assert!(sim.stats.node_crashes > 0);
+    let (mut reaps, mut idle) = (0, 0);
+    for device in cp.devices.values() {
+        let d = device.lock();
+        reaps += d.lease_reaps;
+        idle += d.idle_lease_timers;
+    }
+    assert!(
+        reaps > 0,
+        "the devices cut off for longer than a lease reaped"
+    );
+    assert_eq!(idle, 0, "a lease timer fired with nothing to reap");
+}

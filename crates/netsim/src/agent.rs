@@ -18,15 +18,18 @@
 use std::any::Any;
 use std::sync::Arc;
 
+use crate::arena::{Arena, Handle};
 use crate::cp_trace::{CpMeta, CpTraceEvent};
 use crate::node::{LinkId, NodeId};
 use crate::packet::{Packet, PacketBuilder};
 use crate::recorder::Tracer;
 use crate::routing::Routing;
+use crate::sim::EventQueue;
 use crate::stats::DropReason;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::TraceEvent;
+use crate::wheel::EntryId;
 
 /// What an agent decided about a packet.
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
@@ -71,14 +74,69 @@ type QueuedControl = (
     Option<CpMeta>,
 );
 
+/// Names one agent timer, from [`AgentCtx::set_timer`] until it fires or
+/// is cancelled ([`AgentCtx::cancel_timer`]). A generation-tagged ticket,
+/// like a packet's [`crate::arena::Handle`]: it is bound to its wheel
+/// entry when the outbox flushes and released when the timer fires or is
+/// cancelled, so an id kept past that names nothing and cancelling it is
+/// a no-op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimerId(Handle);
+
+impl TimerId {
+    /// A fresh ticket, bound to no entry yet.
+    pub(crate) fn new(tickets: &mut TimerTickets) -> TimerId {
+        TimerId(tickets.alloc(EntryId::NONE))
+    }
+
+    /// Bind the ticket to the wheel entry its timer was queued as.
+    pub(crate) fn bind(self, tickets: &mut TimerTickets, entry: EntryId) {
+        tickets.store(self.0, entry);
+    }
+
+    /// Is the ticket still held (its timer neither fired nor cancelled)?
+    pub(crate) fn is_live(self, tickets: &TimerTickets) -> bool {
+        tickets.is_live(self.0)
+    }
+
+    /// Release the ticket and hand back its entry ([`EntryId::NONE`] while
+    /// the timer waits in the outbox); None when it was released before
+    /// (the timer fired or was cancelled).
+    pub(crate) fn release(self, tickets: &mut TimerTickets) -> Option<EntryId> {
+        if !tickets.is_live(self.0) {
+            return None;
+        }
+        let entry = tickets.take(self.0);
+        tickets.free(self.0);
+        Some(entry)
+    }
+}
+
+/// The live agent timers: each ticket holds the wheel entry its timer
+/// was pushed as ([`EntryId::NONE`] until the outbox flushes).
+pub(crate) type TimerTickets = Arena<EntryId>;
+
+/// Takes back the timers of work that was retired before they fired.
+/// [`AgentCtx`] cancels them; `()` drops them, for a decider exercised
+/// without a simulator.
+pub trait CancelTimer {
+    /// Cancel timer `id`; a no-op once it fired or was cancelled.
+    fn cancel_timer(&mut self, id: TimerId);
+}
+
+impl CancelTimer for () {
+    fn cancel_timer(&mut self, _id: TimerId) {}
+}
+
 /// Deferred effects produced by agent / app callbacks, applied by the
 /// simulator after the callback returns.
 #[derive(Default)]
 pub struct Outbox {
     pub(crate) sends: Vec<(SimDuration, PacketBuilder)>,
     /// Timers for whoever ran the callback (an agent or an app); the
-    /// simulator's flush knows which.
-    pub(crate) timers: Vec<(SimDuration, u64)>,
+    /// simulator's flush knows which. An agent's carry their ticket, and
+    /// one cancelled before the flush is not queued.
+    pub(crate) timers: Vec<(SimDuration, u64, Option<TimerId>)>,
     pub(crate) controls: Vec<QueuedControl>,
 }
 
@@ -99,6 +157,9 @@ pub struct AgentCtx<'a> {
     /// Read-only routing tables.
     pub routing: &'a Routing,
     pub(crate) outbox: &'a mut Outbox,
+    pub(crate) tickets: &'a mut TimerTickets,
+    /// The event queue, for [`AgentCtx::cancel_timer`] alone.
+    pub(crate) queue: &'a mut EventQueue,
     pub(crate) trace: &'a mut Tracer<TraceEvent>,
     pub(crate) cp_trace: &'a mut Tracer<CpTraceEvent>,
     /// One-slot staging area for the next module verdict's detail string.
@@ -113,9 +174,22 @@ impl<'a> AgentCtx<'a> {
         self.outbox.sends.push((delay, builder));
     }
 
-    /// Arrange for `on_timer(token)` on this agent after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.outbox.timers.push((delay, token));
+    /// Arrange for `on_timer(token)` on this agent after `delay`; the id
+    /// cancels it until it fires.
+    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
+        let id = TimerId::new(self.tickets);
+        self.outbox.timers.push((delay, token, Some(id)));
+        id
+    }
+
+    /// Cancel a timer this agent set: it will not fire. A no-op for one
+    /// that already fired or was cancelled.
+    pub fn cancel_timer(&mut self, id: TimerId) {
+        // A timer set in this callback has no entry yet (`EntryId::NONE`,
+        // which cancels nothing); the flush skips it.
+        if let Some(entry) = id.release(self.tickets) {
+            self.queue.cancel(entry);
+        }
     }
 
     /// Send an out-of-band control message to the agents of `to`,
@@ -215,6 +289,12 @@ impl<'a> AgentCtx<'a> {
     }
 }
 
+impl CancelTimer for AgentCtx<'_> {
+    fn cancel_timer(&mut self, id: TimerId) {
+        AgentCtx::cancel_timer(self, id);
+    }
+}
+
 /// A packet-path extension attached to a node.
 ///
 /// All methods take `&mut self`; an agent is owned by exactly one node and
@@ -273,7 +353,7 @@ mod tests {
     fn outbox_empty_tracking() {
         let mut o = Outbox::default();
         assert!(o.is_empty());
-        o.timers.push((SimDuration::ZERO, 1));
+        o.timers.push((SimDuration::ZERO, 1, None));
         assert!(!o.is_empty());
         // The simulator drains by `mem::take` and hands the emptied
         // buffers back; emptiness must reflect that.

@@ -57,7 +57,7 @@ impl<'a> AppApi<'a> {
 
     /// Arrange for `on_timer(token)` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.outbox.timers.push((delay, token));
+        self.outbox.timers.push((delay, token, None));
     }
 }
 

@@ -1,4 +1,4 @@
-//! Generation-tagged slab arena for in-flight packets.
+//! Generation-tagged slab arena: in-flight packets and agent-timer tickets.
 //!
 //! Replaces the recycled-`Box<Packet>` pool: event entries hold a compact
 //! 8-byte [`Handle`] instead of a pointer, the backing store is one
@@ -86,6 +86,14 @@ impl<T: Copy> Arena<T> {
                 Handle { idx, gen: 1 }
             }
         }
+    }
+
+    /// Does `h` still name its value (not freed, not reused since)?
+    #[inline]
+    pub fn is_live(&self, h: Handle) -> bool {
+        self.slots
+            .get(h.idx as usize)
+            .is_some_and(|s| s.gen == h.gen)
     }
 
     /// Tag-check a handle, panicking on stale (freed or reused) handles.

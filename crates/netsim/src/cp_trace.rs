@@ -253,8 +253,8 @@ trace_events! {
     /// `Send` and `Verdict` are emitted by the simulator's control funnel;
     /// the rest come from protocol agents through
     /// [`crate::agent::AgentCtx::cp_event`]. Events carrying `origin`/`txn`
-    /// are sampled per transaction; `RetryStale`, `Sweep` and `Crash` (and
-    /// unkeyed sends) have no transaction identity and are always admitted.
+    /// are sampled per transaction; `Sweep` and `Crash` (and unkeyed
+    /// sends) have no transaction identity and are always admitted.
     pub enum CpTraceEvent: stream 0x6370_7472_6163_6531, key [u64; 2]; // "cptrace1"
 
     /// A control message entered the funnel at `from`, addressed to `to`.
@@ -317,14 +317,6 @@ trace_events! {
         node: NodeId,
         /// Destination that has not acked.
         dest: NodeId,
-    }
-    /// A retry timer fired for an already-acked transaction (no-op).
-    /// The slot is gone, so the key is unknowable — always admitted.
-    RetryStale = "retry_stale", key() None, {
-        /// Node whose timer fired.
-        node: NodeId,
-        /// Timer family the token belonged to.
-        family: u64,
     }
     /// Retry budget exhausted; the transaction was dropped from tracking
     /// (increments `CpStats::give_ups`).

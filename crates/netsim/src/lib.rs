@@ -62,7 +62,7 @@ pub mod wheel;
 mod proptests;
 
 pub use addr::{Addr, Prefix};
-pub use agent::{AgentCtx, ControlMsg, NodeAgent, Verdict};
+pub use agent::{AgentCtx, CancelTimer, ControlMsg, NodeAgent, TimerId, Verdict};
 pub use app::{App, AppApi, Disposition, SinkApp};
 pub use arena::{Arena, Handle as ArenaHandle};
 pub use cp_trace::{

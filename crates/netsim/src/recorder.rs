@@ -976,8 +976,6 @@ mod tests {
             node,
             dest,
         });
-        let family = 2;
-        samples.push(CpTraceEvent::RetryStale { t, node, family });
         samples.push(CpTraceEvent::RetryGaveUp {
             t,
             origin,

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use crate::rng::ChaCha8Rng;
 
 use crate::addr::Addr;
-use crate::agent::{AgentCtx, ControlMsg, NodeAgent, Outbox, Verdict};
+use crate::agent::{AgentCtx, ControlMsg, NodeAgent, Outbox, TimerId, TimerTickets, Verdict};
 use crate::app::{App, AppApi, Disposition};
 use crate::arena::{Arena, Handle as PktHandle};
 use crate::cp_trace::{CpMeta, CpTraceEvent, CpVerdict};
@@ -34,12 +34,12 @@ use crate::stats::{DropReason, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::TraceEvent;
-use crate::wheel::TimingWheel;
+use crate::wheel::{EntryId, TimingWheel};
 
 /// A scheduled simulator callback.
 type Call = Box<dyn FnOnce(&mut Simulator) + Send>;
 
-enum EventKind {
+pub(crate) enum EventKind {
     Arrive {
         at: NodeId,
         from: Option<LinkId>,
@@ -54,6 +54,8 @@ enum EventKind {
         node: NodeId,
         agent: usize,
         token: u64,
+        /// Released when the timer fires ([`TimerId`]).
+        ticket: TimerId,
     },
     AppTimer {
         addr: Addr,
@@ -65,6 +67,9 @@ enum EventKind {
     },
     Call(Call),
 }
+
+/// The simulator's event queue.
+pub(crate) type EventQueue = TimingWheel<EventKind>;
 
 /// Whose timers an outbox flush carries: the agent at this chain index, or
 /// the app at this address.
@@ -84,12 +89,15 @@ pub struct Simulator {
     pub stats: Stats,
     agents: Vec<Vec<Box<dyn NodeAgent>>>,
     apps: BTreeMap<Addr, Box<dyn App>>,
-    queue: TimingWheel<EventKind>,
+    queue: EventQueue,
     now: SimTime,
     seq: u64,
     next_packet_id: u64,
     rng: ChaCha8Rng,
     outbox: Outbox,
+    /// Every agent timer that has neither fired nor been cancelled, by
+    /// ticket: what [`AgentCtx::cancel_timer`] takes back.
+    tickets: TimerTickets,
     /// In-flight packet store: every queued `Arrive` event owns exactly
     /// one live arena slot, released when the packet reaches a terminal
     /// event (delivery or drop). Slots are reused, so steady-state
@@ -140,6 +148,7 @@ impl Simulator {
             next_packet_id: 1,
             rng: seeded(seed),
             outbox: Outbox::default(),
+            tickets: TimerTickets::new(),
             arena: Arena::new(),
             tracer: Tracer::disabled(seed),
             verdict_detail: None,
@@ -383,6 +392,9 @@ impl Simulator {
     /// Deliver a control message to a node's agents at an absolute time,
     /// from scenario code (e.g. staged device reconfiguration). `from`
     /// names the apparent sender node.
+    ///
+    /// # Panics
+    /// If `from` or `to` is outside the topology.
     pub fn deliver_control<T: std::any::Any + Send + Sync>(
         &mut self,
         at: SimTime,
@@ -390,6 +402,14 @@ impl Simulator {
         to: NodeId,
         payload: T,
     ) {
+        for (end, node) in [("from", from), ("to", to)] {
+            assert!(
+                node.0 < self.topo.n(),
+                "control message {end} node {}: outside the {}-node topology",
+                node.0,
+                self.topo.n()
+            );
+        }
         self.push_control(at, from, to, Arc::new(payload), None);
     }
 
@@ -515,8 +535,30 @@ impl Simulator {
     /// in-simulation way for agents to bootstrap themselves is
     /// [`AgentCtx::set_timer`]; this is the outside-in equivalent, used to
     /// kick off protocol drivers like the TCS user agent).
-    pub fn schedule_agent_timer(&mut self, node: NodeId, agent: usize, at: SimTime, token: u64) {
-        self.push(at, EventKind::AgentTimer { node, agent, token });
+    ///
+    /// # Panics
+    /// If `node` is outside the topology, or `agent` is not an index into
+    /// its chain ([`Simulator::add_agent`]'s return value).
+    pub fn schedule_agent_timer(
+        &mut self,
+        node: NodeId,
+        agent: usize,
+        at: SimTime,
+        token: u64,
+    ) -> TimerId {
+        let chain = self.agents.get(node.0).map(Vec::len);
+        assert!(
+            chain.is_some_and(|len| agent < len),
+            "timer for agent {agent} of node {}: {}",
+            node.0,
+            match chain {
+                Some(len) => format!("the node's chain holds {len}"),
+                None => format!("outside the {}-node topology", self.topo.n()),
+            }
+        );
+        let ticket = TimerId::new(&mut self.tickets);
+        self.push_timer(node, agent, at, token, ticket);
+        ticket
     }
 
     /// Emit a packet from `node` right now. Counted as sent; traverses the
@@ -606,7 +648,7 @@ impl Simulator {
     /// 10⁹ events per wall-second it cannot wrap within ~584 years of
     /// compute, and the wheel's slot arithmetic is closed over the full
     /// `u64` tick range (see [`crate::wheel`]'s cascade-boundary tests).
-    fn push(&mut self, time: SimTime, kind: EventKind) {
+    fn push(&mut self, time: SimTime, kind: EventKind) -> EntryId {
         let time = if time < self.now {
             self.stats.past_events_clamped += 1;
             self.now
@@ -615,7 +657,7 @@ impl Simulator {
         };
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(time.as_nanos(), seq, kind);
+        self.queue.push(time.as_nanos(), seq, kind)
     }
 
     fn alloc_pkt_id(&mut self) -> u64 {
@@ -682,7 +724,13 @@ impl Simulator {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrive { at, from, pkt } => self.handle_arrival(at, from, pkt),
-            EventKind::AgentTimer { node, agent, token } => {
+            EventKind::AgentTimer {
+                node,
+                agent,
+                token,
+                ticket,
+            } => {
+                ticket.release(&mut self.tickets);
                 self.visit_chain(node, Some(agent), |a, ctx| {
                     a.on_timer(ctx, token);
                     Verdict::Forward
@@ -825,6 +873,8 @@ impl Simulator {
                 topo: &self.topo,
                 routing: &self.routing,
                 outbox: &mut self.outbox,
+                tickets: &mut self.tickets,
+                queue: &mut self.queue,
                 trace: &mut self.tracer,
                 cp_trace: &mut self.cp_tracer,
                 verdict_detail: &mut self.verdict_detail,
@@ -863,12 +913,30 @@ impl Simulator {
         Some(out)
     }
 
+    /// Queue agent `agent`'s timer and bind its ticket to the entry.
+    fn push_timer(&mut self, node: NodeId, agent: usize, at: SimTime, token: u64, ticket: TimerId) {
+        let kind = EventKind::AgentTimer {
+            node,
+            agent,
+            token,
+            ticket,
+        };
+        let entry = self.push(at, kind);
+        ticket.bind(&mut self.tickets, entry);
+    }
+
     /// Turn what a callback at `node` left in the outbox into events:
-    /// packets, then `owner`'s timers, then control messages.
+    /// packets, then `owner`'s timers (but those it cancelled already),
+    /// then control messages. Inlined down to the emptiness check, which
+    /// is all most agent callbacks on the packet path need.
+    #[inline]
     fn flush_outbox(&mut self, node: NodeId, owner: TimerOwner) {
-        if self.outbox.is_empty() {
-            return;
+        if !self.outbox.is_empty() {
+            self.flush_nonempty(node, owner);
         }
+    }
+
+    fn flush_nonempty(&mut self, node: NodeId, owner: TimerOwner) {
         // Move the buffers out wholesale (a pointer swap, not a copy),
         // convert their contents into events, and hand the — now empty but
         // still allocated — buffers back. Unlike `drain(..).collect()` this
@@ -880,12 +948,19 @@ impl Simulator {
         for (delay, builder) in sends.drain(..) {
             self.inject(node, self.now + delay, builder);
         }
-        for (delay, token) in timers.drain(..) {
-            let kind = match owner {
-                TimerOwner::Agent(agent) => EventKind::AgentTimer { node, agent, token },
-                TimerOwner::App(addr) => EventKind::AppTimer { addr, token },
-            };
-            self.push(self.now + delay, kind);
+        for (delay, token, ticket) in timers.drain(..) {
+            let at = self.now + delay;
+            match (owner, ticket) {
+                (TimerOwner::Agent(agent), Some(ticket)) => {
+                    if ticket.is_live(&self.tickets) {
+                        self.push_timer(node, agent, at, token, ticket);
+                    }
+                }
+                (TimerOwner::App(addr), None) => {
+                    self.push(at, EventKind::AppTimer { addr, token });
+                }
+                _ => unreachable!("agent timers carry a ticket, app timers none"),
+            }
         }
         // Apps have no way to send control messages; the loop is simply
         // empty for them.
@@ -1390,6 +1465,116 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(ticks.load(AtomicOrdering::Relaxed), 1);
+    }
+
+    /// Scripted by timer tokens: `ARM` sets a timer 10 ms out (token
+    /// `FIRED`), `CANCEL` cancels the first one it set, `ARM_AND_CANCEL`
+    /// sets one and cancels it in the same callback. Records the ms
+    /// `FIRED` fired at; with `rearm_once` its first firing sets another.
+    struct CancelAgent {
+        held: Vec<TimerId>,
+        rearm_once: bool,
+        fired: Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+    const ARM: u64 = 1;
+    const CANCEL: u64 = 2;
+    const ARM_AND_CANCEL: u64 = 3;
+    const FIRED: u64 = 4;
+    impl NodeAgent for CancelAgent {
+        fn name(&self) -> &'static str {
+            "cancel"
+        }
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
+            let arm = |ctx: &mut AgentCtx<'_>| ctx.set_timer(SimDuration::from_millis(10), FIRED);
+            match token {
+                ARM => self.held.push(arm(ctx)),
+                CANCEL => ctx.cancel_timer(self.held[0]),
+                ARM_AND_CANCEL => {
+                    let id = arm(ctx);
+                    ctx.cancel_timer(id);
+                }
+                _ => {
+                    self.fired
+                        .lock()
+                        .unwrap()
+                        .push(ctx.now.as_nanos() / 1_000_000);
+                    if std::mem::take(&mut self.rearm_once) {
+                        self.held.push(arm(ctx));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Run `script` (`(ms, token)`) on one `CancelAgent`; the ms `FIRED`
+    /// fired at, and the events dispatched.
+    fn cancel_script(rearm_once: bool, script: &[(u64, u64)]) -> (Vec<u64>, u64) {
+        let mut sim = Simulator::new(Topology::line(1), 1);
+        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let agent = CancelAgent {
+            held: Vec::new(),
+            rearm_once,
+            fired: fired.clone(),
+        };
+        let idx = sim.add_agent(NodeId(0), Box::new(agent));
+        for &(ms, token) in script {
+            sim.schedule_agent_timer(NodeId(0), idx, SimTime::from_millis(ms), token);
+        }
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.pending_events(), 0);
+        let fired = fired.lock().unwrap().clone();
+        (fired, sim.stats.events)
+    }
+
+    #[test]
+    fn a_cancelled_agent_timer_never_fires() {
+        assert_eq!(cancel_script(false, &[(0, ARM)]), (vec![10], 2));
+        assert_eq!(cancel_script(false, &[(0, ARM), (5, CANCEL)]), (vec![], 2));
+        assert_eq!(cancel_script(false, &[(0, ARM_AND_CANCEL)]), (vec![], 1));
+        // A second cancel, and a cancel after the firing: no-ops.
+        let twice = [(0, ARM), (5, CANCEL), (6, CANCEL)];
+        assert_eq!(cancel_script(false, &twice), (vec![], 3));
+        assert_eq!(
+            cancel_script(false, &[(0, ARM), (20, CANCEL)]),
+            (vec![10], 3)
+        );
+    }
+
+    #[test]
+    fn a_recycled_ticket_cannot_be_cancelled_through_an_old_timer_id() {
+        // The first timer's firing releases its ticket and sets a second
+        // timer, which takes that ticket over; cancelling through the
+        // first timer's id at 15 ms must leave the second alone.
+        let (fired, _) = cancel_script(true, &[(0, ARM), (15, CANCEL)]);
+        assert_eq!(fired, [10, 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "timer for agent 1 of node 2: the node's chain holds 1")]
+    fn timer_for_an_agent_past_the_chain_is_refused() {
+        let (mut sim, ..) = ctrl_probe_sim(None);
+        sim.schedule_agent_timer(NodeId(2), 1, SimTime::from_millis(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "timer for agent 0 of node 7: outside the 3-node topology")]
+    fn timer_for_a_node_outside_the_topology_is_refused() {
+        let (mut sim, ..) = ctrl_probe_sim(None);
+        sim.schedule_agent_timer(NodeId(7), 0, SimTime::from_millis(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "control message from node 5: outside the 3-node topology")]
+    fn control_from_outside_the_topology_is_refused() {
+        let (mut sim, ..) = ctrl_probe_sim(None);
+        sim.deliver_control(SimTime::from_millis(1), NodeId(5), NodeId(0), 1u32);
+    }
+
+    #[test]
+    #[should_panic(expected = "control message to node 3: outside the 3-node topology")]
+    fn control_to_outside_the_topology_is_refused() {
+        let (mut sim, ..) = ctrl_probe_sim(None);
+        sim.deliver_control(SimTime::from_millis(1), NodeId(0), NodeId(3), 1u32);
     }
 
     use crate::trace::FlightRecorder;

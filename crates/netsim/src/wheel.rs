@@ -23,20 +23,34 @@
 //! One slab holds every entry, as Varghese & Lauck describe it. A slot is
 //! twelve bytes — `head`, `tail`, `depth` — naming an intrusive FIFO list
 //! threaded through the slab by `u32` index, and an entry is two records
-//! at one index: a 16-byte *link* `{time, next}`, which is all a cascade
-//! reads or writes, and a *payload* `{seq, Option<K>}`, which only push
-//! and pop touch (the `Option` is taken at pop, so every record is always
-//! initialized and the slab is plain safe code; the engine's `K` is its
-//! 64-byte `EventKind`, whose spare discriminants hold the `None`, so a
-//! payload record is 72 bytes). Freed records go on a free list threaded
-//! through `next` and are reused before the slab grows, so its size is
-//! exactly [`TimingWheel::len_hwm`] — what was live at the worst moment,
-//! not what every slot once held — and push and pop allocate nothing once
-//! it has grown. A cascade relinks: per entry it reads one link, rewrites
-//! the `next` of the list it joins and that slot's `tail`, and moves no
+//! at one index: a 16-byte *link* `{time, next, back}`, which is all a
+//! cascade reads or writes, and a *payload* `{seq, Option<K>}`, which only
+//! push, pop and cancel touch (the `Option` is taken at pop, so every
+//! record is always initialized and the slab is plain safe code; the
+//! engine's `K` is its 64-byte `EventKind`, whose spare discriminants hold
+//! the `None`, so a payload record is 72 bytes). Freed records go on a
+//! free list threaded through `next` and are reused before the slab
+//! grows, so its size is exactly [`TimingWheel::len_hwm`] — what was live
+//! at the worst moment, not what every slot once held — and push, pop and
+//! cancel allocate nothing once it has grown. A cascade relinks: per entry
+//! it reads one link, rewrites the `next` and `back` of the list it joins
+//! and that slot's `tail`, and moves no
 //! payload, whatever `K`'s size. The price is locality at the pop: a
 //! payload stays where it was pushed, however long ago and however much
 //! was pushed since, so popping a long-queued entry reads a cold line.
+//!
+//! # Cancellation
+//!
+//! Varghese & Lauck's STOP_TIMER, in O(1): [`TimingWheel::push`] returns
+//! an [`EntryId`] — the record and the entry's `seq` — and
+//! [`TimingWheel::cancel`] unlinks that record from its slot's list and
+//! frees it. The link's spare four bytes hold `back`: the previous
+//! record's index above the level the entry was filed at (whose slot
+//! `time` then names), so unlinking needs no walk. A cancelled entry
+//! leaves no trace in the pop order of the rest. The `seq` is the
+//! generation tag: a record recycled by a later push carries a later
+//! `seq`, so an id outlives its entry harmlessly — cancelling after the
+//! pop, or twice, is a no-op.
 //!
 //! # Determinism
 //!
@@ -74,6 +88,29 @@ pub const LEVELS: usize = 11;
 /// End of the free list; never a record's index.
 const NIL: u32 = u32::MAX;
 
+/// Low bits of [`Link::back`] holding the level an entry was filed at;
+/// the rest hold the previous record's index, so the slab is capped at
+/// `2^(32 − LEVEL_BITS)` records.
+const LEVEL_BITS: u32 = 4;
+const LEVEL_MASK: u32 = (1 << LEVEL_BITS) - 1;
+const _: () = assert!(LEVELS <= 1 << LEVEL_BITS);
+
+/// Names one pushed entry for [`TimingWheel::cancel`]: its slab record
+/// and its `seq`, which no other push repeats.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EntryId {
+    rec: u32,
+    seq: u64,
+}
+
+impl EntryId {
+    /// Names no entry: cancelling it is a no-op.
+    pub const NONE: EntryId = EntryId {
+        rec: NIL,
+        seq: u64::MAX,
+    };
+}
+
 /// One queued event: an exact tick, a tie-breaking sequence number, and
 /// the caller's payload.
 #[derive(Debug)]
@@ -88,11 +125,14 @@ pub struct Entry<K> {
 
 /// The half of a slab record a cascade needs: where the entry belongs and
 /// which record follows it — in its slot's list while live (meaningless in
-/// the tail, lists end by count), in the free list once popped.
+/// the tail, lists end by count), in the free list once popped — and,
+/// while live, `back`: the record before it (meaningless in the head)
+/// shifted above the level it was filed at.
 #[derive(Clone, Copy)]
 struct Link {
     time: u64,
     next: u32,
+    back: u32,
 }
 
 /// The other half, at the same index: `kind` is `Some` exactly while live.
@@ -246,11 +286,14 @@ impl<K> TimingWheel<K> {
         let level = self.level_of(time);
         let idx = Self::slot_index(level, time);
         let slot = &mut self.slots[level * SLOTS + idx];
-        if slot.depth == 0 {
+        let prev = if slot.depth == 0 {
             slot.head = rec;
+            0
         } else {
             self.links[slot.tail as usize].next = rec;
-        }
+            slot.tail
+        };
+        self.links[rec as usize].back = prev << LEVEL_BITS | level as u32;
         slot.tail = rec;
         slot.depth += 1;
         self.slot_depth_hwm = self.slot_depth_hwm.max(slot.depth as usize);
@@ -264,14 +307,19 @@ impl<K> TimingWheel<K> {
     /// one predictable branch on the hot path).
     ///
     /// For exact heap-equivalent ordering, callers must assign `seq`
-    /// monotonically increasing across pushes.
-    pub fn push(&mut self, time: u64, seq: u64, kind: K) {
+    /// monotonically increasing across pushes. The returned id cancels the
+    /// entry until it pops.
+    pub fn push(&mut self, time: u64, seq: u64, kind: K) -> EntryId {
         assert!(
             time >= self.horizon,
             "timing wheel push at t={time} behind horizon {}",
             self.horizon
         );
-        let link = Link { time, next: NIL };
+        let link = Link {
+            time,
+            next: NIL,
+            back: 0,
+        };
         let payload = Payload {
             seq,
             kind: Some(kind),
@@ -284,8 +332,11 @@ impl<K> TimingWheel<K> {
             rec
         } else {
             let rec = self.links.len();
-            // `NIL` must stay free to mean "no record".
-            assert!(rec < NIL as usize, "timing wheel exceeds u32 indices");
+            // A record's index must fit `back` beside the level.
+            assert!(
+                rec < (NIL >> LEVEL_BITS) as usize,
+                "timing wheel exceeds 2^28 records"
+            );
             self.links.push(link);
             self.payloads.push(payload);
             rec as u32
@@ -293,6 +344,45 @@ impl<K> TimingWheel<K> {
         self.file(time, rec);
         self.len += 1;
         self.len_hwm = self.len_hwm.max(self.len);
+        EntryId { rec, seq }
+    }
+
+    /// Take a queued entry out before it pops and hand its payload back;
+    /// `None`, and nothing changed, when `id` names no live entry (it
+    /// popped, was cancelled, or its record now holds a later push). O(1):
+    /// the record is unlinked from its slot's list through `back` and
+    /// freed.
+    pub fn cancel(&mut self, id: EntryId) -> Option<K> {
+        let payload = self.payloads.get_mut(id.rec as usize)?;
+        if payload.seq != id.seq {
+            return None;
+        }
+        let kind = payload.kind.take()?;
+        let rec = id.rec;
+        let Link { time, next, back } = self.links[rec as usize];
+        let level = (back & LEVEL_MASK) as usize;
+        let prev = back >> LEVEL_BITS;
+        let idx = Self::slot_index(level, time);
+        let slot = &mut self.slots[level * SLOTS + idx];
+        if slot.head == rec {
+            slot.head = next;
+        } else {
+            self.links[prev as usize].next = next;
+        }
+        if slot.tail == rec {
+            slot.tail = prev;
+        } else {
+            let after = &mut self.links[next as usize].back;
+            *after = prev << LEVEL_BITS | (*after & LEVEL_MASK);
+        }
+        slot.depth -= 1;
+        if slot.depth == 0 {
+            self.occupied[level] &= !(1 << idx);
+        }
+        self.links[rec as usize].next = self.free;
+        self.free = rec;
+        self.len -= 1;
+        Some(kind)
     }
 
     /// Pop the earliest `(time, seq)` entry whose time is ≤ `limit`, or
@@ -330,7 +420,7 @@ impl<K> TimingWheel<K> {
             if level == 0 {
                 // A level-0 slot is one exact tick; FIFO order is seq
                 // order (see module docs).
-                let Link { time, next } = self.links[rec as usize];
+                let Link { time, next, .. } = self.links[rec as usize];
                 slot.head = next;
                 slot.depth -= 1;
                 if slot.depth == 0 {
@@ -352,7 +442,7 @@ impl<K> TimingWheel<K> {
             self.occupied[level] &= !(1 << idx);
             self.cascade_moves += u64::from(moved);
             for _ in 0..moved {
-                let Link { time, next } = self.links[rec as usize];
+                let Link { time, next, .. } = self.links[rec as usize];
                 let l = self.file(time, rec);
                 debug_assert!(l < level, "cascade must strictly descend");
                 rec = next;
@@ -542,6 +632,145 @@ mod tests {
         assert!(w.cascade_moves() > 1_000_000, "the delays reach far levels");
         assert_eq!((w.len(), w.len_hwm()), (1000, 1000));
         assert_eq!(w.capacity(), 1000);
+    }
+
+    /// Five entries in one level-0 slot; cancel those at `victims` (list
+    /// positions), then the rest pop in push order.
+    fn cancel_from_one_slot(victims: &[usize]) {
+        let mut w = TimingWheel::new();
+        let ids: Vec<EntryId> = (0..5u64).map(|seq| w.push(9, seq, seq as u32)).collect();
+        for &v in victims {
+            assert_eq!(
+                w.cancel(ids[v]),
+                Some(v as u32),
+                "cancel hands the payload back"
+            );
+        }
+        assert_eq!(w.len(), 5 - victims.len());
+        let left: Vec<u32> = std::iter::from_fn(|| w.pop_next(u64::MAX))
+            .map(|e| e.kind)
+            .collect();
+        let expect: Vec<u32> = (0..5)
+            .filter(|i| !victims.contains(&(*i as usize)))
+            .collect();
+        assert_eq!(left, expect, "victims {victims:?}");
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn cancel_unlinks_head_middle_tail_and_all() {
+        cancel_from_one_slot(&[0]);
+        cancel_from_one_slot(&[2]);
+        cancel_from_one_slot(&[4]);
+        cancel_from_one_slot(&[1, 3]);
+        cancel_from_one_slot(&[4, 3, 0]);
+        cancel_from_one_slot(&[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn cancel_of_a_slots_only_entry_clears_its_occupancy() {
+        let mut w = TimingWheel::new();
+        let far = w.push(1 << 20, 0, 1u32); // a coarse level
+        let near = w.push(5, 1, 2);
+        assert_eq!(w.cancel(far), Some(1));
+        assert_eq!(w.cancel(near), Some(2));
+        assert!(w.is_empty());
+        assert!(
+            w.pop_next(u64::MAX).is_none(),
+            "no occupied bit is left set"
+        );
+        w.push(7, 2, 3);
+        assert_eq!(w.pop_next(u64::MAX).map(|e| e.kind), Some(3));
+    }
+
+    #[test]
+    fn cancel_finds_an_entry_that_cascaded() {
+        let mut w = TimingWheel::new();
+        let base = 1u64 << 24;
+        let ids: Vec<EntryId> = (0..4u64)
+            .map(|i| w.push(base + 100 * i, i, i as u32))
+            .collect();
+        // The first pop cascades all four down from a coarse level.
+        assert_eq!(w.pop_next(u64::MAX).map(|e| e.kind), Some(0));
+        assert!(w.cascade_moves() >= 4);
+        assert_eq!(w.cancel(ids[2]), Some(2));
+        assert_eq!(w.cancel(ids[3]), Some(3));
+        let left: Vec<u32> = std::iter::from_fn(|| w.pop_next(u64::MAX))
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(left, [1]);
+    }
+
+    #[test]
+    fn second_cancel_and_cancel_after_pop_are_noops() {
+        let mut w = TimingWheel::new();
+        let a = w.push(10, 0, 1u32);
+        let b = w.push(20, 1, 2);
+        assert_eq!(w.cancel(a), Some(1));
+        assert_eq!(w.cancel(a), None, "a second cancel");
+        assert_eq!(w.pop_next(u64::MAX).map(|e| e.kind), Some(2));
+        assert_eq!(w.cancel(b), None, "after the pop");
+        assert_eq!(w.cancel(EntryId::NONE), None);
+        assert_eq!((w.len(), w.capacity()), (0, 2));
+    }
+
+    #[test]
+    fn a_recycled_record_cannot_be_cancelled_through_an_old_id() {
+        let mut w = TimingWheel::new();
+        let old = w.push(10, 0, 1u32);
+        assert_eq!(w.pop_next(u64::MAX).map(|e| e.kind), Some(1));
+        let new = w.push(30, 1, 2);
+        assert_eq!(w.capacity(), 1, "the popped record was reused");
+        assert_eq!(w.cancel(old), None);
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.cancel(new), Some(2));
+    }
+
+    /// Random pushes, pops and cancels against a `(time, seq)`-ordered
+    /// map: the same pop order, the same length, the same cancel answers.
+    #[test]
+    fn cancel_agrees_with_an_ordered_map() {
+        use std::collections::BTreeMap;
+        crate::rng::check_cases(0..64, |rng| {
+            let mut w = TimingWheel::new();
+            let mut model: BTreeMap<(u64, u64), EntryId> = BTreeMap::new();
+            let mut ids: Vec<EntryId> = Vec::new();
+            let mut seq = 0u64;
+            for _ in 0..2000 {
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let time = w.horizon() + delay(rng);
+                        let id = w.push(time, seq, seq);
+                        model.insert((time, seq), id);
+                        ids.push(id);
+                        seq += 1;
+                    }
+                    5..=7 if !ids.is_empty() => {
+                        // Any id ever handed out: live, popped or cancelled.
+                        let id = ids[rng.gen_range(0..ids.len() as u64) as usize];
+                        let live = model.iter().find(|(_, &v)| v == id).map(|(&k, _)| k);
+                        let got = w.cancel(id);
+                        assert_eq!(got, live.map(|k| k.1));
+                        if let Some(k) = live {
+                            model.remove(&k);
+                        }
+                    }
+                    _ => {
+                        let e = w.pop_next(u64::MAX);
+                        let want = model.pop_first();
+                        assert_eq!(
+                            e.map(|e| (e.time, e.seq, e.kind)),
+                            want.map(|(k, _)| (k.0, k.1, k.1))
+                        );
+                    }
+                }
+                assert_eq!(w.len(), model.len());
+            }
+            let rest: Vec<(u64, u64)> = std::iter::from_fn(|| w.pop_next(u64::MAX))
+                .map(|e| (e.time, e.seq))
+                .collect();
+            assert_eq!(rest, model.keys().copied().collect::<Vec<_>>());
+        });
     }
 
     /// A payload that counts its own drops, by id.
