@@ -49,7 +49,9 @@ pub mod support;
 pub mod trie;
 pub mod view;
 
-pub use device::{AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats};
+pub use device::{
+    AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats, Provision,
+};
 pub use graph::ServiceGraph;
 pub use inbox::{Heard, Inbox, InboxHandle};
 pub use modules::ModuleAction;
