@@ -40,8 +40,8 @@ pub use agent::{
     AgentApp, AgentMode, AgentTrigger, AttackerApp, MasterApp, SpoofMode, CMD_START, CMD_STOP,
 };
 pub use botnet::SiModel;
-pub use misuse::{ConnClientApp, ConnHandle, ConnServerApp, ConnStats};
-pub use reflector::{ReflectorApp, ReflectorHandle, ReflectorStats};
+pub use misuse::{ConnClientApp, ConnServerApp, ConnStats};
+pub use reflector::{ReflectorApp, ReflectorStats};
 pub use scenario::{
     hosts, install_clients, install_clients_at, mean_success, plan_client_addrs, DirectFlood,
     DirectFloodConfig, ReflectorAttack, ReflectorAttackConfig,

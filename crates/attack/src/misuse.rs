@@ -9,10 +9,6 @@
 //! experiment E8's companion scenario and the `distributed_firewall`
 //! example.
 
-use std::sync::Arc;
-
-use dtcs_netsim::sync::Mutex;
-
 use dtcs_netsim::{
     Addr, App, AppApi, Disposition, Packet, PacketBuilder, Proto, SimDuration, TrafficClass,
 };
@@ -28,9 +24,6 @@ pub struct ConnStats {
     pub killed_at_nanos: u64,
 }
 
-/// Shared handle to a connection's state.
-pub type ConnHandle = Arc<Mutex<ConnStats>>;
-
 const BEAT: u64 = 1;
 
 /// Client half of a heartbeat connection.
@@ -40,22 +33,23 @@ pub struct ConnClientApp {
     /// Heartbeat period.
     pub period: SimDuration,
     alive: bool,
-    stats: ConnHandle,
+    stats: ConnStats,
 }
 
 impl ConnClientApp {
-    /// New client half; returns the shared connection stats.
-    pub fn new(server: Addr, period: SimDuration) -> (ConnClientApp, ConnHandle) {
-        let stats: ConnHandle = Arc::new(Mutex::new(ConnStats::default()));
-        (
-            ConnClientApp {
-                server,
-                period,
-                alive: true,
-                stats: stats.clone(),
-            },
-            stats,
-        )
+    /// New client half.
+    pub fn new(server: Addr, period: SimDuration) -> ConnClientApp {
+        ConnClientApp {
+            server,
+            period,
+            alive: true,
+            stats: ConnStats::default(),
+        }
+    }
+
+    /// The connection's state.
+    pub fn stats(&self) -> &ConnStats {
+        &self.stats
     }
 }
 
@@ -70,11 +64,11 @@ impl App for ConnClientApp {
             // endpoint cannot distinguish a forged RST from a real one —
             // that is exactly the attack.
             self.alive = false;
-            let mut s = self.stats.lock();
+            let s = &mut self.stats;
             s.killed = true;
             s.killed_at_nanos = api.now.as_nanos();
         } else if pkt.proto == Proto::TcpData && pkt.src == self.server {
-            self.stats.lock().heartbeats += 1;
+            self.stats.heartbeats += 1;
         }
         Disposition::Consumed
     }
@@ -141,13 +135,14 @@ mod tests {
         let mut sim = Simulator::new(topo, 3);
         let client = Addr::new(NodeId(0), 1);
         let server = Addr::new(NodeId(2), 1);
-        let (c, stats) = ConnClientApp::new(server, SimDuration::from_millis(100));
+        let c = ConnClientApp::new(server, SimDuration::from_millis(100));
         sim.install_app(client, Box::new(c));
+        let stats = |sim: &Simulator| *sim.app::<ConnClientApp>(client).unwrap().stats();
         sim.install_app(server, Box::new(ConnServerApp::new(client)));
         sim.run_until(SimTime::from_secs(2));
-        let before = stats.lock().heartbeats;
+        let before = stats(&sim).heartbeats;
         assert!(before >= 15, "heartbeats={before}");
-        assert!(!stats.lock().killed);
+        assert!(!stats(&sim).killed);
         // Forged RST claiming the server as source, emitted by node 1
         // (the attacker's position).
         sim.emit_now(
@@ -155,7 +150,7 @@ mod tests {
             PacketBuilder::new(server, client, Proto::TcpRst, TrafficClass::AttackDirect).size(40),
         );
         sim.run_until(SimTime::from_secs(4));
-        let s = stats.lock();
+        let s = stats(&sim);
         assert!(s.killed, "forged RST must kill the connection");
         // No further heartbeats after death (allow the in-flight one).
         assert!(s.heartbeats <= before + 2);

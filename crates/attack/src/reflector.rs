@@ -11,10 +11,6 @@
 //! legitimate (reflectors cannot tell — that is the whole point); packet
 //! provenance is consulted **only** to label the reply for metrics.
 
-use std::sync::Arc;
-
-use dtcs_netsim::sync::Mutex;
-
 use dtcs_netsim::{App, AppApi, Disposition, Packet, PacketBuilder, Proto, TrafficClass};
 
 /// SYN-ACK size in bytes (TCP byte amplification is ~1×; the rate
@@ -23,7 +19,7 @@ const SYNACK_SIZE: u32 = 44;
 /// DNS response amplification: reply size = request size × this.
 const DNS_AMPLIFICATION: f64 = 8.0;
 
-/// Counters shared with scenario code.
+/// A reflector's counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReflectorStats {
     /// Requests received (any class).
@@ -38,24 +34,21 @@ pub struct ReflectorStats {
     pub attack_requests: u64,
 }
 
-/// Shared handle to reflector counters.
-pub type ReflectorHandle = Arc<Mutex<ReflectorStats>>;
-
 /// An innocent server usable as a reflector.
+#[derive(Default)]
 pub struct ReflectorApp {
-    stats: ReflectorHandle,
+    stats: ReflectorStats,
 }
 
 impl ReflectorApp {
-    /// New server and the handle to its counters.
-    pub fn new() -> (ReflectorApp, ReflectorHandle) {
-        let stats: ReflectorHandle = Arc::new(Mutex::new(ReflectorStats::default()));
-        (
-            ReflectorApp {
-                stats: stats.clone(),
-            },
-            stats,
-        )
+    /// New server.
+    pub fn new() -> ReflectorApp {
+        ReflectorApp::default()
+    }
+
+    /// The server's counters.
+    pub fn stats(&self) -> &ReflectorStats {
+        &self.stats
     }
 
     /// Metrics-only classification of a reply to `req`.
@@ -80,13 +73,11 @@ impl App for ReflectorApp {
             Proto::TcpData | Proto::TcpSynAck => Some((Proto::TcpRst, 40)),
             _ => None,
         };
-        {
-            let mut s = self.stats.lock();
-            s.requests += 1;
-            s.bytes_in += pkt.size as u64;
-            if pkt.provenance.class.is_attack() {
-                s.attack_requests += 1;
-            }
+        let s = &mut self.stats;
+        s.requests += 1;
+        s.bytes_in += pkt.size as u64;
+        if pkt.provenance.class.is_attack() {
+            s.attack_requests += 1;
         }
         if let Some((proto, size)) = reply {
             let class = Self::reply_class(pkt);
@@ -95,7 +86,7 @@ impl App for ReflectorApp {
                 .flow(pkt.flow)
                 .tag(pkt.payload_tag);
             api.send(b);
-            let mut s = self.stats.lock();
+            let s = &mut self.stats;
             s.replies += 1;
             s.bytes_out += size.max(40) as u64;
         }
@@ -115,8 +106,7 @@ mod tests {
         let mut sim = Simulator::new(topo, 1);
         let victim = Addr::new(NodeId(2), 1);
         let refl = Addr::new(NodeId(1), 1);
-        let (app, stats) = ReflectorApp::new();
-        sim.install_app(refl, Box::new(app));
+        sim.install_app(refl, Box::new(ReflectorApp::new()));
         sim.install_app(victim, Box::new(dtcs_netsim::SinkApp));
         // Spoofed SYN: claims the victim as source, emitted at node 0.
         sim.emit_now(
@@ -124,11 +114,10 @@ mod tests {
             PacketBuilder::new(victim, refl, Proto::TcpSyn, TrafficClass::AttackDirect).size(40),
         );
         sim.run_until(SimTime::from_secs(1));
-        let s = stats.lock();
+        let s = sim.app::<ReflectorApp>(refl).unwrap().stats();
         assert_eq!(s.requests, 1);
         assert_eq!(s.replies, 1);
         assert_eq!(s.attack_requests, 1);
-        drop(s);
         // The reflected SYN-ACK reached the victim and is labelled
         // AttackReflected.
         assert_eq!(
@@ -145,18 +134,16 @@ mod tests {
         let mut sim = Simulator::new(topo, 1);
         let refl = Addr::new(NodeId(1), 1);
         let client = Addr::new(NodeId(0), 1);
-        let (app, stats) = ReflectorApp::new();
-        sim.install_app(refl, Box::new(app));
+        sim.install_app(refl, Box::new(ReflectorApp::new()));
         sim.install_app(client, Box::new(dtcs_netsim::SinkApp));
         sim.emit_now(
             NodeId(0),
             PacketBuilder::new(client, refl, Proto::DnsQuery, TrafficClass::LegitRequest).size(60),
         );
         sim.run_until(SimTime::from_secs(1));
-        let s = stats.lock();
+        let s = sim.app::<ReflectorApp>(refl).unwrap().stats();
         assert_eq!(s.bytes_in, 60);
         assert_eq!(s.bytes_out, 480, "8x amplification");
-        drop(s);
         // Legit request ⇒ reply labelled LegitReply.
         assert_eq!(sim.stats.class(TrafficClass::LegitReply).delivered_pkts, 1);
     }
@@ -166,8 +153,7 @@ mod tests {
         let topo = Topology::line(2);
         let mut sim = Simulator::new(topo, 1);
         let refl = Addr::new(NodeId(1), 1);
-        let (app, stats) = ReflectorApp::new();
-        sim.install_app(refl, Box::new(app));
+        sim.install_app(refl, Box::new(ReflectorApp::new()));
         sim.install_app(Addr::new(NodeId(0), 1), Box::new(dtcs_netsim::SinkApp));
         sim.emit_now(
             NodeId(0),
@@ -180,7 +166,7 @@ mod tests {
             .size(1000),
         );
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(stats.lock().replies, 1);
+        assert_eq!(sim.app::<ReflectorApp>(refl).unwrap().stats().replies, 1);
     }
 
     #[test]
@@ -188,8 +174,7 @@ mod tests {
         let topo = Topology::line(2);
         let mut sim = Simulator::new(topo, 1);
         let refl = Addr::new(NodeId(1), 1);
-        let (app, stats) = ReflectorApp::new();
-        sim.install_app(refl, Box::new(app));
+        sim.install_app(refl, Box::new(ReflectorApp::new()));
         sim.emit_now(
             NodeId(0),
             PacketBuilder::new(
@@ -200,7 +185,7 @@ mod tests {
             ),
         );
         sim.run_until(SimTime::from_secs(1));
-        let s = stats.lock();
+        let s = sim.app::<ReflectorApp>(refl).unwrap().stats();
         assert_eq!(s.requests, 1);
         assert_eq!(s.replies, 0);
     }

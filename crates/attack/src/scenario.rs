@@ -3,12 +3,14 @@
 //! simulator and hand back the ground-truth roster and all measurement
 //! handles.
 
+use std::collections::BTreeSet;
+
 use dtcs_netsim::rng::{child_seed, seeded};
 use dtcs_netsim::{Addr, NodeId, Proto, SimDuration, SimTime, Simulator};
 
 use crate::agent::{AgentApp, AgentMode, AgentTrigger, AttackerApp, MasterApp, SpoofMode};
 use crate::botnet::SiModel;
-use crate::reflector::{ReflectorApp, ReflectorHandle};
+use crate::reflector::ReflectorApp;
 use crate::victim::{ClientApp, ClientHandle, VictimApp, VictimHandle};
 
 /// Host index conventions inside a node (one node = one AS/site).
@@ -92,8 +94,6 @@ pub struct ReflectorAttack {
     pub reflector_nodes: Vec<NodeId>,
     /// Victim counters.
     pub victim_stats: VictimHandle,
-    /// Per-reflector counters.
-    pub reflector_stats: Vec<ReflectorHandle>,
 }
 
 impl ReflectorAttack {
@@ -160,11 +160,8 @@ impl ReflectorAttack {
         refl_pool.reverse();
         let (reflectors, reflector_nodes) =
             pick(&mut rng, &refl_pool, cfg.n_reflectors, hosts::SERVICE);
-        let mut reflector_stats = Vec::with_capacity(reflectors.len());
         for &r in &reflectors {
-            let (app, h) = ReflectorApp::new();
-            sim.install_app(r, Box::new(app));
-            reflector_stats.push(h);
+            sim.install_app(r, Box::new(ReflectorApp::new()));
         }
 
         // Agents.
@@ -227,20 +224,20 @@ impl ReflectorAttack {
             reflectors,
             reflector_nodes,
             victim_stats,
-            reflector_stats,
         }
     }
 
-    /// Total requests seen / attack requests seen across all reflectors.
-    pub fn reflector_totals(&self) -> (u64, u64) {
-        let mut requests = 0;
-        let mut attack = 0;
-        for h in &self.reflector_stats {
-            let s = h.lock();
-            requests += s.requests;
-            attack += s.attack_requests;
-        }
-        (requests, attack)
+    /// Total requests seen / attack requests seen across all reflectors
+    /// in `sim`. An address drawn twice hosts one server, counted once.
+    pub fn reflector_totals(&self, sim: &Simulator) -> (u64, u64) {
+        let servers: BTreeSet<Addr> = self.reflectors.iter().copied().collect();
+        servers
+            .into_iter()
+            .filter_map(|r| sim.app::<ReflectorApp>(r))
+            .fold((0, 0), |(requests, attack), app| {
+                let s = app.stats();
+                (requests + s.requests, attack + s.attack_requests)
+            })
     }
 }
 
@@ -417,7 +414,7 @@ mod tests {
         };
         let attack = ReflectorAttack::install(&mut sim, victim_node, &cfg);
         sim.run_until(SimTime::from_secs(5));
-        let (reqs, attack_reqs) = attack.reflector_totals();
+        let (reqs, attack_reqs) = attack.reflector_totals(&sim);
         assert!(reqs > 1000, "reflectors saw {reqs} requests");
         assert_eq!(reqs, attack_reqs, "all requests here are attack");
         // Victim receives *reflected* traffic, from unspoofed reflector
@@ -444,7 +441,7 @@ mod tests {
             let attack = ReflectorAttack::install(&mut sim, victim_node, &cfg);
             sim.run_until(SimTime::from_secs(4));
             (
-                attack.reflector_totals(),
+                attack.reflector_totals(&sim),
                 sim.stats.class(TrafficClass::AttackReflected).sent_pkts,
                 sim.stats.events,
             )

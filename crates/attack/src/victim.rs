@@ -10,8 +10,6 @@
 
 use std::sync::Arc;
 
-use dtcs_netsim::sync::Mutex;
-
 use dtcs_netsim::{
     Addr, App, AppApi, Disposition, Packet, PacketBuilder, Proto, SimDuration, SimTime,
     TrafficClass,
@@ -35,7 +33,8 @@ pub struct VictimStats {
 }
 
 /// Shared handle to victim counters.
-pub type VictimHandle = Arc<Mutex<VictimStats>>;
+#[allow(clippy::disallowed_types)] // A ledger shim until ROADMAP item 1 ports its reader.
+pub type VictimHandle = Arc<dtcs_netsim::sync::Mutex<VictimStats>>;
 
 /// The attacked server.
 pub struct VictimApp {
@@ -59,7 +58,7 @@ impl VictimApp {
     /// Server with a given processing capacity (pps). Burst tolerance is
     /// one tenth of a second of capacity.
     pub fn new(capacity_pps: f64, reply_size: u32) -> (VictimApp, VictimHandle) {
-        let stats: VictimHandle = Arc::new(Mutex::new(VictimStats::default()));
+        let stats = VictimHandle::default();
         let burst = (capacity_pps / 10.0).max(2.0);
         (
             VictimApp {
@@ -182,7 +181,8 @@ impl ClientStats {
 }
 
 /// Shared handle to client counters.
-pub type ClientHandle = Arc<Mutex<ClientStats>>;
+#[allow(clippy::disallowed_types)] // A ledger shim until ROADMAP item 1 ports its reader.
+pub type ClientHandle = Arc<dtcs_netsim::sync::Mutex<ClientStats>>;
 
 const REQ: u64 = 1;
 
@@ -206,7 +206,7 @@ pub struct ClientApp {
 impl ClientApp {
     /// Client of `server` sending one request every `period`.
     pub fn new(server: Addr, period: SimDuration) -> (ClientApp, ClientHandle) {
-        let stats: ClientHandle = Arc::new(Mutex::new(ClientStats::default()));
+        let stats = ClientHandle::default();
         (
             ClientApp {
                 server,

@@ -10,7 +10,9 @@
 //!
 //! Bad arguments — an unknown experiment id, a value flag with no value,
 //! an out-of-range value, a trace flag nothing selected would write —
-//! exit 2 before anything runs.
+//! exit 2 before anything runs. The trace file and the `--out` directory
+//! are created next, also before anything runs: a path that cannot be
+//! created prints the path and the OS error and exits 1.
 //!
 //! `--trace FILE` asks a trace-wired experiment (e2, e3) to capture a JSONL
 //! packet flight record of one designated run into FILE. Exactly one
@@ -38,7 +40,7 @@
 //! pool that single runs and sweeps both drain on; report bytes are
 //! identical at any value.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: experiments [--quick] [--out DIR] [--trace FILE | --cp-trace FILE] \
      [--threads N] [--sweep [--replicate N]] [all | e1 e2 ...] | --list | trace-report FILE";
@@ -57,6 +59,12 @@ const CP_TRACE_IDS: [&str; 2] = ["e13", "e14"];
 fn bad_usage(why: &str) -> ! {
     eprintln!("{why}\n{USAGE}");
     std::process::exit(2);
+}
+
+/// An output that cannot be created: name it and the OS error, exit 1.
+fn unwritable(path: &Path, err: std::io::Error) -> ! {
+    eprintln!("cannot create {}: {err}", path.display());
+    std::process::exit(1);
 }
 
 fn main() {
@@ -142,6 +150,14 @@ fn main() {
                 ids[0]
             ));
         }
+    }
+    for file in [&trace, &cp_trace].into_iter().flatten() {
+        if let Err(e) = std::fs::File::create(file) {
+            unwritable(file, e);
+        }
+    }
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        unwritable(&out_dir, e);
     }
     let opts = dtcs_bench::RunOpts {
         quick,

@@ -152,7 +152,7 @@ fn trace_case(
         });
         sim.add_agent(node, Box::new(dev));
     }
-    let inbox = Inbox::attach(&mut sim, victim_node);
+    Inbox::attach(&mut sim, victim_node);
     // Spoofed probes from random stubs, each with a unique tag.
     let mut rng = seeded(child_seed(seed, 4));
     let n_probes = if quick { 60 } else { 150 };
@@ -183,7 +183,9 @@ fn trace_case(
     }
     sim.run_until(SimTime::from_secs(12));
 
-    let hits: BTreeSet<(u64, NodeId)> = inbox.lock().iter().filter_map(Heard::digest_hit).collect();
+    let inbox = sim.agent::<Inbox>(victim_node).expect("inbox attached");
+    let hits: BTreeSet<(u64, NodeId)> =
+        inbox.heard().iter().filter_map(Heard::digest_hit).collect();
     let mut exact = 0;
     let mut truncated = 0;
     let mut misses = 0;
@@ -229,7 +231,7 @@ fn trigger_case(
     let my_addr = Addr::new(me, 1);
     sim.install_app(my_addr, Box::new(dtcs::netsim::SinkApp));
     let owner = OwnerId(3);
-    let inbox = Inbox::attach(&mut sim, me);
+    Inbox::attach(&mut sim, me);
     let (mut dev, _h) = AdaptiveDevice::new(NodeId(0), None);
     dev.apply(DeviceCommand::RegisterOwner {
         owner,
@@ -267,7 +269,8 @@ fn trigger_case(
         ),
     );
     sim.run_until(SimTime::from_secs(12));
-    let fired_at = inbox.lock().iter().find_map(|heard| match *heard {
+    let inbox = sim.agent::<Inbox>(me).expect("inbox attached");
+    let fired_at = inbox.heard().iter().find_map(|heard| match *heard {
         Heard::Event(DeviceEvent::TriggerFired { at, .. }) => Some(at),
         _ => None,
     });

@@ -10,9 +10,8 @@
 //! (loss, MTBF) cell, and reconciles protocol-layer retry/dedup counters
 //! against the channel's ground-truth drop/dup counts.
 
-use std::sync::Arc;
-
-use dtcs::netsim::sync::Mutex;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
@@ -128,15 +127,14 @@ fn run_cell(
     // Probe coverage every 250 ms: first instant all devices hold a rule.
     let n = sim.topo.n();
     let probe_devices = cp.devices.clone();
-    let first_full: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
+    let first_full: Rc<Cell<Option<u64>>> = Rc::default();
     let mut at_ms = 250;
     while at_ms <= horizon_s * 1000 {
         let devices = probe_devices.clone();
         let hit = first_full.clone();
         sim.schedule(SimTime::from_millis(at_ms), move |sim| {
-            let mut slot = hit.lock();
-            if slot.is_none() && devices.values().all(|d| d.lock().rule_count > 0) {
-                *slot = Some(sim.now().0 / 1_000_000); // ns → ms
+            if hit.get().is_none() && devices.values().all(|d| d.lock().rule_count > 0) {
+                hit.set(Some(sim.now().0 / 1_000_000)); // ns → ms
             }
         });
         at_ms += 250;
@@ -152,7 +150,7 @@ fn run_cell(
         loss_pct: loss * 100.0,
         mtbf_s,
         crashes: sim.stats.node_crashes,
-        t_full_coverage_s: first_full.lock().map(|ms| ms as f64 / 1000.0),
+        t_full_coverage_s: first_full.get().map(|ms| ms as f64 / 1000.0),
         steady_coverage_pct: steady,
         retransmits: cs.retransmits,
         reinstalls: cs.reconcile_reinstalls,

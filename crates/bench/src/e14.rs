@@ -23,9 +23,8 @@
 //! * **dwell bound** — no lease reap fires later than one lease length
 //!   after the withdrawal instant.
 
-use std::sync::Arc;
-
-use dtcs::netsim::sync::Mutex;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
@@ -158,7 +157,7 @@ fn run_cell(
     // Probe 1 — the dwell gate: at withdraw + lease + ε every device must
     // be down to at most owner B's single rule. A second rule here is a
     // filter that outlived its authority.
-    let immortal: Arc<Mutex<Vec<(NodeId, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+    let immortal: Rc<RefCell<Vec<(NodeId, usize)>>> = Rc::default();
     {
         let devices = cp.devices.clone();
         let immortal = immortal.clone();
@@ -167,7 +166,7 @@ fn run_cell(
             for (node, dev) in &devices {
                 let rules = dev.lock().rule_count;
                 if rules > 1 {
-                    immortal.lock().push((*node, rules));
+                    immortal.borrow_mut().push((*node, rules));
                 }
             }
         });
@@ -177,7 +176,7 @@ fn run_cell(
     // coverage (before `withdraw + lease` a zero can only mean B's lease
     // ran out mid-partition; after it, A is gone and zero is exactly
     // "B not yet re-deployed").
-    let gap_probes: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
+    let gap_probes: Rc<Cell<u64>> = Rc::default();
     {
         let mut at_ms = WITHDRAW_S * 1000 + 250;
         while at_ms <= horizon_ms {
@@ -188,7 +187,7 @@ fn run_cell(
                     .values()
                     .filter(|d| d.lock().rule_count == 0)
                     .count();
-                *gap.lock() += zeros as u64;
+                gap.set(gap.get() + zeros as u64);
             });
             at_ms += 250;
         }
@@ -199,7 +198,7 @@ fn run_cell(
     }
 
     // -- Hard invariants ------------------------------------------------
-    let immortal = immortal.lock().clone();
+    let immortal = immortal.take();
     assert!(
         immortal.is_empty(),
         "e14 partition={partition_ms}ms lease={lease_s}s: filters outlived their \
@@ -254,7 +253,7 @@ fn run_cell(
             .lock()
             .withdraw_confirmed_at
             .map(|t| t.saturating_since(withdraw_at).0 as f64 / 1e9),
-        cov_gap_device_s: *gap_probes.lock() as f64 * 0.25,
+        cov_gap_device_s: gap_probes.get() as f64 * 0.25,
     };
     ((row, cs), sim.stats)
 }

@@ -11,6 +11,8 @@
 //! ASes first. The TCS rows measure *one victim's* on-demand deployment;
 //! the ingress rows require whole-AS altruism for the same effect.
 
+use std::sync::{Arc, Mutex};
+
 use dtcs::attack::hosts;
 use dtcs::mitigation::{deploy_ingress, Placement};
 use dtcs::netsim::rng::{child_seed, seeded};
@@ -89,10 +91,8 @@ pub(crate) fn one(
     // bare-sim wiring, vs e2's ScenarioConfig route) and record every
     // probe's lifecycle.
     let recorder = trace.map(|_| {
-        let rec = std::sync::Arc::new(std::sync::Mutex::new(dtcs::netsim::FlightRecorder::new(
-            1 << 20,
-        )));
-        sim.set_trace_sink(Box::new(std::sync::Arc::clone(&rec)), 1);
+        let rec = Arc::new(Mutex::new(dtcs::netsim::FlightRecorder::new(1 << 20)));
+        sim.set_trace_sink(Box::new(Arc::clone(&rec)), 1);
         rec
     });
     let stubs = sim.topo.stub_nodes();
@@ -163,7 +163,7 @@ pub(crate) fn one(
     };
     if let (Some(path), Some(rec)) = (trace, recorder) {
         drop(sim.take_trace_sink());
-        let rec = std::sync::Arc::try_unwrap(rec)
+        let rec = Arc::try_unwrap(rec)
             .unwrap_or_else(|_| panic!("recorder uniquely owned once the sink is detached"))
             .into_inner()
             .expect("flight recorder mutex poisoned");

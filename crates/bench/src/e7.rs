@@ -11,7 +11,7 @@
 
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,
-    UserId,
+    TcspAgent, UserId,
 };
 use dtcs::netsim::{Prefix, SimTime, Simulator, Topology};
 
@@ -84,9 +84,9 @@ fn one(&(n_isps, outage): &(usize, bool), seed: u64) -> (Row, dtcs::netsim::Stat
         },
     );
     if outage {
-        let switch = cp.tcsp_available.clone();
-        sim.schedule(SimTime::from_millis(500), move |_| {
-            *switch.lock() = false;
+        sim.schedule(SimTime::from_millis(500), move |s| {
+            let tcsp = s.agent_mut::<TcspAgent>(cp.tcsp_node).expect("a TCSP");
+            tcsp.set_available(false);
         });
     }
     sim.run_until(SimTime::from_secs(30));

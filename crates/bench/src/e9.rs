@@ -11,7 +11,7 @@
 //! (ACC-style) is included for contrast.
 
 use dtcs::attack::{install_clients, mean_success, ReflectorAttack, ReflectorAttackConfig};
-use dtcs::mitigation::{deploy_pushback_everywhere, AggregateKey, PushbackConfig};
+use dtcs::mitigation::{deploy_pushback_everywhere, AggregateKey, PushbackConfig, PushbackStats};
 use dtcs::netsim::{DropReason, Proto, SimDuration, SimTime, Simulator, Topology};
 
 use crate::sweep::{cells_of, metrics_of, run_cases, Case};
@@ -84,7 +84,7 @@ fn one(&(key, skinny_uplink, label, quick): &Params, seed: u64) -> (Row, dtcs::n
         }
     }
     let mut sim = Simulator::new(topo, seed);
-    let pb = deploy_pushback_everywhere(
+    deploy_pushback_everywhere(
         &mut sim,
         PushbackConfig {
             key,
@@ -122,7 +122,7 @@ fn one(&(key, skinny_uplink, label, quick): &Params, seed: u64) -> (Row, dtcs::n
     );
     sim.run_until(SimTime::from_secs(dur as u64));
 
-    let s = pb.lock();
+    let s = PushbackStats::gather(&sim);
     let reflector_prefixes: Vec<u32> = attack
         .reflector_nodes
         .iter()

@@ -99,6 +99,35 @@ fn trace_flag_needs_an_experiment_that_writes_it() {
     );
 }
 
+/// An output under a regular file cannot be created: the run stops at
+/// once with exit 1, naming the path, before any experiment runs.
+#[test]
+fn an_uncreatable_output_exits_1_before_running() {
+    let file = std::env::temp_dir().join(format!("dtcs_cli_not_a_dir_{}", std::process::id()));
+    std::fs::write(&file, "").expect("create temp file");
+    for (flag, name, id) in [
+        ("--out", "out", "e4"),
+        ("--trace", "x.jsonl", "e2"),
+        ("--cp-trace", "x.jsonl", "e13"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["--quick", flag])
+            .arg(file.join(name))
+            .arg(id)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        let path = file.join(name);
+        assert!(
+            stderr.contains(&format!("cannot create {}", path.display())),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: must not run anything");
+    }
+    let _ = std::fs::remove_file(&file);
+}
+
 /// A sweep report that is there but cut short must fail the digest, not
 /// pass for "no sweep was run" and skip the replicate-0 envelope check.
 #[test]

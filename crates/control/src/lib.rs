@@ -22,8 +22,8 @@ pub use catalog::CatalogService;
 pub use identity::{Certificate, UserId};
 pub use plane::{
     AuthorityAgent, CpMsg, DeployScope, Envelope, IspContract, NmsAgent, RegistrationError, Role,
-    TcspAgent, TcspHandle, TcspStats, UserAgent, UserHandle, UserOp, UserRecord, RECONCILE_TXN,
-    RENEW_TXN_BASE, TOKEN_REGISTER, TOKEN_RENEW, TOKEN_SWEEP, TOKEN_WITHDRAW,
+    TcspAgent, TcspStats, UserAgent, UserHandle, UserOp, UserRecord, RECONCILE_TXN, RENEW_TXN_BASE,
+    TOKEN_REGISTER, TOKEN_RENEW, TOKEN_SWEEP, TOKEN_WITHDRAW,
 };
 pub use retry::{
     Admission, CpStats, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Relay,

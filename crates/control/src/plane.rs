@@ -30,8 +30,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dtcs_netsim::sync::Mutex;
-
 use dtcs_device::{DeviceCommand, DeviceReply, OwnerId, Provision, ServiceSpec, Stage};
 use dtcs_netsim::{
     AgentCtx, ControlMsg, CpActor, CpMeta, CpOutcome, CpState, CpTraceEvent, NodeAgent, NodeId,
@@ -525,18 +523,16 @@ pub struct TcspStats {
     pub registrations_denied: u64,
 }
 
-/// Shared handle to TCSP stats.
-pub type TcspHandle = Arc<Mutex<TcspStats>>;
-
 /// The traffic control service provider.
 pub struct TcspAgent {
     key: u64,
     authority_node: NodeId,
     cert_lifetime: SimDuration,
     isps: Vec<IspContract>,
-    /// Availability switch: scenario code flips this to simulate a DDoS
-    /// against the TCSP itself (requests are silently dropped).
-    available: Arc<Mutex<bool>>,
+    /// Availability switch: scenario code flips this
+    /// ([`TcspAgent::set_available`]) to simulate a DDoS against the TCSP
+    /// itself (requests are silently dropped).
+    available: bool,
     /// How long a deployment may stay pending before the TCSP confirms
     /// partially with whatever acks it has (`isps_missing` > 0).
     pub deploy_deadline: SimDuration,
@@ -547,40 +543,40 @@ pub struct TcspAgent {
     withdraws: Relay<u64, NodeId, Request>,
     /// Deploy deadlines in flight, each carrying its deployment's txn.
     deadlines: TimerSlots<u64>,
-    stats: TcspHandle,
+    stats: TcspStats,
     cp: CpStatsHandle,
 }
 
 impl TcspAgent {
-    /// New TCSP with signing `key` and contracted ISPs. Returns the agent,
-    /// its stats handle, and the availability switch.
-    pub fn new(
-        key: u64,
-        authority_node: NodeId,
-        isps: Vec<IspContract>,
-    ) -> (TcspAgent, TcspHandle, Arc<Mutex<bool>>) {
-        let stats: TcspHandle = Arc::new(Mutex::new(TcspStats::default()));
-        let available = Arc::new(Mutex::new(true));
+    /// New, available TCSP with signing `key` and contracted ISPs.
+    pub fn new(key: u64, authority_node: NodeId, isps: Vec<IspContract>) -> TcspAgent {
         let policy = RetryPolicy::default();
-        (
-            TcspAgent {
-                key,
-                authority_node,
-                cert_lifetime: SimDuration::from_secs(86_400),
-                isps,
-                available: available.clone(),
-                deploy_deadline: SimDuration::from_secs(30),
-                next_txn: 1,
-                registrations: Relay::new(FAM_TCSP_VERIFY, policy, key ^ 0xA),
-                deploys: Relay::new(FAM_TCSP_DEPLOY, policy, key ^ 0xB),
-                withdraws: Relay::new(FAM_TCSP_WITHDRAW, policy, key ^ 0x1F),
-                deadlines: TimerSlots::new(FAM_TCSP_DEADLINE),
-                stats: stats.clone(),
-                cp: CpStatsHandle::default(),
-            },
-            stats,
-            available,
-        )
+        TcspAgent {
+            key,
+            authority_node,
+            cert_lifetime: SimDuration::from_secs(86_400),
+            isps,
+            available: true,
+            deploy_deadline: SimDuration::from_secs(30),
+            next_txn: 1,
+            registrations: Relay::new(FAM_TCSP_VERIFY, policy, key ^ 0xA),
+            deploys: Relay::new(FAM_TCSP_DEPLOY, policy, key ^ 0xB),
+            withdraws: Relay::new(FAM_TCSP_WITHDRAW, policy, key ^ 0x1F),
+            deadlines: TimerSlots::new(FAM_TCSP_DEADLINE),
+            stats: TcspStats::default(),
+            cp: CpStatsHandle::default(),
+        }
+    }
+
+    /// The TCSP's registration counters.
+    pub fn stats(&self) -> &TcspStats {
+        &self.stats
+    }
+
+    /// Take the TCSP down (`false`) or bring it back: while down it
+    /// silently drops every request, as under a DDoS against itself.
+    pub fn set_available(&mut self, available: bool) {
+        self.available = available;
     }
 
     /// Share the control-plane-wide reliability counters.
@@ -758,7 +754,7 @@ impl NodeAgent for TcspAgent {
         if env.to != Role::Tcsp {
             return;
         }
-        if !*self.available.lock() {
+        if !self.available {
             return;
         }
         match &env.msg {
@@ -821,7 +817,7 @@ impl NodeAgent for TcspAgent {
                         CpActor::Tcsp,
                         CpState::RegisterConfirmed,
                     );
-                    self.stats.lock().registrations_ok += 1;
+                    self.stats.registrations_ok += 1;
                     Ok(Certificate::issue(
                         self.key,
                         reg.user,
@@ -836,7 +832,7 @@ impl NodeAgent for TcspAgent {
                         CpActor::Tcsp,
                         CpState::RegisterDenied,
                     );
-                    self.stats.lock().registrations_denied += 1;
+                    self.stats.registrations_denied += 1;
                     Err(RegistrationError::OwnershipDenied)
                 };
                 reg.result = Some(result);
@@ -1569,7 +1565,8 @@ pub struct UserRecord {
 }
 
 /// Shared handle to a user's record.
-pub type UserHandle = Arc<Mutex<UserRecord>>;
+#[allow(clippy::disallowed_types)] // A ledger shim until ROADMAP item 1 ports its reader.
+pub type UserHandle = Arc<dtcs_netsim::sync::Mutex<UserRecord>>;
 
 /// Timer token scenario code passes to
 /// [`Simulator::schedule_agent_timer`](dtcs_netsim::Simulator::schedule_agent_timer)
@@ -1636,7 +1633,7 @@ impl UserAgent {
             "user id {:#x} leaves no room for its transaction counter",
             user.0
         );
-        let record: UserHandle = Arc::new(Mutex::new(UserRecord::default()));
+        let record = UserHandle::default();
         let policy = RetryPolicy::default();
         let txn = (user.0 << 16) | 1;
         (

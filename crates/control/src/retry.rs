@@ -14,8 +14,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dtcs_netsim::sync::Mutex;
-
 use dtcs_netsim::rng::child_seed;
 use dtcs_netsim::{AgentCtx, CancelTimer, CpTraceEvent, NodeId, SimDuration, TimerId};
 
@@ -627,7 +625,8 @@ dtcs_netsim::counters! {
 }
 
 /// Shared handle to [`CpStats`].
-pub type CpStatsHandle = Arc<Mutex<CpStats>>;
+#[allow(clippy::disallowed_types)] // A ledger shim until ROADMAP item 1 ports its reader.
+pub type CpStatsHandle = Arc<dtcs_netsim::sync::Mutex<CpStats>>;
 
 #[cfg(test)]
 mod tests {

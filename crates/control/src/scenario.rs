@@ -3,9 +3,6 @@
 //! adaptive device beside every managed router — inside a simulator.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use dtcs_netsim::sync::Mutex;
 
 use dtcs_device::{AdaptiveDevice, DeviceHandle};
 use dtcs_netsim::{NodeId, NodeRole, Prefix, SimDuration, SimTime, Simulator};
@@ -14,8 +11,8 @@ use crate::authority::InternetNumberAuthority;
 use crate::catalog::CatalogService;
 use crate::identity::UserId;
 use crate::plane::{
-    AuthorityAgent, DeployScope, IspContract, TcspAgent, TcspHandle, UserAgent, UserHandle,
-    TOKEN_REGISTER, TOKEN_RENEW, TOKEN_SWEEP, TOKEN_WITHDRAW,
+    AuthorityAgent, DeployScope, IspContract, TcspAgent, UserAgent, UserHandle, TOKEN_REGISTER,
+    TOKEN_RENEW, TOKEN_SWEEP, TOKEN_WITHDRAW,
 };
 use crate::retry::CpStatsHandle;
 
@@ -90,11 +87,6 @@ pub struct ControlPlane {
     pub authority_node: NodeId,
     /// Contracted ISPs.
     pub isps: Vec<IspContract>,
-    /// TCSP observability.
-    pub tcsp_stats: TcspHandle,
-    /// Availability switch — set to `false` to simulate a DDoS against the
-    /// TCSP itself.
-    pub tcsp_available: Arc<Mutex<bool>>,
     /// Per-router device handles.
     pub devices: BTreeMap<NodeId, DeviceHandle>,
     /// Control-plane-wide reliability counters (retransmits, dedup hits,
@@ -140,8 +132,7 @@ impl ControlPlane {
     ) -> ControlPlane {
         let cp_stats = CpStatsHandle::default();
         sim.add_agent(authority_node, Box::new(AuthorityAgent::new(authority)));
-        let (mut tcsp, tcsp_stats, tcsp_available) =
-            TcspAgent::new(tcsp_key, authority_node, isps.clone());
+        let mut tcsp = TcspAgent::new(tcsp_key, authority_node, isps.clone());
         if let Some(lifetime) = config.cert_lifetime {
             tcsp = tcsp.with_cert_lifetime(lifetime);
         }
@@ -187,8 +178,6 @@ impl ControlPlane {
             tcsp_node,
             authority_node,
             isps,
-            tcsp_stats,
-            tcsp_available,
             devices,
             cp_stats,
             user_seq: 1,
@@ -385,7 +374,8 @@ mod tests {
         drop(r);
         assert!(cp.total_rules() > 0);
         assert_eq!(cp.devices_configured(), sim.topo.n());
-        assert_eq!(cp.tcsp_stats.lock().registrations_ok, 1);
+        let tcsp = sim.agent::<TcspAgent>(cp.tcsp_node).unwrap();
+        assert_eq!(tcsp.stats().registrations_ok, 1);
     }
 
     #[test]
@@ -414,7 +404,8 @@ mod tests {
         assert!(r.denied, "claiming someone else's prefix must be denied");
         assert!(r.deploy_confirmed_at.is_none());
         assert_eq!(cp.total_rules(), 0, "no rules without a certificate");
-        assert_eq!(cp.tcsp_stats.lock().registrations_denied, 1);
+        let tcsp = sim.agent::<TcspAgent>(cp.tcsp_node).unwrap();
+        assert_eq!(tcsp.stats().registrations_denied, 1);
     }
 
     #[test]
@@ -442,9 +433,9 @@ mod tests {
         );
         // Let registration succeed, then take the TCSP down before the
         // deployment request lands.
-        let available = cp.tcsp_available.clone();
-        sim.schedule(SimTime::from_millis(500), move |_| {
-            *available.lock() = false;
+        sim.schedule(SimTime::from_millis(500), move |s| {
+            let tcsp = s.agent_mut::<TcspAgent>(tcsp_node).unwrap();
+            tcsp.set_available(false);
         });
         sim.run_until(SimTime::from_secs(20));
         let r = record.lock();

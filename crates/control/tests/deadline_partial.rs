@@ -30,7 +30,7 @@ fn deadline_confirms_partially(user: UserId) {
 
     let cp = CpStatsHandle::default();
     sim.add_agent(authority_node, Box::new(AuthorityAgent::new(authority)));
-    let (mut tcsp, _stats, _available) = TcspAgent::new(0x5EC, authority_node, isps.clone());
+    let mut tcsp = TcspAgent::new(0x5EC, authority_node, isps.clone());
     tcsp.deploy_deadline = DEADLINE;
     sim.add_agent(tcsp_node, Box::new(tcsp.with_cp_stats(cp.clone())));
     for isp in &isps {

@@ -121,7 +121,7 @@ fn trigger_vignette() {
     };
     // One device at the hub; its trigger events reach my inbox, the
     // contact node I registered.
-    let inbox = Inbox::attach(&mut sim, me);
+    Inbox::attach(&mut sim, me);
     let (mut dev, _handle) = AdaptiveDevice::new(dtcs::netsim::NodeId(0), None);
     dev.apply(DeviceCommand::RegisterOwner {
         owner,
@@ -170,7 +170,7 @@ fn trigger_vignette() {
         ),
     );
     sim.run_until(SimTime::from_secs(14));
-    for heard in inbox.lock().iter() {
+    for heard in sim.agent::<Inbox>(me).expect("inbox attached").heard() {
         match heard {
             Heard::Event(DeviceEvent::TriggerFired { value, at, .. }) => {
                 println!("   trigger FIRED at {at:?} (rate {value:.0} pps) -> limiter enabled")
@@ -210,7 +210,7 @@ fn misuse_vignette() {
                 },
             );
         }
-        let (capp, conn) = ConnClientApp::new(server, SimDuration::from_millis(100));
+        let capp = ConnClientApp::new(server, SimDuration::from_millis(100));
         sim.install_app(client, Box::new(capp));
         sim.install_app(server, Box::new(ConnServerApp::new(client)));
         // Forged RST injected at node 1 by an off-path attacker.
@@ -227,7 +227,10 @@ fn misuse_vignette() {
             );
         });
         sim.run_until(SimTime::from_secs(5));
-        let c = conn.lock();
+        let c = sim
+            .app::<ConnClientApp>(client)
+            .expect("client installed")
+            .stats();
         println!(
             "   {}: connection {} ({} heartbeats)",
             if defended { "defended  " } else { "undefended" },

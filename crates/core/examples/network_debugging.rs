@@ -80,7 +80,7 @@ fn main() {
 
     // Collect every device's log via ReadLog; replies land in an inbox at
     // the provider's node.
-    let inbox = Inbox::attach(&mut sim, me);
+    Inbox::attach(&mut sim, me);
     for i in 0..sim.topo.n() {
         sim.deliver_control(
             SimTime::from_secs(3),
@@ -98,7 +98,7 @@ fn main() {
     // Join logs by digest: per-probe, per-node arrival times.
     let mut logs = 0;
     let mut timelines: BTreeMap<u64, Vec<(usize, SimTime)>> = BTreeMap::new();
-    for heard in inbox.lock().iter() {
+    for heard in sim.agent::<Inbox>(me).expect("inbox attached").heard() {
         if let Heard::Reply(DeviceReply::LogData { node, entries, .. }) = heard {
             logs += 1;
             for e in entries {

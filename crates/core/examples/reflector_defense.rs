@@ -51,7 +51,7 @@ fn anatomy() {
         "byte amplification request->reply: {:.2}x",
         reflected.sent_bytes as f64 / direct.sent_bytes.max(1) as f64
     );
-    let (reqs, attack_reqs) = attack.reflector_totals();
+    let (reqs, attack_reqs) = attack.reflector_totals(&sim);
     println!(
         "reflector pool: {} servers, {} requests absorbed (all {} attack traffic)",
         attack.reflectors.len(),

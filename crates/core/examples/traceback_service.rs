@@ -77,7 +77,7 @@ fn main() {
 
     // Live in-simulation query: a DeviceCommand::QueryDigest goes to every
     // device at t=2 s; the replies land in an inbox at the victim.
-    let inbox = Inbox::attach(&mut sim, victim_node);
+    Inbox::attach(&mut sim, victim_node);
     for i in 0..sim.topo.n() {
         sim.deliver_control(
             SimTime::from_secs(2),
@@ -94,8 +94,10 @@ fn main() {
     }
     sim.run_until(SimTime::from_secs(4));
 
-    let positive: BTreeSet<NodeId> = inbox
-        .lock()
+    let positive: BTreeSet<NodeId> = sim
+        .agent::<Inbox>(victim_node)
+        .expect("inbox attached")
+        .heard()
         .iter()
         .filter_map(|heard| heard.digest_hit().map(|(_, node)| node))
         .collect();

@@ -7,9 +7,9 @@
 //! captures who got served, who got cut off, and where attack traffic
 //! died.
 
-use std::sync::Arc;
-
-use dtcs_netsim::sync::Mutex;
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use dtcs_attack::{
     hosts, install_clients_at, mean_success, plan_client_addrs, ClientApp, ClientHandle,
@@ -17,7 +17,7 @@ use dtcs_attack::{
 };
 use dtcs_mitigation::{
     deploy_ingress, deploy_ppm_everywhere, deploy_pushback_everywhere, install_traceback_filters,
-    reconstruct_sources, I3Defense, MarkCollectorAgent, PushbackHandle, SosOverlay,
+    reconstruct_sources, I3Defense, MarkCollectorAgent, PushbackStats, SosOverlay,
 };
 use dtcs_netsim::{
     Addr, FlightRecorder, FluidDemand, NodeId, Prefix, Proto, SimDuration, SimTime, Simulator,
@@ -182,7 +182,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
         sim.enable_fluid(tick);
     }
     let recorder = cfg.trace.then(|| {
-        let rec = Arc::new(std::sync::Mutex::new(FlightRecorder::new(TRACE_CAPACITY)));
+        let rec = Arc::new(Mutex::new(FlightRecorder::new(TRACE_CAPACITY)));
         sim.set_trace_sink(Box::new(Arc::clone(&rec)), 1);
         rec
     });
@@ -198,12 +198,10 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
     // --- Scheme pre-attack installation -------------------------------
     let mut attack_cfg = cfg.attack.clone();
     attack_cfg.seed = cfg.seed;
-    let mut pushback: Option<PushbackHandle> = None;
     let mut sos: Option<SosOverlay> = None;
     let mut i3: Option<I3Defense> = None;
     let mut tcs: Option<TcsDeployment> = None;
-    let mut marks_for_traceback = None;
-    let identified_sources: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
+    let identified_sources = Rc::new(Cell::new(0usize));
 
     match scheme {
         Scheme::None => {}
@@ -214,7 +212,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
             deploy_ingress(&mut sim, *fraction, *placement, cfg.seed ^ 0x1A);
         }
         Scheme::Pushback(pb_cfg) => {
-            pushback = Some(deploy_pushback_everywhere(&mut sim, *pb_cfg));
+            deploy_pushback_everywhere(&mut sim, *pb_cfg);
         }
         Scheme::TracebackFilter { marking_p, .. } => {
             deploy_ppm_everywhere(&mut sim, *marking_p, cfg.seed ^ 0x7B);
@@ -225,10 +223,8 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
                 AttackKind::Reflector => crate::tcs::reflected_reply_protos(),
                 AttackKind::Direct { .. } => vec![Proto::Udp],
             };
-            let (collector, marks) = MarkCollectorAgent::new(victim_node);
-            let collector = collector.with_proto_filter(protos);
+            let collector = MarkCollectorAgent::new(victim_node).with_proto_filter(protos);
             sim.add_agent(victim_node, Box::new(collector));
-            marks_for_traceback = Some(marks);
         }
         Scheme::Sos => {
             // Overlay nodes drawn from well-connected ASes, away from the
@@ -316,8 +312,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
                     continue;
                 }
                 let addr = Addr::new(node, hosts::SERVICE);
-                let (app, _h) = dtcs_attack::ReflectorApp::new();
-                sim.install_app(addr, Box::new(app));
+                sim.install_app(addr, Box::new(dtcs_attack::ReflectorApp::new()));
                 services.push(addr);
             }
             InstalledAttack {
@@ -388,19 +383,20 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
         ..
     } = scheme
     {
-        let marks = marks_for_traceback.clone().expect("collector installed");
         let scope = *scope;
         let identified = identified_sources.clone();
         sim.schedule(*reconstruct_at, move |s| {
-            let table = marks.lock().clone();
+            let collector = s
+                .agent::<MarkCollectorAgent>(victim_node)
+                .expect("collector installed");
             let sources = reconstruct_sources(
                 &s.topo,
                 &s.routing,
                 victim_node,
-                &table,
+                collector.marks(),
                 TRACEBACK_MIN_SHARE,
             );
-            *identified.lock() = sources.len();
+            identified.set(sources.len());
             install_traceback_filters(s, &sources, victim_node, scope);
         });
     }
@@ -427,8 +423,8 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
         row.victim_overloaded = v.overloaded;
         row.victim_attack_absorbed = v.attack_absorbed;
     }
-    if let Some(pb) = &pushback {
-        let s = pb.lock();
+    if matches!(scheme, Scheme::Pushback(_)) {
+        let s = PushbackStats::gather(&sim);
         row = row
             .with_extra("pushback_limits", s.limits_installed.len() as f64)
             .with_extra("pushback_msgs", s.msgs_sent as f64);
@@ -437,7 +433,7 @@ pub fn run_scenario(cfg: &ScenarioConfig, scheme: &Scheme) -> ScenarioOutput {
         row = row.with_extra("trust_relationships", overlay.trust_relationships as f64);
     }
     if matches!(scheme, Scheme::TracebackFilter { .. }) {
-        row = row.with_extra("identified_sources", *identified_sources.lock() as f64);
+        row = row.with_extra("identified_sources", identified_sources.get() as f64);
     }
     if let Some(dep) = &tcs {
         row = row

@@ -413,11 +413,18 @@ mod tests {
             };
             sim.deliver_control(SimTime::from_secs(1), contact, node, query);
         }
-        let inbox = dtcs_device::Inbox::attach(&mut sim, contact);
+        dtcs_device::Inbox::attach(&mut sim, contact);
         sim.install_app(victim, Box::new(dtcs_netsim::SinkApp));
         sim.emit_now(NodeId(0), pkt);
         sim.run_until(SimTime::from_secs(2));
-        let hits: BTreeSet<_> = inbox.lock().iter().filter_map(|h| h.digest_hit()).collect();
+        let inbox = sim
+            .agent::<dtcs_device::Inbox>(contact)
+            .expect("inbox attached");
+        let hits: BTreeSet<_> = inbox
+            .heard()
+            .iter()
+            .filter_map(|h| h.digest_hit())
+            .collect();
         trace_origins(&sim.topo, contact, |n| hits.contains(&(digest, n)))
     }
 

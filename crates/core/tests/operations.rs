@@ -9,7 +9,7 @@ use dtcs::control::{
     UserId, UserOp,
 };
 use dtcs::device::{DeviceCommand, DeviceReply, Heard, Inbox, OwnerId, Stage};
-use dtcs::mitigation::{deploy_pushback_on, PushbackConfig};
+use dtcs::mitigation::{deploy_pushback_on, PushbackConfig, PushbackStats};
 use dtcs::netsim::{
     Addr, LinkProfile, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator,
     Topology, TrafficClass,
@@ -68,7 +68,7 @@ fn statistics_service_logs_are_collectable() {
     assert!(record.lock().deploy_confirmed_at.is_some());
 
     // Collect the logs from every device.
-    let inbox = Inbox::attach(&mut sim, me);
+    Inbox::attach(&mut sim, me);
     // Ask every device for its log (the user is allowed: it is their
     // service).
     for (&node, _) in cp.devices.iter() {
@@ -84,8 +84,10 @@ fn statistics_service_logs_are_collectable() {
         );
     }
     sim.run_until(SimTime::from_secs(8));
-    let collected: usize = inbox
-        .lock()
+    let collected: usize = sim
+        .agent::<Inbox>(me)
+        .expect("inbox attached")
+        .heard()
         .iter()
         .map(|heard| match heard {
             Heard::Reply(DeviceReply::LogData { entries, .. }) => entries.len(),
@@ -216,7 +218,7 @@ fn pushback_propagation_stops_at_non_speakers() {
         topo.links[last_link.0].queue_limit_bytes = skinny.queue_limit_bytes;
         let mut sim = Simulator::new(topo, 31);
         let nodes: Vec<NodeId> = speakers.iter().map(|&i| NodeId(i)).collect();
-        let stats = deploy_pushback_on(&mut sim, &nodes, PushbackConfig::default());
+        deploy_pushback_on(&mut sim, &nodes, PushbackConfig::default());
         let victim = Addr::new(NodeId(4), 1);
         sim.install_app(victim, Box::new(dtcs::netsim::SinkApp));
         for k in 0..8000u64 {
@@ -236,7 +238,7 @@ fn pushback_propagation_stops_at_non_speakers() {
             });
         }
         sim.run_until(SimTime::from_secs(15));
-        let s = stats.lock();
+        let s = PushbackStats::gather(&sim);
         let mut per_node: BTreeMap<usize, usize> = BTreeMap::new();
         for (node, _) in &s.limits_installed {
             *per_node.entry(node.0).or_insert(0) += 1;

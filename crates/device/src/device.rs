@@ -21,8 +21,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use dtcs_netsim::sync::Mutex;
-
 use dtcs_netsim::{
     AgentCtx, CancelTimer, ControlMsg, CpActor, CpMeta, CpState, CpTraceEvent, DropReason, LinkId,
     NodeAgent, NodeId, Packet, Prefix, RouteOracle, SimTime, TimerId, Verdict,
@@ -291,7 +289,8 @@ pub struct DeviceStats {
 }
 
 /// Shared read handle onto a running device's stats.
-pub type DeviceHandle = Arc<Mutex<DeviceStats>>;
+#[allow(clippy::disallowed_types)] // A ledger shim until ROADMAP item 1 ports its reader.
+pub type DeviceHandle = Arc<dtcs_netsim::sync::Mutex<DeviceStats>>;
 
 /// What one `(owner, stage)` holds.
 struct Slot {
@@ -381,7 +380,7 @@ impl AdaptiveDevice {
     /// Create a device for `node`. `manager` restricts who may reconfigure
     /// it (`None` accepts commands from any node — test use only).
     pub fn new(node: NodeId, manager: Option<NodeId>) -> (AdaptiveDevice, DeviceHandle) {
-        let stats: DeviceHandle = Arc::new(Mutex::new(DeviceStats::default()));
+        let stats = DeviceHandle::default();
         let dev = AdaptiveDevice {
             ctx: DeviceContext { node },
             owners: OwnerTable::new(),
@@ -794,12 +793,17 @@ impl NodeAgent for AdaptiveDevice {
             }
             // Echo the request's transaction identity on the reply so the
             // flight recorder traces it under the same key.
-            let meta = msg.meta.map(|m| CpMeta {
-                kind: reply.kind_id(),
-                ..m
-            });
             let delay = ctx.path_delay(reply_to);
-            ctx.send_control_shared(reply_to, delay, Arc::new(reply), meta);
+            match msg.meta {
+                Some(m) => {
+                    let meta = CpMeta {
+                        kind: reply.kind_id(),
+                        ..m
+                    };
+                    ctx.send_control_keyed(reply_to, delay, reply, meta);
+                }
+                None => ctx.send_control(reply_to, delay, reply),
+            }
         }
     }
 

@@ -6,9 +6,6 @@
 //! trigger firing or relieving, a full log — to the contact node its owner
 //! registered. An [`Inbox`] on that node hears both, in arrival order.
 
-use std::sync::Arc;
-
-use dtcs_netsim::sync::Mutex;
 use dtcs_netsim::{AgentCtx, ControlMsg, NodeAgent, NodeId, Simulator};
 
 use crate::device::DeviceReply;
@@ -38,19 +35,20 @@ impl Heard {
     }
 }
 
-/// Shared read handle onto what an [`Inbox`] heard, oldest first.
-pub type InboxHandle = Arc<Mutex<Vec<Heard>>>;
-
 /// Agent recording every device reply and device event delivered to its
-/// node; every other control message passes it by.
-pub struct Inbox(InboxHandle);
+/// node; every other control message passes it by. Read it back with
+/// `sim.agent::<Inbox>(node)`.
+pub struct Inbox(Vec<Heard>);
 
 impl Inbox {
-    /// Attach an inbox to `node`'s agent chain and return its handle.
-    pub fn attach(sim: &mut Simulator, node: NodeId) -> InboxHandle {
-        let heard = InboxHandle::default();
-        sim.add_agent(node, Box::new(Inbox(heard.clone())));
-        heard
+    /// Attach an inbox to `node`'s agent chain.
+    pub fn attach(sim: &mut Simulator, node: NodeId) {
+        sim.add_agent(node, Box::new(Inbox(Vec::new())));
+    }
+
+    /// What the inbox heard, oldest first.
+    pub fn heard(&self) -> &[Heard] {
+        &self.0
     }
 }
 
@@ -67,7 +65,7 @@ impl NodeAgent for Inbox {
         } else {
             return;
         };
-        self.0.lock().push(heard);
+        self.0.push(heard);
     }
 }
 
@@ -81,7 +79,7 @@ mod tests {
     #[test]
     fn replies_and_events_are_recorded_in_arrival_order() {
         let mut sim = Simulator::new(Topology::line(2), 1);
-        let inbox = Inbox::attach(&mut sim, NodeId(1));
+        Inbox::attach(&mut sim, NodeId(1));
         let (node, owner) = (NodeId(0), OwnerId(7));
         let fired = DeviceEvent::TriggerFired {
             owner,
@@ -110,10 +108,10 @@ mod tests {
         };
         sim.deliver_control(to(2), node, NodeId(1), query); // a command
         sim.run_until(to(5));
-        let heard = inbox.lock();
+        let heard = sim.agent::<Inbox>(NodeId(1)).unwrap().heard();
         assert!(
             matches!(
-                &heard[..],
+                heard,
                 [
                     Heard::Reply(DeviceReply::DigestAnswer { digest: 9, .. }),
                     Heard::Reply(DeviceReply::LogData { .. }),

@@ -53,7 +53,7 @@ pub use device::{
     AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats, Provision,
 };
 pub use graph::ServiceGraph;
-pub use inbox::{Heard, Inbox, InboxHandle};
+pub use inbox::{Heard, Inbox};
 pub use modules::ModuleAction;
 pub use owner::{OwnerId, OwnerTable};
 pub use safety::{SafetyVerifier, SafetyViolation};

@@ -256,10 +256,13 @@ fn telemetry_goes_to_the_owners_own_contact_under_a_shadowing_registration() {
         });
         dev.apply(install(1, Stage::Dst, &every_packet));
     });
-    let inboxes = [2, 3].map(|n| Inbox::attach(&mut sim, NodeId(n)));
+    let contacts = [2, 3].map(NodeId);
+    for n in contacts {
+        Inbox::attach(&mut sim, n);
+    }
     assert!(delivered(&mut sim, 0, 2));
     assert_eq!(handle.lock().telemetry_events, 1);
-    let [own, other] = inboxes.map(|heard| heard.lock().clone());
+    let [own, other] = contacts.map(|n| sim.agent::<Inbox>(n).expect("inbox attached").heard());
     assert!(
         matches!(own[..], [Heard::Event(DeviceEvent::LogReady { owner, .. })] if owner == OwnerId(1)),
         "owner 1's contact got {own:?}"

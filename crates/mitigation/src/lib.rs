@@ -35,10 +35,9 @@ pub use fluid::deploy_fluid_ingress;
 pub use ingress::{deploy_ingress, IngressFilterAgent};
 pub use overlay::{I3Defense, PerimeterFilterAgent, RelayApp, RelayNext, SosOverlay};
 pub use ppm::{
-    deploy_ppm_everywhere, reconstruct_sources, MarkCollectorAgent, MarkHandle, MarkTable,
-    PpmMarkerAgent,
+    deploy_ppm_everywhere, reconstruct_sources, MarkCollectorAgent, MarkTable, PpmMarkerAgent,
 };
 pub use pushback::{
     deploy_pushback_everywhere, deploy_pushback_on, AggregateKey, PushbackAgent, PushbackConfig,
-    PushbackHandle, PushbackMsg, PushbackStats,
+    PushbackMsg, PushbackStats,
 };

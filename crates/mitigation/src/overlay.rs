@@ -16,9 +16,6 @@
 //! critique of Sec. 3.1, reproduced in E2).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{
     Addr, AgentCtx, App, AppApi, Disposition, DropReason, LinkId, NodeAgent, NodeId, Packet,
@@ -62,9 +59,6 @@ pub struct RelayStats {
     pub rejected: u64,
 }
 
-/// Shared handle to a relay's counters.
-pub type RelayHandle = Arc<Mutex<RelayStats>>;
-
 /// Overlay relay node application (SOAP, servlet, or i3 trigger).
 pub struct RelayApp {
     next: RelayNext,
@@ -73,22 +67,23 @@ pub struct RelayApp {
     authorized: Option<Vec<Addr>>,
     /// Reverse routes: flow → previous hop.
     back: BTreeMap<u64, Addr>,
-    stats: RelayHandle,
+    stats: RelayStats,
 }
 
 impl RelayApp {
     /// New relay.
-    pub fn new(next: RelayNext, authorized: Option<Vec<Addr>>) -> (RelayApp, RelayHandle) {
-        let stats: RelayHandle = Arc::new(Mutex::new(RelayStats::default()));
-        (
-            RelayApp {
-                next,
-                authorized,
-                back: BTreeMap::new(),
-                stats: stats.clone(),
-            },
-            stats,
-        )
+    pub fn new(next: RelayNext, authorized: Option<Vec<Addr>>) -> RelayApp {
+        RelayApp {
+            next,
+            authorized,
+            back: BTreeMap::new(),
+            stats: RelayStats::default(),
+        }
+    }
+
+    /// The relay's counters.
+    pub fn stats(&self) -> &RelayStats {
+        &self.stats
     }
 }
 
@@ -97,7 +92,7 @@ impl App for RelayApp {
         if is_request(pkt.proto) {
             if let Some(auth) = &self.authorized {
                 if !auth.contains(&pkt.src) {
-                    self.stats.lock().rejected += 1;
+                    self.stats.rejected += 1;
                     return Disposition::Consumed;
                 }
             }
@@ -121,7 +116,7 @@ impl App for RelayApp {
                     .flow(pkt.flow)
                     .tag(pkt.payload_tag);
             api.send(b);
-            self.stats.lock().relayed += 1;
+            self.stats.relayed += 1;
         } else if is_reply(pkt.proto) {
             if let Some(prev) = self.back.get(&pkt.flow).copied() {
                 let b =
@@ -130,7 +125,7 @@ impl App for RelayApp {
                         .flow(pkt.flow)
                         .tag(pkt.payload_tag);
                 api.send(b);
-                self.stats.lock().returned += 1;
+                self.stats.returned += 1;
             }
         }
         Disposition::Consumed
@@ -179,10 +174,6 @@ pub struct SosOverlay {
     pub soaps: Vec<Addr>,
     /// Secret servlets allowed through the perimeter.
     pub servlets: Vec<Addr>,
-    /// Per-SOAP stats.
-    pub soap_stats: Vec<RelayHandle>,
-    /// Per-servlet stats.
-    pub servlet_stats: Vec<RelayHandle>,
     /// Number of client↔overlay trust relationships provisioned (the
     /// management-cost metric of Sec. 3.2).
     pub trust_relationships: usize,
@@ -206,24 +197,20 @@ impl SosOverlay {
             .iter()
             .map(|&n| Addr::new(n, RELAY_HOST))
             .collect();
-        let mut servlet_stats = Vec::new();
         for &s in &servlets {
-            let (app, h) = RelayApp::new(RelayNext::Server(victim), None);
+            let app = RelayApp::new(RelayNext::Server(victim), None);
             sim.install_app(s, Box::new(app));
-            servlet_stats.push(h);
         }
         let soaps: Vec<Addr> = soap_nodes
             .iter()
             .map(|&n| Addr::new(n, RELAY_HOST))
             .collect();
-        let mut soap_stats = Vec::new();
         for &s in &soaps {
-            let (app, h) = RelayApp::new(
+            let app = RelayApp::new(
                 RelayNext::Servlets(servlets.clone()),
                 Some(authorized_clients.clone()),
             );
             sim.install_app(s, Box::new(app));
-            soap_stats.push(h);
         }
         // Perimeter at every neighbour of the victim's AS. The victim's
         // replies (src in victim prefix) are untouched.
@@ -242,8 +229,6 @@ impl SosOverlay {
         SosOverlay {
             soaps,
             servlets,
-            soap_stats,
-            servlet_stats,
             trust_relationships,
         }
     }
@@ -258,8 +243,6 @@ impl SosOverlay {
 pub struct I3Defense {
     /// The public trigger/relay address clients use.
     pub trigger: Addr,
-    /// Relay stats.
-    pub relay_stats: RelayHandle,
 }
 
 impl I3Defense {
@@ -272,12 +255,9 @@ impl I3Defense {
     pub fn install(sim: &mut Simulator, victim: Addr, relay_node: NodeId) -> I3Defense {
         const TRIGGER_HOST: u16 = 41;
         let trigger = Addr::new(relay_node, TRIGGER_HOST);
-        let (app, relay_stats) = RelayApp::new(RelayNext::Server(victim), None);
+        let app = RelayApp::new(RelayNext::Server(victim), None);
         sim.install_app(trigger, Box::new(app));
-        I3Defense {
-            trigger,
-            relay_stats,
-        }
+        I3Defense { trigger }
     }
 }
 
@@ -352,8 +332,9 @@ mod tests {
             .size(60),
         );
         sim.run_until(SimTime::from_secs(2));
-        assert_eq!(overlay.soap_stats[0].lock().rejected, 1);
-        assert_eq!(overlay.soap_stats[0].lock().relayed, 0);
+        let soap = sim.app::<RelayApp>(overlay.soaps[0]).unwrap().stats();
+        assert_eq!(soap.rejected, 1);
+        assert_eq!(soap.relayed, 0);
     }
 
     #[test]
@@ -392,7 +373,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(8));
         assert!(
-            i3.relay_stats.lock().relayed > 0,
+            sim.app::<RelayApp>(i3.trigger).unwrap().stats().relayed > 0,
             "relay did carry requests"
         );
         // But the known-IP flood exhausted the host anyway.

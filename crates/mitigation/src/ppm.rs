@@ -14,9 +14,6 @@
 //! is the reflector ASes.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::rng::{child_seed, seeded, ChaCha8Rng};
 use dtcs_netsim::{
@@ -87,9 +84,6 @@ pub struct MarkTable {
     pub inspected: u64,
 }
 
-/// Shared handle to a victim's mark table.
-pub type MarkHandle = Arc<Mutex<MarkTable>>;
-
 /// Victim-side collector: records marks on traffic destined to the victim
 /// node. Installed as an agent on the victim's node so it sees the traffic
 /// before local delivery.
@@ -101,21 +95,22 @@ pub type MarkHandle = Arc<Mutex<MarkTable>>;
 pub struct MarkCollectorAgent {
     victim_node: NodeId,
     protos: Option<Vec<dtcs_netsim::Proto>>,
-    marks: MarkHandle,
+    marks: MarkTable,
 }
 
 impl MarkCollectorAgent {
     /// Collector for traffic addressed to `victim_node`.
-    pub fn new(victim_node: NodeId) -> (MarkCollectorAgent, MarkHandle) {
-        let marks: MarkHandle = Arc::new(Mutex::new(MarkTable::default()));
-        (
-            MarkCollectorAgent {
-                victim_node,
-                protos: None,
-                marks: marks.clone(),
-            },
-            marks,
-        )
+    pub fn new(victim_node: NodeId) -> MarkCollectorAgent {
+        MarkCollectorAgent {
+            victim_node,
+            protos: None,
+            marks: MarkTable::default(),
+        }
+    }
+
+    /// The marks collected so far.
+    pub fn marks(&self) -> &MarkTable {
+        &self.marks
     }
 
     /// Only collect marks from packets of these protocols.
@@ -142,7 +137,7 @@ impl NodeAgent for MarkCollectorAgent {
                     return Verdict::Forward;
                 }
             }
-            let mut m = self.marks.lock();
+            let m = &mut self.marks;
             m.inspected += 1;
             if let Some((n, d)) = decode(pkt.mark) {
                 *m.counts.entry((n, d)).or_insert(0) += 1;
@@ -234,8 +229,7 @@ mod tests {
             // Non-marking routers still increment: p = 0.
             sim.add_agent(NodeId(i), Box::new(PpmMarkerAgent::new(NodeId(i), 0.0, 5)));
         }
-        let (collector, marks) = MarkCollectorAgent::new(NodeId(5));
-        sim.add_agent(NodeId(5), Box::new(collector));
+        sim.add_agent(NodeId(5), Box::new(MarkCollectorAgent::new(NodeId(5))));
         let dst = Addr::new(NodeId(5), 1);
         sim.install_app(dst, Box::new(dtcs_netsim::SinkApp));
         sim.emit_now(
@@ -248,7 +242,7 @@ mod tests {
             ),
         );
         sim.run_until(SimTime::from_secs(1));
-        let m = marks.lock();
+        let m = sim.agent::<MarkCollectorAgent>(NodeId(5)).unwrap().marks();
         // Marked at node 1, incremented by 2, 3, 4 => distance 3.
         assert_eq!(m.counts.get(&(NodeId(1), 3)), Some(&1));
     }
@@ -260,8 +254,7 @@ mod tests {
         let mut sim = Simulator::new(topo, 9);
         deploy_ppm_everywhere(&mut sim, 0.04, 31);
         let victim_node = sim.topo.stub_nodes()[0];
-        let (collector, marks) = MarkCollectorAgent::new(victim_node);
-        sim.add_agent(victim_node, Box::new(collector));
+        sim.add_agent(victim_node, Box::new(MarkCollectorAgent::new(victim_node)));
         let victim = Addr::new(victim_node, 1);
         sim.install_app(victim, Box::new(dtcs_netsim::SinkApp));
         // Two flooding sources, spoofed addresses.
@@ -285,9 +278,12 @@ mod tests {
             }
         }
         sim.run_until(SimTime::from_secs(6));
-        let m = marks.lock();
+        let m = sim
+            .agent::<MarkCollectorAgent>(victim_node)
+            .unwrap()
+            .marks();
         assert!(m.inspected > 5000);
-        let found = reconstruct_sources(&sim.topo, &routing, victim_node, &m, 0.02);
+        let found = reconstruct_sources(&sim.topo, &routing, victim_node, m, 0.02);
         for s in &sources {
             assert!(
                 found.contains(s),

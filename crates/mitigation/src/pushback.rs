@@ -18,9 +18,6 @@
 //!   the agent on a subset to see this).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use dtcs_netsim::sync::Mutex;
 
 use dtcs_netsim::{
     AgentCtx, ControlMsg, DropReason, LinkId, NodeAgent, NodeId, Packet, Prefix, SimDuration,
@@ -80,7 +77,8 @@ pub struct PushbackMsg {
     pub depth: u8,
 }
 
-/// Fleet-wide observability shared by every pushback agent in a scenario.
+/// What pushback agents did: one agent's own, or the fleet's
+/// ([`PushbackStats::gather`]).
 #[derive(Clone, Debug, Default)]
 pub struct PushbackStats {
     /// `(node, aggregate prefix)` pairs where a limit was installed.
@@ -93,8 +91,26 @@ pub struct PushbackStats {
     pub limits_relieved: u64,
 }
 
-/// Shared handle to fleet-wide pushback stats.
-pub type PushbackHandle = Arc<Mutex<PushbackStats>>;
+impl PushbackStats {
+    /// The fleet's stats: every pushback agent's in `sim`, folded in node
+    /// order.
+    pub fn gather(sim: &Simulator) -> PushbackStats {
+        let mut all = PushbackStats::default();
+        for node in 0..sim.topo.n() {
+            let Some(agent) = sim.agent::<PushbackAgent>(NodeId(node)) else {
+                continue;
+            };
+            let s = agent.stats();
+            all.limits_installed.extend_from_slice(&s.limits_installed);
+            all.msgs_sent += s.msgs_sent;
+            for (&agg, &n) in &s.dropped_per_aggregate {
+                *all.dropped_per_aggregate.entry(agg).or_insert(0) += n;
+            }
+            all.limits_relieved += s.limits_relieved;
+        }
+        all
+    }
+}
 
 const WINDOW_TICK: u64 = 0xB0;
 
@@ -151,12 +167,12 @@ pub struct PushbackAgent {
     prev_contrib: BTreeMap<u32, BTreeMap<Option<LinkId>, u64>>,
     limits: BTreeMap<u32, LimitState>,
     timer_armed: bool,
-    stats: PushbackHandle,
+    stats: PushbackStats,
 }
 
 impl PushbackAgent {
-    /// Agent for `node`, reporting into the shared `stats`.
-    pub fn new(node: NodeId, cfg: PushbackConfig, stats: PushbackHandle) -> PushbackAgent {
+    /// Agent for `node`.
+    pub fn new(node: NodeId, cfg: PushbackConfig) -> PushbackAgent {
         PushbackAgent {
             node,
             cfg,
@@ -166,8 +182,13 @@ impl PushbackAgent {
             prev_contrib: BTreeMap::new(),
             limits: BTreeMap::new(),
             timer_armed: false,
-            stats,
+            stats: PushbackStats::default(),
         }
+    }
+
+    /// What this agent did.
+    pub fn stats(&self) -> &PushbackStats {
+        &self.stats
     }
 
     fn aggregate_bits(&self, pkt: &Packet) -> u32 {
@@ -185,7 +206,6 @@ impl PushbackAgent {
         self.limits
             .insert(agg, LimitState::new(rate, self.cfg.burst_bytes));
         self.stats
-            .lock()
             .limits_installed
             .push((self.node, Prefix::new(agg, 16)));
     }
@@ -223,7 +243,7 @@ impl PushbackAgent {
                     depth: depth - 1,
                 },
             );
-            self.stats.lock().msgs_sent += 1;
+            self.stats.msgs_sent += 1;
         }
     }
 
@@ -264,7 +284,7 @@ impl PushbackAgent {
             keep
         });
         if removed > 0 {
-            self.stats.lock().limits_relieved += removed;
+            self.stats.limits_relieved += removed;
         }
         self.prev_contrib = std::mem::take(&mut self.contrib);
         self.drops.clear();
@@ -296,12 +316,7 @@ impl NodeAgent for PushbackAgent {
             .or_insert(0) += 1;
         if let Some(limit) = self.limits.get_mut(&agg) {
             if !limit.take(ctx.now, pkt.size) {
-                *self
-                    .stats
-                    .lock()
-                    .dropped_per_aggregate
-                    .entry(agg)
-                    .or_insert(0) += 1;
+                *self.stats.dropped_per_aggregate.entry(agg).or_insert(0) += 1;
                 return Verdict::Drop(DropReason::PushbackLimit);
             }
         }
@@ -335,31 +350,20 @@ impl NodeAgent for PushbackAgent {
     }
 }
 
-/// Install pushback on every node of the simulator (full deployment) and
-/// return the shared stats handle.
-pub fn deploy_pushback_everywhere(sim: &mut Simulator, cfg: PushbackConfig) -> PushbackHandle {
-    let stats: PushbackHandle = Arc::new(Mutex::new(PushbackStats::default()));
+/// Install pushback on every node of the simulator (full deployment);
+/// [`PushbackStats::gather`] reads what the fleet did.
+pub fn deploy_pushback_everywhere(sim: &mut Simulator, cfg: PushbackConfig) {
     for i in 0..sim.topo.n() {
-        sim.add_agent(
-            NodeId(i),
-            Box::new(PushbackAgent::new(NodeId(i), cfg, stats.clone())),
-        );
+        sim.add_agent(NodeId(i), Box::new(PushbackAgent::new(NodeId(i), cfg)));
     }
-    stats
 }
 
 /// Install pushback on a subset of nodes (partial deployment: propagation
 /// stops at non-speaking routers, Sec. 3.1).
-pub fn deploy_pushback_on(
-    sim: &mut Simulator,
-    nodes: &[NodeId],
-    cfg: PushbackConfig,
-) -> PushbackHandle {
-    let stats: PushbackHandle = Arc::new(Mutex::new(PushbackStats::default()));
+pub fn deploy_pushback_on(sim: &mut Simulator, nodes: &[NodeId], cfg: PushbackConfig) {
     for &n in nodes {
-        sim.add_agent(n, Box::new(PushbackAgent::new(n, cfg, stats.clone())));
+        sim.add_agent(n, Box::new(PushbackAgent::new(n, cfg)));
     }
-    stats
 }
 
 #[cfg(test)]
@@ -369,7 +373,7 @@ mod tests {
 
     /// Dumbbell with a skinny bottleneck; flood from left leaves to the
     /// right service until pushback engages.
-    fn flooded_dumbbell(cfg: PushbackConfig) -> (dtcs_netsim::Simulator, PushbackHandle, Addr) {
+    fn flooded_dumbbell(cfg: PushbackConfig) -> (dtcs_netsim::Simulator, Addr) {
         // 1 Mbit/s bottleneck.
         let skinny = LinkProfile {
             bandwidth_bps: 1e6,
@@ -378,7 +382,7 @@ mod tests {
         };
         let topo = Topology::dumbbell(3, 1, skinny);
         let mut sim = dtcs_netsim::Simulator::new(topo, 3);
-        let stats = deploy_pushback_everywhere(&mut sim, cfg);
+        deploy_pushback_everywhere(&mut sim, cfg);
         let victim = Addr::new(NodeId(3 + 2), 1); // first right-side stub
         sim.install_app(victim, Box::new(dtcs_netsim::SinkApp));
         // Flood: left stubs (nodes 2,3,4) each blast 1000-byte packets at
@@ -402,20 +406,19 @@ mod tests {
                 });
             }
         }
-        (sim, stats, victim)
+        (sim, victim)
     }
 
     #[test]
     fn pushback_engages_under_congestion() {
-        let (mut sim, stats, _victim) = flooded_dumbbell(PushbackConfig::default());
+        let (mut sim, _victim) = flooded_dumbbell(PushbackConfig::default());
         sim.run_until(SimTime::from_secs(10));
-        let s = stats.lock();
+        let s = PushbackStats::gather(&sim);
         assert!(
             !s.limits_installed.is_empty(),
             "sustained congestion must trigger pushback"
         );
         assert!(s.msgs_sent > 0, "limits must be pushed upstream");
-        drop(s);
         assert!(
             sim.stats.drops_for_reason(DropReason::PushbackLimit).pkts > 0,
             "rate limits must actually drop traffic"
@@ -424,21 +427,21 @@ mod tests {
 
     #[test]
     fn pushback_moves_drops_upstream() {
-        let (mut sim, stats, _victim) = flooded_dumbbell(PushbackConfig::default());
+        let (mut sim, _victim) = flooded_dumbbell(PushbackConfig::default());
         sim.run_until(SimTime::from_secs(10));
         // At least one limit sits on a node other than the bottleneck
         // heads (0/1): it reached the source-side stubs.
-        let s = stats.lock();
+        let s = PushbackStats::gather(&sim);
         let upstream = s.limits_installed.iter().filter(|(n, _)| n.0 >= 2).count();
         assert!(upstream > 0, "limits: {:?}", s.limits_installed);
     }
 
     #[test]
     fn relief_removes_limits_after_attack() {
-        let (mut sim, stats, _victim) = flooded_dumbbell(PushbackConfig::default());
+        let (mut sim, _victim) = flooded_dumbbell(PushbackConfig::default());
         // Attack traffic ends at ~10 s; run long past it.
         sim.run_until(SimTime::from_secs(30));
-        let s = stats.lock();
+        let s = PushbackStats::gather(&sim);
         assert!(s.limits_relieved > 0, "limits must be relieved after calm");
     }
 
@@ -446,7 +449,7 @@ mod tests {
     fn quiet_network_triggers_nothing() {
         let topo = Topology::line(4);
         let mut sim = dtcs_netsim::Simulator::new(topo, 3);
-        let stats = deploy_pushback_everywhere(&mut sim, PushbackConfig::default());
+        deploy_pushback_everywhere(&mut sim, PushbackConfig::default());
         let dst = Addr::new(NodeId(3), 1);
         sim.install_app(dst, Box::new(dtcs_netsim::SinkApp));
         for k in 0..100u64 {
@@ -465,7 +468,7 @@ mod tests {
             });
         }
         sim.run_until(SimTime::from_secs(5));
-        assert!(stats.lock().limits_installed.is_empty());
+        assert!(PushbackStats::gather(&sim).limits_installed.is_empty());
         assert_eq!(
             sim.stats.class(TrafficClass::LegitRequest).delivered_pkts,
             100

@@ -16,7 +16,7 @@
 //! care about control-plane latency (E7) model it explicitly.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::arena::{Arena, Handle};
 use crate::cp_trace::{CpMeta, CpTraceEvent};
@@ -49,7 +49,7 @@ pub struct ControlMsg {
     /// Node whose agent sent the message.
     pub from: NodeId,
     /// Opaque payload; receivers `downcast_ref` to their protocol type.
-    pub payload: Arc<dyn Any + Send + Sync>,
+    pub payload: Rc<dyn Any>,
     /// Control-trace identity the sender attached via
     /// [`AgentCtx::send_control_keyed`]; None for unkeyed messages.
     /// Receivers replying on behalf of the same transaction (e.g. a
@@ -67,12 +67,7 @@ impl ControlMsg {
 
 /// A control message waiting in the [`Outbox`]: delay, destination, payload
 /// and flight-recorder tag.
-type QueuedControl = (
-    SimDuration,
-    NodeId,
-    Arc<dyn Any + Send + Sync>,
-    Option<CpMeta>,
-);
+type QueuedControl = (SimDuration, NodeId, Rc<dyn Any>, Option<CpMeta>);
 
 /// Names one agent timer, from [`AgentCtx::set_timer`] until it fires or
 /// is cancelled ([`AgentCtx::cancel_timer`]). A generation-tagged ticket,
@@ -194,42 +189,35 @@ impl<'a> AgentCtx<'a> {
 
     /// Send an out-of-band control message to the agents of `to`,
     /// delivered after `delay`.
-    pub fn send_control<T: Any + Send + Sync>(
-        &mut self,
-        to: NodeId,
-        delay: SimDuration,
-        payload: T,
-    ) {
-        self.send_control_shared(to, delay, Arc::new(payload), None);
+    pub fn send_control<T: Any>(&mut self, to: NodeId, delay: SimDuration, payload: T) {
+        self.queue_control(to, delay, payload, None);
     }
 
     /// Like [`AgentCtx::send_control`], but tagging the message with its
     /// control-transaction identity so the control-plane flight recorder
     /// (DESIGN.md §6.4) can trace it. Identical delivery semantics; the
     /// tag is observation-only.
-    pub fn send_control_keyed<T: Any + Send + Sync>(
+    pub fn send_control_keyed<T: Any>(
         &mut self,
         to: NodeId,
         delay: SimDuration,
         payload: T,
         meta: CpMeta,
     ) {
-        self.send_control_shared(to, delay, Arc::new(payload), Some(meta));
+        self.queue_control(to, delay, payload, Some(meta));
     }
 
-    /// The one way a control message enters the outbox: `payload` is
-    /// already shared, so a sender that repeats one message (a command
-    /// re-sent on every lease renewal) queues a reference to it instead
-    /// of building a copy per send. `meta` as in
-    /// [`AgentCtx::send_control_keyed`]; None sends untagged.
-    pub fn send_control_shared(
+    /// The one way a control message enters the outbox.
+    fn queue_control<T: Any>(
         &mut self,
         to: NodeId,
         delay: SimDuration,
-        payload: Arc<dyn Any + Send + Sync>,
+        payload: T,
         meta: Option<CpMeta>,
     ) {
-        self.outbox.controls.push((delay, to, payload, meta));
+        self.outbox
+            .controls
+            .push((delay, to, Rc::new(payload), meta));
     }
 
     /// Is control-plane tracing enabled at all? One branch; agents may
@@ -299,8 +287,9 @@ impl CancelTimer for AgentCtx<'_> {
 ///
 /// All methods take `&mut self`; an agent is owned by exactly one node and
 /// the simulator is single-threaded per instance (determinism), so no
-/// internal synchronisation is needed.
-pub trait NodeAgent: Send {
+/// internal synchronisation is needed. An agent keeps its statistics as
+/// plain fields; [`crate::Simulator::agent`] hands it back to read them.
+pub trait NodeAgent: Any {
     /// Short stable name for logs and reports.
     fn name(&self) -> &'static str;
 
@@ -342,7 +331,7 @@ mod tests {
     fn control_msg_downcast() {
         let msg = ControlMsg {
             from: NodeId(3),
-            payload: Arc::new(42u32),
+            payload: Rc::new(42u32),
             meta: None,
         };
         assert_eq!(msg.get::<u32>(), Some(&42));

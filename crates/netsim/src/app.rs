@@ -6,6 +6,8 @@
 //! simulator's business — and react by sending packets and setting timers
 //! through the [`AppApi`].
 
+use std::any::Any;
+
 use crate::rng::ChaCha8Rng;
 
 use crate::addr::Addr;
@@ -61,8 +63,9 @@ impl<'a> AppApi<'a> {
     }
 }
 
-/// A host application bound to one address.
-pub trait App: Send {
+/// A host application bound to one address. It keeps its statistics as
+/// plain fields; [`crate::Simulator::app`] hands it back to read them.
+pub trait App: Any {
     /// Called once when the simulation starts.
     fn on_start(&mut self, _api: &mut AppApi<'_>) {}
 

@@ -371,7 +371,7 @@ pub(crate) use trace_events;
 /// Receiver of trace events. Implementations must not feed decisions back
 /// into the simulation (observation only) — determinism of the simulated
 /// world never depends on the sink.
-pub trait Sink<E>: Send {
+pub trait Sink<E> {
     /// Record one event.
     fn record(&mut self, ev: E);
 }
@@ -477,7 +477,7 @@ impl<E: TraceRecord> Recorder<E> {
     }
 }
 
-impl<E: Send> Sink<E> for Recorder<E> {
+impl<E> Sink<E> for Recorder<E> {
     fn record(&mut self, ev: E) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
@@ -490,7 +490,7 @@ impl<E: Send> Sink<E> for Recorder<E> {
 
 /// Shared-handle sink: scenario code keeps one `Arc` clone to read the
 /// recorder after the run while the simulator owns the other.
-impl<E: Send> Sink<E> for Arc<Mutex<Recorder<E>>> {
+impl<E> Sink<E> for Arc<Mutex<Recorder<E>>> {
     fn record(&mut self, ev: E) {
         self.lock()
             .expect("flight recorder mutex poisoned")
@@ -604,7 +604,7 @@ mod tests {
 
     fn ring_evicts_oldest_and_counts<E>(mk: fn(u64) -> E)
     where
-        E: TraceRecord + Send + Clone + PartialEq + std::fmt::Debug,
+        E: TraceRecord + Clone + PartialEq + std::fmt::Debug,
     {
         let mut r = Recorder::new(3);
         for i in 0..5 {
@@ -616,7 +616,7 @@ mod tests {
         assert_eq!(held, vec![mk(2), mk(3), mk(4)], "oldest evicted first");
     }
 
-    fn export_has_one_line_per_held_event<E: TraceRecord + Send>(mk: fn(u64) -> E) {
+    fn export_has_one_line_per_held_event<E: TraceRecord>(mk: fn(u64) -> E) {
         // Enough events that the streamed export flushes mid-ring.
         let mut r = Recorder::new(2000);
         for i in 0..2500 {
@@ -640,7 +640,7 @@ mod tests {
 
     fn sampled_is_a_subset_of_full<E>(mk: fn(u64) -> E)
     where
-        E: TraceRecord + Send + Clone + PartialEq + std::fmt::Debug + 'static,
+        E: TraceRecord + Clone + PartialEq + std::fmt::Debug + 'static,
     {
         let run = |seed: u64, one_in: u64| {
             let rec = shared::<E>(1 << 12);
@@ -665,7 +665,7 @@ mod tests {
         assert_ne!(sampled, run(43, 8), "another seed, another subset");
     }
 
-    fn wants_agrees_with_record<E: TraceRecord + Send + 'static>(mk: fn(u64) -> E) {
+    fn wants_agrees_with_record<E: TraceRecord + 'static>(mk: fn(u64) -> E) {
         let rec = shared::<E>(1 << 12);
         let mut t = Tracer::disabled(9);
         t.enable(Box::new(rec.clone()), 4);
@@ -679,7 +679,7 @@ mod tests {
         assert_eq!(rec.lock().unwrap().recorded(), wanted);
     }
 
-    fn disabled_tracer_records_nothing<E: TraceRecord + Send + 'static>(mk: fn(u64) -> E) {
+    fn disabled_tracer_records_nothing<E: TraceRecord + 'static>(mk: fn(u64) -> E) {
         let mut t = Tracer::disabled(1);
         assert!(!t.enabled());
         let key = mk(3).sample_key().expect("keyed");

@@ -12,8 +12,9 @@
 //! ([`crate::arena`]), so the steady-state hot path is allocation-free and
 //! every queue operation is O(1) amortized (DESIGN.md §6.2).
 
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::rng::ChaCha8Rng;
 
@@ -37,7 +38,7 @@ use crate::trace::TraceEvent;
 use crate::wheel::{EntryId, TimingWheel};
 
 /// A scheduled simulator callback.
-type Call = Box<dyn FnOnce(&mut Simulator) + Send>;
+type Call = Box<dyn FnOnce(&mut Simulator)>;
 
 pub(crate) enum EventKind {
     Arrive {
@@ -347,6 +348,34 @@ impl Simulator {
         chain.len() - 1
     }
 
+    /// The first `T` in `node`'s agent chain: how scenario code reads an
+    /// agent's state during or after a run. None when the chain holds no
+    /// `T` or `node` is outside the topology.
+    ///
+    /// A [`Simulator::schedule`] callback runs between agent callbacks,
+    /// never inside one, so it always sees whole chains.
+    pub fn agent<T: NodeAgent>(&self, node: NodeId) -> Option<&T> {
+        let chain = self.agents.get(node.0)?;
+        chain
+            .iter()
+            .find_map(|a| (a.as_ref() as &dyn Any).downcast_ref::<T>())
+    }
+
+    /// [`Simulator::agent`], mutably: a scheduled callback reconfigures
+    /// an agent through it.
+    pub fn agent_mut<T: NodeAgent>(&mut self, node: NodeId) -> Option<&mut T> {
+        let chain = self.agents.get_mut(node.0)?;
+        chain
+            .iter_mut()
+            .find_map(|a| (a.as_mut() as &mut dyn Any).downcast_mut::<T>())
+    }
+
+    /// The app at `addr`, if one of type `T` listens there: how scenario
+    /// code reads an app's state during or after a run.
+    pub fn app<T: App>(&self, addr: Addr) -> Option<&T> {
+        (self.apps.get(&addr)?.as_ref() as &dyn Any).downcast_ref::<T>()
+    }
+
     /// Install an application at an address. Replaces any existing app
     /// at that address (returned to the caller).
     pub fn install_app(&mut self, addr: Addr, app: Box<dyn App>) -> Option<Box<dyn App>> {
@@ -361,7 +390,7 @@ impl Simulator {
     /// scenario scripts stage mid-run reconfiguration (e.g. "deploy the TCS
     /// filter at t=20 s"). A time already in the past is clamped to the
     /// current instant (see [`Stats::past_events_clamped`]).
-    pub fn schedule<F: FnOnce(&mut Simulator) + Send + 'static>(&mut self, at: SimTime, f: F) {
+    pub fn schedule<F: FnOnce(&mut Simulator) + 'static>(&mut self, at: SimTime, f: F) {
         self.push(at, EventKind::Call(Box::new(f)));
     }
 
@@ -395,13 +424,7 @@ impl Simulator {
     ///
     /// # Panics
     /// If `from` or `to` is outside the topology.
-    pub fn deliver_control<T: std::any::Any + Send + Sync>(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        payload: T,
-    ) {
+    pub fn deliver_control<T: Any>(&mut self, at: SimTime, from: NodeId, to: NodeId, payload: T) {
         for (end, node) in [("from", from), ("to", to)] {
             assert!(
                 node.0 < self.topo.n(),
@@ -410,7 +433,7 @@ impl Simulator {
                 self.topo.n()
             );
         }
-        self.push_control(at, from, to, Arc::new(payload), None);
+        self.push_control(at, from, to, Rc::new(payload), None);
     }
 
     /// Install a control-channel fault injector. Crash windows in its
@@ -466,7 +489,7 @@ impl Simulator {
         at: SimTime,
         from: NodeId,
         to: NodeId,
-        payload: Arc<dyn std::any::Any + Send + Sync>,
+        payload: Rc<dyn Any>,
         meta: Option<CpMeta>,
     ) {
         self.stats.cp_msgs += 1;
@@ -980,6 +1003,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::SinkApp;
     use crate::packet::{Proto, TrafficClass};
     use crate::stats::DropReason;
     use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -1392,7 +1416,7 @@ mod tests {
     fn events_across_cascade_levels_fire_in_order() {
         let topo = Topology::line(2);
         let mut sim = Simulator::new(topo, 1);
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(std::cell::RefCell::new(Vec::new()));
         // Times straddling level boundaries of the 64-slot wheel.
         let times: Vec<u64> = vec![
             1,
@@ -1410,11 +1434,11 @@ mod tests {
         for &t in times.iter().rev() {
             let o = order.clone();
             sim.schedule(SimTime::from_nanos(t), move |sim| {
-                o.lock().unwrap().push(sim.now().as_nanos());
+                o.borrow_mut().push(sim.now().as_nanos());
             });
         }
         sim.run_to_idle();
-        assert_eq!(*order.lock().unwrap(), times);
+        assert_eq!(*order.borrow(), times);
     }
 
     /// Every pending event holds one `EventKind` in the wheel's slab, and
@@ -1427,7 +1451,7 @@ mod tests {
 
     /// Agent timer behaviour.
     struct TickAgent {
-        ticks: Arc<AtomicU64>,
+        ticks: u64,
     }
     impl NodeAgent for TickAgent {
         fn name(&self) -> &'static str {
@@ -1444,7 +1468,7 @@ mod tests {
         }
         fn on_timer(&mut self, _ctx: &mut AgentCtx<'_>, token: u64) {
             assert_eq!(token, 7);
-            self.ticks.fetch_add(1, AtomicOrdering::Relaxed);
+            self.ticks += 1;
         }
     }
 
@@ -1452,19 +1476,13 @@ mod tests {
     fn agent_timers_fire() {
         let topo = Topology::line(2);
         let mut sim = Simulator::new(topo, 1);
-        let ticks = Arc::new(AtomicU64::new(0));
-        sim.add_agent(
-            NodeId(0),
-            Box::new(TickAgent {
-                ticks: ticks.clone(),
-            }),
-        );
+        sim.add_agent(NodeId(0), Box::new(TickAgent { ticks: 0 }));
         sim.emit_now(
             NodeId(0),
             udp(Addr::new(NodeId(0), 1), Addr::new(NodeId(1), 1)),
         );
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(ticks.load(AtomicOrdering::Relaxed), 1);
+        assert_eq!(sim.agent::<TickAgent>(NodeId(0)).unwrap().ticks, 1);
     }
 
     /// Scripted by timer tokens: `ARM` sets a timer 10 ms out (token
@@ -1474,7 +1492,7 @@ mod tests {
     struct CancelAgent {
         held: Vec<TimerId>,
         rearm_once: bool,
-        fired: Arc<std::sync::Mutex<Vec<u64>>>,
+        fired: Vec<u64>,
     }
     const ARM: u64 = 1;
     const CANCEL: u64 = 2;
@@ -1494,10 +1512,7 @@ mod tests {
                     ctx.cancel_timer(id);
                 }
                 _ => {
-                    self.fired
-                        .lock()
-                        .unwrap()
-                        .push(ctx.now.as_nanos() / 1_000_000);
+                    self.fired.push(ctx.now.as_nanos() / 1_000_000);
                     if std::mem::take(&mut self.rearm_once) {
                         self.held.push(arm(ctx));
                     }
@@ -1510,11 +1525,10 @@ mod tests {
     /// fired at, and the events dispatched.
     fn cancel_script(rearm_once: bool, script: &[(u64, u64)]) -> (Vec<u64>, u64) {
         let mut sim = Simulator::new(Topology::line(1), 1);
-        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
         let agent = CancelAgent {
             held: Vec::new(),
             rearm_once,
-            fired: fired.clone(),
+            fired: Vec::new(),
         };
         let idx = sim.add_agent(NodeId(0), Box::new(agent));
         for &(ms, token) in script {
@@ -1522,7 +1536,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.pending_events(), 0);
-        let fired = fired.lock().unwrap().clone();
+        let fired = sim.agent::<CancelAgent>(NodeId(0)).unwrap().fired.clone();
         (fired, sim.stats.events)
     }
 
@@ -1547,6 +1561,62 @@ mod tests {
         // first timer's id at 15 ms must leave the second alone.
         let (fired, _) = cancel_script(true, &[(0, ARM), (15, CANCEL)]);
         assert_eq!(fired, [10, 20]);
+    }
+
+    fn cancel_agent() -> Box<CancelAgent> {
+        Box::new(CancelAgent {
+            held: Vec::new(),
+            rearm_once: false,
+            fired: vec![3],
+        })
+    }
+
+    #[test]
+    fn agent_finds_each_type_on_a_chain_and_none_of_another() {
+        let mut sim = Simulator::new(Topology::line(2), 1);
+        sim.add_agent(NodeId(0), Box::new(TickAgent { ticks: 5 }));
+        sim.add_agent(NodeId(0), cancel_agent());
+        assert_eq!(sim.agent::<TickAgent>(NodeId(0)).unwrap().ticks, 5);
+        assert_eq!(sim.agent::<CancelAgent>(NodeId(0)).unwrap().fired, [3]);
+        assert!(sim.agent::<DropWatch>(NodeId(0)).is_none(), "wrong type");
+        assert!(sim.agent::<TickAgent>(NodeId(1)).is_none(), "empty chain");
+        assert!(sim.agent_mut::<DropWatch>(NodeId(0)).is_none());
+    }
+
+    #[test]
+    fn agent_of_a_node_past_the_topology_is_none() {
+        let mut sim = Simulator::new(Topology::line(2), 1);
+        assert!(sim.agent::<TickAgent>(NodeId(2)).is_none());
+        assert!(sim.agent_mut::<TickAgent>(NodeId(usize::MAX)).is_none());
+    }
+
+    #[test]
+    fn app_of_another_type_is_none() {
+        let mut sim = Simulator::new(Topology::line(2), 1);
+        let at = Addr::new(NodeId(1), 1);
+        sim.install_app(at, Box::new(SinkApp));
+        assert!(sim.app::<SinkApp>(at).is_some());
+        assert!(sim.app::<Counter>(at).is_none(), "wrong type");
+        assert!(sim.app::<SinkApp>(Addr::new(NodeId(1), 2)).is_none());
+        assert!(sim.app::<SinkApp>(Addr::new(NodeId(9), 1)).is_none());
+    }
+
+    #[test]
+    fn a_change_through_agent_mut_reaches_the_next_callback() {
+        // Armed at 0 and 20 ms, the timer fires at 10 and 30; the re-arm
+        // switched on at 15 ms makes the 30 ms firing set one for 40.
+        let mut sim = Simulator::new(Topology::line(1), 1);
+        let idx = sim.add_agent(NodeId(0), cancel_agent());
+        for ms in [0, 20] {
+            sim.schedule_agent_timer(NodeId(0), idx, SimTime::from_millis(ms), ARM);
+        }
+        sim.schedule(SimTime::from_millis(15), |s| {
+            s.agent_mut::<CancelAgent>(NodeId(0)).unwrap().rearm_once = true;
+        });
+        sim.run_until(SimTime::from_secs(1));
+        let agent = sim.agent::<CancelAgent>(NodeId(0)).unwrap();
+        assert_eq!(agent.fired, [3, 10, 30, 40]);
+        assert!(!agent.rearm_once, "the 30 ms firing used it up");
     }
 
     #[test]
