@@ -377,9 +377,9 @@ fn trie_matches_linear_reference() {
             linear.insert(p, i);
         }
         for &a in &probes {
-            let t = trie.lookup(Addr(a)).map(|(p, _)| p.len);
-            let l = linear.lookup(Addr(a)).map(|(p, _)| p.len);
-            assert_eq!(t, l, "LPM length must agree at {:#x}", a);
+            let t = trie.lookup(Addr(a)).map(|(p, v)| (p.len, *v));
+            let l = linear.lookup(Addr(a)).map(|(p, v)| (p.len, *v));
+            assert_eq!(t, l, "LPM length and value must agree at {:#x}", a);
         }
     });
 }

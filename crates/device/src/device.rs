@@ -611,9 +611,19 @@ impl AdaptiveDevice {
         }
     }
 
+    /// Move `rule_count` by a slot's change of rules. The count is the sum
+    /// of the live slots' `rule_count()` — every install, removal and reap
+    /// passes its delta through here, and a crash zeroes both — so it never
+    /// goes below zero; a negative result would be a bookkeeping bug.
     fn adjust_rule_count(&mut self, delta: i64) {
         let mut s = self.stats.lock();
-        s.rule_count = (s.rule_count as i64 + delta).max(0) as usize;
+        let count = s.rule_count as i64 + delta;
+        debug_assert!(
+            count >= 0,
+            "rule count {} {delta:+} underflows",
+            s.rule_count
+        );
+        s.rule_count = count.max(0) as usize;
     }
 
     /// Charge and flush buffered telemetry events.
@@ -826,8 +836,8 @@ impl NodeAgent for AdaptiveDevice {
                 .services
                 .remove(&(owner, stage))
                 .map_or(0, |slot| slot.rule_count());
+            self.adjust_rule_count(-(rules as i64));
             let mut s = self.stats.lock();
-            s.rule_count = s.rule_count.saturating_sub(rules);
             s.lease_reaps += 1;
             s.last_reap_at = Some(ctx.now);
             reaped = true;
