@@ -4,9 +4,10 @@
 //! ingress filters, pushback logic, traceback markers — is a [`NodeAgent`].
 //! Agents on a node form an ordered chain; each inbound or locally-emitted
 //! packet passes through the chain before normal forwarding, and any agent
-//! may drop it. Agents communicate with the simulator exclusively through
-//! the [`Outbox`], which keeps the borrow structure simple and the event
-//! order deterministic.
+//! may drop it. Agents act on the simulator exclusively through their
+//! [`AgentCtx`]: each packet, timer and control message is queued on the
+//! event queue at the call, so a callback's effects are ordered the way it
+//! made them.
 //!
 //! Control-plane messaging between agents (pushback's upstream rate-limit
 //! requests, the TCSP/ISP management operations of Figs. 4–5) uses
@@ -18,17 +19,14 @@
 use std::any::Any;
 use std::rc::Rc;
 
-use crate::arena::{Arena, Handle};
 use crate::cp_trace::{CpMeta, CpTraceEvent};
 use crate::node::{LinkId, NodeId};
 use crate::packet::{Packet, PacketBuilder};
-use crate::recorder::Tracer;
 use crate::routing::Routing;
-use crate::sim::EventQueue;
-use crate::stats::DropReason;
+use crate::sim::{Core, EventKind};
+use crate::stats::{DropReason, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::TraceEvent;
 use crate::wheel::EntryId;
 
 /// What an agent decided about a packet.
@@ -65,51 +63,13 @@ impl ControlMsg {
     }
 }
 
-/// A control message waiting in the [`Outbox`]: delay, destination, payload
-/// and flight-recorder tag.
-type QueuedControl = (SimDuration, NodeId, Rc<dyn Any>, Option<CpMeta>);
-
 /// Names one agent timer, from [`AgentCtx::set_timer`] until it fires or
-/// is cancelled ([`AgentCtx::cancel_timer`]). A generation-tagged ticket,
-/// like a packet's [`crate::arena::Handle`]: it is bound to its wheel
-/// entry when the outbox flushes and released when the timer fires or is
-/// cancelled, so an id kept past that names nothing and cancelling it is
-/// a no-op.
+/// is cancelled ([`AgentCtx::cancel_timer`]): the timer's wheel entry,
+/// whose `seq` no other push repeats, so an id kept past the firing or a
+/// cancel names nothing and cancelling it is a no-op, even once a later
+/// timer has taken over the entry's record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimerId(Handle);
-
-impl TimerId {
-    /// A fresh ticket, bound to no entry yet.
-    pub(crate) fn new(tickets: &mut TimerTickets) -> TimerId {
-        TimerId(tickets.alloc(EntryId::NONE))
-    }
-
-    /// Bind the ticket to the wheel entry its timer was queued as.
-    pub(crate) fn bind(self, tickets: &mut TimerTickets, entry: EntryId) {
-        tickets.store(self.0, entry);
-    }
-
-    /// Is the ticket still held (its timer neither fired nor cancelled)?
-    pub(crate) fn is_live(self, tickets: &TimerTickets) -> bool {
-        tickets.is_live(self.0)
-    }
-
-    /// Release the ticket and hand back its entry ([`EntryId::NONE`] while
-    /// the timer waits in the outbox); None when it was released before
-    /// (the timer fired or was cancelled).
-    pub(crate) fn release(self, tickets: &mut TimerTickets) -> Option<EntryId> {
-        if !tickets.is_live(self.0) {
-            return None;
-        }
-        let entry = tickets.take(self.0);
-        tickets.free(self.0);
-        Some(entry)
-    }
-}
-
-/// The live agent timers: each ticket holds the wheel entry its timer
-/// was pushed as ([`EntryId::NONE`] until the outbox flushes).
-pub(crate) type TimerTickets = Arena<EntryId>;
+pub struct TimerId(pub(crate) EntryId);
 
 /// Takes back the timers of work that was retired before they fired.
 /// [`AgentCtx`] cancels them; `()` drops them, for a decider exercised
@@ -123,24 +83,6 @@ impl CancelTimer for () {
     fn cancel_timer(&mut self, _id: TimerId) {}
 }
 
-/// Deferred effects produced by agent / app callbacks, applied by the
-/// simulator after the callback returns.
-#[derive(Default)]
-pub struct Outbox {
-    pub(crate) sends: Vec<(SimDuration, PacketBuilder)>,
-    /// Timers for whoever ran the callback (an agent or an app); the
-    /// simulator's flush knows which. An agent's carry their ticket, and
-    /// one cancelled before the flush is not queued.
-    pub(crate) timers: Vec<(SimDuration, u64, Option<TimerId>)>,
-    pub(crate) controls: Vec<QueuedControl>,
-}
-
-impl Outbox {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.sends.is_empty() && self.timers.is_empty() && self.controls.is_empty()
-    }
-}
-
 /// Context handed to every agent callback.
 pub struct AgentCtx<'a> {
     /// Current simulated time.
@@ -151,14 +93,10 @@ pub struct AgentCtx<'a> {
     pub topo: &'a Topology,
     /// Read-only routing tables.
     pub routing: &'a Routing,
-    pub(crate) outbox: &'a mut Outbox,
-    pub(crate) tickets: &'a mut TimerTickets,
-    /// The event queue, for [`AgentCtx::cancel_timer`] alone.
-    pub(crate) queue: &'a mut EventQueue,
-    pub(crate) trace: &'a mut Tracer<TraceEvent>,
-    pub(crate) cp_trace: &'a mut Tracer<CpTraceEvent>,
-    /// One-slot staging area for the next module verdict's detail string.
-    pub(crate) verdict_detail: &'a mut Option<String>,
+    /// This agent's index in the chain: whose timers it sets.
+    pub(crate) agent: usize,
+    pub(crate) core: &'a mut Core,
+    pub(crate) stats: &'a mut Stats,
 }
 
 impl<'a> AgentCtx<'a> {
@@ -166,31 +104,41 @@ impl<'a> AgentCtx<'a> {
     /// the network at this node and traverses the agent chain like any
     /// other traffic.
     pub fn emit(&mut self, delay: SimDuration, builder: PacketBuilder) {
-        self.outbox.sends.push((delay, builder));
+        let at = self.now + delay;
+        self.core.inject(self.stats, self.node, at, builder);
     }
 
     /// Arrange for `on_timer(token)` on this agent after `delay`; the id
     /// cancels it until it fires.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        let id = TimerId::new(self.tickets);
-        self.outbox.timers.push((delay, token, Some(id)));
-        id
+        let kind = EventKind::AgentTimer {
+            node: self.node,
+            agent: self.agent,
+            token,
+        };
+        TimerId(self.core.push(self.stats, self.now + delay, kind))
     }
 
     /// Cancel a timer this agent set: it will not fire. A no-op for one
     /// that already fired or was cancelled.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        // A timer set in this callback has no entry yet (`EntryId::NONE`,
-        // which cancels nothing); the flush skips it.
-        if let Some(entry) = id.release(self.tickets) {
-            self.queue.cancel(entry);
-        }
+        self.core.queue.cancel(id.0);
     }
 
     /// Send an out-of-band control message to the agents of `to`,
     /// delivered after `delay`.
+    ///
+    /// # Panics
+    /// If `to` is outside the topology.
     pub fn send_control<T: Any>(&mut self, to: NodeId, delay: SimDuration, payload: T) {
-        self.queue_control(to, delay, payload, None);
+        let msg = ControlMsg {
+            from: self.node,
+            payload: Rc::new(payload),
+            meta: None,
+        };
+        let at = self.now + delay;
+        self.core
+            .push_control(self.stats, self.topo.n(), at, to, msg);
     }
 
     /// Like [`AgentCtx::send_control`], but tagging the message with its
@@ -204,20 +152,14 @@ impl<'a> AgentCtx<'a> {
         payload: T,
         meta: CpMeta,
     ) {
-        self.queue_control(to, delay, payload, Some(meta));
-    }
-
-    /// The one way a control message enters the outbox.
-    fn queue_control<T: Any>(
-        &mut self,
-        to: NodeId,
-        delay: SimDuration,
-        payload: T,
-        meta: Option<CpMeta>,
-    ) {
-        self.outbox
-            .controls
-            .push((delay, to, Rc::new(payload), meta));
+        let msg = ControlMsg {
+            from: self.node,
+            payload: Rc::new(payload),
+            meta: Some(meta),
+        };
+        let at = self.now + delay;
+        self.core
+            .push_control(self.stats, self.topo.n(), at, to, msg);
     }
 
     /// Is control-plane tracing enabled at all? One branch; agents may
@@ -225,7 +167,7 @@ impl<'a> AgentCtx<'a> {
     /// allocation-free and [`AgentCtx::cp_event`] gates internally.
     #[inline]
     pub fn cp_trace_enabled(&self) -> bool {
-        self.cp_trace.enabled()
+        self.core.cp_tracer.enabled()
     }
 
     /// Record a control-plane trace event. No-op when tracing is
@@ -233,7 +175,7 @@ impl<'a> AgentCtx<'a> {
     /// transaction is in the deterministic sample.
     #[inline]
     pub fn cp_event(&mut self, ev: CpTraceEvent) {
-        self.cp_trace.record(ev);
+        self.core.cp_tracer.record(ev);
     }
 
     /// Is the packet in the trace sample? Agents use this to gate any
@@ -241,7 +183,7 @@ impl<'a> AgentCtx<'a> {
     /// [`AgentCtx::trace_verdict_detail`] string); one branch when tracing
     /// is disabled.
     pub fn trace_wants(&self, pkt: &Packet) -> bool {
-        self.trace.wants(&[pkt.id])
+        self.core.tracer.wants(&[pkt.id])
     }
 
     /// Attach a detail string (e.g. which filter stage fired) to the
@@ -250,8 +192,8 @@ impl<'a> AgentCtx<'a> {
     /// [`AgentCtx::trace_wants`] check so untraced packets allocate
     /// nothing; staged detail is discarded if the packet is forwarded.
     pub fn trace_verdict_detail(&mut self, detail: impl Into<String>) {
-        if self.trace.enabled() {
-            *self.verdict_detail = Some(detail.into());
+        if self.core.tracer.enabled() {
+            self.core.verdict_detail = Some(detail.into());
         }
     }
 
@@ -336,17 +278,5 @@ mod tests {
         };
         assert_eq!(msg.get::<u32>(), Some(&42));
         assert_eq!(msg.get::<u64>(), None);
-    }
-
-    #[test]
-    fn outbox_empty_tracking() {
-        let mut o = Outbox::default();
-        assert!(o.is_empty());
-        o.timers.push((SimDuration::ZERO, 1, None));
-        assert!(!o.is_empty());
-        // The simulator drains by `mem::take` and hands the emptied
-        // buffers back; emptiness must reflect that.
-        std::mem::take(&mut o.timers).clear();
-        assert!(o.is_empty());
     }
 }

@@ -4,16 +4,18 @@
 //! victim, legitimate client…) is an [`App`] installed at one [`Addr`].
 //! Apps see only delivered packets — everything on the wire is the
 //! simulator's business — and react by sending packets and setting timers
-//! through the [`AppApi`].
+//! through the [`AppApi`], which queues each on the event queue at the
+//! call.
 
 use std::any::Any;
 
 use crate::rng::ChaCha8Rng;
 
 use crate::addr::Addr;
-use crate::agent::Outbox;
 use crate::node::NodeId;
 use crate::packet::{Packet, PacketBuilder};
+use crate::sim::{Core, EventKind};
+use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 
 /// What the application did with a delivered packet.
@@ -42,24 +44,31 @@ pub struct AppApi<'a> {
     /// Deterministic per-simulation RNG (shared; the simulator is
     /// single-threaded).
     pub rng: &'a mut ChaCha8Rng,
-    pub(crate) outbox: &'a mut Outbox,
+    pub(crate) core: &'a mut Core,
+    pub(crate) stats: &'a mut Stats,
 }
 
 impl<'a> AppApi<'a> {
     /// Send a packet; it enters the network at this node (and passes any
     /// agents installed there, so local anti-spoofing sees host traffic).
     pub fn send(&mut self, builder: PacketBuilder) {
-        self.outbox.sends.push((SimDuration::ZERO, builder));
+        self.send_after(SimDuration::ZERO, builder);
     }
 
     /// Send after a delay.
     pub fn send_after(&mut self, delay: SimDuration, builder: PacketBuilder) {
-        self.outbox.sends.push((delay, builder));
+        let at = self.now + delay;
+        self.core.inject(self.stats, self.node, at, builder);
     }
 
     /// Arrange for `on_timer(token)` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.outbox.timers.push((delay, token, None));
+        let addr = self.self_addr;
+        self.core.push(
+            self.stats,
+            self.now + delay,
+            EventKind::AppTimer { addr, token },
+        );
     }
 }
 

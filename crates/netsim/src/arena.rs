@@ -1,4 +1,4 @@
-//! Generation-tagged slab arena: in-flight packets and agent-timer tickets.
+//! Generation-tagged slab arena: in-flight packets.
 //!
 //! Replaces the recycled-`Box<Packet>` pool: event entries hold a compact
 //! 8-byte [`Handle`] instead of a pointer, the backing store is one

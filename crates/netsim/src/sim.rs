@@ -2,8 +2,8 @@
 //!
 //! Single-threaded and deterministic: events are ordered by `(time, seq)`
 //! where `seq` is a monotone tie-breaker, all randomness flows from one
-//! seeded ChaCha8 stream, and agent/app callbacks interact with the engine
-//! only through outbox buffers that are flushed in callback order.
+//! seeded ChaCha8 stream, and agent/app callbacks act on the engine core
+//! (`Core`) directly, so their effects are queued in call order.
 //! Parallelism lives one level up — experiment sweeps run many independent
 //! `Simulator` instances across threads (DESIGN.md §6).
 //!
@@ -19,10 +19,10 @@ use std::rc::Rc;
 use crate::rng::ChaCha8Rng;
 
 use crate::addr::Addr;
-use crate::agent::{AgentCtx, ControlMsg, NodeAgent, Outbox, TimerId, TimerTickets, Verdict};
+use crate::agent::{AgentCtx, ControlMsg, NodeAgent, TimerId, Verdict};
 use crate::app::{App, AppApi, Disposition};
 use crate::arena::{Arena, Handle as PktHandle};
-use crate::cp_trace::{CpMeta, CpTraceEvent, CpVerdict};
+use crate::cp_trace::{CpTraceEvent, CpVerdict};
 use crate::faults::FaultPlane;
 use crate::fluid::{FluidDemand, FluidLayer};
 use crate::link::Admission;
@@ -44,7 +44,7 @@ pub(crate) enum EventKind {
     Arrive {
         at: NodeId,
         from: Option<LinkId>,
-        /// Generation-tagged ticket into [`Simulator::arena`]. Index-based
+        /// Generation-tagged ticket into [`Core::arena`]. Index-based
         /// so the entry stays small (a queued event of any kind is one
         /// `EventKind`-wide record in the wheel's slab) and so a freed
         /// packet cannot be silently resurrected: a stale ticket fails its
@@ -55,8 +55,6 @@ pub(crate) enum EventKind {
         node: NodeId,
         agent: usize,
         token: u64,
-        /// Released when the timer fires ([`TimerId`]).
-        ticket: TimerId,
     },
     AppTimer {
         addr: Addr,
@@ -72,12 +70,199 @@ pub(crate) enum EventKind {
 /// The simulator's event queue.
 pub(crate) type EventQueue = TimingWheel<EventKind>;
 
-/// Whose timers an outbox flush carries: the agent at this chain index, or
-/// the app at this address.
-#[derive(Clone, Copy)]
-enum TimerOwner {
-    Agent(usize),
-    App(Addr),
+/// The engine core: the event queue and everything an effect touches on
+/// its way in — the clock, the sequence and packet-id counters, the packet
+/// arena, both flight recorders, the verdict-detail slot and the fault
+/// plane. An agent or app callback holds it (with [`Stats`]) while its
+/// chain is lent out, so every packet, timer and control message it makes
+/// is queued at the call.
+pub(crate) struct Core {
+    pub(crate) queue: EventQueue,
+    pub(crate) now: SimTime,
+    seq: u64,
+    next_packet_id: u64,
+    /// In-flight packet store: every queued `Arrive` event owns exactly
+    /// one live arena slot, released when the packet reaches a terminal
+    /// event (delivery or drop). Slots are reused, so steady-state
+    /// forwarding allocates nothing.
+    pub(crate) arena: Arena<Packet>,
+    /// Lifecycle tracing front-end (flight recorder / JSONL). Disabled by
+    /// default; the hot path then pays a single `None` branch per gate
+    /// (DESIGN.md §6.4).
+    pub(crate) tracer: Tracer<TraceEvent>,
+    /// Control-plane flight-recorder front-end (DESIGN.md §6.4): the
+    /// symmetric facility for control transactions. Disabled by default;
+    /// the control funnel then pays one `None` branch per push.
+    pub(crate) cp_tracer: Tracer<CpTraceEvent>,
+    /// One-slot staging area for a module's verdict detail string
+    /// ([`AgentCtx::trace_verdict_detail`]), consumed by the next
+    /// `ModuleVerdict` event.
+    pub(crate) verdict_detail: Option<String>,
+    /// Optional control-channel fault injector (drop / duplicate / jitter
+    /// / outage windows). `None` costs one branch per control push and
+    /// leaves event order untouched — the zero-fault path is byte-
+    /// identical to a build without the feature.
+    faults: Option<FaultPlane>,
+}
+
+impl Core {
+    /// Enqueue an event. Events dated in the past — a module bug the old
+    /// queue only caught with a `debug_assert` at pop time, silently
+    /// rewinding the clock in release builds — are clamped to the current
+    /// instant and counted in [`Stats::past_events_clamped`], preserving
+    /// the engine's monotone-clock invariant in every build profile.
+    ///
+    /// Overflow audit: `seq` is a `u64` bumped once per event; even at
+    /// 10⁹ events per wall-second it cannot wrap within ~584 years of
+    /// compute, and the wheel's slot arithmetic is closed over the full
+    /// `u64` tick range (see [`crate::wheel`]'s cascade-boundary tests).
+    pub(crate) fn push(&mut self, stats: &mut Stats, time: SimTime, kind: EventKind) -> EntryId {
+        let time = if time < self.now {
+            stats.past_events_clamped += 1;
+            self.now
+        } else {
+            time
+        };
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(time.as_nanos(), seq, kind)
+    }
+
+    /// Give a new packet its id and send time, count it sent and trace its
+    /// `Emit`.
+    fn stamp(&mut self, stats: &mut Stats, node: NodeId, builder: PacketBuilder) -> Packet {
+        let mut pkt = builder.build(self.next_packet_id, node);
+        self.next_packet_id += 1;
+        pkt.sent_at = self.now;
+        stats.record_sent(&pkt);
+        if self.tracer.wants(&[pkt.id]) {
+            self.tracer.record(TraceEvent::Emit {
+                t: self.now.as_nanos(),
+                pkt: pkt.id,
+                node,
+                src: pkt.src,
+                dst: pkt.dst,
+                proto: pkt.proto,
+                class: pkt.provenance.class,
+                size: pkt.size,
+                flow: pkt.flow,
+            });
+        }
+        pkt
+    }
+
+    /// A new packet enters the network at `node` at time `at`: stamped,
+    /// given its arena slot, and queued to arrive with no inbound link.
+    pub(crate) fn inject(
+        &mut self,
+        stats: &mut Stats,
+        node: NodeId,
+        at: SimTime,
+        builder: PacketBuilder,
+    ) {
+        let pkt = self.stamp(stats, node, builder);
+        let pkt = self.arena.alloc(pkt);
+        let kind = EventKind::Arrive {
+            at: node,
+            from: None,
+            pkt,
+        };
+        self.push(stats, at, kind);
+    }
+
+    /// The single funnel for control-message scheduling: every
+    /// `ControlDeliver` event — scenario-injected or agent-sent — passes
+    /// through here, so one check refuses an endpoint outside the
+    /// `nodes`-node topology at the send, the fault plane sees the complete
+    /// channel, and the control-plane flight recorder can pair every send
+    /// with exactly one fault verdict. The channel's answer is one
+    /// [`CpVerdict`] ([`FaultPlane::verdict`], or plain delivery without a
+    /// plane); counting, tracing and scheduling all read that one value.
+    pub(crate) fn push_control(
+        &mut self,
+        stats: &mut Stats,
+        nodes: usize,
+        at: SimTime,
+        to: NodeId,
+        msg: ControlMsg,
+    ) {
+        let ControlMsg {
+            from,
+            payload,
+            meta,
+        } = msg;
+        for (end, node) in [("from", from), ("to", to)] {
+            assert!(
+                node.0 < nodes,
+                "control message {end} node {}: outside the {nodes}-node topology",
+                node.0
+            );
+        }
+        stats.cp_msgs += 1;
+        let traced = self.cp_tracer.enabled();
+        let t = self.now.as_nanos();
+        if traced {
+            self.cp_tracer
+                .record(CpTraceEvent::Send { t, meta, from, to });
+        }
+        let deliver_at = at.max(self.now);
+        let verdict = match self.faults.as_mut() {
+            Some(plane) => plane.verdict(from, to, self.now, deliver_at),
+            None => CpVerdict::Deliver {
+                deliver_ns: deliver_at.as_nanos(),
+                jitter_ns: 0,
+                dup_extra_ns: None,
+            },
+        };
+        if traced {
+            self.cp_tracer.record(CpTraceEvent::Verdict {
+                t,
+                meta,
+                from,
+                to,
+                verdict,
+            });
+        }
+        match verdict {
+            CpVerdict::Outage { .. } => stats.cp_outage_dropped += 1,
+            CpVerdict::Partition { .. } => stats.cp_partition_dropped += 1,
+            CpVerdict::Drop => stats.cp_fault_dropped += 1,
+            CpVerdict::Deliver {
+                deliver_ns,
+                jitter_ns,
+                dup_extra_ns,
+            } => {
+                if jitter_ns > 0 {
+                    stats.cp_fault_jittered += 1;
+                }
+                // Pinned quirk: without a fault plane the delivery is
+                // pushed at the sender's raw `at`, so a past-dated send
+                // still lands in `past_events_clamped`; a plane clamps to
+                // `now` first and then adds its jitter.
+                let first = match self.faults {
+                    Some(_) => SimTime::from_nanos(deliver_ns),
+                    None => at,
+                };
+                let deliver = |payload| EventKind::ControlDeliver {
+                    to,
+                    msg: ControlMsg {
+                        from,
+                        payload,
+                        meta,
+                    },
+                };
+                self.push(stats, first, deliver(payload.clone()));
+                if let Some(extra) = dup_extra_ns {
+                    stats.cp_fault_duplicated += 1;
+                    self.push(
+                        stats,
+                        first + SimDuration::from_nanos(extra),
+                        deliver(payload),
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The simulator.
@@ -90,37 +275,8 @@ pub struct Simulator {
     pub stats: Stats,
     agents: Vec<Vec<Box<dyn NodeAgent>>>,
     apps: BTreeMap<Addr, Box<dyn App>>,
-    queue: EventQueue,
-    now: SimTime,
-    seq: u64,
-    next_packet_id: u64,
+    core: Core,
     rng: ChaCha8Rng,
-    outbox: Outbox,
-    /// Every agent timer that has neither fired nor been cancelled, by
-    /// ticket: what [`AgentCtx::cancel_timer`] takes back.
-    tickets: TimerTickets,
-    /// In-flight packet store: every queued `Arrive` event owns exactly
-    /// one live arena slot, released when the packet reaches a terminal
-    /// event (delivery or drop). Slots are reused, so steady-state
-    /// forwarding allocates nothing.
-    arena: Arena<Packet>,
-    /// Lifecycle tracing front-end (flight recorder / JSONL). Disabled by
-    /// default; the hot path then pays a single `None` branch per gate
-    /// (DESIGN.md §6.4).
-    tracer: Tracer<TraceEvent>,
-    /// One-slot staging area for a module's verdict detail string
-    /// ([`AgentCtx::trace_verdict_detail`]), consumed by the next
-    /// `ModuleVerdict` event.
-    verdict_detail: Option<String>,
-    /// Control-plane flight-recorder front-end (DESIGN.md §6.4): the
-    /// symmetric facility for control transactions. Disabled by default;
-    /// the control funnel then pays one `None` branch per push.
-    cp_tracer: Tracer<CpTraceEvent>,
-    /// Optional control-channel fault injector (drop / duplicate / jitter
-    /// / outage windows). `None` costs one branch per control push and
-    /// leaves event order untouched — the zero-fault path is byte-
-    /// identical to a build without the feature.
-    faults: Option<FaultPlane>,
     /// Fluid background-traffic engine (DESIGN.md §6.8). `None` keeps the
     /// simulator purely packet-level; the event stream is then
     /// byte-identical to builds predating the fluid layer.
@@ -143,18 +299,18 @@ impl Simulator {
             stats: Stats::new(),
             agents: (0..n).map(|_| Vec::new()).collect(),
             apps: BTreeMap::new(),
-            queue: TimingWheel::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            next_packet_id: 1,
+            core: Core {
+                queue: TimingWheel::new(),
+                now: SimTime::ZERO,
+                seq: 0,
+                next_packet_id: 1,
+                arena: Arena::new(),
+                tracer: Tracer::disabled(seed),
+                cp_tracer: Tracer::disabled(seed),
+                verdict_detail: None,
+                faults: None,
+            },
             rng: seeded(seed),
-            outbox: Outbox::default(),
-            tickets: TimerTickets::new(),
-            arena: Arena::new(),
-            tracer: Tracer::disabled(seed),
-            verdict_detail: None,
-            cp_tracer: Tracer::disabled(seed),
-            faults: None,
             fluid: None,
             fluid_packetized: vec![false; n],
             started: false,
@@ -169,13 +325,13 @@ impl Simulator {
     /// # Panics
     /// If `one_in` is 0.
     pub fn set_trace_sink(&mut self, sink: Box<dyn Sink<TraceEvent>>, one_in: u64) {
-        self.tracer.enable(sink, one_in);
+        self.core.tracer.enable(sink, one_in);
     }
 
     /// Remove and return the trace sink, disabling tracing.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn Sink<TraceEvent>>> {
-        self.verdict_detail = None;
-        self.tracer.disable()
+        self.core.verdict_detail = None;
+        self.core.tracer.disable()
     }
 
     /// Install a control-plane trace sink recording lifecycle events for
@@ -189,22 +345,22 @@ impl Simulator {
     /// # Panics
     /// If `one_in` is 0.
     pub fn set_cp_trace_sink(&mut self, sink: Box<dyn Sink<CpTraceEvent>>, one_in: u64) {
-        self.cp_tracer.enable(sink, one_in);
+        self.core.cp_tracer.enable(sink, one_in);
     }
 
     /// Remove and return the control-plane trace sink, disabling tracing.
     pub fn take_cp_trace_sink(&mut self) -> Option<Box<dyn Sink<CpTraceEvent>>> {
-        self.cp_tracer.disable()
+        self.core.cp_tracer.disable()
     }
 
     /// Is control-plane tracing enabled?
     pub fn cp_trace_enabled(&self) -> bool {
-        self.cp_tracer.enabled()
+        self.core.cp_tracer.enabled()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// Turn on the fluid background-traffic layer with the given
@@ -214,7 +370,7 @@ impl Simulator {
     /// they are attack traffic or an endpoint is packetized.
     pub fn enable_fluid(&mut self, tick: SimDuration) {
         if self.fluid.is_none() {
-            self.fluid = Some(FluidLayer::new(tick, self.now, self.routing.epoch()));
+            self.fluid = Some(FluidLayer::new(tick, self.core.now, self.routing.epoch()));
         }
     }
 
@@ -284,7 +440,7 @@ impl Simulator {
             && !packetized(d.dst);
         if fluid_ok {
             self.stats.fluid_aggregates += 1;
-            let now = self.now;
+            let now = self.core.now;
             let layer = self.fluid.as_mut().expect("checked above");
             layer.add(&d, now);
             if !layer.armed {
@@ -304,9 +460,9 @@ impl Simulator {
         let Some(mut layer) = self.fluid.take() else {
             return;
         };
-        let again = layer.run_tick(self.now, &self.topo, &self.routing, &mut self.stats);
+        let again = layer.run_tick(self.core.now, &self.topo, &self.routing, &mut self.stats);
         layer.armed = again;
-        let next = self.now + layer.tick_len();
+        let next = self.core.now + layer.tick_len();
         self.fluid = Some(layer);
         if again {
             self.schedule(next, Simulator::fluid_tick);
@@ -323,7 +479,7 @@ impl Simulator {
     }
 
     fn cbr_step(&mut self, d: FluidDemand, interval: SimDuration, flow: u64) {
-        if self.now >= d.until {
+        if self.core.now >= d.until {
             return;
         }
         self.emit_now(
@@ -332,7 +488,7 @@ impl Simulator {
                 .size(d.pkt_size)
                 .flow(flow),
         );
-        let next = self.now + interval;
+        let next = self.core.now + interval;
         if next < d.until {
             self.schedule(next, move |s| s.cbr_step(d, interval, flow));
         }
@@ -391,7 +547,8 @@ impl Simulator {
     /// filter at t=20 s"). A time already in the past is clamped to the
     /// current instant (see [`Stats::past_events_clamped`]).
     pub fn schedule<F: FnOnce(&mut Simulator) + 'static>(&mut self, at: SimTime, f: F) {
-        self.push(at, EventKind::Call(Box::new(f)));
+        self.core
+            .push(&mut self.stats, at, EventKind::Call(Box::new(f)));
     }
 
     /// Fail or restore a link and repair routing (failure injection).
@@ -425,15 +582,13 @@ impl Simulator {
     /// # Panics
     /// If `from` or `to` is outside the topology.
     pub fn deliver_control<T: Any>(&mut self, at: SimTime, from: NodeId, to: NodeId, payload: T) {
-        for (end, node) in [("from", from), ("to", to)] {
-            assert!(
-                node.0 < self.topo.n(),
-                "control message {end} node {}: outside the {}-node topology",
-                node.0,
-                self.topo.n()
-            );
-        }
-        self.push_control(at, from, to, Rc::new(payload), None);
+        let msg = ControlMsg {
+            from,
+            payload: Rc::new(payload),
+            meta: None,
+        };
+        let nodes = self.topo.n();
+        self.core.push_control(&mut self.stats, nodes, at, to, msg);
     }
 
     /// Install a control-channel fault injector. Crash windows in its
@@ -449,7 +604,7 @@ impl Simulator {
                 sim.crash_node_with(node, Some(window as u64))
             });
         }
-        self.faults = Some(plane);
+        self.core.faults = Some(plane);
     }
 
     /// Crash `node` now: every agent on it loses volatile state via
@@ -464,9 +619,9 @@ impl Simulator {
     /// joined to the outage verdicts of the messages the window swallowed.
     fn crash_node_with(&mut self, node: NodeId, window: Option<u64>) {
         self.stats.node_crashes += 1;
-        if self.cp_tracer.enabled() {
-            self.cp_tracer.record(CpTraceEvent::Crash {
-                t: self.now.as_nanos(),
+        if self.core.cp_tracer.enabled() {
+            self.core.cp_tracer.record(CpTraceEvent::Crash {
+                t: self.core.now.as_nanos(),
                 node,
                 window,
             });
@@ -475,83 +630,6 @@ impl Simulator {
             agent.on_crash(ctx);
             Verdict::Forward
         });
-    }
-
-    /// The single funnel for control-message scheduling: every
-    /// `ControlDeliver` event — scenario-injected, agent outbox, app
-    /// outbox — passes through here, so the fault plane sees the complete
-    /// channel, and so the control-plane flight recorder can pair every
-    /// send with exactly one fault verdict. The channel's answer is one
-    /// [`CpVerdict`] ([`FaultPlane::verdict`], or plain delivery without a
-    /// plane); counting, tracing and scheduling all read that one value.
-    fn push_control(
-        &mut self,
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        payload: Rc<dyn Any>,
-        meta: Option<CpMeta>,
-    ) {
-        self.stats.cp_msgs += 1;
-        let traced = self.cp_tracer.enabled();
-        let t = self.now.as_nanos();
-        if traced {
-            self.cp_tracer
-                .record(CpTraceEvent::Send { t, meta, from, to });
-        }
-        let deliver_at = at.max(self.now);
-        let verdict = match self.faults.as_mut() {
-            Some(plane) => plane.verdict(from, to, self.now, deliver_at),
-            None => CpVerdict::Deliver {
-                deliver_ns: deliver_at.as_nanos(),
-                jitter_ns: 0,
-                dup_extra_ns: None,
-            },
-        };
-        if traced {
-            self.cp_tracer.record(CpTraceEvent::Verdict {
-                t,
-                meta,
-                from,
-                to,
-                verdict,
-            });
-        }
-        match verdict {
-            CpVerdict::Outage { .. } => self.stats.cp_outage_dropped += 1,
-            CpVerdict::Partition { .. } => self.stats.cp_partition_dropped += 1,
-            CpVerdict::Drop => self.stats.cp_fault_dropped += 1,
-            CpVerdict::Deliver {
-                deliver_ns,
-                jitter_ns,
-                dup_extra_ns,
-            } => {
-                if jitter_ns > 0 {
-                    self.stats.cp_fault_jittered += 1;
-                }
-                // Pinned quirk: without a fault plane the delivery is
-                // pushed at the sender's raw `at`, so a past-dated send
-                // still lands in `past_events_clamped`; a plane clamps to
-                // `now` first and then adds its jitter.
-                let first = match self.faults {
-                    Some(_) => SimTime::from_nanos(deliver_ns),
-                    None => at,
-                };
-                let deliver = |payload| EventKind::ControlDeliver {
-                    to,
-                    msg: ControlMsg {
-                        from,
-                        payload,
-                        meta,
-                    },
-                };
-                self.push(first, deliver(payload.clone()));
-                if let Some(extra) = dup_extra_ns {
-                    self.stats.cp_fault_duplicated += 1;
-                    self.push(first + SimDuration::from_nanos(extra), deliver(payload));
-                }
-            }
-        }
     }
 
     /// Schedule a timer for an installed agent from scenario code (the
@@ -579,31 +657,24 @@ impl Simulator {
                 None => format!("outside the {}-node topology", self.topo.n()),
             }
         );
-        let ticket = TimerId::new(&mut self.tickets);
-        self.push_timer(node, agent, at, token, ticket);
-        ticket
+        let kind = EventKind::AgentTimer { node, agent, token };
+        TimerId(self.core.push(&mut self.stats, at, kind))
     }
 
     /// Emit a packet from `node` right now. Counted as sent; traverses the
     /// node's agent chain like host-originated traffic.
+    ///
+    /// # Panics
+    /// If `node` is outside the topology.
     pub fn emit_now(&mut self, node: NodeId, builder: PacketBuilder) {
-        self.inject(node, self.now, builder);
-    }
-
-    /// A new packet enters the network at `node` at time `at`: stamped
-    /// (id, send time, `Emit` trace, sent counters), given its arena slot,
-    /// and queued to arrive with no inbound link.
-    fn inject(&mut self, node: NodeId, at: SimTime, builder: PacketBuilder) {
-        let pkt = self.stamp(node, builder);
-        let pkt = self.arena.alloc(pkt);
-        self.push(
-            at,
-            EventKind::Arrive {
-                at: node,
-                from: None,
-                pkt,
-            },
+        assert!(
+            node.0 < self.topo.n(),
+            "packet emitted at node {}: outside the {}-node topology",
+            node.0,
+            self.topo.n()
         );
+        let now = self.core.now;
+        self.core.inject(&mut self.stats, node, now, builder);
     }
 
     /// Run every event up to and including `until`, then set the clock to
@@ -612,7 +683,7 @@ impl Simulator {
         // The bounded pop never advances the wheel past `until`, so
         // pushes made after this run (all ≥ the new `now`) stay valid.
         self.run_events(until.as_nanos());
-        self.now = self.now.max(until);
+        self.core.now = self.core.now.max(until);
     }
 
     /// Drain every remaining event (careful with self-sustaining workloads).
@@ -624,8 +695,8 @@ impl Simulator {
     /// `(time, seq)` order until none is left.
     fn run_events(&mut self, until_ns: u64) {
         self.ensure_started();
-        while let Some(entry) = self.queue.pop_next(until_ns) {
-            self.now = SimTime::from_nanos(entry.time);
+        while let Some(entry) = self.core.queue.pop_next(until_ns) {
+            self.core.now = SimTime::from_nanos(entry.time);
             self.stats.events += 1;
             self.dispatch(entry.kind);
         }
@@ -634,7 +705,7 @@ impl Simulator {
 
     /// Number of pending events.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.core.queue.len()
     }
 
     /// Mirror the wheel's health counters into [`Stats`] so reports can
@@ -644,9 +715,12 @@ impl Simulator {
         self.stats.wheel_slot_occupancy_hwm = self
             .stats
             .wheel_slot_occupancy_hwm
-            .max(self.queue.slot_depth_hwm() as u64);
-        self.stats.wheel_len_hwm = self.stats.wheel_len_hwm.max(self.queue.len_hwm() as u64);
-        self.stats.wheel_cascade_moves = self.queue.cascade_moves();
+            .max(self.core.queue.slot_depth_hwm() as u64);
+        self.stats.wheel_len_hwm = self
+            .stats
+            .wheel_len_hwm
+            .max(self.core.queue.len_hwm() as u64);
+        self.stats.wheel_cascade_moves = self.core.queue.cascade_moves();
     }
 
     fn ensure_started(&mut self) {
@@ -659,54 +733,6 @@ impl Simulator {
         for addr in addrs {
             self.with_app(addr, |app, api| app.on_start(api));
         }
-    }
-
-    /// Enqueue an event. Events dated in the past — a module bug the old
-    /// queue only caught with a `debug_assert` at pop time, silently
-    /// rewinding the clock in release builds — are clamped to the current
-    /// instant and counted in [`Stats::past_events_clamped`], preserving
-    /// the engine's monotone-clock invariant in every build profile.
-    ///
-    /// Overflow audit: `seq` is a `u64` bumped once per event; even at
-    /// 10⁹ events per wall-second it cannot wrap within ~584 years of
-    /// compute, and the wheel's slot arithmetic is closed over the full
-    /// `u64` tick range (see [`crate::wheel`]'s cascade-boundary tests).
-    fn push(&mut self, time: SimTime, kind: EventKind) -> EntryId {
-        let time = if time < self.now {
-            self.stats.past_events_clamped += 1;
-            self.now
-        } else {
-            time
-        };
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(time.as_nanos(), seq, kind)
-    }
-
-    fn alloc_pkt_id(&mut self) -> u64 {
-        let id = self.next_packet_id;
-        self.next_packet_id += 1;
-        id
-    }
-
-    fn stamp(&mut self, node: NodeId, builder: PacketBuilder) -> Packet {
-        let mut pkt = builder.build(self.alloc_pkt_id(), node);
-        pkt.sent_at = self.now;
-        self.stats.record_sent(&pkt);
-        if self.tracer.wants(&[pkt.id]) {
-            self.tracer.record(TraceEvent::Emit {
-                t: self.now.as_nanos(),
-                pkt: pkt.id,
-                node,
-                src: pkt.src,
-                dst: pkt.dst,
-                proto: pkt.proto,
-                class: pkt.provenance.class,
-                size: pkt.size,
-                flow: pkt.flow,
-            });
-        }
-        pkt
     }
 
     /// The one packet ending short of delivery: the terminal trace event,
@@ -725,10 +751,10 @@ impl Simulator {
         reason: DropReason,
     ) {
         if let Some(module) = module {
-            let detail = self.verdict_detail.take();
-            if self.tracer.wants(&[pkt.id]) {
-                self.tracer.record(TraceEvent::ModuleVerdict {
-                    t: self.now.as_nanos(),
+            let detail = self.core.verdict_detail.take();
+            if self.core.tracer.wants(&[pkt.id]) {
+                self.core.tracer.record(TraceEvent::ModuleVerdict {
+                    t: self.core.now.as_nanos(),
                     pkt: pkt.id,
                     node,
                     module,
@@ -741,19 +767,13 @@ impl Simulator {
             }
         }
         self.stats.record_dropped(pkt, reason);
-        self.arena.free(handle);
+        self.core.arena.free(handle);
     }
 
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrive { at, from, pkt } => self.handle_arrival(at, from, pkt),
-            EventKind::AgentTimer {
-                node,
-                agent,
-                token,
-                ticket,
-            } => {
-                ticket.release(&mut self.tickets);
+            EventKind::AgentTimer { node, agent, token } => {
                 self.visit_chain(node, Some(agent), |a, ctx| {
                     a.on_timer(ctx, token);
                     Verdict::Forward
@@ -776,7 +796,7 @@ impl Simulator {
         // Work on a stack copy; the arena slot stays live and is either
         // refreshed (packet forwarded: same ticket rides into the next
         // hop's event) or freed (terminal delivery/drop).
-        let mut pkt = self.arena.take(handle);
+        let mut pkt = self.core.arena.take(handle);
 
         // 1. Agent chain.
         if let Some((agent, reason)) =
@@ -789,19 +809,19 @@ impl Simulator {
         if pkt.dst.node() == at {
             return match self.with_app(pkt.dst, |app, api| app.on_packet(api, &pkt)) {
                 Some(Disposition::Consumed) => {
-                    self.stats.record_delivered(self.now, at, &pkt);
-                    if self.tracer.wants(&[pkt.id]) {
-                        self.tracer.record(TraceEvent::Deliver {
-                            t: self.now.as_nanos(),
+                    self.stats.record_delivered(self.core.now, at, &pkt);
+                    if self.core.tracer.wants(&[pkt.id]) {
+                        self.core.tracer.record(TraceEvent::Deliver {
+                            t: self.core.now.as_nanos(),
                             pkt: pkt.id,
                             node: at,
                             class: pkt.provenance.class,
                             size: pkt.size,
                             hops: pkt.hops,
-                            latency: self.now.saturating_since(pkt.sent_at).as_nanos(),
+                            latency: self.core.now.saturating_since(pkt.sent_at).as_nanos(),
                         });
                     }
-                    self.arena.free(handle);
+                    self.core.arena.free(handle);
                 }
                 Some(Disposition::Overloaded) => {
                     self.end_dropped(at, handle, &pkt, Some("host"), DropReason::HostOverload)
@@ -820,12 +840,12 @@ impl Simulator {
         };
         let is_attack = pkt.provenance.class.is_attack();
         let (admission, wait, backlog) =
-            self.topo.links[link.0].offer_observed(at, self.now, pkt.size, is_attack);
+            self.topo.links[link.0].offer_observed(at, self.core.now, pkt.size, is_attack);
         match admission {
             Admission::Dropped => {
-                if self.tracer.wants(&[pkt.id]) {
-                    self.tracer.record(TraceEvent::LinkDrop {
-                        t: self.now.as_nanos(),
+                if self.core.tracer.wants(&[pkt.id]) {
+                    self.core.tracer.record(TraceEvent::LinkDrop {
+                        t: self.core.now.as_nanos(),
                         pkt: pkt.id,
                         link,
                         from: at,
@@ -846,9 +866,9 @@ impl Simulator {
                 self.stats.hist.queue_delay_ns.record(wait.as_nanos());
                 pkt.hops = pkt.hops.saturating_add(1);
                 let next = self.topo.links[link.0].other(at);
-                if self.tracer.wants(&[pkt.id]) {
-                    self.tracer.record(TraceEvent::LinkAdmit {
-                        t: self.now.as_nanos(),
+                if self.core.tracer.wants(&[pkt.id]) {
+                    self.core.tracer.record(TraceEvent::LinkAdmit {
+                        t: self.core.now.as_nanos(),
                         pkt: pkt.id,
                         link,
                         from: at,
@@ -859,15 +879,13 @@ impl Simulator {
                 }
                 // The ticket rides on into the next hop's event: the
                 // per-hop path neither allocates nor frees.
-                self.arena.store(handle, pkt);
-                self.push(
-                    when,
-                    EventKind::Arrive {
-                        at: next,
-                        from: Some(link),
-                        pkt: handle,
-                    },
-                );
+                self.core.arena.store(handle, pkt);
+                let kind = EventKind::Arrive {
+                    at: next,
+                    from: Some(link),
+                    pkt: handle,
+                };
+                self.core.push(&mut self.stats, when, kind);
             }
         }
     }
@@ -875,9 +893,8 @@ impl Simulator {
     /// The one agent-chain visit, behind every agent callback (packet
     /// arrival, link-drop hook, control delivery, timers, crashes): lend
     /// `node`'s chain out of the simulator, hand each agent — or only the
-    /// one at chain index `only` — an [`AgentCtx`] through `call`, and turn
-    /// what it left in the outbox into events before the next agent runs.
-    /// The first [`Verdict::Drop`] ends the visit and is returned with the
+    /// one at chain index `only` — an [`AgentCtx`] through `call`. The
+    /// first [`Verdict::Drop`] ends the visit and is returned with the
     /// dropping agent's name.
     #[inline]
     fn visit_chain(
@@ -891,33 +908,29 @@ impl Simulator {
         let mut dropped = None;
         for (i, agent) in chain.iter_mut().enumerate().skip(skip).take(take) {
             let mut ctx = AgentCtx {
-                now: self.now,
+                now: self.core.now,
                 node,
                 topo: &self.topo,
                 routing: &self.routing,
-                outbox: &mut self.outbox,
-                tickets: &mut self.tickets,
-                queue: &mut self.queue,
-                trace: &mut self.tracer,
-                cp_trace: &mut self.cp_tracer,
-                verdict_detail: &mut self.verdict_detail,
+                agent: i,
+                core: &mut self.core,
+                stats: &mut self.stats,
             };
             let verdict = call(agent.as_mut(), &mut ctx);
-            self.flush_outbox(node, TimerOwner::Agent(i));
             if let Verdict::Drop(reason) = verdict {
                 dropped = Some((agent.name(), reason));
                 break;
             }
             // A module may stage verdict detail and then forward; discard
             // it so it cannot leak onto a later verdict event.
-            self.verdict_detail = None;
+            self.core.verdict_detail = None;
         }
         self.agents[node.0] = chain;
         dropped
     }
 
     /// Run one callback of the app at `addr` (`None` when nothing listens
-    /// there), then flush its outbox.
+    /// there).
     fn with_app<R>(
         &mut self,
         addr: Addr,
@@ -925,78 +938,14 @@ impl Simulator {
     ) -> Option<R> {
         let app = self.apps.get_mut(&addr)?;
         let mut api = AppApi {
-            now: self.now,
+            now: self.core.now,
             node: addr.node(),
             self_addr: addr,
             rng: &mut self.rng,
-            outbox: &mut self.outbox,
+            core: &mut self.core,
+            stats: &mut self.stats,
         };
-        let out = call(app.as_mut(), &mut api);
-        self.flush_outbox(addr.node(), TimerOwner::App(addr));
-        Some(out)
-    }
-
-    /// Queue agent `agent`'s timer and bind its ticket to the entry.
-    fn push_timer(&mut self, node: NodeId, agent: usize, at: SimTime, token: u64, ticket: TimerId) {
-        let kind = EventKind::AgentTimer {
-            node,
-            agent,
-            token,
-            ticket,
-        };
-        let entry = self.push(at, kind);
-        ticket.bind(&mut self.tickets, entry);
-    }
-
-    /// Turn what a callback at `node` left in the outbox into events:
-    /// packets, then `owner`'s timers (but those it cancelled already),
-    /// then control messages. Inlined down to the emptiness check, which
-    /// is all most agent callbacks on the packet path need.
-    #[inline]
-    fn flush_outbox(&mut self, node: NodeId, owner: TimerOwner) {
-        if !self.outbox.is_empty() {
-            self.flush_nonempty(node, owner);
-        }
-    }
-
-    fn flush_nonempty(&mut self, node: NodeId, owner: TimerOwner) {
-        // Move the buffers out wholesale (a pointer swap, not a copy),
-        // convert their contents into events, and hand the — now empty but
-        // still allocated — buffers back. Unlike `drain(..).collect()` this
-        // costs no allocation per flush, and the hot agent path flushes
-        // after every callback.
-        let mut sends = std::mem::take(&mut self.outbox.sends);
-        let mut timers = std::mem::take(&mut self.outbox.timers);
-        let mut controls = std::mem::take(&mut self.outbox.controls);
-        for (delay, builder) in sends.drain(..) {
-            self.inject(node, self.now + delay, builder);
-        }
-        for (delay, token, ticket) in timers.drain(..) {
-            let at = self.now + delay;
-            match (owner, ticket) {
-                (TimerOwner::Agent(agent), Some(ticket)) => {
-                    if ticket.is_live(&self.tickets) {
-                        self.push_timer(node, agent, at, token, ticket);
-                    }
-                }
-                (TimerOwner::App(addr), None) => {
-                    self.push(at, EventKind::AppTimer { addr, token });
-                }
-                _ => unreachable!("agent timers carry a ticket, app timers none"),
-            }
-        }
-        // Apps have no way to send control messages; the loop is simply
-        // empty for them.
-        for (delay, to, payload, meta) in controls.drain(..) {
-            self.push_control(self.now + delay, node, to, payload, meta);
-        }
-        // Nothing refills the outbox while events are being pushed
-        // (callbacks only run from `dispatch`), so restoring the drained
-        // buffers cannot clobber pending entries.
-        debug_assert!(self.outbox.is_empty());
-        self.outbox.sends = sends;
-        self.outbox.timers = timers;
-        self.outbox.controls = controls;
+        Some(call(app.as_mut(), &mut api))
     }
 }
 
@@ -1321,7 +1270,7 @@ mod tests {
         }
         sim.run_to_idle();
         assert_eq!(sim.pending_events(), 0);
-        assert_eq!(sim.arena.live(), 0, "leaked in-flight packet slots");
+        assert_eq!(sim.core.arena.live(), 0, "leaked in-flight packet slots");
         sim.stats.check_conservation().unwrap();
 
         let src = Addr::new(NodeId(0), 1);
@@ -1407,7 +1356,7 @@ mod tests {
         assert_eq!((c.sent_pkts, c.dropped_pkts), (sent, 1), "{reason:?}");
         sim.stats.check_conservation().unwrap();
         assert_eq!(sim.pending_events(), 0);
-        assert_eq!(sim.arena.live(), 0, "{reason:?}: leaked packet slot");
+        assert_eq!(sim.core.arena.live(), 0, "{reason:?}: leaked packet slot");
     }
 
     /// Scheduled callbacks spread across several timing-wheel levels (1 ns
@@ -1555,12 +1504,94 @@ mod tests {
     }
 
     #[test]
-    fn a_recycled_ticket_cannot_be_cancelled_through_an_old_timer_id() {
-        // The first timer's firing releases its ticket and sets a second
-        // timer, which takes that ticket over; cancelling through the
-        // first timer's id at 15 ms must leave the second alone.
-        let (fired, _) = cancel_script(true, &[(0, ARM), (15, CANCEL)]);
-        assert_eq!(fired, [10, 20]);
+    fn a_recycled_record_cannot_be_cancelled_through_an_old_timer_id() {
+        // The first timer's firing frees its wheel record and sets a
+        // second timer, which takes that record over: the slab never
+        // holds more than the two scripted events' records. Cancelling
+        // through the first timer's id at 15 ms must leave the second
+        // alone.
+        let mut sim = Simulator::new(Topology::line(1), 1);
+        let agent = CancelAgent {
+            held: Vec::new(),
+            rearm_once: true,
+            fired: Vec::new(),
+        };
+        let idx = sim.add_agent(NodeId(0), Box::new(agent));
+        for (ms, token) in [(0, ARM), (15, CANCEL)] {
+            sim.schedule_agent_timer(NodeId(0), idx, SimTime::from_millis(ms), token);
+        }
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.core.queue.capacity(), 2, "records were reused");
+        assert_eq!(sim.agent::<CancelAgent>(NodeId(0)).unwrap().fired, [10, 20]);
+    }
+
+    /// On its first timer, sets a zero-delay timer, emits a packet and
+    /// sends a control message to `to`, in that order, all due now;
+    /// records the order they are handled in.
+    struct CallOrder {
+        to: NodeId,
+        seen: Vec<&'static str>,
+    }
+    impl NodeAgent for CallOrder {
+        fn name(&self) -> &'static str {
+            "call-order"
+        }
+        fn on_packet(
+            &mut self,
+            _ctx: &mut AgentCtx<'_>,
+            _pkt: &mut Packet,
+            _from: Option<LinkId>,
+        ) -> Verdict {
+            self.seen.push("packet");
+            Verdict::Forward
+        }
+        fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
+            if token == 1 {
+                return self.seen.push("timer");
+            }
+            ctx.set_timer(SimDuration::ZERO, 1);
+            let here = Addr::new(ctx.node, 1);
+            ctx.emit(SimDuration::ZERO, udp(here, here));
+            ctx.send_control(self.to, SimDuration::ZERO, 0u32);
+        }
+        fn on_control(&mut self, _ctx: &mut AgentCtx<'_>, _msg: &ControlMsg) {
+            self.seen.push("control");
+        }
+    }
+
+    fn call_order(nodes: usize, to: NodeId) -> Vec<&'static str> {
+        let mut sim = Simulator::new(Topology::line(nodes), 1);
+        let probe = CallOrder {
+            to,
+            seen: Vec::new(),
+        };
+        let idx = sim.add_agent(NodeId(0), Box::new(probe));
+        sim.schedule_agent_timer(NodeId(0), idx, SimTime::ZERO, 0);
+        sim.run_to_idle();
+        sim.agent::<CallOrder>(NodeId(0)).unwrap().seen.clone()
+    }
+
+    #[test]
+    fn a_callbacks_same_instant_effects_are_handled_in_call_order() {
+        assert_eq!(call_order(1, NodeId(0)), ["timer", "packet", "control"]);
+    }
+
+    /// The funnel refuses an agent's send where it is made, not where the
+    /// message would be delivered.
+    #[test]
+    #[should_panic(expected = "control message to node 3: outside the 3-node topology")]
+    fn an_agent_send_outside_the_topology_is_refused_at_the_send() {
+        call_order(3, NodeId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "packet emitted at node 7: outside the 3-node topology")]
+    fn emit_outside_the_topology_is_refused() {
+        let mut sim = Simulator::new(Topology::line(3), 1);
+        sim.emit_now(
+            NodeId(7),
+            udp(Addr::new(NodeId(0), 1), Addr::new(NodeId(1), 1)),
+        );
     }
 
     fn cancel_agent() -> Box<CancelAgent> {

@@ -227,8 +227,8 @@ crate::counters! {
         wheel_len_hwm: Max "Timing wheel: most events pending at once",
         /// See [`Stats::wheel_cascades_per_event`].
         wheel_cascade_moves: Sum "Timing wheel: entries refiled by cascades",
-        /// All three paths — scenario injection, agent outboxes, app
-        /// outboxes: the fault plane's denominator.
+        /// Both paths — scenario injection and agent sends: the fault
+        /// plane's denominator.
         cp_msgs: Sum "Control messages pushed through the funnel",
         cp_fault_dropped: Sum "Control messages dropped by the fault plane's loss hash",
         cp_fault_duplicated: Sum "Control messages delivered twice by the fault plane",
