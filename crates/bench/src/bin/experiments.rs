@@ -12,7 +12,8 @@
 //! an out-of-range value, a trace flag nothing selected would write —
 //! exit 2 before anything runs. The trace file and the `--out` directory
 //! are created next, also before anything runs: a path that cannot be
-//! created prints the path and the OS error and exits 1.
+//! created prints the path and the OS error and exits 1. So does a report
+//! that cannot be written once its experiment has run.
 //!
 //! `--trace FILE` asks a trace-wired experiment (e2, e3) to capture a JSONL
 //! packet flight record of one designated run into FILE. Exactly one
@@ -40,7 +41,7 @@
 //! pool that single runs and sweeps both drain on; report bytes are
 //! identical at any value.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 const USAGE: &str = "usage: experiments [--quick] [--out DIR] [--trace FILE | --cp-trace FILE] \
      [--threads N] [--sweep [--replicate N]] [all | e1 e2 ...] | --list | trace-report FILE";
@@ -61,17 +62,17 @@ fn bad_usage(why: &str) -> ! {
     std::process::exit(2);
 }
 
-/// An output that cannot be created: name it and the OS error, exit 1.
-fn unwritable(path: &Path, err: std::io::Error) -> ! {
-    eprintln!("cannot create {}: {err}", path.display());
+/// An output that cannot be created or written: say which and why, exit 1.
+fn unwritable(err: impl std::fmt::Display) -> ! {
+    eprintln!("{err}");
     std::process::exit(1);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        for (id, title, ..) in dtcs_bench::EXPERIMENTS {
-            println!("{id:<5} {title}");
+        for e in dtcs_bench::EXPERIMENTS {
+            println!("{} {} [{}]", e.id(), e.title(), e.anchor());
         }
         return;
     }
@@ -125,7 +126,7 @@ fn main() {
     if let Some(id) = ids.iter().find(|i| !dtcs_bench::ALL.contains(&i.as_str())) {
         bad_usage(&format!(
             "unknown experiment id: {id} (known: {:?})",
-            dtcs_bench::ALL
+            *dtcs_bench::ALL
         ));
     }
     for (flag, file, wired) in [
@@ -153,11 +154,11 @@ fn main() {
     }
     for file in [&trace, &cp_trace].into_iter().flatten() {
         if let Err(e) = std::fs::File::create(file) {
-            unwritable(file, e);
+            unwritable(format!("cannot create {}: {e}", file.display()));
         }
     }
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        unwritable(&out_dir, e);
+        unwritable(format!("cannot create {}: {e}", out_dir.display()));
     }
     let opts = dtcs_bench::RunOpts {
         quick,
@@ -166,18 +167,15 @@ fn main() {
         threads,
     };
 
+    let experiments = ids.iter().map(|id| dtcs_bench::sweep_experiment(id));
+    let experiments: Vec<_> = experiments
+        .map(|e| e.expect("ids were checked above"))
+        .collect();
     if sweep {
-        let grid: Vec<_> = ids
-            .iter()
-            .map(|id| {
-                let grid = dtcs_bench::sweep_experiment(id).expect("ids were checked above");
-                (id.as_str(), grid)
-            })
-            .collect();
-        let outcome = dtcs_bench::sweep::run_sweep(&grid, &opts, replicates);
+        let outcome = dtcs_bench::sweep::run_sweep(&experiments, &opts, replicates);
         for report in &outcome.reports {
             report.print();
-            report.save(&out_dir);
+            report.save(&out_dir).unwrap_or_else(|e| unwritable(e));
         }
         for line in &outcome.health {
             println!("[health] {line}");
@@ -185,9 +183,9 @@ fn main() {
         return;
     }
 
-    for id in &ids {
-        let report = dtcs_bench::run_experiment(id, &opts).expect("ids were checked above");
+    for e in experiments {
+        let report = e.run(&opts);
         report.print();
-        report.save(&out_dir);
+        report.save(&out_dir).unwrap_or_else(|e| unwritable(e));
     }
 }

@@ -7,10 +7,11 @@
 //! reflector sources, zero agent sources).
 
 use dtcs::attack::{ReflectorAttack, ReflectorAttackConfig};
-use dtcs::netsim::{Proto, SimTime, Simulator, Topology, TrafficClass};
+use dtcs::netsim::{Proto, SimTime, Simulator, Stats, Topology, TrafficClass};
 
-use crate::sweep::{cells_of, metrics_of, run_cases, Case};
+use crate::sweep::{metrics_of, Case, Experiment, GridExperiment};
 use crate::util::{f, Report, Table};
+use crate::RunOpts;
 
 dtcs::netsim::json_record! {
     struct Row {
@@ -27,9 +28,6 @@ dtcs::netsim::json_record! {
 }
 
 /// Base seed shared by the single-run tables and the sweep cells.
-/// Historically baked as a literal into the topology, simulator, and
-/// attack config below; replicate 0 reuses it so those runs are
-/// byte-identical to the pre-sweep tables.
 const SEED: u64 = 101;
 
 /// Reflector protocols compared at fixed population.
@@ -57,7 +55,7 @@ fn cases(quick: bool) -> Vec<Case<Params>> {
         .collect()
 }
 
-fn one(&(proto, agents, quick): &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+fn one(&(proto, agents, quick): &Params, seed: u64) -> (Row, Stats) {
     let reflectors = 120;
     let n = if quick { 120 } else { 300 };
     let topo = Topology::barabasi_albert(n, 2, 0.1, seed);
@@ -98,90 +96,46 @@ fn one(&(proto, agents, quick): &Params, seed: u64) -> (Row, dtcs::netsim::Stats
     (row, sim.stats)
 }
 
-fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
-    let fields = [
-        "control_pkts",
-        "attack_pkts",
-        "rate_amp",
-        "byte_amp",
-        "victim_inbound_pps",
-        "victim_srcs_are_reflectors",
-    ];
-    metrics_of(row, &fields)
-}
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e1",
+    title: "Reflector-attack anatomy: amplification factors",
+    anchor: "Fig. 1 / Sec. 2.2",
+    cases,
+    one,
+    metrics: |row| metrics_of(row, &["agents", "reflectors"]),
+    render,
+};
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
-
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e1", cases(opts.quick), one, metrics)
-    }
-}
-
-/// Run E1.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
-    let mut report = Report::new(
-        "e1",
-        "Reflector-attack anatomy: amplification factors",
-        "Fig. 1 / Sec. 2.2",
-    );
-
-    let outs = run_cases("e1", &cases(quick), opts.pool_threads(), one);
-    report.health(crate::util::wheel_health(outs.iter().map(|o| &o.1)));
-    report.health(crate::util::hist_health(outs.iter().map(|o| &o.1)));
+fn render(report: &mut Report, _: &RunOpts, _: &[Case<Params>], outs: &[(Row, Stats)]) {
     let (by_proto, by_agents) = outs.split_at(PROTOS.len());
-
     // Table 1: protocol (byte amplification differs per reflector type).
-    let mut t = Table::new(
+    report.table(Table::of(
         "amplification by reflector protocol (60 agents, 120 reflectors)",
+        by_proto.iter().map(|o| &o.0),
         &[
-            "proto",
-            "ctrl_pkts",
-            "attack_pkts",
-            "rate_amp",
-            "byte_amp",
-            "victim_pps",
+            ("proto", &|r| r.proto.clone()),
+            ("ctrl_pkts", &|r| r.control_pkts.to_string()),
+            ("attack_pkts", &|r| r.attack_pkts.to_string()),
+            ("rate_amp", &|r| f(r.rate_amp)),
+            ("byte_amp", &|r| f(r.byte_amp)),
+            ("victim_pps", &|r| f(r.victim_inbound_pps)),
         ],
-    );
-    for (r, _) in by_proto {
-        t.push(
-            vec![
-                r.proto.clone(),
-                r.control_pkts.to_string(),
-                r.attack_pkts.to_string(),
-                f(r.rate_amp),
-                f(r.byte_amp),
-                f(r.victim_inbound_pps),
-            ],
-            r,
-        );
-    }
-    report.table(t);
-
+    ));
     // Table 2: agent population (rate amplification scales with agents).
-    let mut t = Table::new(
+    report.table(Table::of(
         "scaling with agent population (TcpSyn, 120 reflectors)",
-        &["agents", "attack_pkts", "rate_amp", "victim_pps"],
-    );
-    for (r, _) in by_agents {
-        t.push(
-            vec![
-                r.agents.to_string(),
-                r.attack_pkts.to_string(),
-                f(r.rate_amp),
-                f(r.victim_inbound_pps),
-            ],
-            r,
-        );
-    }
-    report.table(t);
+        by_agents.iter().map(|o| &o.0),
+        &[
+            ("agents", &|r| r.agents.to_string()),
+            ("attack_pkts", &|r| r.attack_pkts.to_string()),
+            ("rate_amp", &|r| f(r.rate_amp)),
+            ("victim_pps", &|r| f(r.victim_inbound_pps)),
+        ],
+    ));
     report.note(
         "Victim-side sources are all innocent reflectors (unspoofed), matching Sec. 2.2: \
          'the source addresses of the actual attack packets received by the victim are not \
          spoofed'. Rate amplification grows linearly with the agent tier; DNS reflectors add \
          ~8x byte amplification on top.",
     );
-    report
 }

@@ -21,12 +21,13 @@ use dtcs::device::{
 use dtcs::mitigation::{choose_nodes, Placement};
 use dtcs::netsim::rng::{child_seed, seeded};
 use dtcs::netsim::{
-    Addr, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator, Topology,
+    Addr, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator, Stats, Topology,
     TrafficClass,
 };
 
-use crate::sweep::{cells_of, metrics_of, run_cases, Case};
+use crate::sweep::{metrics_of, Case, Experiment, GridExperiment};
 use crate::util::{f, fopt, Report, Table};
+use crate::RunOpts;
 
 dtcs::netsim::json_record! {
     struct TraceRow {
@@ -40,12 +41,10 @@ dtcs::netsim::json_record! {
     }
 }
 
-/// Base seed for the traceback half (historically the literal `66` used
-/// for topology, simulator, node choice, and — via `child_seed(66, 4)` —
-/// the probe RNG).
+/// Base seed of the traceback half.
 const TRACE_SEED: u64 = 66;
 
-/// Base seed for the anomaly-trigger half (historically the literal `9`).
+/// Base seed of the anomaly-trigger half.
 const TRIGGER_SEED: u64 = 9;
 
 /// Trigger thresholds (pps) against the fixed 5000 pps flood.
@@ -67,9 +66,8 @@ enum Row {
 
 /// The grid: the traceback (coverage, retention) points (base seed 66),
 /// then the trigger thresholds (base seed 9 — per-case base seeds let
-/// each half keep its historical literal). Returns the traceback case
-/// count too.
-fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
+/// each half keep its historical literal).
+fn cases(quick: bool) -> Vec<Case<Params>> {
     let trace_points: &[(f64, usize)] = if quick {
         &[(1.0, 30), (0.5, 30), (1.0, 4)]
     } else {
@@ -90,10 +88,10 @@ fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
         let label = format!("trigger/threshold={threshold}");
         Case::new(label, TRIGGER_SEED, Params::Trigger(threshold))
     });
-    (trace.chain(trigger).collect(), trace_points.len())
+    trace.chain(trigger).collect()
 }
 
-fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+fn one(params: &Params, seed: u64) -> (Row, Stats) {
     match *params {
         Params::Trace(coverage, windows, quick) => {
             let (row, stats) = trace_case(coverage, windows, quick, seed);
@@ -106,12 +104,7 @@ fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
     }
 }
 
-fn trace_case(
-    coverage: f64,
-    retain: usize,
-    quick: bool,
-    seed: u64,
-) -> (TraceRow, dtcs::netsim::Stats) {
+fn trace_case(coverage: f64, retain: usize, quick: bool, seed: u64) -> (TraceRow, Stats) {
     let n = if quick { 100 } else { 250 };
     let topo = Topology::barabasi_albert(n, 2, 0.1, seed);
     let mut sim = Simulator::new(topo, seed);
@@ -220,11 +213,7 @@ dtcs::netsim::json_record! {
     }
 }
 
-fn trigger_case(
-    threshold_pps: f64,
-    attack_rate_pps: f64,
-    seed: u64,
-) -> (TriggerRow, dtcs::netsim::Stats) {
+fn trigger_case(threshold_pps: f64, attack_rate_pps: f64, seed: u64) -> (TriggerRow, Stats) {
     let topo = Topology::star(4);
     let mut sim = Simulator::new(topo, seed);
     let me = NodeId(1);
@@ -287,96 +276,55 @@ fn trigger_case(
     (row, sim.stats)
 }
 
-fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
-    match row {
-        Row::Trace(r) => {
-            let fields = ["queries", "exact_hits", "truncated", "misses", "accuracy"];
-            metrics_of(r, &fields)
-        }
-        Row::Trigger(r) => metrics_of(r, &["reaction_ms", "limiter_drops"]),
-    }
-}
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e10",
+    title: "TCS applications: traceback accuracy, anomaly-reaction latency",
+    anchor: "Sec. 4.4",
+    cases,
+    one,
+    metrics: |row| match row {
+        Row::Trace(r) => metrics_of(r, &["coverage", "windows_retained"]),
+        Row::Trigger(r) => metrics_of(r, &["threshold_pps", "attack_rate_pps"]),
+    },
+    render,
+};
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
-
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e10", cases(opts.quick).0, one, metrics)
-    }
-}
-
-/// Run E10.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e10",
-        "TCS applications: traceback accuracy, anomaly-reaction latency",
-        "Sec. 4.4",
-    );
-    let (cases, n_trace) = cases(opts.quick);
-    let outs = run_cases("e10", &cases, opts.pool_threads(), one);
-    let (trace, trigger) = outs.split_at(n_trace);
-
-    let mut t = Table::new(
+fn render(report: &mut Report, _: &RunOpts, _: &[Case<Params>], outs: &[(Row, Stats)]) {
+    let trace = outs.iter().filter_map(|(row, _)| match row {
+        Row::Trace(r) => Some(r),
+        Row::Trigger(_) => None,
+    });
+    report.table(Table::of(
         "digest-backlog traceback of spoofed packets",
+        trace,
         &[
-            "coverage",
-            "windows",
-            "queries",
-            "exact",
-            "truncated",
-            "missed",
-            "accuracy",
+            ("coverage", &|r| format!("{:.2}", r.coverage)),
+            ("windows", &|r| r.windows_retained.to_string()),
+            ("queries", &|r| r.queries.to_string()),
+            ("exact", &|r| r.exact_hits.to_string()),
+            ("truncated", &|r| r.truncated.to_string()),
+            ("missed", &|r| r.misses.to_string()),
+            ("accuracy", &|r| f(r.accuracy)),
         ],
-    );
-    for (row, _) in trace {
-        let Row::Trace(r) = row else {
-            unreachable!("traceback cases come first")
-        };
-        t.push(
-            vec![
-                format!("{:.2}", r.coverage),
-                r.windows_retained.to_string(),
-                r.queries.to_string(),
-                r.exact_hits.to_string(),
-                r.truncated.to_string(),
-                r.misses.to_string(),
-                f(r.accuracy),
-            ],
-            r,
-        );
-    }
-    report.table(t);
-
-    let mut t = Table::new(
+    ));
+    let trigger = outs.iter().filter_map(|(row, _)| match row {
+        Row::Trigger(r) => Some(r),
+        Row::Trace(_) => None,
+    });
+    report.table(Table::of(
         "anomaly-reaction latency (5000 pps flood, 200 ms windows)",
+        trigger,
         &[
-            "threshold_pps",
-            "attack_pps",
-            "reaction_ms",
-            "limiter_drops",
+            ("threshold_pps", &|r| f(r.threshold_pps)),
+            ("attack_pps", &|r| f(r.attack_rate_pps)),
+            ("reaction_ms", &|r| fopt(r.reaction_ms)),
+            ("limiter_drops", &|r| r.limiter_drops.to_string()),
         ],
-    );
-    for (row, _) in trigger {
-        let Row::Trigger(r) = row else {
-            unreachable!("trigger cases come last")
-        };
-        t.push(
-            vec![
-                f(r.threshold_pps),
-                f(r.attack_rate_pps),
-                fopt(r.reaction_ms),
-                r.limiter_drops.to_string(),
-            ],
-            r,
-        );
-    }
-    report.table(t);
+    ));
     report.note(
         "Full coverage traces every spoofed probe to its true origin AS; partial coverage \
          truncates traces at the instrumented frontier (still narrowing the search), and \
          short retention loses old packets — the qualitative SPIE trade-offs. Trigger \
          reaction completes within one observation window of attack onset.",
     );
-    report
 }

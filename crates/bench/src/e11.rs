@@ -9,10 +9,11 @@
 //! trigger could have reacted.
 
 use dtcs::attack::{ReflectorAttack, ReflectorAttackConfig, SiModel};
-use dtcs::netsim::{SimDuration, SimTime, Simulator, Topology};
+use dtcs::netsim::{SimDuration, SimTime, Simulator, Stats, Topology};
 
-use crate::sweep::{cells_of, metrics_of, run_cases, Case};
+use crate::sweep::{metrics_of, Case, Experiment, GridExperiment};
 use crate::util::{f, fopt, Report, Table};
+use crate::RunOpts;
 
 dtcs::netsim::json_record! {
     struct GrowthRow {
@@ -38,8 +39,7 @@ dtcs::netsim::json_record! {
 /// seed — it stays fixed across replicates.
 const SI_SEED_HOSTS: usize = 2;
 
-/// Base seed of the ramp simulation (historically the literal `44` for
-/// topology, simulator, and attack config).
+/// Base seed of the ramp simulation.
 const RAMP_SEED: u64 = 44;
 
 /// Infection rates for the pure growth curves.
@@ -82,7 +82,7 @@ fn cases(quick: bool) -> Vec<Case<Params>> {
     growth.chain(ramp).collect()
 }
 
-fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+fn one(params: &Params, seed: u64) -> (Row, Stats) {
     match *params {
         Params::Growth(beta) => (Row::Growth(growth_case(beta)), Default::default()),
         Params::Ramp(beta, quick) => {
@@ -115,7 +115,7 @@ fn growth_case(beta: f64) -> GrowthRow {
 /// Ramping reflector attack at one infection rate. The SI seed
 /// population is a fixed model parameter; the replicate seed drives the
 /// topology, simulator, and attack config.
-fn ramp_case(beta: f64, quick: bool, seed: u64) -> (RampRow, dtcs::netsim::Stats) {
+fn ramp_case(beta: f64, quick: bool, seed: u64) -> (RampRow, Stats) {
     let n = if quick { 120 } else { 200 };
     let agents = if quick { 60 } else { 120 };
     let topo = Topology::barabasi_albert(n, 2, 0.1, seed);
@@ -154,68 +154,54 @@ fn ramp_case(beta: f64, quick: bool, seed: u64) -> (RampRow, dtcs::netsim::Stats
     (row, sim.stats)
 }
 
-fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
-    match row {
-        Row::Growth(r) => metrics_of(r, &["t10_s", "t50_s", "t90_s"]),
-        Row::Ramp(r) => {
-            let fields = ["agents", "time_to_overload_s", "victim_overloaded"];
-            metrics_of(r, &fields)
-        }
-    }
-}
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e11",
+    title: "Botnet recruitment dynamics and attack ramp",
+    anchor: "Sec. 2.1",
+    cases,
+    one,
+    metrics: |row| match row {
+        Row::Growth(r) => metrics_of(r, &["beta", "susceptible"]),
+        Row::Ramp(r) => metrics_of(r, &["beta"]),
+    },
+    render,
+};
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
-
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e11", cases(opts.quick), one, metrics)
-    }
-}
-
-/// Run E11.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e11",
-        "Botnet recruitment dynamics and attack ramp",
-        "Sec. 2.1",
-    );
-    let outs = run_cases("e11", &cases(opts.quick), opts.pool_threads(), one);
-
+fn render(report: &mut Report, _: &RunOpts, _: &[Case<Params>], outs: &[(Row, Stats)]) {
     // Growth curves (pure model; cheap, so always full).
-    let mut t = Table::new(
+    let growth = outs.iter().filter_map(|(row, _)| match row {
+        Row::Growth(r) => Some(r),
+        Row::Ramp(_) => None,
+    });
+    report.table(Table::of(
         "SI recruitment: time to reach fraction of susceptible pool (10k hosts)",
-        &["beta", "t_10%", "t_50%", "t_90%"],
-    );
-    for (row, _) in &outs {
-        let Row::Growth(r) = row else { continue };
-        t.push(vec![f(r.beta), f(r.t10_s), f(r.t50_s), f(r.t90_s)], r);
-    }
-    report.table(t);
-
+        growth,
+        &[
+            ("beta", &|r| f(r.beta)),
+            ("t_10%", &|r| f(r.t10_s)),
+            ("t_50%", &|r| f(r.t50_s)),
+            ("t_90%", &|r| f(r.t90_s)),
+        ],
+    ));
     // Ramping attack: time until the victim first overloads.
-    let mut t = Table::new(
+    let ramp = outs.iter().filter_map(|(row, _)| match row {
+        Row::Ramp(r) => Some(r),
+        Row::Growth(_) => None,
+    });
+    report.table(Table::of(
         "ramping reflector attack: time from outbreak to victim overload",
-        &["beta", "agents", "t_overload_s", "overload_pkts"],
-    );
-    for (row, _) in &outs {
-        let Row::Ramp(r) = row else { continue };
-        t.push(
-            vec![
-                f(r.beta),
-                r.agents.to_string(),
-                fopt(r.time_to_overload_s),
-                r.victim_overloaded.to_string(),
-            ],
-            r,
-        );
-    }
-    report.table(t);
+        ramp,
+        &[
+            ("beta", &|r| f(r.beta)),
+            ("agents", &|r| r.agents.to_string()),
+            ("t_overload_s", &|r| fopt(r.time_to_overload_s)),
+            ("overload_pkts", &|r| r.victim_overloaded.to_string()),
+        ],
+    ));
     report.note(
         "Faster worms compress the victim's reaction window to seconds — compare E10's \
          trigger reaction (sub-second) and E7's deployment latency (tens of ms): the TCS \
          control loop is faster than every recruitment curve measured here, which is the \
          operational requirement for reactive deployment (Sec. 4.3).",
     );
-    report
 }

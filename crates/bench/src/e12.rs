@@ -14,11 +14,12 @@ use std::collections::BTreeMap;
 use dtcs::attack::{install_clients, ReflectorAttack, ReflectorAttackConfig};
 use dtcs::control::partition_by_provider;
 use dtcs::mitigation::Placement;
-use dtcs::netsim::{NodeId, Prefix, SimDuration, SimTime, Simulator, Topology};
+use dtcs::netsim::{NodeId, Prefix, SimDuration, SimTime, Simulator, Stats, Topology};
 use dtcs::{deploy_tcs_static, TcsStaticConfig};
 
-use crate::sweep::{cells_of, run_cases, Case};
+use crate::sweep::{Case, Experiment, GridExperiment};
 use crate::util::{f, Report, Table};
+use crate::RunOpts;
 
 dtcs::netsim::json_record! {
     struct IspRow {
@@ -48,9 +49,7 @@ fn attack_bytes_per_isp(sim: &Simulator, isp_of: &BTreeMap<usize, usize>) -> BTr
     per_isp
 }
 
-/// Base seed shared by the single-run tables and the sweep cell
-/// (historically the literal `88` for topology, simulator, TCS placement,
-/// attack config, and client installer).
+/// Base seed shared by the single-run tables and the sweep cells.
 const SEED: u64 = 88;
 
 fn run_once(deploy: bool, quick: bool, seed: u64) -> (Simulator, Vec<NodeId>) {
@@ -101,7 +100,7 @@ fn run_once(deploy: bool, quick: bool, seed: u64) -> (Simulator, Vec<NodeId>) {
 }
 
 /// Per-ISP accounting of the undefended vs defended runs, sorted by
-/// undefended load (descending) — shared by `run()` and the sweep cell.
+/// undefended load (descending).
 fn isp_rows(sim_base: &Simulator, sim_tcs: &Simulator, deployed: &[NodeId]) -> Vec<IspRow> {
     // ISP partition (identical for both runs: same topology/seed).
     let isps = partition_by_provider(sim_base);
@@ -160,8 +159,8 @@ fn cases(quick: bool) -> Vec<Case<bool>> {
 }
 
 /// Run the pair and account it per ISP; the two simulations' stats are
-/// folded with [`dtcs::netsim::Stats::merge`].
-fn one(&quick: &bool, seed: u64) -> (Vec<IspRow>, dtcs::netsim::Stats) {
+/// folded with [`Stats::merge`].
+fn one(&quick: &bool, seed: u64) -> (Vec<IspRow>, Stats) {
     let (sim_base, _) = run_once(false, quick, seed);
     let (sim_tcs, deployed) = run_once(true, quick, seed);
     let rows = isp_rows(&sim_base, &sim_tcs, &deployed);
@@ -170,93 +169,63 @@ fn one(&quick: &bool, seed: u64) -> (Vec<IspRow>, dtcs::netsim::Stats) {
     (rows, stats)
 }
 
-/// The deployer vs free-rider aggregates.
-#[allow(clippy::ptr_arg)] // `cells_of` wants `fn(&R)` for the `R` that `one` returns
-fn metrics(rows: &Vec<IspRow>) -> BTreeMap<String, f64> {
-    let (db, dw) = aggregate(rows, true);
-    let (fb, fw) = aggregate(rows, false);
-    let deployer_isps = rows.iter().filter(|r| r.deployed).count();
-    let pairs = [
-        ("deployers_mb_before", db),
-        ("deployers_mb_after", dw),
-        ("free_riders_mb_before", fb),
-        ("free_riders_mb_after", fw),
-        ("deployers_saved_pct", saved_pct(db, dw)),
-        ("free_riders_saved_pct", saved_pct(fb, fw)),
-        ("deployer_isps", deployer_isps as f64),
-    ];
-    pairs.map(|(k, v)| (k.to_string(), v)).into()
-}
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e12",
+    title: "ISP incentives: attack bandwidth saved per provider",
+    anchor: "Sec. 4.6",
+    cases,
+    one,
+    // The deployer vs free-rider aggregates.
+    metrics: |rows| {
+        let (db, dw) = aggregate(rows, true);
+        let (fb, fw) = aggregate(rows, false);
+        let deployer_isps = rows.iter().filter(|r| r.deployed).count();
+        let pairs = [
+            ("deployers_mb_before", db),
+            ("deployers_mb_after", dw),
+            ("free_riders_mb_before", fb),
+            ("free_riders_mb_after", fw),
+            ("deployers_saved_pct", saved_pct(db, dw)),
+            ("free_riders_saved_pct", saved_pct(fb, fw)),
+            ("deployer_isps", deployer_isps as f64),
+        ];
+        pairs.map(|(k, v)| (k.to_string(), v)).into()
+    },
+    render,
+};
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
-
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e12", cases(opts.quick), one, metrics)
-    }
-}
-
-/// Run E12.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e12",
-        "ISP incentives: attack bandwidth saved per provider",
-        "Sec. 4.6",
-    );
-    let mut outs = run_cases("e12", &cases(opts.quick), opts.pool_threads(), one);
-    let (rows, _) = outs.remove(0);
-
-    let mut t = Table::new(
+fn render(report: &mut Report, _: &RunOpts, _: &[Case<bool>], outs: &[(Vec<IspRow>, Stats)]) {
+    let rows = &outs[0].0;
+    report.table(Table::of(
         "attack megabytes carried per ISP, without vs with a 25% TCS deployment",
+        rows.iter().take(12),
         &[
-            "isp",
-            "routers",
-            "deployed",
-            "attack_MB_before",
-            "attack_MB_after",
-            "saved_%",
+            ("isp", &|r| r.isp.to_string()),
+            ("routers", &|r| r.routers.to_string()),
+            ("deployed", &|r| r.deployed.to_string()),
+            ("attack_MB_before", &|r| f(r.attack_mb_undefended)),
+            ("attack_MB_after", &|r| f(r.attack_mb_defended)),
+            ("saved_%", &|r| format!("{:.1}", r.saved_pct)),
         ],
-    );
-    for r in rows.iter().take(12) {
-        t.push(
-            vec![
-                r.isp.to_string(),
-                r.routers.to_string(),
-                r.deployed.to_string(),
-                f(r.attack_mb_undefended),
-                f(r.attack_mb_defended),
-                format!("{:.1}", r.saved_pct),
-            ],
-            r,
-        );
-    }
-    report.table(t);
+    ));
 
     // Aggregate: deployers vs free riders.
-    let (db, dw) = aggregate(&rows, true);
-    let (fb, fw) = aggregate(&rows, false);
-    let mut t = Table::new(
+    let (db, dw) = aggregate(rows, true);
+    let (fb, fw) = aggregate(rows, false);
+    report.table(Table::of(
         "aggregate: deployers vs non-deployers",
-        &["group", "attack_MB_before", "attack_MB_after", "saved_%"],
-    );
-    for (name, b, w) in [("deployers", db, dw), ("free-riders", fb, fw)] {
-        t.push(
-            vec![
-                name.to_string(),
-                f(b),
-                f(w),
-                format!("{:.1}", saved_pct(b, w)),
-            ],
-            &(name, b, w),
-        );
-    }
-    report.table(t);
+        &[("deployers", db, dw), ("free-riders", fb, fw)],
+        &[
+            ("group", &|r| r.0.to_string()),
+            ("attack_MB_before", &|r| f(r.1)),
+            ("attack_MB_after", &|r| f(r.2)),
+            ("saved_%", &|r| format!("{:.1}", saved_pct(r.1, r.2))),
+        ],
+    ));
     report.note(
         "Deploying ISPs shed the bulk of the attack bytes they previously hauled (the \
          premium-service pitch of Sec. 4.6), and the savings spill over to non-deployers \
          too — filtering near the source frees everyone's links, which is simultaneously \
          the incentive and the free-rider tension of incremental roll-out.",
     );
-    report
 }

@@ -19,11 +19,12 @@ use dtcs::control::{
 };
 use dtcs::netsim::rng::child_seed;
 use dtcs::netsim::{
-    FaultConfig, FaultPlane, Outage, Prefix, SimDuration, SimTime, Simulator, Topology,
+    FaultConfig, FaultPlane, Outage, Prefix, SimDuration, SimTime, Simulator, Stats, Topology,
 };
 
-use crate::sweep::{cells_of, metrics_of, Case};
-use crate::util::{f, fopt, run_cp_cases, wheel_health, CpOutcome, CpTrace, Report, Table};
+use crate::sweep::{metrics_of, Case, Experiment};
+use crate::util::{cp_trace_replay, f, fopt, CpOutcome, CpTrace, Report, Table};
+use crate::RunOpts;
 
 const SEED: u64 = 13;
 /// Crash outage length: long enough to be a real window, short enough
@@ -33,7 +34,8 @@ const CRASH_DOWNTIME_MS: u64 = 300;
 const RECONCILE_EVERY_S: u64 = 2;
 
 dtcs::netsim::json_record! {
-    struct CellRow {
+    /// One (loss, MTBF) cell's coverage and protocol counters.
+    pub struct CellRow {
         loss_pct: f64,
         mtbf_s: Option<u64>,
         crashes: u64,
@@ -75,7 +77,7 @@ fn run_cell(
     &(loss, mtbf_s, quick): &Params,
     seed: u64,
     trace: CpTrace,
-) -> (CpOutcome<CellRow>, dtcs::netsim::Stats) {
+) -> (CpOutcome<CellRow>, Stats) {
     let (transit, stubs) = if quick { (2, 4) } else { (3, 6) };
     let horizon_s: u64 = if quick { 30 } else { 60 };
     let topo = Topology::transit_stub_multihomed(transit, stubs, 0.2, seed);
@@ -179,90 +181,52 @@ fn cases(quick: bool) -> Vec<Case<Params>> {
     .collect()
 }
 
-fn metrics((r, _): &CpOutcome<CellRow>) -> std::collections::BTreeMap<String, f64> {
-    let fields = [
-        "crashes",
-        "t_full_coverage_s",
-        "steady_coverage_pct",
-        "retransmits",
-        "reinstalls",
-        "cp_dropped",
-        "cp_duplicated",
-        "dedup_hits",
-    ];
-    metrics_of(r, &fields)
-}
+/// E13's declaration. The performance ledger sweeps its cells as
+/// [`Sweep`] through [`GridExperiment::cells`](crate::sweep::GridExperiment::cells),
+/// so its type is the declaration's own, not `&dyn GridExperiment`.
+pub static EXPERIMENT: Experiment<Params, CpOutcome<CellRow>> = Experiment {
+    id: "e13",
+    title: "Control-plane fault sweep: loss × device MTBF vs deployment convergence",
+    anchor: "Sec. 5.1 under adversarial channels",
+    cases,
+    one: |p, seed| run_cell(p, seed, None),
+    metrics: |(row, _)| metrics_of(row, &["loss_pct", "mtbf_s"]),
+    render,
+};
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
+pub use EXPERIMENT as Sweep;
 
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of(
-            "e13",
-            cases(opts.quick),
-            |p, seed| run_cell(p, seed, None),
-            metrics,
-        )
-    }
-}
-
-/// Run E13.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
-    let mut report = Report::new(
-        "e13",
-        "Control-plane fault sweep: loss × device MTBF vs deployment convergence",
-        "Sec. 5.1 under adversarial channels",
-    );
-    // `--cp-trace` designates the 20%-loss crash-churn cell — the one
-    // that exercises every lifecycle event kind.
-    let traced = if quick {
-        "loss=0.20/mtbf=15"
-    } else {
-        "loss=0.20/mtbf=30"
-    };
-    let (outs, traced_line) = run_cp_cases("e13", &cases(quick), opts, traced, run_cell);
-    // health, not note: notes serialise into the golden JSON.
-    report.health.extend(traced_line);
-    let rows: Vec<&CellRow> = outs.iter().map(|((row, _), _)| row).collect();
-    let all_stats: Vec<&dtcs::netsim::Stats> = outs.iter().map(|o| &o.1).collect();
-
-    let mut t = Table::new(
+fn render(
+    report: &mut Report,
+    opts: &RunOpts,
+    cases: &[Case<Params>],
+    outs: &[(CpOutcome<CellRow>, Stats)],
+) {
+    // `--cp-trace` designates the first 20%-loss crash-churn cell — the
+    // kind that exercises every lifecycle event kind.
+    let traced = cases
+        .iter()
+        .find(|c| c.params.0 == 0.2 && c.params.1.is_some());
+    cp_trace_replay(report, opts, traced, run_cell);
+    report.table(Table::of(
         "time to 100% device coverage and steady-state coverage per (loss, MTBF) cell \
          (dup rate = loss/2, 10 ms jitter, 2 s reconcile sweep)",
+        outs.iter().map(|((row, _), _)| row),
         &[
-            "loss_%",
-            "mtbf_s",
-            "crashes",
-            "t_full_cov_s",
-            "steady_cov_%",
-            "retransmits",
-            "reinstalls",
-            "ch_drops",
-            "ch_dups",
-            "dedup_hits",
+            ("loss_%", &|r| format!("{:.0}", r.loss_pct)),
+            ("mtbf_s", &|r| {
+                r.mtbf_s.map_or("∞".into(), |m| m.to_string())
+            }),
+            ("crashes", &|r| r.crashes.to_string()),
+            ("t_full_cov_s", &|r| fopt(r.t_full_coverage_s)),
+            ("steady_cov_%", &|r| f(r.steady_coverage_pct)),
+            ("retransmits", &|r| r.retransmits.to_string()),
+            ("reinstalls", &|r| r.reinstalls.to_string()),
+            ("ch_drops", &|r| r.cp_dropped.to_string()),
+            ("ch_dups", &|r| r.cp_duplicated.to_string()),
+            ("dedup_hits", &|r| r.dedup_hits.to_string()),
         ],
-    );
-    for r in &rows {
-        t.push(
-            vec![
-                format!("{:.0}", r.loss_pct),
-                r.mtbf_s.map_or("∞".into(), |m| m.to_string()),
-                r.crashes.to_string(),
-                fopt(r.t_full_coverage_s),
-                f(r.steady_coverage_pct),
-                r.retransmits.to_string(),
-                r.reinstalls.to_string(),
-                r.cp_dropped.to_string(),
-                r.cp_duplicated.to_string(),
-                r.dedup_hits.to_string(),
-            ],
-            *r,
-        );
-    }
-    report.table(t);
-
+    ));
     report.note(
         "Loss-only cells converge to 100% coverage — within one probe tick on the \
          happy path, after a few retransmit rounds at 20–30% loss. Crash-churn cells \
@@ -274,22 +238,17 @@ pub fn run(opts: &crate::RunOpts) -> Report {
          the crash count, and dedup hits absorb duplicated deliveries — the \
          exactly-once ledger the protocol keeps over an at-least-once channel.",
     );
-    let (drops, dups): (u64, u64) = all_stats.iter().fold((0, 0), |(d, p), s| {
-        (d + s.cp_fault_dropped, p + s.cp_fault_duplicated)
-    });
-    let (retx, rein): (u64, u64) = rows.iter().fold((0, 0), |(r, i), row| {
-        (r + row.retransmits, i + row.reinstalls)
-    });
+    let sum = |field: fn(&CellRow, &Stats) -> u64| {
+        outs.iter().map(|((r, _), s)| field(r, s)).sum::<u64>()
+    };
     report.health(format!(
         "control faults over {} cells: {} channel drops, {} channel duplicates, \
          {} retransmits, {} reconcile reinstalls, {} crashes",
-        rows.len(),
-        drops,
-        dups,
-        retx,
-        rein,
-        all_stats.iter().map(|s| s.node_crashes).sum::<u64>(),
+        outs.len(),
+        sum(|_, s| s.cp_fault_dropped),
+        sum(|_, s| s.cp_fault_duplicated),
+        sum(|r, _| r.retransmits),
+        sum(|r, _| r.reinstalls),
+        sum(|_, s| s.node_crashes),
     ));
-    report.health(wheel_health(all_stats.iter().copied()));
-    report
 }

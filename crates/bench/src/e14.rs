@@ -24,6 +24,7 @@
 //!   after the withdrawal instant.
 
 use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
 use std::rc::Rc;
 
 use dtcs::control::{
@@ -31,11 +32,13 @@ use dtcs::control::{
     InternetNumberAuthority, UserId,
 };
 use dtcs::netsim::{
-    FaultConfig, FaultPlane, NodeId, Partition, Prefix, SimDuration, SimTime, Simulator, Topology,
+    FaultConfig, FaultPlane, NodeId, Partition, Prefix, SimDuration, SimTime, Simulator, Stats,
+    Topology,
 };
 
-use crate::sweep::{cells_of, metrics_of, Case};
-use crate::util::{f, fopt, run_cp_cases, wheel_health, CpOutcome, CpTrace, Report, Table};
+use crate::sweep::{metrics_of, Case, Experiment, GridExperiment};
+use crate::util::{cp_trace_replay, f, fopt, CpOutcome, CpTrace, Report, Table};
+use crate::RunOpts;
 
 const SEED: u64 = 14;
 /// Owner A withdraws at this instant; the partition opens 500 ms before
@@ -69,7 +72,7 @@ fn run_cell(
     &(partition_ms, lease_s, quick): &Params,
     seed: u64,
     trace: CpTrace,
-) -> (CpOutcome<CellRow>, dtcs::netsim::Stats) {
+) -> (CpOutcome<CellRow>, Stats) {
     let (transit, stubs) = if quick { (2, 4) } else { (3, 6) };
     // Off the renewal grid on purpose: `run_until` is inclusive, so a
     // horizon that is a multiple of `renew_every` would process one last
@@ -275,96 +278,49 @@ fn cases(quick: bool) -> Vec<Case<Params>> {
     .collect()
 }
 
-fn metrics((r, _): &CpOutcome<CellRow>) -> std::collections::BTreeMap<String, f64> {
-    let fields = [
-        "lease_reaps",
-        "max_reap_dwell_s",
-        "withdraw_removes",
-        "sweep_removals",
-        "renewals",
-        "partition_dropped",
-        "retransmits",
-        "withdraw_latency_s",
-        "cov_gap_device_s",
-    ];
-    metrics_of(r, &fields)
-}
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e14",
+    title: "Leased mitigations under partition: orphan dwell vs renewal cost",
+    anchor: "Sec. 4.3 withdrawal under adversarial channels",
+    cases,
+    one: |p, seed| run_cell(p, seed, None),
+    // `give_ups` is reported, not swept.
+    metrics: |(row, _)| metrics_of(row, &["partition_s", "lease_s", "give_ups"]),
+    render,
+};
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
-
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of(
-            "e14",
-            cases(opts.quick),
-            |p, seed| run_cell(p, seed, None),
-            metrics,
-        )
-    }
-}
-
-/// Run E14.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let quick = opts.quick;
-    let mut report = Report::new(
-        "e14",
-        "Leased mitigations under partition: orphan dwell vs renewal cost",
-        "Sec. 4.3 withdrawal under adversarial channels",
-    );
+fn render(
+    report: &mut Report,
+    opts: &RunOpts,
+    cases: &[Case<Params>],
+    outs: &[(CpOutcome<CellRow>, Stats)],
+) {
     // `--cp-trace` designates the longest-partition shortest-lease cell —
     // the one where the lease, not the network, does the teardown.
-    let traced = if quick {
-        "partition=8s/lease=2s"
-    } else {
-        "partition=12s/lease=2s"
-    };
-    let (outs, traced_line) = run_cp_cases("e14", &cases(quick), opts, traced, run_cell);
-    // health, not note: notes serialise into the golden JSON.
-    report.health.extend(traced_line);
-    let rows: Vec<&CellRow> = outs.iter().map(|((row, _), _)| row).collect();
-    let all_stats: Vec<&dtcs::netsim::Stats> = outs.iter().map(|o| &o.1).collect();
-
-    let mut t = Table::new(
+    let traced = cases
+        .iter()
+        .max_by_key(|c| (c.params.0, Reverse(c.params.1)));
+    cp_trace_replay(report, opts, traced, run_cell);
+    report.table(Table::of(
         "orphan-filter dwell, renewal traffic, and owner-B availability gap per \
          (partition duration, lease length) cell (withdraw at 10 s, cut opens 9.5 s, \
          renew every lease/4, 2 s reconcile sweep)",
+        outs.iter().map(|((row, _), _)| row),
         &[
-            "partition_s",
-            "lease_s",
-            "reaps",
-            "max_dwell_s",
-            "wd_removes",
-            "sweep_rm",
-            "renewals",
-            "part_drops",
-            "retransmits",
-            "give_ups",
-            "wd_latency_s",
-            "cov_gap_dev_s",
+            ("partition_s", &|r| f(r.partition_s)),
+            ("lease_s", &|r| r.lease_s.to_string()),
+            ("reaps", &|r| r.lease_reaps.to_string()),
+            ("max_dwell_s", &|r| fopt(r.max_reap_dwell_s)),
+            ("wd_removes", &|r| r.withdraw_removes.to_string()),
+            ("sweep_rm", &|r| r.sweep_removals.to_string()),
+            ("renewals", &|r| r.renewals.to_string()),
+            ("part_drops", &|r| r.partition_dropped.to_string()),
+            ("retransmits", &|r| r.retransmits.to_string()),
+            ("give_ups", &|r| r.give_ups.to_string()),
+            ("wd_latency_s", &|r| fopt(r.withdraw_latency_s)),
+            ("cov_gap_dev_s", &|r| f(r.cov_gap_device_s)),
         ],
-    );
-    for r in &rows {
-        t.push(
-            vec![
-                f(r.partition_s),
-                r.lease_s.to_string(),
-                r.lease_reaps.to_string(),
-                fopt(r.max_reap_dwell_s),
-                r.withdraw_removes.to_string(),
-                r.sweep_removals.to_string(),
-                r.renewals.to_string(),
-                r.partition_dropped.to_string(),
-                r.retransmits.to_string(),
-                r.give_ups.to_string(),
-                fopt(r.withdraw_latency_s),
-                f(r.cov_gap_device_s),
-            ],
-            *r,
-        );
-    }
-    report.table(t);
-
+    ));
     report.note(
         "Short partitions let the RemoveService fan-out land after a few retries: \
          withdrawals complete over the network, reaps stay rare, and the availability \
@@ -378,20 +334,15 @@ pub fn run(opts: &crate::RunOpts) -> Report {
          orphan dwell. Renewal message volume scales inversely with lease length — \
          the dwell/traffic trade-off this grid maps.",
     );
-    let (reaps, renewals): (u64, u64) = rows
-        .iter()
-        .fold((0, 0), |(a, b), r| (a + r.lease_reaps, b + r.renewals));
+    let sum = |field: fn(&CellRow, &Stats) -> u64| {
+        outs.iter().map(|((r, _), s)| field(r, s)).sum::<u64>()
+    };
     report.health(format!(
         "leases over {} cells: {} orphan reaps, {} renewals, {} partition-swallowed \
          messages",
-        rows.len(),
-        reaps,
-        renewals,
-        all_stats
-            .iter()
-            .map(|s| s.cp_partition_dropped)
-            .sum::<u64>(),
+        outs.len(),
+        sum(|r, _| r.lease_reaps),
+        sum(|r, _| r.renewals),
+        sum(|_, s| s.cp_partition_dropped),
     ));
-    report.health(wheel_health(all_stats.iter().copied()));
-    report
 }

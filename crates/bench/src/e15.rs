@@ -16,13 +16,15 @@
 //!   fractions on the same internet, 1,200 spoofed probes each.
 
 use dtcs::mitigation::Placement;
+use dtcs::netsim::stats::ClassCounters;
 use dtcs::netsim::{SimDuration, Stats, TrafficClass};
 use dtcs::{OutcomeRow, Scheme, TopologyChoice};
 
 use crate::e2::{outcome_metrics, scenario_one, ScenarioParams};
 use crate::e3::{QUICK_FRACTIONS, STRATEGIES};
-use crate::sweep::{cells_of, run_cases, Case};
-use crate::util::{hist_health, wheel_health, Report, Table};
+use crate::sweep::{Case, Experiment, GridExperiment};
+use crate::util::{Report, Table};
+use crate::RunOpts;
 
 /// Absolute |Δ| tolerance on success-ratio metrics (legit, collateral,
 /// attack-delivered): the two engines must agree on every headline
@@ -69,10 +71,23 @@ fn check_schemes() -> [Scheme; 2] {
     ]
 }
 
-/// The scenario-harness cases: the cross-check pairs (discrete, then
-/// fluid, per scheme), then E2's line-up at 100k nodes. Returns the
-/// cross-check case count and E2's reflector case count too.
-fn scenario_cases() -> (Vec<Case<ScenarioParams>>, usize, usize) {
+/// One grid point: a scenario-harness run or an E3 probe run.
+#[allow(clippy::large_enum_variant)] // a few dozen cases, built once
+enum Params {
+    Scenario(ScenarioParams),
+    Probe(crate::e3::Params),
+}
+
+/// What a grid point measured.
+enum Row {
+    Outcome(OutcomeRow),
+    Probe(crate::e3::Row),
+}
+
+/// The grid, the same with or without `--quick`: the cross-check pairs
+/// (discrete, then fluid, per scheme), E2's line-up at 100k nodes, then
+/// E3's strategies on the same internet.
+fn cases(_quick: bool) -> Vec<Case<Params>> {
     let mut check = crate::e2::scenario(false);
     check.n_nodes = 400;
     check.background_flows = 200;
@@ -84,86 +99,52 @@ fn scenario_cases() -> (Vec<Case<ScenarioParams>>, usize, usize) {
                 ..check.clone()
             };
             let label = format!("cross-check/scheme={}/{engine}", scheme.label());
-            cases.push(Case::new(label, cfg.seed, (cfg, scheme.clone())));
+            let params = Params::Scenario((cfg, scheme.clone()));
+            cases.push(Case::new(label, check.seed, params));
         }
     }
-    let n_check = cases.len();
 
     let mut internet = crate::e2::scenario(true);
     internet.topology = TopologyChoice::TransitStub { n: INTERNET_NODES };
     internet.background_flows = 5_000;
     internet.fluid = Some(TICK);
-    let (e2_cases, n_reflector) = crate::e2::cases(&internet);
-    cases.extend(
-        e2_cases
-            .into_iter()
-            .map(|c| Case::new(format!("100k/{}", c.scenario), c.base_seed, c.params)),
-    );
-    (cases, n_check, n_reflector)
-}
-
-/// E3's strategies on the 100k-node internet.
-fn probe_cases() -> Vec<Case<crate::e3::Params>> {
-    crate::e3::strategy_cases(
+    cases.extend(crate::e2::cases(&internet).into_iter().map(|c| {
+        let label = format!("100k/{}", c.scenario);
+        Case::new(label, c.base_seed, Params::Scenario(c.params))
+    }));
+    let probes = crate::e3::strategy_cases(
         crate::e3::TopoKind::TransitStub(INTERNET_NODES),
         &STRATEGIES,
         &QUICK_FRACTIONS,
         1_200,
-    )
+    );
+    cases.extend(
+        probes
+            .into_iter()
+            .map(|c| Case::new(c.scenario, c.base_seed, Params::Probe(c.params))),
+    );
+    cases
 }
 
-fn probe_one(p: &crate::e3::Params, seed: u64) -> (crate::e3::Row, Stats) {
-    crate::e3::one(p, seed, None)
+fn one(params: &Params, seed: u64) -> (Row, Stats) {
+    match params {
+        Params::Scenario(p) => {
+            let (row, stats) = scenario_one(p, seed);
+            (Row::Outcome(row), stats)
+        }
+        Params::Probe(p) => {
+            let (row, stats) = crate::e3::one(p, seed, None);
+            (Row::Probe(row), stats)
+        }
+    }
 }
 
 /// The checks of one scheme's discrete and fluid runs.
 fn checks(
-    (off, off_stats): &(OutcomeRow, Stats),
-    (on, on_stats): &(OutcomeRow, Stats),
+    (off, off_stats): (&OutcomeRow, &Stats),
+    (on, on_stats): (&OutcomeRow, &Stats),
 ) -> Vec<Check> {
-    let (bg_off, bg_on) = (
-        off_stats.class(TrafficClass::Background),
-        on_stats.class(TrafficClass::Background),
-    );
-    [
-        (
-            "legit_success",
-            off.legit_success,
-            on.legit_success,
-            TOL_RATIO,
-            false,
-        ),
-        (
-            "collateral_success",
-            off.collateral_success,
-            on.collateral_success,
-            TOL_RATIO,
-            false,
-        ),
-        (
-            "attack_delivered_ratio",
-            off.attack_delivered_ratio,
-            on.attack_delivered_ratio,
-            TOL_RATIO,
-            false,
-        ),
-        (
-            "background_sent_bytes",
-            bg_off.sent_bytes as f64,
-            bg_on.sent_bytes as f64,
-            TOL_BG_SENT,
-            true,
-        ),
-        (
-            "background_delivered_bytes",
-            bg_off.delivered_bytes as f64,
-            bg_on.delivered_bytes as f64,
-            TOL_BG_DELIVERED,
-            true,
-        ),
-    ]
-    .into_iter()
-    .map(|(metric, a, b, limit, relative)| {
+    let check = |metric: &str, a: f64, b: f64, limit: f64, relative: bool| {
         let delta = if relative {
             (a - b).abs() / a.abs().max(1.0)
         } else {
@@ -178,56 +159,57 @@ fn checks(
             limit,
             ok: delta <= limit,
         }
-    })
-    .collect()
-}
-
-/// Sweep-grid adapter over all three grids.
-pub struct Sweep;
-
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, _opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let (cases, ..) = scenario_cases();
-        let mut cells = cells_of("e15", cases, scenario_one, outcome_metrics);
-        cells.extend(cells_of(
-            "e15",
-            probe_cases(),
-            probe_one,
-            crate::e3::metrics,
-        ));
-        cells
-    }
-}
-
-/// Run E15. Panics if the engines disagree beyond a tolerance, or if a
-/// cross-check run did not use the engine it claims to.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e15",
-        "The defence at Internet scale: hybrid fluid/packet engine",
-        "Secs. 4.3 / 5.3",
-    );
-    let (cases, n_check, n_reflector) = scenario_cases();
-    let outs = run_cases("e15", &cases, opts.pool_threads(), scenario_one);
-    let probes = run_cases("e15", &probe_cases(), opts.pool_threads(), probe_one);
-    let (check, internet) = outs.split_at(n_check);
-    let (reflector, direct) = internet.split_at(n_reflector);
-    let at_scale = || {
-        internet
-            .iter()
-            .map(|o| &o.1)
-            .chain(probes.iter().map(|o| &o.1))
     };
-    report.health(wheel_health(at_scale()));
-    report.health(hist_health(at_scale()));
+    let ratio =
+        |metric, of: fn(&OutcomeRow) -> f64| check(metric, of(off), of(on), TOL_RATIO, false);
+    let background = |metric, of: fn(&ClassCounters) -> u64, limit| {
+        let class = |s: &Stats| of(s.class(TrafficClass::Background)) as f64;
+        check(metric, class(off_stats), class(on_stats), limit, true)
+    };
+    vec![
+        ratio("legit_success", |r| r.legit_success),
+        ratio("collateral_success", |r| r.collateral_success),
+        ratio("attack_delivered_ratio", |r| r.attack_delivered_ratio),
+        background("background_sent_bytes", |c| c.sent_bytes, TOL_BG_SENT),
+        background(
+            "background_delivered_bytes",
+            |c| c.delivered_bytes,
+            TOL_BG_DELIVERED,
+        ),
+    ]
+}
 
-    let mut t = Table::new(
-        "cross-check: BA-400, 200 background flows as discrete packets (off) or fluid \
-         aggregates (on)",
-        &["scheme", "metric", "off", "on", "delta", "limit", "ok"],
-    );
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e15",
+    title: "The defence at Internet scale: hybrid fluid/packet engine",
+    anchor: "Secs. 4.3 / 5.3",
+    cases,
+    one,
+    metrics: |row| match row {
+        Row::Outcome(r) => outcome_metrics(r),
+        Row::Probe(r) => crate::e3::metrics(r),
+    },
+    render,
+};
+
+/// Panics if the engines disagree beyond a tolerance, or if a
+/// cross-check run did not use the engine it claims to.
+fn render(report: &mut Report, _: &RunOpts, cases: &[Case<Params>], outs: &[(Row, Stats)]) {
+    let (mut check, mut internet, mut probes) = (Vec::new(), Vec::new(), Vec::new());
+    for (case, (row, stats)) in cases.iter().zip(outs) {
+        match (&case.params, row) {
+            (Params::Scenario(_), Row::Outcome(r)) if case.scenario.starts_with("cross-check/") => {
+                check.push((r, stats))
+            }
+            (Params::Scenario(p), Row::Outcome(r)) => internet.push((p, r)),
+            (Params::Probe(_), Row::Probe(r)) => probes.push(r),
+            _ => unreachable!("a run's row is of its case's kind"),
+        }
+    }
+
+    let mut rows = Vec::new();
     for pair in check.chunks(2) {
-        let (off, on) = (&pair[0], &pair[1]);
+        let (off, on) = (pair[0], pair[1]);
         assert!(
             on.1.fluid_aggregates > 0 && off.1.fluid_aggregates == 0,
             "e15 {}: the fluid run made {} aggregates and the discrete run {}; the \
@@ -242,20 +224,24 @@ pub fn run(opts: &crate::RunOpts) -> Report {
                 "e15 {}: {} differs by {} between the engines, over its limit {}",
                 c.scheme, c.metric, c.delta, c.limit
             );
-            let num = |v: f64| format!("{v:.4}");
-            let cells = vec![
-                c.scheme.clone(),
-                c.metric.clone(),
-                num(c.off),
-                num(c.on),
-                num(c.delta),
-                num(c.limit),
-                "yes".to_string(),
-            ];
-            t.push(cells, &c);
+            rows.push(c);
         }
     }
-    report.table(t);
+    let num = |v: f64| format!("{v:.4}");
+    report.table(Table::of(
+        "cross-check: BA-400, 200 background flows as discrete packets (off) or fluid \
+         aggregates (on)",
+        &rows,
+        &[
+            ("scheme", &|c| c.scheme.clone()),
+            ("metric", &|c| c.metric.clone()),
+            ("off", &|c| num(c.off)),
+            ("on", &|c| num(c.on)),
+            ("delta", &|c| num(c.delta)),
+            ("limit", &|c| num(c.limit)),
+            ("ok", &|_| "yes".to_string()),
+        ],
+    ));
     report.note(format!(
         "Fluid vs discrete background on BA-400: every victim ratio within ±{TOL_RATIO}, \
          background offered within {TOL_BG_SENT} and delivered within {TOL_BG_DELIVERED} \
@@ -263,15 +249,13 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     ));
 
     crate::e2::outcome_tables(
-        &mut report,
+        report,
         "100k-node transit-stub, fluid background: ",
-        reflector,
-        direct,
+        &internet,
     );
     report.table(crate::e3::survival_table(
         &format!("spoofed-probe survival, transit-stub internet (>= {INTERNET_NODES} nodes)"),
-        &probes,
+        probes.iter().copied(),
     ));
-    crate::e3::headline_note(&mut report, &probes);
-    report
+    crate::e3::headline_note(report, &probes);
 }

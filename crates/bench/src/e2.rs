@@ -9,13 +9,16 @@
 //! service with no collateral while stopping attack traffic near its
 //! sources.
 
+use std::collections::BTreeMap;
+
 use dtcs::attack::SpoofMode;
 use dtcs::mitigation::{BlockScope, Placement};
-use dtcs::netsim::SimTime;
+use dtcs::netsim::{SimTime, Stats};
 use dtcs::{run_scenario, AttackKind, OutcomeRow, ScenarioConfig, Scheme, TcsStaticConfig};
 
-use crate::sweep::{cells_of, run_cases, Case};
-use crate::util::{f, fopt, hist_health, wheel_health, Report, Table};
+use crate::sweep::{metrics_of, Case, Experiment, GridExperiment};
+use crate::util::{f, fopt, Report, Table, With};
+use crate::RunOpts;
 
 /// The scenario config E2/E4/E9 share.
 pub fn scenario(quick: bool) -> ScenarioConfig {
@@ -32,60 +35,40 @@ pub fn scenario(quick: bool) -> ScenarioConfig {
     cfg
 }
 
-/// Render one outcome row with the shared header.
-pub fn outcome_cells(row: &OutcomeRow) -> Vec<String> {
-    vec![
-        row.scheme.clone(),
-        f(row.legit_success),
-        f(row.collateral_success),
-        f(row.attack_delivered_ratio),
-        row.reflected_delivered_to_victim.to_string(),
-        row.victim_overloaded.to_string(),
-        f(row.attack_byte_hops as f64),
-        fopt(row.stop_distance),
-    ]
-}
-
-/// Header matching [`outcome_cells`].
-pub fn outcome_header() -> Vec<&'static str> {
-    vec![
-        "scheme",
-        "legit_ok",
-        "collateral_ok",
-        "attack_deliv",
-        "refl@victim",
-        "overload",
-        "atk_byte_hops",
-        "stop_dist",
-    ]
+/// A table of outcome rows under the columns E2, E4 and E15 share.
+pub(crate) fn outcome_table<'a>(
+    title: impl Into<String>,
+    rows: impl IntoIterator<Item = &'a OutcomeRow>,
+) -> Table {
+    Table::of(
+        title,
+        rows,
+        &[
+            ("scheme", &|r| r.scheme.clone()),
+            ("legit_ok", &|r| f(r.legit_success)),
+            ("collateral_ok", &|r| f(r.collateral_success)),
+            ("attack_deliv", &|r| f(r.attack_delivered_ratio)),
+            ("refl@victim", &|r| {
+                r.reflected_delivered_to_victim.to_string()
+            }),
+            ("overload", &|r| r.victim_overloaded.to_string()),
+            ("atk_byte_hops", &|r| f(r.attack_byte_hops as f64)),
+            ("stop_dist", &|r| fopt(r.stop_distance)),
+        ],
+    )
 }
 
 /// Flatten an outcome row into sweep metrics (scheme-specific extras keep
 /// their names under an `extra.` prefix; the optional stop distance is
 /// simply absent when nothing was dropped).
-pub fn outcome_metrics(row: &OutcomeRow) -> std::collections::BTreeMap<String, f64> {
-    let mut m = std::collections::BTreeMap::new();
-    m.insert("legit_success".to_string(), row.legit_success);
-    m.insert("collateral_success".to_string(), row.collateral_success);
+pub fn outcome_metrics(row: &OutcomeRow) -> BTreeMap<String, f64> {
+    let except = ["reflected_delivered_to_victim", "victim_attack_absorbed"];
+    let mut m = metrics_of(row, &except);
     m.insert(
-        "attack_delivered_ratio".to_string(),
-        row.attack_delivered_ratio,
-    );
-    m.insert(
-        "reflected_at_victim".to_string(),
+        "reflected_at_victim".into(),
         row.reflected_delivered_to_victim as f64,
     );
-    m.insert(
-        "victim_overloaded".to_string(),
-        row.victim_overloaded as f64,
-    );
-    m.insert("attack_byte_hops".to_string(), row.attack_byte_hops as f64);
-    if let Some(d) = row.stop_distance {
-        m.insert("stop_distance".to_string(), d);
-    }
-    for (k, v) in &row.extra {
-        m.insert(format!("extra.{k}"), *v);
-    }
+    m.extend(row.extra.iter().map(|(k, v)| (format!("extra.{k}"), *v)));
     m
 }
 
@@ -93,10 +76,7 @@ pub fn outcome_metrics(row: &OutcomeRow) -> std::collections::BTreeMap<String, f
 pub type ScenarioParams = (ScenarioConfig, Scheme);
 
 /// Run one scenario-harness grid point under `seed`.
-pub fn scenario_one(
-    (cfg, scheme): &ScenarioParams,
-    seed: u64,
-) -> (OutcomeRow, dtcs::netsim::Stats) {
+pub fn scenario_one((cfg, scheme): &ScenarioParams, seed: u64) -> (OutcomeRow, Stats) {
     let cfg = ScenarioConfig {
         seed,
         ..cfg.clone()
@@ -139,11 +119,10 @@ fn direct_contrast(cfg: &ScenarioConfig) -> (ScenarioConfig, Vec<Scheme>) {
 
 /// The grid: the full reflector comparison set (plus the hidden-IP i3
 /// row, so both halves of the paper's i3 critique appear side by side),
-/// then the direct-flood contrast. Returns the reflector case count too.
-pub(crate) fn cases(cfg: &ScenarioConfig) -> (Vec<Case<ScenarioParams>>, usize) {
+/// then the direct-flood contrast.
+pub(crate) fn cases(cfg: &ScenarioConfig) -> Vec<Case<ScenarioParams>> {
     let mut schemes = Scheme::comparison_set(cfg.attack.start_at);
     schemes.push(Scheme::I3 { ip_hidden: true });
-    let n_reflector = schemes.len();
     let (dcfg, direct_schemes) = direct_contrast(cfg);
     let mut cases = Vec::new();
     for (shape, shape_cfg, shape_schemes) in [
@@ -159,41 +138,35 @@ pub(crate) fn cases(cfg: &ScenarioConfig) -> (Vec<Case<ScenarioParams>>, usize) 
             ));
         }
     }
-    (cases, n_reflector)
+    cases
 }
 
-/// Sweep-grid adapter (DESIGN.md §6.6) over [`cases`].
-pub struct Sweep;
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e2",
+    title: "Scheme comparison under a reflector attack",
+    anchor: "Sec. 3 + Sec. 4.3",
+    cases: |quick| cases(&scenario(quick)),
+    one: scenario_one,
+    metrics: outcome_metrics,
+    render,
+};
 
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        let (cases, _) = cases(&scenario(opts.quick));
-        cells_of("e2", cases, scenario_one, outcome_metrics)
-    }
-}
-
-/// Run E2.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e2",
-        "Scheme comparison under a reflector attack",
-        "Sec. 3 + Sec. 4.3",
-    );
-    let cfg = scenario(opts.quick);
-    let (cases, n_reflector) = cases(&cfg);
-    let outs = run_cases("e2", &cases, opts.pool_threads(), scenario_one);
-    let (reflector, direct) = outs.split_at(n_reflector);
-    report.health(wheel_health(reflector.iter().map(|o| &o.1)));
-    report.health(hist_health(reflector.iter().map(|o| &o.1)));
-
+fn render(
+    report: &mut Report,
+    opts: &RunOpts,
+    cases: &[Case<ScenarioParams>],
+    outs: &[(OutcomeRow, Stats)],
+) {
     // --trace: replay the undefended baseline with a flight recorder
     // attached and export the JSONL record. A separate run so the golden
-    // comparison rows above stay untouched, and print-only reporting so
-    // the golden report JSON does too.
+    // comparison rows stay untouched, and print-only reporting so the
+    // golden report JSON does too.
     if let Some(path) = &opts.trace {
-        let mut tcfg = cfg.clone();
-        tcfg.trace = true;
-        let out = run_scenario(&tcfg, &Scheme::None);
+        let cfg = ScenarioConfig {
+            trace: true,
+            ..scenario(opts.quick)
+        };
+        let out = run_scenario(&cfg, &Scheme::None);
         let rec = out.trace.expect("trace requested");
         let mut file = std::fs::File::create(path).expect("create trace file");
         rec.export_jsonl(&mut file).expect("write trace file");
@@ -205,59 +178,56 @@ pub fn run(opts: &crate::RunOpts) -> Report {
             path.display()
         ));
     }
-
     report.note(
         "Direct-flood contrast: traceback correctly names the agent ASes and null-routing \
          them relieves the victim — the counterproductivity of E4 is specific to reflector \
          attacks, exactly the paper's Sec. 3 argument arc.",
     );
-    outcome_tables(&mut report, "", reflector, direct);
-    report
+    let runs: Vec<_> = cases
+        .iter()
+        .zip(outs)
+        .map(|(c, o)| (&c.params, &o.0))
+        .collect();
+    outcome_tables(report, "", &runs);
 }
 
-/// E2's three tables and its TCS-vs-none note over its reflector and
-/// direct-flood outcomes, each table title prefixed with `caption` (E15
-/// renders E2 at 100k nodes with the same tables).
+/// E2's three tables and its TCS-vs-none note over the runs of its
+/// [`cases`], each table title prefixed with `caption` (E15 renders E2 at
+/// 100k nodes with the same tables).
 pub(crate) fn outcome_tables(
     report: &mut Report,
     caption: &str,
-    reflector: &[(OutcomeRow, dtcs::netsim::Stats)],
-    direct: &[(OutcomeRow, dtcs::netsim::Stats)],
+    runs: &[(&ScenarioParams, &OutcomeRow)],
 ) {
-    let rows: Vec<&OutcomeRow> = reflector.iter().map(|o| &o.0).collect();
-    let mut t = Table::new(
-        &format!("{caption}scheme outcomes (identical attack + workload)"),
-        &outcome_header(),
-    );
-    for r in &rows {
-        t.push(outcome_cells(r), *r);
-    }
-    report.table(t);
+    let (reflector, direct): (Vec<_>, Vec<_>) = runs
+        .iter()
+        .map(|&(p, row)| (p.0.attack_kind == AttackKind::Reflector, row))
+        .partition(|&(reflector, _)| reflector);
+    let rows: Vec<&OutcomeRow> = reflector.into_iter().map(|(_, row)| row).collect();
+    let title = format!("{caption}scheme outcomes (identical attack + workload)");
+    report.table(outcome_table(title, rows.iter().copied()));
 
     // Extras table (scheme-specific costs/diagnostics).
-    let mut t = Table::new(
-        &format!("{caption}scheme-specific diagnostics"),
-        &["scheme", "key", "value"],
-    );
-    for r in &rows {
-        for (k, v) in &r.extra {
-            t.push(vec![r.scheme.clone(), k.clone(), f(*v)], &(k, v));
-        }
-    }
-    report.table(t);
+    let extras: Vec<_> = rows
+        .iter()
+        .flat_map(|r| r.extra.iter().map(|kv| With(kv, &r.scheme)))
+        .collect();
+    report.table(Table::of(
+        format!("{caption}scheme-specific diagnostics"),
+        &extras,
+        &[
+            ("scheme", &|r| r.1.clone()),
+            ("key", &|r| r.0 .0.clone()),
+            ("value", &|r| f(*r.0 .1)),
+        ],
+    ));
 
     // Contrast table: the same core schemes against a classic randomly-
     // spoofed direct flood — where traceback names the TRUE agent ASes and
     // null-routing them genuinely helps (its residual collateral is the
     // Sec. 4.6 kind: innocents inside the zombies' own access networks).
-    let mut t = Table::new(
-        &format!("{caption}contrast: classic direct flood with random spoofing"),
-        &outcome_header(),
-    );
-    for (r, _) in direct {
-        t.push(outcome_cells(r), r);
-    }
-    report.table(t);
+    let title = format!("{caption}contrast: classic direct flood with random spoofing");
+    report.table(outcome_table(title, direct.into_iter().map(|(_, row)| row)));
 
     let none = rows.iter().find(|r| r.scheme == "none").expect("none row");
     let tcs = rows

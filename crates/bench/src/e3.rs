@@ -17,12 +17,13 @@ use dtcs::attack::hosts;
 use dtcs::mitigation::{deploy_ingress, Placement};
 use dtcs::netsim::rng::{child_seed, seeded};
 use dtcs::netsim::{
-    Addr, PacketBuilder, Prefix, Proto, SimTime, Simulator, Topology, TrafficClass,
+    Addr, PacketBuilder, Prefix, Proto, SimTime, Simulator, Stats, Topology, TrafficClass,
 };
 use dtcs::{deploy_tcs_static, TcsStaticConfig};
 
-use crate::sweep::{cells_of, metrics_of, run_cases, Case};
-use crate::util::{f, Report, Table};
+use crate::sweep::{metrics_of, Case, Experiment, GridExperiment};
+use crate::util::{f, fopt, Report, Table};
+use crate::RunOpts;
 
 dtcs::netsim::json_record! {
     pub(crate) struct Row {
@@ -80,7 +81,7 @@ pub(crate) fn one(
     }: &Params,
     seed: u64,
     trace: Option<&std::path::Path>,
-) -> (Row, dtcs::netsim::Stats) {
+) -> (Row, Stats) {
     let topo = match kind {
         TopoKind::PowerLaw(n) => Topology::barabasi_albert(n, 2, 0.1, seed),
         TopoKind::Waxman(n) => Topology::waxman(n, 0.4, 0.15, 0.1, seed),
@@ -223,8 +224,8 @@ pub(crate) fn strategy_cases(
 
 /// The grid: all four strategies × the deployment fractions on a BA
 /// power-law internet, then the Waxman contrast over the two TCS
-/// strategies. Returns the main-sweep case count too.
-fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
+/// strategies.
+fn cases(quick: bool) -> Vec<Case<Params>> {
     let (fractions, n, probes): (&[f64], _, _) = if quick {
         (&QUICK_FRACTIONS, 150, 1200)
     } else {
@@ -235,18 +236,17 @@ fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
         )
     };
     let mut cases = strategy_cases(TopoKind::PowerLaw(n), &STRATEGIES, fractions, probes);
-    let n_main = cases.len();
     cases.extend(strategy_cases(
         TopoKind::Waxman(n),
         &TCS_STRATEGIES,
         fractions,
         probes,
     ));
-    (cases, n_main)
+    cases
 }
 
 pub(crate) fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
-    let mut m = metrics_of(row, &["probes", "survived", "survival_ratio"]);
+    let mut m = metrics_of(row, &["fraction", "mean_stop_distance"]);
     m.extend(
         row.mean_stop_distance
             .map(|d| ("stop_distance".to_string(), d)),
@@ -254,35 +254,17 @@ pub(crate) fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
     m
 }
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e3",
+    title: "Spoofed-packet survival vs deployment coverage",
+    anchor: "Sec. 3.2 (Park & Lee)",
+    cases,
+    one: |p, seed| one(p, seed, None),
+    metrics,
+    render,
+};
 
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of(
-            "e3",
-            cases(opts.quick).0,
-            |p, seed| one(p, seed, None),
-            metrics,
-        )
-    }
-}
-
-/// Run E3.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e3",
-        "Spoofed-packet survival vs deployment coverage",
-        "Sec. 3.2 (Park & Lee)",
-    );
-    let (cases, n_main) = cases(opts.quick);
-    let outs = run_cases("e3", &cases, opts.pool_threads(), |p, seed| {
-        one(p, seed, None)
-    });
-    let (main, waxman) = outs.split_at(n_main);
-    report.health(crate::util::wheel_health(main.iter().map(|o| &o.1)));
-    report.health(crate::util::hist_health(main.iter().map(|o| &o.1)));
-
+fn render(report: &mut Report, opts: &RunOpts, cases: &[Case<Params>], outs: &[(Row, Stats)]) {
     // --trace: one representative traced run (ingress filtering at 20%
     // top-degree coverage — the Park & Lee headline point), wired straight
     // into the bare simulator.
@@ -296,70 +278,54 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         crate::util::enforce_run_invariants("e3/trace", &stats);
         report.health(format!("trace: wrote JSONL to {}", path.display()));
     }
-
+    let runs = cases.iter().zip(outs);
+    let (main, waxman): (Vec<_>, Vec<_>) = runs
+        .map(|(c, (row, _))| (matches!(c.params.kind, TopoKind::PowerLaw(_)), row))
+        .partition(|&(power_law, _)| power_law);
+    let main: Vec<&Row> = main.into_iter().map(|(_, row)| row).collect();
     report.table(survival_table(
         "spoofed-probe survival, power-law (BA) internet",
-        main,
+        main.iter().copied(),
     ));
 
     // Topology-family contrast: Park & Lee's striking 20% number is a
     // *power-law* phenomenon (a few hubs cover most paths). On a Waxman
     // random-geometric internet there are no such hubs, so top-degree
     // placement loses most of its edge — measured here with the TCS rows.
-    let mut t = Table::new(
+    report.table(Table::of(
         "same sweep on a Waxman (no-hub) internet",
-        &["strategy", "fraction", "survival", "stop_dist"],
-    );
-    for (r, _) in waxman {
-        t.push(
-            vec![
-                r.strategy.clone(),
-                format!("{:.2}", r.fraction),
-                f(r.survival_ratio),
-                crate::util::fopt(r.mean_stop_distance),
-            ],
-            r,
-        );
-    }
-    report.table(t);
-    headline_note(&mut report, main);
-    report
+        waxman.into_iter().map(|(_, row)| row),
+        &[
+            ("strategy", &|r| r.strategy.clone()),
+            ("fraction", &|r| format!("{:.2}", r.fraction)),
+            ("survival", &|r| f(r.survival_ratio)),
+            ("stop_dist", &|r| fopt(r.mean_stop_distance)),
+        ],
+    ));
+    headline_note(report, &main);
 }
 
 /// The main survival table over `rows`.
-pub(crate) fn survival_table(title: &str, rows: &[(Row, dtcs::netsim::Stats)]) -> Table {
-    let mut t = Table::new(
+pub(crate) fn survival_table<'a>(title: &str, rows: impl IntoIterator<Item = &'a Row>) -> Table {
+    Table::of(
         title,
+        rows,
         &[
-            "strategy",
-            "fraction",
-            "probes",
-            "survived",
-            "survival",
-            "stop_dist",
+            ("strategy", &|r| r.strategy.clone()),
+            ("fraction", &|r| format!("{:.2}", r.fraction)),
+            ("probes", &|r| r.probes.to_string()),
+            ("survived", &|r| r.survived.to_string()),
+            ("survival", &|r| f(r.survival_ratio)),
+            ("stop_dist", &|r| fopt(r.mean_stop_distance)),
         ],
-    );
-    for (r, _) in rows {
-        t.push(
-            vec![
-                r.strategy.clone(),
-                format!("{:.2}", r.fraction),
-                r.probes.to_string(),
-                r.survived.to_string(),
-                f(r.survival_ratio),
-                crate::util::fopt(r.mean_stop_distance),
-            ],
-            r,
-        );
-    }
-    t
+    )
 }
 
 /// The headline check: top-degree placement at 20%.
-pub(crate) fn headline_note(report: &mut Report, rows: &[(Row, dtcs::netsim::Stats)]) {
-    if let Some((r, _)) = rows
+pub(crate) fn headline_note(report: &mut Report, rows: &[&Row]) {
+    if let Some(r) = rows
         .iter()
-        .find(|(r, _)| r.strategy == "tcs/top-degree" && (r.fraction - 0.2).abs() < 1e-9)
+        .find(|r| r.strategy == "tcs/top-degree" && (r.fraction - 0.2).abs() < 1e-9)
     {
         report.note(format!(
             "At 20% coverage (top-degree), TCS anti-spoofing already stops {:.0}% of spoofed \

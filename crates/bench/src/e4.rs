@@ -7,14 +7,15 @@
 //! services, alongside the victim's own service.
 
 use dtcs::mitigation::{BlockScope, Placement, PushbackConfig};
-use dtcs::netsim::{Prefix, SimTime};
+use dtcs::netsim::{Prefix, SimTime, Stats};
 use dtcs::{
     run_scenario, topology_and_victim, OutcomeRow, ScenarioConfig, Scheme, TcsStaticConfig,
 };
 
-use crate::e2::{outcome_cells, outcome_header, outcome_metrics, scenario};
-use crate::sweep::{cells_of, run_cases, Case};
-use crate::util::{f, Report, Table};
+use crate::e2::{outcome_metrics, outcome_table, scenario};
+use crate::sweep::{Case, Experiment, GridExperiment};
+use crate::util::{f, Report};
+use crate::RunOpts;
 
 /// The scheme line-up under comparison. Seed-dependent via the
 /// victim-scoped traceback filter (the victim is the one `run_scenario`
@@ -58,7 +59,7 @@ fn cases(quick: bool) -> Vec<Case<(ScenarioConfig, usize)>> {
 
 /// Run line-up position `i` under `seed`, re-deriving the seed-dependent
 /// victim prefix.
-fn one((cfg, i): &(ScenarioConfig, usize), seed: u64) -> (OutcomeRow, dtcs::netsim::Stats) {
+fn one((cfg, i): &(ScenarioConfig, usize), seed: u64) -> (OutcomeRow, Stats) {
     let cfg = ScenarioConfig {
         seed,
         ..cfg.clone()
@@ -67,36 +68,27 @@ fn one((cfg, i): &(ScenarioConfig, usize), seed: u64) -> (OutcomeRow, dtcs::nets
     (out.row, out.stats)
 }
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e4",
+    title: "Collateral damage of reactive filtering",
+    anchor: "Secs. 1 / 3.1 / 3.4",
+    cases,
+    one,
+    metrics: outcome_metrics,
+    render,
+};
 
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e4", cases(opts.quick), one, outcome_metrics)
-    }
-}
-
-/// Run E4.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e4",
-        "Collateral damage of reactive filtering",
-        "Secs. 1 / 3.1 / 3.4",
-    );
-    let outs = run_cases("e4", &cases(opts.quick), opts.pool_threads(), one);
+fn render(
+    report: &mut Report,
+    _: &RunOpts,
+    _: &[Case<(ScenarioConfig, usize)>],
+    outs: &[(OutcomeRow, Stats)],
+) {
     let rows: Vec<&OutcomeRow> = outs.iter().map(|o| &o.0).collect();
-    report.health(crate::util::wheel_health(outs.iter().map(|o| &o.1)));
-    report.health(crate::util::hist_health(outs.iter().map(|o| &o.1)));
-
-    let mut t = Table::new(
+    report.table(outcome_table(
         "victim service vs third-party collateral",
-        &outcome_header(),
-    );
-    for r in &rows {
-        t.push(outcome_cells(r), *r);
-    }
-    report.table(t);
-
+        rows.iter().copied(),
+    ));
     let null_route = rows
         .iter()
         .find(|r| r.scheme == "traceback+null-route")
@@ -116,5 +108,4 @@ pub fn run(opts: &crate::RunOpts) -> Report {
          source' of Sec. 3.1).",
         f(*null_route.extra.get("identified_sources").unwrap_or(&0.0))
     ));
-    report
 }

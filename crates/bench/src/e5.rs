@@ -9,11 +9,13 @@
 //! Ablation of DESIGN.md §5: top-degree vs random placement.
 
 use dtcs::mitigation::Placement;
+use dtcs::netsim::Stats;
 use dtcs::{OutcomeRow, Scheme, TcsStaticConfig};
 
 use crate::e2::{outcome_metrics, scenario, scenario_one, ScenarioParams};
-use crate::sweep::{cells_of, run_cases, Case};
+use crate::sweep::{Case, Experiment, GridExperiment};
 use crate::util::{f, fopt, Report, Table};
+use crate::RunOpts;
 
 /// Placement policies under comparison.
 const PLACEMENTS: [(Placement, &str); 2] = [
@@ -40,8 +42,8 @@ type Params = (ScenarioParams, &'static str, f64);
 
 /// The grid: coverage (placement × fraction, proactive), the three
 /// two-stage ablation cases at 30% top-degree coverage, and the
-/// no-defense baseline last. Returns the coverage case count too.
-fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
+/// no-defense baseline last.
+fn cases(quick: bool) -> Vec<Case<Params>> {
     let cfg = scenario(quick);
     let fractions: &[f64] = if quick {
         &[0.05, 0.2, 0.5, 1.0]
@@ -79,20 +81,7 @@ fn cases(quick: bool) -> (Vec<Case<Params>>, usize) {
         push(format!("stage/{key}"), label, 0.3, scheme);
     }
     push("baseline/none".to_string(), "none", 0.0, Scheme::None);
-    (cases, PLACEMENTS.len() * fractions.len())
-}
-
-fn one(p: &Params, seed: u64) -> (OutcomeRow, dtcs::netsim::Stats) {
-    scenario_one(&p.0, seed)
-}
-
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
-
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e5", cases(opts.quick).0, one, outcome_metrics)
-    }
+    cases
 }
 
 dtcs::netsim::json_record! {
@@ -106,62 +95,47 @@ dtcs::netsim::json_record! {
     }
 }
 
-/// Run E5.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e5",
-        "Stop distance & wasted bandwidth vs TCS coverage",
-        "Secs. 4.3 / 6",
-    );
-    let (cases, n_coverage) = cases(opts.quick);
-    let outs = run_cases("e5", &cases, opts.pool_threads(), one);
-    let labelled: Vec<_> = cases.iter().map(|c| &c.params).zip(&outs).collect();
-    let (coverage, rest) = labelled.split_at(n_coverage);
-    let (stages, baseline) = rest.split_at(STAGES.len());
-    report.health(crate::util::wheel_health(
-        coverage.iter().map(|(_, o)| &o.1),
-    ));
-    report.health(crate::util::hist_health(coverage.iter().map(|(_, o)| &o.1)));
-    let baseline = &baseline[0].1 .0;
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e5",
+    title: "Stop distance & wasted bandwidth vs TCS coverage",
+    anchor: "Secs. 4.3 / 6",
+    cases,
+    one: |p, seed| scenario_one(&p.0, seed),
+    metrics: outcome_metrics,
+    render,
+};
 
-    let mut t = Table::new(
-        "TCS coverage sweep (proactive anti-spoofing + victim firewall)",
-        &[
-            "placement",
-            "fraction",
-            "legit_ok",
-            "stop_dist",
-            "atk_byte_hops",
-            "vs_none",
-            "attack_deliv",
-        ],
-    );
-    for &(&(_, name, fraction), (out, _)) in coverage {
-        let r = Row {
+fn render(report: &mut Report, _: &RunOpts, cases: &[Case<Params>], outs: &[(OutcomeRow, Stats)]) {
+    let group = |prefix| {
+        let runs = cases.iter().zip(outs);
+        let runs = runs.filter(move |(c, _)| c.scenario.starts_with(prefix));
+        runs.map(|(c, (out, _))| (c.params.1, c.params.2, out))
+    };
+    let baseline = &outs.last().expect("the baseline comes last").0;
+    let coverage: Vec<Row> = group("coverage/")
+        .map(|(name, fraction, out)| Row {
             placement: name.to_string(),
             fraction,
             legit_success: out.legit_success,
             stop_distance: out.stop_distance,
             attack_byte_hops: out.attack_byte_hops,
             attack_delivered_ratio: out.attack_delivered_ratio,
-        };
-        t.push(
-            vec![
-                r.placement.clone(),
-                format!("{:.2}", r.fraction),
-                f(r.legit_success),
-                fopt(r.stop_distance),
-                f(r.attack_byte_hops as f64),
-                format!(
-                    "{:.2}x",
-                    baseline.attack_byte_hops as f64 / r.attack_byte_hops.max(1) as f64
-                ),
-                f(r.attack_delivered_ratio),
-            ],
-            &r,
-        );
-    }
-    report.table(t);
+        })
+        .collect();
+    let vs_none = |r: &Row| baseline.attack_byte_hops as f64 / r.attack_byte_hops.max(1) as f64;
+    report.table(Table::of(
+        "TCS coverage sweep (proactive anti-spoofing + victim firewall)",
+        &coverage,
+        &[
+            ("placement", &|r| r.placement.clone()),
+            ("fraction", &|r| format!("{:.2}", r.fraction)),
+            ("legit_ok", &|r| f(r.legit_success)),
+            ("stop_dist", &|r| fopt(r.stop_distance)),
+            ("atk_byte_hops", &|r| f(r.attack_byte_hops as f64)),
+            ("vs_none", &|r| format!("{:.2}x", vs_none(r))),
+            ("attack_deliv", &|r| f(r.attack_delivered_ratio)),
+        ],
+    ));
     report.note(format!(
         "no-defense baseline: attack byte-hops {}, legit success {}",
         f(baseline.attack_byte_hops as f64),
@@ -176,34 +150,29 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     // Which processing stage does the work (DESIGN.md §5, two-stage
     // ablation): source-side anti-spoofing alone, destination-side
     // firewall alone, and both, at fixed 30% top-degree coverage.
-    let mut t = Table::new(
-        "two-stage ablation at 30% coverage",
-        &["case", "legit_ok", "atk_byte_hops", "refl@victim"],
-    );
-    for &(&(_, name, _), (out, _)) in stages {
-        let r = StageRow {
+    let stages: Vec<StageRow> = group("stage/")
+        .map(|(name, _, out)| StageRow {
             case: name.to_string(),
             legit_success: out.legit_success,
             attack_byte_hops: out.attack_byte_hops,
             refl_at_victim: out.reflected_delivered_to_victim,
-        };
-        t.push(
-            vec![
-                r.case.clone(),
-                f(r.legit_success),
-                f(r.attack_byte_hops as f64),
-                r.refl_at_victim.to_string(),
-            ],
-            &r,
-        );
-    }
-    report.table(t);
+        })
+        .collect();
+    report.table(Table::of(
+        "two-stage ablation at 30% coverage",
+        &stages,
+        &[
+            ("case", &|r| r.case.clone()),
+            ("legit_ok", &|r| f(r.legit_success)),
+            ("atk_byte_hops", &|r| f(r.attack_byte_hops as f64)),
+            ("refl@victim", &|r| r.refl_at_victim.to_string()),
+        ],
+    ));
     report.note(
         "Stage 1 (anti-spoofing at the sources) removes the attack from the network; \
          stage 2 (victim-side firewall) only shields the victim's host while the reflected \
          flood still crosses the backbone — the division of labour Fig. 6 implies.",
     );
-    report
 }
 
 dtcs::netsim::json_record! {

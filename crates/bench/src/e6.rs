@@ -8,6 +8,8 @@
 //! registered-owner count, and the rule-table ablation (prefix trie vs
 //! linear scan).
 
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use dtcs::control::CatalogService;
@@ -15,18 +17,17 @@ use dtcs::device::trie::LinearTable;
 use dtcs::device::{AdaptiveDevice, DeviceCommand, OwnerId, Stage};
 use dtcs::netsim::rng::seeded;
 use dtcs::netsim::{
-    Addr, NodeId, PacketBuilder, Prefix, Proto, SimTime, Simulator, Topology, TrafficClass,
+    Addr, NodeId, PacketBuilder, Prefix, Proto, SimTime, Simulator, Stats, Topology, TrafficClass,
 };
 
-use crate::sweep::{cells_of, metrics_of, run_cases, Case};
+use crate::sweep::{metrics_of, Case, Experiment, GridExperiment};
 use crate::util::{f, Report, Table};
+use crate::RunOpts;
 
-/// Base seed for the throughput simulator (historically the literal `5`
-/// passed to `Simulator::new`).
+/// Base seed of the throughput simulator.
 const SIM_SEED: u64 = 5;
 
-/// Base seed for the LPM ablation's random prefixes/probes (historically
-/// the literal `99` passed to `seeded`).
+/// Base seed of the LPM ablation's random prefixes and probes.
 const LPM_SEED: u64 = 99;
 
 dtcs::netsim::json_record! {
@@ -98,7 +99,7 @@ fn rules_vs_subscribers(n: usize) -> RuleRow {
 /// streaming packets through a 3-node simulator whose middle node carries
 /// the device. Most packets are unowned (the redirect-miss fast path),
 /// mirroring a transit device's reality.
-fn device_throughput(owners: usize, pkts: u64, seed: u64) -> (ThroughputRow, dtcs::netsim::Stats) {
+fn device_throughput(owners: usize, pkts: u64, seed: u64) -> (ThroughputRow, Stats) {
     let topo = Topology::line(3);
     let mut sim = Simulator::new(topo, seed);
     let (mut dev, _handle) = AdaptiveDevice::new(NodeId(1), None);
@@ -248,7 +249,13 @@ fn cases(quick: bool) -> Vec<Case<Params>> {
     rules.chain(throughput).chain(lpm).collect()
 }
 
-fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+/// Held through every E6 run: two of the three tables are wall-clock
+/// measurements, which must not share the machine with a neighbouring
+/// case, so E6's cases take turns whatever the pool's shard count.
+static ALONE: Mutex<()> = Mutex::new(());
+
+fn one(params: &Params, seed: u64) -> (Row, Stats) {
+    let _alone = ALONE.lock();
     match *params {
         Params::Rules(n) => (Row::Rules(rules_vs_subscribers(n)), Default::default()),
         Params::Throughput(owners, pkts) => {
@@ -263,19 +270,18 @@ fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
     }
 }
 
-/// Wall-clock timings (`wall_ms`, `ns_per_lookup`) are deliberately NOT
-/// sweep metrics — sweep output must be byte-identical across thread
-/// counts — so the cells report only the deterministic counters (rule
-/// counts, packet totals, LPM hit counts).
-fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+/// Only deterministic counters are sweep metrics (rule counts, packet
+/// totals, LPM hit counts): sweep output must be byte-identical across
+/// thread counts, so wall-clock timings are left out.
+fn metrics(row: &Row) -> BTreeMap<String, f64> {
     let (mut m, derived, value) = match row {
         Row::Rules(r) => (
-            metrics_of(r, &["total_rules"]),
+            metrics_of(r, &["subscribers", "services_per_subscriber"]),
             "rules_per_sub",
             r.total_rules as f64 / r.subscribers as f64,
         ),
         Row::Throughput(r, delivered) => (
-            metrics_of(r, &["pkts"]),
+            metrics_of(r, &["owners", "wall_ms", "pkts_per_sec"]),
             "delivered_pkts",
             *delivered as f64,
         ),
@@ -289,86 +295,64 @@ fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
     m
 }
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e6",
+    title: "Device and rule-table scalability",
+    anchor: "Sec. 5.3",
+    cases,
+    one,
+    metrics,
+    render,
+};
 
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e6", cases(opts.quick), one, metrics)
-    }
-}
-
-/// Run E6.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new("e6", "Device and rule-table scalability", "Sec. 5.3");
-    // One shard: two of the three tables are wall-clock measurements,
-    // which must not share the machine with a neighbouring case.
-    let outs = run_cases("e6", &cases(opts.quick), 1, one);
-
-    let mut t = Table::new(
+fn render(report: &mut Report, _: &RunOpts, _: &[Case<Params>], outs: &[(Row, Stats)]) {
+    let rules = outs.iter().filter_map(|(row, _)| match row {
+        Row::Rules(r) => Some(r),
+        _ => None,
+    });
+    report.table(Table::of(
         "rules vs subscribers (3 services each)",
+        rules,
         &[
-            "subscribers",
-            "services_each",
-            "total_rules",
-            "rules_per_sub",
+            ("subscribers", &|r| r.subscribers.to_string()),
+            ("services_each", &|r| r.services_per_subscriber.to_string()),
+            ("total_rules", &|r| r.total_rules.to_string()),
+            ("rules_per_sub", &|r| {
+                f(r.total_rules as f64 / r.subscribers as f64)
+            }),
         ],
-    );
-    for (row, _) in &outs {
-        let Row::Rules(r) = row else { continue };
-        t.push(
-            vec![
-                r.subscribers.to_string(),
-                r.services_per_subscriber.to_string(),
-                r.total_rules.to_string(),
-                f(r.total_rules as f64 / r.subscribers as f64),
-            ],
-            r,
-        );
-    }
-    report.table(t);
-
-    let mut t = Table::new(
+    ));
+    let throughput = outs.iter().filter_map(|(row, _)| match row {
+        Row::Throughput(r, _) => Some(r),
+        _ => None,
+    });
+    report.table(Table::of(
         "end-to-end device throughput vs registered owners (unowned traffic)",
-        &["owners", "pkts", "wall_ms", "pkts_per_sec"],
-    );
-    for (row, _) in &outs {
-        let Row::Throughput(r, _) = row else { continue };
-        t.push(
-            vec![
-                r.owners.to_string(),
-                r.pkts.to_string(),
-                f(r.wall_ms),
-                f(r.pkts_per_sec),
-            ],
-            r,
-        );
-    }
-    report.table(t);
-
-    let mut t = Table::new(
+        throughput,
+        &[
+            ("owners", &|r| r.owners.to_string()),
+            ("pkts", &|r| r.pkts.to_string()),
+            ("wall_ms", &|r| f(r.wall_ms)),
+            ("pkts_per_sec", &|r| f(r.pkts_per_sec)),
+        ],
+    ));
+    let lpm = outs.iter().flat_map(|(row, _)| match row {
+        Row::Lpm(rows, _) => &rows[..],
+        _ => &[],
+    });
+    report.table(Table::of(
         "LPM rule-table ablation (DESIGN.md §5)",
-        &["structure", "entries", "ns_per_lookup"],
-    );
-    for (row, _) in &outs {
-        let Row::Lpm(rows, _) = row else { continue };
-        for r in rows {
-            t.push(
-                vec![
-                    r.structure.clone(),
-                    r.entries.to_string(),
-                    f(r.ns_per_lookup),
-                ],
-                r,
-            );
-        }
-    }
-    report.table(t);
+        lpm,
+        &[
+            ("structure", &|r| r.structure.clone()),
+            ("entries", &|r| r.entries.to_string()),
+            ("ns_per_lookup", &|r| f(r.ns_per_lookup)),
+        ],
+    ));
     report.note(
         "Rules grow linearly with subscribers and not with traffic or Internet size; trie \
          lookup cost is flat in the entry count while linear scan degrades by orders of \
          magnitude — the Sec. 5.3 scaling argument, measured. A sanity check that unowned \
          traffic pays only the lookup: throughput stays roughly constant from 0 to 100k owners.",
     );
-    report
 }

@@ -7,17 +7,20 @@
 //! shrink-only), and the telemetry budget (event storms suppressed, no
 //! amplifying-network effect from the control side).
 
+use std::collections::BTreeMap;
+
 use dtcs::device::{
     AdaptiveDevice, DeviceCommand, DeviceReply, MatchExpr, ModuleSpec, OwnerId, SafetyVerifier,
     ServiceSpec, Stage, TriggerAction, TriggerMetric,
 };
 use dtcs::netsim::{
-    Addr, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator, Topology,
+    Addr, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator, Stats, Topology,
     TrafficClass,
 };
 
-use crate::sweep::{cells_of, run_cases, Case};
-use crate::util::{Report, Table};
+use crate::sweep::{Case, Experiment, GridExperiment};
+use crate::util::{Report, Table, With};
+use crate::RunOpts;
 
 /// Base seed for the storm simulators (historically the literal `1`).
 const SEED: u64 = 1;
@@ -134,7 +137,7 @@ fn cases() -> Vec<Case<Params>> {
     cases
 }
 
-fn one(params: &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+fn one(params: &Params, seed: u64) -> (Row, Stats) {
     match *params {
         Params::Verifier => (verify_corpus(), Default::default()),
         Params::Storm(bursts, ratio, floor_kib) => storm(bursts, ratio, floor_kib * 1024, seed),
@@ -184,7 +187,7 @@ fn verify_corpus() -> Row {
 /// hair-trigger that fires/relieves constantly meets bursty traffic:
 /// every 50 ms burst trips the 10 ms trigger and then relieves it, two
 /// telemetry events per burst against the `(ratio, floor)` budget.
-fn storm(bursts: u64, ratio: f64, floor: u64, seed: u64) -> (Row, dtcs::netsim::Stats) {
+fn storm(bursts: u64, ratio: f64, floor: u64, seed: u64) -> (Row, Stats) {
     let topo = Topology::line(3);
     let mut sim = Simulator::new(topo, seed);
     let owner = OwnerId(5);
@@ -246,7 +249,7 @@ fn storm(bursts: u64, ratio: f64, floor: u64, seed: u64) -> (Row, dtcs::netsim::
     (row, sim.stats)
 }
 
-fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
+fn metrics(row: &Row) -> BTreeMap<String, f64> {
     let pairs: Vec<(&str, f64)> = match *row {
         Row::Verifier(ref rows, ..) => vec![
             ("cases", rows.len() as f64),
@@ -266,19 +269,17 @@ fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
     pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e8",
+    title: "Safety of delegated control",
+    anchor: "Sec. 4.5",
+    cases: |_| cases(),
+    one,
+    metrics,
+    render,
+};
 
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, _opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e8", cases(), one, metrics)
-    }
-}
-
-/// Run E8.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new("e8", "Safety of delegated control", "Sec. 4.5");
-    let outs = run_cases("e8", &cases(), opts.pool_threads(), one);
+fn render(report: &mut Report, _: &RunOpts, _: &[Case<Params>], outs: &[(Row, Stats)]) {
     let mut rows = outs.iter().map(|o| &o.0);
 
     // 1. Verifier corpus, and the same rejection end-to-end through a
@@ -286,22 +287,16 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     let Some(Row::Verifier(verdicts, rejected, rules_left)) = rows.next() else {
         unreachable!("the verifier case comes first")
     };
-    let mut t = Table::new(
+    report.table(Table::of(
         "adversarial service specs vs the verifier",
-        &["case", "expected", "got", "ok"],
-    );
-    for r in verdicts {
-        t.push(
-            vec![
-                r.case.clone(),
-                r.expected.clone(),
-                r.got.clone(),
-                r.ok.to_string(),
-            ],
-            r,
-        );
-    }
-    report.table(t);
+        verdicts,
+        &[
+            ("case", &|r| r.case.clone()),
+            ("expected", &|r| r.expected.clone()),
+            ("got", &|r| r.got.clone()),
+            ("ok", &|r| r.ok.to_string()),
+        ],
+    ));
     report.note(format!(
         "device-level installs: {rejected}/{} adversarial specs rejected, rule table still \
          holds {rules_left} rules (nothing leaked through).",
@@ -315,20 +310,21 @@ pub fn run(opts: &crate::RunOpts) -> Report {
         unreachable!("the headline storm comes second")
     };
     let budget = (processed_bytes as f64 * 0.01) as u64 + 64 * 1024;
-    let mut t = Table::new(
-        "telemetry budget under an event storm (footnote 1 allowance)",
-        &["metric", "value"],
-    );
-    for (k, v) in [
+    let storm = [
         ("data bytes processed", processed_bytes),
         ("telemetry bytes emitted", telemetry_bytes),
         ("telemetry budget", budget),
         ("events suppressed", suppressed),
         ("events emitted", emitted),
-    ] {
-        t.push(vec![k.to_string(), v.to_string()], &(k, v));
-    }
-    report.table(t);
+    ];
+    report.table(Table::of(
+        "telemetry budget under an event storm (footnote 1 allowance)",
+        &storm,
+        &[
+            ("metric", &|r| r.0.to_string()),
+            ("value", &|r| r.1.to_string()),
+        ],
+    ));
     report.note(format!(
         "telemetry stayed at {:.2}% of processed traffic (allowance 1% + 64 KiB floor); \
          the filter rules of Sec. 4.5 held by construction: headers immutable, packets \
@@ -339,35 +335,30 @@ pub fn run(opts: &crate::RunOpts) -> Report {
     // 3. Allowance sweep (DESIGN.md §5): the telemetry/data ratio bounds
     // the worst-case control-side amplification a hostile owner can
     // extract, linearly and predictably.
-    let mut t = Table::new(
+    let sweep: Vec<_> = ALLOWANCES
+        .into_iter()
+        .zip(rows)
+        .map(|((ratio, floor_kib), row)| {
+            let &Row::Storm(emitted, suppressed, tbytes, dbytes) = row else {
+                unreachable!("allowance storms come last")
+            };
+            let share = tbytes as f64 / dbytes.max(1) as f64;
+            With((ratio, floor_kib, emitted, suppressed), share)
+        })
+        .collect();
+    report.table(Table::of(
         "telemetry allowance sweep under the same event storm",
+        &sweep,
         &[
-            "ratio",
-            "floor_kib",
-            "events_emitted",
-            "events_suppressed",
-            "telemetry/data",
+            ("ratio", &|r| format!("{}", r.0 .0)),
+            ("floor_kib", &|r| r.0 .1.to_string()),
+            ("events_emitted", &|r| r.0 .2.to_string()),
+            ("events_suppressed", &|r| r.0 .3.to_string()),
+            ("telemetry/data", &|r| format!("{:.4}", r.1)),
         ],
-    );
-    for ((ratio, floor_kib), row) in ALLOWANCES.into_iter().zip(rows) {
-        let &Row::Storm(emitted, suppressed, tbytes, dbytes) = row else {
-            unreachable!("allowance storms come last")
-        };
-        t.push(
-            vec![
-                format!("{ratio}"),
-                floor_kib.to_string(),
-                emitted.to_string(),
-                suppressed.to_string(),
-                format!("{:.4}", tbytes as f64 / dbytes.max(1) as f64),
-            ],
-            &(ratio, floor_kib, emitted, suppressed),
-        );
-    }
-    report.table(t);
+    ));
     report.note(
         "Control-side amplification is capped by the configured allowance: even a \
          hair-trigger storm emits at most ratio x data-bytes (+floor) of telemetry.",
     );
-    report
 }

@@ -12,10 +12,11 @@
 
 use dtcs::attack::{install_clients, mean_success, ReflectorAttack, ReflectorAttackConfig};
 use dtcs::mitigation::{deploy_pushback_everywhere, AggregateKey, PushbackConfig, PushbackStats};
-use dtcs::netsim::{DropReason, Proto, SimDuration, SimTime, Simulator, Topology};
+use dtcs::netsim::{DropReason, Proto, SimDuration, SimTime, Simulator, Stats, Topology};
 
-use crate::sweep::{cells_of, metrics_of, run_cases, Case};
+use crate::sweep::{metrics_of, Case, Experiment, GridExperiment};
 use crate::util::{f, Report, Table};
+use crate::RunOpts;
 
 dtcs::netsim::json_record! {
     struct Row {
@@ -30,9 +31,7 @@ dtcs::netsim::json_record! {
     }
 }
 
-/// Base seed shared by the single-run table and the sweep cells
-/// (historically the literal `55` baked into the topology, simulator,
-/// attack config, and client installer).
+/// Base seed shared by the single-run tables and the sweep cells.
 const SEED: u64 = 55;
 
 /// One grid point: `(aggregate key, skinny uplink, table label, quick)`.
@@ -65,7 +64,7 @@ fn cases(quick: bool) -> Vec<Case<Params>> {
     .collect()
 }
 
-fn one(&(key, skinny_uplink, label, quick): &Params, seed: u64) -> (Row, dtcs::netsim::Stats) {
+fn one(&(key, skinny_uplink, label, quick): &Params, seed: u64) -> (Row, Stats) {
     let n = if quick { 120 } else { 250 };
     let mut topo = Topology::barabasi_albert(n, 2, 0.1, seed);
     // Pre-compute the victim (same convention every run: first stub).
@@ -164,63 +163,34 @@ fn one(&(key, skinny_uplink, label, quick): &Params, seed: u64) -> (Row, dtcs::n
     (row, sim.stats)
 }
 
-fn metrics(row: &Row) -> std::collections::BTreeMap<String, f64> {
-    let fields = [
-        "limits_installed",
-        "limits_on_reflector_prefixes",
-        "limits_on_agent_prefixes",
-        "pushback_drops",
-        "drops_on_reflector_traffic",
-        "legit_success",
-        "victim_overloaded",
-    ];
-    metrics_of(row, &fields)
-}
+pub(crate) static EXPERIMENT: &dyn GridExperiment = &Experiment {
+    id: "e9",
+    title: "Pushback against reflector attacks: no trigger, then misattribution",
+    anchor: "Sec. 3.1",
+    cases,
+    one,
+    metrics: |row| metrics_of(row, &[]),
+    render,
+};
 
-/// Sweep-grid adapter over [`cases`].
-pub struct Sweep;
-
-impl crate::sweep::GridExperiment for Sweep {
-    fn cells(&self, opts: &crate::RunOpts) -> Vec<crate::sweep::SweepCell> {
-        cells_of("e9", cases(opts.quick), one, metrics)
-    }
-}
-
-/// Run E9.
-pub fn run(opts: &crate::RunOpts) -> Report {
-    let mut report = Report::new(
-        "e9",
-        "Pushback against reflector attacks: no trigger, then misattribution",
-        "Sec. 3.1",
-    );
-    let rows = run_cases("e9", &cases(opts.quick), opts.pool_threads(), one);
-    let mut t = Table::new(
+fn render(report: &mut Report, _: &RunOpts, _: &[Case<Params>], outs: &[(Row, Stats)]) {
+    report.table(Table::of(
         "what pushback limits, and whom it hits",
+        outs.iter().map(|o| &o.0),
         &[
-            "case",
-            "limits",
-            "on_reflectors",
-            "on_agents",
-            "pb_drops",
-            "drops_refl_traffic",
-            "legit_ok",
+            ("case", &|r| r.case.clone()),
+            ("limits", &|r| r.limits_installed.to_string()),
+            ("on_reflectors", &|r| {
+                r.limits_on_reflector_prefixes.to_string()
+            }),
+            ("on_agents", &|r| r.limits_on_agent_prefixes.to_string()),
+            ("pb_drops", &|r| r.pushback_drops.to_string()),
+            ("drops_refl_traffic", &|r| {
+                r.drops_on_reflector_traffic.to_string()
+            }),
+            ("legit_ok", &|r| f(r.legit_success)),
         ],
-    );
-    for (r, _) in &rows {
-        t.push(
-            vec![
-                r.case.clone(),
-                r.limits_installed.to_string(),
-                r.limits_on_reflector_prefixes.to_string(),
-                r.limits_on_agent_prefixes.to_string(),
-                r.pushback_drops.to_string(),
-                r.drops_on_reflector_traffic.to_string(),
-                f(r.legit_success),
-            ],
-            r,
-        );
-    }
-    report.table(t);
+    ));
     report.note(
         "Row 1: zero limits installed — the server died with clear links, pushback's blind \
          spot. Rows 2-3: every source-keyed limit lands on an innocent reflector prefix and \
@@ -228,5 +198,4 @@ pub fn run(opts: &crate::RunOpts) -> Report {
          dst-keyed limits at least confine the victim-bound aggregate but throttle legitimate \
          clients inside it too.",
     );
-    report
 }

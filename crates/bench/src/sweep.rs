@@ -1,12 +1,12 @@
 //! The bench crate's one thread pool and the (experiment × scenario ×
 //! seed) sweep built on it (DESIGN.md §6.6).
 //!
-//! An experiment is a list of [`Case`]s plus one `one(case, seed)`
-//! function. Single-run mode ([`run_cases`]) runs every case once at its
-//! base seed and renders tables; sweep mode ([`run_sweep`]) flattens
-//! *every* requested experiment's cases, replicated under N
-//! deterministically derived child seeds, into a single task list. Both
-//! drain on the same shards:
+//! An experiment is one [`Experiment`] declaration: a list of [`Case`]s,
+//! one `one(case, seed)` function and a renderer. Single-run mode
+//! ([`run_cases`]) runs every case once at its base seed and renders the
+//! report; sweep mode ([`run_sweep`]) flattens *every* requested
+//! experiment's cases, replicated under N derived seeds, into a single
+//! task list. Both drain on the same shards:
 //!
 //! * each **task** is one independent simulator run — a `(cell,
 //!   replicate)` grid point with its own seed from [`replicate_seed`];
@@ -37,7 +37,7 @@ use dtcs::netsim::json::{Json, ToJson};
 use dtcs::netsim::rng::child_seed;
 use dtcs::netsim::Stats;
 
-use crate::util::{hist_health, wheel_health};
+use crate::util::{f, hist_health, wheel_health, Report, Table, With};
 use crate::RunOpts;
 
 /// One finished grid-point run: the numeric metrics that feed the
@@ -67,11 +67,20 @@ pub struct SweepCell {
     pub run: Box<dyn Fn(u64) -> CellRun + Send + Sync>,
 }
 
-/// An experiment that exposes its scenario grid to the sweep engine:
-/// the fourth column of the [`crate::EXPERIMENTS`] registry.
+/// An entry of the [`crate::EXPERIMENTS`] registry: what the experiment
+/// is, its scenario grid for the sweep engine, and its single run.
+/// [`Experiment`] implements it from one declaration.
 pub trait GridExperiment: Sync {
+    /// Registry id (`"e2"`, …), also the report's.
+    fn id(&self) -> &'static str;
+    /// The report's title.
+    fn title(&self) -> &'static str;
+    /// The paper section or figure the report reproduces.
+    fn anchor(&self) -> &'static str;
     /// Enumerate the experiment's scenario cells.
     fn cells(&self, opts: &RunOpts) -> Vec<SweepCell>;
+    /// Run every case once at its base seed and render the report.
+    fn run(&self, opts: &RunOpts) -> Report;
 }
 
 /// Stream salt separating sweep-replicate seed derivation from every
@@ -144,8 +153,8 @@ fn drain<A: Default + Send>(
     (shards, started.elapsed())
 }
 
-/// One case of an experiment's grid — what `run()` renders as a table
-/// row and what the sweep replicates: the scenario label (second
+/// One case of an experiment's grid — what a single run renders as a
+/// table row and what the sweep replicates: the scenario label (second
 /// component of the grid key), the seed the single-run tables use, and
 /// whatever the experiment's `one(case, seed)` needs.
 pub struct Case<C> {
@@ -188,47 +197,89 @@ pub fn run_cases<C: Sync, R: Send>(
     outs.into_iter().map(|(_, out)| out).collect()
 }
 
-/// Sweep mode: the same cases as replicable grid cells. `metrics`
-/// flattens a row into the numbers the replicate aggregation folds.
-pub fn cells_of<C, R>(
-    experiment: &'static str,
-    cases: Vec<Case<C>>,
-    one: fn(&C, u64) -> (R, Stats),
-    metrics: fn(&R) -> BTreeMap<String, f64>,
-) -> Vec<SweepCell>
-where
-    C: Send + Sync + 'static,
-    R: 'static,
-{
-    let cell = |case: Case<C>| SweepCell {
-        experiment,
-        scenario: case.scenario,
-        base_seed: case.base_seed,
-        run: Box::new(move |seed| {
-            let (row, stats) = one(&case.params, seed);
-            CellRun {
-                metrics: metrics(&row),
-                stats,
-            }
-        }),
-    };
-    cases.into_iter().map(cell).collect()
+/// One experiment, declared once: what it is (`id`, `title`, `anchor`),
+/// its grid (`cases`), one run of a case (`one`), the numbers the sweep
+/// folds per run (`metrics`) and the tables and notes of a single run
+/// (`render`). Single-run mode and sweep mode both come from it.
+pub struct Experiment<P, R> {
+    /// Registry id, also the report's.
+    pub id: &'static str,
+    /// The report's title.
+    pub title: &'static str,
+    /// The paper section or figure the report reproduces.
+    pub anchor: &'static str,
+    /// The grid; the argument is `--quick`.
+    pub cases: fn(bool) -> Vec<Case<P>>,
+    /// Run one case under a seed.
+    pub one: fn(&P, u64) -> (R, Stats),
+    /// Flatten a row into the numbers the replicate aggregation folds.
+    pub metrics: fn(&R) -> BTreeMap<String, f64>,
+    /// Tables and notes of a single run, given every case's outcome in
+    /// case order.
+    #[allow(clippy::type_complexity)]
+    pub render: fn(&mut Report, &RunOpts, &[Case<P>], &[(R, Stats)]),
 }
 
-/// The named fields of a table row as sweep metrics: numbers as they
-/// are, booleans as 0/1. A `null` — an optional the run did not produce,
-/// a NaN latency — is simply absent; the aggregation tracks per-metric
-/// sample counts.
-pub fn metrics_of(row: &impl ToJson, fields: &[&str]) -> BTreeMap<String, f64> {
-    let row = row.to_json();
-    let value = |field: &&str| match &row[*field] {
-        Json::Bool(b) => Some(f64::from(u8::from(*b))),
+impl<P: Send + Sync + 'static, R: Send + 'static> GridExperiment for Experiment<P, R> {
+    fn id(&self) -> &'static str {
+        self.id
+    }
+
+    fn title(&self) -> &'static str {
+        self.title
+    }
+
+    fn anchor(&self) -> &'static str {
+        self.anchor
+    }
+
+    fn cells(&self, opts: &RunOpts) -> Vec<SweepCell> {
+        let (one, metrics) = (self.one, self.metrics);
+        let cell = |case: Case<P>| SweepCell {
+            experiment: self.id,
+            scenario: case.scenario,
+            base_seed: case.base_seed,
+            run: Box::new(move |seed| {
+                let (row, stats) = one(&case.params, seed);
+                CellRun {
+                    metrics: metrics(&row),
+                    stats,
+                }
+            }),
+        };
+        (self.cases)(opts.quick).into_iter().map(cell).collect()
+    }
+
+    /// Single-run mode: [`run_cases`], then timing-wheel and telemetry
+    /// health over every run (print-only), then `render`.
+    fn run(&self, opts: &RunOpts) -> Report {
+        let mut report = Report::new(self.id, self.title, self.anchor);
+        let cases = (self.cases)(opts.quick);
+        let outs = run_cases(self.id, &cases, opts.pool_threads(), self.one);
+        report.health(wheel_health(outs.iter().map(|o| &o.1)));
+        report.health(hist_health(outs.iter().map(|o| &o.1)));
+        (self.render)(&mut report, opts, &cases, &outs);
+        report
+    }
+}
+
+/// A table row's outcomes as sweep metrics: every field but those named
+/// in `except` (the case's own parameters, and anything the sweep must
+/// not fold), numbers as they are, booleans as 0/1. Text is not a metric,
+/// and a `null` — an optional the run did not produce, a NaN latency — is
+/// simply absent; the aggregation tracks per-metric sample counts.
+pub fn metrics_of(row: &impl ToJson, except: &[&str]) -> BTreeMap<String, f64> {
+    let Json::Object(fields) = row.to_json() else {
+        panic!("a table row is a record")
+    };
+    let value = |v: Json| match v {
+        Json::Bool(b) => Some(f64::from(u8::from(b))),
         v => v.as_f64(),
     };
-    let present = fields
-        .iter()
-        .filter_map(|f| Some((f.to_string(), value(f)?)));
-    present.collect()
+    let outcomes = fields
+        .into_iter()
+        .filter(|(k, _)| !except.contains(&k.as_str()));
+    outcomes.filter_map(|(k, v)| Some((k, value(v)?))).collect()
 }
 
 /// Drain the flattened `(cell × replicate)` grid on the pool. Task index
@@ -296,6 +347,19 @@ pub struct MetricSummary {
     pub max: f64,
 }
 
+impl ToJson for MetricSummary {
+    fn to_json(&self) -> Json {
+        Json::object(vec![
+            ("n", u64::from(self.n).to_json()),
+            ("mean", self.mean.to_json()),
+            ("stddev", self.stddev.to_json()),
+            ("ci95", self.ci95.to_json()),
+            ("min", self.min.to_json()),
+            ("max", self.max.to_json()),
+        ])
+    }
+}
+
 /// Aggregate samples given in replicate order (fixed order ⇒ bit-stable
 /// float results ⇒ byte-stable report JSON).
 pub fn summarize_metric(values: &[f64]) -> Option<MetricSummary> {
@@ -354,22 +418,11 @@ impl SweepReport {
     /// depend only on the grid, never on thread count or steal schedule.
     pub fn to_json(&self) -> String {
         let cells = self.cells.iter().map(|c| {
-            let metrics = c.metrics.iter().map(|(name, m)| {
-                let summary = Json::object(vec![
-                    ("n", u64::from(m.n).to_json()),
-                    ("mean", m.mean.to_json()),
-                    ("stddev", m.stddev.to_json()),
-                    ("ci95", m.ci95.to_json()),
-                    ("min", m.min.to_json()),
-                    ("max", m.max.to_json()),
-                ]);
-                (name.clone(), summary)
-            });
             Json::object(vec![
                 ("experiment", c.experiment.to_json()),
                 ("scenario", c.scenario.to_json()),
                 ("base_seed", c.base_seed.to_json()),
-                ("metrics", Json::Object(metrics.collect())),
+                ("metrics", c.metrics.to_json()),
             ])
         });
         let report = Json::object(vec![
@@ -382,11 +435,9 @@ impl SweepReport {
     }
 
     /// Write `<dir>/<id>.sweep.json`.
-    pub fn save(&self, dir: &std::path::Path) {
-        std::fs::create_dir_all(dir).expect("create results dir");
+    pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
         let path = dir.join(format!("{}.sweep.json", self.id));
-        std::fs::write(&path, self.to_json()).expect("write sweep report");
-        println!("[saved {}]", path.display());
+        crate::util::save(&path, &self.to_json())
     }
 
     /// Print the mean ± CI table.
@@ -399,24 +450,27 @@ impl SweepReport {
             self.replicates
         );
         println!("==================================================================");
-        let header: Vec<String> = ["scenario", "metric", "mean", "stddev", "ci95", "n"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
         let mut rows = Vec::new();
         for c in &self.cells {
-            for (name, m) in &c.metrics {
-                rows.push(vec![
-                    c.scenario.clone(),
-                    name.clone(),
-                    crate::util::f(m.mean),
-                    crate::util::f(m.stddev),
-                    crate::util::f(m.ci95),
-                    m.n.to_string(),
-                ]);
-            }
+            rows.extend(
+                c.metrics
+                    .iter()
+                    .map(|(name, m)| With(m, (&c.scenario, name))),
+            );
         }
-        dtcs::print_table(&header, &rows);
+        let table = Table::of(
+            "mean ± ci95 per cell and metric",
+            &rows,
+            &[
+                ("scenario", &|r| r.1 .0.clone()),
+                ("metric", &|r| r.1 .1.clone()),
+                ("mean", &|r| f(r.0.mean)),
+                ("stddev", &|r| f(r.0.stddev)),
+                ("ci95", &|r| f(r.0.ci95)),
+                ("n", &|r| r.0.n.to_string()),
+            ],
+        );
+        table.print();
     }
 }
 
@@ -434,12 +488,12 @@ pub struct SweepOutcome {
 /// aggregate replicates, and assemble per-experiment reports sorted by
 /// grid key.
 pub fn run_sweep(
-    experiments: &[(&str, &dyn GridExperiment)],
+    experiments: &[&dyn GridExperiment],
     opts: &RunOpts,
     replicates: u32,
 ) -> SweepOutcome {
     let mut cells: Vec<SweepCell> = Vec::new();
-    for (_, grid) in experiments {
+    for grid in experiments {
         cells.extend(grid.cells(opts));
     }
     let grid = run_grid(&cells, replicates, opts.pool_threads());
@@ -457,7 +511,7 @@ pub fn run_sweep(
     }
 
     let mut reports = Vec::new();
-    for &(id, _) in experiments {
+    for id in experiments.iter().map(|e| e.id()) {
         let mut cell_reports: Vec<SweepCellReport> = cells
             .iter()
             .zip(per_cell.iter())
@@ -549,8 +603,8 @@ mod tests {
     #[test]
     fn sweep_cells_have_unique_scenario_labels() {
         let opts = RunOpts::quick();
-        for (id, .., grid) in crate::EXPERIMENTS {
-            let cells = grid.cells(&opts);
+        for grid in crate::EXPERIMENTS {
+            let (id, cells) = (grid.id(), grid.cells(&opts));
             assert!(!cells.is_empty(), "{id} enumerates no cells");
             for c in &cells {
                 assert_eq!(c.experiment, id, "cell tagged with foreign experiment");
@@ -578,18 +632,31 @@ mod tests {
 
     #[test]
     fn sweep_report_bytes_are_thread_count_invariant() {
-        struct Toy;
-        impl GridExperiment for Toy {
-            fn cells(&self, _opts: &RunOpts) -> Vec<SweepCell> {
-                toy_cells(5)
-            }
-        }
+        static TOY: Experiment<(), u64> = Experiment {
+            id: "toy",
+            title: "toy",
+            anchor: "-",
+            cases: |_| {
+                (0..5)
+                    .map(|i| Case::new(format!("cell={i}"), 100 + i, ()))
+                    .collect()
+            },
+            one: |_, seed| {
+                let stats = Stats {
+                    events: seed % 97,
+                    ..Default::default()
+                };
+                (seed % 1000, stats)
+            },
+            metrics: |&v| [("seed_mod".to_string(), v as f64)].into(),
+            render: |_, _, _, _| {},
+        };
         let on = |threads| RunOpts {
             threads: Some(threads),
             ..RunOpts::quick()
         };
-        let a = run_sweep(&[("toy", &Toy)], &on(1), 4);
-        let b = run_sweep(&[("toy", &Toy)], &on(8), 4);
+        let a = run_sweep(&[&TOY], &on(1), 4);
+        let b = run_sweep(&[&TOY], &on(8), 4);
         let ja: Vec<String> = a.reports.iter().map(|r| r.to_json()).collect();
         let jb: Vec<String> = b.reports.iter().map(|r| r.to_json()).collect();
         assert_eq!(ja, jb, "report bytes must not depend on thread count");

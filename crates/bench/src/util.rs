@@ -1,12 +1,13 @@
 //! Experiment harness plumbing: reports, tables, JSON output.
 
 use std::fs;
+use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use dtcs::netsim::json::{Json, ToJson};
 
-use crate::sweep::{run_cases, Case};
+use crate::sweep::Case;
 
 /// One printable + serialisable table.
 #[derive(Clone, Debug)]
@@ -33,26 +34,42 @@ impl ToJson for Table {
 }
 
 impl Table {
-    /// Empty table with a caption and header.
-    pub fn new(title: &str, header: &[&str]) -> Table {
-        Table {
-            title: title.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-            raw: Vec::new(),
+    /// A table over raw records: each column is its header and the cell it
+    /// shows for a record, listed together; each record is also kept as
+    /// its machine-readable row.
+    #[allow(clippy::type_complexity)]
+    pub fn of<'a, T: ToJson + 'a>(
+        title: impl Into<String>,
+        rows: impl IntoIterator<Item = &'a T>,
+        columns: &[(&str, &dyn Fn(&T) -> String)],
+    ) -> Table {
+        let (mut cells, mut raw) = (Vec::new(), Vec::new());
+        for row in rows {
+            cells.push(columns.iter().map(|(_, cell)| cell(row)).collect());
+            raw.push(row.to_json());
         }
-    }
-
-    /// Append a display row plus its machine-readable form.
-    pub fn push<T: ToJson>(&mut self, cells: Vec<String>, raw: &T) {
-        self.rows.push(cells);
-        self.raw.push(raw.to_json());
+        Table {
+            title: title.into(),
+            header: columns.iter().map(|(h, _)| h.to_string()).collect(),
+            rows: cells,
+            raw,
+        }
     }
 
     /// Print aligned.
     pub fn print(&self) {
         println!("\n--- {} ---", self.title);
         dtcs::print_table(&self.header, &self.rows);
+    }
+}
+
+/// A table row whose raw record is `.0` alone: `.1` is context its
+/// display cells show beside it.
+pub struct With<R, C>(pub R, pub C);
+
+impl<R: ToJson, C> ToJson for With<R, C> {
+    fn to_json(&self) -> Json {
+        self.0.to_json()
     }
 }
 
@@ -138,13 +155,22 @@ impl Report {
         }
     }
 
-    /// Write JSON next to the workspace (`results/<id>.json`).
-    pub fn save(&self, dir: &Path) {
-        fs::create_dir_all(dir).expect("create results dir");
-        let path = dir.join(format!("{}.json", self.id));
-        fs::write(&path, self.to_json().pretty()).expect("write report");
-        println!("[saved {}]", path.display());
+    /// Write `<dir>/<id>.json`.
+    pub fn save(&self, dir: &Path) -> io::Result<()> {
+        save(
+            &dir.join(format!("{}.json", self.id)),
+            &self.to_json().pretty(),
+        )
     }
+}
+
+/// Write a report file and say so; an error names the path.
+pub(crate) fn save(path: &Path, text: &str) -> io::Result<()> {
+    let named =
+        |e: io::Error| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()));
+    fs::write(path, text).map_err(named)?;
+    println!("[saved {}]", path.display());
+    Ok(())
 }
 
 /// One-line timing-wheel health summary aggregated over simulator runs:
@@ -220,47 +246,37 @@ pub type CpOutcome<R> = (R, dtcs::control::CpStats);
 /// Shared-handle control-trace recorder for one designated cell run.
 pub type CpTrace<'a> = Option<&'a Arc<Mutex<dtcs::netsim::CpFlightRecorder>>>;
 
-/// [`run_cases`] for the control-plane experiments. Under `--cp-trace
-/// PATH` the case labelled `traced` runs — as part of the normal grid —
-/// with a full (1-in-1) recorder attached; its JSONL flight record goes
-/// to `PATH` and the run's [`control_metrics`] snapshot beside it as
-/// `PATH.metrics.json` / `PATH.prom`. Tracing observes without
-/// perturbing, so the outcomes are identical either way (the CI
-/// golden-invariance check holds us to that). Also returns the
-/// print-only summary line, when tracing.
-pub fn run_cp_cases<C: Sync + PartialEq, R: Send>(
-    id: &str,
-    cases: &[Case<C>],
+/// `--cp-trace PATH`: replay the `traced` case with a full (1-in-1)
+/// control recorder attached, write its JSONL flight record to
+/// `PATH` and the run's [`control_metrics`] beside it as
+/// `PATH.metrics.json` / `PATH.prom`, and say so in a health line.
+/// Tracing observes without perturbing, so the replay is the grid's run
+/// of that case, event for event, and the report is the same either way.
+pub fn cp_trace_replay<P, R>(
+    report: &mut Report,
     opts: &crate::RunOpts,
-    traced: &str,
-    run_cell: impl Fn(&C, u64, CpTrace) -> (CpOutcome<R>, dtcs::netsim::Stats) + Sync,
-) -> (Vec<(CpOutcome<R>, dtcs::netsim::Stats)>, Option<String>) {
-    let at = cases.iter().position(|c| c.scenario == traced);
-    let traced_params = &cases[at.expect("the traced cell is in the grid")].params;
-    let recorder = opts
-        .cp_trace
-        .as_ref()
-        .map(|_| Arc::new(Mutex::new(dtcs::netsim::CpFlightRecorder::new(1 << 22))));
-    let outs = run_cases(id, cases, opts.pool_threads(), |p, seed| {
-        run_cell(p, seed, recorder.as_ref().filter(|_| p == traced_params))
-    });
-    let summary = opts.cp_trace.as_ref().zip(recorder).map(|(path, rec)| {
-        let ((_, cp), stats) = &outs[at.expect("checked above")];
-        let rec = rec.lock().expect("cp recorder mutex");
-        let mut file = fs::File::create(path).expect("create cp trace file");
-        rec.export_jsonl(&mut file).expect("write cp trace");
-        let snap = control_metrics(stats, cp);
-        let (json, prom) = (snap.to_json_string() + "\n", snap.to_prometheus());
-        fs::write(format!("{}.metrics.json", path.display()), json).expect("write metrics");
-        fs::write(format!("{}.prom", path.display()), prom).expect("write prometheus metrics");
-        format!(
-            "cp-trace: {} events recorded ({} evicted) from cell {traced} -> {}",
-            rec.recorded(),
-            rec.evicted(),
-            path.display()
-        )
-    });
-    (outs, summary)
+    traced: Option<&Case<P>>,
+    run: impl FnOnce(&P, u64, CpTrace) -> (CpOutcome<R>, dtcs::netsim::Stats),
+) {
+    let Some(path) = &opts.cp_trace else { return };
+    let case = traced.expect("the traced cell is in the grid");
+    let rec = Arc::new(Mutex::new(dtcs::netsim::CpFlightRecorder::new(1 << 22)));
+    let ((_, cp), stats) = run(&case.params, case.base_seed, Some(&rec));
+    enforce_run_invariants(&format!("{}/cp-trace", report.id), &stats);
+    let rec = rec.lock().expect("cp recorder mutex");
+    let mut file = fs::File::create(path).expect("create cp trace file");
+    rec.export_jsonl(&mut file).expect("write cp trace");
+    let snap = control_metrics(&stats, &cp);
+    let (json, prom) = (snap.to_json_string() + "\n", snap.to_prometheus());
+    fs::write(format!("{}.metrics.json", path.display()), json).expect("write metrics");
+    fs::write(format!("{}.prom", path.display()), prom).expect("write prometheus metrics");
+    report.health(format!(
+        "cp-trace: {} events recorded ({} evicted) from cell {} -> {}",
+        rec.recorded(),
+        rec.evicted(),
+        case.scenario,
+        path.display()
+    ));
 }
 
 /// Hard-enforce the engine invariants every finished bench run must
@@ -304,10 +320,14 @@ mod tests {
 
     #[test]
     fn table_rows_and_raw_stay_in_sync() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.push(vec!["1".into(), "2".into()], &(1u64, 2u64));
-        t.push(vec!["3".into(), "4".into()], &(3u64, 4u64));
-        assert_eq!(t.rows.len(), 2);
+        let records = [(1u64, 2u64), (3, 4)];
+        let t = Table::of(
+            "t",
+            &records,
+            &[("a", &|r| r.0.to_string()), ("b", &|r| r.1.to_string())],
+        );
+        assert_eq!(t.header, ["a", "b"]);
+        assert_eq!(t.rows, [["1", "2"], ["3", "4"]]);
         assert_eq!(t.raw.len(), 2);
         assert_eq!(t.raw[1].to_string(), "[3,4]");
     }
@@ -315,9 +335,7 @@ mod tests {
     #[test]
     fn report_roundtrips_through_json() {
         let mut r = Report::new("eX", "title", "Sec. 0");
-        let mut t = Table::new("t", &["k"]);
-        t.push(vec!["v".into()], &"v");
-        r.table(t);
+        r.table(Table::of("t", &["v"], &[("k", &|v| v.to_string())]));
         r.note("a note");
         let v = dtcs::netsim::json::parse(&r.to_json().pretty()).unwrap();
         assert_eq!(v, r.to_json());
@@ -342,8 +360,9 @@ mod tests {
     fn save_writes_json_file() {
         let dir = std::env::temp_dir().join("dtcs_bench_util_test");
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create dir");
         let r = Report::new("etest", "t", "a");
-        r.save(&dir);
+        r.save(&dir).expect("save");
         let content = std::fs::read_to_string(dir.join("etest.json")).unwrap();
         assert!(content.contains("\"etest\""));
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,8 +1,12 @@
 //! The `experiments` command line, driven as a subprocess: `--list` comes
-//! from the registry, and a command line that cannot be run exits 2 with
-//! the usage line before anything runs.
+//! from the registry, a command line that cannot be run exits 2 with the
+//! usage line before anything runs, and an output that cannot be written
+//! exits 1.
 
+use std::path::Path;
 use std::process::{Command, Output};
+
+use dtcs::netsim::json;
 
 fn experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -29,7 +33,30 @@ fn list_prints_every_registered_id() {
         .lines()
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert_eq!(listed, dtcs_bench::ALL);
+    assert_eq!(listed, *dtcs_bench::ALL);
+}
+
+/// `--list` names each experiment in its report's own words: every line
+/// is `<id> <title> [<anchor>]` of the committed `results/<id>.json`.
+#[test]
+fn list_lines_are_the_committed_reports_title_and_anchor() {
+    let out = experiments(&["--list"]);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let drifted: Vec<String> = stdout
+        .lines()
+        .filter_map(|line| {
+            let (id, listed) = line.split_once(' ').expect("an id, then its title");
+            let text = std::fs::read_to_string(results.join(format!("{id}.json")));
+            let report = json::parse(&text.expect("committed report")).expect("valid JSON");
+            let (title, anchor) = (report["title"].as_str(), report["anchor"].as_str());
+            let want = format!("{} [{}]", title.expect("title"), anchor.expect("anchor"));
+            (listed.trim_start() != want)
+                .then(|| format!("{id}: listed {listed:?}, report {want:?}"))
+        })
+        .collect();
+    assert_eq!(stdout.lines().count(), dtcs_bench::ALL.len(), "{stdout}");
+    assert!(drifted.is_empty(), "{drifted:#?}");
 }
 
 #[test]
@@ -126,6 +153,36 @@ fn an_uncreatable_output_exits_1_before_running() {
         assert!(out.stdout.is_empty(), "{flag}: must not run anything");
     }
     let _ = std::fs::remove_file(&file);
+}
+
+/// A report that cannot be written once its experiment has run — here its
+/// path is a directory — names the path and the OS error and exits 1, in
+/// single-run and sweep mode alike.
+#[test]
+fn an_unwritable_report_exits_1_naming_its_path() {
+    let dir = std::env::temp_dir().join(format!("dtcs_cli_unwritable_{}", std::process::id()));
+    for (args, name) in [
+        (&["--quick"][..], "e8.json"),
+        (
+            &["--sweep", "--quick", "--replicate", "1"][..],
+            "e8.sweep.json",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::create_dir_all(&path).expect("a directory where the report goes");
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .args(["--threads", "2", "--out"])
+            .arg(&dir)
+            .arg("e8")
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let want = format!("cannot write {}: ", path.display());
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A sweep report that is there but cut short must fail the digest, not

@@ -36,7 +36,7 @@ fn sweep_cells(id: &str) -> Vec<SweepCellReport> {
         threads: Some(2),
         ..quick()
     };
-    let mut outcome = run_sweep(&[(id, e)], &opts, 1);
+    let mut outcome = run_sweep(&[e], &opts, 1);
     assert_eq!(outcome.reports.len(), 1);
     outcome.reports.remove(0).cells
 }
