@@ -368,9 +368,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// What `--cp-trace` writes beside the trace, as captured at the
-    /// commit before the counter tables existed: engine registry, then
-    /// the `cp_`-prefixed protocol suffix, same names, order and help.
+    /// What `--cp-trace` writes beside the trace: engine registry, then
+    /// the `cp_`-prefixed protocol suffix, names, order and help pinned.
     #[test]
     fn default_control_metrics_bytes_are_pinned() {
         let s = control_metrics(&Default::default(), &Default::default());

@@ -27,6 +27,6 @@ pub use plane::{
 };
 pub use retry::{
     Admission, CpStats, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Relay,
-    Retransmitter, RetryPolicy, TimerSlots,
+    Retransmitter, RetryPolicy,
 };
 pub use scenario::{partition_by_provider, ControlPlane, ControlPlaneConfig};

@@ -41,7 +41,7 @@ use crate::catalog::CatalogService;
 use crate::identity::{Certificate, UserId};
 use crate::retry::{
     Admission, CpStatsHandle, Dedup, FanIn, Fired, LegMsg, MsgKey, Relay, Retransmitter,
-    RetryPolicy, TimerSlots, FAMILY_MASK,
+    RetryPolicy, FAMILY_MASK,
 };
 
 /// Per-message processing overhead added on top of path propagation.
@@ -155,9 +155,9 @@ pub enum CpMsg {
         rejected: usize,
         /// ISPs that acked.
         isps: usize,
-        /// ISPs that never acked within the deadline / retry budget
-        /// (non-zero marks a *partial* confirmation; the reconciliation
-        /// sweep repairs the gap later).
+        /// ISPs that never acked within the retry budget (non-zero marks
+        /// a *partial* confirmation; the reconciliation sweep repairs the
+        /// gap later).
         isps_missing: usize,
     },
     /// User → NMS or TCSP: post-deployment operation (activate, tune,
@@ -413,7 +413,6 @@ const FAM_USER_REG: u64 = 0x0001 << 48;
 const FAM_USER_DEPLOY: u64 = 0x0002 << 48;
 const FAM_TCSP_VERIFY: u64 = 0x0003 << 48;
 const FAM_TCSP_DEPLOY: u64 = 0x0004 << 48;
-const FAM_TCSP_DEADLINE: u64 = 0x0005 << 48;
 const FAM_NMS_INSTALL: u64 = 0x0006 << 48;
 const FAM_NMS_RENEW: u64 = 0x0008 << 48;
 const FAM_TCSP_WITHDRAW: u64 = 0x0009 << 48;
@@ -533,16 +532,13 @@ pub struct TcspAgent {
     /// ([`TcspAgent::set_available`]) to simulate a DDoS against the TCSP
     /// itself (requests are silently dropped).
     available: bool,
-    /// How long a deployment may stay pending before the TCSP confirms
-    /// partially with whatever acks it has (`isps_missing` > 0).
-    pub deploy_deadline: SimDuration,
     next_txn: u64,
     registrations: Relay<(u64, u64), u64, Request, Registration>,
     /// Deployments and withdrawals, by txn; a leg is the NMS node asked.
+    /// A deployment settles when every leg acked or gave up: within one
+    /// retry budget of its fan-out.
     deploys: Relay<u64, NodeId, Request>,
     withdraws: Relay<u64, NodeId, Request>,
-    /// Deploy deadlines in flight, each carrying its deployment's txn.
-    deadlines: TimerSlots<u64>,
     stats: TcspStats,
     cp: CpStatsHandle,
 }
@@ -557,12 +553,10 @@ impl TcspAgent {
             cert_lifetime: SimDuration::from_secs(86_400),
             isps,
             available: true,
-            deploy_deadline: SimDuration::from_secs(30),
             next_txn: 1,
             registrations: Relay::new(FAM_TCSP_VERIFY, policy, key ^ 0xA),
             deploys: Relay::new(FAM_TCSP_DEPLOY, policy, key ^ 0xB),
             withdraws: Relay::new(FAM_TCSP_WITHDRAW, policy, key ^ 0x1F),
-            deadlines: TimerSlots::new(FAM_TCSP_DEADLINE),
             stats: TcspStats::default(),
             cp: CpStatsHandle::default(),
         }
@@ -691,19 +685,6 @@ impl NodeAgent for TcspAgent {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
         match token & FAMILY_MASK {
-            FAM_TCSP_DEADLINE => {
-                let slot = self.deadlines.slot_of(token);
-                let Some(txn) = self.deadlines.take(ctx, slot) else {
-                    return;
-                };
-                // Stop chasing the silent ISPs and confirm partially.
-                let asked = self.isps.iter().map(|isp| isp.nms_node);
-                let Some(p) = self.deploys.lose_rest(ctx, txn, asked) else {
-                    return;
-                };
-                trace_state(ctx, p.origin, txn, CpActor::Tcsp, CpState::DeadlinePartial);
-                self.confirm_deploy(ctx, txn);
-            }
             FAM_TCSP_VERIFY => {
                 let fired = self.registrations.on_timer(ctx, &self.cp, token, |_| false);
                 if let Fired::GaveUp(leg) = fired {
@@ -882,10 +863,6 @@ impl NodeAgent for TcspAgent {
                     self.deploys
                         .track(ctx, (*txn, nms), nms, origin, *txn, deploy);
                     legs += 1;
-                }
-                if legs > 0 {
-                    let deadline = self.deploy_deadline;
-                    self.deadlines.arm(ctx, *txn, |_| deadline);
                 }
                 self.deploys.open(*txn, origin, *reply_to, legs, ());
                 // Confirms at once when nothing matched the scope.
@@ -1593,8 +1570,6 @@ pub struct UserAgent {
     pub service: CatalogService,
     /// Deployment scope.
     pub scope: DeployScope,
-    /// When to start registering.
-    pub register_at: SimTime,
     /// Pause between receiving the certificate and sending the deploy
     /// request (lets scenarios stage TCSP outages between the two).
     pub deploy_delay: SimDuration,
@@ -1603,6 +1578,8 @@ pub struct UserAgent {
     pub fallback_nms: Vec<NodeId>,
     txn: u64,
     reg_txn: u64,
+    /// The deploy sent to the TCSP, which the fallback abandons.
+    tcsp_deploy_txn: u64,
     record: UserHandle,
     started_deploy: bool,
     reg_rt: Retransmitter<u64, Request>,
@@ -1626,7 +1603,6 @@ impl UserAgent {
         tcsp_node: NodeId,
         service: CatalogService,
         scope: DeployScope,
-        register_at: SimTime,
     ) -> (UserAgent, UserHandle) {
         assert!(
             user.0 < 1 << 48,
@@ -1643,11 +1619,11 @@ impl UserAgent {
                 tcsp_node,
                 service,
                 scope,
-                register_at,
                 deploy_delay: SimDuration::ZERO,
                 fallback_nms: Vec::new(),
                 txn,
                 reg_txn: txn,
+                tcsp_deploy_txn: 0,
                 record: record.clone(),
                 started_deploy: false,
                 reg_rt: Retransmitter::new(FAM_USER_REG, policy, user.0 ^ 0xD),
@@ -1685,12 +1661,11 @@ impl UserAgent {
         Some((cert, self.txn))
     }
 
-    /// Ask `dest` (the TCSP, or an NMS forwarding to its peers) to deploy.
-    /// False when there is no certificate to present yet.
-    fn start_deploy(&mut self, ctx: &mut AgentCtx<'_>, dest: NodeId, to: Role) -> bool {
-        let Some((cert, txn)) = self.begin_txn() else {
-            return false;
-        };
+    /// Ask `dest` (the TCSP, or an NMS forwarding to its peers) to deploy,
+    /// under the txn returned. None when there is no certificate to
+    /// present yet.
+    fn start_deploy(&mut self, ctx: &mut AgentCtx<'_>, dest: NodeId, to: Role) -> Option<u64> {
+        let (cert, txn) = self.begin_txn()?;
         let deploy = Request {
             to,
             msg: CpMsg::DeployRequest {
@@ -1704,7 +1679,7 @@ impl UserAgent {
         };
         self.deploy_rt
             .track(ctx, txn, dest, self.user.0, txn, deploy);
-        true
+        Some(txn)
     }
 
     fn on_retry_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
@@ -1750,7 +1725,8 @@ impl NodeAgent for UserAgent {
                     .track(ctx, txn, self.tcsp_node, origin, txn, register);
             }
             T_DEPLOY => {
-                if self.start_deploy(ctx, self.tcsp_node, Role::Tcsp) {
+                if let Some(txn) = self.start_deploy(ctx, self.tcsp_node, Role::Tcsp) {
+                    self.tcsp_deploy_txn = txn;
                     ctx.set_timer(DEPLOY_TIMEOUT, T_TIMEOUT);
                 }
             }
@@ -1766,8 +1742,14 @@ impl NodeAgent for UserAgent {
                 };
                 // TCSP unreachable: stop chasing it and go straight to
                 // the ISPs under a fresh transaction.
-                self.deploy_rt.ack(ctx, &self.txn);
-                trace_terminal(ctx, origin, self.txn, CpOutcome::Abandoned);
+                let deploy = self.tcsp_deploy_txn;
+                self.deploy_rt.ack(ctx, &deploy);
+                trace_terminal(ctx, origin, deploy, CpOutcome::Abandoned);
+                // A later transaction is a withdrawal: the owner wants the
+                // filters gone, and only the TCSP could take them down.
+                if self.txn != deploy {
+                    return;
+                }
                 self.record.lock().used_fallback = true;
                 self.start_deploy(ctx, first, Role::Nms);
             }

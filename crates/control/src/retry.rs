@@ -122,76 +122,8 @@ pub enum Fired<K, T> {
     GaveUp(Leg<K, T>),
 }
 
-/// High-bit mask separating a token's family from its slot.
+/// High-bit mask separating a timer token's family from its slot.
 pub const FAMILY_MASK: u64 = 0xFFFF_0000_0000_0000;
-
-/// Agent timers of one family, each carrying a value. Tokens are
-/// `family | slot` with `family` in the high 16 bits and slots handed out
-/// by a counter, so timers of several families (and the agent's own plain
-/// tokens) coexist on one agent and no caller-chosen id can reach the
-/// family bits. A value taken out has its timer cancelled, so a timer
-/// never fires into an empty slot.
-pub struct TimerSlots<V> {
-    family: u64,
-    next_slot: u64,
-    live: BTreeMap<u64, (V, TimerId)>,
-}
-
-impl<V> TimerSlots<V> {
-    /// No timers yet; `family` is one of the `FAM_*` constants in
-    /// [`plane`](crate::plane).
-    pub fn new(family: u64) -> TimerSlots<V> {
-        assert_eq!(family & !FAMILY_MASK, 0, "family must live in high bits");
-        TimerSlots {
-            family,
-            next_slot: 0,
-            live: BTreeMap::new(),
-        }
-    }
-
-    /// Store `value` in a fresh slot and arm its timer `delay(slot)` from
-    /// now. Returns the slot.
-    pub fn arm(
-        &mut self,
-        ctx: &mut AgentCtx<'_>,
-        value: V,
-        delay: impl FnOnce(u64) -> SimDuration,
-    ) -> u64 {
-        let slot = self.next_slot;
-        assert_eq!(slot & FAMILY_MASK, 0, "timer slots exhausted");
-        self.next_slot += 1;
-        let timer = ctx.set_timer(delay(slot), self.family | slot);
-        self.live.insert(slot, (value, timer));
-        slot
-    }
-
-    /// Arm the timer of a live `slot` again, `delay` from now, once the
-    /// last one fired.
-    pub fn rearm(&mut self, ctx: &mut AgentCtx<'_>, slot: u64, delay: SimDuration) {
-        if let Some((_, timer)) = self.live.get_mut(&slot) {
-            *timer = ctx.set_timer(delay, self.family | slot);
-        }
-    }
-
-    /// The slot a fired `token` names.
-    pub fn slot_of(&self, token: u64) -> u64 {
-        debug_assert_eq!(token & FAMILY_MASK, self.family, "token of another family");
-        token & !FAMILY_MASK
-    }
-
-    /// The value in `slot`, if it was not taken out.
-    pub fn get_mut(&mut self, slot: u64) -> Option<&mut V> {
-        self.live.get_mut(&slot).map(|(value, _)| value)
-    }
-
-    /// Take the value out of `slot` and hand its timer to `timers` to
-    /// cancel (a no-op for the timer that just fired).
-    pub fn take(&mut self, timers: &mut impl CancelTimer, slot: u64) -> Option<V> {
-        let (value, timer) = self.live.remove(&slot)?;
-        timers.cancel_timer(timer);
-        Some(value)
-    }
-}
 
 /// The sender side of a transaction leg, at least once: sends the request,
 /// retransmits it on the backoff schedule until acked, and accounts for
@@ -199,22 +131,33 @@ impl<V> TimerSlots<V> {
 /// `retransmits`/`give_ups` counters are emitted here and nowhere else.
 /// An agent contributes what differs per family: the request
 /// ([`LegMsg`]), an optional veto, and what a give-up means.
+///
+/// A leg's timer token is `family | slot`, with `family` in the high 16
+/// bits and slots handed out by a counter, so the timers of several
+/// retransmitters (and the agent's own plain tokens) coexist on one agent
+/// and no transaction id can reach the family bits. A leg taken out has
+/// its timer cancelled, so a timer never fires into an empty slot.
 pub struct Retransmitter<K, T> {
     policy: RetryPolicy,
     seed: u64,
+    family: u64,
+    next_slot: u64,
     by_key: BTreeMap<K, u64>,
-    slots: TimerSlots<Leg<K, T>>,
+    live: BTreeMap<u64, (Leg<K, T>, TimerId)>,
 }
 
 impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
-    /// New retransmitter for `family`; `seed` decorrelates its jitter
-    /// stream.
+    /// New retransmitter for `family`, one of the `FAM_*` constants in
+    /// [`plane`](crate::plane); `seed` decorrelates its jitter stream.
     pub fn new(family: u64, policy: RetryPolicy, seed: u64) -> Retransmitter<K, T> {
+        assert_eq!(family & !FAMILY_MASK, 0, "family must live in high bits");
         Retransmitter {
             policy,
             seed,
+            family,
+            next_slot: 0,
             by_key: BTreeMap::new(),
-            slots: TimerSlots::new(family),
+            live: BTreeMap::new(),
         }
     }
 
@@ -240,27 +183,34 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
         });
         let id = MsgKey::first(origin, txn);
         payload.send(ctx, dest, id);
-        if let Some(p) = self.by_key.get(&key).and_then(|&s| self.slots.get_mut(s)) {
-            p.payload = payload;
+        if let Some((leg, _)) = self.by_key.get(&key).and_then(|s| self.live.get_mut(s)) {
+            leg.payload = payload;
             return;
         }
-        let (policy, seed) = (self.policy, self.seed);
+        let slot = self.next_slot;
+        assert_eq!(slot & FAMILY_MASK, 0, "timer slots exhausted");
+        self.next_slot += 1;
+        let rto = self.policy.rto(self.seed, slot, 0);
+        let timer = ctx.set_timer(rto, self.family | slot);
         let leg = Leg {
             key,
             dest,
             id,
             payload,
         };
-        let slot = self.slots.arm(ctx, leg, |slot| policy.rto(seed, slot, 0));
+        self.live.insert(slot, (leg, timer));
         self.by_key.insert(key, slot);
     }
 
     /// The leg was acked (or is abandoned): stop retransmitting — its
-    /// timer goes to `timers` to cancel — and hand it back. None for an
-    /// untracked key — a duplicate ack.
+    /// timer goes to `timers` to cancel (a no-op for the timer that just
+    /// fired) — and hand it back. None for an untracked key — a duplicate
+    /// ack.
     pub fn take(&mut self, timers: &mut impl CancelTimer, key: &K) -> Option<Leg<K, T>> {
         let slot = self.by_key.remove(key)?;
-        self.slots.take(timers, slot)
+        let (leg, timer) = self.live.remove(&slot)?;
+        timers.cancel_timer(timer);
+        Some(leg)
     }
 
     /// [`Retransmitter::take`] for callers that only need to know whether
@@ -281,13 +231,14 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
         token: u64,
         veto: impl FnOnce(&T) -> bool,
     ) -> Fired<K, T> {
-        let slot = self.slots.slot_of(token);
-        let p = self
-            .slots
-            .get_mut(slot)
+        debug_assert_eq!(token & FAMILY_MASK, self.family, "token of another family");
+        let slot = token & !FAMILY_MASK;
+        let (p, timer) = self
+            .live
+            .get_mut(&slot)
             .expect("a retired leg's timer was cancelled");
         p.id.attempt += 1;
-        let (id, dest) = (p.id, p.dest);
+        let (id, dest, key) = (p.id, p.dest, p.key);
         if id.attempt >= self.policy.max_attempts {
             cp.lock().give_ups += 1;
             ctx.cp_event(CpTraceEvent::RetryGaveUp {
@@ -297,10 +248,10 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
                 node: ctx.node,
                 dest,
             });
-            return Fired::GaveUp(self.untrack(ctx, slot));
+            return Fired::GaveUp(self.take(ctx, &key).expect("leg is live"));
         }
         if veto(&p.payload) {
-            return Fired::Vetoed(self.untrack(ctx, slot));
+            return Fired::Vetoed(self.take(ctx, &key).expect("leg is live"));
         }
         cp.lock().retransmits += 1;
         ctx.cp_event(CpTraceEvent::RetryFire {
@@ -313,14 +264,8 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
         });
         p.payload.send(ctx, dest, id);
         let rto = self.policy.rto(self.seed, slot, id.attempt);
-        self.slots.rearm(ctx, slot, rto);
+        *timer = ctx.set_timer(rto, self.family | slot);
         Fired::Resent
-    }
-
-    fn untrack(&mut self, ctx: &mut AgentCtx<'_>, slot: u64) -> Leg<K, T> {
-        let leg = self.slots.take(ctx, slot).expect("slot is live");
-        self.by_key.remove(&leg.key);
-        leg
     }
 }
 
@@ -378,11 +323,6 @@ impl<L: Ord + Copy> FanIn<L> {
         self.lost += 1;
     }
 
-    /// Give up on every leg that has not acked.
-    pub fn lose_rest(&mut self) {
-        self.lost = self.legs.saturating_sub(self.acked.len());
-    }
-
     /// As many legs resolved as were sent out?
     pub fn is_done(&self) -> bool {
         self.acked.len() + self.lost >= self.legs
@@ -417,10 +357,10 @@ pub enum Admission<'a, L, R> {
 /// relay owns the [`Retransmitter`] of one family's legs, the [`FanIn`] of
 /// every running transaction and the done-cache of the settled ones, and
 /// each decision has one method: is a request new ([`Relay::admit`]), does
-/// an ack count ([`Relay::ack`]), what a give-up costs ([`Relay::lose`],
-/// [`Relay::lose_rest`]), is the answer due ([`Relay::settle`]). They
-/// decide and return; the agent emits, and cancels the timers of the legs
-/// they retire (the `timers` argument).
+/// an ack count ([`Relay::ack`]), what a give-up costs ([`Relay::lose`]),
+/// is the answer due ([`Relay::settle`]). They decide and return; the
+/// agent emits, and cancels the timers of the legs they retire (the
+/// `timers` argument).
 ///
 /// `X` names a transaction and `L` a leg within it (tracked as `(X, L)`);
 /// `R` is what the agent keeps with a transaction to answer it.
@@ -509,23 +449,6 @@ impl<X: Ord + Copy, L: Ord + Copy, T: LegMsg, R> Relay<X, L, T, R> {
         }
     }
 
-    /// Give up on every leg of `txn` that has not acked and stop
-    /// retransmitting `legs`, those sent out. None when `txn` is not
-    /// running.
-    pub fn lose_rest(
-        &mut self,
-        timers: &mut impl CancelTimer,
-        txn: X,
-        legs: impl Iterator<Item = L>,
-    ) -> Option<&FanIn<L>> {
-        let (fan, _) = self.running.get_mut(&txn)?;
-        for leg in legs {
-            self.rt.take(timers, &(txn, leg));
-        }
-        fan.lose_rest();
-        Some(fan)
-    }
-
     /// Drop a running transaction unanswered: its request is new again.
     pub fn forget(&mut self, txn: X) {
         self.running.remove(&txn);
@@ -606,7 +529,7 @@ dtcs_netsim::counters! {
         dup_requests: Sum "Duplicate requests re-answered from a done-cache",
         dup_responses: Sum "Duplicate responses suppressed by receivers",
         /// An ISP never acked.
-        partial_confirms: Sum "Deployments confirmed at deadline with partial coverage",
+        partial_confirms: Sum "Deployments confirmed with some ISP's answer missing",
         reconcile_sweeps: Sum "NMS anti-entropy inventory rounds started",
         /// The sweep found them missing.
         reconcile_reinstalls: Sum "Services reinstalled by an anti-entropy sweep",
@@ -923,22 +846,12 @@ mod tests {
         assert!(orderings > 10_000, "exhaustive, not sampled: {orderings}");
     }
 
-    #[test]
-    fn fan_in_deadline_loses_every_unacked_leg() {
-        let mut fan: FanIn<usize> = FanIn::new(1, NodeId(0), 3);
-        assert!(fan.ack(2, 5, 0));
-        fan.lose_rest();
-        assert!(fan.is_done());
-        assert_eq!((fan.acked(), fan.lost(), fan.done), (1, 2, 5));
-    }
-
-    /// One input to a relayed transaction: its request, something that
-    /// happened to a leg, or the deadline.
+    /// One input to a relayed transaction: its request, or something that
+    /// happened to a leg.
     #[derive(Clone, Copy, Debug)]
     enum Step {
         Request,
         Leg(usize, Ev),
-        Deadline,
     }
 
     /// A settled outcome, as far as an answer can show it.
@@ -993,14 +906,6 @@ mod tests {
                         m.lose();
                     }
                 }
-                Step::Deadline => {
-                    let lost = relay.lose_rest(&mut (), TXN, 0..3);
-                    assert_eq!(lost.is_some(), model.is_some());
-                    assert!(relay.lose_rest(&mut (), OTHER, 0..3).is_none());
-                    if let Some(m) = model.as_mut() {
-                        m.lose_rest();
-                    }
-                }
             }
             assert!(matches!(relay.admit(OTHER), Admission::New));
             assert!(relay.settle(OTHER).is_none());
@@ -1025,22 +930,16 @@ mod tests {
         let mut runs = 0;
         let mut check = |order: &[(usize, Ev)]| {
             let legs: Vec<Step> = order.iter().map(|&(leg, ev)| Step::Leg(leg, ev)).collect();
-            // The request anywhere (what precedes it finds no transaction),
-            // the deadline anywhere after it, or never.
+            // The request anywhere: what precedes it finds no transaction.
             for request_at in 0..=legs.len() {
-                for deadline_at in request_at..=legs.len() + 1 {
-                    let mut steps = legs.clone();
-                    if deadline_at <= legs.len() {
-                        steps.insert(deadline_at, Step::Deadline);
-                    }
-                    steps.insert(request_at, Step::Request);
-                    let settles = relay_agrees_with_fan_in(&steps);
-                    assert!(settles <= 1, "{steps:?}");
-                    // Every leg resolves, so a request that saw them all
-                    // is answered.
-                    assert!(settles == 1 || request_at > 0, "{steps:?}");
-                    runs += 1;
-                }
+                let mut steps = legs.clone();
+                steps.insert(request_at, Step::Request);
+                let settles = relay_agrees_with_fan_in(&steps);
+                assert!(settles <= 1, "{steps:?}");
+                // Every leg resolves, so a request that saw them all is
+                // answered.
+                assert!(settles == 1 || request_at > 0, "{steps:?}");
+                runs += 1;
             }
         };
         for a in FATES {
@@ -1050,7 +949,7 @@ mod tests {
                 }
             }
         }
-        assert!(runs > 100_000, "exhaustive, not sampled: {runs}");
+        assert_eq!(runs, 96_432, "exhaustive, not sampled");
     }
 
     /// The ordering kept as found ([`FanIn`]): a leg given up on that acks

@@ -281,8 +281,7 @@ impl ControlPlane {
     ) -> (UserId, UserHandle) {
         let user = UserId(0xAA00 + self.user_seq);
         self.user_seq += 1;
-        let (mut agent, handle) =
-            UserAgent::new(user, claim, self.tcsp_node, service, scope, register_at);
+        let (mut agent, handle) = UserAgent::new(user, claim, self.tcsp_node, service, scope);
         agent = agent.with_cp_stats(self.cp_stats.clone());
         if fallback {
             agent = agent.with_fallback(self.isps.iter().map(|i| i.nms_node).collect());
@@ -446,6 +445,86 @@ mod tests {
             "fallback deployment configures devices: {r:?}"
         );
         assert!(r.fallback_acks > 0);
+    }
+
+    /// An owner who asked to withdraw while the TCSP was down gets no
+    /// fallback deployment: the deploy timeout abandons the TCSP deploy it
+    /// timed, not the withdrawal, and installs nothing the unreachable
+    /// TCSP would have to take down again.
+    #[test]
+    fn tcsp_outage_abandons_the_deploy_and_never_falls_back_past_a_withdrawal() {
+        use dtcs_netsim::{CpFlightRecorder, CpOutcome, CpTraceEvent};
+        use std::sync::{Arc, Mutex};
+
+        let topo = Topology::transit_stub_multihomed(3, 5, 0.2, 7);
+        let mut sim = Simulator::new(topo, 3);
+        let victim_node = sim.topo.stub_nodes()[0];
+        let mut authority = InternetNumberAuthority::new();
+        let user_prefix = Prefix::of_node(victim_node);
+        authority.allocate(user_prefix, UserId(0xAA01));
+        let isps = partition_by_provider(&sim);
+        let tcsp_node = sim.topo.transit_nodes()[0];
+        let authority_node = sim.topo.transit_nodes()[1];
+        let mut cp =
+            ControlPlane::install(&mut sim, authority, 0x5EC, tcsp_node, authority_node, isps);
+        let (user, record) = cp.add_user_withdrawing(
+            &mut sim,
+            victim_node,
+            vec![user_prefix],
+            CatalogService::AntiSpoofing,
+            DeployScope::AllManaged,
+            SimTime::from_millis(100),
+            SimTime::from_secs(2),
+            true, // fallback enabled
+            |a| a.with_deploy_delay(SimDuration::from_secs(1)),
+        );
+        sim.schedule(SimTime::from_millis(500), move |s| {
+            let tcsp = s.agent_mut::<TcspAgent>(tcsp_node).unwrap();
+            tcsp.set_available(false);
+        });
+        let rec = Arc::new(Mutex::new(CpFlightRecorder::new(1 << 16)));
+        sim.set_cp_trace_sink(Box::new(rec.clone()), 1);
+        sim.run_until(SimTime::from_secs(30));
+        sim.take_cp_trace_sink();
+
+        let rec = rec.lock().unwrap();
+        assert_eq!(rec.evicted(), 0);
+        // The user's first deploy request (message kind 5) went to the TCSP.
+        let deploy_txn = rec
+            .events()
+            .find_map(|e| match e {
+                CpTraceEvent::Send { meta: Some(m), .. } if m.origin == user.0 && m.kind == 5 => {
+                    Some(m.txn)
+                }
+                _ => None,
+            })
+            .expect("the user deployed");
+        let mut terminals: BTreeMap<(u64, u64), Vec<CpOutcome>> = BTreeMap::new();
+        for e in rec.events() {
+            if let CpTraceEvent::Terminal {
+                origin,
+                txn,
+                outcome,
+                ..
+            } = e
+            {
+                terminals.entry((*origin, *txn)).or_default().push(*outcome);
+            }
+        }
+        let abandoned: Vec<_> = terminals
+            .iter()
+            .filter(|(_, outs)| outs.contains(&CpOutcome::Abandoned))
+            .map(|(&key, _)| key)
+            .collect();
+        assert_eq!(abandoned, [(user.0, deploy_txn)], "{terminals:?}");
+        for (key, outs) in &terminals {
+            assert_eq!(outs.len(), 1, "{key:?} ended more than once: {outs:?}");
+        }
+        let r = record.lock();
+        assert!(!r.used_fallback, "{r:?}");
+        assert!(r.deploy_confirmed_at.is_none(), "{r:?}");
+        drop(r);
+        assert_eq!(cp.total_rules(), 0, "no filter outlives the withdrawal");
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! every `cp_*` channel counter in [`dtcs_netsim::Stats`] and every
 //! protocol-layer counter in [`dtcs_control::CpStats`] *exactly*. The
 //! trace is not a best-effort log — it is a second, independent account
-//! of the same run, and the two books must balance.
+//! of the same run, and the two books must balance. The same runs hold
+//! the TCSP to answering every deployment within one retry budget.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dtcs_control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
-    InternetNumberAuthority, UserId,
+    InternetNumberAuthority, RetryPolicy, UserId,
 };
 use dtcs_netsim::{
     CpFlightRecorder, CpState, CpTraceEvent, CpVerdict, FaultConfig, FaultPlane, Outage, Partition,
@@ -90,6 +92,50 @@ fn fold(rec: &CpFlightRecorder) -> Folded {
         }
     }
     f
+}
+
+/// The most a leg can retry before it gives up: every timeout of
+/// [`RetryPolicy::default`] at the jitter's bound (under a quarter of it).
+fn retry_budget() -> SimDuration {
+    let p = RetryPolicy::default();
+    let backoff: u64 = (0..p.max_attempts)
+        .map(|k| p.base.0.saturating_mul(1 << k).min(p.cap.0))
+        .sum();
+    SimDuration(backoff + backoff / 4)
+}
+
+/// Every deployment the TCSP fans out settles within one retry budget:
+/// each ISP leg acks or gives up by then, and the TCSP sends its
+/// `DeployConfirm` (message kind 8) for the same `(origin, txn)`.
+fn assert_deploys_settle_within_budget(rec: &CpFlightRecorder) {
+    let budget = retry_budget().0;
+    let mut fanouts = Vec::new();
+    let mut confirms: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    for ev in rec.events() {
+        match ev {
+            CpTraceEvent::State {
+                t,
+                origin,
+                txn,
+                state: CpState::DeployFanout,
+                ..
+            } => fanouts.push(((*origin, *txn), *t)),
+            CpTraceEvent::Send {
+                t, meta: Some(m), ..
+            } if m.kind == 8 => {
+                confirms.entry((m.origin, m.txn)).or_insert(*t);
+            }
+            _ => {}
+        }
+    }
+    assert!(!fanouts.is_empty(), "the users' deploys fan out");
+    for (key, at) in fanouts {
+        let confirmed = confirms.get(&key).copied();
+        assert!(
+            confirmed.is_some_and(|c| c <= at + budget),
+            "{key:?} fanned out at {at} ns, confirmed at {confirmed:?}"
+        );
+    }
 }
 
 /// One traced run's full yield: the exported JSONL, the folded trace,
@@ -202,6 +248,9 @@ fn run_traced(seed: u64, drop: f64, dup: f64, jitter_ms: u64, crash: bool, mult:
     assert_eq!(guard.evicted(), 0, "capacity must hold the whole run");
     let jsonl = guard.export_jsonl_string();
     let folded = fold(&guard);
+    if mult == 1 {
+        assert_deploys_settle_within_budget(&guard);
+    }
 
     let cs = cp.cp_stats.lock().clone();
     let expected = Folded {

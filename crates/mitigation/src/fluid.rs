@@ -13,7 +13,7 @@ use crate::deploy::{choose_nodes, Placement};
 /// `fraction`, `placement` and `seed`; installs nothing.
 ///
 /// A placement-only shim: it exists because the ledger under `benchmark/`
-/// still calls it, and ROADMAP item 2 deletes it together with that call.
+/// still calls it, and ROADMAP item 1 deletes it together with that call.
 pub fn deploy_fluid_ingress(
     sim: &mut Simulator,
     fraction: f64,

@@ -185,8 +185,6 @@ wire_words! {
         DeployFanout = "deploy_fanout",
         /// TCSP confirmed a deploy with some ISP's answer missing.
         PartialConfirm = "partial_confirm",
-        /// TCSP's deploy deadline passed with some ISP's answer missing.
-        DeadlinePartial = "deadline_partial",
         /// TCSP fanned a withdrawal out to the ISPs' NMSes.
         WithdrawFanout = "withdraw_fanout",
         /// NMS accepted a deploy and began installing on its devices.

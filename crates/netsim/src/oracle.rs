@@ -43,14 +43,14 @@ impl RouteOracle {
     }
 
     /// `(hits, misses)` of a cache that is not there: `(0, queries)`.
-    /// The ledger kernel reads it; ROADMAP item 2 retires it together
+    /// The ledger kernel reads it; ROADMAP item 1 retires it together
     /// with `netsim.oracle.hit_ratio`.
     pub fn stats(&self) -> (u64, u64) {
         (0, self.queries)
     }
 
     /// `(partial evictions, full clears, entries evicted)`, all zero with
-    /// nothing to evict. ROADMAP item 2 retires it as it does `stats`,
+    /// nothing to evict. ROADMAP item 1 retires it as it does `stats`,
     /// together with `netsim.oracle.evicted_per_flip`.
     pub fn invalidation_stats(&self) -> (u64, u64, u64) {
         (0, 0, 0)
