@@ -7,7 +7,7 @@
 //! compare placement policies (DESIGN.md §5 ablation).
 
 use dtcs_netsim::rng::{child_seed, seeded};
-use dtcs_netsim::{NodeId, NodeRole, Topology};
+use dtcs_netsim::{NodeId, Topology};
 
 /// How deployed nodes are selected.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -16,9 +16,6 @@ pub enum Placement {
     Random,
     /// Highest-degree ASes first ("large ISPs sign up first").
     TopDegree,
-    /// Transit ASes adjacent to stubs — the "border routers of stub
-    /// networks" scoping of Fig. 5.
-    StubBorders,
 }
 
 /// Pick `ceil(fraction * n)` nodes according to a placement policy.
@@ -42,38 +39,6 @@ pub fn choose_nodes(
             ids
         }
         Placement::TopDegree => topo.top_degree(k),
-        Placement::StubBorders => {
-            // Transit nodes with at least one stub neighbour, ordered by
-            // how many stub customers they serve (coverage-greedy), then
-            // padded with remaining nodes by degree.
-            let mut borders: Vec<(usize, NodeId)> = topo
-                .nodes
-                .iter()
-                .filter(|node| node.role == NodeRole::Transit)
-                .map(|node| {
-                    let stub_customers = topo
-                        .neighbours(node.id)
-                        .filter(|&(p, _)| topo.nodes[p.0].role == NodeRole::Stub)
-                        .count();
-                    (stub_customers, node.id)
-                })
-                .filter(|&(c, _)| c > 0)
-                .collect();
-            borders.sort_by_key(|&(c, id)| (std::cmp::Reverse(c), id.0));
-            let mut out: Vec<NodeId> = borders.into_iter().map(|(_, id)| id).collect();
-            if out.len() < k {
-                for id in topo.top_degree(n) {
-                    if !out.contains(&id) {
-                        out.push(id);
-                        if out.len() == k {
-                            break;
-                        }
-                    }
-                }
-            }
-            out.truncate(k);
-            out
-        }
     }
 }
 
@@ -106,19 +71,6 @@ mod tests {
         let mean = t.mean_degree();
         for id in top {
             assert!(t.nodes[id.0].degree() as f64 >= mean);
-        }
-    }
-
-    #[test]
-    fn stub_borders_touch_stubs() {
-        let t = Topology::transit_stub_multihomed(6, 8, 0.1, 2);
-        let borders = choose_nodes(&t, 0.1, Placement::StubBorders, 1);
-        assert!(!borders.is_empty());
-        for id in &borders {
-            assert_eq!(t.nodes[id.0].role, NodeRole::Transit);
-            assert!(t
-                .neighbours(*id)
-                .any(|(p, _)| t.nodes[p.0].role == NodeRole::Stub));
         }
     }
 }

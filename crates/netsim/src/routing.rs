@@ -35,7 +35,11 @@
 //! hanging off a transit core, i.e. [`crate::topology::Topology::
 //! transit_stub`]) get a closed-form backend instead: an all-pairs table
 //! over the *core only* (O(core²)) plus O(n) per-node anchor/depth/uplink
-//! arrays. `next_hop` then resolves as "descend if `at` is on the
+//! arrays. The core table is one BFS per core destination over the up
+//! core-to-core links alone, collected once per rebuild, so it never reads
+//! the stub uplinks that make up most of a core node's links; each level
+//! expands in ascending node id, which is the dense backend's `(cost, node
+//! id)` tie-break. `next_hop` then resolves as "descend if `at` is on the
 //! destination's up-chain, else climb, else cross the core" in O(tree
 //! depth). Every public query ([`Routing::next_hop`], [`Routing::
 //! distance`], [`Routing::enters_via`], [`Routing::path`]) answers through
@@ -444,7 +448,7 @@ impl Routing {
 impl HierRouting {
     /// Build the hierarchical state from the topology's recorded
     /// hierarchy: derive parent/anchor/depth chains, snapshot link state,
-    /// and run one core-restricted Dijkstra per core destination.
+    /// and run one core-restricted BFS per core destination.
     fn compute(topo: &Topology, h: &crate::topology::Hierarchy) -> HierRouting {
         let n = topo.n();
         assert_eq!(h.up_link.len(), n, "hierarchy covers every node");
@@ -506,57 +510,75 @@ impl HierRouting {
         hr
     }
 
-    /// (Re)run the per-destination Dijkstra restricted to up core links.
-    /// Tie-breaks match the dense backend's — pops order by `(cost,
-    /// node id)` with strict-improvement relaxation — so on a connected
-    /// core both backends pick identical core paths.
+    /// (Re)derive the core tables: one BFS per core destination over a
+    /// core-only adjacency, collected first from each core node's up
+    /// core-to-core links in its own link order.
+    ///
+    /// Every core hop weighs 1, so a Dijkstra that pops by `(cost, node
+    /// id)` and relaxes only on strict improvement — the dense backend's
+    /// tie-break — is exactly this BFS when each level is expanded in
+    /// ascending node id. Core indices ascend with node ids, so a bitset
+    /// frontier per level yields that order with no heap and no sort, and
+    /// both backends pick identical core paths on a connected core.
     fn rebuild_core(&mut self, topo: &Topology) {
         let c = self.core.len();
-        let core = &self.core;
-        let core_idx = &self.core_idx;
-        let link_up = &self.link_up;
-        let mut core_next = vec![NO_ROUTE; c * c];
-        let mut core_dist = vec![u16::MAX; c * c];
-        core_next
+        // `adj[adj_off[ui]..adj_off[ui + 1]]` = core index `ui`'s up
+        // core-to-core links as (neighbour core index, link) pairs.
+        let mut adj_off = Vec::with_capacity(c + 1);
+        let mut adj: Vec<(u32, u32)> = Vec::new();
+        adj_off.push(0);
+        for &u in &self.core {
+            for (v, lid) in topo.neighbours(NodeId(u as usize)) {
+                let vci = self.core_idx[v.0];
+                if self.link_up[lid.0] && vci != NO_ROUTE {
+                    adj.push((vci, lid.0 as u32));
+                }
+            }
+            adj_off.push(adj.len());
+        }
+        self.core_next.clear();
+        self.core_next.resize(c * c, NO_ROUTE);
+        self.core_dist.clear();
+        self.core_dist.resize(c * c, u16::MAX);
+        let words = c.div_ceil(64);
+        let mut frontier = vec![0u64; words];
+        let mut reached = vec![0u64; words];
+        for (di, (next_row, dist_row)) in self
+            .core_next
             .chunks_mut(c.max(1))
-            .zip(core_dist.chunks_mut(c.max(1)))
+            .zip(self.core_dist.chunks_mut(c.max(1)))
             .enumerate()
-            .for_each(|(di, (next_row, dist_row))| {
-                let d = core[di] as usize;
-                // Scratch costs indexed by core index (not node id): the
-                // walk never leaves the core, and O(core) scratch keeps
-                // rebuilds linear in the core, not the topology.
-                let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
-                let mut cost = vec![u32::MAX; core.len()];
-                cost[di] = 0;
-                dist_row[di] = 0;
-                heap.push(Reverse((0, d)));
-                while let Some(Reverse((cu, ui))) = heap.pop() {
-                    let uci = core_idx[ui] as usize;
-                    if cu > cost[uci] {
-                        continue;
-                    }
-                    for &lid in &topo.nodes[ui].links {
-                        if !link_up[lid.0] {
-                            continue;
-                        }
-                        let v = topo.links[lid.0].other(NodeId(ui));
-                        let vci = core_idx[v.0];
-                        if vci == NO_ROUTE {
-                            continue; // only core-to-core hops
-                        }
-                        let nc = cu + 1;
-                        if nc < cost[vci as usize] {
-                            cost[vci as usize] = nc;
-                            dist_row[vci as usize] = dist_row[uci] + 1;
-                            next_row[vci as usize] = lid.0 as u32;
-                            heap.push(Reverse((nc, v.0)));
+        {
+            frontier.fill(0);
+            frontier[di / 64] = 1 << (di % 64);
+            dist_row[di] = 0;
+            let mut level = 0;
+            loop {
+                level += 1;
+                reached.fill(0);
+                let mut grew = false;
+                for (w, &word) in frontier.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let ui = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        for &(vci, lid) in &adj[adj_off[ui]..adj_off[ui + 1]] {
+                            let v = vci as usize;
+                            if dist_row[v] == u16::MAX {
+                                dist_row[v] = level;
+                                next_row[v] = lid;
+                                reached[v / 64] |= 1 << (v % 64);
+                                grew = true;
+                            }
                         }
                     }
                 }
-            });
-        self.core_next = core_next;
-        self.core_dist = core_dist;
+                if !grew {
+                    break;
+                }
+                std::mem::swap(&mut frontier, &mut reached);
+            }
+        }
     }
 
     /// Apply a link flip: refresh the snapshot; rebuild the core tables if
@@ -1223,5 +1245,106 @@ mod tests {
         assert!(d >= 2, "host sits two tiers below the core");
         let p = r.path(&topo, host, core).unwrap();
         assert_eq!(p.len(), d as usize + 1);
+    }
+
+    /// The core tables as the hierarchical backend first built them: one
+    /// heap Dijkstra per core destination, popping by `(cost, node id)`,
+    /// relaxing on strict improvement, and scanning every incident link of
+    /// a popped node (stub uplinks included) before skipping non-core ends.
+    fn reference_core_tables(h: &HierRouting, topo: &Topology) -> (Vec<u32>, Vec<u16>) {
+        let c = h.core.len();
+        let mut core_next = vec![NO_ROUTE; c * c];
+        let mut core_dist = vec![u16::MAX; c * c];
+        for di in 0..c {
+            let (next_row, dist_row) = (
+                &mut core_next[di * c..(di + 1) * c],
+                &mut core_dist[di * c..(di + 1) * c],
+            );
+            let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+            let mut cost = vec![u32::MAX; c];
+            cost[di] = 0;
+            dist_row[di] = 0;
+            heap.push(Reverse((0, h.core[di] as usize)));
+            while let Some(Reverse((cu, ui))) = heap.pop() {
+                let uci = h.core_idx[ui] as usize;
+                if cu > cost[uci] {
+                    continue;
+                }
+                for &lid in &topo.nodes[ui].links {
+                    if !h.link_up[lid.0] {
+                        continue;
+                    }
+                    let vci = h.core_idx[topo.links[lid.0].other(NodeId(ui)).0];
+                    if vci == NO_ROUTE {
+                        continue;
+                    }
+                    if cu + 1 < cost[vci as usize] {
+                        cost[vci as usize] = cu + 1;
+                        dist_row[vci as usize] = dist_row[uci] + 1;
+                        next_row[vci as usize] = lid.0 as u32;
+                        heap.push(Reverse((cu + 1, h.core[vci as usize] as usize)));
+                    }
+                }
+            }
+        }
+        (core_next, core_dist)
+    }
+
+    /// Assert the live core tables equal the reference Dijkstra's; returns
+    /// how many core cells are unreachable.
+    fn assert_core_matches_reference(r: &Routing, topo: &Topology, step: &str) -> usize {
+        let h = r.hier.as_ref().expect("hierarchical backend");
+        let (next, dist) = reference_core_tables(h, topo);
+        assert!(
+            h.core_next == next,
+            "core_next differs from the reference {step}"
+        );
+        assert!(
+            h.core_dist == dist,
+            "core_dist differs from the reference {step}"
+        );
+        next.iter().filter(|&&l| l == NO_ROUTE).count() - h.core.len()
+    }
+
+    /// Take every chord down, then two ring links (the second cut splits
+    /// the core in two), then bring them all back up in the same order,
+    /// holding the core tables to the reference after each flip.
+    fn core_flips_match_reference(mut topo: Topology) {
+        let mut r = Routing::compute(&topo);
+        assert_eq!(assert_core_matches_reference(&r, &topo, "after compute"), 0);
+        let core = topo.hierarchy.as_ref().unwrap().core.clone();
+        let c = core.len();
+        assert!(c >= 4, "a ring with two cuts needs four core nodes");
+        // `transit_stub` adds the core first (ids 0..c), then the ring:
+        // link i joins core i and i + 1.
+        for (i, l) in topo.links[..c].iter().enumerate() {
+            assert_eq!((l.a, l.b), (core[i], core[(i + 1) % c]), "ring link {i}");
+        }
+        let chords = (c..topo.links.len())
+            .filter(|&l| topo.links[l].a.0 < c && topo.links[l].b.0 < c)
+            .map(LinkId);
+        let script: Vec<LinkId> = chords.chain([LinkId(0), LinkId(c / 2)]).collect();
+        let (mut split, mut unreachable) = (false, 0);
+        for up in [false, true] {
+            for &l in &script {
+                topo.links[l.0].up = up;
+                r.apply_link_flip(&topo, l);
+                let step = format!("after link {} {}", l.0, if up { "up" } else { "down" });
+                unreachable = assert_core_matches_reference(&r, &topo, &step);
+                split |= unreachable > 0;
+            }
+        }
+        assert!(split, "the two ring cuts must leave unreachable core cells");
+        assert_eq!(unreachable, 0, "every core link is back up");
+    }
+
+    #[test]
+    fn core_tables_match_the_reference_dijkstra_through_core_flips() {
+        for (n_transit, seed) in (6..=12).zip(1..) {
+            core_flips_match_reference(Topology::transit_stub(n_transit, 3, 2, seed));
+        }
+        for seed in [1, 7, 42] {
+            core_flips_match_reference(Topology::transit_stub_at_least(20_000, seed));
+        }
     }
 }

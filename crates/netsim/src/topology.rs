@@ -132,12 +132,33 @@ impl Topology {
     }
 
     /// The `k` nodes of highest degree (ties broken by lower id), i.e. the
-    /// "large ISPs" a deployment would court first.
+    /// "large ISPs" a deployment would court first. A counting sort over
+    /// degrees: O(n + max degree), not a comparison sort of all n ids.
     pub fn top_degree(&self, k: usize) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = (0..self.n()).map(NodeId).collect();
-        ids.sort_by_key(|&id| (std::cmp::Reverse(self.nodes[id.0].degree()), id.0));
-        ids.truncate(k);
-        ids
+        let Some(max) = self.nodes.iter().map(Node::degree).max() else {
+            return Vec::new();
+        };
+        // `slot[d]` = next output position for a node of degree `d`:
+        // degrees descending, ids ascending within a degree.
+        let mut slot = vec![0usize; max + 1];
+        for node in &self.nodes {
+            slot[node.degree()] += 1;
+        }
+        let mut start = 0;
+        for s in slot.iter_mut().rev() {
+            let count = *s;
+            *s = start;
+            start += count;
+        }
+        let mut out = vec![NodeId(0); k.min(self.n())];
+        for node in &self.nodes {
+            let s = &mut slot[node.degree()];
+            if let Some(o) = out.get_mut(*s) {
+                *o = node.id;
+            }
+            *s += 1;
+        }
+        out
     }
 
     /// Is the whole graph one connected component?
@@ -232,7 +253,14 @@ impl Topology {
     ) -> Topology {
         assert!(n_transit >= 1);
         let mut rng = seeded(seed ^ 0x5CA1_E57AB);
-        let mut topo = Topology::new();
+        // Sized once from the generator's own counts: every non-core node
+        // has one uplink, and the ring and chords add at most 2·n_transit.
+        let n = n_transit * (1 + stubs_per_transit * (1 + hosts_per_stub));
+        let mut topo = Topology {
+            nodes: Vec::with_capacity(n),
+            links: Vec::with_capacity(n + n_transit),
+            hierarchy: None,
+        };
         let core: Vec<NodeId> = (0..n_transit)
             .map(|_| topo.add_node(NodeRole::Transit))
             .collect();
@@ -252,10 +280,13 @@ impl Topology {
                 topo.connect(a, b, LinkProfile::backbone());
             }
         }
-        let mut up_link: Vec<Option<LinkId>> = vec![None; topo.n()];
+        let mut up_link: Vec<Option<LinkId>> = Vec::with_capacity(n);
+        up_link.resize(topo.n(), None);
         for &t in &core {
+            topo.nodes[t.0].links.reserve_exact(stubs_per_transit);
             for _ in 0..stubs_per_transit {
                 let s = topo.add_node(NodeRole::Stub);
+                topo.nodes[s.0].links.reserve_exact(1 + hosts_per_stub);
                 let sl = topo
                     .connect(s, t, LinkProfile::transit())
                     .expect("fresh stub uplink");
@@ -269,7 +300,7 @@ impl Topology {
                 }
             }
         }
-        debug_assert_eq!(up_link.len(), topo.n());
+        debug_assert_eq!((topo.n(), up_link.len()), (n, n));
         topo.hierarchy = Some(Hierarchy { core, up_link });
         topo
     }
@@ -677,6 +708,28 @@ mod tests {
         // Degrees are non-increasing along the list.
         for w in a.windows(2) {
             assert!(t.nodes[w[0].0].degree() >= t.nodes[w[1].0].degree());
+        }
+    }
+
+    #[test]
+    fn top_degree_is_the_sort_it_replaced() {
+        fn sorted(t: &Topology, k: usize) -> Vec<NodeId> {
+            let mut ids: Vec<NodeId> = (0..t.n()).map(NodeId).collect();
+            ids.sort_by_key(|&id| (std::cmp::Reverse(t.nodes[id.0].degree()), id.0));
+            ids.truncate(k);
+            ids
+        }
+        let mut topos = vec![Topology::new(), Topology::line(3)];
+        for seed in [1, 2, 3] {
+            topos.push(Topology::barabasi_albert(400, 2, 0.1, seed));
+            topos.push(Topology::transit_stub_multihomed(8, 16, 0.2, seed));
+            topos.push(Topology::transit_stub_at_least(20_000, seed));
+        }
+        for t in &topos {
+            let n = t.n();
+            for k in [0, 1, n / 2, n, n + 5] {
+                assert_eq!(t.top_degree(k), sorted(t, k), "n = {n}, k = {k}");
+            }
         }
     }
 
