@@ -31,6 +31,12 @@
 //!    engine's virtual-queue state ([`crate::link::LinkDir::next_free`]):
 //!    discrete backlog thins fluid admission. The coupling is one way — a
 //!    tick only reads links, so fluid load never queues a packet.
+//!    A **steady** tick walks nothing: the first walk of an ordinary tick
+//!    is the direction set's load under full admission, and once it is
+//!    recorded, a tick with the same paths, window length and live
+//!    aggregates only checks that the load still fits what each direction
+//!    has free. If it does, no fraction would move, and the tick credits
+//!    every aggregate its whole offer — bit for bit what the walk would.
 //! 3. **Exact conservation at the boundary.** All rate accounting runs in
 //!    f64 byte accumulators, but [`crate::stats::Stats`] only ever sees
 //!    whole packets derived by *flooring cumulative* counters
@@ -48,6 +54,7 @@
 //! still traverse agent chains, produce module verdicts and trace events.
 
 use crate::addr::Addr;
+use crate::link::Link;
 use crate::packet::{Proto, TrafficClass};
 use crate::routing::Routing;
 use crate::stats::{DropReason, Stats};
@@ -62,6 +69,30 @@ use crate::topology::Topology;
 /// Two updates settle chains of bottlenecks to well under the fluid/packet
 /// equivalence tolerance.
 const SETTLE_ROUNDS: usize = 2;
+
+/// Does a direction offered `offered` bytes admit them whole, given
+/// `avail`? The one test behind every admitted fraction.
+fn fits(offered: f64, avail: f64) -> bool {
+    !(offered > avail && offered > 0.0)
+}
+
+/// Bytes `link` carries in `secs` seconds at its bandwidth.
+fn capacity(link: &Link, secs: f64) -> f64 {
+    secs * link.bandwidth_bps / 8.0
+}
+
+/// Direction `d`'s residual capacity in the window `(last, now]`: what
+/// the discrete packets' backlog (`next_free`) leaves idle, zero on a
+/// down link.
+fn residual(topo: &Topology, d: u32, last: SimTime, now: SimTime) -> f64 {
+    let link = &topo.links[d as usize / 2];
+    let idle_from = link.dirs[d as usize % 2].next_free.max(last);
+    if link.up && now > idle_from {
+        capacity(link, (now - idle_from).as_secs_f64())
+    } else {
+        0.0
+    }
+}
 
 /// One background traffic demand, before the simulator decides whether it
 /// lives as a fluid aggregate or as discrete constant-bit-rate packets
@@ -133,11 +164,45 @@ pub struct FluidLayer {
     frac: Vec<f64>,
     avail: Vec<f64>,
 
-    // --- per-aggregate results of the latest walk (scratch) -------------
+    // --- per-aggregate scratch of the current tick -----------------------
+    /// Seconds of each aggregate's lifetime inside the tick's window,
+    /// computed once per tick; sized by the first tick that walks, not
+    /// grown with the columns in `add`.
+    secs: Vec<f64>,
+    /// Delivered and hop-weighted dropped bytes of the latest walk.
     w_deliv: Vec<f64>,
     w_cdrop_hops: Vec<f64>,
+
+    // --- the steady-tick record -----------------------------------------
+    /// What the record is good for, or `None` when there is none.
+    steady: Option<Steady>,
+    /// Per direction in the set (indexed like `dirs`): the bytes a window
+    /// offers it when every live aggregate is admitted whole.
+    load: Vec<f64>,
+
+    /// The latest `until` of any aggregate: the layer is live before it.
+    latest_until: SimTime,
+    /// Some aggregate's path needs (re-)resolving.
+    unresolved: bool,
     /// Path walks made so far, all ticks (see [`FluidLayer::walks`]).
     walks: u64,
+    /// Ticks that walked nothing (see [`FluidLayer::steady_ticks`]).
+    steady_ticks: u64,
+}
+
+/// The key of the recorded `load`: it is the set's load in any window of
+/// length `window` in which the aggregates alive for the whole of the
+/// recording window are again alive for the whole of it and no other
+/// aggregate is alive at all. Paths come with the direction set, and
+/// [`FluidLayer::resolve_paths`] drops the record with the set; an added
+/// aggregate drops it too. Aggregates only ever leave after that, so the
+/// key holds until the first of those still alive ends, `live_until`.
+/// A direction's bandwidth is fixed once a simulator is built (nothing
+/// moves it), so its whole-window capacity is part of the key too.
+#[derive(Clone, Copy, Debug)]
+struct Steady {
+    window: SimDuration,
+    live_until: SimTime,
 }
 
 impl FluidLayer {
@@ -174,9 +239,15 @@ impl FluidLayer {
             offered: Vec::new(),
             frac: Vec::new(),
             avail: Vec::new(),
+            secs: Vec::new(),
             w_deliv: Vec::new(),
             w_cdrop_hops: Vec::new(),
+            steady: None,
+            load: Vec::new(),
+            latest_until: SimTime::ZERO,
+            unresolved: false,
             walks: 0,
+            steady_ticks: 0,
         }
     }
 
@@ -185,10 +256,18 @@ impl FluidLayer {
         self.tick
     }
 
-    /// Walks over the cached paths made so far: one per tick that found
-    /// no direction over capacity, at most `SETTLE_ROUNDS + 1` otherwise.
+    /// Walks over the cached paths made so far: none in a steady tick
+    /// (see [`FluidLayer::steady_ticks`]), one in any other tick that
+    /// found no direction over capacity, at most `SETTLE_ROUNDS + 1`
+    /// otherwise.
     pub fn walks(&self) -> u64 {
         self.walks
+    }
+
+    /// Ticks settled without a walk: the recorded load still fitted every
+    /// direction, so each live aggregate was credited its whole offer.
+    pub fn steady_ticks(&self) -> u64 {
+        self.steady_ticks
     }
 
     /// Install an aggregate for `d`; its path resolves on the next tick.
@@ -214,23 +293,37 @@ impl FluidLayer {
         self.rep_cdrop_hops.push(0);
         self.w_deliv.push(0.0);
         self.w_cdrop_hops.push(0.0);
+        self.latest_until = self.latest_until.max(d.until);
+        self.unresolved = true;
+        self.steady = None;
     }
 
     /// Any aggregate still offering traffic after `now`?
     pub(crate) fn any_active(&self, now: SimTime) -> bool {
-        self.until.iter().any(|&u| u > now)
+        self.latest_until > now
     }
 
-    /// Seconds of aggregate `i`'s lifetime overlapping the window
-    /// `(last, now]`.
-    fn window_secs(&self, i: usize, last: SimTime, now: SimTime) -> f64 {
-        let st = self.added_at[i].max(last);
-        let en = self.until[i].min(now);
-        if en > st {
-            (en - st).as_secs_f64()
-        } else {
-            0.0
+    /// Fill `secs` with each aggregate's lifetime inside the window
+    /// `(last, now]`. Returns the earliest `until` of the aggregates alive
+    /// for all of it when every other aggregate is gone for good — the
+    /// window could key a record — and `None` otherwise.
+    fn window_secs(&mut self, last: SimTime, now: SimTime) -> Option<SimTime> {
+        let mut live_until = Some(SimTime::MAX);
+        self.secs.resize(self.src.len(), 0.0);
+        for i in 0..self.src.len() {
+            let (st, en) = (self.added_at[i].max(last), self.until[i].min(now));
+            self.secs[i] = if en > st {
+                (en - st).as_secs_f64()
+            } else {
+                0.0
+            };
+            if self.added_at[i] <= last && self.until[i] >= now {
+                live_until = live_until.map(|u| u.min(self.until[i]));
+            } else if self.until[i] > last {
+                live_until = None;
+            }
         }
+        live_until
     }
 
     /// Walk the forwarding tables for every unresolved aggregate and
@@ -297,6 +390,8 @@ impl FluidLayer {
         self.dirs = set;
         self.path_dirs = hops;
         self.path_nodes = nodes;
+        self.unresolved = false;
+        self.steady = None;
         recomputed
     }
 
@@ -323,29 +418,48 @@ impl FluidLayer {
             stats.fluid_epoch_invalidations += 1;
             for (resolved, dst) in std::iter::zip(&mut self.resolved, &self.dst) {
                 *resolved &= routing.changed_at(dst.node()) <= self.route_epoch;
+                self.unresolved |= !*resolved;
             }
             self.route_epoch = routing.epoch();
         }
-        if self.resolved.iter().any(|r| !r) {
+        if self.unresolved {
             stats.fluid_recomputes += self.resolve_paths(topo, routing);
         }
 
-        // --- 2. Residual capacity of every direction in the set --------
+        // --- 2. A steady tick: the recorded load fits, nothing walks ---
+        if self.steady_fits(topo, last, now) {
+            self.steady_ticks += 1;
+            let secs = (now - last).as_secs_f64();
+            for i in 0..self.src.len() {
+                // Alive for the whole window, or gone before it.
+                if self.until[i] <= last {
+                    continue;
+                }
+                let base = self.rate_bps[i] / 8.0 * secs;
+                self.cum_sent[i] += base;
+                if self.has_route[i] {
+                    self.cum_deliv[i] += base;
+                }
+                self.report(i, stats);
+            }
+            return self.any_active(now);
+        }
+
+        // --- 3. Residual capacity of every direction in the set --------
         for (j, &d) in self.dirs.iter().enumerate() {
-            let link = &topo.links[d as usize / 2];
-            let ld = &link.dirs[d as usize % 2];
-            let idle_from = ld.next_free.max(last);
-            self.avail[j] = if link.up && now > idle_from {
-                (now - idle_from).as_secs_f64() * link.bandwidth_bps / 8.0
-            } else {
-                0.0
-            };
+            self.avail[j] = residual(topo, d, last, now);
             self.frac[j] = 1.0;
         }
 
-        // --- 3. Proportional-share admission, run to its fixed point ---
+        // --- 4. Proportional-share admission, run to its fixed point ---
+        let live_until = self.window_secs(last, now);
         for update in 0..=SETTLE_ROUNDS {
-            self.walk(last, now);
+            self.walk();
+            if update == 0 {
+                if let Some(live_until) = live_until.filter(|_| self.steady.is_none()) {
+                    self.record(topo, now - last, live_until);
+                }
+            }
             if update == SETTLE_ROUNDS || !self.update_fracs() {
                 break;
             }
@@ -353,7 +467,7 @@ impl FluidLayer {
         // The last walk ran on the settled fractions: its per-aggregate
         // results are the tick's accounting, committed in aggregate order.
         for i in 0..self.src.len() {
-            let dur = self.window_secs(i, last, now);
+            let dur = self.secs[i];
             if dur <= 0.0 {
                 continue;
             }
@@ -367,15 +481,57 @@ impl FluidLayer {
         self.any_active(now)
     }
 
-    /// One walk over the cached path of every routed aggregate live in
-    /// `(last, now]`, under the current fractions: sums each direction's
+    /// Is the window `(last, now]` steady — the record's key holds and its
+    /// load fits what every direction has free? One read-only pass over
+    /// the set: an up direction with no discrete backlog reaching into the
+    /// window has its whole-window capacity, which the load fitted when it
+    /// was recorded; any other has `avail` computed as the residual sweep
+    /// does, and the load must pass [`FluidLayer::update_fracs`]' test.
+    /// Either way no fraction would move, so the walk's result is known.
+    fn steady_fits(&mut self, topo: &Topology, last: SimTime, now: SimTime) -> bool {
+        let Some(key) = self.steady else {
+            return false;
+        };
+        if key.window != now - last || now > key.live_until {
+            self.steady = None;
+            return false;
+        }
+        std::iter::zip(&self.dirs, &self.load).all(|(&d, &o)| {
+            let link = &topo.links[d as usize / 2];
+            if link.up && link.dirs[d as usize % 2].next_free <= last {
+                debug_assert!(
+                    fits(o, capacity(link, (now - last).as_secs_f64())),
+                    "recorded load outgrew its direction's capacity"
+                );
+                return true;
+            }
+            fits(o, residual(topo, d, last, now))
+        })
+    }
+
+    /// Keep the first walk's `offered` column as the steady-tick record if
+    /// it fits every direction's whole-window capacity — what the residual
+    /// sweep gives an idle direction.
+    fn record(&mut self, topo: &Topology, window: SimDuration, live_until: SimTime) {
+        let secs = window.as_secs_f64();
+        let fit = std::iter::zip(&self.dirs, &self.offered)
+            .all(|(&d, &o)| fits(o, capacity(&topo.links[d as usize / 2], secs)));
+        if fit {
+            self.load.clear();
+            self.load.extend_from_slice(&self.offered);
+            self.steady = Some(Steady { window, live_until });
+        }
+    }
+
+    /// One walk over the cached path of every routed aggregate live in the
+    /// tick's window, under the current fractions: sums each direction's
     /// offered bytes and leaves each aggregate's delivered and
     /// hop-weighted dropped bytes in the `w_*` columns.
-    fn walk(&mut self, last: SimTime, now: SimTime) {
+    fn walk(&mut self) {
         self.walks += 1;
         self.offered.fill(0.0);
         for i in 0..self.src.len() {
-            let dur = self.window_secs(i, last, now);
+            let dur = self.secs[i];
             if !self.has_route[i] || dur <= 0.0 {
                 continue;
             }
@@ -399,10 +555,10 @@ impl FluidLayer {
     fn update_fracs(&mut self) -> bool {
         let mut moved = false;
         for j in 0..self.dirs.len() {
-            let f = if self.offered[j] > self.avail[j] && self.offered[j] > 0.0 {
-                self.avail[j] / self.offered[j]
-            } else {
+            let f = if fits(self.offered[j], self.avail[j]) {
                 1.0
+            } else {
+                self.avail[j] / self.offered[j]
             };
             moved |= f != self.frac[j];
             self.frac[j] = f;
@@ -412,8 +568,12 @@ impl FluidLayer {
 
     /// Fold aggregate `i`'s cumulative byte accounting into `stats` as
     /// whole packets, by flooring cumulatives and charging the deltas.
-    /// Every floor is monotone, and the dropped bytes are
-    /// `sent - delivered`, so the per-class conservation gate is exact.
+    /// The dropped bytes are `sent - delivered`, so the per-class
+    /// conservation gate is exact. The three cumulative sums only grow,
+    /// but their rounded difference can dip below a whole packet it once
+    /// reached — equal increments to `sent` and `delivered` do that — so
+    /// the dropped floor reported so far is the highest one seen, and a
+    /// dip is made up before anything more is charged.
     fn report(&mut self, i: usize, stats: &mut Stats) {
         let size = self.pkt_size[i] as f64;
         let sp = (self.cum_sent[i] / size) as u64;
@@ -422,11 +582,11 @@ impl FluidLayer {
         let ch = (self.cum_cdrop_hops[i] / size) as u64;
         let d_sent = sp - self.rep_sent[i];
         let d_deliv = dp - self.rep_deliv[i];
-        let d_c = cp - self.rep_cdrop[i];
+        let d_c = cp.saturating_sub(self.rep_cdrop[i]);
         let d_ch = ch - self.rep_cdrop_hops[i];
         self.rep_sent[i] = sp;
         self.rep_deliv[i] = dp;
-        self.rep_cdrop[i] = cp;
+        self.rep_cdrop[i] += d_c;
         self.rep_cdrop_hops[i] = ch;
         if d_sent + d_deliv + d_c == 0 {
             return;
@@ -520,9 +680,11 @@ mod tests {
         );
         assert_eq!(c.delivered_hops, c.delivered_pkts * 3);
         sim.stats.check_conservation().unwrap();
-        // No direction was ever over capacity: every tick settled in the
-        // walk that accounted it.
-        assert_eq!(sim.fluid().unwrap().walks(), sim.stats.fluid_ticks);
+        // No direction was ever over capacity: the first tick settled in
+        // the walk that accounted it, and every later one was steady.
+        let layer = sim.fluid().unwrap();
+        assert_eq!(layer.walks(), 1);
+        assert_eq!(layer.walks() + layer.steady_ticks(), sim.stats.fluid_ticks);
         // The tick must not keep the run alive forever.
         sim.run_to_idle();
         assert_eq!(sim.pending_events(), 0);
@@ -890,8 +1052,10 @@ mod tests {
             let [sent, deliv, cdrop_hops] = self.cum;
             let size = self.d.pkt_size as f64;
             let now = [sent, deliv, (sent - deliv).max(0.0), cdrop_hops].map(|b| (b / size) as u64);
-            let [d_sent, d_deliv, d_c, d_ch] = std::array::from_fn(|x| now[x] - self.rep[x]);
-            self.rep = now;
+            // Only the dropped floor can dip; a dip carries over.
+            let [d_sent, d_deliv, d_c, d_ch] =
+                std::array::from_fn(|x| now[x].saturating_sub(self.rep[x]));
+            self.rep = std::array::from_fn(|x| self.rep[x].max(now[x]));
             if d_sent + d_deliv + d_c == 0 {
                 return;
             }
@@ -1058,17 +1222,30 @@ mod tests {
 
     #[test]
     fn tick_matches_reference_tick_bit_for_bit() {
+        matches_reference_over(0..24);
+    }
+
+    #[test]
+    #[ignore = "runs the experiment twice; CI runs with --ignored in release"]
+    fn tick_matches_reference_tick_bit_for_bit_over_512_cases() {
+        matches_reference_over(0..512);
+    }
+
+    /// The real layer and [`RefLayer`] side by side over the seeded
+    /// scenarios `cases`: full `Stats` equal after every tick.
+    fn matches_reference_over(cases: std::ops::Range<u64>) {
         use crate::link::LinkProfile;
         use crate::node::NodeRole;
 
         const TICKS: u64 = 40;
         let at = |k: u64| SimTime::from_nanos(k * TICK.0);
-        // What the cases covered between them: ticks settled by their
-        // first walk, ticks that took more, and flaps that took a
-        // direction off every cached path and later put it back.
-        let (mut calm, mut congested, mut rejoined) = (0u64, 0u64, 0u64);
+        // What the cases covered between them: steady ticks that walked
+        // nothing, ticks settled by their first walk, ticks that took
+        // more, and flaps that took a direction off every cached path and
+        // later put it back.
+        let (mut steady, mut calm, mut congested, mut rejoined) = (0u64, 0u64, 0u64, 0u64);
 
-        crate::rng::check_cases(0..24, |rng| {
+        crate::rng::check_cases(cases, |rng| {
             // A ring with chords (one link down never partitions it) and
             // one node nothing reaches.
             let n = rng.gen_range(6..=9usize);
@@ -1140,16 +1317,23 @@ mod tests {
                 .unwrap();
             let down_tick = rng.gen_range(8..14u64);
             let up_tick = rng.gen_range(20..28u64);
+            // A second join after the flap, which leaves mid-window before
+            // the run ends: each change to the live set ends a steady run.
+            let mut later = random_demand(rng);
+            let later_tick = rng.gen_range(29..34u64);
+            later.until = SimTime::from_nanos(rng.gen_range(at(later_tick).0..at(TICKS).0));
 
             let (mut real_stats, mut ref_stats) = (Stats::new(), Stats::new());
             let mut before_flap = BTreeSet::new();
             let mut gone = BTreeSet::new();
             for k in 1..=TICKS {
-                if k == late_tick {
-                    // Joins a third of a tick before the boundary.
-                    sim.run_until(SimTime::from_nanos(at(k).0 - TICK.0 / 3));
-                    real.add(&late, sim.now());
-                    reference.add(&late, sim.now());
+                for (tick, d) in [(late_tick, &late), (later_tick, &later)] {
+                    if k == tick {
+                        // Joins a third of a tick before the boundary.
+                        sim.run_until(SimTime::from_nanos(at(k).0 - TICK.0 / 3));
+                        real.add(d, sim.now());
+                        reference.add(d, sim.now());
+                    }
                 }
                 sim.run_until(at(k));
                 if k == down_tick {
@@ -1160,12 +1344,16 @@ mod tests {
                     sim.set_link_up(flapped, true);
                 }
 
-                let walks = real.walks();
+                let (walks, steady_ticks) = (real.walks(), real.steady_ticks());
                 real.run_tick(at(k), &sim.topo, &sim.routing, &mut real_stats);
                 reference.run_tick(at(k), &sim.topo, &sim.routing, &mut ref_stats);
                 assert_eq!(real_stats, ref_stats, "stats after tick {k}");
 
                 match real.walks() - walks {
+                    0 => {
+                        assert_eq!(real.steady_ticks(), steady_ticks + 1, "tick {k}");
+                        steady += 1;
+                    }
                     1 => calm += 1,
                     2 | 3 => congested += 1,
                     w => panic!("{w} walks in tick {k}"),
@@ -1180,9 +1368,158 @@ mod tests {
             real_stats.check_conservation().unwrap();
         });
         assert!(
-            calm > 100 && congested > 100,
-            "{calm} calm, {congested} congested"
+            steady > 100 && calm > 100 && congested > 100,
+            "{steady} steady, {calm} calm, {congested} congested"
         );
         assert!(rejoined > 0, "no flap took a direction out and back");
+    }
+
+    /// Each change a steady tick depends on ends a steady run for the
+    /// ticks it touches and no others, with full `Stats` equal to
+    /// [`RefLayer`]'s after every tick. On a 10 Mbit/s ring of six:
+    /// - a discrete burst whose backlog reaches 22 ms into the window
+    ///   after its own: both windows have less free than the load;
+    /// - a flap of a link on a cached path, down and later up: the tick
+    ///   that re-resolves the paths records their load afresh;
+    /// - an aggregate joining mid-window, and one expiring mid-window:
+    ///   the window it is partly alive in, and the next, which records the
+    ///   new live set's load.
+    #[test]
+    fn each_change_ends_a_steady_run_for_the_ticks_it_touches() {
+        use crate::link::LinkProfile;
+        use crate::node::NodeRole;
+        use crate::packet::PacketBuilder;
+
+        const TICKS: u64 = 40;
+        let at = |k: u64| SimTime::from_nanos(k * TICK.0);
+        let prof = LinkProfile {
+            bandwidth_bps: 10e6,
+            latency: SimDuration::from_millis(1),
+            queue_limit_bytes: 50_000,
+        };
+        let mut topo = Topology::new();
+        for _ in 0..6 {
+            topo.add_node(NodeRole::Stub);
+        }
+        let ring: Vec<LinkId> = (0..6)
+            .map(|i| topo.connect(NodeId(i), NodeId((i + 1) % 6), prof).unwrap())
+            .collect();
+        let mut sim = Simulator::new(topo, 11);
+
+        let mut real = FluidLayer::new(TICK, SimTime::ZERO, sim.routing.epoch());
+        let mut reference = RefLayer::new(SimTime::ZERO, sim.routing.epoch());
+        // 0 -> 1 -> 2 carries 6 Mbit/s: 37.5 kB a window, of 62.5 kB.
+        let mut expiring = demand(4, 1, 1e6, 0);
+        expiring.until = SimTime::from_nanos(at(32).0 - TICK.0 / 2);
+        for d in [demand(0, 2, 6e6, 2), demand(3, 5, 2e6, 2), expiring] {
+            real.add(&d, SimTime::ZERO);
+            reference.add(&d, SimTime::ZERO);
+        }
+        let joining = demand(5, 3, 1e6, 2);
+
+        let (mut real_stats, mut ref_stats) = (Stats::new(), Stats::new());
+        let mut walked = BTreeSet::new();
+        for k in 1..=TICKS {
+            match k {
+                8 => {
+                    // 40 kB onto 1 -> 2 10 ms before the boundary: 32 ms
+                    // of backlog, 22 of them in window 9, leaving 35 kB.
+                    sim.run_until(SimTime::from_nanos(at(k).0 - 10_000_000));
+                    for _ in 0..40 {
+                        let (src, dst) = (Addr::new(NodeId(1), 1), Addr::new(NodeId(2), 1));
+                        let pkt =
+                            PacketBuilder::new(src, dst, Proto::Udp, TrafficClass::LegitRequest);
+                        sim.emit_now(NodeId(1), pkt.size(1000));
+                    }
+                }
+                26 => {
+                    sim.run_until(SimTime::from_nanos(at(k).0 - TICK.0 / 3));
+                    real.add(&joining, sim.now());
+                    reference.add(&joining, sim.now());
+                }
+                _ => {}
+            }
+            sim.run_until(at(k));
+            match k {
+                14 => sim.set_link_up(ring[1], false),
+                20 => sim.set_link_up(ring[1], true),
+                _ => {}
+            }
+            let walks = real.walks();
+            real.run_tick(at(k), &sim.topo, &sim.routing, &mut real_stats);
+            reference.run_tick(at(k), &sim.topo, &sim.routing, &mut ref_stats);
+            assert_eq!(real_stats, ref_stats, "stats after tick {k}");
+            match real.walks() - walks {
+                0 => {}
+                1 => {
+                    walked.insert(k);
+                }
+                _ => {
+                    assert!([8, 9].contains(&k), "tick {k} congested");
+                    walked.insert(k);
+                }
+            }
+        }
+        let first = [1];
+        let (burst, flap, join, expiry) = ([8, 9], [14, 20], [26, 27], [32, 33]);
+        let touched: BTreeSet<u64> = [&first[..], &burst, &flap, &join, &expiry]
+            .concat()
+            .into_iter()
+            .collect();
+        assert_eq!(walked, touched);
+        assert_eq!(real.steady_ticks(), TICKS - touched.len() as u64);
+        real_stats.check_conservation().unwrap();
+    }
+
+    /// With nothing but steady fluid load on a 20k-node internet, the
+    /// first tick walks and every later one only checks the record.
+    #[test]
+    fn a_steady_internet_walks_once() {
+        let mut sim = Simulator::new(Topology::transit_stub_at_least(20_000, 3), 3);
+        sim.enable_fluid(TICK);
+        let stubs = sim.topo.stub_nodes();
+        let mut rng = crate::rng::seeded(3);
+        for _ in 0..2_000 {
+            let (src, dst) = (*rng.choose(&stubs).unwrap(), *rng.choose(&stubs).unwrap());
+            if src != dst {
+                sim.add_background_demand(demand(src.0, dst.0, 2e5, 2));
+            }
+        }
+        sim.run_until(SimTime::from_secs(1));
+        let layer = sim.fluid().unwrap();
+        assert!(layer.dirs.len() > 5_000, "{} directions", layer.dirs.len());
+        assert_eq!(sim.stats.fluid_ticks, 20);
+        assert_eq!(layer.walks(), 1);
+        assert_eq!(layer.steady_ticks(), 19);
+        let c = sim.stats.class(TrafficClass::Background);
+        assert!(c.sent_pkts > 0);
+        assert_eq!(c.delivered_pkts, c.sent_pkts);
+        sim.stats.check_conservation().unwrap();
+    }
+
+    /// Equal increments to `sent` and `delivered` can round their
+    /// difference below a whole packet it had reached: 24,500 B (49
+    /// packets of 500 B) becomes 24,499.999999999534. The dropped count
+    /// must hold at 49, not step back to 48 (an underflow).
+    #[test]
+    fn a_dip_in_the_dropped_floor_carries_over() {
+        let mut layer = FluidLayer::new(TICK, SimTime::ZERO, 0);
+        layer.add(&demand(0, 3, 4e6, 2), SimTime::ZERO);
+        layer.has_route[0] = true;
+        let mut stats = Stats::new();
+        layer.cum_sent[0] = 4125329.368744901;
+        layer.cum_deliv[0] = 4100829.368744901;
+        layer.report(0, &mut stats);
+        assert_eq!(stats.class(TrafficClass::Background).dropped_pkts, 49);
+        layer.cum_sent[0] += 86616.96956829984;
+        layer.cum_deliv[0] += 86616.96956829984;
+        assert!(layer.cum_sent[0] - layer.cum_deliv[0] < 24_500.0);
+        layer.report(0, &mut stats);
+        let c = stats.class(TrafficClass::Background);
+        assert_eq!(
+            (c.sent_pkts, c.delivered_pkts, c.dropped_pkts),
+            (8423, 8374, 49)
+        );
+        stats.check_conservation().unwrap();
     }
 }
