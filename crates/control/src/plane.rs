@@ -40,7 +40,7 @@ use crate::authority::InternetNumberAuthority;
 use crate::catalog::CatalogService;
 use crate::identity::{Certificate, UserId};
 use crate::retry::{
-    Admission, CpStatsHandle, Dedup, FanIn, Fired, LegMsg, MsgKey, Relay, Retransmitter,
+    Admission, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Relay, Retransmitter,
     RetryPolicy, FAMILY_MASK,
 };
 
@@ -156,8 +156,8 @@ pub enum CpMsg {
         /// ISPs that acked.
         isps: usize,
         /// ISPs that never acked within the retry budget (non-zero marks
-        /// a *partial* confirmation; the reconciliation sweep repairs the
-        /// gap later).
+        /// a *partial* confirmation). An ISP that accepted the deployment
+        /// holds its devices to it; one never reached installs nothing.
         isps_missing: usize,
     },
     /// User → NMS or TCSP: post-deployment operation (activate, tune,
@@ -700,8 +700,8 @@ impl NodeAgent for TcspAgent {
                 // retrying: no filter may be installed under a dead
                 // authority, so the retransmit is refused.
                 let (key, now) = (self.key, ctx.now);
-                let expired = |r: &Request| {
-                    matches!(&r.msg, CpMsg::NmsDeploy { cert, .. }
+                let expired = |leg: &Leg<_, Request>| {
+                    matches!(&leg.payload.msg, CpMsg::NmsDeploy { cert, .. }
                         if !cert.verify(key, now) && cert.authentic(key))
                 };
                 // Either way the ISP counts missing; the confirmation goes
@@ -949,10 +949,11 @@ impl NodeAgent for TcspAgent {
 }
 
 /// Everything an NMS needs to (re-)provision one service on one device:
-/// registration context plus the compiled spec. Built once per deployment
-/// and shared: every in-flight install, every desired-state entry the
-/// reconciliation sweep checks against and every renewal of it hold the
-/// same job.
+/// registration context plus the compiled spec. Built once per accepted
+/// deployment and shared: its desired-state entries, and every install,
+/// renewal and sweep re-install sent for them, hold the same job. Where a
+/// leg's job stands in desired state ([`InstallJob::key_on`]) decides
+/// whether the leg may be sent again.
 struct InstallJob {
     owner: OwnerId,
     /// The [`DeviceCommand::RegisterOwner`] every install carries: the
@@ -966,6 +967,26 @@ struct InstallJob {
     expires_at: SimTime,
     /// Lease granted with each send (None = lease only to `expires_at`).
     lease_len: Option<SimDuration>,
+}
+
+/// A desired-state key: `(device, owner, stage, spec content hash)`.
+type DesiredKey = (NodeId, OwnerId, Stage, u64);
+
+impl InstallJob {
+    /// Where this job stands in desired state on `node`.
+    fn key_on(&self, node: NodeId) -> DesiredKey {
+        (node, self.owner, self.stage, self.spec.content_hash())
+    }
+}
+
+/// The one veto of both NMS install families: a deploy install or a
+/// renewal whose entry has left `desired` — the owner withdrew, a device
+/// rejected the spec, or the credential expired while the leg was
+/// retrying — is not sent again.
+fn left_desired(
+    desired: &BTreeMap<DesiredKey, Arc<InstallJob>>,
+) -> impl Fn(&Leg<(u64, NodeId), Arc<InstallJob>>) -> bool + '_ {
+    |leg| !desired.contains_key(&leg.payload.key_on(leg.dest))
 }
 
 impl LegMsg for Arc<InstallJob> {
@@ -1022,9 +1043,15 @@ pub struct NmsAgent {
     /// Deployments by txn, each with the role to ack in; a leg is the
     /// device installed on.
     deploys: Relay<u64, NodeId, Arc<InstallJob>, Role>,
-    /// Services this NMS has confirmed installed, per device — the
-    /// reference the anti-entropy sweep compares inventories against.
-    desired: BTreeMap<(NodeId, OwnerId, Stage, u64), Arc<InstallJob>>,
+    /// What should stand, per device: every managed node of an accepted
+    /// deployment, written when the NMS accepts it — before any device
+    /// answers — and taken out only by the device rejecting the install,
+    /// the owner's withdrawal or the credential's expiry. The sweep
+    /// re-installs what a device lacks and removes what no entry asks
+    /// for, the renewals re-lease every entry, and a leg whose entry left
+    /// is not sent again ([`left_desired`]). An install the NMS gave up
+    /// on keeps its entry, so the sweep and the renewals repair it.
+    desired: BTreeMap<DesiredKey, Arc<InstallJob>>,
     reconcile_every: Option<SimDuration>,
     /// Lease length granted with each install (None = lease only to the
     /// certificate expiry). See [`NmsAgent::with_leases`].
@@ -1043,12 +1070,6 @@ pub struct NmsAgent {
     /// When true the anti-entropy sweep also *removes* device-resident
     /// services absent from desired state (bidirectional reconcile).
     sweep_removes: bool,
-    /// Installs currently in flight — the sweep must not treat a service
-    /// as orphaned while its confirming ack is still on the wire.
-    installing: BTreeSet<(NodeId, OwnerId, Stage)>,
-    /// Owners withdrawn on this NMS: a late `InstallOk` for one must not
-    /// resurrect a desired-state entry. Cleared on a fresh deploy.
-    withdrawn: BTreeSet<OwnerId>,
     cp: CpStatsHandle,
 }
 
@@ -1069,8 +1090,6 @@ impl NmsAgent {
             next_renew_seq: 0,
             withdraws: Relay::new(FAM_NMS_REMOVE, policy, tcsp_key ^ 0x3E),
             sweep_removes: false,
-            installing: BTreeSet::new(),
-            withdrawn: BTreeSet::new(),
             cp: CpStatsHandle::default(),
         }
     }
@@ -1097,8 +1116,8 @@ impl NmsAgent {
     }
 
     /// Make the anti-entropy sweep bidirectional: device-resident
-    /// services with no desired-state entry (and no install in flight)
-    /// are removed, not just missing ones re-installed.
+    /// services with no desired-state entry are removed, not just missing
+    /// ones re-installed.
     pub fn with_sweep_removals(mut self) -> NmsAgent {
         self.sweep_removes = true;
         self
@@ -1142,17 +1161,15 @@ impl NmsAgent {
             expires_at: cert.expires_at,
             lease_len: self.lease_len,
         });
-        // A fresh deployment supersedes any earlier withdrawal.
-        self.withdrawn.remove(&job.owner);
         trace_state(ctx, origin, txn, CpActor::Nms, CpState::DeployAccepted);
         let mut legs = BTreeSet::new();
         for &node in nodes {
             if !self.managed.contains(&node) {
                 continue;
             }
+            self.desired.insert(job.key_on(node), job.clone());
             self.deploys
                 .track(ctx, (txn, node), node, origin, txn, job.clone());
-            self.installing.insert((node, job.owner, job.stage));
             legs.insert(node);
         }
         self.deploys
@@ -1265,23 +1282,29 @@ impl NodeAgent for NmsAgent {
                 }
             }
             FAM_NMS_INSTALL => {
-                let fired = self.deploys.on_timer(ctx, &self.cp, token, |_| false);
-                if let Fired::GaveUp(leg) = fired {
-                    // Device unreachable past the retry budget: report
-                    // what we have; the reconciliation sweep repairs it
-                    // later.
-                    let ((txn, node), job) = (leg.key, leg.payload);
-                    trace_state(ctx, leg.id.origin, txn, CpActor::Nms, CpState::DeviceLost);
-                    self.installing.remove(&(node, job.owner, job.stage));
-                    self.ack_deploy(ctx, txn);
+                // Either way the leg counts lost, and the ack goes out once
+                // every other device resolved.
+                let veto = left_desired(&self.desired);
+                match self.deploys.on_timer(ctx, &self.cp, token, veto) {
+                    // Device unreachable past the retry budget. Its
+                    // desired entry stays: the sweep re-installs once the
+                    // device answers an inventory query, and each renewal
+                    // round sends the install again.
+                    Fired::GaveUp(leg) => {
+                        let (origin, txn) = (leg.id.origin, leg.id.txn);
+                        trace_state(ctx, origin, txn, CpActor::Nms, CpState::DeviceLost);
+                        self.ack_deploy(ctx, txn);
+                    }
+                    Fired::Vetoed(leg) => self.ack_deploy(ctx, leg.id.txn),
+                    Fired::Resent => {}
                 }
             }
             FAM_NMS_RENEW => {
-                // The owner withdrew while this renewal was in flight:
-                // retransmitting would re-install the filter we just tore
-                // down, so the chain is abandoned instead.
-                let withdrawn = |job: &Arc<InstallJob>| self.withdrawn.contains(&job.owner);
-                match self.renew_rt.on_timer(ctx, &self.cp, token, withdrawn) {
+                // A renewal whose entry left (the owner withdrew while it
+                // was in flight) would re-install a filter just torn down,
+                // so the chain is abandoned instead.
+                let veto = left_desired(&self.desired);
+                match self.renew_rt.on_timer(ctx, &self.cp, token, veto) {
                     Fired::Vetoed(leg) => trace_terminal(ctx, 0, leg.id.txn, CpOutcome::Abandoned),
                     // A renewal that never lands is self-correcting: the
                     // device reaps the unrenewed lease, and the next sweep
@@ -1329,12 +1352,9 @@ impl NodeAgent for NmsAgent {
                         reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
                         return;
                     };
-                    let job = leg.payload;
-                    self.installing.remove(&(*node, job.owner, job.stage));
-                    if ok && !self.withdrawn.contains(&job.owner) {
-                        let hash = job.spec.content_hash();
-                        self.desired
-                            .insert((*node, job.owner, job.stage, hash), job);
+                    if !ok {
+                        // A rejected spec never stands on this device.
+                        self.desired.remove(&leg.payload.key_on(*node));
                     }
                     self.deploys
                         .ack(ctx, *txn, *node, usize::from(ok), usize::from(!ok));
@@ -1363,14 +1383,13 @@ impl NodeAgent for NmsAgent {
                         return;
                     }
                     // Bidirectional pass: device-resident services with no
-                    // desired-state entry (any spec hash) and no install in
-                    // flight are orphans — remove them. Untracked, like
+                    // desired-state entry (any spec hash) are orphans —
+                    // remove them. An install still in flight has its entry
+                    // from its deployment's acceptance. Untracked, like
                     // reinstalls: repair is by repetition on the next sweep.
                     for &(owner, stage, _) in &installed {
                         let hashes = (*node, owner, stage, 0)..=(*node, owner, stage, u64::MAX);
-                        if self.installing.contains(&(*node, owner, stage))
-                            || self.desired.range(hashes).next().is_some()
-                        {
+                        if self.desired.range(hashes).next().is_some() {
                             continue;
                         }
                         self.cp.lock().reconcile_removals += 1;
@@ -1485,9 +1504,11 @@ impl NodeAgent for NmsAgent {
                 if !admits(ctx, &self.cp, env, admission, Self::send_withdraw_ack) {
                     return;
                 }
-                self.withdrawn.insert(*owner);
-                // Drop the owner from desired state first so neither the
-                // sweep nor a renewal round re-installs mid-teardown.
+                // Drop the owner from desired state first, so neither the
+                // sweep nor a renewal round re-installs mid-teardown and no
+                // install or renewal still retrying is sent again. Installs
+                // still in flight are victims too: an attempt already on
+                // the wire may land.
                 let victims: BTreeSet<(NodeId, Stage)> = self
                     .desired
                     .keys()
@@ -1782,57 +1803,58 @@ impl NodeAgent for UserAgent {
         let MsgKey { origin, txn, .. } = env.key;
         // Fallback NMS acks come straight to the user, one per ISP: those
         // deduplicate per acking node.
-        let from = match &env.msg {
-            CpMsg::NmsAck { from_nms, .. } => from_nms.0 as u64,
-            CpMsg::RegisterConfirm { .. }
-            | CpMsg::DeployConfirm { .. }
-            | CpMsg::WithdrawConfirm { .. } => 0,
+        let (rt, from, outcome) = match &env.msg {
+            CpMsg::RegisterConfirm { result: Ok(_) } => (&mut self.reg_rt, 0, CpOutcome::Confirmed),
+            CpMsg::RegisterConfirm { .. } => (&mut self.reg_rt, 0, CpOutcome::Denied),
+            CpMsg::DeployConfirm {
+                isps_missing: 0, ..
+            } => (&mut self.deploy_rt, 0, CpOutcome::Confirmed),
+            CpMsg::DeployConfirm { .. } => (&mut self.deploy_rt, 0, CpOutcome::Partial),
+            CpMsg::NmsAck { from_nms, .. } => (
+                &mut self.deploy_rt,
+                from_nms.0 as u64,
+                CpOutcome::FallbackConfirmed,
+            ),
+            CpMsg::WithdrawConfirm { .. } => (&mut self.withdraw_rt, 0, CpOutcome::Withdrawn),
             _ => return,
         };
         if !self.dedup.first_time(origin, txn, env.msg.kind_id(), from) {
             dup_hit(ctx, &self.cp, env, true);
             return;
         }
-        match &env.msg {
-            CpMsg::RegisterConfirm { result } => {
-                self.reg_rt.ack(ctx, &txn);
-                let outcome = if result.is_ok() {
-                    CpOutcome::Confirmed
-                } else {
-                    CpOutcome::Denied
-                };
+        // A registration or deployment has one terminal, traced when its
+        // leg leaves the retransmitter: here when an answer finds it, or
+        // earlier when it was given up on or abandoned for the fallback.
+        // A confirmation that comes after that is a duplicate response;
+        // the record still takes what it reports, which was done. A
+        // fallback's NMS acks after the first are the other ISPs'
+        // answers. A withdrawal confirmed after its give-up still traces
+        // both (ROADMAP item 5).
+        match (rt.ack(ctx, &txn), &env.msg) {
+            (true, _) | (false, CpMsg::WithdrawConfirm { .. }) => {
                 trace_terminal(ctx, origin, txn, outcome);
-                match result {
-                    Ok(cert) => {
-                        {
-                            let mut r = self.record.lock();
-                            r.registered_at = Some(ctx.now);
-                            r.cert = Some(cert.clone());
-                        }
-                        if !self.started_deploy {
-                            self.started_deploy = true;
-                            ctx.set_timer(self.deploy_delay, T_DEPLOY);
-                        }
-                    }
-                    Err(_) => {
-                        self.record.lock().denied = true;
-                    }
+            }
+            (false, CpMsg::NmsAck { .. }) => {}
+            (false, _) => dup_hit(ctx, &self.cp, env, true),
+        }
+        let mut r = self.record.lock();
+        match &env.msg {
+            CpMsg::RegisterConfirm { result: Ok(cert) } => {
+                r.registered_at = Some(ctx.now);
+                r.cert = Some(cert.clone());
+                drop(r);
+                if !self.started_deploy {
+                    self.started_deploy = true;
+                    ctx.set_timer(self.deploy_delay, T_DEPLOY);
                 }
             }
+            CpMsg::RegisterConfirm { .. } => r.denied = true,
             CpMsg::DeployConfirm {
                 configured,
                 rejected,
                 isps_missing,
                 ..
             } => {
-                self.deploy_rt.ack(ctx, &txn);
-                let outcome = if *isps_missing > 0 {
-                    CpOutcome::Partial
-                } else {
-                    CpOutcome::Confirmed
-                };
-                trace_terminal(ctx, origin, txn, outcome);
-                let mut r = self.record.lock();
                 r.deploy_confirmed_at.get_or_insert(ctx.now);
                 r.devices_configured += configured;
                 r.installs_rejected += rejected;
@@ -1843,21 +1865,12 @@ impl NodeAgent for UserAgent {
                 rejected,
                 ..
             } => {
-                self.deploy_rt.ack(ctx, &txn);
-                let mut r = self.record.lock();
                 r.fallback_acks += 1;
                 r.devices_configured += configured;
                 r.installs_rejected += rejected;
-                if r.deploy_confirmed_at.is_none() {
-                    r.deploy_confirmed_at = Some(ctx.now);
-                    drop(r);
-                    trace_terminal(ctx, origin, txn, CpOutcome::FallbackConfirmed);
-                }
+                r.deploy_confirmed_at.get_or_insert(ctx.now);
             }
             CpMsg::WithdrawConfirm { removed, .. } => {
-                self.withdraw_rt.ack(ctx, &txn);
-                trace_terminal(ctx, origin, txn, CpOutcome::Withdrawn);
-                let mut r = self.record.lock();
                 r.withdraw_confirmed_at.get_or_insert(ctx.now);
                 r.services_removed += removed;
             }

@@ -221,15 +221,15 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
 
     /// Handle a fired timer of this family: its leg is live, since
     /// retiring a leg cancels its timer. The leg is retransmitted to its
-    /// tracked destination unless `veto` refuses its payload (the reason
-    /// to send it has lapsed) or the budget is spent; both hand the leg
-    /// back, untracked.
+    /// tracked destination unless `veto` refuses it (the reason to send it
+    /// has lapsed) or the budget is spent; both hand the leg back,
+    /// untracked.
     pub fn on_timer(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         cp: &CpStatsHandle,
         token: u64,
-        veto: impl FnOnce(&T) -> bool,
+        veto: impl FnOnce(&Leg<K, T>) -> bool,
     ) -> Fired<K, T> {
         debug_assert_eq!(token & FAMILY_MASK, self.family, "token of another family");
         let slot = token & !FAMILY_MASK;
@@ -250,7 +250,7 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
             });
             return Fired::GaveUp(self.take(ctx, &key).expect("leg is live"));
         }
-        if veto(&p.payload) {
+        if veto(p) {
             return Fired::Vetoed(self.take(ctx, &key).expect("leg is live"));
         }
         cp.lock().retransmits += 1;
@@ -270,14 +270,13 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
 }
 
 /// Acked fan-in over the legs of one fanned-out transaction: it is done
-/// once as many legs resolved — acked for the first time, or given up
-/// on — as were sent out. Duplicate acks are refused, so no leg's work is
-/// counted twice.
+/// once every leg sent out resolved, acked or given up on.
 ///
-/// A leg already given up on that acks after all is still a first ack:
-/// its work was done and is counted, and its loss is not taken back. The
-/// hand-written bookkeeping this replaces did the same, and traces stay
-/// byte-identical to it (ROADMAP lists the ordering for the explorer).
+/// A leg resolves once, and its first resolution stands: a second ack is
+/// a duplicate, and so is an ack that arrives after the leg was given up
+/// on — its loss is already counted, as an NMS drops a device reply that
+/// comes after its give-up. No leg's work is counted twice, and no
+/// answer goes out while a leg is outstanding.
 #[derive(Clone, Debug)]
 pub struct FanIn<L> {
     /// Origin of the transaction (its trace key with the txn).
@@ -285,7 +284,8 @@ pub struct FanIn<L> {
     /// Where the outcome is reported.
     pub reply_to: NodeId,
     legs: usize,
-    acked: BTreeSet<L>,
+    /// Legs acked or given up on; `lost` of them were given up on.
+    resolved: BTreeSet<L>,
     lost: usize,
     /// Work the acks reported done (devices configured, services removed).
     pub done: usize,
@@ -300,7 +300,7 @@ impl<L: Ord + Copy> FanIn<L> {
             origin,
             reply_to,
             legs,
-            acked: BTreeSet::new(),
+            resolved: BTreeSet::new(),
             lost: 0,
             done: 0,
             refused: 0,
@@ -308,9 +308,9 @@ impl<L: Ord + Copy> FanIn<L> {
     }
 
     /// `leg` acked, reporting `done` and `refused` units of work. False,
-    /// and nothing counted, for a leg that acked before.
+    /// and nothing counted, for a leg that resolved before.
     pub fn ack(&mut self, leg: L, done: usize, refused: usize) -> bool {
-        let first = self.acked.insert(leg);
+        let first = self.resolved.insert(leg);
         if first {
             self.done += done;
             self.refused += refused;
@@ -318,19 +318,22 @@ impl<L: Ord + Copy> FanIn<L> {
         first
     }
 
-    /// One leg will never ack.
-    pub fn lose(&mut self) {
-        self.lost += 1;
+    /// `leg` will never ack; nothing changes for a leg that resolved
+    /// before.
+    pub fn lose(&mut self, leg: L) {
+        if self.resolved.insert(leg) {
+            self.lost += 1;
+        }
     }
 
     /// As many legs resolved as were sent out?
     pub fn is_done(&self) -> bool {
-        self.acked.len() + self.lost >= self.legs
+        self.resolved.len() >= self.legs
     }
 
     /// Legs that acked.
     pub fn acked(&self) -> usize {
-        self.acked.len()
+        self.resolved.len() - self.lost
     }
 
     /// Legs given up on.
@@ -428,7 +431,7 @@ impl<X: Ord + Copy, L: Ord + Copy, T: LegMsg, R> Relay<X, L, T, R> {
     /// `leg` acked, reporting `done` and `refused` units of work: stop
     /// retransmitting it and count the work. False, and nothing counted,
     /// for a duplicate: the transaction is unknown or settled, or the leg
-    /// acked before. (A leg given up on acks for the first time: [`FanIn`].)
+    /// acked or was given up on before ([`FanIn`]).
     pub fn ack(
         &mut self,
         timers: &mut impl CancelTimer,
@@ -442,10 +445,10 @@ impl<X: Ord + Copy, L: Ord + Copy, T: LegMsg, R> Relay<X, L, T, R> {
         running.is_some_and(|(fan, _)| fan.ack(leg, done, refused))
     }
 
-    /// One leg of `txn` will never ack.
-    pub fn lose(&mut self, txn: X) {
+    /// `leg` of `txn` will never ack.
+    pub fn lose(&mut self, txn: X, leg: L) {
         if let Some((fan, _)) = self.running.get_mut(&txn) {
-            fan.lose();
+            fan.lose(leg);
         }
     }
 
@@ -473,11 +476,11 @@ impl<X: Ord + Copy, L: Ord + Copy, T: LegMsg, R> Relay<X, L, T, R> {
         ctx: &mut AgentCtx<'_>,
         cp: &CpStatsHandle,
         token: u64,
-        veto: impl FnOnce(&T) -> bool,
+        veto: impl FnOnce(&Leg<(X, L), T>) -> bool,
     ) -> Fired<(X, L), T> {
         let fired = self.rt.on_timer(ctx, cp, token, veto);
         if let Fired::Vetoed(leg) | Fired::GaveUp(leg) = &fired {
-            self.lose(leg.key.0);
+            self.lose(leg.key.0, leg.key.1);
         }
         fired
     }
@@ -796,35 +799,55 @@ mod tests {
         }
     }
 
+    /// A settled outcome, as far as an answer can show it.
+    fn tallies(fan: &FanIn<usize>) -> [usize; 4] {
+        [fan.acked(), fan.lost(), fan.done, fan.refused]
+    }
+
+    /// The model of a running transaction: each leg's first resolution,
+    /// acked (true) or given up on.
+    type Model = [Option<bool>; 3];
+
+    /// [`tallies`] of a model: leg k reports 10^k units done and one
+    /// refused, so the tallies show which acks were counted.
+    fn model_tallies(m: &Model) -> [usize; 4] {
+        let acked: Vec<usize> = (0..3).filter(|&k| m[k] == Some(true)).collect();
+        let lost = m.iter().filter(|&&f| f == Some(false)).count();
+        let done = acked.iter().map(|&k| 10usize.pow(k as u32)).sum();
+        [acked.len(), lost, done, acked.len()]
+    }
+
     #[test]
     fn fan_in_finishes_exactly_once_in_every_ordering() {
         let mut orderings = 0;
         let mut check = |order: &[(usize, Ev)]| {
             orderings += 1;
             let mut fan: FanIn<usize> = FanIn::new(1, NodeId(0), 3);
-            let (mut first_acks, mut losses, mut finishes, mut work) = (0, 0, 0, 0);
+            let mut first: Model = [None; 3];
+            let mut finishes = 0;
             for &(leg, ev) in order {
                 assert!(!fan.is_done(), "{order:?}: fed after finishing");
-                // Leg k reports 10^k units done and one refused, so the
-                // tallies show which acks were counted.
                 match ev {
-                    Ev::Ack => {
-                        assert!(fan.ack(leg, 10usize.pow(leg as u32), 1), "{order:?}");
-                        first_acks += 1;
-                        work += 10usize.pow(leg as u32);
-                    }
-                    Ev::DupAck => {
-                        let before = (fan.acked(), fan.done, fan.refused);
-                        assert!(!fan.ack(leg, 10usize.pow(leg as u32), 1), "{order:?}");
-                        assert_eq!(before, (fan.acked(), fan.done, fan.refused), "{order:?}");
+                    Ev::Ack | Ev::DupAck => {
+                        let counted = first[leg].is_none();
+                        let units = 10usize.pow(leg as u32);
+                        assert_eq!(fan.ack(leg, units, 1), counted, "{order:?}");
+                        if counted {
+                            first[leg] = Some(true);
+                        }
                     }
                     Ev::GiveUp => {
-                        fan.lose();
-                        losses += 1;
+                        fan.lose(leg);
+                        first[leg].get_or_insert(false);
                     }
                 }
-                assert_eq!((fan.acked(), fan.lost()), (first_acks, losses), "{order:?}");
+                // A duplicate, or an ack after the give-up, counts nothing.
+                assert_eq!(tallies(&fan), model_tallies(&first), "{order:?}");
                 if fan.is_done() {
+                    assert!(
+                        first.iter().all(Option::is_some),
+                        "{order:?}: a leg outstanding"
+                    );
                     // The agent moves a finished fan-in to its done-cache:
                     // later events of this ordering never reach it.
                     finishes += 1;
@@ -833,8 +856,6 @@ mod tests {
             }
             assert_eq!(finishes, 1, "{order:?}: every leg resolved, so it finishes");
             assert_eq!(fan.acked() + fan.lost(), 3, "{order:?}: counts add up");
-            assert_eq!(fan.refused, fan.acked(), "{order:?}");
-            assert_eq!(fan.done, work, "{order:?}: each first ack counted once");
         };
         for a in FATES {
             for b in FATES {
@@ -854,14 +875,9 @@ mod tests {
         Leg(usize, Ev),
     }
 
-    /// A settled outcome, as far as an answer can show it.
-    fn tallies(fan: &FanIn<usize>) -> [usize; 4] {
-        [fan.acked(), fan.lost(), fan.done, fan.refused]
-    }
-
-    /// Feed `steps` to a relay and, beside it, to a bare [`FanIn`] that is
-    /// opened by the request and dropped when it finishes: the relay must
-    /// count what the fan-in counts, settle when it finishes and at no
+    /// Feed `steps` to a relay and, beside it, to a model that is opened by
+    /// the request and dropped once every leg resolved: the relay must
+    /// count what the model counts, settle when it finishes and at no
     /// other time, and answer a duplicate request — probed around every
     /// step — by where the transaction stands. Returns how often it
     /// settled.
@@ -869,7 +885,7 @@ mod tests {
         const TXN: u64 = 7;
         const OTHER: u64 = 8;
         let mut relay: Relay<u64, usize, Probe> = Relay::new(FAMILY, RetryPolicy::default(), 9);
-        let mut model: Option<FanIn<usize>> = None;
+        let mut model: Option<Model> = None;
         let mut settled: Option<[usize; 4]> = None;
         let mut settles = 0;
         for at in 0..=steps.len() {
@@ -884,14 +900,19 @@ mod tests {
             match step {
                 Step::Request => {
                     relay.open(TXN, 1, NodeId(0), 3, ());
-                    model = Some(FanIn::new(1, NodeId(0), 3));
+                    model = Some([None; 3]);
                 }
-                // Leg k reports 10^k units done and one refused, as in the
-                // fan-in test. Before the request and after the answer
-                // every ack is a duplicate.
+                // Before the request and after the answer every ack is a
+                // duplicate; so is one after the leg resolved.
                 Step::Leg(leg, Ev::Ack | Ev::DupAck) => {
                     let work = 10usize.pow(leg as u32);
-                    let first = model.as_mut().is_some_and(|m| m.ack(leg, work, 1));
+                    let first = match model.as_mut().map(|m| &mut m[leg]) {
+                        Some(f) if f.is_none() => {
+                            *f = Some(true);
+                            true
+                        }
+                        _ => false,
+                    };
                     assert_eq!(
                         relay.ack(&mut (), TXN, leg, work, 1),
                         first,
@@ -899,22 +920,22 @@ mod tests {
                     );
                     assert!(!relay.ack(&mut (), OTHER, leg, work, 1), "{steps:?}@{at}");
                 }
-                Step::Leg(_, Ev::GiveUp) => {
-                    relay.lose(TXN);
-                    relay.lose(OTHER);
+                Step::Leg(leg, Ev::GiveUp) => {
+                    relay.lose(TXN, leg);
+                    relay.lose(OTHER, leg);
                     if let Some(m) = model.as_mut() {
-                        m.lose();
+                        m[leg].get_or_insert(false);
                     }
                 }
             }
             assert!(matches!(relay.admit(OTHER), Admission::New));
             assert!(relay.settle(OTHER).is_none());
-            let due = model.as_ref().is_some_and(FanIn::is_done);
+            let due = model.is_some_and(|m| m.iter().all(Option::is_some));
             match relay.settle(TXN) {
                 Some((out, ())) => {
                     assert!(due, "{steps:?}@{at}: settled with legs outstanding");
                     let finished = model.take().expect("due");
-                    assert_eq!(tallies(out), tallies(&finished), "{steps:?}@{at}");
+                    assert_eq!(tallies(out), model_tallies(&finished), "{steps:?}@{at}");
                     settled = Some(tallies(out));
                     settles += 1;
                 }
@@ -952,26 +973,20 @@ mod tests {
         assert_eq!(runs, 96_432, "exhaustive, not sampled");
     }
 
-    /// The ordering kept as found ([`FanIn`]): a leg given up on that acks
-    /// after all, while the others are outstanding, is counted lost and
-    /// acked, and the answer goes out one leg early.
+    /// A leg's first resolution stands ([`FanIn`]): a leg given up on
+    /// that acks after all, while the others are outstanding, stays lost,
+    /// its ack is a duplicate, and the answer waits for the other two.
     #[test]
-    fn relay_counts_a_late_ack_after_a_give_up_twice() {
+    fn relay_takes_a_late_ack_after_a_give_up_as_a_duplicate() {
         let mut relay: Relay<u64, usize, Probe> = Relay::new(FAMILY, RetryPolicy::default(), 9);
         relay.open(7, 1, NodeId(0), 3, ());
-        relay.lose(7);
-        assert!(
-            relay.ack(&mut (), 7, 0, 5, 0),
-            "late, and still a first ack"
-        );
-        assert!(relay.settle(7).is_none());
+        relay.lose(7, 0);
+        assert!(!relay.ack(&mut (), 7, 0, 5, 0), "late: a duplicate");
         assert!(relay.ack(&mut (), 7, 1, 5, 0));
-        let (out, ()) = relay.settle(7).expect("two acks and a loss make three");
-        assert_eq!(tallies(out), [2, 1, 10, 0], "leg 2 was never heard from");
-        assert!(
-            !relay.ack(&mut (), 7, 2, 5, 0),
-            "and is a duplicate when it is"
-        );
+        assert!(relay.settle(7).is_none(), "leg 2 is outstanding");
+        assert!(relay.ack(&mut (), 7, 2, 5, 0));
+        let (out, ()) = relay.settle(7).expect("every leg resolved");
+        assert_eq!(tallies(out), [2, 1, 10, 0], "leg 0's work is not counted");
     }
 
     #[test]

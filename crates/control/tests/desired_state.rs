@@ -1,0 +1,147 @@
+//! An NMS records what should stand when it accepts a deployment, not when
+//! a device answers: the record outlives an install the NMS gave up on,
+//! and a withdrawal takes back an install that is still retrying. Both
+//! run in E13's configuration — a 2 s anti-entropy sweep, no leases, no
+//! sweep removals — so only desired state can repair or refuse.
+
+use dtcs_control::{
+    partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
+    InternetNumberAuthority, UserId,
+};
+use dtcs_netsim::{
+    FaultConfig, FaultPlane, NodeId, Partition, Prefix, SimDuration, SimTime, Simulator, Topology,
+};
+
+/// E13's sweep period.
+const SWEEP: SimDuration = SimDuration::from_secs(2);
+
+/// A plane in E13's configuration whose one user registers at 100 ms and
+/// deploys `AntiSpoofing` everywhere, withdrawing at `withdraw_at` if
+/// given, while one ISP's NMS cannot reach one of its devices until
+/// `heal`. Returns the plane and that device.
+fn cut_off_device(
+    heal: SimTime,
+    withdraw_at: Option<SimTime>,
+) -> (Simulator, ControlPlane, NodeId) {
+    let topo = Topology::transit_stub_multihomed(3, 5, 0.2, 7);
+    let mut sim = Simulator::new(topo, 3);
+    let user_node = sim.topo.stub_nodes()[0];
+    let prefix = Prefix::of_node(user_node);
+    let mut authority = InternetNumberAuthority::new();
+    // `ControlPlane::add_user*` hands out this id first.
+    authority.allocate(prefix, UserId(0xAA01));
+    let isps = partition_by_provider(&sim);
+    let nms = isps[0].nms_node;
+    // Not the user's node: the cut would silence the TCSP's answers too
+    // when the TCSP shares the NMS's node.
+    let device = *isps[0]
+        .managed
+        .iter()
+        .find(|&&n| n != nms && n != user_node)
+        .expect("the ISP manages a router besides its NMS's and the user's");
+    let transit = sim.topo.transit_nodes();
+    let mut cp = ControlPlane::install_with(
+        &mut sim,
+        authority,
+        0x5EC,
+        transit[0],
+        transit[1],
+        isps,
+        ControlPlaneConfig {
+            reconcile_every: Some(SWEEP),
+            ..ControlPlaneConfig::default()
+        },
+    );
+    let (claim, service, scope) = (
+        vec![prefix],
+        CatalogService::AntiSpoofing,
+        DeployScope::AllManaged,
+    );
+    let register_at = SimTime::from_millis(100);
+    match withdraw_at {
+        Some(at) => cp.add_user_withdrawing(
+            &mut sim,
+            user_node,
+            claim,
+            service,
+            scope,
+            register_at,
+            at,
+            false,
+            |a| a,
+        ),
+        None => cp.add_user(
+            &mut sim,
+            user_node,
+            claim,
+            service,
+            scope,
+            register_at,
+            false,
+        ),
+    };
+    sim.install_fault_plane(FaultPlane::new(FaultConfig {
+        seed: 1,
+        drop_prob: 0.0,
+        dup_prob: 0.0,
+        jitter_max: SimDuration::ZERO,
+        outages: Vec::new(),
+        partitions: vec![Partition {
+            src: vec![nms],
+            dst: vec![device],
+            from: SimTime::ZERO,
+            until: heal,
+        }],
+    }));
+    (sim, cp, device)
+}
+
+/// The cut outlasts the install leg's retry budget (under 9.7 s), so the
+/// NMS gives up on the device; once the cut heals, the next sweep finds
+/// the service missing and installs it.
+#[test]
+fn an_install_given_up_on_is_repaired_within_a_sweep_of_the_heal() {
+    let heal = SimTime::from_secs(15);
+    let (mut sim, cp, device) = cut_off_device(heal, None);
+    sim.run_until(heal);
+    assert_eq!(cp.devices[&device].lock().rule_count, 0, "cut off");
+    let stats = cp.cp_stats.lock().clone();
+    assert!(stats.give_ups >= 1, "the install leg gave up: {stats:?}");
+    assert_eq!(
+        cp.devices_configured(),
+        sim.topo.n() - 1,
+        "every other device holds the service"
+    );
+
+    sim.run_until(heal + SWEEP + SimDuration::from_millis(200));
+    assert_eq!(
+        cp.devices[&device].lock().rule_count,
+        1,
+        "the sweep repaired the install the NMS gave up on"
+    );
+    assert_eq!(cp.total_rules(), sim.topo.n());
+    assert!(cp.cp_stats.lock().reconcile_reinstalls >= 1);
+}
+
+/// The owner withdraws while the install leg to the cut-off device is still
+/// retrying and the cut heals inside that leg's budget: the withdrawal
+/// refuses the leg's next retransmit, so nothing is installed after the
+/// heal, and the device ends with no filter.
+#[test]
+fn a_withdrawal_refuses_an_install_still_retrying() {
+    let heal = SimTime::from_secs(3);
+    let (mut sim, cp, device) = cut_off_device(heal, Some(SimTime::from_secs(1)));
+    sim.run_until(SimTime::from_secs(20));
+    let stats = cp.cp_stats.lock().clone();
+    assert_eq!(stats.withdrawals, 1, "{stats:?}");
+    assert!(
+        sim.stats.cp_partition_dropped > 0,
+        "the cut swallowed sends"
+    );
+    assert_eq!(
+        cp.devices[&device].lock().rule_count,
+        0,
+        "no filter outlives the withdrawal on the cut-off device"
+    );
+    assert_eq!(cp.total_rules(), 0, "nor anywhere else");
+}

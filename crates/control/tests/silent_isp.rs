@@ -2,6 +2,7 @@
 //! one NMS, that leg gives up after its last attempt and the TCSP confirms
 //! partially with what the other ISPs acked.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dtcs_control::{
@@ -103,6 +104,19 @@ fn give_up_confirms_partially(user: UserId) {
             _ => None,
         })
         .collect();
+    // One terminal per transaction: a user whose deploy leg gave up first
+    // takes the late partial confirmation as a duplicate response.
+    let mut terminals: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    for e in rec.lock().unwrap().events() {
+        if let CpTraceEvent::Terminal { origin, txn, .. } = e {
+            *terminals.entry((*origin, *txn)).or_default() += 1;
+        }
+    }
+    assert!(
+        terminals.contains_key(&(user.0, (user.0 << 16) | 2)),
+        "the deploy has a terminal: {terminals:?}"
+    );
+    assert!(terminals.values().all(|&n| n == 1), "{terminals:?}");
     let cp = cp.lock();
     assert_eq!(cp.partial_confirms, 1, "{cp:?}");
     assert_eq!(cp.give_ups, gave_up.len() as u64, "{cp:?}");
