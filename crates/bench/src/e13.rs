@@ -5,7 +5,8 @@
 //! control messages are dropped, duplicated, and jittered by a seeded
 //! [`FaultPlane`](dtcs::netsim::FaultPlane), and devices crash on an MTBF
 //! schedule, losing installed services. The retried, idempotent Fig. 4/5
-//! protocol plus the NMS anti-entropy sweep must still *converge*: the
+//! protocol, the NMS's answer to a rebooted device announcing itself and
+//! the NMS anti-entropy sweep must still *converge*: the
 //! sweep measures time-to-full-coverage and steady-state coverage per
 //! (loss, MTBF) cell, and reconciles protocol-layer retry/dedup counters
 //! against the channel's ground-truth drop/dup counts.
@@ -231,10 +232,11 @@ fn render(
         "Loss-only cells converge to 100% coverage — within one probe tick on the \
          happy path, after a few retransmit rounds at 20–30% loss. Crash-churn cells \
          (finite MTBF) reach full coverage the same way, then oscillate: each crash \
-         wipes a device until the next anti-entropy sweep reinstalls it, so \
-         steady-state coverage settles below 100% by roughly downtime-plus-repair-lag \
-         over MTBF, dipping further when channel loss also delays the sweep's \
-         query/reinstall round. Retransmits track the channel drop count, reinstalls \
+         wipes a device until, rebooted, it tells its NMS it holds nothing and the NMS \
+         reinstalls its services a round trip later, so steady-state coverage settles \
+         below 100% by roughly downtime-plus-repair-lag over MTBF, dipping further \
+         when channel loss eats that announcement or its reinstall and the repair \
+         waits for the next anti-entropy sweep. Retransmits track the channel drop count, reinstalls \
          the crash count, and dedup hits absorb duplicated deliveries — the \
          exactly-once ledger the protocol keeps over an at-least-once channel.",
     );

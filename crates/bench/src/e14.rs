@@ -13,8 +13,9 @@
 //! delivers the removal. Owner B keeps its service deployed throughout
 //! and pays the collateral price: its renewals are cut by the same
 //! partition, its filters are reaped mid-partition once the lease runs
-//! out, and the availability gap until renewal traffic re-installs them
-//! is the robustness cost of short leases.
+//! out, and the availability gap until the first renewal round or sweep
+//! after the heal re-installs them is the robustness cost of short
+//! leases.
 //!
 //! Hard invariants, asserted per cell (not merely reported):
 //! * **zero immortal installs** — at `withdraw + lease + ε` no device
@@ -74,10 +75,9 @@ fn run_cell(
     trace: CpTrace,
 ) -> (CpOutcome<CellRow>, Stats) {
     let (transit, stubs) = if quick { (2, 4) } else { (3, 6) };
-    // Off the renewal grid on purpose: `run_until` is inclusive, so a
-    // horizon that is a multiple of `renew_every` would process one last
-    // renewal round whose acks can never land — an unterminated
-    // transaction the trace-report gate would (rightly) flag.
+    // Off the renewal grid: `run_until` is inclusive, so a horizon that is
+    // a multiple of `renew_every` would run one last renewal round whose
+    // installs land after the run.
     let horizon_ms: u64 = if quick { 34_650 } else { 44_650 };
     let topo = Topology::transit_stub_multihomed(transit, stubs, 0.2, seed);
     let mut sim = Simulator::new(topo, seed);
@@ -329,7 +329,8 @@ fn render(
          lease length of the withdrawal (hard-asserted per cell; no install is ever \
          immortal). The same lease that bounds orphan dwell bills owner B for the \
          partition: leases shorter than the cut expire mid-partition, opening a \
-         coverage gap until post-heal renewal traffic re-installs the service, while \
+         coverage gap until the first renewal round or sweep after the heal \
+         re-installs the service (a renewal is sent once, not retried into the heal), while \
          long leases ride the cut out untouched at the price of a longer worst-case \
          orphan dwell. Renewal message volume scales inversely with lease length — \
          the dwell/traffic trade-off this grid maps.",

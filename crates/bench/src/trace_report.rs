@@ -534,9 +534,9 @@ mod tests {
             send(10, 7, 1),
             verdict(10, 7, 1, "deliver"),
             terminal(20, 7, 1, "withdrawn"),
-            send(30, 0, 1 << 62),
-            verdict(30, 0, 1 << 62, "deliver"),
-            terminal(40, 0, 1 << 62, "renewed"),
+            send(30, 0, u64::MAX - 1),
+            verdict(30, 0, u64::MAX - 1, "deliver"),
+            terminal(40, 0, u64::MAX - 1, "renewed"),
         ];
         let a = analyze(&evs).unwrap();
         assert_eq!(a.groups, 2);

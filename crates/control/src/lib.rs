@@ -22,7 +22,7 @@ pub use catalog::CatalogService;
 pub use identity::{Certificate, UserId};
 pub use plane::{
     AuthorityAgent, CpMsg, DeployScope, Envelope, IspContract, NmsAgent, RegistrationError, Role,
-    TcspAgent, TcspStats, UserAgent, UserHandle, UserOp, UserRecord, RECONCILE_TXN, RENEW_TXN_BASE,
+    TcspAgent, TcspStats, UserAgent, UserHandle, UserOp, UserRecord, RECONCILE_TXN, RENEW_TXN,
     TOKEN_REGISTER, TOKEN_RENEW, TOKEN_SWEEP, TOKEN_WITHDRAW,
 };
 pub use retry::{

@@ -24,8 +24,10 @@
 //! exponential backoff until acked (see [`retry`](crate::retry));
 //! receivers deduplicate by key and answer duplicate requests from
 //! done-caches, so the end-to-end effect of every transaction is
-//! exactly-once. Services lost to device crashes are re-provisioned by the
-//! NMS anti-entropy sweep ([`NmsAgent::with_reconcile`]).
+//! exactly-once. Services lost to device crashes are re-provisioned when
+//! the rebooted device announces itself to its NMS (an empty
+//! [`DeviceReply::Inventory`]), and by the NMS anti-entropy sweep
+//! ([`NmsAgent::with_reconcile`]) when that announcement is lost.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -414,7 +416,6 @@ const FAM_USER_DEPLOY: u64 = 0x0002 << 48;
 const FAM_TCSP_VERIFY: u64 = 0x0003 << 48;
 const FAM_TCSP_DEPLOY: u64 = 0x0004 << 48;
 const FAM_NMS_INSTALL: u64 = 0x0006 << 48;
-const FAM_NMS_RENEW: u64 = 0x0008 << 48;
 const FAM_TCSP_WITHDRAW: u64 = 0x0009 << 48;
 const FAM_NMS_REMOVE: u64 = 0x000A << 48;
 const FAM_USER_WITHDRAW: u64 = 0x000B << 48;
@@ -433,13 +434,11 @@ pub const TOKEN_RENEW: u64 = 0x000C << 48;
 /// if the re-install is lost too, the next sweep finds the gap again.
 pub const RECONCILE_TXN: u64 = u64::MAX;
 
-/// Base of the transaction-id range used for NMS-initiated lease
-/// renewals (origin 0): renewal `k` is `RENEW_TXN_BASE + k`. Disjoint
-/// from user txns (`user << 16 | n`, users below 2^48 — see
-/// [`UserAgent::new`]) and TCSP verify txns (small counters);
-/// [`RECONCILE_TXN`] sits above the range and keeps its untracked
-/// repair-by-repetition semantics.
-pub const RENEW_TXN_BASE: u64 = 1 << 62;
+/// Marker transaction id stamped on lease renewals (origin 0, like
+/// [`RECONCILE_TXN`]). Replies to these are untracked too: a renewal lost
+/// on the way is repeated by the next round, while the lease it refreshes
+/// still runs (the experiments renew every quarter lease).
+pub const RENEW_TXN: u64 = u64::MAX - 1;
 
 // Flight-recorder message-kind ids for raw device commands, continuing
 // [`CpMsg::kind_id`]'s 1–9 numbering (device replies answer with 13–16
@@ -979,22 +978,12 @@ impl InstallJob {
     }
 }
 
-/// The one veto of both NMS install families: a deploy install or a
-/// renewal whose entry has left `desired` — the owner withdrew, a device
-/// rejected the spec, or the credential expired while the leg was
-/// retrying — is not sent again.
-fn left_desired(
-    desired: &BTreeMap<DesiredKey, Arc<InstallJob>>,
-) -> impl Fn(&Leg<(u64, NodeId), Arc<InstallJob>>) -> bool + '_ {
-    |leg| !desired.contains_key(&leg.payload.key_on(leg.dest))
-}
-
 impl LegMsg for Arc<InstallJob> {
     /// Register the owner and install the service leased from now, in
     /// one [`Provision`] message that takes the NMS two processing steps.
     /// Reconcile re-installs and lease renewals go out under origin 0
-    /// (`RECONCILE_TXN` / `RENEW_TXN_BASE + seq`); tracked installs keep
-    /// their deploy key.
+    /// ([`RECONCILE_TXN`] / [`RENEW_TXN`]); tracked installs keep their
+    /// deploy key.
     fn send(&self, ctx: &mut AgentCtx<'_>, node: NodeId, id: MsgKey) {
         let lease_until = match self.lease_len {
             Some(len) => (ctx.now + len).min(self.expires_at),
@@ -1048,9 +1037,9 @@ pub struct NmsAgent {
     /// answers — and taken out only by the device rejecting the install,
     /// the owner's withdrawal or the credential's expiry. The sweep
     /// re-installs what a device lacks and removes what no entry asks
-    /// for, the renewals re-lease every entry, and a leg whose entry left
-    /// is not sent again ([`left_desired`]). An install the NMS gave up
-    /// on keeps its entry, so the sweep and the renewals repair it.
+    /// for, the renewals re-lease every entry, and an install leg whose
+    /// entry left is not sent again. An install the NMS gave up on keeps
+    /// its entry, so the sweep and the renewals repair it.
     desired: BTreeMap<DesiredKey, Arc<InstallJob>>,
     reconcile_every: Option<SimDuration>,
     /// Lease length granted with each install (None = lease only to the
@@ -1059,12 +1048,6 @@ pub struct NmsAgent {
     /// Renewal cadence; the scenario schedules the first [`TOKEN_RENEW`]
     /// timer and the agent re-arms itself every `renew_every`.
     renew_every: Option<SimDuration>,
-    /// Retransmit chains for in-flight lease renewals, keyed
-    /// `(renew txn, device)`.
-    renew_rt: Retransmitter<(u64, NodeId), Arc<InstallJob>>,
-    /// Monotonic sequence for renewal transactions
-    /// (`RENEW_TXN_BASE + seq`).
-    next_renew_seq: u64,
     /// Withdrawals by txn; a leg is one `(device, stage)` removal.
     withdraws: Relay<u64, (NodeId, Stage), Removal>,
     /// When true the anti-entropy sweep also *removes* device-resident
@@ -1086,8 +1069,6 @@ impl NmsAgent {
             reconcile_every: None,
             lease_len: None,
             renew_every: None,
-            renew_rt: Retransmitter::new(FAM_NMS_RENEW, policy, tcsp_key ^ 0x2D),
-            next_renew_seq: 0,
             withdraws: Relay::new(FAM_NMS_REMOVE, policy, tcsp_key ^ 0x3E),
             sweep_removes: false,
             cp: CpStatsHandle::default(),
@@ -1231,15 +1212,11 @@ impl NmsAgent {
         }
     }
 
-    fn next_renew_txn(seq: &mut u64) -> u64 {
-        let txn = RENEW_TXN_BASE + *seq;
-        *seq += 1;
-        txn
-    }
-
     /// One renewal round: expire desired-state entries whose authorising
     /// certificate lapsed, then re-install (and thereby re-lease) every
-    /// surviving entry under a fresh tracked renewal transaction.
+    /// surviving entry, once and untracked. A renewal the channel loses is
+    /// repeated by the next round; the round is terminal, like a sweep,
+    /// once its installs are out.
     fn renew_round(&mut self, ctx: &mut AgentCtx<'_>) {
         let now = ctx.now;
         self.desired.retain(|_, job| {
@@ -1247,18 +1224,17 @@ impl NmsAgent {
                 return true;
             }
             self.cp.lock().lease_expirations += 1;
-            let txn = Self::next_renew_txn(&mut self.next_renew_seq);
-            trace_state(ctx, 0, txn, CpActor::Nms, CpState::DesiredExpired);
-            trace_terminal(ctx, 0, txn, CpOutcome::Expired);
+            trace_state(ctx, 0, RENEW_TXN, CpActor::Nms, CpState::DesiredExpired);
+            trace_terminal(ctx, 0, RENEW_TXN, CpOutcome::Expired);
             false
         });
+        let id = MsgKey::first(0, RENEW_TXN);
         for ((node, ..), job) in &self.desired {
             self.cp.lock().lease_renewals += 1;
-            let txn = Self::next_renew_txn(&mut self.next_renew_seq);
-            trace_state(ctx, 0, txn, CpActor::Nms, CpState::Renew);
-            self.renew_rt
-                .track(ctx, (txn, *node), *node, 0, txn, job.clone());
+            trace_state(ctx, 0, RENEW_TXN, CpActor::Nms, CpState::Renew);
+            job.send(ctx, *node, id);
         }
+        trace_terminal(ctx, 0, RENEW_TXN, CpOutcome::Renewed);
     }
 }
 
@@ -1282,9 +1258,15 @@ impl NodeAgent for NmsAgent {
                 }
             }
             FAM_NMS_INSTALL => {
-                // Either way the leg counts lost, and the ack goes out once
-                // every other device resolved.
-                let veto = left_desired(&self.desired);
+                // An install whose entry left `desired` — the owner
+                // withdrew, a device rejected the spec, or the credential
+                // expired while it retried — is not sent again. Either way
+                // the leg counts lost, and the ack goes out once every
+                // other device resolved.
+                let desired = &self.desired;
+                let veto = |leg: &Leg<_, Arc<InstallJob>>| {
+                    !desired.contains_key(&leg.payload.key_on(leg.dest))
+                };
                 match self.deploys.on_timer(ctx, &self.cp, token, veto) {
                     // Device unreachable past the retry budget. Its
                     // desired entry stays: the sweep re-installs once the
@@ -1296,20 +1278,6 @@ impl NodeAgent for NmsAgent {
                         self.ack_deploy(ctx, txn);
                     }
                     Fired::Vetoed(leg) => self.ack_deploy(ctx, leg.id.txn),
-                    Fired::Resent => {}
-                }
-            }
-            FAM_NMS_RENEW => {
-                // A renewal whose entry left (the owner withdrew while it
-                // was in flight) would re-install a filter just torn down,
-                // so the chain is abandoned instead.
-                let veto = left_desired(&self.desired);
-                match self.renew_rt.on_timer(ctx, &self.cp, token, veto) {
-                    Fired::Vetoed(leg) => trace_terminal(ctx, 0, leg.id.txn, CpOutcome::Abandoned),
-                    // A renewal that never lands is self-correcting: the
-                    // device reaps the unrenewed lease, and the next sweep
-                    // re-installs once the device is reachable again.
-                    Fired::GaveUp(leg) => trace_terminal(ctx, 0, leg.id.txn, CpOutcome::GaveUp),
                     Fired::Resent => {}
                 }
             }
@@ -1331,22 +1299,8 @@ impl NodeAgent for NmsAgent {
                 DeviceReply::InstallOk { node, txn, .. }
                 | DeviceReply::InstallRejected { node, txn, .. } => {
                     let ok = matches!(reply, DeviceReply::InstallOk { .. });
-                    if *txn == RECONCILE_TXN {
+                    if *txn == RECONCILE_TXN || *txn == RENEW_TXN {
                         return; // repair-by-repetition: untracked
-                    }
-                    if *txn >= RENEW_TXN_BASE {
-                        // A lease renewal answered.
-                        if self.renew_rt.ack(ctx, &(*txn, *node)) {
-                            let outcome = if ok {
-                                CpOutcome::Renewed
-                            } else {
-                                CpOutcome::RenewRejected
-                            };
-                            trace_terminal(ctx, 0, *txn, outcome);
-                        } else {
-                            reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
-                        }
-                        return;
                     }
                     let Some(leg) = self.deploys.untrack(ctx, *txn, *node) else {
                         reply_dup_hit(ctx, &self.cp, msg, *txn, reply.kind_id());
@@ -1366,6 +1320,9 @@ impl NodeAgent for NmsAgent {
                     trace_state(ctx, leg.id.origin, *txn, CpActor::Nms, state);
                     self.ack_deploy(ctx, *txn);
                 }
+                // A sweep's query answered, or a rebooted device announcing
+                // itself with an empty inventory: either way, re-install
+                // what the device lacks.
                 DeviceReply::Inventory { node, installed } => {
                     let installed: BTreeSet<(OwnerId, Stage, u64)> =
                         installed.iter().copied().collect();
@@ -1506,9 +1463,9 @@ impl NodeAgent for NmsAgent {
                 }
                 // Drop the owner from desired state first, so neither the
                 // sweep nor a renewal round re-installs mid-teardown and no
-                // install or renewal still retrying is sent again. Installs
-                // still in flight are victims too: an attempt already on
-                // the wire may land.
+                // install still retrying is sent again. Installs still in
+                // flight are victims too: an attempt already on the wire
+                // may land.
                 let victims: BTreeSet<(NodeId, Stage)> = self
                     .desired
                     .keys()

@@ -714,15 +714,11 @@ mod tests {
     }
 
     #[test]
-    fn leases_reap_orphans_after_nms_silence() {
-        // Leased installs with renewals; at t=6 s the NMS withdraws the
-        // owner NMS-side state only — simulated here by crashing every
-        // device *after* stopping renewals is not possible directly, so
-        // instead verify the full loop: deploy leased, withdraw while
-        // devices are reachable, and confirm devices also reap on their
-        // own when renewals stop (covered by the device unit tests); here
-        // we assert the scenario-level invariant that leased deployments
-        // renew and keep their rules alive.
+    fn renewals_keep_leased_rules_alive_and_nothing_is_reaped() {
+        // 3 s leases renewed every 1 s over a lossless channel: every
+        // round lands, so no lease ever lapses and no device reaps. A
+        // device reaping a lease nobody renews is
+        // `device::tests::expired_lease_reaps_orphaned_service`.
         let topo = Topology::transit_stub_multihomed(3, 5, 0.2, 7);
         let mut sim = Simulator::new(topo, 3);
         let victim_node = sim.topo.stub_nodes()[0];

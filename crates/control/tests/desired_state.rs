@@ -1,6 +1,7 @@
 //! An NMS records what should stand when it accepts a deployment, not when
-//! a device answers: the record outlives an install the NMS gave up on,
-//! and a withdrawal takes back an install that is still retrying. Both
+//! a device answers: the record outlives an install the NMS gave up on, a
+//! withdrawal takes back an install that is still retrying, and a device
+//! that rebooted gets its services back as soon as it says it is up. All
 //! run in E13's configuration — a 2 s anti-entropy sweep, no leases, no
 //! sweep removals — so only desired state can repair or refuse.
 
@@ -9,7 +10,8 @@ use dtcs_control::{
     InternetNumberAuthority, UserId,
 };
 use dtcs_netsim::{
-    FaultConfig, FaultPlane, NodeId, Partition, Prefix, SimDuration, SimTime, Simulator, Topology,
+    FaultConfig, FaultPlane, NodeId, Outage, Partition, Prefix, SimDuration, SimTime, Simulator,
+    Topology,
 };
 
 /// E13's sweep period.
@@ -17,12 +19,9 @@ const SWEEP: SimDuration = SimDuration::from_secs(2);
 
 /// A plane in E13's configuration whose one user registers at 100 ms and
 /// deploys `AntiSpoofing` everywhere, withdrawing at `withdraw_at` if
-/// given, while one ISP's NMS cannot reach one of its devices until
-/// `heal`. Returns the plane and that device.
-fn cut_off_device(
-    heal: SimTime,
-    withdraw_at: Option<SimTime>,
-) -> (Simulator, ControlPlane, NodeId) {
+/// given. Returns the plane, one ISP's NMS and one device that NMS
+/// manages, on neither its node nor the user's; no fault plane yet.
+fn one_user_plane(withdraw_at: Option<SimTime>) -> (Simulator, ControlPlane, NodeId, NodeId) {
     let topo = Topology::transit_stub_multihomed(3, 5, 0.2, 7);
     let mut sim = Simulator::new(topo, 3);
     let user_node = sim.topo.stub_nodes()[0];
@@ -80,6 +79,15 @@ fn cut_off_device(
             false,
         ),
     };
+    (sim, cp, nms, device)
+}
+
+/// [`one_user_plane`] where the NMS cannot reach its device until `heal`.
+fn cut_off_device(
+    heal: SimTime,
+    withdraw_at: Option<SimTime>,
+) -> (Simulator, ControlPlane, NodeId) {
+    let (mut sim, cp, nms, device) = one_user_plane(withdraw_at);
     sim.install_fault_plane(FaultPlane::new(FaultConfig {
         seed: 1,
         drop_prob: 0.0,
@@ -144,4 +152,39 @@ fn a_withdrawal_refuses_an_install_still_retrying() {
         "no filter outlives the withdrawal on the cut-off device"
     );
     assert_eq!(cp.total_rules(), 0, "nor anywhere else");
+}
+
+/// A device crashes just after a sweep and reboots 200 ms later. Up again,
+/// it tells its NMS it holds nothing, and the NMS re-installs the owner's
+/// service within one round trip, not at the next sweep, 1.7 s on.
+#[test]
+fn a_rebooted_device_holds_its_rules_again_within_a_round_trip() {
+    let (from, until) = (SimTime::from_millis(4_100), SimTime::from_millis(4_300));
+    let (mut sim, cp, _, device) = one_user_plane(None);
+    sim.install_fault_plane(FaultPlane::new(FaultConfig {
+        outages: vec![Outage {
+            node: device,
+            from,
+            until,
+            crash: true,
+        }],
+        ..FaultConfig::default()
+    }));
+    let rules = |cp: &ControlPlane| cp.devices[&device].lock().rule_count;
+    sim.run_until(from);
+    assert_eq!(rules(&cp), 0, "the crash wiped the device");
+    assert_eq!(
+        cp.total_rules(),
+        sim.topo.n() - 1,
+        "every other device holds it"
+    );
+    sim.run_until(until);
+    let sweeps = cp.cp_stats.lock().reconcile_sweeps;
+
+    sim.run_until(until + SimDuration::from_millis(100));
+    assert_eq!(rules(&cp), 1, "the NMS answered the reboot");
+    assert_eq!(cp.total_rules(), sim.topo.n());
+    let stats = cp.cp_stats.lock().clone();
+    assert_eq!(stats.reconcile_sweeps, sweeps, "no sweep ran meanwhile");
+    assert_eq!(stats.reconcile_reinstalls, 1, "{stats:?}");
 }

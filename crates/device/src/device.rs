@@ -852,8 +852,8 @@ impl NodeAgent for AdaptiveDevice {
         // registrations, installed service graphs (with their trigger /
         // logger / backlog state), buffered telemetry, and the processed-
         // byte telemetry budget. The manager binding and verifier are
-        // device firmware — they survive. The NMS reconciliation sweep is
-        // responsible for re-provisioning.
+        // device firmware — they survive. Re-provisioning is the NMS's:
+        // asked for at restart, repaired by its sweep otherwise.
         self.owners = OwnerTable::new();
         self.services.clear();
         for timer in std::mem::take(&mut self.expiries).into_values().flatten() {
@@ -864,6 +864,19 @@ impl NodeAgent for AdaptiveDevice {
         let mut s = self.stats.lock();
         s.rule_count = 0;
         s.crashes += 1;
+    }
+
+    fn on_restart(&mut self, ctx: &mut AgentCtx<'_>) {
+        // Back up with nothing installed: say so to the manager as an
+        // empty inventory, which it answers by re-installing what should
+        // stand here, without waiting for its next sweep.
+        if let Some(manager) = self.manager {
+            let empty = DeviceReply::Inventory {
+                node: self.ctx.node,
+                installed: Vec::new(),
+            };
+            ctx.send_control(manager, ctx.path_delay(manager), empty);
+        }
     }
 }
 

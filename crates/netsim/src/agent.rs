@@ -263,6 +263,11 @@ pub trait NodeAgent: Any {
     /// anything a real reboot would lose — must be discarded here;
     /// durable identity (keys, manager binding) survives.
     fn on_crash(&mut self, _ctx: &mut AgentCtx<'_>) {}
+
+    /// The node hosting this agent is back up: the crash window that
+    /// [`NodeAgent::on_crash`] opened has closed, and the node's control
+    /// channel carries messages again.
+    fn on_restart(&mut self, _ctx: &mut AgentCtx<'_>) {}
 }
 
 #[cfg(test)]

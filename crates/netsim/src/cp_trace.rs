@@ -236,10 +236,8 @@ wire_words! {
         Reconciled = "reconciled",
         /// A withdrawal was confirmed.
         Withdrawn = "withdrawn",
-        /// A lease renewal was accepted.
+        /// A lease-renewal round closed.
         Renewed = "renewed",
-        /// A lease renewal was refused.
-        RenewRejected = "renew_rejected",
         /// Desired state outlived its credential and was dropped.
         Expired = "expired",
     }

@@ -25,6 +25,8 @@
 //!   [`crate::agent::NodeAgent::on_crash`] on every agent of the node at
 //!   window start: volatile agent state (installed services, registered
 //!   owners) is lost and must be re-provisioned by the management layer.
+//!   At window end [`crate::agent::NodeAgent::on_restart`] tells the same
+//!   agents the node is back.
 //! * A **partition window** `[from, until)` cuts the control channel
 //!   *between* two node sets in one direction: any message pushed while
 //!   the window is open whose sender is in the `src` set and receiver in
@@ -58,8 +60,10 @@ pub struct Outage {
     /// Window end (exclusive): the node is reachable again.
     pub until: SimTime,
     /// When true, volatile agent state is lost at `from`
-    /// ([`crate::agent::NodeAgent::on_crash`] fires); when false the node
-    /// is merely unreachable (e.g. an NMS management-plane blackout).
+    /// ([`crate::agent::NodeAgent::on_crash`] fires) and the node boots
+    /// again at `until` ([`crate::agent::NodeAgent::on_restart`] fires);
+    /// when false the node is merely unreachable (e.g. an NMS
+    /// management-plane blackout).
     pub crash: bool,
 }
 
@@ -195,16 +199,6 @@ impl FaultPlane {
         }
     }
 
-    /// Crash windows (node + start time), for the simulator to schedule
-    /// [`crate::agent::NodeAgent::on_crash`] calls.
-    pub fn crash_schedule(&self) -> Vec<(NodeId, SimTime)> {
-        self.outages
-            .iter()
-            .filter(|o| o.crash)
-            .map(|o| (o.node, o.from))
-            .collect()
-    }
-
     /// Is `node`'s control channel down at `t`?
     pub fn down(&self, node: NodeId, t: SimTime) -> bool {
         self.down_window(node, t).is_some()
@@ -231,15 +225,16 @@ impl FaultPlane {
         self.partitions.iter().position(|p| p.cuts(src, dst, t))
     }
 
-    /// Crash windows with their outage-schedule indices
-    /// `(window, node, start)` — like [`FaultPlane::crash_schedule`] but
-    /// keeping the index that tags control-trace crash events.
-    pub fn crash_windows(&self) -> Vec<(usize, NodeId, SimTime)> {
+    /// Crash windows `(window, node, from, until)`, for the simulator to
+    /// schedule [`crate::agent::NodeAgent::on_crash`] calls at `from` and
+    /// [`crate::agent::NodeAgent::on_restart`] calls at `until`; `window`
+    /// is the outage-schedule index that tags control-trace crash events.
+    pub fn crash_windows(&self) -> Vec<(usize, NodeId, SimTime, SimTime)> {
         self.outages
             .iter()
             .enumerate()
             .filter(|(_, o)| o.crash)
-            .map(|(i, o)| (i, o.node, o.from))
+            .map(|(i, o)| (i, o.node, o.from, o.until))
             .collect()
     }
 
@@ -394,12 +389,11 @@ mod tests {
         for quiet in [NodeId(6), NodeId(usize::MAX)] {
             assert_eq!(p.down_window(quiet, SimTime::from_millis(1500)), None);
         }
-        assert_eq!(p.crash_schedule(), vec![(NodeId(5), SimTime::from_secs(1))]);
         assert_eq!(p.down_window(NodeId(5), SimTime::from_secs(1)), Some(0));
         assert_eq!(p.down_window(NodeId(5), SimTime::from_secs(2)), None);
         assert_eq!(
             p.crash_windows(),
-            vec![(0, NodeId(5), SimTime::from_secs(1))]
+            vec![(0, NodeId(5), SimTime::from_secs(1), SimTime::from_secs(2))]
         );
     }
 
@@ -451,11 +445,11 @@ mod tests {
                     assert_eq!(p.down(node, t), scan(node, t).is_some());
                 }
             }
-            let crashes: Vec<(usize, NodeId, SimTime)> = outages
+            let crashes: Vec<(usize, NodeId, SimTime, SimTime)> = outages
                 .iter()
                 .enumerate()
                 .filter(|(_, o)| o.crash)
-                .map(|(i, o)| (i, o.node, o.from))
+                .map(|(i, o)| (i, o.node, o.from, o.until))
                 .collect();
             assert_eq!(p.crash_windows(), crashes);
         });

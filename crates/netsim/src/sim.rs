@@ -593,15 +593,22 @@ impl Simulator {
 
     /// Install a control-channel fault injector. Crash windows in its
     /// schedule are turned into [`NodeAgent::on_crash`] calls at window
-    /// start. Install before running; messages already queued bypass it.
+    /// start and [`NodeAgent::on_restart`] calls at window end. Install
+    /// before running; messages already queued bypass it.
     ///
     /// # Panics
     /// If an outage or partition window names a node outside the topology.
     pub fn install_fault_plane(&mut self, plane: FaultPlane) {
         plane.assert_nodes_within(self.topo.n());
-        for (window, node, at) in plane.crash_windows() {
-            self.schedule(at, move |sim| {
+        for (window, node, from, until) in plane.crash_windows() {
+            self.schedule(from, move |sim| {
                 sim.crash_node_with(node, Some(window as u64))
+            });
+            self.schedule(until, move |sim| {
+                sim.visit_chain(node, None, |agent, ctx| {
+                    agent.on_restart(ctx);
+                    Verdict::Forward
+                });
             });
         }
         self.core.faults = Some(plane);
@@ -1847,10 +1854,12 @@ mod tests {
         );
     }
 
-    /// Counts control deliveries and crashes; resends nothing.
+    /// Counts control deliveries and crashes, and notes when it restarts;
+    /// resends nothing.
     struct CtrlProbe {
         delivered: Arc<AtomicU64>,
         crashes: Arc<AtomicU64>,
+        restarts: Vec<SimTime>,
     }
     impl NodeAgent for CtrlProbe {
         fn name(&self) -> &'static str {
@@ -1863,6 +1872,9 @@ mod tests {
         }
         fn on_crash(&mut self, _ctx: &mut AgentCtx<'_>) {
             self.crashes.fetch_add(1, AtomicOrdering::Relaxed);
+        }
+        fn on_restart(&mut self, ctx: &mut AgentCtx<'_>) {
+            self.restarts.push(ctx.now);
         }
     }
 
@@ -1878,6 +1890,7 @@ mod tests {
             Box::new(CtrlProbe {
                 delivered: delivered.clone(),
                 crashes: crashes.clone(),
+                restarts: Vec::new(),
             }),
         );
         if let Some(p) = plane {
@@ -1944,6 +1957,9 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(crashes.load(AtomicOrdering::Relaxed), 1);
         assert_eq!(sim.stats.node_crashes, 1);
+        // One restart, when the window closes.
+        let probe = sim.agent::<CtrlProbe>(NodeId(2)).expect("probe");
+        assert_eq!(probe.restarts, [SimTime::from_millis(100)]);
         // Sends at t ∈ [50ms, 100ms) vanish: 50 of the 200.
         assert_eq!(sim.stats.cp_outage_dropped, 50);
         assert_eq!(delivered.load(AtomicOrdering::Relaxed), 150);
@@ -2013,6 +2029,7 @@ mod tests {
                 Box::new(CtrlProbe {
                     delivered,
                     crashes: Arc::new(AtomicU64::new(0)),
+                    restarts: Vec::new(),
                 }),
             );
             sim.install_fault_plane(plane);
