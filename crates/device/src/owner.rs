@@ -55,9 +55,13 @@ impl OwnerTable {
     /// Register `prefix` as owned by `owner` with a telemetry contact node.
     /// More-specific registrations shadow less-specific ones (LPM).
     pub fn register(&mut self, prefix: Prefix, owner: OwnerId, contact: NodeId) {
+        let same = |e: &OwnerEntry| e.owner == owner && e.contact == contact;
+        if self.trie.get(prefix).is_some_and(same) {
+            return; // re-registration (every lease renewal sends one)
+        }
         let old = self.trie.insert(prefix, OwnerEntry { owner, contact });
         if old.map(|old| old.owner) == Some(owner) {
-            return; // re-registration (every lease renewal sends one)
+            return; // new contact, same owner
         }
         if let Some(old) = old {
             self.by_owner.remove(&owned(old.owner, prefix)); // changed hands

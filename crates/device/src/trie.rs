@@ -14,9 +14,7 @@
 //! two probes. A linear-scan table with the same API exists for the ablation
 //! bench.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
+use dtcs_netsim::hash::MulHashMap;
 use dtcs_netsim::{Addr, Prefix};
 
 /// Longest-prefix-match map from [`Prefix`] to `T`. The name is the binary
@@ -24,7 +22,7 @@ use dtcs_netsim::{Addr, Prefix};
 /// `prefix-trie` rows still carry it.
 #[derive(Clone, Debug)]
 pub struct PrefixTrie<T> {
-    entries: HashMap<u64, T, BuildHasherDefault<MulHasher>>,
+    entries: MulHashMap<u64, T>,
     /// Bit `len` is set while some prefix of length `len` is stored.
     lengths: u64,
     /// Prefixes stored at each length, so the last removal at a length
@@ -38,30 +36,6 @@ fn key(prefix: Prefix) -> u64 {
     (u64::from(prefix.len) << 32) | u64::from(prefix.bits & Prefix::mask(prefix.len))
 }
 
-/// One 64x64 -> 128-bit multiply, the high half folded into the low half.
-/// The keys are the table's own, never chosen outside the program, so the
-/// map needs no per-process random seed — and without one its layout, like
-/// everything else in a run, repeats exactly.
-#[derive(Clone, Copy, Debug, Default)]
-struct MulHasher(u64);
-
-impl Hasher for MulHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let m = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (m as u64) ^ ((m >> 64) as u64);
-    }
-}
-
 impl<T> Default for PrefixTrie<T> {
     fn default() -> Self {
         Self::new()
@@ -72,7 +46,7 @@ impl<T> PrefixTrie<T> {
     /// Empty table.
     pub fn new() -> Self {
         PrefixTrie {
-            entries: HashMap::default(),
+            entries: MulHashMap::default(),
             lengths: 0,
             per_len: [0; 33],
         }

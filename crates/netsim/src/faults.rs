@@ -39,9 +39,8 @@
 //! experiment reports can reconcile protocol-layer retry/dedup counters
 //! against exactly what the channel did.
 
-use std::collections::BTreeMap;
-
 use crate::cp_trace::CpVerdict;
+use crate::hash::MulHashMap;
 use crate::node::NodeId;
 use crate::rng::child_seed;
 use crate::time::{SimDuration, SimTime};
@@ -144,22 +143,39 @@ pub struct FaultPlane {
     dup_thresh: u32,
     jitter_max: SimDuration,
     outages: Vec<Outage>,
-    /// Per node, the indices of its windows in `outages`, ascending: a
-    /// lookup reads one node's windows, and the first that covers an
-    /// instant is still the first configured.
-    outages_of: BTreeMap<NodeId, Vec<usize>>,
+    /// Indexed by node id, the indices of its windows in `outages`,
+    /// ascending: a lookup reads one node's windows, and the first that
+    /// covers an instant is still the first configured.
+    outages_of: Vec<Vec<usize>>,
     partitions: Vec<Partition>,
-    /// Per ordered `(src, dst)` pair message counter; the third component
-    /// of the decision hash.
-    seq: BTreeMap<(NodeId, NodeId), u64>,
+    /// Per ordered pair, keyed by [`pair_key`]: its decision seed and
+    /// message counter.
+    seq: MulHashMap<u64, PairSeq>,
+}
+
+/// One ordered pair's share of the decision hash.
+#[derive(Clone, Copy, Debug)]
+struct PairSeq {
+    /// `child_seed(salt, pair_key)`, computed at the pair's first message.
+    seed: u64,
+    /// Messages decided so far; the third component of the decision hash.
+    count: u64,
+}
+
+/// An ordered `(src, dst)` pair as one word, `src` above `dst`.
+fn pair_key(src: NodeId, dst: NodeId) -> u64 {
+    ((src.0 as u64) << 32) | dst.0 as u64
 }
 
 impl FaultPlane {
     /// Build a plane from a configuration.
     pub fn new(cfg: FaultConfig) -> FaultPlane {
-        let mut outages_of: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        let mut outages_of: Vec<Vec<usize>> = Vec::new();
         for (i, o) in cfg.outages.iter().enumerate() {
-            outages_of.entry(o.node).or_default().push(i);
+            if outages_of.len() <= o.node.0 {
+                outages_of.resize_with(o.node.0 + 1, Vec::new);
+            }
+            outages_of[o.node.0].push(i);
         }
         FaultPlane {
             salt: child_seed(cfg.seed, FAULT_STREAM_LABEL),
@@ -169,7 +185,7 @@ impl FaultPlane {
             outages: cfg.outages,
             outages_of,
             partitions: cfg.partitions,
-            seq: BTreeMap::new(),
+            seq: MulHashMap::default(),
         }
     }
 
@@ -210,7 +226,7 @@ impl FaultPlane {
     /// ([`crate::cp_trace::CpTraceEvent`]), letting the analyzer join a
     /// swallowed message to the crash that caused it.
     pub fn down_window(&self, node: NodeId, t: SimTime) -> Option<usize> {
-        let windows = self.outages_of.get(&node)?;
+        let windows = self.outages_of.get(node.0)?;
         windows.iter().copied().find(|&i| {
             let o = &self.outages[i];
             t >= o.from && t < o.until
@@ -271,11 +287,14 @@ impl FaultPlane {
     /// the pair's message counter; deterministic given the push order
     /// (which the engine already guarantees).
     pub fn decide(&mut self, src: NodeId, dst: NodeId) -> FaultDecision {
-        let n = self.seq.entry((src, dst)).or_insert(0);
-        let msg_seq = *n;
-        *n += 1;
-        let pair = child_seed(self.salt, ((src.0 as u64) << 32) | dst.0 as u64);
-        let k = child_seed(pair, msg_seq);
+        let key = pair_key(src, dst);
+        let salt = self.salt;
+        let pair = self.seq.entry(key).or_insert_with(|| PairSeq {
+            seed: child_seed(salt, key),
+            count: 0,
+        });
+        let k = child_seed(pair.seed, pair.count);
+        pair.count += 1;
         let drop = ((k & 0xFFFF) as u32) < self.drop_thresh;
         if drop {
             return FaultDecision {
@@ -547,13 +566,13 @@ mod tests {
             "partition window"
         );
         assert!(
-            !p.seq.contains_key(&(a, b)),
+            !p.seq.contains_key(&pair_key(a, b)),
             "a swallowed message must not advance the pair's hash counter"
         );
         // The receiver is judged at delivery, not at push: b is down at
         // 120 ms but back by 250 ms, so the message reaches the loss hash.
         assert_eq!(p.verdict(a, b, ms(120), ms(250)), CpVerdict::Drop, "drop");
-        assert_eq!(p.seq[&(a, b)], 1, "decide ran exactly once");
+        assert_eq!(p.seq[&pair_key(a, b)].count, 1, "decide ran exactly once");
         // The cut is directed: b → a at the same instant is only lossy.
         assert_eq!(p.verdict(b, a, ms(320), ms(330)), CpVerdict::Drop);
 

@@ -41,6 +41,7 @@ pub mod arena;
 pub mod cp_trace;
 pub mod faults;
 pub mod fluid;
+pub mod hash;
 pub mod json;
 pub mod link;
 pub mod metrics;
