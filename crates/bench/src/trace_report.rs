@@ -11,7 +11,8 @@
 //!    hard-fails — exit code 1 — naming the offenders. CI runs this gate
 //!    over a 20%-loss E13 trace.
 //! 2. **Where did the convergence time go?** The window from the first
-//!    `send` to the last non-reconcile `terminal` is partitioned into
+//!    `send` to the last `terminal` that is neither a sweep's nor a
+//!    renewal round's is partitioned into
 //!    inter-event gaps, each attributed to the *event that ends it*:
 //!    a gap closed by a drop verdict was spent losing that message, a
 //!    gap closed by a retry fire was spent waiting out the backoff that
@@ -28,15 +29,20 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
+use dtcs::device::{RECONCILE_TXN, RENEW_TXN};
 use dtcs::netsim::json::Json;
 use dtcs::netsim::{CpState, CpTraceEvent, CpVerdict};
 
 /// The reconcile pseudo-transaction: NMS anti-entropy traffic keys to
-/// `(0, u64::MAX)` (`dtcs_control`'s `RECONCILE_TXN`). Its `terminal`
-/// events recur at every sweep for the whole run — repair by repetition —
-/// so the convergence window must end at the last *non*-reconcile
-/// terminal, not simply the last one.
-pub const RECONCILE_KEY: (u64, u64) = (0, u64::MAX);
+/// `(0, RECONCILE_TXN)`. Its `terminal` events recur at every sweep for
+/// the whole run — repair by repetition — so the convergence window must
+/// end at the last *non*-reconcile terminal, not simply the last one.
+pub const RECONCILE_KEY: (u64, u64) = (0, RECONCILE_TXN);
+
+/// The renewal pseudo-transaction: every lease-renewal round traces one
+/// `renewed` terminal under it, so like a sweep's it recurs until the
+/// horizon and ends no window.
+pub const RENEW_KEY: (u64, u64) = (0, RENEW_TXN);
 
 /// What the analyzer reads of one checked line; field names are the wire
 /// names. Everything but `t` and `kind` is absent on kinds without it.
@@ -112,7 +118,8 @@ pub struct Analysis {
     pub outcomes: BTreeMap<String, usize>,
     /// Convergence window start (ns): the first send.
     pub t0: u64,
-    /// Convergence window end (ns): the last non-reconcile terminal.
+    /// Convergence window end (ns): the last terminal neither a sweep's
+    /// nor a renewal round's.
     pub t1: u64,
     /// Nanoseconds attributed per bucket; sums to `t1 - t0` exactly.
     pub buckets: BTreeMap<&'static str, u64>,
@@ -155,7 +162,7 @@ pub fn analyze(evs: &[Ev]) -> Result<Analysis, String> {
             "terminal" => {
                 let k = ev.key().expect("validated terminal is keyed");
                 group_terminal.insert(k, ev.outcome.clone().expect("validated"));
-                if k != RECONCILE_KEY {
+                if k != RECONCILE_KEY && k != RENEW_KEY {
                     t1 = Some(ev.t);
                 }
             }
@@ -184,7 +191,7 @@ pub fn analyze(evs: &[Ev]) -> Result<Analysis, String> {
         ));
     }
     let t0 = t0.ok_or("trace contains no send events")?;
-    let t1 = t1.unwrap_or(t0); // reconcile-only traffic: empty window
+    let t1 = t1.unwrap_or(t0); // sweeps and renewals only: empty window
 
     // -- Pass 2: gap-partition attribution over [t0, t1] ----------------
     let mut buckets: BTreeMap<&'static str, u64> = BUCKETS.iter().map(|&b| (b, 0u64)).collect();
@@ -477,6 +484,26 @@ mod tests {
     }
 
     #[test]
+    fn renewal_rounds_after_the_last_transaction_end_no_window() {
+        // Rounds recur until the horizon, like sweeps: a `renewed`
+        // terminal after the last withdraw terminal leaves the window
+        // where that withdrawal ended it.
+        let evs = vec![
+            send(10, 7, 1),
+            verdict(10, 7, 1, "deliver"),
+            terminal(50, 7, 1, "withdrawn"),
+            send(60, RENEW_KEY.0, RENEW_KEY.1),
+            verdict(60, RENEW_KEY.0, RENEW_KEY.1, "deliver"),
+            terminal(60, RENEW_KEY.0, RENEW_KEY.1, "renewed"),
+            terminal(9000, RENEW_KEY.0, RENEW_KEY.1, "renewed"),
+        ];
+        let a = analyze(&evs).unwrap();
+        assert_eq!((a.t0, a.t1), (10, 50));
+        assert_eq!(a.buckets.values().sum::<u64>(), 40, "exact attribution");
+        assert_eq!(a.outcomes.get("renewed"), Some(&1), "one key, one outcome");
+    }
+
+    #[test]
     fn retry_after_deliver_is_backoff_idle_and_crash_outages_classify() {
         let evs = vec![
             ev("{\"t\":5,\"kind\":\"crash\",\"node\":9,\"window\":3}"),
@@ -534,9 +561,9 @@ mod tests {
             send(10, 7, 1),
             verdict(10, 7, 1, "deliver"),
             terminal(20, 7, 1, "withdrawn"),
-            send(30, 0, u64::MAX - 1),
-            verdict(30, 0, u64::MAX - 1, "deliver"),
-            terminal(40, 0, u64::MAX - 1, "renewed"),
+            send(30, RENEW_KEY.0, RENEW_KEY.1),
+            verdict(30, RENEW_KEY.0, RENEW_KEY.1, "deliver"),
+            terminal(40, RENEW_KEY.0, RENEW_KEY.1, "renewed"),
         ];
         let a = analyze(&evs).unwrap();
         assert_eq!(a.groups, 2);

@@ -5,23 +5,29 @@
 //! run in E13's configuration — a 2 s anti-entropy sweep, no leases, no
 //! sweep removals — so only desired state can repair or refuse.
 
+use std::sync::{Arc, Mutex};
+
 use dtcs_control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
-    InternetNumberAuthority, UserId,
+    InternetNumberAuthority, UserId, RECONCILE_TXN, RENEW_TXN,
 };
 use dtcs_netsim::{
-    FaultConfig, FaultPlane, NodeId, Outage, Partition, Prefix, SimDuration, SimTime, Simulator,
-    Topology,
+    CpFlightRecorder, CpTraceEvent, FaultConfig, FaultPlane, NodeId, Outage, Partition, Prefix,
+    SimDuration, SimTime, Simulator, Topology,
 };
 
 /// E13's sweep period.
 const SWEEP: SimDuration = SimDuration::from_secs(2);
 
-/// A plane in E13's configuration whose one user registers at 100 ms and
-/// deploys `AntiSpoofing` everywhere, withdrawing at `withdraw_at` if
-/// given. Returns the plane, one ISP's NMS and one device that NMS
-/// manages, on neither its node nor the user's; no fault plane yet.
-fn one_user_plane(withdraw_at: Option<SimTime>) -> (Simulator, ControlPlane, NodeId, NodeId) {
+/// A plane in E13's configuration, leased if `leases` names a `(lease,
+/// renew_every)` pair, whose one user registers at 100 ms and deploys
+/// `AntiSpoofing` everywhere, withdrawing at `withdraw_at` if given.
+/// Returns the plane, one ISP's NMS and one device that NMS manages, on
+/// neither its node nor the user's; no fault plane yet.
+fn one_user_plane(
+    withdraw_at: Option<SimTime>,
+    leases: Option<(SimDuration, SimDuration)>,
+) -> (Simulator, ControlPlane, NodeId, NodeId) {
     let topo = Topology::transit_stub_multihomed(3, 5, 0.2, 7);
     let mut sim = Simulator::new(topo, 3);
     let user_node = sim.topo.stub_nodes()[0];
@@ -48,6 +54,7 @@ fn one_user_plane(withdraw_at: Option<SimTime>) -> (Simulator, ControlPlane, Nod
         isps,
         ControlPlaneConfig {
             reconcile_every: Some(SWEEP),
+            leases,
             ..ControlPlaneConfig::default()
         },
     );
@@ -87,7 +94,7 @@ fn cut_off_device(
     heal: SimTime,
     withdraw_at: Option<SimTime>,
 ) -> (Simulator, ControlPlane, NodeId) {
-    let (mut sim, cp, nms, device) = one_user_plane(withdraw_at);
+    let (mut sim, cp, nms, device) = one_user_plane(withdraw_at, None);
     sim.install_fault_plane(FaultPlane::new(FaultConfig {
         seed: 1,
         drop_prob: 0.0,
@@ -160,7 +167,7 @@ fn a_withdrawal_refuses_an_install_still_retrying() {
 #[test]
 fn a_rebooted_device_holds_its_rules_again_within_a_round_trip() {
     let (from, until) = (SimTime::from_millis(4_100), SimTime::from_millis(4_300));
-    let (mut sim, cp, _, device) = one_user_plane(None);
+    let (mut sim, cp, _, device) = one_user_plane(None, None);
     sim.install_fault_plane(FaultPlane::new(FaultConfig {
         outages: vec![Outage {
             node: device,
@@ -187,4 +194,57 @@ fn a_rebooted_device_holds_its_rules_again_within_a_round_trip() {
     let stats = cp.cp_stats.lock().clone();
     assert_eq!(stats.reconcile_sweeps, sweeps, "no sweep ran meanwhile");
     assert_eq!(stats.reconcile_reinstalls, 1, "{stats:?}");
+}
+
+/// Nothing waits for a repair or a renewal, so no device answers one. E13's
+/// lossy, jittered, duplicating channel with a device crash: the sweep and
+/// the reboot announcement re-install untracked; then the same plane
+/// leased, on a clean channel, renewing every second. Neither trace holds
+/// an `InstallOk` (13), `InstallRejected` (14) or `RemoveOk` (22) under the
+/// untracked keys, and every device holds the service at the end.
+#[test]
+fn repairs_and_renewals_are_applied_and_unanswered() {
+    let lease = (SimDuration::from_secs(3), SimDuration::from_secs(1));
+    for (leases, drop_prob, untracked) in
+        [(None, 0.2, RECONCILE_TXN), (Some(lease), 0.0, RENEW_TXN)]
+    {
+        let (mut sim, cp, _, device) = one_user_plane(None, leases);
+        sim.install_fault_plane(FaultPlane::new(FaultConfig {
+            seed: 1,
+            drop_prob,
+            dup_prob: drop_prob / 2.0,
+            jitter_max: SimDuration::from_millis(10),
+            outages: vec![Outage {
+                node: device,
+                from: SimTime::from_millis(4_100),
+                until: SimTime::from_millis(4_300),
+                crash: true,
+            }],
+            partitions: Vec::new(),
+        }));
+        let rec = Arc::new(Mutex::new(CpFlightRecorder::new(1 << 20)));
+        sim.set_cp_trace_sink(Box::new(rec.clone()), 1);
+        sim.run_until(SimTime::from_secs(20));
+        sim.take_cp_trace_sink();
+
+        let rec = rec.lock().expect("recorder mutex");
+        assert_eq!(rec.evicted(), 0);
+        let (mut sent, mut answered) = (0, Vec::new());
+        for ev in rec.events() {
+            let CpTraceEvent::Send { meta: Some(m), .. } = ev else {
+                continue;
+            };
+            if m.origin != 0 || (m.txn != RECONCILE_TXN && m.txn != RENEW_TXN) {
+                continue;
+            }
+            match m.kind {
+                11 if m.txn == untracked => sent += 1,
+                13 | 14 | 22 => answered.push(ev.clone()),
+                _ => {}
+            }
+        }
+        assert!(sent > 0, "{leases:?}: no untracked install was sent");
+        assert!(answered.is_empty(), "{leases:?}: {answered:?}");
+        assert_eq!(cp.total_rules(), sim.topo.n(), "{leases:?}");
+    }
 }

@@ -44,6 +44,18 @@ const EVENT_BYTES: u64 = 64;
 /// one that fires reaps.
 const TOKEN_LEASE: u64 = 1;
 
+/// Transaction id of the NMS's anti-entropy repairs: re-installs of what
+/// a device lacks and removals of what it should not hold. A repair is
+/// applied and not answered: nobody waits for it, and a lost one is found
+/// again by the next sweep.
+pub const RECONCILE_TXN: u64 = u64::MAX;
+
+/// Transaction id of the NMS's lease renewals (origin 0, like
+/// [`RECONCILE_TXN`]). A renewal is applied and not answered either: a
+/// lost one is repeated by the next round while the lease it refreshes
+/// still runs.
+pub const RENEW_TXN: u64 = u64::MAX - 1;
+
 /// Management command accepted by a device (sent by its ISP's network
 /// management system, or directly in tests).
 #[derive(Clone, Debug)]
@@ -78,6 +90,7 @@ pub enum DeviceCommand {
         spec: ServiceSpec,
         /// Management transaction this install belongs to; echoed in the
         /// reply so the NMS can attribute acks under retries (0 = none).
+        /// Under [`RECONCILE_TXN`] or [`RENEW_TXN`] there is no reply.
         txn: u64,
         /// Authority horizon: the device autonomously uninstalls this
         /// slot's services at this instant unless a later install pushes
@@ -96,7 +109,8 @@ pub enum DeviceCommand {
         /// Which stage.
         stage: Stage,
         /// Management transaction this removal belongs to; echoed in the
-        /// reply (0 = none).
+        /// reply (0 = none). Under [`RECONCILE_TXN`] or [`RENEW_TXN`] there
+        /// is no reply.
         txn: u64,
     },
     /// Activate or deactivate an installed service.
@@ -152,9 +166,10 @@ pub enum DeviceCommand {
 
 /// The NMS's provisioning of an owner in one message: the
 /// [`DeviceCommand::RegisterOwner`] applied, then the
-/// [`DeviceCommand::InstallService`] it precedes, which alone is answered.
-/// The paper's two provisioning steps, sent together on every install and
-/// lease renewal, so a renewal is one delivery and its reply.
+/// [`DeviceCommand::InstallService`] it precedes; only the install may be
+/// answered. The paper's two provisioning steps, sent together on every
+/// install and lease renewal, so a renewal is one delivery, which the
+/// device does not answer (it comes under [`RENEW_TXN`]).
 #[derive(Clone, Debug)]
 pub struct Provision {
     /// The owner's registration, shared by every send of one deployment.
@@ -801,6 +816,15 @@ impl NodeAgent for AdaptiveDevice {
                     }
                 }
             }
+            // A repair or a renewal is applied, not answered: its sender
+            // tracks nothing and repeats it on its next round.
+            if let DeviceCommand::InstallService { txn, .. }
+            | DeviceCommand::RemoveService { txn, .. } = *cmd
+            {
+                if txn == RECONCILE_TXN || txn == RENEW_TXN {
+                    return;
+                }
+            }
             // Echo the request's transaction identity on the reply so the
             // flight recorder traces it under the same key.
             let delay = ctx.path_delay(reply_to);
@@ -883,6 +907,7 @@ impl NodeAgent for AdaptiveDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inbox::{Heard, Inbox};
     use crate::spec::{FilterRule, MatchExpr, ModuleSpec};
     use dtcs_netsim::{Addr, PacketBuilder, Proto, SimDuration, Simulator, Topology, TrafficClass};
     use std::collections::BTreeSet;
@@ -1364,6 +1389,52 @@ mod tests {
         });
         assert!(matches!(reply, Some(DeviceReply::RemoveOk { txn: 6, .. })));
         assert_eq!(handle.lock().rule_count, 0);
+    }
+
+    /// A repair or renewal install and a repair removal are applied and
+    /// answered by nothing; under an ordinary `txn` the same two commands
+    /// are answered.
+    #[test]
+    fn untracked_installs_and_removals_go_unanswered() {
+        for txn in [RECONCILE_TXN, RENEW_TXN, 7] {
+            let mut sim = Simulator::new(Topology::line(3), 1);
+            let (dev, handle) = AdaptiveDevice::new(NodeId(1), Some(NodeId(0)));
+            sim.add_agent(NodeId(1), Box::new(dev));
+            Inbox::attach(&mut sim, NodeId(0));
+            let installed = DeviceCommand::InstallService {
+                owner: victim_owner(),
+                stage: Stage::Dst,
+                spec: anti_spoof("fw"),
+                txn,
+                lease_until: SimTime::MAX,
+            };
+            sim.deliver_control(SimTime::ZERO, NodeId(0), NodeId(1), installed);
+            sim.run_until(SimTime::from_millis(100));
+            assert_eq!(handle.lock().rule_count, 1, "txn {txn:#x}: applied");
+            let removal = DeviceCommand::RemoveService {
+                owner: victim_owner(),
+                stage: Stage::Dst,
+                txn,
+            };
+            sim.deliver_control(sim.now(), NodeId(0), NodeId(1), removal);
+            sim.run_until(SimTime::from_millis(200));
+            assert_eq!(handle.lock().rule_count, 0, "txn {txn:#x}: applied");
+            let heard = sim.agent::<Inbox>(NodeId(0)).unwrap().heard();
+            if txn == 7 {
+                assert!(
+                    matches!(
+                        heard,
+                        [
+                            Heard::Reply(DeviceReply::InstallOk { txn: 7, .. }),
+                            Heard::Reply(DeviceReply::RemoveOk { txn: 7, .. }),
+                        ]
+                    ),
+                    "{heard:?}"
+                );
+            } else {
+                assert!(heard.is_empty(), "txn {txn:#x}: {heard:?}");
+            }
+        }
     }
 
     /// The lease bookkeeping this device had before the expiry index, kept

@@ -51,6 +51,7 @@ pub mod view;
 
 pub use device::{
     AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats, Provision,
+    RECONCILE_TXN, RENEW_TXN,
 };
 pub use graph::ServiceGraph;
 pub use inbox::{Heard, Inbox};
