@@ -18,12 +18,13 @@
 //!   budget proportional to processed traffic (footnote 1 of the paper);
 //!   events beyond the budget are suppressed and counted.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use dtcs_netsim::{
-    AgentCtx, CancelTimer, ControlMsg, CpActor, CpMeta, CpState, CpTraceEvent, DropReason, LinkId,
-    NodeAgent, NodeId, Packet, Prefix, RouteOracle, SimTime, TimerId, Verdict,
+    AgentCtx, ControlMsg, CpActor, CpMeta, CpState, CpTraceEvent, DropReason, LinkId, NodeAgent,
+    NodeId, Packet, Prefix, RouteOracle, SimTime, TimerId, Verdict,
 };
 
 use crate::graph::ServiceGraph;
@@ -38,10 +39,10 @@ use crate::view::{DeviceContext, DeviceEvent, PacketView};
 const EVENT_BYTES: u64 = 64;
 
 /// Agent-timer token for the lease reaper. The device is the only timer
-/// user on its node, so a single low token suffices: each finite lease
-/// installed over the control plane has one timer at its `lease_until`,
-/// cancelled when a renewal moves the lease or the slot goes, so every
-/// one that fires reaps.
+/// user on its node, so a single low token suffices: it keeps one timer,
+/// at its soonest lease entry, and each fire reaps what is due and sets
+/// the next. A finite lease installed through [`AdaptiveDevice::apply`]
+/// is reaped by the first reaper fire at or after its horizon.
 const TOKEN_LEASE: u64 = 1;
 
 /// Transaction id of the NMS's anti-entropy repairs: re-installs of what
@@ -95,9 +96,10 @@ pub enum DeviceCommand {
         /// Authority horizon: the device autonomously uninstalls this
         /// slot's services at this instant unless a later install pushes
         /// it forward ([`SimTime::MAX`] = no lease, never expires).
-        /// Installed over the control plane the expiry is wheel-scheduled;
-        /// via [`AdaptiveDevice::apply`] no timer exists, so setup code
-        /// should pass [`SimTime::MAX`].
+        /// Installed over the control plane it is reaped at this instant;
+        /// via [`AdaptiveDevice::apply`], which sets no timer, at the first
+        /// reaper fire at or after it, so setup code should pass
+        /// [`SimTime::MAX`].
         lease_until: SimTime,
     },
     /// Remove a service graph. Idempotent: removing an absent slot still
@@ -297,10 +299,6 @@ pub struct DeviceStats {
     /// Instant of the most recent lease reap (None = never); scenarios
     /// use this to measure orphan-filter dwell time.
     pub last_reap_at: Option<SimTime>,
-    /// Lease-reaper timers that fired with nothing due. A lease's own
-    /// timer always finds it due, so only a timer scheduled from outside
-    /// ([`dtcs_netsim::Simulator::schedule_agent_timer`]) counts here.
-    pub idle_lease_timers: u64,
 }
 
 /// Shared read handle onto a running device's stats.
@@ -320,48 +318,27 @@ struct Slot {
     lease_until: SimTime,
 }
 
-/// Every finite lease on a device, soonest first, with the timer that
-/// reaps it (None for a lease installed through
-/// [`AdaptiveDevice::apply`], which arms none).
-type Expiries = BTreeMap<(SimTime, OwnerId, Stage), Option<TimerId>>;
-
 impl Slot {
     fn rule_count(&self) -> usize {
         self.graphs.iter().map(|g| g.rule_count).sum()
     }
-
-    /// Move the authority horizon of `owner`'s `stage` slot, keeping the
-    /// device's expiry index in step: the old lease's timer goes to
-    /// `timers` to cancel, and the new lease has none until
-    /// [`AdaptiveDevice::arm_lease`].
-    fn set_lease(
-        &mut self,
-        expiries: &mut Expiries,
-        timers: &mut impl CancelTimer,
-        (owner, stage): (OwnerId, Stage),
-        until: SimTime,
-    ) {
-        let old = std::mem::replace(&mut self.lease_until, until);
-        if old == until {
-            return;
-        }
-        retire_lease(expiries, timers, (old, owner, stage));
-        if until != SimTime::MAX {
-            expiries.insert((until, owner, stage), None);
-        }
-    }
 }
 
-/// Drop a lease from the expiry index and cancel its timer; a no-op for
-/// [`SimTime::MAX`] (unleased).
-fn retire_lease(
-    expiries: &mut Expiries,
-    timers: &mut impl CancelTimer,
-    lease: (SimTime, OwnerId, Stage),
-) {
-    if let Some(Some(timer)) = expiries.remove(&lease) {
-        timers.cancel_timer(timer);
+/// Lease entries, soonest first, under one invariant: every finitely
+/// leased slot has an entry due no later than its `lease_until`. An entry
+/// is held against its slot only when it comes due, so a renewal, a
+/// removal and a crash's wipe leave the heap as it is.
+type Leases = BinaryHeap<Reverse<(SimTime, OwnerId, Stage)>>;
+
+/// Move `slot`'s authority horizon to `until`. Only a horizon moved
+/// earlier needs an entry of its own (a new slot's counts, from
+/// [`SimTime::MAX`]); a later one, a renewal's, is found when the entry
+/// it has comes due.
+fn set_lease(leases: &mut Leases, slot: &mut Slot, key: (OwnerId, Stage), until: SimTime) {
+    if until < slot.lease_until {
+        leases.push(Reverse((until, key.0, key.1)));
     }
+    slot.lease_until = until;
 }
 
 /// The adaptive device agent.
@@ -369,11 +346,12 @@ pub struct AdaptiveDevice {
     ctx: DeviceContext,
     owners: OwnerTable,
     services: HashMap<(OwnerId, Stage), Slot>,
-    /// Every finite `lease_until` in `services` and nothing else: the
-    /// reaper pops what is due instead of scanning every slot, and a
+    /// The reaper pops what is due instead of scanning every slot, and a
     /// device whose installs are all unleased holds nothing here.
-    /// [`Slot::set_lease`] and [`AdaptiveDevice::remove_slot`] keep it.
-    expiries: Expiries,
+    leases: Leases,
+    /// The one reaper timer and its instant, set at the soonest entry of
+    /// `leases` ([`AdaptiveDevice::arm_reaper`]).
+    reaper: Option<(SimTime, TimerId)>,
     verifier: SafetyVerifier,
     /// Only this node's commands are accepted when set (the ISP NMS).
     manager: Option<NodeId>,
@@ -400,7 +378,8 @@ impl AdaptiveDevice {
             ctx: DeviceContext { node },
             owners: OwnerTable::new(),
             services: HashMap::new(),
-            expiries: BTreeMap::new(),
+            leases: BinaryHeap::new(),
+            reaper: None,
             verifier: SafetyVerifier::default(),
             manager,
             stats: stats.clone(),
@@ -424,15 +403,10 @@ impl AdaptiveDevice {
     /// Direct (non-control-plane) command application, for scenario setup
     /// before the simulation starts.
     pub fn apply(&mut self, cmd: DeviceCommand) -> Option<DeviceReply> {
-        self.handle_command(&cmd, &mut ())
+        self.handle_command(&cmd)
     }
 
-    /// Apply `cmd`; the timers of the leases it retires go to `timers`.
-    fn handle_command(
-        &mut self,
-        cmd: &DeviceCommand,
-        timers: &mut impl CancelTimer,
-    ) -> Option<DeviceReply> {
+    fn handle_command(&mut self, cmd: &DeviceCommand) -> Option<DeviceReply> {
         match *cmd {
             DeviceCommand::RegisterOwner {
                 owner,
@@ -446,8 +420,8 @@ impl AdaptiveDevice {
             }
             DeviceCommand::UnregisterOwner { owner } => {
                 self.owners.unregister_owner(owner);
-                self.remove_slot(timers, owner, Stage::Src);
-                self.remove_slot(timers, owner, Stage::Dst);
+                self.remove_slot(owner, Stage::Src);
+                self.remove_slot(owner, Stage::Dst);
                 None
             }
             DeviceCommand::InstallService {
@@ -467,7 +441,7 @@ impl AdaptiveDevice {
                     graphs.any(|g| g.spec_hash() == hash && g.name() == spec.name())
                 });
                 if let Some(slot) = running {
-                    slot.set_lease(&mut self.expiries, timers, (owner, stage), lease_until);
+                    set_lease(&mut self.leases, slot, (owner, stage), lease_until);
                     self.stats.lock().idempotent_installs += 1;
                     return Some(DeviceReply::InstallOk {
                         node: self.ctx.node,
@@ -493,7 +467,7 @@ impl AdaptiveDevice {
                             }
                             None => slot.graphs.push(graph),
                         }
-                        slot.set_lease(&mut self.expiries, timers, (owner, stage), lease_until);
+                        set_lease(&mut self.leases, slot, (owner, stage), lease_until);
                         self.adjust_rule_count(delta);
                         DeviceReply::InstallOk {
                             node: self.ctx.node,
@@ -516,7 +490,7 @@ impl AdaptiveDevice {
                 Some(reply)
             }
             DeviceCommand::RemoveService { owner, stage, txn } => {
-                self.remove_slot(timers, owner, stage);
+                self.remove_slot(owner, stage);
                 Some(DeviceReply::RemoveOk {
                     node: self.ctx.node,
                     owner,
@@ -608,22 +582,31 @@ impl AdaptiveDevice {
         }
     }
 
-    /// Take a slot out, with its lease — whose timer goes to `timers` —
-    /// and its rules.
-    fn remove_slot(&mut self, timers: &mut impl CancelTimer, owner: OwnerId, stage: Stage) {
-        let Some(slot) = self.services.remove(&(owner, stage)) else {
-            return;
-        };
-        retire_lease(&mut self.expiries, timers, (slot.lease_until, owner, stage));
-        self.adjust_rule_count(-(slot.rule_count() as i64));
+    /// Take a slot out with its rules; its lease entry is dropped when it
+    /// comes due.
+    fn remove_slot(&mut self, owner: OwnerId, stage: Stage) {
+        if let Some(slot) = self.services.remove(&(owner, stage)) {
+            self.adjust_rule_count(-(slot.rule_count() as i64));
+        }
     }
 
-    /// Arm the reaper of `lease` unless it has a timer already (a second
-    /// install with the same horizon keeps the first one's).
-    fn arm_lease(&mut self, ctx: &mut AgentCtx<'_>, lease: (SimTime, OwnerId, Stage)) {
-        if let Some(timer @ None) = self.expiries.get_mut(&lease) {
-            *timer = Some(ctx.set_timer(lease.0.saturating_since(ctx.now), TOKEN_LEASE));
+    /// Set the reaper at the soonest lease entry (now, for a horizon
+    /// already past). A reaper set no later stays: one left at an entry
+    /// whose slot has since gone or been renewed fires, finds it, and
+    /// sets the next.
+    fn arm_reaper(&mut self, ctx: &mut AgentCtx<'_>) {
+        let Some(&Reverse((due, ..))) = self.leases.peek() else {
+            return;
+        };
+        let due = due.max(ctx.now);
+        if let Some((at, timer)) = self.reaper {
+            if at <= due {
+                return;
+            }
+            ctx.cancel_timer(timer);
         }
+        let timer = ctx.set_timer(due.saturating_since(ctx.now), TOKEN_LEASE);
+        self.reaper = Some((due, timer));
     }
 
     /// Move `rule_count` by a slot's change of rules. The count is the sum
@@ -772,7 +755,7 @@ impl NodeAgent for AdaptiveDevice {
             }
         }
         if let Some(register) = register {
-            self.handle_command(register, ctx);
+            self.handle_command(register);
         }
         // Queries answer the node they name; everything else its sender.
         let reply_to = match *cmd {
@@ -781,22 +764,9 @@ impl NodeAgent for AdaptiveDevice {
             | DeviceCommand::QueryInventory { reply_to } => reply_to,
             _ => msg.from,
         };
-        if let Some(reply) = self.handle_command(cmd, ctx) {
-            // Leased install accepted: wheel-schedule the reaper at the
-            // authority horizon. A renewal that moved the lease cancelled
-            // the old horizon's timer.
-            if let (
-                DeviceCommand::InstallService {
-                    owner,
-                    stage,
-                    lease_until,
-                    ..
-                },
-                DeviceReply::InstallOk { .. },
-            ) = (cmd, &reply)
-            {
-                self.arm_lease(ctx, (*lease_until, *owner, *stage));
-            }
+        let reply = self.handle_command(cmd);
+        self.arm_reaper(ctx);
+        if let Some(reply) = reply {
             if ctx.cp_trace_enabled() {
                 if let Some(m) = msg.meta {
                     let state = match &reply {
@@ -845,30 +815,33 @@ impl NodeAgent for AdaptiveDevice {
         if token != TOKEN_LEASE {
             return;
         }
-        // Reap every slot whose authority horizon has passed, soonest
-        // first, cancelling the timers of those due with this one.
-        let mut reaped = false;
-        while let Some(entry) = self.expiries.first_entry() {
-            let (until, owner, stage) = *entry.key();
-            if until > ctx.now {
+        // This fire is the reaper's, or one set from outside no later
+        // than the reaper, which then gives way to the one set below.
+        if let Some((_, timer)) = self.reaper.take_if(|(at, _)| *at <= ctx.now) {
+            ctx.cancel_timer(timer); // a no-op for the timer firing now
+        }
+        // Each due entry: a horizon passed is reaped, soonest first, a
+        // horizon renewed is queued again, and anything else is dropped.
+        while let Some(&Reverse((due, owner, stage))) = self.leases.peek() {
+            if due > ctx.now {
                 break;
             }
-            if let Some(timer) = entry.remove() {
-                ctx.cancel_timer(timer);
+            self.leases.pop();
+            let slot = self.services.get(&(owner, stage));
+            match slot.map(|slot| slot.lease_until) {
+                Some(until) if until <= ctx.now => {
+                    self.remove_slot(owner, stage);
+                    let mut s = self.stats.lock();
+                    s.lease_reaps += 1;
+                    s.last_reap_at = Some(ctx.now);
+                }
+                Some(until) if until != SimTime::MAX => {
+                    self.leases.push(Reverse((until, owner, stage)));
+                }
+                _ => {} // the slot is gone, or unleased now
             }
-            let rules = self
-                .services
-                .remove(&(owner, stage))
-                .map_or(0, |slot| slot.rule_count());
-            self.adjust_rule_count(-(rules as i64));
-            let mut s = self.stats.lock();
-            s.lease_reaps += 1;
-            s.last_reap_at = Some(ctx.now);
-            reaped = true;
         }
-        if !reaped {
-            self.stats.lock().idle_lease_timers += 1;
-        }
+        self.arm_reaper(ctx);
     }
 
     fn on_crash(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -880,7 +853,8 @@ impl NodeAgent for AdaptiveDevice {
         // asked for at restart, repaired by its sweep otherwise.
         self.owners = OwnerTable::new();
         self.services.clear();
-        for timer in std::mem::take(&mut self.expiries).into_values().flatten() {
+        self.leases.clear();
+        if let Some((_, timer)) = self.reaper.take() {
             ctx.cancel_timer(timer);
         }
         self.events_buf.clear();
@@ -910,7 +884,6 @@ mod tests {
     use crate::inbox::{Heard, Inbox};
     use crate::spec::{FilterRule, MatchExpr, ModuleSpec};
     use dtcs_netsim::{Addr, PacketBuilder, Proto, SimDuration, Simulator, Topology, TrafficClass};
-    use std::collections::BTreeSet;
 
     fn victim_owner() -> OwnerId {
         OwnerId(42)
@@ -1305,7 +1278,7 @@ mod tests {
     }
 
     #[test]
-    fn renewal_pushes_lease_forward_and_cancels_the_old_timer() {
+    fn renewal_moves_the_horizon_and_the_old_entry_queues_it_again() {
         let (mut sim, handle) = sim_with_device();
         sim.deliver_control(
             SimTime::ZERO,
@@ -1332,13 +1305,55 @@ mod tests {
         assert_eq!(s.rule_count, 0, "renewed lease eventually expires too");
         assert_eq!(s.lease_reaps, 1);
         assert_eq!(s.last_reap_at, Some(SimTime::from_millis(900)));
-        assert_eq!(s.idle_lease_timers, 0, "the 500 ms timer was cancelled");
-        // Two installs and their two acks, and the one timer that reaped.
-        assert_eq!(sim.stats.events, 5);
+        // Two installs and their two acks, the 500 ms fire that queued the
+        // renewed horizon again, and the 900 ms fire that reaped.
+        assert_eq!(sim.stats.events, 6);
+    }
+
+    /// Leased installs with distinct horizons, then their renewals: the
+    /// wheel holds one lease timer however many leases stand, and each
+    /// slot is still reaped at its own horizon.
+    #[test]
+    fn one_reaper_timer_reaps_each_lease_at_its_own_horizon() {
+        const N: u64 = 6;
+        let (mut sim, handle) = sim_with_device();
+        let lease = |i: u64, until: SimTime| DeviceCommand::InstallService {
+            owner: OwnerId(100 + i),
+            stage: Stage::Dst,
+            spec: anti_spoof("fw"),
+            txn: RENEW_TXN, // unanswered: the wheel holds timers alone
+            lease_until: until,
+        };
+        for i in 0..N {
+            let until = SimTime::from_millis(100 * (i + 1));
+            sim.deliver_control(SimTime::ZERO, NodeId(1), NodeId(1), lease(i, until));
+        }
+        sim.run_until(SimTime::from_millis(1));
+        assert_eq!(sim.pending_events(), 1, "one timer for {N} leases");
+        let renewed = |i: u64| SimTime::from_millis(100 * (i + 1) + 30 * (N - i));
+        for i in 0..N {
+            let at = SimTime::from_millis(50);
+            sim.deliver_control(at, NodeId(1), NodeId(1), lease(i, renewed(i)));
+        }
+        sim.run_until(SimTime::from_millis(51));
+        assert_eq!(sim.pending_events(), 1, "renewals set no timer");
+        assert_eq!(handle.lock().rule_count as u64, 1 + N);
+        for i in 0..N {
+            sim.run_until(SimTime::from_nanos(renewed(i).as_nanos() - 1));
+            assert_eq!(handle.lock().lease_reaps, i, "lease {i} still stands");
+            assert_eq!(sim.pending_events(), 1);
+            sim.run_until(renewed(i));
+            let s = handle.lock();
+            assert_eq!(s.lease_reaps, i + 1);
+            assert_eq!(s.last_reap_at, Some(renewed(i)));
+            assert_eq!(s.rule_count as u64, N - i, "the unleased install stays");
+        }
+        assert_eq!(sim.pending_events(), 0);
     }
 
     /// A removal, an unregistration and a crash each take a leased slot
-    /// out before its lease runs out: its timer goes with it.
+    /// out before its lease runs out: nothing is reaped, and by the end no
+    /// timer is left.
     #[test]
     fn a_lease_dropped_early_takes_its_timer_along() {
         let early = [
@@ -1364,7 +1379,6 @@ mod tests {
             assert_eq!(sim.pending_events(), 0);
             let s = handle.lock();
             assert_eq!((s.rule_count, s.lease_reaps), (0, 0));
-            assert_eq!(s.idle_lease_timers, 0, "no timer fired after the slot went");
         }
     }
 
@@ -1437,7 +1451,7 @@ mod tests {
         }
     }
 
-    /// The lease bookkeeping this device had before the expiry index, kept
+    /// The lease bookkeeping this device had before its lease entries, kept
     /// as the reference: one map entry per installed slot — unleased ones
     /// included — and a reap that scans all of them.
     #[derive(Default)]
@@ -1479,15 +1493,29 @@ mod tests {
             let slots = self.dev.services.iter();
             let slots: HashMap<_, _> = slots.map(|(&k, slot)| (k, slot.lease_until)).collect();
             assert_eq!(slots, self.reference.leases, "same slots, same horizons");
-            let finite = slots.iter().filter(|(_, &until)| until != SimTime::MAX);
-            let finite: BTreeSet<_> = finite.map(|(&(o, s), &until)| (until, o, s)).collect();
-            let index: BTreeSet<_> = self.dev.expiries.keys().copied().collect();
-            assert_eq!(index, finite, "the index is the finite leases");
+            let mut soonest = HashMap::new();
+            for &Reverse((due, owner, stage)) in &self.dev.leases {
+                let entry = soonest.entry((owner, stage)).or_insert(due);
+                *entry = due.min(*entry);
+            }
+            for (key, &until) in slots.iter().filter(|(_, &until)| until != SimTime::MAX) {
+                let due = soonest.get(key).copied();
+                assert!(due.is_some_and(|due| due <= until), "{key:?}: {due:?}");
+            }
             let stats = self.dev.stats.lock();
             assert_eq!(stats.lease_reaps, self.reference.reaps);
             assert_eq!(stats.last_reap_at, self.reference.last_reap_at);
             let recount: usize = self.dev.services.values().map(Slot::rule_count).sum();
             assert_eq!(stats.rule_count, recount);
+        }
+
+        /// After a command or a fire the reaper is set no later than the
+        /// soonest entry (or now, for one already past).
+        fn check_reaper(&self, now: SimTime) {
+            if let Some(&Reverse((due, ..))) = self.dev.leases.peek() {
+                let at = self.dev.reaper.map(|(at, _)| at);
+                assert!(at.is_some_and(|at| at <= due.max(now)), "{at:?} > {due:?}");
+            }
         }
     }
 
@@ -1499,6 +1527,7 @@ mod tests {
         fn on_control(&mut self, ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
             self.dev.on_control(ctx, msg);
             self.mirror(msg.get::<DeviceCommand>().expect("only commands are sent"));
+            self.check_reaper(ctx.now);
         }
 
         fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
@@ -1511,6 +1540,7 @@ mod tests {
             }
             self.dev.on_timer(ctx, token);
             self.check();
+            self.check_reaper(ctx.now);
         }
 
         fn on_crash(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -1521,7 +1551,7 @@ mod tests {
     }
 
     #[test]
-    fn expiry_index_reaps_what_a_whole_table_scan_would() {
+    fn lease_heap_reaps_what_a_whole_table_scan_would() {
         let (mut reaps, mut crashes) = (0, 0);
         let specs = [anti_spoof("fw"), anti_spoof("stats"), fw_dropping_udp()];
         dtcs_netsim::rng::check_cases(0..96, |rng| {
@@ -1553,7 +1583,7 @@ mod tests {
             let (dev, handle) = AdaptiveDevice::new(NodeId(1), None);
             let reference = ScanLeases::default();
             let mut agent = Lockstep { dev, reference };
-            // Finite leases through `apply` arm no timer of their own.
+            // Finite leases through `apply` set no reaper.
             for _ in 0..rng.gen_range(0..4u32) {
                 let cmd = command(rng);
                 agent.dev.apply(cmd.clone());
