@@ -60,10 +60,6 @@ pub enum DeployScope {
     AllManaged,
     /// Only transit routers with stub customers (stub borders).
     StubBorders,
-    /// The `k` highest-degree managed routers.
-    TopDegree(usize),
-    /// An explicit node set.
-    Nodes(Vec<NodeId>),
 }
 
 /// Why a registration failed.
@@ -73,34 +69,29 @@ pub enum RegistrationError {
     OwnershipDenied,
 }
 
-/// Control-plane messages.
+/// Control-plane messages. A body carries only its content: the
+/// transaction is the envelope's [`MsgKey`] and the sender is
+/// [`ControlMsg::from`], and every answer goes to the sender of its request
+/// under the request's key.
 #[derive(Clone, Debug)]
 pub enum CpMsg {
-    /// User → TCSP: register for the TC service (Fig. 4). The
-    /// transaction is identified by the envelope's [`MsgKey`].
+    /// User → TCSP: register for the TC service (Fig. 4).
     RegisterRequest {
         /// The requesting user.
         user: UserId,
         /// Claimed prefixes.
         claimed: Vec<Prefix>,
-        /// Node to confirm to.
-        reply_to: NodeId,
     },
-    /// TCSP → authority: verify claimed ownership.
+    /// TCSP → authority: verify claimed ownership, a leg of the user's
+    /// registration.
     VerifyOwnership {
-        /// Transaction id.
-        txn: u64,
         /// The claiming user.
         user: UserId,
         /// Claimed prefixes.
         prefixes: Vec<Prefix>,
-        /// Node to answer to.
-        reply_to: NodeId,
     },
     /// Authority → TCSP: verification result.
     OwnershipResult {
-        /// Transaction id.
-        txn: u64,
         /// Ownership confirmed?
         ok: bool,
     },
@@ -117,9 +108,8 @@ pub enum CpMsg {
         service: CatalogService,
         /// Deployment scope.
         scope: DeployScope,
-        /// Transaction id (chosen by the user).
-        txn: u64,
-        /// Node to confirm to.
+        /// The requesting user's node, to confirm to: a peer NMS forwards
+        /// the request on the user's behalf.
         reply_to: NodeId,
         /// When true, the receiving NMS forwards the request to its peer
         /// NMSes (ISP-to-ISP propagation, Sec. 5.1).
@@ -133,17 +123,12 @@ pub enum CpMsg {
         service: CatalogService,
         /// Managed nodes to configure.
         nodes: Vec<NodeId>,
-        /// Transaction id.
-        txn: u64,
-        /// Node to ack to.
-        reply_to: NodeId,
+        /// The requesting user's node, where the devices send the owner's
+        /// telemetry.
+        contact: NodeId,
     },
     /// NMS → TCSP or user: devices configured.
     NmsAck {
-        /// Transaction id.
-        txn: u64,
-        /// The acking NMS node (dedup key for multi-ISP fan-in).
-        from_nms: NodeId,
         /// Devices successfully configured.
         configured: usize,
         /// Installs rejected by device safety verifiers.
@@ -151,8 +136,6 @@ pub enum CpMsg {
     },
     /// TCSP → user: whole deployment confirmed.
     DeployConfirm {
-        /// Transaction id.
-        txn: u64,
         /// Total devices configured.
         configured: usize,
         /// Total rejected installs.
@@ -171,10 +154,6 @@ pub enum CpMsg {
         cert: Certificate,
         /// Operation to apply on every device of the user's deployment.
         op: UserOp,
-        /// Transaction id.
-        txn: u64,
-        /// Node to confirm to.
-        reply_to: NodeId,
     },
     /// User → TCSP: tear down every service deployed under this
     /// certificate. Accepted on an *authentic* certificate even past its
@@ -183,34 +162,20 @@ pub enum CpMsg {
     WithdrawRequest {
         /// Authorisation (signature checked; freshness deliberately not).
         cert: Certificate,
-        /// Transaction id (chosen by the user).
-        txn: u64,
-        /// Node to confirm to.
-        reply_to: NodeId,
     },
     /// TCSP → NMS: remove this owner's services from every managed
     /// device and drop them from desired state.
     NmsWithdraw {
         /// Owner whose services are withdrawn.
         owner: OwnerId,
-        /// Transaction id.
-        txn: u64,
-        /// Node to ack to.
-        reply_to: NodeId,
     },
     /// NMS → TCSP: withdrawal executed on this ISP.
     NmsWithdrawAck {
-        /// Transaction id.
-        txn: u64,
-        /// The acking NMS node (dedup key for multi-ISP fan-in).
-        from_nms: NodeId,
         /// Device removals confirmed by this ISP.
         removed: usize,
     },
     /// TCSP → user: whole withdrawal confirmed.
     WithdrawConfirm {
-        /// Transaction id.
-        txn: u64,
         /// Total device removals confirmed.
         removed: usize,
         /// ISPs that acked.
@@ -293,8 +258,8 @@ fn send_env(ctx: &mut AgentCtx<'_>, to: NodeId, env: Envelope) {
     ctx.send_control_keyed(to, delay, env, meta);
 }
 
-/// Answer a relayed transaction: `msg` goes where its request asked, under
-/// the request's key.
+/// Answer a relayed transaction: `msg` goes to its request's sender (a
+/// `DeployRequest`'s `reply_to`), under the request's key.
 fn answer<L>(ctx: &mut AgentCtx<'_>, to: Role, txn: u64, out: &FanIn<L>, msg: CpMsg) {
     let key = MsgKey::first(out.origin, txn);
     send_env(ctx, out.reply_to, Envelope { to, key, msg });
@@ -465,20 +430,14 @@ impl NodeAgent for AuthorityAgent {
         if env.to != Role::Authority {
             return;
         }
-        if let CpMsg::VerifyOwnership {
-            txn,
-            user,
-            prefixes,
-            reply_to,
-        } = &env.msg
-        {
+        if let CpMsg::VerifyOwnership { user, prefixes } = &env.msg {
             let ok = self.registry.verify_claim(*user, prefixes).is_ok();
             let result = Envelope {
                 to: Role::Tcsp,
                 key: MsgKey::first(env.key.origin, env.key.txn),
-                msg: CpMsg::OwnershipResult { txn: *txn, ok },
+                msg: CpMsg::OwnershipResult { ok },
             };
-            send_env(ctx, *reply_to, result);
+            send_env(ctx, msg.from, result);
         }
     }
 }
@@ -497,8 +456,6 @@ pub struct IspContract {
 struct Registration {
     user: UserId,
     claimed: Vec<Prefix>,
-    /// The TCSP's own id for the authority leg; the verdict names only it.
-    verify_txn: u64,
     /// The answer, once the authority gave its verdict.
     result: Option<Result<Certificate, RegistrationError>>,
 }
@@ -522,8 +479,9 @@ pub struct TcspAgent {
     /// ([`TcspAgent::set_available`]) to simulate a DDoS against the TCSP
     /// itself (requests are silently dropped).
     available: bool,
-    next_txn: u64,
-    registrations: Relay<(u64, u64), u64, Request, Registration>,
+    /// Registrations by the user's `(origin, txn)`; a leg is the authority
+    /// node asked.
+    registrations: Relay<(u64, u64), NodeId, Request, Registration>,
     /// Deployments and withdrawals, by txn; a leg is the NMS node asked.
     /// A deployment settles when every leg acked or gave up: within one
     /// retry budget of its fan-out.
@@ -543,7 +501,6 @@ impl TcspAgent {
             cert_lifetime: SimDuration::from_secs(86_400),
             isps,
             available: true,
-            next_txn: 1,
             registrations: Relay::new(FAM_TCSP_VERIFY, policy, key ^ 0xA),
             deploys: Relay::new(FAM_TCSP_DEPLOY, policy, key ^ 0xB),
             withdraws: Relay::new(FAM_TCSP_WITHDRAW, policy, key ^ 0x1F),
@@ -581,11 +538,6 @@ impl TcspAgent {
     fn resolve_scope(ctx: &AgentCtx<'_>, managed: &[NodeId], scope: &DeployScope) -> Vec<NodeId> {
         match scope {
             DeployScope::AllManaged => managed.to_vec(),
-            DeployScope::Nodes(set) => managed
-                .iter()
-                .copied()
-                .filter(|n| set.contains(n))
-                .collect(),
             DeployScope::StubBorders => managed
                 .iter()
                 .copied()
@@ -597,19 +549,13 @@ impl TcspAgent {
                             .any(|(p, _)| ctx.topo.is_customer_of(p, n))
                 })
                 .collect(),
-            DeployScope::TopDegree(k) => {
-                let mut v: Vec<NodeId> = managed.to_vec();
-                v.sort_by_key(|&n| (std::cmp::Reverse(ctx.topo.nodes[n.0].degree()), n.0));
-                v.truncate(*k);
-                v
-            }
         }
     }
 
     fn send_register_confirm(
         ctx: &mut AgentCtx<'_>,
         txn: u64,
-        out: &FanIn<u64>,
+        out: &FanIn<NodeId>,
         reg: &Registration,
     ) {
         if let Some(result) = reg.result.clone() {
@@ -619,7 +565,6 @@ impl TcspAgent {
 
     fn send_deploy_confirm(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>, _: &()) {
         let confirm = CpMsg::DeployConfirm {
-            txn,
             configured: out.done,
             rejected: out.refused,
             isps: out.acked(),
@@ -643,7 +588,6 @@ impl TcspAgent {
 
     fn send_withdraw_confirm(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>, _: &()) {
         let confirm = CpMsg::WithdrawConfirm {
-            txn,
             removed: out.done,
             isps: out.acked(),
             isps_missing: out.lost(),
@@ -680,9 +624,7 @@ impl NodeAgent for TcspAgent {
                 if let Fired::GaveUp(leg) = fired {
                     // Authority unreachable: forget the attempt so a fresh
                     // user retry can restart verification.
-                    let (user_key, verify_txn) = leg.key;
-                    trace_terminal(ctx, 0, verify_txn, CpOutcome::GaveUp);
-                    self.registrations.forget(user_key);
+                    self.registrations.forget(leg.key.0);
                 }
             }
             FAM_TCSP_DEPLOY => {
@@ -729,65 +671,46 @@ impl NodeAgent for TcspAgent {
             return;
         }
         match &env.msg {
-            CpMsg::RegisterRequest {
-                user,
-                claimed,
-                reply_to,
-            } => {
-                let user_key = env.key.identity();
+            CpMsg::RegisterRequest { user, claimed } => {
+                let user_key @ (origin, txn) = env.key.identity();
                 let admission = self.registrations.admit(user_key);
                 if !admits(ctx, &self.cp, env, admission, Self::send_register_confirm) {
                     return;
                 }
-                let txn = self.next_txn;
-                self.next_txn += 1;
                 let registration = Registration {
                     user: *user,
                     claimed: claimed.clone(),
-                    verify_txn: txn,
                     result: None,
                 };
                 let verify = Request {
                     to: Role::Authority,
                     msg: CpMsg::VerifyOwnership {
-                        txn,
                         user: *user,
                         prefixes: claimed.clone(),
-                        reply_to: ctx.node,
                     },
                 };
+                let to = self.authority_node;
                 self.registrations
-                    .track(ctx, (user_key, txn), self.authority_node, 0, txn, verify);
+                    .track(ctx, (user_key, to), to, origin, txn, verify);
                 self.registrations
-                    .open(user_key, user_key.0, *reply_to, 1, registration);
-                trace_state(ctx, 0, txn, CpActor::Tcsp, CpState::VerifySent);
+                    .open(user_key, origin, msg.from, 1, registration);
+                trace_state(ctx, origin, txn, CpActor::Tcsp, CpState::VerifySent);
             }
-            CpMsg::OwnershipResult { txn, ok } => {
-                // The verdict names the authority leg, not whose
-                // registration it answers.
-                let user_key = self
-                    .registrations
-                    .running()
-                    .find_map(|(key, reg)| (reg.verify_txn == *txn).then_some(key));
+            CpMsg::OwnershipResult { ok } => {
+                let user_key @ (origin, txn) = env.key.identity();
                 let (granted, denied) = (usize::from(*ok), usize::from(!*ok));
-                let Some(user_key) =
-                    user_key.filter(|&key| self.registrations.ack(ctx, key, *txn, granted, denied))
-                else {
+                if !self
+                    .registrations
+                    .ack(ctx, user_key, msg.from, granted, denied)
+                {
                     dup_hit(ctx, &self.cp, env, true);
                     return;
-                };
-                trace_terminal(ctx, 0, *txn, CpOutcome::Verified);
+                }
                 let Some((out, reg)) = self.registrations.settle(user_key) else {
                     return;
                 };
                 let result = if out.done > 0 {
-                    trace_state(
-                        ctx,
-                        user_key.0,
-                        user_key.1,
-                        CpActor::Tcsp,
-                        CpState::RegisterConfirmed,
-                    );
+                    trace_state(ctx, origin, txn, CpActor::Tcsp, CpState::RegisterConfirmed);
                     self.stats.registrations_ok += 1;
                     Ok(Certificate::issue(
                         self.key,
@@ -796,43 +719,36 @@ impl NodeAgent for TcspAgent {
                         ctx.now + self.cert_lifetime,
                     ))
                 } else {
-                    trace_state(
-                        ctx,
-                        user_key.0,
-                        user_key.1,
-                        CpActor::Tcsp,
-                        CpState::RegisterDenied,
-                    );
+                    trace_state(ctx, origin, txn, CpActor::Tcsp, CpState::RegisterDenied);
                     self.stats.registrations_denied += 1;
                     Err(RegistrationError::OwnershipDenied)
                 };
                 reg.result = Some(result);
-                Self::send_register_confirm(ctx, user_key.1, out, reg);
+                Self::send_register_confirm(ctx, txn, out, reg);
             }
             CpMsg::DeployRequest {
                 cert,
                 service,
                 scope,
-                txn,
                 reply_to,
                 ..
             } => {
-                let admission = self.deploys.admit(*txn);
+                let MsgKey { origin, txn, .. } = env.key;
+                let admission = self.deploys.admit(txn);
                 if !admits(ctx, &self.cp, env, admission, Self::send_deploy_confirm) {
                     return;
                 }
-                let origin = env.key.origin;
                 if !cert.verify(self.key, ctx.now) {
                     if cert.authentic(self.key) {
                         // Genuine credential whose lifetime ran out
                         // (e.g. while the request sat in a retry queue):
                         // refuse to extend a dead authority's footprint,
                         // and account for it so the gap is observable.
-                        self.note_expired_deploy(ctx, origin, *txn);
+                        self.note_expired_deploy(ctx, origin, txn);
                     }
                     return;
                 }
-                trace_state(ctx, origin, *txn, CpActor::Tcsp, CpState::DeployFanout);
+                trace_state(ctx, origin, txn, CpActor::Tcsp, CpState::DeployFanout);
                 let mut legs = 0;
                 for isp in &self.isps {
                     let nodes = Self::resolve_scope(ctx, &isp.managed, scope);
@@ -845,30 +761,25 @@ impl NodeAgent for TcspAgent {
                             cert: cert.clone(),
                             service: service.clone(),
                             nodes,
-                            txn: *txn,
-                            reply_to: ctx.node,
+                            contact: *reply_to,
                         },
                     };
                     let nms = isp.nms_node;
                     self.deploys
-                        .track(ctx, (*txn, nms), nms, origin, *txn, deploy);
+                        .track(ctx, (txn, nms), nms, origin, txn, deploy);
                     legs += 1;
                 }
-                self.deploys.open(*txn, origin, *reply_to, legs, ());
+                self.deploys.open(txn, origin, *reply_to, legs, ());
                 // Confirms at once when nothing matched the scope.
-                self.confirm_deploy(ctx, *txn);
+                self.confirm_deploy(ctx, txn);
             }
             CpMsg::NmsAck {
-                txn,
-                from_nms,
                 configured,
                 rejected,
             } => {
-                if self
-                    .deploys
-                    .ack(ctx, *txn, *from_nms, *configured, *rejected)
-                {
-                    self.confirm_deploy(ctx, *txn);
+                let txn = env.key.txn;
+                if self.deploys.ack(ctx, txn, msg.from, *configured, *rejected) {
+                    self.confirm_deploy(ctx, txn);
                 } else {
                     dup_hit(ctx, &self.cp, env, true);
                 }
@@ -887,12 +798,9 @@ impl NodeAgent for TcspAgent {
                     send_env(ctx, isp.nms_node, relayed);
                 }
             }
-            CpMsg::WithdrawRequest {
-                cert,
-                txn,
-                reply_to,
-            } => {
-                let admission = self.withdraws.admit(*txn);
+            CpMsg::WithdrawRequest { cert } => {
+                let MsgKey { origin, txn, .. } = env.key;
+                let admission = self.withdraws.admit(txn);
                 if !admits(ctx, &self.cp, env, admission, Self::send_withdraw_confirm) {
                     return;
                 }
@@ -903,32 +811,26 @@ impl NodeAgent for TcspAgent {
                     return;
                 }
                 self.cp.lock().withdrawals += 1;
-                let origin = env.key.origin;
-                trace_state(ctx, origin, *txn, CpActor::Tcsp, CpState::WithdrawFanout);
+                trace_state(ctx, origin, txn, CpActor::Tcsp, CpState::WithdrawFanout);
                 for isp in &self.isps {
                     let withdraw = Request {
                         to: Role::Nms,
                         msg: CpMsg::NmsWithdraw {
                             owner: OwnerId(cert.user.0),
-                            txn: *txn,
-                            reply_to: ctx.node,
                         },
                     };
                     let nms = isp.nms_node;
                     self.withdraws
-                        .track(ctx, (*txn, nms), nms, origin, *txn, withdraw);
+                        .track(ctx, (txn, nms), nms, origin, txn, withdraw);
                 }
                 self.withdraws
-                    .open(*txn, origin, *reply_to, self.isps.len(), ());
-                self.confirm_withdraw(ctx, *txn);
+                    .open(txn, origin, msg.from, self.isps.len(), ());
+                self.confirm_withdraw(ctx, txn);
             }
-            CpMsg::NmsWithdrawAck {
-                txn,
-                from_nms,
-                removed,
-            } => {
-                if self.withdraws.ack(ctx, *txn, *from_nms, *removed, 0) {
-                    self.confirm_withdraw(ctx, *txn);
+            CpMsg::NmsWithdrawAck { removed } => {
+                let txn = env.key.txn;
+                if self.withdraws.ack(ctx, txn, msg.from, *removed, 0) {
+                    self.confirm_withdraw(ctx, txn);
                 } else {
                     dup_hit(ctx, &self.cp, env, true);
                 }
@@ -1101,16 +1003,17 @@ impl NmsAgent {
         self
     }
 
-    /// Deploy on those of `nodes` this ISP manages and ack to `reply`, when
-    /// the deploy request in `env` is new and carries a valid credential.
-    /// False when it was refused or a duplicate.
+    /// Deploy on those of `nodes` this ISP manages, with the owner's
+    /// telemetry to `contact`, and ack to `reply`, when the deploy request
+    /// in `env` is new and carries a valid credential. False when it was
+    /// refused or a duplicate.
     fn deploy_on(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         env: &Envelope,
-        cert: &Certificate,
-        service: &CatalogService,
+        (cert, service): (&Certificate, &CatalogService),
         nodes: &[NodeId],
+        contact: NodeId,
         (reply_to, reply_role): (NodeId, Role),
     ) -> bool {
         let MsgKey { origin, txn, .. } = env.key;
@@ -1126,7 +1029,7 @@ impl NmsAgent {
             register: Arc::new(DeviceCommand::RegisterOwner {
                 owner,
                 prefixes: cert.prefixes.clone(),
-                contact: reply_to, // telemetry goes to the requesting user
+                contact,
             }),
             stage: service.stage(),
             spec: service.compile(),
@@ -1152,8 +1055,6 @@ impl NmsAgent {
 
     fn send_nms_ack(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<NodeId>, to: &Role) {
         let ack = CpMsg::NmsAck {
-            txn,
-            from_nms: ctx.node,
             configured: out.done,
             rejected: out.refused,
         };
@@ -1188,11 +1089,7 @@ impl NmsAgent {
     }
 
     fn send_withdraw_ack(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<(NodeId, Stage)>, _: &()) {
-        let ack = CpMsg::NmsWithdrawAck {
-            txn,
-            from_nms: ctx.node,
-            removed: out.done,
-        };
+        let ack = CpMsg::NmsWithdrawAck { removed: out.done };
         answer(ctx, Role::Tcsp, txn, out, ack);
     }
 
@@ -1380,22 +1277,22 @@ impl NodeAgent for NmsAgent {
                 cert,
                 service,
                 nodes,
-                reply_to,
-                ..
+                contact,
             } => {
-                self.deploy_on(ctx, env, cert, service, nodes, (*reply_to, Role::Tcsp));
+                let reply = (msg.from, Role::Tcsp);
+                self.deploy_on(ctx, env, (cert, service), nodes, *contact, reply);
             }
             CpMsg::DeployRequest {
                 cert,
                 service,
                 scope,
-                txn,
                 reply_to,
                 forward_to_peers,
             } => {
                 // Direct user → ISP path (TCSP fallback).
                 let nodes = TcspAgent::resolve_scope(ctx, &self.managed, scope);
-                if !self.deploy_on(ctx, env, cert, service, &nodes, (*reply_to, Role::User)) {
+                let reply = (*reply_to, Role::User);
+                if !self.deploy_on(ctx, env, (cert, service), &nodes, *reply_to, reply) {
                     return;
                 }
                 if *forward_to_peers {
@@ -1407,7 +1304,6 @@ impl NodeAgent for NmsAgent {
                                 cert: cert.clone(),
                                 service: service.clone(),
                                 scope: scope.clone(),
-                                txn: *txn,
                                 reply_to: *reply_to,
                                 forward_to_peers: false, // one-hop fan-out
                             },
@@ -1441,12 +1337,9 @@ impl NodeAgent for NmsAgent {
                     ctx.send_control(node, delay, cmd);
                 }
             }
-            CpMsg::NmsWithdraw {
-                owner,
-                txn,
-                reply_to,
-            } => {
-                let admission = self.withdraws.admit(*txn);
+            CpMsg::NmsWithdraw { owner } => {
+                let txn = env.key.txn;
+                let admission = self.withdraws.admit(txn);
                 if !admits(ctx, &self.cp, env, admission, Self::send_withdraw_ack) {
                     return;
                 }
@@ -1468,11 +1361,11 @@ impl NodeAgent for NmsAgent {
                         stage,
                     };
                     self.withdraws
-                        .track(ctx, (*txn, (node, stage)), node, origin, *txn, removal);
+                        .track(ctx, (txn, (node, stage)), node, origin, txn, removal);
                 }
                 self.withdraws
-                    .open(*txn, origin, *reply_to, victims.len(), ());
-                self.ack_withdraw(ctx, *txn);
+                    .open(txn, origin, msg.from, victims.len(), ());
+                self.ack_withdraw(ctx, txn);
             }
             _ => {}
         }
@@ -1639,7 +1532,6 @@ impl UserAgent {
                 cert,
                 service: self.service.clone(),
                 scope: self.scope.clone(),
-                txn,
                 reply_to: ctx.node,
                 forward_to_peers: to == Role::Nms,
             },
@@ -1684,7 +1576,6 @@ impl NodeAgent for UserAgent {
                     msg: CpMsg::RegisterRequest {
                         user: self.user,
                         claimed: self.claim.clone(),
-                        reply_to: ctx.node,
                     },
                 };
                 let txn = self.reg_txn;
@@ -1726,11 +1617,7 @@ impl NodeAgent for UserAgent {
                 };
                 let withdraw = Request {
                     to: Role::Tcsp,
-                    msg: CpMsg::WithdrawRequest {
-                        cert,
-                        txn,
-                        reply_to: ctx.node,
-                    },
+                    msg: CpMsg::WithdrawRequest { cert },
                 };
                 self.withdraw_rt
                     .track(ctx, txn, self.tcsp_node, origin, txn, withdraw);
@@ -1756,9 +1643,9 @@ impl NodeAgent for UserAgent {
                 isps_missing: 0, ..
             } => (&mut self.deploy_rt, 0, CpOutcome::Confirmed),
             CpMsg::DeployConfirm { .. } => (&mut self.deploy_rt, 0, CpOutcome::Partial),
-            CpMsg::NmsAck { from_nms, .. } => (
+            CpMsg::NmsAck { .. } => (
                 &mut self.deploy_rt,
-                from_nms.0 as u64,
+                msg.from.0 as u64,
                 CpOutcome::FallbackConfirmed,
             ),
             CpMsg::WithdrawConfirm { .. } => (&mut self.withdraw_rt, 0, CpOutcome::Withdrawn),
@@ -1868,8 +1755,7 @@ mod tests {
                     cert: cert.clone(),
                     service: service.clone(),
                     nodes: managed.to_vec(),
-                    txn,
-                    reply_to: nms,
+                    contact: nms,
                 },
             };
             sim.deliver_control(SimTime::ZERO, nms, nms, deploy);

@@ -412,11 +412,6 @@ impl<X: Ord + Copy, L: Ord + Copy, T: LegMsg, R> Relay<X, L, T, R> {
         self.running.insert(txn, (fan, with));
     }
 
-    /// The running transactions, for an ack that names only its leg.
-    pub fn running(&self) -> impl Iterator<Item = (X, &R)> {
-        self.running.iter().map(|(&txn, (_, with))| (txn, with))
-    }
-
     /// Stop retransmitting a leg and hand it back; None when it is not
     /// tracked (acked before, or given up on).
     pub fn untrack(

@@ -564,7 +564,6 @@ mod tests {
                     cert: forged,
                     service: CatalogService::AntiSpoofing,
                     scope: DeployScope::AllManaged,
-                    txn: 1,
                     reply_to: victim_node,
                     forward_to_peers: true,
                 },

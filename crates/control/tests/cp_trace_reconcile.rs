@@ -4,18 +4,19 @@
 //! protocol-layer counter in [`dtcs_control::CpStats`] *exactly*. The
 //! trace is not a best-effort log — it is a second, independent account
 //! of the same run, and the two books must balance. The same runs hold
-//! the TCSP to answering every deployment within one retry budget.
+//! the TCSP to answering every deployment within one retry budget, and
+//! every agent to tracing a request under the key its requester chose.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dtcs_control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
-    InternetNumberAuthority, RetryPolicy, UserId,
+    InternetNumberAuthority, RetryPolicy, UserId, RECONCILE_TXN, RENEW_TXN,
 };
 use dtcs_netsim::{
     CpFlightRecorder, CpState, CpTraceEvent, CpVerdict, FaultConfig, FaultPlane, Outage, Partition,
-    Prefix, SimDuration, SimTime, Simulator, Topology,
+    Prefix, SimDuration, SimTime, Simulator, Topology, TraceRecord,
 };
 
 /// Event-stream fold mirroring the counter registry: one bucket per
@@ -138,6 +139,38 @@ fn assert_deploys_settle_within_budget(rec: &CpFlightRecorder) {
     }
 }
 
+/// Every transaction is one its requester keyed: no traced key has origin 0
+/// but the NMS's renewal and sweep rounds, so no agent mints ids of its
+/// own, and every registration (a key with a `RegisterRequest` send,
+/// message kind 1) ends in exactly one terminal, the legs it relays
+/// included.
+fn assert_requests_keep_their_keys(rec: &CpFlightRecorder) {
+    let mut registrations: BTreeMap<[u64; 2], usize> = BTreeMap::new();
+    for ev in rec.events() {
+        let Some(key) = ev.sample_key() else { continue };
+        assert!(
+            key[0] != 0 || key[1] == RENEW_TXN || key[1] == RECONCILE_TXN,
+            "an agent minted the key {key:?}: {ev:?}"
+        );
+        if let CpTraceEvent::Send { meta: Some(m), .. } = ev {
+            if m.kind == 1 {
+                registrations.entry(key).or_default();
+            }
+        }
+    }
+    assert!(!registrations.is_empty(), "the users register");
+    for ev in rec.events() {
+        if let CpTraceEvent::Terminal { origin, txn, .. } = ev {
+            if let Some(n) = registrations.get_mut(&[*origin, *txn]) {
+                *n += 1;
+            }
+        }
+    }
+    for (key, terminals) in registrations {
+        assert_eq!(terminals, 1, "registration {key:?} ends {terminals} times");
+    }
+}
+
 /// One traced run's full yield: the exported JSONL, the folded trace,
 /// and the expected fold rebuilt from the counters. Fold equality is
 /// only meaningful at sampling multiplier 1 (full trace).
@@ -250,6 +283,7 @@ fn run_traced(seed: u64, drop: f64, dup: f64, jitter_ms: u64, crash: bool, mult:
     let folded = fold(&guard);
     if mult == 1 {
         assert_deploys_settle_within_budget(&guard);
+        assert_requests_keep_their_keys(&guard);
     }
 
     let cs = cp.cp_stats.lock().clone();
@@ -356,6 +390,18 @@ fn sampled_cp_trace_is_subset_of_full() {
             full_lines.contains(line),
             "sampled event missing from full trace: {line}"
         );
+    }
+}
+
+/// The TCSP verifies ownership as a leg of the user's registration: over a
+/// lossless run and lossy, crashing ones, every key but the NMS rounds'
+/// is a requester's, and each registration ends once
+/// ([`assert_requests_keep_their_keys`], which every full-trace run checks).
+#[test]
+fn registrations_trace_under_the_users_key_alone() {
+    run_traced(7, 0.0, 0.0, 0, false, 1);
+    for seed in [1, 2, 3] {
+        run_traced(seed, 0.25, 0.2, 30, true, 1);
     }
 }
 

@@ -8,7 +8,7 @@ use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, DeployScope, InternetNumberAuthority,
     UserId, UserOp,
 };
-use dtcs::device::{DeviceCommand, DeviceReply, Heard, Inbox, OwnerId, Stage};
+use dtcs::device::{DeviceCommand, DeviceEvent, DeviceReply, Heard, Inbox, OwnerId, Stage};
 use dtcs::mitigation::{deploy_pushback_on, PushbackConfig, PushbackStats};
 use dtcs::netsim::{
     Addr, LinkProfile, NodeId, PacketBuilder, Prefix, Proto, SimDuration, SimTime, Simulator,
@@ -100,6 +100,76 @@ fn statistics_service_logs_are_collectable() {
     );
 }
 
+/// A service deployed through the TCSP reports to its owner: the devices'
+/// telemetry goes to the user's node, not to the TCSP that relayed the
+/// request. The TCSP sits on a node no NMS shares, so its inbox would hear
+/// only what is misaddressed to it.
+#[test]
+fn tcsp_deployed_trigger_reports_to_the_user() {
+    let topo = Topology::transit_stub_multihomed(3, 6, 0.2, 23);
+    let mut sim = Simulator::new(topo, 23);
+    let stubs = sim.topo.stub_nodes();
+    let (me, tcsp_node, sender) = (stubs[0], stubs[1], stubs[4]);
+    let my_prefix = Prefix::of_node(me);
+    let mut authority = InternetNumberAuthority::new();
+    authority.allocate(my_prefix, UserId(0xAA01));
+    let isps = partition_by_provider(&sim);
+    let authority_node = sim.topo.transit_nodes()[1];
+    let mut cp =
+        ControlPlane::install(&mut sim, authority, 0xBEEF, tcsp_node, authority_node, isps);
+    let (user, record) = cp.add_user(
+        &mut sim,
+        me,
+        vec![my_prefix],
+        CatalogService::AnomalyReaction {
+            threshold_pps: 100.0,
+            window: SimDuration::from_millis(500),
+            limit_bytes_per_sec: 20_000.0,
+        },
+        DeployScope::AllManaged,
+        SimTime::from_millis(100),
+        false,
+    );
+    Inbox::attach(&mut sim, me);
+    Inbox::attach(&mut sim, tcsp_node);
+    // 400 packets/s toward my prefix for one second: four times the
+    // trigger's threshold.
+    let my_addr = Addr::new(me, 1);
+    sim.install_app(my_addr, Box::new(dtcs::netsim::SinkApp));
+    for k in 0..400u64 {
+        let at = SimTime::from_micros(3_000_000 + k * 2_500);
+        sim.schedule(at, move |s| {
+            s.emit_now(
+                sender,
+                PacketBuilder::new(
+                    Addr::new(sender, 2),
+                    my_addr,
+                    Proto::Udp,
+                    TrafficClass::Background,
+                )
+                .size(100)
+                .flow(k),
+            );
+        });
+    }
+    sim.run_until(SimTime::from_secs(5));
+    assert!(record.lock().deploy_confirmed_at.is_some());
+    let heard = |node| sim.agent::<Inbox>(node).expect("inbox").heard().to_vec();
+    let fired = heard(me)
+        .iter()
+        .filter(|h| {
+            matches!(h, Heard::Event(DeviceEvent::TriggerFired { owner, .. })
+                if *owner == OwnerId(user.0))
+        })
+        .count();
+    assert!(fired > 0, "the user hears its trigger fire");
+    assert!(
+        heard(tcsp_node).is_empty(),
+        "the TCSP hears nothing: {:?}",
+        heard(tcsp_node)
+    );
+}
+
 /// User operation path: deactivating a deployed service over the control
 /// plane actually stops it filtering, and reactivating resumes it.
 #[test]
@@ -164,8 +234,6 @@ fn set_active_toggles_a_live_service() {
             msg: dtcs::control::CpMsg::OpRequest {
                 cert: cert.clone(),
                 op: UserOp::SetActive(Stage::Dst, false),
-                txn: 99,
-                reply_to: me,
             },
         },
     );
@@ -181,12 +249,10 @@ fn set_active_toggles_a_live_service() {
         tcsp_node,
         dtcs::control::Envelope {
             to: dtcs::control::Role::Tcsp,
-            key: dtcs::control::MsgKey::first(0xAA01, 99),
+            key: dtcs::control::MsgKey::first(0xAA01, 100),
             msg: dtcs::control::CpMsg::OpRequest {
                 cert,
                 op: UserOp::SetActive(Stage::Dst, true),
-                txn: 100,
-                reply_to: me,
             },
         },
     );

@@ -227,8 +227,6 @@ wire_words! {
         /// The requester dropped the transaction itself (superseded or
         /// vetoed) before an answer.
         Abandoned = "abandoned",
-        /// The number authority answered a verification.
-        Verified = "verified",
         /// A deploy sent straight to the ISPs, the TCSP being unreachable,
         /// was confirmed by an NMS ack.
         FallbackConfirmed = "fallback_confirmed",

@@ -12,8 +12,11 @@
 # Prints, over all samples, each function's self share (it is the
 # innermost frame, inlining expanded by `addr2line -i`) and inclusive share
 # (it is anywhere on the stack; outside the binary, only as the leaf),
-# then the self share per innermost source file and file:line. A share is samples / total, so with S samples it is
-# good to about 1/sqrt(S) of itself.
+# then the self share per innermost source file and file:line, and for each
+# of the ten hottest innermost files outside crates/ (std's B-tree search,
+# cmp.rs, libc) the innermost crates/ frames on its stacks: who called it.
+# A share is samples / total; with S samples its 2 sigma is at most
+# 100/sqrt(S) points, printed beside the sample count.
 set -euo pipefail
 
 usage() {
@@ -107,12 +110,18 @@ def frames(depth, key):
 
 self_fn, incl_fn = collections.Counter(), collections.Counter()
 self_file, self_line = collections.Counter(), collections.Counter()
+# Innermost file outside crates/ -> innermost crates/ frame -> samples.
+callers = collections.defaultdict(collections.Counter)
 for stack in stacks:
     leaf = frames(0, stack[0])[0]
     self_fn[leaf[0]] += 1
     loc = leaf[1]
     self_line[re.sub(r" \(discriminator \d+\)$", "", loc)] += 1
     self_file[loc.rsplit(":", 1)[0]] += 1
+    if "/crates/" not in loc:
+        chain = (f for depth, key in enumerate(stack) for f in frames(depth, key))
+        caller = next((f for f in chain if "/crates/" in f[1]), ("(no crates/ frame)", ""))
+        callers[loc.rsplit(":", 1)[0]][caller] += 1
     # Outside the binary a frame counts only as a leaf: the C runtime
     # under `main` is on every stack and says nothing.
     seen = {leaf[0]}
@@ -127,7 +136,8 @@ def short(path):
         if cut in path:
             return path[path.index(cut) + 1:]
     return path
-print(f"{n} samples over {len(paths)} runs")
+print(f"{n} samples over {len(paths)} runs; a share is good to "
+      f"±{100 / n ** 0.5:.1f} points (2 sigma)")
 print(f"\n{'incl %':>7} {'self %':>7}  function (by inclusive share)")
 # Functions on nine stacks in ten with no time of their own are the entry
 # chain down to the workload (`main`, the harness); they say nothing.
@@ -143,4 +153,9 @@ for f, c in self_file.most_common(15):
 print(f"\n{'self %':>7}  innermost file:line")
 for f, c in self_line.most_common(20):
     print(f"{100 * c / n:7.1f}  {short(f)}")
+print(f"\n{'self %':>7}  innermost file outside crates/, then its innermost crates/ frames")
+for f in sorted(callers, key=lambda f: -self_file[f])[:10]:
+    print(f"{100 * self_file[f] / n:7.1f}  {short(f)}")
+    for (fn, loc), c in callers[f].most_common(3):
+        print(f"{100 * c / n:11.1f}  {fn[:80]}  {short(loc)}")
 EOF

@@ -4,7 +4,10 @@
  * (and nothing else) a SIGPROF per millisecond of CPU time it uses. The
  * handler walks the interrupted thread's frame-pointer chain, so the
  * program must be built with `-C force-frame-pointers=yes`, and appends
- * the return addresses to a fixed buffer. At exit it writes one line per
+ * the return addresses to a fixed buffer. A leaf outside the program
+ * (libc's malloc, free, memcpy) keeps no frame pointer, so for it the
+ * handler also takes the first program address on the stack, within
+ * SCAN_WORDS of the stack pointer, as its caller's return address. At exit it writes one line per
  * sample, and per distinct address the object it lies in, its offset in
  * that object and the nearest dynamic symbol, to
  * `$SAMPLER_OUT.<pid>`. scripts/profile.sh builds, loads and reads it.
@@ -13,6 +16,7 @@
  */
 #define _GNU_SOURCE
 #include <dlfcn.h>
+#include <link.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
@@ -26,12 +30,15 @@
 #define MAX_DEPTH 64
 #define MAX_SAMPLES 50000
 #define INTERVAL_US 1000
+#define SCAN_WORDS 32
 
 /* Sample i is depth[i] addresses from frames[i]; leaf first. */
 static uintptr_t frames[MAX_SAMPLES][MAX_DEPTH];
 static unsigned char depth[MAX_SAMPLES];
 static volatile sig_atomic_t taken;
 static uintptr_t stack_lo, stack_hi;
+/* The program's own executable segment. */
+static uintptr_t text_lo, text_hi;
 
 static void on_prof(int sig, siginfo_t *si, void *uc_) {
     (void)sig;
@@ -43,8 +50,18 @@ static void on_prof(int sig, siginfo_t *si, void *uc_) {
     ucontext_t *uc = uc_;
     uintptr_t pc = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
     uintptr_t fp = (uintptr_t)uc->uc_mcontext.gregs[REG_RBP];
+    uintptr_t sp = (uintptr_t)uc->uc_mcontext.gregs[REG_RSP];
     int n = 0;
     frames[i][n++] = pc;
+    if ((pc < text_lo || pc >= text_hi) && sp >= stack_lo && (sp & 7) == 0) {
+        for (int k = 0; k < SCAN_WORDS && sp + 8 * (k + 1) <= stack_hi; k++) {
+            uintptr_t w = ((uintptr_t *)sp)[k];
+            if (w >= text_lo && w < text_hi) {
+                frames[i][n++] = w;
+                break;
+            }
+        }
+    }
     /* Follow saved frame pointers while they stay inside the main
      * thread's stack and climb it; anything else ends the walk, so a
      * frame compiled without one cannot send the walk into the heap. */
@@ -61,9 +78,24 @@ static void on_prof(int sig, siginfo_t *si, void *uc_) {
     depth[i] = (unsigned char)n;
 }
 
+/* The first object dl_iterate_phdr reports is the program itself. */
+static int find_text(struct dl_phdr_info *info, size_t size, void *data) {
+    (void)size;
+    (void)data;
+    for (int k = 0; k < info->dlpi_phnum; k++) {
+        const ElfW(Phdr) *ph = &info->dlpi_phdr[k];
+        if (ph->p_type == PT_LOAD && (ph->p_flags & PF_X)) {
+            text_lo = info->dlpi_addr + ph->p_vaddr;
+            text_hi = text_lo + ph->p_memsz;
+        }
+    }
+    return 1;
+}
+
 __attribute__((constructor)) static void sampler_start(void) {
     if (!getenv("SAMPLER_OUT"))
         return;
+    dl_iterate_phdr(find_text, NULL);
     pthread_attr_t attr;
     if (pthread_getattr_np(pthread_self(), &attr) == 0) {
         void *addr;
