@@ -96,6 +96,9 @@ fn cp_trace_is_deterministic_and_report_invariant() {
         .enumerate()
         .map(|(i, l)| trace_report::parse_line(l).unwrap_or_else(|e| panic!("line {}: {e}", i + 1)))
         .collect();
+    // The premise: the traced cell's channel drops and its device crashes.
+    assert!(text.contains("\"outcome\":\"drop\""), "no drop traced");
+    assert!(text.contains("\"kind\":\"crash\""), "no crash traced");
     let analysis = trace_report::analyze(&evs).expect("gates pass");
     assert!(analysis.groups >= 1, "the user transaction is keyed");
     assert!(analysis.window_ns() > 0, "a lossy crash cell takes time");

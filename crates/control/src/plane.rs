@@ -1471,6 +1471,13 @@ impl UserAgent {
         );
         let record = UserHandle::default();
         let policy = RetryPolicy::default();
+        // A withdrawal is answered after the TCSP's removal fan-in, which
+        // may wait out a whole budget on a cut ISP: twice the attempts let
+        // the answer find the leg live though the TCSP heard it late.
+        let withdraw = RetryPolicy {
+            max_attempts: 2 * policy.max_attempts,
+            ..policy
+        };
         let txn = (user.0 << 16) | 1;
         (
             UserAgent {
@@ -1488,7 +1495,7 @@ impl UserAgent {
                 started_deploy: false,
                 reg_rt: Retransmitter::new(FAM_USER_REG, policy, user.0 ^ 0xD),
                 deploy_rt: Retransmitter::new(FAM_USER_DEPLOY, policy, user.0 ^ 0xE),
-                withdraw_rt: Retransmitter::new(FAM_USER_WITHDRAW, policy, user.0 ^ 0xF),
+                withdraw_rt: Retransmitter::new(FAM_USER_WITHDRAW, withdraw, user.0 ^ 0xF),
                 dedup: Dedup::new(),
                 cp: CpStatsHandle::default(),
             },
@@ -1655,18 +1662,15 @@ impl NodeAgent for UserAgent {
             dup_hit(ctx, &self.cp, env, true);
             return;
         }
-        // A registration or deployment has one terminal, traced when its
-        // leg leaves the retransmitter: here when an answer finds it, or
-        // earlier when it was given up on or abandoned for the fallback.
-        // A confirmation that comes after that is a duplicate response;
-        // the record still takes what it reports, which was done. A
-        // fallback's NMS acks after the first are the other ISPs'
-        // answers. A withdrawal confirmed after its give-up still traces
-        // both (ROADMAP item 5).
+        // A registration, deployment or withdrawal has one terminal,
+        // traced when its leg leaves the retransmitter: here when an
+        // answer finds it, or earlier when it was given up on or abandoned
+        // for the fallback. A confirmation that comes after that is a
+        // duplicate response; the record still takes what it reports,
+        // which was done. A fallback's NMS acks after the first are the
+        // other ISPs' answers.
         match (rt.ack(ctx, &txn), &env.msg) {
-            (true, _) | (false, CpMsg::WithdrawConfirm { .. }) => {
-                trace_terminal(ctx, origin, txn, outcome);
-            }
+            (true, _) => trace_terminal(ctx, origin, txn, outcome),
             (false, CpMsg::NmsAck { .. }) => {}
             (false, _) => dup_hit(ctx, &self.cp, env, true),
         }

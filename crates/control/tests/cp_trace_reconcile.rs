@@ -410,6 +410,7 @@ fn registrations_trace_under_the_users_key_alone() {
 /// fault schedules — nothing is double-recorded, nothing is missed.
 #[test]
 fn cp_trace_reconciles_with_cpstats_exactly() {
+    let mut faults = Folded::default();
     dtcs_netsim::rng::check_cases(0..8, |rng| {
         let seed = rng.gen_range(0..10_000u64);
         let drop = rng.gen_range(0.0..0.25);
@@ -418,5 +419,14 @@ fn cp_trace_reconciles_with_cpstats_exactly() {
         let crashes = rng.gen_range(0..2u8) == 1;
         let (folded, expected) = run_and_fold(seed, drop, dup, jitter_ms, crashes);
         assert_eq!(folded, expected);
+        faults.drops += folded.drops;
+        faults.dups += folded.dups;
+        faults.give_ups += folded.give_ups;
     });
+    // The premise: the schedules drop, duplicate and exhaust legs, so the
+    // books balance over real faults.
+    assert!(
+        faults.drops > 0 && faults.dups > 0 && faults.give_ups > 0,
+        "{faults:?}"
+    );
 }

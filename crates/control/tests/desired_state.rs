@@ -227,6 +227,9 @@ fn repairs_and_renewals_are_applied_and_unanswered() {
         sim.run_until(SimTime::from_secs(20));
         sim.take_cp_trace_sink();
 
+        // The premise: the lossy arm really drops, and the device crashed.
+        assert_eq!(sim.stats.cp_fault_dropped > 0, drop_prob > 0.0);
+        assert_eq!(sim.stats.node_crashes, 1);
         let rec = rec.lock().expect("recorder mutex");
         assert_eq!(rec.evicted(), 0);
         let (mut sent, mut answered) = (0, Vec::new());

@@ -280,6 +280,7 @@ fn control_partition_window_is_ridden_out_by_retries() {
 /// exactly once.
 #[test]
 fn random_fault_schedules_converge_to_exactly_once() {
+    let (mut dropped, mut duplicated) = (0, 0);
     check_cases(0..12, |rng| {
         let seed = rng.gen_range(0..10_000u64);
         let drop = rng.gen_range(0.0..0.18);
@@ -298,7 +299,11 @@ fn random_fault_schedules_converge_to_exactly_once() {
                 "device {node:?} configured exactly once (seed {seed}, drop {drop}, dup {dup})",
             );
         }
+        dropped += fx.sim.stats.cp_fault_dropped;
+        duplicated += fx.sim.stats.cp_fault_duplicated;
     });
+    // The premise: the schedules really drop and duplicate.
+    assert!(dropped > 0 && duplicated > 0, "{dropped} / {duplicated}");
 }
 
 /// Satellite (d), part 2: duplicated DeployConfirm / NmsAck traffic
@@ -319,6 +324,9 @@ fn duplicated_confirms_never_inflate_coverage() {
             "coverage inflated: {r:?} (seed {seed}, dup {dup})"
         );
         assert_eq!(fx.cp.total_rules(), n);
+        // The premise: duplicated answers reached their receivers.
+        let dup_responses = fx.cp.cp_stats.lock().dup_responses;
+        assert!(dup_responses > 0, "seed {seed}, dup {dup}");
     });
 }
 
@@ -406,7 +414,10 @@ fn a_churning_plane_fires_no_idle_timer() {
 
     let cs = cp.cp_stats.lock().clone();
     assert!(cs.retransmits > 0 && cs.lease_renewals > 0 && cs.withdrawals > 0);
+    assert!(cs.give_ups > 0, "{cs:?}");
     assert!(sim.stats.node_crashes > 0);
+    assert!(sim.stats.cp_fault_dropped > 0 && sim.stats.cp_fault_duplicated > 0);
+    assert!(sim.stats.cp_partition_dropped > 0);
     let reaps: u64 = cp.devices.values().map(|d| d.lock().lease_reaps).sum();
     assert!(
         reaps > 0,

@@ -7,11 +7,12 @@ use std::sync::{Arc, Mutex};
 
 use dtcs_control::{
     partition_by_provider, AuthorityAgent, CatalogService, CpStatsHandle, DeployScope,
-    InternetNumberAuthority, NmsAgent, RetryPolicy, TcspAgent, UserAgent, UserId, TOKEN_REGISTER,
+    InternetNumberAuthority, NmsAgent, RetryPolicy, TcspAgent, UserAgent, UserHandle, UserId,
+    TOKEN_REGISTER, TOKEN_WITHDRAW,
 };
 use dtcs_device::AdaptiveDevice;
 use dtcs_netsim::{
-    CpFlightRecorder, CpTraceEvent, FaultConfig, FaultPlane, NodeId, Partition, Prefix,
+    CpFlightRecorder, CpOutcome, CpTraceEvent, FaultConfig, FaultPlane, NodeId, Partition, Prefix,
     SimDuration, SimTime, Simulator, Topology,
 };
 
@@ -26,10 +27,22 @@ fn retry_budget() -> (SimDuration, SimDuration) {
     (SimDuration(backoff), SimDuration(backoff + backoff / 4))
 }
 
-/// Register and deploy as `user` while the TCSP cannot reach one of its
-/// three ISPs for the whole run, and check the partial confirmation the
-/// silent leg's give-up produces.
-fn give_up_confirms_partially(user: UserId) {
+/// The silent-ISP plane, run: `user` registers at 100 ms and deploys
+/// while the TCSP cannot reach one of its three ISPs for the whole run.
+struct Run {
+    sim: Simulator,
+    record: UserHandle,
+    rec: Arc<Mutex<CpFlightRecorder>>,
+    cp: CpStatsHandle,
+    user_node: NodeId,
+    tcsp_node: NodeId,
+    silent_nms: NodeId,
+}
+
+/// Build and run the silent-ISP plane until `end`. With `withdraw_at`,
+/// the user also withdraws then, and its first sends of the withdrawal
+/// are cut from the TCSP for [`WITHDRAW_CUT`].
+fn run_silent_isp(user: UserId, withdraw_at: Option<SimTime>, end: SimTime) -> Run {
     let topo = Topology::transit_stub_multihomed(3, 5, 0.2, 7);
     let mut sim = Simulator::new(topo, 3);
     let user_node = sim.topo.stub_nodes()[0];
@@ -62,24 +75,80 @@ fn give_up_confirms_partially(user: UserId) {
     );
     let idx = sim.add_agent(user_node, Box::new(agent.with_cp_stats(cp.clone())));
     sim.schedule_agent_timer(user_node, idx, SimTime::from_millis(100), TOKEN_REGISTER);
+    let mut partitions = vec![Partition {
+        src: vec![tcsp_node],
+        dst: vec![silent_nms],
+        from: SimTime::ZERO,
+        until: SimTime::MAX,
+    }];
+    if let Some(at) = withdraw_at {
+        sim.schedule_agent_timer(user_node, idx, at, TOKEN_WITHDRAW);
+        partitions.push(Partition {
+            src: vec![user_node],
+            dst: vec![tcsp_node],
+            from: at,
+            until: at + WITHDRAW_CUT,
+        });
+    }
     sim.install_fault_plane(FaultPlane::new(FaultConfig {
         seed: 1,
         drop_prob: 0.0,
         dup_prob: 0.0,
         jitter_max: SimDuration::ZERO,
         outages: Vec::new(),
-        partitions: vec![Partition {
-            src: vec![tcsp_node],
-            dst: vec![silent_nms],
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-        }],
+        partitions,
     }));
     let rec = Arc::new(Mutex::new(CpFlightRecorder::new(1 << 12)));
     sim.set_cp_trace_sink(Box::new(rec.clone()), 1);
-    sim.run_until(SimTime::from_secs(30));
+    sim.run_until(end);
     sim.take_cp_trace_sink();
+    Run {
+        sim,
+        record,
+        rec,
+        cp,
+        user_node,
+        tcsp_node,
+        silent_nms,
+    }
+}
 
+/// How long a withdrawal's first sends are cut from the TCSP: the TCSP
+/// hears it only at the user's fifth attempt, so its removal fan-in,
+/// which waits out one retry budget on the silent ISP, ends after a
+/// user leg of [`RetryPolicy::default`] would have given up.
+const WITHDRAW_CUT: SimDuration = SimDuration::from_secs(3);
+
+/// Terminals traced per `(origin, txn)`.
+fn terminals(rec: &Mutex<CpFlightRecorder>) -> BTreeMap<(u64, u64), Vec<CpOutcome>> {
+    let mut terminals: BTreeMap<(u64, u64), Vec<CpOutcome>> = BTreeMap::new();
+    for e in rec.lock().unwrap().events() {
+        if let CpTraceEvent::Terminal {
+            origin,
+            txn,
+            outcome,
+            ..
+        } = e
+        {
+            terminals.entry((*origin, *txn)).or_default().push(*outcome);
+        }
+    }
+    terminals
+}
+
+/// Register and deploy as `user` while the TCSP cannot reach one of its
+/// three ISPs for the whole run, and check the partial confirmation the
+/// silent leg's give-up produces.
+fn give_up_confirms_partially(user: UserId) {
+    let Run {
+        record,
+        rec,
+        cp,
+        user_node,
+        tcsp_node,
+        silent_nms,
+        ..
+    } = run_silent_isp(user, None, SimTime::from_secs(30));
     let r = record.lock();
     let registered = r.registered_at.expect("registration completes");
     let confirmed = r.deploy_confirmed_at.expect("deployment confirms");
@@ -106,17 +175,12 @@ fn give_up_confirms_partially(user: UserId) {
         .collect();
     // One terminal per transaction: a user whose deploy leg gave up first
     // takes the late partial confirmation as a duplicate response.
-    let mut terminals: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    for e in rec.lock().unwrap().events() {
-        if let CpTraceEvent::Terminal { origin, txn, .. } = e {
-            *terminals.entry((*origin, *txn)).or_default() += 1;
-        }
-    }
+    let terminals = terminals(&rec);
     assert!(
         terminals.contains_key(&(user.0, (user.0 << 16) | 2)),
         "the deploy has a terminal: {terminals:?}"
     );
-    assert!(terminals.values().all(|&n| n == 1), "{terminals:?}");
+    assert!(terminals.values().all(|t| t.len() == 1), "{terminals:?}");
     let cp = cp.lock();
     assert_eq!(cp.partial_confirms, 1, "{cp:?}");
     assert_eq!(cp.give_ups, gave_up.len() as u64, "{cp:?}");
@@ -147,6 +211,44 @@ fn silent_isp_is_confirmed_missing_after_its_retry_budget() {
 #[test]
 fn give_up_confirms_for_user_ids_above_32_bits() {
     give_up_confirms_partially(UserId(1 << 33));
+}
+
+/// A withdrawal the TCSP hears late is answered after its removal fan-in
+/// gives up on the silent ISP — later than a user leg of the default
+/// budget would have waited. The user's leg is still live for that
+/// answer, so the withdrawal has one terminal, `withdrawn`, and every
+/// other transaction one too.
+#[test]
+fn a_withdrawal_answered_after_the_default_budget_has_one_terminal() {
+    let user = UserId(7);
+    let withdraw_at = SimTime::from_secs(20);
+    let run = run_silent_isp(user, Some(withdraw_at), SimTime::from_secs(60));
+    assert!(run.record.lock().withdraw_confirmed_at.is_some());
+    assert!(run.sim.stats.cp_partition_dropped > 0);
+    let withdraw_txn = (user.0 << 16) | 3;
+    let terminals = terminals(&run.rec);
+    assert_eq!(
+        terminals.get(&(user.0, withdraw_txn)),
+        Some(&vec![CpOutcome::Withdrawn]),
+        "{terminals:?}"
+    );
+    assert!(terminals.values().all(|t| t.len() == 1), "{terminals:?}");
+    // The premise: the answer came after the instant a default leg gives
+    // up at, where the user's leg retransmitted past the default's last
+    // attempt (events are recorded in time order).
+    let rec = run.rec.lock().unwrap();
+    let position = |wanted: &dyn Fn(&CpTraceEvent) -> bool| rec.events().position(wanted);
+    let past_default = position(&|e| {
+        matches!(e, CpTraceEvent::RetryFire { txn, attempt, .. }
+            if *txn == withdraw_txn && *attempt == RetryPolicy::default().max_attempts)
+    });
+    let answered =
+        position(&|e| matches!(e, CpTraceEvent::Terminal { txn, .. } if *txn == withdraw_txn));
+    let past_default = past_default.expect("the user's leg outlasts the default budget");
+    assert!(
+        Some(past_default) < answered,
+        "{past_default} vs {answered:?}"
+    );
 }
 
 #[test]

@@ -143,8 +143,9 @@ impl<'a> AgentCtx<'a> {
 
     /// Like [`AgentCtx::send_control`], but tagging the message with its
     /// control-transaction identity so the control-plane flight recorder
-    /// (DESIGN.md §6.4) can trace it. Identical delivery semantics; the
-    /// tag is observation-only.
+    /// (DESIGN.md §6.4) can trace it. Identical delivery semantics; under
+    /// a fault plane the tag also keys the message's fate
+    /// ([`crate::faults`]).
     pub fn send_control_keyed<T: Any>(
         &mut self,
         to: NodeId,

@@ -32,7 +32,7 @@ use crate::recorder::{trace_events, wire_words, Fields, Recorder, Wire};
 /// numbering shared by the `control` crate's `CpMsg::kind_id`, the
 /// device-command ids declared beside it, and the `device` crate's
 /// `DeviceReply::kind_id`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CpMeta {
     /// Stable id of the requesting principal (0 for infrastructure).
     pub origin: u64,

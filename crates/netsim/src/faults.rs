@@ -3,20 +3,22 @@
 //! The control plane (out-of-band [`crate::agent::ControlMsg`] delivery)
 //! is lossless by default. A [`FaultPlane`] installed on the simulator
 //! makes it adversarial: messages are dropped, duplicated, and
-//! delay-jittered according to a pure hash of `(seed, src, dst, msg_seq)`,
-//! and per-node *outage windows* model management-plane blackouts and
-//! device crashes. Like the PR 4 trace sampler, every decision is a pure
-//! function of the configuration — no RNG stream is consumed, so two runs
-//! with the same `(seed, schedule)` produce byte-identical event orders,
-//! and an installed-but-zero-rate plane perturbs nothing.
+//! delay-jittered according to a pure hash of the seed and what each
+//! message is, and per-node *outage windows* model management-plane
+//! blackouts and device crashes. Like the trace sampler, every decision is
+//! a pure function of the configuration — no RNG stream is consumed, so
+//! two runs with the same `(seed, schedule)` produce byte-identical event
+//! orders, and an installed-but-zero-rate plane perturbs nothing.
 //!
 //! Semantics:
 //!
 //! * **drop / duplicate / jitter** apply per control message, decided at
-//!   push time from the per-ordered-pair message sequence number. A
-//!   duplicate is a second delivery of the *same* payload (the payload is
-//!   reference-counted), pushed after the original with its own extra
-//!   delay, so receivers must dedup.
+//!   push time from its pair, its [`CpMeta`] identity (zeros for an
+//!   unkeyed one), its send instant and its ordinal among identical sends
+//!   then: one message more or less moves no fate but those of identical
+//!   sends after it at that instant. A duplicate is a second delivery of
+//!   the *same* payload (the payload is reference-counted), pushed after
+//!   the original with its own extra delay, so receivers must dedup.
 //! * An **outage window** `[from, until)` makes a node's control channel
 //!   deaf and mute: messages it sends while down, or that would arrive
 //!   while it is down, vanish. Agent timers still fire — retransmit logic
@@ -39,7 +41,7 @@
 //! experiment reports can reconcile protocol-layer retry/dedup counters
 //! against exactly what the channel did.
 
-use crate::cp_trace::CpVerdict;
+use crate::cp_trace::{CpMeta, CpVerdict};
 use crate::hash::MulHashMap;
 use crate::node::NodeId;
 use crate::rng::child_seed;
@@ -91,9 +93,9 @@ impl Partition {
 }
 
 /// Fault-injection configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FaultConfig {
-    /// Decision seed; combined with `(src, dst, msg_seq)` per message.
+    /// Decision seed; hashed with each message's identity and send instant.
     pub seed: u64,
     /// Probability a control message is silently dropped.
     pub drop_prob: f64,
@@ -106,19 +108,6 @@ pub struct FaultConfig {
     pub outages: Vec<Outage>,
     /// Directed partition-window schedule (empty disables partitions).
     pub partitions: Vec<Partition>,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            seed: 0,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            jitter_max: SimDuration::ZERO,
-            outages: Vec::new(),
-            partitions: Vec::new(),
-        }
-    }
 }
 
 /// What the plane decided for one message.
@@ -148,23 +137,15 @@ pub struct FaultPlane {
     /// covers an instant is still the first configured.
     outages_of: Vec<Vec<usize>>,
     partitions: Vec<Partition>,
-    /// Per ordered pair, keyed by [`pair_key`]: its decision seed and
-    /// message counter.
-    seq: MulHashMap<u64, PairSeq>,
-}
-
-/// One ordered pair's share of the decision hash.
-#[derive(Clone, Copy, Debug)]
-struct PairSeq {
-    /// `child_seed(salt, pair_key)`, computed at the pair's first message.
-    seed: u64,
-    /// Messages decided so far; the third component of the decision hash.
-    count: u64,
-}
-
-/// An ordered `(src, dst)` pair as one word, `src` above `dst`.
-fn pair_key(src: NodeId, dst: NodeId) -> u64 {
-    ((src.0 as u64) << 32) | dst.0 as u64
+    /// The instant of the latest verdict: where its draw and
+    /// [`FaultPlane::decide`]'s are made.
+    now: SimTime,
+    /// Per identity word (instant included), its instant and its sends so
+    /// far. Past instants' entries are purged once the map reaches
+    /// `purge_at` (twice its size after the last purge, at least 256): it
+    /// holds about twice the largest same-instant burst.
+    ordinals: MulHashMap<u64, (SimTime, u64)>,
+    purge_at: usize,
 }
 
 impl FaultPlane {
@@ -185,7 +166,9 @@ impl FaultPlane {
             outages: cfg.outages,
             outages_of,
             partitions: cfg.partitions,
-            seq: MulHashMap::default(),
+            now: SimTime::ZERO,
+            ordinals: MulHashMap::default(),
+            purge_at: 256,
         }
     }
 
@@ -254,13 +237,20 @@ impl FaultPlane {
             .collect()
     }
 
-    /// The channel's one verdict on a `src → dst` control message pushed at
-    /// `now` for delivery at `at` (already clamped to `now`), in fixed
-    /// precedence: an outage window (sender down at `now`, else receiver
-    /// down at `at`), then a partition window open at `now`, then the
-    /// per-message hash. A message a window swallows never reaches
-    /// [`FaultPlane::decide`], so it does not advance the pair's counter.
-    pub fn verdict(&mut self, src: NodeId, dst: NodeId, now: SimTime, at: SimTime) -> CpVerdict {
+    /// The channel's one verdict on a `src → dst` control message with
+    /// identity `meta`, pushed at `now` for delivery at `at` (already
+    /// clamped to `now`), in fixed precedence: an outage window (sender
+    /// down at `now`, else receiver down at `at`), then a partition window
+    /// open at `now`, then the per-message hash.
+    pub fn verdict(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        meta: Option<CpMeta>,
+        now: SimTime,
+        at: SimTime,
+    ) -> CpVerdict {
+        self.now = now;
         let outage = self
             .down_window(src, now)
             .or_else(|| self.down_window(dst, at));
@@ -272,7 +262,7 @@ impl FaultPlane {
         if let Some(w) = self.partition_window(src, dst, now) {
             return CpVerdict::Partition { window: w as u64 };
         }
-        let d = self.decide(src, dst);
+        let d = self.draw(src, dst, meta);
         if d.drop {
             return CpVerdict::Drop;
         }
@@ -283,44 +273,53 @@ impl FaultPlane {
         }
     }
 
-    /// Decide the fate of the next `src → dst` control message. Advances
-    /// the pair's message counter; deterministic given the push order
-    /// (which the engine already guarantees).
+    /// The hash fate of an unkeyed `src → dst` message sent at the
+    /// instant of the latest verdict — [`FaultPlane::verdict`]'s draw
+    /// without its windows, for callers that hold no message.
     pub fn decide(&mut self, src: NodeId, dst: NodeId) -> FaultDecision {
-        let key = pair_key(src, dst);
-        let salt = self.salt;
-        let pair = self.seq.entry(key).or_insert_with(|| PairSeq {
-            seed: child_seed(salt, key),
-            count: 0,
-        });
-        let k = child_seed(pair.seed, pair.count);
-        pair.count += 1;
+        self.draw(src, dst, None)
+    }
+
+    /// The fate of a `src → dst` message with identity `meta` sent at the
+    /// plane's instant: a hash of those and of its ordinal among equal sends.
+    fn draw(&mut self, src: NodeId, dst: NodeId, meta: Option<CpMeta>) -> FaultDecision {
+        let m = meta.unwrap_or_default();
+        let pair = ((src.0 as u64) << 32) | dst.0 as u64;
+        let kind = (u64::from(m.attempt) << 8) | u64::from(m.kind);
+        let id = [pair, m.origin, m.txn, kind, self.now.as_nanos()];
+        let id = id.into_iter().fold(self.salt, child_seed);
+        let k = child_seed(id, self.ordinal(id));
+        let scale = |bits: u64| {
+            SimDuration((self.jitter_max.0 as u128 * (bits & 0xFFFF) as u128 / 65536) as u64)
+        };
         let drop = ((k & 0xFFFF) as u32) < self.drop_thresh;
-        if drop {
-            return FaultDecision {
-                drop: true,
-                jitter: SimDuration::ZERO,
-                duplicate: None,
-            };
-        }
-        let dup = (((k >> 16) & 0xFFFF) as u32) < self.dup_thresh;
-        let scale = |bits: u64| -> SimDuration {
-            SimDuration((self.jitter_max.0 as u128 * bits as u128 / 65536) as u64)
-        };
-        let jitter = scale((k >> 32) & 0xFFFF);
-        let duplicate = if dup {
-            // The copy trails the original by its own jittered offset; with
-            // jitter disabled it lands at the same instant but a later
-            // event sequence number, so ordering stays deterministic.
-            Some(scale((k >> 48) & 0xFFFF))
-        } else {
-            None
-        };
+        // A duplicate trails the original by its own jittered offset; with
+        // jitter disabled it lands at the same instant but a later event
+        // sequence number, so ordering stays deterministic.
+        let dup = !drop && (((k >> 16) & 0xFFFF) as u32) < self.dup_thresh;
         FaultDecision {
-            drop: false,
-            jitter,
-            duplicate,
+            drop,
+            jitter: if drop {
+                SimDuration::ZERO
+            } else {
+                scale(k >> 32)
+            },
+            duplicate: dup.then(|| scale(k >> 48)),
         }
+    }
+
+    /// How many sends with identity word `id` (its instant included) went
+    /// before this one. Instants only grow, so only the current instant's
+    /// entries can be met again: the purge keeps those alone.
+    fn ordinal(&mut self, id: u64) -> u64 {
+        let now = self.now;
+        if self.ordinals.len() >= self.purge_at {
+            self.ordinals.retain(|_, &mut (t, _)| t == now);
+            self.purge_at = (2 * self.ordinals.len()).max(256);
+        }
+        let n = &mut self.ordinals.entry(id).or_insert((now, 0)).1;
+        *n += 1;
+        *n - 1
     }
 }
 
@@ -363,29 +362,148 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decisions_are_reproducible_and_pair_independent() {
-        let mut a = plane(0.3, 0.2, 5);
-        let mut b = plane(0.3, 0.2, 5);
-        // Interleave pairs differently; per-pair sequences must not care.
-        let seq_a: Vec<FaultDecision> = (0..50).map(|_| a.decide(NodeId(1), NodeId(2))).collect();
-        for _ in 0..50 {
-            b.decide(NodeId(2), NodeId(1)); // reverse direction: own stream
-        }
-        let seq_b: Vec<FaultDecision> = (0..50).map(|_| b.decide(NodeId(1), NodeId(2))).collect();
-        assert_eq!(seq_a, seq_b);
+    /// A keyed message's identity.
+    fn id(origin: u64, txn: u64, attempt: u32, kind: u8) -> Option<CpMeta> {
+        Some(CpMeta {
+            origin,
+            txn,
+            attempt,
+            kind,
+        })
+    }
+
+    /// Verdicts of `(src, dst, meta, sent at ms)` messages pushed in order,
+    /// each delivered 1 ms after its send.
+    fn verdicts(
+        p: &mut FaultPlane,
+        msgs: &[(NodeId, NodeId, Option<CpMeta>, u64)],
+    ) -> Vec<CpVerdict> {
+        msgs.iter()
+            .map(|&(src, dst, meta, ms)| {
+                let now = SimTime::from_millis(ms);
+                p.verdict(src, dst, meta, now, now + SimDuration::from_millis(1))
+            })
+            .collect()
     }
 
     #[test]
-    fn loss_rate_lands_near_configured() {
-        let mut p = plane(0.2, 0.0, 0);
-        let dropped = (0..2000)
-            .filter(|_| p.decide(NodeId(9), NodeId(8)).drop)
+    fn decisions_are_reproducible_and_pair_independent() {
+        let (a, b) = (NodeId(1), NodeId(2));
+        // Transactions on a → b, retried, some sharing an instant, and a
+        // burst of identical renewals at one instant.
+        let mut msgs: Vec<_> = (0..50u64)
+            .map(|i| (a, b, id(i % 3, i / 3, (i % 4) as u32, 7), i / 2))
+            .collect();
+        msgs.extend((0..8).map(|_| (a, b, id(0, u64::MAX, 0, 11), 30)));
+        msgs.extend((0..8).map(|i| (a, b, None, 31 + i / 4)));
+        let base = verdicts(&mut plane(0.3, 0.2, 5), &msgs);
+        assert_eq!(base, verdicts(&mut plane(0.3, 0.2, 5), &msgs));
+        // Interleave the reverse direction and another pair: a pair's
+        // fates must not care.
+        let mut p = plane(0.3, 0.2, 5);
+        let mixed: Vec<CpVerdict> = msgs
+            .iter()
+            .map(|&m| {
+                verdicts(&mut p, &[(b, a, m.2, m.3), (a, NodeId(3), m.2, m.3)]);
+                verdicts(&mut p, &[m])[0]
+            })
+            .collect();
+        assert_eq!(base, mixed);
+    }
+
+    /// Two runs that differ by one extra message of a kind of its own on
+    /// `a → b`: every other message, matched by identity, keeps its fate.
+    #[test]
+    fn an_extra_message_moves_no_other_fate() {
+        let (a, b) = (NodeId(1), NodeId(2));
+        let msgs: Vec<_> = (0..400u64)
+            .map(|i| (a, b, id(1 + i % 5, i / 5, (i % 3) as u32, 7), i / 4))
+            .collect();
+        let extra = (a, b, id(1, 0, 0, 99), 0);
+        let with: Vec<_> = std::iter::once(extra).chain(msgs.iter().copied()).collect();
+        let base = verdicts(&mut plane(0.3, 0.2, 5), &msgs);
+        let moved = verdicts(&mut plane(0.3, 0.2, 5), &with);
+        assert_eq!(base, moved[1..]);
+        // The premise: the channel really does drop and duplicate here.
+        assert!(base.contains(&CpVerdict::Drop));
+        assert!(base.iter().any(|v| matches!(
+            v,
+            CpVerdict::Deliver {
+                dup_extra_ns: Some(_),
+                ..
+            }
+        )));
+    }
+
+    /// A retransmission (`attempt + 1`) draws a fate of its own: at 50 %
+    /// loss it shares its original's about half the time, not always —
+    /// even sent at the same instant as the first in the run, so that the
+    /// attempt alone tells the two apart.
+    #[test]
+    fn a_retransmission_draws_afresh() {
+        let (a, b) = (NodeId(1), NodeId(2));
+        let (mut first, mut retry) = (plane(0.5, 0.0, 0), plane(0.5, 0.0, 0));
+        let same = (0..2000u64)
+            .filter(|&txn| {
+                let send = |p: &mut FaultPlane, attempt| {
+                    verdicts(p, &[(a, b, id(1, txn, attempt, 7), txn)])[0]
+                };
+                send(&mut first, 0) == send(&mut retry, 1)
+            })
+            .count();
+        assert!(
+            (850..=1150).contains(&same),
+            "50% of 2000 ≈ 1000, got {same}"
+        );
+    }
+
+    /// N sends with one identity at one instant (a renewal round's
+    /// `(0, RENEW_TXN)` burst to one device) get N independent fates.
+    #[test]
+    fn identical_sends_at_one_instant_draw_independent_fates() {
+        let burst = vec![(NodeId(9), NodeId(8), id(0, u64::MAX, 0, 11), 5); 2000];
+        let dropped = verdicts(&mut plane(0.2, 0.0, 0), &burst)
+            .into_iter()
+            .filter(|v| *v == CpVerdict::Drop)
             .count();
         assert!(
             (300..=500).contains(&dropped),
             "20% of 2000 ≈ 400, got {dropped}"
         );
+    }
+
+    #[test]
+    fn loss_rate_lands_near_configured() {
+        let msgs: Vec<_> = (0..2000u64)
+            .map(|txn| (NodeId(9), NodeId(8), id(3, txn, 0, 7), txn / 8))
+            .collect();
+        let dropped = verdicts(&mut plane(0.2, 0.0, 0), &msgs)
+            .into_iter()
+            .filter(|v| *v == CpVerdict::Drop)
+            .count();
+        assert!(
+            (300..=500).contains(&dropped),
+            "20% of 2000 ≈ 400, got {dropped}"
+        );
+    }
+
+    /// The ordinal memo holds about twice the largest same-instant burst,
+    /// not every identity the run has sent.
+    #[test]
+    fn the_ordinal_memo_is_bounded_by_the_largest_burst() {
+        let mut p = plane(0.2, 0.1, 5);
+        for ms in 0..20_000u64 {
+            let burst = if ms % 1000 == 0 { 600 } else { 1 };
+            let msgs: Vec<_> = (0..burst)
+                .map(|i| (NodeId(1), NodeId(2), id(1, ms * 1000 + i, 0, 7), ms))
+                .collect();
+            verdicts(&mut p, &msgs);
+            assert!(
+                p.ordinals.len() <= 2 * 600 + 1,
+                "{} at {ms} ms",
+                p.ordinals.len()
+            );
+        }
     }
 
     #[test]
@@ -554,39 +672,39 @@ mod tests {
         let mut p = plane(1.0, 0.0, 0);
         for (case, now, at, window) in swallowed {
             assert_eq!(
-                p.verdict(a, b, ms(now), ms(at)),
+                p.verdict(a, b, None, ms(now), ms(at)),
                 CpVerdict::Outage { window },
                 "{case}"
             );
         }
         // Both endpoints up again, cut still open.
         assert_eq!(
-            p.verdict(a, b, ms(320), ms(330)),
+            p.verdict(a, b, None, ms(320), ms(330)),
             CpVerdict::Partition { window: 0 },
             "partition window"
         );
-        assert!(
-            !p.seq.contains_key(&pair_key(a, b)),
-            "a swallowed message must not advance the pair's hash counter"
-        );
         // The receiver is judged at delivery, not at push: b is down at
         // 120 ms but back by 250 ms, so the message reaches the loss hash.
-        assert_eq!(p.verdict(a, b, ms(120), ms(250)), CpVerdict::Drop, "drop");
-        assert_eq!(p.seq[&pair_key(a, b)].count, 1, "decide ran exactly once");
+        assert_eq!(
+            p.verdict(a, b, None, ms(120), ms(250)),
+            CpVerdict::Drop,
+            "drop"
+        );
         // The cut is directed: b → a at the same instant is only lossy.
-        assert_eq!(p.verdict(b, a, ms(320), ms(330)), CpVerdict::Drop);
+        assert_eq!(p.verdict(b, a, None, ms(320), ms(330)), CpVerdict::Drop);
 
-        // Past every window, the verdict is `decide`'s, restated in
-        // delivery terms.
+        // Past every window, the verdict is the hash's fate, restated in
+        // delivery terms: a twin plane at the same instant draws it.
         for (case, dup, jitter_ms) in [("none", 0.0, 0), ("jitter", 0.0, 5), ("duplicate", 1.0, 5)]
         {
             let (mut p, mut twin) = (plane(0.0, dup, jitter_ms), plane(0.0, dup, jitter_ms));
+            twin.now = ms(500);
             let mut jittered = 0;
             for i in 0..32u64 {
                 let at = ms(500 + i);
                 let d = twin.decide(a, b);
                 assert_eq!(
-                    p.verdict(a, b, ms(500), at),
+                    p.verdict(a, b, None, ms(500), at),
                     CpVerdict::Deliver {
                         deliver_ns: (at + d.jitter).as_nanos(),
                         jitter_ns: d.jitter.as_nanos(),

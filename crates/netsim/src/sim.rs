@@ -207,7 +207,7 @@ impl Core {
         }
         let deliver_at = at.max(self.now);
         let verdict = match self.faults.as_mut() {
-            Some(plane) => plane.verdict(from, to, self.now, deliver_at),
+            Some(plane) => plane.verdict(from, to, meta, self.now, deliver_at),
             None => CpVerdict::Deliver {
                 deliver_ns: deliver_at.as_nanos(),
                 jitter_ns: 0,
@@ -2076,5 +2076,89 @@ mod tests {
             (sim.stats.events, delivered.load(AtomicOrdering::Relaxed))
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// Through the control funnel: a run with one extra keyed message of
+    /// a kind of its own on `0 → 2` traces every other message's verdict
+    /// exactly as the run without it — retransmissions, same-instant
+    /// bursts of one identity and unkeyed sends included.
+    #[test]
+    fn an_extra_control_message_moves_no_other_verdict() {
+        use crate::cp_trace::{CpFlightRecorder, CpMeta};
+        use crate::faults::{FaultConfig, FaultPlane};
+        const EXTRA_KIND: u8 = 99;
+        let run = |extra: bool| {
+            let mut sim = Simulator::new(Topology::line(3), 1);
+            let rec = Arc::new(Mutex::new(CpFlightRecorder::new(1 << 14)));
+            sim.set_cp_trace_sink(Box::new(rec.clone()), 1);
+            sim.install_fault_plane(FaultPlane::new(FaultConfig {
+                seed: 42,
+                drop_prob: 0.25,
+                dup_prob: 0.25,
+                jitter_max: SimDuration::from_millis(3),
+                ..FaultConfig::default()
+            }));
+            // Five sends per millisecond: the last two one identity (a
+            // renewal burst), every other first one unkeyed.
+            let mut sends: Vec<(u64, Option<CpMeta>)> = (0..300u64)
+                .map(|i| {
+                    let meta = match i % 5 {
+                        0 if i % 10 == 0 => None,
+                        3 | 4 => Some(CpMeta {
+                            txn: u64::MAX,
+                            kind: 11,
+                            ..CpMeta::default()
+                        }),
+                        _ => Some(CpMeta {
+                            origin: i % 4,
+                            txn: i / 3,
+                            attempt: (i % 3) as u32,
+                            kind: 7,
+                        }),
+                    };
+                    (i / 5, meta)
+                })
+                .collect();
+            if extra {
+                let meta = CpMeta {
+                    origin: 1,
+                    txn: 0,
+                    attempt: 0,
+                    kind: EXTRA_KIND,
+                };
+                sends.insert(0, (0, Some(meta)));
+            }
+            for (ms, meta) in sends {
+                sim.schedule(SimTime::from_millis(ms), move |s| {
+                    let msg = ControlMsg {
+                        from: NodeId(0),
+                        payload: Rc::new(7u32),
+                        meta,
+                    };
+                    let (nodes, at) = (s.topo.n(), s.core.now);
+                    s.core.push_control(&mut s.stats, nodes, at, NodeId(2), msg);
+                });
+            }
+            sim.run_until(SimTime::from_secs(1));
+            let jsonl = rec.lock().unwrap().export_jsonl_string();
+            let stats = (sim.stats.cp_fault_dropped, sim.stats.cp_fault_duplicated);
+            (jsonl, stats)
+        };
+        let verdicts = |jsonl: &str| -> Vec<String> {
+            jsonl
+                .lines()
+                .filter(|l| l.contains("\"kind\":\"verdict\""))
+                .filter(|l| !l.contains(&format!("\"mkind\":{EXTRA_KIND},")))
+                .map(String::from)
+                .collect()
+        };
+        let (base, (dropped, duplicated)) = run(false);
+        let (with, _) = run(true);
+        assert_eq!(verdicts(&base).len(), 300);
+        assert_eq!(verdicts(&base), verdicts(&with));
+        // The premises: the extra message was sent, and the channel
+        // really drops and duplicates.
+        assert!(with.contains(&format!("\"mkind\":{EXTRA_KIND},")));
+        assert!(dropped > 0 && duplicated > 0);
     }
 }

@@ -7,7 +7,11 @@
  * the return addresses to a fixed buffer. A leaf outside the program
  * (libc's malloc, free, memcpy) keeps no frame pointer, so for it the
  * handler also takes the first program address on the stack, within
- * SCAN_WORDS of the stack pointer, as its caller's return address. At exit it writes one line per
+ * SCAN_WORDS of the stack pointer and below the stack's top, as its
+ * caller's return address, and resumes the frame-pointer walk at the
+ * caller's frame record above it. The scan is wide (8 KiB) because
+ * libc's deep paths (malloc's slow path) keep kilobytes of their own
+ * frames above the program's. At exit it writes one line per
  * sample, and per distinct address the object it lies in, its offset in
  * that object and the nearest dynamic symbol, to
  * `$SAMPLER_OUT.<pid>`. scripts/profile.sh builds, loads and reads it.
@@ -30,7 +34,7 @@
 #define MAX_DEPTH 64
 #define MAX_SAMPLES 50000
 #define INTERVAL_US 1000
-#define SCAN_WORDS 32
+#define SCAN_WORDS 1024
 
 /* Sample i is depth[i] addresses from frames[i]; leaf first. */
 static uintptr_t frames[MAX_SAMPLES][MAX_DEPTH];
@@ -54,10 +58,24 @@ static void on_prof(int sig, siginfo_t *si, void *uc_) {
     int n = 0;
     frames[i][n++] = pc;
     if ((pc < text_lo || pc >= text_hi) && sp >= stack_lo && (sp & 7) == 0) {
-        for (int k = 0; k < SCAN_WORDS && sp + 8 * (k + 1) <= stack_hi; k++) {
-            uintptr_t w = ((uintptr_t *)sp)[k];
-            if (w >= text_lo && w < text_hi) {
-                frames[i][n++] = w;
+        const uintptr_t *w = (const uintptr_t *)sp;
+        int words = (int)((stack_hi - sp) / 8);
+        if (words > SCAN_WORDS)
+            words = SCAN_WORDS;
+        for (int k = 0; k < words; k++) {
+            if (w[k] >= text_lo && w[k] < text_hi) {
+                frames[i][n++] = w[k];
+                /* The caller's own frame record (saved frame pointer,
+                 * then a return address) is the first such pair above
+                 * its return address: the walk resumes there, since
+                 * the leaf's %rbp is libc's and says nothing. */
+                for (int j = k + 1; j + 1 < words; j++) {
+                    uintptr_t at = sp + 8 * (uintptr_t)j;
+                    if (w[j] > at && w[j] < stack_hi && w[j + 1] >= text_lo && w[j + 1] < text_hi) {
+                        fp = at;
+                        break;
+                    }
+                }
                 break;
             }
         }
