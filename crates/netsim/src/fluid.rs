@@ -35,8 +35,15 @@
 //!    is the direction set's load under full admission, and once it is
 //!    recorded, a tick with the same paths, window length and live
 //!    aggregates only checks that the load still fits what each direction
-//!    has free. If it does, no fraction would move, and the tick credits
-//!    every aggregate its whole offer — bit for bit what the walk would.
+//!    has free. Only a direction the packet engine has touched can have
+//!    less than its whole window free, so the check reads only those: the
+//!    simulator logs each direction a discrete hop is offered to and both
+//!    directions of a flipped link ([`FluidLayer::touch`]), and the log
+//!    keeps, from tick to tick, the set's directions still backlogged or
+//!    down. If the load fits, no fraction would move, and the tick credits
+//!    every aggregate its whole offer — bit for bit what the walk would;
+//!    an aggregate that has never lost a byte is reported with one
+//!    division.
 //! 3. **Exact conservation at the boundary.** All rate accounting runs in
 //!    f64 byte accumulators, but [`crate::stats::Stats`] only ever sees
 //!    whole packets derived by *flooring cumulative* counters
@@ -92,6 +99,13 @@ fn residual(topo: &Topology, d: u32, last: SimTime, now: SimTime) -> f64 {
     } else {
         0.0
     }
+}
+
+/// Is direction `d` down, or backlogged past `now`? Such a direction
+/// stays in the steady tick's log (see [`FluidLayer::touch`]).
+fn busy(topo: &Topology, d: u32, now: SimTime) -> bool {
+    let link = &topo.links[d as usize / 2];
+    !link.up || link.dirs[d as usize % 2].next_free > now
 }
 
 /// One background traffic demand, before the simulator decides whether it
@@ -179,6 +193,12 @@ pub struct FluidLayer {
     /// Per direction in the set (indexed like `dirs`): the bytes a window
     /// offers it when every live aggregate is admitted whole.
     load: Vec<f64>,
+    /// Global direction ids whose `next_free` or `up` may have moved since
+    /// the last tick, plus the set's directions that were backlogged past
+    /// it or down then: every direction of the set that is not in here is
+    /// up and idle from the last tick on. Sized by the hops since the last
+    /// tick, never by the topology.
+    touched: Vec<u32>,
 
     /// The latest `until` of any aggregate: the layer is live before it.
     latest_until: SimTime,
@@ -244,6 +264,7 @@ impl FluidLayer {
             w_cdrop_hops: Vec::new(),
             steady: None,
             load: Vec::new(),
+            touched: Vec::new(),
             latest_until: SimTime::ZERO,
             unresolved: false,
             walks: 0,
@@ -268,6 +289,14 @@ impl FluidLayer {
     /// direction, so each live aggregate was credited its whole offer.
     pub fn steady_ticks(&self) -> u64 {
         self.steady_ticks
+    }
+
+    /// Log global direction `d` (`link.0 * 2 + dir_index`): the packet
+    /// engine offered it a packet or flipped its link since the last tick.
+    /// The simulator calls this while a tick is armed; an unarmed layer's
+    /// next tick resolves its paths, which seeds the log afresh.
+    pub(crate) fn touch(&mut self, d: u32) {
+        self.touched.push(d);
     }
 
     /// Install an aggregate for `d`; its path resolves on the next tick.
@@ -328,9 +357,10 @@ impl FluidLayer {
 
     /// Walk the forwarding tables for every unresolved aggregate and
     /// rebuild the flat path arena, then the direction set the new paths
-    /// cross. Returns how many paths were re-derived (the
+    /// cross, and seed the steady tick's log with the set's directions
+    /// that are busy at `now`. Returns how many paths were re-derived (the
     /// [`Stats::fluid_recomputes`] increment).
-    fn resolve_paths(&mut self, topo: &Topology, routing: &Routing) -> u64 {
+    fn resolve_paths(&mut self, topo: &Topology, routing: &Routing, now: SimTime) -> u64 {
         let n_aggs = self.src.len();
         let mut recomputed = 0u64;
         let mut hops = Vec::with_capacity(self.path_dirs.len());
@@ -387,6 +417,11 @@ impl FluidLayer {
         self.offered = vec![0.0; set.len()];
         self.frac = vec![0.0; set.len()];
         self.avail = vec![0.0; set.len()];
+        // Nothing was kept of the new set's directions: log what the end
+        // of a tick would have kept.
+        self.touched.clear();
+        self.touched
+            .extend(set.iter().copied().filter(|&d| busy(topo, d, now)));
         self.dirs = set;
         self.path_dirs = hops;
         self.path_nodes = nodes;
@@ -423,28 +458,56 @@ impl FluidLayer {
             self.route_epoch = routing.epoch();
         }
         if self.unresolved {
-            stats.fluid_recomputes += self.resolve_paths(topo, routing);
+            stats.fluid_recomputes += self.resolve_paths(topo, routing, now);
         }
 
         // --- 2. A steady tick: the recorded load fits, nothing walks ---
+        self.touched.sort_unstable();
+        self.touched.dedup();
         if self.steady_fits(topo, last, now) {
             self.steady_ticks += 1;
             let secs = (now - last).as_secs_f64();
             for i in 0..self.src.len() {
                 // Alive for the whole window, or gone before it.
-                if self.until[i] <= last {
-                    continue;
+                if self.until[i] > last {
+                    self.credit_whole(i, self.rate_bps[i] / 8.0 * secs, stats);
                 }
-                let base = self.rate_bps[i] / 8.0 * secs;
-                self.cum_sent[i] += base;
-                if self.has_route[i] {
-                    self.cum_deliv[i] += base;
-                }
-                self.report(i, stats);
             }
-            return self.any_active(now);
+        } else {
+            self.settle(topo, last, now, stats);
         }
+        // What the next tick must still read: the set's busy directions.
+        let dirs = &self.dirs;
+        self.touched
+            .retain(|&d| busy(topo, d, now) && dirs.binary_search(&d).is_ok());
+        self.any_active(now)
+    }
 
+    /// Credit aggregate `i` its whole offer `base` of a steady window and
+    /// report it. While `sent` and `delivered` are bitwise equal they stay
+    /// so — both take the same `base` — and then the dropped floor is 0
+    /// and `cum_cdrop_hops` has not moved: one division gives every count.
+    fn credit_whole(&mut self, i: usize, base: f64, stats: &mut Stats) {
+        let admitted = self.cum_sent[i].to_bits() == self.cum_deliv[i].to_bits();
+        self.cum_sent[i] += base;
+        if !self.has_route[i] {
+            return self.report(i, stats);
+        }
+        self.cum_deliv[i] += base;
+        if !admitted {
+            return self.report(i, stats);
+        }
+        let sp = (self.cum_sent[i] / self.pkt_size[i] as f64) as u64;
+        let (d_sent, d_deliv) = (sp - self.rep_sent[i], sp - self.rep_deliv[i]);
+        self.rep_sent[i] = sp;
+        self.rep_deliv[i] = sp;
+        self.charge(i, stats, [d_sent, d_deliv, 0, 0]);
+    }
+
+    /// Settle the window `(last, now]` the long way: residual capacity of
+    /// the set, proportional-share admission run to its fixed point, and
+    /// the last walk's results committed in aggregate order.
+    fn settle(&mut self, topo: &Topology, last: SimTime, now: SimTime, stats: &mut Stats) {
         // --- 3. Residual capacity of every direction in the set --------
         for (j, &d) in self.dirs.iter().enumerate() {
             self.avail[j] = residual(topo, d, last, now);
@@ -478,15 +541,16 @@ impl FluidLayer {
             }
             self.report(i, stats);
         }
-        self.any_active(now)
     }
 
     /// Is the window `(last, now]` steady — the record's key holds and its
-    /// load fits what every direction has free? One read-only pass over
-    /// the set: an up direction with no discrete backlog reaching into the
-    /// window has its whole-window capacity, which the load fitted when it
-    /// was recorded; any other has `avail` computed as the residual sweep
+    /// load fits what every direction has free? A read-only pass over the
+    /// logged directions of the set (`touched`, sorted and distinct): an
+    /// up direction with no discrete backlog reaching into the window has
+    /// its whole-window capacity, which the load fitted when it was
+    /// recorded; any other has `avail` computed as the residual sweep
     /// does, and the load must pass [`FluidLayer::update_fracs`]' test.
+    /// A direction not in the log is up and idle since the last tick.
     /// Either way no fraction would move, so the walk's result is known.
     fn steady_fits(&mut self, topo: &Topology, last: SimTime, now: SimTime) -> bool {
         let Some(key) = self.steady else {
@@ -496,7 +560,7 @@ impl FluidLayer {
             self.steady = None;
             return false;
         }
-        std::iter::zip(&self.dirs, &self.load).all(|(&d, &o)| {
+        let dir_fits = |d: u32, o: f64| {
             let link = &topo.links[d as usize / 2];
             if link.up && link.dirs[d as usize % 2].next_free <= last {
                 debug_assert!(
@@ -506,7 +570,28 @@ impl FluidLayer {
                 return true;
             }
             fits(o, residual(topo, d, last, now))
-        })
+        };
+        let fit = self
+            .touched
+            .iter()
+            .all(|d| match self.dirs.binary_search(d) {
+                Ok(j) => dir_fits(*d, self.load[j]),
+                Err(_) => true,
+            });
+        if cfg!(debug_assertions) {
+            // The log is complete — what it leaves out is up and idle
+            // since `last` — so the full pass over the set agrees.
+            let mut full = true;
+            for (&d, &o) in std::iter::zip(&self.dirs, &self.load) {
+                debug_assert!(
+                    self.touched.binary_search(&d).is_ok() || !busy(topo, d, last),
+                    "direction {d} moved but is not in the log"
+                );
+                full &= dir_fits(d, o);
+            }
+            debug_assert_eq!(fit, full, "the logged check and the full pass disagree");
+        }
+        fit
     }
 
     /// Keep the first walk's `offered` column as the steady-tick record if
@@ -588,6 +673,12 @@ impl FluidLayer {
         self.rep_deliv[i] = dp;
         self.rep_cdrop[i] += d_c;
         self.rep_cdrop_hops[i] = ch;
+        self.charge(i, stats, [d_sent, d_deliv, d_c, d_ch]);
+    }
+
+    /// Charge aggregate `i`'s packet deltas — sent, delivered, dropped and
+    /// dropped x hops — to its class and, for drops, to its drop reason.
+    fn charge(&self, i: usize, stats: &mut Stats, [d_sent, d_deliv, d_c, d_ch]: [u64; 4]) {
         if d_sent + d_deliv + d_c == 0 {
             return;
         }
@@ -647,6 +738,28 @@ mod tests {
     /// The global link-direction ids some cached path of `l` crosses.
     fn crossed(l: &FluidLayer) -> BTreeSet<u32> {
         l.path_dirs.iter().map(|&j| l.dirs[j as usize]).collect()
+    }
+
+    /// Each link direction's `(up, next_free)`, in global direction order.
+    fn dir_states(topo: &Topology) -> Vec<(bool, SimTime)> {
+        let dir = |l: &Link, k: usize| (l.up, l.dirs[k].next_free);
+        topo.links
+            .iter()
+            .flat_map(|l| [dir(l, 0), dir(l, 1)])
+            .collect()
+    }
+
+    /// Log in a standalone `layer` every direction whose `up` or
+    /// `next_free` moved since `seen`, and bring `seen` up to date: what
+    /// the simulator logs for its own layer, as a snapshot diff.
+    fn touch_moved(layer: &mut FluidLayer, seen: &mut Vec<(bool, SimTime)>, topo: &Topology) {
+        let now = dir_states(topo);
+        for (d, (a, b)) in std::iter::zip(&*seen, &now).enumerate() {
+            if a != b {
+                layer.touch(d as u32);
+            }
+        }
+        *seen = now;
     }
 
     fn line_sim(fluid: bool) -> Simulator {
@@ -1238,7 +1351,6 @@ mod tests {
         use crate::node::NodeRole;
 
         const TICKS: u64 = 40;
-        let at = |k: u64| SimTime::from_nanos(k * TICK.0);
         // What the cases covered between them: steady ticks that walked
         // nothing, ticks settled by their first walk, ticks that took
         // more, and flaps that took a direction off every cached path and
@@ -1324,6 +1436,7 @@ mod tests {
             later.until = SimTime::from_nanos(rng.gen_range(at(later_tick).0..at(TICKS).0));
 
             let (mut real_stats, mut ref_stats) = (Stats::new(), Stats::new());
+            let mut seen = dir_states(&sim.topo);
             let mut before_flap = BTreeSet::new();
             let mut gone = BTreeSet::new();
             for k in 1..=TICKS {
@@ -1345,6 +1458,7 @@ mod tests {
                 }
 
                 let (walks, steady_ticks) = (real.walks(), real.steady_ticks());
+                touch_moved(&mut real, &mut seen, &sim.topo);
                 real.run_tick(at(k), &sim.topo, &sim.routing, &mut real_stats);
                 reference.run_tick(at(k), &sim.topo, &sim.routing, &mut ref_stats);
                 assert_eq!(real_stats, ref_stats, "stats after tick {k}");
@@ -1374,6 +1488,45 @@ mod tests {
         assert!(rejoined > 0, "no flap took a direction out and back");
     }
 
+    /// The instant `k` ticks into a run.
+    fn at(k: u64) -> SimTime {
+        SimTime::from_nanos(k * TICK.0)
+    }
+
+    /// A ring of six nodes over 10 Mbit/s links (62.5 kB a window) that
+    /// queue up to 160 ms, link `i` joining nodes `i` and `i + 1`, plus a
+    /// seventh node nothing reaches.
+    fn ring_of_six() -> (Simulator, Vec<LinkId>) {
+        use crate::link::LinkProfile;
+        use crate::node::NodeRole;
+        let prof = LinkProfile {
+            bandwidth_bps: 10e6,
+            latency: SimDuration::from_millis(1),
+            queue_limit_bytes: 200_000,
+        };
+        let mut topo = Topology::new();
+        for _ in 0..7 {
+            topo.add_node(NodeRole::Stub);
+        }
+        let ring = (0..6)
+            .map(|i| topo.connect(NodeId(i), NodeId((i + 1) % 6), prof).unwrap())
+            .collect();
+        (Simulator::new(topo, 11), ring)
+    }
+
+    /// `kb` kB of discrete packets from node `from` to its ring neighbour
+    /// `to`, emitted 10 ms before the end of window `k`: 0.8 ms of backlog
+    /// a kB.
+    fn burst(sim: &mut Simulator, k: u64, (from, to): (usize, usize), kb: u32) {
+        use crate::packet::PacketBuilder;
+        sim.run_until(SimTime::from_nanos(at(k).0 - 10_000_000));
+        for _ in 0..kb {
+            let (src, dst) = (Addr::new(NodeId(from), 1), Addr::new(NodeId(to), 1));
+            let pkt = PacketBuilder::new(src, dst, Proto::Udp, TrafficClass::LegitRequest);
+            sim.emit_now(NodeId(from), pkt.size(1000));
+        }
+    }
+
     /// Each change a steady tick depends on ends a steady run for the
     /// ticks it touches and no others, with full `Stats` equal to
     /// [`RefLayer`]'s after every tick. On a 10 Mbit/s ring of six:
@@ -1386,25 +1539,8 @@ mod tests {
     ///   new live set's load.
     #[test]
     fn each_change_ends_a_steady_run_for_the_ticks_it_touches() {
-        use crate::link::LinkProfile;
-        use crate::node::NodeRole;
-        use crate::packet::PacketBuilder;
-
         const TICKS: u64 = 40;
-        let at = |k: u64| SimTime::from_nanos(k * TICK.0);
-        let prof = LinkProfile {
-            bandwidth_bps: 10e6,
-            latency: SimDuration::from_millis(1),
-            queue_limit_bytes: 50_000,
-        };
-        let mut topo = Topology::new();
-        for _ in 0..6 {
-            topo.add_node(NodeRole::Stub);
-        }
-        let ring: Vec<LinkId> = (0..6)
-            .map(|i| topo.connect(NodeId(i), NodeId((i + 1) % 6), prof).unwrap())
-            .collect();
-        let mut sim = Simulator::new(topo, 11);
+        let (mut sim, ring) = ring_of_six();
 
         let mut real = FluidLayer::new(TICK, SimTime::ZERO, sim.routing.epoch());
         let mut reference = RefLayer::new(SimTime::ZERO, sim.routing.epoch());
@@ -1418,20 +1554,12 @@ mod tests {
         let joining = demand(5, 3, 1e6, 2);
 
         let (mut real_stats, mut ref_stats) = (Stats::new(), Stats::new());
+        let mut seen = dir_states(&sim.topo);
         let mut walked = BTreeSet::new();
         for k in 1..=TICKS {
             match k {
-                8 => {
-                    // 40 kB onto 1 -> 2 10 ms before the boundary: 32 ms
-                    // of backlog, 22 of them in window 9, leaving 35 kB.
-                    sim.run_until(SimTime::from_nanos(at(k).0 - 10_000_000));
-                    for _ in 0..40 {
-                        let (src, dst) = (Addr::new(NodeId(1), 1), Addr::new(NodeId(2), 1));
-                        let pkt =
-                            PacketBuilder::new(src, dst, Proto::Udp, TrafficClass::LegitRequest);
-                        sim.emit_now(NodeId(1), pkt.size(1000));
-                    }
-                }
+                // Window 9 is left 35 kB.
+                8 => burst(&mut sim, k, (1, 2), 40),
                 26 => {
                     sim.run_until(SimTime::from_nanos(at(k).0 - TICK.0 / 3));
                     real.add(&joining, sim.now());
@@ -1446,6 +1574,7 @@ mod tests {
                 _ => {}
             }
             let walks = real.walks();
+            touch_moved(&mut real, &mut seen, &sim.topo);
             real.run_tick(at(k), &sim.topo, &sim.routing, &mut real_stats);
             reference.run_tick(at(k), &sim.topo, &sim.routing, &mut ref_stats);
             assert_eq!(real_stats, ref_stats, "stats after tick {k}");
@@ -1468,6 +1597,129 @@ mod tests {
             .collect();
         assert_eq!(walked, touched);
         assert_eq!(real.steady_ticks(), TICKS - touched.len() as u64);
+        real_stats.check_conservation().unwrap();
+    }
+
+    /// The ticks of a simulator's own fluid layer that walked, over
+    /// `ticks` ticks of a run: `change(sim, k)` runs before tick `k`.
+    fn walked_ticks(
+        sim: &mut Simulator,
+        ticks: u64,
+        mut change: impl FnMut(&mut Simulator, u64),
+    ) -> BTreeSet<u64> {
+        let mut walked = BTreeSet::new();
+        for k in 1..=ticks {
+            change(sim, k);
+            let walks = sim.fluid().unwrap().walks();
+            sim.run_until(at(k));
+            if sim.fluid().unwrap().walks() > walks {
+                walked.insert(k);
+            }
+        }
+        let layer = sim.fluid().unwrap();
+        assert_eq!(layer.steady_ticks(), ticks - walked.len() as u64);
+        sim.stats.check_conservation().unwrap();
+        walked
+    }
+
+    /// The simulator logs each direction a discrete hop is offered to, so
+    /// its own layer's steady run ends where the backlog of a burst onto a
+    /// cached path reaches: windows 8 and 9, and no other.
+    #[test]
+    fn a_discrete_burst_on_a_cached_path_ends_the_simulators_steady_run() {
+        let (mut sim, _) = ring_of_six();
+        sim.enable_fluid(TICK);
+        sim.install_app(Addr::new(NodeId(2), 1), Box::new(crate::app::SinkApp));
+        // 0 -> 1 -> 2 carries 6 Mbit/s: 37.5 kB a window, of 62.5 kB.
+        sim.add_background_demand(demand(0, 2, 6e6, 2));
+        let walked = walked_ticks(&mut sim, 30, |sim, k| {
+            if k == 8 {
+                burst(sim, k, (1, 2), 40);
+            }
+        });
+        assert_eq!(walked, BTreeSet::from([1, 8, 9]));
+        let bg = sim.stats.class(TrafficClass::Background);
+        assert!(bg.dropped_pkts > 0, "the burst thinned the aggregate");
+    }
+
+    /// A link of a cached path flapped down inside window 14 and up inside
+    /// window 20 ends the simulator's steady run for those windows alone.
+    #[test]
+    fn a_flap_on_a_cached_path_ends_the_simulators_steady_run() {
+        let (mut sim, ring) = ring_of_six();
+        sim.enable_fluid(TICK);
+        sim.add_background_demand(demand(0, 2, 6e6, 2));
+        let walked = walked_ticks(&mut sim, 30, |sim, k| {
+            if k == 14 || k == 20 {
+                sim.run_until(SimTime::from_nanos(at(k).0 - TICK.0 / 2));
+                sim.set_link_up(ring[1], k == 20);
+            }
+        });
+        assert_eq!(walked, BTreeSet::from([1, 14, 20]));
+        assert_eq!(sim.stats.fluid_recomputes, 3);
+    }
+
+    /// A path re-resolved onto a direction the discrete engine backlogged
+    /// before the direction joined the set still reads that backlog:
+    /// `resolve_paths` seeds the log with the new set's busy directions.
+    /// 150 kB onto 3 -> 2 at the end of window 12 hold it until 10 ms into
+    /// window 15; 1 -> 2 fails inside window 13, and 0 -> 2 moves onto
+    /// 0 -> 5 -> 4 -> 3 -> 2. Windows 13 and 14 are full of backlog and
+    /// walk; window 15 has 50 kB free for its 37.5 kB and is steady.
+    #[test]
+    fn a_path_moved_onto_a_backlogged_direction_reads_its_backlog() {
+        let (mut sim, ring) = ring_of_six();
+        sim.enable_fluid(TICK);
+        sim.add_background_demand(demand(0, 2, 6e6, 2));
+        let walked = walked_ticks(&mut sim, 30, |sim, k| match k {
+            12 => burst(sim, k, (3, 2), 150),
+            13 => {
+                sim.run_until(SimTime::from_nanos(at(k).0 - TICK.0 / 2));
+                sim.set_link_up(ring[1], false);
+            }
+            _ => {}
+        });
+        assert_eq!(walked, BTreeSet::from([1, 13, 14]));
+        assert_eq!(sim.stats.fluid_recomputes, 2);
+    }
+
+    /// A steady tick reports an aggregate that has never lost a byte with
+    /// one division and every other one as [`FluidLayer::report`] does;
+    /// full `Stats` stay equal to [`RefLayer`]'s after every tick, with
+    /// one aggregate congested once by a burst and steady for the 30
+    /// ticks after, one never congested, and one unrouted.
+    #[test]
+    fn a_steady_tick_reports_each_kind_of_aggregate_as_the_reference() {
+        const TICKS: u64 = 40;
+        let (mut sim, _) = ring_of_six();
+        let mut real = FluidLayer::new(TICK, SimTime::ZERO, sim.routing.epoch());
+        let mut reference = RefLayer::new(SimTime::ZERO, sim.routing.epoch());
+        let (congested, admitted, unrouted) = (0, 1, 2);
+        for d in [
+            demand(0, 2, 6e6, 2),
+            demand(3, 5, 2e6, 2),
+            demand(3, 6, 1e6, 2),
+        ] {
+            real.add(&d, SimTime::ZERO);
+            reference.add(&d, SimTime::ZERO);
+        }
+        let (mut real_stats, mut ref_stats) = (Stats::new(), Stats::new());
+        let mut seen = dir_states(&sim.topo);
+        for k in 1..=TICKS {
+            if k == 8 {
+                burst(&mut sim, k, (1, 2), 40);
+            }
+            sim.run_until(at(k));
+            touch_moved(&mut real, &mut seen, &sim.topo);
+            real.run_tick(at(k), &sim.topo, &sim.routing, &mut real_stats);
+            reference.run_tick(at(k), &sim.topo, &sim.routing, &mut ref_stats);
+            assert_eq!(real_stats, ref_stats, "stats after tick {k}");
+        }
+        assert_eq!(real.steady_ticks(), TICKS - 3, "all but ticks 1, 8 and 9");
+        let same = |i: usize| real.cum_sent[i].to_bits() == real.cum_deliv[i].to_bits();
+        assert!(!same(congested) && same(admitted) && !real.has_route[unrouted]);
+        assert!(real_stats.class(TrafficClass::Background).dropped_pkts > 0);
+        assert!(real_stats.drops_for_reason(DropReason::NoRoute).pkts > 0);
         real_stats.check_conservation().unwrap();
     }
 
@@ -1501,25 +1753,39 @@ mod tests {
     /// difference below a whole packet it had reached: 24,500 B (49
     /// packets of 500 B) becomes 24,499.999999999534. The dropped count
     /// must hold at 49, not step back to 48 (an underflow).
+    /// The dip comes from a steady tick's credit, so it is taken through
+    /// that path and held to [`RefAgg`]'s report too.
     #[test]
     fn a_dip_in_the_dropped_floor_carries_over() {
+        let d = demand(0, 3, 4e6, 2);
         let mut layer = FluidLayer::new(TICK, SimTime::ZERO, 0);
-        layer.add(&demand(0, 3, 4e6, 2), SimTime::ZERO);
+        layer.add(&d, SimTime::ZERO);
         layer.has_route[0] = true;
-        let mut stats = Stats::new();
-        layer.cum_sent[0] = 4125329.368744901;
-        layer.cum_deliv[0] = 4100829.368744901;
+        let mut reference = RefAgg {
+            d,
+            added_at: SimTime::ZERO,
+            has_route: true,
+            resolved: true,
+            path: Vec::new(),
+            cum: [4125329.368744901, 4100829.368744901, 0.0],
+            rep: [0; 4],
+        };
+        let (mut stats, mut ref_stats) = (Stats::new(), Stats::new());
+        [layer.cum_sent[0], layer.cum_deliv[0]] = [reference.cum[0], reference.cum[1]];
         layer.report(0, &mut stats);
+        reference.report(&mut ref_stats);
         assert_eq!(stats.class(TrafficClass::Background).dropped_pkts, 49);
-        layer.cum_sent[0] += 86616.96956829984;
-        layer.cum_deliv[0] += 86616.96956829984;
+        layer.credit_whole(0, 86616.96956829984, &mut stats);
+        reference.cum[0] += 86616.96956829984;
+        reference.cum[1] += 86616.96956829984;
+        reference.report(&mut ref_stats);
         assert!(layer.cum_sent[0] - layer.cum_deliv[0] < 24_500.0);
-        layer.report(0, &mut stats);
         let c = stats.class(TrafficClass::Background);
         assert_eq!(
             (c.sent_pkts, c.delivered_pkts, c.dropped_pkts),
             (8423, 8374, 49)
         );
+        assert_eq!(stats, ref_stats);
         stats.check_conservation().unwrap();
     }
 }

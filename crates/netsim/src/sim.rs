@@ -267,7 +267,11 @@ impl Core {
 
 /// The simulator.
 pub struct Simulator {
-    /// The network graph (owned; link state lives inside).
+    /// The network graph (owned; link state lives inside). Move a link's
+    /// state through the simulator — packets and
+    /// [`Simulator::set_link_up`] — not by writing `links[..].up` or
+    /// `next_free` here: those writes bypass the log the fluid layer's
+    /// steady tick reads ([`crate::fluid`], step 2), so it would miss them.
     pub topo: Topology,
     /// Shortest-path forwarding tables.
     pub routing: Routing,
@@ -561,12 +565,18 @@ impl Simulator {
     /// bumped, and the re-derived rows carry it ([`Routing::changed_at`])
     /// so the fluid layer's path cache re-resolves just the damaged
     /// destinations. Redundant calls (link already in the requested
-    /// state) change nothing and leave the epoch alone.
+    /// state) change nothing and leave the epoch alone. Both directions
+    /// are logged for the fluid layer's steady tick; writing
+    /// `topo.links[..].up` directly bypasses that log.
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
         if self.topo.links[link.0].up == up {
             return;
         }
         self.topo.links[link.0].up = up;
+        if let Some(layer) = self.fluid.as_mut().filter(|l| l.armed) {
+            layer.touch(link.0 as u32 * 2);
+            layer.touch(link.0 as u32 * 2 + 1);
+        }
         let outcome = self.routing.apply_link_flip(&self.topo, link);
         self.stats.route_link_flips += 1;
         self.stats.route_trees_recomputed += outcome.trees_recomputed as u64;
@@ -846,6 +856,9 @@ impl Simulator {
             return self.end_dropped(at, handle, &pkt, Some("engine"), DropReason::NoRoute);
         };
         let is_attack = pkt.provenance.class.is_attack();
+        if let Some(layer) = self.fluid.as_mut().filter(|l| l.armed) {
+            layer.touch((link.0 * 2 + self.topo.links[link.0].dir_index(at)) as u32);
+        }
         let (admission, wait, backlog) =
             self.topo.links[link.0].offer_observed(at, self.core.now, pkt.size, is_attack);
         match admission {
