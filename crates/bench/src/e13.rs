@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use dtcs::control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
-    InternetNumberAuthority, UserId,
+    InternetNumberAuthority, UserHandle, UserId,
 };
 use dtcs::netsim::rng::child_seed;
 use dtcs::netsim::{
@@ -74,11 +74,17 @@ fn crash_schedule(sim: &Simulator, mtbf_s: u64, horizon_s: u64, seed: u64) -> Ve
 /// One grid point: `(loss probability, device MTBF, quick)`.
 type Params = (f64, Option<u64>, bool);
 
-fn run_cell(
+fn run_cell(params: &Params, seed: u64, trace: CpTrace) -> (CpOutcome<CellRow>, Stats) {
+    let (out, stats, _owner) = run_owner(params, seed, trace);
+    (out, stats)
+}
+
+/// [`run_cell`], with the owner's record.
+fn run_owner(
     &(loss, mtbf_s, quick): &Params,
     seed: u64,
     trace: CpTrace,
-) -> (CpOutcome<CellRow>, Stats) {
+) -> (CpOutcome<CellRow>, Stats, UserHandle) {
     let (transit, stubs) = if quick { (2, 4) } else { (3, 6) };
     let horizon_s: u64 = if quick { 30 } else { 60 };
     let topo = Topology::transit_stub_multihomed(transit, stubs, 0.2, seed);
@@ -102,7 +108,7 @@ fn run_cell(
             ..ControlPlaneConfig::default()
         },
     );
-    let (_user, _record) = cp.add_user(
+    let (_user, owner) = cp.add_user(
         &mut sim,
         victim_node,
         vec![user_prefix],
@@ -161,7 +167,7 @@ fn run_cell(
         cp_duplicated: sim.stats.cp_fault_duplicated,
         dedup_hits: cs.dup_requests + cs.dup_responses,
     };
-    ((row, cs), sim.stats)
+    ((row, cs), sim.stats, owner)
 }
 
 /// The grid: one case per (loss, MTBF) fault-plane setting.
@@ -253,4 +259,49 @@ fn render(
         sum(|r, _| r.reinstalls),
         sum(|_, s| s.node_crashes),
     ));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sweep::replicate_seed;
+
+    /// The crash-free 20 %-loss cell at full scale.
+    const LOSSY: Params = (0.2, None, false);
+
+    /// Two replicates of [`LOSSY`] whose owner's first registration gives
+    /// up: the owner registers again a retry budget later, deploys, and
+    /// every device holds its rule at the end.
+    #[test]
+    fn an_owner_whose_registration_gave_up_registers_and_deploys() {
+        for r in [236, 325] {
+            let ((row, _), _, owner) = run_owner(&LOSSY, replicate_seed(SEED, r), None);
+            let owner = owner.lock();
+            let first_leg = dtcs::control::RetryPolicy::default().max_attempts as usize - 1;
+            assert!(
+                owner.register_retries >= first_leg,
+                "replicate {r}: {owner:?}"
+            );
+            assert!(
+                owner.deploy_confirmed_at.is_some(),
+                "replicate {r}: {owner:?}"
+            );
+            assert_eq!(row.steady_coverage_pct, 100.0, "replicate {r}");
+        }
+    }
+
+    /// Every owner of 1,600 replicates of [`LOSSY`] registers and sees its
+    /// deployment confirmed (`--ignored`; about a second in release).
+    #[test]
+    #[ignore]
+    fn every_owner_of_the_lossy_cell_deploys() {
+        let short: Vec<u32> = (0..1600)
+            .filter(|&r| {
+                let (_, _, owner) = run_owner(&LOSSY, replicate_seed(SEED, r), None);
+                let owner = owner.lock();
+                owner.registered_at.is_none() || owner.deploy_confirmed_at.is_none()
+            })
+            .collect();
+        assert_eq!(short, [] as [u32; 0]);
+    }
 }

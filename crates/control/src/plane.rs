@@ -11,11 +11,11 @@
 //!   registration, request fan-out to ISPs);
 //! * [`NmsAgent`] — an ISP's network management system, driving the
 //!   adaptive devices on that ISP's routers;
-//! * [`UserAgent`] — a network user executing register → deploy →
-//!   confirm, with a timeout fallback straight to the ISPs when the TCSP
-//!   is unreachable (Sec. 5.1: "particularly useful if … the TCSP can no
-//!   longer be reached, e.g. because of an ongoing DDoS attack on the
-//!   TCSP").
+//! * [`UserAgent`] — a network user stepping towards one goal (registered
+//!   and deployed, later withdrawn), again after a leg gives up, with a
+//!   timeout fallback straight to the ISPs when the TCSP is unreachable
+//!   (Sec. 5.1: "particularly useful if … the TCSP can no longer be
+//!   reached, e.g. because of an ongoing DDoS attack on the TCSP").
 //!
 //! The channel between agents is *faulty* when a
 //! [`FaultPlane`](dtcs_netsim::FaultPlane) is installed: any message may
@@ -1381,7 +1381,7 @@ pub struct UserRecord {
     pub cert: Option<Certificate>,
     /// Registration denied?
     pub denied: bool,
-    /// RegisterRequest retransmits sent before the confirm arrived.
+    /// RegisterRequest retransmits, over every registration attempt.
     pub register_retries: usize,
     /// Deployment confirmed at.
     pub deploy_confirmed_at: Option<SimTime>,
@@ -1407,18 +1407,28 @@ pub type UserHandle = Arc<dtcs_netsim::sync::Mutex<UserRecord>>;
 
 /// Timer token scenario code passes to
 /// [`Simulator::schedule_agent_timer`](dtcs_netsim::Simulator::schedule_agent_timer)
-/// to kick off a user agent's registration sequence.
+/// to set a user agent's goal: its service registered and deployed.
 pub const TOKEN_REGISTER: u64 = 1;
-const T_DEPLOY: u64 = 2;
+/// Step again: the deploy delay ran out, or a give-up waited out a budget.
+const T_STEP: u64 = 2;
 const T_TIMEOUT: u64 = 3;
 /// How long a user waits on the TCSP's deployment before falling back to
 /// direct-ISP deployment.
 const DEPLOY_TIMEOUT: SimDuration = SimDuration::from_secs(5);
-/// Timer token scenario code schedules on a user agent to make it tear
-/// down its deployment (a keyed, retried [`CpMsg::WithdrawRequest`]).
+/// Timer token scenario code schedules on a user agent to turn its goal to
+/// withdrawal: a [`CpMsg::WithdrawRequest`] takes down what it deployed.
 pub const TOKEN_WITHDRAW: u64 = 4;
 
-/// A network user driving registration and deployment.
+/// What the owner wants standing: its service from [`TOKEN_REGISTER`],
+/// nothing from [`TOKEN_WITHDRAW`].
+#[derive(Clone, Copy)]
+enum Goal {
+    Deployed,
+    Withdrawn,
+}
+
+/// A network user driving registration, deployment and withdrawal towards
+/// one goal; a leg that gives up re-arms the step that drives it.
 pub struct UserAgent {
     /// User identity.
     pub user: UserId,
@@ -1437,11 +1447,11 @@ pub struct UserAgent {
     /// peer forwarding on).
     pub fallback_nms: Vec<NodeId>,
     txn: u64,
-    reg_txn: u64,
-    /// The deploy sent to the TCSP, which the fallback abandons.
+    /// None before [`TOKEN_REGISTER`], and once refused or withdrawn.
+    goal: Option<Goal>,
+    /// The last deploy sent to the TCSP (0: none ever), which the fallback abandons.
     tcsp_deploy_txn: u64,
     record: UserHandle,
-    started_deploy: bool,
     reg_rt: Retransmitter<u64, Request>,
     deploy_rt: Retransmitter<u64, Request>,
     withdraw_rt: Retransmitter<u64, Request>,
@@ -1478,7 +1488,6 @@ impl UserAgent {
             max_attempts: 2 * policy.max_attempts,
             ..policy
         };
-        let txn = (user.0 << 16) | 1;
         (
             UserAgent {
                 user,
@@ -1488,11 +1497,10 @@ impl UserAgent {
                 scope,
                 deploy_delay: SimDuration::ZERO,
                 fallback_nms: Vec::new(),
-                txn,
-                reg_txn: txn,
+                txn: user.0 << 16,
+                goal: None,
                 tcsp_deploy_txn: 0,
                 record: record.clone(),
-                started_deploy: false,
                 reg_rt: Retransmitter::new(FAM_USER_REG, policy, user.0 ^ 0xD),
                 deploy_rt: Retransmitter::new(FAM_USER_DEPLOY, policy, user.0 ^ 0xE),
                 withdraw_rt: Retransmitter::new(FAM_USER_WITHDRAW, withdraw, user.0 ^ 0xF),
@@ -1521,31 +1529,53 @@ impl UserAgent {
         self
     }
 
-    /// The certificate, once registered, and a fresh transaction id.
-    fn begin_txn(&mut self) -> Option<(Certificate, u64)> {
-        let cert = self.record.lock().cert.clone()?;
-        self.txn += 1;
-        Some((cert, self.txn))
-    }
-
-    /// Ask `dest` (the TCSP, or an NMS forwarding to its peers) to deploy,
-    /// under the txn returned. None when there is no certificate to
-    /// present yet.
-    fn start_deploy(&mut self, ctx: &mut AgentCtx<'_>, dest: NodeId, to: Role) -> Option<u64> {
-        let (cert, txn) = self.begin_txn()?;
-        let deploy = Request {
-            to,
-            msg: CpMsg::DeployRequest {
-                cert,
-                service: self.service.clone(),
-                scope: self.scope.clone(),
-                reply_to: ctx.node,
-                forward_to_peers: to == Role::Nms,
-            },
+    /// Move the goal on from what the record holds: register without a
+    /// certificate; deploy once it was held for the deploy delay, until a
+    /// deployment (a partial one too) is confirmed; withdraw if a deploy
+    /// was ever sent. A leg in flight is left to its retransmitter.
+    fn step(&mut self, ctx: &mut AgentCtx<'_>) {
+        let r = self.record.lock();
+        let (cert, confirmed) = (r.cert.clone(), r.deploy_confirmed_at.is_some());
+        let fallback = r.used_fallback;
+        let due = r.registered_at.map(|t| t + self.deploy_delay);
+        drop(r);
+        let (rt, to, msg) = match (self.goal, cert) {
+            (Some(Goal::Deployed), None) => {
+                let (user, claimed) = (self.user, self.claim.clone());
+                let msg = CpMsg::RegisterRequest { user, claimed };
+                (&mut self.reg_rt, Role::Tcsp, msg)
+            }
+            (Some(Goal::Deployed), Some(cert)) if due <= Some(ctx.now) && !confirmed => {
+                let to = if fallback { Role::Nms } else { Role::Tcsp };
+                let msg = CpMsg::DeployRequest {
+                    cert,
+                    service: self.service.clone(),
+                    scope: self.scope.clone(),
+                    reply_to: ctx.node,
+                    forward_to_peers: fallback,
+                };
+                (&mut self.deploy_rt, to, msg)
+            }
+            (Some(Goal::Withdrawn), Some(cert)) if self.tcsp_deploy_txn != 0 => {
+                let msg = CpMsg::WithdrawRequest { cert };
+                (&mut self.withdraw_rt, Role::Tcsp, msg)
+            }
+            _ => return,
         };
-        self.deploy_rt
-            .track(ctx, txn, dest, self.user.0, txn, deploy);
-        Some(txn)
+        if !rt.is_idle() {
+            return;
+        }
+        self.txn += 1;
+        let (txn, deploy) = (self.txn, matches!(msg, CpMsg::DeployRequest { .. }));
+        let dest = match to {
+            Role::Nms => self.fallback_nms[0],
+            _ => self.tcsp_node,
+        };
+        rt.track(ctx, txn, dest, self.user.0, txn, Request { to, msg });
+        if deploy && to == Role::Tcsp {
+            self.tcsp_deploy_txn = txn;
+            ctx.set_timer(DEPLOY_TIMEOUT, T_TIMEOUT);
+        }
     }
 
     fn on_retry_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
@@ -1558,13 +1588,19 @@ impl UserAgent {
                 fired
             }
             FAM_USER_DEPLOY => self.deploy_rt.on_timer(ctx, &self.cp, token, |_| false),
-            // On a give-up here the TCSP is unreachable; the leases expire
-            // the filters device-side without us.
             FAM_USER_WITHDRAW => self.withdraw_rt.on_timer(ctx, &self.cp, token, |_| false),
             _ => return,
         };
         if let Fired::GaveUp(leg) = fired {
             trace_terminal(ctx, self.user.0, leg.key, CpOutcome::GaveUp);
+            // Step again one budget later. Past its certificate's expiry the
+            // owner stops, and the leases reap what a lost withdrawal left.
+            let expires_at = self.record.lock().cert.as_ref().map(|c| c.expires_at);
+            if expires_at.is_some_and(|t| t <= ctx.now) {
+                self.goal = None;
+            } else {
+                ctx.set_timer(RetryPolicy::default().budget(), T_STEP);
+            }
         }
     }
 }
@@ -1575,62 +1611,21 @@ impl NodeAgent for UserAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        let origin = self.user.0;
         match token {
-            TOKEN_REGISTER => {
-                let register = Request {
-                    to: Role::Tcsp,
-                    msg: CpMsg::RegisterRequest {
-                        user: self.user,
-                        claimed: self.claim.clone(),
-                    },
-                };
-                let txn = self.reg_txn;
-                self.reg_rt
-                    .track(ctx, txn, self.tcsp_node, origin, txn, register);
-            }
-            T_DEPLOY => {
-                if let Some(txn) = self.start_deploy(ctx, self.tcsp_node, Role::Tcsp) {
-                    self.tcsp_deploy_txn = txn;
-                    ctx.set_timer(DEPLOY_TIMEOUT, T_TIMEOUT);
-                }
-            }
+            TOKEN_REGISTER => self.goal = Some(Goal::Deployed),
+            TOKEN_WITHDRAW => self.goal = Some(Goal::Withdrawn),
+            T_STEP => {}
+            // The TCSP stayed silent: stop chasing it; the step turns to the ISPs.
             T_TIMEOUT => {
-                let r = self.record.lock();
-                let (confirmed, registered) = (r.deploy_confirmed_at.is_some(), r.cert.is_some());
-                drop(r);
-                if confirmed || !registered {
-                    return;
-                }
-                let Some(&first) = self.fallback_nms.first() else {
-                    return;
-                };
-                // TCSP unreachable: stop chasing it and go straight to
-                // the ISPs under a fresh transaction.
                 let deploy = self.tcsp_deploy_txn;
-                self.deploy_rt.ack(ctx, &deploy);
-                trace_terminal(ctx, origin, deploy, CpOutcome::Abandoned);
-                // A later transaction is a withdrawal: the owner wants the
-                // filters gone, and only the TCSP could take them down.
-                if self.txn != deploy {
-                    return;
+                if !self.fallback_nms.is_empty() && self.deploy_rt.take(ctx, &deploy).is_some() {
+                    trace_terminal(ctx, self.user.0, deploy, CpOutcome::Abandoned);
+                    self.record.lock().used_fallback = matches!(self.goal, Some(Goal::Deployed));
                 }
-                self.record.lock().used_fallback = true;
-                self.start_deploy(ctx, first, Role::Nms);
             }
-            TOKEN_WITHDRAW => {
-                let Some((cert, txn)) = self.begin_txn() else {
-                    return;
-                };
-                let withdraw = Request {
-                    to: Role::Tcsp,
-                    msg: CpMsg::WithdrawRequest { cert },
-                };
-                self.withdraw_rt
-                    .track(ctx, txn, self.tcsp_node, origin, txn, withdraw);
-            }
-            _ => self.on_retry_timer(ctx, token),
+            _ => return self.on_retry_timer(ctx, token),
         }
+        self.step(ctx);
     }
 
     fn on_control(&mut self, ctx: &mut AgentCtx<'_>, msg: &ControlMsg) {
@@ -1643,6 +1638,7 @@ impl NodeAgent for UserAgent {
         let MsgKey { origin, txn, .. } = env.key;
         // Fallback NMS acks come straight to the user, one per ISP: those
         // deduplicate per acking node.
+        let nms = msg.from.0 as u64;
         let (rt, from, outcome) = match &env.msg {
             CpMsg::RegisterConfirm { result: Ok(_) } => (&mut self.reg_rt, 0, CpOutcome::Confirmed),
             CpMsg::RegisterConfirm { .. } => (&mut self.reg_rt, 0, CpOutcome::Denied),
@@ -1650,11 +1646,7 @@ impl NodeAgent for UserAgent {
                 isps_missing: 0, ..
             } => (&mut self.deploy_rt, 0, CpOutcome::Confirmed),
             CpMsg::DeployConfirm { .. } => (&mut self.deploy_rt, 0, CpOutcome::Partial),
-            CpMsg::NmsAck { .. } => (
-                &mut self.deploy_rt,
-                msg.from.0 as u64,
-                CpOutcome::FallbackConfirmed,
-            ),
+            CpMsg::NmsAck { .. } => (&mut self.deploy_rt, nms, CpOutcome::FallbackConfirmed),
             CpMsg::WithdrawConfirm { .. } => (&mut self.withdraw_rt, 0, CpOutcome::Withdrawn),
             _ => return,
         };
@@ -1667,25 +1659,24 @@ impl NodeAgent for UserAgent {
         // answer finds it, or earlier when it was given up on or abandoned
         // for the fallback. A confirmation that comes after that is a
         // duplicate response; the record still takes what it reports,
-        // which was done. A fallback's NMS acks after the first are the
-        // other ISPs' answers.
-        match (rt.ack(ctx, &txn), &env.msg) {
+        // which was done, and the next step reads it. A fallback's NMS
+        // acks after the first are the other ISPs' answers.
+        match (rt.take(ctx, &txn).is_some(), &env.msg) {
             (true, _) => trace_terminal(ctx, origin, txn, outcome),
             (false, CpMsg::NmsAck { .. }) => {}
             (false, _) => dup_hit(ctx, &self.cp, env, true),
         }
+        if matches!(outcome, CpOutcome::Denied | CpOutcome::Withdrawn) {
+            self.goal = None;
+        }
         let mut r = self.record.lock();
         match &env.msg {
-            CpMsg::RegisterConfirm { result: Ok(cert) } => {
+            CpMsg::RegisterConfirm { result: Ok(cert) } if r.cert.is_none() => {
                 r.registered_at = Some(ctx.now);
                 r.cert = Some(cert.clone());
-                drop(r);
-                if !self.started_deploy {
-                    self.started_deploy = true;
-                    ctx.set_timer(self.deploy_delay, T_DEPLOY);
-                }
+                ctx.set_timer(self.deploy_delay, T_STEP);
             }
-            CpMsg::RegisterConfirm { .. } => r.denied = true,
+            CpMsg::RegisterConfirm { result: Err(_) } => r.denied = true,
             CpMsg::DeployConfirm {
                 configured,
                 rejected,

@@ -76,14 +76,20 @@ impl RetryPolicy {
     /// `(seed, slot, attempt)` so concurrent retries decorrelate without
     /// consulting the simulator RNG (keeps packet-plane streams intact).
     pub fn rto(&self, seed: u64, slot: u64, attempt: u32) -> SimDuration {
-        let backoff = self
-            .base
-            .0
-            .saturating_mul(1u64 << attempt.min(20))
-            .min(self.cap.0);
+        let backoff = self.backoff(attempt);
         let jitter_bits = child_seed(child_seed(seed, slot), attempt as u64) & 0xFFFF;
         let jitter = (backoff / 4).saturating_mul(jitter_bits) / 65536;
         SimDuration(backoff + jitter)
+    }
+
+    /// The most a leg waits before giving up: every timeout at the jitter's bound.
+    pub fn budget(&self) -> SimDuration {
+        let backoff: u64 = (0..self.max_attempts).map(|k| self.backoff(k)).sum();
+        SimDuration(backoff + backoff / 4)
+    }
+
+    fn backoff(&self, attempt: u32) -> u64 {
+        u64::min(self.base.0.saturating_mul(1 << attempt.min(20)), self.cap.0)
     }
 }
 
@@ -213,10 +219,9 @@ impl<K: Ord + Copy, T: LegMsg> Retransmitter<K, T> {
         Some(leg)
     }
 
-    /// [`Retransmitter::take`] for callers that only need to know whether
-    /// the leg was still tracked.
-    pub fn ack(&mut self, timers: &mut impl CancelTimer, key: &K) -> bool {
-        self.take(timers, key).is_some()
+    /// No leg in flight?
+    pub fn is_idle(&self) -> bool {
+        self.live.is_empty()
     }
 
     /// Handle a fired timer of this family: its leg is live, since
@@ -603,7 +608,7 @@ mod tests {
                     let probe = Probe(self.sends.clone());
                     self.rt.track(ctx, KEY, ctx.node, 1, KEY, probe);
                 }
-                ACK => assert!(self.rt.ack(ctx, &KEY), "acked while tracked"),
+                ACK => assert!(self.rt.take(ctx, &KEY).is_some(), "acked while tracked"),
                 VETO_FROM_NOW => self.veto = true,
                 _ => {
                     let veto = self.veto;
@@ -1000,6 +1005,26 @@ mod tests {
         assert_eq!(p.rto(1, 0, 0), p.rto(1, 0, 0));
         // Different slots jitter differently (with these constants).
         assert_ne!(p.rto(1, 0, 0), p.rto(1, 7, 0));
+    }
+
+    /// Every schedule's timeouts sum to under the budget: 7.75 s of
+    /// backoff plus the jitter's bound on each, 9.6875 s by default.
+    #[test]
+    fn budget_bounds_every_schedule() {
+        let p = RetryPolicy::default();
+        assert_eq!(p.budget(), SimDuration::from_micros(9_687_500));
+        let doubled = RetryPolicy {
+            max_attempts: 2 * p.max_attempts,
+            ..p
+        };
+        for policy in [p, doubled] {
+            for (seed, slot) in (0..64).map(|i| (i * 31, i % 5)) {
+                let wait: u64 = (0..policy.max_attempts)
+                    .map(|k| policy.rto(seed, slot, k).0)
+                    .sum();
+                assert!(wait < policy.budget().0, "{wait} ns");
+            }
+        }
     }
 
     #[test]

@@ -95,21 +95,11 @@ fn fold(rec: &CpFlightRecorder) -> Folded {
     f
 }
 
-/// The most a leg can retry before it gives up: every timeout of
-/// [`RetryPolicy::default`] at the jitter's bound (under a quarter of it).
-fn retry_budget() -> SimDuration {
-    let p = RetryPolicy::default();
-    let backoff: u64 = (0..p.max_attempts)
-        .map(|k| p.base.0.saturating_mul(1 << k).min(p.cap.0))
-        .sum();
-    SimDuration(backoff + backoff / 4)
-}
-
 /// Every deployment the TCSP fans out settles within one retry budget:
 /// each ISP leg acks or gives up by then, and the TCSP sends its
 /// `DeployConfirm` (message kind 8) for the same `(origin, txn)`.
 fn assert_deploys_settle_within_budget(rec: &CpFlightRecorder) {
-    let budget = retry_budget().0;
+    let budget = RetryPolicy::default().budget().0;
     let mut fanouts = Vec::new();
     let mut confirms: BTreeMap<(u64, u64), u64> = BTreeMap::new();
     for ev in rec.events() {

@@ -16,17 +16,6 @@ use dtcs_netsim::{
     SimDuration, SimTime, Simulator, Topology,
 };
 
-/// The least and the most a leg can retry before it gives up: every
-/// timeout of [`RetryPolicy::default`] without jitter, and with the
-/// jitter's bound (under a quarter of each timeout) on all of them.
-fn retry_budget() -> (SimDuration, SimDuration) {
-    let p = RetryPolicy::default();
-    let backoff: u64 = (0..p.max_attempts)
-        .map(|k| p.base.0.saturating_mul(1 << k).min(p.cap.0))
-        .sum();
-    (SimDuration(backoff), SimDuration(backoff + backoff / 4))
-}
-
 /// The silent-ISP plane, run: `user` registers at 100 ms and deploys
 /// while the TCSP cannot reach one of its three ISPs for the whole run.
 struct Run {
@@ -156,7 +145,11 @@ fn give_up_confirms_partially(user: UserId) {
     // ack within milliseconds; the confirmation waits for the silent
     // leg's give-up, plus the user → TCSP → user path delays.
     let waited = confirmed.saturating_since(registered);
-    let (least, most) = retry_budget();
+    // At least every timeout of the default policy without jitter, at
+    // most its budget.
+    let p = RetryPolicy::default();
+    let backoff = (0..p.max_attempts).map(|k| p.base.0.saturating_mul(1 << k).min(p.cap.0));
+    let (least, most) = (SimDuration(backoff.sum()), p.budget());
     let paths = SimDuration::from_millis(100);
     assert!(
         waited >= least && waited < most + paths,
