@@ -6,8 +6,8 @@
 //! [`FaultPlane`](dtcs::netsim::FaultPlane), and devices crash on an MTBF
 //! schedule, losing installed services. The retried, idempotent Fig. 4/5
 //! protocol, the NMS's answer to a rebooted device announcing itself and
-//! the NMS anti-entropy sweep must still *converge*: the
-//! sweep measures time-to-full-coverage and steady-state coverage per
+//! the refresh each NMS sends every device each round must still
+//! *converge*: the sweep measures time-to-full-coverage and steady-state coverage per
 //! (loss, MTBF) cell, and reconciles protocol-layer retry/dedup counters
 //! against the channel's ground-truth drop/dup counts.
 
@@ -29,9 +29,9 @@ use crate::RunOpts;
 
 const SEED: u64 = 13;
 /// Crash outage length: long enough to be a real window, short enough
-/// that the device is back before the next reconcile sweep.
+/// that the device is back before the next refresh round.
 const CRASH_DOWNTIME_MS: u64 = 300;
-/// Anti-entropy sweep period.
+/// Refresh round period.
 const RECONCILE_EVERY_S: u64 = 2;
 
 dtcs::netsim::json_record! {
@@ -217,7 +217,7 @@ fn render(
     cp_trace_replay(report, opts, traced, run_cell);
     report.table(Table::of(
         "time to 100% device coverage and steady-state coverage per (loss, MTBF) cell \
-         (dup rate = loss/2, 10 ms jitter, 2 s reconcile sweep)",
+         (dup rate = loss/2, 10 ms jitter, 2 s refresh round)",
         outs.iter().map(|((row, _), _)| row),
         &[
             ("loss_%", &|r| format!("{:.0}", r.loss_pct)),
@@ -241,9 +241,9 @@ fn render(
          wipes a device until, rebooted, it tells its NMS it holds nothing and the NMS \
          reinstalls its services a round trip later, so steady-state coverage settles \
          below 100% by roughly downtime-plus-repair-lag over MTBF, dipping further \
-         when channel loss eats that announcement or its reinstall and the repair \
-         waits for the next anti-entropy sweep. Retransmits track the channel drop count, reinstalls \
-         the crash count, and dedup hits absorb duplicated deliveries — the \
+         when channel loss eats that announcement or its refresh and the device \
+         announces again on the retry schedule. Retransmits track the channel drop \
+         count, reinstalls the crash count, and dedup hits absorb duplicated deliveries — the \
          exactly-once ledger the protocol keeps over an at-least-once channel.",
     );
     let sum = |field: fn(&CellRow, &Stats) -> u64| {

@@ -11,11 +11,10 @@
 //! reap un-renewed slots autonomously, so no filter can outlive its
 //! authority by more than one lease length even when the network never
 //! delivers the removal. Owner B keeps its service deployed throughout
-//! and pays the collateral price: its renewals are cut by the same
+//! and pays the collateral price: its refreshes are cut by the same
 //! partition, its filters are reaped mid-partition once the lease runs
-//! out, and the availability gap until the first renewal round or sweep
-//! after the heal re-installs them is the robustness cost of short
-//! leases.
+//! out, and the availability gap until the first refresh after the heal
+//! re-installs them is the robustness cost of short leases.
 //!
 //! Hard invariants, asserted per cell (not merely reported):
 //! * **zero immortal installs** — at `withdraw + lease + ε` no device
@@ -45,7 +44,8 @@ const SEED: u64 = 14;
 /// Owner A withdraws at this instant; the partition opens 500 ms before
 /// so the RemoveService fan-out runs straight into the cut.
 const WITHDRAW_S: u64 = 10;
-/// Anti-entropy sweep period (reinstall + bidirectional removal).
+/// Anti-entropy period (reinstall + bidirectional removal); the one
+/// refresh round runs at the shorter of it and lease/4.
 const RECONCILE_EVERY_S: u64 = 2;
 
 dtcs::netsim::json_record! {
@@ -75,9 +75,9 @@ fn run_cell(
     trace: CpTrace,
 ) -> (CpOutcome<CellRow>, Stats) {
     let (transit, stubs) = if quick { (2, 4) } else { (3, 6) };
-    // Off the renewal grid: `run_until` is inclusive, so a horizon that is
-    // a multiple of `renew_every` would run one last renewal round whose
-    // installs land after the run.
+    // Off the refresh grid: `run_until` is inclusive, so a horizon that is
+    // a multiple of the round period would run one last round whose
+    // refreshes land after the run.
     let horizon_ms: u64 = if quick { 34_650 } else { 44_650 };
     let topo = Topology::transit_stub_multihomed(transit, stubs, 0.2, seed);
     let mut sim = Simulator::new(topo, seed);
@@ -119,7 +119,7 @@ fn run_cell(
         false,
         |a| a,
     );
-    // Owner B: deploys everywhere and stays; its renewals ride the same
+    // Owner B: deploys everywhere and stays; its refreshes ride the same
     // cut, so its filters measure the availability cost of the lease.
     let (_b_user, _b_record) = cp.add_user(
         &mut sim,
@@ -131,8 +131,8 @@ fn run_cell(
         false,
     );
     // Directed cut: NMS → managed devices only. Replies, TCSP traffic
-    // and user traffic keep flowing — the removal commands (and renewal
-    // installs) are exactly what the partition swallows.
+    // and user traffic keep flowing — the removal commands (and the
+    // refreshes) are exactly what the partition swallows.
     let device_nodes: Vec<NodeId> = cp
         .devices
         .keys()
@@ -304,7 +304,7 @@ fn render(
     report.table(Table::of(
         "orphan-filter dwell, renewal traffic, and owner-B availability gap per \
          (partition duration, lease length) cell (withdraw at 10 s, cut opens 9.5 s, \
-         renew every lease/4, 2 s reconcile sweep)",
+         one refresh round at the shorter of lease/4 and 2 s)",
         outs.iter().map(|((row, _), _)| row),
         &[
             ("partition_s", &|r| f(r.partition_s)),
@@ -329,11 +329,11 @@ fn render(
          lease length of the withdrawal (hard-asserted per cell; no install is ever \
          immortal). The same lease that bounds orphan dwell bills owner B for the \
          partition: leases shorter than the cut expire mid-partition, opening a \
-         coverage gap until the first renewal round or sweep after the heal \
-         re-installs the service (a renewal is sent once, not retried into the heal), while \
-         long leases ride the cut out untouched at the price of a longer worst-case \
-         orphan dwell. Renewal message volume scales inversely with lease length — \
-         the dwell/traffic trade-off this grid maps.",
+         coverage gap until the first refresh after the heal re-installs the \
+         service (a refresh is sent once, not retried into the heal), while long \
+         leases ride the cut out untouched at the price of a longer worst-case orphan \
+         dwell. Renewed entries scale inversely with lease length — the \
+         dwell/traffic trade-off this grid maps.",
     );
     let sum = |field: fn(&CellRow, &Stats) -> u64| {
         outs.iter().map(|((r, _), s)| field(r, s)).sum::<u64>()

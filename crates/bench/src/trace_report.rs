@@ -11,8 +11,8 @@
 //!    hard-fails — exit code 1 — naming the offenders. CI runs this gate
 //!    over a 20%-loss E13 trace.
 //! 2. **Where did the convergence time go?** The window from the first
-//!    `send` to the last `terminal` that is neither a sweep's nor a
-//!    renewal round's is partitioned into
+//!    `send` to the last `terminal` that is not a refresh round's is
+//!    partitioned into
 //!    inter-event gaps, each attributed to the *event that ends it*:
 //!    a gap closed by a drop verdict was spent losing that message, a
 //!    gap closed by a retry fire was spent waiting out the backoff that
@@ -29,20 +29,16 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use dtcs::device::{RECONCILE_TXN, RENEW_TXN};
+use dtcs::device::RECONCILE_TXN;
 use dtcs::netsim::json::Json;
 use dtcs::netsim::{CpState, CpTraceEvent, CpVerdict};
 
-/// The reconcile pseudo-transaction: NMS anti-entropy traffic keys to
-/// `(0, RECONCILE_TXN)`. Its `terminal` events recur at every sweep for
-/// the whole run — repair by repetition — so the convergence window must
-/// end at the last *non*-reconcile terminal, not simply the last one.
+/// The reconcile pseudo-transaction: the NMS's refreshes and repairs key
+/// to `(0, RECONCILE_TXN)`. Its `terminal` events recur at every refresh
+/// round for the whole run — repair by repetition — so the convergence
+/// window must end at the last *non*-reconcile terminal, not simply the
+/// last one.
 pub const RECONCILE_KEY: (u64, u64) = (0, RECONCILE_TXN);
-
-/// The renewal pseudo-transaction: every lease-renewal round traces one
-/// `renewed` terminal under it, so like a sweep's it recurs until the
-/// horizon and ends no window.
-pub const RENEW_KEY: (u64, u64) = (0, RENEW_TXN);
 
 /// What the analyzer reads of one checked line; field names are the wire
 /// names. Everything but `t` and `kind` is absent on kinds without it.
@@ -118,8 +114,8 @@ pub struct Analysis {
     pub outcomes: BTreeMap<String, usize>,
     /// Convergence window start (ns): the first send.
     pub t0: u64,
-    /// Convergence window end (ns): the last terminal neither a sweep's
-    /// nor a renewal round's.
+    /// Convergence window end (ns): the last terminal not a refresh
+    /// round's.
     pub t1: u64,
     /// Nanoseconds attributed per bucket; sums to `t1 - t0` exactly.
     pub buckets: BTreeMap<&'static str, u64>,
@@ -162,7 +158,7 @@ pub fn analyze(evs: &[Ev]) -> Result<Analysis, String> {
             "terminal" => {
                 let k = ev.key().expect("validated terminal is keyed");
                 group_terminal.insert(k, ev.outcome.clone().expect("validated"));
-                if k != RECONCILE_KEY && k != RENEW_KEY {
+                if k != RECONCILE_KEY {
                     t1 = Some(ev.t);
                 }
             }
@@ -191,7 +187,7 @@ pub fn analyze(evs: &[Ev]) -> Result<Analysis, String> {
         ));
     }
     let t0 = t0.ok_or("trace contains no send events")?;
-    let t1 = t1.unwrap_or(t0); // sweeps and renewals only: empty window
+    let t1 = t1.unwrap_or(t0); // refresh rounds only: empty window
 
     // -- Pass 2: gap-partition attribution over [t0, t1] ----------------
     let mut buckets: BTreeMap<&'static str, u64> = BUCKETS.iter().map(|&b| (b, 0u64)).collect();
@@ -466,9 +462,9 @@ mod tests {
             send(100, 7, 1),
             verdict(100, 7, 1, "deliver"),
             // Late reconcile terminals must not stretch the window.
-            terminal(130, RECONCILE_KEY.0, RECONCILE_KEY.1, "reconciled"),
+            terminal(130, RECONCILE_KEY.0, RECONCILE_KEY.1, "renewed"),
             terminal(200, 7, 1, "confirmed"),
-            terminal(5000, RECONCILE_KEY.0, RECONCILE_KEY.1, "reconciled"),
+            terminal(5000, RECONCILE_KEY.0, RECONCILE_KEY.1, "renewed"),
         ];
         let a = analyze(&evs).unwrap();
         assert_eq!((a.t0, a.t1), (10, 200));
@@ -485,17 +481,17 @@ mod tests {
 
     #[test]
     fn renewal_rounds_after_the_last_transaction_end_no_window() {
-        // Rounds recur until the horizon, like sweeps: a `renewed`
-        // terminal after the last withdraw terminal leaves the window
-        // where that withdrawal ended it.
+        // Refresh rounds recur until the horizon: a `renewed` terminal
+        // after the last withdraw terminal leaves the window where that
+        // withdrawal ended it.
         let evs = vec![
             send(10, 7, 1),
             verdict(10, 7, 1, "deliver"),
             terminal(50, 7, 1, "withdrawn"),
-            send(60, RENEW_KEY.0, RENEW_KEY.1),
-            verdict(60, RENEW_KEY.0, RENEW_KEY.1, "deliver"),
-            terminal(60, RENEW_KEY.0, RENEW_KEY.1, "renewed"),
-            terminal(9000, RENEW_KEY.0, RENEW_KEY.1, "renewed"),
+            send(60, RECONCILE_KEY.0, RECONCILE_KEY.1),
+            verdict(60, RECONCILE_KEY.0, RECONCILE_KEY.1, "deliver"),
+            terminal(60, RECONCILE_KEY.0, RECONCILE_KEY.1, "renewed"),
+            terminal(9000, RECONCILE_KEY.0, RECONCILE_KEY.1, "renewed"),
         ];
         let a = analyze(&evs).unwrap();
         assert_eq!((a.t0, a.t1), (10, 50));
@@ -554,16 +550,16 @@ mod tests {
 
     #[test]
     fn withdrawal_terminals_satisfy_the_gate() {
-        // The withdrawal/renewal vocabulary terminates its transactions
+        // The withdrawal/refresh vocabulary terminates its transactions
         // like any other: sends with a "withdrawn" / "renewed" terminal
         // pass the every-transaction-terminated gate and tally.
         let evs = vec![
             send(10, 7, 1),
             verdict(10, 7, 1, "deliver"),
             terminal(20, 7, 1, "withdrawn"),
-            send(30, RENEW_KEY.0, RENEW_KEY.1),
-            verdict(30, RENEW_KEY.0, RENEW_KEY.1, "deliver"),
-            terminal(40, RENEW_KEY.0, RENEW_KEY.1, "renewed"),
+            send(30, RECONCILE_KEY.0, RECONCILE_KEY.1),
+            verdict(30, RECONCILE_KEY.0, RECONCILE_KEY.1, "deliver"),
+            terminal(40, RECONCILE_KEY.0, RECONCILE_KEY.1, "renewed"),
         ];
         let a = analyze(&evs).unwrap();
         assert_eq!(a.groups, 2);

@@ -19,14 +19,14 @@ pub mod scenario;
 
 pub use authority::InternetNumberAuthority;
 pub use catalog::CatalogService;
-/// The device protocol's untracked transaction ids, which the NMS stamps
-/// on its renewals and repairs.
-pub use dtcs_device::{RECONCILE_TXN, RENEW_TXN};
+/// The device protocol's untracked transaction id, which the NMS stamps on
+/// its refreshes and repairs.
+pub use dtcs_device::RECONCILE_TXN;
 pub use identity::{Certificate, UserId};
 pub use plane::{
     AuthorityAgent, CpMsg, DeployScope, Envelope, IspContract, NmsAgent, RegistrationError, Role,
-    TcspAgent, TcspStats, UserAgent, UserHandle, UserOp, UserRecord, TOKEN_REGISTER, TOKEN_RENEW,
-    TOKEN_SWEEP, TOKEN_WITHDRAW,
+    TcspAgent, TcspStats, UserAgent, UserHandle, UserOp, UserRecord, TOKEN_REFRESH, TOKEN_REGISTER,
+    TOKEN_WITHDRAW,
 };
 pub use retry::{
     Admission, CpStats, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Relay,

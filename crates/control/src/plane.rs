@@ -24,16 +24,19 @@
 //! exponential backoff until acked (see [`retry`](crate::retry));
 //! receivers deduplicate by key and answer duplicate requests from
 //! done-caches, so the end-to-end effect of every transaction is
-//! exactly-once. Services lost to device crashes are re-provisioned when
-//! the rebooted device announces itself to its NMS (an empty
-//! [`DeviceReply::Inventory`]), and by the NMS anti-entropy sweep
-//! ([`NmsAgent::with_reconcile`]) when that announcement is lost.
+//! exactly-once. Desired state is kept standing by one message per device
+//! per NMS round ([`NmsAgent::with_config`]): a
+//! [`DeviceCommand::Refresh`] carrying the device's whole desired slice,
+//! which installs what the device lacks and renews every lease. A
+//! rebooted device announces itself to its NMS (an empty
+//! [`DeviceReply::Inventory`], repeated until answered) and gets its
+//! refresh at once.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use dtcs_device::{
-    DeviceCommand, DeviceReply, OwnerId, Provision, ServiceSpec, Stage, RECONCILE_TXN, RENEW_TXN,
+    DeviceCommand, DeviceReply, OwnerId, Provision, ServiceSpec, Stage, RECONCILE_TXN,
 };
 use dtcs_netsim::{
     AgentCtx, ControlMsg, CpActor, CpMeta, CpOutcome, CpState, CpTraceEvent, NodeAgent, NodeId,
@@ -47,6 +50,7 @@ use crate::retry::{
     Admission, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Relay, Retransmitter,
     RetryPolicy, FAMILY_MASK,
 };
+use crate::scenario::ControlPlaneConfig;
 
 /// Per-message processing overhead added on top of path propagation.
 const PROC_DELAY: SimDuration = SimDuration(2_000_000); // 2 ms
@@ -387,21 +391,17 @@ const FAM_TCSP_WITHDRAW: u64 = 0x0009 << 48;
 const FAM_NMS_REMOVE: u64 = 0x000A << 48;
 const FAM_USER_WITHDRAW: u64 = 0x000B << 48;
 
-/// Timer token that starts one NMS anti-entropy inventory sweep (the
-/// scenario schedules the first; the agent re-arms itself).
-pub const TOKEN_SWEEP: u64 = 0x0007 << 48;
-
-/// Timer token that starts one NMS lease-renewal round (the scenario
-/// schedules the first; the agent re-arms itself every
-/// [`NmsAgent::with_leases`] `renew_every`).
-pub const TOKEN_RENEW: u64 = 0x000C << 48;
+/// Timer token that starts one NMS refresh round (the scenario schedules
+/// the first; the agent re-arms itself every
+/// [`ControlPlaneConfig::refresh_every`]).
+pub const TOKEN_REFRESH: u64 = 0x0007 << 48;
 
 // Flight-recorder message-kind ids for raw device commands, continuing
 // [`CpMsg::kind_id`]'s 1–9 numbering (device replies answer with 13–16
 // and 22, see `DeviceReply::kind_id`; withdrawal CpMsgs use 17–20). 10
 // stays unused: the owner registration rides inside the install.
 const KIND_INSTALL_SERVICE: u8 = 11;
-const KIND_QUERY_INVENTORY: u8 = 12;
+const KIND_REFRESH: u8 = 12;
 const KIND_REMOVE_SERVICE: u8 = 21;
 
 /// The number authority as an agent. Verification is pure, so the agent
@@ -842,8 +842,8 @@ impl NodeAgent for TcspAgent {
 
 /// Everything an NMS needs to (re-)provision one service on one device:
 /// registration context plus the compiled spec. Built once per accepted
-/// deployment and shared: its desired-state entries, and every install,
-/// renewal and sweep re-install sent for them, hold the same job. Where a
+/// deployment and shared: its desired-state entries, and every install
+/// and refresh entry sent for them, hold the same job. Where a
 /// leg's job stands in desired state ([`InstallJob::key_on`]) decides
 /// whether the leg may be sent again.
 struct InstallJob {
@@ -869,29 +869,32 @@ impl InstallJob {
     fn key_on(&self, node: NodeId) -> DesiredKey {
         (node, self.owner, self.stage, self.spec.content_hash())
     }
-}
 
-impl LegMsg for Arc<InstallJob> {
-    /// Register the owner and install the service leased from now, in
-    /// one [`Provision`] message that takes the NMS two processing steps.
-    /// Reconcile re-installs and lease renewals go out under origin 0
-    /// ([`RECONCILE_TXN`] / [`RENEW_TXN`]); tracked installs keep their
-    /// deploy key.
-    fn send(&self, ctx: &mut AgentCtx<'_>, node: NodeId, id: MsgKey) {
+    /// Register the owner and install the service under `txn`, leased from
+    /// `now`.
+    fn provision(&self, now: SimTime, txn: u64) -> Provision {
         let lease_until = match self.lease_len {
-            Some(len) => (ctx.now + len).min(self.expires_at),
+            Some(len) => (now + len).min(self.expires_at),
             None => self.expires_at,
         };
-        let provision = Provision {
+        Provision {
             register: self.register.clone(),
             install: DeviceCommand::InstallService {
-                txn: id.txn,
+                txn,
                 owner: self.owner,
                 stage: self.stage,
                 spec: self.spec.clone(),
                 lease_until,
             },
-        };
+        }
+    }
+}
+
+impl LegMsg for Arc<InstallJob> {
+    /// A tracked install: one [`Provision`], which takes the NMS two
+    /// processing steps, under the deploy's key.
+    fn send(&self, ctx: &mut AgentCtx<'_>, node: NodeId, id: MsgKey) {
+        let provision = self.provision(ctx.now, id.txn);
         let delay = ctx.path_delay(node) + PROC_DELAY + PROC_DELAY;
         ctx.send_control_keyed(node, delay, provision, meta(id, KIND_INSTALL_SERVICE));
     }
@@ -928,24 +931,16 @@ pub struct NmsAgent {
     /// What should stand, per device: every managed node of an accepted
     /// deployment, written when the NMS accepts it — before any device
     /// answers — and taken out only by the device rejecting the install,
-    /// the owner's withdrawal or the credential's expiry. The sweep
-    /// re-installs what a device lacks and removes what no entry asks
-    /// for, the renewals re-lease every entry, and an install leg whose
-    /// entry left is not sent again. An install the NMS gave up on keeps
-    /// its entry, so the sweep and the renewals repair it.
+    /// the owner's withdrawal or the credential's expiry. Each refresh
+    /// sends a device its slice, which installs what it lacks and
+    /// re-leases the rest; an install leg whose entry left is not sent
+    /// again. An install the NMS gave up on keeps its entry, so the next
+    /// refresh repairs it.
     desired: BTreeMap<DesiredKey, Arc<InstallJob>>,
-    reconcile_every: Option<SimDuration>,
-    /// Lease length granted with each install (None = lease only to the
-    /// certificate expiry). See [`NmsAgent::with_leases`].
-    lease_len: Option<SimDuration>,
-    /// Renewal cadence; the scenario schedules the first [`TOKEN_RENEW`]
-    /// timer and the agent re-arms itself every `renew_every`.
-    renew_every: Option<SimDuration>,
     /// Withdrawals by txn; a leg is one `(device, stage)` removal.
     withdraws: Relay<u64, (NodeId, Stage), Removal>,
-    /// When true the anti-entropy sweep also *removes* device-resident
-    /// services absent from desired state (bidirectional reconcile).
-    sweep_removes: bool,
+    /// Refresh period, leases and removals ([`NmsAgent::with_config`]).
+    config: ControlPlaneConfig,
     cp: CpStatsHandle,
 }
 
@@ -959,41 +954,19 @@ impl NmsAgent {
             peers,
             deploys: Relay::new(FAM_NMS_INSTALL, policy, tcsp_key ^ 0xC),
             desired: BTreeMap::new(),
-            reconcile_every: None,
-            lease_len: None,
-            renew_every: None,
             withdraws: Relay::new(FAM_NMS_REMOVE, policy, tcsp_key ^ 0x3E),
-            sweep_removes: false,
+            config: ControlPlaneConfig::default(),
             cp: CpStatsHandle::default(),
         }
     }
 
-    /// Enable the periodic anti-entropy sweep. The scenario must also
-    /// schedule the first [`TOKEN_SWEEP`] timer; the agent re-arms itself
-    /// every `every` thereafter.
-    pub fn with_reconcile(mut self, every: SimDuration) -> NmsAgent {
-        self.reconcile_every = Some(every);
-        self
-    }
-
-    /// Grant every install a lease of `lease_len` (clamped to the
-    /// credential expiry) and renew the whole desired state every
-    /// `renew_every`. The scenario must schedule the first
-    /// [`TOKEN_RENEW`] timer; the agent re-arms itself thereafter.
-    /// Devices reap any service whose lease lapses — an NMS partitioned
-    /// away from its devices can therefore never strand a filter for
-    /// longer than one lease length.
-    pub fn with_leases(mut self, lease_len: SimDuration, renew_every: SimDuration) -> NmsAgent {
-        self.lease_len = Some(lease_len);
-        self.renew_every = Some(renew_every);
-        self
-    }
-
-    /// Make the anti-entropy sweep bidirectional: device-resident
-    /// services with no desired-state entry are removed, not just missing
-    /// ones re-installed.
-    pub fn with_sweep_removals(mut self) -> NmsAgent {
-        self.sweep_removes = true;
+    /// Send every managed device its refresh each
+    /// [`ControlPlaneConfig::refresh_every`], lease every install and
+    /// refresh as `config` says, and remove the slots a device lists as
+    /// unnamed with its sweep removals. The scenario must also schedule the
+    /// first [`TOKEN_REFRESH`] timer; the agent re-arms itself thereafter.
+    pub fn with_config(mut self, config: ControlPlaneConfig) -> NmsAgent {
+        self.config = config;
         self
     }
 
@@ -1034,7 +1007,7 @@ impl NmsAgent {
             stage: service.stage(),
             spec: service.compile(),
             expires_at: cert.expires_at,
-            lease_len: self.lease_len,
+            lease_len: self.config.leases.map(|(len, _)| len),
         });
         trace_state(ctx, origin, txn, CpActor::Nms, CpState::DeployAccepted);
         let mut legs = BTreeSet::new();
@@ -1068,26 +1041,6 @@ impl NmsAgent {
         }
     }
 
-    /// One anti-entropy round: ask every managed device for its inventory;
-    /// [`DeviceReply::Inventory`] answers are diffed against the
-    /// desired-state map and gaps re-installed.
-    fn sweep(&mut self, ctx: &mut AgentCtx<'_>) {
-        self.cp.lock().reconcile_sweeps += 1;
-        ctx.cp_event(CpTraceEvent::Sweep {
-            t: ctx.now.0,
-            node: ctx.node,
-        });
-        let id = MsgKey::first(0, RECONCILE_TXN);
-        for &node in &self.managed {
-            let delay = ctx.path_delay(node) + PROC_DELAY;
-            let query = DeviceCommand::QueryInventory { reply_to: ctx.node };
-            ctx.send_control_keyed(node, delay, query, meta(id, KIND_QUERY_INVENTORY));
-        }
-        // Each round is terminal by construction — repair is by
-        // repetition, so the round closes when its queries are out.
-        trace_terminal(ctx, 0, RECONCILE_TXN, CpOutcome::Reconciled);
-    }
-
     fn send_withdraw_ack(ctx: &mut AgentCtx<'_>, txn: u64, out: &FanIn<(NodeId, Stage)>, _: &()) {
         let ack = CpMsg::NmsWithdrawAck { removed: out.done };
         answer(ctx, Role::Tcsp, txn, out, ack);
@@ -1100,33 +1053,50 @@ impl NmsAgent {
         }
     }
 
-    /// One renewal round: expire desired-state entries whose authorising
-    /// certificate lapsed, then re-install (and thereby re-lease) every
-    /// surviving entry, once and untracked. A renewal the channel loses is
-    /// repeated by the next round; the round is terminal, like a sweep,
-    /// once its installs are out.
-    fn renew_round(&mut self, ctx: &mut AgentCtx<'_>) {
+    /// One round: expire desired-state entries whose authorising
+    /// certificate lapsed, then send every managed device its refresh. A
+    /// refresh the channel loses is repeated by the next round; the round
+    /// is terminal once its refreshes are out.
+    fn refresh_round(&mut self, ctx: &mut AgentCtx<'_>) {
         let now = ctx.now;
-        let held = self.desired.len();
-        self.desired.retain(|_, job| {
-            if job.expires_at > now {
-                return true;
-            }
-            trace_state(ctx, 0, RENEW_TXN, CpActor::Nms, CpState::DesiredExpired);
-            trace_terminal(ctx, 0, RENEW_TXN, CpOutcome::Expired);
-            false
-        });
+        for _ in self.desired.extract_if(.., |_, job| job.expires_at <= now) {
+            self.cp.lock().lease_expirations += 1;
+            trace_state(ctx, 0, RECONCILE_TXN, CpActor::Nms, CpState::DesiredExpired);
+            trace_terminal(ctx, 0, RECONCILE_TXN, CpOutcome::Expired);
+        }
         {
             let mut cp = self.cp.lock();
-            cp.lease_expirations += (held - self.desired.len()) as u64;
+            cp.reconcile_sweeps += 1;
             cp.lease_renewals += self.desired.len() as u64;
         }
-        let id = MsgKey::first(0, RENEW_TXN);
-        for ((node, ..), job) in &self.desired {
-            trace_state(ctx, 0, RENEW_TXN, CpActor::Nms, CpState::Renew);
-            job.send(ctx, *node, id);
+        ctx.cp_event(CpTraceEvent::Sweep {
+            t: ctx.now.0,
+            node: ctx.node,
+        });
+        for &node in &self.managed {
+            self.refresh(ctx, node, CpState::Renew);
         }
-        trace_terminal(ctx, 0, RENEW_TXN, CpOutcome::Renewed);
+        trace_terminal(ctx, 0, RECONCILE_TXN, CpOutcome::Renewed);
+    }
+
+    /// Send `node` its refresh, untracked: every desired entry on it, each
+    /// traced as entering `state`, in one message that takes the NMS two
+    /// processing steps, as an install does. Returns how many.
+    fn refresh(&self, ctx: &mut AgentCtx<'_>, node: NodeId, state: CpState) -> u64 {
+        let on_node =
+            (node, OwnerId(0), Stage::Src, 0)..=(node, OwnerId(u64::MAX), Stage::Dst, u64::MAX);
+        let slice = self.desired.range(on_node);
+        let holds: Vec<Provision> = slice
+            .map(|(_, job)| {
+                trace_state(ctx, 0, RECONCILE_TXN, CpActor::Nms, state);
+                job.provision(ctx.now, RECONCILE_TXN)
+            })
+            .collect();
+        let sent = holds.len() as u64;
+        let delay = ctx.path_delay(node) + PROC_DELAY + PROC_DELAY;
+        let id = meta(MsgKey::first(0, RECONCILE_TXN), KIND_REFRESH);
+        ctx.send_control_keyed(node, delay, DeviceCommand::Refresh { holds }, id);
+        sent
     }
 }
 
@@ -1137,16 +1107,10 @@ impl NodeAgent for NmsAgent {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
         match token & FAMILY_MASK {
-            TOKEN_SWEEP => {
-                self.sweep(ctx);
-                if let Some(every) = self.reconcile_every {
-                    ctx.set_timer(every, TOKEN_SWEEP);
-                }
-            }
-            TOKEN_RENEW => {
-                self.renew_round(ctx);
-                if let Some(every) = self.renew_every {
-                    ctx.set_timer(every, TOKEN_RENEW);
+            TOKEN_REFRESH => {
+                self.refresh_round(ctx);
+                if let Some(every) = self.config.refresh_every() {
+                    ctx.set_timer(every, TOKEN_REFRESH);
                 }
             }
             FAM_NMS_INSTALL => {
@@ -1161,9 +1125,8 @@ impl NodeAgent for NmsAgent {
                 };
                 match self.deploys.on_timer(ctx, &self.cp, token, veto) {
                     // Device unreachable past the retry budget. Its
-                    // desired entry stays: the sweep re-installs once the
-                    // device answers an inventory query, and each renewal
-                    // round sends the install again.
+                    // desired entry stays: each refresh round sends the
+                    // install again.
                     Fired::GaveUp(leg) => {
                         let (origin, txn) = (leg.id.origin, leg.id.txn);
                         trace_state(ctx, origin, txn, CpActor::Nms, CpState::DeviceLost);
@@ -1209,31 +1172,27 @@ impl NodeAgent for NmsAgent {
                     trace_state(ctx, leg.id.origin, *txn, CpActor::Nms, state);
                     self.ack_deploy(ctx, *txn);
                 }
-                // A sweep's query answered, or a rebooted device announcing
-                // itself with an empty inventory: either way, re-install
-                // what the device lacks.
+                // A rebooted device announcing itself with an empty
+                // inventory: send it its refresh now.
+                DeviceReply::Inventory { node, installed } if installed.is_empty() => {
+                    let sent = self.refresh(ctx, *node, CpState::Reinstall);
+                    self.cp.lock().reconcile_reinstalls += sent;
+                }
+                // The slots a refresh did not name.
                 DeviceReply::Inventory { node, installed } => {
-                    let installed: BTreeSet<(OwnerId, Stage, u64)> =
-                        installed.iter().copied().collect();
-                    let id = MsgKey::first(0, RECONCILE_TXN);
-                    let on_node = (*node, OwnerId(0), Stage::Src, 0)
-                        ..=(*node, OwnerId(u64::MAX), Stage::Dst, u64::MAX);
-                    for ((_, owner, stage, hash), job) in self.desired.range(on_node) {
-                        if !installed.contains(&(*owner, *stage, *hash)) {
-                            self.cp.lock().reconcile_reinstalls += 1;
-                            trace_state(ctx, 0, RECONCILE_TXN, CpActor::Nms, CpState::Reinstall);
-                            job.send(ctx, *node, id);
-                        }
-                    }
-                    if !self.sweep_removes {
+                    if !self.config.sweep_removals {
                         return;
                     }
                     // Bidirectional pass: device-resident services with no
                     // desired-state entry (any spec hash) are orphans —
-                    // remove them. An install still in flight has its entry
-                    // from its deployment's acceptance. Untracked, like
-                    // reinstalls: repair is by repetition on the next sweep.
-                    for &(owner, stage, _) in &installed {
+                    // remove them. Desired state is read now, not when the
+                    // refresh left, so a deployment accepted since keeps
+                    // its slot, and an install still in flight has its
+                    // entry from its deployment's acceptance. Untracked:
+                    // the next round's answer repeats what a lost removal
+                    // left.
+                    let id = MsgKey::first(0, RECONCILE_TXN);
+                    for &(owner, stage) in installed {
                         let hashes = (*node, owner, stage, 0)..=(*node, owner, stage, u64::MAX);
                         if self.desired.range(hashes).next().is_some() {
                             continue;
@@ -1343,9 +1302,9 @@ impl NodeAgent for NmsAgent {
                 if !admits(ctx, &self.cp, env, admission, Self::send_withdraw_ack) {
                     return;
                 }
-                // Drop the owner from desired state first, so neither the
-                // sweep nor a renewal round re-installs mid-teardown and no
-                // install still retrying is sent again. Installs still in
+                // Drop the owner from desired state first, so no refresh
+                // re-installs mid-teardown and no install still retrying
+                // is sent again. Installs still in
                 // flight are victims too: an attempt already on the wire
                 // may land.
                 let victims: BTreeSet<(NodeId, Stage)> = self
@@ -1480,14 +1439,7 @@ impl UserAgent {
             user.0
         );
         let record = UserHandle::default();
-        let policy = RetryPolicy::default();
-        // A withdrawal is answered after the TCSP's removal fan-in, which
-        // may wait out a whole budget on a cut ISP: twice the attempts let
-        // the answer find the leg live though the TCSP heard it late.
-        let withdraw = RetryPolicy {
-            max_attempts: 2 * policy.max_attempts,
-            ..policy
-        };
+        let (policy, fan_in) = (RetryPolicy::default(), RetryPolicy::over_fan_in());
         (
             UserAgent {
                 user,
@@ -1502,8 +1454,8 @@ impl UserAgent {
                 tcsp_deploy_txn: 0,
                 record: record.clone(),
                 reg_rt: Retransmitter::new(FAM_USER_REG, policy, user.0 ^ 0xD),
-                deploy_rt: Retransmitter::new(FAM_USER_DEPLOY, policy, user.0 ^ 0xE),
-                withdraw_rt: Retransmitter::new(FAM_USER_WITHDRAW, withdraw, user.0 ^ 0xF),
+                deploy_rt: Retransmitter::new(FAM_USER_DEPLOY, fan_in, user.0 ^ 0xE),
+                withdraw_rt: Retransmitter::new(FAM_USER_WITHDRAW, fan_in, user.0 ^ 0xF),
                 dedup: Dedup::new(),
                 cp: CpStatsHandle::default(),
             },
@@ -1711,30 +1663,52 @@ impl NodeAgent for UserAgent {
 mod tests {
     use super::*;
 
-    use dtcs_device::AdaptiveDevice;
+    use dtcs_device::{AdaptiveDevice, DeviceHandle, ModuleSpec};
     use dtcs_netsim::{Simulator, Topology};
 
-    /// The inventory diff reads the answering device's slice of desired
-    /// state and nothing else: two services stand on each of three
-    /// devices, one device reports only the first, and the one gap is
-    /// re-installed on that device alone.
-    #[test]
-    fn inventory_gap_reinstalls_on_the_answering_device_only() {
-        const KEY: u64 = 0x5EC;
-        let nms = NodeId(0);
-        let managed = [NodeId(1), NodeId(2), NodeId(3)];
+    const KEY: u64 = 0x5EC;
+    const NMS: NodeId = NodeId(0);
+    const MANAGED: [NodeId; 3] = [NodeId(1), NodeId(2), NodeId(3)];
+    const USER: UserId = UserId(0xAA01);
+
+    /// An NMS at the hub of a 3-star managing the three leaves, whose one
+    /// owner deploys each of `services` on all of them at 0; run to 1 s.
+    fn star_plane(
+        nms: NmsAgent,
+        services: &[CatalogService],
+    ) -> (Simulator, CpStatsHandle, [DeviceHandle; 3]) {
         let mut sim = Simulator::new(Topology::star(3), 1);
         let cp = CpStatsHandle::default();
-        let agent = NmsAgent::new(KEY, managed.to_vec(), Vec::new()).with_cp_stats(cp.clone());
-        sim.add_agent(nms, Box::new(agent));
-        let devices = managed.map(|node| {
-            let (dev, handle) = AdaptiveDevice::new(node, Some(nms));
+        sim.add_agent(NMS, Box::new(nms.with_cp_stats(cp.clone())));
+        let devices = MANAGED.map(|node| {
+            let (dev, handle) = AdaptiveDevice::new(node, Some(NMS));
             sim.add_agent(node, Box::new(dev));
             handle
         });
+        let cert = Certificate::issue(KEY, USER, vec![Prefix::of_node(NMS)], SimTime::MAX);
+        for (txn, service) in (1u64..).zip(services) {
+            let deploy = Envelope {
+                to: Role::Nms,
+                key: MsgKey::first(USER.0, txn),
+                msg: CpMsg::NmsDeploy {
+                    cert: cert.clone(),
+                    service: service.clone(),
+                    nodes: MANAGED.to_vec(),
+                    contact: NMS,
+                },
+            };
+            sim.deliver_control(SimTime::ZERO, NMS, NMS, deploy);
+        }
+        sim.run_until(SimTime::from_secs(1));
+        (sim, cp, devices)
+    }
 
-        let user = UserId(0xAA01);
-        let cert = Certificate::issue(KEY, user, vec![Prefix::of_node(nms)], SimTime::MAX);
+    /// An announcement is answered with the announcing device's slice of
+    /// desired state and nothing else: two services stand on each of three
+    /// devices, one device announces a reboot it never had, and both are
+    /// re-sent to that device alone, in one refresh.
+    #[test]
+    fn inventory_gap_reinstalls_on_the_answering_device_only() {
         let services = [
             CatalogService::AntiSpoofing,
             CatalogService::Statistics {
@@ -1742,36 +1716,57 @@ mod tests {
                 sample_one_in: 1,
             },
         ];
-        for (txn, service) in (1u64..).zip(&services) {
-            let deploy = Envelope {
-                to: Role::Nms,
-                key: MsgKey::first(user.0, txn),
-                msg: CpMsg::NmsDeploy {
-                    cert: cert.clone(),
-                    service: service.clone(),
-                    nodes: managed.to_vec(),
-                    contact: nms,
-                },
-            };
-            sim.deliver_control(SimTime::ZERO, nms, nms, deploy);
-        }
-        sim.run_until(SimTime::from_secs(1));
+        let nms = NmsAgent::new(KEY, MANAGED.to_vec(), Vec::new());
+        let (mut sim, cp, devices) = star_plane(nms, &services);
         for d in &devices {
             let d = d.lock();
             assert_eq!((d.rule_count, d.idempotent_installs), (2, 0));
         }
 
-        let kept = &services[0];
-        let inventory = DeviceReply::Inventory {
-            node: managed[1],
-            installed: vec![(OwnerId(user.0), kept.stage(), kept.compile().content_hash())],
+        let announcement = DeviceReply::Inventory {
+            node: MANAGED[1],
+            installed: Vec::new(),
         };
-        sim.deliver_control(SimTime::from_secs(1), managed[1], nms, inventory);
+        sim.deliver_control(SimTime::from_secs(1), MANAGED[1], NMS, announcement);
+        let before = sim.stats.cp_msgs;
         sim.run_until(SimTime::from_secs(2));
-        assert_eq!(cp.lock().reconcile_reinstalls, 1);
-        // The re-install found its service still running: it counted as an
-        // identical install on the device it went to.
+        assert_eq!(cp.lock().reconcile_reinstalls, 2);
+        assert_eq!(sim.stats.cp_msgs - before, 1, "one refresh");
+        // The services were still running: each counted as an identical
+        // install on the device the refresh went to.
         let identical = devices.map(|d| d.lock().idempotent_installs);
-        assert_eq!(identical, [0, 1, 0]);
+        assert_eq!(identical, [0, 2, 0]);
+    }
+
+    /// With sweep removals, a slot a refresh did not name is removed only
+    /// when desired state holds none for it when the device's answer
+    /// arrives: a refresh that left before a deploy was accepted (here
+    /// empty, delivered after it) takes the rogue slot off the device and
+    /// leaves the deployed one.
+    #[test]
+    fn a_deploy_accepted_after_a_refresh_left_keeps_its_slot() {
+        let removals = ControlPlaneConfig {
+            sweep_removals: true,
+            ..ControlPlaneConfig::default()
+        };
+        let nms = NmsAgent::new(KEY, MANAGED.to_vec(), Vec::new()).with_config(removals);
+        let (mut sim, cp, devices) = star_plane(nms, &[CatalogService::AntiSpoofing]);
+        let rogue = DeviceCommand::InstallService {
+            owner: OwnerId(0xEE),
+            stage: Stage::Dst,
+            spec: ServiceSpec::chain("rogue", vec![ModuleSpec::AntiSpoof]),
+            txn: 0,
+            lease_until: SimTime::MAX,
+        };
+        sim.deliver_control(SimTime::from_secs(1), NMS, MANAGED[0], rogue);
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(devices[0].lock().rule_count, 2);
+
+        let stale = DeviceCommand::Refresh { holds: Vec::new() };
+        sim.deliver_control(SimTime::from_secs(2), NMS, MANAGED[0], stale);
+        sim.run_until(SimTime::from_secs(3));
+        assert_eq!(cp.lock().reconcile_removals, 1, "the rogue slot only");
+        let rules = devices.map(|d| d.lock().rule_count);
+        assert_eq!(rules, [1, 1, 1], "the deployed slots stand");
     }
 }

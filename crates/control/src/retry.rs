@@ -14,6 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use dtcs_device::{RETRY_BASE, RETRY_CAP};
 use dtcs_netsim::rng::child_seed;
 use dtcs_netsim::{AgentCtx, CancelTimer, CpTraceEvent, NodeId, SimDuration, TimerId};
 
@@ -62,16 +63,30 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
+    /// The device protocol's schedule ([`RETRY_BASE`] doubled up to
+    /// [`RETRY_CAP`]), six attempts.
     fn default() -> RetryPolicy {
         RetryPolicy {
-            base: SimDuration::from_millis(250),
-            cap: SimDuration::from_secs(2),
+            base: RETRY_BASE,
+            cap: RETRY_CAP,
             max_attempts: 6,
         }
     }
 }
 
 impl RetryPolicy {
+    /// The policy of a leg answered only after a TCSP fan-in (a user's
+    /// deployment or withdrawal), which may itself wait out a whole budget
+    /// on a cut ISP: twice the default's attempts, so the answer finds the
+    /// leg live though the TCSP heard the request late.
+    pub fn over_fan_in() -> RetryPolicy {
+        let policy = RetryPolicy::default();
+        RetryPolicy {
+            max_attempts: 2 * policy.max_attempts,
+            ..policy
+        }
+    }
+
     /// Retransmit timeout for `attempt` (0-based), jittered by a hash of
     /// `(seed, slot, attempt)` so concurrent retries decorrelate without
     /// consulting the simulator RNG (keeps packet-plane streams intact).
@@ -533,18 +548,22 @@ dtcs_netsim::counters! {
         dup_responses: Sum "Duplicate responses suppressed by receivers",
         /// An ISP never acked.
         partial_confirms: Sum "Deployments confirmed with some ISP's answer missing",
-        reconcile_sweeps: Sum "NMS anti-entropy inventory rounds started",
-        /// The sweep found them missing.
-        reconcile_reinstalls: Sum "Services reinstalled by an anti-entropy sweep",
-        /// Keyed re-installs that push a device lease forward.
-        lease_renewals: Sum "Lease renewals issued by NMS renewal rounds",
-        /// Expired before the next renewal round.
+        /// One per round, whether it runs for anti-entropy, renewal or both.
+        reconcile_sweeps: Sum "NMS refresh rounds started",
+        /// Each device's whole slice, sent at once in answer to its reboot
+        /// announcement (a periodic refresh installs a missing entry
+        /// unseen: it counts among the renewals).
+        reconcile_reinstalls: Sum "Desired-state entries re-sent to a device that announced its reboot",
+        /// Each entry a periodic refresh carries moves its slot's lease,
+        /// to the credential's expiry when the plane grants no leases.
+        lease_renewals: Sum "Desired-state entries renewed by NMS refresh rounds",
+        /// Expired before the next refresh round.
         lease_expirations: Sum "Desired-state entries dropped because their credential expired",
         withdrawals: Sum "Owner-initiated withdrawal transactions accepted by the TCSP",
         withdraw_removes: Sum "Device removals confirmed during withdrawal fan-in",
-        /// The sweep found them absent from desired state (bidirectional
-        /// anti-entropy).
-        reconcile_removals: Sum "Undesired device-resident services removed by an anti-entropy sweep",
+        /// A device listed them as unnamed by its refresh and desired state
+        /// held none (bidirectional anti-entropy).
+        reconcile_removals: Sum "Undesired device-resident services removed after a refresh",
         /// Including mid-retry expiry.
         expired_deploys: Sum "Deploy attempts rejected because the credential expired",
     }

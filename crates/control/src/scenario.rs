@@ -11,29 +11,40 @@ use crate::authority::InternetNumberAuthority;
 use crate::catalog::CatalogService;
 use crate::identity::UserId;
 use crate::plane::{
-    AuthorityAgent, DeployScope, IspContract, TcspAgent, UserAgent, UserHandle, TOKEN_REGISTER,
-    TOKEN_RENEW, TOKEN_SWEEP, TOKEN_WITHDRAW,
+    AuthorityAgent, DeployScope, IspContract, TcspAgent, UserAgent, UserHandle, TOKEN_REFRESH,
+    TOKEN_REGISTER, TOKEN_WITHDRAW,
 };
 use crate::retry::CpStatsHandle;
 
 /// Optional control-plane behaviours, selected at install time.
 ///
-/// The default configuration reproduces the plain plane: no anti-entropy
-/// sweep, no leases (installs are bounded only by the 24 h certificate
+/// The default configuration reproduces the plain plane: no refresh
+/// rounds, no leases (installs are bounded only by the 24 h certificate
 /// lifetime), unidirectional reconcile.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ControlPlaneConfig {
-    /// Anti-entropy sweep cadence (None = off).
+    /// Refresh period for anti-entropy. With `leases`, the one round runs
+    /// at the shorter period ([`ControlPlaneConfig::refresh_every`]).
     pub reconcile_every: Option<SimDuration>,
-    /// Lease length granted with every install, and the renewal cadence.
-    /// Renewals re-install (and re-lease) every desired-state entry; a
-    /// device that misses its renewals reaps the service itself.
+    /// Lease length granted with every install and refresh, and the
+    /// refresh period for renewal. A device that misses its refreshes reaps
+    /// the service itself.
     pub leases: Option<(SimDuration, SimDuration)>,
-    /// Bidirectional sweep: also remove device-resident services absent
-    /// from desired state (requires `reconcile_every`).
+    /// Bidirectional refresh: also remove device-resident services absent
+    /// from desired state (requires a refresh period).
     pub sweep_removals: bool,
     /// Override the TCSP certificate lifetime (None = default 24 h).
     pub cert_lifetime: Option<SimDuration>,
+}
+
+impl ControlPlaneConfig {
+    /// Each NMS runs one refresh round, at the shorter of the two periods:
+    /// it sends every managed device its whole desired slice in one
+    /// message, which installs what the device lacks and re-leases the rest.
+    pub fn refresh_every(&self) -> Option<SimDuration> {
+        let renew_every = self.leases.map(|(_, every)| every);
+        self.reconcile_every.into_iter().chain(renew_every).min()
+    }
 }
 
 /// Partition a topology into ISPs: every transit node becomes an ISP
@@ -144,28 +155,12 @@ impl ControlPlane {
                 .map(|i| i.nms_node)
                 .filter(|&n| n != isp.nms_node)
                 .collect();
-            let mut nms = crate::plane::NmsAgent::new(tcsp_key, isp.managed.clone(), peers)
+            let nms = crate::plane::NmsAgent::new(tcsp_key, isp.managed.clone(), peers)
+                .with_config(config)
                 .with_cp_stats(cp_stats.clone());
-            if let Some(every) = config.reconcile_every {
-                nms = nms.with_reconcile(every);
-            }
-            if let Some((lease_len, renew_every)) = config.leases {
-                nms = nms.with_leases(lease_len, renew_every);
-            }
-            if config.sweep_removals {
-                nms = nms.with_sweep_removals();
-            }
             let idx = sim.add_agent(isp.nms_node, Box::new(nms));
-            if let Some(every) = config.reconcile_every {
-                sim.schedule_agent_timer(isp.nms_node, idx, SimTime::ZERO + every, TOKEN_SWEEP);
-            }
-            if let Some((_, renew_every)) = config.leases {
-                sim.schedule_agent_timer(
-                    isp.nms_node,
-                    idx,
-                    SimTime::ZERO + renew_every,
-                    TOKEN_RENEW,
-                );
+            if let Some(every) = config.refresh_every() {
+                sim.schedule_agent_timer(isp.nms_node, idx, SimTime::ZERO + every, TOKEN_REFRESH);
             }
             for &node in &isp.managed {
                 let (dev, handle) = AdaptiveDevice::new(node, Some(isp.nms_node));

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use dtcs_control::{
     partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
-    InternetNumberAuthority, RetryPolicy, UserId, RECONCILE_TXN, RENEW_TXN,
+    InternetNumberAuthority, RetryPolicy, UserId, RECONCILE_TXN,
 };
 use dtcs_netsim::{
     CpFlightRecorder, CpState, CpTraceEvent, CpVerdict, FaultConfig, FaultPlane, Outage, Partition,
@@ -130,7 +130,7 @@ fn assert_deploys_settle_within_budget(rec: &CpFlightRecorder) {
 }
 
 /// Every transaction is one its requester keyed: no traced key has origin 0
-/// but the NMS's renewal and sweep rounds, so no agent mints ids of its
+/// but the NMS's refreshes and repairs, so no agent mints ids of its
 /// own, and every registration (a key with a `RegisterRequest` send,
 /// message kind 1) ends in exactly one terminal, the legs it relays
 /// included.
@@ -139,7 +139,7 @@ fn assert_requests_keep_their_keys(rec: &CpFlightRecorder) {
     for ev in rec.events() {
         let Some(key) = ev.sample_key() else { continue };
         assert!(
-            key[0] != 0 || key[1] == RENEW_TXN || key[1] == RECONCILE_TXN,
+            key[0] != 0 || key[1] == RECONCILE_TXN,
             "an agent minted the key {key:?}: {ev:?}"
         );
         if let CpTraceEvent::Send { meta: Some(m), .. } = ev {

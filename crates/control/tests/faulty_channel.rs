@@ -2,7 +2,7 @@
 //! faulty control channel ([`dtcs_netsim::FaultPlane`]) must still deliver
 //! exactly-once configuration — lossy links are repaired by retransmission,
 //! duplicated messages are absorbed by dedup and idempotency, and device
-//! crashes are healed by the NMS anti-entropy sweep.
+//! crashes are healed by the NMS's refresh rounds.
 
 use dtcs_netsim::rng::check_cases;
 
@@ -166,7 +166,7 @@ fn fault_counters_reconcile_with_channel_activity() {
 #[test]
 fn device_crash_is_repaired_by_reconciliation_sweep() {
     // A managed device crashes mid-run and loses its installed services;
-    // the NMS anti-entropy sweep notices the gap and re-installs.
+    // its reboot announcement and the NMS's refresh rounds re-install.
     let mut fx = fixture(3, 5, Some(SimDuration::from_secs(2)));
     let crashed = fx.sim.topo.stub_nodes()[1];
     fx.sim.install_fault_plane(FaultPlane::new(FaultConfig {
@@ -197,7 +197,7 @@ fn device_crash_is_repaired_by_reconciliation_sweep() {
     assert!(cs.reconcile_sweeps > 0, "sweeps ran: {cs:?}");
     assert!(
         cs.reconcile_reinstalls >= 1,
-        "the sweep repaired the crashed device: {cs:?}"
+        "the announcement's refresh repaired the crashed device: {cs:?}"
     );
 }
 

@@ -173,13 +173,14 @@ fn a_registration_cut_past_its_budget_registers_and_deploys_after_the_heal() {
 }
 
 /// The same for the deployment: the certificate arrives before the cut,
-/// the deploy goes out into it and gives up, and the deploy sent one
-/// budget later confirms.
+/// the deploy goes out into it and gives up after the budget of a leg
+/// answered over the TCSP's fan-in, and the deploy sent one budget later
+/// confirms.
 #[test]
 fn a_deployment_cut_past_its_budget_deploys_after_the_heal() {
     let (cut, delay) = (SimTime::from_secs(1), SimDuration::from_secs(2));
-    let heal = cut + delay + RetryPolicy::default().budget() + SimDuration::from_secs(1);
-    let run = run(delay, None, (cut, heal), SimTime::from_secs(40));
+    let heal = cut + delay + RetryPolicy::over_fan_in().budget() + SimDuration::from_secs(1);
+    let run = run(delay, None, (cut, heal), SimTime::from_secs(60));
     let r = run.record.lock();
     assert!(r.registered_at.is_some_and(|t| t < cut), "{r:?}");
     assert!(r.deploy_confirmed_at.is_some_and(|t| t > heal), "{r:?}");

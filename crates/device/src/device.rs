@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use dtcs_netsim::{
     AgentCtx, ControlMsg, CpActor, CpMeta, CpState, CpTraceEvent, DropReason, LinkId, NodeAgent,
-    NodeId, Packet, Prefix, RouteOracle, SimTime, TimerId, Verdict,
+    NodeId, Packet, Prefix, RouteOracle, SimDuration, SimTime, TimerId, Verdict,
 };
 
 use crate::graph::ServiceGraph;
@@ -39,23 +39,26 @@ use crate::view::{DeviceContext, DeviceEvent, PacketView};
 const EVENT_BYTES: u64 = 64;
 
 /// Agent-timer token for the lease reaper. The device is the only timer
-/// user on its node, so a single low token suffices: it keeps one timer,
-/// at its soonest lease entry, and each fire reaps what is due and sets
-/// the next. A finite lease installed through [`AdaptiveDevice::apply`]
+/// user on its node, so low tokens suffice: it keeps one reaper timer, at
+/// its soonest lease entry, and each fire reaps what is due and sets the
+/// next. A finite lease installed through [`AdaptiveDevice::apply`]
 /// is reaped by the first reaper fire at or after its horizon.
 const TOKEN_LEASE: u64 = 1;
 
-/// Transaction id of the NMS's anti-entropy repairs: re-installs of what
-/// a device lacks and removals of what it should not hold. A repair is
-/// applied and not answered: nobody waits for it, and a lost one is found
-/// again by the next sweep.
+/// Transaction id of the NMS's untracked sends: its refreshes and the
+/// removals of what a device should not hold. Applied and not answered:
+/// nobody waits for them, and the next round repeats what one lost.
 pub const RECONCILE_TXN: u64 = u64::MAX;
 
-/// Transaction id of the NMS's lease renewals (origin 0, like
-/// [`RECONCILE_TXN`]). A renewal is applied and not answered either: a
-/// lost one is repeated by the next round while the lease it refreshes
-/// still runs.
-pub const RENEW_TXN: u64 = u64::MAX - 1;
+/// The control plane's retry schedule: the first wait, doubled after each
+/// unanswered attempt up to [`RETRY_CAP`]. A rebooted device repeats its
+/// announcement on it, and the control crate's retry policy reads both.
+pub const RETRY_BASE: SimDuration = SimDuration::from_millis(250);
+/// The longest wait of the control plane's retry schedule.
+pub const RETRY_CAP: SimDuration = SimDuration::from_secs(2);
+
+/// Agent-timer token for the next reboot announcement.
+const TOKEN_ANNOUNCE: u64 = 2;
 
 /// Management command accepted by a device (sent by its ISP's network
 /// management system, or directly in tests).
@@ -91,7 +94,7 @@ pub enum DeviceCommand {
         spec: ServiceSpec,
         /// Management transaction this install belongs to; echoed in the
         /// reply so the NMS can attribute acks under retries (0 = none).
-        /// Under [`RECONCILE_TXN`] or [`RENEW_TXN`] there is no reply.
+        /// Under [`RECONCILE_TXN`] there is no reply.
         txn: u64,
         /// Authority horizon: the device autonomously uninstalls this
         /// slot's services at this instant unless a later install pushes
@@ -111,8 +114,7 @@ pub enum DeviceCommand {
         /// Which stage.
         stage: Stage,
         /// Management transaction this removal belongs to; echoed in the
-        /// reply (0 = none). Under [`RECONCILE_TXN`] or [`RENEW_TXN`] there
-        /// is no reply.
+        /// reply (0 = none). Under [`RECONCILE_TXN`] there is no reply.
         txn: u64,
     },
     /// Activate or deactivate an installed service.
@@ -157,12 +159,14 @@ pub enum DeviceCommand {
         /// Node to send the [`DeviceReply::LogData`] to.
         reply_to: NodeId,
     },
-    /// Reconciliation support: report every installed service as
-    /// `(owner, stage, spec hash)` so the NMS anti-entropy sweep can
-    /// detect state lost to a crash.
-    QueryInventory {
-        /// Node to send the [`DeviceReply::Inventory`] to.
-        reply_to: NodeId,
+    /// The NMS's periodic word for this device: everything that should
+    /// stand on it. Each entry is applied as an untracked install, so a
+    /// missing slot is installed and a running one has its lease moved;
+    /// nothing is answered but the slots the refresh did not name, as a
+    /// [`DeviceReply::Inventory`].
+    Refresh {
+        /// The device's desired slice, sorted by `(owner, stage)`.
+        holds: Vec<Provision>,
     },
 }
 
@@ -170,14 +174,23 @@ pub enum DeviceCommand {
 /// [`DeviceCommand::RegisterOwner`] applied, then the
 /// [`DeviceCommand::InstallService`] it precedes; only the install may be
 /// answered. The paper's two provisioning steps, sent together on every
-/// install and lease renewal, so a renewal is one delivery, which the
-/// device does not answer (it comes under [`RENEW_TXN`]).
+/// install, and one entry of a [`DeviceCommand::Refresh`].
 #[derive(Clone, Debug)]
 pub struct Provision {
     /// The owner's registration, shared by every send of one deployment.
     pub register: Arc<DeviceCommand>,
     /// The install.
     pub install: DeviceCommand,
+}
+
+impl Provision {
+    /// The `(owner, stage)` slot the install fills.
+    fn slot(&self) -> Option<(OwnerId, Stage)> {
+        match self.install {
+            DeviceCommand::InstallService { owner, stage, .. } => Some((owner, stage)),
+            _ => None,
+        }
+    }
 }
 
 /// Replies a device sends back over the control plane.
@@ -225,13 +238,15 @@ pub enum DeviceReply {
         /// Collected entries.
         entries: Vec<LogEntry>,
     },
-    /// Answer to a [`DeviceCommand::QueryInventory`]: everything
-    /// currently installed, as reconciliation keys.
+    /// What the device holds that its manager did not name: the answer
+    /// to a [`DeviceCommand::Refresh`] that left some slots out, or, empty,
+    /// a rebooted device's announcement that it holds nothing, repeated
+    /// until a refresh arrives.
     Inventory {
         /// Device node.
         node: NodeId,
-        /// One entry per installed service graph.
-        installed: Vec<(OwnerId, Stage, u64)>,
+        /// The unnamed slots, sorted.
+        installed: Vec<(OwnerId, Stage)>,
     },
     /// Service slot removed (or already absent) after a
     /// [`DeviceCommand::RemoveService`].
@@ -250,11 +265,12 @@ pub enum DeviceReply {
 impl DeviceReply {
     /// Stable message-kind id for the control-plane flight recorder
     /// ([`dtcs_netsim::CpMeta::kind`]). Continues the `control` crate's
-    /// `CpMsg::kind_id` numbering (1–9) and its device-command ids (11–12;
-    /// 10 stays unused, the owner registration riding inside the install's
-    /// [`Provision`]): 13 = InstallOk, 14 = InstallRejected, 15 =
-    /// Inventory, 16 = other device replies, 22 = RemoveOk (17–21 are
-    /// `control` crate withdrawal messages and the RemoveService command).
+    /// `CpMsg::kind_id` numbering (1–9) and its device-command ids (11 =
+    /// install, 12 = refresh; 10 stays unused, the owner registration
+    /// riding inside the install's [`Provision`]): 13 = InstallOk, 14 =
+    /// InstallRejected, 15 = Inventory, 16 = other device replies, 22 =
+    /// RemoveOk (17–21 are `control` crate withdrawal messages and the
+    /// RemoveService command).
     pub fn kind_id(&self) -> u8 {
         match self {
             DeviceReply::InstallOk { .. } => 13,
@@ -352,6 +368,9 @@ pub struct AdaptiveDevice {
     /// The one reaper timer and its instant, set at the soonest entry of
     /// `leases` ([`AdaptiveDevice::arm_reaper`]).
     reaper: Option<(SimTime, TimerId)>,
+    /// After a reboot, until a refresh arrives: the timer of the next
+    /// announcement, and the wait to arm after it.
+    announcing: Option<(SimDuration, TimerId)>,
     verifier: SafetyVerifier,
     /// Only this node's commands are accepted when set (the ISP NMS).
     manager: Option<NodeId>,
@@ -380,6 +399,7 @@ impl AdaptiveDevice {
             services: HashMap::new(),
             leases: BinaryHeap::new(),
             reaper: None,
+            announcing: None,
             verifier: SafetyVerifier::default(),
             manager,
             stats: stats.clone(),
@@ -564,17 +584,16 @@ impl AdaptiveDevice {
                     entries,
                 })
             }
-            DeviceCommand::QueryInventory { reply_to: _ } => {
-                let mut installed: Vec<(OwnerId, Stage, u64)> = self
-                    .services
-                    .iter()
-                    .flat_map(|((owner, stage), slot)| {
-                        let graphs = slot.graphs.iter();
-                        graphs.map(move |g| (*owner, *stage, g.spec_hash()))
-                    })
-                    .collect();
+            DeviceCommand::Refresh { ref holds } => {
+                for p in holds {
+                    self.handle_command(&p.register);
+                    self.handle_command(&p.install);
+                }
+                let named = |slot| holds.binary_search_by_key(&Some(slot), Provision::slot);
+                let slots = self.services.keys().copied();
+                let mut installed: Vec<_> = slots.filter(|&s| named(s).is_err()).collect();
                 installed.sort(); // HashMap order is not deterministic
-                Some(DeviceReply::Inventory {
+                (!installed.is_empty()).then_some(DeviceReply::Inventory {
                     node: self.ctx.node,
                     installed,
                 })
@@ -588,6 +607,19 @@ impl AdaptiveDevice {
         if let Some(slot) = self.services.remove(&(owner, stage)) {
             self.adjust_rule_count(-(slot.rule_count() as i64));
         }
+    }
+
+    /// Tell the manager this device holds nothing, and again `wait` later
+    /// (the wait doubling up to [`RETRY_CAP`]) until a refresh arrives.
+    fn announce(&mut self, ctx: &mut AgentCtx<'_>, wait: SimDuration) {
+        let Some(manager) = self.manager else { return };
+        let empty = DeviceReply::Inventory {
+            node: self.ctx.node,
+            installed: Vec::new(),
+        };
+        ctx.send_control(manager, ctx.path_delay(manager), empty);
+        let next = RETRY_CAP.min(wait + wait);
+        self.announcing = Some((next, ctx.set_timer(wait, TOKEN_ANNOUNCE)));
     }
 
     /// Set the reaper at the soonest lease entry (now, for a horizon
@@ -757,11 +789,15 @@ impl NodeAgent for AdaptiveDevice {
         if let Some(register) = register {
             self.handle_command(register);
         }
+        // A refresh answers the reboot announcement: no more are sent.
+        if let (DeviceCommand::Refresh { .. }, Some((_, timer))) = (cmd, self.announcing) {
+            self.announcing = None;
+            ctx.cancel_timer(timer);
+        }
         // Queries answer the node they name; everything else its sender.
         let reply_to = match *cmd {
             DeviceCommand::QueryDigest { reply_to, .. }
-            | DeviceCommand::ReadLog { reply_to, .. }
-            | DeviceCommand::QueryInventory { reply_to } => reply_to,
+            | DeviceCommand::ReadLog { reply_to, .. } => reply_to,
             _ => msg.from,
         };
         let reply = self.handle_command(cmd);
@@ -786,12 +822,12 @@ impl NodeAgent for AdaptiveDevice {
                     }
                 }
             }
-            // A repair or a renewal is applied, not answered: its sender
-            // tracks nothing and repeats it on its next round.
+            // An untracked install or removal is applied, not answered: its
+            // sender tracks nothing and repeats it on its next round.
             if let DeviceCommand::InstallService { txn, .. }
             | DeviceCommand::RemoveService { txn, .. } = *cmd
             {
-                if txn == RECONCILE_TXN || txn == RENEW_TXN {
+                if txn == RECONCILE_TXN {
                     return;
                 }
             }
@@ -812,8 +848,10 @@ impl NodeAgent for AdaptiveDevice {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
-        if token != TOKEN_LEASE {
-            return;
+        match (token, self.announcing) {
+            (TOKEN_ANNOUNCE, Some((next, _))) => return self.announce(ctx, next),
+            (TOKEN_LEASE, _) => {}
+            _ => return,
         }
         // This fire is the reaper's, or one set from outside no later
         // than the reaper, which then gives way to the one set below.
@@ -850,11 +888,15 @@ impl NodeAgent for AdaptiveDevice {
         // logger / backlog state), buffered telemetry, and the processed-
         // byte telemetry budget. The manager binding and verifier are
         // device firmware — they survive. Re-provisioning is the NMS's:
-        // asked for at restart, repaired by its sweep otherwise.
+        // asked for from the restart until its refresh arrives.
         self.owners = OwnerTable::new();
         self.services.clear();
         self.leases.clear();
-        if let Some((_, timer)) = self.reaper.take() {
+        let timers = [
+            self.reaper.take().map(|r| r.1),
+            self.announcing.take().map(|a| a.1),
+        ];
+        for timer in timers.into_iter().flatten() {
             ctx.cancel_timer(timer);
         }
         self.events_buf.clear();
@@ -866,15 +908,9 @@ impl NodeAgent for AdaptiveDevice {
 
     fn on_restart(&mut self, ctx: &mut AgentCtx<'_>) {
         // Back up with nothing installed: say so to the manager as an
-        // empty inventory, which it answers by re-installing what should
-        // stand here, without waiting for its next sweep.
-        if let Some(manager) = self.manager {
-            let empty = DeviceReply::Inventory {
-                node: self.ctx.node,
-                installed: Vec::new(),
-            };
-            ctx.send_control(manager, ctx.path_delay(manager), empty);
-        }
+        // empty inventory, which it answers with this device's refresh,
+        // without waiting for its next round; and again until it does.
+        self.announce(ctx, RETRY_BASE);
     }
 }
 
@@ -1205,28 +1241,109 @@ mod tests {
         assert_eq!(handle.lock().idempotent_installs, 1, "replace is not a dup");
     }
 
+    /// A refresh's entry for `owner`'s `spec`, leased to `lease_until`.
+    fn refresh_entry(owner: OwnerId, spec: ServiceSpec, lease_until: SimTime) -> Provision {
+        Provision {
+            register: Arc::new(register_at_node_2(owner)),
+            install: DeviceCommand::InstallService {
+                owner,
+                stage: Stage::Dst,
+                spec,
+                txn: RECONCILE_TXN,
+                lease_until,
+            },
+        }
+    }
+
+    /// A refresh answers with the installed slots it did not name, sorted,
+    /// and with nothing when it named them all.
     #[test]
     fn inventory_lists_installed_services_sorted() {
-        let (mut dev, _handle) = AdaptiveDevice::new(NodeId(1), None);
-        for owner in [OwnerId(9), OwnerId(3)] {
+        let (mut dev, handle) = AdaptiveDevice::new(NodeId(1), None);
+        for owner in [OwnerId(9), OwnerId(3), OwnerId(6)] {
             dev.apply(register_at_node_2(owner));
             dev.apply(install(owner, Stage::Dst, anti_spoof("fw")));
         }
-        let reply = dev.apply(DeviceCommand::QueryInventory {
-            reply_to: NodeId(5),
-        });
+        let holds = vec![refresh_entry(OwnerId(6), anti_spoof("fw"), SimTime::MAX)];
+        let reply = dev.apply(DeviceCommand::Refresh { holds });
         let Some(DeviceReply::Inventory { node, installed }) = reply else {
             panic!("expected Inventory reply");
         };
         assert_eq!(node, NodeId(1));
-        let hash = anti_spoof("fw").content_hash();
         assert_eq!(
             installed,
-            vec![
-                (OwnerId(3), Stage::Dst, hash),
-                (OwnerId(9), Stage::Dst, hash)
-            ]
+            [(OwnerId(3), Stage::Dst), (OwnerId(9), Stage::Dst)]
         );
+        assert_eq!(handle.lock().idempotent_installs, 1, "owner 6 was running");
+        let all = [3, 6, 9].map(|o| refresh_entry(OwnerId(o), anti_spoof("fw"), SimTime::MAX));
+        let reply = dev.apply(DeviceCommand::Refresh {
+            holds: all.to_vec(),
+        });
+        assert!(reply.is_none(), "{reply:?}");
+    }
+
+    /// A refresh installs what its device lacks and moves the lease of
+    /// what runs, as one message.
+    #[test]
+    fn a_refresh_installs_the_missing_and_re_leases_the_running() {
+        let (mut sim, handle) = sim_with_device();
+        let lease = SimTime::from_millis(500);
+        let holds = vec![
+            refresh_entry(OwnerId(7), anti_spoof("fw"), lease),
+            refresh_entry(victim_owner(), fw_dropping_udp(), lease),
+        ];
+        sim.deliver_control(
+            SimTime::ZERO,
+            NodeId(1),
+            NodeId(1),
+            DeviceCommand::Refresh { holds },
+        );
+        sim.run_until(SimTime::from_millis(400));
+        let s = handle.lock();
+        assert_eq!((s.rule_count, s.idempotent_installs), (2, 1));
+        drop(s);
+        sim.run_until(SimTime::from_secs(1));
+        let s = handle.lock();
+        assert_eq!(
+            (s.rule_count, s.lease_reaps),
+            (0, 2),
+            "both leased to 500 ms"
+        );
+    }
+
+    /// A rebooted device announces itself to its manager on the retry
+    /// schedule, each wait doubled up to the cap, and stops at the first
+    /// refresh: by 5 s after a reboot at 200 ms the manager heard it at
+    /// 0.2, 0.45, 0.95, 1.95 and 3.95 s, and after a refresh at 5 s never
+    /// again.
+    #[test]
+    fn a_rebooted_device_announces_until_refreshed() {
+        let mut sim = Simulator::new(Topology::line(3), 1);
+        let (dev, _handle) = AdaptiveDevice::new(NodeId(1), Some(NodeId(0)));
+        sim.add_agent(NodeId(1), Box::new(dev));
+        Inbox::attach(&mut sim, NodeId(0));
+        sim.install_fault_plane(dtcs_netsim::FaultPlane::new(dtcs_netsim::FaultConfig {
+            outages: vec![dtcs_netsim::Outage {
+                node: NodeId(1),
+                from: SimTime::from_millis(100),
+                until: SimTime::from_millis(200),
+                crash: true,
+            }],
+            ..dtcs_netsim::FaultConfig::default()
+        }));
+        let announced = |sim: &Simulator| sim.agent::<Inbox>(NodeId(0)).unwrap().heard().len();
+        sim.run_until(SimTime::from_millis(4_900));
+        assert_eq!(announced(&sim), 5);
+        let refresh = DeviceCommand::Refresh { holds: Vec::new() };
+        sim.deliver_control(SimTime::from_secs(5), NodeId(0), NodeId(1), refresh);
+        sim.run_until(SimTime::from_secs(20));
+        assert_eq!(announced(&sim), 5, "an empty refresh is not answered");
+        assert_eq!(sim.pending_events(), 0, "no announcement left armed");
+        let heard = sim.agent::<Inbox>(NodeId(0)).unwrap().heard();
+        assert!(heard.iter().all(|h| matches!(
+            h,
+            Heard::Reply(DeviceReply::Inventory { installed, .. }) if installed.is_empty()
+        )));
     }
 
     #[test]
@@ -1321,7 +1438,7 @@ mod tests {
             owner: OwnerId(100 + i),
             stage: Stage::Dst,
             spec: anti_spoof("fw"),
-            txn: RENEW_TXN, // unanswered: the wheel holds timers alone
+            txn: RECONCILE_TXN, // unanswered: the wheel holds timers alone
             lease_until: until,
         };
         for i in 0..N {
@@ -1405,12 +1522,11 @@ mod tests {
         assert_eq!(handle.lock().rule_count, 0);
     }
 
-    /// A repair or renewal install and a repair removal are applied and
-    /// answered by nothing; under an ordinary `txn` the same two commands
-    /// are answered.
+    /// An untracked install and removal are applied and answered by
+    /// nothing; under an ordinary `txn` the same two commands are answered.
     #[test]
     fn untracked_installs_and_removals_go_unanswered() {
-        for txn in [RECONCILE_TXN, RENEW_TXN, 7] {
+        for txn in [RECONCILE_TXN, 7] {
             let mut sim = Simulator::new(Topology::line(3), 1);
             let (dev, handle) = AdaptiveDevice::new(NodeId(1), Some(NodeId(0)));
             sim.add_agent(NodeId(1), Box::new(dev));

@@ -68,8 +68,7 @@ impl ServiceGraph {
 
     /// Fingerprint of the installing spec
     /// ([`ServiceSpec::content_hash`], computed once at the spec's
-    /// construction) — the install idempotency key and the unit the NMS
-    /// reconciliation sweep compares.
+    /// construction) — the install idempotency key.
     pub fn spec_hash(&self) -> u64 {
         self.spec.content_hash()
     }

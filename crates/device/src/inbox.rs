@@ -103,10 +103,8 @@ mod tests {
         sim.deliver_control(to(1), node, NodeId(1), answer);
         sim.deliver_control(to(2), node, NodeId(1), 42u32); // foreign
         sim.deliver_control(to(2), node, NodeId(1), log);
-        let query = DeviceCommand::QueryInventory {
-            reply_to: NodeId(1),
-        };
-        sim.deliver_control(to(2), node, NodeId(1), query); // a command
+        let command = DeviceCommand::UnregisterOwner { owner };
+        sim.deliver_control(to(2), node, NodeId(1), command);
         sim.run_until(to(5));
         let heard = sim.agent::<Inbox>(NodeId(1)).unwrap().heard();
         assert!(

@@ -398,8 +398,7 @@ impl ServiceSpec {
     /// of finite floats is exact and stable). Devices use it to recognise
     /// a *byte-identical* reinstall — the idempotency key of
     /// [`crate::device::DeviceCommand::InstallService`] is (owner, stage,
-    /// content hash) — and the NMS reconciliation sweep compares desired
-    /// vs. reported hashes.
+    /// content hash) — and the NMS keys its desired state by it.
     pub fn content_hash(&self) -> u64 {
         self.hash
     }

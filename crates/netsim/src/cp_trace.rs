@@ -197,11 +197,12 @@ wire_words! {
         DeviceLost = "device_lost",
         /// NMS heard a device confirm a removal.
         DeviceRemoved = "device_removed",
-        /// NMS re-sent an install a device's inventory no longer shows.
+        /// NMS re-sent a desired entry to a device that announced its
+        /// reboot.
         Reinstall = "reinstall",
         /// NMS removed a filter no desired state asks for.
         RemoveOrphan = "remove_orphan",
-        /// NMS began renewing a lease.
+        /// NMS renewed a desired entry in a refresh round.
         Renew = "renew",
         /// NMS dropped desired state whose credential expired.
         DesiredExpired = "desired_expired",
@@ -230,11 +231,9 @@ wire_words! {
         /// A deploy sent straight to the ISPs, the TCSP being unreachable,
         /// was confirmed by an NMS ack.
         FallbackConfirmed = "fallback_confirmed",
-        /// An anti-entropy round closed.
-        Reconciled = "reconciled",
         /// A withdrawal was confirmed.
         Withdrawn = "withdrawn",
-        /// A lease-renewal round closed.
+        /// An NMS refresh round closed.
         Renewed = "renewed",
         /// Desired state outlived its credential and was dropped.
         Expired = "expired",
@@ -337,9 +336,9 @@ trace_events! {
         /// State entered.
         state: CpState,
     }
-    /// An NMS anti-entropy inventory round started
-    /// (increments `CpStats::reconcile_sweeps`). Keyless: the sweep spans
-    /// all reconcile traffic.
+    /// An NMS refresh round started (increments
+    /// `CpStats::reconcile_sweeps`). Keyless: the round spans all
+    /// reconcile traffic.
     Sweep = "sweep", key() None, {
         /// Sweeping NMS node.
         node: NodeId,

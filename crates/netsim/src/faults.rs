@@ -457,8 +457,9 @@ mod tests {
         );
     }
 
-    /// N sends with one identity at one instant (a renewal round's
-    /// `(0, RENEW_TXN)` burst to one device) get N independent fates.
+    /// N sends with one identity at one instant (the untracked
+    /// `(0, u64::MAX)` removals one refresh answer prompts to one device)
+    /// get N independent fates.
     #[test]
     fn identical_sends_at_one_instant_draw_independent_fates() {
         let burst = vec![(NodeId(9), NodeId(8), id(0, u64::MAX, 0, 11), 5); 2000];
