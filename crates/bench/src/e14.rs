@@ -103,8 +103,7 @@ fn run_cell(
         ControlPlaneConfig {
             reconcile_every: Some(SimDuration::from_secs(RECONCILE_EVERY_S)),
             leases: Some((lease, renew_every)),
-            sweep_removals: true,
-            cert_lifetime: None,
+            ..ControlPlaneConfig::default()
         },
     );
     // Owner A: deploys everywhere, then withdraws into the partition.

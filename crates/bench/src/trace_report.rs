@@ -223,7 +223,8 @@ pub fn analyze(evs: &[Ev]) -> Result<Analysis, String> {
                 .key()
                 .and_then(|k| last_loss.get(&k).copied().flatten())
                 .unwrap_or("retry_backoff_idle"),
-            "sweep" | "crash" => "device_crash_reconcile",
+            // A round's `sweep` is the protocol's cadence, not a crash's.
+            "crash" => "device_crash_reconcile",
             "state" if ev.state.as_deref() == Some(CpState::Reinstall.word()) => {
                 "device_crash_reconcile"
             }
@@ -523,6 +524,23 @@ mod tests {
         assert_eq!(a.buckets["device_crash_reconcile"], 20 + 60);
         assert_eq!(a.buckets["nms_outage"], 0);
         assert_eq!(a.buckets["baseline_protocol"], 10);
+    }
+
+    #[test]
+    fn refresh_rounds_without_a_crash_are_baseline() {
+        // A round's `sweep` event ends the idle gap before it: with no
+        // crash in the trace, none of the window is crash repair.
+        let evs = vec![
+            send(10, 7, 1),
+            verdict(10, 7, 1, "deliver"),
+            ev("{\"t\":2000,\"kind\":\"sweep\",\"node\":0}"),
+            ev("{\"t\":4000,\"kind\":\"sweep\",\"node\":0}"),
+            terminal(4500, 7, 1, "withdrawn"),
+        ];
+        let a = analyze(&evs).unwrap();
+        assert_eq!(a.window_ns(), 4490);
+        assert_eq!(a.buckets["baseline_protocol"], 4490);
+        assert_eq!(a.buckets["device_crash_reconcile"], 0);
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! receivers deduplicate by key and answer duplicate requests from
 //! done-caches, so the end-to-end effect of every transaction is
 //! exactly-once. Desired state is kept standing by one message per device
-//! per NMS round ([`NmsAgent::with_config`]): a
+//! per NMS round ([`NmsAgent::with_refresh`]): a
 //! [`DeviceCommand::Refresh`] carrying the device's whole desired slice,
-//! which installs what the device lacks and renews every lease. A
-//! rebooted device announces itself to its NMS (an empty
-//! [`DeviceReply::Inventory`], repeated until answered) and gets its
-//! refresh at once.
+//! which installs what the device lacks and renews every lease, and is
+//! answered with the slots it did not name, which the NMS removes. A
+//! rebooted device announces itself (an empty [`DeviceReply::Inventory`],
+//! repeated until answered) and gets its refresh at once.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -50,7 +50,6 @@ use crate::retry::{
     Admission, CpStatsHandle, Dedup, FanIn, Fired, Leg, LegMsg, MsgKey, Relay, Retransmitter,
     RetryPolicy, FAMILY_MASK,
 };
-use crate::scenario::ControlPlaneConfig;
 
 /// Per-message processing overhead added on top of path propagation.
 const PROC_DELAY: SimDuration = SimDuration(2_000_000); // 2 ms
@@ -393,7 +392,7 @@ const FAM_USER_WITHDRAW: u64 = 0x000B << 48;
 
 /// Timer token that starts one NMS refresh round (the scenario schedules
 /// the first; the agent re-arms itself every
-/// [`ControlPlaneConfig::refresh_every`]).
+/// [`ControlPlaneConfig::refresh_every`](crate::scenario::ControlPlaneConfig::refresh_every)).
 pub const TOKEN_REFRESH: u64 = 0x0007 << 48;
 
 // Flight-recorder message-kind ids for raw device commands, continuing
@@ -939,8 +938,9 @@ pub struct NmsAgent {
     desired: BTreeMap<DesiredKey, Arc<InstallJob>>,
     /// Withdrawals by txn; a leg is one `(device, stage)` removal.
     withdraws: Relay<u64, (NodeId, Stage), Removal>,
-    /// Refresh period, leases and removals ([`NmsAgent::with_config`]).
-    config: ControlPlaneConfig,
+    /// Refresh period and lease length ([`NmsAgent::with_refresh`]).
+    refresh_every: Option<SimDuration>,
+    lease_len: Option<SimDuration>,
     cp: CpStatsHandle,
 }
 
@@ -955,18 +955,18 @@ impl NmsAgent {
             deploys: Relay::new(FAM_NMS_INSTALL, policy, tcsp_key ^ 0xC),
             desired: BTreeMap::new(),
             withdraws: Relay::new(FAM_NMS_REMOVE, policy, tcsp_key ^ 0x3E),
-            config: ControlPlaneConfig::default(),
+            refresh_every: None,
+            lease_len: None,
             cp: CpStatsHandle::default(),
         }
     }
 
-    /// Send every managed device its refresh each
-    /// [`ControlPlaneConfig::refresh_every`], lease every install and
-    /// refresh as `config` says, and remove the slots a device lists as
-    /// unnamed with its sweep removals. The scenario must also schedule the
-    /// first [`TOKEN_REFRESH`] timer; the agent re-arms itself thereafter.
-    pub fn with_config(mut self, config: ControlPlaneConfig) -> NmsAgent {
-        self.config = config;
+    /// Send every managed device its refresh each `every`, and lease every
+    /// install and refresh for `lease` (None = to the credential's expiry).
+    /// The scenario must also schedule the first [`TOKEN_REFRESH`] timer;
+    /// the agent re-arms itself thereafter.
+    pub fn with_refresh(mut self, every: Option<SimDuration>, lease: Option<SimDuration>) -> Self {
+        (self.refresh_every, self.lease_len) = (every, lease);
         self
     }
 
@@ -1007,7 +1007,7 @@ impl NmsAgent {
             stage: service.stage(),
             spec: service.compile(),
             expires_at: cert.expires_at,
-            lease_len: self.config.leases.map(|(len, _)| len),
+            lease_len: self.lease_len,
         });
         trace_state(ctx, origin, txn, CpActor::Nms, CpState::DeployAccepted);
         let mut legs = BTreeSet::new();
@@ -1109,7 +1109,7 @@ impl NodeAgent for NmsAgent {
         match token & FAMILY_MASK {
             TOKEN_REFRESH => {
                 self.refresh_round(ctx);
-                if let Some(every) = self.config.refresh_every() {
+                if let Some(every) = self.refresh_every {
                     ctx.set_timer(every, TOKEN_REFRESH);
                 }
             }
@@ -1178,19 +1178,15 @@ impl NodeAgent for NmsAgent {
                     let sent = self.refresh(ctx, *node, CpState::Reinstall);
                     self.cp.lock().reconcile_reinstalls += sent;
                 }
-                // The slots a refresh did not name.
+                // The slots a refresh did not name: those with no
+                // desired-state entry (any spec hash) are orphans — a
+                // removal given up on, a withdrawn slot a refresh in flight
+                // re-installed, a service never asked for — so remove them.
+                // Desired state is read now, not when the refresh left, so
+                // a deployment accepted since keeps its slot, and an install
+                // still in flight has its entry from its acceptance.
+                // Untracked: the next round repeats what a removal lost.
                 DeviceReply::Inventory { node, installed } => {
-                    if !self.config.sweep_removals {
-                        return;
-                    }
-                    // Bidirectional pass: device-resident services with no
-                    // desired-state entry (any spec hash) are orphans —
-                    // remove them. Desired state is read now, not when the
-                    // refresh left, so a deployment accepted since keeps
-                    // its slot, and an install still in flight has its
-                    // entry from its deployment's acceptance. Untracked:
-                    // the next round's answer repeats what a lost removal
-                    // left.
                     let id = MsgKey::first(0, RECONCILE_TXN);
                     for &(owner, stage) in installed {
                         let hashes = (*node, owner, stage, 0)..=(*node, owner, stage, u64::MAX);
@@ -1302,11 +1298,11 @@ impl NodeAgent for NmsAgent {
                 if !admits(ctx, &self.cp, env, admission, Self::send_withdraw_ack) {
                     return;
                 }
-                // Drop the owner from desired state first, so no refresh
-                // re-installs mid-teardown and no install still retrying
-                // is sent again. Installs still in
-                // flight are victims too: an attempt already on the wire
-                // may land.
+                // Drop the owner from desired state first, so no later
+                // refresh carries its slots and no install still retrying
+                // is sent again. Installs still in flight are victims too:
+                // an attempt already on the wire may land, and so may a
+                // refresh, which the next round's answer then undoes.
                 let victims: BTreeSet<(NodeId, Stage)> = self
                     .desired
                     .keys()
@@ -1738,18 +1734,13 @@ mod tests {
         assert_eq!(identical, [0, 2, 0]);
     }
 
-    /// With sweep removals, a slot a refresh did not name is removed only
-    /// when desired state holds none for it when the device's answer
-    /// arrives: a refresh that left before a deploy was accepted (here
-    /// empty, delivered after it) takes the rogue slot off the device and
-    /// leaves the deployed one.
+    /// A slot a refresh did not name is removed only when desired state
+    /// holds none for it when the device's answer arrives: a refresh that
+    /// left before a deploy was accepted (here empty, delivered after it)
+    /// takes the rogue slot off the device and leaves the deployed one.
     #[test]
     fn a_deploy_accepted_after_a_refresh_left_keeps_its_slot() {
-        let removals = ControlPlaneConfig {
-            sweep_removals: true,
-            ..ControlPlaneConfig::default()
-        };
-        let nms = NmsAgent::new(KEY, MANAGED.to_vec(), Vec::new()).with_config(removals);
+        let nms = NmsAgent::new(KEY, MANAGED.to_vec(), Vec::new());
         let (mut sim, cp, devices) = star_plane(nms, &[CatalogService::AntiSpoofing]);
         let rogue = DeviceCommand::InstallService {
             owner: OwnerId(0xEE),

@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dtcs_device::{RETRY_BASE, RETRY_CAP};
+use dtcs_device::{backoff, RETRY_BASE, RETRY_CAP};
 use dtcs_netsim::rng::child_seed;
 use dtcs_netsim::{AgentCtx, CancelTimer, CpTraceEvent, NodeId, SimDuration, TimerId};
 
@@ -51,7 +51,7 @@ impl MsgKey {
 }
 
 /// Capped exponential backoff: attempt `k` waits
-/// `min(base · 2^k, cap)` plus a deterministic jitter in `[0, rto/4)`.
+/// [`backoff`]`(base, cap, k)` plus a deterministic jitter in `[0, rto/4)`.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// First retransmit timeout.
@@ -91,20 +91,17 @@ impl RetryPolicy {
     /// `(seed, slot, attempt)` so concurrent retries decorrelate without
     /// consulting the simulator RNG (keeps packet-plane streams intact).
     pub fn rto(&self, seed: u64, slot: u64, attempt: u32) -> SimDuration {
-        let backoff = self.backoff(attempt);
+        let wait = backoff(self.base, self.cap, attempt).0;
         let jitter_bits = child_seed(child_seed(seed, slot), attempt as u64) & 0xFFFF;
-        let jitter = (backoff / 4).saturating_mul(jitter_bits) / 65536;
-        SimDuration(backoff + jitter)
+        let jitter = (wait / 4).saturating_mul(jitter_bits) / 65536;
+        SimDuration(wait + jitter)
     }
 
     /// The most a leg waits before giving up: every timeout at the jitter's bound.
     pub fn budget(&self) -> SimDuration {
-        let backoff: u64 = (0..self.max_attempts).map(|k| self.backoff(k)).sum();
-        SimDuration(backoff + backoff / 4)
-    }
-
-    fn backoff(&self, attempt: u32) -> u64 {
-        u64::min(self.base.0.saturating_mul(1 << attempt.min(20)), self.cap.0)
+        let waits = (0..self.max_attempts).map(|k| backoff(self.base, self.cap, k).0);
+        let wait: u64 = waits.sum();
+        SimDuration(wait + wait / 4)
     }
 }
 

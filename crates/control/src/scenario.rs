@@ -19,8 +19,8 @@ use crate::retry::CpStatsHandle;
 /// Optional control-plane behaviours, selected at install time.
 ///
 /// The default configuration reproduces the plain plane: no refresh
-/// rounds, no leases (installs are bounded only by the 24 h certificate
-/// lifetime), unidirectional reconcile.
+/// rounds and no leases (installs are bounded only by the 24 h certificate
+/// lifetime).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ControlPlaneConfig {
     /// Refresh period for anti-entropy. With `leases`, the one round runs
@@ -30,8 +30,9 @@ pub struct ControlPlaneConfig {
     /// refresh period for renewal. A device that misses its refreshes reaps
     /// the service itself.
     pub leases: Option<(SimDuration, SimDuration)>,
-    /// Bidirectional refresh: also remove device-resident services absent
-    /// from desired state (requires a refresh period).
+    /// Read by nothing: every refresh round removes what a device holds and
+    /// desired state does not (DESIGN.md §6.5). Kept so that configurations
+    /// which set it still build.
     pub sweep_removals: bool,
     /// Override the TCSP certificate lifetime (None = default 24 h).
     pub cert_lifetime: Option<SimDuration>,
@@ -130,7 +131,7 @@ impl ControlPlane {
     }
 
     /// Install the control plane with explicit [`ControlPlaneConfig`]
-    /// behaviours (leases, bidirectional sweep, certificate lifetime).
+    /// behaviours (refresh rounds, leases, certificate lifetime).
     #[allow(clippy::too_many_arguments)]
     pub fn install_with(
         sim: &mut Simulator,
@@ -156,7 +157,7 @@ impl ControlPlane {
                 .filter(|&n| n != isp.nms_node)
                 .collect();
             let nms = crate::plane::NmsAgent::new(tcsp_key, isp.managed.clone(), peers)
-                .with_config(config)
+                .with_refresh(config.refresh_every(), config.leases.map(|(len, _)| len))
                 .with_cp_stats(cp_stats.clone());
             let idx = sim.add_agent(isp.nms_node, Box::new(nms));
             if let Some(every) = config.refresh_every() {
@@ -732,7 +733,6 @@ mod tests {
             ControlPlaneConfig {
                 reconcile_every: Some(SimDuration::from_secs(2)),
                 leases: Some((SimDuration::from_secs(3), SimDuration::from_secs(1))),
-                sweep_removals: true,
                 ..ControlPlaneConfig::default()
             },
         );
@@ -788,7 +788,6 @@ mod tests {
             isps,
             ControlPlaneConfig {
                 reconcile_every: Some(SimDuration::from_secs(1)),
-                sweep_removals: true,
                 ..ControlPlaneConfig::default()
             },
         );

@@ -198,11 +198,11 @@ fn run_traced(seed: u64, drop: f64, dup: f64, jitter_ms: u64, crash: bool, mult:
         ControlPlaneConfig {
             reconcile_every: Some(SimDuration::from_secs(2)),
             leases: Some((SimDuration::from_secs(3), SimDuration::from_secs(1))),
-            sweep_removals: true,
             // Short credential lifetime: desired state expires late in
             // the run (lease_expirations) and the delayed third deploy
             // is rejected as stale (expired_deploys).
             cert_lifetime: Some(SimDuration::from_secs(6)),
+            ..ControlPlaneConfig::default()
         },
     );
     // User 1: deploys and stays; renewals run until the credential dies.

@@ -2,17 +2,18 @@
 //! a device answers: the record outlives an install the NMS gave up on, a
 //! withdrawal takes back an install that is still retrying, and a device
 //! that rebooted gets its services back as soon as it is heard saying it
-//! is up. All run in E13's configuration — a 2 s refresh round, no leases,
-//! no sweep removals — so only desired state can repair or refuse. Each
-//! round is one refresh per managed device.
+//! is up. All run in E13's configuration — a 2 s refresh round, no
+//! leases — so only desired state can repair or refuse. Each round is one
+//! refresh per managed device.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dtcs_control::{
-    partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, DeployScope,
-    InternetNumberAuthority, UserId, RECONCILE_TXN,
+    partition_by_provider, CatalogService, ControlPlane, ControlPlaneConfig, CpMsg, DeployScope,
+    Envelope, InternetNumberAuthority, MsgKey, Role, UserId, RECONCILE_TXN,
 };
+use dtcs_device::OwnerId;
 use dtcs_netsim::{
     CpFlightRecorder, CpTraceEvent, FaultConfig, FaultPlane, NodeId, Outage, Partition, Prefix,
     SimDuration, SimTime, Simulator, Topology,
@@ -179,6 +180,40 @@ fn a_withdrawal_refuses_an_install_still_retrying() {
         "no filter outlives the withdrawal on the cut-off device"
     );
     assert_eq!(cp.total_rules(), 0, "nor anywhere else");
+}
+
+/// Every NMS accepts the owner's withdrawal 1 ms after a round, while that
+/// round's refreshes, which carry the owner's service, are still on the
+/// wire. Each removal, one processing step behind, overtakes its device's
+/// refresh, which then re-installs the service. The next round's refresh
+/// leaves it out, the device lists it, and the NMS removes it: no filter
+/// stands a round later, though the plane has no leases.
+#[test]
+fn a_refresh_that_lands_behind_a_withdrawal_is_undone_by_the_next_round() {
+    let (mut sim, cp, _, _) = one_user_plane(None, None);
+    let accepted = SimTime::from_millis(4_001);
+    for isp in &cp.isps {
+        let withdraw = Envelope {
+            to: Role::Nms,
+            key: MsgKey::first(0xAA01, 1),
+            msg: CpMsg::NmsWithdraw {
+                owner: OwnerId(0xAA01),
+            },
+        };
+        sim.deliver_control(accepted, cp.tcsp_node, isp.nms_node, withdraw);
+    }
+    sim.run_until(accepted + SimDuration::from_millis(500));
+    assert_eq!(cp.cp_stats.lock().withdraw_removes, sim.topo.n() as u64);
+    assert_eq!(
+        cp.total_rules(),
+        sim.topo.n(),
+        "each refresh in flight re-installed the service behind its removal"
+    );
+
+    sim.run_until(accepted + SWEEP + SimDuration::from_millis(500));
+    assert_eq!(cp.total_rules(), 0, "the next round's answers removed it");
+    let stats = cp.cp_stats.lock().clone();
+    assert_eq!(stats.reconcile_removals, sim.topo.n() as u64, "{stats:?}");
 }
 
 /// A device crashes just after a round and reboots 200 ms later. Up again,

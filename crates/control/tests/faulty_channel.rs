@@ -361,8 +361,7 @@ fn a_churning_plane_fires_no_idle_timer() {
         ControlPlaneConfig {
             reconcile_every: Some(SimDuration::from_secs(2)),
             leases: Some((SimDuration::from_secs(8), SimDuration::from_secs(2))),
-            sweep_removals: true,
-            cert_lifetime: None,
+            ..ControlPlaneConfig::default()
         },
     );
     for (u, &node) in stubs.iter().take(OWNERS).enumerate() {

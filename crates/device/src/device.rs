@@ -57,6 +57,11 @@ pub const RETRY_BASE: SimDuration = SimDuration::from_millis(250);
 /// The longest wait of the control plane's retry schedule.
 pub const RETRY_CAP: SimDuration = SimDuration::from_secs(2);
 
+/// Capped doubling: the wait before repeat `attempt`, `min(base · 2^attempt, cap)`.
+pub fn backoff(base: SimDuration, cap: SimDuration, attempt: u32) -> SimDuration {
+    SimDuration(u64::min(base.0.saturating_mul(1 << attempt.min(20)), cap.0))
+}
+
 /// Agent-timer token for the next reboot announcement.
 const TOKEN_ANNOUNCE: u64 = 2;
 
@@ -368,9 +373,9 @@ pub struct AdaptiveDevice {
     /// The one reaper timer and its instant, set at the soonest entry of
     /// `leases` ([`AdaptiveDevice::arm_reaper`]).
     reaper: Option<(SimTime, TimerId)>,
-    /// After a reboot, until a refresh arrives: the timer of the next
-    /// announcement, and the wait to arm after it.
-    announcing: Option<(SimDuration, TimerId)>,
+    /// After a reboot, until a refresh arrives: the number of the next
+    /// announcement, and the timer that sends it.
+    announcing: Option<(u32, TimerId)>,
     verifier: SafetyVerifier,
     /// Only this node's commands are accepted when set (the ISP NMS).
     manager: Option<NodeId>,
@@ -609,17 +614,17 @@ impl AdaptiveDevice {
         }
     }
 
-    /// Tell the manager this device holds nothing, and again `wait` later
-    /// (the wait doubling up to [`RETRY_CAP`]) until a refresh arrives.
-    fn announce(&mut self, ctx: &mut AgentCtx<'_>, wait: SimDuration) {
+    /// Tell the manager this device holds nothing, and again on the retry
+    /// schedule ([`backoff`], `attempt` on from the reboot) until a refresh arrives.
+    fn announce(&mut self, ctx: &mut AgentCtx<'_>, attempt: u32) {
         let Some(manager) = self.manager else { return };
         let empty = DeviceReply::Inventory {
             node: self.ctx.node,
             installed: Vec::new(),
         };
         ctx.send_control(manager, ctx.path_delay(manager), empty);
-        let next = RETRY_CAP.min(wait + wait);
-        self.announcing = Some((next, ctx.set_timer(wait, TOKEN_ANNOUNCE)));
+        let wait = backoff(RETRY_BASE, RETRY_CAP, attempt);
+        self.announcing = Some((attempt + 1, ctx.set_timer(wait, TOKEN_ANNOUNCE)));
     }
 
     /// Set the reaper at the soonest lease entry (now, for a horizon
@@ -849,7 +854,7 @@ impl NodeAgent for AdaptiveDevice {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, token: u64) {
         match (token, self.announcing) {
-            (TOKEN_ANNOUNCE, Some((next, _))) => return self.announce(ctx, next),
+            (TOKEN_ANNOUNCE, Some((attempt, _))) => return self.announce(ctx, attempt),
             (TOKEN_LEASE, _) => {}
             _ => return,
         }
@@ -910,7 +915,7 @@ impl NodeAgent for AdaptiveDevice {
         // Back up with nothing installed: say so to the manager as an
         // empty inventory, which it answers with this device's refresh,
         // without waiting for its next round; and again until it does.
-        self.announce(ctx, RETRY_BASE);
+        self.announce(ctx, 0);
     }
 }
 

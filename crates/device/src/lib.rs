@@ -50,7 +50,7 @@ pub mod trie;
 pub mod view;
 
 pub use device::{
-    AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats, Provision,
+    backoff, AdaptiveDevice, DeviceCommand, DeviceHandle, DeviceReply, DeviceStats, Provision,
     RECONCILE_TXN, RETRY_BASE, RETRY_CAP,
 };
 pub use graph::ServiceGraph;
